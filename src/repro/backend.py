@@ -229,33 +229,24 @@ class Backend(ABC):
         """The config class this backend accepts (None = no config)."""
         return None
 
-    # Timing/limit fields each backend holds to *positive finite* at the
-    # run() boundary.  The config dataclasses validate at construction
-    # too, but a config mutated after construction (or built around
-    # ``__post_init__``) would otherwise turn a NaN ``poll_interval_s``
-    # or ``spin_ceiling_s`` into a supervisor hang instead of an error.
-    _positive_finite_fields: tuple[str, ...] = ()
-
     def _validate_config(self, config) -> None:
         """Reject config field values this backend cannot run with.
 
-        Raises :class:`BackendConfigError` naming the offending field —
-        never a raw ``ValueError``, never a hang.
+        The config dataclasses validate at construction, but a config
+        mutated afterwards (or built around ``__post_init__``) would
+        otherwise turn a NaN ``poll_interval_s`` or ``spin_ceiling_s``
+        into a supervisor hang instead of an error — so the class's own
+        validation runs again here.  Raises :class:`BackendConfigError`
+        naming the offending field — never a raw ``ValueError``, never a
+        hang.
         """
         if config is None:
             return
-        import math
-
-        for name in self._positive_finite_fields:
-            value = getattr(config, name, None)
-            if value is None:
-                continue
-            if isinstance(value, bool) or \
-                    not isinstance(value, (int, float)) or \
-                    not math.isfinite(value) or value <= 0:
-                raise BackendConfigError(
-                    f"backend {self.name!r}: config field {name!r} must be "
-                    f"a positive finite number, got {value!r}")
+        try:
+            config.__post_init__()
+        except ValueError as exc:
+            raise BackendConfigError(
+                f"backend {self.name!r}: {exc}") from None
 
     @abstractmethod
     def _run(self, program, args: tuple, *, parallelism, config, faults,
@@ -466,8 +457,6 @@ class SimBackend(Backend):
     noun = "PEs"
     capabilities = frozenset({MODELED_TIME, PARALLEL, METRICS, WAITS,
                               TRACE, FAULTS})
-    _positive_finite_fields = ("retransmit_timeout_us", "quiescence_us",
-                               "max_sim_time_us")
 
     def _config_type(self):
         from repro.common.config import SimConfig
@@ -526,44 +515,73 @@ class SimBackend(Backend):
         return lines
 
 
-class ParallelBackend(Backend):
+class _SpmdBackend(Backend):
+    """What the two wall-clock SPMD substrates share at this surface.
+
+    Both take a config whose width field (``width_field``: ``workers`` /
+    ``nodes``) names the launcher's width argument and the native
+    result's width attribute, carry an optional ``fault_spec``, and
+    return a result with ``wall_time_s`` / ``registry`` / ``recovery`` /
+    ``ckpt``.
+    """
+
+    width_field = ""
+
+    def _launch(self, ast, args, **kwargs):
+        """Run on the substrate; returns its native result object."""
+        raise NotImplementedError
+
+    def _run(self, program, args, *, parallelism, config, faults,
+             **kwargs) -> BackendResult:
+        field = self.width_field
+        if faults is not None and config is not None and \
+                config.fault_spec is not None:
+            raise BackendConfigError(
+                f"conflicting fault plans: {type(config).__name__}."
+                "fault_spec and faults= are both set")
+        if config is not None and parallelism is not None and \
+                getattr(config, field) != parallelism:
+            config = replace(config, **{field: parallelism})
+        width = (getattr(config, field) if config is not None
+                 else (parallelism or 1))
+        result = self._launch(getattr(program, "ast", program), args,
+                              entry=getattr(program, "entry", "main"),
+                              config=config, faults=faults,
+                              **{field: width}, **kwargs)
+        return BackendResult(backend=self.name, value=result.value,
+                             parallelism=getattr(result, field),
+                             wall_time_s=result.wall_time_s,
+                             registry=result.registry, raw=result,
+                             ckpt=result.ckpt)
+
+    def render(self, result, args) -> list[str]:
+        lines = [f"value: {result.value}",
+                 f"wall time: {result.wall_time_s:.3f} s on "
+                 f"{result.parallelism} {self.noun}"]
+        recovery = result.raw.recovery
+        if recovery is not None and recovery.events:
+            lines.append(recovery.table())
+        return lines
+
+
+class ParallelBackend(_SpmdBackend):
     """Supervised, self-healing multiprocessing execution (real time)."""
 
     name = "parallel"
     noun = "workers"
     capabilities = frozenset({WALL_TIME, PARALLEL, METRICS, WAITS, TRACE,
                               FAULTS, RECOVERY})
-    _positive_finite_fields = ("timeout_s", "poll_interval_s", "grace_s",
-                               "read_timeout_s", "spin_ceiling_s",
-                               "retry_backoff_s", "retry_backoff_max_s")
+    width_field = "workers"
 
     def _config_type(self):
         from repro.common.config import ParallelConfig
 
         return ParallelConfig
 
-    def _run(self, program, args, *, parallelism, config, faults,
-             **kwargs) -> BackendResult:
+    def _launch(self, ast, args, **kwargs):
         from repro.parallel.executor import run_parallel
 
-        if faults is not None and config is not None and \
-                config.fault_spec is not None:
-            raise BackendConfigError(
-                "conflicting fault plans: ParallelConfig.fault_spec and "
-                "faults= are both set")
-        if config is not None and parallelism is not None and \
-                config.workers != parallelism:
-            config = config.with_workers(parallelism)
-        workers = config.workers if config is not None else (parallelism or 1)
-        result = run_parallel(getattr(program, "ast", program), args,
-                              workers=workers,
-                              entry=getattr(program, "entry", "main"),
-                              config=config, faults=faults, **kwargs)
-        return BackendResult(backend=self.name, value=result.value,
-                             parallelism=result.workers,
-                             wall_time_s=result.wall_time_s,
-                             registry=result.registry, raw=result,
-                             ckpt=result.ckpt)
+        return run_parallel(ast, args, **kwargs)
 
     def cli_config(self, args):
         from repro.common.config import ParallelConfig
@@ -574,18 +592,13 @@ class ParallelBackend(Backend):
                               fault_spec=args.faults)
 
     def render(self, result, args) -> list[str]:
-        lines = [f"value: {result.value}",
-                 f"wall time: {result.wall_time_s:.3f} s on "
-                 f"{result.parallelism} {self.noun}"]
-        raw = result.raw
-        if raw.recovery is not None and raw.recovery.events:
-            lines.append(raw.recovery_table())
+        lines = super().render(result, args)
         trace_json = getattr(args, "trace_json", None)
         if trace_json:
             from repro.obs.export import parallel_trace_json
 
             with open(trace_json, "w") as fh:
-                fh.write(parallel_trace_json(raw) + "\n")
+                fh.write(parallel_trace_json(result.raw) + "\n")
             lines.append(f"wrote {trace_json}")
         return lines
 
@@ -627,8 +640,6 @@ class StaticBackend(Backend):
     name = "static"
     noun = "PEs"
     capabilities = frozenset({MODELED_TIME, PARALLEL})
-    _positive_finite_fields = ("retransmit_timeout_us", "quiescence_us",
-                               "max_sim_time_us")
 
     def _config_type(self):
         from repro.common.config import SimConfig
@@ -654,7 +665,7 @@ class StaticBackend(Backend):
                              raw=result)
 
 
-class DistBackend(Backend):
+class DistBackend(_SpmdBackend):
     """Multi-node execution over a fault-tolerant TCP message layer.
 
     The paper's target deployment: node processes connected by a real
@@ -670,38 +681,17 @@ class DistBackend(Backend):
     noun = "nodes"
     capabilities = frozenset({WALL_TIME, PARALLEL, METRICS, WAITS,
                               FAULTS, RECOVERY})
-    _positive_finite_fields = (
-        "timeout_s", "poll_interval_s", "connect_timeout_s",
-        "read_timeout_s", "heartbeat_interval_s", "heartbeat_timeout_s",
-        "retransmit_timeout_s", "retry_backoff_s", "retry_backoff_max_s")
+    width_field = "nodes"
 
     def _config_type(self):
         from repro.common.config import DistConfig
 
         return DistConfig
 
-    def _run(self, program, args, *, parallelism, config, faults,
-             **kwargs) -> BackendResult:
+    def _launch(self, ast, args, **kwargs):
         from repro.dist.coordinator import run_distributed
 
-        if faults is not None and config is not None and \
-                config.fault_spec is not None:
-            raise BackendConfigError(
-                "conflicting fault plans: DistConfig.fault_spec and "
-                "faults= are both set")
-        if config is not None and parallelism is not None and \
-                config.nodes != parallelism:
-            config = config.with_nodes(parallelism)
-        nodes = config.nodes if config is not None else (parallelism or 1)
-        result = run_distributed(getattr(program, "ast", program), args,
-                                 nodes=nodes,
-                                 entry=getattr(program, "entry", "main"),
-                                 config=config, faults=faults, **kwargs)
-        return BackendResult(backend=self.name, value=result.value,
-                             parallelism=result.nodes,
-                             wall_time_s=result.wall_time_s,
-                             registry=result.registry, raw=result,
-                             ckpt=result.ckpt)
+        return run_distributed(ast, args, **kwargs)
 
     def cli_config(self, args):
         from repro.common.config import DistConfig
@@ -716,13 +706,8 @@ class DistBackend(Backend):
         return getattr(args, "nodes", None) or args.pes
 
     def render(self, result, args) -> list[str]:
-        lines = [f"value: {result.value}",
-                 f"wall time: {result.wall_time_s:.3f} s on "
-                 f"{result.parallelism} {self.noun}"]
-        raw = result.raw
-        if raw.recovery is not None and raw.recovery.events:
-            lines.append(raw.recovery.table())
-        ns = getattr(raw, "netstats", None)
+        lines = super().render(result, args)
+        ns = getattr(result.raw, "netstats", None)
         if ns is not None and ns.any_faults():
             lines.append(ns.table())
         return lines

@@ -30,6 +30,7 @@ from repro.common.errors import (
     MissingWriteError,
     SingleAssignmentViolation,
 )
+from repro.graph import ir
 from repro.lang import ast_nodes as A
 from repro.runtime.values import ArrayValue
 from repro.sim import timing as T
@@ -350,6 +351,39 @@ class Interpreter:
     def on_array_write(self, arr: SeqArray, indices: tuple, value: Any) -> None:
         self.clock.charge(ARRAY_WRITE)
         arr.write(indices, value)
+
+
+class PartitionedInterpreter(Interpreter):
+    """An :class:`Interpreter` that consults the partitioned graph: which
+    loops the Partitioner distributed and what their Range Filters read
+    (the SPMD core in :mod:`repro.runtime.spmd`; the static baseline)."""
+
+    def __init__(self, program: A.Program, graph: ir.ProgramGraph,
+                 clock: Clock, entry: str = "main") -> None:
+        super().__init__(program, clock=clock, entry=entry)
+        # AST loop node -> its (partitioned) code block.
+        self.block_of = {id(b.ast_ref): b for b in graph.loop_blocks()
+                         if b.ast_ref is not None}
+
+    def range_filter_of(self, stmt: A.For, env: list[dict]):
+        """``(block, array, fixed indices)`` when ``stmt`` is a
+        distributed loop with a Range Filter, else None."""
+        block = self.block_of.get(id(stmt))
+        if block is None or not block.distributed \
+                or block.range_filter is None:
+            return None
+        rf = block.range_filter
+        return (block, self._resolve_vid(block, rf.array_vid, env),
+                tuple(self._resolve_vid(block, v, env)
+                      for v in rf.fixed_vids))
+
+    def _resolve_vid(self, block: ir.CodeBlock, vid: int, env: list[dict]):
+        d = block.defs[vid]
+        if isinstance(d, ir.ConstDef):
+            return d.value
+        if isinstance(d, (ir.ParamDef, ir.IndexDef)) and d.name:
+            return self.lookup(env, d.name)
+        raise ExecutionError(f"cannot resolve vid {vid} of {block.name}")
 
 
 def run_sequential(program: A.Program, args: tuple = (),

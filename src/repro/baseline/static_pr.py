@@ -41,7 +41,7 @@ from repro.baseline.sequential import (
     ARRAY_READ,
     ARRAY_WRITE,
     Clock,
-    Interpreter,
+    PartitionedInterpreter,
     SeqArray,
 )
 from repro.sim import timing as T
@@ -105,7 +105,7 @@ class StaticResult:
         return self.time_us / 1e6
 
 
-class StaticInterpreter(Interpreter):
+class StaticInterpreter(PartitionedInterpreter):
     """SPMD critical-path executor (see module docstring)."""
 
     def __init__(self, program: A.Program, graph: ir.ProgramGraph,
@@ -115,13 +115,8 @@ class StaticInterpreter(Interpreter):
         self.element_bytes = config.machine.element_bytes
         self.cache_enabled = config.machine.cache_enabled
         clocks = PEClocks(self.num_pes)
-        super().__init__(program, clock=clocks)
+        super().__init__(program, graph, clocks)
         self.clocks = clocks
-        # AST loop node -> its (partitioned) code block.
-        self.block_of: dict[int, ir.CodeBlock] = {
-            id(b.ast_ref): b for b in graph.loop_blocks()
-            if b.ast_ref is not None
-        }
         self.graph = graph
         # (array_id, offset) -> time available at its owner.
         self.avail: dict[tuple[int, int], float] = {}
@@ -144,24 +139,18 @@ class StaticInterpreter(Interpreter):
     # -- distributed loops --------------------------------------------------
 
     def run_for(self, stmt: A.For, env: list[dict], depth: int) -> None:
-        block = self.block_of.get(id(stmt))
         init = self.eval(stmt.init, env, depth)
         limit = self.eval(stmt.limit, env, depth)
         step = -1 if stmt.descending else 1
-
-        distributed = (block is not None and block.distributed
-                       and block.range_filter is not None
-                       and self.clocks.ctx == "all")
-        if not distributed:
+        found = (self.range_filter_of(stmt, env)
+                 if self.clocks.ctx == "all" else None)
+        if found is None:
             self.run_for_range(stmt, env, depth, init, limit, step)
             return
-
+        block, arr, fixed = found
         rf = block.range_filter
-        arr = self._resolve_vid(block, rf.array_vid, env)
         if not isinstance(arr, SeqArray):
             raise ExecutionError("range-filter array did not resolve")
-        fixed = tuple(self._resolve_vid(block, v, env)
-                      for v in rf.fixed_vids)
         header = self.header_for(arr)
 
         entry = max(self.clocks.times)  # SPMD: everyone enters together
@@ -176,17 +165,6 @@ class StaticInterpreter(Interpreter):
                 self.run_for_range(stmt, env, depth, first, last, step)
         finally:
             self.clocks.ctx = "all"
-
-    def _resolve_vid(self, block: ir.CodeBlock, vid: int,
-                     env: list[dict]) -> Any:
-        d = block.defs[vid]
-        if isinstance(d, ir.ConstDef):
-            return d.value
-        if isinstance(d, ir.ParamDef) and d.name:
-            return self.lookup(env, d.name)
-        if isinstance(d, ir.IndexDef):
-            return self.lookup(env, d.name)
-        raise ExecutionError(f"cannot resolve vid {vid} of {block.name}")
 
     # -- array hooks -------------------------------------------------------
 

@@ -42,25 +42,9 @@ import threading
 import time
 
 from repro.api import compile_source
-from repro.common.chaoslib import run_matrix
+from repro.common.chaoslib import ROW_SWEEP, run_matrix
 from repro.common.config import DistConfig
 from repro.dist.coordinator import COORD_PIDFILE_ENV
-
-# The same row-sweep the chaos drivers use: cross-iteration dependences
-# through the matrix rows, so a resumed run genuinely consumes the
-# checkpointed elements instead of racing past them.
-ROW_SWEEP = """
-function main(n) {
-    B = matrix(n, n);
-    for j = 1 to n { B[1, j] = 1.0 * j; }
-    for i = 2 to n {
-        for j = 1 to n { B[i, j] = B[i - 1, j] * 0.5 + 1.0; }
-    }
-    s = 0.0;
-    for j = 1 to n { next s = s + B[n, j]; }
-    return s;
-}
-"""
 
 N_SIM = 48       # sim: enough events that the kill lands mid-run
 N_DIST = 24      # dist: sized for wall-clock, not event count

@@ -456,6 +456,22 @@ class CkptWriter:
                 "dir": self.spec.dir}
 
 
+def run_summary(ckpt, restore, registry) -> dict | None:
+    """The ``ckpt`` summary a run result carries, from its writer and/or
+    restore (None = durable execution was off); nonzero counts also land
+    in ``registry`` (when there is one) as the ``ckpt.*`` family."""
+    info = ckpt.stats() if ckpt is not None else None
+    if restore is not None:
+        info = dict(info or {})
+        info["restored_elements"] = restore.total_elements
+        info["resumed_from"] = restore.id
+    if registry is not None and info:
+        for key in ("snapshots", "elements", "restored_elements"):
+            if info.get(key):
+                registry.inc(f"ckpt.{key}", info[key])
+    return info
+
+
 # ---------------------------------------------------------------------
 # restore accessors
 # ---------------------------------------------------------------------

@@ -20,8 +20,26 @@ import os
 import time
 from typing import Callable, Sequence
 
-__all__ = ["check_leaks", "open_sockets", "run_matrix", "shm_entries",
-           "unlink_quietly", "wait_for_children"]
+__all__ = ["ROW_SWEEP", "check_leaks", "open_sockets", "run_matrix",
+           "shm_entries", "unlink_quietly", "wait_for_children"]
+
+# The program the sim and dist matrices and the crash-restart drill all
+# run: row i's readers race row i-1's writers, so every run at width > 1
+# carries the full traffic mix — allocate and spawn broadcasts, remote
+# reads deferred owner-side, page-grain replies, cross-identity writes —
+# and a resumed run genuinely consumes its checkpointed rows.
+ROW_SWEEP = """
+function main(n) {
+    B = matrix(n, n);
+    for j = 1 to n { B[1, j] = 1.0 * j; }
+    for i = 2 to n {
+        for j = 1 to n { B[i, j] = B[i - 1, j] * 0.5 + 1.0; }
+    }
+    s = 0.0;
+    for j = 1 to n { next s = s + B[n, j]; }
+    return s;
+}
+"""
 
 
 # -- leak accounting ------------------------------------------------------

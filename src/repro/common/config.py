@@ -29,6 +29,12 @@ def _require_positive_finite(cfg, names: tuple[str, ...]) -> None:
                 f"{name} must be a positive finite number, got {value!r}")
 
 
+def _require_nonneg(cfg, names: tuple[str, ...]) -> None:
+    for name in names:
+        if getattr(cfg, name) < 0:
+            raise ValueError(f"{name} must be >= 0")
+
+
 @dataclass(frozen=True)
 class MachineConfig:
     """Static description of the simulated multiprocessor.
@@ -158,16 +164,8 @@ class ParallelConfig:
         _require_positive_finite(self, (
             "timeout_s", "poll_interval_s", "grace_s", "read_timeout_s",
             "spin_ceiling_s", "retry_backoff_s", "retry_backoff_max_s"))
-        if self.max_retries_per_worker < 0:
-            raise ValueError("max_retries_per_worker must be >= 0")
-        if self.max_retries_total < 0:
-            raise ValueError("max_retries_total must be >= 0")
-        if self.retry_jitter < 0:
-            raise ValueError("retry_jitter must be >= 0")
-
-    def with_workers(self, workers: int) -> "ParallelConfig":
-        """Return a copy of this config with a different worker count."""
-        return replace(self, workers=workers)
+        _require_nonneg(self, ("max_retries_per_worker",
+                               "max_retries_total", "retry_jitter"))
 
 
 @dataclass(frozen=True)
@@ -385,18 +383,7 @@ class DistConfig:
             "retry_backoff_max_s"))
         if self.retransmit_budget < 1:
             raise ValueError("retransmit_budget must be >= 1")
-        if self.reconnect_attempts < 0:
-            raise ValueError("reconnect_attempts must be >= 0")
-        if self.max_takeovers < 0:
-            raise ValueError("max_takeovers must be >= 0")
-        if self.max_retries_per_worker < 0:
-            raise ValueError("max_retries_per_worker must be >= 0")
-        if self.max_retries_total < 0:
-            raise ValueError("max_retries_total must be >= 0")
-        if self.retry_jitter < 0:
-            raise ValueError("retry_jitter must be >= 0")
-
-    def with_nodes(self, nodes: int) -> "DistConfig":
-        """Return a copy of this config with a different node count."""
-        return replace(self, nodes=nodes)
+        _require_nonneg(self, (
+            "reconnect_attempts", "max_takeovers", "max_retries_per_worker",
+            "max_retries_total", "retry_jitter"))
 

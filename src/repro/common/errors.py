@@ -326,7 +326,7 @@ class ParallelExecutionError(ExecutionError):
     ExecutionError`` call sites keep working; ``failures`` holds one
     :class:`WorkerFailure` per dead/hung/erroring worker.  When the run
     used the recovery layer, ``recovery`` carries its
-    :class:`repro.parallel.recovery.RecoveryLog` so callers can see what
+    :class:`repro.common.retry.RecoveryLog` so callers can see what
     was attempted before the run was abandoned.
     """
 
@@ -340,6 +340,24 @@ class ParallelExecutionError(ExecutionError):
         if recovery is not None and getattr(recovery, "events", None):
             message += f"\nrecovery: {recovery.summary()}"
         super().__init__(message)
+
+    # How abort messages name this backend and its units of parallelism.
+    _what, _unit = "parallel", "worker"
+
+    @classmethod
+    def unrecovered(cls, failures: list[WorkerFailure], recovery,
+                    fatal_message: str | None, timeout_s: float):
+        """The abort for a supervised run that ended with ``failures``."""
+        hung = [f.worker for f in failures if f.kind == "hang"]
+        if fatal_message is not None:
+            message = f"{cls._what} run failed: {fatal_message}"
+        elif hung and len(hung) == len(failures):
+            message = (f"{cls._what} run timed out after {timeout_s:g}s; "
+                       f"unjoined {cls._unit}s: {hung}")
+        else:
+            message = (f"{cls._what} run failed: {len(failures)} "
+                       f"{cls._unit} failure(s) were not recoverable")
+        return cls(message, failures, recovery=recovery)
 
     def __reduce__(self):
         # Default exception pickling re-calls __init__(message), which
@@ -387,6 +405,8 @@ class DistExecutionError(ParallelExecutionError):
     backend as everywhere else.  ``failures`` holds one
     :class:`WorkerFailure` per dead/erroring *node*.
     """
+
+    _what, _unit = "distributed", "node"
 
 
 class NodeLossError(DistExecutionError):

@@ -1,31 +1,40 @@
-"""The shared fault-plan grammar spoken by both chaos backends.
+"""The shared fault-plan grammar and engine behind every fault dialect.
 
 A fault plan is a compact spec string of semicolon-separated clauses::
 
     action:key=value,key=value;action:key=value
 
-Both the real-parallel backend (:mod:`repro.parallel.faults` — process
-faults like ``kill``/``hang``) and the simulated machine
-(:mod:`repro.sim.netfaults` — network faults like ``drop``/``dup``/
-``reorder`` and PE faults like ``pe-halt``) parse their plans with the
-helpers here, so the two dialects differ only in their action/qualifier
-vocabulary, never in syntax.  Each dialect supplies a *schema* mapping
-qualifier names to coercions (``int``/``float``/``str``); anything
-outside the schema is a hard ``ValueError`` — fault plans are a test
-instrument and must never guess.
+Three dialects speak it: the real-parallel backend
+(:mod:`repro.parallel.faults` — process faults like ``kill``/``hang``),
+the simulated machine (:mod:`repro.sim.netfaults` — network faults like
+``drop``/``dup``/``reorder`` and PE faults like ``pe-halt``) and the
+distributed backend (:mod:`repro.dist.faults` — frame faults, link
+partitions, node and coordinator kills).  They differ only in
+vocabulary: a dialect declares its action names, a *schema* mapping
+qualifier names to coercions (``int``/``float``/``str``), defaults,
+per-action validation and what firing *does*.  Everything else is here,
+once: the grammar and :func:`parse_plan`'s clause loop, :class:`Plan`
+and :func:`resolve` (``None`` / spec string / plan), the message
+selector with its ``after``/``count`` window (:class:`ArmingWindow`) and
+the per-event trigger counter with its ``gen`` filter
+(:class:`EventTrigger`).  Anything outside the schema is a hard
+``ValueError`` — fault plans are a test instrument and must never guess.
 
-Environment handling is shared too: :func:`spec_from_env` reads a plan
-spec from an environment variable (``PODS_FAULTS`` for the parallel
-backend, ``PODS_SIM_FAULTS`` for the simulator) so a whole test process
-or chaos soak can inject faults without threading arguments through
-every call site.  Qualifiers common to both dialects — counting windows
-(``after``), generation/seed selectors (``gen``, ``seed``) — keep one
-spelling and one meaning on both sides.
+Each dialect reads only its own environment variable (``PODS_FAULTS``,
+``PODS_SIM_FAULTS``, ``PODS_DIST_FAULTS``), so a whole test process or
+chaos soak can inject faults without threading arguments through every
+call site and one dialect's plan can never poison another's runs.
+Qualifiers common to several dialects — counting windows (``after``,
+``count``), generation/seed selectors (``gen``, ``seed``) — keep one
+spelling and one meaning everywhere.
 """
 
 from __future__ import annotations
 
 import os
+import random
+from dataclasses import dataclass
+from typing import ClassVar
 
 PARALLEL_ENV_VAR = "PODS_FAULTS"
 SIM_ENV_VAR = "PODS_SIM_FAULTS"
@@ -127,3 +136,169 @@ def parse_from_env(var: str, parse):
         return parse(spec)
     except ValueError as exc:
         raise ValueError(f"bad fault plan in {var}={spec!r}: {exc}") from None
+
+
+def parse_plan(spec: str | None, fault_cls, schema: dict,
+               required: tuple[str, ...] = ()) -> tuple:
+    """Parse ``action:key=value,...[;action:...]`` into ``fault_cls`` clauses.
+
+    ``schema`` is the dialect's qualifier vocabulary, ``required`` the
+    qualifiers every clause must carry; ``fault_cls`` validates the
+    action and the qualifier combination.  Every error names the
+    offending clause: an unknown action or a bad qualifier must be
+    findable in a multi-clause spec (and, via :func:`parse_from_env`,
+    in the environment variable).
+    """
+    if not spec or not spec.strip():
+        return ()
+    faults = []
+    for action, argstr in split_clauses(spec):
+        clause = f"{action}:{argstr}" if argstr else action
+        kwargs = parse_clause_args(argstr, schema, clause)
+        for key in required:
+            if key not in kwargs:
+                raise ValueError(f"fault {clause!r} needs {key}=<k>")
+        try:
+            faults.append(fault_cls(action=action, **kwargs))
+        except ValueError as exc:
+            raise ValueError(f"bad fault clause {clause!r}: {exc}") from None
+    return tuple(faults)
+
+
+def require_nonneg(f, *names: str) -> None:
+    """Shared validation for a clause's counting/timing qualifiers."""
+    for name in names:
+        if getattr(f, name) < 0:
+            raise ValueError(f"fault {name} must be >= 0")
+
+
+@dataclass(frozen=True)
+class Plan:
+    """A parsed set of faults for one run (empty = normal operation).
+
+    Dialects subclass this and declare ``fault_cls`` (the clause
+    dataclass), ``schema``, ``env_var`` and, optionally, ``required``.
+    """
+
+    faults: tuple = ()
+
+    fault_cls: ClassVar[type]
+    schema: ClassVar[dict]
+    env_var: ClassVar[str]
+    required: ClassVar[tuple[str, ...]] = ()
+
+    def __bool__(self) -> bool:
+        return bool(self.faults)
+
+    def with_action(self, actions: tuple[str, ...]) -> tuple:
+        return tuple(f for f in self.faults if f.action in actions)
+
+    @classmethod
+    def parse(cls, spec: str | None):
+        return cls(parse_plan(spec, cls.fault_cls, cls.schema, cls.required))
+
+    @classmethod
+    def from_env(cls):
+        return parse_from_env(cls.env_var, cls.parse)
+
+
+def resolve(faults, plan_cls):
+    """Coerce ``None`` / spec string / plan into a ``plan_cls``.
+
+    ``None`` defers to the dialect's own environment variable.
+    """
+    if faults is None:
+        return plan_cls.from_env()
+    if isinstance(faults, plan_cls):
+        return faults
+    if isinstance(faults, str):
+        return plan_cls.parse(faults)
+    raise ValueError(
+        f"cannot build a {plan_cls.__name__} from {type(faults).__name__}")
+
+
+def selects(f, src: int, dst: int, kind: str, any_: int) -> bool:
+    """Whether clause ``f``'s ``src``/``dst``/``kind`` selector admits
+    one message (``any_`` is the dialect's wildcard address)."""
+    return ((f.src == any_ or f.src == src)
+            and (f.dst == any_ or f.dst == dst)
+            and (not f.kind or f.kind == kind))
+
+
+class ArmingWindow:
+    """Selector + ``after``/``count`` window over message-level clauses.
+
+    Deterministic and replayable: per-clause match counters drive the
+    windows — ``after=N`` skips the first N matching messages,
+    ``count=K`` arms the clause for K firings (0 = unlimited) — and a
+    clause carrying ``prob`` < 1 fires each armed match on a draw from
+    one ``random.Random`` seeded by the clause's ``seed`` and position,
+    so identical plans fire identically on identical traffic.
+    """
+
+    def __init__(self, clauses, any_: int) -> None:
+        self._clauses = list(clauses)
+        self._any = any_
+        self._matched = [0] * len(self._clauses)
+        self._fired = [0] * len(self._clauses)
+        self._rngs = [random.Random((f.seed << 16) ^ i)
+                      if getattr(f, "prob", 1.0) < 1.0 else None
+                      for i, f in enumerate(self._clauses)]
+
+    def __bool__(self) -> bool:
+        return bool(self._clauses)
+
+    def firing(self, src: int, dst: int, kind: str) -> list:
+        """The clauses that fire on this message, in plan order."""
+        hits = []
+        for i, f in enumerate(self._clauses):
+            if not selects(f, src, dst, kind, self._any):
+                continue
+            seq = self._matched[i]
+            self._matched[i] = seq + 1
+            if seq < f.after:
+                continue
+            if f.count and self._fired[i] >= f.count:
+                continue
+            rng = self._rngs[i]
+            if rng is not None and rng.random() >= f.prob:
+                continue
+            self._fired[i] += 1
+            hits.append(f)
+        return hits
+
+
+class EventTrigger:
+    """Per-event trigger counters over process-level clauses.
+
+    ``faults`` are the clauses addressed to this process (each with an
+    ``on`` event, an ``after`` count and a ``gen`` qualifier); ``arm``
+    keeps those whose ``gen`` is 0 (every generation) or the given
+    execution generation and restarts the event counts from zero — a
+    replay re-executes its subrange from the top.  ``fire`` is called
+    from interpreter hot hooks, so the no-fault path is a single
+    truthiness check on an empty list.  Subclasses supply :meth:`act`:
+    what a clause does at the ``count``-th occurrence of its event.
+    """
+
+    def __init__(self, faults, events: tuple[str, ...],
+                 generation: int = 1) -> None:
+        self._all = list(faults)
+        self._events = events
+        self.arm(generation)
+
+    def arm(self, generation: int) -> None:
+        self._armed = [f for f in self._all if f.gen in (0, generation)]
+        self._counts = {event: 0 for event in self._events}
+
+    def fire(self, event: str) -> None:
+        if not self._armed:
+            return
+        count = self._counts[event]
+        self._counts[event] = count + 1
+        for f in self._armed:
+            if f.on == event:
+                self.act(f, count)
+
+    def act(self, f, count: int) -> None:
+        raise NotImplementedError

@@ -34,28 +34,10 @@ from dataclasses import dataclass, field
 
 from repro.api import compile_source
 from repro.backend import classify_error, get_backend, render_error
-from repro.common.chaoslib import (check_leaks, open_sockets, run_matrix,
-                                   shm_entries)
+from repro.common.chaoslib import (ROW_SWEEP, check_leaks, open_sockets,
+                                   run_matrix, shm_entries)
 from repro.common.config import DistConfig
 from repro.common.errors import NodeLossError
-
-# Same shape as the simulator chaos program: row i's readers race row
-# i-1's writers, so every run exercises remote reads, owner-side
-# deferral and page-grain replies.  Rows split across identity blocks
-# also produce cross-identity writes — the traffic whose loss the
-# takeover's presence-bit replay must reconstruct.
-ROW_SWEEP = """
-function main(n) {
-    B = matrix(n, n);
-    for j = 1 to n { B[1, j] = 1.0 * j; }
-    for i = 2 to n {
-        for j = 1 to n { B[i, j] = B[i - 1, j] * 0.5 + 1.0; }
-    }
-    s = 0.0;
-    for j = 1 to n { next s = s + B[n, j]; }
-    return s;
-}
-"""
 
 N = 8
 N_LONG = 16  # long enough that heartbeat silence is detected mid-run

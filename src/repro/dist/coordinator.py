@@ -37,7 +37,6 @@ from __future__ import annotations
 import asyncio
 import multiprocessing as mp
 import os
-import signal
 import socket
 import time
 from dataclasses import dataclass, field
@@ -47,16 +46,16 @@ from typing import Any
 from repro.common.config import DistConfig
 from repro.common.errors import (DistExecutionError, NodeLossError,
                                  WorkerFailure)
-from repro.common.retry import RetryPolicy
+from repro.common.retry import RecoveryEvent, RecoveryLog, RetryPolicy
 from repro.dist import reasons
 from repro.dist.faults import CoordKillSwitch, resolve_dist_plan
 from repro.dist.node import node_main
 from repro.dist.transport import encode_frame, frame_secret, read_frame
 from repro.graph import build_graph
 from repro.lang import ast_nodes as A
-from repro.parallel.executor import WorkerTelemetry, telemetry_registry
-from repro.parallel.recovery import RecoveryEvent, RecoveryLog
 from repro.partitioner import partition
+from repro.runtime.spmd import (WorkerTelemetry, fold_results, reap,
+                                sigterm_as_interrupt, telemetry_table)
 from repro.runtime.values import ArrayValue
 from repro.sim.reliable import NetStats
 
@@ -82,24 +81,7 @@ class DistResult:
 
     def telemetry_table(self) -> str:
         """Per-node profile as an aligned text block."""
-        lines = ["node    wall(s)  sh-reads  sh-writes  deferred  "
-                 "max-spin(ms)  rf-subranges"]
-        for t in self.worker_stats:
-            ranges = " ".join(
-                f"{name}[{first}..{last}]" + (f"*{count}" if count > 1
-                                              else "")
-                for name, first, last, _items, count in t.rf_subranges)
-            lines.append(f"{t.worker:>6}  {t.wall_time_s:>7.3f}  "
-                         f"{t.shared_reads:>8}  {t.shared_writes:>9}  "
-                         f"{t.deferred_reads:>8}  "
-                         f"{t.max_spin_wait_s * 1e3:>12.2f}  "
-                         f"{ranges or '-'}")
-        return "\n".join(lines)
-
-    def recovery_table(self) -> str:
-        if self.recovery is None:
-            return "recovery\n--------\n(recovery disabled)"
-        return self.recovery.table()
+        return telemetry_table(self.worker_stats, who="node")
 
 
 class _Supervisor:
@@ -623,44 +605,21 @@ class _Supervisor:
     # -- error / result assembly -----------------------------------------
 
     def _build_error(self) -> DistExecutionError:
-        if self.fatal_message is not None:
-            message = f"distributed run failed: {self.fatal_message}"
-        else:
-            hung = [f.worker for f in self.failures if f.kind == "hang"]
-            if hung and len(hung) == len(self.failures):
-                message = (f"distributed run timed out after "
-                           f"{self.cfg.timeout_s:g}s; unjoined nodes: "
-                           f"{hung}")
-            else:
-                message = (f"distributed run failed: "
-                           f"{len(self.failures)} node failure(s) were "
-                           "not recoverable")
         cls = NodeLossError if self.node_loss else DistExecutionError
-        return cls(message, self.failures, recovery=self.rlog)
+        return cls.unrecovered(self.failures, self.rlog, self.fatal_message,
+                               self.cfg.timeout_s)
 
     def _build_result(self, value: Any, t_start: float) -> DistResult:
         wall = time.perf_counter() - t_start
-        stats = [WorkerTelemetry.from_dict(w, self.completed.get(w, {}))
-                 for w in range(self.n)]
-        self.rlog.replayed_elements = sum(s.replayed_present
-                                          for s in stats)
-        registry = telemetry_registry(stats, spin_cause="remote-read")
-        self.rlog.to_registry(registry)
+        stats, registry, ckpt_info = fold_results(
+            self.completed, self.n, self.rlog, self.ckpt, self.restore,
+            spin_cause="remote-read")
         netstats = NetStats()
         for counters in self.byes.values():
             for name in _NETSTAT_FIELDS:
                 setattr(netstats, name,
                         getattr(netstats, name) + int(counters.get(name,
                                                                    0)))
-        ckpt_info = self.ckpt.stats() if self.ckpt is not None else None
-        if self.restore is not None:
-            ckpt_info = dict(ckpt_info or {})
-            ckpt_info["restored_elements"] = self.restore.total_elements
-            ckpt_info["resumed_from"] = self.restore.id
-        if ckpt_info:
-            for key in ("snapshots", "elements", "restored_elements"):
-                if ckpt_info.get(key):
-                    registry.inc(f"ckpt.{key}", ckpt_info[key])
         return DistResult(value=value, wall_time_s=wall, nodes=self.n,
                           worker_stats=stats, registry=registry,
                           recovery=self.rlog, netstats=netstats,
@@ -769,14 +728,7 @@ def run_distributed(program_ast: A.Program, args: tuple = (),
     graph = build_graph(program_ast, entry=entry)
     partition(graph)
 
-    def _sigterm(signum, frame):  # pragma: no cover - signal path
-        raise KeyboardInterrupt("SIGTERM")
-
-    try:
-        prev_handler = signal.signal(signal.SIGTERM, _sigterm)
-    except ValueError:  # not the main thread
-        prev_handler = None
-
+    restore_sigterm = sigterm_as_interrupt()
     lsock = socket.create_server((cfg.host, 0), backlog=cfg.nodes + 4)
     port = lsock.getsockname()[1]
     ssock = None
@@ -833,24 +785,11 @@ def run_distributed(program_ast: A.Program, args: tuple = (),
                                  standby=True)
         return asyncio.run(supervisor.run(ssock, t_start))
     finally:
-        if coord is not None and coord.is_alive():
-            coord.terminate()
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-        for proc in procs + ([coord] if coord is not None else []):
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - terminate refused
-                proc.kill()
-                proc.join()
+        reap(([coord] if coord is not None else []) + procs)
         for sock in (lsock, ssock):
             if sock is not None:
                 try:
                     sock.close()
                 except OSError:
                     pass
-        if prev_handler is not None:
-            try:
-                signal.signal(signal.SIGTERM, prev_handler)
-            except ValueError:  # pragma: no cover
-                pass
+        restore_sigterm()

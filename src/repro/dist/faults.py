@@ -5,8 +5,9 @@ The transport (:mod:`repro.dist.transport`) and the node-loss machinery
 these hooks make the hostility reproducible.  A plan is a spec string in
 the shared grammar of :mod:`repro.common.faultplan` (also read from the
 ``PODS_DIST_FAULTS`` environment variable — its own variable, so a chaos
-soak cannot poison the parallel or simulator dialects), with the
-distributed vocabulary:
+soak cannot poison the parallel or simulator dialects).  That module is
+also the engine (clause loop, selector + arming window, event trigger
+counter); this one declares the distributed vocabulary:
 
 Frame-level actions, applied at the sending node's transmit boundary
 (retransmissions pass through the injector again, so a healed loss is a
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common import faultplan
 
@@ -109,18 +110,12 @@ class DistFault:
             if self.on not in COORD_EVENTS:
                 raise ValueError(
                     f"unknown coord-kill trigger {self.on!r}")
-            if self.after < 0:
-                raise ValueError("fault after must be >= 0")
+            faultplan.require_nonneg(self, "after")
             return
         if self.action in ("drop", "delay"):
             if self.kind and self.kind not in FRAME_KINDS:
                 raise ValueError(f"unknown frame kind {self.kind!r}")
-            if self.after < 0:
-                raise ValueError("fault after must be >= 0")
-            if self.count < 0:
-                raise ValueError("fault count must be >= 0")
-            if self.seconds < 0:
-                raise ValueError("fault seconds must be >= 0")
+            faultplan.require_nonneg(self, "after", "count", "seconds")
             if self.action == "delay" and self.seconds == 0.0:
                 object.__setattr__(self, "seconds", DELAY_DEFAULT_S)
         elif self.action == "partition":
@@ -135,79 +130,45 @@ class DistFault:
                 object.__setattr__(self, "on", "iter")
             if self.on not in KILL_EVENTS:
                 raise ValueError(f"unknown kill trigger {self.on!r}")
-            if self.after < 0:
-                raise ValueError("fault after must be >= 0")
-            if self.gen < 0:
-                raise ValueError("fault gen must be >= 0")
-
-    def matches_frame(self, src: int, dst: int, kind: str) -> bool:
-        return ((self.src == ANY or self.src == src)
-                and (self.dst == ANY or self.dst == dst)
-                and (not self.kind or self.kind == kind))
+            faultplan.require_nonneg(self, "after", "gen")
 
 
-@dataclass(frozen=True)
-class DistFaultPlan:
+class DistFaultPlan(faultplan.Plan):
     """A parsed set of distributed faults (empty = healthy cluster)."""
 
-    faults: tuple[DistFault, ...] = field(default_factory=tuple)
-
-    def __bool__(self) -> bool:
-        return bool(self.faults)
+    fault_cls = DistFault
+    schema = _SCHEMA
+    env_var = faultplan.DIST_ENV_VAR
 
     def frame_faults(self) -> tuple[DistFault, ...]:
-        return tuple(f for f in self.faults if f.action in FRAME_ACTIONS)
+        return self.with_action(FRAME_ACTIONS)
 
     def kill_faults(self) -> tuple[DistFault, ...]:
-        return tuple(f for f in self.faults if f.action in KILL_ACTIONS)
-
-    def coord_faults(self) -> tuple[DistFault, ...]:
-        return tuple(f for f in self.faults if f.action in COORD_ACTIONS)
-
-    @staticmethod
-    def parse(spec: str | None) -> "DistFaultPlan":
-        """Parse the shared ``action:key=value,...;...`` grammar."""
-        if not spec or not spec.strip():
-            return DistFaultPlan()
-        faults = []
-        for action, argstr in faultplan.split_clauses(spec):
-            clause = f"{action}:{argstr}" if argstr else action
-            kwargs = faultplan.parse_clause_args(argstr, _SCHEMA, clause)
-            try:
-                faults.append(DistFault(action=action, **kwargs))
-            except ValueError as exc:
-                raise ValueError(
-                    f"bad fault clause {clause!r}: {exc}") from None
-        return DistFaultPlan(tuple(faults))
-
-    @staticmethod
-    def from_env() -> "DistFaultPlan":
-        return faultplan.parse_from_env(faultplan.DIST_ENV_VAR,
-                                        DistFaultPlan.parse)
+        return self.with_action(KILL_ACTIONS)
 
 
 def resolve_dist_plan(faults) -> DistFaultPlan:
-    """Coerce ``None`` / spec string / plan into a :class:`DistFaultPlan`.
-
-    ``None`` defers to ``PODS_DIST_FAULTS`` — the distributed dialect's
-    own variable, never shadowed by ``PODS_FAULTS``/``PODS_SIM_FAULTS``.
-    """
-    if faults is None:
-        return DistFaultPlan.from_env()
-    if isinstance(faults, DistFaultPlan):
-        return faults
-    if isinstance(faults, str):
-        return DistFaultPlan.parse(faults)
-    raise ValueError(
-        f"cannot build a DistFaultPlan from {type(faults).__name__}")
+    """``None`` (→ ``PODS_DIST_FAULTS``) / spec string / plan →
+    :class:`DistFaultPlan`."""
+    return faultplan.resolve(faults, DistFaultPlan)
 
 
-class DistFaultInjector:
+class _KillTrigger(faultplan.EventTrigger):
+    """Process-kill clauses: ``os._exit`` at the ``after``-th trigger."""
+
+    def act(self, f: DistFault, count: int) -> None:
+        if count == f.after:
+            # Die like a power loss: no cleanup, no goodbye frame, the
+            # listening socket just vanishes.
+            os._exit(f.exitcode)
+
+
+class DistFaultInjector(_KillTrigger):
     """One node's runtime for a plan: frame filter + kill triggers.
 
-    Frame decisions are deterministic in traffic order (per-clause
-    ``after``/``count`` windows); partitions use a wall-clock window
-    from injector construction, which is the honest choice for a
+    Frame decisions are deterministic in traffic order (the shared
+    engine's ``after``/``count`` windows); partitions use a wall-clock
+    window from injector construction, which is the honest choice for a
     backend whose failure detector is itself wall-clock driven.  Kill
     counters restart on each executor generation, mirroring the
     parallel dialect (a replay re-executes its subrange from the top).
@@ -216,89 +177,47 @@ class DistFaultInjector:
     def __init__(self, plan: DistFaultPlan, node: int,
                  generation: int = 1) -> None:
         self.node = node
-        self._frames = list(plan.frame_faults())
-        self._matched = [0] * len(self._frames)
-        self._fired = [0] * len(self._frames)
-        self._kills_all = list(plan.kill_faults())
+        frames = plan.frame_faults()
+        self._partitions = [f for f in frames if f.action == "partition"]
+        self._window = faultplan.ArmingWindow(
+            [f for f in frames if f.action != "partition"], ANY)
         self._t0 = time.monotonic()
-        self._counts: dict[str, int] = {}
-        self._kills: list[DistFault] = []
-        self.set_generation(generation)
+        super().__init__([f for f in plan.kill_faults() if f.node == node],
+                         KILL_EVENTS, generation)
 
-    def set_generation(self, generation: int) -> None:
-        """Select the kill clauses armed for this executor generation."""
-        self._kills = [f for f in self._kills_all
-                       if f.node == self.node and f.gen in (0, generation)]
-        self._counts = {event: 0 for event in KILL_EVENTS}
+    set_generation = faultplan.EventTrigger.arm
+    _kills = property(lambda self: self._armed)  # armed this generation
 
     # -- frame filter (transport transmit boundary) ----------------------
 
     def decide_frame(self, dst: int, kind: str) -> tuple[bool, float]:
         """(drop, extra delay seconds) for one outgoing frame."""
-        if not self._frames:
-            return False, 0.0
         drop = False
         delay_s = 0.0
-        now = time.monotonic() - self._t0
-        for i, f in enumerate(self._frames):
-            if f.action == "partition":
+        if self._partitions:
+            now = time.monotonic() - self._t0
+            for f in self._partitions:
                 if ({self.node, dst} == {f.a, f.b}
                         and now >= f.at
                         and (f.dur == 0.0 or now < f.at + f.dur)):
                     drop = True
-                continue
-            if not f.matches_frame(self.node, dst, kind):
-                continue
-            seq = self._matched[i]
-            self._matched[i] = seq + 1
-            if seq < f.after:
-                continue
-            if f.count and self._fired[i] >= f.count:
-                continue
-            self._fired[i] += 1
-            if f.action == "drop":
-                drop = True
-            else:
-                delay_s += f.seconds
+        if self._window:
+            for f in self._window.firing(self.node, dst, kind):
+                if f.action == "drop":
+                    drop = True
+                else:
+                    delay_s += f.seconds
         return drop, delay_s
 
-    # -- kill triggers (interpreter / heartbeat hooks) -------------------
 
-    def fire(self, event: str) -> None:
-        if not self._kills:
-            return
-        count = self._counts[event]
-        self._counts[event] = count + 1
-        for f in self._kills:
-            if f.on != event or count != f.after:
-                continue
-            # Die like a power loss: no cleanup, no goodbye frame.
-            os._exit(f.exitcode)
-
-
-class CoordKillSwitch:
+class CoordKillSwitch(_KillTrigger):
     """``coord-kill`` runtime, armed only inside the primary coordinator.
 
-    The promoted standby constructs its supervisor without a plan, so a
-    clause fires at most once per run — the failover itself is what the
-    scenario measures.
+    The primary is generation 1; the promoted standby constructs its
+    supervisor without a plan, so a clause fires at most once per run —
+    the failover itself is what the scenario measures.
     """
 
     def __init__(self, plan: DistFaultPlan | None) -> None:
-        self._kills = list(plan.coord_faults()) if plan else []
-        self._counts = {event: 0 for event in COORD_EVENTS}
-
-    def __bool__(self) -> bool:
-        return bool(self._kills)
-
-    def fire(self, event: str) -> None:
-        if not self._kills:
-            return
-        count = self._counts[event]
-        self._counts[event] = count + 1
-        for f in self._kills:
-            if f.on != event or count != f.after:
-                continue
-            # Same power-loss semantics as node-kill: no result frame,
-            # no shutdown broadcast, the listening socket just vanishes.
-            os._exit(f.exitcode)
+        super().__init__(plan.with_action(COORD_ACTIONS) if plan else (),
+                         COORD_EVENTS)

@@ -9,11 +9,12 @@ two worlds that meet at the asyncio loop:
   stores* — the authoritative, presence-bit storage for every
   distributed-array element this node owns.  All store mutation is
   serialized through the loop, so the stores need no locks.
-* the **executors** (worker threads): one sequential interpreter per
-  adopted identity group, running the program SPMD-style exactly like
-  the real-parallel backend — replicated scalar code, Range-Filter
-  subranges for distributed loops, node-private ``SeqArray`` temporaries
-  inside distributed iterations.
+* the **executors** (worker threads): one interpreter per adopted
+  identity group, running the program on the shared SPMD core
+  (:mod:`repro.runtime.spmd`, the same one the real-parallel backend
+  runs) — replicated scalar code, Range-Filter subranges for distributed
+  loops, node-private ``SeqArray`` temporaries inside distributed
+  iterations; this module supplies the node store behind it.
 
 Array semantics follow the paper's Section 4: elements are assigned to
 *identities* by the same first-element-ownership math as every other
@@ -43,12 +44,10 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures as cf
 import os
-import signal
 import threading
 import time
 import traceback
 
-from repro.baseline.sequential import Clock, Interpreter, SeqArray
 from repro.common.errors import (DeferredReadTimeout, ExecutionError,
                                  SingleAssignmentViolation)
 from repro.common.retry import RetryPolicy
@@ -59,6 +58,7 @@ from repro.dist.transport import (COORD, Endpoint, encode_frame,
 from repro.graph import ir
 from repro.lang import ast_nodes as A
 from repro.runtime.arrays import ArrayHeader
+from repro.runtime.spmd import SpmdInterpreter, sigterm_default
 
 
 class ElementStore:
@@ -115,46 +115,38 @@ class DistArray:
     def write(self, indices: tuple, value, replay: bool = False) -> None:
         self.runtime.array_write(self, indices, value, replay)
 
+    def stats(self) -> dict:
+        """This executor's access counters (replay verifies are counted
+        node-wide by the runtime; there is no stall watchdog here)."""
+        return {"reads": self.reads, "writes": self.writes,
+                "deferred_reads": self.deferred_reads,
+                "spin_wait_s": self.spin_wait_s,
+                "max_spin_wait_s": self.max_spin_wait_s,
+                "replayed_present": 0, "stall_reports": 0,
+                "pages_touched": sorted(self.pages_touched)}
 
-class _NodeInterpreter(Interpreter):
-    """SPMD executor: same program, this node's Range-Filter subranges.
 
-    The distributed twin of the parallel backend's worker interpreter:
-    identities run lowest-first for ascending loops and highest-first
-    for descending ones, so a takeover's adopted adjacent subranges
-    resolve against its own earlier writes instead of self-deadlocking.
+class _NodeInterpreter(SpmdInterpreter):
+    """The SPMD core over this node's element stores.
+
+    Supplies the node store: ``DistArray`` handles whose elements live
+    in the runtime's per-node stores and page cache, reached through the
+    asyncio loop.
     """
+
+    shared_cls = DistArray
 
     def __init__(self, program: A.Program, graph: ir.ProgramGraph,
                  runtime: "NodeRuntime", identities: tuple[int, ...],
                  generation: int, replay: bool, entry: str) -> None:
-        super().__init__(program, clock=Clock(), entry=entry)
+        super().__init__(program, graph, identities, entry,
+                         runtime.injector)
         self.runtime = runtime
-        self.identities = identities
         self.generation = generation
         self.replay = replay
-        self.block_of = {id(b.ast_ref): b for b in graph.loop_blocks()
-                         if b.ast_ref is not None}
-        self.alloc_seq = 0
-        self.dist_arrays: list[DistArray] = []
-        self.in_distributed = 0
-        self.rf_counts: dict[tuple[str, int, int, int], int] = {}
 
-    # -- allocation ------------------------------------------------------
-
-    def on_alloc(self, dims: tuple[int, ...]):
-        if self.in_distributed:
-            # Node-private temporary.
-            return SeqArray(dims)
-        # Replicated allocation: every node computes the same sequence
-        # number, so they agree on the array's identity without any
-        # coordination message.
-        self.alloc_seq += 1
-        arr = DistArray(self.runtime, self.alloc_seq, tuple(dims))
-        self.dist_arrays.append(arr)
-        return arr
-
-    # -- array access ----------------------------------------------------
+    def alloc_shared(self, seq: int, dims: tuple[int, ...]) -> DistArray:
+        return DistArray(self.runtime, seq, dims)
 
     def on_array_read(self, arr, indices: tuple):
         if isinstance(arr, DistArray):
@@ -163,84 +155,10 @@ class _NodeInterpreter(Interpreter):
 
     def on_array_write(self, arr, indices: tuple, value) -> None:
         if isinstance(arr, DistArray):
-            self.runtime.injector.fire("write")
+            self.injector.fire("write")
             self.runtime.array_write(arr, indices, value, self.replay)
             return
         arr.write(indices, value)
-
-    # -- loops -----------------------------------------------------------
-
-    def run_iteration(self, stmt: A.For, env: list[dict], depth: int,
-                      i: int) -> None:
-        self.runtime.injector.fire("iter")
-        super().run_iteration(stmt, env, depth, i)
-
-    def run_for(self, stmt: A.For, env: list[dict], depth: int) -> None:
-        block = self.block_of.get(id(stmt))
-        init = self.eval(stmt.init, env, depth)
-        limit = self.eval(stmt.limit, env, depth)
-        step = -1 if stmt.descending else 1
-
-        distributed = (block is not None and block.distributed
-                       and block.range_filter is not None
-                       and not self.in_distributed)
-        if not distributed:
-            self.run_for_range(stmt, env, depth, init, limit, step)
-            return
-
-        rf = block.range_filter
-        arr = self._resolve_vid(block, rf.array_vid, env)
-        fixed = tuple(self._resolve_vid(block, v, env)
-                      for v in rf.fixed_vids)
-        if not isinstance(arr, DistArray):
-            # RF array is node-private (shouldn't happen): run it all.
-            self.run_for_range(stmt, env, depth, init, limit, step)
-            return
-        header = arr.header
-        idents = (tuple(reversed(self.identities)) if stmt.descending
-                  else self.identities)
-        self.in_distributed += 1
-        try:
-            for ident in idents:
-                first, last = header.filtered_range(
-                    ident, init, limit, descending=stmt.descending,
-                    fixed=fixed, dim=rf.dim)
-                items = max(0, (last - first) * step + 1)
-                key = (block.name, first, last, items)
-                self.rf_counts[key] = self.rf_counts.get(key, 0) + 1
-                self.run_for_range(stmt, env, depth, first, last, step)
-        finally:
-            self.in_distributed -= 1
-
-    def _resolve_vid(self, block: ir.CodeBlock, vid: int, env):
-        d = block.defs[vid]
-        if isinstance(d, ir.ConstDef):
-            return d.value
-        if isinstance(d, (ir.ParamDef, ir.IndexDef)) and d.name:
-            return self.lookup(env, d.name)
-        raise ExecutionError(f"cannot resolve vid {vid} of {block.name}")
-
-    # -- reporting -------------------------------------------------------
-
-    def telemetry(self, wall_time_s: float) -> dict:
-        out = {"wall_time_s": wall_time_s, "shared_reads": 0,
-               "shared_writes": 0, "deferred_reads": 0,
-               "spin_wait_s": 0.0, "max_spin_wait_s": 0.0,
-               "replayed_present": 0, "stall_reports": 0,
-               "pages_touched": {},
-               "rf_subranges": [(name, first, last, items, count)
-                                for (name, first, last, items), count
-                                in self.rf_counts.items()]}
-        for arr in self.dist_arrays:
-            out["shared_reads"] += arr.reads
-            out["shared_writes"] += arr.writes
-            out["deferred_reads"] += arr.deferred_reads
-            out["spin_wait_s"] += arr.spin_wait_s
-            out["max_spin_wait_s"] = max(out["max_spin_wait_s"],
-                                         arr.max_spin_wait_s)
-            if arr.pages_touched:
-                out["pages_touched"][arr.name] = sorted(arr.pages_touched)
-        return out
 
 
 class NodeRuntime:
@@ -494,13 +412,6 @@ class NodeRuntime:
         self.reports.append(msg)
         self._send_coord(msg)
 
-    def post_coord(self, msg: dict) -> None:
-        """Thread-safe coordinator send (executor threads)."""
-        try:
-            self.loop.call_soon_threadsafe(self._send_coord, msg)
-        except RuntimeError:
-            pass  # loop already closed during teardown
-
     def post_report(self, msg: dict) -> None:
         """Thread-safe remembered report send (executor threads)."""
         try:
@@ -526,30 +437,22 @@ class NodeRuntime:
         interp = _NodeInterpreter(self.program, self.graph, self,
                                   identities, generation, replay,
                                   self.entry)
-        t0 = time.perf_counter()
-        try:
-            result = interp.run(self.args, materialize=False)
-            self.injector.fire("result")
-            if 0 in identities:
-                value = result.value
-                if isinstance(value, DistArray):
-                    payload = ("array", [value.seq, list(value.dims)])
-                else:
-                    payload = ("ok", value)
-                self.post_report({"t": "result", "node": self.node,
-                                  "slot": slot, "gen": generation,
-                                  "v": payload})
-            telemetry = interp.telemetry(time.perf_counter() - t0)
-            telemetry["replayed_present"] = self._take_replayed()
-            self.post_report({"t": "done", "node": self.node,
-                              "slot": slot, "gen": generation,
-                              "identities": list(identities),
-                              "telemetry": telemetry})
-        except BaseException as exc:  # noqa: BLE001 - crosses the wire
-            self.post_report({"t": "err", "node": self.node,
-                              "slot": slot, "gen": generation,
-                              "detail": f"{type(exc).__name__}: {exc}\n"
-                                        f"{traceback.format_exc()}"})
+
+        def emit(tag: str, payload) -> None:
+            msg = {"t": tag, "node": self.node, "slot": slot,
+                   "gen": generation}
+            if tag == "result":
+                msg["v"] = payload
+            elif tag == "done":
+                payload["replayed_present"] = self._take_replayed()
+                msg["identities"] = list(identities)
+                msg["telemetry"] = payload
+            else:
+                msg["detail"] = payload
+            self.post_report(msg)
+
+        interp.execute(self.args, emit,
+                       lambda arr: [arr.seq, list(arr.dims)])
 
     def _take_replayed(self) -> int:
         """Drain the node-level replay-verify counter (loop-owned)."""
@@ -822,12 +725,7 @@ def node_main(program, graph, node: int, nodes: int, coord_host: str,
               plan: DistFaultPlan, standby_port: int | None = None,
               restore=None) -> None:
     """Node process entry point (forked by the coordinator)."""
-    # Fork inherits the coordinator's SIGTERM→KeyboardInterrupt handler;
-    # a terminated node should just die, not unwind through it.
-    try:
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    except (ValueError, OSError):  # pragma: no cover
-        pass
+    sigterm_default()
     runtime = NodeRuntime(program, graph, node, nodes, coord_host,
                           coord_port, cfg, entry, args, plan,
                           standby_port=standby_port, restore=restore)

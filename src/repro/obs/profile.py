@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.common.retry import recovery_table
 from repro.obs.critpath import (
     CriticalPath,
     critical_path,
@@ -185,7 +186,7 @@ def parallel_profile(result) -> str:
     telemetry table (reads/writes/deferred spins), the spin-wait share
     of each worker's wall time (istructure-defer in simulator terms),
     and the recovery timeline — respawns, takeovers, stalls — from the
-    run's :class:`repro.parallel.recovery.RecoveryLog`.
+    run's :class:`repro.common.retry.RecoveryLog`.
     """
     lines = [f"parallel run: {result.wall_time_s:.3f} s wall on "
              f"{result.workers} worker(s)", ""]
@@ -201,5 +202,5 @@ def parallel_profile(result) -> str:
                 f"({worst[1]:.3f} s, {worst[1] / worst[2] * 100:.1f}% of "
                 "its wall time)")
             lines.append("")
-    lines.append(result.recovery_table())
+    lines.append(recovery_table(result.recovery))
     return "\n".join(lines)

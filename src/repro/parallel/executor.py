@@ -9,7 +9,8 @@ Distributed Execution:
   code, deterministic by single assignment;
 * distributed loops (as decided by the very same Partitioner) iterate
   only the worker's Range-Filter subrange, under the identical
-  first-element-ownership math;
+  first-element-ownership math (both are the shared core,
+  :mod:`repro.runtime.spmd`; this backend supplies the shm store);
 * distributed arrays live in shared memory with real presence bits;
   reads of not-yet-written elements spin (I-structure deferred reads),
   which also gives sweep pipelining for free;
@@ -53,7 +54,6 @@ import logging
 import multiprocessing as mp
 import os
 import queue
-import signal
 import time
 from dataclasses import dataclass, field, replace
 from multiprocessing import connection
@@ -61,15 +61,16 @@ from typing import Any
 
 from repro.common.config import ParallelConfig
 from repro.common.errors import (ExecutionError, ParallelExecutionError,
-                                 WorkerFailure, WorkerSuperseded)
+                                 WorkerFailure)
 from repro.graph import build_graph, ir
 from repro.lang import ast_nodes as A
 from repro.partitioner import partition
-from repro.runtime.arrays import ArrayHeader
-from repro.baseline.sequential import Clock, Interpreter, SeqArray
-from repro.parallel.faults import FaultInjector, FaultPlan, resolve_plan
+from repro.common.retry import RecoveryEvent, RecoveryLog, RetryPolicy
+from repro.runtime.spmd import (SpmdInterpreter, WorkerTelemetry,
+                                fold_results, reap, sigterm_as_interrupt,
+                                sigterm_default, telemetry_table)
+from repro.parallel.faults import FaultInjector, resolve_plan
 from repro.parallel.manifest import ShmManifest
-from repro.parallel.recovery import RecoveryEvent, RecoveryLog, RetryPolicy
 from repro.parallel.shm_arrays import ShmArray
 
 log = logging.getLogger("repro.parallel")
@@ -96,93 +97,6 @@ class _WorkerSpec:
 
 
 @dataclass
-class WorkerTelemetry:
-    """One worker's self-reported execution profile."""
-
-    worker: int
-    wall_time_s: float = 0.0
-    shared_reads: int = 0
-    shared_writes: int = 0
-    deferred_reads: int = 0
-    spin_wait_s: float = 0.0
-    max_spin_wait_s: float = 0.0
-    replayed_present: int = 0
-    stall_reports: int = 0
-    # (loop block, first, last, iteration items, times executed) — an
-    # inner-loop RF runs once per enclosing iteration, hence the count.
-    rf_subranges: list[tuple[str, int, int, int, int]] = field(
-        default_factory=list)
-    # shared array name -> page indices this worker wrote at least one
-    # element of (page grain as in MachineConfig.page_size)
-    pages_touched: dict[str, list[int]] = field(default_factory=dict)
-
-    @classmethod
-    def from_dict(cls, worker: int, d: dict) -> "WorkerTelemetry":
-        return cls(
-            worker=worker,
-            wall_time_s=d.get("wall_time_s", 0.0),
-            shared_reads=d.get("shared_reads", 0),
-            shared_writes=d.get("shared_writes", 0),
-            deferred_reads=d.get("deferred_reads", 0),
-            spin_wait_s=d.get("spin_wait_s", 0.0),
-            max_spin_wait_s=d.get("max_spin_wait_s", 0.0),
-            replayed_present=d.get("replayed_present", 0),
-            stall_reports=d.get("stall_reports", 0),
-            rf_subranges=[tuple(r) for r in d.get("rf_subranges", [])],
-            pages_touched={k: list(v)
-                           for k, v in d.get("pages_touched", {}).items()},
-        )
-
-
-def telemetry_registry(worker_stats: list[WorkerTelemetry],
-                       spin_cause: str = "istructure-defer") -> "MetricsRegistry":
-    """Fold per-worker telemetry into one :class:`MetricsRegistry`.
-
-    The semantic metric families (``rf.*``, ``array.*``) use the same
-    names and label shapes as the simulator's registry (see
-    :meth:`repro.obs.recorder.ObsRecorder.build_registry`), so a
-    differential test can assert that e.g. Range-Filter subranges agree
-    between backends by comparing registry rows directly.  Workers map
-    onto the ``pe`` label — the backend's wall-clock counterpart.
-
-    ``spin_cause`` labels the blocked-read wait rows: this backend's
-    spins are I-structure defers on shared memory; the distributed
-    backend reuses the fold with ``remote-read`` (its blocked reads are
-    split-phase network reads — see the WAIT vocabulary in ObsConfig).
-    """
-    from repro.obs.registry import MetricsRegistry
-
-    reg = MetricsRegistry()
-    pages: dict[str, set[int]] = {}
-    for t in worker_stats:
-        pe = str(t.worker)
-        reg.set_gauge("par.wall_time_s", t.wall_time_s, pe=pe)
-        reg.inc("array.element_reads", t.shared_reads, pe=pe, scope="shared")
-        reg.inc("array.element_writes", t.shared_writes, pe=pe)
-        reg.inc("array.deferred_reads", t.deferred_reads, pe=pe)
-        reg.observe("par.spin_wait_s", t.spin_wait_s, pe=pe)
-        reg.set_gauge("par.max_spin_wait_s", t.max_spin_wait_s, pe=pe)
-        # Same metric family as the simulator's wait-state attribution
-        # (see ObsRecorder.build_registry): a worker spinning on an
-        # absent shared-array element is the wall-clock counterpart of
-        # the simulator's istructure-defer wait.
-        reg.set_gauge("wait.us", t.spin_wait_s * 1e6, pe=pe,
-                      cause=spin_cause)
-        for name, first, last, items, count in t.rf_subranges:
-            reg.inc("rf.subrange", count, pe=pe, block=name,
-                    first=first, last=last)
-            reg.inc("rf.items", items * count, pe=pe)
-        for name, touched in t.pages_touched.items():
-            pages.setdefault(name, set()).update(touched)
-    for i, name in enumerate(sorted(pages)):
-        # Shared segments allocate in a replicated, deterministic order;
-        # index them 1-based like the simulator's array ids.
-        reg.set_gauge("array.pages_touched", len(pages[name]),
-                      array=str(i + 1))
-    return reg
-
-
-@dataclass
 class ParallelResult:
     value: Any
     wall_time_s: float
@@ -197,57 +111,33 @@ class ParallelResult:
 
     def telemetry_table(self) -> str:
         """Per-worker profile as an aligned text block."""
-        lines = ["worker  wall(s)  sh-reads  sh-writes  deferred  "
-                 "max-spin(ms)  rf-subranges"]
-        for t in self.worker_stats:
-            ranges = " ".join(
-                f"{name}[{first}..{last}]" + (f"*{count}" if count > 1
-                                              else "")
-                for name, first, last, _items, count in t.rf_subranges)
-            lines.append(f"{t.worker:>6}  {t.wall_time_s:>7.3f}  "
-                         f"{t.shared_reads:>8}  {t.shared_writes:>9}  "
-                         f"{t.deferred_reads:>8}  "
-                         f"{t.max_spin_wait_s * 1e3:>12.2f}  "
-                         f"{ranges or '-'}")
-        return "\n".join(lines)
-
-    def recovery_table(self) -> str:
-        """Recovery timeline for ``pods profile`` (see RecoveryLog)."""
-        if self.recovery is None:
-            return "recovery\n--------\n(recovery disabled)"
-        return self.recovery.table()
+        return telemetry_table(self.worker_stats)
 
 
-class _WorkerInterpreter(Interpreter):
-    """SPMD worker: same program, own Range-Filter subranges.
+class _WorkerInterpreter(SpmdInterpreter):
+    """The SPMD core over shared-memory I-structures.
 
-    A normal worker executes one identity; a takeover executes several.
-    Identities run lowest-first for ascending distributed loops and
-    highest-first for descending ones, matching the global iteration
-    order so sweep-style adjacent-range dependencies between two adopted
-    identities resolve against this process's own earlier writes instead
-    of self-deadlocking.  (Pathological cross-range dependencies can
-    still deadlock a degraded run — the stall watchdog then aborts it
-    with a structured diagnosis rather than hanging.)
+    Supplies the shm store: ``ShmArray`` segments named by run tag and
+    allocation ordinal, recorded in the manifest before creation, with
+    an ownership epoch claimed per adopted identity.
     """
+
+    shared_cls = ShmArray
 
     def __init__(self, program: A.Program, graph: ir.ProgramGraph,
                  spec: _WorkerSpec, num_workers: int, run_tag: str,
-                 page_size: int, entry: str,
+                 page_size: int, entry: str, injector: FaultInjector,
                  manifest: ShmManifest | None = None,
-                 injector: FaultInjector | None = None,
                  read_timeout_s: float = 30.0,
                  spin_ceiling_s: float | None = None,
                  stall_fn=None, alloc_fn=None) -> None:
-        super().__init__(program, clock=Clock(), entry=entry)
+        super().__init__(program, graph, spec.identities, entry, injector)
         self.spec = spec
         self.worker = spec.slot
-        self.identities = spec.identities
         self.num_workers = num_workers
         self.run_tag = run_tag
         self.page_size = page_size
         self.manifest = manifest
-        self.injector = injector or FaultInjector(FaultPlan(), spec.slot)
         self.read_timeout_s = read_timeout_s
         self.spin_ceiling_s = spin_ceiling_s
         self.stall_fn = stall_fn
@@ -255,31 +145,21 @@ class _WorkerInterpreter(Interpreter):
         # Pre-bound so the read hot path doesn't allocate a closure per
         # deferred read.
         self._on_spin = lambda: self.injector.fire("spin")
-        self.block_of = {id(b.ast_ref): b for b in graph.loop_blocks()
-                         if b.ast_ref is not None}
-        self.alloc_seq = 0
-        self.shared_arrays: list[ShmArray] = []
-        self.in_distributed = 0
-        self.rf_counts: dict[tuple[str, int, int, int], int] = {}
 
-    # -- allocation -----------------------------------------------------
+    # -- the shm store ----------------------------------------------------
 
-    def on_alloc(self, dims: tuple[int, ...]):
-        if self.in_distributed:
-            # Worker-private temporary.
-            return SeqArray(dims)
-        # Replicated allocation: every worker computes the same sequence
-        # number, so they agree on the segment name; the process running
-        # identity 0 creates it.  A replay's create falls back to attach
-        # (exist_ok) — its predecessor may already have created it.
-        self.alloc_seq += 1
-        name = f"{self.run_tag}_{self.alloc_seq}"
+    def alloc_shared(self, seq: int, dims: tuple[int, ...]) -> ShmArray:
+        # Every worker derives the same segment name from the shared
+        # sequence number; the process running identity 0 creates it.  A
+        # replay's create falls back to attach (exist_ok) — its
+        # predecessor may already have created it.
+        name = f"{self.run_tag}_{seq}"
         create = 0 in self.identities
         if create and self.manifest is not None:
             # Record before creating: a death in the gap costs a no-op
             # unlink, while the reverse order would leak the segment.
             self.manifest.record(name)
-        arr = ShmArray(name, tuple(dims), create=create,
+        arr = ShmArray(name, dims, create=create,
                        page_size=self.page_size,
                        epoch_slots=self.num_workers,
                        slot=self.worker, generation=self.spec.generation,
@@ -288,15 +168,12 @@ class _WorkerInterpreter(Interpreter):
         # predecessor of any of them self-detects as superseded.
         for ident in self.identities:
             arr.set_epoch(ident, self.spec.generation)
-        self.shared_arrays.append(arr)
         if create and self.alloc_fn is not None:
             # Checkpointing only: tell the supervisor the segment's name
             # and geometry so it can attach and snapshot.  alloc_fn is
             # None when checkpointing is off — no message, no cost.
-            self.alloc_fn(self.alloc_seq, name, tuple(dims))
+            self.alloc_fn(seq, name, dims)
         return arr
-
-    # -- array access ------------------------------------------------------
 
     def on_array_read(self, arr, indices: tuple) -> Any:
         if isinstance(arr, ShmArray):
@@ -310,83 +187,6 @@ class _WorkerInterpreter(Interpreter):
             self.injector.fire("write")
         arr.write(indices, value)
 
-    # -- loops -------------------------------------------------------------
-
-    def run_iteration(self, stmt: A.For, env: list[dict], depth: int,
-                      i: int) -> None:
-        self.injector.fire("iter")
-        super().run_iteration(stmt, env, depth, i)
-
-    # -- distributed loops ----------------------------------------------------
-
-    def run_for(self, stmt: A.For, env: list[dict], depth: int) -> None:
-        block = self.block_of.get(id(stmt))
-        init = self.eval(stmt.init, env, depth)
-        limit = self.eval(stmt.limit, env, depth)
-        step = -1 if stmt.descending else 1
-
-        distributed = (block is not None and block.distributed
-                       and block.range_filter is not None
-                       and not self.in_distributed)
-        if not distributed:
-            self.run_for_range(stmt, env, depth, init, limit, step)
-            return
-
-        rf = block.range_filter
-        arr = self._resolve_vid(block, rf.array_vid, env)
-        fixed = tuple(self._resolve_vid(block, v, env) for v in rf.fixed_vids)
-        if not isinstance(arr, ShmArray):
-            # RF array is worker-private (shouldn't happen): run it all.
-            self.run_for_range(stmt, env, depth, init, limit, step)
-            return
-        header = ArrayHeader(1, arr.dims, self.page_size, self.num_workers)
-        idents = (tuple(reversed(self.identities)) if stmt.descending
-                  else self.identities)
-        self.in_distributed += 1
-        try:
-            for ident in idents:
-                first, last = header.filtered_range(
-                    ident, init, limit, descending=stmt.descending,
-                    fixed=fixed, dim=rf.dim)
-                items = max(0, (last - first) * step + 1)
-                key = (block.name, first, last, items)
-                self.rf_counts[key] = self.rf_counts.get(key, 0) + 1
-                self.run_for_range(stmt, env, depth, first, last, step)
-        finally:
-            self.in_distributed -= 1
-
-    def _resolve_vid(self, block: ir.CodeBlock, vid: int, env) -> Any:
-        d = block.defs[vid]
-        if isinstance(d, ir.ConstDef):
-            return d.value
-        if isinstance(d, (ir.ParamDef, ir.IndexDef)) and d.name:
-            return self.lookup(env, d.name)
-        raise ExecutionError(f"cannot resolve vid {vid} of {block.name}")
-
-    # -- reporting -------------------------------------------------------
-
-    def telemetry(self, wall_time_s: float) -> dict:
-        out = {"wall_time_s": wall_time_s, "shared_reads": 0,
-               "shared_writes": 0, "deferred_reads": 0, "spin_wait_s": 0.0,
-               "max_spin_wait_s": 0.0, "replayed_present": 0,
-               "stall_reports": 0, "pages_touched": {},
-               "rf_subranges": [(name, first, last, items, count)
-                                for (name, first, last, items), count
-                                in self.rf_counts.items()]}
-        for arr in self.shared_arrays:
-            s = arr.stats()
-            out["shared_reads"] += s["reads"]
-            out["shared_writes"] += s["writes"]
-            out["deferred_reads"] += s["deferred_reads"]
-            out["spin_wait_s"] += s["spin_wait_s"]
-            out["max_spin_wait_s"] = max(out["max_spin_wait_s"],
-                                         s["max_spin_wait_s"])
-            out["replayed_present"] += s["replayed_present"]
-            out["stall_reports"] += s["stall_reports"]
-            if s["pages_touched"]:
-                out["pages_touched"][arr.name] = s["pages_touched"]
-        return out
-
     def cleanup(self) -> None:
         for arr in self.shared_arrays:
             arr.close()
@@ -396,14 +196,12 @@ def _worker_main(program, graph, spec: _WorkerSpec, num_workers, run_tag,
                  page_size, entry, args, out_queue, manifest_path,
                  read_timeout_s, spin_ceiling_s, plan,
                  report_allocs=False) -> None:
-    # Fork inherits the parent's SIGTERM→KeyboardInterrupt handler; a
-    # terminated worker should just die, not unwind through it.
-    try:
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    except (ValueError, OSError):  # pragma: no cover
-        pass
+    sigterm_default()
     injector = FaultInjector(plan, spec.slot, generation=spec.generation)
     manifest = ShmManifest(manifest_path, run_tag)
+
+    def emit(tag: str, payload) -> None:
+        out_queue.put((tag, spec.slot, spec.generation, payload))
 
     def stall_fn(info: dict) -> None:
         # Timestamp worker-side with the system-wide monotonic clock so
@@ -414,45 +212,24 @@ def _worker_main(program, graph, spec: _WorkerSpec, num_workers, run_tag,
         info = dict(info)
         info["t_spin_start"] = now - info["waited_s"]
         info["t_report"] = now
-        out_queue.put(("stall", spec.slot, spec.generation, info))
+        emit("stall", info)
 
     alloc_fn = None
     if report_allocs:
         def alloc_fn(seq: int, name: str, dims: tuple) -> None:
-            out_queue.put(("alloc", spec.slot, spec.generation,
-                           (seq, name, dims)))
+            emit("alloc", (seq, name, dims))
 
     interp = _WorkerInterpreter(program, graph, spec, num_workers,
-                                run_tag, page_size, entry,
-                                manifest=manifest, injector=injector,
+                                run_tag, page_size, entry, injector,
+                                manifest=manifest,
                                 read_timeout_s=read_timeout_s,
                                 spin_ceiling_s=spin_ceiling_s,
                                 stall_fn=stall_fn, alloc_fn=alloc_fn)
-    t0 = time.perf_counter()
     try:
-        result = interp.run(tuple(args), materialize=False)
-        injector.fire("result")
-        if 0 in spec.identities:
-            value = result.value
-            if isinstance(value, ShmArray):
-                # Other workers may still be writing; the parent attaches
-                # and snapshots only after every worker reports done.
-                out_queue.put(("result", spec.slot, spec.generation,
-                               ("array", (value.name, value.dims))))
-            else:
-                out_queue.put(("result", spec.slot, spec.generation,
-                               ("ok", value)))
-        out_queue.put(("done", spec.slot, spec.generation,
-                       interp.telemetry(time.perf_counter() - t0)))
-    except WorkerSuperseded as exc:
-        # A successor generation owns this subrange now; exit quietly.
-        out_queue.put(("superseded", spec.slot, spec.generation, str(exc)))
-    except BaseException as exc:  # noqa: BLE001 - must cross the process
-        import traceback
-
-        out_queue.put(("err", spec.slot, spec.generation,
-                       f"{type(exc).__name__}: {exc}\n"
-                       f"{traceback.format_exc()}"))
+        # An array result is named, not sent: other workers may still be
+        # writing; the parent attaches and snapshots only after every
+        # worker reports done.
+        interp.execute(args, emit, lambda arr: (arr.name, arr.dims))
     finally:
         interp.cleanup()
 
@@ -709,14 +486,7 @@ def run_parallel(program_ast: A.Program, args: tuple = (), workers: int = 2,
         except OSError as exc:  # pragma: no cover - disk trouble
             log.warning("pods.ckpt: snapshot failed: %s", exc)
 
-    def _sigterm(signum, frame):  # pragma: no cover - signal path
-        raise KeyboardInterrupt("SIGTERM")
-
-    try:
-        prev_handler = signal.signal(signal.SIGTERM, _sigterm)
-    except ValueError:  # not the main thread
-        prev_handler = None
-
+    restore_sigterm = sigterm_as_interrupt()
     start = time.perf_counter()
     deadline = time.monotonic() + cfg.timeout_s
     try:
@@ -817,18 +587,8 @@ def run_parallel(program_ast: A.Program, args: tuple = (), workers: int = 2,
         wall = time.perf_counter() - start
 
         if failures:
-            if fatal_message is not None:
-                message = f"parallel run failed: {fatal_message}"
-            else:
-                hung = [f.worker for f in failures if f.kind == "hang"]
-                if hung and len(hung) == len(failures):
-                    message = (f"parallel run timed out after "
-                               f"{cfg.timeout_s:g}s; unjoined workers: "
-                               f"{hung}")
-                else:
-                    message = (f"parallel run failed: {len(failures)} "
-                               "worker failure(s) were not recoverable")
-            raise ParallelExecutionError(message, failures, recovery=rlog)
+            raise ParallelExecutionError.unrecovered(
+                failures, rlog, fatal_message, cfg.timeout_s)
 
         if result_msg is None:
             raise ParallelExecutionError(
@@ -848,20 +608,8 @@ def run_parallel(program_ast: A.Program, args: tuple = (), workers: int = 2,
                 arr.close()
         if ckpt is not None:
             do_snapshot()  # final cut: the complete run, restartable
-        stats = [WorkerTelemetry.from_dict(w, completed.get(w, {}))
-                 for w in range(nw)]
-        rlog.replayed_elements = sum(s.replayed_present for s in stats)
-        registry = telemetry_registry(stats)
-        rlog.to_registry(registry)
-        ckpt_info = ckpt.stats() if ckpt is not None else None
-        if restore is not None:
-            ckpt_info = dict(ckpt_info or {})
-            ckpt_info["restored_elements"] = restore.total_elements
-            ckpt_info["resumed_from"] = restore.id
-        if ckpt_info:
-            for key in ("snapshots", "elements", "restored_elements"):
-                if ckpt_info.get(key):
-                    registry.inc(f"ckpt.{key}", ckpt_info[key])
+        stats, registry, ckpt_info = fold_results(completed, nw, rlog,
+                                                  ckpt, restore)
         return ParallelResult(value=payload, wall_time_s=wall, workers=nw,
                               worker_stats=stats, registry=registry,
                               recovery=rlog, ckpt=ckpt_info)
@@ -875,14 +623,7 @@ def run_parallel(program_ast: A.Program, args: tuple = (), workers: int = 2,
         # Uniform teardown for success, failure, and interrupt alike:
         # stop every process ever started, drain the queue, reclaim all
         # shared segments via the manifest (plus prefix sweep).
-        for p in all_procs:
-            if p.is_alive():
-                p.terminate()
-        for p in all_procs:
-            p.join(timeout=5.0)
-            if p.is_alive():  # pragma: no cover - terminate was refused
-                p.kill()
-                p.join()
+        reap(all_procs)
         while True:
             try:
                 out_queue.get_nowait()
@@ -890,8 +631,4 @@ def run_parallel(program_ast: A.Program, args: tuple = (), workers: int = 2,
                 break
         out_queue.close()
         manifest.cleanup()
-        if prev_handler is not None:
-            try:
-                signal.signal(signal.SIGTERM, prev_handler)
-            except ValueError:  # pragma: no cover
-                pass
+        restore_sigterm()

@@ -45,17 +45,18 @@ deferred-read spin.
 Faults are a test/bench instrument: parsing is strict and raises
 ``ValueError`` on anything malformed rather than guessing.
 
-The spec syntax (clause splitting, key=value parsing, env handling) is
-the shared grammar of :mod:`repro.common.faultplan`; the simulated
-machine's network faults (:mod:`repro.sim.netfaults`) speak the same
-dialect with a different action vocabulary.
+This module is the dialect's *vocabulary* only.  The spec grammar, the
+clause loop, env handling and the per-event trigger counter with its
+generation filter are the shared engine of :mod:`repro.common.faultplan`,
+which the simulator (:mod:`repro.sim.netfaults`) and distributed
+(:mod:`repro.dist.faults`) dialects sit on too.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common import faultplan
 
@@ -94,94 +95,39 @@ class Fault:
             object.__setattr__(self, "on", _DEFAULT_EVENT[self.action])
         if self.on not in _EVENTS:
             raise ValueError(f"unknown fault trigger {self.on!r}")
-        if self.worker < 0:
-            raise ValueError("fault worker must be >= 0")
-        if self.after < 0:
-            raise ValueError("fault after must be >= 0")
-        if self.gen < 0:
-            raise ValueError("fault gen must be >= 0")
+        faultplan.require_nonneg(self, "worker", "after", "gen")
 
 
-@dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(faultplan.Plan):
     """A set of faults for one run (empty = normal operation)."""
 
-    faults: tuple[Fault, ...] = field(default_factory=tuple)
-
-    def __bool__(self) -> bool:
-        return bool(self.faults)
-
-    @staticmethod
-    def parse(spec: str | None) -> "FaultPlan":
-        """Parse ``action:key=value,...[;action:...]`` into a plan."""
-        if not spec or not spec.strip():
-            return FaultPlan()
-        faults = []
-        for action, argstr in faultplan.split_clauses(spec):
-            clause = f"{action}:{argstr}" if argstr else action
-            kwargs = faultplan.parse_clause_args(argstr, _SCHEMA, clause)
-            if "worker" not in kwargs:
-                raise ValueError(f"fault {clause!r} needs worker=<k>")
-            try:
-                faults.append(Fault(action=action, **kwargs))
-            except ValueError as exc:
-                # Name the offending clause: an unknown action or a bad
-                # qualifier combination must be findable in a multi-
-                # clause spec (and, via from_env, in the env variable).
-                raise ValueError(
-                    f"bad fault clause {clause!r}: {exc}") from None
-        return FaultPlan(tuple(faults))
-
-    @staticmethod
-    def from_env() -> "FaultPlan":
-        return faultplan.parse_from_env(faultplan.PARALLEL_ENV_VAR,
-                                        FaultPlan.parse)
+    fault_cls = Fault
+    schema = _SCHEMA
+    env_var = faultplan.PARALLEL_ENV_VAR
+    required = ("worker",)
 
 
 def resolve_plan(faults) -> FaultPlan:
-    """Coerce ``None`` / spec string / plan into a :class:`FaultPlan`.
-
-    ``None`` defers to the ``PODS_FAULTS`` environment variable so a
-    whole test process (or a chaos soak) can inject faults without
-    threading arguments through every call site.
-    """
-    if faults is None:
-        return FaultPlan.from_env()
-    if isinstance(faults, FaultPlan):
-        return faults
-    if isinstance(faults, str):
-        return FaultPlan.parse(faults)
-    raise ValueError(f"cannot build a FaultPlan from {type(faults).__name__}")
+    """``None`` (→ ``PODS_FAULTS``) / spec string / plan → :class:`FaultPlan`."""
+    return faultplan.resolve(faults, FaultPlan)
 
 
-class FaultInjector:
+class FaultInjector(faultplan.EventTrigger):
     """Per-worker runtime that fires the plan's faults at their triggers.
 
-    Instantiated inside the worker process; ``fire`` is called from the
-    interpreter hot hooks, so the no-fault path is a single truthiness
-    check on an empty list.
+    Instantiated inside the worker process.
     """
 
     def __init__(self, plan: FaultPlan, worker: int,
                  generation: int = 1) -> None:
-        self._mine = [f for f in plan.faults
-                      if f.worker == worker and f.gen in (0, generation)]
-        self._counts = {event: 0 for event in _EVENTS}
+        super().__init__([f for f in plan.faults if f.worker == worker],
+                         _EVENTS, generation)
 
-    def fire(self, event: str) -> None:
-        if not self._mine:
-            return
-        count = self._counts[event]
-        self._counts[event] = count + 1
-        for f in self._mine:
-            if f.on != event:
-                continue
-            if f.action == "delay":
-                if count >= f.after:
-                    time.sleep(f.seconds)
-                continue
-            if count != f.after:
-                continue
+    def act(self, f: Fault, count: int) -> None:
+        if f.action == "delay":
+            if count >= f.after:
+                time.sleep(f.seconds)
+        elif count == f.after:
             if f.action == "kill":
                 # Bypass interpreter cleanup and atexit — die like a
                 # segfaulting process would.

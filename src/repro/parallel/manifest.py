@@ -22,6 +22,8 @@ from __future__ import annotations
 import os
 import tempfile
 
+from repro.parallel.shm_arrays import unlink_segment
+
 _SHM_DIR = "/dev/shm"
 
 
@@ -61,33 +63,12 @@ class ShmManifest:
         except FileNotFoundError:
             return []
 
-    def live_segments(self) -> list[str]:
-        """Recorded or prefix-matching segments still present in shm.
-
-        Empty after a successful :meth:`cleanup` — the post-run leak
-        check the acceptance tests (and the chaos driver) assert on.
-        """
-        live = []
-        for name in self.names():
-            if os.path.exists(os.path.join(_SHM_DIR, name)):
-                live.append(name)
-        if os.path.isdir(_SHM_DIR):
-            try:
-                for entry in os.listdir(_SHM_DIR):
-                    if entry.startswith(self.run_tag) and entry not in live:
-                        live.append(entry)
-            except OSError:
-                pass
-        return live
-
     def cleanup(self) -> list[str]:
         """Unlink every recorded (or prefix-matching) segment.
 
         Returns the names actually unlinked; idempotent and safe to call
         on both the success and every failure path.
         """
-        from multiprocessing import shared_memory
-
         candidates = self.names()
         if os.path.isdir(_SHM_DIR):
             try:
@@ -97,25 +78,7 @@ class ShmManifest:
                         candidates.append(entry)
             except OSError:
                 pass
-        removed = []
-        for name in candidates:
-            try:
-                shm = shared_memory.SharedMemory(name=name)
-            except FileNotFoundError:
-                continue
-            except Exception:
-                # A half-created segment (e.g. zero-sized because the
-                # creator died inside ftruncate) can fail to map; remove
-                # the backing file directly.
-                try:
-                    os.unlink(os.path.join(_SHM_DIR, name))
-                    removed.append(name)
-                except OSError:
-                    pass
-                continue
-            shm.close()
-            shm.unlink()
-            removed.append(name)
+        removed = [name for name in candidates if unlink_segment(name)]
         try:
             os.unlink(self.path)
         except FileNotFoundError:

@@ -8,15 +8,14 @@ observed present (and value-checked) instead of recomputed, and the
 replay fills in exactly the missing suffix.  No rollback, no logging,
 no coordination protocol: recovery is plain re-execution.
 
-This module holds the two passive pieces; the supervisor in
+The two passive pieces live in :mod:`repro.common.retry` (shared with
+the distributed backend) and are re-exported here; the supervisor in
 :mod:`repro.parallel.executor` drives them:
 
 * :class:`RetryPolicy` — how many times to respawn, with what backoff.
   Jitter is derived deterministically from ``(seed, worker, attempt)``
   so recovery schedules are reproducible run-to-run, matching the
-  repo-wide determinism discipline.  The implementation now lives in
-  :mod:`repro.common.retry` (it is shared with the distributed
-  backend's transport); this module re-exports it.
+  repo-wide determinism discipline.
 * :class:`RecoveryLog` — what actually happened: an ordered event list
   (respawns, takeovers, stall reports, supersessions), aggregate
   counters, and exporters into the shared
@@ -40,129 +39,10 @@ Escalation ladder (implemented by the supervisor):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-# Re-export shim: RetryPolicy moved to repro.common.retry so the
-# supervisor here and the distributed backend's transport share one
-# budget implementation.  Importing it from this module keeps working.
-from repro.common.retry import RetryPolicy
+# Re-export shim: the policy and the log live in repro.common.retry so
+# the supervisor here and the distributed backend share one
+# implementation.  Importing them from this module keeps working.
+from repro.common.retry import (EVENT_KINDS, RecoveryEvent, RecoveryLog,
+                                RetryPolicy)
 
 __all__ = ["EVENT_KINDS", "RecoveryEvent", "RecoveryLog", "RetryPolicy"]
-
-# Event kinds recorded by the supervisor, in the order they typically
-# appear.  ``failure`` covers every WorkerFailure observed (including
-# the ones recovery then heals); ``respawn``/``takeover`` are the two
-# healing actions; ``stall`` is a deferred-read watchdog report;
-# ``superseded`` is a zombie generation exiting on its own; ``exhausted``
-# marks a worker whose per-identity retry budget ran out.
-EVENT_KINDS = ("failure", "respawn", "takeover", "stall", "superseded",
-               "exhausted", "failover")
-
-
-@dataclass(frozen=True)
-class RecoveryEvent:
-    """One entry in the recovery timeline.
-
-    ``t_s`` is seconds since the run started (supervisor clock),
-    ``worker`` the slot the event concerns, ``generation`` the execution
-    generation involved, ``detail`` a short human-readable qualifier and
-    ``dur_s`` an optional span length (backoff waits, takeover spans).
-    """
-
-    t_s: float
-    kind: str
-    worker: int
-    generation: int = 1
-    detail: str = ""
-    dur_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in EVENT_KINDS:
-            raise ValueError(f"unknown recovery event kind {self.kind!r}")
-
-    def describe(self) -> str:
-        line = (f"[{self.t_s:8.3f}s] {self.kind:<10} worker {self.worker} "
-                f"gen {self.generation}")
-        if self.detail:
-            line += f"  {self.detail}"
-        return line
-
-
-@dataclass
-class RecoveryLog:
-    """Ordered record of everything the recovery layer did in one run."""
-
-    events: list[RecoveryEvent] = field(default_factory=list)
-    respawns: int = 0
-    takeovers: int = 0
-    stall_reports: int = 0
-    supersessions: int = 0
-    failures_seen: int = 0
-    backoff_total_s: float = 0.0
-    replayed_elements: int = 0
-
-    def record(self, event: RecoveryEvent) -> None:
-        self.events.append(event)
-        if event.kind == "respawn":
-            self.respawns += 1
-            self.backoff_total_s += event.dur_s
-        elif event.kind == "takeover":
-            self.takeovers += 1
-            self.backoff_total_s += event.dur_s
-        elif event.kind == "stall":
-            self.stall_reports += 1
-        elif event.kind == "superseded":
-            self.supersessions += 1
-        elif event.kind == "failure":
-            self.failures_seen += 1
-
-    @property
-    def healed(self) -> bool:
-        """Whether any healing action (respawn/takeover) happened."""
-        return bool(self.respawns or self.takeovers)
-
-    def to_registry(self, registry) -> None:
-        """Fold into a :class:`repro.obs.MetricsRegistry`.
-
-        Rows are emitted only for nonzero values so a zero-fault run's
-        registry is byte-identical with recovery enabled or disabled —
-        the cross-backend differential and bench goldens depend on it.
-        """
-        pairs = (
-            ("recovery.respawns", self.respawns),
-            ("recovery.takeovers", self.takeovers),
-            ("recovery.stall_reports", self.stall_reports),
-            ("recovery.supersessions", self.supersessions),
-            ("recovery.failures_seen", self.failures_seen),
-            ("recovery.replayed_elements", self.replayed_elements),
-        )
-        for name, value in pairs:
-            if value:
-                registry.inc(name, value)
-        if self.backoff_total_s > 0:
-            registry.observe("recovery.backoff_s", self.backoff_total_s)
-
-    def table(self) -> str:
-        """Render the recovery timeline for ``pods profile``."""
-        lines = ["recovery", "--------"]
-        if not self.events:
-            lines.append("(no recovery activity)")
-            return "\n".join(lines)
-        lines.extend(e.describe() for e in self.events)
-        lines.append("")
-        lines.append(self.summary())
-        return "\n".join(lines)
-
-    def summary(self) -> str:
-        parts = [f"failures={self.failures_seen}",
-                 f"respawns={self.respawns}",
-                 f"takeovers={self.takeovers}"]
-        if self.stall_reports:
-            parts.append(f"stall_reports={self.stall_reports}")
-        if self.supersessions:
-            parts.append(f"supersessions={self.supersessions}")
-        if self.replayed_elements:
-            parts.append(f"replayed_elements={self.replayed_elements}")
-        if self.backoff_total_s > 0:
-            parts.append(f"backoff_s={self.backoff_total_s:.3f}")
-        return " ".join(parts)

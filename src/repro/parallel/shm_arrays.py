@@ -34,14 +34,18 @@ violation — this is what makes re-execution idempotent.
 
 from __future__ import annotations
 
+import mmap
+import os
 import struct
 import time
-from multiprocessing import shared_memory
 from typing import Callable
+
+import _posixshmem
 
 from repro.common.errors import (BoundsViolation, DeferredReadTimeout,
                                  ExecutionError, SingleAssignmentViolation,
                                  WorkerSuperseded)
+from repro.runtime.arrays import ArrayHeader
 
 FLAG_ABSENT = 0
 FLAG_FLOAT = 1
@@ -50,6 +54,46 @@ FLAG_BOOL = 3
 
 _PACK = struct.Struct("<d")
 _PACK_INT = struct.Struct("<q")
+
+
+class _Segment:
+    """One mapped POSIX shared-memory segment, owned explicitly.
+
+    ``multiprocessing.shared_memory.SharedMemory`` registers every
+    segment it opens with Python's ``resource_tracker``, which would
+    unlink the segment when the first worker that touched it exits —
+    yanking it from under the others and the parent's final gather —
+    and, once opted out of, prints a ``KeyError`` traceback whenever a
+    later ``unlink`` (or another process sharing the tracker)
+    unregisters the same name again.  Segments here never meet the
+    tracker: a run's :class:`~repro.parallel.manifest.ShmManifest` owns
+    them and :func:`unlink_segment` is the one way they go away.
+    """
+
+    def __init__(self, name: str, create: bool, size: int = 0) -> None:
+        flags = os.O_RDWR | (os.O_CREAT | os.O_EXCL if create else 0)
+        fd = _posixshmem.shm_open("/" + name, flags, mode=0o600)
+        try:
+            if create:
+                os.ftruncate(fd, size)
+            self.size = os.fstat(fd).st_size
+            self._mmap = mmap.mmap(fd, self.size)
+        finally:
+            os.close(fd)
+        self.buf = memoryview(self._mmap)
+
+    def close(self) -> None:
+        self.buf.release()
+        self._mmap.close()
+
+
+def unlink_segment(name: str) -> bool:
+    """Remove segment ``name``; False when it was already gone."""
+    try:
+        _posixshmem.shm_unlink("/" + name)
+    except FileNotFoundError:
+        return False
+    return True
 
 
 class ShmArray:
@@ -78,14 +122,12 @@ class ShmArray:
         self.slot = slot
         self.generation = generation
         self.replay = replay
-        total = 1
-        for d in dims:
-            total *= d
-        self.total = total
-        strides = [1] * len(dims)
-        for k in range(len(dims) - 2, -1, -1):
-            strides[k] = strides[k + 1] * dims[k + 1]
-        self.strides = tuple(strides)
+        # Identity-space geometry (``epoch_slots`` plays ``num_pes``):
+        # what the Range Filter consults, and the segment-owner hint in
+        # stall reports.
+        self.header = ArrayHeader(1, dims, page_size, epoch_slots)
+        self.total = total = self.header.total_elements
+        self.strides = self.header.strides
         self._epoch_bytes = 8 * epoch_slots
         size = self._epoch_bytes + total * 9  # epochs + flag + value bytes
 
@@ -96,8 +138,7 @@ class ShmArray:
             # already be writing by the time the creator gets scheduled
             # again, and a late memset would erase their presence bits.
             try:
-                self.shm = shared_memory.SharedMemory(name=name, create=True,
-                                                      size=size)
+                self.shm = _Segment(name, create=True, size=size)
             except FileExistsError:
                 if not exist_ok:
                     raise
@@ -106,17 +147,6 @@ class ShmArray:
         else:
             self.shm = self._attach(name, size, attach_timeout_s)
         self.name = name
-        # Python's resource_tracker would unlink the segment when the
-        # first worker that touched it exits, yanking it from under the
-        # others (and the parent's final gather).  Ownership is explicit
-        # here — the parent unlinks via the run's ShmManifest — so opt
-        # out.
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(self.shm._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker API is private-ish
-            pass
         self._epochs = self.shm.buf[:self._epoch_bytes]
         self._flags = self.shm.buf[self._epoch_bytes:self._epoch_bytes + total]
         self._vals = self.shm.buf[self._epoch_bytes + total:
@@ -136,12 +166,11 @@ class ShmArray:
         self.pages_touched: set[int] = set()
 
     @staticmethod
-    def _attach(name: str, size: int,
-                attach_timeout_s: float) -> shared_memory.SharedMemory:
+    def _attach(name: str, size: int, attach_timeout_s: float) -> _Segment:
         deadline = time.monotonic() + attach_timeout_s
         while True:
             try:
-                shm = shared_memory.SharedMemory(name=name)
+                shm = _Segment(name, create=False)
                 # The creator opens the segment before sizing it; an
                 # attach landing in that window sees a short file.
                 if shm.size >= size:
@@ -180,24 +209,6 @@ class ShmArray:
                 raise BoundsViolation(self.name, indices, self.dims)
             off += (idx - 1) * stride
         return off
-
-    def owner_of_offset(self, off: int) -> int:
-        """Worker slot whose shared-memory segment holds ``off``.
-
-        Uses the same sequential page-dealing math as the simulator's
-        Array Manager (``epoch_slots`` plays the ``num_pes`` role).  For
-        outer-dimension Range Filters the segment owner of a row start
-        is exactly the worker responsible for writing the row; for other
-        elements it is the best available hint of who the writer is.
-        """
-        from repro.runtime.arrays import num_pages, segment_of_page
-
-        pages = num_pages(self.total, self.page_size)
-        try:
-            return segment_of_page(off // self.page_size, pages,
-                                   self.epoch_slots)
-        except Exception:  # more slots than pages: fall back to slot 0
-            return 0
 
     # -- element access --------------------------------------------------
 
@@ -260,6 +271,7 @@ class ShmArray:
             next_stall = (spin_start + spin_ceiling_s
                           if spin_ceiling_s else None)
             pause = 1e-6
+            owner_of = self.header.owner_of_offset
             try:
                 while True:
                     flag = self._flags[off]
@@ -274,13 +286,13 @@ class ShmArray:
                             on_stall({"array": self.name,
                                       "indices": list(indices),
                                       "offset": off,
-                                      "owner": self.owner_of_offset(off),
+                                      "owner": owner_of(off),
                                       "waited_s": now - spin_start})
                         next_stall = now + spin_ceiling_s
                     if now > deadline:
                         raise DeferredReadTimeout(
                             self.name, indices, off,
-                            self.owner_of_offset(off), now - spin_start)
+                            owner_of(off), now - spin_start)
                     time.sleep(pause)
                     pause = min(pause * 2, 0.001)
             finally:
@@ -313,26 +325,12 @@ class ShmArray:
     def seed(self, off: int, value) -> None:
         """Host-side restore: store one checkpointed element by offset.
 
-        Same store-value-then-flag ordering as :meth:`write`, but no
-        telemetry and no single-assignment bookkeeping — the resuming
-        parent owns the segment and no worker is attached yet.
+        A plain :meth:`write` — the resuming parent owns the segment, no
+        worker is attached yet and the handle is generation 0.
         """
         if not 0 <= off < self.total:
             raise BoundsViolation(self.name, (off,), self.dims)
-        base = off * 8
-        if isinstance(value, bool):
-            _PACK_INT.pack_into(self._vals, base, int(value))
-            flag = FLAG_BOOL
-        elif isinstance(value, int):
-            _PACK_INT.pack_into(self._vals, base, value)
-            flag = FLAG_INT
-        elif isinstance(value, float):
-            _PACK.pack_into(self._vals, base, value)
-            flag = FLAG_FLOAT
-        else:
-            raise ExecutionError(f"cannot seed {type(value).__name__} into "
-                                 "a shared array")
-        self._flags[off] = flag  # presence bit set last
+        self.write(self.header.indices_of(off), value)
 
     def dump(self) -> dict:
         """Present elements as ``{flat offset: value}`` (checkpoint
@@ -350,17 +348,8 @@ class ShmArray:
 
     def snapshot(self) -> list:
         """Host-side copy (absent -> None); call after workers finish."""
-        out = []
-        for off in range(self.total):
-            flag = self._flags[off]
-            if flag == FLAG_ABSENT:
-                out.append(None)
-            elif flag == FLAG_FLOAT:
-                out.append(_PACK.unpack_from(self._vals, off * 8)[0])
-            else:
-                v = _PACK_INT.unpack_from(self._vals, off * 8)[0]
-                out.append(bool(v) if flag == FLAG_BOOL else v)
-        return out
+        present = self.dump()
+        return [present.get(off) for off in range(self.total)]
 
     def to_value(self):
         """Materialize into a host-side ArrayValue."""
@@ -376,7 +365,4 @@ class ShmArray:
         self.shm.close()
 
     def unlink(self) -> None:
-        try:
-            self.shm.unlink()
-        except FileNotFoundError:
-            pass
+        unlink_segment(self.name)

@@ -1,0 +1,333 @@
+"""The SPMD execution core shared by the ``parallel`` and ``dist`` backends.
+
+The paper has one execution model for distributed loops: every PE runs
+the same program, and a Range Filter keeps only the subrange whose first
+element the PE owns.  :class:`SpmdInterpreter` is that model, once:
+replicated scalar/control code (deterministic by single assignment),
+replicated array allocation under a shared sequence number, Range-Filter
+subranges per *identity* under the first-element-ownership math of
+:class:`repro.runtime.arrays.ArrayHeader`, and private ``SeqArray``
+temporaries inside a distributed iteration.
+
+What varies between substrates is the *location* of a shared array's
+elements — a shared-memory segment, a node's element store — never the
+statement semantics, so the store is the parameter.  A substrate
+supplies ``shared_cls`` (its handle class, carrying ``name``, the
+identity-space ``header`` and ``stats()`` counters), :meth:`alloc_shared`
+and direct ``on_array_read`` / ``on_array_write`` overrides — the
+per-element hot path, where the core adds no indirection.
+
+The telemetry record, its registry fold and its table live here too
+(both backends report the same fields about the same model), as does
+the process plumbing both launchers share.
+"""
+
+from __future__ import annotations
+
+import signal
+import time
+import traceback
+from dataclasses import dataclass, field
+
+from repro.baseline.sequential import (Clock, PartitionedInterpreter,
+                                       SeqArray)
+from repro.common.errors import WorkerSuperseded
+from repro.graph import ir
+from repro.lang import ast_nodes as A
+
+
+class SpmdInterpreter(PartitionedInterpreter):
+    """One SPMD process: same program, own Range-Filter subranges.
+
+    A normal process executes one identity; a takeover executes several.
+    Identities run lowest-first for ascending distributed loops and
+    highest-first for descending ones, matching the global iteration
+    order so sweep-style adjacent-range dependencies between two adopted
+    identities resolve against this process's own earlier writes instead
+    of self-deadlocking.  (Pathological cross-range dependencies can
+    still deadlock a degraded run — the substrate's watchdog or read
+    timeout then aborts it with a structured diagnosis rather than
+    hanging.)  ``injector`` is the substrate's
+    :class:`repro.common.faultplan.EventTrigger`.
+    """
+
+    shared_cls: type = type(None)
+
+    def __init__(self, program: A.Program, graph: ir.ProgramGraph,
+                 identities: tuple[int, ...], entry: str, injector) -> None:
+        super().__init__(program, graph, Clock(), entry)
+        self.identities = identities
+        self.injector = injector
+        self.alloc_seq = 0
+        self.shared_arrays: list = []
+        self.in_distributed = 0
+        self.rf_counts: dict[tuple[str, int, int, int], int] = {}
+
+    def alloc_shared(self, seq: int, dims: tuple[int, ...]):
+        """Create (or attach) the shared array of allocation ordinal ``seq``."""
+        raise NotImplementedError
+
+    # -- allocation -------------------------------------------------------
+
+    def on_alloc(self, dims: tuple[int, ...]):
+        if self.in_distributed:
+            # Private temporary of this iteration's executor.
+            return SeqArray(dims)
+        # Replicated allocation: every process computes the same
+        # sequence number, so they agree on the array's identity without
+        # any coordination.
+        self.alloc_seq += 1
+        arr = self.alloc_shared(self.alloc_seq, tuple(dims))
+        self.shared_arrays.append(arr)
+        return arr
+
+    # -- loops ------------------------------------------------------------
+
+    def run_iteration(self, stmt: A.For, env: list[dict], depth: int,
+                      i: int) -> None:
+        self.injector.fire("iter")
+        super().run_iteration(stmt, env, depth, i)
+
+    def run_for(self, stmt: A.For, env: list[dict], depth: int) -> None:
+        init = self.eval(stmt.init, env, depth)
+        limit = self.eval(stmt.limit, env, depth)
+        step = -1 if stmt.descending else 1
+        found = (None if self.in_distributed
+                 else self.range_filter_of(stmt, env))
+        if found is None or not isinstance(found[1], self.shared_cls):
+            # Not distributed — or the RF array is process-private
+            # (shouldn't happen): run it all.
+            self.run_for_range(stmt, env, depth, init, limit, step)
+            return
+        block, arr, fixed = found
+        rf = block.range_filter
+        header = arr.header
+        idents = (tuple(reversed(self.identities)) if stmt.descending
+                  else self.identities)
+        self.in_distributed += 1
+        try:
+            for ident in idents:
+                first, last = header.filtered_range(
+                    ident, init, limit, descending=stmt.descending,
+                    fixed=fixed, dim=rf.dim)
+                items = max(0, (last - first) * step + 1)
+                key = (block.name, first, last, items)
+                self.rf_counts[key] = self.rf_counts.get(key, 0) + 1
+                self.run_for_range(stmt, env, depth, first, last, step)
+        finally:
+            self.in_distributed -= 1
+
+    # -- reporting --------------------------------------------------------
+
+    def execute(self, args: tuple, emit, array_ref) -> None:
+        """Run to completion, reporting through ``emit(tag, payload)``.
+
+        The process running identity 0 emits ``result`` — ``("ok",
+        value)``, or ``("array", array_ref(handle))`` while other
+        processes may still be writing it — and every process then emits
+        ``done`` with its telemetry; a failed one emits ``err`` (or
+        ``superseded``) instead.
+        """
+        t0 = time.perf_counter()
+        try:
+            value = self.run(tuple(args), materialize=False).value
+            self.injector.fire("result")
+            if 0 in self.identities:
+                emit("result", ("array", array_ref(value))
+                     if isinstance(value, self.shared_cls) else ("ok", value))
+            emit("done", self.telemetry(time.perf_counter() - t0))
+        except WorkerSuperseded as exc:
+            # A successor generation owns this subrange now; exit quietly.
+            emit("superseded", str(exc))
+        except BaseException as exc:  # noqa: BLE001 - must leave the process
+            emit("err", f"{type(exc).__name__}: {exc}\n"
+                        f"{traceback.format_exc()}")
+
+    def telemetry(self, wall_time_s: float) -> dict:
+        out = {"wall_time_s": wall_time_s, "shared_reads": 0,
+               "shared_writes": 0, "deferred_reads": 0, "spin_wait_s": 0.0,
+               "max_spin_wait_s": 0.0, "replayed_present": 0,
+               "stall_reports": 0, "pages_touched": {},
+               "rf_subranges": [(name, first, last, items, count)
+                                for (name, first, last, items), count
+                                in self.rf_counts.items()]}
+        for arr in self.shared_arrays:
+            s = arr.stats()
+            out["shared_reads"] += s["reads"]
+            out["shared_writes"] += s["writes"]
+            out["deferred_reads"] += s["deferred_reads"]
+            out["spin_wait_s"] += s["spin_wait_s"]
+            out["max_spin_wait_s"] = max(out["max_spin_wait_s"],
+                                         s["max_spin_wait_s"])
+            out["replayed_present"] += s["replayed_present"]
+            out["stall_reports"] += s["stall_reports"]
+            if s["pages_touched"]:
+                out["pages_touched"][arr.name] = s["pages_touched"]
+        return out
+
+
+@dataclass
+class WorkerTelemetry:
+    """One worker's (or node's) self-reported execution profile."""
+
+    worker: int
+    wall_time_s: float = 0.0
+    shared_reads: int = 0
+    shared_writes: int = 0
+    deferred_reads: int = 0
+    spin_wait_s: float = 0.0
+    max_spin_wait_s: float = 0.0
+    replayed_present: int = 0
+    stall_reports: int = 0
+    # (loop block, first, last, iteration items, times executed) — an
+    # inner-loop RF runs once per enclosing iteration, hence the count.
+    rf_subranges: list[tuple[str, int, int, int, int]] = field(
+        default_factory=list)
+    # shared array name -> page indices this worker wrote at least one
+    # element of (page grain as in MachineConfig.page_size)
+    pages_touched: dict[str, list[int]] = field(default_factory=dict)
+
+    @classmethod
+    def from_dict(cls, worker: int, d: dict) -> "WorkerTelemetry":
+        return cls(
+            worker=worker,
+            wall_time_s=d.get("wall_time_s", 0.0),
+            shared_reads=d.get("shared_reads", 0),
+            shared_writes=d.get("shared_writes", 0),
+            deferred_reads=d.get("deferred_reads", 0),
+            spin_wait_s=d.get("spin_wait_s", 0.0),
+            max_spin_wait_s=d.get("max_spin_wait_s", 0.0),
+            replayed_present=d.get("replayed_present", 0),
+            stall_reports=d.get("stall_reports", 0),
+            rf_subranges=[tuple(r) for r in d.get("rf_subranges", [])],
+            pages_touched={k: list(v)
+                           for k, v in d.get("pages_touched", {}).items()},
+        )
+
+
+def telemetry_registry(worker_stats: list[WorkerTelemetry],
+                       spin_cause: str = "istructure-defer") -> "MetricsRegistry":
+    """Fold per-worker telemetry into one :class:`MetricsRegistry`.
+
+    The semantic metric families (``rf.*``, ``array.*``) use the same
+    names and label shapes as the simulator's registry (see
+    :meth:`repro.obs.recorder.ObsRecorder.build_registry`), so a
+    differential test can assert that e.g. Range-Filter subranges agree
+    between backends by comparing registry rows directly.  Workers map
+    onto the ``pe`` label — the backend's wall-clock counterpart.
+
+    ``spin_cause`` labels the blocked-read wait rows: the parallel
+    backend's spins are I-structure defers on shared memory; the
+    distributed backend passes ``remote-read`` (its blocked reads are
+    split-phase network reads — see the WAIT vocabulary in ObsConfig).
+    """
+    from repro.obs.registry import MetricsRegistry
+
+    reg = MetricsRegistry()
+    pages: dict[str, set[int]] = {}
+    for t in worker_stats:
+        pe = str(t.worker)
+        reg.set_gauge("par.wall_time_s", t.wall_time_s, pe=pe)
+        reg.inc("array.element_reads", t.shared_reads, pe=pe, scope="shared")
+        reg.inc("array.element_writes", t.shared_writes, pe=pe)
+        reg.inc("array.deferred_reads", t.deferred_reads, pe=pe)
+        reg.observe("par.spin_wait_s", t.spin_wait_s, pe=pe)
+        reg.set_gauge("par.max_spin_wait_s", t.max_spin_wait_s, pe=pe)
+        # Same metric family as the simulator's wait-state attribution
+        # (see ObsRecorder.build_registry): a worker spinning on an
+        # absent shared-array element is the wall-clock counterpart of
+        # the simulator's istructure-defer wait.
+        reg.set_gauge("wait.us", t.spin_wait_s * 1e6, pe=pe,
+                      cause=spin_cause)
+        for name, first, last, items, count in t.rf_subranges:
+            reg.inc("rf.subrange", count, pe=pe, block=name,
+                    first=first, last=last)
+            reg.inc("rf.items", items * count, pe=pe)
+        for name, touched in t.pages_touched.items():
+            pages.setdefault(name, set()).update(touched)
+    for i, name in enumerate(sorted(pages)):
+        # Shared arrays allocate in a replicated, deterministic order;
+        # index them 1-based like the simulator's array ids.
+        reg.set_gauge("array.pages_touched", len(pages[name]),
+                      array=str(i + 1))
+    return reg
+
+
+def telemetry_table(worker_stats: list[WorkerTelemetry],
+                    who: str = "worker") -> str:
+    """Per-worker (``who="node"``: per-node) profile as an aligned text block."""
+    lines = [f"{who:<6}  wall(s)  sh-reads  sh-writes  deferred  "
+             "max-spin(ms)  rf-subranges"]
+    for t in worker_stats:
+        ranges = " ".join(
+            f"{name}[{first}..{last}]" + (f"*{count}" if count > 1 else "")
+            for name, first, last, _items, count in t.rf_subranges)
+        lines.append(f"{t.worker:>6}  {t.wall_time_s:>7.3f}  "
+                     f"{t.shared_reads:>8}  {t.shared_writes:>9}  "
+                     f"{t.deferred_reads:>8}  "
+                     f"{t.max_spin_wait_s * 1e3:>12.2f}  "
+                     f"{ranges or '-'}")
+    return "\n".join(lines)
+
+
+def fold_results(completed: dict[int, dict], width: int, rlog, ckpt,
+                 restore, spin_cause: str = "istructure-defer"):
+    """What a supervisor makes of the workers' ``done`` payloads.
+
+    Returns ``(worker_stats, registry, ckpt_info)``: the telemetry
+    records, the metrics registry with the run's ``recovery.*`` and
+    ``ckpt.*`` rows folded in, and the checkpoint/restore summary (None
+    when durable execution was off).
+    """
+    from repro.ckpt.format import run_summary
+
+    stats = [WorkerTelemetry.from_dict(w, completed.get(w, {}))
+             for w in range(width)]
+    rlog.replayed_elements = sum(s.replayed_present for s in stats)
+    registry = telemetry_registry(stats, spin_cause)
+    rlog.to_registry(registry)
+    return stats, registry, run_summary(ckpt, restore, registry)
+
+
+# -- supervision plumbing both launchers share --------------------------
+
+
+def sigterm_as_interrupt():
+    """Make SIGTERM raise ``KeyboardInterrupt`` in the calling (main)
+    thread, so one teardown path serves interrupt and termination alike.
+    Returns the callable that restores the previous handler."""
+    def _sigterm(signum, frame):  # pragma: no cover - signal path
+        raise KeyboardInterrupt("SIGTERM")
+
+    try:
+        prev_handler = signal.signal(signal.SIGTERM, _sigterm)
+    except ValueError:  # not the main thread
+        return lambda: None
+
+    def restore() -> None:
+        try:
+            signal.signal(signal.SIGTERM, prev_handler)
+        except ValueError:  # pragma: no cover
+            pass
+    return restore
+
+
+def sigterm_default() -> None:
+    """In a forked child: drop the inherited SIGTERM→KeyboardInterrupt
+    handler — a terminated child should just die, not unwind through it."""
+    try:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    except (ValueError, OSError):  # pragma: no cover
+        pass
+
+
+def reap(procs: list) -> None:
+    """Stop every process ever started: terminate, join, kill stragglers."""
+    for p in procs:
+        if p.is_alive():
+            p.terminate()
+    for p in procs:
+        p.join(timeout=5.0)
+        if p.is_alive():  # pragma: no cover - terminate was refused
+            p.kill()
+            p.join()

@@ -34,25 +34,9 @@ import sys
 from dataclasses import dataclass, field
 
 from repro.api import compile_source
-from repro.common.chaoslib import run_matrix
+from repro.common.chaoslib import ROW_SWEEP, run_matrix
 from repro.common.config import MachineConfig, ObsConfig, SimConfig
 from repro.common.errors import LivelockError, PEHaltError
-
-# row-sweep exercises the full message mix at >1 PE: the distributed
-# spawns broadcast (bcast), row i's readers race row i-1's writers
-# (read/page/value traffic), and the matrix allocate broadcasts (alloc).
-ROW_SWEEP = """
-function main(n) {
-    B = matrix(n, n);
-    for j = 1 to n { B[1, j] = 1.0 * j; }
-    for i = 2 to n {
-        for j = 1 to n { B[i, j] = B[i - 1, j] * 0.5 + 1.0; }
-    }
-    s = 0.0;
-    for j = 1 to n { next s = s + B[n, j]; }
-    return s;
-}
-"""
 
 ZERO_COST_BASELINE = os.path.join("benchmarks", "baselines",
                                   "sim_zero_cost.json")

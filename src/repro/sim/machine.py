@@ -359,15 +359,11 @@ class Machine:
                 registry = self.obs.build_registry(
                     [pe.stats for pe in self.pes], UNITS, finish,
                     net=net)
-        ckpt_info = self._ckpt.stats() if self._ckpt is not None else None
-        if self._restore is not None:
-            ckpt_info = dict(ckpt_info or {})
-            ckpt_info["restored_elements"] = self._restore.total_elements
-            ckpt_info["resumed_from"] = self._restore.id
-        if registry is not None and ckpt_info:
-            for key in ("snapshots", "elements", "restored_elements"):
-                if ckpt_info.get(key):
-                    registry.inc(f"ckpt.{key}", ckpt_info[key])
+        ckpt_info = None
+        if self._ckpt is not None or self._restore is not None:
+            from repro.ckpt.format import run_summary
+
+            ckpt_info = run_summary(self._ckpt, self._restore, registry)
         stats = RunStats(
             num_pes=self.mc.num_pes,
             finish_time_us=finish,

@@ -5,7 +5,9 @@ this module breaks that assumption *on purpose* so the reliable-delivery
 protocol (:mod:`repro.sim.reliable`) and the progress guardrails have
 something to survive.  A plan is a spec string in the shared grammar of
 :mod:`repro.common.faultplan` (also read from the ``PODS_SIM_FAULTS``
-environment variable), with the simulator's action vocabulary:
+environment variable); this module declares only the simulator's
+vocabulary (the clause loop, the selector and the ``after``/``count``
+arming window are that module's engine):
 
 Message-level actions, applied at the ``_transmit`` boundary:
 
@@ -39,8 +41,7 @@ test/chaos instrument, not production configuration.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common import faultplan
 
@@ -89,14 +90,10 @@ class NetFault:
         if self.action in MESSAGE_ACTIONS:
             if self.kind and self.kind not in MESSAGE_KINDS:
                 raise ValueError(f"unknown message kind {self.kind!r}")
-            if self.after < 0:
-                raise ValueError("fault after must be >= 0")
-            if self.count < 0:
-                raise ValueError("fault count must be >= 0")
+            faultplan.require_nonneg(self, "after", "count")
             if not 0.0 <= self.prob <= 1.0:
                 raise ValueError("fault prob must be in [0, 1]")
-            if self.us < 0:
-                raise ValueError("fault us must be >= 0")
+            faultplan.require_nonneg(self, "us")
             if self.us == 0.0 and self.action in ("delay", "reorder"):
                 default = (DELAY_DEFAULT_US if self.action == "delay"
                            else REORDER_DEFAULT_US)
@@ -104,70 +101,32 @@ class NetFault:
         else:
             if self.pe < 0:
                 raise ValueError(f"{self.action} needs pe=<k>")
-            if self.at < 0:
-                raise ValueError("fault at must be >= 0")
+            faultplan.require_nonneg(self, "at")
             if self.action == "pe-degrade" and self.factor <= 0:
                 raise ValueError("pe-degrade factor must be > 0")
 
     def matches(self, src: int, dst: int, kind: str) -> bool:
-        return ((self.src == ANY or self.src == src)
-                and (self.dst == ANY or self.dst == dst)
-                and (not self.kind or self.kind == kind))
+        return faultplan.selects(self, src, dst, kind, ANY)
 
 
-@dataclass(frozen=True)
-class SimFaultPlan:
+class SimFaultPlan(faultplan.Plan):
     """A parsed set of simulator faults (empty = reliable network)."""
 
-    faults: tuple[NetFault, ...] = field(default_factory=tuple)
-
-    def __bool__(self) -> bool:
-        return bool(self.faults)
+    fault_cls = NetFault
+    schema = _SCHEMA
+    env_var = faultplan.SIM_ENV_VAR
 
     def message_faults(self) -> tuple[NetFault, ...]:
-        return tuple(f for f in self.faults
-                     if f.action in MESSAGE_ACTIONS)
+        return self.with_action(MESSAGE_ACTIONS)
 
     def pe_faults(self) -> tuple[NetFault, ...]:
-        return tuple(f for f in self.faults if f.action in PE_ACTIONS)
-
-    @staticmethod
-    def parse(spec: str | None) -> "SimFaultPlan":
-        """Parse the shared ``action:key=value,...;...`` grammar."""
-        if not spec or not spec.strip():
-            return SimFaultPlan()
-        faults = []
-        for action, argstr in faultplan.split_clauses(spec):
-            clause = f"{action}:{argstr}" if argstr else action
-            kwargs = faultplan.parse_clause_args(argstr, _SCHEMA, clause)
-            try:
-                faults.append(NetFault(action=action, **kwargs))
-            except ValueError as exc:
-                raise ValueError(
-                    f"bad fault clause {clause!r}: {exc}") from None
-        return SimFaultPlan(tuple(faults))
-
-    @staticmethod
-    def from_env() -> "SimFaultPlan":
-        return faultplan.parse_from_env(faultplan.SIM_ENV_VAR,
-                                        SimFaultPlan.parse)
+        return self.with_action(PE_ACTIONS)
 
 
 def resolve_sim_plan(faults) -> SimFaultPlan:
-    """Coerce ``None`` / spec string / plan into a :class:`SimFaultPlan`.
-
-    ``None`` defers to ``PODS_SIM_FAULTS`` (kept distinct from the
-    parallel backend's ``PODS_FAULTS`` so one chaos soak cannot poison
-    the other backend's runs with a dialect it does not speak).
-    """
-    if faults is None:
-        return SimFaultPlan.from_env()
-    if isinstance(faults, SimFaultPlan):
-        return faults
-    if isinstance(faults, str):
-        return SimFaultPlan.parse(faults)
-    raise ValueError(
-        f"cannot build a SimFaultPlan from {type(faults).__name__}")
+    """``None`` (→ ``PODS_SIM_FAULTS``) / spec string / plan →
+    :class:`SimFaultPlan`."""
+    return faultplan.resolve(faults, SimFaultPlan)
 
 
 @dataclass
@@ -182,33 +141,17 @@ class FaultDecision:
 class NetFaultInjector:
     """Applies a plan's message faults at the transmit boundary.
 
-    Deterministic and replayable: per-clause match counters drive the
-    ``after``/``count`` windows, and ``prob`` draws come from one
-    ``random.Random`` seeded by the clause's ``seed`` and position, so
-    identical plans inject identically on identical traffic.
+    Which clauses fire on which message is the shared engine's
+    :class:`repro.common.faultplan.ArmingWindow` — deterministic and
+    replayable, ``prob`` draws included.
     """
 
     def __init__(self, plan: SimFaultPlan) -> None:
-        self._clauses = list(plan.message_faults())
-        self._matched = [0] * len(self._clauses)
-        self._fired = [0] * len(self._clauses)
-        self._rngs = [random.Random((f.seed << 16) ^ i)
-                      for i, f in enumerate(self._clauses)]
+        self._window = faultplan.ArmingWindow(plan.message_faults(), ANY)
 
     def decide(self, src: int, dst: int, kind: str) -> FaultDecision:
         decision = FaultDecision()
-        for i, f in enumerate(self._clauses):
-            if not f.matches(src, dst, kind):
-                continue
-            seq = self._matched[i]
-            self._matched[i] = seq + 1
-            if seq < f.after:
-                continue
-            if f.count and self._fired[i] >= f.count:
-                continue
-            if f.prob < 1.0 and self._rngs[i].random() >= f.prob:
-                continue
-            self._fired[i] += 1
+        for f in self._window.firing(src, dst, kind):
             if f.action == "drop":
                 decision.drop = True
             elif f.action == "dup":

@@ -11,9 +11,12 @@ syntax-compatible and keep their environment variables distinct.
 import pytest
 
 from repro.common import faultplan
-from repro.dist.faults import DistFaultPlan, resolve_dist_plan
-from repro.parallel.faults import Fault, FaultPlan, resolve_plan
-from repro.sim.netfaults import SimFaultPlan, resolve_sim_plan
+from repro.dist.faults import (CoordKillSwitch, DistFaultInjector,
+                               DistFaultPlan, resolve_dist_plan)
+from repro.parallel.faults import (Fault, FaultInjector, FaultPlan,
+                                   resolve_plan)
+from repro.sim.netfaults import (NetFaultInjector, SimFaultPlan,
+                                 resolve_sim_plan)
 
 
 class TestSplitClauses:
@@ -239,3 +242,68 @@ class TestRoundTrip:
         for fault, (_, args) in zip(plan.faults, plan_clauses):
             for key, value in args.items():
                 assert getattr(fault, key) == value
+
+
+# -- the engine behind the dialects --------------------------------------
+# Selector + arming window and the event trigger counter exist once, in
+# common/faultplan.py; the dialects only name what firing does.
+
+
+class TestEngine:
+    NODE = 1  # the sender: a dist injector only ever sees its own sends
+
+    @given(action=st.sampled_from(["drop", "delay"]),
+           src=st.sampled_from([None, 0, 1]),
+           dst=st.sampled_from([None, 0, 2, 3]),
+           kind=st.sampled_from([None, "ack"]),
+           after=st.integers(0, 5), count=st.integers(0, 4),
+           traffic=st.lists(st.tuples(st.sampled_from([0, 2, 3]),
+                                      st.booleans()), max_size=40))
+    def test_sim_and_dist_fire_on_the_same_match_indices(
+            self, action, src, dst, kind, after, count, traffic):
+        """One clause, one traffic sequence, two dialects: the shared
+        selector + ``after``/``count`` window picks the same messages
+        (``ack`` is the one message kind both vocabularies name)."""
+        args = {k: v for k, v in (("src", src), ("dst", dst),
+                                  ("kind", kind)) if v is not None}
+        spec = faultplan.format_clause(
+            action, args | {"after": after, "count": count})
+        sim = NetFaultInjector(SimFaultPlan.parse(spec))
+        dist = DistFaultInjector(DistFaultPlan.parse(spec), node=self.NODE)
+        sim_hits, dist_hits = [], []
+        for n, (to, is_ack) in enumerate(traffic):
+            dec = sim.decide(self.NODE, to, "ack" if is_ack else "page")
+            if dec.drop or dec.extra_us:
+                sim_hits.append(n)
+            drop, delay_s = dist.decide_frame(to,
+                                              "ack" if is_ack else "data")
+            if drop or delay_s:
+                dist_hits.append(n)
+        assert sim_hits == dist_hits
+        if count:
+            assert len(sim_hits) <= count
+
+    def test_trigger_counts_per_event_and_filters_by_generation(self):
+        hits = []
+
+        class Probe(faultplan.EventTrigger):
+            def act(self, f, count):
+                if count == f.after:
+                    hits.append((f.action, count))
+
+        plan = FaultPlan.parse("hang:worker=0,on=write,after=2,seconds=0;"
+                               "hang:worker=0,on=iter,gen=2,seconds=0")
+        probe = Probe(plan.faults, ("iter", "write"))
+        for _ in range(4):
+            probe.fire("iter")   # gen=2 clause is not armed in gen 1
+            probe.fire("write")
+        assert hits == [("hang", 2)]
+        probe.arm(2)             # counts restart; gen=1 clause disarmed
+        probe.fire("iter")
+        assert hits == [("hang", 2), ("hang", 0)]
+
+    def test_unarmed_triggers_are_no_ops(self):
+        for trigger in (FaultInjector(FaultPlan(), 0),
+                        DistFaultInjector(DistFaultPlan(), node=0),
+                        CoordKillSwitch(None)):
+            trigger.fire("anything-at-all")  # never indexes the counters

@@ -1,0 +1,214 @@
+"""The shared SPMD core, driven with a plain in-process store.
+
+``repro.runtime.spmd.SpmdInterpreter`` is what both the ``parallel`` and
+``dist`` backends execute; before it existed its Range-Filter logic was
+only reachable through a full process (or cluster) launch.  Here the
+store seam is filled with the simplest thing that works — ``SeqArray``
+elements in one dict shared by every identity, no processes, no sockets
+— and the identities run one after another.  What must hold at every
+width, ascending and descending, one identity per interpreter or several
+(the takeover shape):
+
+* the executed subranges tile the iteration space exactly once;
+* ``rf_counts`` is exactly what ``ArrayHeader.filtered_range`` predicts;
+* the assembled array equals the sequential interpreter's.
+"""
+
+import pytest
+
+from repro import compile_source
+from repro.baseline.sequential import SeqArray
+from repro.common.faultplan import EventTrigger
+from repro.runtime.arrays import ArrayHeader
+from repro.runtime.spmd import (SpmdInterpreter, WorkerTelemetry,
+                                telemetry_registry, telemetry_table)
+
+PAGE = 4  # small pages, so widths 1-5 all get non-trivial subranges
+
+ASCENDING = """
+function main(n) {
+    A = array(n);
+    for i = 1 to n { A[i] = 2 * i; }
+    return A;
+}"""
+
+DESCENDING = """
+function main(n) {
+    A = array(n);
+    for i = n downto 1 { A[i] = 3 * i; }
+    return A;
+}"""
+
+# The outer loop carries ``s`` and stays serial; the inner one gets a
+# dim-1 Range Filter with the row index fixed, executed once per row.
+INNER = """
+function main(n, m) {
+    A = matrix(n, m);
+    s = 0;
+    for i = 1 to n {
+        next s = s + i;
+        for j = m downto 1 { A[i, j] = 10 * i + j; }
+    }
+    return A;
+}"""
+
+
+class PlainArray(SeqArray):
+    """One interpreter's handle to a shared array that lives in this
+    process: the run's shared cells + geometry + this handle's counter."""
+
+    __slots__ = ("name", "header", "writes")
+
+    def __init__(self, seq: int, dims, width: int, store: dict) -> None:
+        super().__init__(dims)
+        self.cells = store.setdefault(seq, self.cells)
+        self.name = f"a{seq}"
+        self.header = ArrayHeader(seq, tuple(dims), PAGE, width)
+        self.writes = 0
+
+    def stats(self) -> dict:
+        return {"reads": 0, "writes": self.writes, "deferred_reads": 0,
+                "spin_wait_s": 0.0, "max_spin_wait_s": 0.0,
+                "replayed_present": 0, "stall_reports": 0,
+                "pages_touched": []}
+
+
+class PlainSpmd(SpmdInterpreter):
+    """The core over a dict of cell lists shared by the run."""
+
+    shared_cls = PlainArray
+
+    def __init__(self, program, identities, width, store) -> None:
+        super().__init__(program.ast, program.graph, identities, "main",
+                         EventTrigger((), ()))
+        self.width = width
+        self.store = store
+        self.executed: list[tuple[str, int]] = []
+
+    def alloc_shared(self, seq, dims):
+        return PlainArray(seq, dims, self.width, self.store)
+
+    def on_array_write(self, arr, indices, value):
+        if isinstance(arr, PlainArray):
+            arr.writes += 1
+        arr.write(indices, value)  # SeqArray enforces single assignment
+
+    def run_iteration(self, stmt, env, depth, i):
+        block = self.block_of.get(id(stmt))
+        if block is not None and block.distributed:
+            self.executed.append((block.name, i))
+        super().run_iteration(stmt, env, depth, i)
+
+
+def _groups(width: int, takeover: bool) -> list[tuple[int, ...]]:
+    """Identity groups: one per interpreter, or the last two merged."""
+    if not takeover or width < 2:
+        return [(p,) for p in range(width)]
+    return [(p,) for p in range(width - 2)] + [(width - 2, width - 1)]
+
+
+def _run(source: str, args: tuple, width: int, takeover: bool):
+    program = compile_source(source)
+    store: dict[int, list] = {}
+    interps = []
+    for identities in _groups(width, takeover):
+        interp = PlainSpmd(program, identities, width, store)
+        interp.run(args, materialize=False)
+        interps.append(interp)
+    arrays = {arr.name: arr.to_value() for arr in interps[0].shared_arrays}
+    return program, arrays, interps
+
+
+WIDTHS = [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("takeover", [False, True],
+                         ids=["single-identity", "takeover"])
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("source,descending",
+                         [(ASCENDING, False), (DESCENDING, True)],
+                         ids=["ascending", "descending"])
+class TestOuterLoopTiling:
+    N = 23  # 5 full pages of 4 and a short one; no width above 1 divides it
+
+    def test_subranges_tile_the_iteration_space_once(self, source,
+                                                     descending, width,
+                                                     takeover):
+        program, arrays, interps = _run(source, (self.N,), width, takeover)
+        executed = [i for interp in interps for _, i in interp.executed]
+        assert sorted(executed) == list(range(1, self.N + 1))
+        # Within one interpreter, adopted identities run in global
+        # iteration order (the takeover self-deadlock rule).
+        for interp in interps:
+            own = [i for _, i in interp.executed]
+            assert own == sorted(own, reverse=descending)
+        oracle = program.run((self.N,), backend="seq").value
+        assert arrays["a1"] == oracle
+
+    def test_rf_counts_match_filtered_range(self, source, descending,
+                                            width, takeover):
+        _, _, interps = _run(source, (self.N,), width, takeover)
+        header = ArrayHeader(1, (self.N,), PAGE, width)
+        init, limit = (self.N, 1) if descending else (1, self.N)
+        step = -1 if descending else 1
+        for interp in interps:
+            expected = {}
+            for ident in interp.identities:
+                first, last = header.filtered_range(
+                    ident, init, limit, descending=descending)
+                items = max(0, (last - first) * step + 1)
+                expected[("main.for_i", first, last, items)] = 1
+            assert interp.rf_counts == expected
+        assert sum(items for interp in interps
+                   for (_, _, _, items) in interp.rf_counts) == self.N
+
+
+@pytest.mark.parametrize("takeover", [False, True],
+                         ids=["single-identity", "takeover"])
+@pytest.mark.parametrize("width", WIDTHS)
+def test_inner_dimension_filter_tiles_every_row(width, takeover):
+    n, m = 3, 7  # 21 elements: 6 pages, the last one short
+    program, arrays, interps = _run(INNER, (n, m), width, takeover)
+    assert arrays["a1"] == program.run((n, m), backend="seq").value
+    header = ArrayHeader(1, (n, m), PAGE, width)
+    total = 0
+    for interp in interps:
+        expected: dict = {}
+        for i in range(1, n + 1):
+            for ident in interp.identities:
+                first, last = header.filtered_range(
+                    ident, m, 1, descending=True, fixed=(i,), dim=1)
+                key = ("main.for_i.for_j", first, last,
+                       max(0, first - last + 1))
+                expected[key] = expected.get(key, 0) + 1
+        assert interp.rf_counts == expected
+        total += sum(items * count for (_, _, _, items), count
+                     in interp.rf_counts.items())
+    assert total == n * m
+
+
+def test_arrays_allocated_inside_a_distributed_iteration_are_private():
+    source = """
+    function f(i) { T = array(2); T[1] = i; return T[1] + 1; }
+    function main(n) {
+        A = array(n);
+        for i = 1 to n { A[i] = f(i); }
+        return A;
+    }"""
+    program, arrays, interps = _run(source, (9,), 2, takeover=False)
+    assert list(arrays) == ["a1"]  # only A went through alloc_shared
+    assert all(interp.alloc_seq == 1 for interp in interps)
+    assert arrays["a1"] == program.run((9,), backend="seq").value
+
+
+def test_telemetry_sums_the_store_counters_and_renders():
+    _, _, interps = _run(ASCENDING, (10,), 2, takeover=False)
+    stats = [WorkerTelemetry.from_dict(w, interp.telemetry(0.5))
+             for w, interp in enumerate(interps)]
+    assert sum(t.shared_writes for t in stats) == 10
+    registry = telemetry_registry(stats)
+    assert registry.total("rf.items") == 10
+    table = telemetry_table(stats, who="node")
+    assert table.splitlines()[0].startswith("node    wall(s)")
+    assert "main.for_i[1..8]" in table
+    assert telemetry_table(stats).startswith("worker  wall(s)")
