@@ -33,12 +33,14 @@ def test_fig10_speedup(benchmark, sweeper, simple_program):
 
     # P&R static-compilation baseline at 64x64 (cheap: interpreter-based).
     pr64 = {}
-    base_pr = simple_program.run_static(simple_args(64), num_pes=1)
+    base_pr = simple_program.run(simple_args(64), backend="static",
+                                 parallelism=1)
     pr64[1] = 1.0
     for pes in pe_grid(64):
         if pes == 1:
             continue
-        st = simple_program.run_static(simple_args(64), num_pes=pes)
+        st = simple_program.run(simple_args(64), backend="static",
+                                parallelism=pes)
         pr64[pes] = base_pr.time_us / st.time_us
     # Host wall clock of the sweep itself (informational in the
     # trajectory doc; memoized points make later figures look free, so

@@ -18,21 +18,22 @@ N = 15
 
 def test_functional_parallelism(benchmark):
     program = compile_source(FIB)
-    base = program.run_pods((N,), num_pes=1)
+    base = program.run((N,), backend="sim", parallelism=1)
 
     rows = []
     speedups = {}
     for pes in (1, 2, 4, 8, 16):
         config = SimConfig(machine=MachineConfig(
             num_pes=pes, function_placement="round_robin"))
-        result = program.run_pods((N,), num_pes=pes, config=config)
+        result = program.run((N,), backend="sim", parallelism=pes,
+                             config=config)
         assert result.value == base.value
-        speedups[pes] = base.finish_time_us / result.finish_time_us
-        rows.append([pes, result.finish_time_us / 1e3, speedups[pes]])
+        speedups[pes] = base.time_us / result.time_us
+        rows.append([pes, result.time_us / 1e3, speedups[pes]])
 
-    local8 = program.run_pods((N,), num_pes=8)
-    rows.append(["8 (local)", local8.finish_time_us / 1e3,
-                 base.finish_time_us / local8.finish_time_us])
+    local8 = program.run((N,), backend="sim", parallelism=8)
+    rows.append(["8 (local)", local8.time_us / 1e3,
+                 base.time_us / local8.time_us])
 
     table = render_table(["PEs", "time (ms)", "speed-up"], rows)
     report = (f"Functional parallelism - fib({N}) call tree\n\n" + table
@@ -42,7 +43,8 @@ def test_functional_parallelism(benchmark):
     print("\n" + report)
 
     assert speedups[8] > 2.0
-    assert base.finish_time_us / local8.finish_time_us < 1.2
+    assert base.time_us / local8.time_us < 1.2
 
-    benchmark.pedantic(lambda: program.run_pods((10,), num_pes=2),
+    benchmark.pedantic(lambda: program.run((10,), backend="sim",
+                                           parallelism=2),
                        rounds=1, iterations=1)

@@ -18,14 +18,15 @@ N, SWEEPS, PES = 12, 8, 4
 def test_kbounded_runahead(benchmark):
     program = compile_stencil()
     rows = []
-    free = program.run_pods((N, SWEEPS), num_pes=PES)
+    free = program.run((N, SWEEPS), backend="sim", parallelism=PES).raw
     rows.append(["unbounded", free.finish_time_us / 1e3,
                  free.stats.max_live_frames])
     peaks = {}
     for k in (4, 2, 1):
         config = SimConfig(machine=MachineConfig(num_pes=PES,
                                                  spawn_budget=k))
-        r = program.run_pods((N, SWEEPS), num_pes=PES, config=config)
+        r = program.run((N, SWEEPS), backend="sim", parallelism=PES,
+                        config=config).raw
         assert r.value == pytest.approx(free.value)
         peaks[k] = r.stats.max_live_frames
         rows.append([f"k = {k}", r.finish_time_us / 1e3,
@@ -45,4 +46,5 @@ def test_kbounded_runahead(benchmark):
     assert peaks[1] < free.stats.max_live_frames
 
     benchmark.pedantic(
-        lambda: program.run_pods((8, 2), num_pes=2), rounds=1, iterations=1)
+        lambda: program.run((8, 2), backend="sim", parallelism=2),
+        rounds=1, iterations=1)

@@ -20,18 +20,18 @@ def test_livermore_kernels(benchmark):
     measured = {}
     for name in kernel_names():
         program = compile_kernel(name)
-        oracle = program.run_sequential((N,)).value
-        r1 = program.run_pods((N,), num_pes=1)
-        r8 = program.run_pods((N,), num_pes=PES)
+        oracle = program.run((N,), backend="seq").value
+        r1 = program.run((N,), backend="sim", parallelism=1)
+        r8 = program.run((N,), backend="sim", parallelism=PES)
         assert r1.value == pytest.approx(oracle, rel=1e-12)
         assert r8.value == pytest.approx(oracle, rel=1e-12)
-        speedup = r1.finish_time_us / r8.finish_time_us
+        speedup = r1.time_us / r8.time_us
         measured[name] = speedup
         regime = ("distributed" if any(
             b.distributed for b in program.graph.loop_blocks()
             if b.has_lcd is False) else "local")
-        rows.append([name, regime, r1.finish_time_us / 1e3,
-                     r8.finish_time_us / 1e3, speedup])
+        rows.append([name, regime, r1.time_us / 1e3,
+                     r8.time_us / 1e3, speedup])
 
     table = render_table(
         ["kernel", "compute loops", "1 PE (ms)", f"{PES} PEs (ms)",
@@ -48,5 +48,6 @@ def test_livermore_kernels(benchmark):
     assert measured["first_sum"] < 1.5
 
     benchmark.pedantic(
-        lambda: compile_kernel("inner").run_pods((32,), num_pes=2),
+        lambda: compile_kernel("inner").run((32,), backend="sim",
+                                            parallelism=2),
         rounds=1, iterations=1)

@@ -11,7 +11,7 @@ N = 24
 
 
 def test_matmul_speedup(benchmark, sweeper, matmul_program):
-    seq = matmul_program.run_sequential((N,))
+    seq = matmul_program.run((N,), backend="seq")
     rows = []
     base = None
     values = set()

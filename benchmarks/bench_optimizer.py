@@ -19,8 +19,8 @@ def test_optimizer_on_simple(benchmark):
     plain = compile_source(src)
     opt = compile_source(src, optimize=True)
 
-    r_plain = plain.run_pods(ARGS, num_pes=PES)
-    r_opt = opt.run_pods(ARGS, num_pes=PES)
+    r_plain = plain.run(ARGS, backend="sim", parallelism=PES).raw
+    r_opt = opt.run(ARGS, backend="sim", parallelism=PES).raw
     assert r_opt.value == pytest.approx(r_plain.value)
 
     rows = [
@@ -41,5 +41,5 @@ def test_optimizer_on_simple(benchmark):
 
     assert r_opt.stats.instructions <= r_plain.stats.instructions
 
-    benchmark.pedantic(lambda: opt.run_pods((8, 1), num_pes=2),
+    benchmark.pedantic(lambda: opt.run((8, 1), backend="sim", parallelism=2),
                        rounds=1, iterations=1)

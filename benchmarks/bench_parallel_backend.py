@@ -18,7 +18,7 @@ N = 20
 
 def test_parallel_backend_wall_clock(benchmark):
     program = compile_matmul(checksum=True)
-    seq = program.run_sequential((N,))
+    seq = program.run((N,), backend="seq")
 
     points = parallel_sweep(program, (N,), worker_counts=(1, 2, 4))
     rows = []
@@ -46,5 +46,6 @@ def test_parallel_backend_wall_clock(benchmark):
     if cores >= 4:
         assert wall[4] < wall[1] * 1.1  # some benefit or at least no harm
 
-    benchmark.pedantic(lambda: program.run_parallel((10,), workers=2),
+    benchmark.pedantic(lambda: program.run((10,), backend="parallel",
+                                           parallelism=2),
                        rounds=1, iterations=1)

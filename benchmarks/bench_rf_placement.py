@@ -35,8 +35,8 @@ N, PES = 24, 8
 def test_rf_placement(benchmark):
     outer = compile_source(SRC)
     inner = compile_source(SRC, rf_placement="inner")
-    a = outer.run_pods((N,), num_pes=PES)
-    b = inner.run_pods((N,), num_pes=PES)
+    a = outer.run((N,), backend="sim", parallelism=PES).raw
+    b = inner.run((N,), backend="sim", parallelism=PES).raw
     assert a.value == pytest.approx(b.value)
 
     rows = [
@@ -59,5 +59,5 @@ def test_rf_placement(benchmark):
     assert (b.stats.total("frames_created")
             > a.stats.total("frames_created"))
 
-    benchmark.pedantic(lambda: outer.run_pods((8,), num_pes=2),
+    benchmark.pedantic(lambda: outer.run((8,), backend="sim", parallelism=2),
                        rounds=1, iterations=1)

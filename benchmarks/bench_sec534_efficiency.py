@@ -12,7 +12,7 @@ from repro.bench.report import render_table
 
 def test_sec534_sequential_efficiency(benchmark, sweeper, conduction_program):
     args = (32, 2)
-    seq = conduction_program.run_sequential(args)
+    seq = conduction_program.run(args, backend="seq")
     pods = sweeper.run(conduction_program, args, 1, key="conduction")
     ratio = pods.time_us / seq.time_us
 
@@ -42,5 +42,5 @@ def test_sec534_sequential_efficiency(benchmark, sweeper, conduction_program):
     # "not grossly inefficient" factor (paper's wording).
     assert 1.0 < ratio < 3.0, ratio
 
-    benchmark.pedantic(lambda: conduction_program.run_sequential((16, 1)),
+    benchmark.pedantic(lambda: conduction_program.run((16, 1), backend="seq"),
                        rounds=1, iterations=1)

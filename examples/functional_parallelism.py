@@ -28,22 +28,23 @@ def main() -> None:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 16
     program = compile_source(SOURCE)
 
-    base = program.run_pods((n,), num_pes=1)
+    base = program.run((n,), backend="sim", parallelism=1)
     print(f"fib({n}) = {base.value}")
-    print(f" 1 PE  (local placement):     {base.finish_time_us / 1e3:8.2f} ms")
+    print(f" 1 PE  (local placement):     {base.time_us / 1e3:8.2f} ms")
 
     for pes in (2, 4, 8, 16):
         config = SimConfig(machine=MachineConfig(
             num_pes=pes, function_placement="round_robin"))
-        result = program.run_pods((n,), num_pes=pes, config=config)
+        result = program.run((n,), backend="sim", parallelism=pes,
+                             config=config)
         assert result.value == base.value
         print(f"{pes:2d} PEs (round-robin calls):   "
-              f"{result.finish_time_us / 1e3:8.2f} ms  "
-              f"speed-up {base.finish_time_us / result.finish_time_us:4.2f}")
+              f"{result.time_us / 1e3:8.2f} ms  "
+              f"speed-up {base.time_us / result.time_us:4.2f}")
 
-    local8 = program.run_pods((n,), num_pes=8)
+    local8 = program.run((n,), backend="sim", parallelism=8)
     print(f"\nWith the default local placement, 8 PEs give "
-          f"{base.finish_time_us / local8.finish_time_us:.2f}x — the whole "
+          f"{base.time_us / local8.time_us:.2f}x — the whole "
           "call tree stays on PE0.")
 
 

@@ -40,7 +40,7 @@ def main() -> None:
     print("\n=== Scaling the conduction phase (16x16, 2 steps) ===")
     base = None
     for pes in (1, 2, 4, 8):
-        result = program.run_pods((16, 2), num_pes=pes)
+        result = program.run((16, 2), backend="sim", parallelism=pes).raw
         if base is None:
             base = result.finish_time_us
             value = result.value

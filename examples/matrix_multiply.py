@@ -20,26 +20,26 @@ def main() -> None:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 16
     program = compile_matmul(checksum=True)
 
-    seq = program.run_sequential((n,))
+    seq = program.run((n,), backend="seq")
     print(f"sequential:     checksum {seq.value:.6f}  "
           f"modeled {seq.time_s * 1e3:.2f} ms")
 
     base = None
     for pes in (1, 2, 4, 8):
-        result = program.run_pods((n,), num_pes=pes)
+        result = program.run((n,), backend="sim", parallelism=pes)
         assert abs(result.value - seq.value) < 1e-9 * abs(seq.value)
         if base is None:
-            base = result.finish_time_us
+            base = result.time_us
         print(f"PODS {pes:2d} PE(s):  checksum {result.value:.6f}  "
-              f"modeled {result.finish_time_s * 1e3:.2f} ms  "
-              f"speed-up {base / result.finish_time_us:.2f}")
+              f"modeled {result.time_s * 1e3:.2f} ms  "
+              f"speed-up {base / result.time_us:.2f}")
 
-    static = program.run_static((n,), num_pes=4)
+    static = program.run((n,), backend="static", parallelism=4)
     assert abs(static.value - seq.value) < 1e-9 * abs(seq.value)
     print(f"static (P&R) 4: checksum {static.value:.6f}  "
           f"modeled {static.time_s * 1e3:.2f} ms")
 
-    par = program.run_parallel((n,), workers=2)
+    par = program.run((n,), backend="parallel", parallelism=2)
     assert abs(par.value - seq.value) < 1e-9 * abs(seq.value)
     print(f"parallel x2:    checksum {par.value:.6f}  "
           f"wall {par.wall_time_s:.2f} s (real processes)")

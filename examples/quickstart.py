@@ -40,13 +40,13 @@ def main() -> None:
     print("\n=== Execution ===")
     base = None
     for pes in (1, 4):
-        result = program.run_pods((), num_pes=pes)
+        result = program.run((), backend="sim", parallelism=pes)
         a = result.value
         assert a[1, 1] == 11 and a[50, 10] == 510
         if base is None:
-            base = result.finish_time_us
-        print(f"{pes} PE(s): {result.finish_time_us:9.1f} us "
-              f"(speed-up {base / result.finish_time_us:.2f}), "
+            base = result.time_us
+        print(f"{pes} PE(s): {result.time_us:9.1f} us "
+              f"(speed-up {base / result.time_us:.2f}), "
               f"A[7, 3] = {a[7, 3]}")
 
     print("\nThe i-loop was replicated on every PE by the distributing L")

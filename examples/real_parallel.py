@@ -46,13 +46,13 @@ def main() -> None:
     program = compile_source(SWEEP)
     print(f"host has {os.cpu_count()} CPU core(s)\n")
 
-    seq = program.run_sequential((n,))
+    seq = program.run((n,), backend="seq")
     print(f"sequential checksum: {seq.value:.6f}")
 
     base = None
     last = None
     for workers in (1, 2, 4):
-        result = program.run_parallel((n,), workers=workers)
+        result = program.run((n,), backend="parallel", parallelism=workers)
         assert abs(result.value - seq.value) < 1e-6 * abs(seq.value)
         if base is None:
             base = result.wall_time_s
@@ -62,7 +62,7 @@ def main() -> None:
               f"checksum {result.value:.6f}")
 
     print("\nPer-worker telemetry of the 4-worker run:")
-    print(last.telemetry_table())
+    print(last.raw.telemetry_table())
 
     print("\nEvery worker executed the sweep's dependent rows only after")
     print("the producing worker set the shared presence bits - real")

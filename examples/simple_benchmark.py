@@ -20,7 +20,7 @@ def main() -> None:
     steps = int(sys.argv[2]) if len(sys.argv) > 2 else 2
     program = compile_simple()
 
-    seq = program.run_sequential((size, steps))
+    seq = program.run((size, steps), backend="seq")
     print(f"sequential reference: total energy {seq.value:.6f}, "
           f"modeled {seq.time_s:.4f} s\n")
 
@@ -28,7 +28,7 @@ def main() -> None:
     print(" PEs   modeled(s)  speed-up   EU util")
     base = None
     for pes in (1, 2, 4, 8, 16):
-        result = program.run_pods((size, steps), num_pes=pes)
+        result = program.run((size, steps), backend="sim", parallelism=pes).raw
         assert abs(result.value - seq.value) < 1e-9 * abs(seq.value)
         if base is None:
             base = result.finish_time_us

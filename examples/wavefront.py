@@ -49,16 +49,16 @@ def main() -> None:
     print("Aggressive (LCD loops distributed anyway):")
     print(" ", aggressive.partition_report.summary().replace("\n", "\n  "))
 
-    base = conservative.run_pods((n,), num_pes=1)
+    base = conservative.run((n,), backend="sim", parallelism=1)
     print(f"\n{n}x{n} recurrence, conservative on any PE count: "
-          f"{base.finish_time_us / 1e3:.1f} ms (the nest is serial)")
+          f"{base.time_us / 1e3:.1f} ms (the nest is serial)")
 
     print("\nAggressive distribution (pipelined wavefront):")
     for pes in (1, 4, 8):
-        result = aggressive.run_pods((n,), num_pes=pes)
+        result = aggressive.run((n,), backend="sim", parallelism=pes)
         assert abs(result.value - base.value) < 1e-12, "determinacy!"
-        print(f"{pes:2d} PE(s): {result.finish_time_us / 1e3:8.1f} ms  "
-              f"speed-up vs serial {base.finish_time_us / result.finish_time_us:4.2f}")
+        print(f"{pes:2d} PE(s): {result.time_us / 1e3:8.1f} ms  "
+              f"speed-up vs serial {base.time_us / result.time_us:4.2f}")
 
     print(f"\nA[{n},{n}] = {base.value:.6f} under every configuration —")
     print("the Church-Rosser property makes the aggressive gamble safe,")

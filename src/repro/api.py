@@ -11,28 +11,24 @@
             return A;
         }
     ''')
-    result = program.run_pods((8,), num_pes=4)
-    print(result.value.to_nested(), result.finish_time_s)
+    result = program.run((8,), backend="sim", parallelism=4)
+    print(result.value.to_nested(), result.time_s)
+
+``compile_source`` is the one place a partition is derived: every
+backend executes the ``Program`` it is handed, so ``distribute``,
+``rf_placement``, ``aggressive`` and ``optimize`` mean the same thing on
+all five.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
-from repro.common.config import SimConfig
 from repro.graph import build_graph, ir, validate_graph
 from repro.lang import ast_nodes
 from repro.lang.parser import parse
 from repro.partitioner import PartitionReport, partition, partition_none
 from repro.translator import isa, translate
-
-
-def _deprecated_shim(old: str, backend: str) -> None:
-    warnings.warn(
-        f"Program.{old}() is deprecated; use "
-        f"Program.run(..., backend={backend!r}) (repro.backend registry)",
-        DeprecationWarning, stacklevel=3)
 
 
 @dataclass
@@ -48,71 +44,21 @@ class Program:
 
     # -- backends -----------------------------------------------------
 
-    def run(self, args: tuple = (), *, backend: str = "sim",
-            parallelism: int | None = None, config=None, faults=None,
-            **kwargs):
+    def run(self, args: tuple = (), *, backend: str = "sim", **kwargs):
         """Execute on any registered backend; the uniform surface.
 
         ``backend`` is a name from the :mod:`repro.backend` registry
         (``sim``/``pods``, ``parallel``, ``seq``/``sequential``,
-        ``static``); the return value is a
+        ``static``, ``dist``/``distributed``); the return value is a
         :class:`repro.backend.BackendResult` whatever the substrate.
-        ``parallelism`` is the PE/worker count (``None`` defers to
-        ``config``); ``config`` and ``faults`` are backend-specific but
-        validated uniformly; extra keyword arguments pass through to the
-        backend (e.g. ``timeout_s``/``page_size`` on ``parallel``).
+        The keywords are :meth:`repro.backend.Backend.run`'s:
+        ``parallelism`` (the PE/worker count; ``None`` defers to
+        ``config``), ``config`` and ``faults`` (backend-specific but
+        validated uniformly), ``ckpt`` and ``restore``.
         """
         from repro.backend import get_backend
 
-        return get_backend(backend).run(self, args,
-                                        parallelism=parallelism,
-                                        config=config, faults=faults,
-                                        **kwargs)
-
-    # -- deprecated per-backend shims ---------------------------------
-    # Retained for source compatibility only; each is a thin adapter
-    # onto the Backend registry that returns the backend-native result
-    # object (``BackendResult.raw``) the old signature promised.
-
-    def run_pods(self, args: tuple = (), num_pes: int = 1,
-                 config: SimConfig | None = None):
-        """Deprecated: use ``run(args, backend="sim", ...)``."""
-        _deprecated_shim("run_pods", "sim")
-        from repro.backend import get_backend
-
-        parallelism = num_pes if num_pes != 1 else None
-        return get_backend("sim").run(self, args, parallelism=parallelism,
-                                      config=config).raw
-
-    def run_sequential(self, args: tuple = ()):
-        """Deprecated: use ``run(args, backend="seq")``."""
-        _deprecated_shim("run_sequential", "seq")
-        from repro.backend import get_backend
-
-        return get_backend("seq").run(self, args).raw
-
-    def run_static(self, args: tuple = (), num_pes: int = 1,
-                   config: SimConfig | None = None):
-        """Deprecated: use ``run(args, backend="static", ...)``."""
-        _deprecated_shim("run_static", "static")
-        from repro.backend import get_backend
-
-        parallelism = None if config is not None else num_pes
-        return get_backend("static").run(self, args,
-                                         parallelism=parallelism,
-                                         config=config).raw
-
-    def run_parallel(self, args: tuple = (), workers: int = 2,
-                     config=None, faults=None, **kwargs):
-        """Deprecated: use ``run(args, backend="parallel", ...)``."""
-        _deprecated_shim("run_parallel", "parallel")
-        from repro.backend import get_backend
-
-        parallelism = None if config is not None else workers
-        return get_backend("parallel").run(self, args,
-                                           parallelism=parallelism,
-                                           config=config, faults=faults,
-                                           **kwargs).raw
+        return get_backend(backend).run(self, args, **kwargs)
 
     # -- introspection ---------------------------------------------------
 

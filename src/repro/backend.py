@@ -85,6 +85,7 @@ WAITS = "waits"                  # attributes wait time (wait.us family)
 TRACE = "trace"                  # structured event trace / Perfetto
 FAULTS = "faults"                # accepts a fault-injection plan
 RECOVERY = "recovery"            # self-heals injected failures
+CHECKPOINT = "checkpoint"        # writes and restores pods-ckpt/v1
 
 
 class UnknownBackendError(PodsError, ValueError):
@@ -149,14 +150,19 @@ class Backend(ABC):
     Subclasses set ``name`` (the canonical registry key), optional
     ``aliases``, ``capabilities``, and ``noun`` (what a unit of
     parallelism is called in human-facing output), and implement
-    :meth:`_run`.  The public :meth:`run` validates arguments uniformly
-    before dispatching.
+    :meth:`_run`; one that takes a config object also names the class
+    (:meth:`_config_type`), where its width lives (:meth:`_width`,
+    :meth:`_with_width`) and, with the ``faults`` capability, which
+    field carries a fault plan (``faults_field``).  The public
+    :meth:`run` validates and reconciles arguments uniformly before
+    dispatching.
     """
 
     name: str = ""
     aliases: tuple[str, ...] = ()
     noun: str = "PEs"
     capabilities: frozenset = frozenset()
+    faults_field: str = ""
 
     # -- compile ---------------------------------------------------------
 
@@ -176,16 +182,23 @@ class Backend(ABC):
 
     def run(self, program, args: tuple = (), *,
             parallelism: int | None = None, config=None, faults=None,
-            **kwargs) -> BackendResult:
+            ckpt=None, restore=None, **unknown) -> BackendResult:
         """Execute ``program`` and return a :class:`BackendResult`.
 
         ``parallelism`` is the PE/worker count; ``None`` defers to
-        ``config`` (or 1), and an explicit value wins over a conflicting
-        ``config``.  ``faults`` takes a fault-plan spec for backends with
-        the ``faults`` capability; an explicit plan wins over the
-        backend's environment variable, but conflicting *explicit* specs
-        (``faults=`` plus a plan already in ``config``) are an error.
+        ``config`` (or 1), and an explicit value — ``1`` included — wins
+        over a conflicting ``config``.  ``faults`` takes a fault-plan
+        spec for backends with the ``faults`` capability; an explicit
+        plan wins over the backend's environment variable, but
+        conflicting *explicit* specs (``faults=`` plus a plan already in
+        ``config``) are an error.  ``ckpt`` / ``restore`` take a
+        :class:`repro.ckpt.format.CkptWriter` / ``CkptRestore`` on
+        backends with the ``checkpoint`` capability.
         """
+        if unknown:
+            raise BackendConfigError(
+                f"backend {self.name!r} got unknown arguments "
+                f"{sorted(unknown)}")
         if parallelism is not None:
             if isinstance(parallelism, bool) or not isinstance(parallelism, int):
                 raise BackendConfigError(
@@ -197,10 +210,29 @@ class Backend(ABC):
             raise BackendConfigError(
                 f"backend {self.name!r} does not support fault injection "
                 f"(faults={faults!r})")
+        if (ckpt is not None or restore is not None) \
+                and CHECKPOINT not in self.capabilities:
+            raise BackendConfigError(
+                f"backend {self.name!r} does not support checkpointing")
         self._check_config(config)
         self._validate_config(config)
-        result = self._run(program, tuple(args), parallelism=parallelism,
-                           config=config, faults=faults, **kwargs)
+        # The one place width and fault plans are reconciled: _run gets
+        # the effective config (None only on config-less backends).
+        effective = config
+        config_type = self._config_type()
+        if config is not None:
+            if faults is not None \
+                    and getattr(config, self.faults_field) is not None:
+                raise BackendConfigError(
+                    f"conflicting fault plans: {config_type.__name__}."
+                    f"{self.faults_field} and faults= are both set")
+            if parallelism is not None \
+                    and self._width(config) != parallelism:
+                effective = self._with_width(config, parallelism)
+        elif config_type is not None:
+            effective = self._with_width(config_type(), parallelism or 1)
+        result = self._run(program, tuple(args), config=effective,
+                           faults=faults, ckpt=ckpt, restore=restore)
         # Uniform capture hook: every result leaves with its full config
         # fingerprint attached, so any caller can turn it into a durable
         # pods-run/v1 record without re-deriving what ran.  Building the
@@ -229,6 +261,14 @@ class Backend(ABC):
         """The config class this backend accepts (None = no config)."""
         return None
 
+    def _width(self, config) -> int:
+        """The PE/worker count ``config`` asks for."""
+        raise NotImplementedError
+
+    def _with_width(self, config, width: int):
+        """A copy of ``config`` at another PE/worker count."""
+        raise NotImplementedError
+
     def _validate_config(self, config) -> None:
         """Reject config field values this backend cannot run with.
 
@@ -249,8 +289,8 @@ class Backend(ABC):
                 f"backend {self.name!r}: {exc}") from None
 
     @abstractmethod
-    def _run(self, program, args: tuple, *, parallelism, config, faults,
-             **kwargs) -> BackendResult:
+    def _run(self, program, args: tuple, *, config, faults, ckpt,
+             restore) -> BackendResult:
         ...
 
     # -- CLI hooks -------------------------------------------------------
@@ -338,15 +378,13 @@ def get_backend(name: str) -> Backend:
     return backend
 
 
-def backend_names(aliases: bool = False) -> list[str]:
-    """Registered canonical names (plus aliases when asked)."""
-    if not aliases:
-        return [b.name for b in _CANONICAL]
-    out = []
-    for b in _CANONICAL:
-        out.append(b.name)
-        out.extend(b.aliases)
-    return out
+def backend_names(aliases: bool = False,
+                  capability: str | None = None) -> list[str]:
+    """Registered canonical names (plus aliases when asked), optionally
+    only of the backends advertising ``capability``."""
+    return [name for b in _CANONICAL
+            if capability is None or capability in b.capabilities
+            for name in ((b.name, *b.aliases) if aliases else (b.name,))]
 
 
 def backends() -> list[Backend]:
@@ -449,44 +487,40 @@ def render_error(exc: BaseException) -> str:
 # -- concrete backends --------------------------------------------------
 
 
-class SimBackend(Backend):
-    """The instruction-level PODS simulator (the paper's machine)."""
-
-    name = "sim"
-    aliases = ("pods",)
-    noun = "PEs"
-    capabilities = frozenset({MODELED_TIME, PARALLEL, METRICS, WAITS,
-                              TRACE, FAULTS})
+class _SimConfigBackend(Backend):
+    """The two modeled-machine substrates: both take a ``SimConfig``,
+    whose width is ``machine.num_pes``."""
 
     def _config_type(self):
         from repro.common.config import SimConfig
 
         return SimConfig
 
-    def _run(self, program, args, *, parallelism, config, faults,
-             **kwargs) -> BackendResult:
-        from repro.common.config import MachineConfig, SimConfig
+    def _width(self, config) -> int:
+        return config.machine.num_pes
+
+    def _with_width(self, config, width: int):
+        return config.with_pes(width)
+
+
+class SimBackend(_SimConfigBackend):
+    """The instruction-level PODS simulator (the paper's machine)."""
+
+    name = "sim"
+    aliases = ("pods",)
+    noun = "PEs"
+    capabilities = frozenset({MODELED_TIME, PARALLEL, METRICS, WAITS,
+                              TRACE, FAULTS, CHECKPOINT})
+    faults_field = "faults"
+
+    def _run(self, program, args, *, config, faults, ckpt,
+             restore) -> BackendResult:
         from repro.sim.machine import Machine
 
-        ckpt = kwargs.pop("ckpt", None)
-        restore = kwargs.pop("restore", None)
-        if kwargs:
-            raise BackendConfigError(
-                f"backend 'sim' got unknown arguments {sorted(kwargs)}")
         # Accept either the shared CompiledProgram or a bare translated
         # PodsProgram (the .pods files of Figure 3).
         pods = getattr(program, "pods", program)
-        if config is None:
-            config = SimConfig(
-                machine=MachineConfig(num_pes=parallelism or 1))
-        elif parallelism is not None and parallelism != 1 and \
-                config.machine.num_pes != parallelism:
-            config = config.with_pes(parallelism)
         if faults is not None:
-            if config.faults is not None:
-                raise BackendConfigError(
-                    "conflicting fault plans: SimConfig.faults and "
-                    "faults= are both set")
             config = replace(config, faults=faults)
         result = Machine(pods, config, ckpt=ckpt, restore=restore).run(args)
         return BackendResult(backend=self.name, value=result.value,
@@ -518,38 +552,39 @@ class SimBackend(Backend):
 class _SpmdBackend(Backend):
     """What the two wall-clock SPMD substrates share at this surface.
 
-    Both take a config whose width field (``width_field``: ``workers`` /
-    ``nodes``) names the launcher's width argument and the native
-    result's width attribute, carry an optional ``fault_spec``, and
-    return a result with ``wall_time_s`` / ``registry`` / ``recovery`` /
-    ``ckpt``.
+    Both execute the compiled :class:`repro.api.Program` they are
+    handed — its AST against its already-partitioned graph — under a
+    config whose width field (``width_field``: ``workers`` / ``nodes``)
+    also names the native result's width attribute, carry an optional
+    ``fault_spec``, and return a result with ``wall_time_s`` /
+    ``registry`` / ``recovery`` / ``ckpt``.
     """
 
     width_field = ""
+    faults_field = "fault_spec"
 
-    def _launch(self, ast, args, **kwargs):
+    def _width(self, config) -> int:
+        return getattr(config, self.width_field)
+
+    def _with_width(self, config, width: int):
+        return replace(config, **{self.width_field: width})
+
+    def _launch(self, program, args, **kwargs):
         """Run on the substrate; returns its native result object."""
         raise NotImplementedError
 
-    def _run(self, program, args, *, parallelism, config, faults,
-             **kwargs) -> BackendResult:
-        field = self.width_field
-        if faults is not None and config is not None and \
-                config.fault_spec is not None:
+    def _run(self, program, args, *, config, faults, ckpt,
+             restore) -> BackendResult:
+        from repro.api import Program
+
+        if not isinstance(program, Program):
             raise BackendConfigError(
-                f"conflicting fault plans: {type(config).__name__}."
-                "fault_spec and faults= are both set")
-        if config is not None and parallelism is not None and \
-                getattr(config, field) != parallelism:
-            config = replace(config, **{field: parallelism})
-        width = (getattr(config, field) if config is not None
-                 else (parallelism or 1))
-        result = self._launch(getattr(program, "ast", program), args,
-                              entry=getattr(program, "entry", "main"),
-                              config=config, faults=faults,
-                              **{field: width}, **kwargs)
+                f"backend {self.name!r} runs a compiled Program "
+                f"(compile_source), got {type(program).__name__}")
+        result = self._launch(program, args, config=config, faults=faults,
+                              ckpt=ckpt, restore=restore)
         return BackendResult(backend=self.name, value=result.value,
-                             parallelism=getattr(result, field),
+                             parallelism=getattr(result, self.width_field),
                              wall_time_s=result.wall_time_s,
                              registry=result.registry, raw=result,
                              ckpt=result.ckpt)
@@ -570,7 +605,7 @@ class ParallelBackend(_SpmdBackend):
     name = "parallel"
     noun = "workers"
     capabilities = frozenset({WALL_TIME, PARALLEL, METRICS, WAITS, TRACE,
-                              FAULTS, RECOVERY})
+                              FAULTS, RECOVERY, CHECKPOINT})
     width_field = "workers"
 
     def _config_type(self):
@@ -578,18 +613,20 @@ class ParallelBackend(_SpmdBackend):
 
         return ParallelConfig
 
-    def _launch(self, ast, args, **kwargs):
+    def _launch(self, program, args, **kwargs):
         from repro.parallel.executor import run_parallel
 
-        return run_parallel(ast, args, **kwargs)
+        return run_parallel(program, args, **kwargs)
 
     def cli_config(self, args):
         from repro.common.config import ParallelConfig
+        from repro.common.retry import RetryPolicy
 
-        return ParallelConfig(workers=args.pes,
-                              recovery=not args.no_recovery,
-                              max_retries_per_worker=args.retries,
-                              fault_spec=args.faults)
+        return ParallelConfig(
+            workers=args.pes,
+            retry=RetryPolicy(enabled=not args.no_recovery,
+                              max_retries_per_worker=args.retries),
+            fault_spec=args.faults)
 
     def render(self, result, args) -> list[str]:
         lines = super().render(result, args)
@@ -616,13 +653,10 @@ class SequentialBackend(Backend):
     noun = "PE"
     capabilities = frozenset({MODELED_TIME})
 
-    def _run(self, program, args, *, parallelism, config, faults,
-             **kwargs) -> BackendResult:
+    def _run(self, program, args, *, config, faults, ckpt,
+             restore) -> BackendResult:
         from repro.baseline.sequential import run_sequential
 
-        if kwargs:
-            raise BackendConfigError(
-                f"backend 'seq' got unknown arguments {sorted(kwargs)}")
         result = run_sequential(getattr(program, "ast", program), args,
                                 entry=getattr(program, "entry", "main"))
         return BackendResult(backend=self.name, value=result.value,
@@ -634,35 +668,21 @@ class SequentialBackend(Backend):
                 f"modeled time: {result.time_s:.6f} s"]
 
 
-class StaticBackend(Backend):
+class StaticBackend(_SimConfigBackend):
     """The Pingali & Rogers-style static-compilation baseline."""
 
     name = "static"
     noun = "PEs"
     capabilities = frozenset({MODELED_TIME, PARALLEL})
 
-    def _config_type(self):
-        from repro.common.config import SimConfig
-
-        return SimConfig
-
-    def _run(self, program, args, *, parallelism, config, faults,
-             **kwargs) -> BackendResult:
+    def _run(self, program, args, *, config, faults, ckpt,
+             restore) -> BackendResult:
         from repro.baseline.static_pr import run_static
 
-        if kwargs:
-            raise BackendConfigError(
-                f"backend 'static' got unknown arguments {sorted(kwargs)}")
-        if config is not None and parallelism is not None and \
-                config.machine.num_pes != parallelism:
-            config = config.with_pes(parallelism)
-        result = run_static(program, args, num_pes=parallelism or 1,
-                            config=config)
-        pes = (config.machine.num_pes if config is not None
-               else (parallelism or 1))
+        result = run_static(program, args, config=config)
         return BackendResult(backend=self.name, value=result.value,
-                             parallelism=pes, time_us=result.time_us,
-                             raw=result)
+                             parallelism=config.machine.num_pes,
+                             time_us=result.time_us, raw=result)
 
 
 class DistBackend(_SpmdBackend):
@@ -680,7 +700,7 @@ class DistBackend(_SpmdBackend):
     aliases = ("distributed",)
     noun = "nodes"
     capabilities = frozenset({WALL_TIME, PARALLEL, METRICS, WAITS,
-                              FAULTS, RECOVERY})
+                              FAULTS, RECOVERY, CHECKPOINT})
     width_field = "nodes"
 
     def _config_type(self):
@@ -688,16 +708,17 @@ class DistBackend(_SpmdBackend):
 
         return DistConfig
 
-    def _launch(self, ast, args, **kwargs):
+    def _launch(self, program, args, **kwargs):
         from repro.dist.coordinator import run_distributed
 
-        return run_distributed(ast, args, **kwargs)
+        return run_distributed(program, args, **kwargs)
 
     def cli_config(self, args):
         from repro.common.config import DistConfig
+        from repro.common.retry import RetryPolicy
 
         return DistConfig(nodes=self.cli_parallelism(args),
-                          recovery=not args.no_recovery,
+                          retry=RetryPolicy(enabled=not args.no_recovery),
                           fault_spec=args.faults)
 
     def cli_parallelism(self, args):

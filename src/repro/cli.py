@@ -16,6 +16,8 @@ import argparse
 import sys
 
 from repro.api import compile_source
+from repro.backend import (CHECKPOINT, TRACE, WALL_TIME, backend_names,
+                           get_backend)
 from repro.common.errors import PodsError
 
 
@@ -33,8 +35,6 @@ def _load(path: str, optimize: bool = False):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     """Registry-driven dispatch: one code path for every backend."""
-    from repro.backend import get_backend
-
     backend = get_backend(args.backend)
     call_args = tuple(_parse_value(a) for a in (args.args or []))
     if args.file.endswith(".pods"):
@@ -54,15 +54,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
                      or getattr(args, "metrics_out", None))
     if wants_obs:
         config = _with_full_obs(config)
-    extra = {}
+    writer = None
     if getattr(args, "ckpt_dir", None):
         writer = _ckpt_writer(backend, program, call_args, args)
         if writer is None:
             return 1
-        extra["ckpt"] = writer
     result = backend.run(program, call_args,
                          parallelism=backend.cli_parallelism(args),
-                         config=config, **extra)
+                         config=config, ckpt=writer)
     for line in backend.render(result, args):
         print(line)
     if result.ckpt:
@@ -86,18 +85,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-CKPT_BACKENDS = ("sim", "parallel", "dist")
-
-
 def _ckpt_writer(backend, program, call_args, args):
     """Build the CkptWriter ``pods run --ckpt-dir`` arms, or None (with
     a printed error) when the backend has no durable-execution hooks."""
     from repro.ckpt import CkptSpec, CkptWriter, program_section
 
-    if backend.name not in CKPT_BACKENDS:
+    if CHECKPOINT not in backend.capabilities:
+        able = ", ".join(backend_names(capability=CHECKPOINT))
         print(f"error: backend {backend.name!r} does not support "
-              f"checkpointing (one of: {', '.join(CKPT_BACKENDS)})",
-              file=sys.stderr)
+              f"checkpointing (one of: {able})", file=sys.stderr)
         return None
     spec = CkptSpec(dir=args.ckpt_dir, interval_s=args.ckpt_interval,
                     every_events=args.ckpt_every_events)
@@ -115,7 +111,6 @@ def _ckpt_writer(backend, program, call_args, args):
 
 def _cmd_resume(args: argparse.Namespace) -> int:
     """Restart a run from a ``pods-ckpt/v1`` snapshot."""
-    from repro.backend import get_backend
     from repro.ckpt import (CkptRestore, CkptSpec, load,
                             resolve_ckpt_path, resume)
 
@@ -301,10 +296,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     program = _load(args.file, optimize=args.optimize)
     call_args = tuple(_parse_value(a) for a in (args.args or []))
-    if args.backend == "parallel":
+    if WALL_TIME in get_backend(args.backend).capabilities:
         from repro.obs.profile import parallel_profile
 
-        result = program.run(call_args, backend="parallel",
+        result = program.run(call_args, backend=args.backend,
                              parallelism=args.pes).raw
         text = f"value: {result.value}\n\n" + parallel_profile(result)
         if args.output:
@@ -498,11 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--pes", type=int, default=1,
                      help="PE / worker count (default 1)")
     run.add_argument("--backend", default="sim",
-                     choices=["sim", "parallel", "seq", "static", "pods",
-                              "sequential", "dist", "distributed"],
-                     help="execution backend (repro.backend registry); "
-                          "'pods', 'sequential' and 'distributed' are "
-                          "aliases for 'sim', 'seq' and 'dist'")
+                     choices=backend_names(aliases=True),
+                     help="execution backend: a name or alias from the "
+                          "repro.backend registry")
     run.add_argument("--nodes", type=int, default=None,
                      help="dist backend: node process count "
                           "(defaults to --pes)")
@@ -549,8 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="checkpoint file, or a checkpoint "
                                  "directory (uses its latest.json)")
     resume_cmd.add_argument("--backend", default=None,
-                            choices=["sim", "parallel", "pods", "dist",
-                                     "distributed"],
+                            choices=backend_names(aliases=True,
+                                                  capability=CHECKPOINT),
                             help="override the backend recorded in the "
                                  "snapshot")
     resume_cmd.add_argument("--pes", type=int, default=None,
@@ -688,7 +681,8 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--args", nargs="*", help="main() arguments")
     prof.add_argument("--pes", type=int, default=2)
     prof.add_argument("--backend", default="pods",
-                      choices=["pods", "parallel"],
+                      choices=backend_names(aliases=True,
+                                            capability=TRACE),
                       help="pods = simulator critical path (default); "
                            "parallel = real-worker telemetry + recovery "
                            "table")

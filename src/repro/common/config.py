@@ -7,32 +7,10 @@ communication, simulated at the instruction level.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
-
-def _require_positive_finite(cfg, names: tuple[str, ...]) -> None:
-    """Reject non-positive, NaN or infinite values for timing knobs.
-
-    A plain ``<= 0`` check silently admits ``float("nan")`` (every
-    comparison with NaN is False), and a NaN poll interval or spin
-    ceiling turns into a supervisor hang instead of an error — so every
-    timing field is held to *positive finite* here.  Raises the same
-    ``ValueError`` shape as the other ``__post_init__`` checks; the
-    ``Backend.run()`` boundary maps it to ``BackendConfigError``.
-    """
-    for name in names:
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not math.isfinite(value) or value <= 0:
-            raise ValueError(
-                f"{name} must be a positive finite number, got {value!r}")
-
-
-def _require_nonneg(cfg, names: tuple[str, ...]) -> None:
-    for name in names:
-        if getattr(cfg, name) < 0:
-            raise ValueError(f"{name} must be >= 0")
+from repro.common.retry import RetryPolicy
+from repro.common.validate import require_nonneg, require_positive_finite
 
 
 @dataclass(frozen=True)
@@ -118,22 +96,14 @@ class ParallelConfig:
             deadlocks causally — when every live worker is provably
             blocked, the run aborts immediately instead of waiting out
             ``read_timeout_s``.
-        recovery: Enable the self-healing layer
-            (:mod:`repro.parallel.recovery`): crashed or lost workers
-            are re-executed (idempotently, thanks to presence bits)
-            instead of aborting the run.  ``False`` restores the fail-
-            fast behaviour of the bare supervisor.
-        max_retries_per_worker: Respawns allowed per worker subrange
-            before the subrange is reassigned (degraded-mode takeover).
-        max_retries_total: Global respawn + takeover budget for a run;
-            exhausting it aborts with ``ParallelExecutionError``.
-        retry_backoff_s: Base of the exponential respawn backoff.
-        retry_backoff_max_s: Backoff ceiling.
-        retry_jitter: Jitter fraction applied to each backoff,
-            deterministic in ``seed`` (see
-            :class:`repro.parallel.recovery.RetryPolicy`).
-        seed: Run seed; the only randomness it feeds is the backoff
-            jitter, so recovery schedules are reproducible.
+        retry: The :class:`repro.common.retry.RetryPolicy` the
+            supervisor heals with: ``enabled`` turns the self-healing
+            layer on (crashed or lost workers are re-executed,
+            idempotently thanks to presence bits; ``False`` restores the
+            fail-fast behaviour of the bare supervisor), the two
+            ``max_retries_*`` budgets bound respawns per worker subrange
+            and per run, and the backoff schedule is deterministic in
+            ``seed``.
         fault_spec: Fault-injection plan (see
             :mod:`repro.parallel.faults`); ``None`` falls back to the
             ``PODS_FAULTS`` environment variable, which is empty in
@@ -147,13 +117,7 @@ class ParallelConfig:
     grace_s: float = 0.5
     read_timeout_s: float = 30.0
     spin_ceiling_s: float = 1.0
-    recovery: bool = True
-    max_retries_per_worker: int = 2
-    max_retries_total: int = 8
-    retry_backoff_s: float = 0.05
-    retry_backoff_max_s: float = 2.0
-    retry_jitter: float = 0.25
-    seed: int = 0
+    retry: RetryPolicy = field(default_factory=RetryPolicy)
     fault_spec: str | None = None
 
     def __post_init__(self) -> None:
@@ -161,11 +125,10 @@ class ParallelConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.page_size < 1:
             raise ValueError(f"page_size must be >= 1, got {self.page_size}")
-        _require_positive_finite(self, (
+        require_positive_finite(self, (
             "timeout_s", "poll_interval_s", "grace_s", "read_timeout_s",
-            "spin_ceiling_s", "retry_backoff_s", "retry_backoff_max_s"))
-        _require_nonneg(self, ("max_retries_per_worker",
-                               "max_retries_total", "retry_jitter"))
+            "spin_ceiling_s"))
+        self.retry.__post_init__()
 
 
 @dataclass(frozen=True)
@@ -280,11 +243,11 @@ class SimConfig:
         if self.max_events < 1:
             raise ValueError("max_events must be >= 1")
         if self.max_sim_time_us is not None:
-            _require_positive_finite(self, ("max_sim_time_us",))
+            require_positive_finite(self, ("max_sim_time_us",))
         if self.retransmit_budget < 1:
             raise ValueError("retransmit_budget must be >= 1")
-        _require_positive_finite(self, ("retransmit_timeout_us",
-                                        "quiescence_us"))
+        require_positive_finite(self, ("retransmit_timeout_us",
+                                       "quiescence_us"))
 
     def with_pes(self, num_pes: int) -> "SimConfig":
         """Return a copy of this config with a different PE count."""
@@ -328,9 +291,6 @@ class DistConfig:
         reconnect_attempts: Redials allowed per peer connection before
             the link is declared dead (backoff from the shared
             :class:`repro.common.retry.RetryPolicy`).
-        recovery: Enable node-loss takeover: a dead node's RF subranges
-            are re-executed by a survivor (idempotently, via
-            presence-bit replay) instead of aborting the run.
         failover: Run the coordinator in its own forked process with
             the client acting as a warm standby: if the coordinator
             dies mid-run the standby fences the old generation,
@@ -339,10 +299,11 @@ class DistConfig:
             inline in the client (a single point of failure).
         max_takeovers: Global takeover budget; exhausting it aborts
             with :class:`repro.common.errors.NodeLossError`.
-        max_retries_per_worker / max_retries_total / retry_backoff_s /
-            retry_backoff_max_s / retry_jitter / seed: The shared retry
-            vocabulary (:class:`repro.common.retry.RetryPolicy`), used
-            for both reconnect pacing and takeover backoff.
+        retry: The shared :class:`repro.common.retry.RetryPolicy`:
+            ``enabled`` turns node-loss takeover on (a dead node's RF
+            subranges are re-executed by a survivor, idempotently via
+            presence-bit replay, instead of aborting the run); its
+            backoff schedule paces both reconnects and takeovers.
         fault_spec: Fault-injection plan (see :mod:`repro.dist.faults`);
             ``None`` falls back to the ``PODS_DIST_FAULTS`` environment
             variable, which is empty in normal operation.
@@ -360,15 +321,9 @@ class DistConfig:
     retransmit_timeout_s: float = 0.25
     retransmit_budget: int = 16
     reconnect_attempts: int = 3
-    recovery: bool = True
     failover: bool = True
     max_takeovers: int = 2
-    max_retries_per_worker: int = 2
-    max_retries_total: int = 8
-    retry_backoff_s: float = 0.05
-    retry_backoff_max_s: float = 2.0
-    retry_jitter: float = 0.25
-    seed: int = 0
+    retry: RetryPolicy = field(default_factory=RetryPolicy)
     fault_spec: str | None = None
 
     def __post_init__(self) -> None:
@@ -376,14 +331,12 @@ class DistConfig:
             raise ValueError(f"nodes must be >= 1, got {self.nodes}")
         if self.page_size < 1:
             raise ValueError(f"page_size must be >= 1, got {self.page_size}")
-        _require_positive_finite(self, (
+        require_positive_finite(self, (
             "timeout_s", "poll_interval_s", "connect_timeout_s",
             "read_timeout_s", "heartbeat_interval_s", "heartbeat_timeout_s",
-            "retransmit_timeout_s", "retry_backoff_s",
-            "retry_backoff_max_s"))
+            "retransmit_timeout_s"))
         if self.retransmit_budget < 1:
             raise ValueError("retransmit_budget must be >= 1")
-        _require_nonneg(self, (
-            "reconnect_attempts", "max_takeovers", "max_retries_per_worker",
-            "max_retries_total", "retry_jitter"))
+        require_nonneg(self, ("reconnect_attempts", "max_takeovers"))
+        self.retry.__post_init__()
 

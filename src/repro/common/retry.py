@@ -4,11 +4,11 @@ One :class:`RetryPolicy` implementation serves every layer that retries
 anything: the real-parallel supervisor's worker respawns and takeovers
 (:mod:`repro.parallel.executor`), and the distributed backend's
 transport reconnects and node-loss takeovers (:mod:`repro.dist`).
-Hoisted out of ``repro.parallel.recovery`` so the supervisor and the
-transport share one budget implementation; the old import path keeps
-working via a re-export shim.  :class:`RecoveryLog` — what a run's
-healing layer actually did — sits next to the policy for the same
-reason: both supervisors record into it.
+Both configs (:class:`repro.common.config.ParallelConfig`,
+:class:`repro.common.config.DistConfig`) carry the policy itself as
+their ``retry`` field, so its knobs are declared here and nowhere else.
+:class:`RecoveryLog` — what a run's healing layer actually did — sits
+next to the policy for the same reason: both supervisors record into it.
 
 Determinism discipline: the only "randomness" is backoff jitter, and it
 is derived by hashing ``(seed, worker, attempt)`` with blake2b — the
@@ -21,6 +21,11 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
+from repro.common.validate import require_nonneg, require_positive_finite
+
+# Growth of the respawn backoff per attempt, before the cap and jitter.
+BACKOFF_FACTOR = 2.0
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -31,44 +36,29 @@ class RetryPolicy:
     ``jitter`` fraction.  The jitter term hashes ``(seed, worker,
     attempt)`` — deterministic, but de-synchronised across workers so a
     correlated failure (e.g. the machine paging) does not produce a
-    thundering herd of simultaneous respawns.
+    thundering herd of simultaneous respawns.  ``enabled=False`` turns
+    healing off altogether (fail fast on the first failure).
     """
 
     max_retries_per_worker: int = 2
     max_retries_total: int = 8
     backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
     backoff_max_s: float = 2.0
     jitter: float = 0.25
     seed: int = 0
     enabled: bool = True
 
-    @staticmethod
-    def from_config(cfg) -> "RetryPolicy":
-        """Build a policy from any config with the standard retry knobs.
-
-        Duck-typed over the shared field names
-        (``max_retries_per_worker``, ``max_retries_total``,
-        ``retry_backoff_s``, ``retry_backoff_max_s``, ``retry_jitter``,
-        ``seed``, ``recovery``) so :class:`repro.common.config.ParallelConfig`
-        and :class:`repro.common.config.DistConfig` both qualify.
-        """
-        return RetryPolicy(
-            max_retries_per_worker=cfg.max_retries_per_worker,
-            max_retries_total=cfg.max_retries_total,
-            backoff_base_s=cfg.retry_backoff_s,
-            backoff_max_s=cfg.retry_backoff_max_s,
-            jitter=cfg.retry_jitter,
-            seed=cfg.seed,
-            enabled=cfg.recovery,
-        )
+    def __post_init__(self) -> None:
+        require_positive_finite(self, ("backoff_base_s", "backoff_max_s"))
+        require_nonneg(self, ("max_retries_per_worker",
+                              "max_retries_total", "jitter"))
 
     def backoff_s(self, worker: int, attempt: int) -> float:
         """Delay before the ``attempt``-th respawn (1-based) of ``worker``."""
         if attempt < 1:
             raise ValueError(f"attempt must be >= 1, got {attempt}")
         base = min(self.backoff_max_s,
-                   self.backoff_base_s * self.backoff_factor ** (attempt - 1))
+                   self.backoff_base_s * BACKOFF_FACTOR ** (attempt - 1))
         return base * (1.0 + self.jitter * self._unit(worker, attempt))
 
     def _unit(self, worker: int, attempt: int) -> float:

@@ -38,6 +38,7 @@ from repro.common.chaoslib import (ROW_SWEEP, check_leaks, open_sockets,
                                    run_matrix, shm_entries)
 from repro.common.config import DistConfig
 from repro.common.errors import NodeLossError
+from repro.common.retry import RetryPolicy
 
 N = 8
 N_LONG = 16  # long enough that heartbeat silence is detected mid-run
@@ -48,8 +49,7 @@ FAST_RECOVERY = {
     "heartbeat_interval_s": 0.04,
     "heartbeat_timeout_s": 0.4,
     "poll_interval_s": 0.02,
-    "retry_backoff_s": 0.01,
-    "retry_backoff_max_s": 0.05,
+    "retry": RetryPolicy(backoff_base_s=0.01, backoff_max_s=0.05),
     "retransmit_timeout_s": 0.05,
 }
 

@@ -1,10 +1,10 @@
 """Spawn, supervise and heal a cluster of node processes.
 
 ``run_distributed`` is the distributed twin of
-:func:`repro.parallel.executor.run_parallel`: build the graph and the
-partition once, fork one node process per PE (before the asyncio loop
-starts — forking inside a running loop is undefined behaviour), then
-supervise over TCP:
+:func:`repro.parallel.executor.run_parallel`: hand the compiled program
+(AST plus its already-partitioned graph) to one forked node process per
+PE (before the asyncio loop starts — forking inside a running loop is
+undefined behaviour), then supervise over TCP:
 
 * **registration** — every node dials in, reports its peer-listener
   port, and receives the full peer map plus the initial owner map;
@@ -46,14 +46,11 @@ from typing import Any
 from repro.common.config import DistConfig
 from repro.common.errors import (DistExecutionError, NodeLossError,
                                  WorkerFailure)
-from repro.common.retry import RecoveryEvent, RecoveryLog, RetryPolicy
+from repro.common.retry import RecoveryEvent, RecoveryLog
 from repro.dist import reasons
 from repro.dist.faults import CoordKillSwitch, resolve_dist_plan
 from repro.dist.node import node_main
 from repro.dist.transport import encode_frame, frame_secret, read_frame
-from repro.graph import build_graph
-from repro.lang import ast_nodes as A
-from repro.partitioner import partition
 from repro.runtime.spmd import (WorkerTelemetry, fold_results, reap,
                                 sigterm_as_interrupt, telemetry_table)
 from repro.runtime.values import ArrayValue
@@ -95,11 +92,9 @@ class _Supervisor:
     clauses — a scenario tests exactly one failover.
     """
 
-    def __init__(self, cfg: DistConfig, policy: RetryPolicy,
-                 procs: list, plan=None, ckpt=None, restore=None,
-                 standby: bool = False) -> None:
+    def __init__(self, cfg: DistConfig, procs: list, plan=None,
+                 ckpt=None, restore=None, standby: bool = False) -> None:
         self.cfg = cfg
-        self.policy = policy
         self.procs = procs
         self.n = cfg.nodes
         self.kill = CoordKillSwitch(None if standby else plan)
@@ -511,7 +506,7 @@ class _Supervisor:
         idents = tuple(i for i in range(self.n)
                        if self.owners[i] == node)
         self.kick.set()
-        if not self.policy.enabled:
+        if not self.cfg.retry.enabled:
             self.failures.append(failure)
             self.fatal_message = (f"node {node} lost and recovery is "
                                   "disabled")
@@ -534,7 +529,7 @@ class _Supervisor:
             return
         self.takeovers_used += 1
         self.generation += 1
-        delay = self.policy.backoff_s(node, self.takeovers_used)
+        delay = self.cfg.retry.backoff_s(node, self.takeovers_used)
         # Re-run every identity the dead node owned — even completed
         # ones, because its element store died with it.
         self.remaining.update(idents)
@@ -649,7 +644,7 @@ class _Supervisor:
             self._send(node, msg)
 
 
-def _coordinator_main(cfg, policy, procs, lsock, t_start, conn, plan,
+def _coordinator_main(cfg, procs, lsock, t_start, conn, plan,
                       ckpt, restore) -> None:
     """Entry point of the forked primary-coordinator process.
 
@@ -665,8 +660,7 @@ def _coordinator_main(cfg, policy, procs, lsock, t_start, conn, plan,
                 fh.write(str(os.getpid()))
         except OSError:  # pragma: no cover - diagnostics only
             pass
-    sup = _Supervisor(cfg, policy, procs, plan=plan, ckpt=ckpt,
-                      restore=restore)
+    sup = _Supervisor(cfg, procs, plan=plan, ckpt=ckpt, restore=restore)
     try:
         result = asyncio.run(sup.run(lsock, t_start))
     except BaseException as exc:  # ship the failure whole
@@ -686,16 +680,15 @@ def _coordinator_main(cfg, policy, procs, lsock, t_start, conn, plan,
     os._exit(0)
 
 
-def run_distributed(program_ast: A.Program, args: tuple = (),
-                    nodes: int = 2, entry: str = "main",
-                    page_size: int = 32, timeout_s: float = 120.0,
+def run_distributed(program, args: tuple = (),
                     config: DistConfig | None = None,
                     faults=None, ckpt=None, restore=None) -> DistResult:
-    """Execute ``program_ast`` across supervised TCP-connected nodes.
+    """Execute a compiled ``program`` (:class:`repro.api.Program`)
+    across supervised TCP-connected nodes.
 
     Node-loss recovery (heartbeat detection, fencing, identity takeover
     with presence-bit replay) heals up to ``config.max_takeovers``
-    failures when ``config.recovery`` is on; past the budget — or with
+    failures when ``config.retry.enabled`` is on; past the budget — or with
     recovery off, or with no survivors — the run aborts with
     :class:`NodeLossError`.  Node-side program faults abort with
     :class:`DistExecutionError` carrying per-node
@@ -719,14 +712,9 @@ def run_distributed(program_ast: A.Program, args: tuple = (),
     and caches from the checkpoint (re-partitioned at the *current*
     node count) and re-execute in presence-bit replay mode.
     """
-    cfg = config or DistConfig(nodes=nodes, page_size=page_size,
-                               timeout_s=timeout_s)
+    cfg = config or DistConfig()
     plan = resolve_dist_plan(faults if faults is not None
                              else cfg.fault_spec)
-    policy = RetryPolicy.from_config(cfg)
-
-    graph = build_graph(program_ast, entry=entry)
-    partition(graph)
 
     restore_sigterm = sigterm_as_interrupt()
     lsock = socket.create_server((cfg.host, 0), backlog=cfg.nodes + 4)
@@ -747,21 +735,20 @@ def run_distributed(program_ast: A.Program, args: tuple = (),
         for node in range(cfg.nodes):
             proc = ctx.Process(
                 target=node_main,
-                args=(program_ast, graph, node, cfg.nodes, cfg.host,
-                      port, cfg, entry, tuple(args), plan,
+                args=(program, node, port, cfg, tuple(args), plan,
                       standby_port, restore))
             proc.start()
             procs.append(proc)
         if not cfg.failover:
-            supervisor = _Supervisor(cfg, policy, procs, plan=plan,
-                                     ckpt=ckpt, restore=restore)
+            supervisor = _Supervisor(cfg, procs, plan=plan, ckpt=ckpt,
+                                     restore=restore)
             return asyncio.run(supervisor.run(lsock, t_start))
 
         result_recv, result_send = ctx.Pipe(duplex=False)
         coord = ctx.Process(
             target=_coordinator_main,
-            args=(cfg, policy, procs, lsock, t_start, result_send,
-                  plan, ckpt, restore))
+            args=(cfg, procs, lsock, t_start, result_send, plan, ckpt,
+                  restore))
         coord.start()
         result_send.close()  # ours would keep the pipe writable
         lsock.close()        # the coordinator child owns the listener
@@ -780,9 +767,8 @@ def run_distributed(program_ast: A.Program, args: tuple = (),
             if coord.sentinel in ready and not coord.is_alive():
                 break
         # The primary died without delivering an outcome: promote.
-        supervisor = _Supervisor(cfg, policy, procs, plan=None,
-                                 ckpt=ckpt, restore=restore,
-                                 standby=True)
+        supervisor = _Supervisor(cfg, procs, plan=None, ckpt=ckpt,
+                                 restore=restore, standby=True)
         return asyncio.run(supervisor.run(ssock, t_start))
     finally:
         reap(([coord] if coord is not None else []) + procs)

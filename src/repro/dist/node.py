@@ -50,13 +50,10 @@ import traceback
 
 from repro.common.errors import (DeferredReadTimeout, ExecutionError,
                                  SingleAssignmentViolation)
-from repro.common.retry import RetryPolicy
 from repro.dist import reasons
 from repro.dist.faults import DistFaultInjector, DistFaultPlan
 from repro.dist.transport import (COORD, Endpoint, encode_frame,
                                   frame_secret, read_frame)
-from repro.graph import ir
-from repro.lang import ast_nodes as A
 from repro.runtime.arrays import ArrayHeader
 from repro.runtime.spmd import SpmdInterpreter, sigterm_default
 
@@ -81,16 +78,17 @@ class DistArray:
     the runtime's element stores and page cache.
     """
 
-    __slots__ = ("runtime", "seq", "dims", "header", "name", "reads",
-                 "writes", "deferred_reads", "spin_wait_s",
+    __slots__ = ("runtime", "seq", "replay", "dims", "header", "name",
+                 "reads", "writes", "deferred_reads", "spin_wait_s",
                  "max_spin_wait_s", "pages_touched")
 
     def __init__(self, runtime: "NodeRuntime", seq: int,
-                 dims: tuple[int, ...]) -> None:
+                 dims: tuple[int, ...], replay: bool = False) -> None:
         if any((not isinstance(d, int)) or d < 1 for d in dims):
             raise ExecutionError(f"bad array dimensions {dims!r}")
         self.runtime = runtime
         self.seq = seq
+        self.replay = replay  # writes verify already-present elements
         self.dims = dims
         self.header = ArrayHeader(seq, dims, runtime.cfg.page_size,
                                   runtime.num_identities)
@@ -112,8 +110,8 @@ class DistArray:
     def read(self, indices: tuple) -> object:
         return self.runtime.array_read(self, indices)
 
-    def write(self, indices: tuple, value, replay: bool = False) -> None:
-        self.runtime.array_write(self, indices, value, replay)
+    def write(self, indices: tuple, value) -> None:
+        self.runtime.array_write(self, indices, value, self.replay)
 
     def stats(self) -> dict:
         """This executor's access counters (replay verifies are counted
@@ -136,29 +134,19 @@ class _NodeInterpreter(SpmdInterpreter):
 
     shared_cls = DistArray
 
-    def __init__(self, program: A.Program, graph: ir.ProgramGraph,
-                 runtime: "NodeRuntime", identities: tuple[int, ...],
-                 generation: int, replay: bool, entry: str) -> None:
-        super().__init__(program, graph, identities, entry,
-                         runtime.injector)
+    def __init__(self, runtime: "NodeRuntime", identities: tuple[int, ...],
+                 replay: bool) -> None:
+        super().__init__(runtime.program, identities, runtime.injector)
         self.runtime = runtime
-        self.generation = generation
         self.replay = replay
 
     def alloc_shared(self, seq: int, dims: tuple[int, ...]) -> DistArray:
-        return DistArray(self.runtime, seq, dims)
+        return DistArray(self.runtime, seq, dims, self.replay)
 
     def on_array_read(self, arr, indices: tuple):
         if isinstance(arr, DistArray):
             return self.runtime.array_read(arr, indices)
         return arr.read(indices)
-
-    def on_array_write(self, arr, indices: tuple, value) -> None:
-        if isinstance(arr, DistArray):
-            self.injector.fire("write")
-            self.runtime.array_write(arr, indices, value, self.replay)
-            return
-        arr.write(indices, value)
 
 
 class NodeRuntime:
@@ -171,26 +159,21 @@ class NodeRuntime:
     bookkeeping, the owner map and every socket.
     """
 
-    def __init__(self, program, graph, node: int, nodes: int,
-                 coord_host: str, coord_port: int, cfg, entry: str,
+    def __init__(self, program, node: int, coord_port: int, cfg,
                  args: tuple, plan: DistFaultPlan,
                  standby_port: int | None = None,
                  restore=None) -> None:
         self.program = program
-        self.graph = graph
         self.node = node
-        self.num_identities = nodes
-        self.coord_host = coord_host
+        self.num_identities = cfg.nodes
         self.coord_port = coord_port
         self.standby_port = standby_port
         self.restore = restore
         self.cfg = cfg
-        self.entry = entry
         self.args = tuple(args)
         self.injector = DistFaultInjector(plan, node)
-        self.policy = RetryPolicy.from_config(cfg)
-        self.owners = list(range(nodes))  # identity -> node
-        self.live = set(range(nodes))
+        self.owners = list(range(cfg.nodes))  # identity -> node
+        self.live = set(range(cfg.nodes))
         self.stores: dict[int, ElementStore] = {}
         self.caches: dict[int, dict[int, object]] = {}
         self.headers: dict[int, ArrayHeader] = {}
@@ -220,12 +203,11 @@ class NodeRuntime:
         self.loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(self.coord_host, self.coord_port),
+            asyncio.open_connection(self.cfg.host, self.coord_port),
             self.cfg.connect_timeout_s)
         self._coord_writer = writer
-        self.endpoint = Endpoint(self.node, self.cfg, self.policy,
-                                 self.injector, self._on_peer_msg,
-                                 self._on_peer_lost)
+        self.endpoint = Endpoint(self.node, self.cfg, self.injector,
+                                 self._on_peer_msg, self._on_peer_lost)
         port = await self.endpoint.start(self.cfg.host)
         self.peer_port = port
         self._send_coord({"t": "hello", "node": self.node, "port": port})
@@ -321,12 +303,12 @@ class NodeRuntime:
             attempt += 1
             try:
                 reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(self.coord_host,
+                    asyncio.open_connection(self.cfg.host,
                                             self.standby_port),
                     min(1.0, self.cfg.connect_timeout_s))
             except (ConnectionError, OSError, asyncio.TimeoutError):
                 await asyncio.sleep(
-                    self.policy.backoff_s(self.node, attempt))
+                    self.cfg.retry.backoff_s(self.node, attempt))
                 continue
             old = self._coord_writer
             self._coord_writer = writer
@@ -434,9 +416,7 @@ class NodeRuntime:
 
     def _executor_main(self, identities: tuple[int, ...],
                        generation: int, slot: int, replay: bool) -> None:
-        interp = _NodeInterpreter(self.program, self.graph, self,
-                                  identities, generation, replay,
-                                  self.entry)
+        interp = _NodeInterpreter(self, identities, replay)
 
         def emit(tag: str, payload) -> None:
             msg = {"t": tag, "node": self.node, "slot": slot,
@@ -720,14 +700,12 @@ class NodeRuntime:
                            "detail": reason})
 
 
-def node_main(program, graph, node: int, nodes: int, coord_host: str,
-              coord_port: int, cfg, entry: str, args: tuple,
+def node_main(program, node: int, coord_port: int, cfg, args: tuple,
               plan: DistFaultPlan, standby_port: int | None = None,
               restore=None) -> None:
     """Node process entry point (forked by the coordinator)."""
     sigterm_default()
-    runtime = NodeRuntime(program, graph, node, nodes, coord_host,
-                          coord_port, cfg, entry, args, plan,
+    runtime = NodeRuntime(program, node, coord_port, cfg, args, plan,
                           standby_port=standby_port, restore=restore)
     try:
         asyncio.run(runtime.run())

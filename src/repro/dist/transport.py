@@ -122,11 +122,10 @@ class Endpoint:
     sends become no-ops.
     """
 
-    def __init__(self, node: int, cfg, policy, injector,
+    def __init__(self, node: int, cfg, injector,
                  on_message, on_peer_lost) -> None:
         self.node = node
         self.cfg = cfg
-        self.policy = policy
         self.injector = injector
         self.on_message = on_message
         self.on_peer_lost = on_peer_lost
@@ -211,7 +210,7 @@ class Endpoint:
                     self.cfg.connect_timeout_s)
             except (ConnectionError, OSError, asyncio.TimeoutError):
                 if attempt < attempts:
-                    await asyncio.sleep(self.policy.backoff_s(dst, attempt))
+                    await asyncio.sleep(self.cfg.retry.backoff_s(dst, attempt))
                 continue
             writer.write(encode_frame({"t": "peer-hello",
                                        "src": self.node}, self.secret))

@@ -29,6 +29,7 @@ from repro.api import compile_source
 from repro.common.chaoslib import run_matrix, shm_entries, unlink_quietly
 from repro.common.config import ParallelConfig
 from repro.common.errors import ParallelExecutionError
+from repro.common.retry import RetryPolicy
 
 FILL = """
 function main(n) {
@@ -52,8 +53,8 @@ function main(n) {
 """
 
 # Shrunk timings: the matrix must run in seconds, not backoff-minutes.
-FAST = dict(poll_interval_s=0.02, grace_s=0.2, retry_backoff_s=0.01,
-            retry_backoff_max_s=0.05)
+FAST = dict(poll_interval_s=0.02, grace_s=0.2)
+FAST_RETRY = dict(backoff_base_s=0.01, backoff_max_s=0.05)
 
 
 @dataclass
@@ -63,7 +64,8 @@ class Scenario:
     source: str = FILL
     n: int = 12
     heals: bool = True              # expect a healed, bit-identical run
-    cfg: dict = field(default_factory=dict)
+    cfg: dict = field(default_factory=dict)    # ParallelConfig overrides
+    retry: dict = field(default_factory=dict)  # RetryPolicy overrides
     expect: dict = field(default_factory=dict)  # RecoveryLog attr -> value
 
 
@@ -90,12 +92,13 @@ def scenarios(workers: int) -> list[Scenario]:
                  source=SWEEP, cfg={"spin_ceiling_s": 0.05},
                  expect={"respawns": 0}),
         Scenario("takeover", "kill:worker=1,on=iter,after=2",
-                 cfg={"max_retries_per_worker": 0},
+                 retry={"max_retries_per_worker": 0},
                  expect={"takeovers": 1}),
         Scenario("budget-exhaustion",
                  "kill:worker=0,gen=0;kill:worker=1,gen=0",
                  heals=False,
-                 cfg={"max_retries_per_worker": 1, "max_retries_total": 3}),
+                 retry={"max_retries_per_worker": 1,
+                        "max_retries_total": 3}),
     ]
 
 
@@ -104,7 +107,9 @@ def run_scenario(sc: Scenario, workers: int, verbose: bool) -> list[str]:
     problems: list[str] = []
     program = compile_source(sc.source)
     baseline = program.run((sc.n,), backend="seq").value.flat
-    cfg = ParallelConfig(workers=workers, **{**FAST, **sc.cfg})
+    cfg = ParallelConfig(workers=workers,
+                         retry=RetryPolicy(**{**FAST_RETRY, **sc.retry}),
+                         **{**FAST, **sc.cfg})
     os.environ["PODS_FAULTS"] = sc.faults
     try:
         result = program.run((sc.n,), backend="parallel", config=cfg).raw

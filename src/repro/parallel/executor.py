@@ -7,10 +7,11 @@ Distributed Execution:
 
 * every worker runs the program SPMD-style — replicated scalar/control
   code, deterministic by single assignment;
-* distributed loops (as decided by the very same Partitioner) iterate
-  only the worker's Range-Filter subrange, under the identical
-  first-element-ownership math (both are the shared core,
-  :mod:`repro.runtime.spmd`; this backend supplies the shm store);
+* distributed loops (as decided by the very same Partitioner — the
+  workers read the compiled program's partitioned graph, they never
+  partition again) iterate only the worker's Range-Filter subrange,
+  under the identical first-element-ownership math (both are the shared
+  core, :mod:`repro.runtime.spmd`; this backend supplies the shm store);
 * distributed arrays live in shared memory with real presence bits;
   reads of not-yet-written elements spin (I-structure deferred reads),
   which also gives sweep pipelining for free;
@@ -26,8 +27,8 @@ including ``KeyboardInterrupt``/SIGTERM; the failure paths themselves
 are testable through deterministic fault injection
 (:mod:`repro.parallel.faults`).
 
-On top of the supervisor sits the *self-healing* layer
-(:mod:`repro.parallel.recovery`).  Single assignment makes a dead
+On top of the supervisor sits the *self-healing* layer (policy and log
+in :mod:`repro.common.retry`).  Single assignment makes a dead
 worker's subrange idempotently re-executable — presence bits turn the
 replay's already-done prefix into no-ops — so a retriable failure
 (``crash``/``lost``) respawns the worker against the same segments
@@ -62,10 +63,7 @@ from typing import Any
 from repro.common.config import ParallelConfig
 from repro.common.errors import (ExecutionError, ParallelExecutionError,
                                  WorkerFailure)
-from repro.graph import build_graph, ir
-from repro.lang import ast_nodes as A
-from repro.partitioner import partition
-from repro.common.retry import RecoveryEvent, RecoveryLog, RetryPolicy
+from repro.common.retry import RecoveryEvent, RecoveryLog
 from repro.runtime.spmd import (SpmdInterpreter, WorkerTelemetry,
                                 fold_results, reap, sigterm_as_interrupt,
                                 sigterm_default, telemetry_table)
@@ -124,22 +122,19 @@ class _WorkerInterpreter(SpmdInterpreter):
 
     shared_cls = ShmArray
 
-    def __init__(self, program: A.Program, graph: ir.ProgramGraph,
-                 spec: _WorkerSpec, num_workers: int, run_tag: str,
-                 page_size: int, entry: str, injector: FaultInjector,
+    def __init__(self, program, spec: _WorkerSpec, cfg: ParallelConfig,
+                 run_tag: str, injector: FaultInjector,
                  manifest: ShmManifest | None = None,
-                 read_timeout_s: float = 30.0,
-                 spin_ceiling_s: float | None = None,
                  stall_fn=None, alloc_fn=None) -> None:
-        super().__init__(program, graph, spec.identities, entry, injector)
+        super().__init__(program, spec.identities, injector)
         self.spec = spec
         self.worker = spec.slot
-        self.num_workers = num_workers
+        self.num_workers = cfg.workers
         self.run_tag = run_tag
-        self.page_size = page_size
+        self.page_size = cfg.page_size
         self.manifest = manifest
-        self.read_timeout_s = read_timeout_s
-        self.spin_ceiling_s = spin_ceiling_s
+        self.read_timeout_s = cfg.read_timeout_s
+        self.spin_ceiling_s = cfg.spin_ceiling_s
         self.stall_fn = stall_fn
         self.alloc_fn = alloc_fn
         # Pre-bound so the read hot path doesn't allocate a closure per
@@ -182,19 +177,13 @@ class _WorkerInterpreter(SpmdInterpreter):
                             on_stall=self.stall_fn, on_spin=self._on_spin)
         return arr.read(indices)
 
-    def on_array_write(self, arr, indices: tuple, value: Any) -> None:
-        if isinstance(arr, ShmArray):
-            self.injector.fire("write")
-        arr.write(indices, value)
-
     def cleanup(self) -> None:
         for arr in self.shared_arrays:
             arr.close()
 
 
-def _worker_main(program, graph, spec: _WorkerSpec, num_workers, run_tag,
-                 page_size, entry, args, out_queue, manifest_path,
-                 read_timeout_s, spin_ceiling_s, plan,
+def _worker_main(program, spec: _WorkerSpec, cfg: ParallelConfig, run_tag,
+                 args, out_queue, manifest_path, plan,
                  report_allocs=False) -> None:
     sigterm_default()
     injector = FaultInjector(plan, spec.slot, generation=spec.generation)
@@ -219,12 +208,9 @@ def _worker_main(program, graph, spec: _WorkerSpec, num_workers, run_tag,
         def alloc_fn(seq: int, name: str, dims: tuple) -> None:
             emit("alloc", (seq, name, dims))
 
-    interp = _WorkerInterpreter(program, graph, spec, num_workers,
-                                run_tag, page_size, entry, injector,
-                                manifest=manifest,
-                                read_timeout_s=read_timeout_s,
-                                spin_ceiling_s=spin_ceiling_s,
-                                stall_fn=stall_fn, alloc_fn=alloc_fn)
+    interp = _WorkerInterpreter(program, spec, cfg, run_tag, injector,
+                                manifest=manifest, stall_fn=stall_fn,
+                                alloc_fn=alloc_fn)
     try:
         # An array result is named, not sent: other workers may still be
         # writing; the parent attaches and snapshots only after every
@@ -243,17 +229,16 @@ class _Rec:
     grace_until: float | None = None
 
 
-def run_parallel(program_ast: A.Program, args: tuple = (), workers: int = 2,
-                 entry: str = "main", page_size: int = 32,
-                 timeout_s: float = 120.0,
+def run_parallel(program, args: tuple = (),
                  config: ParallelConfig | None = None,
                  faults=None, ckpt=None, restore=None) -> ParallelResult:
-    """Execute ``program_ast`` on real, supervised, self-healing processes.
+    """Execute a compiled ``program`` (:class:`repro.api.Program`) on
+    real, supervised, self-healing processes.
 
     Retriable worker failures (``crash``/``lost``) are healed by the
-    recovery layer when ``config.recovery`` is on (the default):
+    recovery layer when ``config.retry.enabled`` is on (the default):
     respawns with deterministic backoff, then degraded-mode takeover on
-    per-worker retry exhaustion (see :mod:`repro.parallel.recovery`).
+    per-worker retry exhaustion (see ``docs/parallel.md``).
     Unrecoverable runs raise :class:`ParallelExecutionError` (an
     :class:`ExecutionError`) carrying one :class:`WorkerFailure` per
     failed worker plus the :class:`RecoveryLog`; a partial result is
@@ -263,14 +248,10 @@ def run_parallel(program_ast: A.Program, args: tuple = (), workers: int = 2,
     and SIGTERM terminate the workers, reclaim every shared segment via
     the manifest, and re-raise.
     """
-    cfg = config or ParallelConfig(workers=workers, page_size=page_size,
-                                   timeout_s=timeout_s)
+    cfg = config or ParallelConfig()
     plan = resolve_plan(faults if faults is not None else cfg.fault_spec)
-    policy = RetryPolicy.from_config(cfg)
+    policy = cfg.retry
     nw = cfg.workers
-
-    graph = build_graph(program_ast, entry=entry)
-    partition(graph)
 
     run_tag = f"pods{os.getpid()}_{int(time.monotonic_ns() % 1_000_000_000)}"
     manifest = ShmManifest.create(run_tag)
@@ -302,9 +283,8 @@ def run_parallel(program_ast: A.Program, args: tuple = (), workers: int = 2,
     def spawn(spec: _WorkerSpec) -> None:
         proc = ctx.Process(
             target=_worker_main,
-            args=(program_ast, graph, spec, nw, run_tag, cfg.page_size,
-                  entry, args, out_queue, manifest.path, cfg.read_timeout_s,
-                  cfg.spin_ceiling_s, plan, ckpt is not None))
+            args=(program, spec, cfg, run_tag, args, out_queue,
+                  manifest.path, plan, ckpt is not None))
         proc.start()
         all_procs.append(proc)
         active[spec.slot] = _Rec(spec=spec, proc=proc)

@@ -9,13 +9,28 @@ subranges per *identity* under the first-element-ownership math of
 :class:`repro.runtime.arrays.ArrayHeader`, and private ``SeqArray``
 temporaries inside a distributed iteration.
 
+**The location rule.**  Every shared-array write has exactly one
+location.  Inside a distributed loop that is the identity whose
+Range-Filter subrange holds the iteration.  Outside one the code is
+replicated — every identity computes the same values — so the write is
+performed by the identity that owns the element and skipped by every
+other (:meth:`SpmdInterpreter.on_array_write`); a value another identity
+needs crosses through the store as an ordinary I-structure read.  A
+serial ``next``-carried loop filling an array, or a top-level element
+write, therefore writes each element once at any width.
+
+The interpreter executes the compiled :class:`repro.api.Program` it is
+handed — its decorated AST against its already-partitioned graph — and
+never derives a partition of its own, so ``distribute``,
+``rf_placement``, ``aggressive`` and ``optimize`` mean here what they
+mean on the simulator.
+
 What varies between substrates is the *location* of a shared array's
 elements — a shared-memory segment, a node's element store — never the
 statement semantics, so the store is the parameter.  A substrate
 supplies ``shared_cls`` (its handle class, carrying ``name``, the
-identity-space ``header`` and ``stats()`` counters), :meth:`alloc_shared`
-and direct ``on_array_read`` / ``on_array_write`` overrides — the
-per-element hot path, where the core adds no indirection.
+identity-space ``header``, ``write(indices, value)`` and ``stats()``
+counters), :meth:`alloc_shared` and a direct ``on_array_read`` override.
 
 The telemetry record, its registry fold and its table live here too
 (both backends report the same fields about the same model), as does
@@ -32,7 +47,6 @@ from dataclasses import dataclass, field
 from repro.baseline.sequential import (Clock, PartitionedInterpreter,
                                        SeqArray)
 from repro.common.errors import WorkerSuperseded
-from repro.graph import ir
 from repro.lang import ast_nodes as A
 
 
@@ -53,9 +67,9 @@ class SpmdInterpreter(PartitionedInterpreter):
 
     shared_cls: type = type(None)
 
-    def __init__(self, program: A.Program, graph: ir.ProgramGraph,
-                 identities: tuple[int, ...], entry: str, injector) -> None:
-        super().__init__(program, graph, Clock(), entry)
+    def __init__(self, program, identities: tuple[int, ...],
+                 injector) -> None:
+        super().__init__(program.ast, program.graph, Clock(), program.entry)
         self.identities = identities
         self.injector = injector
         self.alloc_seq = 0
@@ -80,6 +94,17 @@ class SpmdInterpreter(PartitionedInterpreter):
         arr = self.alloc_shared(self.alloc_seq, tuple(dims))
         self.shared_arrays.append(arr)
         return arr
+
+    # -- writes -----------------------------------------------------------
+
+    def on_array_write(self, arr, indices: tuple, value) -> None:
+        if isinstance(arr, self.shared_cls):
+            # The location rule: replicated code writes at the owner only.
+            if not self.in_distributed and \
+                    arr.header.owner_of(indices) not in self.identities:
+                return
+            self.injector.fire("write")
+        arr.write(indices, value)
 
     # -- loops ------------------------------------------------------------
 

@@ -20,16 +20,16 @@ class TestAgreement:
     @pytest.mark.parametrize("name", kernel_names())
     def test_pods_matches_sequential(self, name, compiled):
         program = compiled[name]
-        oracle = program.run_sequential((24,)).value
+        oracle = program.run((24,), backend="seq").value
         for pes in (1, 4):
-            assert program.run_pods((24,), num_pes=pes).value == \
-                pytest.approx(oracle, rel=1e-12)
+            got = program.run((24,), backend="sim", parallelism=pes).value
+            assert got == pytest.approx(oracle, rel=1e-12)
 
     @pytest.mark.parametrize("name", kernel_names())
     def test_static_matches_sequential(self, name, compiled):
         program = compiled[name]
-        oracle = program.run_sequential((24,)).value
-        assert program.run_static((24,), num_pes=4).value == \
+        oracle = program.run((24,), backend="seq").value
+        assert program.run((24,), backend="static", parallelism=4).value == \
             pytest.approx(oracle, rel=1e-12)
 
 
@@ -60,8 +60,8 @@ class TestSpeedupRegimes:
     def test_flop_heavy_kernel_speeds_up(self, compiled):
         # eos has enough arithmetic per element to amortize distribution.
         program = compiled["eos"]
-        t1 = program.run_pods((96,), num_pes=1).finish_time_us
-        t4 = program.run_pods((96,), num_pes=4).finish_time_us
+        t1 = program.run((96,), backend="sim", parallelism=1).time_us
+        t4 = program.run((96,), backend="sim", parallelism=4).time_us
         assert t1 / t4 > 1.4, f"eos: only {t1 / t4:.2f}x"
 
     def test_trivial_kernel_is_communication_bound(self, compiled):
@@ -69,13 +69,13 @@ class TestSpeedupRegimes:
         # overhead swamps it — the machine must show that honestly
         # (no speedup), while results stay identical.
         program = compiled["first_diff"]
-        t1 = program.run_pods((96,), num_pes=1).finish_time_us
-        t4 = program.run_pods((96,), num_pes=4).finish_time_us
+        t1 = program.run((96,), backend="sim", parallelism=1).time_us
+        t4 = program.run((96,), backend="sim", parallelism=4).time_us
         assert t1 / t4 < 1.5
 
     def test_chain_kernels_do_not_benefit(self, compiled):
         program = compiled["first_sum"]
-        t1 = program.run_pods((96,), num_pes=1).finish_time_us
-        t4 = program.run_pods((96,), num_pes=4).finish_time_us
+        t1 = program.run((96,), backend="sim", parallelism=1).time_us
+        t4 = program.run((96,), backend="sim", parallelism=4).time_us
         # Some overhead is fine; meaningful speedup is impossible.
         assert t1 / t4 < 1.5

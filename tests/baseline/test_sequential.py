@@ -192,6 +192,6 @@ class TestAgreementWithSimulator:
         from repro.api import compile_source
 
         program = compile_source(src)
-        seq = program.run_sequential(args)
-        pods = program.run_pods(args, num_pes=2)
+        seq = program.run(args, backend="seq")
+        pods = program.run(args, backend="sim", parallelism=2)
         assert seq.value == pytest.approx(pods.value)

@@ -127,7 +127,7 @@ class TestFigures:
             return A[n];
         }
         """)
-        stats = program.run_pods((16,), num_pes=2).stats
+        stats = program.run((16,), backend="sim", parallelism=2).raw.stats
         data = stats.to_dict()
         json.dumps(data)  # must serialize
         assert data["num_pes"] == 2

@@ -1,8 +1,7 @@
 """Unit tests for the shared retry budget (:mod:`repro.common.retry`).
 
-Moved alongside the implementation when :class:`RetryPolicy` was hoisted
-out of ``repro.parallel.recovery``; the shim test pins the old import
-path to the same object so existing call sites cannot silently fork.
+Both supervisor configs carry the policy itself as their ``retry``
+field, so its knobs — and their validation — are declared once.
 """
 
 import pytest
@@ -23,8 +22,7 @@ class TestRetryPolicy:
                          for k in (1, 2, 3)]
 
     def test_backoff_grows_and_caps(self):
-        p = RetryPolicy(backoff_base_s=0.1, backoff_factor=2.0,
-                        backoff_max_s=0.4, jitter=0.0)
+        p = RetryPolicy(backoff_base_s=0.1, backoff_max_s=0.4, jitter=0.0)
         assert p.backoff_s(0, 1) == pytest.approx(0.1)
         assert p.backoff_s(0, 2) == pytest.approx(0.2)
         assert p.backoff_s(0, 3) == pytest.approx(0.4)
@@ -37,32 +35,23 @@ class TestRetryPolicy:
         delays = {p.backoff_s(w, 1) for w in range(8)}
         assert len(delays) > 1, "jitter should differ across workers"
 
-    def test_from_config(self):
-        cfg = ParallelConfig(workers=2, max_retries_per_worker=5,
-                             max_retries_total=11, retry_backoff_s=0.3,
-                             retry_backoff_max_s=9.0, retry_jitter=0.1,
-                             seed=42, recovery=False)
-        p = RetryPolicy.from_config(cfg)
-        assert (p.max_retries_per_worker, p.max_retries_total) == (5, 11)
-        assert (p.backoff_base_s, p.backoff_max_s) == (0.3, 9.0)
-        assert (p.jitter, p.seed, p.enabled) == (0.1, 42, False)
-
-    def test_from_dist_config(self):
+    def test_configs_carry_the_policy_itself(self):
         from repro.common.config import DistConfig
 
-        cfg = DistConfig(nodes=2, max_retries_per_worker=1,
-                         max_retries_total=3, retry_backoff_s=0.2,
-                         retry_backoff_max_s=1.5, retry_jitter=0.0, seed=9)
-        p = RetryPolicy.from_config(cfg)
-        assert (p.max_retries_per_worker, p.max_retries_total) == (1, 3)
-        assert (p.backoff_base_s, p.backoff_max_s) == (0.2, 1.5)
-        assert (p.jitter, p.seed, p.enabled) == (0.0, 9, True)
+        policy = RetryPolicy(max_retries_per_worker=5, seed=42,
+                             enabled=False)
+        assert ParallelConfig(workers=2, retry=policy).retry is policy
+        assert DistConfig(nodes=2, retry=policy).retry is policy
+        assert ParallelConfig().retry == DistConfig().retry == RetryPolicy()
 
-    def test_old_import_path_is_a_shim(self):
-        from repro.parallel import recovery
-
-        assert recovery.RetryPolicy is RetryPolicy
-
+    @pytest.mark.parametrize("kwargs", [
+        {"backoff_base_s": 0}, {"backoff_max_s": float("nan")},
+        {"max_retries_per_worker": -1}, {"max_retries_total": -1},
+        {"jitter": -0.1},
+    ])
+    def test_rejects_bad_values(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            RetryPolicy(**kwargs)
 
 FILL = """
 function main(n) {
@@ -75,8 +64,8 @@ function main(n) {
 """
 
 # Shrunk timings so the budget-exhaustion runs finish in milliseconds.
-FAST = dict(poll_interval_s=0.02, grace_s=0.2, retry_backoff_s=0.01,
-            retry_backoff_max_s=0.05)
+FAST = dict(poll_interval_s=0.02, grace_s=0.2)
+FAST_RETRY = dict(backoff_base_s=0.01, backoff_max_s=0.05)
 
 
 class TestBudgetEdges:
@@ -90,10 +79,12 @@ class TestBudgetEdges:
         from repro.common.errors import ParallelExecutionError
 
         p = compile_source(FILL)
-        cfg = ParallelConfig(workers=2, max_retries_total=0, **FAST)
+        cfg = ParallelConfig(
+            workers=2, retry=RetryPolicy(max_retries_total=0, **FAST_RETRY),
+            **FAST)
         with pytest.raises(ParallelExecutionError) as exc:
-            p.run_parallel((8,), config=cfg,
-                           faults="kill:worker=1,on=iter,after=0")
+            p.run((8,), backend="parallel", config=cfg,
+                  faults="kill:worker=1,on=iter,after=0")
         assert "recovery budget exhausted (0 retries)" in str(exc.value)
         assert exc.value.recovery.respawns == 0
 
@@ -107,10 +98,13 @@ class TestBudgetEdges:
         from repro.common.errors import ParallelExecutionError
 
         p = compile_source(FILL)
-        cfg = ParallelConfig(workers=2, max_retries_per_worker=1,
-                             max_retries_total=1, **FAST)
+        cfg = ParallelConfig(
+            workers=2, retry=RetryPolicy(max_retries_per_worker=1,
+                                         max_retries_total=1, **FAST_RETRY),
+            **FAST)
         with pytest.raises(ParallelExecutionError) as exc:
-            p.run_parallel((8,), config=cfg, faults="kill:worker=1,gen=0")
+            p.run((8,), backend="parallel", config=cfg,
+                  faults="kill:worker=1,gen=0")
         assert "recovery budget exhausted (1 retries)" in str(exc.value)
         kinds = [e.kind for e in exc.value.recovery.events]
         assert kinds.count("respawn") == 1
@@ -135,8 +129,8 @@ class TestBudgetEdges:
     def test_backoff_cap_bounds_jittered_delay(self):
         # Jitter widens the capped base, never past (1 + jitter) of it:
         # the worst-case respawn delay stays computable from the config.
-        p = RetryPolicy(backoff_base_s=0.1, backoff_factor=2.0,
-                        backoff_max_s=0.4, jitter=0.25, seed=3)
+        p = RetryPolicy(backoff_base_s=0.1, backoff_max_s=0.4,
+                        jitter=0.25, seed=3)
         for attempt in (1, 5, 30):
             d = p.backoff_s(0, attempt)
             assert d <= 0.4 * 1.25

@@ -7,8 +7,6 @@ parallel backend forks real worker processes, so without the cache the
 matrix would pay process startup per *assertion* instead of per cell.
 """
 
-import warnings
-
 import pytest
 
 from repro.backend import get_backend
@@ -49,9 +47,7 @@ def runner(apps):
                     obs=ObsConfig(metrics=True, timelines=True, waits=True))
             else:
                 kwargs["parallelism"] = pes
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                cache[key] = get_backend(backend).run(program, args, **kwargs)
+            cache[key] = get_backend(backend).run(program, args, **kwargs)
         return cache[key]
 
     return run

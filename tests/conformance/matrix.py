@@ -9,12 +9,8 @@ via ``PODS_CONFORMANCE_PES``) agrees on one catalog:
 * ``PES`` — the PE/worker widths the matrix fans out over.  Overridable
   with ``PODS_CONFORMANCE_PES=2`` (comma-separated) so CI can shard the
   matrix by width instead of re-running every width in one job.
-* ``PARALLEL_UNSUPPORTED`` — apps the multiprocessing backend cannot
-  run, with the reason rendered into the skip message.  These are
-  *documented limitations*, not bugs this suite papers over: the
-  parallel workers re-execute non-distributed loops on every worker, so
-  a kernel whose recurrence lives in a plain (serial) loop double-writes
-  its arrays and trips single-assignment enforcement.
+
+Every app runs on every backend: there is no skip table.
 """
 
 import os
@@ -63,19 +59,3 @@ def dist_node_counts() -> tuple[int, ...]:
 
 
 DIST_NODES = dist_node_counts()
-
-PARALLEL_UNSUPPORTED = {
-    "lk-first_sum": ("first_sum's partial-sum recurrence is a serial "
-                     "loop; every parallel worker re-executes it and "
-                     "collides on single assignment (documented backend "
-                     "limitation, see docs/architecture.md)"),
-    "lk-tridiag": ("tridiag's forward/back substitution is a serial "
-                   "loop; every parallel worker re-executes it and "
-                   "collides on single assignment (documented backend "
-                   "limitation, see docs/architecture.md)"),
-}
-
-# The distributed backend runs the same SPMD execution model (every
-# node replicates serial code, Range-Filters split distributed loops),
-# so it inherits exactly the parallel backend's limitations.
-DIST_UNSUPPORTED = dict(PARALLEL_UNSUPPORTED)

@@ -24,12 +24,13 @@ import pytest
 from repro.api import compile_source
 from repro.backend import classify_error, get_backend, render_error
 from repro.common.config import DistConfig
-from tests.conformance.matrix import APPS, DIST_NODES, DIST_UNSUPPORTED
+from repro.common.retry import RetryPolicy
+from tests.conformance.matrix import APPS, DIST_NODES
 from tests.conformance.test_error_taxonomy import CASES
 
 pytestmark = pytest.mark.conformance
 
-DIST_APPS = sorted(set(APPS) - set(DIST_UNSUPPORTED))
+DIST_APPS = sorted(APPS)
 
 
 def _rf_rows(reg):
@@ -40,10 +41,8 @@ def _rf_rows(reg):
 
 
 @pytest.mark.parametrize("nodes", DIST_NODES)
-@pytest.mark.parametrize("app", sorted(APPS))
+@pytest.mark.parametrize("app", DIST_APPS)
 def test_value_parity(app, nodes, runner):
-    if app in DIST_UNSUPPORTED:
-        pytest.skip(DIST_UNSUPPORTED[app])
     oracle = runner(app, "seq", 1).value
     got = runner(app, "dist", nodes)
     assert got.value == pytest.approx(oracle, rel=1e-12, abs=1e-12)
@@ -81,8 +80,8 @@ def test_result_surface(runner):
 
 # No recovery and a tight read timeout: these programs *should* fail,
 # so the suite must not sit out the production watchdog budget.
-FAST_DIST = DistConfig(nodes=2, recovery=False, read_timeout_s=2.0,
-                       timeout_s=20.0)
+FAST_DIST = DistConfig(nodes=2, retry=RetryPolicy(enabled=False),
+                       read_timeout_s=2.0, timeout_s=20.0)
 
 
 @pytest.mark.chaos

@@ -22,6 +22,7 @@ import pytest
 from repro.api import compile_source
 from repro.backend import classify_error, get_backend, render_error
 from repro.common.config import ParallelConfig
+from repro.common.retry import RetryPolicy
 
 pytestmark = [pytest.mark.conformance, pytest.mark.chaos]
 
@@ -55,7 +56,7 @@ BACKENDS = ("sim", "seq", "static", "parallel")
 
 # No recovery and tight stall windows: these programs *should* fail, so
 # the suite must not sit out the full production watchdog budget.
-FAST_PARALLEL = ParallelConfig(workers=2, recovery=False,
+FAST_PARALLEL = ParallelConfig(workers=2, retry=RetryPolicy(enabled=False),
                                read_timeout_s=2.0, spin_ceiling_s=0.2,
                                timeout_s=20.0)
 

@@ -16,11 +16,9 @@ host spin-wait and are not comparable.
 
 import pytest
 
-from tests.conformance.matrix import APPS, PARALLEL_UNSUPPORTED, PES
+from tests.conformance.matrix import APPS, PES
 
 pytestmark = pytest.mark.conformance
-
-PARALLEL_APPS = sorted(set(APPS) - set(PARALLEL_UNSUPPORTED))
 
 
 def _rf_rows(reg):
@@ -31,7 +29,7 @@ def _rf_rows(reg):
 
 
 @pytest.mark.parametrize("pes", PES)
-@pytest.mark.parametrize("app", PARALLEL_APPS)
+@pytest.mark.parametrize("app", sorted(APPS))
 def test_semantic_metric_families_agree(app, pes, runner):
     sim = runner(app, "sim", pes, metrics=True)
     par = runner(app, "parallel", pes)
@@ -53,7 +51,7 @@ def test_semantic_metric_families_agree(app, pes, runner):
     assert sim_pages == par_pages
 
 
-@pytest.mark.parametrize("app", PARALLEL_APPS)
+@pytest.mark.parametrize("app", sorted(APPS))
 def test_wait_attribution_is_structural(app, runner):
     """wait.us rows use the same label schema and cause vocabulary."""
     from repro.obs.waits import IDLE, WAIT_CATEGORIES

@@ -7,9 +7,11 @@ schedule (paper Section 2).
 The generator builds each loop body as (IdLite source, Python lambda)
 from the same draw, so the oracle is computed without trusting any
 backend.  Bodies only read the loop index and the argument, keeping the
-single distributed loop embarrassingly parallel — the shape both
-backends must parallelize; serial recurrences are covered separately by
-the app matrix's documented skips.
+filling loop embarrassingly parallel — the shape both backends must
+parallelize.  What consumes the filled array is drawn too: a scalar
+reduction, or a serial prefix-sum loop that writes a second array from
+replicated code (each ``P[i]`` written once, by its owner, reading a
+``P[i - 1]`` another identity may own).
 """
 
 import pytest
@@ -63,22 +65,35 @@ def bodies(draw, depth=0):
             lambda i, n: tf(i, n) if lf(i, n) < rf(i, n) else lf(i, n) + 1)
 
 
-@given(body=bodies(), n=st.integers(3, 10))
+REDUCE = """
+            s = 0.0;
+            for i = 1 to n { next s = s + A[i]; }
+            return s;"""
+
+PREFIX = """
+            P = array(n);
+            P[1] = A[1];
+            for i = 2 to n { P[i] = P[i - 1] + A[i]; }
+            s = 0.0;
+            for i = 1 to n { next s = s + P[i]; }
+            return s;"""
+
+
+@given(body=bodies(), n=st.integers(3, 10), prefix=st.booleans())
 @settings(max_examples=12, deadline=None)
-def test_random_program_church_rosser(body, n):
+def test_random_program_church_rosser(body, n, prefix):
     src, fn = body
+    consume = PREFIX if prefix else REDUCE
     program = compile_source(f"""
         function main(n) {{
             A = array(n);
-            for i = 1 to n {{ A[i] = 0.0 + {src}; }}
-            s = 0.0;
-            for i = 1 to n {{ next s = s + A[i]; }}
-            return s;
+            for i = 1 to n {{ A[i] = 0.0 + {src}; }}{consume}
         }}
     """)
-    oracle = 0.0
+    oracle = running = 0.0
     for i in range(1, n + 1):
-        oracle = oracle + (0.0 + fn(i, n))
+        running = running + (0.0 + fn(i, n))
+        oracle = oracle + running if prefix else running
 
     seq = get_backend("seq").run(program, (n,)).value
     sim = get_backend("sim").run(program, (n,), parallelism=2).value

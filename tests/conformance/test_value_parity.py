@@ -8,8 +8,7 @@ with it to 1e-12 relative at every width in the matrix.
 
 import pytest
 
-from tests.conformance.matrix import (APPS, BACKENDS, PARALLEL_UNSUPPORTED,
-                                      PES)
+from tests.conformance.matrix import APPS, BACKENDS, PES
 
 pytestmark = pytest.mark.conformance
 
@@ -20,8 +19,6 @@ pytestmark = pytest.mark.conformance
 def test_value_parity(app, backend, pes, runner):
     if backend == "seq" and pes != PES[0]:
         pytest.skip("sequential oracle has no parallelism axis")
-    if backend == "parallel" and app in PARALLEL_UNSUPPORTED:
-        pytest.skip(PARALLEL_UNSUPPORTED[app])
     oracle = runner(app, "seq", 1).value
     got = runner(app, backend, 1 if backend == "seq" else pes)
     assert got.value == pytest.approx(oracle, rel=1e-12, abs=1e-12)
@@ -31,8 +28,6 @@ def test_value_parity(app, backend, pes, runner):
 def test_result_surface_is_uniform(app, runner):
     """Every backend returns the same BackendResult surface."""
     for backend in BACKENDS:
-        if backend == "parallel" and app in PARALLEL_UNSUPPORTED:
-            continue
         r = runner(app, backend, 1 if backend == "seq" else PES[0])
         assert r.backend == backend
         assert r.parallelism >= 1

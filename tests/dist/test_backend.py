@@ -13,6 +13,7 @@ from repro.api import compile_source
 from repro.backend import classify_error, get_backend, render_error
 from repro.common.config import DistConfig
 from repro.common.errors import NodeLossError
+from repro.common.retry import RetryPolicy
 
 # B's loop reads A mirrored (A[n+1-i]), so at 2+ nodes roughly half
 # the reads are remote split-phase exchanges.  Every element of both
@@ -33,8 +34,8 @@ function main(n) {
 
 # Tight supervision windows so failure scenarios resolve quickly.
 FAST = dict(heartbeat_interval_s=0.04, heartbeat_timeout_s=0.6,
-            poll_interval_s=0.02, retry_backoff_s=0.01,
-            retry_backoff_max_s=0.05)
+            poll_interval_s=0.02,
+            retry=RetryPolicy(backoff_base_s=0.01, backoff_max_s=0.05))
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +113,8 @@ class TestRecovery:
         assert any(f.worker == 1 for f in exc.failures)
 
     def test_recovery_disabled_fails_fast(self, program):
-        cfg = DistConfig(nodes=2, recovery=False, **FAST)
+        cfg = DistConfig(nodes=2,
+                         **{**FAST, "retry": RetryPolicy(enabled=False)})
         with pytest.raises(NodeLossError, match="recovery is disabled"):
             get_backend("dist").run(program, (12,), config=cfg,
                                     faults="node-kill:node=1,on=iter,"

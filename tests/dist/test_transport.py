@@ -61,13 +61,12 @@ class TestFraming:
 
 def _endpoint_pair(cfg, faults_a="", faults_b=""):
     """Build two wired endpoints, each with its own fault plan."""
-    policy = RetryPolicy.from_config(cfg)
     inbox = {0: [], 1: []}
     lost = []
 
     def make(node, spec):
         inj = DistFaultInjector(DistFaultPlan.parse(spec), node)
-        return Endpoint(node, cfg, policy, inj,
+        return Endpoint(node, cfg, inj,
                         on_message=lambda src, m, n=node:
                             inbox[n].append((src, m)),
                         on_peer_lost=lambda peer, why:
@@ -159,8 +158,9 @@ class TestReliableDelivery:
     def test_reconnect_budget_exhaustion_declares_peer_lost(self):
         async def go():
             cfg = DistConfig(nodes=2, connect_timeout_s=0.3,
-                             reconnect_attempts=2, retry_backoff_s=0.01,
-                             retry_backoff_max_s=0.02)
+                             reconnect_attempts=2,
+                             retry=RetryPolicy(backoff_base_s=0.01,
+                                               backoff_max_s=0.02))
             a, _, inbox, lost = _endpoint_pair(cfg)
             await a.start("127.0.0.1")
             # Nobody is listening on the peer port.
@@ -255,15 +255,13 @@ class TestFrameAuth:
         # counted, no ack ever returns, and the sender's retransmit
         # budget exhausts into a canonical peer-lost reason.
         async def go():
-            policy = RetryPolicy.from_config(
-                DistConfig(**FAST, retransmit_budget=3))
             cfg = DistConfig(**FAST, retransmit_budget=3)
             inbox = {0: [], 1: []}
             lost = []
 
             def make(node):
                 inj = DistFaultInjector(DistFaultPlan.parse(""), node)
-                return Endpoint(node, cfg, policy, inj,
+                return Endpoint(node, cfg, inj,
                                 on_message=lambda src, m, n=node:
                                     inbox[n].append((src, m)),
                                 on_peer_lost=lambda peer, why:

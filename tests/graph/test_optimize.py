@@ -43,17 +43,17 @@ class TestHoisting:
         plain = compile_source(SRC)
         opt = compile_source(SRC, optimize=True)
         for pes in (1, 3):
-            a = plain.run_pods((8, 5), num_pes=pes)
-            b = opt.run_pods((8, 5), num_pes=pes)
+            a = plain.run((8, 5), backend="sim", parallelism=pes)
+            b = opt.run((8, 5), backend="sim", parallelism=pes)
             assert a.value == b.value
-        assert (opt.run_sequential((8, 5)).value
-                == plain.run_sequential((8, 5)).value)
+        assert (opt.run((8, 5), backend="seq").value
+                == plain.run((8, 5), backend="seq").value)
 
     def test_instruction_count_drops(self):
         plain = compile_source(SRC)
         opt = compile_source(SRC, optimize=True)
-        r_plain = plain.run_pods((8, 5), num_pes=1)
-        r_opt = opt.run_pods((8, 5), num_pes=1)
+        r_plain = plain.run((8, 5), backend="sim", parallelism=1).raw
+        r_opt = opt.run((8, 5), backend="sim", parallelism=1).raw
         assert r_opt.stats.instructions < r_plain.stats.instructions
 
     def test_index_dependent_ops_stay(self):
@@ -78,7 +78,7 @@ class TestHoisting:
         g, report = hoisted_graph(src)
         assert report.hoisted == 0
         p = compile_source(src, optimize=True)
-        assert p.run_pods((5,)).value == 32
+        assert p.run((5,), backend="sim").value == 32
 
     def test_faultable_ops_not_hoisted_by_default(self):
         src = """
@@ -109,7 +109,7 @@ class TestHoisting:
         opt_pods = translate(g)
         from repro.sim.machine import run_program
 
-        a = plain.run_pods((9, 4.0), num_pes=2)
+        a = plain.run((9, 4.0), backend="sim", parallelism=2)
         b = run_program(opt_pods, (9, 4.0))
         assert a.value == pytest.approx(b.value)
 
@@ -130,10 +130,10 @@ class TestHoisting:
         from repro.sim.machine import run_program
 
         plain = compile_source(src)
-        t_plain = plain.run_pods((128, 3.0), num_pes=1)
+        t_plain = plain.run((128, 3.0), backend="sim", parallelism=1)
         t_opt = run_program(translate(g), (128, 3.0))
         assert t_opt.value == pytest.approx(t_plain.value)
-        assert t_opt.finish_time_us < t_plain.finish_time_us
+        assert t_opt.finish_time_us < t_plain.time_us
 
 
 class TestCSE:
@@ -175,9 +175,9 @@ class TestCSE:
         """
         plain = compile_source(src)
         opt = compile_source(src, optimize=True)
-        assert plain.run_pods((3, 4)).value == opt.run_pods((3, 4)).value
-        r_plain = plain.run_pods((3, 4))
-        r_opt = opt.run_pods((3, 4))
+        r_plain = plain.run((3, 4), backend="sim").raw
+        r_opt = opt.run((3, 4), backend="sim").raw
+        assert r_plain.value == r_opt.value
         assert r_opt.stats.instructions < r_plain.stats.instructions
 
 
@@ -222,6 +222,6 @@ class TestDCE:
         src = simple_source()
         plain = compile_source(src)
         opt = compile_source(src, optimize=True)
-        a = plain.run_pods((8, 1), num_pes=2)
-        b = opt.run_pods((8, 1), num_pes=2)
+        a = plain.run((8, 1), backend="sim", parallelism=2)
+        b = opt.run((8, 1), backend="sim", parallelism=2)
         assert a.value == b.value

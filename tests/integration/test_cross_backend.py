@@ -102,13 +102,13 @@ def compiled():
 @pytest.mark.parametrize("name", [p[0] for p in PROGRAMS])
 def test_backend_agreement(name, compiled):
     program, args, expected = compiled[name]
-    oracle = program.run_sequential(args).value
+    oracle = program.run(args, backend="seq").value
     if expected is not None:
         assert oracle == pytest.approx(expected)
 
-    pods1 = program.run_pods(args, num_pes=1).value
-    pods4 = program.run_pods(args, num_pes=4).value
-    static = program.run_static(args, num_pes=4).value
+    pods1 = program.run(args, backend="sim", parallelism=1).value
+    pods4 = program.run(args, backend="sim", parallelism=4).value
+    static = program.run(args, backend="static", parallelism=4).value
     assert pods1 == pytest.approx(oracle, rel=1e-12)
     assert pods4 == pytest.approx(oracle, rel=1e-12)
     assert static == pytest.approx(oracle, rel=1e-12)
@@ -117,8 +117,8 @@ def test_backend_agreement(name, compiled):
 @pytest.mark.parametrize("name", ["fill-and-sum", "row-sweep"])
 def test_parallel_backend_agreement(name, compiled):
     program, args, expected = compiled[name]
-    oracle = program.run_sequential(args).value
-    par = program.run_parallel(args, workers=2).value
+    oracle = program.run(args, backend="seq").value
+    par = program.run(args, backend="parallel", parallelism=2).value
     assert par == pytest.approx(oracle, rel=1e-12)
 
 
@@ -137,8 +137,8 @@ def test_cross_backend_metric_differential(compiled):
 
     sim_cfg = SimConfig(machine=MachineConfig(num_pes=2),
                         obs=ObsConfig(metrics=True, timelines=True))
-    sim = program.run_pods(args, num_pes=2, config=sim_cfg)
-    par = program.run_parallel(args, workers=2)
+    sim = program.run(args, backend="sim", parallelism=2, config=sim_cfg).raw
+    par = program.run(args, backend="parallel", parallelism=2)
     assert sim.value == par.value == expected
 
     sim_reg, par_reg = sim.stats.registry, par.registry
@@ -193,9 +193,9 @@ def test_cross_backend_wait_attribution(compiled):
     sim_cfg = SimConfig(machine=MachineConfig(num_pes=2),
                         obs=ObsConfig(metrics=True, timelines=True,
                                       waits=True))
-    sim = program.run_pods(args, num_pes=2, config=sim_cfg)
-    par = program.run_parallel(args, workers=2)
-    oracle = program.run_sequential(args).value
+    sim = program.run(args, backend="sim", parallelism=2, config=sim_cfg).raw
+    par = program.run(args, backend="parallel", parallelism=2)
+    oracle = program.run(args, backend="seq").value
     assert sim.value == pytest.approx(oracle, rel=1e-12)
     assert par.value == pytest.approx(oracle, rel=1e-12)
 
@@ -232,6 +232,6 @@ def test_undistributed_compile_agrees(compiled):
     src = PROGRAMS[1][1]
     dist = compile_source(src)
     plain = compile_source(src, distribute=False)
-    assert (dist.run_pods(args, num_pes=4).value
-            == plain.run_pods(args, num_pes=4).value
-            == dist.run_sequential(args).value)
+    assert (dist.run(args, backend="sim", parallelism=4).value
+            == plain.run(args, backend="sim", parallelism=4).value
+            == dist.run(args, backend="seq").value)

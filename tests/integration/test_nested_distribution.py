@@ -27,7 +27,7 @@ class TestDistributedLoopInsideCalledFunction:
         """
         program = compile_source(src)
         expect = sum(t + m for t, m in [(t, 8) for t in range(1, 4)])
-        assert program.run_pods((8, 3), num_pes=4).value == \
+        assert program.run((8, 3), backend="sim", parallelism=4).value == \
             pytest.approx(float(expect))
 
     def test_ld_spawned_from_inside_distributed_iteration(self):
@@ -51,7 +51,7 @@ class TestDistributedLoopInsideCalledFunction:
         }
         """
         program = compile_source(src)
-        v = program.run_pods((4, 6), num_pes=3).value
+        v = program.run((4, 6), backend="sim", parallelism=3).value
         for i in range(1, 5):
             for j in range(1, 7):
                 assert v[i, j] == pytest.approx(i * 10.0 + j)
@@ -71,10 +71,10 @@ class TestHopsConfig:
         program = compile_source(src)
         near = SimConfig(machine=MachineConfig(num_pes=4, avg_hops=1.0))
         far = SimConfig(machine=MachineConfig(num_pes=4, avg_hops=50.0))
-        t_near = program.run_pods((64,), num_pes=4, config=near)
-        t_far = program.run_pods((64,), num_pes=4, config=far)
+        t_near = program.run((64,), backend="sim", parallelism=4, config=near)
+        t_far = program.run((64,), backend="sim", parallelism=4, config=far)
         assert t_near.value == t_far.value
-        assert t_far.finish_time_us > t_near.finish_time_us
+        assert t_far.time_us > t_near.time_us
 
 
 class TestDeepNesting:
@@ -109,4 +109,5 @@ class TestDeepNesting:
                      for j in range(1, n + 1)
                      for k in range(1, n + 1))
         for pes in (1, 4):
-            assert program.run_pods((n,), num_pes=pes).value == expect
+            got = program.run((n,), backend="sim", parallelism=pes).value
+            assert got == expect

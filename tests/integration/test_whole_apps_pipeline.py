@@ -26,8 +26,8 @@ def test_optimizer_is_transparent(name):
     src, args = APPS[name]
     plain = compile_source(src)
     opt = compile_source(src, optimize=True)
-    a = plain.run_pods(args, num_pes=2)
-    b = opt.run_pods(args, num_pes=2)
+    a = plain.run(args, backend="sim", parallelism=2).raw
+    b = opt.run(args, backend="sim", parallelism=2).raw
     assert b.value == pytest.approx(a.value, rel=1e-12)
     assert b.stats.instructions <= a.stats.instructions
 
@@ -67,9 +67,9 @@ def test_trace_mode_does_not_change_results(name):
 
     src, args = APPS[name]
     program = compile_source(src)
-    plain = program.run_pods(args, num_pes=2)
+    plain = program.run(args, backend="sim", parallelism=2)
     m = Machine(program.pods,
                 SimConfig(machine=MachineConfig(num_pes=2), trace=True))
     traced = m.run(args)
     assert traced.value == pytest.approx(plain.value, rel=1e-12)
-    assert traced.finish_time_us == plain.finish_time_us
+    assert traced.finish_time_us == plain.time_us

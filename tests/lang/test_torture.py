@@ -6,7 +6,7 @@ from repro.api import compile_source
 
 
 def run(src, args=(), pes=2):
-    return compile_source(src).run_pods(args, num_pes=pes).value
+    return compile_source(src).run(args, backend="sim", parallelism=pes).value
 
 
 class TestExpressionCorners:

@@ -74,8 +74,8 @@ class TestExecutor:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_fill_matches_sequential(self, workers):
         p = compile_source(self.FILL)
-        seq = p.run_sequential((10,))
-        par = p.run_parallel((10,), workers=workers)
+        seq = p.run((10,), backend="seq")
+        par = p.run((10,), backend="parallel", parallelism=workers).raw
         assert par.value.flat == seq.value.flat
         assert par.workers == workers
 
@@ -92,7 +92,7 @@ class TestExecutor:
             return B;
         }
         """)
-        par = p.run_parallel((16,), workers=4)
+        par = p.run((16,), backend="parallel", parallelism=4)
         for j in range(1, 17):
             assert par.value[16, j] == pytest.approx(j + 15.0)
 
@@ -106,7 +106,7 @@ class TestExecutor:
             return s;
         }
         """)
-        par = p.run_parallel((20,), workers=2)
+        par = p.run((20,), backend="parallel", parallelism=2)
         assert par.value == sum(i * i for i in range(1, 21))
 
     def test_local_temporary_arrays_are_private(self):
@@ -128,7 +128,7 @@ class TestExecutor:
             return A;
         }
         """)
-        par = p.run_parallel((8,), workers=4)
+        par = p.run((8,), backend="parallel", parallelism=4)
         assert par.value[5, 4] == pytest.approx(20.5)
 
     def test_worker_error_propagates(self):
@@ -141,11 +141,11 @@ class TestExecutor:
         }
         """)
         with pytest.raises(ExecutionError):
-            p.run_parallel((4,), workers=2)
+            p.run((4,), backend="parallel", parallelism=2)
 
     def test_no_leaked_segments(self):
         import glob
 
         p = compile_source(self.FILL)
-        p.run_parallel((6,), workers=2)
+        p.run((6,), backend="parallel", parallelism=2)
         assert not glob.glob("/dev/shm/pods*"), "leaked shared memory"

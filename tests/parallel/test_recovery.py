@@ -22,7 +22,7 @@ from repro.api import compile_source
 from repro.common.config import ParallelConfig
 from repro.common.errors import (DeferredReadTimeout, ParallelExecutionError,
                                  SingleAssignmentViolation, WorkerSuperseded)
-from repro.parallel.recovery import RecoveryEvent, RecoveryLog, RetryPolicy
+from repro.common.retry import RecoveryEvent, RecoveryLog, RetryPolicy
 from repro.parallel.shm_arrays import ShmArray
 
 FILL = """
@@ -57,22 +57,19 @@ function main(n) {
 """
 
 # Shrunk supervisor/backoff timings so the whole matrix runs in seconds.
-FAST = dict(poll_interval_s=0.02, grace_s=0.2, retry_backoff_s=0.01,
-            retry_backoff_max_s=0.05)
+FAST = dict(poll_interval_s=0.02, grace_s=0.2)
+FAST_RETRY = dict(backoff_base_s=0.01, backoff_max_s=0.05)
 
 
-def fast_cfg(workers=2, **kw) -> ParallelConfig:
-    merged = dict(FAST)
-    merged.update(kw)
-    return ParallelConfig(workers=workers, **merged)
+def fast_cfg(workers=2, retry=None, **kw) -> ParallelConfig:
+    """``retry`` holds RetryPolicy overrides on top of the fast backoff."""
+    return ParallelConfig(
+        workers=workers, retry=RetryPolicy(**{**FAST_RETRY, **(retry or {})}),
+        **{**FAST, **kw})
 
 
 def assert_no_leaked_segments():
     assert not glob.glob("/dev/shm/pods*"), "leaked shared memory"
-
-
-# RetryPolicy's unit tests moved to tests/common/test_retry.py when the
-# policy was hoisted into repro.common.retry (shared with repro.dist).
 
 
 class TestOwnershipEpochs:
@@ -180,7 +177,7 @@ class TestStallWatchdog:
         cfg = fast_cfg(workers=2, read_timeout_s=30.0, spin_ceiling_s=0.05)
         start = time.monotonic()
         with pytest.raises(ParallelExecutionError) as exc:
-            p.run_parallel((8,), config=cfg)
+            p.run((8,), backend="parallel", config=cfg)
         assert time.monotonic() - start < 10.0
         assert "deadlock" in str(exc.value)
         assert exc.value.failures
@@ -196,12 +193,11 @@ class TestStallWatchdog:
         # last worker's boundary read genuinely spins (start skew would
         # otherwise let it find the element already present).
         p = compile_source(SWEEP)
-        seq = p.run_sequential((12,))
+        seq = p.run((12,), backend="seq")
         cfg = fast_cfg(workers=2, spin_ceiling_s=0.05)
-        res = p.run_parallel(
-            (12,), config=cfg,
-            faults="hang:worker=1,on=spin,seconds=0.3;"
-                   "delay:worker=0,on=write,seconds=0.005")
+        res = p.run((12,), backend="parallel", config=cfg,
+                    faults="hang:worker=1,on=spin,seconds=0.3;"
+                   "delay:worker=0,on=write,seconds=0.005").raw
         assert res.value.flat == seq.value.flat
         assert res.recovery.respawns == 0
         assert res.recovery.stall_reports >= 1, \
@@ -213,12 +209,12 @@ class TestRecoveryMatrix:
     """Injected crash in every phase: heal, bit-identical, counted."""
 
     def _seq(self, n=10):
-        return compile_source(FILL).run_sequential((n,)).value.flat
+        return compile_source(FILL).run((n,), backend="seq").value.flat
 
     def heal(self, faults, n=10, **cfg_kw):
         p = compile_source(FILL)
         cfg = fast_cfg(**cfg_kw)
-        res = p.run_parallel((n,), config=cfg, faults=faults)
+        res = p.run((n,), backend="parallel", config=cfg, faults=faults).raw
         assert res.value.flat == self._seq(n), "not bit-identical"
         assert_no_leaked_segments()
         return res
@@ -269,7 +265,7 @@ class TestRecoveryMatrix:
         # Zero per-worker retries: the first crash orphans identity 1,
         # which a degraded-mode recovery worker then adopts.
         res = self.heal("kill:worker=1,on=iter,after=2",
-                        max_retries_per_worker=0)
+                        retry=dict(max_retries_per_worker=0))
         assert res.recovery.respawns == 0
         assert res.recovery.takeovers == 1
         assert res.registry.value("recovery.takeovers") == 1
@@ -281,19 +277,22 @@ class TestRecoveryMatrix:
         # the per-worker budget, then takeovers burn global budget until
         # it exhausts — a structured error, never a hang or a leak.
         p = compile_source(FILL)
-        cfg = fast_cfg(max_retries_per_worker=1, max_retries_total=3)
+        cfg = fast_cfg(retry=dict(max_retries_per_worker=1,
+                                  max_retries_total=3))
         with pytest.raises(ParallelExecutionError) as exc:
-            p.run_parallel((10,), config=cfg, faults="kill:worker=1,gen=0")
+            p.run((10,), backend="parallel", config=cfg,
+                  faults="kill:worker=1,gen=0")
         assert "recovery budget exhausted" in str(exc.value)
         assert exc.value.recovery.respawns >= 1
         assert_no_leaked_segments()
 
     def test_all_workers_exhausted_raises_structured(self):
         p = compile_source(FILL)
-        cfg = fast_cfg(max_retries_per_worker=1, max_retries_total=4)
+        cfg = fast_cfg(retry=dict(max_retries_per_worker=1,
+                                  max_retries_total=4))
         with pytest.raises(ParallelExecutionError) as exc:
-            p.run_parallel((10,), config=cfg,
-                           faults="kill:worker=0,gen=0;kill:worker=1,gen=0")
+            p.run((10,), backend="parallel", config=cfg,
+                  faults="kill:worker=0,gen=0;kill:worker=1,gen=0")
         assert exc.value.failures
         assert exc.value.recovery is not None
         assert "recovery:" in str(exc.value)
@@ -301,10 +300,10 @@ class TestRecoveryMatrix:
 
     def test_recovery_disabled_fails_fast(self):
         p = compile_source(FILL)
-        cfg = fast_cfg(recovery=False)
+        cfg = fast_cfg(retry=dict(enabled=False))
         with pytest.raises(ParallelExecutionError) as exc:
-            p.run_parallel((10,), config=cfg,
-                           faults="kill:worker=1,on=iter,after=2")
+            p.run((10,), backend="parallel", config=cfg,
+                  faults="kill:worker=1,on=iter,after=2")
         (failure,) = exc.value.failures
         assert failure.kind == "crash"
         assert_no_leaked_segments()
@@ -314,8 +313,9 @@ class TestRecoveryMatrix:
         # happened, so zero-fault registries stay identical across
         # recovery on/off (cross-backend differential + bench goldens).
         p = compile_source(FILL)
-        on = p.run_parallel((8,), config=fast_cfg())
-        off = p.run_parallel((8,), config=fast_cfg(recovery=False))
+        on = p.run((8,), backend="parallel", config=fast_cfg()).raw
+        off = p.run((8,), backend="parallel",
+                    config=fast_cfg(retry=dict(enabled=False)))
         strip = ("par.wall_time_s", "par.spin_wait_s", "par.max_spin_wait_s",
                  "wait.us", "array.deferred_reads")
 
@@ -388,8 +388,8 @@ function main(n) {
 ''')
 print("READY", flush=True)
 try:
-    p.run_parallel((12,), workers=2, timeout_s=60.0,
-                   faults="hang:worker=1,on=iter,after=1,seconds=120")
+    p.run((12,), backend="parallel", parallelism=2,
+          faults="hang:worker=1,on=iter,after=1,seconds=120")
 except KeyboardInterrupt:
     sys.exit(42)
 sys.exit(1)

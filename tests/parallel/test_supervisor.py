@@ -15,6 +15,7 @@ import pytest
 from repro.api import compile_source
 from repro.common.config import ParallelConfig
 from repro.common.errors import ExecutionError, ParallelExecutionError
+from repro.common.retry import RetryPolicy
 
 FILL = """
 function main(n) {
@@ -44,7 +45,8 @@ def assert_no_leaked_segments():
 # These tests exercise the *fail-fast* layer underneath recovery: with
 # recovery on (the default) an injected kill/drop would simply be healed
 # (see tests/parallel/test_recovery.py for that behaviour).
-NO_RECOVERY = ParallelConfig(workers=2, timeout_s=60.0, recovery=False)
+NO_RECOVERY = ParallelConfig(workers=2, timeout_s=60.0,
+                             retry=RetryPolicy(enabled=False))
 
 
 class TestFaultPlanParsing:
@@ -83,8 +85,8 @@ class TestSupervisor:
         p = compile_source(FILL)
         start = time.monotonic()
         with pytest.raises(ParallelExecutionError) as exc:
-            p.run_parallel((10,), workers=2, config=NO_RECOVERY,
-                           faults="kill:worker=1,on=iter,after=2")
+            p.run((10,), backend="parallel", config=NO_RECOVERY,
+                  faults="kill:worker=1,on=iter,after=2")
         elapsed = time.monotonic() - start
         (failure,) = exc.value.failures
         assert failure.worker == 1
@@ -102,8 +104,8 @@ class TestSupervisor:
         p = compile_source(FILL)
         start = time.monotonic()
         with pytest.raises(ParallelExecutionError) as exc:
-            p.run_parallel((24,), workers=2, config=NO_RECOVERY,
-                           faults="kill:worker=1,on=iter,after=0")
+            p.run((24,), backend="parallel", config=NO_RECOVERY,
+                  faults="kill:worker=1,on=iter,after=0")
         elapsed = time.monotonic() - start
         assert [f.worker for f in exc.value.failures] == [1]
         assert elapsed < 15.0
@@ -115,8 +117,9 @@ class TestSupervisor:
         # produces a structured hang failure, never a result.
         p = compile_source(FILL)
         with pytest.raises(ParallelExecutionError) as exc:
-            p.run_parallel((10,), workers=2, timeout_s=1.0,
-                           faults="hang:worker=0,on=iter,after=2,seconds=60")
+            p.run((10,), backend="parallel",
+                  config=ParallelConfig(workers=2, timeout_s=1.0),
+                  faults="hang:worker=0,on=iter,after=2,seconds=60")
         assert "unjoined workers" in str(exc.value)
         hangs = [f for f in exc.value.failures if f.kind == "hang"]
         assert [f.worker for f in hangs] == [0]
@@ -125,8 +128,8 @@ class TestSupervisor:
     def test_dropped_worker_reported_lost(self):
         p = compile_source(FILL)
         with pytest.raises(ParallelExecutionError) as exc:
-            p.run_parallel((10,), workers=2, config=NO_RECOVERY,
-                           faults="drop:worker=1")
+            p.run((10,), backend="parallel", config=NO_RECOVERY,
+                  faults="drop:worker=1")
         (failure,) = exc.value.failures
         assert failure.kind == "lost"
         assert failure.exitcode == 0
@@ -140,7 +143,7 @@ class TestSupervisor:
         cfg = ParallelConfig(workers=2, read_timeout_s=0.3)
         start = time.monotonic()
         with pytest.raises(ParallelExecutionError) as exc:
-            p.run_parallel((8,), workers=2, config=cfg)
+            p.run((8,), backend="parallel", config=cfg)
         assert time.monotonic() - start < 15.0
         assert "deadlock" in str(exc.value)
         assert all(f.kind == "error" for f in exc.value.failures)
@@ -150,26 +153,26 @@ class TestSupervisor:
         # Callers that predate the supervisor catch ExecutionError.
         p = compile_source(FILL)
         with pytest.raises(ExecutionError):
-            p.run_parallel((10,), workers=2, config=NO_RECOVERY,
-                           faults="kill:worker=0,on=iter,after=1")
+            p.run((10,), backend="parallel", config=NO_RECOVERY,
+                  faults="kill:worker=0,on=iter,after=1")
         assert_no_leaked_segments()
 
     def test_env_var_drives_fault_injection(self, monkeypatch):
         p = compile_source(FILL)
         monkeypatch.setenv("PODS_FAULTS", "kill:worker=1,on=iter,after=1")
         with pytest.raises(ParallelExecutionError):
-            p.run_parallel((10,), workers=2, config=NO_RECOVERY)
+            p.run((10,), backend="parallel", config=NO_RECOVERY)
         monkeypatch.delenv("PODS_FAULTS")
-        result = p.run_parallel((6,), workers=2)
+        result = p.run((6,), backend="parallel", parallelism=2)
         assert result.value[6, 6] == pytest.approx(36.25)
         assert_no_leaked_segments()
 
     def test_delayed_writes_stay_correct(self):
         # The delay fault widens race windows without changing results.
         p = compile_source(FILL)
-        seq = p.run_sequential((6,))
-        par = p.run_parallel((6,), workers=2,
-                             faults="delay:worker=1,on=write,seconds=0.001")
+        seq = p.run((6,), backend="seq")
+        par = p.run((6,), backend="parallel", parallelism=2,
+                    faults="delay:worker=1,on=write,seconds=0.001")
         assert par.value.flat == seq.value.flat
         assert_no_leaked_segments()
 
@@ -178,7 +181,7 @@ class TestTelemetry:
     def test_per_worker_stats_populated(self):
         p = compile_source(FILL)
         n = 10
-        result = p.run_parallel((n,), workers=2)
+        result = p.run((n,), backend="parallel", parallelism=2).raw
         assert len(result.worker_stats) == 2
         assert [t.worker for t in result.worker_stats] == [0, 1]
         # Every element is written exactly once, by exactly one worker.
@@ -200,7 +203,7 @@ class TestTelemetry:
             return B;
         }
         """)
-        result = p.run_parallel((16,), workers=4)
+        result = p.run((16,), backend="parallel", parallelism=4).raw
         stats = result.worker_stats
         assert sum(t.shared_reads for t in stats) > 0
         # Spin-wait accounting can only be nonzero if a read deferred.

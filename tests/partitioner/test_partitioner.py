@@ -231,8 +231,8 @@ class TestRfPlacement:
 
         outer = compile_source(self.SRC)
         inner = compile_source(self.SRC, rf_placement="inner")
-        a = outer.run_pods((8,), num_pes=4)
-        b = inner.run_pods((8,), num_pes=4)
+        a = outer.run((8,), backend="sim", parallelism=4)
+        b = inner.run((8,), backend="sim", parallelism=4)
         assert a.value == b.value
 
     def test_inner_rf_depends_on_outer_index(self):
@@ -292,9 +292,9 @@ class TestAggressiveMode:
 
         plain = compile_source(self.WAVEFRONT)
         agg = compile_source(self.WAVEFRONT, aggressive=True)
-        base = plain.run_pods((10,), num_pes=1).value
+        base = plain.run((10,), backend="sim", parallelism=1).value
         for pes in (2, 5):
-            got = agg.run_pods((10,), num_pes=pes).value
+            got = agg.run((10,), backend="sim", parallelism=pes).value
             assert abs(got - base) < 1e-12
 
     def test_aggressive_never_distributes_reductions(self):
@@ -310,4 +310,4 @@ class TestAggressiveMode:
         }
         """, aggressive=True)
         assert program.partition_report.distributed == []
-        assert program.run_pods((50,), num_pes=4).value == 1275
+        assert program.run((50,), backend="sim", parallelism=4).value == 1275

@@ -74,8 +74,8 @@ def test_expression_agreement_host_sequential_pods(expr):
     src, expected = expr
     program = compile_source(
         f"function main(a, b) {{ return {src}; }}")
-    seq = program.run_sequential((3, 1.5))
-    pods = program.run_pods((3, 1.5), num_pes=1)
+    seq = program.run((3, 1.5), backend="seq")
+    pods = program.run((3, 1.5), backend="sim", parallelism=1)
     assert seq.value == pytest.approx(expected, rel=1e-12, abs=1e-12)
     assert pods.value == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
@@ -111,8 +111,8 @@ function main(n, seed) {
 @settings(max_examples=12, deadline=None)
 def test_result_invariant_under_pe_count(n, seed, pes):
     program = compile_source(TEMPLATE)
-    base = program.run_sequential((n, seed)).value
-    assert program.run_pods((n, seed), num_pes=pes).value == \
+    base = program.run((n, seed), backend="seq").value
+    assert program.run((n, seed), backend="sim", parallelism=pes).value == \
         pytest.approx(base, rel=1e-12)
 
 
@@ -122,10 +122,11 @@ def test_result_invariant_under_pe_count(n, seed, pes):
 def test_church_rosser_under_jitter(n, seed, jitter):
     """Scheduling perturbations change timings, never answers."""
     program = compile_source(TEMPLATE)
-    plain = program.run_pods((n, seed), num_pes=4)
+    plain = program.run((n, seed), backend="sim", parallelism=4)
     config = SimConfig(machine=MachineConfig(num_pes=4),
                        jitter_seed=jitter, jitter_max_us=500.0)
-    jittered = program.run_pods((n, seed), num_pes=4, config=config)
+    jittered = program.run((n, seed), backend="sim", parallelism=4,
+                           config=config)
     assert jittered.value == plain.value
 
 
@@ -133,9 +134,9 @@ def test_church_rosser_under_jitter(n, seed, jitter):
 @settings(max_examples=10, deadline=None)
 def test_result_invariant_under_page_size(page, pes):
     program = compile_source(TEMPLATE)
-    base = program.run_sequential((6, 7)).value
+    base = program.run((6, 7), backend="seq").value
     config = SimConfig(machine=MachineConfig(num_pes=pes, page_size=page))
-    got = program.run_pods((6, 7), num_pes=pes, config=config).value
+    got = program.run((6, 7), backend="sim", config=config).value
     assert got == pytest.approx(base, rel=1e-12)
 
 
@@ -186,10 +187,10 @@ def test_optimizer_preserves_semantics(body, tail, a, b):
     """
     plain = compile_source(src)
     opt = compile_source(src, optimize=True)
-    expected = plain.run_sequential((a, b)).value
-    assert opt.run_sequential((a, b)).value == expected
-    assert plain.run_pods((a, b), num_pes=2).value == expected
-    assert opt.run_pods((a, b), num_pes=2).value == expected
+    expected = plain.run((a, b), backend="seq").value
+    assert opt.run((a, b), backend="seq").value == expected
+    assert plain.run((a, b), backend="sim", parallelism=2).value == expected
+    assert opt.run((a, b), backend="sim", parallelism=2).value == expected
 
 
 @given(expr=exprs())

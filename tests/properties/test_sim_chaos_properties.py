@@ -53,7 +53,7 @@ def _case(name):
             program, args = compile_source(ROW_SWEEP), (6,)
         else:
             program, args = compile_matmul(checksum=True), (4,)
-        clean = program.run_pods(args, config=_config())
+        clean = program.run(args, backend="sim", config=_config()).raw
         _CASES[name] = (program, args, clean.value,
                         _semantic_rows(clean.stats.registry))
     return _CASES[name]
@@ -98,7 +98,8 @@ _drop_clauses = st.lists(
 
 def _assert_confluent(name, spec, **cfg_kw):
     program, args, want_value, want_rows = _case(name)
-    res = program.run_pods(args, config=_config(faults=spec, **cfg_kw))
+    res = program.run(args, backend="sim",
+                      config=_config(faults=spec, **cfg_kw)).raw
     assert res.value == want_value, spec
     assert _semantic_rows(res.stats.registry) == want_rows, spec
 
@@ -135,7 +136,7 @@ def test_drop_plans_heal_within_retransmit_budget(clauses, prob):
 def test_chaos_runs_are_replayable(clauses):
     spec = ";".join(_clause(*c) for c in clauses)
     program, args, _, _ = _case("row-sweep")
-    runs = [program.run_pods(args, config=_config(faults=spec))
+    runs = [program.run(args, backend="sim", config=_config(faults=spec)).raw
             for _ in range(2)]
     assert (runs[0].stats.finish_time_us == runs[1].stats.finish_time_us)
     assert (runs[0].stats.registry.to_jsonl()

@@ -11,7 +11,9 @@ width, ascending and descending, one identity per interpreter or several
 
 * the executed subranges tile the iteration space exactly once;
 * ``rf_counts`` is exactly what ``ArrayHeader.filtered_range`` predicts;
-* the assembled array equals the sequential interpreter's.
+* the assembled array equals the sequential interpreter's;
+* replicated code (outside any distributed loop) writes each element
+  once, at its owner — the location rule.
 """
 
 import pytest
@@ -52,6 +54,26 @@ function main(n, m) {
     return A;
 }"""
 
+# Replicated writes: nothing here is inside a distributed loop.  The
+# loop carries ``s`` and so stays serial; every identity computes every
+# value, and only the owner of an element may write it.
+TOP_LEVEL = """
+function main(n) {
+    A = array(n);
+    A[1] = 7;
+    A[n] = 9;
+    for i = 2 to n - 1 { A[i] = 2 * i; }
+    return A;
+}"""
+
+SERIAL_FILL = """
+function main(n) {
+    A = array(n);
+    s = 0;
+    for i = 1 to n { next s = s + i; A[i] = s + i; }
+    return A;
+}"""
+
 
 class PlainArray(SeqArray):
     """One interpreter's handle to a shared array that lives in this
@@ -66,6 +88,10 @@ class PlainArray(SeqArray):
         self.header = ArrayHeader(seq, tuple(dims), PAGE, width)
         self.writes = 0
 
+    def write(self, indices, value):
+        self.writes += 1
+        return super().write(indices, value)  # enforces single assignment
+
     def stats(self) -> dict:
         return {"reads": 0, "writes": self.writes, "deferred_reads": 0,
                 "spin_wait_s": 0.0, "max_spin_wait_s": 0.0,
@@ -79,19 +105,13 @@ class PlainSpmd(SpmdInterpreter):
     shared_cls = PlainArray
 
     def __init__(self, program, identities, width, store) -> None:
-        super().__init__(program.ast, program.graph, identities, "main",
-                         EventTrigger((), ()))
+        super().__init__(program, identities, EventTrigger((), ()))
         self.width = width
         self.store = store
         self.executed: list[tuple[str, int]] = []
 
     def alloc_shared(self, seq, dims):
         return PlainArray(seq, dims, self.width, self.store)
-
-    def on_array_write(self, arr, indices, value):
-        if isinstance(arr, PlainArray):
-            arr.writes += 1
-        arr.write(indices, value)  # SeqArray enforces single assignment
 
     def run_iteration(self, stmt, env, depth, i):
         block = self.block_of.get(id(stmt))
@@ -185,6 +205,32 @@ def test_inner_dimension_filter_tiles_every_row(width, takeover):
         total += sum(items * count for (_, _, _, items), count
                      in interp.rf_counts.items())
     assert total == n * m
+
+
+@pytest.mark.parametrize("takeover", [False, True],
+                         ids=["single-identity", "takeover"])
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("source,serial",
+                         [(TOP_LEVEL, False), (SERIAL_FILL, True)],
+                         ids=["top-level", "serial-loop"])
+def test_replicated_writes_land_once_at_the_owner(source, serial, width,
+                                                  takeover):
+    n = 23
+    program, arrays, interps = _run(source, (n,), width, takeover)
+    if serial:
+        assert program.partition_report.distributed == []
+    # Complete (equals the oracle) and never doubled (PlainArray raises
+    # on a second write): every element was written exactly once.
+    assert arrays["a1"] == program.run((n,), backend="seq").value
+    assert sum(arr.writes for interp in interps
+               for arr in interp.shared_arrays) == n
+    if serial:
+        # ... and each by the interpreter holding its owning identity.
+        header = ArrayHeader(1, (n,), PAGE, width)
+        for interp in interps:
+            owned = sum(header.owner_of_offset(off) in interp.identities
+                        for off in range(n))
+            assert interp.shared_arrays[0].writes == owned
 
 
 def test_arrays_allocated_inside_a_distributed_iteration_are_private():

@@ -36,9 +36,9 @@ def _config(pes: int, fast: bool, **over) -> SimConfig:
 
 def _run_both(program, args: tuple, pes: int, **over):
     """One (program, args, pes) configuration on both interpreter paths."""
-    fast = program.run_pods(args, config=_config(pes, True, **over))
-    ref = program.run_pods(args, config=_config(pes, False, **over))
-    return fast, ref
+    return tuple(program.run(args, backend="sim",
+                             config=_config(pes, fast, **over)).raw
+                 for fast in (True, False))
 
 
 def _assert_identical(fast, ref) -> None:
@@ -82,7 +82,7 @@ class TestChaosScenarios:
     def test_scenario_bit_identical(self, program, scenario):
         def run(fast: bool):
             cfg = _config(4, fast, faults=scenario.faults, **scenario.cfg)
-            return program.run_pods((chaos.N,), config=cfg)
+            return program.run((chaos.N,), backend="sim", config=cfg).raw
 
         if scenario.heals:
             _assert_identical(run(True), run(False))
@@ -125,7 +125,7 @@ class TestErrorText:
         errors = []
         for fast in (True, False):
             with pytest.raises(Exception) as exc:
-                program.run_pods(args, config=_config(2, fast))
+                program.run(args, backend="sim", config=_config(2, fast))
             errors.append((type(exc.value), str(exc.value)))
         assert errors[0] == errors[1]
 
@@ -143,7 +143,7 @@ class TestTilingInvariant:
         cfg = SimConfig(machine=MachineConfig(num_pes=pes),
                         obs=ObsConfig(timelines=True, waits=True))
         assert cfg.fast_path
-        result = program.run_pods((8, 1), config=cfg)
+        result = program.run((8, 1), backend="sim", config=cfg).raw
         stats = result.stats
         finish = stats.finish_time_us
         for pe in range(pes):

@@ -30,14 +30,15 @@ function main(n) {
 def with_budget(program, args, k, num_pes=1):
     config = SimConfig(machine=MachineConfig(num_pes=num_pes,
                                              spawn_budget=k))
-    return program.run_pods(args, num_pes=num_pes, config=config)
+    return program.run(args, backend="sim", parallelism=num_pes,
+                       config=config).raw
 
 
 class TestSpawnBudget:
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_results_unchanged(self, k):
         program = compile_source(NESTED)
-        free = program.run_pods((12,), num_pes=1)
+        free = program.run((12,), backend="sim", parallelism=1)
         bounded = with_budget(program, (12,), k)
         assert free.value == bounded.value
 
@@ -45,7 +46,7 @@ class TestSpawnBudget:
         # 8 chained relaxation sweeps: unbounded run-ahead keeps many
         # sweeps' SPs alive at once; k=1 roughly halves the peak.
         program = compile_stencil()
-        free = program.run_pods((12, 8), num_pes=2)
+        free = program.run((12, 8), backend="sim", parallelism=2).raw
         bounded = with_budget(program, (12, 8), 1, num_pes=2)
         assert bounded.value == pytest.approx(free.value)
         assert bounded.stats.max_live_frames < free.stats.max_live_frames
@@ -62,13 +63,13 @@ class TestSpawnBudget:
     def test_multi_pe_with_budget(self):
         program = compile_source(NESTED)
         r = with_budget(program, (12,), 2, num_pes=4)
-        assert r.value == program.run_sequential((12,)).value
+        assert r.value == program.run((12,), backend="seq").value
 
     def test_budget_interacts_with_distributed_spawns(self):
         # LD spawns are exempt (they are the distribution mechanism, not
         # run-ahead); the program still distributes and completes.
         program = compile_source(NESTED)
-        free = program.run_pods((12,), num_pes=4)
+        free = program.run((12,), backend="sim", parallelism=4)
         bounded = with_budget(program, (12,), 1, num_pes=4)
         assert bounded.value == free.value
 
@@ -106,6 +107,6 @@ class TestSpawnBudget:
 
     def test_stats_track_peak(self):
         program = compile_source(NESTED)
-        r = program.run_pods((12,), num_pes=1)
+        r = program.run((12,), backend="sim", parallelism=1).raw
         assert r.stats.max_live_frames > 0
         assert "peak live" in r.stats.report()

@@ -18,8 +18,8 @@ def run(src, args=(), num_pes=1, **cfg):
     p = compile_source(src)
     if cfg:
         config = SimConfig(machine=MachineConfig(num_pes=num_pes, **cfg))
-        return p.run_pods(args, num_pes=num_pes, config=config)
-    return p.run_pods(args, num_pes=num_pes)
+        return p.run(args, backend="sim", config=config).raw
+    return p.run(args, backend="sim", parallelism=num_pes).raw
 
 
 class TestScalars:
@@ -383,8 +383,8 @@ class TestDeterminism:
 
     def test_identical_runs_identical_times(self):
         p = compile_source(self.SWEEP)
-        r1 = p.run_pods((6,), num_pes=3)
-        r2 = p.run_pods((6,), num_pes=3)
+        r1 = p.run((6,), backend="sim", parallelism=3).raw
+        r2 = p.run((6,), backend="sim", parallelism=3).raw
         assert r1.finish_time_us == r2.finish_time_us
         assert r1.value == r2.value
         assert r1.stats.events_processed == r2.stats.events_processed
@@ -393,18 +393,18 @@ class TestDeterminism:
         # The Church-Rosser property (paper Section 2): scheduling
         # nondeterminism must never change the answer.
         p = compile_source(self.SWEEP)
-        base = p.run_pods((6,), num_pes=4)
+        base = p.run((6,), backend="sim", parallelism=4)
         for seed in range(5):
             cfg = SimConfig(machine=MachineConfig(num_pes=4),
                             jitter_seed=seed, jitter_max_us=200.0)
-            jr = p.run_pods((6,), num_pes=4, config=cfg)
+            jr = p.run((6,), backend="sim", parallelism=4, config=cfg)
             assert jr.value == base.value
 
     def test_same_result_across_pe_counts(self):
         p = compile_source(self.SWEEP)
-        base = p.run_pods((7,), num_pes=1).value
+        base = p.run((7,), backend="sim", parallelism=1).value
         for pes in (2, 3, 5, 8):
-            assert p.run_pods((7,), num_pes=pes).value == base
+            assert p.run((7,), backend="sim", parallelism=pes).value == base
 
 
 class TestStatsAndUnits:

@@ -36,7 +36,7 @@ def program():
 
 @pytest.fixture(scope="module")
 def clean(program):
-    return program.run_pods((N,), config=_config(2))
+    return program.run((N,), backend="sim", config=_config(2)).raw
 
 
 def _config(pes, **kw):
@@ -88,7 +88,8 @@ class TestHealing:
 
     def run_chaos(self, program, faults, **kw):
         kw.setdefault("retransmit_timeout_us", 1_000.0)
-        return program.run_pods((N,), config=_config(2, faults=faults, **kw))
+        return program.run((N,), backend="sim",
+                           config=_config(2, faults=faults, **kw)).raw
 
     def test_drop_heals_via_retransmit(self, program, clean):
         res = self.run_chaos(program, "drop:kind=page,count=1")
@@ -145,7 +146,7 @@ class TestGuardrails:
     def test_pe_halt_raises_structured_error(self, program):
         wall = 100_000.0
         with pytest.raises(PEHaltError) as err:
-            program.run_pods((N,), config=_config(
+            program.run((N,), backend="sim", config=_config(
                 2, faults="pe-halt:pe=1,at=300",
                 max_sim_time_us=wall, retransmit_timeout_us=1_000.0))
         exc = err.value
@@ -157,7 +158,7 @@ class TestGuardrails:
 
     def test_budget_exhaustion_raises_livelock(self, program):
         with pytest.raises(LivelockError, match="retransmit budget"):
-            program.run_pods((N,), config=_config(
+            program.run((N,), backend="sim", config=_config(
                 2, faults="drop:kind=read,count=0",
                 retransmit_timeout_us=500.0, retransmit_budget=3))
 
@@ -166,7 +167,7 @@ class TestGuardrails:
         # retry for ~budget x timeout; the wall cuts the run off first
         # with a structured error, not a hang.
         with pytest.raises(LivelockError, match="max_sim_time_us"):
-            program.run_pods((N,), config=_config(
+            program.run((N,), backend="sim", config=_config(
                 2, faults="drop:kind=read,count=0",
                 retransmit_timeout_us=5_000.0, retransmit_budget=1000,
                 max_sim_time_us=20_000.0))
@@ -175,8 +176,8 @@ class TestGuardrails:
         from repro.common.errors import ExecutionError
 
         with pytest.raises(ExecutionError, match="targets PE 7"):
-            program.run_pods((N,), config=_config(
-                2, faults="pe-halt:pe=7"))
+            program.run((N,), backend="sim",
+                        config=_config(2, faults="pe-halt:pe=7"))
 
     def test_deadlock_reports_last_progress_under_reliable(self):
         # A genuine dataflow deadlock (element never written) with the
@@ -190,7 +191,8 @@ function main(n) {
 }
 """)
         with pytest.raises(DeadlockError, match="last progress at"):
-            program.run_pods((2,), config=_config(2, reliable=True))
+            program.run((2,), backend="sim",
+                        config=_config(2, reliable=True))
 
 
 class TestZeroCost:
@@ -201,7 +203,8 @@ class TestZeroCost:
         assert '"name":"net.' not in clean.stats.registry.to_jsonl()
 
     def test_reliable_on_clean_network_same_result(self, program, clean):
-        res = program.run_pods((N,), config=_config(2, reliable=True))
+        res = program.run((N,), backend="sim",
+                          config=_config(2, reliable=True)).raw
         assert res.value == clean.value
         ns = res.stats.netstats
         assert ns.sent > 0 and ns.acks_sent > 0

@@ -66,6 +66,57 @@ class TestParallelismValidation:
             program.run((3,), backend="parallel", parallelism=0)
 
 
+class TestExplicitParallelismWins:
+    """``parallelism=`` beats the config's width on every backend —
+    ``1`` included (the simulator used to exempt it)."""
+
+    @staticmethod
+    def _config_at(backend, width):
+        from repro.common.config import DistConfig, MachineConfig
+
+        if backend in ("sim", "static"):
+            return SimConfig(machine=MachineConfig(num_pes=width))
+        if backend == "parallel":
+            return ParallelConfig(workers=width)
+        return DistConfig(nodes=width)
+
+    @pytest.mark.parametrize("backend", ["sim", "static", "parallel",
+                                         "dist"])
+    @pytest.mark.parametrize("config_width,explicit", [(4, 1), (1, 2)])
+    def test_explicit_width_beats_config(self, program, backend,
+                                         config_width, explicit):
+        r = program.run((3,), backend=backend, parallelism=explicit,
+                        config=self._config_at(backend, config_width))
+        assert r.parallelism == explicit
+        assert r.fingerprint["parallelism"] == explicit
+
+    @pytest.mark.parametrize("backend", ["sim", "static", "parallel",
+                                         "dist"])
+    def test_none_defers_to_config(self, program, backend):
+        r = program.run((3,), backend=backend,
+                        config=self._config_at(backend, 2))
+        assert r.parallelism == 2
+
+    def test_seq_is_always_one(self, program):
+        assert program.run((3,), backend="seq", parallelism=4).parallelism == 1
+
+
+class TestProgramIsWhatCrossesTheBoundary:
+    @pytest.mark.parametrize("backend", ["parallel", "dist"])
+    def test_spmd_backends_reject_a_bare_ast(self, program, backend):
+        with pytest.raises(BackendConfigError, match="compiled Program"):
+            get_backend(backend).run(program.ast, (3,), parallelism=2)
+
+    def test_sim_still_runs_a_bare_pods_program(self, program):
+        # .pods files (serialized SP templates) are a real input.
+        assert get_backend("sim").run(program.pods, (3,)).value == 6
+
+    @pytest.mark.parametrize("backend", ["seq", "static"])
+    def test_checkpointing_needs_the_capability(self, program, backend):
+        with pytest.raises(BackendConfigError, match="checkpointing"):
+            program.run((3,), backend=backend, ckpt=object())
+
+
 class TestConfigTypeChecking:
     def test_sim_rejects_parallel_config(self, program):
         with pytest.raises(BackendConfigError, match="SimConfig"):
@@ -149,7 +200,7 @@ class TestRunBoundaryConfigValidation:
         ("parallel", "poll_interval_s"),
         ("parallel", "spin_ceiling_s"),
         ("parallel", "read_timeout_s"),
-        ("parallel", "retry_backoff_s"),
+        ("parallel", "retry.backoff_base_s"),
         ("dist", "timeout_s"),
         ("dist", "poll_interval_s"),
         ("dist", "connect_timeout_s"),
@@ -157,7 +208,7 @@ class TestRunBoundaryConfigValidation:
         ("dist", "heartbeat_interval_s"),
         ("dist", "heartbeat_timeout_s"),
         ("dist", "retransmit_timeout_s"),
-        ("dist", "retry_backoff_s"),
+        ("dist", "retry.backoff_base_s"),
     ]
 
     @staticmethod
@@ -175,11 +226,16 @@ class TestRunBoundaryConfigValidation:
                              ids=["nan", "inf", "zero", "negative",
                                   "string"])
     @pytest.mark.parametrize("backend,fld", TABLE,
-                             ids=[f"{b}-{f}" for b, f in TABLE])
+                             ids=[f"{b}-{f.replace('.', '_')}"
+                                  for b, f in TABLE])
     def test_bad_field_names_the_field(self, program, backend, fld, bad):
         cfg = self._config_for(backend)
-        object.__setattr__(cfg, fld, bad)
-        with pytest.raises(BackendConfigError, match=fld):
+        *path, leaf = fld.split(".")
+        holder = cfg
+        for name in path:
+            holder = getattr(holder, name)
+        object.__setattr__(holder, leaf, bad)
+        with pytest.raises(BackendConfigError, match=leaf):
             program.run((3,), backend=backend, config=cfg)
 
     def test_constructors_reject_nan_outright(self):
@@ -192,7 +248,8 @@ class TestRunBoundaryConfigValidation:
 
 
 class TestUnknownKeywordRejection:
-    @pytest.mark.parametrize("backend", ["sim", "seq", "static"])
+    @pytest.mark.parametrize("backend", ["sim", "seq", "static",
+                                         "parallel", "dist"])
     def test_unknown_kwargs_rejected(self, program, backend):
         with pytest.raises(BackendConfigError, match="unknown arguments"):
             program.run((3,), backend=backend, bogus_flag=True)

@@ -23,7 +23,7 @@ def program_file(tmp_path):
 
 
 class TestRun:
-    def test_run_pods(self, program_file, capsys):
+    def test_run_sim(self, program_file, capsys):
         assert main(["run", program_file, "--args", "5", "--pes", "2"]) == 0
         out = capsys.readouterr().out
         assert "value: 55" in out

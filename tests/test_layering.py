@@ -1,10 +1,17 @@
-"""The two SPMD substrates never import each other.
+"""Structural gates: what may import what, and who may derive a partition.
 
-What ``parallel`` and ``dist`` share lives below both — the SPMD core in
-``repro.runtime.spmd``, the fault-plan engine and the retry/recovery
-types in ``repro.common`` — so an import from one package into the other
-is a fork of something that should be shared.  AST-gate both directions
-(in the style of the ``dist/reasons.py`` grep-gate).
+The two SPMD substrates never import each other.  What ``parallel`` and
+``dist`` share lives below both — the SPMD core in ``repro.runtime.spmd``,
+the fault-plan engine and the retry/recovery types in ``repro.common`` —
+so an import from one package into the other is a fork of something that
+should be shared.  AST-gate both directions (in the style of the
+``dist/reasons.py`` grep-gate).
+
+And a partition is derived once per compiled program: only ``api.py``
+(``compile_source``) calls ``build_graph`` or the Partitioner.  Every
+backend executes the ``Program`` it is handed; a second derivation
+elsewhere would be free to disagree with the first about which loops are
+distributed.
 """
 
 import ast
@@ -39,3 +46,45 @@ def test_spmd_substrates_do_not_import_each_other(package, forbidden):
     assert not offenders, (
         f"repro.{package} imports {forbidden} in {offenders}; share it "
         "through repro.runtime.spmd or repro.common instead")
+
+
+DERIVATIONS = {"build_graph", "partition", "partition_none"}
+
+
+def _derivation_calls(path: str) -> list[str]:
+    """``name:line`` of every call that derives a graph or a partition:
+    a bare ``build_graph(``/``partition(``/``partition_none(``, or the
+    same reached through a module (``partitioner.partition(``) — but not
+    the ``str.partition`` method on some other value."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in DERIVATIONS:
+            found.append(f"{func.id}:{node.lineno}")
+        elif isinstance(func, ast.Attribute) and func.attr in DERIVATIONS \
+                and isinstance(func.value, ast.Name) \
+                and func.value.id in ("graph", "builder", "partitioner"):
+            found.append(f"{func.value.id}.{func.attr}:{node.lineno}")
+    return found
+
+
+def test_only_compile_source_derives_a_partition():
+    root = os.path.dirname(repro.__file__)
+    offenders = {}
+    for dirpath, _, fnames in os.walk(root):
+        rel = os.path.relpath(dirpath, root)
+        if rel.split(os.sep)[0] in ("graph", "partitioner"):
+            continue  # the defining packages
+        for fname in fnames:
+            if not fname.endswith(".py") or (rel == "." and fname == "api.py"):
+                continue
+            calls = _derivation_calls(os.path.join(dirpath, fname))
+            if calls:
+                offenders[os.path.join(rel, fname)] = calls
+    assert not offenders, (
+        f"a second derivation of the graph/partition: {offenders}; run "
+        "the compiled Program (program.graph) instead")

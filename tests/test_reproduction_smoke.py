@@ -18,7 +18,7 @@ def simple():
 def points(simple):
     out = {}
     for n, pes in [(8, 1), (8, 4), (16, 1), (16, 4)]:
-        out[(n, pes)] = simple.run_pods((n, 1), num_pes=pes)
+        out[(n, pes)] = simple.run((n, 1), backend="sim", parallelism=pes).raw
     return out
 
 
@@ -41,18 +41,18 @@ class TestHeadlines:
         assert s16 > s8 > 1.0  # larger problems scale further
 
     def test_pods_beats_static_baseline(self, simple, points):
-        static = simple.run_static((16, 1), num_pes=4)
-        static1 = simple.run_static((16, 1), num_pes=1)
+        static = simple.run((16, 1), backend="static", parallelism=4)
+        static1 = simple.run((16, 1), backend="static", parallelism=1)
         pods_speedup = (points[(16, 1)].finish_time_us
                         / points[(16, 4)].finish_time_us)
         pr_speedup = static1.time_us / static.time_us
         assert pods_speedup > pr_speedup
 
     def test_sec534_direction(self, simple, points):
-        seq = simple.run_sequential((16, 1))
+        seq = simple.run((16, 1), backend="seq")
         assert 1.0 < points[(16, 1)].finish_time_us / seq.time_us < 3.0
 
     def test_all_backends_one_answer(self, simple, points):
-        seq = simple.run_sequential((8, 1)).value
+        seq = simple.run((8, 1), backend="seq").value
         assert points[(8, 1)].value == pytest.approx(seq, rel=1e-12)
         assert points[(8, 4)].value == pytest.approx(seq, rel=1e-12)
