@@ -242,10 +242,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--output-dir", default=None,
                         help="directory for the JSON document "
                              "(default benchmarks/results/)")
-    parser.add_argument("--differential", action="store_true",
-                        help="re-run the largest PE count on the "
-                             "reference interpreter and require "
-                             "bit-identity with the fast path")
     parser.add_argument("--record-dir", default=None,
                         help="also deposit a pods-run/v1 record per PE "
                              "count into this run ledger (e.g. "
@@ -278,28 +274,6 @@ def main(argv: list[str] | None = None) -> int:
               f"EU {pt['utilization']['EU'] * 100:5.1f}%  "
               f"critical path {pt['critical_path_us'] / 1e6:9.6f} s")
     print(f"(host wall clock: {wall_s:.2f} s)")
-
-    if args.differential:
-        pes = pe_counts[-1]
-        shape = (args.size, args.steps)
-        results = {}
-        for fast in (True, False):
-            obs = ObsConfig(metrics=True)
-            config = SimConfig(
-                machine=MachineConfig(num_pes=pes), obs=obs,
-                fast_path=fast)
-            res = program.run(shape, backend="sim", config=config).raw
-            results[fast] = (res.finish_time_us,
-                             res.stats.events_processed,
-                             res.stats.registry.to_jsonl())
-        if results[True] != results[False]:
-            print(f"DIFFERENTIAL FAILED at {args.size}x{args.size}@{pes}: "
-                  f"fast {results[True][:2]} vs "
-                  f"reference {results[False][:2]}")
-            return 1
-        print(f"differential OK: fast path bit-identical to reference at "
-              f"{args.size}x{args.size}@{pes} "
-              f"({results[True][1]} events, {results[True][0]:.3f} us)")
 
     if args.json:
         doc = trajectory.make_doc(

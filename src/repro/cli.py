@@ -422,6 +422,15 @@ def _cmd_runs_regress(args: argparse.Namespace) -> int:
         current = store.get(matches[-1].id)
     result = runrecord.diff(baseline, current, rtol=args.rtol)
     print(result.render())
+    stale = runrecord.config_changes(baseline, current)
+    if stale and not args.report_only:
+        # diff() downgrades every delta to informational across a config
+        # change, so gating on such a baseline would pass whatever the
+        # run did.
+        raise RunRegressionError(
+            f"baseline {args.baseline} is stale: its config differs from "
+            f"the run's ({', '.join(stale)}); regenerate the baseline "
+            "from a current run")
     if not result.ok and not args.report_only:
         raise RunRegressionError(
             f"{len(result.regressions)} regression(s) against baseline "
@@ -613,7 +622,8 @@ def build_parser() -> argparse.ArgumentParser:
     runs_regress = runs_sub.add_parser(
         "regress", help="gate the newest matching stored run against a "
                         "committed baseline record; exits 1 on "
-                        "regression")
+                        "regression or when the baseline's config no "
+                        "longer matches the run's")
     _store_arg(runs_regress)
     runs_regress.add_argument("--baseline", required=True,
                               help="committed pods-run/v1 record file")

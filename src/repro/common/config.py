@@ -144,8 +144,8 @@ class ObsConfig:
         timelines: Record per-(PE, unit) busy-interval timelines, from
             which unit utilization (Figures 8/9) is derived and which
             the Perfetto exporter renders one track per PE x unit.
-        trace: Record the structured event trace (same recorder
-            ``SimConfig.trace`` enables; either flag turns it on).
+        trace: Record the structured event trace
+            (:mod:`repro.sim.trace`).
         trace_limit: Maximum retained trace events.
         trace_mode: What happens at the limit — ``"drop"`` stops
             recording (keeps the oldest events), ``"ring"`` keeps the
@@ -184,7 +184,6 @@ class SimConfig:
         machine: The machine being simulated.
         max_events: Safety valve against runaway programs; the simulator
             aborts with a diagnostic once this many events have fired.
-        trace: Emit a per-event trace (shorthand for ``obs.trace``).
         obs: Observability configuration (metrics registry, busy
             timelines, trace buffer policy) — see :class:`ObsConfig`.
         jitter_seed: When not None, adds deterministic pseudo-random delays
@@ -215,19 +214,10 @@ class SimConfig:
         quiescence_us: Livelock/partition detector window: when nothing
             but retransmissions has happened for this much modeled time,
             the run aborts with the appropriate structured error.
-        fast_path: Use the table-driven interpreter
-            (:mod:`repro.sim.decode`): SP templates are compiled to
-            per-instruction closures at machine construction and
-            same-timestamp events are batched in the engine.  The fast
-            path is bit-identical to the reference interpreter (modeled
-            times, metrics, traces, error text); disable it to
-            cross-check, or set ``PODS_SIM_REFERENCE=1`` in the
-            environment to force the reference path globally.
     """
 
     machine: MachineConfig = field(default_factory=MachineConfig)
     max_events: int = 200_000_000
-    trace: bool = False
     obs: ObsConfig = field(default_factory=ObsConfig)
     jitter_seed: int | None = None
     jitter_max_us: float = 50.0
@@ -237,7 +227,6 @@ class SimConfig:
     retransmit_timeout_us: float = 5_000.0
     retransmit_budget: int = 8
     quiescence_us: float = 50_000.0
-    fast_path: bool = True
 
     def __post_init__(self) -> None:
         if self.max_events < 1:

@@ -412,6 +412,13 @@ def _fmt_labels(row: dict) -> str:
     return f"{row['name']}{{{labels}}}" if labels else row["name"]
 
 
+def config_changes(a: dict, b: dict) -> list[str]:
+    """Config keys whose value differs between two records (added and
+    removed keys included), sorted."""
+    ac, bc = a.get("config", {}), b.get("config", {})
+    return [k for k in sorted(set(ac) | set(bc)) if ac.get(k) != bc.get(k)]
+
+
 def diff(a: dict, b: dict, rtol: float = 0.02,
          semantic: bool = False) -> RunDiff:
     """Diff two ``pods-run/v1`` records, aligning metric rows by
@@ -429,7 +436,8 @@ def diff(a: dict, b: dict, rtol: float = 0.02,
     width (per-label rows shift with the partition; the totals cannot).
     """
     out = RunDiff(a_id=record_id(a), b_id=record_id(b), rtol=rtol)
-    config_changed = a.get("config") != b.get("config")
+    changed = config_changes(a, b)
+    config_changed = bool(changed)
     if a.get("program") != b.get("program"):
         out.notes.append(
             f"program changed: {a.get('program', {}).get('name')!r} "
@@ -441,10 +449,7 @@ def diff(a: dict, b: dict, rtol: float = 0.02,
         out.notes.append(f"args changed: {a.get('args')} -> "
                          f"{b.get('args')}")
         config_changed = True
-    if a.get("config") != b.get("config"):
-        keys = sorted(set(a.get("config", {})) | set(b.get("config", {})))
-        changed = [k for k in keys if a.get("config", {}).get(k)
-                   != b.get("config", {}).get(k)]
+    if changed:
         out.notes.append("config changed (" + ", ".join(changed) +
                          "); treating deltas as informational")
 

@@ -20,11 +20,6 @@ DONE = 3
 STATUS_NAMES = {READY: "ready", RUNNING: "running", BLOCKED: "blocked",
                 DONE: "done"}
 
-_ABSENT = object()
-
-ABSENT = _ABSENT
-"""Sentinel marking an empty operand slot (exported for fast-path checks)."""
-
 
 class Frame:
     """One active Subcompact Process.
@@ -59,15 +54,13 @@ class Frame:
         self.status = READY
         self.waiting_slot: int | None = None
         self.waiting_header: int | None = None
-        self._slots: list[Any] = [_ABSENT] * num_slots
-        # Presence bitmask: bit i set <=> slot i holds a value.  Kept in
-        # lock-step with the ABSENT sentinel by put()/clear(); the
-        # table-driven fast path (repro.sim.decode) tests operand
-        # presence with one mask op instead of a sentinel compare per
-        # operand.
+        self._slots: list[Any] = [None] * num_slots
+        # Presence bits: bit i set <=> slot i holds a value.  The one
+        # record of presence — a cleared slot keeps its stale value and
+        # is absent because its bit is off.
         self.present_mask = 0
-        # Decoded handler table for this frame's template (set by the
-        # machine when the fast path is on; None on the reference path).
+        # Handler table of this frame's template (repro.sim.decode),
+        # set by the machine that creates the frame.
         self.code = None
         self._spawn_seq = 0
         self.name = name
@@ -85,21 +78,19 @@ class Frame:
     # -- slots ---------------------------------------------------------
 
     def present(self, index: int) -> bool:
-        return self._slots[index] is not _ABSENT
+        return bool(self.present_mask >> index & 1)
 
     def get(self, index: int) -> Any:
-        value = self._slots[index]
-        if value is _ABSENT:
+        if not self.present_mask >> index & 1:
             raise LookupError(
                 f"slot {index} of frame {self.uid} ({self.name}) is absent"
             )
-        return value
+        return self._slots[index]
 
     def peek(self, index: int) -> tuple[bool, Any]:
-        value = self._slots[index]
-        if value is _ABSENT:
+        if not self.present_mask >> index & 1:
             return False, None
-        return True, value
+        return True, self._slots[index]
 
     def put(self, index: int, value: Any) -> bool:
         """Write a slot.  Returns True when this fills the slot the frame
@@ -110,7 +101,6 @@ class Frame:
         return self.status == BLOCKED and self.waiting_slot == index
 
     def clear(self, index: int) -> None:
-        self._slots[index] = _ABSENT
         self.present_mask &= ~(1 << index)
 
     # -- scheduling ----------------------------------------------------

@@ -1,35 +1,34 @@
-"""Table-driven fast path: closure-compiled SP dispatch tables.
+"""The EU's instruction decoder: SP templates compiled to handler tables.
 
-The reference interpreter (:meth:`Machine._execute`) re-decodes every
-instruction on every execution: it walks the operand tuples, rebuilds an
-operand-value list, looks the opcode up in a 14-way if/elif chain, and
-fetches scalar functions and timing costs from dicts.  All of that is
-static — the paper's point is precisely that translate-time knowledge
-makes run-time dispatch cheap — so :func:`decode_program` hoists it to
-decode time, once per template.
+Everything about an SP instruction except its operand *values* is known
+at translate time — the paper's point is precisely that this makes
+run-time dispatch cheap — so :func:`decode_program` resolves it once per
+template instead of once per execution.  Each instruction compiles to
+one closure ``handler(M, pe, frame, t) -> (t2, frame_or_None)`` whose
+cells hold the pre-resolved operand slot indices (``-1`` marks an
+immediate), the bound scalar function, the float/int timing-cost pair,
+and the successor pc.  :meth:`Machine._eu_step` runs a frame by calling
+``frame.code[frame.pc]``; this module is the only place that maps
+opcodes to behaviour (``tests/test_layering.py`` holds that).
 
-Each instruction compiles to one closure ``handler(M, pe, frame, t) ->
-(t2, frame_or_None)`` whose cells hold the pre-resolved operand slot
-indices (``-1`` marks an immediate), the bound scalar function, the
-float/int timing-cost pair, and the successor pc.  Operand presence is
-one mask test against ``frame.present_mask`` instead of a sentinel
-compare per slot.
+The contract every handler keeps — it is the machine's, pinned by
+``tests/sim/reference_fingerprint.json``:
 
-The fast path must stay **bit-identical** to the reference: identical
-float accumulation order (``busy["EU"] += cost`` then ``t + cost``),
-identical blocking order (a, b, extra, then args — block on the *first*
-absent operand), identical error-message text, and identical
-``stats.instructions`` counting (incremented before dispatch, so an
-instruction that blocks inside a split-phase helper re-counts when it
-re-executes, exactly like the reference).  The differential suite
-(tests/sim/test_fastpath_differential.py) holds this contract against
-every app and chaos scenario; disable the fast path with
-``SimConfig(fast_path=False)`` or ``PODS_SIM_REFERENCE=1``.
+* **Blocking order.**  Operand presence is tested against
+  ``frame.present_mask`` in the order a, b, extra, then args; the
+  handler blocks on the *first* absent operand, before any side effect.
+* **Count before dispatch.**  ``stats.instructions`` is incremented once
+  all operands are present and before the instruction acts, so an
+  instruction that then blocks inside a split-phase helper (header not
+  installed, spawn budget exhausted) counts again when it re-executes.
+* **Float accumulation order.**  ``busy["EU"] += cost`` then
+  ``t + cost``; modeled times are compared with ``==``, so the order of
+  additions is part of the behaviour.
+* **Diagnostics.**  Error text names the template and the pc.
 
 Complex opcodes (AREAD / AWRITE / RFRANGE / SPAWN / END) keep their
-side-effect logic in the existing ``Machine._eu_*`` helpers — shared
-with the reference path — and only the decode/presence front end is
-compiled.
+side-effect logic in the ``Machine._eu_*`` helpers; only the
+decode/presence front end is compiled here.
 """
 
 from __future__ import annotations
@@ -55,9 +54,8 @@ Handler = Callable
 def _operand(o) -> tuple[int, object]:
     """Pre-resolve one operand to ``(slot_index, constant)``.
 
-    ``slot_index`` is ``-1`` for immediates *and* for absent operands,
-    whose constant is ``None`` — matching the reference interpreter's
-    ``vals.append(None)`` for missing a/b/extra fields.
+    ``slot_index`` is ``-1`` for immediates *and* for missing a/b/extra
+    fields, whose constant is ``None``.
     """
     if o is None:
         return -1, None
@@ -74,8 +72,8 @@ def _arg_specs(instr: isa.Instr) -> tuple:
 #
 # Every compiler is called once per (pc, instr) at decode time and
 # returns the run-time closure.  Presence checks read frame.present_mask
-# and block via M._block_on on the first absent slot, in the reference
-# order: a, b, extra, then args.
+# and block via M._block_on on the first absent slot, in the order
+# a, b, extra, then args.
 
 
 def _c_bin(pc: int, instr: isa.Instr) -> Handler:
@@ -457,8 +455,8 @@ def compile_template(template: isa.SPTemplate) -> list[Handler]:
     for pc, instr in enumerate(template.code):
         compiler = _COMPILERS.get(instr.op)
         if compiler is None:
-            # The reference path raises at execution; a table entry that
-            # cannot be built is a translation bug, so fail at decode.
+            # A table entry that cannot be built is a translation bug,
+            # so fail at decode rather than at execution.
             raise ExecutionError(f"unknown opcode {instr.op}")
         code.append(compiler(pc, instr))
     return code

@@ -29,7 +29,6 @@ granularity.
 
 from __future__ import annotations
 
-import os
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -45,14 +44,13 @@ from repro.common.errors import (
     SingleAssignmentViolation,
 )
 from repro.runtime.arrays import ArrayHeader
-from repro.runtime.frames import ABSENT, BLOCKED, DONE, READY, RUNNING, Frame
+from repro.runtime.frames import BLOCKED, DONE, READY, RUNNING, Frame
 from repro.runtime.istructure import ABSENT as CELL_ABSENT
 from repro.runtime.istructure import IStructureSegment
 from repro.runtime.tokens import (
     AckMsg,
     AllocRequestMsg,
     BroadcastTokensMsg,
-    DirectToken,
     MatchToken,
     PageResponseMsg,
     ReadRequestMsg,
@@ -64,6 +62,7 @@ from repro.runtime.tokens import (
 )
 from repro.runtime.values import ArrayId, ArrayValue
 from repro.sim import timing as T
+from repro.sim.decode import decode_program
 from repro.sim.pe import PE
 from repro.sim.stats import RunStats
 from repro.translator import isa
@@ -135,23 +134,12 @@ class Machine:
         self._batch: deque = deque()
         self._next_frame_uid = ROOT_UID + 1
         self._next_array_id = 1
-        self._code = {bid: t.code for bid, t in program.templates.items()}
         self._inputs = {bid: t.inputs for bid, t in program.templates.items()}
         self._is_function = {bid: t.kind == "function"
                              for bid, t in program.templates.items()}
-        # Table-driven fast path (repro.sim.decode): dispatch tables are
-        # compiled once per machine; None selects the reference
-        # interpreter (SimConfig.fast_path=False or PODS_SIM_REFERENCE
-        # in the environment).
-        self._dcode = None
-        if self.config.fast_path and not os.environ.get("PODS_SIM_REFERENCE"):
-            from repro.sim.decode import decode_program
-
-            self._dcode = decode_program(program)
-            # Shadow the class method with one stable bound method: every
-            # scheduling site (`self._eu_step`) resolves to the fast twin
-            # without a per-call descriptor lookup.
-            self._eu_step = self._eu_step_fast
+        # The EU's instruction store: one handler table per template,
+        # compiled once per machine (repro.sim.decode).
+        self._dcode = decode_program(program)
         self._spawn_rr = 0
         self.max_live_frames = 0
         self._rng = (random.Random(self.config.jitter_seed)
@@ -161,7 +149,7 @@ class Machine:
         # pays one identity check per hook site.
         obs_cfg = self.config.obs
         self.tracer = None
-        if self.config.trace or obs_cfg.trace:
+        if obs_cfg.trace:
             from repro.sim.trace import Tracer
 
             self.tracer = Tracer(limit=obs_cfg.trace_limit,
@@ -471,8 +459,7 @@ class Machine:
         frame = Frame(uid, block_id, ctx, pe.pid, template.num_slots,
                       name=template.name,
                       inputs_expected=len(template.inputs))
-        if self._dcode is not None:
-            frame.code = self._dcode[block_id]
+        frame.code = self._dcode[block_id]
         self.frames[uid] = frame
         self._serve(pe, "mm_free", "MM", T.MM_FRAME_OP)
         pe.stats.frames_created += 1
@@ -542,6 +529,14 @@ class Machine:
             self.schedule(max(self.now, pe.eu_time), self._eu_step, pe)
 
     def _eu_step(self, pe: PE) -> None:
+        """Run the PE's EU until it idles, blocks the PE, or must yield
+        to an earlier pending event.
+
+        Instructions dispatch through the frame's handler table
+        (:mod:`repro.sim.decode`).  ``pe.degrade`` can only change in a
+        ``_pe_degrade`` event, which cannot run mid-step, so it is
+        hoisted out of the instruction loop with the other invariants.
+        """
         pe.eu_scheduled = False
         if pe.halted or pe.suspended_on is not None:
             return
@@ -556,93 +551,13 @@ class Machine:
         batch = self._batch
         now = self.now
         stats = pe.stats
-        frame = pe.running
-        if waits is not None and frame is not None:
-            # Re-entering with a carried-over SP (after a yield): its run
-            # segment resumes here.
-            waits.sp_run_begin(frame.uid, t)
-
-        while True:
-            if frame is None:
-                if not pe.ready:
-                    pe.eu_time = t
-                    if span is not None and t > t0:
-                        span(pe.pid, "EU", t0, t)
-                    return
-                frame = pe.ready.popleft()
-                if frame.status != READY:
-                    frame = None
-                    continue
-                frame.status = RUNNING
-                pe.running = frame
-                if waits is not None:
-                    # Ends the sched-queue wait; the context switch is
-                    # charged to the SP's run time.
-                    waits.sp_run_begin(frame.uid, t)
-                t += T.CONTEXT_SWITCH
-                stats.busy["EU"] += T.CONTEXT_SWITCH
-                stats.context_switches += 1
-                continue
-
-            # Never simulate the EU past a pending earlier event.  With
-            # the calendar queue an "earlier event" is either a batched
-            # event at the current timestamp (time == now < t) or the
-            # heap's next timestamp.
-            if (batch and now < t) or (queue and queue[0] < t):
-                pe.eu_scheduled = True
-                pe.eu_time = t
-                self.schedule(t, self._eu_step, pe)
-                if waits is not None:
-                    waits.sp_run_end(frame.uid, t)
-                if span is not None and t > t0:
-                    span(pe.pid, "EU", t0, t)
-                return
-
-            t2, frame = self._execute(pe, frame, t)
-            if pe.degrade != 1.0 and t2 > t:
-                # pe-degrade fault: the EU runs `degrade` times slower;
-                # the extra time is busy time (the unit is grinding).
-                extra = (t2 - t) * (pe.degrade - 1.0)
-                stats.busy["EU"] += extra
-                t2 += extra
-            t = t2
-            if pe.suspended_on is not None:
-                pe.eu_time = t
-                if waits is not None and frame is not None:
-                    waits.sp_run_end(frame.uid, t)
-                if span is not None and t > t0:
-                    span(pe.pid, "EU", t0, t)
-                return
-
-    def _eu_step_fast(self, pe: PE) -> None:
-        """Table-driven twin of :meth:`_eu_step`.
-
-        Installed as the instance's ``_eu_step`` when the fast path is on
-        (see ``__init__``), so every scheduling site picks it up
-        transparently.  Behaviourally identical to the reference step —
-        same yield condition, same cost accounting, same hooks — but
-        instructions dispatch through the frame's compiled handler table
-        (:mod:`repro.sim.decode`) and loop invariants (``pe.degrade``,
-        ``pe.ready``, the busy dict) are hoisted out of the instruction
-        loop.  ``pe.degrade`` can only change in a ``_pe_degrade`` event,
-        which cannot run mid-step, so hoisting it is safe.
-        """
-        pe.eu_scheduled = False
-        if pe.halted or pe.suspended_on is not None:
-            return
-        t = max(self.now, pe.eu_time)
-        t0 = t
-        span = self._span
-        waits = self._waits
-        queue = self._queue
-        batch = self._batch
-        now = self.now
-        stats = pe.stats
         busy = stats.busy
         ready = pe.ready
         degrade = pe.degrade
         frame = pe.running
         if waits is not None and frame is not None:
+            # Re-entering with a carried-over SP (after a yield): its run
+            # segment resumes here.
             waits.sp_run_begin(frame.uid, t)
 
         while True:
@@ -659,12 +574,18 @@ class Machine:
                 frame.status = RUNNING
                 pe.running = frame
                 if waits is not None:
+                    # Ends the sched-queue wait; the context switch is
+                    # charged to the SP's run time.
                     waits.sp_run_begin(frame.uid, t)
                 t += T.CONTEXT_SWITCH
                 busy["EU"] += T.CONTEXT_SWITCH
                 stats.context_switches += 1
                 continue
 
+            # Never simulate the EU past a pending earlier event.  With
+            # the calendar queue an "earlier event" is either the heap's
+            # next timestamp or a batched event at the current one
+            # (time == now < t).
             if (queue and queue[0] < t) or (batch and now < t):
                 pe.eu_scheduled = True
                 pe.eu_time = t
@@ -675,8 +596,12 @@ class Machine:
                     span(pe.pid, "EU", t0, t)
                 return
 
+            # handler -> (new_time, frame_or_None); None means the frame
+            # blocked or terminated and the EU must pick another SP.
             t2, frame = frame.code[frame.pc](self, pe, frame, t)
             if degrade != 1.0 and t2 > t:
+                # pe-degrade fault: the EU runs `degrade` times slower;
+                # the extra time is busy time (the unit is grinding).
                 extra = (t2 - t) * (degrade - 1.0)
                 busy["EU"] += extra
                 t2 += extra
@@ -688,133 +613,6 @@ class Machine:
                 if span is not None and t > t0:
                     span(pe.pid, "EU", t0, t)
                 return
-
-    def _execute(self, pe: PE, frame: Frame, t: float):
-        """Run one instruction at time ``t``.
-
-        Returns (new_time, frame_or_None); None means the EU must pick
-        another SP (the frame blocked or terminated).
-        """
-        instr = self._code[frame.block_id][frame.pc]
-        op = instr.op
-        slots = frame._slots
-        stats = pe.stats
-
-        # -- operand presence (block BEFORE any side effect) -----------
-        vals = []
-        for operand in (instr.a, instr.b, instr.extra):
-            if operand is None:
-                vals.append(None)
-            elif operand[0] == "s":
-                v = slots[operand[1]]
-                if v is ABSENT:
-                    return self._block_on(pe, frame, operand[1], t)
-                vals.append(v)
-            else:
-                vals.append(operand[1])
-        argvals = []
-        for operand in instr.args:
-            if operand[0] == "s":
-                v = slots[operand[1]]
-                if v is ABSENT:
-                    return self._block_on(pe, frame, operand[1], t)
-                argvals.append(v)
-            else:
-                argvals.append(operand[1])
-        av, bv, ev = vals
-
-        stats.instructions += 1
-        busy = stats.busy
-
-        # -- dispatch ---------------------------------------------------
-        if op == isa.BIN:
-            cost = T.binop_cost(instr.fn, av, bv)
-            try:
-                slots[instr.dst] = isa.BINARY_FUNCS[instr.fn](av, bv)
-            except TypeError as exc:
-                raise ExecutionError(
-                    f"{frame.name} pc={frame.pc}: {instr.fn} on "
-                    f"{av!r}, {bv!r}: {exc}") from None
-            frame.pc += 1
-            busy["EU"] += cost
-            return t + cost, frame
-
-        if op == isa.MOV:
-            slots[instr.dst] = av
-            frame.pc += 1
-            busy["EU"] += T.MOV
-            return t + T.MOV, frame
-
-        if op == isa.UN:
-            cost = T.unop_cost(instr.fn, av)
-            try:
-                slots[instr.dst] = isa.UNARY_FUNCS[instr.fn](av)
-            except (TypeError, ValueError) as exc:
-                raise ExecutionError(
-                    f"{frame.name} pc={frame.pc}: {instr.fn} on {av!r}: "
-                    f"{exc}") from None
-            frame.pc += 1
-            busy["EU"] += cost
-            return t + cost, frame
-
-        if op == isa.JUMP:
-            frame.pc = instr.target
-            busy["EU"] += T.INT_ADD
-            return t + T.INT_ADD, frame
-
-        if op == isa.BRF:
-            frame.pc = instr.target if not av else frame.pc + 1
-            busy["EU"] += T.INT_CMP
-            return t + T.INT_CMP, frame
-
-        if op == isa.BRT:
-            frame.pc = instr.target if av else frame.pc + 1
-            busy["EU"] += T.INT_CMP
-            return t + T.INT_CMP, frame
-
-        if op == isa.AREAD:
-            return self._eu_aread(pe, frame, instr, av, argvals, t)
-
-        if op == isa.AWRITE:
-            return self._eu_awrite(pe, frame, instr, av, bv, argvals, t)
-
-        if op == isa.ALLOC:
-            frame.clear(instr.dst)
-            waiter = ReturnAddress(pe.pid, frame.uid, instr.dst)
-            self.schedule(t + T.UNIT_SIGNAL, self._am_alloc, pe,
-                          tuple(argvals), waiter)
-            frame.pc += 1
-            busy["EU"] += T.MOV
-            return t + T.MOV, frame
-
-        if op == isa.RFRANGE:
-            return self._eu_rfrange(pe, frame, instr, av, bv, ev, argvals, t)
-
-        if op == isa.SPAWN:
-            return self._eu_spawn(pe, frame, instr, argvals, t)
-
-        if op == isa.SENDR:
-            raddr = av
-            if not isinstance(raddr, ReturnAddress):
-                raise ExecutionError(
-                    f"{frame.name} pc={frame.pc}: SENDR target is not a "
-                    f"return address: {raddr!r}")
-            self.schedule(t, self._send_token, pe, raddr.pe,
-                          DirectToken(raddr.frame_uid, raddr.slot, bv,
-                                      src_sp=frame.uid))
-            frame.pc += 1
-            busy["EU"] += T.INT_ADD
-            return t + T.INT_ADD, frame
-
-        if op == isa.END:
-            return self._eu_end(pe, frame, t)
-
-        if op == isa.NOP:
-            frame.pc += 1
-            busy["EU"] += T.INT_ADD
-            return t + T.INT_ADD, frame
-
-        raise ExecutionError(f"unknown opcode {op}")
 
     # -- EU helpers ------------------------------------------------------
 

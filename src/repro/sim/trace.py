@@ -1,9 +1,9 @@
 """Event tracing for the PODS simulator.
 
-With ``SimConfig(trace=True)`` (or ``ObsConfig(trace=True)``) the machine
-records a timeline of scheduling-relevant events (SP life cycle, token
-matching, array traffic, messages).  Useful for debugging programs ("why
-is this SP blocked?") and for teaching — the trace of the paper's
+With ``SimConfig(obs=ObsConfig(trace=True))`` the machine records a
+timeline of scheduling-relevant events (SP life cycle, token matching,
+array traffic, messages).  Useful for debugging programs ("why is this
+SP blocked?") and for teaching — the trace of the paper's
 Figure 2 example shows the LD replication and Range-Filter exits PE by
 PE.
 

@@ -62,14 +62,15 @@ def test_renderers_handle_every_app(name):
 
 @pytest.mark.parametrize("name", sorted(APPS))
 def test_trace_mode_does_not_change_results(name):
-    from repro.common.config import MachineConfig, SimConfig
+    from repro.common.config import MachineConfig, ObsConfig, SimConfig
     from repro.sim.machine import Machine
 
     src, args = APPS[name]
     program = compile_source(src)
     plain = program.run(args, backend="sim", parallelism=2)
     m = Machine(program.pods,
-                SimConfig(machine=MachineConfig(num_pes=2), trace=True))
+                SimConfig(machine=MachineConfig(num_pes=2),
+                          obs=ObsConfig(trace=True)))
     traced = m.run(args)
     assert traced.value == pytest.approx(plain.value, rel=1e-12)
     assert traced.finish_time_us == plain.time_us

@@ -1,5 +1,5 @@
 """Run records: schema validation, capture from live backends, diff
-gating, and fast-path/reference determinism."""
+gating, and determinism."""
 
 from __future__ import annotations
 
@@ -17,10 +17,9 @@ from tests.obs.conftest import FILL_AND_SUM
 FULL_OBS = ObsConfig(metrics=True, timelines=True, waits=True)
 
 
-def observed_result(pes: int = 2, fast_path: bool = True):
+def observed_result(pes: int = 2):
     program = compile_source(FILL_AND_SUM)
-    config = SimConfig(machine=MachineConfig(num_pes=pes), obs=FULL_OBS,
-                       fast_path=fast_path)
+    config = SimConfig(machine=MachineConfig(num_pes=pes), obs=FULL_OBS)
     result = program.run((3,), backend="sim", config=config)
     return program, result
 
@@ -248,18 +247,6 @@ class TestSemanticDiff:
 
 
 class TestDeterminism:
-    def test_fast_path_record_matches_reference(self):
-        """The run ledger must not distinguish the table-driven fast
-        path from the reference interpreter: identical records modulo
-        the fast_path knob itself."""
-        docs = {}
-        for fast in (True, False):
-            program, result = observed_result(fast_path=fast)
-            doc = result.to_run_record(program=program, args=(3,))
-            doc["config"].pop("fast_path")
-            docs[fast] = runrecord.canonical_json(doc)
-        assert docs[True] == docs[False]
-
     def test_record_bytes_stable_across_runs(self):
         program, a = observed_result()
         _, b = observed_result()

@@ -4,14 +4,15 @@ tombstones, stall bounding, tracing, gathering, spawn placement."""
 import pytest
 
 from repro.api import compile_source
-from repro.common.config import MachineConfig, SimConfig
+from repro.common.config import MachineConfig, ObsConfig, SimConfig
 from repro.sim.machine import Machine
 
 
 def machine_for(src, **cfg_kwargs):
     trace = cfg_kwargs.pop("trace", False)
     program = compile_source(src)
-    config = SimConfig(machine=MachineConfig(**cfg_kwargs), trace=trace)
+    config = SimConfig(machine=MachineConfig(**cfg_kwargs),
+                       obs=ObsConfig(trace=trace))
     return Machine(program.pods, config), program
 
 
@@ -254,7 +255,7 @@ class TestDiagnostics:
         }
         """
         program = compile_source(src)
-        from repro.common.config import MachineConfig, SimConfig
+        from repro.common.config import MachineConfig, ObsConfig, SimConfig
 
         with pytest.raises(DeadlockError) as exc:
             Machine(program.pods,

@@ -200,7 +200,7 @@ class TestTimeline:
 
     def test_timeline_from_real_run(self):
         from repro.api import compile_source
-        from repro.common.config import MachineConfig, SimConfig
+        from repro.common.config import MachineConfig, ObsConfig, SimConfig
         from repro.sim.machine import Machine
         from repro.sim.trace import timeline
 
@@ -212,7 +212,8 @@ class TestTimeline:
         }
         """)
         m = Machine(program.pods,
-                    SimConfig(machine=MachineConfig(num_pes=3), trace=True))
+                    SimConfig(machine=MachineConfig(num_pes=3),
+                              obs=ObsConfig(trace=True)))
         r = m.run((48,))
         text = timeline(m.tracer, 3, r.finish_time_us, buckets=20)
         assert text.count("PE") == 3

@@ -348,6 +348,34 @@ class TestRunLedger:
                      "--store", ledger]) == 0
         assert "regress: ok" in capsys.readouterr().out
 
+    def test_regress_against_stale_baseline_fails(
+            self, program_file, ledger, tmp_path, capsys):
+        """A baseline recorded under a different config gates nothing
+        (diff() reports across configs, it does not judge), so regress
+        must refuse it rather than print ``regress: ok``."""
+        import json
+
+        from repro.obs import runrecord
+
+        assert self.record_run(program_file, ledger) == 0
+        capsys.readouterr()
+        doc = json.loads(runrecord.canonical_json(
+            self._store(ledger).get("latest")))
+        doc["config"]["retired_knob"] = True  # a key dropped since
+        doc["result"]["value"] = -1           # a wrong answer behind it
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(runrecord.canonical_json(doc) + "\n")
+
+        assert main(["runs", "regress", "--baseline", str(baseline),
+                     "--store", ledger]) == 1
+        captured = capsys.readouterr()
+        assert "regress: ok" not in captured.out
+        assert "error[RunRegressionError/regression]" in captured.err
+        assert "retired_knob" in captured.err
+        assert "regenerate" in captured.err
+        assert main(["runs", "regress", "--baseline", str(baseline),
+                     "--store", ledger, "--report-only"]) == 0
+
     def test_regress_without_matching_run_is_structured_error(
             self, program_file, ledger, tmp_path, capsys):
         from repro.obs import runrecord

@@ -1,4 +1,5 @@
-"""Structural gates: what may import what, and who may derive a partition.
+"""Structural gates: what may import what, who may derive a partition,
+and who may dispatch on an opcode.
 
 The two SPMD substrates never import each other.  What ``parallel`` and
 ``dist`` share lives below both — the SPMD core in ``repro.runtime.spmd``,
@@ -12,6 +13,11 @@ And a partition is derived once per compiled program: only ``api.py``
 backend executes the ``Program`` it is handed; a second derivation
 elsewhere would be free to disagree with the first about which loops are
 distributed.
+
+And the simulator has one Execution Unit: under ``repro/sim`` only
+``decode.py`` names the ``isa`` opcode constants.  A second run-time
+dispatch on ``instr.op`` is a second interpreter growing back, and every
+semantic change would again have to be made twice.
 """
 
 import ast
@@ -20,6 +26,7 @@ import os
 import pytest
 
 import repro
+from repro.translator import isa
 
 
 def _imports(path: str) -> set[str]:
@@ -88,3 +95,33 @@ def test_only_compile_source_derives_a_partition():
     assert not offenders, (
         f"a second derivation of the graph/partition: {offenders}; run "
         "the compiled Program (program.graph) instead")
+
+
+def _opcode_refs(path: str) -> list[str]:
+    """``name:line`` of every reference to an ``isa`` opcode constant:
+    ``isa.MOV`` or ``from repro.translator.isa import MOV``."""
+    opcodes = set(isa.OP_NAMES.values())
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in opcodes \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == "isa":
+            found.append(f"isa.{node.attr}:{node.lineno}")
+        elif isinstance(node, ast.ImportFrom) \
+                and node.module == "repro.translator.isa":
+            found.extend(f"import {a.name}:{node.lineno}"
+                         for a in node.names if a.name in opcodes)
+    return found
+
+
+def test_only_the_decoder_maps_opcodes_to_behaviour():
+    root = os.path.join(os.path.dirname(repro.__file__), "sim")
+    offenders = {
+        fname: refs for fname in sorted(os.listdir(root))
+        if fname.endswith(".py") and fname != "decode.py"
+        and (refs := _opcode_refs(os.path.join(root, fname)))}
+    assert not offenders, (
+        f"opcode dispatch outside repro/sim/decode.py: {offenders}; add "
+        "the behaviour to the handler table instead")
