@@ -4,11 +4,8 @@ need for any specialized hardware units to support the system"."""
 
 from __future__ import annotations
 
-import time
+from conftest import PE_GRID, simple_args
 
-from conftest import PE_GRID, SIMPLE_STEPS, simple_args
-
-from repro.bench import trajectory
 from repro.bench.harness import save_report
 from repro.bench.report import render_table
 from repro.sim.stats import UNITS
@@ -16,7 +13,6 @@ from repro.sim.stats import UNITS
 
 def test_fig8_unit_balance(benchmark, obs_sweeper, simple_program):
     args = simple_args(16)
-    t0 = time.perf_counter()
     rows = []
     points = {}
     for pes in PE_GRID:
@@ -24,7 +20,6 @@ def test_fig8_unit_balance(benchmark, obs_sweeper, simple_program):
         points[pes] = point
         rows.append([pes] + [f"{point.utilization[u] * 100:.1f}%"
                              for u in UNITS])
-    wall_s = time.perf_counter() - t0
 
     table = render_table(["PEs"] + list(UNITS), rows)
     report = ("Figure 8 - average utilization of each functional unit\n"
@@ -32,15 +27,6 @@ def test_fig8_unit_balance(benchmark, obs_sweeper, simple_program):
               "timelines)\n\n" + table)
     save_report("fig08_unit_balance.txt", report)
     print("\n" + report)
-
-    trajectory.save(trajectory.make_doc(
-        "fig08_unit_balance",
-        {"app": "simple", "size": 16, "steps": SIMPLE_STEPS},
-        [{"label": f"16x16@{pes}", "pes": pes,
-          "time_us": points[pes].time_us,
-          "utilization": points[pes].utilization}
-         for pes in PE_GRID],
-        wall_s=round(wall_s, 3)))
 
     # The timeline-derived numbers must agree with the simulator's
     # busy-time accumulators to within 0.1% (relative).

@@ -6,19 +6,15 @@ idle"."""
 
 from __future__ import annotations
 
-import time
+from conftest import PE_GRID, pe_grid, simple_args
 
-from conftest import PE_GRID, SIMPLE_STEPS, pe_grid, simple_args
-
-from repro.bench import trajectory
-from repro.bench.harness import FULL_SCALE, save_report
+from repro.bench.harness import save_report
 from repro.bench.report import render_series_chart, render_table
 
 SIZES = [16, 32, 64]
 
 
 def test_fig9_eu_utilization(benchmark, obs_sweeper, simple_program):
-    t0 = time.perf_counter()
     util: dict[int, dict[int, float]] = {}
     for n in SIZES:
         util[n] = {}
@@ -31,7 +27,6 @@ def test_fig9_eu_utilization(benchmark, obs_sweeper, simple_program):
             ref = point.extras["utilization_aggregate"]["EU"]
             assert abs(util[n][pes] - ref) <= max(abs(ref), 1e-12) * 1e-3, (
                 f"EU at {n}x{n}/{pes} PEs: {util[n][pes]} vs {ref}")
-    wall_s = time.perf_counter() - t0
 
     rows = []
     for pes in PE_GRID:
@@ -50,23 +45,6 @@ def test_fig9_eu_utilization(benchmark, obs_sweeper, simple_program):
               + table + "\n\n" + chart)
     save_report("fig09_eu_utilization.txt", report)
     print("\n" + report)
-
-    points_json = []
-    for n in SIZES:
-        for pes in pe_grid(n):
-            pt = obs_sweeper.run(simple_program, simple_args(n), pes,
-                                 key="simple")
-            points_json.append({
-                "label": f"{n}x{n}@{pes}", "pes": pes,
-                "time_us": pt.time_us,
-                "utilization": {"EU": util[n][pes]},
-            })
-    trajectory.save(trajectory.make_doc(
-        "fig09_eu_utilization",
-        {"app": "simple", "steps": SIMPLE_STEPS,
-         "full_scale": FULL_SCALE},
-        points_json,
-        wall_s=round(wall_s, 3)))
 
     # Shape assertions from the paper:
     # (1) utilization falls as PEs grow, for every size;

@@ -7,19 +7,15 @@ approach ... when the problem size was sufficiently large"."""
 
 from __future__ import annotations
 
-import time
+from conftest import PE_GRID, pe_grid, simple_args
 
-from conftest import PE_GRID, SIMPLE_STEPS, pe_grid, simple_args
-
-from repro.bench import trajectory
-from repro.bench.harness import FULL_SCALE, save_report
+from repro.bench.harness import save_report
 from repro.bench.report import render_series_chart, render_table
 
 SIZES = [16, 32, 64]
 
 
 def test_fig10_speedup(benchmark, sweeper, simple_program):
-    t0 = time.perf_counter()
     speedup: dict[int, dict[int, float]] = {}
     for n in SIZES:
         base = sweeper.run(simple_program, simple_args(n), 1, key="simple")
@@ -42,10 +38,6 @@ def test_fig10_speedup(benchmark, sweeper, simple_program):
         st = simple_program.run(simple_args(64), backend="static",
                                 parallelism=pes)
         pr64[pes] = base_pr.time_us / st.time_us
-    # Host wall clock of the sweep itself (informational in the
-    # trajectory doc; memoized points make later figures look free, so
-    # only the first module to run a configuration pays for it here).
-    wall_s = time.perf_counter() - t0
 
     rows = []
     for pes in PE_GRID:
@@ -64,25 +56,6 @@ def test_fig10_speedup(benchmark, sweeper, simple_program):
               "@32 PEs)\n\n" + table + "\n\n" + chart)
     save_report("fig10_speedup.txt", report)
     print("\n" + report)
-
-    # Machine-readable trajectory point alongside the text report (the
-    # sweeper memoizes, so these lookups are free).
-    points_json = []
-    for n in SIZES:
-        for pes in pe_grid(n):
-            pt = sweeper.run(simple_program, simple_args(n), pes,
-                             key="simple")
-            points_json.append({
-                "label": f"{n}x{n}@{pes}", "pes": pes,
-                "time_us": pt.time_us, "speedup": speedup[n][pes],
-                "utilization": pt.utilization,
-            })
-    trajectory.save(trajectory.make_doc(
-        "fig10_speedup",
-        {"app": "simple", "steps": SIMPLE_STEPS,
-         "full_scale": FULL_SCALE},
-        points_json,
-        wall_s=round(wall_s, 3)))
 
     top16 = max(speedup[16].values())
     top32 = max(speedup[32].values())

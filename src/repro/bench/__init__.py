@@ -1,27 +1,1 @@
 """Benchmark harness: sweeps, memoization, text figures."""
-
-from repro.bench.harness import (
-    FULL_SCALE,
-    PE_COUNTS,
-    Point,
-    Sweeper,
-    save_report,
-)
-from repro.bench.report import (
-    percent,
-    render_bar_chart,
-    render_series_chart,
-    render_table,
-)
-
-__all__ = [
-    "FULL_SCALE",
-    "PE_COUNTS",
-    "Point",
-    "Sweeper",
-    "percent",
-    "render_bar_chart",
-    "render_series_chart",
-    "render_table",
-    "save_report",
-]

@@ -166,127 +166,54 @@ def save_report(name: str, text: str) -> str:
 
 
 # ---------------------------------------------------------------------
-# trajectory CLI: python -m repro.bench.harness --json ...
+# CLI: python -m repro.bench.harness --size N --steps S --pes a,b
 # ---------------------------------------------------------------------
 
 
-def profiled_sweep(program: Program, args: tuple, pe_counts: list[int],
-                   label: str = "", store=None,
-                   **machine_kwargs) -> list[dict]:
-    """Run one configuration per PE count with wait-state observability
-    on and return schema-v1 trajectory points (time, speedup,
-    utilization, critical-path length).
-
-    With a :class:`repro.obs.store.RunStore` passed as ``store``, each
-    configuration additionally runs with the metrics registry on and
-    deposits a full ``pods-run/v1`` record into the ledger — the bench
-    trajectory and the run ledger then describe the same executions.
-    """
-    from repro.obs.critpath import critical_path
-
-    points: list[dict] = []
-    base_us: float | None = None
-    for pes in pe_counts:
-        obs = ObsConfig(metrics=store is not None, timelines=True,
-                        waits=True)
-        config = SimConfig(
-            machine=MachineConfig(num_pes=pes, **machine_kwargs), obs=obs)
-        backend_result = program.run(args, backend="sim", parallelism=pes,
-                                     config=config)
-        if store is not None:
-            store.put(backend_result.to_run_record(program=program,
-                                                   args=args))
-        result = backend_result.raw
-        stats = result.stats
-        if base_us is None:
-            base_us = stats.finish_time_us
-        path = critical_path(stats.waits, stats.finish_time_us)
-        points.append({
-            "label": f"{label or program.pods.name}@{pes}",
-            "pes": pes,
-            "time_us": stats.finish_time_us,
-            "speedup": base_us / stats.finish_time_us,
-            "utilization": {u: stats.timeline_utilization(u)
-                            for u in UNITS},
-            "critical_path_us": path.total_us,
-            "events": stats.events_processed,
-        })
-    return points
-
-
 def main(argv: list[str] | None = None) -> int:
-    """Emit a BENCH_<name>.json trajectory point for the SIMPLE app.
-
-    The CI bench-smoke job runs this with a small grid and feeds the
-    output to ``python -m repro.bench.trajectory compare``.
-    """
+    """Run a small SIMPLE sweep with full observability on, print one
+    line per PE count and, with ``--record-dir``, deposit one
+    ``pods-run/v1`` record per PE count into that run ledger (what CI's
+    bench-smoke job gates with ``pods runs regress``)."""
     import argparse
-    import time
 
-    from repro.bench import trajectory
+    from repro.apps.simple_app import compile_simple
+    from repro.obs.critpath import critical_path
+    from repro.obs.store import RunStore
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.harness",
-        description="run a small SIMPLE sweep and emit a machine-readable "
-                    "benchmark trajectory point")
-    parser.add_argument("--name", default="simple_smoke",
-                        help="benchmark name (BENCH_<name>.json)")
+        description="run a small SIMPLE sweep and optionally deposit "
+                    "its run records")
     parser.add_argument("--size", type=int, default=8)
     parser.add_argument("--steps", type=int, default=1)
     parser.add_argument("--pes", default="1,2,4",
                         help="comma-separated PE counts (default 1,2,4)")
     parser.add_argument("--conduction-only", action="store_true")
-    parser.add_argument("--json", action="store_true",
-                        help="write BENCH_<name>.json under "
-                             "benchmarks/results/")
-    parser.add_argument("--output-dir", default=None,
-                        help="directory for the JSON document "
-                             "(default benchmarks/results/)")
     parser.add_argument("--record-dir", default=None,
-                        help="also deposit a pods-run/v1 record per PE "
-                             "count into this run ledger (e.g. "
-                             ".pods-runs)")
+                        help="deposit a pods-run/v1 record per PE count "
+                             "into this run ledger (e.g. .pods-runs)")
     args = parser.parse_args(argv)
 
-    from repro.apps.simple_app import compile_simple
-
-    store = None
-    if args.record_dir:
-        from repro.obs.store import RunStore
-
-        store = RunStore(args.record_dir)
-
-    pe_counts = [int(p) for p in args.pes.split(",")]
+    store = RunStore(args.record_dir) if args.record_dir else None
     program = compile_simple(conduction_only=args.conduction_only)
-    t0 = time.perf_counter()
-    points = profiled_sweep(program, (args.size, args.steps), pe_counts,
-                            label=f"{args.size}x{args.size}", store=store)
-    wall_s = time.perf_counter() - t0
-    if store is not None:
-        deposited = store.entries()[-len(pe_counts):]
-        for e in deposited:
-            print(f"recorded {e.id[:12]} ({e.program} on {e.backend} x "
-                  f"{e.parallelism}) in {store.root}")
-
-    for pt in points:
-        print(f"{pt['pes']:3d} PEs: {pt['time_us'] / 1e6:9.6f} s  "
-              f"speed-up {pt['speedup']:5.2f}  "
-              f"EU {pt['utilization']['EU'] * 100:5.1f}%  "
-              f"critical path {pt['critical_path_us'] / 1e6:9.6f} s")
-    print(f"(host wall clock: {wall_s:.2f} s)")
-
-    if args.json:
-        doc = trajectory.make_doc(
-            name=args.name,
-            config={"app": "simple", "size": args.size,
-                    "steps": args.steps,
-                    "conduction_only": args.conduction_only,
-                    "pes": args.pes},
-            points=points,
-            wall_s=round(wall_s, 3),
-        )
-        path = trajectory.save(doc, directory=args.output_dir)
-        print(f"wrote {path}")
+    run_args = (args.size, args.steps)
+    obs = ObsConfig(metrics=True, timelines=True, waits=True)
+    base_us = None
+    for pes in (int(p) for p in args.pes.split(",")):
+        result = program.run(
+            run_args, backend="sim", parallelism=pes,
+            config=SimConfig(machine=MachineConfig(num_pes=pes), obs=obs))
+        if store is not None:
+            store.put(result.to_run_record(program=program, args=run_args))
+        stats = result.raw.stats
+        if base_us is None:
+            base_us = stats.finish_time_us
+        path = critical_path(stats.waits, stats.finish_time_us)
+        print(f"{pes:3d} PEs: {stats.finish_time_us / 1e6:9.6f} s  "
+              f"speed-up {base_us / stats.finish_time_us:5.2f}  "
+              f"EU {stats.timeline_utilization('EU') * 100:5.1f}%  "
+              f"critical path {path.total_us / 1e6:9.6f} s")
     return 0
 
 

@@ -404,33 +404,43 @@ def _cmd_runs_regress(args: argparse.Namespace) -> int:
 
     store = _runs_store(args)
     baseline = load_record(args.baseline)
+    cfg = baseline.get("config", {})
     if args.record:
         current = _load_record_ref(store, args.record)
     else:
-        # Newest stored record of the same (program, backend, width) as
-        # the baseline — what the CI bench-smoke gate compares.
-        matches = store.select(
+        # Newest stored run of the baseline's program (by content hash)
+        # on the baseline's arguments, backend and width — what the CI
+        # bench-smoke gate compares.  Every program's record name is its
+        # entry function, so the index columns alone cannot tell.
+        candidates = store.select(
             program=str(baseline.get("program", {}).get("name", "?")),
-            backend=str(baseline.get("config", {}).get("backend", "?")),
-            parallelism=baseline.get("config", {}).get("parallelism"))
-        if not matches:
+            backend=str(cfg.get("backend", "?")),
+            parallelism=cfg.get("parallelism"))
+        current = None
+        for entry in reversed(candidates):
+            doc = store.get(entry.id)
+            if not {"program", "args"} & runrecord.incomparable(
+                    baseline, doc).keys():
+                current = doc
+                break
+        if current is None:
+            prog = baseline.get("program", {})
             raise RunStoreError(
-                f"no stored run matches the baseline "
-                f"({baseline.get('program', {}).get('name')!r} on "
-                f"{baseline.get('config', {}).get('backend')!r} x "
-                f"{baseline.get('config', {}).get('parallelism')})")
-        current = store.get(matches[-1].id)
+                f"no stored run matches the baseline ({prog.get('name')!r} "
+                f"{str(prog.get('source_sha256'))[:runrecord.ID_ABBREV]} "
+                f"args {baseline.get('args')} on {cfg.get('backend')!r} x "
+                f"{cfg.get('parallelism')})")
     result = runrecord.diff(baseline, current, rtol=args.rtol)
     print(result.render())
-    stale = runrecord.config_changes(baseline, current)
-    if stale and not args.report_only:
-        # diff() downgrades every delta to informational across a config
-        # change, so gating on such a baseline would pass whatever the
-        # run did.
+    different_run = runrecord.incomparable(baseline, current)
+    if different_run and not args.report_only:
+        # diff() downgrades every delta to informational between records
+        # of different runs, so gating on such a baseline would pass
+        # whatever the run did.
         raise RunRegressionError(
-            f"baseline {args.baseline} is stale: its config differs from "
-            f"the run's ({', '.join(stale)}); regenerate the baseline "
-            "from a current run")
+            f"baseline {args.baseline} is not of this run: "
+            f"{'; '.join(different_run.values())}; regenerate the "
+            "baseline from a current run")
     if not result.ok and not args.report_only:
         raise RunRegressionError(
             f"{len(result.regressions)} regression(s) against baseline "
@@ -622,16 +632,17 @@ def build_parser() -> argparse.ArgumentParser:
     runs_regress = runs_sub.add_parser(
         "regress", help="gate the newest matching stored run against a "
                         "committed baseline record; exits 1 on "
-                        "regression or when the baseline's config no "
-                        "longer matches the run's")
+                        "regression or when the baseline's program, "
+                        "args or config are not the run's")
     _store_arg(runs_regress)
     runs_regress.add_argument("--baseline", required=True,
                               help="committed pods-run/v1 record file")
     runs_regress.add_argument("--record", default=None,
                               help="explicit record to gate (id/'latest'/"
                                    "path); default: newest stored run "
-                                   "matching the baseline's program/"
-                                   "backend/parallelism")
+                                   "of the baseline's program (content "
+                                   "hash) and args on its backend/"
+                                   "parallelism")
     runs_regress.add_argument("--rtol", type=float, default=0.02)
     runs_regress.add_argument("--report-only", action="store_true",
                               help="always exit 0; print findings only")

@@ -280,12 +280,6 @@ class DistConfig:
         reconnect_attempts: Redials allowed per peer connection before
             the link is declared dead (backoff from the shared
             :class:`repro.common.retry.RetryPolicy`).
-        failover: Run the coordinator in its own forked process with
-            the client acting as a warm standby: if the coordinator
-            dies mid-run the standby fences the old generation,
-            re-collects node state over a pre-announced standby port
-            and completes the run.  ``False`` keeps the coordinator
-            inline in the client (a single point of failure).
         max_takeovers: Global takeover budget; exhausting it aborts
             with :class:`repro.common.errors.NodeLossError`.
         retry: The shared :class:`repro.common.retry.RetryPolicy`:
@@ -310,7 +304,6 @@ class DistConfig:
     retransmit_timeout_s: float = 0.25
     retransmit_budget: int = 16
     reconnect_attempts: int = 3
-    failover: bool = True
     max_takeovers: int = 2
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     fault_spec: str | None = None

@@ -697,12 +697,12 @@ def run_distributed(program, args: tuple = (),
     or :class:`~repro.dist.faults.DistFaultPlan` (``None`` defers to
     ``config.fault_spec``, then ``PODS_DIST_FAULTS``).
 
-    With ``config.failover`` (the default) the coordinator itself is
-    not a single point of failure: it runs in its own forked process
-    while the client acts as a warm standby.  Nodes learn both ports up
-    front; if the coordinator dies mid-run they rejoin on the standby
-    port carrying a resync payload (owner map, generation, remembered
-    reports) and the promoted standby completes the run.
+    The coordinator itself is not a single point of failure: it runs in
+    its own forked process while the client acts as a warm standby.
+    Nodes learn both ports up front; if the coordinator dies mid-run
+    they rejoin on the standby port carrying a resync payload (owner
+    map, generation, remembered reports) and the promoted standby
+    completes the run.
 
     ``ckpt`` takes a :class:`repro.ckpt.format.CkptWriter`: the
     coordinator periodically broadcasts a checkpoint request, nodes
@@ -719,12 +719,8 @@ def run_distributed(program, args: tuple = (),
     restore_sigterm = sigterm_as_interrupt()
     lsock = socket.create_server((cfg.host, 0), backlog=cfg.nodes + 4)
     port = lsock.getsockname()[1]
-    ssock = None
-    standby_port = None
-    if cfg.failover:
-        ssock = socket.create_server((cfg.host, 0),
-                                     backlog=cfg.nodes + 4)
-        standby_port = ssock.getsockname()[1]
+    ssock = socket.create_server((cfg.host, 0), backlog=cfg.nodes + 4)
+    standby_port = ssock.getsockname()[1]
     ctx = mp.get_context("fork")
     procs: list = []
     coord = None
@@ -739,11 +735,6 @@ def run_distributed(program, args: tuple = (),
                       standby_port, restore))
             proc.start()
             procs.append(proc)
-        if not cfg.failover:
-            supervisor = _Supervisor(cfg, procs, plan=plan, ckpt=ckpt,
-                                     restore=restore)
-            return asyncio.run(supervisor.run(lsock, t_start))
-
         result_recv, result_send = ctx.Pipe(duplex=False)
         coord = ctx.Process(
             target=_coordinator_main,

@@ -40,9 +40,7 @@ Process-level action:
   ``E`` (``start`` = after the start broadcast, ``hb`` = a heartbeat
   arriving, ``done`` = a done report, ``result`` = the result report).
   Only the primary arms the clause — the promoted standby never
-  re-fires it, so the scenario tests exactly one failover.  Requires
-  ``DistConfig.failover`` (the default); with the inline coordinator
-  the kill would take the whole client down.
+  re-fires it, so the scenario tests exactly one failover.
 
 Parsing is strict (``ValueError`` naming the offending clause); plans
 are a test/chaos instrument, not production configuration.

@@ -229,9 +229,9 @@ class NodeRuntime:
             msg = await read_frame(reader, self._secret,
                                    self._auth_reject)
             if msg is None:
-                # Coordinator gone.  With failover on, a warm standby
-                # is listening on a pre-announced port: rejoin it and
-                # resync; otherwise there is nothing left to report to.
+                # Coordinator gone.  A warm standby is listening on a
+                # pre-announced port: rejoin it and resync; if that
+                # fails there is nothing left to report to.
                 reader = await self._rejoin()
                 if reader is None:
                     self._stop.set()
@@ -294,8 +294,7 @@ class NodeRuntime:
 
     async def _rejoin(self):
         """Dial the standby coordinator and resync; None when hopeless."""
-        if (not getattr(self.cfg, "failover", False)
-                or self.standby_port is None or self._stop.is_set()):
+        if self.standby_port is None or self._stop.is_set():
             return None
         deadline = time.monotonic() + self.cfg.connect_timeout_s
         attempt = 0

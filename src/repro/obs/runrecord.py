@@ -6,9 +6,9 @@ metrics registry, per-PE wait attribution, critical-path what-ifs,
 recovery and network-fault summaries — plus enough identity (program
 content hash, full config fingerprint) that two records can be compared
 without the processes that produced them.  Records are plain JSON
-documents in the style of ``pods-bench/v1`` (:mod:`repro.bench.
-trajectory`): a ``schema`` tag, a structural :func:`validate`, and a
-canonical byte encoding so identical runs produce identical bytes.
+documents: a ``schema`` tag, a structural :func:`validate` returning a
+list of problems, and a canonical byte encoding so identical runs
+produce identical bytes.
 
 Schema ``pods-run/v1``::
 
@@ -42,7 +42,7 @@ Schema ``pods-run/v1``::
 only host-dependent fields; :func:`record_id` hashes the *deterministic
 projection* — the record minus wall time — so two identical modeled runs
 content-address to the same id, and :func:`diff` never gates on wall
-time (same convention as the trajectory comparator's ``wall_s``).
+time.
 """
 
 from __future__ import annotations
@@ -241,7 +241,7 @@ def record_id(doc: dict) -> str:
 
 
 # ---------------------------------------------------------------------
-# validation (the bench/trajectory.py style: list of problems)
+# validation (a list of problems; empty = valid)
 # ---------------------------------------------------------------------
 
 
@@ -349,7 +349,7 @@ def validate(doc) -> list[str]:
 
 
 # ---------------------------------------------------------------------
-# diff / regression gating (trajectory-comparator semantics)
+# diff / regression gating
 # ---------------------------------------------------------------------
 
 
@@ -357,11 +357,11 @@ def validate(doc) -> list[str]:
 class RunDiff:
     """Outcome of diffing two run records.
 
-    The gating semantics are the trajectory comparator's: time-like
-    fields growing beyond ``rtol`` are regressions (as is a changed
-    program answer), improvements are the mirror image, everything
-    host-dependent or merely informational lands in ``notes`` — and a
-    changed config downgrades every delta to informational.
+    Time-like fields growing beyond ``rtol`` are regressions (as is a
+    changed program answer), improvements are the mirror image,
+    everything host-dependent or merely informational lands in
+    ``notes`` — and two records that are not of the same run
+    (:func:`incomparable`) downgrade every delta to informational.
     """
 
     a_id: str
@@ -412,11 +412,29 @@ def _fmt_labels(row: dict) -> str:
     return f"{row['name']}{{{labels}}}" if labels else row["name"]
 
 
-def config_changes(a: dict, b: dict) -> list[str]:
-    """Config keys whose value differs between two records (added and
-    removed keys included), sorted."""
+def incomparable(a: dict, b: dict) -> dict[str, str]:
+    """What makes two records describe different runs: for each of the
+    ``program`` (content hash included), ``args`` and ``config``
+    sections that differs, the section name -> a line saying how (config
+    lists the differing keys, added and removed ones included).  Empty
+    = the same program on the same arguments under the same config, so
+    their deltas can be judged."""
+    out: dict[str, str] = {}
+    ap, bp = a.get("program"), b.get("program")
+    if ap != bp:
+        ap, bp = ap or {}, bp or {}
+        out["program"] = (
+            f"program changed: {ap.get('name')!r} "
+            f"{str(ap.get('source_sha256'))[:ID_ABBREV]} -> "
+            f"{bp.get('name')!r} "
+            f"{str(bp.get('source_sha256'))[:ID_ABBREV]}")
+    if a.get("args") != b.get("args"):
+        out["args"] = f"args changed: {a.get('args')} -> {b.get('args')}"
     ac, bc = a.get("config", {}), b.get("config", {})
-    return [k for k in sorted(set(ac) | set(bc)) if ac.get(k) != bc.get(k)]
+    keys = [k for k in sorted(set(ac) | set(bc)) if ac.get(k) != bc.get(k)]
+    if keys:
+        out["config"] = "config changed (" + ", ".join(keys) + ")"
+    return out
 
 
 def diff(a: dict, b: dict, rtol: float = 0.02,
@@ -424,11 +442,12 @@ def diff(a: dict, b: dict, rtol: float = 0.02,
     """Diff two ``pods-run/v1`` records, aligning metric rows by
     (kind, name, labels) and wait rows by (pe, category).
 
-    Gates (unless the configs differ): the program's answer changing is
-    always a regression; ``time_us`` and the critical-path length
-    growing beyond ``rtol`` are regressions, shrinking beyond it are
-    improvements.  Metric-family and wait-category deltas, wall time and
-    config changes are reported as notes.
+    Gates (unless the records are :func:`incomparable`): the program's
+    answer changing is always a regression; ``time_us`` and the
+    critical-path length growing beyond ``rtol`` are regressions,
+    shrinking beyond it are improvements.  Metric-family and
+    wait-category deltas, wall time and what makes the records
+    incomparable are reported as notes.
 
     ``semantic=True`` additionally gates the program's answer and the
     :data:`SEMANTIC_FAMILIES` metric totals *exactly*, even when the
@@ -436,27 +455,16 @@ def diff(a: dict, b: dict, rtol: float = 0.02,
     width (per-label rows shift with the partition; the totals cannot).
     """
     out = RunDiff(a_id=record_id(a), b_id=record_id(b), rtol=rtol)
-    changed = config_changes(a, b)
-    config_changed = bool(changed)
-    if a.get("program") != b.get("program"):
-        out.notes.append(
-            f"program changed: {a.get('program', {}).get('name')!r} "
-            f"{str(a.get('program', {}).get('source_sha256'))[:12]} -> "
-            f"{b.get('program', {}).get('name')!r} "
-            f"{str(b.get('program', {}).get('source_sha256'))[:12]}")
-        config_changed = True
-    if a.get("args") != b.get("args"):
-        out.notes.append(f"args changed: {a.get('args')} -> "
-                         f"{b.get('args')}")
-        config_changed = True
-    if changed:
-        out.notes.append("config changed (" + ", ".join(changed) +
-                         "); treating deltas as informational")
+    different_run = incomparable(a, b)
+    if different_run:
+        out.notes.extend(different_run.values())
+        out.notes.append("not the same run; treating deltas as "
+                         "informational")
 
     ares, bres = a.get("result", {}), b.get("result", {})
     if ares.get("value") != bres.get("value"):
         msg = f"value {ares.get('value')!r} -> {bres.get('value')!r}"
-        if config_changed and not semantic:
+        if different_run and not semantic:
             out.notes.append(msg)
         else:
             out.regressions.append(msg)
@@ -470,7 +478,7 @@ def diff(a: dict, b: dict, rtol: float = 0.02,
             continue
         msg = (f"{fld} {ares[fld]:.1f} -> {bres[fld]:.1f} "
                f"({delta * 100:+.1f}%)")
-        if delta > rtol and not config_changed:
+        if delta > rtol and not different_run:
             out.regressions.append(msg)
         elif delta < -rtol:
             out.improvements.append(msg)
@@ -488,7 +496,7 @@ def diff(a: dict, b: dict, rtol: float = 0.02,
         if delta is not None:
             msg = (f"critical path {acp['total_us']:.1f} -> "
                    f"{bcp['total_us']:.1f} ({delta * 100:+.1f}%)")
-            if delta > rtol and not config_changed:
+            if delta > rtol and not different_run:
                 out.regressions.append(msg)
             elif delta < -rtol:
                 out.improvements.append(msg)

@@ -258,8 +258,8 @@ class TestRunLedger:
     def ledger(self, tmp_path):
         return str(tmp_path / "ledger")
 
-    def record_run(self, program_file, ledger, pes="2"):
-        return main(["run", program_file, "--args", "5", "--pes", pes,
+    def record_run(self, program_file, ledger, pes="2", args="5"):
+        return main(["run", program_file, "--args", args, "--pes", pes,
                      "--record", "--runs-dir", ledger])
 
     def test_record_and_list(self, program_file, ledger, capsys):
@@ -375,6 +375,63 @@ class TestRunLedger:
         assert "regenerate" in captured.err
         assert main(["runs", "regress", "--baseline", str(baseline),
                      "--store", ledger, "--report-only"]) == 0
+
+    def test_regress_across_an_args_change_fails(
+            self, program_file, ledger, tmp_path, capsys):
+        """Same program, same config, other arguments: not the run the
+        baseline describes, so nothing about it can pass the gate."""
+        from repro.obs import runrecord
+
+        assert self.record_run(program_file, ledger) == 0
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(runrecord.canonical_json(
+            self._store(ledger).get("latest")) + "\n")
+        assert self.record_run(program_file, ledger, args="6") == 0
+        capsys.readouterr()
+
+        assert main(["runs", "regress", "--baseline", str(baseline),
+                     "--store", ledger, "--record", "latest"]) == 1
+        captured = capsys.readouterr()
+        assert "regress: ok" not in captured.out
+        assert "error[RunRegressionError/regression]" in captured.err
+        assert "args changed: [5] -> [6]" in captured.err
+        assert main(["runs", "regress", "--baseline", str(baseline),
+                     "--store", ledger, "--record", "latest",
+                     "--report-only"]) == 0
+        capsys.readouterr()
+        # The default selection skips the newer run on other arguments.
+        assert main(["runs", "regress", "--baseline", str(baseline),
+                     "--store", ledger]) == 0
+        assert "no differences" in capsys.readouterr().out
+
+    def test_regress_across_a_program_change_fails(
+            self, program_file, ledger, tmp_path, capsys):
+        """Every program's record name is ``main``; only the content
+        hash tells two programs apart."""
+        from repro.obs import runrecord
+
+        assert self.record_run(program_file, ledger) == 0
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(runrecord.canonical_json(
+            self._store(ledger).get("latest")) + "\n")
+        other = tmp_path / "other.idl"
+        other.write_text(PROGRAM.replace("i * i", "i"))
+        other_ledger = str(tmp_path / "other-ledger")
+        assert self.record_run(str(other), other_ledger) == 0
+        capsys.readouterr()
+
+        assert main(["runs", "regress", "--baseline", str(baseline),
+                     "--store", other_ledger, "--record", "latest"]) == 1
+        captured = capsys.readouterr()
+        assert "regress: ok" not in captured.out
+        assert "error[RunRegressionError/regression]" in captured.err
+        assert "program changed: 'main'" in captured.err
+        # Nothing in that ledger is a run of the baseline's program.
+        assert main(["runs", "regress", "--baseline", str(baseline),
+                     "--store", other_ledger]) == 1
+        err = capsys.readouterr().err
+        assert "no stored run matches" in err
+        assert "args [5]" in err
 
     def test_regress_without_matching_run_is_structured_error(
             self, program_file, ledger, tmp_path, capsys):
