@@ -15,14 +15,22 @@ no context switches, no presence bits, no page management):
 * scalar moves are free (register allocation).
 
 It is also the semantic oracle the simulator's results are tested
-against, and — through the pluggable :class:`Clock` — the substrate of
-the Pingali & Rogers static baseline.
+against, and — through the pluggable :class:`Clock` and the loop seams —
+the substrate of the Pingali & Rogers static baseline and of the SPMD
+core every ``parallel`` worker and ``dist`` node runs.
+
+The program is decoded once, not re-discovered per evaluation: the first
+call of a function compiles it into nested closures over a flat slot
+frame (see :class:`Interpreter`), as ``sim/decode.py`` does for SP
+templates.  What is charged, and in which order, is unchanged by that —
+``tests/baseline/reference_fingerprint.json`` holds ``seq`` and
+``static`` to the retired tree walker's bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from repro.common.errors import (
     BoundsViolation,
@@ -34,6 +42,8 @@ from repro.graph import ir
 from repro.lang import ast_nodes as A
 from repro.runtime.values import ArrayValue
 from repro.sim import timing as T
+from repro.sim.timing import _BIN_COSTS, _UN_COSTS
+from repro.translator.isa import BINARY_FUNCS, UNARY_FUNCS
 
 # Native (no-overhead) cost constants, microseconds.
 ARRAY_READ = T.INT_MUL + T.INT_ADD + T.MEM_READ        # 1.8
@@ -43,6 +53,7 @@ CALL = 2 * T.CONTEXT_SWITCH                            # CALL + RET
 BRANCH = T.INT_CMP
 
 _ABSENT = object()
+_UNSET = object()  # a ``next`` slot no branch of this iteration has assigned
 
 
 class Clock:
@@ -114,28 +125,67 @@ def is_istructure(obj) -> bool:
     return callable(getattr(obj, "read", None)) and hasattr(obj, "dims")
 
 
-class _Return(Exception):
-    def __init__(self, value: Any) -> None:
-        self.value = value
-
-
 @dataclass
 class SeqResult:
     value: Any
     time_us: float
-    op_count: int = 0
 
     @property
     def time_s(self) -> float:
         return self.time_us / 1e6
 
 
-class Interpreter:
-    """Tree-walking evaluator with a cost clock.
+class Scopes:
+    """Compile-time lexical scopes of one function.  Every (scope, name)
+    pair ``lang/semantics.py`` checked gets its own slot of the call's
+    flat frame; ``frame[0]`` is the call depth, parameters follow."""
 
-    The array hooks (:meth:`on_array_read`, :meth:`on_array_write`) and
-    the loop hook (:meth:`run_for`) are override points for the static
-    baseline.
+    def __init__(self, params: list[str]) -> None:
+        self.chain = [{p: k + 1 for k, p in enumerate(params)}]
+        self.size = 1 + len(params)
+        # Per enclosing loop, innermost last: ``next`` name -> pending slot.
+        self.loops: list[dict[str, int]] = []
+
+    def new_slot(self) -> int:
+        self.size += 1
+        return self.size - 1
+
+    def slot_of(self, name: str) -> int:
+        for scope in reversed(self.chain):
+            if name in scope:
+                return scope[name]
+        raise ExecutionError(f"undefined name {name!r} (interpreter bug)")
+
+
+@dataclass(slots=True)
+class Loop:
+    """One compiled ``for``: what the loop seams are handed."""
+
+    descending: bool
+    var: int          # frame slot of the index variable
+    init: Callable    # frame -> first index
+    limit: Callable   # frame -> last index
+    body: Callable    # frame -> None: one iteration, ``next`` values applied
+    # PartitionedInterpreter: the loop's code block and, when it is
+    # distributed, its Range Filter's (array, fixed indices) operands.
+    block: Any = None
+    rf: tuple | None = None
+
+
+class Interpreter:
+    """Compile-once evaluator with a cost clock.
+
+    Each function is decoded, on its first call, into nested closures
+    over a flat slot frame: names are resolved to slot indices, operator
+    functions and cost pairs looked up, hooks bound — once, in the
+    ``compile_*`` methods, which are the only code that inspects AST
+    node classes.  Running a program executes closures only.
+
+    The array hooks (:meth:`on_alloc`, :meth:`on_array_read`,
+    :meth:`on_array_write`) and the loop seams (:meth:`run_for`,
+    :meth:`run_for_range`, :meth:`run_iteration`, handed the compiled
+    :class:`Loop` and the activation's frame) are the override points
+    for the static baseline and the SPMD core.
     """
 
     def __init__(self, program: A.Program, clock: Clock | None = None,
@@ -143,10 +193,15 @@ class Interpreter:
         self.program = program
         self.clock = clock or Clock()
         self.entry = entry
-        self.op_count = 0
-        # Each IdLite call burns several Python frames; keep the guard
-        # comfortably below CPython's own recursion limit.
+        # Nested closures burn a few Python frames per IdLite call; keep
+        # the guard comfortably below CPython's own recursion limit.
         self.max_depth = 150
+        # name -> (frame size, body).  Filled on first call, never here:
+        # the closures capture the bound hooks and ``clock.charge``, which
+        # a subclass's ``__init__`` has yet to finish setting up.
+        self.compiled: dict[str, tuple[int, Callable]] = {}
+        # Classes already seen to pass :func:`is_istructure`.
+        self.array_types: set[type] = set()
 
     # -- entry ------------------------------------------------------------
 
@@ -160,183 +215,263 @@ class Interpreter:
         value = self.call_function(fn, list(args), depth=0)
         if materialize and is_istructure(value):
             value = value.to_value()
-        return SeqResult(value=value, time_us=self.clock.finish_time(),
-                         op_count=self.op_count)
+        return SeqResult(value=value, time_us=self.clock.finish_time())
 
     def call_function(self, fn: A.Function, args: list[Any], depth: int) -> Any:
         if depth > self.max_depth:
             raise ExecutionError(f"call depth over {self.max_depth}")
         self.clock.charge(CALL)
-        env = [dict(zip(fn.params, args))]
-        try:
-            self.exec_body(fn.body, env, depth)
-        except _Return as ret:
-            return ret.value
-        return 0
+        code = self.compiled.get(fn.name)
+        if code is None:
+            scopes = Scopes(fn.params)
+            body = self.compile_body(fn.body, scopes)  # grows scopes.size
+            code = self.compiled[fn.name] = (scopes.size, body)
+        size, body = code
+        frame = [depth, *args]
+        frame += [None] * (size - len(frame))
+        value = body(frame)
+        return 0 if value is None else value
 
-    # -- environments ---------------------------------------------------
+    # -- statements: ``frame -> returned value, or None`` -------------------
 
-    def lookup(self, env: list[dict], name: str) -> Any:
-        for scope in reversed(env):
-            if name in scope:
-                return scope[name]
-        raise ExecutionError(f"undefined name {name!r} (interpreter bug)")
+    def compile_body(self, body: list[A.Stmt], sc: Scopes,
+                     scope: dict | None = None) -> Callable:
+        """A statement list, in a lexical scope of its own when ``scope``
+        (its initial names) is given."""
+        if scope is not None:
+            sc.chain.append(scope)
+        stmts = [self.compile_stmt(stmt, sc) for stmt in body]
+        if scope is not None:
+            sc.chain.pop()
+        if len(stmts) == 1:
+            return stmts[0]
+        if len(stmts) == 2:
+            first, second = stmts
 
-    def rebind(self, env: list[dict], name: str, value: Any) -> None:
-        for scope in reversed(env):
-            if name in scope:
-                scope[name] = value
-                return
-        raise ExecutionError(f"cannot rebind unknown {name!r}")
+            def run(frame):
+                value = first(frame)
+                return second(frame) if value is None else value
+            return run
 
-    # -- statements -----------------------------------------------------
+        def run(frame):
+            for stmt in stmts:
+                value = stmt(frame)
+                if value is not None:  # a ``return`` ran
+                    return value
+        return run
 
-    def exec_body(self, body: list[A.Stmt], env: list[dict], depth: int,
-                  pending_next: dict | None = None) -> None:
-        for stmt in body:
-            self.exec_stmt(stmt, env, depth, pending_next)
-
-    def exec_stmt(self, stmt: A.Stmt, env: list[dict], depth: int,
-                  pending_next: dict | None) -> None:
-        if isinstance(stmt, A.Bind):
-            env[-1][stmt.name] = self.eval(stmt.value, env, depth)
-            return
-        if isinstance(stmt, A.NextBind):
-            if pending_next is None:
+    def compile_stmt(self, stmt: A.Stmt, sc: Scopes) -> Callable:
+        if isinstance(stmt, (A.Bind, A.NextBind)):
+            value = self.compile_expr(stmt.value, sc)  # before the name binds
+            # A binding names a slot of the innermost scope; a ``next``,
+            # a pending slot of the innermost loop.
+            if isinstance(stmt, A.Bind):
+                names = sc.chain[-1]
+            elif sc.loops:
+                names = sc.loops[-1]
+            else:
                 raise ExecutionError("'next' outside loop (interpreter bug)")
-            pending_next[stmt.name] = self.eval(stmt.value, env, depth)
-            return
+            slot = names.get(stmt.name)
+            if slot is None:
+                slot = names[stmt.name] = sc.new_slot()
+
+            def run(frame):
+                frame[slot] = value(frame)
+            return run
         if isinstance(stmt, A.ArrayWrite):
-            arr = self.lookup(env, stmt.array)
-            if not is_istructure(arr):
-                raise ExecutionError(f"{stmt.array!r} is not an array")
-            indices = tuple(self.eval(e, env, depth) for e in stmt.indices)
-            value = self.eval(stmt.value, env, depth)
-            self.on_array_write(arr, indices, value)
-            return
+            slot, name = sc.slot_of(stmt.array), stmt.array
+            indices = self.compile_indices(stmt.indices, sc)
+            value = self.compile_expr(stmt.value, sc)
+            write = self.on_array_write
+            known, check = self.array_types, self.check_array
+
+            def run(frame):
+                arr = frame[slot]
+                if type(arr) not in known:
+                    check(arr, name)
+                write(arr, indices(frame), value(frame))
+            return run
         if isinstance(stmt, A.If):
-            self.clock.charge(BRANCH)
-            cond = self.eval(stmt.cond, env, depth)
-            body = stmt.then_body if cond else stmt.else_body
-            env.append({})
-            try:
-                self.exec_body(body, env, depth, pending_next)
-            finally:
-                env.pop()
-            return
+            return self.branch(self.compile_expr(stmt.cond, sc),
+                               self.compile_body(stmt.then_body, sc, {}),
+                               self.compile_body(stmt.else_body, sc, {}))
         if isinstance(stmt, A.Return):
-            raise _Return(self.eval(stmt.value, env, depth))
+            return self.compile_expr(stmt.value, sc)
         if isinstance(stmt, A.For):
-            self.run_for(stmt, env, depth)
-            return
+            loop, run_for = self.compile_for(stmt, sc), self.run_for
+            return lambda frame: run_for(loop, frame)
         if isinstance(stmt, A.While):
-            self.run_while(stmt, env, depth)
-            return
+            cond = self.compile_expr(stmt.cond, sc)
+            body = self.compile_loop_body(stmt.body, sc, {})
+            charge = self.clock.charge
+
+            def run(frame):
+                guard = 0
+                while True:
+                    charge(BRANCH)
+                    if not cond(frame):
+                        return
+                    guard += 1
+                    if guard > 10_000_000:
+                        raise ExecutionError("while loop ran 10M iterations")
+                    body(frame)
+            return run
         raise ExecutionError(f"unknown statement {type(stmt).__name__}")
 
     # -- loops ----------------------------------------------------------
 
-    def run_for(self, stmt: A.For, env: list[dict], depth: int) -> None:
-        init = self.eval(stmt.init, env, depth)
-        limit = self.eval(stmt.limit, env, depth)
-        step = -1 if stmt.descending else 1
-        self.run_for_range(stmt, env, depth, init, limit, step)
+    def compile_for(self, stmt: A.For, sc: Scopes) -> Loop:
+        init = self.compile_expr(stmt.init, sc)
+        limit = self.compile_expr(stmt.limit, sc)
+        var = sc.new_slot()
+        body = self.compile_loop_body(stmt.body, sc, {stmt.var: var})
+        return Loop(stmt.descending, var, init, limit, body)
 
-    def run_for_range(self, stmt: A.For, env: list[dict], depth: int,
+    def compile_loop_body(self, body: list[A.Stmt], sc: Scopes,
+                          scope: dict) -> Callable:
+        """One iteration of a loop: run the body, then let the ``next``
+        values the taken branches assigned replace the carried variables
+        (each resolved where the loop statement stands)."""
+        sc.loops.append({})
+        code = self.compile_body(body, sc, scope)
+        carried = [(pending, sc.slot_of(name))
+                   for name, pending in sc.loops.pop().items()]
+        if not carried:
+            return code
+
+        def iteration(frame):
+            for pending, _ in carried:
+                frame[pending] = _UNSET
+            code(frame)
+            for pending, slot in carried:
+                if frame[pending] is not _UNSET:
+                    frame[slot] = frame[pending]
+        return iteration
+
+    def run_for(self, loop: Loop, frame: list) -> None:
+        self.run_for_range(loop, frame, loop.init(frame), loop.limit(frame),
+                           -1 if loop.descending else 1)
+
+    def run_for_range(self, loop: Loop, frame: list,
                       init: int, limit: int, step: int) -> None:
+        charge, run_iteration = self.clock.charge, self.run_iteration
         i = init
         while (i >= limit) if step < 0 else (i <= limit):
-            self.clock.charge(LOOP_ITER)
-            self.run_iteration(stmt, env, depth, i)
+            charge(LOOP_ITER)
+            run_iteration(loop, frame, i)
             i += step
 
-    def run_iteration(self, stmt: A.For, env: list[dict], depth: int,
-                      i: int) -> None:
-        pending: dict[str, Any] = {}
-        env.append({stmt.var: i})
-        try:
-            self.exec_body(stmt.body, env, depth, pending)
-        finally:
-            env.pop()
-        for name, value in pending.items():
-            self.rebind(env, name, value)
+    def run_iteration(self, loop: Loop, frame: list, i: int) -> None:
+        frame[loop.var] = i
+        loop.body(frame)
 
-    def run_while(self, stmt: A.While, env: list[dict], depth: int) -> None:
-        guard = 0
-        while True:
-            self.clock.charge(BRANCH)
-            if not self.eval(stmt.cond, env, depth):
-                return
-            guard += 1
-            if guard > 10_000_000:
-                raise ExecutionError("while loop ran 10M iterations")
-            pending: dict[str, Any] = {}
-            env.append({})
-            try:
-                self.exec_body(stmt.body, env, depth, pending)
-            finally:
-                env.pop()
-            for name, value in pending.items():
-                self.rebind(env, name, value)
+    # -- expressions: ``frame -> value`` -------------------------------------
 
-    # -- expressions -------------------------------------------------------
-
-    def eval(self, expr: A.Expr, env: list[dict], depth: int) -> Any:
-        self.op_count += 1
-
+    def compile_expr(self, expr: A.Expr, sc: Scopes) -> Callable:
         if isinstance(expr, A.Num):
-            return expr.value
+            value = expr.value
+            return lambda frame: value
         if isinstance(expr, A.Var):
-            return self.lookup(env, expr.name)
+            slot = sc.slot_of(expr.name)
+            return lambda frame: frame[slot]
         if isinstance(expr, A.BinOp):
-            left = self.eval(expr.left, env, depth)
-            right = self.eval(expr.right, env, depth)
-            self.clock.charge(T.binop_cost(expr.op, left, right))
-            from repro.translator.isa import BINARY_FUNCS
-
-            try:
-                return BINARY_FUNCS[expr.op](left, right)
-            except TypeError as exc:
-                raise ExecutionError(f"{expr.loc}: {expr.op}: {exc}") from None
+            return self.compile_binary(expr.op, expr.left, expr.right, sc,
+                                       expr.loc)
         if isinstance(expr, A.UnOp):
-            operand = self.eval(expr.operand, env, depth)
-            self.clock.charge(T.unop_cost(expr.op, operand))
-            from repro.translator.isa import UNARY_FUNCS
-
-            return UNARY_FUNCS[expr.op](operand)
+            return self.compile_unary(expr.op, expr.operand, sc)
         if isinstance(expr, A.IfExp):
-            self.clock.charge(BRANCH)
-            if self.eval(expr.cond, env, depth):
-                return self.eval(expr.then, env, depth)
-            return self.eval(expr.other, env, depth)
+            return self.branch(self.compile_expr(expr.cond, sc),
+                               self.compile_expr(expr.then, sc),
+                               self.compile_expr(expr.other, sc))
         if isinstance(expr, A.Index):
-            arr = self.lookup(env, expr.array)
-            if not is_istructure(arr):
-                raise ExecutionError(f"{expr.array!r} is not an array")
-            indices = tuple(self.eval(e, env, depth) for e in expr.indices)
-            return self.on_array_read(arr, indices)
+            slot, name = sc.slot_of(expr.array), expr.array
+            indices = self.compile_indices(expr.indices, sc)
+            read = self.on_array_read
+            known, check = self.array_types, self.check_array
+
+            def ev(frame):
+                arr = frame[slot]
+                if type(arr) not in known:
+                    check(arr, name)
+                return read(arr, indices(frame))
+            return ev
         if isinstance(expr, A.Call):
-            return self.eval_call(expr, env, depth)
+            return self.compile_call(expr, sc)
         raise ExecutionError(f"unknown expression {type(expr).__name__}")
 
-    def eval_call(self, call: A.Call, env: list[dict], depth: int) -> Any:
-        args = [self.eval(a, env, depth) for a in call.args]
-        if call.name in A.ALLOC_BUILTINS:
-            return self.on_alloc(tuple(args))
+    def compile_binary(self, op: str, left: A.Expr, right: A.Expr,
+                       sc: Scopes, loc=None) -> Callable:
+        left, right = self.compile_expr(left, sc), self.compile_expr(right, sc)
+        (fcost, icost), fn = _BIN_COSTS[op], BINARY_FUNCS[op]
+        charge = self.clock.charge
+
+        def ev(frame):
+            a = left(frame)
+            b = right(frame)
+            charge(fcost if isinstance(a, float) or isinstance(b, float)
+                   else icost)
+            try:
+                return fn(a, b)
+            except TypeError as exc:
+                if loc is None:  # a builtin's (min, max) goes up as it is
+                    raise
+                raise ExecutionError(f"{loc}: {op}: {exc}") from None
+        return ev
+
+    def compile_unary(self, op: str, operand: A.Expr, sc: Scopes) -> Callable:
+        operand = self.compile_expr(operand, sc)
+        (fcost, icost), fn = _UN_COSTS[op], UNARY_FUNCS[op]
+        charge = self.clock.charge
+
+        def ev(frame):
+            a = operand(frame)
+            charge(fcost if isinstance(a, float) else icost)
+            return fn(a)
+        return ev
+
+    def compile_call(self, call: A.Call, sc: Scopes) -> Callable:
         if call.name in A.UNARY_BUILTINS:
-            from repro.translator.isa import UNARY_FUNCS
-
-            self.clock.charge(T.unop_cost(call.name, args[0]))
-            return UNARY_FUNCS[call.name](args[0])
+            return self.compile_unary(call.name, call.args[0], sc)
         if call.name in A.BINARY_BUILTINS:
-            from repro.translator.isa import BINARY_FUNCS
-
-            self.clock.charge(T.binop_cost(call.name, args[0], args[1]))
-            return BINARY_FUNCS[call.name](args[0], args[1])
+            return self.compile_binary(call.name, *call.args, sc)
+        args = [self.compile_expr(arg, sc) for arg in call.args]
+        if call.name in A.ALLOC_BUILTINS:
+            alloc = self.on_alloc
+            return lambda frame: alloc(tuple([arg(frame) for arg in args]))
         fn = self.program.functions.get(call.name)
         if fn is None:
             raise ExecutionError(f"call to unknown {call.name!r}")
-        return self.call_function(fn, args, depth + 1)
+        invoke = self.call_function
+        return lambda frame: invoke(fn, [arg(frame) for arg in args],
+                                    frame[0] + 1)
+
+    def branch(self, cond: Callable, then: Callable,
+               other: Callable) -> Callable:
+        """``if`` as a statement or as an expression: one compare, then
+        whatever the taken arm yields (a statement arm: its ``return``)."""
+        charge = self.clock.charge
+
+        def run(frame):
+            charge(BRANCH)
+            return then(frame) if cond(frame) else other(frame)
+        return run
+
+    def check_array(self, arr, name: str) -> None:
+        """Admit the class of ``arr`` as an array type, or reject ``arr``."""
+        if not is_istructure(arr):
+            raise ExecutionError(f"{name!r} is not an array")
+        self.array_types.add(type(arr))
+
+    def compile_indices(self, indices: list[A.Expr], sc: Scopes) -> Callable:
+        """``frame -> index tuple`` (ranks 1 and 2 without the list)."""
+        subs = [self.compile_expr(e, sc) for e in indices]
+        if len(subs) == 1:
+            only, = subs
+            return lambda frame: (only(frame),)
+        if len(subs) == 2:
+            row, col = subs
+            return lambda frame: (row(frame), col(frame))
+        return lambda frame: tuple([sub(frame) for sub in subs])
 
     # -- array hooks (overridden by the static baseline) ----------------
 
@@ -365,24 +500,36 @@ class PartitionedInterpreter(Interpreter):
         self.block_of = {id(b.ast_ref): b for b in graph.loop_blocks()
                          if b.ast_ref is not None}
 
-    def range_filter_of(self, stmt: A.For, env: list[dict]):
-        """``(block, array, fixed indices)`` when ``stmt`` is a
-        distributed loop with a Range Filter, else None."""
-        block = self.block_of.get(id(stmt))
-        if block is None or not block.distributed \
-                or block.range_filter is None:
-            return None
-        rf = block.range_filter
-        return (block, self._resolve_vid(block, rf.array_vid, env),
-                tuple(self._resolve_vid(block, v, env)
-                      for v in rf.fixed_vids))
+    def compile_for(self, stmt: A.For, sc: Scopes) -> Loop:
+        loop = super().compile_for(stmt, sc)
+        block = loop.block = self.block_of.get(id(stmt))
+        if block is not None and block.distributed \
+                and block.range_filter is not None:
+            rf = block.range_filter
+            loop.rf = (self._operand(block, rf.array_vid, sc),
+                       tuple(self._operand(block, v, sc)
+                             for v in rf.fixed_vids))
+        return loop
 
-    def _resolve_vid(self, block: ir.CodeBlock, vid: int, env: list[dict]):
+    def range_filter_of(self, loop: Loop, frame: list):
+        """``(block, array, fixed indices)`` when ``loop`` is a
+        distributed loop with a Range Filter, else None."""
+        if loop.rf is None:
+            return None
+        array, fixed = loop.rf
+        return loop.block, array(frame), tuple(f(frame) for f in fixed)
+
+    def _operand(self, block: ir.CodeBlock, vid: int, sc: Scopes) -> Callable:
+        """``frame -> value`` of a Range-Filter operand.  Resolved while
+        ``sc`` still stands at the ``for``: a name bound later in the
+        same scope must not capture it."""
         d = block.defs[vid]
         if isinstance(d, ir.ConstDef):
-            return d.value
+            value = d.value
+            return lambda frame: value
         if isinstance(d, (ir.ParamDef, ir.IndexDef)) and d.name:
-            return self.lookup(env, d.name)
+            slot = sc.slot_of(d.name)
+            return lambda frame: frame[slot]
         raise ExecutionError(f"cannot resolve vid {vid} of {block.name}")
 
 

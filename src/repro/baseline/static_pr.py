@@ -41,6 +41,7 @@ from repro.baseline.sequential import (
     ARRAY_READ,
     ARRAY_WRITE,
     Clock,
+    Loop,
     PartitionedInterpreter,
     SeqArray,
 )
@@ -138,14 +139,14 @@ class StaticInterpreter(PartitionedInterpreter):
 
     # -- distributed loops --------------------------------------------------
 
-    def run_for(self, stmt: A.For, env: list[dict], depth: int) -> None:
-        init = self.eval(stmt.init, env, depth)
-        limit = self.eval(stmt.limit, env, depth)
-        step = -1 if stmt.descending else 1
-        found = (self.range_filter_of(stmt, env)
+    def run_for(self, loop: Loop, frame: list) -> None:
+        init = loop.init(frame)
+        limit = loop.limit(frame)
+        step = -1 if loop.descending else 1
+        found = (self.range_filter_of(loop, frame)
                  if self.clocks.ctx == "all" else None)
         if found is None:
-            self.run_for_range(stmt, env, depth, init, limit, step)
+            self.run_for_range(loop, frame, init, limit, step)
             return
         block, arr, fixed = found
         rf = block.range_filter
@@ -159,10 +160,10 @@ class StaticInterpreter(PartitionedInterpreter):
         try:
             for p in range(self.num_pes):
                 first, last = header.filtered_range(
-                    p, init, limit, descending=stmt.descending,
+                    p, init, limit, descending=loop.descending,
                     fixed=fixed, dim=rf.dim)
                 self.clocks.ctx = p
-                self.run_for_range(stmt, env, depth, first, last, step)
+                self.run_for_range(loop, frame, first, last, step)
         finally:
             self.clocks.ctx = "all"
 

@@ -205,7 +205,7 @@ class ShmArray:
             raise BoundsViolation(self.name, indices, self.dims)
         off = 0
         for idx, dim, stride in zip(indices, self.dims, self.strides):
-            if not 1 <= idx <= dim:
+            if not isinstance(idx, int) or idx < 1 or idx > dim:
                 raise BoundsViolation(self.name, indices, self.dims)
             off += (idx - 1) * stride
         return off

@@ -32,6 +32,15 @@ supplies ``shared_cls`` (its handle class, carrying ``name``, the
 identity-space ``header``, ``write(indices, value)`` and ``stats()``
 counters), :meth:`alloc_shared` and a direct ``on_array_read`` override.
 
+The base interpreter is compile-once (:mod:`repro.baseline.sequential`):
+the loop seams overridden here take the compiled
+:class:`~repro.baseline.sequential.Loop` and the activation's slot frame
+— ``run_for(loop, frame)``, ``run_iteration(loop, frame, i)`` — and the
+program's closures capture the bound ``on_*`` hooks when a function is
+first *called*.  So a substrate may finish its own ``__init__`` after
+``super().__init__`` returns, but must not rebind a hook once ``run``
+has started.
+
 The telemetry record, its registry fold and its table live here too
 (both backends report the same fields about the same model), as does
 the process plumbing both launchers share.
@@ -44,10 +53,9 @@ import time
 import traceback
 from dataclasses import dataclass, field
 
-from repro.baseline.sequential import (Clock, PartitionedInterpreter,
+from repro.baseline.sequential import (Clock, Loop, PartitionedInterpreter,
                                        SeqArray)
 from repro.common.errors import WorkerSuperseded
-from repro.lang import ast_nodes as A
 
 
 class SpmdInterpreter(PartitionedInterpreter):
@@ -108,37 +116,36 @@ class SpmdInterpreter(PartitionedInterpreter):
 
     # -- loops ------------------------------------------------------------
 
-    def run_iteration(self, stmt: A.For, env: list[dict], depth: int,
-                      i: int) -> None:
+    def run_iteration(self, loop: Loop, frame: list, i: int) -> None:
         self.injector.fire("iter")
-        super().run_iteration(stmt, env, depth, i)
+        super().run_iteration(loop, frame, i)
 
-    def run_for(self, stmt: A.For, env: list[dict], depth: int) -> None:
-        init = self.eval(stmt.init, env, depth)
-        limit = self.eval(stmt.limit, env, depth)
-        step = -1 if stmt.descending else 1
+    def run_for(self, loop: Loop, frame: list) -> None:
+        init = loop.init(frame)
+        limit = loop.limit(frame)
+        step = -1 if loop.descending else 1
         found = (None if self.in_distributed
-                 else self.range_filter_of(stmt, env))
+                 else self.range_filter_of(loop, frame))
         if found is None or not isinstance(found[1], self.shared_cls):
             # Not distributed — or the RF array is process-private
             # (shouldn't happen): run it all.
-            self.run_for_range(stmt, env, depth, init, limit, step)
+            self.run_for_range(loop, frame, init, limit, step)
             return
         block, arr, fixed = found
         rf = block.range_filter
         header = arr.header
-        idents = (tuple(reversed(self.identities)) if stmt.descending
+        idents = (tuple(reversed(self.identities)) if loop.descending
                   else self.identities)
         self.in_distributed += 1
         try:
             for ident in idents:
                 first, last = header.filtered_range(
-                    ident, init, limit, descending=stmt.descending,
+                    ident, init, limit, descending=loop.descending,
                     fixed=fixed, dim=rf.dim)
                 items = max(0, (last - first) * step + 1)
                 key = (block.name, first, last, items)
                 self.rf_counts[key] = self.rf_counts.get(key, 0) + 1
-                self.run_for_range(stmt, env, depth, first, last, step)
+                self.run_for_range(loop, frame, first, last, step)
         finally:
             self.in_distributed -= 1
 

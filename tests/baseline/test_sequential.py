@@ -7,9 +7,12 @@ from repro.common.errors import (
     ExecutionError,
     SingleAssignmentViolation,
 )
+from repro.api import compile_source
 from repro.lang.parser import parse
 from repro.lang.semantics import analyze
 from repro.baseline.sequential import run_sequential
+from repro.runtime.values import ArrayValue
+from tests.runtime.test_spmd import PlainSpmd
 
 
 def run(src, args=()):
@@ -91,6 +94,109 @@ class TestValues:
         function main(a) { return sign(a) * 100 + sign(-a); }
         """
         assert run(src, (5,)).value == 99
+
+
+# name -> (source, args, expected value).  Each is a way for compile-time
+# slot resolution to differ from looking the name up in the scopes that
+# exist when the statement runs.
+SCOPING = {
+    # ``x`` bound in an enclosing scope and in both branches: a branch
+    # sees the outer one until it binds its own; the outer one is intact.
+    "if-branches-shadow-enclosing": ("""
+        function main(n) {
+            x = 1;
+            acc = 0;
+            for i = 1 to n {
+                if i % 2 == 0 { y = x; x = 10 * i; next acc = acc + x + y; }
+                else { x = i; y = x + 100; next acc = acc + y; }
+            }
+            return acc * 10 + x;
+        }""", (4,), 2661),
+    "body-locals-rebound-every-iteration": ("""
+        function main(n) {
+            s = 0;
+            for i = 1 to n { t = i * i; u = t + 1; next s = s + u; }
+            return s;
+        }""", (4,), 34),
+    # The carried value survives the iterations whose branch skips it.
+    "next-under-one-branch-in-while": ("""
+        function main(n) {
+            i = 0;
+            x = 0;
+            while i < n {
+                next i = i + 1;
+                if i == 1 { next x = 7; }
+            }
+            return x * 100 + i;
+        }""", (5,), 705),
+    # The body's own ``x`` reads the carried one, and feeds its ``next``.
+    "body-bind-shadows-carried-name": ("""
+        function main(n) {
+            x = 1;
+            for i = 1 to n { x = x + i; next x = x * 2; }
+            return x;
+        }""", (3,), 30),
+    "sibling-loops-reuse-the-index-name": ("""
+        function main(n) {
+            a = 0;
+            b = 0;
+            for i = 1 to n { next a = a + i; }
+            for i = 1 to 2 * n { next b = b + i; }
+            return a * 1000 + b;
+        }""", (3,), 6021),
+    # Each activation has its own frame: ``t`` outlives the inner call.
+    "recursion-inside-a-loop": ("""
+        function tri(k) {
+            t = k;
+            below = if k < 2 then 0 else tri(k - 1);
+            return below + t;
+        }
+        function main(n) {
+            s = 0;
+            for i = 1 to n { next s = s + tri(i); }
+            return s;
+        }""", (4,), 20),
+    # The Range Filter's array is the ``A`` visible at the ``for`` — not
+    # the one bound after it in the same scope.
+    "range-filter-array-rebound-after-the-loop": ("""
+        function main(n) {
+            A = array(n);
+            if n > 0 {
+                for i = 1 to n { A[i] = 2 * i; }
+                A = array(2);
+                A[1] = n;
+            }
+            return A;
+        }""", (9,), ArrayValue((9,), [2 * i for i in range(1, 10)])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCOPING))
+class TestScoping:
+    def test_seq_and_static(self, name):
+        source, args, expected = SCOPING[name]
+        program = compile_source(source)
+        assert program.run(args, backend="seq").value == expected
+        assert program.run(args, backend="static",
+                           parallelism=2).value == expected
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_spmd_core(self, name, width):
+        """Through the SPMD seams (``run_for`` / ``run_iteration``
+        overrides), every identity of an in-process store."""
+        source, args, expected = SCOPING[name]
+        program = compile_source(source)
+        store: dict = {}
+        interps = [PlainSpmd(program, (ident,), width, store)
+                   for ident in range(width)]
+        values = [interp.run(args, materialize=False).value
+                  for interp in interps]
+        if isinstance(expected, ArrayValue):
+            values = [value.to_value() for value in values]
+            # ... and the loop really ran distributed, tiled once.
+            assert sorted(i for interp in interps
+                          for _, i in interp.executed) == list(range(1, 10))
+        assert values == [expected] * width
 
 
 class TestFaults:

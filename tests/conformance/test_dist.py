@@ -26,7 +26,7 @@ from repro.backend import classify_error, get_backend, render_error
 from repro.common.config import DistConfig
 from repro.common.retry import RetryPolicy
 from tests.conformance.matrix import APPS, DIST_NODES
-from tests.conformance.test_error_taxonomy import CASES
+from tests.conformance.test_error_taxonomy import CASES, CODES
 
 pytestmark = pytest.mark.conformance
 
@@ -91,6 +91,7 @@ def test_same_taxonomy_code_as_other_backends(code):
     with pytest.raises(Exception) as excinfo:
         get_backend("dist").run(program, (6,), config=FAST_DIST)
     exc = excinfo.value
+    code = CODES.get(code, code)
     assert classify_error(exc) == code
 
     rendered = render_error(exc)

@@ -13,6 +13,11 @@ Three canonical failures cover the taxonomy's program-fault rows:
   backend reaches a stall quorum).
 * out-of-bounds write -> ``bounds`` on every substrate.
 
+A fourth program pins one more way into ``bounds``: a non-integer
+subscript (``A[2.0]``) is out of bounds everywhere — never a
+``TypeError`` out of the substrate's storage (which the parallel
+backend would report as a ``worker-failure``).
+
 Every rendering must be the one-line ``error[Type/code]: ...`` form the
 CLI prints — no tracebacks, no multi-line spew.
 """
@@ -50,7 +55,16 @@ CASES = {
             return A[1];
         }
     """,
+    "float-subscript": """
+        function main(n) {
+            A = array(n);
+            for i = 1 to n { A[i] = i * 1.0; }
+            return A[2.0];
+        }
+    """,
 }
+# Case name -> taxonomy code, where the name is not the code itself.
+CODES = {"float-subscript": "bounds"}
 
 BACKENDS = ("sim", "seq", "static", "parallel")
 
@@ -74,6 +88,7 @@ def test_same_code_on_every_backend(code, backend, broken):
     with pytest.raises(Exception) as excinfo:
         get_backend(backend).run(broken[code], (6,), **kwargs)
     exc = excinfo.value
+    code = CODES.get(code, code)
     assert classify_error(exc) == code
 
     rendered = render_error(exc)

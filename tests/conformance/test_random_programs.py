@@ -11,7 +11,9 @@ filling loop embarrassingly parallel — the shape both backends must
 parallelize.  What consumes the filled array is drawn too: a scalar
 reduction, or a serial prefix-sum loop that writes a second array from
 replicated code (each ``P[i]`` written once, by its owner, reading a
-``P[i - 1]`` another identity may own).
+``P[i - 1]`` another identity may own).  The final reduction may draw a
+guard: its ``next`` then sits under an ``if``, so the carried sum has to
+survive the iterations whose element fails the test.
 """
 
 import pytest
@@ -65,25 +67,31 @@ def bodies(draw, depth=0):
             lambda i, n: tf(i, n) if lf(i, n) < rf(i, n) else lf(i, n) + 1)
 
 
-REDUCE = """
-            s = 0.0;
-            for i = 1 to n { next s = s + A[i]; }
-            return s;"""
-
 PREFIX = """
             P = array(n);
             P[1] = A[1];
-            for i = 2 to n { P[i] = P[i - 1] + A[i]; }
+            for i = 2 to n { P[i] = P[i - 1] + A[i]; }"""
+
+
+def reduction(array: str, guard) -> str:
+    """Sum ``array`` — only its elements below ``guard`` when one is drawn."""
+    step = f"next s = s + {array}[i];"
+    if guard is not None:
+        bound = f"({guard})" if guard < 0 else str(guard)
+        step = f"if {array}[i] < {bound} {{ {step} }}"
+    return f"""
             s = 0.0;
-            for i = 1 to n { next s = s + P[i]; }
+            for i = 1 to n {{ {step} }}
             return s;"""
 
 
-@given(body=bodies(), n=st.integers(3, 10), prefix=st.booleans())
+@given(body=bodies(), n=st.integers(3, 10), prefix=st.booleans(),
+       guard=st.none() | st.integers(-3, 3))
 @settings(max_examples=12, deadline=None)
-def test_random_program_church_rosser(body, n, prefix):
+def test_random_program_church_rosser(body, n, prefix, guard):
     src, fn = body
-    consume = PREFIX if prefix else REDUCE
+    consume = (PREFIX + reduction("P", guard) if prefix
+               else reduction("A", guard))
     program = compile_source(f"""
         function main(n) {{
             A = array(n);
@@ -92,8 +100,11 @@ def test_random_program_church_rosser(body, n, prefix):
     """)
     oracle = running = 0.0
     for i in range(1, n + 1):
-        running = running + (0.0 + fn(i, n))
-        oracle = oracle + running if prefix else running
+        element = 0.0 + fn(i, n)
+        running = running + element
+        term = running if prefix else element
+        if guard is None or term < guard:
+            oracle = oracle + term
 
     seq = get_backend("seq").run(program, (n,)).value
     sim = get_backend("sim").run(program, (n,), parallelism=2).value

@@ -113,11 +113,10 @@ class PlainSpmd(SpmdInterpreter):
     def alloc_shared(self, seq, dims):
         return PlainArray(seq, dims, self.width, self.store)
 
-    def run_iteration(self, stmt, env, depth, i):
-        block = self.block_of.get(id(stmt))
-        if block is not None and block.distributed:
-            self.executed.append((block.name, i))
-        super().run_iteration(stmt, env, depth, i)
+    def run_iteration(self, loop, frame, i):
+        if loop.block is not None and loop.block.distributed:
+            self.executed.append((loop.block.name, i))
+        super().run_iteration(loop, frame, i)
 
 
 def _groups(width: int, takeover: bool) -> list[tuple[int, ...]]:

@@ -18,14 +18,23 @@ And the simulator has one Execution Unit: under ``repro/sim`` only
 ``decode.py`` names the ``isa`` opcode constants.  A second run-time
 dispatch on ``instr.op`` is a second interpreter growing back, and every
 semantic change would again have to be made twice.
+
+And the AST interpreter decodes once: under ``repro/{baseline,runtime,
+parallel,dist}`` only ``baseline/sequential.py`` names an ``ast_nodes``
+expression or statement class, and there only its ``compile_*`` methods
+do — not the closures they build, not the ``run_*`` seams, not the
+``on_*`` hooks.  An ``isinstance(stmt, A.For)`` anywhere else is the
+per-evaluation dispatch ladder growing back.
 """
 
 import ast
 import os
+import typing
 
 import pytest
 
 import repro
+from repro.lang import ast_nodes
 from repro.translator import isa
 
 
@@ -125,3 +134,62 @@ def test_only_the_decoder_maps_opcodes_to_behaviour():
     assert not offenders, (
         f"opcode dispatch outside repro/sim/decode.py: {offenders}; add "
         "the behaviour to the handler table instead")
+
+
+NODE_CLASSES = {cls.__name__ for cls in (*typing.get_args(ast_nodes.Expr),
+                                         *typing.get_args(ast_nodes.Stmt))}
+
+
+def _node_class_refs(path: str) -> list[tuple[str, str]]:
+    """``(innermost enclosing function, "Class:line")`` of every
+    reference to an ``ast_nodes`` expression/statement class —
+    ``A.For`` through any alias of the module, or a from-imported
+    ``For``.  A lambda or nested ``def`` is its own function; a
+    signature's annotations belong to the function they annotate."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    modules, classes = {"ast_nodes"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for a in node.names:
+                if a.name.endswith("ast_nodes"):
+                    modules.add(a.asname or a.name)
+                elif getattr(node, "module", "") == "repro.lang.ast_nodes" \
+                        and a.name in NODE_CLASSES:
+                    classes.add(a.asname or a.name)
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            function = getattr(node, "name", "<lambda>")
+        if isinstance(node, ast.Attribute) and node.attr in NODE_CLASSES \
+                and ast.unparse(node.value).split(".")[-1] in modules:
+            found.append((function, f"{node.attr}:{node.lineno}"))
+        elif isinstance(node, ast.Name) and node.id in classes:
+            found.append((function, f"{node.id}:{node.lineno}"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_the_compile_functions_see_ast_node_classes():
+    root = os.path.dirname(repro.__file__)
+    offenders, decoders = {}, set()
+    for package in ("baseline", "runtime", "parallel", "dist"):
+        for fname in sorted(os.listdir(os.path.join(root, package))):
+            if not fname.endswith(".py"):
+                continue
+            refs = _node_class_refs(os.path.join(root, package, fname))
+            if (package, fname) == ("baseline", "sequential.py"):
+                decoders = {fn for fn, _ in refs if fn.startswith("compile_")}
+                refs = [r for r in refs if r[0] not in decoders]
+            if refs:
+                offenders[f"{package}/{fname}"] = refs
+    assert not offenders, (
+        f"AST node classes named outside the decoder: {offenders}; resolve "
+        "it in a compile_* method of baseline/sequential.py and capture "
+        "the result in the closure instead")
+    # The gate is not vacuous: the decoder is where it is looked for.
+    assert {"compile_stmt", "compile_expr"} <= decoders
