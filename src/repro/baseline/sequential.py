@@ -33,13 +33,13 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.common.errors import (
-    BoundsViolation,
     ExecutionError,
     MissingWriteError,
     SingleAssignmentViolation,
 )
 from repro.graph import ir
 from repro.lang import ast_nodes as A
+from repro.runtime.arrays import flat_size, offset_fn
 from repro.runtime.values import ArrayValue
 from repro.sim import timing as T
 from repro.sim.timing import _BIN_COSTS, _UN_COSTS
@@ -73,7 +73,7 @@ class Clock:
 class SeqArray:
     """A host-side I-structure: plain storage + single assignment."""
 
-    __slots__ = ("array_id", "dims", "strides", "cells")
+    __slots__ = ("array_id", "dims", "offset", "cells")
 
     _next_id = 1
 
@@ -83,24 +83,8 @@ class SeqArray:
         self.array_id = SeqArray._next_id
         SeqArray._next_id += 1
         self.dims = dims
-        strides = [1] * len(dims)
-        for k in range(len(dims) - 2, -1, -1):
-            strides[k] = strides[k + 1] * dims[k + 1]
-        self.strides = tuple(strides)
-        total = 1
-        for d in dims:
-            total *= d
-        self.cells: list[Any] = [_ABSENT] * total
-
-    def offset(self, indices: tuple[int, ...]) -> int:
-        if len(indices) != len(self.dims):
-            raise BoundsViolation(self.array_id, indices, self.dims)
-        off = 0
-        for idx, dim, stride in zip(indices, self.dims, self.strides):
-            if not isinstance(idx, int) or idx < 1 or idx > dim:
-                raise BoundsViolation(self.array_id, indices, self.dims)
-            off += (idx - 1) * stride
-        return off
+        self.offset = offset_fn(self.array_id, dims)
+        self.cells: list[Any] = [_ABSENT] * flat_size(dims)
 
     def read(self, indices: tuple[int, ...]) -> Any:
         value = self.cells[self.offset(indices)]

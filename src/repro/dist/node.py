@@ -143,11 +143,6 @@ class _NodeInterpreter(SpmdInterpreter):
     def alloc_shared(self, seq: int, dims: tuple[int, ...]) -> DistArray:
         return DistArray(self.runtime, seq, dims, self.replay)
 
-    def on_array_read(self, arr, indices: tuple):
-        if isinstance(arr, DistArray):
-            return self.runtime.array_read(arr, indices)
-        return arr.read(indices)
-
 
 class NodeRuntime:
     """Everything one node process owns: loop, transport, stores, threads.

@@ -105,11 +105,7 @@ def _attribute_gap(lo: float, hi: float,
     # Elementary boundaries: the gap ends plus every span edge inside.
     bounds = {lo, hi}
     for spans in merged.values():
-        for s, e in spans:
-            if lo < s < hi:
-                bounds.add(s)
-            if lo < e < hi:
-                bounds.add(e)
+        bounds.update(_edges_inside(lo, hi, spans))
     cuts = sorted(bounds)
     for a, b in zip(cuts, cuts[1:]):
         if b - a <= _EPS:
@@ -124,6 +120,23 @@ def _attribute_gap(lo: float, hi: float,
             out[-1] = (out[-1][0], b, cat)
         else:
             out.append((a, b, cat))
+
+
+def _edges_inside(lo: float, hi: float,
+                  spans: list[tuple[float, float]]) -> list[float]:
+    """Span edges strictly inside ``(lo, hi)``.  A merged list is sorted
+    and disjoint, so only the span that may straddle ``lo`` and those
+    starting before ``hi`` can have one."""
+    edges = []
+    for k in range(max(bisect_left(spans, (lo,)) - 1, 0), len(spans)):
+        s, e = spans[k]
+        if s >= hi:
+            break
+        if lo < s:
+            edges.append(s)
+        if lo < e < hi:
+            edges.append(e)
+    return edges
 
 
 def _covers(spans: list[tuple[float, float]] | None, point: float) -> bool:

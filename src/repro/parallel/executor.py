@@ -133,13 +133,12 @@ class _WorkerInterpreter(SpmdInterpreter):
         self.run_tag = run_tag
         self.page_size = cfg.page_size
         self.manifest = manifest
-        self.read_timeout_s = cfg.read_timeout_s
-        self.spin_ceiling_s = cfg.spin_ceiling_s
-        self.stall_fn = stall_fn
         self.alloc_fn = alloc_fn
-        # Pre-bound so the read hot path doesn't allocate a closure per
-        # deferred read.
-        self._on_spin = lambda: self.injector.fire("spin")
+        # How a read of an absent element waits, bound into every handle
+        # at allocation (see ShmArray).
+        self.read_settings = dict(
+            timeout_s=cfg.read_timeout_s, spin_ceiling_s=cfg.spin_ceiling_s,
+            on_stall=stall_fn, on_spin=lambda: self.injector.fire("spin"))
 
     # -- the shm store ----------------------------------------------------
 
@@ -158,7 +157,8 @@ class _WorkerInterpreter(SpmdInterpreter):
                        page_size=self.page_size,
                        epoch_slots=self.num_workers,
                        slot=self.worker, generation=self.spec.generation,
-                       replay=self.spec.replay, exist_ok=self.spec.replay)
+                       replay=self.spec.replay, exist_ok=self.spec.replay,
+                       **self.read_settings)
         # Claim every adopted identity's epoch slot, so a stale
         # predecessor of any of them self-detects as superseded.
         for ident in self.identities:
@@ -169,13 +169,6 @@ class _WorkerInterpreter(SpmdInterpreter):
             # None when checkpointing is off — no message, no cost.
             self.alloc_fn(seq, name, dims)
         return arr
-
-    def on_array_read(self, arr, indices: tuple) -> Any:
-        if isinstance(arr, ShmArray):
-            return arr.read(indices, timeout_s=self.read_timeout_s,
-                            spin_ceiling_s=self.spin_ceiling_s,
-                            on_stall=self.stall_fn, on_spin=self._on_spin)
-        return arr.read(indices)
 
     def cleanup(self) -> None:
         for arr in self.shared_arrays:

@@ -10,11 +10,14 @@ The flag encodes presence and type (I-structure presence bits):
     0 = absent, 1 = float, 2 = int, 3 = bool
 
 A write stores the value first and sets the flag last; a read spins until
-the flag is non-zero.  On x86-64 with CPython this is sound: aligned
-8-byte stores are atomic and the interpreter does not reorder the two
-statements.  Single assignment is enforced by testing the flag before
-writing — a best-effort check (two simultaneous writers could both pass
-it), exactly the kind of race single-assignment *programs* never exhibit.
+the flag is non-zero.  On x86-64 with CPython this is sound: stores
+become visible in program order (the value is complete before its flag
+is) and the interpreter does not reorder the two statements.  Single
+assignment is enforced by testing the flag before writing — a
+best-effort check (two simultaneous writers could both pass it), exactly
+the kind of race single-assignment *programs* never exhibit.  A cell
+holds a float, a bool or an int of at most 64 bits; a wider int is
+refused at the write, before anything is stored.
 
 The epoch table carries one monotonically increasing *ownership epoch*
 per worker slot, stamped by each generation of a worker when it attaches.
@@ -36,7 +39,6 @@ from __future__ import annotations
 
 import mmap
 import os
-import struct
 import time
 from typing import Callable
 
@@ -45,15 +47,14 @@ import _posixshmem
 from repro.common.errors import (BoundsViolation, DeferredReadTimeout,
                                  ExecutionError, SingleAssignmentViolation,
                                  WorkerSuperseded)
-from repro.runtime.arrays import ArrayHeader
+from repro.runtime.arrays import ArrayHeader, offset_fn
 
 FLAG_ABSENT = 0
 FLAG_FLOAT = 1
 FLAG_INT = 2
 FLAG_BOOL = 3
 
-_PACK = struct.Struct("<d")
-_PACK_INT = struct.Struct("<q")
+_INT_MIN, _INT_MAX = -2 ** 63, 2 ** 63 - 1  # what an 8-byte cell holds
 
 
 class _Segment:
@@ -107,13 +108,25 @@ class ShmArray:
     host-side use).  ``exist_ok`` turns creation into create-or-attach,
     which is what a replayed worker 0 needs: its predecessor may or may
     not have gotten around to creating the segment.
+
+    How a read waits is bound here, once per handle: a spin that lasts
+    ``spin_ceiling_s`` (and every further multiple of it) invokes
+    ``on_stall`` with a structured report — array, indices, flat offset,
+    owning worker slot, seconds waited — which the worker forwards to
+    the supervisor; ``on_spin`` fires once when a spin begins (the
+    fault-injection hook); a spin that outlives ``timeout_s`` raises
+    :class:`~repro.common.errors.DeferredReadTimeout`.
     """
 
     def __init__(self, name: str, dims: tuple[int, ...], create: bool,
                  attach_timeout_s: float = 10.0,
                  page_size: int = 32, epoch_slots: int = 1,
                  slot: int = 0, generation: int = 0,
-                 replay: bool = False, exist_ok: bool = False) -> None:
+                 replay: bool = False, exist_ok: bool = False,
+                 timeout_s: float = 30.0,
+                 spin_ceiling_s: float | None = None,
+                 on_stall: Callable[[dict], None] | None = None,
+                 on_spin: Callable[[], None] | None = None) -> None:
         self.dims = dims
         self.page_size = page_size
         if epoch_slots < 1:
@@ -122,12 +135,15 @@ class ShmArray:
         self.slot = slot
         self.generation = generation
         self.replay = replay
+        self.timeout_s = timeout_s
+        self.spin_ceiling_s = spin_ceiling_s
+        self.on_stall = on_stall
+        self.on_spin = on_spin
         # Identity-space geometry (``epoch_slots`` plays ``num_pes``):
         # what the Range Filter consults, and the segment-owner hint in
         # stall reports.
         self.header = ArrayHeader(1, dims, page_size, epoch_slots)
         self.total = total = self.header.total_elements
-        self.strides = self.header.strides
         self._epoch_bytes = 8 * epoch_slots
         size = self._epoch_bytes + total * 9  # epochs + flag + value bytes
 
@@ -147,10 +163,17 @@ class ShmArray:
         else:
             self.shm = self._attach(name, size, attach_timeout_s)
         self.name = name
-        self._epochs = self.shm.buf[:self._epoch_bytes]
-        self._flags = self.shm.buf[self._epoch_bytes:self._epoch_bytes + total]
-        self._vals = self.shm.buf[self._epoch_bytes + total:
-                                  self._epoch_bytes + total + 8 * total]
+        self.offset = offset_fn(name, dims)
+        # Typed views over the mapping: cells are read and written as
+        # native 8-byte floats / ints with no per-access (un)packing.
+        # The value region follows ``total`` flag bytes and so need not
+        # be 8-aligned; x86-64 loads and stores do not care.
+        buf = self.shm.buf
+        self._epochs = buf[:self._epoch_bytes].cast("q")
+        self._flags = buf[self._epoch_bytes:self._epoch_bytes + total]
+        vals = buf[self._epoch_bytes + total:size]
+        self._floats = vals.cast("d")
+        self._ints = vals.cast("q")
         if generation:
             self.set_epoch(slot, generation)
         # Telemetry counters, all process-local (each worker holds its
@@ -186,29 +209,17 @@ class ShmArray:
 
     def epoch(self, slot: int) -> int:
         """Current ownership epoch of ``slot`` (0 = never stamped)."""
-        return _PACK_INT.unpack_from(self._epochs, slot * 8)[0]
+        return self._epochs[slot]
 
     def set_epoch(self, slot: int, generation: int) -> None:
         """Stamp ``slot``'s epoch; monotonic (never lowers the value)."""
         if generation > self.epoch(slot):
-            _PACK_INT.pack_into(self._epochs, slot * 8, generation)
+            self._epochs[slot] = generation
 
     def _check_superseded(self) -> None:
-        current = _PACK_INT.unpack_from(self._epochs, self.slot * 8)[0]
+        current = self._epochs[self.slot]
         if current > self.generation:
             raise WorkerSuperseded(self.slot, self.generation, current)
-
-    # -- geometry --------------------------------------------------------
-
-    def offset(self, indices: tuple[int, ...]) -> int:
-        if len(indices) != len(self.dims):
-            raise BoundsViolation(self.name, indices, self.dims)
-        off = 0
-        for idx, dim, stride in zip(indices, self.dims, self.strides):
-            if not isinstance(idx, int) or idx < 1 or idx > dim:
-                raise BoundsViolation(self.name, indices, self.dims)
-            off += (idx - 1) * stride
-        return off
 
     # -- element access --------------------------------------------------
 
@@ -230,44 +241,39 @@ class ShmArray:
             raise SingleAssignmentViolation(0, off)
         if self.generation:
             self._check_superseded()
-        base = off * 8
-        if isinstance(value, bool):
-            _PACK_INT.pack_into(self._vals, base, int(value))
+        if isinstance(value, float):
+            self._floats[off] = value
+            flag = FLAG_FLOAT
+        elif isinstance(value, bool):
+            self._ints[off] = value
             flag = FLAG_BOOL
         elif isinstance(value, int):
-            _PACK_INT.pack_into(self._vals, base, value)
+            if not _INT_MIN <= value <= _INT_MAX:
+                raise ExecutionError(
+                    f"cannot store {value} in shared array {self.name}"
+                    f"{list(indices)}: it does not fit the 8-byte cell")
+            self._ints[off] = value
             flag = FLAG_INT
-        elif isinstance(value, float):
-            _PACK.pack_into(self._vals, base, value)
-            flag = FLAG_FLOAT
         else:
             raise ExecutionError(f"cannot store {type(value).__name__} in a "
                                  "shared array")
         self._flags[off] = flag  # presence bit set last
 
-    def read(self, indices: tuple[int, ...], timeout_s: float = 30.0,
-             spin_ceiling_s: float | None = None,
-             on_stall: Callable[[dict], None] | None = None,
-             on_spin: Callable[[], None] | None = None):
-        """I-structure read: spin until the element is present.
-
-        A spin that lasts ``spin_ceiling_s`` (and every further multiple
-        of it) invokes ``on_stall`` with a structured report — array,
-        indices, flat offset, owning worker slot, seconds waited — which
-        the worker forwards to the supervisor; ``on_spin`` fires once
-        when the spin begins (the fault-injection hook).  A spin that
-        outlives ``timeout_s`` raises
-        :class:`~repro.common.errors.DeferredReadTimeout`.
-        """
+    def read(self, indices: tuple[int, ...]):
+        """I-structure read: spin until the element is present, under
+        the settings bound at construction."""
         off = self.offset(indices)
         self.reads += 1
         flag = self._flags[off]
+        if flag == FLAG_FLOAT:
+            return self._floats[off]
         if flag == FLAG_ABSENT:
             self.deferred_reads += 1
-            if on_spin is not None:
-                on_spin()
+            if self.on_spin is not None:
+                self.on_spin()
+            spin_ceiling_s, on_stall = self.spin_ceiling_s, self.on_stall
             spin_start = time.monotonic()
-            deadline = spin_start + timeout_s
+            deadline = spin_start + self.timeout_s
             next_stall = (spin_start + spin_ceiling_s
                           if spin_ceiling_s else None)
             pause = 1e-6
@@ -303,10 +309,9 @@ class ShmArray:
         return self._read_present(off, flag)
 
     def _read_present(self, off: int, flag: int):
-        base = off * 8
         if flag == FLAG_FLOAT:
-            return _PACK.unpack_from(self._vals, base)[0]
-        value = _PACK_INT.unpack_from(self._vals, base)[0]
+            return self._floats[off]
+        value = self._ints[off]
         return bool(value) if flag == FLAG_BOOL else value
 
     def stats(self) -> dict:
@@ -358,10 +363,11 @@ class ShmArray:
         return ArrayValue(self.dims, self.snapshot())
 
     def close(self) -> None:
-        # Memoryview slices must be released before closing the segment.
-        self._epochs.release()
-        self._flags.release()
-        self._vals.release()
+        # Every view of the mapping must be released before closing the
+        # segment: one left behind makes ``mmap.close()`` raise
+        # ``BufferError`` and leaks the mapping.
+        for view in (self._epochs, self._flags, self._floats, self._ints):
+            view.release()
         self.shm.close()
 
     def unlink(self) -> None:

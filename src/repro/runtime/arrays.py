@@ -39,6 +39,41 @@ def row_strides(dims: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(strides)
 
 
+def offset_fn(label, dims: tuple[int, ...]):
+    """``indices -> row-major flat offset`` for extents ``dims``, built once.
+
+    The one index rule of every I-structure store: an index is exactly
+    an ``int`` (``type(i) is int`` — no ``bool``, no other subclass), in
+    ``1..dim``, and the tuple has exactly ``len(dims)`` entries; anything
+    else is ``BoundsViolation(label, indices, dims)``.  Rank 2 — every
+    array the timed workloads allocate — is unrolled with the bounds
+    captured; any other rank keeps the generic loop.
+    """
+    if len(dims) == 2:
+        d0, d1 = dims
+
+        def offset(indices):
+            if len(indices) == 2:
+                i, j = indices
+                if (type(i) is int and type(j) is int
+                        and 1 <= i <= d0 and 1 <= j <= d1):
+                    return (i - 1) * d1 + j - 1
+            raise BoundsViolation(label, indices, dims)
+    else:
+        strides = row_strides(dims)
+
+        def offset(indices):
+            if len(indices) != len(dims):
+                raise BoundsViolation(label, indices, dims)
+            off = 0
+            for idx, dim, stride in zip(indices, dims, strides):
+                if type(idx) is not int or idx < 1 or idx > dim:
+                    raise BoundsViolation(label, indices, dims)
+                off += (idx - 1) * stride
+            return off
+    return offset
+
+
 def num_pages(total_elements: int, page_size: int) -> int:
     """Number of pages covering ``total_elements`` (last page may be short)."""
     return (total_elements + page_size - 1) // page_size
@@ -127,18 +162,10 @@ class ArrayHeader:
     def strides(self) -> tuple[int, ...]:
         return row_strides(self.dims)
 
-    def offset(self, indices: tuple[int, ...]) -> int:
+    @cached_property
+    def offset(self):
         """Row-major flat offset of a 1-based index tuple (bounds-checked)."""
-        dims = self.dims
-        if len(indices) != len(dims):
-            raise BoundsViolation(self.array_id, indices, dims)
-        off = 0
-        for idx, dim, stride in zip(indices, dims, self.strides):
-            if (not isinstance(idx, int) or isinstance(idx, bool)
-                    or idx < 1 or idx > dim):
-                raise BoundsViolation(self.array_id, indices, dims)
-            off += (idx - 1) * stride
-        return off
+        return offset_fn(self.array_id, self.dims)
 
     def indices_of(self, offset: int) -> tuple[int, ...]:
         """Inverse of :meth:`offset` (1-based indices from a flat offset)."""

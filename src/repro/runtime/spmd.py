@@ -28,9 +28,10 @@ mean on the simulator.
 What varies between substrates is the *location* of a shared array's
 elements — a shared-memory segment, a node's element store — never the
 statement semantics, so the store is the parameter.  A substrate
-supplies ``shared_cls`` (its handle class, carrying ``name``, the
-identity-space ``header``, ``write(indices, value)`` and ``stats()``
-counters), :meth:`alloc_shared` and a direct ``on_array_read`` override.
+supplies ``shared_cls`` — its handle class: ``name``, the identity-space
+``header``, ``read(indices)``, ``write(indices, value)`` and ``stats()``
+counters, with whatever a read needs bound into the handle — and
+:meth:`alloc_shared`, which builds one.
 
 The base interpreter is compile-once (:mod:`repro.baseline.sequential`):
 the loop seams overridden here take the compiled
@@ -103,7 +104,10 @@ class SpmdInterpreter(PartitionedInterpreter):
         self.shared_arrays.append(arr)
         return arr
 
-    # -- writes -----------------------------------------------------------
+    # -- element access ---------------------------------------------------
+
+    def on_array_read(self, arr, indices: tuple):
+        return arr.read(indices)
 
     def on_array_write(self, arr, indices: tuple, value) -> None:
         if isinstance(arr, self.shared_cls):

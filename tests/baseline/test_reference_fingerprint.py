@@ -44,10 +44,13 @@ APPS += [("simple@8x1", lambda: compile_simple(), (8, 1)),
          ("simple@24x2", lambda: compile_simple(), (24, 2))]
 STATIC_PES = [1, 4, 8]
 
-# name -> (source, args).  The taxonomy's four program faults, a type
-# error inside a binary op (the text names the source location and the
-# operator), recursion past the call-depth guard, and a subscripted scalar.
-ERROR_PROGRAMS = {code: (src, (6,)) for code, src in CASES.items()}
+# name -> (source, args).  The taxonomy's four program faults the tree
+# walker was run on (a row added since has no reference: ``bool-subscript``
+# returned ``A[1]`` there), a type error inside a binary op (the text
+# names the source location and the operator), recursion past the
+# call-depth guard, and a subscripted scalar.
+ERROR_PROGRAMS = {code: (CASES[code], (6,)) for code in (
+    "bounds", "deadlock", "float-subscript", "single-assignment")}
 ERROR_PROGRAMS["type-error"] = (
     "function main(n) { A = matrix(n, n); return A + 1; }", (3,))
 ERROR_PROGRAMS["call-depth"] = (

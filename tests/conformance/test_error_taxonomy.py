@@ -16,7 +16,9 @@ Three canonical failures cover the taxonomy's program-fault rows:
 A fourth program pins one more way into ``bounds``: a non-integer
 subscript (``A[2.0]``) is out of bounds everywhere — never a
 ``TypeError`` out of the substrate's storage (which the parallel
-backend would report as a ``worker-failure``).
+backend would report as a ``worker-failure``).  A fifth pins the other
+half of the one index rule (``runtime.arrays.offset_fn``): a boolean is
+not an index either, so ``A[n == n]`` is never ``A[1]``.
 
 Every rendering must be the one-line ``error[Type/code]: ...`` form the
 CLI prints — no tracebacks, no multi-line spew.
@@ -62,9 +64,16 @@ CASES = {
             return A[2.0];
         }
     """,
+    "bool-subscript": """
+        function main(n) {
+            A = array(n);
+            for i = 1 to n { A[i] = 1.0 * i; }
+            return A[n == n];
+        }
+    """,
 }
 # Case name -> taxonomy code, where the name is not the code itself.
-CODES = {"float-subscript": "bounds"}
+CODES = {"float-subscript": "bounds", "bool-subscript": "bounds"}
 
 BACKENDS = ("sim", "seq", "static", "parallel")
 

@@ -10,10 +10,15 @@ still fails loudly.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.obs.critpath import (
+    _EPS,
     IDLE,
+    _edges_inside,
+    _merge,
     critical_path,
     pe_wait_breakdown,
     pe_wait_intervals,
@@ -245,6 +250,38 @@ class TestSimulatedRun:
         _, result = observed_run       # metrics+timelines, no waits
         with pytest.raises(ValueError):
             Profile.from_stats(result.stats)
+
+
+class TestAttributeGap:
+    """The windowed span scan finds exactly the edges the exhaustive one
+    did, also where gap and span edges touch or sit ``_EPS``-close."""
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_windowed_scan_equals_exhaustive(self, seed):
+        rng = random.Random(seed)
+        nudges = (0.0, 0.0, _EPS / 2, -_EPS / 2, 2 * _EPS, -2 * _EPS)
+
+        def point():
+            # A coarse grid makes touching edges common; the nudges put
+            # others within (and just beyond) _EPS of them.
+            return rng.randrange(0, 60) + rng.choice(nudges)
+
+        def interval():
+            a = point()
+            return a, a + rng.randrange(1, 9) + rng.choice(nudges)
+
+        spans = _merge([interval() for _ in range(rng.randrange(1, 14))])
+        edges = [edge for span in spans for edge in span]
+        found = 0
+        for _ in range(40):
+            lo, hi = interval()
+            if rng.random() < 0.5:
+                lo = rng.choice(edges)  # a gap starting on a span edge
+                hi = max(hi, lo + 1.0)
+            got = _edges_inside(lo, hi, spans)
+            assert sorted(got) == [e for e in edges if lo < e < hi]
+            found += len(got)
+        assert found
 
 
 class TestZeroCostWhenOff:

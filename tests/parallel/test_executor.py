@@ -1,5 +1,8 @@
 """Tests for the real-parallel multiprocessing backend."""
 
+import math
+import os
+
 import pytest
 
 from repro.api import compile_source
@@ -39,14 +42,85 @@ class TestShmArray:
     def test_read_timeout_is_deadlock_diagnostic(self):
         from repro.parallel.shm_arrays import ShmArray
 
-        arr = ShmArray("test_pods_rt3", (4,), create=True)
+        arr = ShmArray("test_pods_rt3", (4,), create=True, timeout_s=0.05)
         try:
             with pytest.raises(ExecutionError) as exc:
-                arr.read((2,), timeout_s=0.05)
+                arr.read((2,))
             assert "deadlock" in str(exc.value)
         finally:
             arr.close()
             arr.unlink()
+
+    # Exactness of the typed views: what goes in comes out, value and
+    # type, also where the value region is not 8-aligned (3 flag bytes
+    # after one 8-byte epoch slot put the first cell at byte 11).
+    FLOATS = [-0.0, math.inf, 5e-324]
+    INTS = [0, 2 ** 63 - 1, -2 ** 63]
+    MIXED = [True, -(2 ** 63 - 1), False]
+
+    @pytest.mark.parametrize("dims, values", [
+        ((3,), FLOATS), ((3,), INTS), ((3,), MIXED),
+        ((3, 3), FLOATS + INTS + MIXED),
+    ], ids=["odd-floats", "odd-ints", "odd-mixed", "rank2"])
+    def test_typed_views_round_trip_value_and_type(self, dims, values):
+        from repro.parallel.shm_arrays import ShmArray
+        from repro.runtime.arrays import ArrayHeader
+
+        indices_of = ArrayHeader(1, dims, 32, 1).indices_of
+        arr = ShmArray("test_pods_exact", dims, create=True, epoch_slots=1)
+        try:
+            for off, value in enumerate(values):
+                arr.write(indices_of(off), value)
+            dump, snap = arr.dump(), arr.snapshot()
+            for off, value in enumerate(values):
+                for got in (arr.read(indices_of(off)), dump[off], snap[off]):
+                    assert type(got) is type(value)
+                    assert repr(got) == repr(value)  # tells -0.0 apart
+            assert len(dump) == len(values)
+            assert snap[len(values):] == [None] * (arr.total - len(values))
+        finally:
+            arr.close()
+            arr.unlink()
+        assert "test_pods_exact" not in os.listdir("/dev/shm")
+
+    def test_int_beyond_the_cell_is_refused_before_any_store(self):
+        from repro.parallel.shm_arrays import ShmArray
+
+        arr = ShmArray("test_pods_wide", (2, 2), create=True)
+        try:
+            for wide in (2 ** 63, -2 ** 63 - 1, 4611686018427387904 * 4):
+                with pytest.raises(ExecutionError) as exc:
+                    arr.write((1, 2), wide)
+                text = str(exc.value)
+                assert "test_pods_wide[1, 2]" in text and str(wide) in text
+                assert "8-byte cell" in text
+            assert arr.dump() == {}, "no flag set, element still writable"
+            arr.write((1, 2), 2 ** 63 - 1)
+            assert arr.read((1, 2)) == 2 ** 63 - 1
+        finally:
+            arr.close()
+            arr.unlink()
+
+    def test_replay_verifies_present_elements_through_the_views(self):
+        from repro.common.errors import SingleAssignmentViolation
+        from repro.parallel.shm_arrays import ShmArray
+
+        first = ShmArray("test_pods_replay", (3,), create=True)
+        replay = ShmArray("test_pods_replay", (3,), create=False, replay=True)
+        try:
+            for k, value in enumerate((1.5, 7, True), start=1):
+                first.write((k,), value)
+            for k, value in enumerate((1.5, 7, True), start=1):
+                replay.write((k,), value)
+            assert replay.replayed_present == 3
+            assert replay.stats()["replayed_present"] == 3
+            with pytest.raises(SingleAssignmentViolation):
+                replay.write((1,), 2.5)
+        finally:
+            replay.close()
+            first.close()
+            first.unlink()
+        assert "test_pods_replay" not in os.listdir("/dev/shm")
 
     def test_snapshot_with_absent(self):
         from repro.parallel.shm_arrays import ShmArray

@@ -138,10 +138,10 @@ class TestOwnershipEpochs:
 
 class TestStallWatchdog:
     def test_deferred_read_timeout_is_structured(self):
-        a = ShmArray("podsdrtimeout", (4,), create=True)
+        a = ShmArray("podsdrtimeout", (4,), create=True, timeout_s=0.05)
         try:
             with pytest.raises(DeferredReadTimeout) as exc:
-                a.read((2,), timeout_s=0.05)
+                a.read((2,))
             e = exc.value
             assert e.array == "podsdrtimeout"
             assert e.indices == (2,)
@@ -154,12 +154,12 @@ class TestStallWatchdog:
             a.unlink()
 
     def test_spin_ceiling_reports_stalls(self):
-        a = ShmArray("podsstallrep", (4,), create=True)
         reports = []
+        a = ShmArray("podsstallrep", (4,), create=True, timeout_s=0.22,
+                     spin_ceiling_s=0.05, on_stall=reports.append)
         try:
             with pytest.raises(DeferredReadTimeout):
-                a.read((2,), timeout_s=0.22, spin_ceiling_s=0.05,
-                       on_stall=reports.append)
+                a.read((2,))
             assert len(reports) >= 2, "one report per ceiling crossing"
             assert reports[0]["array"] == "podsstallrep"
             assert reports[0]["offset"] == 1

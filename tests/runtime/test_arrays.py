@@ -1,13 +1,21 @@
 """Tests for row-major paging, segments, ownership and Range-Filter math."""
 
-import pytest
+import enum
+import itertools
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.baseline.sequential import SeqArray
 from repro.common.errors import BoundsViolation, PartitionError
+from repro.parallel.shm_arrays import ShmArray
 from repro.runtime.arrays import (
     ArrayHeader,
     flat_size,
     index_space_diagram,
     num_pages,
+    offset_fn,
     page_map_diagram,
     row_strides,
     segment_of_page,
@@ -66,6 +74,75 @@ class TestGeometry:
             ArrayHeader(1, (), 32, 1)
         with pytest.raises(PartitionError):
             ArrayHeader(1, (0, 4), 32, 1)
+
+
+def _expected(indices, dims):
+    return sum((i - 1) * stride
+               for i, stride in zip(indices, row_strides(dims)))
+
+
+class _Two(enum.IntEnum):
+    TWO = 2
+
+
+class TestOneIndexRule:
+    """``offset_fn`` is the index rule of every I-structure store: the
+    header (``sim``, ``dist``), ``SeqArray`` (``seq``, ``static``) and
+    ``ShmArray`` (``parallel``) agree on every offset and every refusal."""
+
+    @pytest.fixture(params=[(5,), (3, 4), (2, 3, 4)],
+                    ids=["rank1", "rank2", "rank3"])
+    def stores(self, request):
+        dims = request.param
+        shm = ShmArray(f"test_pods_rule{len(dims)}", dims, create=True)
+        try:
+            yield dims, {"offset_fn": offset_fn("x", dims),
+                         "ArrayHeader": ArrayHeader(7, dims, 4, 2).offset,
+                         "SeqArray": SeqArray(dims).offset,
+                         "ShmArray": shm.offset}
+        finally:
+            shm.close()
+            shm.unlink()
+
+    def test_every_store_computes_the_same_offset(self, stores):
+        dims, offsets = stores
+        header = ArrayHeader(7, dims, 4, 2)
+        for indices in itertools.product(*(range(1, d + 1) for d in dims)):
+            want = _expected(indices, dims)
+            assert header.indices_of(want) == indices
+            for store, offset in offsets.items():
+                assert offset(indices) == want, store
+
+    def test_every_store_refuses_the_same_tuples(self, stores):
+        dims, offsets = stores
+        ok = (1,) * len(dims)
+        bad = [ok[:-1], ok + (1,)]                     # short, long
+        for pos, dim in enumerate(dims):
+            # ``_Two.TWO`` is in range by value: the rule is exactly
+            # ``int``, so a subclass is refused like ``True`` is.
+            for idx in (0, dim + 1, -1, 2.0, True, _Two.TWO):
+                bad.append(ok[:pos] + (idx,) + ok[pos + 1:])
+        for indices in bad:
+            for store, offset in offsets.items():
+                with pytest.raises(BoundsViolation) as exc:
+                    offset(indices)
+                assert exc.value.indices == indices, store
+                assert exc.value.dims == dims, store
+
+    @given(dims=st.lists(st.integers(1, 40), min_size=1, max_size=4)
+           .map(tuple), data=st.data())
+    def test_offset_is_row_major_and_inverts_indices_of(self, dims, data):
+        indices = tuple(data.draw(st.integers(1, d)) for d in dims)
+        off = offset_fn("x", dims)(indices)
+        assert off == _expected(indices, dims)
+        assert ArrayHeader(1, dims, 32, 2).indices_of(off) == indices
+
+    def test_headers_stay_equal_after_offset_is_used(self):
+        used, fresh = ArrayHeader(3, (4, 5), 8, 2), ArrayHeader(3, (4, 5), 8, 2)
+        assert used.offset((2, 3)) == 7 and used.owner_of((2, 3)) == 0
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert len({used: 1, fresh: 2}) == 1
 
 
 class TestSegments:
