@@ -421,6 +421,7 @@ _DETAIL_MARKERS = (
     ("BoundsViolation", "bounds"),
     ("DeferredReadTimeout", "deadlock"),
     ("MissingWriteError", "deadlock"),
+    (".ExecutionError: ", "execution"),  # last; not Parallel*/Dist*
 )
 
 

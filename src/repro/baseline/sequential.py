@@ -22,14 +22,17 @@ core every ``parallel`` worker and ``dist`` node runs.
 The program is decoded once, not re-discovered per evaluation: the first
 call of a function compiles it into nested closures over a flat slot
 frame (see :class:`Interpreter`), as ``sim/decode.py`` does for SP
-templates.  What is charged, and in which order, is unchanged by that —
-``tests/baseline/reference_fingerprint.json`` holds ``seq`` and
-``static`` to the retired tree walker's bits.
+templates.  The cost model is decided there too: with a clock each
+closure charges exactly what the retired tree walker did, in its order
+(``tests/baseline/reference_fingerprint.json`` holds ``seq`` and
+``static`` to its bits); without one — the SPMD core, whose substrates
+report wall time — it is built without the charge and only evaluates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable
 
 from repro.common.errors import (
@@ -112,7 +115,7 @@ def is_istructure(obj) -> bool:
 @dataclass
 class SeqResult:
     value: Any
-    time_us: float
+    time_us: float | None  # None: the substrate keeps no modeled time
 
     @property
     def time_s(self) -> float:
@@ -157,7 +160,7 @@ class Loop:
 
 
 class Interpreter:
-    """Compile-once evaluator with a cost clock.
+    """Compile-once evaluator; ``clock=None`` compiles the cost model out.
 
     Each function is decoded, on its first call, into nested closures
     over a flat slot frame: names are resolved to slot indices, operator
@@ -175,14 +178,14 @@ class Interpreter:
     def __init__(self, program: A.Program, clock: Clock | None = None,
                  entry: str = "main") -> None:
         self.program = program
-        self.clock = clock or Clock()
+        self.clock = clock  # None: this substrate keeps no modeled time
         self.entry = entry
         # Nested closures burn a few Python frames per IdLite call; keep
         # the guard comfortably below CPython's own recursion limit.
         self.max_depth = 150
         # name -> (frame size, body).  Filled on first call, never here:
-        # the closures capture the bound hooks and ``clock.charge``, which
-        # a subclass's ``__init__`` has yet to finish setting up.
+        # the closures capture the bound hooks, which a subclass's
+        # ``__init__`` has yet to finish setting up.
         self.compiled: dict[str, tuple[int, Callable]] = {}
         # Classes already seen to pass :func:`is_istructure`.
         self.array_types: set[type] = set()
@@ -199,12 +202,14 @@ class Interpreter:
         value = self.call_function(fn, list(args), depth=0)
         if materialize and is_istructure(value):
             value = value.to_value()
-        return SeqResult(value=value, time_us=self.clock.finish_time())
+        time_us = None if self.clock is None else self.clock.finish_time()
+        return SeqResult(value=value, time_us=time_us)
 
     def call_function(self, fn: A.Function, args: list[Any], depth: int) -> Any:
         if depth > self.max_depth:
             raise ExecutionError(f"call depth over {self.max_depth}")
-        self.clock.charge(CALL)
+        if self.clock is not None:
+            self.clock.charge(CALL)
         code = self.compiled.get(fn.name)
         if code is None:
             scopes = Scopes(fn.params)
@@ -268,12 +273,22 @@ class Interpreter:
             value = self.compile_expr(stmt.value, sc)
             write = self.on_array_write
             known, check = self.array_types, self.check_array
+            if self.clock is None:
+                def run(frame):
+                    arr = frame[slot]
+                    if type(arr) not in known:
+                        check(arr, name)
+                    write(arr, indices(frame), value(frame))
+                return run
+            charge = self.clock.charge
 
             def run(frame):
                 arr = frame[slot]
                 if type(arr) not in known:
                     check(arr, name)
-                write(arr, indices(frame), value(frame))
+                at, new = indices(frame), value(frame)
+                charge(ARRAY_WRITE)
+                write(arr, at, new)
             return run
         if isinstance(stmt, A.If):
             return self.branch(self.compile_expr(stmt.cond, sc),
@@ -287,6 +302,16 @@ class Interpreter:
         if isinstance(stmt, A.While):
             cond = self.compile_expr(stmt.cond, sc)
             body = self.compile_loop_body(stmt.body, sc, {})
+            runaway = "while loop ran 10M iterations"
+            if self.clock is None:
+                def run(frame):
+                    guard = 0
+                    while cond(frame):
+                        guard += 1
+                        if guard > 10_000_000:
+                            raise ExecutionError(runaway)
+                        body(frame)
+                return run
             charge = self.clock.charge
 
             def run(frame):
@@ -297,7 +322,7 @@ class Interpreter:
                         return
                     guard += 1
                     if guard > 10_000_000:
-                        raise ExecutionError("while loop ran 10M iterations")
+                        raise ExecutionError(runaway)
                     body(frame)
             return run
         raise ExecutionError(f"unknown statement {type(stmt).__name__}")
@@ -338,8 +363,14 @@ class Interpreter:
 
     def run_for_range(self, loop: Loop, frame: list,
                       init: int, limit: int, step: int) -> None:
-        charge, run_iteration = self.clock.charge, self.run_iteration
-        i = init
+        run_iteration = self.run_iteration
+        i = init  # any number: ``for i = 1.5 to n`` is a program too
+        if self.clock is None:
+            while (i >= limit) if step < 0 else (i <= limit):
+                run_iteration(loop, frame, i)
+                i += step
+            return
+        charge = self.clock.charge
         while (i >= limit) if step < 0 else (i <= limit):
             charge(LOOP_ITER)
             run_iteration(loop, frame, i)
@@ -356,8 +387,7 @@ class Interpreter:
             value = expr.value
             return lambda frame: value
         if isinstance(expr, A.Var):
-            slot = sc.slot_of(expr.name)
-            return lambda frame: frame[slot]
+            return itemgetter(sc.slot_of(expr.name))
         if isinstance(expr, A.BinOp):
             return self.compile_binary(expr.op, expr.left, expr.right, sc,
                                        expr.loc)
@@ -372,12 +402,22 @@ class Interpreter:
             indices = self.compile_indices(expr.indices, sc)
             read = self.on_array_read
             known, check = self.array_types, self.check_array
+            if self.clock is None:
+                def ev(frame):
+                    arr = frame[slot]
+                    if type(arr) not in known:
+                        check(arr, name)
+                    return read(arr, indices(frame))
+                return ev
+            charge = self.clock.charge
 
             def ev(frame):
                 arr = frame[slot]
                 if type(arr) not in known:
                     check(arr, name)
-                return read(arr, indices(frame))
+                at = indices(frame)
+                charge(ARRAY_READ)
+                return read(arr, at)
             return ev
         if isinstance(expr, A.Call):
             return self.compile_call(expr, sc)
@@ -387,6 +427,16 @@ class Interpreter:
                        sc: Scopes, loc=None) -> Callable:
         left, right = self.compile_expr(left, sc), self.compile_expr(right, sc)
         (fcost, icost), fn = _BIN_COSTS[op], BINARY_FUNCS[op]
+        if self.clock is None:  # evaluate, and nothing else
+            def ev(frame):
+                a, b = left(frame), right(frame)
+                try:
+                    return fn(a, b)
+                except TypeError as exc:
+                    if loc is None:
+                        raise
+                    raise ExecutionError(f"{loc}: {op}: {exc}") from None
+            return ev
         charge = self.clock.charge
 
         def ev(frame):
@@ -405,6 +455,8 @@ class Interpreter:
     def compile_unary(self, op: str, operand: A.Expr, sc: Scopes) -> Callable:
         operand = self.compile_expr(operand, sc)
         (fcost, icost), fn = _UN_COSTS[op], UNARY_FUNCS[op]
+        if self.clock is None:
+            return lambda frame: fn(operand(frame))
         charge = self.clock.charge
 
         def ev(frame):
@@ -421,7 +473,15 @@ class Interpreter:
         args = [self.compile_expr(arg, sc) for arg in call.args]
         if call.name in A.ALLOC_BUILTINS:
             alloc = self.on_alloc
-            return lambda frame: alloc(tuple([arg(frame) for arg in args]))
+            if self.clock is None:
+                return lambda frame: alloc(tuple([arg(frame) for arg in args]))
+            charge = self.clock.charge
+
+            def ev(frame):
+                dims = tuple([arg(frame) for arg in args])
+                charge(T.ALLOC_ARRAY)
+                return alloc(dims)
+            return ev
         fn = self.program.functions.get(call.name)
         if fn is None:
             raise ExecutionError(f"call to unknown {call.name!r}")
@@ -433,6 +493,8 @@ class Interpreter:
                other: Callable) -> Callable:
         """``if`` as a statement or as an expression: one compare, then
         whatever the taken arm yields (a statement arm: its ``return``)."""
+        if self.clock is None:
+            return lambda frame: then(frame) if cond(frame) else other(frame)
         charge = self.clock.charge
 
         def run(frame):
@@ -457,18 +519,17 @@ class Interpreter:
             return lambda frame: (row(frame), col(frame))
         return lambda frame: tuple([sub(frame) for sub in subs])
 
-    # -- array hooks (overridden by the static baseline) ----------------
+    # -- array hooks (overridden by the static baseline and the SPMD core) --
+    # Where an array and its elements live; the flat charge of the access
+    # is the calling closure's, so no hook tests for a clock.
 
     def on_alloc(self, dims: tuple[int, ...]) -> SeqArray:
-        self.clock.charge(T.ALLOC_ARRAY)
         return SeqArray(dims)
 
     def on_array_read(self, arr: SeqArray, indices: tuple) -> Any:
-        self.clock.charge(ARRAY_READ)
         return arr.read(indices)
 
     def on_array_write(self, arr: SeqArray, indices: tuple, value: Any) -> None:
-        self.clock.charge(ARRAY_WRITE)
         arr.write(indices, value)
 
 
@@ -478,7 +539,7 @@ class PartitionedInterpreter(Interpreter):
     (the SPMD core in :mod:`repro.runtime.spmd`; the static baseline)."""
 
     def __init__(self, program: A.Program, graph: ir.ProgramGraph,
-                 clock: Clock, entry: str = "main") -> None:
+                 clock: Clock | None, entry: str = "main") -> None:
         super().__init__(program, clock=clock, entry=entry)
         # AST loop node -> its (partitioned) code block.
         self.block_of = {id(b.ast_ref): b for b in graph.loop_blocks()
@@ -512,12 +573,11 @@ class PartitionedInterpreter(Interpreter):
             value = d.value
             return lambda frame: value
         if isinstance(d, (ir.ParamDef, ir.IndexDef)) and d.name:
-            slot = sc.slot_of(d.name)
-            return lambda frame: frame[slot]
+            return itemgetter(sc.slot_of(d.name))
         raise ExecutionError(f"cannot resolve vid {vid} of {block.name}")
 
 
 def run_sequential(program: A.Program, args: tuple = (),
                    entry: str = "main") -> SeqResult:
     """Run ``program`` on the sequential reference interpreter."""
-    return Interpreter(program, entry=entry).run(args)
+    return Interpreter(program, Clock(), entry).run(args)

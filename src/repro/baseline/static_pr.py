@@ -38,8 +38,6 @@ from repro.graph import ir
 from repro.lang import ast_nodes as A
 from repro.runtime.arrays import ArrayHeader
 from repro.baseline.sequential import (
-    ARRAY_READ,
-    ARRAY_WRITE,
     Clock,
     Loop,
     PartitionedInterpreter,
@@ -168,9 +166,10 @@ class StaticInterpreter(PartitionedInterpreter):
             self.clocks.ctx = "all"
 
     # -- array hooks -------------------------------------------------------
+    # The flat access charge is already on the clock (the calling closure
+    # fuses it in); what these add is where the element lives.
 
     def on_array_read(self, arr: SeqArray, indices: tuple) -> Any:
-        self.clock.charge(ARRAY_READ)
         header = self.header_for(arr)
         offset = arr.offset(indices)
         avail = self.avail.get((arr.array_id, offset), 0.0)
@@ -213,7 +212,6 @@ class StaticInterpreter(PartitionedInterpreter):
         return arr.read(indices)
 
     def on_array_write(self, arr: SeqArray, indices: tuple, value) -> None:
-        self.clock.charge(ARRAY_WRITE)
         header = self.header_for(arr)
         offset = arr.write(indices, value)
         ctx = self.clocks.ctx

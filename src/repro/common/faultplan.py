@@ -277,8 +277,10 @@ class EventTrigger:
     execution generation and restarts the event counts from zero — a
     replay re-executes its subrange from the top.  ``fire`` is called
     from interpreter hot hooks, so the no-fault path is a single
-    truthiness check on an empty list.  Subclasses supply :meth:`act`:
-    what a clause does at the ``count``-th occurrence of its event.
+    truthiness check on an empty list (and the SPMD core compiles the
+    per-iteration call in only under a :attr:`planned` trigger).
+    Subclasses supply :meth:`act`: what a clause does at the
+    ``count``-th occurrence of its event.
     """
 
     def __init__(self, faults, events: tuple[str, ...],
@@ -286,6 +288,11 @@ class EventTrigger:
         self._all = list(faults)
         self._events = events
         self.arm(generation)
+
+    @property
+    def planned(self) -> bool:
+        """Whether any generation of this process holds a clause."""
+        return bool(self._all)
 
     def arm(self, generation: int) -> None:
         self._armed = [f for f in self._all if f.gen in (0, generation)]

@@ -61,7 +61,7 @@ from multiprocessing import connection
 from typing import Any
 
 from repro.common.config import ParallelConfig
-from repro.common.errors import (ExecutionError, ParallelExecutionError,
+from repro.common.errors import (ParallelExecutionError, RuntimeFault,
                                  WorkerFailure)
 from repro.common.retry import RecoveryEvent, RecoveryLog
 from repro.runtime.spmd import (SpmdInterpreter, WorkerTelemetry,
@@ -447,7 +447,7 @@ def run_parallel(program, args: tuple = (),
                 arr = ShmArray(name, dims, create=False,
                                page_size=cfg.page_size, epoch_slots=nw,
                                attach_timeout_s=0.5)
-            except ExecutionError:
+            except RuntimeFault:
                 continue  # torn down already; skip this snapshot's view
             try:
                 arrays.append((seq, dims, cfg.page_size, arr.dump()))

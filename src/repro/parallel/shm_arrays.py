@@ -45,8 +45,8 @@ from typing import Callable
 import _posixshmem
 
 from repro.common.errors import (BoundsViolation, DeferredReadTimeout,
-                                 ExecutionError, SingleAssignmentViolation,
-                                 WorkerSuperseded)
+                                 ExecutionError, RuntimeFault,
+                                 SingleAssignmentViolation, WorkerSuperseded)
 from repro.runtime.arrays import ArrayHeader, offset_fn
 
 FLAG_ABSENT = 0
@@ -202,7 +202,10 @@ class ShmArray:
             except (FileNotFoundError, ValueError):
                 pass
             if time.monotonic() > deadline:
-                raise ExecutionError(f"shared array {name} never appeared")
+                # The creating peer is gone: a fault of the run, not of an
+                # instruction, so not an ``ExecutionError`` (the taxonomy
+                # recovers that class from a worker's failure detail).
+                raise RuntimeFault(f"shared array {name} never appeared")
             time.sleep(0.001)
 
     # -- ownership epochs -----------------------------------------------

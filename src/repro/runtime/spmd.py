@@ -42,6 +42,13 @@ first *called*.  So a substrate may finish its own ``__init__`` after
 ``super().__init__`` returns, but must not rebind a hook once ``run``
 has started.
 
+A worker runs the program, not the cost model: both substrates report
+measured wall time only, so the core passes no clock and its closures
+are compiled without the charges ``seq`` and ``static`` fuse in.  The
+``iter`` fault trigger is likewise compiled into a loop's body only when
+the process's plan holds a clause (:meth:`SpmdInterpreter.compile_for`);
+an iteration is otherwise the base seam's frame store and body call.
+
 The telemetry record, its registry fold and its table live here too
 (both backends report the same fields about the same model), as does
 the process plumbing both launchers share.
@@ -54,8 +61,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 
-from repro.baseline.sequential import (Clock, Loop, PartitionedInterpreter,
-                                       SeqArray)
+from repro.baseline.sequential import Loop, PartitionedInterpreter, SeqArray
 from repro.common.errors import WorkerSuperseded
 
 
@@ -78,7 +84,7 @@ class SpmdInterpreter(PartitionedInterpreter):
 
     def __init__(self, program, identities: tuple[int, ...],
                  injector) -> None:
-        super().__init__(program.ast, program.graph, Clock(), program.entry)
+        super().__init__(program.ast, program.graph, None, program.entry)
         self.identities = identities
         self.injector = injector
         self.alloc_seq = 0
@@ -106,9 +112,6 @@ class SpmdInterpreter(PartitionedInterpreter):
 
     # -- element access ---------------------------------------------------
 
-    def on_array_read(self, arr, indices: tuple):
-        return arr.read(indices)
-
     def on_array_write(self, arr, indices: tuple, value) -> None:
         if isinstance(arr, self.shared_cls):
             # The location rule: replicated code writes at the owner only.
@@ -120,9 +123,18 @@ class SpmdInterpreter(PartitionedInterpreter):
 
     # -- loops ------------------------------------------------------------
 
-    def run_iteration(self, loop: Loop, frame: list, i: int) -> None:
-        self.injector.fire("iter")
-        super().run_iteration(loop, frame, i)
+    def compile_for(self, stmt, sc) -> Loop:
+        loop = super().compile_for(stmt, sc)
+        if self.injector.planned:
+            # A clause of any generation: a takeover re-arms the trigger
+            # under a running executor, whose loops are already compiled.
+            body, fire = loop.body, self.injector.fire
+
+            def faulted(frame):
+                fire("iter")
+                body(frame)
+            loop.body = faulted
+        return loop
 
     def run_for(self, loop: Loop, frame: list) -> None:
         init = loop.init(frame)

@@ -12,6 +12,7 @@ Operands are either frame slots ``("s", index)`` or immediate constants
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -72,7 +73,12 @@ def _safe_mod(a, b):
 
 
 def _safe_pow(a, b):
-    result = a ** b
+    try:
+        result = a ** b
+    except ZeroDivisionError:
+        raise ExecutionError(f"zero to a negative power: {a} ^ {b}") from None
+    except OverflowError:
+        raise ExecutionError(f"power out of range: {a} ^ {b}") from None
     if isinstance(result, complex):
         raise ExecutionError(f"fractional power of negative base: {a} ^ {b}")
     return result
@@ -85,28 +91,28 @@ def _safe_sqrt(a):
 
 
 BINARY_FUNCS: dict[str, Callable[[Any, Any], Any]] = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
     "div": _safe_div,
     "idiv": _safe_idiv,
     "mod": _safe_mod,
     "pow": _safe_pow,
     "min": min,
     "max": max,
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
+    "lt": operator.lt,
+    "le": operator.le,
+    "gt": operator.gt,
+    "ge": operator.ge,
+    "eq": operator.eq,
+    "ne": operator.ne,
     "and": lambda a, b: bool(a) and bool(b),
     "or": lambda a, b: bool(a) or bool(b),
 }
 
 UNARY_FUNCS: dict[str, Callable[[Any], Any]] = {
-    "neg": lambda a: -a,
-    "not": lambda a: not a,
+    "neg": operator.neg,
+    "not": operator.not_,
     "abs": abs,
     "sqrt": _safe_sqrt,
     "float": float,

@@ -10,7 +10,7 @@ from repro.common.errors import (
 from repro.api import compile_source
 from repro.lang.parser import parse
 from repro.lang.semantics import analyze
-from repro.baseline.sequential import run_sequential
+from repro.baseline.sequential import Clock, Interpreter, run_sequential
 from repro.runtime.values import ArrayValue
 from tests.runtime.test_spmd import PlainSpmd
 
@@ -260,6 +260,30 @@ class TestCostModel:
         }
         """, (100,))
         assert float_run.time_us > int_run.time_us
+
+    def test_without_a_clock_only_the_modeled_time_goes(self):
+        # ``clock=None`` compiles the charges out of every closure; the
+        # values and the guards are the program's and stay.
+        tree = parse("""
+        function fact(k) { return if k < 2 then 1 else k * fact(k - 1); }
+        function down(n) { return down(n + 1); }
+        function main(n) {
+            A = array(n);
+            for i = n downto 1 { A[i] = sqrt(1.0 * fact(i)) - i; }
+            s = 0.0;
+            k = 1;
+            while k <= n { next s = s + abs(-A[k]); next k = k + 1; }
+            if s > 1000 { return down(0); }
+            return s;
+        }
+        """)
+        analyze(tree)
+        charged = Interpreter(tree, Clock()).run((6,))
+        bare = Interpreter(tree).run((6,))
+        assert bare.value == charged.value
+        assert charged.time_us > 0 and bare.time_us is None
+        with pytest.raises(ExecutionError, match="call depth over"):
+            Interpreter(tree).run((12,))
 
 
 class TestAgreementWithSimulator:

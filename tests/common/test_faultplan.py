@@ -307,3 +307,19 @@ class TestEngine:
                         DistFaultInjector(DistFaultPlan(), node=0),
                         CoordKillSwitch(None)):
             trigger.fire("anything-at-all")  # never indexes the counters
+
+    def test_planned_is_about_every_generation_and_this_process_only(self):
+        # What the SPMD core asks before putting ``fire`` in a hot seam:
+        # a clause for a later generation counts (a takeover re-arms the
+        # trigger under a running executor), another worker's does not.
+        later = FaultInjector(
+            FaultPlan.parse("kill:worker=1,on=iter,after=3,gen=2"), 1)
+        assert later.planned and not later._armed
+        assert not FaultInjector(
+            FaultPlan.parse("kill:worker=1,on=iter,after=3"), 0).planned
+        assert not FaultInjector(FaultPlan(), 0).planned
+        # dist: only kill clauses addressed to the node reach the trigger.
+        frames = DistFaultPlan.parse("drop:kind=data,count=1")
+        assert not DistFaultInjector(frames, node=0).planned
+        assert DistFaultInjector(DistFaultPlan.parse(
+            "node-kill:node=1,on=write,after=2"), node=1).planned

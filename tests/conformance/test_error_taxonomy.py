@@ -20,15 +20,26 @@ backend would report as a ``worker-failure``).  A fifth pins the other
 half of the one index rule (``runtime.arrays.offset_fn``): a boolean is
 not an index either, so ``A[n == n]`` is never ``A[1]``.
 
+Three more pin the arithmetic faults to ``execution``: a division by
+zero is the program's error on every substrate (not a ``worker-failure``
+because a worker reported it), and the two powers Python refuses with
+exceptions of its own (``0.0 ^ -1``, ``10.0 ^ 400``) are the same
+``ExecutionError`` a fractional power of a negative base is — never
+``internal``.
+
 Every rendering must be the one-line ``error[Type/code]: ...`` form the
 CLI prints — no tracebacks, no multi-line spew.
 """
+
+import traceback
 
 import pytest
 
 from repro.api import compile_source
 from repro.backend import classify_error, get_backend, render_error
 from repro.common.config import ParallelConfig
+from repro.common.errors import (ExecutionError, ParallelExecutionError,
+                                 RuntimeFault, WorkerFailure)
 from repro.common.retry import RetryPolicy
 
 pytestmark = [pytest.mark.conformance, pytest.mark.chaos]
@@ -71,9 +82,14 @@ CASES = {
             return A[n == n];
         }
     """,
+    "div-zero": "function main(n) { return n / 0; }",
+    "zero-to-negative-power": "function main(n) { return 0.0 ^ (0 - 1); }",
+    "pow-overflow": "function main(n) { return 10.0 ^ 400; }",
 }
 # Case name -> taxonomy code, where the name is not the code itself.
-CODES = {"float-subscript": "bounds", "bool-subscript": "bounds"}
+CODES = {"float-subscript": "bounds", "bool-subscript": "bounds",
+         "div-zero": "execution", "zero-to-negative-power": "execution",
+         "pow-overflow": "execution"}
 
 BACKENDS = ("sim", "seq", "static", "parallel")
 
@@ -103,3 +119,42 @@ def test_same_code_on_every_backend(code, backend, broken):
     rendered = render_error(exc)
     assert "\n" not in rendered
     assert rendered.startswith(f"error[{type(exc).__name__}/{code}]: ")
+
+
+def test_only_the_bare_execution_error_is_recovered_from_a_detail():
+    """The worker-side class is read out of its traceback's last line;
+    the supervisors' own ``*ExecutionError`` names end in the same word
+    and must not be mistaken for it."""
+    def code(detail: str) -> str:
+        failure = WorkerFailure(0, kind="error", detail=detail)
+        return classify_error(ParallelExecutionError("run failed", [failure]))
+
+    assert code("ExecutionError: division by zero\nTraceback (most recent "
+                "call last):\n  ...\nrepro.common.errors.ExecutionError: "
+                "division by zero") == "execution"
+    assert code("repro.common.errors.DistExecutionError: node 1 reported "
+                "a program error") == "worker-failure"
+    assert code("ParallelExecutionError: 1 worker failure(s)") \
+        == "worker-failure"
+    # A more specific class named anywhere in the detail still wins.
+    assert code("repro.common.errors.ExecutionError: while handling "
+                "BoundsViolation") == "bounds"
+
+
+def test_a_peer_that_died_before_allocating_stays_a_worker_failure():
+    """A survivor that times out attaching a segment its dead peer never
+    created reports the run's fault, not an instruction's: its detail
+    must not read as the program's ``ExecutionError``."""
+    from repro.parallel.shm_arrays import ShmArray
+
+    with pytest.raises(RuntimeFault) as gone:
+        ShmArray("pods-test-never-created", (4,), create=False,
+                 attach_timeout_s=0.0)
+    assert not isinstance(gone.value, ExecutionError)
+    detail = (f"{type(gone.value).__name__}: {gone.value}\n"  # as a worker
+              + "".join(traceback.format_exception(gone.value)))  # sends it
+    assert "never appeared" in detail
+    failures = [WorkerFailure(1, exitcode=-9, kind="crash"),
+                WorkerFailure(0, kind="error", detail=detail)]
+    assert classify_error(
+        ParallelExecutionError("run failed", failures)) == "worker-failure"

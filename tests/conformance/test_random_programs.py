@@ -13,7 +13,9 @@ reduction, or a serial prefix-sum loop that writes a second array from
 replicated code (each ``P[i]`` written once, by its owner, reading a
 ``P[i - 1]`` another identity may own).  The final reduction may draw a
 guard: its ``next`` then sits under an ``if``, so the carried sum has to
-survive the iterations whose element fails the test.
+survive the iterations whose element fails the test.  And it may be
+drawn as a ``while`` carrying its own index beside the sum; bodies draw
+unary minus too (a ``neg`` unless the parser folds it into a literal).
 """
 
 import pytest
@@ -44,10 +46,12 @@ def bodies(draw, depth=0):
         return "n", lambda i, n: n
 
     op = draw(st.sampled_from(["+", "-", "*", "/", "min", "max", "abs",
-                               "ifexp"]))
+                               "neg", "ifexp"]))
     ls, lf = draw(bodies(depth=depth + 1))
     if op == "abs":
         return f"abs({ls})", lambda i, n: abs(lf(i, n))
+    if op == "neg":
+        return f"(-{ls})", lambda i, n: -lf(i, n)
     rs, rf = draw(bodies(depth=depth + 1))
     if op == "+":
         return f"({ls} + {rs})", lambda i, n: lf(i, n) + rf(i, n)
@@ -73,12 +77,19 @@ PREFIX = """
             for i = 2 to n { P[i] = P[i - 1] + A[i]; }"""
 
 
-def reduction(array: str, guard) -> str:
-    """Sum ``array`` — only its elements below ``guard`` when one is drawn."""
+def reduction(array: str, guard, loop: str) -> str:
+    """Sum ``array`` — only its elements below ``guard`` when one is
+    drawn — in a ``for``, or in a ``while`` that carries ``i`` as well."""
     step = f"next s = s + {array}[i];"
     if guard is not None:
         bound = f"({guard})" if guard < 0 else str(guard)
         step = f"if {array}[i] < {bound} {{ {step} }}"
+    if loop == "while":
+        return f"""
+            s = 0.0;
+            i = 1;
+            while i <= n {{ {step} next i = i + 1; }}
+            return s;"""
     return f"""
             s = 0.0;
             for i = 1 to n {{ {step} }}
@@ -86,12 +97,13 @@ def reduction(array: str, guard) -> str:
 
 
 @given(body=bodies(), n=st.integers(3, 10), prefix=st.booleans(),
-       guard=st.none() | st.integers(-3, 3))
+       guard=st.none() | st.integers(-3, 3),
+       loop=st.sampled_from(["for", "while"]))
 @settings(max_examples=12, deadline=None)
-def test_random_program_church_rosser(body, n, prefix, guard):
+def test_random_program_church_rosser(body, n, prefix, guard, loop):
     src, fn = body
-    consume = (PREFIX + reduction("P", guard) if prefix
-               else reduction("A", guard))
+    consume = (PREFIX + reduction("P", guard, loop) if prefix
+               else reduction("A", guard, loop))
     program = compile_source(f"""
         function main(n) {{
             A = array(n);

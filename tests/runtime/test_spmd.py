@@ -13,13 +13,20 @@ width, ascending and descending, one identity per interpreter or several
 * ``rf_counts`` is exactly what ``ArrayHeader.filtered_range`` predicts;
 * the assembled array equals the sequential interpreter's;
 * replicated code (outside any distributed loop) writes each element
-  once, at its owner — the location rule.
+  once, at its owner — the location rule;
+* the core keeps no modeled time, and the closures it compiles without
+  the cost model compute what ``seq``'s charged ones do;
+* the ``iter`` fault trigger is compiled into the loops exactly when the
+  plan holds a clause, and ``iter``/``write`` clauses act at their counts.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro import compile_source
 from repro.baseline.sequential import SeqArray
+from repro.common.errors import ExecutionError
 from repro.common.faultplan import EventTrigger
 from repro.runtime.arrays import ArrayHeader
 from repro.runtime.spmd import (SpmdInterpreter, WorkerTelemetry,
@@ -104,8 +111,10 @@ class PlainSpmd(SpmdInterpreter):
 
     shared_cls = PlainArray
 
-    def __init__(self, program, identities, width, store) -> None:
-        super().__init__(program, identities, EventTrigger((), ()))
+    def __init__(self, program, identities, width, store,
+                 injector=None) -> None:
+        super().__init__(program, identities,
+                         injector or EventTrigger((), ()))
         self.width = width
         self.store = store
         self.executed: list[tuple[str, int]] = []
@@ -257,3 +266,151 @@ def test_telemetry_sums_the_store_counters_and_renders():
     assert table.splitlines()[0].startswith("node    wall(s)")
     assert "main.for_i[1..8]" in table
     assert telemetry_table(stats).startswith("worker  wall(s)")
+
+
+# -- the clock-less closures, against ``seq`` ----------------------------
+#
+# A worker's closures are compiled without the cost model, so each one
+# has a second body that only ``parallel`` and ``dist`` execute.  Between
+# them these programs run every such body.  The identities run one after
+# another here, so an element is only ever read by the iteration that
+# wrote it (or from an array private to that iteration).
+
+CLOSURES = """
+function g3(x) { return abs(x) - 1; }
+function g2(x) { return g3(x) * 2 + g3(0 - x); }
+function g1(x) { return g2(x) + 1; }
+function row(i, n) {
+    V = array(n);
+    M = matrix(n + 1, n);
+    T = array(2, n, 2);
+    one = 1;
+    for j = n downto 1 {
+        V[j] = sqrt(1.0 * j) + min(i, j);
+        M[one, j] = max(i, j) * 1.0;
+        for r = 1 to n { M[r + 1, j] = M[r, j] + V[j]; }
+        T[one, j, one] = -V[j];
+        T[2, j, 2] = if not (j < i) then g1(j) else 0 - j;
+    }
+    s = 0.0;
+    k = 1;
+    while k <= n {
+        next s = s + M[n + 1, k] + T[one, k, one] * T[2, k, 2];
+        next k = k + 1;
+    }
+    if s < 0 { return 0 - s; }
+    return s;
+}
+function main(n) {
+    B = matrix(n, n);
+    C = matrix(n, n);
+    h = 0.0;
+    for x = 1.5 to n { next h = h + x; }
+    for i = 1 to n {
+        for j = 1 to n {
+            B[i, j] = row(i, n) + h * j;
+            C[i, j] = B[i, j] - B[i, 1 + j - 1];
+        }
+    }
+    return B;
+}"""
+
+TYPE_ERROR = """
+function bad(i) { T = array(2); return T + i; }
+function main(n) {
+    A = array(n);
+    for i = 1 to n { A[i] = bad(i); }
+    return A;
+}"""
+
+
+@pytest.mark.parametrize("takeover", [False, True],
+                         ids=["single-identity", "takeover"])
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_clockless_closures_agree_with_seq(width, takeover):
+    n = 7
+    program, arrays, interps = _run(CLOSURES, (n,), width, takeover)
+    assert arrays["a1"] == program.run((n,), backend="seq").value
+    assert arrays["a2"].flat == [0.0] * (n * n)  # C: all read back in place
+
+
+def test_the_core_keeps_no_modeled_time():
+    interp = PlainSpmd(compile_source(CLOSURES), (0,), 1, {})
+    assert interp.clock is None
+    assert interp.run((3,), materialize=False).time_us is None
+
+
+def test_type_error_text_is_the_sequential_one():
+    program = compile_source(TYPE_ERROR)
+    with pytest.raises(ExecutionError) as seq:
+        program.run((3,), backend="seq")
+    with pytest.raises(ExecutionError) as spmd:
+        PlainSpmd(program, (0,), 1, {}).run((3,))
+    assert str(spmd.value) == str(seq.value)
+    assert ": add: unsupported operand" in str(seq.value)
+
+
+# -- the ``iter`` trigger joins a loop only under a plan ------------------
+
+
+class Recorder(EventTrigger):
+    """Counts ``fire`` calls per event and notes, for each clause that
+    reaches its count, how many shared writes the interpreter under it
+    had performed."""
+
+    def __init__(self, faults=()) -> None:
+        super().__init__(faults, ("iter", "write"))
+        self.fired = {"iter": 0, "write": 0}
+        self.hits: list[tuple[str, int]] = []
+        self.interp = None
+
+    def fire(self, event):
+        self.fired[event] += 1
+        super().fire(event)
+
+    def act(self, f, count):
+        if count == f.after:
+            self.hits.append((f.on, sum(arr.writes for arr
+                                        in self.interp.shared_arrays)))
+
+
+def _clause(on: str, after: int, gen: int = 0):
+    return SimpleNamespace(on=on, after=after, gen=gen)
+
+
+def _under(trigger: Recorder) -> PlainSpmd:
+    interp = PlainSpmd(compile_source(ASCENDING), (0,), 1, {}, trigger)
+    trigger.interp = interp
+    return interp
+
+
+def test_an_empty_plan_never_fires_per_iteration():
+    trigger = Recorder()
+    interp = _under(trigger)
+    interp.run((23,), materialize=False)
+    # 23 iterations ran; only the write hook (unconditional) asked.
+    assert trigger.fired == {"iter": 0, "write": 23}
+
+
+def test_planned_triggers_act_at_their_counts_in_every_generation():
+    # ASCENDING writes once per iteration: the sixth iteration starts
+    # after five writes, the fourth write follows three.
+    trigger = Recorder([_clause("iter", 5), _clause("write", 3)])
+    _under(trigger).run((23,), materialize=False)
+    assert trigger.hits == [("write", 3), ("iter", 5)]
+    assert trigger.fired == {"iter": 23, "write": 23}
+    trigger.arm(2)  # a replay: counts restart, under a new executor
+    _under(trigger).run((23,), materialize=False)
+    assert trigger.hits == [("write", 3), ("iter", 5)] * 2
+
+
+def test_a_later_generations_clause_is_bound_from_the_start():
+    # What a takeover does: the injector is re-armed while the executor
+    # built under generation 1 keeps running.
+    trigger = Recorder([_clause("iter", 2, gen=2)])
+    interp = _under(trigger)
+    interp.run((23,), materialize=False)
+    assert trigger.hits == [] and trigger.fired["iter"] == 23
+    trigger.arm(2)
+    interp.run((23,), materialize=False)  # allocates a second array
+    assert trigger.hits == [("iter", 23 + 2)]

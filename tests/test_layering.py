@@ -25,6 +25,15 @@ expression or statement class, and there only its ``compile_*`` methods
 do — not the closures they build, not the ``run_*`` seams, not the
 ``on_*`` hooks.  An ``isinstance(stmt, A.For)`` anywhere else is the
 per-evaluation dispatch ladder growing back.
+
+And modeled time belongs to the interpreters that report it: nothing
+under ``repro/{runtime,parallel,dist}`` names ``Clock`` (a worker runs
+the program, not the cost model), and in ``baseline/sequential.py`` the
+clock is only ever touched directly inside the ``compile_*`` methods,
+``branch``, ``run_for_range`` and ``call_function`` — never in a closure
+they build (whatever its name) nor in an ``on_*`` hook, which would be
+looking the clock up per evaluation instead of having the charge
+compiled in or out.
 """
 
 import ast
@@ -140,12 +149,23 @@ NODE_CLASSES = {cls.__name__ for cls in (*typing.get_args(ast_nodes.Expr),
                                          *typing.get_args(ast_nodes.Stmt))}
 
 
+def _by_function(tree: ast.AST, chain: tuple[str, ...] = ("<module>",)):
+    """``(node, enclosing functions, outermost first)`` over ``tree``,
+    below the ``"<module>"`` every chain starts with.  A lambda or nested
+    ``def`` is a function of its own; a signature's annotations belong to
+    the function they annotate."""
+    if isinstance(tree, (ast.FunctionDef, ast.Lambda)):
+        chain += (getattr(tree, "name", "<lambda>"),)
+    yield tree, chain
+    for child in ast.iter_child_nodes(tree):
+        yield from _by_function(child, chain)
+
+
 def _node_class_refs(path: str) -> list[tuple[str, str]]:
     """``(innermost enclosing function, "Class:line")`` of every
     reference to an ``ast_nodes`` expression/statement class —
     ``A.For`` through any alias of the module, or a from-imported
-    ``For``.  A lambda or nested ``def`` is its own function; a
-    signature's annotations belong to the function they annotate."""
+    ``For``."""
     with open(path) as fh:
         tree = ast.parse(fh.read(), path)
     modules, classes = {"ast_nodes"}, set()
@@ -158,19 +178,12 @@ def _node_class_refs(path: str) -> list[tuple[str, str]]:
                         and a.name in NODE_CLASSES:
                     classes.add(a.asname or a.name)
     found = []
-
-    def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
-            function = getattr(node, "name", "<lambda>")
+    for node, (*_, function) in _by_function(tree):
         if isinstance(node, ast.Attribute) and node.attr in NODE_CLASSES \
                 and ast.unparse(node.value).split(".")[-1] in modules:
             found.append((function, f"{node.attr}:{node.lineno}"))
         elif isinstance(node, ast.Name) and node.id in classes:
             found.append((function, f"{node.id}:{node.lineno}"))
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(tree, "<module>")
     return found
 
 
@@ -193,3 +206,50 @@ def test_only_the_compile_functions_see_ast_node_classes():
         "the result in the closure instead")
     # The gate is not vacuous: the decoder is where it is looked for.
     assert {"compile_stmt", "compile_expr"} <= decoders
+
+
+def test_the_wall_clock_substrates_do_not_name_the_cost_clock():
+    root = os.path.dirname(repro.__file__)
+    offenders = {}
+    for package in ("runtime", "parallel", "dist"):
+        for fname in sorted(os.listdir(os.path.join(root, package))):
+            if not fname.endswith(".py"):
+                continue
+            with open(os.path.join(root, package, fname)) as fh:
+                tree = ast.parse(fh.read(), fname)
+            lines = sorted({
+                node.lineno for node in ast.walk(tree)
+                if "Clock" in (getattr(node, "id", None),
+                               getattr(node, "attr", None),
+                               getattr(node, "name", None))})
+            if lines:
+                offenders[f"{package}/{fname}"] = lines
+    assert not offenders, (
+        f"Clock named where no modeled time is reported: {offenders}; "
+        "pass the interpreter no clock instead")
+
+
+CHARGING = {"branch", "run_for_range", "call_function"}
+
+
+def test_no_closure_looks_the_clock_up_at_run_time():
+    path = os.path.join(os.path.dirname(repro.__file__), "baseline",
+                        "sequential.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    # ``chain[1:]``: the functions around the reference, methods first.
+    found = [(chain[1:], node.lineno) for node, chain in _by_function(tree)
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("clock", "charge")]
+    offenders = [(".".join(fns), line) for fns, line in found
+                 if len(fns) != 1  # a closure, even one named ``run``
+                 or not (fns[0] in CHARGING | {"__init__", "run"}
+                         or fns[0].startswith("compile_"))]
+    assert not offenders, (
+        f"the clock touched outside the decoder and the seams: {offenders}; "
+        "capture it where the closure is built (or build the closure "
+        "without it when there is no clock)")
+    # Not vacuous: every charging site is where it is looked for.
+    sites = {fns[0] for fns, _ in found}
+    assert CHARGING | {"compile_stmt", "compile_expr", "compile_binary"} \
+        <= sites
