@@ -400,16 +400,15 @@ class Interpreter:
         if isinstance(expr, A.Index):
             slot, name = sc.slot_of(expr.array), expr.array
             indices = self.compile_indices(expr.indices, sc)
-            read = self.on_array_read
             known, check = self.array_types, self.check_array
-            if self.clock is None:
+            if self.clock is None:  # no read hook either: the handle
                 def ev(frame):
                     arr = frame[slot]
                     if type(arr) not in known:
                         check(arr, name)
-                    return read(arr, indices(frame))
+                    return arr.read(indices(frame))
                 return ev
-            charge = self.clock.charge
+            read, charge = self.on_array_read, self.clock.charge
 
             def ev(frame):
                 arr = frame[slot]
@@ -521,7 +520,8 @@ class Interpreter:
 
     # -- array hooks (overridden by the static baseline and the SPMD core) --
     # Where an array and its elements live; the flat charge of the access
-    # is the calling closure's, so no hook tests for a clock.
+    # is the calling closure's, so no hook tests for a clock.  The read hook
+    # is the clock-bearing interpreters' seam: without one, ``arr.read``.
 
     def on_alloc(self, dims: tuple[int, ...]) -> SeqArray:
         return SeqArray(dims)

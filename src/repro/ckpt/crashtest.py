@@ -47,11 +47,18 @@ from repro.common.config import DistConfig
 from repro.dist.coordinator import COORD_PIDFILE_ENV
 
 N_SIM = 48       # sim: enough events that the kill lands mid-run
-N_DIST = 24      # dist: sized for wall-clock, not event count
+# dist: sized for wall-clock (a sweep is n^2 x ~4 us).  The kill follows
+# the first 0.05 s snapshot: the ~0.45 s sweep must outlive it (~4x) or
+# that snapshot is the final one and the resume recomputes nothing.
+N_DIST = 192
+# Must outlive pidfile discovery + the assassin's 0.03 s pause before
+# its kill -9 (~15x at ~0.55 s).
+N_COORD_KILL = 384
 KILL_TIMEOUT_S = 30.0
 
 _RECORDED = re.compile(r"recorded ([0-9a-f]{12})")
 _VALUE = re.compile(r"value: (\S+)")
+_ELEMENTS = re.compile(r"\((\d+) elements\)")
 
 
 def _cli(args, *, check=True, env=None):
@@ -196,7 +203,7 @@ def dist_coord_kill9(nodes: int, verbose: bool) -> list[str]:
     completes the run with the exact fault-free value."""
     problems: list[str] = []
     program = compile_source(ROW_SWEEP)
-    n = 96  # must outlive pidfile discovery + the kill (wall-clock)
+    n = N_COORD_KILL
     oracle = program.run((n,), backend="seq").value
 
     with tempfile.TemporaryDirectory(prefix="pods-crash-") as tmp:
@@ -235,7 +242,8 @@ def dist_coord_kill9(nodes: int, verbose: bool) -> list[str]:
                         f"{res.value!r} != {oracle!r}")
     kinds = [e.kind for e in res.recovery.events]
     if "failover" not in kinds:
-        problems.append(f"expected a failover event, got kinds {kinds}")
+        problems.append(f"expected a failover event, got kinds {kinds} "
+                        "(if the run outran the kill: grow N_COORD_KILL)")
     elif verbose:
         print("    " + res.recovery.summary())
     return problems
@@ -266,6 +274,11 @@ def dist_kill_resume(nodes: int, verbose: bool) -> list[str]:
         if got != str(oracle):
             problems.append(f"resumed value {got} != oracle {oracle} "
                             f"({nodes} -> {nodes + 1} nodes)")
+        held = _ELEMENTS.search(resumed.stdout)
+        if held is None or int(held.group(1)) >= N_DIST * N_DIST:
+            problems.append("the snapshot held every element — the sweep "
+                            "had finished before the kill and the resume "
+                            "recomputed nothing: grow N_DIST")
     return problems
 
 

@@ -83,12 +83,13 @@ def scenarios(nodes: int) -> list[Scenario]:
         # Heartbeats delayed past the failure detector's deadline: the
         # node is fenced as a zombie and a survivor takes over, even
         # though the process never crashed.
-        # n is sized so the sweep comfortably outlives the tightened
-        # failure-detector deadline; a run that finishes first would
-        # (correctly) never need the fence.
+        # A sweep runs n^2 x ~4 us (~1.0 s here, 2 or 3 nodes) and must
+        # outlive the tightened 0.2 s failure-detector deadline, here
+        # ~5x; a run that finishes first would (correctly) never need
+        # the fence, and fails on its takeover count: grow n.
         Scenario("delay-hb-fence",
                  f"delay:src={slow},kind=hb,seconds=2.0,count=0",
-                 n=96, cfg={**FAST_RECOVERY,
+                 n=512, cfg={**FAST_RECOVERY,
                             "heartbeat_timeout_s": 0.2,
                             "read_timeout_s": 15.0},
                  takeovers=(1, nodes - 1)),
@@ -118,11 +119,11 @@ def scenarios(nodes: int) -> list[Scenario]:
         # standby fences the dead generation, nodes rejoin on the
         # pre-announced standby port with their report memories, and the
         # run completes with no node membership change at all.
-        # n is sized like delay-hb-fence: the sweep must outlive the
-        # third heartbeat or the run (correctly) finishes first and no
-        # standby promotion is ever needed.
+        # Must outlive the third heartbeat (~0.03 s after start; the
+        # ~1.0 s sweep does ~30x) or the run (correctly) finishes first,
+        # no standby is promoted, and the missing failover fails it.
         Scenario("coord-kill-midrun", "coord-kill:on=hb,after=2",
-                 n=96, cfg={**FAST_RECOVERY,
+                 n=512, cfg={**FAST_RECOVERY,
                             "heartbeat_interval_s": 0.01,
                             "read_timeout_s": 15.0},
                  failover=True),
@@ -192,7 +193,8 @@ def run_scenario(sc: Scenario, nodes: int, oracle_of,
         kinds = [e.kind for e in res.raw.recovery.events]
         if "failover" not in kinds:
             problems.append(
-                f"expected a failover event, got kinds {kinds}")
+                f"expected a failover event, got kinds {kinds} (a run that "
+                "outruns its coordinator's fault promotes no standby: grow n)")
     ns = res.raw.netstats
     for attr, floor in sc.expect_min.items():
         got = getattr(ns, attr)
@@ -221,7 +223,8 @@ _STERM_SCRIPT = "\n".join([
     "cfg = DistConfig(nodes=@NODES@, read_timeout_s=120.0, "
     "timeout_s=120.0)",
     "print('READY', flush=True)",
-    "compile_source(src).run((256,), backend='dist', config=cfg)",
+    # ~2.3 s: must outlive the 0.5 s the harness sleeps before SIGTERM.
+    "compile_source(src).run((768,), backend='dist', config=cfg)",
 ])
 
 

@@ -1,27 +1,30 @@
 """The node process: message runtime + SPMD interpreter executors.
 
-One node process is the distributed backend's PE.  It is split across
-two worlds that meet at the asyncio loop:
+One node process is the distributed backend's PE: an I-structure memory
+(:mod:`repro.dist.memory`, the paper's PE-local unit) with two kinds of
+thread around it:
 
-* the **runtime** (main thread, asyncio): the peer transport endpoint,
-  the coordinator control link (hello/heartbeats up, start/adopt/
-  ownermap/collect/fence/shutdown down), and the node's *element
-  stores* — the authoritative, presence-bit storage for every
-  distributed-array element this node owns.  All store mutation is
-  serialized through the loop, so the stores need no locks.
 * the **executors** (worker threads): one interpreter per adopted
   identity group, running the program on the shared SPMD core
   (:mod:`repro.runtime.spmd`, the same one the real-parallel backend
   runs) — replicated scalar code, Range-Filter subranges for distributed
   loops, node-private ``SeqArray`` temporaries inside distributed
-  iterations; this module supplies the node store behind it.
+  iterations.  An executor stores what its node owns *itself*: a write
+  to an owned element, or a read waiting for one, goes to the memory.
+* the **runtime** (main thread, asyncio): the peer transport endpoint
+  and the coordinator control link (hello/heartbeats up, start/adopt/
+  ownermap/collect/fence/shutdown down).  It applies what peers send to
+  the same memory, and does for the executors what needs a socket: a
+  write to, or read miss of, an element another node owns, and the
+  reply to a remote reader a local write released — nothing else
+  crosses from an executor to the loop.
 
 Array semantics follow the paper's Section 4: elements are assigned to
 *identities* by the same first-element-ownership math as every other
 backend (``ArrayHeader.owner_of_offset``), and identities map to nodes
 through a coordinator-versioned owner map (initially the identity map;
 takeover rebinds a dead node's identities to a survivor).  A write is
-routed to the owning node and lands in its store once — a second
+routed to the owning node and lands in its memory once — a second
 non-replay write is a :class:`SingleAssignmentViolation`; a replay
 write of an already-present element is *verified* against the stored
 value instead (the idempotence that makes takeover re-execution safe).
@@ -44,6 +47,7 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures as cf
 import os
+import sys
 import threading
 import time
 import traceback
@@ -52,21 +56,11 @@ from repro.common.errors import (DeferredReadTimeout, ExecutionError,
                                  SingleAssignmentViolation)
 from repro.dist import reasons
 from repro.dist.faults import DistFaultInjector, DistFaultPlan
+from repro.dist.memory import NodeMemory
 from repro.dist.transport import (COORD, Endpoint, encode_frame,
                                   frame_secret, read_frame)
 from repro.runtime.arrays import ArrayHeader
 from repro.runtime.spmd import SpmdInterpreter, sigterm_default
-
-
-class ElementStore:
-    """Owner-side storage for one distributed array: values + waiters."""
-
-    __slots__ = ("values", "deferred")
-
-    def __init__(self) -> None:
-        self.values: dict[int, object] = {}
-        # offset -> [("local", concurrent Future) | ("remote", node)]
-        self.deferred: dict[int, list] = {}
 
 
 class DistArray:
@@ -75,12 +69,13 @@ class DistArray:
     Holds the geometry (an :class:`ArrayHeader` over the *identity*
     space — ownership never changes shape, only the identity->node
     binding does) and this executor's access counters; storage lives in
-    the runtime's element stores and page cache.
+    the node's memory and read cache.  ``read`` is bound here, once:
+    the index rule, the cache's ``dict.get``, then the miss path.
     """
 
     __slots__ = ("runtime", "seq", "replay", "dims", "header", "name",
-                 "reads", "writes", "deferred_reads", "spin_wait_s",
-                 "max_spin_wait_s", "pages_touched")
+                 "cache", "read", "reads", "writes", "deferred_reads",
+                 "spin_wait_s", "max_spin_wait_s", "pages_touched")
 
     def __init__(self, runtime: "NodeRuntime", seq: int,
                  dims: tuple[int, ...], replay: bool = False) -> None:
@@ -105,17 +100,22 @@ class DistArray:
         self.spin_wait_s = 0.0
         self.max_spin_wait_s = 0.0
         self.pages_touched: set[int] = set()
+        self.cache = cache = runtime.caches.setdefault(seq, {})
+        offset, cached, miss = self.header.offset, cache.get, runtime.read_miss
 
-    # Duck-typed I-structure surface (is_istructure, direct callers).
-    def read(self, indices: tuple) -> object:
-        return self.runtime.array_read(self, indices)
+        def read(indices: tuple) -> object:
+            off = offset(indices)
+            self.reads += 1
+            value = cached(off)  # program values are numbers, never None
+            return miss(self, indices, off) if value is None else value
+        self.read = read
 
     def write(self, indices: tuple, value) -> None:
-        self.runtime.array_write(self, indices, value, self.replay)
+        self.runtime.array_write(self, indices, value)
 
     def stats(self) -> dict:
         """This executor's access counters (replay verifies are counted
-        node-wide by the runtime; there is no stall watchdog here)."""
+        node-wide by the memory; there is no stall watchdog here)."""
         return {"reads": self.reads, "writes": self.writes,
                 "deferred_reads": self.deferred_reads,
                 "spin_wait_s": self.spin_wait_s,
@@ -125,12 +125,7 @@ class DistArray:
 
 
 class _NodeInterpreter(SpmdInterpreter):
-    """The SPMD core over this node's element stores.
-
-    Supplies the node store: ``DistArray`` handles whose elements live
-    in the runtime's per-node stores and page cache, reached through the
-    asyncio loop.
-    """
+    """The SPMD core over this node's memory and read cache."""
 
     shared_cls = DistArray
 
@@ -145,13 +140,18 @@ class _NodeInterpreter(SpmdInterpreter):
 
 
 class NodeRuntime:
-    """Everything one node process owns: loop, transport, stores, threads.
+    """Everything one node process owns: loop, transport, memory, threads.
 
-    Thread contract: executor threads touch only (a) the lock-free read
-    cache (plain dict reads under the GIL; values are immutable once
-    present) and (b) ``call_soon_threadsafe`` entry points that move the
-    real work onto the loop.  The loop thread owns stores, pending-read
-    bookkeeping, the owner map and every socket.
+    Thread contract.  Both kinds of thread use ``memory`` (its lock is
+    the only one here) and the read caches (plain dicts under the GIL;
+    single assignment makes a cached value immutable).  The loop thread
+    alone owns the sockets, the pending reads and the report memory,
+    and *assigns* ``owners`` and ``live``.  An executor reads ``owners``
+    to ask one question — is this element mine? — and acts on a yes
+    without the loop.  The answer cannot go stale in the dangerous
+    direction: an owner-map change only ever rebinds a *dead* node's
+    identities, so "mine" stays mine, and a "not mine" goes through
+    ``call_soon_threadsafe`` to the loop, which asks again.
     """
 
     def __init__(self, program, node: int, coord_port: int, cfg,
@@ -169,13 +169,12 @@ class NodeRuntime:
         self.injector = DistFaultInjector(plan, node)
         self.owners = list(range(cfg.nodes))  # identity -> node
         self.live = set(range(cfg.nodes))
-        self.stores: dict[int, ElementStore] = {}
+        self.memory = NodeMemory(cfg.page_size)
         self.caches: dict[int, dict[int, object]] = {}
         self.headers: dict[int, ArrayHeader] = {}
         # (array seq, offset) -> {"ident": owner identity, "target":
         # node the request went to, "futs": [concurrent futures]}
         self.pending: dict[tuple[int, int], dict] = {}
-        self.replayed_present = 0
         self.loop: asyncio.AbstractEventLoop | None = None
         self.endpoint: Endpoint | None = None
         self._coord_writer = None
@@ -260,12 +259,9 @@ class NodeRuntime:
                 self._apply_ownermap(list(msg["owners"]),
                                      set(msg["live"]))
             elif t == "collect":
-                a = msg["a"]
-                store = self.stores.get(a)
-                vals = ({str(off): v for off, v in store.values.items()}
-                        if store is not None else {})
-                self._send_coord({"t": "segment", "node": self.node,
-                                  "a": a, "vals": vals})
+                a = msg["a"]  # (JSON makes the offsets string keys)
+                self._send_coord({"t": "segment", "node": self.node, "a": a,
+                                  "vals": self.memory.snapshot().get(a, {})})
             elif t == "ckpt":
                 self._send_coord({"t": "ckpt-state", "node": self.node,
                                   "arrays": self._ckpt_state()})
@@ -321,18 +317,14 @@ class NodeRuntime:
     def _ckpt_state(self) -> dict:
         """This node's owned element state, keyed for ``ckpt-state``."""
         arrays: dict[str, dict] = {}
-        for a, store in self.stores.items():
+        for a, vals in self.memory.snapshot().items():
             header = self.headers.get(a)
-            if header is None or not store.values:
-                continue
-            arrays[str(a)] = {
-                "dims": list(header.dims),
-                "vals": {str(off): v
-                         for off, v in store.values.items()}}
+            if header is not None and vals:
+                arrays[str(a)] = {"dims": list(header.dims), "vals": vals}
         return arrays
 
     def _seed_restore(self) -> None:
-        """Pre-seed stores and caches from a ``pods-ckpt/v1`` snapshot.
+        """Pre-seed memory and caches from a ``pods-ckpt/v1`` snapshot.
 
         Ownership is re-derived at the *current* node count — the
         checkpoint stores flat offsets, and ``owner_of_offset`` is pure
@@ -350,12 +342,11 @@ class NodeRuntime:
                                  self.cfg.page_size,
                                  self.num_identities)
             self.headers.setdefault(ordinal, header)
-            store = self.stores.setdefault(ordinal, ElementStore())
             cache = self.caches.setdefault(ordinal, {})
             for off, value in elements.items():
                 cache[off] = value
                 if self.owners[header.owner_of_offset(off)] == self.node:
-                    store.values.setdefault(off, value)
+                    self.memory.seed(ordinal, off, value)
 
     def _auth_reject(self) -> None:
         if self.endpoint is not None:
@@ -418,7 +409,7 @@ class NodeRuntime:
             if tag == "result":
                 msg["v"] = payload
             elif tag == "done":
-                payload["replayed_present"] = self._take_replayed()
+                payload["replayed_present"] = self.memory.take_replayed()
                 msg["identities"] = list(identities)
                 msg["telemetry"] = payload
             else:
@@ -428,99 +419,104 @@ class NodeRuntime:
         interp.execute(self.args, emit,
                        lambda arr: [arr.seq, list(arr.dims)])
 
-    def _take_replayed(self) -> int:
-        """Drain the node-level replay-verify counter (loop-owned)."""
-        fut: cf.Future = cf.Future()
-
-        def grab() -> None:
-            count = self.replayed_present
-            self.replayed_present = 0
-            fut.set_result(count)
-
-        try:
-            self.loop.call_soon_threadsafe(grab)
-            return fut.result(timeout=5.0)
-        except Exception:
-            return 0
-
     # ------------------------------------------------------------------
-    # array access (executor threads -> loop)
+    # array access (executor threads; the two helpers, either thread)
     # ------------------------------------------------------------------
 
-    def array_write(self, arr: DistArray, indices: tuple, value,
-                    replay: bool) -> None:
-        off = arr.header.offset(indices)  # bounds-checked, pure
-        owner_ident = arr.header.owner_of_offset(off)
+    def array_write(self, arr: DistArray, indices: tuple, value) -> None:
+        header = arr.header
+        off = header.offset(indices)  # bounds-checked, pure
+        ident = header.owner_of_offset(off)
         arr.writes += 1
-        arr.pages_touched.add(arr.header.page_of(off))
+        arr.pages_touched.add(header.page_of(off))
         # Single assignment makes the value immutable: the writer may
         # cache it immediately, whoever ends up storing it.
-        self.caches.setdefault(arr.seq, {})[off] = value
+        arr.cache[off] = value
+        if self.owners[ident] == self.node:
+            # Stored from this thread; a violation is raised right here.
+            self._release(arr.seq, off, value, self.memory.write(
+                arr.seq, off, value, arr.replay))
+            return
+        # Resolved once handed to the reliable transport (a violation
+        # surfaces owner-side as a node error).
         fut: cf.Future = cf.Future()
         self.loop.call_soon_threadsafe(self._write_entry, arr.seq, off,
-                                       owner_ident, value, replay, fut)
-        # Local writes surface SingleAssignmentViolation synchronously;
-        # remote writes resolve once handed to the reliable transport
-        # (the violation, if any, surfaces owner-side as a node error).
+                                       ident, value, arr.replay, fut)
         fut.result(timeout=self.cfg.read_timeout_s)
 
-    def array_read(self, arr: DistArray, indices: tuple):
-        off = arr.header.offset(indices)
-        arr.reads += 1
-        cache = self.caches.setdefault(arr.seq, {})
-        value = cache.get(off)
-        if value is not None:  # program values are numbers, never None
-            return value
-        owner_ident = arr.header.owner_of_offset(off)
+    def read_miss(self, arr: DistArray, indices: tuple, off: int):
+        """A read the cache could not serve: wait for the element."""
+        ident = arr.header.owner_of_offset(off)
         fut: cf.Future = cf.Future()
-        self.loop.call_soon_threadsafe(self._read_entry, arr.seq, off,
-                                       owner_ident, fut)
+        if self.owners[ident] == self.node:
+            self._read_local(arr.seq, off, fut)
+        else:
+            self.loop.call_soon_threadsafe(self._read_entry, arr.seq, off,
+                                           ident, fut)
         t0 = time.perf_counter()
         try:
-            value, deferred = fut.result(
-                timeout=self.cfg.read_timeout_s)
+            value = fut.result(timeout=self.cfg.read_timeout_s)
         except cf.TimeoutError:
-            waited = time.perf_counter() - t0
-            raise DeferredReadTimeout(arr.name, indices, off,
-                                      owner_ident, waited) from None
-        if deferred:
-            waited = time.perf_counter() - t0
-            arr.deferred_reads += 1
-            arr.spin_wait_s += waited
-            arr.max_spin_wait_s = max(arr.max_spin_wait_s, waited)
+            raise DeferredReadTimeout(
+                arr.name, indices, off, ident,
+                time.perf_counter() - t0) from None
+        waited = time.perf_counter() - t0
+        arr.deferred_reads += 1
+        arr.spin_wait_s += waited
+        arr.max_spin_wait_s = max(arr.max_spin_wait_s, waited)
         return value
 
+    def _read_local(self, a: int, off: int, fut: cf.Future) -> None:
+        """Resolve ``fut`` with an owned element: now, or at its write."""
+        value = self.memory.read(a, off, ("local", fut))
+        if value is not None:
+            self.caches.setdefault(a, {})[off] = value
+            fut.set_result(value)
+
+    def _release(self, a: int, off: int, value, waiters: list) -> None:
+        """Wake the readers a write released: local futures right here;
+        remote nodes need the socket — one hand-over to the loop."""
+        remote = []
+        for kind, waiter in waiters:
+            if kind == "local":
+                waiter.set_result(value)
+            else:
+                remote.append(waiter)
+        if remote:
+            self.loop.call_soon_threadsafe(self._send_rdy, remote, a,
+                                           {off: value})
+
     # -- loop-side entry points ------------------------------------------
+
+    def _send_rdy(self, nodes, a: int, vals: dict) -> None:
+        for node in nodes:
+            self.endpoint.send(node, {"t": "rdy", "a": a, "vals": vals})
 
     def _write_entry(self, a: int, off: int, owner_ident: int, value,
                      replay: bool, fut: cf.Future) -> None:
         try:
-            owner_node = self.owners[owner_ident]
-            if owner_node == self.node:
-                self._apply_write(a, off, value, replay,
-                                  writer_node=self.node, report=False)
-            else:
-                self.endpoint.send(owner_node,
-                                   {"t": "write", "a": a, "off": off,
-                                    "v": value, "replay": replay})
-        except BaseException as exc:  # noqa: BLE001
-            if not fut.done():
-                fut.set_exception(exc)
-            return
-        if not fut.done():
+            self._route_write(a, off, owner_ident, value, replay)
+        except Exception as exc:  # noqa: BLE001 - raised in the writer
+            fut.set_exception(exc)
+        else:
             fut.set_result(None)
+
+    def _route_write(self, a: int, off: int, owner_ident: int, value,
+                     replay: bool) -> None:
+        """Hand a write to its owner as the owner map stands *now*."""
+        owner_node = self.owners[owner_ident]
+        if owner_node == self.node:  # rebound here since the sender looked
+            self._store(a, off, value, replay, self.node)
+        else:
+            self.endpoint.send(owner_node,
+                               {"t": "write", "a": a, "off": off,
+                                "v": value, "replay": replay})
 
     def _read_entry(self, a: int, off: int, owner_ident: int,
                     fut: cf.Future) -> None:
         owner_node = self.owners[owner_ident]
-        if owner_node == self.node:
-            store = self.stores.setdefault(a, ElementStore())
-            value = store.values.get(off)
-            if value is not None:
-                self.caches.setdefault(a, {})[off] = value
-                fut.set_result((value, False))
-                return
-            store.deferred.setdefault(off, []).append(("local", fut))
+        if owner_node == self.node:  # rebound here since the sender looked
+            self._read_local(a, off, fut)
             return
         key = (a, off)
         entry = self.pending.get(key)
@@ -541,16 +537,11 @@ class NodeRuntime:
             return  # fenced zombie: its writes and reads are void
         t = m["t"]
         if t == "write":
-            self._apply_write(m["a"], m["off"], m["v"], m["replay"],
-                              writer_node=src, report=True)
+            self._store(m["a"], m["off"], m["v"], m["replay"], src)
         elif t == "read":
             a, off = m["a"], m["off"]
-            store = self.stores.setdefault(a, ElementStore())
-            if off in store.values:
-                self.endpoint.send(src, {"t": "rdy", "a": a,
-                                         "vals": self._page_of(a, off)})
-            else:
-                store.deferred.setdefault(off, []).append(("remote", src))
+            if self.memory.read(a, off, ("remote", src)) is not None:
+                self._send_rdy((src,), a, self.memory.page(a, off))
         elif t == "rdy":
             a = m["a"]
             cache = self.caches.setdefault(a, {})
@@ -560,60 +551,22 @@ class NodeRuntime:
                 entry = self.pending.pop((a, off), None)
                 if entry is not None:
                     for fut in entry["futs"]:
-                        if not fut.done():
-                            fut.set_result((value, True))
+                        fut.set_result(value)
 
-    def _page_of(self, a: int, off: int) -> dict:
-        """Every present element of ``off``'s page (page-grain reply)."""
-        store = self.stores[a]
-        page_size = self.cfg.page_size
-        start = (off // page_size) * page_size
-        return {str(o): store.values[o]
-                for o in range(start, start + page_size)
-                if o in store.values}
-
-    def _apply_write(self, a: int, off: int, value, replay: bool,
-                     writer_node: int, report: bool) -> None:
-        """Owner-side write: presence check, store, wake waiters.
-
-        ``report=False`` (local writer) raises the violation into the
-        caller so it propagates synchronously into the executor thread;
-        ``report=True`` (remote writer) posts a structured node error —
-        the writer has long since moved on.
-        """
-        store = self.stores.setdefault(a, ElementStore())
-        existing = store.values.get(off)
-        if existing is not None:
-            if replay:
-                if existing != value:
-                    exc = SingleAssignmentViolation(a, off)
-                    if report:
-                        self._post_violation(exc, writer_node)
-                        return
-                    raise exc
-                self.replayed_present += 1
-                return
-            exc = SingleAssignmentViolation(a, off)
-            if report:
-                self._post_violation(exc, writer_node)
-                return
-            raise exc
-        store.values[off] = value
+    def _store(self, a: int, off: int, value, replay: bool,
+               writer_node: int) -> None:
+        """A write that reached its owner by frame or cache replay: the
+        writer has moved on, so a violation is posted as a node error."""
+        try:
+            waiters = self.memory.write(a, off, value, replay)
+        except SingleAssignmentViolation as exc:
+            self._send_report({
+                "t": "err", "node": self.node, "slot": self.node, "gen": 0,
+                "detail": f"{type(exc).__name__}: {exc}\n"
+                          f"(write received from node {writer_node})"})
+            return
         self.caches.setdefault(a, {})[off] = value
-        for kind, waiter in store.deferred.pop(off, []):
-            if kind == "local":
-                if not waiter.done():
-                    waiter.set_result((value, True))
-            else:
-                self.endpoint.send(waiter, {"t": "rdy", "a": a,
-                                            "vals": {str(off): value}})
-
-    def _post_violation(self, exc: SingleAssignmentViolation,
-                        writer_node: int) -> None:
-        self._send_report({
-            "t": "err", "node": self.node, "slot": self.node, "gen": 0,
-            "detail": f"{type(exc).__name__}: {exc}\n"
-                      f"(write received from node {writer_node})"})
+        self._release(a, off, value, waiters)
 
     # ------------------------------------------------------------------
     # membership changes (loop thread)
@@ -627,45 +580,23 @@ class NodeRuntime:
         self.live = live
         for node in dead:
             self.endpoint.forget(node)
-            # Orphaned remote waiters of a dead requester just drop;
-            # its takeover replay re-reads everything it needs.
-            for store in self.stores.values():
-                for off in list(store.deferred):
-                    keep = [w for w in store.deferred[off]
-                            if w[0] == "local" or w[1] != node]
-                    if keep:
-                        store.deferred[off] = keep
-                    else:
-                        del store.deferred[off]
+        # Orphaned remote waiters of a dead requester just drop; its
+        # takeover replay re-reads everything it needs.
+        self.memory.drop_waiters(
+            lambda w: w[0] == "remote" and w[1] in dead)
         # Re-issue pending reads that were addressed to a dead node.
         for key, entry in list(self.pending.items()):
-            if entry["target"] in live:
-                continue
-            a, off = key
-            new_node = self.owners[entry["ident"]]
-            if new_node == self.node:
-                store = self.stores.setdefault(a, ElementStore())
-                value = store.values.get(off)
+            if entry["target"] not in live:
                 del self.pending[key]
-                if value is not None:
-                    self.caches.setdefault(a, {})[off] = value
-                    for fut in entry["futs"]:
-                        if not fut.done():
-                            fut.set_result((value, True))
-                else:
-                    store.deferred.setdefault(off, []).extend(
-                        ("local", fut) for fut in entry["futs"])
-            else:
-                entry["target"] = new_node
-                self.endpoint.send(new_node,
-                                   {"t": "read", "a": a, "off": off})
-        # Presence-bit replay: the dead node's store is gone, but every
+                for fut in entry["futs"]:
+                    self._read_entry(*key, entry["ident"], fut)
+        # Presence-bit replay: the dead node's memory is gone, but every
         # value a survivor ever wrote or read is in its cache (single
         # assignment made them immutable at first sight).  Push this
         # node's cached copies of the rebound identities' elements to
         # the new owner as idempotent replay writes — between the
         # survivors' caches and the takeover re-execution, the lost
-        # store is reconstructed in full.
+        # memory is reconstructed in full.
         if rebound:
             self._replay_cached(rebound)
 
@@ -676,16 +607,8 @@ class NodeRuntime:
                 continue
             for off, value in list(cache.items()):
                 ident = header.owner_of_offset(off)
-                if ident not in rebound:
-                    continue
-                new_node = self.owners[ident]
-                if new_node == self.node:
-                    self._apply_write(a, off, value, replay=True,
-                                      writer_node=self.node, report=True)
-                else:
-                    self.endpoint.send(new_node,
-                                       {"t": "write", "a": a, "off": off,
-                                        "v": value, "replay": True})
+                if ident in rebound:
+                    self._route_write(a, off, ident, value, True)
 
     def _on_peer_lost(self, peer: int, reason: str) -> None:
         self._send_report({"t": "peer-lost", "node": self.node,
@@ -699,6 +622,12 @@ def node_main(program, node: int, coord_port: int, cfg, args: tuple,
               restore=None) -> None:
     """Node process entry point (forked by the coordinator)."""
     sigterm_default()
+    # An executor that stores what it owns holds the GIL while the loop
+    # thread waits to answer a *peer's* read: the default 5 ms hand-over
+    # dwarfs the 31 us frame round trip.  Ours to set (the process is
+    # forked for the node); dist_matmul time_cal 5 ms 0.85, 2 ms 0.71, 1 /
+    # 0.5 / 0.1 ms 0.66 / 0.63 / 0.63 (flat); a loss alone on the parent.
+    sys.setswitchinterval(5e-4)
     runtime = NodeRuntime(program, node, coord_port, cfg, args, plan,
                           standby_port=standby_port, restore=restore)
     try:

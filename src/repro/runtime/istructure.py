@@ -94,6 +94,21 @@ class IStructureSegment:
         if self._cells[slot] is _ABSENT:
             self._cells[slot] = value
 
+    def grow(self, hi: int) -> None:
+        """Extend to ``[lo, hi)``, never shrink (``dist`` learns an
+        array's extent late: a peer's frame can precede its allocation)."""
+        self._cells.extend([_ABSENT] * (hi - self.hi))
+        self.hi = max(hi, self.hi)
+
+    def discard_waiters(self, stale: Callable[[Any], bool]) -> None:
+        """Forget every queued waiter ``stale`` accepts (its reader died)."""
+        for offset, queue in list(self._deferred.items()):
+            keep = [w for w in queue if not stale(w)]
+            if keep:
+                self._deferred[offset] = keep
+            else:
+                del self._deferred[offset]
+
     def deferred_count(self, offset: int | None = None) -> int:
         """Waiters queued on ``offset``, or on any element when None."""
         if offset is not None:

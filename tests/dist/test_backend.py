@@ -10,10 +10,13 @@ hooks — on one small program so they stay fast.
 import pytest
 
 from repro.api import compile_source
+from repro.apps.matmul import compile_matmul
 from repro.backend import classify_error, get_backend, render_error
 from repro.common.config import DistConfig
 from repro.common.errors import NodeLossError
 from repro.common.retry import RetryPolicy
+from repro.dist.faults import DistFaultPlan
+from repro.dist.node import DistArray, NodeRuntime, _NodeInterpreter
 
 # B's loop reads A mirrored (A[n+1-i]), so at 2+ nodes roughly half
 # the reads are remote split-phase exchanges.  Every element of both
@@ -119,3 +122,64 @@ class TestRecovery:
             get_backend("dist").run(program, (12,), config=cfg,
                                     faults="node-kill:node=1,on=iter,"
                                            "after=2")
+
+
+class _RecordingLoop:
+    """Stands in for the node's asyncio loop: runs every executor→loop
+    hand-over inline and remembers which entry point it was."""
+
+    def __init__(self):
+        self.handovers = []
+
+    def call_soon_threadsafe(self, fn, *args):
+        self.handovers.append(fn.__name__)
+        fn(*args)
+
+
+class _RecordingEndpoint:
+    def __init__(self):
+        self.sent = []
+
+    def send(self, dst, payload):
+        self.sent.append((dst, payload))
+
+
+def _runtime(program, nodes, args=()):
+    rt = NodeRuntime(program, 0, 0, DistConfig(nodes=nodes), args,
+                     DistFaultPlan())
+    rt.loop, rt.endpoint = _RecordingLoop(), _RecordingEndpoint()
+    return rt
+
+
+class TestCrossings:
+    """What crosses from an executor thread to the loop thread, counted
+    in process: a node stores what it owns without a hand-over."""
+
+    def test_one_node_matmul_never_visits_the_loop(self):
+        rt = _runtime(compile_matmul(checksum=True), 1, (24,))
+        value = _NodeInterpreter(rt, (0,), False).run(
+            (24,), materialize=False).value
+        assert value == 24512.63802011923
+        assert rt.loop.handovers == []  # 1 728 writes, every one local
+
+    def test_local_write_crosses_once_for_a_remote_reader(self, program):
+        rt = _runtime(program, 2)
+        rt.owners = [0, 0]  # node 0 adopted identity 1: every element here
+        arr = DistArray(rt, 1, (64,))
+        rt._on_peer_msg(1, {"t": "read", "a": 1, "off": 40})  # parks
+        arr.write((1,), 0.5)  # nobody waits: no hand-over
+        assert rt.loop.handovers == [] and rt.endpoint.sent == []
+        arr.write((41,), 1.5)
+        assert rt.loop.handovers == ["_send_rdy"]
+        assert rt.endpoint.sent == [
+            (1, {"t": "rdy", "a": 1, "vals": {40: 1.5}})]
+        assert arr.read((41,)) == 1.5 and rt.loop.handovers == ["_send_rdy"]
+
+    def test_remote_owned_write_crosses_once(self, program):
+        rt = _runtime(program, 2)
+        arr = DistArray(rt, 1, (64,))
+        arr.write((64,), 2.5)  # identity 1's, and node 1 is alive
+        assert rt.loop.handovers == ["_write_entry"]
+        assert rt.endpoint.sent == [(1, {"t": "write", "a": 1, "off": 63,
+                                         "v": 2.5, "replay": False})]
+        assert rt.memory.snapshot() == {}

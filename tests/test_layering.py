@@ -34,6 +34,13 @@ clock is only ever touched directly inside the ``compile_*`` methods,
 they build (whatever its name) nor in an ``on_*`` hook, which would be
 looking the clock up per evaluation instead of having the charge
 compiled in or out.
+
+And a node has one I-structure memory: ``dist/memory.py`` is the pure
+unit — it imports no ``asyncio``, ``socket``, ``concurrent``, ``time``
+or ``repro.dist.transport``, so a sans-IO protocol core and the
+simulator's chaos plans can drive it — and ``dist/node.py`` keeps no
+element store of its own beside it: ``IStructureSegment`` is constructed
+only under ``sim/`` and in ``dist/memory.py``.
 """
 
 import ast
@@ -253,3 +260,46 @@ def test_no_closure_looks_the_clock_up_at_run_time():
     sites = {fns[0] for fns, _ in found}
     assert CHARGING | {"compile_stmt", "compile_expr", "compile_binary"} \
         <= sites
+
+
+def test_the_node_memory_is_pure():
+    path = os.path.join(os.path.dirname(repro.__file__), "dist", "memory.py")
+    impure = ("asyncio", "socket", "concurrent", "time",
+              "repro.dist.transport")
+    offenders = sorted(
+        name for name in _imports(path)
+        if any(name == mod or name.startswith(mod + ".") for mod in impure))
+    assert not offenders, (
+        f"dist/memory.py imports {offenders}; it returns what to do and "
+        "leaves loops, sockets, futures and clocks to its caller")
+
+
+def test_a_node_keeps_no_element_store_beside_its_memory():
+    root = os.path.dirname(repro.__file__)
+    builders = set()
+    for dirpath, _, fnames in os.walk(root):
+        for fname in fnames:
+            if not fname.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, fname)
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), path)
+            if any(isinstance(node, ast.Call)
+                   and getattr(node.func, "id", None) == "IStructureSegment"
+                   for node in ast.walk(tree)):
+                builders.add(os.path.relpath(path, root))
+    assert builders == {os.path.join("sim", "machine.py"),
+                        os.path.join("dist", "memory.py")}
+    # ... and the node did not grow a store of another kind back: its
+    # classes are the handle, the interpreter and the runtime, and none
+    # of them queues deferred readers.
+    with open(os.path.join(root, "dist", "node.py")) as fh:
+        tree = ast.parse(fh.read())
+    classes = {n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
+    assert classes == {"DistArray", "_NodeInterpreter", "NodeRuntime"}
+    queues = sorted(n.lineno for n in ast.walk(tree)
+                    if isinstance(n, ast.Attribute)
+                    and n.attr in ("deferred", "stores"))
+    assert not queues, (
+        f"dist/node.py lines {queues}: presence, deferred readers and "
+        "single assignment live in dist/memory.py's segments")
