@@ -7,7 +7,8 @@ template instead of once per execution.  Each instruction compiles to
 one closure ``handler(M, pe, frame, t) -> (t2, frame_or_None)`` whose
 cells hold the pre-resolved operand slot indices (``-1`` marks an
 immediate), the bound scalar function, the float/int timing-cost pair,
-and the successor pc.  :meth:`Machine._eu_step` runs a frame by calling
+and the successor pc.  Each PE's compiled EU step
+(:meth:`Machine._compile_eu`) runs a frame by calling
 ``frame.code[frame.pc]``; this module is the only place that maps
 opcodes to behaviour (``tests/test_layering.py`` holds that).
 

@@ -24,13 +24,13 @@ must not change (the Church-Rosser property), only timings.
 The EU is simulated in *chunks*: it executes instructions inline,
 advancing a local clock, and yields whenever an earlier event is pending
 in the global queue, so cross-unit causality is exact at instruction
-granularity.
+granularity.  Each PE's step is compiled once, when the machine is built
+(:meth:`Machine._compile_eu`).
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Any
@@ -124,14 +124,11 @@ class Machine:
         self.late_tokens = 0
         self.events_processed = 0
 
-        # Calendar-batched event queue: the heap holds one entry per
-        # *distinct* timestamp; the events themselves live in per-time
-        # lists (schedule order == the old monotonic-sequence tie-break)
-        # and same-timestamp events drain through ``_batch`` with a
-        # single heap pop.
+        # Event queue: one heap entry ``(time, seq, fn, args)`` per
+        # event.  ``seq`` is a machine-wide schedule counter, so equal
+        # times run in schedule order whoever scheduled them.
         self._queue: list = []
-        self._pending: dict = {}
-        self._batch: deque = deque()
+        self._seq = 0
         self._next_frame_uid = ROOT_UID + 1
         self._next_array_id = 1
         self._inputs = {bid: t.inputs for bid, t in program.templates.items()}
@@ -190,6 +187,10 @@ class Machine:
                 add(start, end)
 
             self._span = _span
+        # One compiled Execution Unit per PE, built after the hooks it
+        # closes over.
+        for pe in self.pes:
+            pe.eu_step = self._compile_eu(pe)
 
         # Network fault model + reliable delivery (repro.sim.netfaults /
         # repro.sim.reliable).  Everything stays None on the default
@@ -228,24 +229,18 @@ class Machine:
     # ------------------------------------------------------------------
 
     def schedule(self, time: float, fn, *args) -> None:
-        # One heap entry per distinct timestamp; events at the same time
-        # keep schedule order in the per-time list, which is exactly the
-        # total order the old (time, seq) tuples produced.
-        pending = self._pending
-        lst = pending.get(time)
-        if lst is None:
-            pending[time] = [(fn, args)]
-            heappush(self._queue, time)
-        else:
-            lst.append((fn, args))
+        self._seq = seq = self._seq + 1
+        heappush(self._queue, (time, seq, fn, args))
 
-    def _serve(self, pe: PE, unit_attr: str, unit: str, cost: float) -> float:
+    def _serve(self, pe: PE, unit: str, cost: float) -> float:
         """Sequential-server model: occupy the unit for ``cost`` us."""
         if pe.degrade != 1.0:
             cost *= pe.degrade
-        start = max(self.now, getattr(pe, unit_attr))
-        done = start + cost
-        setattr(pe, unit_attr, done)
+        free = pe.free
+        start = free[unit]
+        if start < self.now:
+            start = self.now
+        done = free[unit] = start + cost
         pe.stats.busy[unit] += cost
         if self._span is not None:
             self._span(pe.pid, unit, start, done)
@@ -264,8 +259,6 @@ class Machine:
         self._spawn_entry(args)
 
         queue = self._queue
-        pending = self._pending
-        batch = self._batch
         limit = self.config.max_events
         wall = self.config.max_sim_time_us
         net = self._net
@@ -278,24 +271,9 @@ class Machine:
                         self._net_ack_receive) if net is not None else ())
         ckpt = self._ckpt
         events = self.events_processed
-        pop_batch = batch.popleft
         try:
-            while True:
-                # Drain same-timestamp events from the batch; pop the
-                # heap only when the current timestamp is exhausted.
-                if batch:
-                    fn, fargs = pop_batch()
-                elif queue:
-                    t_now = heappop(queue)
-                    evs = pending.pop(t_now)
-                    self.now = t_now
-                    if len(evs) == 1:
-                        fn, fargs = evs[0]
-                    else:
-                        batch.extend(evs)
-                        fn, fargs = pop_batch()
-                else:
-                    break
+            while queue:
+                self.now, _, fn, fargs = heappop(queue)
                 events += 1
                 if events > limit:
                     raise ExecutionError(
@@ -406,7 +384,7 @@ class Machine:
     def _mu_enqueue(self, pe: PE, token) -> None:
         if pe.halted:
             return
-        done = self._serve(pe, "mu_free", "MU", T.MATCH_TOKEN)
+        done = self._serve(pe, "MU", T.MATCH_TOKEN)
         self.schedule(done, self._mu_deliver, pe, token)
 
     def _mu_deliver(self, pe: PE, token) -> None:
@@ -461,7 +439,7 @@ class Machine:
                       inputs_expected=len(template.inputs))
         frame.code = self._dcode[block_id]
         self.frames[uid] = frame
-        self._serve(pe, "mm_free", "MM", T.MM_FRAME_OP)
+        self._serve(pe, "MM", T.MM_FRAME_OP)
         pe.stats.frames_created += 1
         pe.live_frames += 1
         if pe.live_frames > self.max_live_frames:
@@ -519,100 +497,120 @@ class Machine:
         if (pe.running is None and not pe.eu_scheduled and pe.ready
                 and pe.suspended_on is None):
             pe.eu_scheduled = True
-            self.schedule(max(self.now, pe.eu_time), self._eu_step, pe)
+            self.schedule(max(self.now, pe.eu_time), pe.eu_step, self, pe)
 
     def _resume_eu(self, pe: PE) -> None:
         if pe.eu_scheduled:
             return
         if pe.running is not None or pe.ready:
             pe.eu_scheduled = True
-            self.schedule(max(self.now, pe.eu_time), self._eu_step, pe)
+            self.schedule(max(self.now, pe.eu_time), pe.eu_step, self, pe)
 
-    def _eu_step(self, pe: PE) -> None:
-        """Run the PE's EU until it idles, blocks the PE, or must yield
-        to an earlier pending event.
+    def _compile_eu(self, pe: PE):
+        """Build ``pe``'s Execution Unit step, once per machine.
+
+        ``step(machine, pe)`` runs the PE's EU until it idles, blocks the
+        PE, or must yield to an earlier pending event.  Everything that
+        cannot change during a run is a closure cell: the queue, the
+        PE's stats and ready deque, the obs hooks, the context-switch
+        cost.  What a fault or another unit can change between steps
+        (``halted``, ``suspended_on``, ``degrade``, ``running``,
+        ``eu_time``) is read from the PE on every step.  The machine and
+        the PE arrive as the event's arguments, not as cells: a step
+        that closed over them would tie every finished machine, arrays
+        and all, into a reference cycle.
 
         Instructions dispatch through the frame's handler table
         (:mod:`repro.sim.decode`).  ``pe.degrade`` can only change in a
-        ``_pe_degrade`` event, which cannot run mid-step, so it is
-        hoisted out of the instruction loop with the other invariants.
+        ``_pe_degrade`` event, which cannot run mid-step, so it is read
+        once per step, outside the instruction loop.
         """
-        pe.eu_scheduled = False
-        if pe.halted or pe.suspended_on is not None:
-            return
-        t = max(self.now, pe.eu_time)
-        # Inside one EU step the local clock advances only by busy work
-        # (instruction costs and context switches), so [t0, exit t] is
-        # exactly one busy interval of the EU timeline.
-        t0 = t
+        queue = self._queue
         span = self._span
         waits = self._waits
-        queue = self._queue
-        batch = self._batch
-        now = self.now
+        pid = pe.pid
         stats = pe.stats
         busy = stats.busy
         ready = pe.ready
-        degrade = pe.degrade
-        frame = pe.running
-        if waits is not None and frame is not None:
-            # Re-entering with a carried-over SP (after a yield): its run
-            # segment resumes here.
-            waits.sp_run_begin(frame.uid, t)
+        switch = T.CONTEXT_SWITCH
 
-        while True:
-            if frame is None:
-                if not ready:
-                    pe.eu_time = t
-                    if span is not None and t > t0:
-                        span(pe.pid, "EU", t0, t)
-                    return
-                frame = ready.popleft()
-                if frame.status != READY:
-                    frame = None
+        def eu_step(M, pe) -> None:
+            pe.eu_scheduled = False
+            if pe.halted or pe.suspended_on is not None:
+                return
+            now = M.now
+            t = pe.eu_time
+            if now > t:
+                t = now
+            # Inside one EU step the local clock advances only by busy
+            # work (instruction costs and context switches), so
+            # [t0, exit t] is exactly one busy interval of the EU
+            # timeline.
+            t0 = t
+            degrade = pe.degrade
+            frame = pe.running
+            if waits is not None and frame is not None:
+                # Re-entering with a carried-over SP (after a yield): its
+                # run segment resumes here.
+                waits.sp_run_begin(frame.uid, t)
+
+            while True:
+                if frame is None:
+                    if not ready:
+                        pe.eu_time = t
+                        if span is not None and t > t0:
+                            span(pid, "EU", t0, t)
+                        return
+                    frame = ready.popleft()
+                    if frame.status != READY:
+                        frame = None
+                        continue
+                    frame.status = RUNNING
+                    pe.running = frame
+                    if waits is not None:
+                        # Ends the sched-queue wait; the context switch
+                        # is charged to the SP's run time.
+                        waits.sp_run_begin(frame.uid, t)
+                    t += switch
+                    busy["EU"] += switch
+                    stats.context_switches += 1
                     continue
-                frame.status = RUNNING
-                pe.running = frame
-                if waits is not None:
-                    # Ends the sched-queue wait; the context switch is
-                    # charged to the SP's run time.
-                    waits.sp_run_begin(frame.uid, t)
-                t += T.CONTEXT_SWITCH
-                busy["EU"] += T.CONTEXT_SWITCH
-                stats.context_switches += 1
-                continue
 
-            # Never simulate the EU past a pending earlier event.  With
-            # the calendar queue an "earlier event" is either the heap's
-            # next timestamp or a batched event at the current one
-            # (time == now < t).
-            if (queue and queue[0] < t) or (batch and now < t):
-                pe.eu_scheduled = True
-                pe.eu_time = t
-                self.schedule(t, self._eu_step, pe)
-                if waits is not None:
-                    waits.sp_run_end(frame.uid, t)
-                if span is not None and t > t0:
-                    span(pe.pid, "EU", t0, t)
-                return
+                # Never simulate the EU past a pending earlier event.
+                # A same-time event still to run sits in the heap at
+                # ``now`` and counts exactly when ``now < t``.
+                if queue and queue[0][0] < t:
+                    pe.eu_scheduled = True
+                    pe.eu_time = t
+                    M._seq = seq = M._seq + 1
+                    heappush(queue, (t, seq, pe.eu_step, (M, pe)))
+                    if waits is not None:
+                        waits.sp_run_end(frame.uid, t)
+                    if span is not None and t > t0:
+                        span(pid, "EU", t0, t)
+                    return
 
-            # handler -> (new_time, frame_or_None); None means the frame
-            # blocked or terminated and the EU must pick another SP.
-            t2, frame = frame.code[frame.pc](self, pe, frame, t)
-            if degrade != 1.0 and t2 > t:
-                # pe-degrade fault: the EU runs `degrade` times slower;
-                # the extra time is busy time (the unit is grinding).
-                extra = (t2 - t) * (degrade - 1.0)
-                busy["EU"] += extra
-                t2 += extra
-            t = t2
-            if pe.suspended_on is not None:
-                pe.eu_time = t
-                if waits is not None and frame is not None:
-                    waits.sp_run_end(frame.uid, t)
-                if span is not None and t > t0:
-                    span(pe.pid, "EU", t0, t)
-                return
+                # handler -> (new_time, frame_or_None); None means the
+                # frame blocked or terminated and the EU must pick
+                # another SP.
+                t2, frame = frame.code[frame.pc](M, pe, frame, t)
+                if degrade != 1.0 and t2 > t:
+                    # pe-degrade fault: the EU runs `degrade` times
+                    # slower; the extra time is busy time (the unit is
+                    # grinding).
+                    extra = (t2 - t) * (degrade - 1.0)
+                    busy["EU"] += extra
+                    t2 += extra
+                t = t2
+                if pe.suspended_on is not None:
+                    pe.eu_time = t
+                    if waits is not None and frame is not None:
+                        waits.sp_run_end(frame.uid, t)
+                    if span is not None and t > t0:
+                        span(pid, "EU", t0, t)
+                    return
+
+        return eu_step
 
     # -- EU helpers ------------------------------------------------------
 
@@ -662,7 +660,7 @@ class Machine:
                     parent_pe = self.pes[parent.pe]
                     parent_pe.ready.append(parent)
                     self._kick_eu(parent_pe)
-        self._serve(pe, "mm_free", "MM", T.MM_FRAME_OP)
+        self._serve(pe, "MM", T.MM_FRAME_OP)
         self.frames.pop(frame.uid, None)
         if frame.inputs_received >= frame.inputs_expected:
             pe.match_table.pop((frame.block_id, frame.ctx), None)
@@ -670,12 +668,12 @@ class Machine:
         # it and get dropped (see _mu_deliver).
         return t, None
 
-    def _array_access_prep(self, pe: PE, frame: Frame, array_val, indices, t):
+    def _element_offset(self, pe: PE, frame: Frame, array_val, indices):
         """Common AREAD/AWRITE front end: header lookup + offset calc.
 
-        Returns (header, offset) or None if the frame blocked (header not
-        yet installed on this PE — the allocate broadcast races with the
-        distributed spawn)."""
+        Returns the flat offset, or None when the header is not yet
+        installed on this PE (the allocate broadcast races with the
+        distributed spawn) and the frame must block on it."""
         if not isinstance(array_val, ArrayId):
             raise ExecutionError(
                 f"{frame.name} pc={frame.pc}: subscript applied to "
@@ -683,27 +681,24 @@ class Machine:
         header = pe.headers.get(array_val.id)
         if header is None:
             return None
-        offset = header.offset(tuple(indices))  # may raise BoundsViolation
-        return header, offset
+        return header.offset(tuple(indices))  # may raise BoundsViolation
 
     def _eu_aread(self, pe: PE, frame: Frame, instr, av, argvals, t):
-        prep = self._array_access_prep(pe, frame, av, argvals, t)
-        if prep is None:
+        offset = self._element_offset(pe, frame, av, argvals)
+        if offset is None:
             return self._block_on_header(pe, frame, av.id, t)
-        _, offset = prep
-        frame.clear(instr.dst)
-        waiter = ReturnAddress(pe.pid, frame.uid, instr.dst)
-        self.schedule(t + T.UNIT_SIGNAL, self._am_read, pe, av.id,
-                      offset, waiter)
+        dst = instr.dst
+        frame.present_mask &= ~(1 << dst)
+        self.schedule(t + T.UNIT_SIGNAL, self._am_read, pe, av.id, offset,
+                      ReturnAddress(pe.pid, frame.uid, dst))
         frame.pc += 1
         pe.stats.busy["EU"] += T.LOCAL_ARRAY_ACCESS
         return t + T.LOCAL_ARRAY_ACCESS, frame
 
     def _eu_awrite(self, pe: PE, frame: Frame, instr, av, bv, argvals, t):
-        prep = self._array_access_prep(pe, frame, av, argvals, t)
-        if prep is None:
+        offset = self._element_offset(pe, frame, av, argvals)
+        if offset is None:
             return self._block_on_header(pe, frame, av.id, t)
-        _, offset = prep
         self.schedule(t + T.UNIT_SIGNAL, self._am_write, pe, av.id,
                       offset, bv, False, frame.uid)
         frame.pc += 1
@@ -798,7 +793,7 @@ class Machine:
             self._mu_enqueue(pe, token)
             return
         pe.stats.tokens_sent_remote += 1
-        done = self._serve(pe, "ru_free", "RU", T.TOKEN_BATCH_COST)
+        done = self._serve(pe, "RU", T.TOKEN_BATCH_COST)
         batch = pe.batches.setdefault(dst_pid, [])
         batch.append(token)
         if len(batch) >= self.mc.token_batch:
@@ -845,13 +840,12 @@ class Machine:
             self._mu_enqueue(pe, token)
         for child in self._bcast_children(pe.pid, root):
             pe.stats.tokens_sent_remote += len(tokens)
-            done = self._serve(pe, "ru_free", "RU",
-                               T.TOKEN_BATCH_COST * len(tokens))
+            done = self._serve(pe, "RU", T.TOKEN_BATCH_COST * len(tokens))
             msg = BroadcastTokensMsg(pe.pid, child, root, tokens)
             self.schedule(done, self._transmit, pe, msg)
 
     def _send_msg(self, pe: PE, msg) -> None:
-        done = self._serve(pe, "ru_free", "RU", T.RU_MSG_COST)
+        done = self._serve(pe, "RU", T.RU_MSG_COST)
         self.schedule(done, self._transmit, pe, msg)
 
     def _transmit(self, pe: PE, msg) -> None:
@@ -938,9 +932,14 @@ class Machine:
         entry = ch.unacked.get(seq)
         if entry is None:
             return  # acked in time
-        if self.result is not _UNSET and not self.frames:
-            # The program already completed; stop healing a channel whose
-            # straggler can no longer matter (e.g. an ack racing a halt).
+        if (self.result is not _UNSET and not self.frames
+                and seq in ch.seen):
+            # The program already completed and the receiver has this
+            # message: only its ack was lost, and that straggler can no
+            # longer matter (e.g. an ack racing a halt).  A message never
+            # delivered still can — a fire-and-forget AWRITE, or the
+            # tokens that instantiate an empty-Range-Filter replica — so
+            # it keeps being retransmitted.
             ch.unacked.pop(seq, None)
             return
         pe = self.pes[src]
@@ -965,7 +964,7 @@ class Machine:
         ch.retransmits += 1
         entry[2] += 1
         net.stats.retransmits += 1
-        done = self._serve(pe, "ru_free", "RU", T.RU_MSG_COST)
+        done = self._serve(pe, "RU", T.RU_MSG_COST)
         self.schedule(done, self._net_retransmit, pe, SeqMsg(seq, entry[0]))
         self.schedule(self.now + cfg.retransmit_timeout_us,
                       self._net_check, src, dst, seq)
@@ -973,7 +972,7 @@ class Machine:
     def _net_send_ack(self, pe: PE, dst: int, seq: int) -> None:
         """Receipt for one copy; fire-and-forget (acks are never acked)."""
         self._net.stats.acks_sent += 1
-        done = self._serve(pe, "ru_free", "RU", T.ACK_COST)
+        done = self._serve(pe, "RU", T.ACK_COST)
         self.schedule(done, self._net_transmit_ack, pe,
                       AckMsg(pe.pid, dst, seq))
 
@@ -1085,7 +1084,7 @@ class Machine:
         for d in dims:
             if not isinstance(d, int) or d < 1:
                 raise ExecutionError(f"bad array dimension {d!r}")
-        done = self._serve(pe, "am_free", "AM", T.am_allocate())
+        done = self._serve(pe, "AM", T.am_allocate())
         self.schedule(done, self._install_header, pe, aid, dims)
         self.schedule(done, self._deliver_waiter, waiter, ArrayId(aid))
         for other in self.pes:
@@ -1094,7 +1093,7 @@ class Machine:
                 self.schedule(done, self._send_msg, pe, msg)
 
     def _am_install_remote(self, pe: PE, msg: AllocRequestMsg) -> None:
-        done = self._serve(pe, "am_free", "AM", T.am_allocate())
+        done = self._serve(pe, "AM", T.am_allocate())
         self.schedule(done, self._install_header, pe, msg.array_id, msg.dims)
 
     def _install_header(self, pe: PE, aid: int, dims: tuple) -> None:
@@ -1132,33 +1131,31 @@ class Machine:
                  waiter: ReturnAddress) -> None:
         if pe.halted:
             return
-        header = pe.headers[aid]
-        if header.is_local(offset, pe.pid):
+        seg = pe.segments[aid]
+        if seg.lo <= offset < seg.hi:
             pe.stats.array_reads_local += 1
-            seg = pe.segments[aid]
             present, value = seg.read(offset)
             if present:
-                done = self._serve(pe, "am_free", "AM",
-                                   T.MEM_READ + T.UNIT_SIGNAL)
+                done = self._serve(pe, "AM", T.MEM_READ + T.UNIT_SIGNAL)
                 self.schedule(done, self._deliver_waiter, waiter, value)
             else:
-                self._serve(pe, "am_free", "AM",
-                            T.MEM_READ + T.ENQUEUED_READ)
+                self._serve(pe, "AM", T.MEM_READ + T.ENQUEUED_READ)
                 seg.defer(offset, waiter)
                 pe.stats.deferred_local += 1
             return
 
         pe.stats.array_reads_remote += 1
+        header = pe.headers[aid]
         if self.mc.cache_enabled:
             page = header.page_of(offset)
             hit, value = pe.cache.lookup(aid, page, offset)
             if hit:
                 pe.stats.cache_hits += 1
-                done = self._serve(pe, "am_free", "AM", T.am_cached_read(True))
+                done = self._serve(pe, "AM", T.am_cached_read(True))
                 self.schedule(done, self._deliver_waiter, waiter, value)
                 return
             pe.stats.cache_misses += 1
-        done = self._serve(pe, "am_free", "AM", T.am_cached_read(False))
+        done = self._serve(pe, "AM", T.am_cached_read(False))
         owner = header.owner_of_offset(offset)
         if self.tracer is not None:
             self.tracer.record(self.now, pe.pid, "remote-read",
@@ -1204,7 +1201,7 @@ class Machine:
             page_lo = max(page * header.page_size, seg.lo)
             page_hi = min((page + 1) * header.page_size, seg.hi)
             cells = seg.snapshot_page(page_lo, page_hi)
-            done = self._serve(pe, "am_free", "AM", T.am_send_page(len(cells)))
+            done = self._serve(pe, "AM", T.am_send_page(len(cells)))
             pe.stats.pages_sent += 1
             reply = PageResponseMsg(
                 pe.pid, msg.src_pe, msg.array_id, page, page_lo,
@@ -1213,13 +1210,12 @@ class Machine:
             )
             self.schedule(done, self._send_msg, pe, reply)
         else:
-            self._serve(pe, "am_free", "AM", T.am_remote_read(True))
+            self._serve(pe, "AM", T.am_remote_read(True))
             seg.defer(msg.offset, msg.waiter)
             pe.stats.deferred_remote += 1
 
     def _am_page_response(self, pe: PE, msg: PageResponseMsg) -> None:
-        done = self._serve(pe, "am_free", "AM",
-                           T.am_receive_page(len(msg.cells)))
+        done = self._serve(pe, "AM", T.am_receive_page(len(msg.cells)))
         if self.mc.cache_enabled:
             pe.cache.install(msg.array_id, msg.page, msg.page_lo,
                              list(msg.cells))
@@ -1232,7 +1228,7 @@ class Machine:
                       "remote-read", None)
 
     def _am_value_response(self, pe: PE, msg: ValueResponseMsg) -> None:
-        done = self._serve(pe, "am_free", "AM", T.MEM_WRITE)
+        done = self._serve(pe, "AM", T.MEM_WRITE)
         if self.mc.cache_enabled:
             header = pe.headers.get(msg.array_id)
             if header is not None:
@@ -1268,11 +1264,10 @@ class Machine:
                 if stored != value:
                     raise SingleAssignmentViolation(aid, offset)
                 self.replayed_present += 1
-                self._serve(pe, "am_free", "AM", T.am_array_write(0))
+                self._serve(pe, "AM", T.am_array_write(0))
                 return
             woken = seg.write(offset, value)  # may raise single-assignment
-            done = self._serve(pe, "am_free", "AM",
-                               T.am_array_write(len(woken)))
+            done = self._serve(pe, "AM", T.am_array_write(len(woken)))
             for waiter in woken:
                 if waiter.pe == pe.pid:
                     self.schedule(done, self._deliver_waiter, waiter, value,
@@ -1285,7 +1280,7 @@ class Machine:
         # Index-space responsibility differs from data ownership: forward
         # the write to the owner (the remote writes of Section 4.2.3).
         pe.stats.array_writes_remote += 1
-        done = self._serve(pe, "am_free", "AM", T.MEM_WRITE + T.UNIT_SIGNAL)
+        done = self._serve(pe, "AM", T.MEM_WRITE + T.UNIT_SIGNAL)
         owner = header.owner_of_offset(offset)
         msg = RemoteWriteMsg(pe.pid, owner, aid, offset, value,
                              src_sp=writer)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.runtime.arrays import ArrayHeader
 from repro.runtime.frames import Frame
@@ -15,8 +16,8 @@ from repro.sim.stats import PEStats
 class PE:
     """One processing element: EU + MU + MM + AM + RU state.
 
-    The serial units (MU, MM, AM, RU) are modeled as servers via their
-    ``*_free`` next-available times; the EU's timeline is driven by the
+    The serial units (MU, MM, AM, RU) are modeled as servers via the
+    ``free`` map of next-available times; the EU's timeline is driven by the
     chunked execution loop in :mod:`repro.sim.machine`.
     """
 
@@ -26,7 +27,8 @@ class PE:
     ready: deque = field(default_factory=deque)
     running: Frame | None = None
     eu_time: float = 0.0           # when the EU last finished work
-    eu_scheduled: bool = False     # an _eu_step event is pending
+    eu_scheduled: bool = False     # an eu_step event is pending
+    eu_step: Callable | None = None  # step(machine, pe), Machine._compile_eu
     suspended_on: tuple | None = None  # (frame_uid, slot) in blocking-read mode
 
     # Injected PE faults (repro.sim.netfaults): a halted PE's units
@@ -35,11 +37,9 @@ class PE:
     halted: bool = False
     degrade: float = 1.0
 
-    # serial units (server model: next time the unit is free)
-    mu_free: float = 0.0
-    mm_free: float = 0.0
-    am_free: float = 0.0
-    ru_free: float = 0.0
+    # serial units (server model: unit -> next time it is free)
+    free: dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(("MU", "MM", "AM", "RU"), 0.0))
 
     # Matching Unit state
     match_table: dict = field(default_factory=dict)  # (block, ctx) -> Frame

@@ -163,18 +163,3 @@ _UN_COSTS = {
     "float": (FNEG, FNEG),
     "int": (FNEG, FNEG),
 }
-
-
-def binop_cost(fn: str, a, b) -> float:
-    """EU time for a binary operation given its runtime operand types."""
-    fcost, icost = _BIN_COSTS[fn]
-    if isinstance(a, float) or isinstance(b, float):
-        return fcost
-    return icost
-
-
-def unop_cost(fn: str, a) -> float:
-    fcost, icost = _UN_COSTS[fn]
-    if isinstance(a, float):
-        return fcost
-    return icost

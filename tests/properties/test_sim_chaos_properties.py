@@ -10,6 +10,7 @@ metrics.  Only modeled time is allowed to move.
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -129,6 +130,48 @@ def test_drop_plans_heal_within_retransmit_budget(clauses, prob):
     # A fast timer so every drop heals inside the run; each clause loses
     # at most `count` copies per channel, well inside the budget of 8.
     _assert_confluent("row-sweep", spec, retransmit_timeout_us=800.0)
+
+
+# Named counter-examples to the property above: a dropped message the
+# program does not *wait* for must still be delivered before the run
+# counts as complete.  Both returned a wrong answer without an error
+# while ``_net_check`` abandoned every unacked message at completion
+# instead of only those the receiver already had (``seq in ch.seen``).
+
+def test_dropped_empty_replica_broadcast_is_retransmitted_after_result():
+    # PE 1's replica of the inner loop has an empty Range Filter: nothing
+    # waits for it, so its dropped spawn broadcast used to be abandoned
+    # once the result was in and the row was counted 3 times, not 4.
+    spec = ("drop:kind=bcast,after=3,count=3,prob=0.5,seed=65535;"
+            "drop:kind=bcast,after=1,count=2,prob=0.5,seed=1")
+    _assert_confluent("row-sweep", spec, retransmit_timeout_us=800.0)
+    assert ('{"kind":"counter","labels":{"block":"main.for_i.for_j",'
+            '"first":"1","last":"0","pe":"1"},"name":"rf.subrange",'
+            '"value":4}') in _case("row-sweep")[3]
+
+
+PREFIX_FILL = """
+function main(n) {
+    A = array(n);
+    s = 0.0;
+    for i = 1 to n { next s = s + 1.0; A[i] = s; }
+    return A;
+}
+"""
+
+
+@pytest.mark.parametrize("after", [29, 30, 31])
+def test_dropped_fire_and_forget_write_is_retransmitted_after_result(after):
+    # AWRITE is fire-and-forget: the serial loop's frame ends with its
+    # last remote writes still in flight, so a dropped one used to leave
+    # a hole (None) in the returned array, silently.
+    program = compile_source(PREFIX_FILL)
+    res = program.run((64,), backend="sim", config=_config(
+        faults=f"drop:kind=write,after={after},count=1")).raw
+    assert res.value.flat == program.run((64,), backend="seq").value.flat
+    assert None not in res.value.flat
+    assert res.stats.netstats.dropped == 1
+    assert res.stats.netstats.retransmits == 1
 
 
 @settings(max_examples=10, deadline=None)

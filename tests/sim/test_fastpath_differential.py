@@ -148,9 +148,9 @@ class TestErrorText:
 
 
 class TestTilingInvariant:
-    """Satellite of the batched event loop: per-PE busy + attributed wait
-    intervals still tile ``[0, makespan]`` exactly with the fast path on
-    (the float-drift audit for ``_serve``/``schedule`` under batching)."""
+    """Per-PE busy + attributed wait intervals tile ``[0, makespan]``
+    exactly (the float-drift audit for ``_serve`` and the EU step: span
+    boundaries are the very floats the event loop computed)."""
 
     @pytest.mark.parametrize("pes", [1, 3, 4])
     def test_busy_plus_waits_tile_makespan(self, pes):

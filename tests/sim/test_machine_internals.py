@@ -1,11 +1,18 @@
 """Unit tests of simulator internals: broadcast tree, batching,
-tombstones, stall bounding, tracing, gathering, spawn placement."""
+tombstones, stall bounding, tracing, gathering, spawn placement, the
+event order, and the host's call budget per event."""
+
+import math
+import sys
 
 import pytest
 
 from repro.api import compile_source
 from repro.common.config import MachineConfig, ObsConfig, SimConfig
+from repro.sim import timing as T
 from repro.sim.machine import Machine
+from repro.translator import isa
+from repro.translator.isa import Instr, SPTemplate, const, slot
 
 
 def machine_for(src, **cfg_kwargs):
@@ -233,6 +240,151 @@ class TestEventAccounting:
         with pytest.raises(ExecutionError) as exc:
             Machine(program.pods, config).run((64,))
         assert "event limit" in str(exc.value)
+
+
+@pytest.mark.parametrize("jitter_seed", [None, 7], ids=["exact", "jitter"])
+class TestEventOrder:
+    """The event order as a contract of its own (the fingerprints pin it
+    only through whole programs): recorder callbacks put on a real
+    machine through ``schedule``."""
+
+    @staticmethod
+    def machine(jitter_seed):
+        # main (PE 0) replicates `worker` - six NOPs - on every PE with a
+        # distributed spawn; PE 1's copy arrives over the network, so its
+        # start time moves with the jitter seed.
+        worker = SPTemplate(block_id=1, name="worker", kind="loop",
+                            code=[Instr(isa.NOP)] * 6 + [Instr(isa.END)],
+                            num_slots=1, inputs=(0,))
+        main = SPTemplate(block_id=0, name="main", kind="function", code=[
+            Instr(isa.SPAWN, block=1, args=(const(0),), distributed=True),
+            Instr(isa.SENDR, a=slot(0), b=const(1)),
+            Instr(isa.END),
+        ], num_slots=1, inputs=(0,))
+        program = isa.PodsProgram({0: main, 1: worker}, entry_block=0,
+                                  arity=0)
+        return Machine(program, SimConfig(machine=MachineConfig(num_pes=2),
+                                          jitter_seed=jitter_seed))
+
+    def test_same_time_events_run_in_schedule_order(self, jitter_seed):
+        m, log = self.machine(jitter_seed), []
+        for tag in "abc":
+            m.schedule(50.0, log.append, tag)
+        # Whoever schedules: "d" is queued from inside an earlier event,
+        # after "e" was queued by the host, so it runs after "e".
+        m.schedule(10.0, m.schedule, 50.0, log.append, "d")
+        m.schedule(50.0, log.append, "e")
+        assert m.run(()).value == 1
+        assert log == ["a", "b", "c", "e", "d"]
+
+    def test_event_scheduled_at_now_runs_after_those_queued(self, jitter_seed):
+        m, log = self.machine(jitter_seed), []
+
+        def first():
+            log.append("first")
+            m.schedule(m.now, log.append, "nested")
+
+        m.schedule(5.0, first)
+        m.schedule(5.0, log.append, "second")
+        m.schedule(5.0, log.append, "third")
+        m.run(())
+        assert log == ["first", "second", "third", "nested"]
+
+    def test_earlier_time_runs_first_however_late_scheduled(self, jitter_seed):
+        m, log = self.machine(jitter_seed), []
+        m.schedule(9.0, log.append, "late")
+        m.schedule(9.0, m.schedule, 9.5, log.append, "later")
+        m.schedule(3.0, log.append, "early")
+        m.run(())
+        assert log == ["early", "late", "later"]
+
+    def probe_run(self, jitter_seed):
+        """Run with two recorders aimed at PE 1's worker: one an ulp
+        before NOP 2 starts, one at exactly NOP 4's start.  Returns what
+        each saw (instructions PE 1 had executed) and NOP 0's start."""
+        m, log, started = self.machine(jitter_seed), [], []
+        first_nop = m._dcode[1][0]
+
+        def seen(tag, pe, base):
+            log.append((tag, pe.stats.instructions - base))
+
+        def probe(M, pe, frame, t):
+            if pe.pid == 1:
+                # Local start times of the six NOPs, summed the way the
+                # EU sums them.
+                starts = [t]
+                for _ in range(5):
+                    starts.append(starts[-1] + T.INT_ADD)
+                base = pe.stats.instructions
+                M.schedule(math.nextafter(starts[2], 0.0), seen, "before-2",
+                           pe, base)
+                M.schedule(starts[4], seen, "at-4", pe, base)
+                started.append(t)
+            return first_nop(M, pe, frame, t)
+
+        m._dcode[1][0] = probe
+        m.run(())
+        return log, started
+
+    def test_eu_yields_to_earlier_events_only(self, jitter_seed):
+        """An EU at local time ``t`` stops for an event at a time ``< t``
+        and runs on past one at exactly ``t``."""
+        log, started = self.probe_run(jitter_seed)
+        assert log == [("before-2", 2), ("at-4", 5)]
+        if jitter_seed is not None:
+            # The jitter did move the worker: the rule held at other times.
+            assert started != self.probe_run(None)[1]
+
+
+def test_finished_machine_is_freed_by_reference_count():
+    # The compiled EU steps take the machine and the PE as arguments; a
+    # step that closed over them would leave every finished machine, and
+    # the arrays it holds, to the cyclic collector.
+    import gc
+    import weakref
+
+    m, _ = machine_for(FILL, num_pes=4)
+    m.run((32,))
+    ref = weakref.ref(m)
+    gc.disable()
+    try:
+        del m
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+class TestHostWorkBudget:
+    """A standing budget for Python work per simulated event: what an
+    event costs the host is the calls around it (docs/simulator.md,
+    "Where an event goes"), so a simulator change is held to this count
+    the way an SPMD-core change is held to its call count."""
+
+    CALLS_PER_EVENT = 11  # an upper bound; 9.7-10.2 when it was set
+
+    @pytest.mark.parametrize("pes", [4, 8])
+    @pytest.mark.parametrize("app", ["simple", "matmul"])
+    def test_python_calls_per_event(self, app, pes):
+        from repro.apps import compile_matmul, compile_simple
+
+        program, args = ((compile_simple(), (8, 1)) if app == "simple"
+                         else (compile_matmul(), (8,)))
+        config = SimConfig(machine=MachineConfig(num_pes=pes))
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call" or event == "c_call":
+                calls += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            result = Machine(program.pods, config).run(args)
+        finally:
+            sys.setprofile(previous)
+        per_event = calls / result.stats.events_processed
+        assert per_event <= self.CALLS_PER_EVENT, per_event
 
 
 class TestDiagnostics:

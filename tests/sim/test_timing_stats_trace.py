@@ -2,33 +2,53 @@
 
 import pytest
 
+from repro.runtime.frames import Frame
 from repro.sim import timing as T
+from repro.sim.decode import compile_template
+from repro.sim.pe import PE
 from repro.sim.stats import PEStats, RunStats, UNITS
 from repro.sim.trace import TraceEvent, Tracer
+from repro.translator import isa
+from repro.translator.isa import Instr, SPTemplate, slot
+
+
+def eu_charge(fn, *operands):
+    """What the Execution Unit bills for ``fn`` on these operands: the
+    ``t2 - t`` of the decoded handler the machine actually runs."""
+    n = len(operands)
+    instr = Instr(isa.BIN if n == 2 else isa.UN, dst=n, fn=fn, a=slot(0),
+                  b=slot(1) if n == 2 else None)
+    handler, = compile_template(SPTemplate(0, "t", "function", [instr], n + 1))
+    pe, frame = PE(0), Frame(1, 0, (), 0, n + 1)
+    for i, value in enumerate(operands):
+        frame.put(i, value)
+    t2, _ = handler(None, pe, frame, 0.0)
+    assert pe.stats.busy["EU"] == t2 and pe.stats.instructions == 1
+    return t2
 
 
 class TestTimingModel:
     def test_type_sensitive_costs(self):
         # Integer vs floating point, per the paper's table.
-        assert T.binop_cost("add", 1, 2) == 0.300
-        assert T.binop_cost("add", 1.0, 2) == 6.753
-        assert T.binop_cost("add", 1, 2.0) == 6.753
-        assert T.binop_cost("mul", 2, 3) == pytest.approx(1.2)
-        assert T.binop_cost("mul", 2.0, 3.0) == 7.217
+        assert eu_charge("add", 1, 2) == 0.300
+        assert eu_charge("add", 1.0, 2) == 6.753
+        assert eu_charge("add", 1, 2.0) == 6.753
+        assert eu_charge("mul", 2, 3) == pytest.approx(1.2)
+        assert eu_charge("mul", 2.0, 3.0) == 7.217
 
     def test_division_always_float_cost(self):
         # '/' produces a float even on int operands.
-        assert T.binop_cost("div", 4, 2) == 10.707
+        assert eu_charge("div", 4, 2) == 10.707
 
     def test_comparison_costs(self):
-        assert T.binop_cost("lt", 1, 2) == 0.300
-        assert T.binop_cost("lt", 1.0, 2.0) == 5.803
+        assert eu_charge("lt", 1, 2) == 0.300
+        assert eu_charge("lt", 1.0, 2.0) == 5.803
 
     def test_unary_costs(self):
-        assert T.unop_cost("sqrt", 2.0) == 18.929
-        assert T.unop_cost("abs", -1) == 0.300
-        assert T.unop_cost("abs", -1.0) == 12.626
-        assert T.unop_cost("neg", 1.0) == 0.555
+        assert eu_charge("sqrt", 2.0) == 18.929
+        assert eu_charge("abs", -1) == 0.300
+        assert eu_charge("abs", -1.0) == 12.626
+        assert eu_charge("neg", 1.0) == 0.555
 
     def test_message_latency_regimes(self):
         # Dunigan: <=100 bytes flat, then linear.
