@@ -152,17 +152,15 @@ class Backend(ABC):
     parallelism is called in human-facing output), and implement
     :meth:`_run`; one that takes a config object also names the class
     (:meth:`_config_type`), where its width lives (:meth:`_width`,
-    :meth:`_with_width`) and, with the ``faults`` capability, which
-    field carries a fault plan (``faults_field``).  The public
-    :meth:`run` validates and reconciles arguments uniformly before
-    dispatching.
+    :meth:`_with_width`) and, with the ``faults`` capability, its
+    dialect's plan class (:meth:`_plan_type`).  The public :meth:`run`
+    validates and reconciles arguments uniformly before dispatching.
     """
 
     name: str = ""
     aliases: tuple[str, ...] = ()
     noun: str = "PEs"
     capabilities: frozenset = frozenset()
-    faults_field: str = ""
 
     # -- compile ---------------------------------------------------------
 
@@ -188,10 +186,10 @@ class Backend(ABC):
         ``parallelism`` is the PE/worker count; ``None`` defers to
         ``config`` (or 1), and an explicit value — ``1`` included — wins
         over a conflicting ``config``.  ``faults`` takes a fault-plan
-        spec for backends with the ``faults`` capability; an explicit
-        plan wins over the backend's environment variable, but
-        conflicting *explicit* specs (``faults=`` plus a plan already in
-        ``config``) are an error.  ``ckpt`` / ``restore`` take a
+        spec (or parsed plan) on backends with the ``faults``
+        capability, and is the only way a plan enters a run: it is
+        parsed here (:meth:`fault_plan`) and recorded in the result's
+        fingerprint.  ``ckpt`` / ``restore`` take a
         :class:`repro.ckpt.format.CkptWriter` / ``CkptRestore`` on
         backends with the ``checkpoint`` capability.
         """
@@ -206,33 +204,26 @@ class Backend(ABC):
             if parallelism < 1:
                 raise BackendConfigError(
                     f"parallelism must be >= 1, got {parallelism}")
-        if faults is not None and FAULTS not in self.capabilities:
-            raise BackendConfigError(
-                f"backend {self.name!r} does not support fault injection "
-                f"(faults={faults!r})")
         if (ckpt is not None or restore is not None) \
                 and CHECKPOINT not in self.capabilities:
             raise BackendConfigError(
                 f"backend {self.name!r} does not support checkpointing")
         self._check_config(config)
         self._validate_config(config)
-        # The one place width and fault plans are reconciled: _run gets
-        # the effective config (None only on config-less backends).
+        # The one place width is reconciled: _run gets the effective
+        # config (None only on config-less backends) and the parsed plan.
         effective = config
         config_type = self._config_type()
         if config is not None:
-            if faults is not None \
-                    and getattr(config, self.faults_field) is not None:
-                raise BackendConfigError(
-                    f"conflicting fault plans: {config_type.__name__}."
-                    f"{self.faults_field} and faults= are both set")
             if parallelism is not None \
                     and self._width(config) != parallelism:
                 effective = self._with_width(config, parallelism)
         elif config_type is not None:
             effective = self._with_width(config_type(), parallelism or 1)
+        plan = self.fault_plan(
+            faults, 1 if effective is None else self._width(effective))
         result = self._run(program, tuple(args), config=effective,
-                           faults=faults, ckpt=ckpt, restore=restore)
+                           faults=plan, ckpt=ckpt, restore=restore)
         # Uniform capture hook: every result leaves with its full config
         # fingerprint attached, so any caller can turn it into a durable
         # pods-run/v1 record without re-deriving what ran.  Building the
@@ -242,6 +233,36 @@ class Backend(ABC):
         result.fingerprint = config_fingerprint(
             self.name, result.parallelism, config, faults=faults)
         return result
+
+    def fault_plan(self, faults, width: int):
+        """Parse ``faults`` (``None`` / spec string / plan) with this
+        backend's dialect for a run ``width`` PEs / workers / nodes
+        wide; returns the plan (``None`` for none).
+
+        A malformed spec, a value that is no spec, and a clause
+        addressed to an identity the run does not have are each a
+        :class:`BackendConfigError` naming the clause.
+        """
+        if faults is None:
+            return None
+        if FAULTS not in self.capabilities:
+            raise BackendConfigError(
+                f"backend {self.name!r} does not support fault injection "
+                f"(faults={faults!r})")
+        from repro.common.faultplan import resolve
+
+        try:
+            plan = resolve(faults, self._plan_type())
+            plan.check_width(width)
+        except ValueError as exc:
+            raise BackendConfigError(
+                f"backend {self.name!r} cannot run under "
+                f"faults={faults!r}: {exc}") from None
+        return plan
+
+    def _plan_type(self):
+        """This backend's fault-plan class (``faults`` capability)."""
+        raise NotImplementedError
 
     def _check_config(self, config) -> None:
         """Reject a config object meant for a different backend."""
@@ -339,18 +360,17 @@ def config_fingerprint(backend_name: str, parallelism: int, config=None,
                        faults=None) -> dict:
     """The scalar-only description of *what ran*: backend, effective
     parallelism, every knob of the config object (nested dataclasses
-    flattened to dotted keys, non-scalars stringified) and any explicit
-    fault plan.  Deterministic by construction — dataclass field order
-    is fixed and values are scalars — so identical runs fingerprint to
-    identical dicts."""
+    flattened to dotted keys, non-scalars stringified) and the fault
+    plan the run was given (``None`` for none).  Deterministic by
+    construction — dataclass field order is fixed and values are
+    scalars — so identical runs fingerprint to identical dicts."""
     fp: dict = {"backend": backend_name, "parallelism": parallelism}
     if config is not None:
         fp["config_type"] = type(config).__name__
         flat: dict = {}
         _flatten_config(config, "", flat)
         fp.update(flat)
-    if faults is not None:
-        fp["faults"] = str(faults)
+    fp["faults"] = None if faults is None else str(faults)
     return fp
 
 
@@ -512,7 +532,11 @@ class SimBackend(_SimConfigBackend):
     noun = "PEs"
     capabilities = frozenset({MODELED_TIME, PARALLEL, METRICS, WAITS,
                               TRACE, FAULTS, CHECKPOINT})
-    faults_field = "faults"
+
+    def _plan_type(self):
+        from repro.sim.netfaults import SimFaultPlan
+
+        return SimFaultPlan
 
     def _run(self, program, args, *, config, faults, ckpt,
              restore) -> BackendResult:
@@ -521,9 +545,8 @@ class SimBackend(_SimConfigBackend):
         # Accept either the shared CompiledProgram or a bare translated
         # PodsProgram (the .pods files of Figure 3).
         pods = getattr(program, "pods", program)
-        if faults is not None:
-            config = replace(config, faults=faults)
-        result = Machine(pods, config, ckpt=ckpt, restore=restore).run(args)
+        result = Machine(pods, config, ckpt=ckpt, restore=restore,
+                         faults=faults).run(args)
         return BackendResult(backend=self.name, value=result.value,
                              parallelism=config.machine.num_pes,
                              time_us=result.finish_time_us,
@@ -534,7 +557,6 @@ class SimBackend(_SimConfigBackend):
         from repro.common.config import MachineConfig, SimConfig
 
         return SimConfig(machine=MachineConfig(num_pes=args.pes),
-                         faults=args.faults,
                          max_sim_time_us=args.max_sim_time_us)
 
     def render(self, result, args) -> list[str]:
@@ -556,13 +578,11 @@ class _SpmdBackend(Backend):
     Both execute the compiled :class:`repro.api.Program` they are
     handed — its AST against its already-partitioned graph — under a
     config whose width field (``width_field``: ``workers`` / ``nodes``)
-    also names the native result's width attribute, carry an optional
-    ``fault_spec``, and return a result with ``wall_time_s`` /
-    ``registry`` / ``recovery`` / ``ckpt``.
+    also names the native result's width attribute, and return a result
+    with ``wall_time_s`` / ``registry`` / ``recovery`` / ``ckpt``.
     """
 
     width_field = ""
-    faults_field = "fault_spec"
 
     def _width(self, config) -> int:
         return getattr(config, self.width_field)
@@ -614,6 +634,11 @@ class ParallelBackend(_SpmdBackend):
 
         return ParallelConfig
 
+    def _plan_type(self):
+        from repro.parallel.faults import FaultPlan
+
+        return FaultPlan
+
     def _launch(self, program, args, **kwargs):
         from repro.parallel.executor import run_parallel
 
@@ -626,8 +651,7 @@ class ParallelBackend(_SpmdBackend):
         return ParallelConfig(
             workers=args.pes,
             retry=RetryPolicy(enabled=not args.no_recovery,
-                              max_retries_per_worker=args.retries),
-            fault_spec=args.faults)
+                              max_retries_per_worker=args.retries))
 
     def render(self, result, args) -> list[str]:
         lines = super().render(result, args)
@@ -709,6 +733,11 @@ class DistBackend(_SpmdBackend):
 
         return DistConfig
 
+    def _plan_type(self):
+        from repro.dist.faults import DistFaultPlan
+
+        return DistFaultPlan
+
     def _launch(self, program, args, **kwargs):
         from repro.dist.coordinator import run_distributed
 
@@ -719,8 +748,7 @@ class DistBackend(_SpmdBackend):
         from repro.common.retry import RetryPolicy
 
         return DistConfig(nodes=self.cli_parallelism(args),
-                          retry=RetryPolicy(enabled=not args.no_recovery),
-                          fault_spec=args.faults)
+                          retry=RetryPolicy(enabled=not args.no_recovery))
 
     def cli_parallelism(self, args):
         # --nodes wins over --pes; without it the two flags agree, so

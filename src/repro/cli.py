@@ -61,7 +61,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 1
     result = backend.run(program, call_args,
                          parallelism=backend.cli_parallelism(args),
-                         config=config, ckpt=writer)
+                         config=config, faults=args.faults, ckpt=writer)
     for line in backend.render(result, args):
         print(line)
     if result.ckpt:
@@ -209,9 +209,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     program = _load(args.file)
     call_args = tuple(_parse_value(a) for a in (args.args or []))
     obs = ObsConfig(metrics=True, timelines=True, trace=True, waits=True)
-    config = SimConfig(machine=MachineConfig(num_pes=args.pes), obs=obs,
-                       faults=args.faults)
-    machine = Machine(program.pods, config)
+    config = SimConfig(machine=MachineConfig(num_pes=args.pes), obs=obs)
+    plan = get_backend("sim").fault_plan(args.faults, args.pes)
+    machine = Machine(program.pods, config, faults=plan)
     result = machine.run(call_args)
     tracer = machine.tracer
     netspans = (result.stats.netstats.spans
@@ -310,9 +310,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             print(text)
         return 0
     obs = ObsConfig(metrics=True, timelines=True, waits=True)
-    config = SimConfig(machine=MachineConfig(num_pes=args.pes), obs=obs,
-                       faults=args.faults)
-    machine = Machine(program.pods, config)
+    config = SimConfig(machine=MachineConfig(num_pes=args.pes), obs=obs)
+    plan = get_backend("sim").fault_plan(args.faults, args.pes)
+    machine = Machine(program.pods, config, faults=plan)
     result = machine.run(call_args)
     profile = Profile.from_stats(result.stats)
     text = (f"value: {result.value}\n\n" + profile.render(top=args.top))

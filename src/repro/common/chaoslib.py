@@ -1,12 +1,10 @@
-"""Shared plumbing for the chaos drivers.
+"""Shared plumbing under the chaos runner and the crash-restart drill.
 
-The three fault-matrix drivers (:mod:`repro.parallel.chaos`,
-:mod:`repro.sim.chaos`, :mod:`repro.dist.chaos`) grew the same two
-pieces independently: post-scenario leak accounting (child processes,
-open sockets, ``/dev/shm`` segments) and the scenario-matrix loop that
-times each case, prints the ``ok``/``FAIL`` table and the summary line.
-This module is the single copy; each driver keeps only what is genuinely
-its own — the scenario tables and the per-scenario verification logic.
+:mod:`repro.chaos` (the one fault-matrix runner), :mod:`repro.ckpt.crashtest`
+and the end-to-end benchmark harness share two pieces: leak accounting
+around a run (child processes, open sockets, ``/dev/shm`` segments) and
+the scenario-matrix loop that times each case, prints the ``ok``/``FAIL``
+table and the summary line.
 
 Everything here is stdlib-only and side-effect-free on import, so the
 drivers stay runnable as ``python -m`` entry points in a bare checkout.
@@ -21,7 +19,7 @@ import time
 from typing import Callable, Sequence
 
 __all__ = ["ROW_SWEEP", "check_leaks", "open_sockets", "run_matrix",
-           "shm_entries", "unlink_quietly", "wait_for_children"]
+           "shm_entries", "wait_for_children"]
 
 # The program the sim and dist matrices and the crash-restart drill all
 # run: row i's readers race row i-1's writers, so every run at width > 1
@@ -62,16 +60,6 @@ def shm_entries() -> set[str]:
     return set(glob.glob("/dev/shm/pods*"))
 
 
-def unlink_quietly(paths) -> None:
-    """Remove leaked files without letting one failure mask the rest —
-    used to keep a leak in one scenario from poisoning the next."""
-    for path in paths:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-
-
 def wait_for_children(deadline_s: float = 5.0) -> list:
     """Wait for forked children to be reaped; returns the stragglers."""
     deadline = time.monotonic() + deadline_s
@@ -83,9 +71,9 @@ def wait_for_children(deadline_s: float = 5.0) -> list:
 
 def check_leaks(problems: list[str], sockets0: int,
                 shm0: set[str]) -> None:
-    """The full post-scenario audit the multi-process drivers share:
-    no surviving child processes, the open-socket count and the shm
-    segment set back to their pre-scenario state."""
+    """The full post-scenario audit: no surviving child processes, the
+    open-socket count and the shm segment set back to their
+    pre-scenario state."""
     leftover = wait_for_children()
     if leftover:
         problems.append(f"leaked node processes: "
@@ -106,8 +94,7 @@ def run_matrix(cases: Sequence[tuple[str, Callable[[], list[str]]]],
     """Run ``(name, thunk)`` cases, print the per-case table and the
     summary line; returns the process exit code (1 = any failure).
 
-    Each thunk returns a list of problems (empty = pass) — exactly the
-    contract every driver's ``run_scenario`` already had.
+    Each thunk returns a list of problems (empty = pass).
     """
     failed = 0
     for name, thunk in cases:

@@ -104,10 +104,6 @@ class ParallelConfig:
             ``max_retries_*`` budgets bound respawns per worker subrange
             and per run, and the backoff schedule is deterministic in
             ``seed``.
-        fault_spec: Fault-injection plan (see
-            :mod:`repro.parallel.faults`); ``None`` falls back to the
-            ``PODS_FAULTS`` environment variable, which is empty in
-            normal operation.
     """
 
     workers: int = 2
@@ -118,7 +114,6 @@ class ParallelConfig:
     read_timeout_s: float = 30.0
     spin_ceiling_s: float = 1.0
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    fault_spec: str | None = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -190,16 +185,12 @@ class SimConfig:
             to message deliveries.  Used by the Church-Rosser property
             tests: results must not change, only timings.
         jitter_max_us: Upper bound of the injected delay in microseconds.
-        faults: Simulated-network fault plan — a spec string or
-            :class:`repro.sim.netfaults.SimFaultPlan`; ``None`` defers to
-            the ``PODS_SIM_FAULTS`` environment variable (normally
-            empty).  Any active plan also arms the reliable-delivery
-            protocol (:mod:`repro.sim.reliable`).
         reliable: Force the reliable-delivery protocol on (True) or off
             (False) regardless of the fault plan; ``None`` (the default)
-            arms it exactly when a fault plan is active.  With the
-            protocol off and no faults the simulator is byte-identical
-            to the pre-fault-model machine.
+            arms it exactly when the run was given a fault plan
+            (``Backend.run(faults=...)``).  With the protocol off and
+            no faults the simulator is byte-identical to the
+            pre-fault-model machine.
         max_sim_time_us: Progress wall in *modeled* time, next to
             ``max_events``: a run whose clock crosses this raises a
             structured :class:`repro.common.errors.LivelockError`
@@ -221,7 +212,6 @@ class SimConfig:
     obs: ObsConfig = field(default_factory=ObsConfig)
     jitter_seed: int | None = None
     jitter_max_us: float = 50.0
-    faults: object = None
     reliable: bool | None = None
     max_sim_time_us: float | None = None
     retransmit_timeout_us: float = 5_000.0
@@ -287,9 +277,6 @@ class DistConfig:
             subranges are re-executed by a survivor, idempotently via
             presence-bit replay, instead of aborting the run); its
             backoff schedule paces both reconnects and takeovers.
-        fault_spec: Fault-injection plan (see :mod:`repro.dist.faults`);
-            ``None`` falls back to the ``PODS_DIST_FAULTS`` environment
-            variable, which is empty in normal operation.
     """
 
     nodes: int = 2
@@ -306,7 +293,6 @@ class DistConfig:
     reconnect_attempts: int = 3
     max_takeovers: int = 2
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    fault_spec: str | None = None
 
     def __post_init__(self) -> None:
         if self.nodes < 1:

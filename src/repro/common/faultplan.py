@@ -14,16 +14,16 @@ vocabulary: a dialect declares its action names, a *schema* mapping
 qualifier names to coercions (``int``/``float``/``str``), defaults,
 per-action validation and what firing *does*.  Everything else is here,
 once: the grammar and :func:`parse_plan`'s clause loop, :class:`Plan`
-and :func:`resolve` (``None`` / spec string / plan), the message
+and :func:`resolve` (spec string / plan), the message
 selector with its ``after``/``count`` window (:class:`ArmingWindow`) and
 the per-event trigger counter with its ``gen`` filter
 (:class:`EventTrigger`).  Anything outside the schema is a hard
 ``ValueError`` — fault plans are a test instrument and must never guess.
 
-Each dialect reads only its own environment variable (``PODS_FAULTS``,
-``PODS_SIM_FAULTS``, ``PODS_DIST_FAULTS``), so a whole test process or
-chaos soak can inject faults without threading arguments through every
-call site and one dialect's plan can never poison another's runs.
+A plan enters a run one way: ``Backend.run(..., faults=...)``
+(:meth:`repro.backend.Backend.fault_plan` parses it with the backend's
+plan class and records it in the run's fingerprint).  Nothing here reads
+the process environment, so what a run did is what its caller passed.
 Qualifiers common to several dialects — counting windows (``after``,
 ``count``), generation/seed selectors (``gen``, ``seed``) — keep one
 spelling and one meaning everywhere.
@@ -31,14 +31,9 @@ spelling and one meaning everywhere.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from typing import ClassVar
-
-PARALLEL_ENV_VAR = "PODS_FAULTS"
-SIM_ENV_VAR = "PODS_SIM_FAULTS"
-DIST_ENV_VAR = "PODS_DIST_FAULTS"
 
 
 def split_clauses(spec: str) -> list[tuple[str, str]]:
@@ -107,35 +102,10 @@ def format_spec(clauses: list[tuple[str, dict]]) -> str:
     ``parse -> format -> parse`` is the identity (clause order, key
     order and values all preserved) — the property the round-trip tests
     in ``tests/common/test_faultplan.py`` hold the grammar to, so specs
-    can be echoed into logs, chaos reports and ``PODS_FAULTS``-style
-    environment variables without drift.
+    can be echoed into logs, chaos reports and run records without
+    drift.
     """
     return ";".join(format_clause(action, args) for action, args in clauses)
-
-
-def spec_from_env(var: str) -> str | None:
-    """Read a plan spec from an environment variable (None when unset)."""
-    return os.environ.get(var)
-
-
-def parse_from_env(var: str, parse):
-    """Parse the plan in environment variable ``var`` with ``parse``.
-
-    Shared ``from_env`` plumbing for every dialect: the three variables
-    (``PODS_FAULTS``, ``PODS_SIM_FAULTS``, ``PODS_DIST_FAULTS``) carry
-    *different dialects* and must never shadow each other, so each
-    backend reads only its own variable — and when the spec in that
-    variable is malformed (unknown action, unknown key, bad value), the
-    error must say which variable supplied it.  The dialect's own
-    message already names the offending clause; this wrapper prefixes
-    the variable so a chaos soak that exports all three can tell at a
-    glance whose plan is broken.
-    """
-    spec = os.environ.get(var)
-    try:
-        return parse(spec)
-    except ValueError as exc:
-        raise ValueError(f"bad fault plan in {var}={spec!r}: {exc}") from None
 
 
 def parse_plan(spec: str | None, fault_cls, schema: dict,
@@ -146,8 +116,7 @@ def parse_plan(spec: str | None, fault_cls, schema: dict,
     qualifiers every clause must carry; ``fault_cls`` validates the
     action and the qualifier combination.  Every error names the
     offending clause: an unknown action or a bad qualifier must be
-    findable in a multi-clause spec (and, via :func:`parse_from_env`,
-    in the environment variable).
+    findable in a multi-clause spec.
     """
     if not spec or not spec.strip():
         return ()
@@ -177,14 +146,15 @@ class Plan:
     """A parsed set of faults for one run (empty = normal operation).
 
     Dialects subclass this and declare ``fault_cls`` (the clause
-    dataclass), ``schema``, ``env_var`` and, optionally, ``required``.
+    dataclass), ``schema``, ``identity_keys`` (the qualifiers that
+    address one PE / worker / node) and, optionally, ``required``.
     """
 
     faults: tuple = ()
 
     fault_cls: ClassVar[type]
     schema: ClassVar[dict]
-    env_var: ClassVar[str]
+    identity_keys: ClassVar[tuple[str, ...]]
     required: ClassVar[tuple[str, ...]] = ()
 
     def __bool__(self) -> bool:
@@ -193,22 +163,25 @@ class Plan:
     def with_action(self, actions: tuple[str, ...]) -> tuple:
         return tuple(f for f in self.faults if f.action in actions)
 
+    def check_width(self, width: int) -> None:
+        """Reject a clause addressed to an identity a run of ``width``
+        does not have — it could never fire, and a plan that silently
+        does nothing reads as a run that survived it.  Wildcards and the
+        coordinator address are negative and pass."""
+        for f in self.faults:
+            for key in self.identity_keys:
+                if getattr(f, key) >= width:
+                    raise ValueError(
+                        f"fault clause '{f.action}:{key}={getattr(f, key)}' "
+                        f"addresses an identity outside 0..{width - 1}")
+
     @classmethod
     def parse(cls, spec: str | None):
         return cls(parse_plan(spec, cls.fault_cls, cls.schema, cls.required))
 
-    @classmethod
-    def from_env(cls):
-        return parse_from_env(cls.env_var, cls.parse)
-
 
 def resolve(faults, plan_cls):
-    """Coerce ``None`` / spec string / plan into a ``plan_cls``.
-
-    ``None`` defers to the dialect's own environment variable.
-    """
-    if faults is None:
-        return plan_cls.from_env()
+    """Coerce a spec string or a plan into a ``plan_cls``."""
     if isinstance(faults, plan_cls):
         return faults
     if isinstance(faults, str):

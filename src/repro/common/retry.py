@@ -114,6 +114,7 @@ class RecoveryLog:
     events: list[RecoveryEvent] = field(default_factory=list)
     respawns: int = 0
     takeovers: int = 0
+    failovers: int = 0
     stall_reports: int = 0
     supersessions: int = 0
     failures_seen: int = 0
@@ -128,6 +129,8 @@ class RecoveryLog:
         elif event.kind == "takeover":
             self.takeovers += 1
             self.backoff_total_s += event.dur_s
+        elif event.kind == "failover":
+            self.failovers += 1
         elif event.kind == "stall":
             self.stall_reports += 1
         elif event.kind == "superseded":

@@ -8,17 +8,17 @@ package splits along the same seams as the other backends:
 * :mod:`repro.dist.transport` — length-prefixed JSON framing plus the
   reliable-delivery layer (sequence numbers, ack/retransmit, receiver
   dedup) reusing the simulator's :mod:`repro.sim.reliable` bookkeeping;
-* :mod:`repro.dist.faults` — the ``PODS_DIST_FAULTS`` chaos dialect
-  (frame drop/delay, link partitions, node kills);
+* :mod:`repro.dist.faults` — the distributed chaos dialect (frame
+  drop/delay, link partitions, node kills);
 * :mod:`repro.dist.node` — the node process: asyncio message runtime,
   element stores with presence bits, SPMD interpreter executors;
 * :mod:`repro.dist.coordinator` — spawn, supervision (heartbeats,
-  node-loss detection), takeover, result gathering;
-* :mod:`repro.dist.chaos` — the self-checking chaos scenario driver.
+  node-loss detection), takeover, result gathering.
+
+The self-checking chaos matrix is ``python -m repro.chaos dist``.
 """
 
 from repro.dist.coordinator import DistResult, run_distributed
-from repro.dist.faults import DistFault, DistFaultPlan, resolve_dist_plan
+from repro.dist.faults import DistFault, DistFaultPlan
 
-__all__ = ["DistFault", "DistFaultPlan", "DistResult", "resolve_dist_plan",
-           "run_distributed"]
+__all__ = ["DistFault", "DistFaultPlan", "DistResult", "run_distributed"]

@@ -48,7 +48,7 @@ from repro.common.errors import (DistExecutionError, NodeLossError,
                                  WorkerFailure)
 from repro.common.retry import RecoveryEvent, RecoveryLog
 from repro.dist import reasons
-from repro.dist.faults import CoordKillSwitch, resolve_dist_plan
+from repro.dist.faults import CoordKillSwitch, DistFaultPlan
 from repro.dist.node import node_main
 from repro.dist.transport import encode_frame, frame_secret, read_frame
 from repro.runtime.spmd import (WorkerTelemetry, fold_results, reap,
@@ -693,9 +693,9 @@ def run_distributed(program, args: tuple = (),
     :class:`NodeLossError`.  Node-side program faults abort with
     :class:`DistExecutionError` carrying per-node
     :class:`WorkerFailure` records and the :class:`RecoveryLog`; a
-    partial result is never returned.  ``faults`` takes a spec string
-    or :class:`~repro.dist.faults.DistFaultPlan` (``None`` defers to
-    ``config.fault_spec``, then ``PODS_DIST_FAULTS``).
+    partial result is never returned.  ``faults`` takes the parsed
+    :class:`~repro.dist.faults.DistFaultPlan` ``Backend.run`` built
+    (``None`` = no faults).
 
     The coordinator itself is not a single point of failure: it runs in
     its own forked process while the client acts as a warm standby.
@@ -713,8 +713,7 @@ def run_distributed(program, args: tuple = (),
     node count) and re-execute in presence-bit replay mode.
     """
     cfg = config or DistConfig()
-    plan = resolve_dist_plan(faults if faults is not None
-                             else cfg.fault_spec)
+    plan = faults or DistFaultPlan()
 
     restore_sigterm = sigterm_as_interrupt()
     lsock = socket.create_server((cfg.host, 0), backlog=cfg.nodes + 4)

@@ -3,11 +3,10 @@
 The transport (:mod:`repro.dist.transport`) and the node-loss machinery
 (:mod:`repro.dist.coordinator`) exist to survive a hostile network;
 these hooks make the hostility reproducible.  A plan is a spec string in
-the shared grammar of :mod:`repro.common.faultplan` (also read from the
-``PODS_DIST_FAULTS`` environment variable — its own variable, so a chaos
-soak cannot poison the parallel or simulator dialects).  That module is
-also the engine (clause loop, selector + arming window, event trigger
-counter); this one declares the distributed vocabulary:
+the shared grammar of :mod:`repro.common.faultplan`, handed to
+``Backend.run(faults=...)``.  That module is also the engine (clause
+loop, selector + arming window, event trigger counter); this one
+declares the distributed vocabulary:
 
 Frame-level actions, applied at the sending node's transmit boundary
 (retransmissions pass through the injector again, so a healed loss is a
@@ -136,19 +135,13 @@ class DistFaultPlan(faultplan.Plan):
 
     fault_cls = DistFault
     schema = _SCHEMA
-    env_var = faultplan.DIST_ENV_VAR
+    identity_keys = ("src", "dst", "a", "b", "node")
 
     def frame_faults(self) -> tuple[DistFault, ...]:
         return self.with_action(FRAME_ACTIONS)
 
     def kill_faults(self) -> tuple[DistFault, ...]:
         return self.with_action(KILL_ACTIONS)
-
-
-def resolve_dist_plan(faults) -> DistFaultPlan:
-    """``None`` (→ ``PODS_DIST_FAULTS``) / spec string / plan →
-    :class:`DistFaultPlan`."""
-    return faultplan.resolve(faults, DistFaultPlan)
 
 
 class _KillTrigger(faultplan.EventTrigger):

@@ -67,7 +67,7 @@ from repro.common.retry import RecoveryEvent, RecoveryLog
 from repro.runtime.spmd import (SpmdInterpreter, WorkerTelemetry,
                                 fold_results, reap, sigterm_as_interrupt,
                                 sigterm_default, telemetry_table)
-from repro.parallel.faults import FaultInjector, resolve_plan
+from repro.parallel.faults import FaultInjector, FaultPlan
 from repro.parallel.manifest import ShmManifest
 from repro.parallel.shm_arrays import ShmArray
 
@@ -235,14 +235,13 @@ def run_parallel(program, args: tuple = (),
     Unrecoverable runs raise :class:`ParallelExecutionError` (an
     :class:`ExecutionError`) carrying one :class:`WorkerFailure` per
     failed worker plus the :class:`RecoveryLog`; a partial result is
-    never returned.  ``faults`` takes a spec string or
-    :class:`FaultPlan` (``None`` defers to ``config.fault_spec``, then
-    the ``PODS_FAULTS`` environment variable).  ``KeyboardInterrupt``
+    never returned.  ``faults`` takes the parsed :class:`FaultPlan`
+    ``Backend.run`` built (``None`` = no faults).  ``KeyboardInterrupt``
     and SIGTERM terminate the workers, reclaim every shared segment via
     the manifest, and re-raise.
     """
     cfg = config or ParallelConfig()
-    plan = resolve_plan(faults if faults is not None else cfg.fault_spec)
+    plan = faults or FaultPlan()
     policy = cfg.retry
     nw = cfg.workers
 

@@ -30,8 +30,8 @@ with ``kill`` exhausts the retry budget).  Event counts restart from
 zero in each generation, since a replay re-executes the subrange from
 the top.
 
-Plans parse from a compact spec string (also accepted via the
-``PODS_FAULTS`` environment variable)::
+Plans parse from a compact spec string (handed to
+``Backend.run(faults=...)``)::
 
     kill:worker=1,on=iter,after=3
     hang:worker=0,seconds=60;drop:worker=2
@@ -46,8 +46,8 @@ Faults are a test/bench instrument: parsing is strict and raises
 ``ValueError`` on anything malformed rather than guessing.
 
 This module is the dialect's *vocabulary* only.  The spec grammar, the
-clause loop, env handling and the per-event trigger counter with its
-generation filter are the shared engine of :mod:`repro.common.faultplan`,
+clause loop and the per-event trigger counter with its generation
+filter are the shared engine of :mod:`repro.common.faultplan`,
 which the simulator (:mod:`repro.sim.netfaults`) and distributed
 (:mod:`repro.dist.faults`) dialects sit on too.
 """
@@ -103,13 +103,8 @@ class FaultPlan(faultplan.Plan):
 
     fault_cls = Fault
     schema = _SCHEMA
-    env_var = faultplan.PARALLEL_ENV_VAR
+    identity_keys = ("worker",)
     required = ("worker",)
-
-
-def resolve_plan(faults) -> FaultPlan:
-    """``None`` (→ ``PODS_FAULTS``) / spec string / plan → :class:`FaultPlan`."""
-    return faultplan.resolve(faults, FaultPlan)
 
 
 class FaultInjector(faultplan.EventTrigger):

@@ -103,7 +103,7 @@ class Machine:
     """One simulated PODS multiprocessor executing one program."""
 
     def __init__(self, program: isa.PodsProgram, config: SimConfig | None = None,
-                 ckpt=None, restore=None):
+                 ckpt=None, restore=None, faults=None):
         self.program = program
         self.config = config or SimConfig()
         # Durable execution (repro.ckpt): both default to None and every
@@ -196,16 +196,16 @@ class Machine:
         # repro.sim.reliable).  Everything stays None on the default
         # config: a fault-free run pays one `is None` check in _transmit
         # and is byte-identical to the pre-fault-model simulator.
-        from repro.sim.netfaults import resolve_sim_plan
+        # ``faults`` is a parsed SimFaultPlan whose clauses address PEs
+        # this machine has (``Backend.fault_plan`` checks both).
+        from repro.sim.netfaults import NetFaultInjector, SimFaultPlan
 
-        plan = resolve_sim_plan(self.config.faults)
-        self._plan = plan
+        plan = faults or SimFaultPlan()
         reliable_on = (self.config.reliable if self.config.reliable
                        is not None else bool(plan))
         self._net = None
         self._injector = None
         if reliable_on:
-            from repro.sim.netfaults import NetFaultInjector
             from repro.sim.reliable import ReliableNet
 
             self._net = ReliableNet()
@@ -214,10 +214,6 @@ class Machine:
         self._last_progress_us = 0.0
         self._finish_us = 0.0
         for f in plan.pe_faults():
-            if f.pe >= self.mc.num_pes:
-                raise ExecutionError(
-                    f"fault {f.action} targets PE {f.pe} but the machine "
-                    f"has {self.mc.num_pes} PE(s)")
             if f.action == "pe-halt":
                 self.schedule(f.at, self._pe_halt, self.pes[f.pe])
             else:

@@ -4,10 +4,10 @@ The paper's machine model assumes a perfectly reliable iPSC/2 network;
 this module breaks that assumption *on purpose* so the reliable-delivery
 protocol (:mod:`repro.sim.reliable`) and the progress guardrails have
 something to survive.  A plan is a spec string in the shared grammar of
-:mod:`repro.common.faultplan` (also read from the ``PODS_SIM_FAULTS``
-environment variable); this module declares only the simulator's
-vocabulary (the clause loop, the selector and the ``after``/``count``
-arming window are that module's engine):
+:mod:`repro.common.faultplan`, handed to ``Backend.run(faults=...)``;
+this module declares only the simulator's vocabulary (the clause loop,
+the selector and the ``after``/``count`` arming window are that module's
+engine):
 
 Message-level actions, applied at the ``_transmit`` boundary:
 
@@ -114,19 +114,13 @@ class SimFaultPlan(faultplan.Plan):
 
     fault_cls = NetFault
     schema = _SCHEMA
-    env_var = faultplan.SIM_ENV_VAR
+    identity_keys = ("src", "dst", "pe")
 
     def message_faults(self) -> tuple[NetFault, ...]:
         return self.with_action(MESSAGE_ACTIONS)
 
     def pe_faults(self) -> tuple[NetFault, ...]:
         return self.with_action(PE_ACTIONS)
-
-
-def resolve_sim_plan(faults) -> SimFaultPlan:
-    """``None`` (→ ``PODS_SIM_FAULTS``) / spec string / plan →
-    :class:`SimFaultPlan`."""
-    return faultplan.resolve(faults, SimFaultPlan)
 
 
 @dataclass

@@ -1,22 +1,21 @@
-"""The shared fault-plan grammar (clause syntax + env handling).
+"""The shared fault-plan grammar (clause syntax, no env handling).
 
 One dialect-neutral spec syntax (``action:key=value,...;...``) is parsed
 by :mod:`repro.common.faultplan` and consumed by *both* chaos backends —
 the real-parallel process faults (:mod:`repro.parallel.faults`) and the
 simulated network faults (:mod:`repro.sim.netfaults`).  These tests pin
-the grammar itself plus the guarantee that the two dialects stay
-syntax-compatible and keep their environment variables distinct.
+the grammar itself plus the guarantee that the dialects stay
+syntax-compatible and that none of them reads the environment.
 """
 
 import pytest
 
+from repro.backend import get_backend
 from repro.common import faultplan
 from repro.dist.faults import (CoordKillSwitch, DistFaultInjector,
-                               DistFaultPlan, resolve_dist_plan)
-from repro.parallel.faults import (Fault, FaultInjector, FaultPlan,
-                                   resolve_plan)
-from repro.sim.netfaults import (NetFaultInjector, SimFaultPlan,
-                                 resolve_sim_plan)
+                               DistFaultPlan)
+from repro.parallel.faults import FaultInjector, FaultPlan
+from repro.sim.netfaults import NetFaultInjector, SimFaultPlan
 
 
 class TestSplitClauses:
@@ -62,74 +61,14 @@ class TestParseClauseArgs:
 
 
 class TestEnvHandling:
-    def test_distinct_variables(self):
-        # One chaos soak must not poison the other backends' runs.
-        names = {faultplan.PARALLEL_ENV_VAR, faultplan.SIM_ENV_VAR,
-                 faultplan.DIST_ENV_VAR}
-        assert len(names) == 3
-
-    def test_spec_from_env(self, monkeypatch):
-        monkeypatch.delenv(faultplan.SIM_ENV_VAR, raising=False)
-        assert faultplan.spec_from_env(faultplan.SIM_ENV_VAR) is None
-        monkeypatch.setenv(faultplan.SIM_ENV_VAR, "drop:count=1")
-        assert faultplan.spec_from_env(faultplan.SIM_ENV_VAR) == \
-            "drop:count=1"
-
-    def test_parallel_resolve_reads_pods_faults(self, monkeypatch):
-        monkeypatch.setenv(faultplan.PARALLEL_ENV_VAR, "kill:worker=1")
-        monkeypatch.delenv(faultplan.SIM_ENV_VAR, raising=False)
-        plan = resolve_plan(None)
-        assert plan.faults == (Fault(action="kill", worker=1),)
-        # The sim dialect does not see the parallel variable.
-        assert not resolve_sim_plan(None)
-
-    def test_sim_resolve_reads_pods_sim_faults(self, monkeypatch):
-        monkeypatch.setenv(faultplan.SIM_ENV_VAR, "drop:kind=page")
-        monkeypatch.delenv(faultplan.PARALLEL_ENV_VAR, raising=False)
-        monkeypatch.delenv(faultplan.DIST_ENV_VAR, raising=False)
-        plan = resolve_sim_plan(None)
-        assert [f.action for f in plan.faults] == ["drop"]
-        assert not resolve_plan(None)
-        assert not resolve_dist_plan(None)
-
-    def test_dist_resolve_reads_pods_dist_faults(self, monkeypatch):
-        monkeypatch.setenv(faultplan.DIST_ENV_VAR,
-                           "node-kill:node=1,on=iter")
-        monkeypatch.delenv(faultplan.PARALLEL_ENV_VAR, raising=False)
-        monkeypatch.delenv(faultplan.SIM_ENV_VAR, raising=False)
-        plan = resolve_dist_plan(None)
-        assert [f.action for f in plan.faults] == ["node-kill"]
-        # The other dialects do not see the dist variable.
-        assert not resolve_plan(None)
-        assert not resolve_sim_plan(None)
-
     def test_dist_ignores_other_dialect_variables(self, monkeypatch):
-        # A parallel kill soak and a sim drop soak in the environment
-        # must not shadow (or break) a healthy distributed run: the
-        # parallel vocabulary ('kill:worker=') does not even parse as
-        # a dist clause, so shadowing would be a hard failure.
-        monkeypatch.setenv(faultplan.PARALLEL_ENV_VAR, "kill:worker=1")
-        monkeypatch.setenv(faultplan.SIM_ENV_VAR, "drop:kind=page")
-        monkeypatch.delenv(faultplan.DIST_ENV_VAR, raising=False)
-        assert not resolve_dist_plan(None)
-
-    @pytest.mark.parametrize("var,resolve,clause", [
-        ("PARALLEL_ENV_VAR", resolve_plan, "kill:bogus=1"),
-        ("SIM_ENV_VAR", resolve_sim_plan, "drop:bogus=1"),
-        ("DIST_ENV_VAR", resolve_dist_plan, "node-kill:bogus=1"),
-    ])
-    def test_env_error_names_clause_and_variable(self, monkeypatch,
-                                                 var, resolve, clause):
-        """A broken spec in any dialect's variable raises an error
-        naming both the offending clause and the variable it came
-        from, so a poisoned environment is diagnosable at a glance."""
-        env_var = getattr(faultplan, var)
-        monkeypatch.setenv(env_var, clause)
-        with pytest.raises(ValueError) as excinfo:
-            resolve(None)
-        msg = str(excinfo.value)
-        assert env_var in msg
-        assert clause in msg
+        # No dialect reads the environment: what a run is given through
+        # ``faults=`` is its whole plan, whatever a chaos soak exported.
+        monkeypatch.setenv("PODS_FAULTS", "kill:worker=1")
+        monkeypatch.setenv("PODS_SIM_FAULTS", "drop:kind=page")
+        monkeypatch.setenv("PODS_DIST_FAULTS", "node-kill:node=1")
+        for name in ("sim", "parallel", "dist"):
+            assert get_backend(name).fault_plan(None, 2) is None
 
     @pytest.mark.parametrize("parse,clause", [
         (FaultPlan.parse, "explode:worker=1"),
@@ -170,8 +109,7 @@ class TestDialectsShareSyntax:
 # -- round-trip properties -----------------------------------------------
 # The grammar must be an exact codec: parse -> format -> parse is the
 # identity for any spec the schema admits, so plans can be echoed into
-# logs, chaos reports and PODS_FAULTS-style environment variables and
-# re-ingested without drift.
+# logs, chaos reports and run records and re-ingested without drift.
 
 from hypothesis import given
 from hypothesis import strategies as st

@@ -27,6 +27,11 @@ exceptions of its own (``0.0 ^ -1``, ``10.0 ^ 400``) are the same
 ``ExecutionError`` a fractional power of a negative base is — never
 ``internal``.
 
+A fault plan the run cannot honour — malformed, not a spec at all, or
+addressed to a PE / worker / node the run does not have — is a
+``BackendConfigError`` at the ``run()`` boundary on every fault-capable
+backend.
+
 Every rendering must be the one-line ``error[Type/code]: ...`` form the
 CLI prints — no tracebacks, no multi-line spew.
 """
@@ -36,7 +41,8 @@ import traceback
 import pytest
 
 from repro.api import compile_source
-from repro.backend import classify_error, get_backend, render_error
+from repro.backend import (BackendConfigError, classify_error, get_backend,
+                           render_error)
 from repro.common.config import ParallelConfig
 from repro.common.errors import (ExecutionError, ParallelExecutionError,
                                  RuntimeFault, WorkerFailure)
@@ -119,6 +125,30 @@ def test_same_code_on_every_backend(code, backend, broken):
     rendered = render_error(exc)
     assert "\n" not in rendered
     assert rendered.startswith(f"error[{type(exc).__name__}/{code}]: ")
+
+
+# A fault plan a run cannot honour is the caller's mistake, caught at
+# ``Backend.run`` before anything starts: never ``internal`` (a raw
+# ``ValueError``), never a run that silently ignores the clause.
+BAD_PLANS = {
+    "malformed": dict.fromkeys(("sim", "parallel", "dist"), "bogus:x=1"),
+    "not-a-spec": dict.fromkeys(("sim", "parallel", "dist"), 123),
+    "no-such-identity": {"sim": "pe-halt:pe=9", "parallel": "kill:worker=9",
+                         "dist": "node-kill:node=9"},
+}
+
+
+@pytest.mark.parametrize("backend", ("sim", "parallel", "dist"))
+@pytest.mark.parametrize("case", sorted(BAD_PLANS))
+def test_a_bad_fault_plan_is_a_config_error(case, backend):
+    healthy = compile_source("function main(n) { return n * 2; }")
+    plan = BAD_PLANS[case][backend]
+    with pytest.raises(BackendConfigError) as excinfo:
+        get_backend(backend).run(healthy, (6,), parallelism=2, faults=plan)
+    rendered = render_error(excinfo.value)
+    assert "\n" not in rendered
+    assert rendered.startswith("error[BackendConfigError/compile]: ")
+    assert str(plan) in rendered  # the clause is named
 
 
 def test_only_the_bare_execution_error_is_recovered_from_a_detail():

@@ -1,4 +1,4 @@
-"""The ``PODS_DIST_FAULTS`` dialect: parsing and the runtime injector."""
+"""The distributed fault dialect: parsing and the runtime injector."""
 
 import pytest
 

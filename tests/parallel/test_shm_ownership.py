@@ -38,7 +38,6 @@ def test_clean_parallel_run_leaves_stderr_and_dev_shm_empty():
     before = shm_entries()
     src = os.path.dirname(os.path.dirname(repro.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    env.pop("PODS_FAULTS", None)
     proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

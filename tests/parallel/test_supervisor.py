@@ -157,16 +157,6 @@ class TestSupervisor:
                   faults="kill:worker=0,on=iter,after=1")
         assert_no_leaked_segments()
 
-    def test_env_var_drives_fault_injection(self, monkeypatch):
-        p = compile_source(FILL)
-        monkeypatch.setenv("PODS_FAULTS", "kill:worker=1,on=iter,after=1")
-        with pytest.raises(ParallelExecutionError):
-            p.run((10,), backend="parallel", config=NO_RECOVERY)
-        monkeypatch.delenv("PODS_FAULTS")
-        result = p.run((6,), backend="parallel", parallelism=2)
-        assert result.value[6, 6] == pytest.approx(36.25)
-        assert_no_leaked_segments()
-
     def test_delayed_writes_stay_correct(self):
         # The delay fault widens race windows without changing results.
         p = compile_source(FILL)

@@ -8,39 +8,19 @@ bit-identical to the fault-free run, with identical semantic ``array.*``
 metrics.  Only modeled time is allowed to move.
 """
 
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import compile_source
-from repro.apps.matmul import compile_matmul
+from repro.apps.matmul import MATMUL_CHECKSUM_SOURCE
+from repro.chaos import Scenario, run_scenario
+from repro.common.chaoslib import ROW_SWEEP
 from repro.common.config import MachineConfig, ObsConfig, SimConfig
 
-ROW_SWEEP = """
-function main(n) {
-    B = matrix(n, n);
-    for j = 1 to n { B[1, j] = 1.0 * j; }
-    for i = 2 to n {
-        for j = 1 to n { B[i, j] = B[i - 1, j] * 0.5 + 1.0; }
-    }
-    s = 0.0;
-    for j = 1 to n { next s = s + B[n, j]; }
-    return s;
-}
-"""
-
-# (program, args) pairs the properties quantify over; compiled (and the
-# fault-free reference computed) once per process.
-_CASES: dict[str, tuple] = {}
-
-# Semantic registry rows: counts of program facts, invariant under any
-# healed chaos.  array.deferred_reads is timing-dependent (a read
-# arriving before vs after its write) and deliberately excluded.
-SEMANTIC_METRICS = ("array.element_reads", "array.element_writes",
-                    "array.write_forwards", "array.pages_touched",
-                    "rf.subrange", "rf.items")
+# (program, size) pairs the properties quantify over; the runner
+# compiles each (and takes its fault-free reference) once per process.
+_CASES = {"row-sweep": (ROW_SWEEP, 6), "matmul": (MATMUL_CHECKSUM_SOURCE, 4)}
 
 # Message kinds that actually occur in these programs at 2 PEs, so
 # generated clauses exercise real traffic (an unmatched clause is a
@@ -48,26 +28,9 @@ SEMANTIC_METRICS = ("array.element_reads", "array.element_writes",
 KINDS = ("", "bcast", "read", "page", "value", "alloc", "ack")
 
 
-def _case(name):
-    if name not in _CASES:
-        if name == "row-sweep":
-            program, args = compile_source(ROW_SWEEP), (6,)
-        else:
-            program, args = compile_matmul(checksum=True), (4,)
-        clean = program.run(args, backend="sim", config=_config()).raw
-        _CASES[name] = (program, args, clean.value,
-                        _semantic_rows(clean.stats.registry))
-    return _CASES[name]
-
-
-def _config(faults=None, **kw):
+def _config(**kw):
     return SimConfig(machine=MachineConfig(num_pes=2),
-                     obs=ObsConfig(metrics=True), faults=faults, **kw)
-
-
-def _semantic_rows(registry):
-    return [line for line in registry.to_jsonl().splitlines()
-            if json.loads(line)["name"] in SEMANTIC_METRICS]
+                     obs=ObsConfig(metrics=True), **kw)
 
 
 def _clause(action, kind, after, count, us, seed):
@@ -98,11 +61,11 @@ _drop_clauses = st.lists(
 
 
 def _assert_confluent(name, spec, **cfg_kw):
-    program, args, want_value, want_rows = _case(name)
-    res = program.run(args, backend="sim",
-                      config=_config(faults=spec, **cfg_kw)).raw
-    assert res.value == want_value, spec
-    assert _semantic_rows(res.stats.registry) == want_rows, spec
+    """The chaos contract at 2 PEs: the ``seq`` value, the fault-free
+    run's semantic rows, and the same run twice over."""
+    source, n = _CASES[name]
+    scenario = Scenario(name, spec, source=source, n=n, cfg=cfg_kw)
+    assert run_scenario("sim", scenario, 2) == [], spec
 
 
 @settings(max_examples=25, deadline=None)
@@ -145,9 +108,11 @@ def test_dropped_empty_replica_broadcast_is_retransmitted_after_result():
     spec = ("drop:kind=bcast,after=3,count=3,prob=0.5,seed=65535;"
             "drop:kind=bcast,after=1,count=2,prob=0.5,seed=1")
     _assert_confluent("row-sweep", spec, retransmit_timeout_us=800.0)
-    assert ('{"kind":"counter","labels":{"block":"main.for_i.for_j",'
-            '"first":"1","last":"0","pe":"1"},"name":"rf.subrange",'
-            '"value":4}') in _case("row-sweep")[3]
+    # ... and the fault-free rows it was held to do count that row 4 times.
+    clean = compile_source(ROW_SWEEP).run((6,), backend="sim",
+                                          config=_config())
+    assert clean.registry.value("rf.subrange", block="main.for_i.for_j",
+                                first=1, last=0, pe=1) == 4
 
 
 PREFIX_FILL = """
@@ -165,22 +130,19 @@ def test_dropped_fire_and_forget_write_is_retransmitted_after_result(after):
     # AWRITE is fire-and-forget: the serial loop's frame ends with its
     # last remote writes still in flight, so a dropped one used to leave
     # a hole (None) in the returned array, silently.
-    program = compile_source(PREFIX_FILL)
-    res = program.run((64,), backend="sim", config=_config(
-        faults=f"drop:kind=write,after={after},count=1")).raw
-    assert res.value.flat == program.run((64,), backend="seq").value.flat
-    assert None not in res.value.flat
-    assert res.stats.netstats.dropped == 1
-    assert res.stats.netstats.retransmits == 1
+    scenario = Scenario(
+        "fire-and-forget", f"drop:kind=write,after={after},count=1",
+        source=PREFIX_FILL, n=64,
+        expect={"stats.netstats.dropped": 1, "stats.netstats.retransmits": 1})
+    assert run_scenario("sim", scenario, 2) == []
 
 
 @settings(max_examples=10, deadline=None)
 @given(clauses=_benign_clauses)
 def test_chaos_runs_are_replayable(clauses):
     spec = ";".join(_clause(*c) for c in clauses)
-    program, args, _, _ = _case("row-sweep")
-    runs = [program.run(args, backend="sim", config=_config(faults=spec)).raw
+    program = compile_source(ROW_SWEEP)
+    runs = [program.run((6,), backend="sim", config=_config(), faults=spec)
             for _ in range(2)]
-    assert (runs[0].stats.finish_time_us == runs[1].stats.finish_time_us)
-    assert (runs[0].stats.registry.to_jsonl()
-            == runs[1].stats.registry.to_jsonl())
+    assert runs[0].time_us == runs[1].time_us
+    assert runs[0].registry.to_jsonl() == runs[1].registry.to_jsonl()

@@ -35,7 +35,7 @@ from repro.apps.simple_app import compile_simple
 from repro.apps.stencil import compile_stencil
 from repro.common.config import MachineConfig, ObsConfig, SimConfig
 from repro.common.errors import RuntimeFault
-from repro.sim import chaos
+from repro import chaos
 
 FIXTURE = os.path.join(os.path.dirname(__file__),
                        "reference_fingerprint.json")
@@ -60,12 +60,12 @@ ERROR_PROGRAMS = [
 ]
 
 
-def fingerprint(program, args: tuple, pes: int, **over) -> dict:
+def fingerprint(program, args: tuple, pes: int, faults=None, **over) -> dict:
     """What one simulated run is pinned by (see the module docstring)."""
     cfg = SimConfig(machine=MachineConfig(num_pes=pes),
                     obs=ObsConfig(metrics=True), **over)
     try:
-        raw = program.run(args, backend="sim", config=cfg).raw
+        raw = program.run(args, backend="sim", config=cfg, faults=faults).raw
     except RuntimeFault as exc:
         return {"error": type(exc).__name__, "text": str(exc)}
     stats = raw.stats
@@ -81,7 +81,7 @@ def fingerprint(program, args: tuple, pes: int, **over) -> dict:
 
 
 def chaos_fingerprint(program, scenario) -> dict:
-    return fingerprint(program, (chaos.N,), CHAOS_PES,
+    return fingerprint(program, (scenario.n,), CHAOS_PES,
                        faults=scenario.faults, **scenario.cfg)
 
 
@@ -98,7 +98,7 @@ def current() -> dict:
         for pes in APP_PES:
             out[f"app/{name}/pes={pes}"] = fingerprint(program, args, pes)
     sweep = compile_source(chaos.ROW_SWEEP)
-    for scenario in chaos.scenarios(CHAOS_PES):
+    for scenario in chaos.sim_scenarios(CHAOS_PES):
         out[f"chaos/{scenario.name}"] = chaos_fingerprint(sweep, scenario)
     for source, args in ERROR_PROGRAMS:
         out[f"error/{source}"] = error_fingerprint(source, args)
@@ -129,14 +129,11 @@ class TestChaosScenarios:
         return compile_source(chaos.ROW_SWEEP)
 
     @pytest.mark.parametrize(
-        "scenario", chaos.scenarios(CHAOS_PES), ids=lambda s: s.name)
+        "scenario", chaos.sim_scenarios(CHAOS_PES), ids=lambda s: s.name)
     def test_scenario_bit_identical(self, pinned, program, scenario):
         got = chaos_fingerprint(program, scenario)
         assert got == pinned[f"chaos/{scenario.name}"]
-        if scenario.heals:
-            assert "error" not in got
-        else:
-            assert got["error"] == scenario.error.__name__
+        assert ("error" not in got) == (scenario.outcome == chaos.HEAL)
 
 
 class TestErrorText:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.faultplan import resolve
 from repro.sim.netfaults import (
     ANY,
     DELAY_DEFAULT_US,
@@ -9,7 +10,6 @@ from repro.sim.netfaults import (
     NetFault,
     NetFaultInjector,
     SimFaultPlan,
-    resolve_sim_plan,
 )
 
 
@@ -58,10 +58,10 @@ class TestPlanParsing:
 
     def test_resolve_coercions(self):
         plan = SimFaultPlan.parse("drop")
-        assert resolve_sim_plan(plan) is plan
-        assert resolve_sim_plan("drop").faults == plan.faults
+        assert resolve(plan, SimFaultPlan) is plan
+        assert resolve("drop", SimFaultPlan).faults == plan.faults
         with pytest.raises(ValueError, match="cannot build"):
-            resolve_sim_plan(42)
+            resolve(42, SimFaultPlan)
 
 
 class TestInjector:

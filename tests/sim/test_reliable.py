@@ -88,8 +88,8 @@ class TestHealing:
 
     def run_chaos(self, program, faults, **kw):
         kw.setdefault("retransmit_timeout_us", 1_000.0)
-        return program.run((N,), backend="sim",
-                           config=_config(2, faults=faults, **kw)).raw
+        return program.run((N,), backend="sim", faults=faults,
+                           config=_config(2, **kw)).raw
 
     def test_drop_heals_via_retransmit(self, program, clean):
         res = self.run_chaos(program, "drop:kind=page,count=1")
@@ -146,9 +146,9 @@ class TestGuardrails:
     def test_pe_halt_raises_structured_error(self, program):
         wall = 100_000.0
         with pytest.raises(PEHaltError) as err:
-            program.run((N,), backend="sim", config=_config(
-                2, faults="pe-halt:pe=1,at=300",
-                max_sim_time_us=wall, retransmit_timeout_us=1_000.0))
+            program.run((N,), backend="sim", faults="pe-halt:pe=1,at=300",
+                        config=_config(2, max_sim_time_us=wall,
+                                       retransmit_timeout_us=1_000.0))
         exc = err.value
         assert exc.pe == 1
         assert exc.sim_time_us is not None and exc.sim_time_us <= wall
@@ -158,26 +158,26 @@ class TestGuardrails:
 
     def test_budget_exhaustion_raises_livelock(self, program):
         with pytest.raises(LivelockError, match="retransmit budget"):
-            program.run((N,), backend="sim", config=_config(
-                2, faults="drop:kind=read,count=0",
-                retransmit_timeout_us=500.0, retransmit_budget=3))
+            program.run((N,), backend="sim", faults="drop:kind=read,count=0",
+                        config=_config(2, retransmit_timeout_us=500.0,
+                                       retransmit_budget=3))
 
     def test_max_sim_time_wall_never_hangs(self, program):
         # A 100%-lossy read channel with a huge retransmit budget would
         # retry for ~budget x timeout; the wall cuts the run off first
         # with a structured error, not a hang.
         with pytest.raises(LivelockError, match="max_sim_time_us"):
-            program.run((N,), backend="sim", config=_config(
-                2, faults="drop:kind=read,count=0",
-                retransmit_timeout_us=5_000.0, retransmit_budget=1000,
-                max_sim_time_us=20_000.0))
+            program.run((N,), backend="sim", faults="drop:kind=read,count=0",
+                        config=_config(2, retransmit_timeout_us=5_000.0,
+                                       retransmit_budget=1000,
+                                       max_sim_time_us=20_000.0))
 
     def test_halted_pe_fault_must_target_real_pe(self, program):
-        from repro.common.errors import ExecutionError
+        from repro.backend import BackendConfigError
 
-        with pytest.raises(ExecutionError, match="targets PE 7"):
-            program.run((N,), backend="sim",
-                        config=_config(2, faults="pe-halt:pe=7"))
+        with pytest.raises(BackendConfigError, match="pe-halt:pe=7"):
+            program.run((N,), backend="sim", config=_config(2),
+                        faults="pe-halt:pe=7")
 
     def test_deadlock_reports_last_progress_under_reliable(self):
         # A genuine dataflow deadlock (element never written) with the

@@ -8,8 +8,9 @@ deep traceback out of a worker process or the simulator core.
 import pytest
 
 from repro.api import compile_source
-from repro.backend import (BackendConfigError, UnknownBackendError,
+from repro.backend import (FAULTS, BackendConfigError, UnknownBackendError,
                            backend_names, backends, get_backend)
+from repro.common.chaoslib import ROW_SWEEP
 from repro.common.config import ParallelConfig, SimConfig
 from repro.common.errors import PodsError
 
@@ -148,35 +149,69 @@ class TestFaultArgumentValidation:
                            match="does not support fault injection"):
             program.run((3,), backend=backend, faults="kill:worker=0")
 
-    def test_sim_conflicting_explicit_plans_rejected(self, program):
-        cfg = SimConfig(faults="drop:kind=page,count=1")
-        with pytest.raises(BackendConfigError, match="conflicting"):
-            program.run((3,), backend="sim", config=cfg,
-                        faults="dup:count=1")
-
-    def test_parallel_conflicting_explicit_plans_rejected(self, program):
-        cfg = ParallelConfig(workers=2, fault_spec="kill:worker=0")
-        with pytest.raises(BackendConfigError, match="conflicting"):
-            program.run((3,), backend="parallel", config=cfg,
-                        faults="kill:worker=1")
-
-    def test_dist_conflicting_explicit_plans_rejected(self, program):
-        from repro.common.config import DistConfig
-
-        cfg = DistConfig(nodes=2, fault_spec="drop:kind=data,count=1")
-        with pytest.raises(BackendConfigError, match="conflicting"):
-            program.run((3,), backend="dist", config=cfg,
-                        faults="node-kill:node=1")
-
     def test_explicit_plan_wins_over_environment(self, program, monkeypatch):
-        """A faults= argument must shadow PODS_SIM_FAULTS entirely: the
-        env spec here is garbage and would raise if it were parsed."""
-        from repro.common.faultplan import SIM_ENV_VAR
-
-        monkeypatch.setenv(SIM_ENV_VAR, "not!a@valid&spec")
+        """A run's plan is its ``faults=`` argument and nothing else: the
+        env spec here is garbage and would raise if anything parsed it."""
+        monkeypatch.setenv("PODS_SIM_FAULTS", "not!a@valid&spec")
         r = program.run((3,), backend="sim",
                         faults="drop:kind=page,count=0")
         assert r.value == 6
+
+
+FAULT_BACKENDS = backend_names(capability=FAULTS)
+# A plan each dialect heals, so the run returns: a page reply delayed on
+# ``sim`` (moves modeled time), a killed worker / node on the real ones
+# (leaves a recovery event).
+HEALABLE = {"sim": "delay:kind=page,count=0",
+            "parallel": "kill:worker=1,on=iter,after=1",
+            "dist": "node-kill:node=1,on=iter,after=1"}
+ENV_VARS = {"sim": "PODS_SIM_FAULTS", "parallel": "PODS_FAULTS",
+            "dist": "PODS_DIST_FAULTS"}
+
+
+def _recovery_events(result) -> list:
+    recovery = getattr(result.raw, "recovery", None)
+    return [e.kind for e in recovery.events] if recovery else []
+
+
+@pytest.mark.chaos
+class TestOnePlanChannel:
+    """``faults=`` is the only way a plan enters a run, and it is always
+    recorded — so two runs with equal fingerprints ran the same plan."""
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        return compile_source(ROW_SWEEP)
+
+    def test_every_fault_capable_backend_is_covered(self):
+        assert sorted(HEALABLE) == sorted(ENV_VARS) == sorted(FAULT_BACKENDS)
+
+    @pytest.mark.parametrize("backend", FAULT_BACKENDS)
+    def test_fingerprint_and_record_name_the_plan(self, sweep, backend):
+        clean = sweep.run((8,), backend=backend, parallelism=2)
+        assert clean.fingerprint["faults"] is None
+        plan = HEALABLE[backend]
+        hurt = sweep.run((8,), backend=backend, parallelism=2, faults=plan)
+        assert hurt.value == clean.value
+        assert hurt.fingerprint["faults"] == plan
+        assert hurt.to_run_record(sweep, (8,))["config"]["faults"] == plan
+        # ... and the plan it names is the plan that ran.
+        if backend == "sim":
+            assert hurt.time_us > clean.time_us
+        else:
+            assert _recovery_events(hurt)
+
+    @pytest.mark.parametrize("backend", FAULT_BACKENDS)
+    def test_environment_variables_change_nothing(self, sweep, backend,
+                                                  monkeypatch):
+        clean = sweep.run((8,), backend=backend, parallelism=2)
+        for name, var in ENV_VARS.items():
+            monkeypatch.setenv(var, HEALABLE[name])
+        again = sweep.run((8,), backend=backend, parallelism=2)
+        assert again.value == clean.value
+        assert again.fingerprint == clean.fingerprint
+        assert again.time_us == clean.time_us   # None off the simulator
+        assert _recovery_events(again) == []
 
 
 class TestRunBoundaryConfigValidation:

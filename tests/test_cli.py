@@ -109,6 +109,15 @@ class TestErrors:
         assert main(["run", str(path)]) == 1
         assert "single-assignment" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "trace", "profile"])
+    def test_bad_fault_plan_is_one_line_not_a_traceback(
+            self, command, program_file, capsys):
+        assert main([command, program_file, "--args", "5", "--pes", "2",
+                     "--faults", "bogus:x=1"]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error[BackendConfigError/compile]: ")
+        assert "bogus:x=1" in err and "\n" not in err
+
 
 class TestTraceAndOptimize:
     def test_trace_subcommand(self, program_file, capsys):

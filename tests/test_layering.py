@@ -41,6 +41,13 @@ or ``repro.dist.transport``, so a sans-IO protocol core and the
 simulator's chaos plans can drive it — and ``dist/node.py`` keeps no
 element store of its own beside it: ``IStructureSegment`` is constructed
 only under ``sim/`` and in ``dist/memory.py``.
+
+And a fault plan has one way into a run and one contract to survive:
+``common/faultplan.py`` never reads the process environment, no source
+file names a ``PODS_*FAULTS`` variable or a ``fault_spec`` config field,
+there is one ``Scenario`` and one ``run_scenario`` (``repro/chaos.py``),
+and that runner reaches a backend only through ``Backend.run`` — it
+imports no ``Machine``, ``run_parallel`` or ``run_distributed``.
 """
 
 import ast
@@ -303,3 +310,48 @@ def test_a_node_keeps_no_element_store_beside_its_memory():
     assert not queues, (
         f"dist/node.py lines {queues}: presence, deferred readers and "
         "single assignment live in dist/memory.py's segments")
+
+
+def _sources():
+    """``(path relative to src/repro, text)`` of every source file."""
+    root = os.path.dirname(repro.__file__)
+    for dirpath, _, fnames in os.walk(root):
+        for fname in sorted(fnames):
+            if fname.endswith(".py"):
+                path = os.path.join(dirpath, fname)
+                with open(path) as fh:
+                    yield os.path.relpath(path, root), fh.read()
+
+
+def test_a_fault_plan_has_one_way_in():
+    gone = ("PODS_FAULTS", "PODS_SIM_FAULTS", "PODS_DIST_FAULTS",
+            "fault_spec")
+    offenders = {rel: [name for name in gone if name in text]
+                 for rel, text in _sources()
+                 if any(name in text for name in gone)}
+    assert not offenders, (
+        f"a second channel for fault plans: {offenders}; pass "
+        "Backend.run(faults=...) instead")
+    engine = os.path.join(os.path.dirname(repro.__file__), "common",
+                          "faultplan.py")
+    assert "os" not in _imports(engine)  # so no os.environ either
+
+
+def test_the_chaos_contract_has_one_implementation():
+    defined = {"Scenario": [], "run_scenario": []}
+    for rel, text in _sources():
+        for node in ast.walk(ast.parse(text, rel)):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) \
+                    and node.name in defined:
+                defined[node.name].append(rel)
+    assert defined == {"Scenario": ["chaos.py"],
+                       "run_scenario": ["chaos.py"]}
+    runner = os.path.join(os.path.dirname(repro.__file__), "chaos.py")
+    substrates = ("repro.sim.machine", "repro.parallel", "repro.dist")
+    offenders = sorted(
+        name for name in _imports(runner)
+        if any(name == mod or name.startswith(mod + ".")
+               for mod in substrates))
+    assert not offenders, (
+        f"repro/chaos.py imports {offenders}; it reaches a substrate "
+        "only through Backend.run(faults=...)")
