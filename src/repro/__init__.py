@@ -20,7 +20,7 @@ Quick start::
         }
     ''')
     result = program.run((16,), backend="sim", parallelism=8)
-    print(result.value[3, 4], result.finish_time_s)
+    print(result.value[3, 4], result.time_s)
 """
 
 from repro.api import Program, compile_source

@@ -66,9 +66,6 @@ class Program:
         """SP assembly listing (after translation + partitioning)."""
         return self.pods.listing()
 
-    def graph_dump(self) -> str:
-        return self.graph.dump()
-
     def graph_text(self) -> str:
         """Figure 2-style indented scope view of the dataflow graph."""
         from repro.graph.render import to_text

@@ -21,14 +21,17 @@ through; there are no per-backend code paths above this module.
 
 Uniformity has three concrete faces:
 
-**Results.**  :class:`BackendResult` normalizes the four native result
-types.  ``value`` is the program's answer, ``time_us`` the modeled
-execution time (``None`` for the wall-clock parallel backend),
-``wall_time_s`` the measured wall time (``None`` for modeled backends),
-``registry`` the :class:`repro.obs.registry.MetricsRegistry` when the
-backend publishes one, and ``raw`` the backend-native result object for
-anything deeper (simulator :class:`~repro.sim.stats.RunStats`, parallel
-telemetry and recovery logs, static per-PE clocks).
+**Results.**  :class:`BackendResult` declares what a run produced.
+``value`` is the program's answer, ``time_us`` the modeled execution
+time (``None`` for the wall-clock backends), ``wall_time_s`` the
+measured wall time (``None`` for modeled backends), ``registry`` the
+:class:`repro.obs.registry.MetricsRegistry` when the backend publishes
+one; ``stats``, ``worker_stats``, ``recovery`` and ``netstats`` are the
+simulator's :class:`~repro.sim.stats.RunStats`, the SPMD substrates'
+per-worker telemetry and recovery log, and the reliable-delivery
+counters — each ``None`` on a substrate that has none.  Everything
+under ``src/repro`` reads those fields; ``raw`` (the backend-native
+result object) is kept for the frozen benchmark harness alone.
 
 **Metrics.**  Backends with the ``metrics`` capability emit the *same
 semantic metric families* (``rf.subrange``, ``rf.items``,
@@ -38,13 +41,12 @@ program across substrates row by row.  The conformance suite
 (``tests/conformance/``) holds every backend to this.
 
 **Errors.**  Every failure surfaces as a
-:class:`repro.common.errors.PodsError` subclass, and
-:func:`classify_error` folds the per-backend exception types into one
-substrate-independent taxonomy (a missing write is a ``deadlock``
-whether it appears as a simulator :class:`DeadlockError`, a parallel
-worker's :class:`DeferredReadTimeout`, or the sequential interpreter's
-:class:`MissingWriteError`).  :func:`render_error` is the matching
-one-line rendering the CLI prints.
+:class:`repro.common.errors.PodsError` subclass whose ``code`` names
+its place in one substrate-independent taxonomy
+(:data:`~repro.common.errors.ERROR_TAXONOMY`, re-exported here with
+:func:`classify_error`); the conformance suite asserts that the same
+program defect lands on the same code on every backend.
+:func:`render_error` is the matching one-line rendering the CLI prints.
 """
 
 from __future__ import annotations
@@ -54,23 +56,9 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 from typing import Any
 
-from repro.common.errors import (
-    BoundsViolation,
-    DeadlockError,
-    DeferredReadTimeout,
-    ExecutionError,
-    LanguageError,
-    LivelockError,
-    MissingWriteError,
-    NodeLossError,
-    ParallelExecutionError,
-    PEHaltError,
-    PodsError,
-    RunRegressionError,
-    RuntimeFault,
-    SingleAssignmentViolation,
-    TransportError,
-)
+from repro.common.errors import (ERROR_TAXONOMY,  # noqa: F401 - re-export
+                                 ParallelExecutionError, PodsError,
+                                 classify_error)
 
 # -- capabilities -------------------------------------------------------
 # Advertised per backend; the conformance harness and the CLI gate
@@ -105,12 +93,13 @@ class BackendConfigError(PodsError, ValueError):
 class BackendResult:
     """Uniform outcome of one run on any backend.
 
-    ``raw`` carries the backend-native result object
+    ``raw`` is the backend-native result object
     (:class:`repro.sim.machine.RunResult`,
-    :class:`repro.parallel.executor.ParallelResult`,
+    :class:`repro.runtime.spmd.SpmdResult`,
     :class:`repro.baseline.sequential.SeqResult`,
-    :class:`repro.baseline.static_pr.StaticResult`) for surfaces the
-    uniform projection does not cover.
+    :class:`repro.baseline.static_pr.StaticResult`).  It stays because
+    the frozen benchmark harness reads it; nothing under ``src/repro``
+    outside this module may (``tests/test_layering.py``).
     """
 
     backend: str
@@ -120,6 +109,15 @@ class BackendResult:
     wall_time_s: float | None = None
     registry: Any = None
     raw: Any = None
+    # What the substrate holds beyond the value, each None where it has
+    # none: the simulator's RunStats (unit busy times, timelines, waits,
+    # trace); one WorkerTelemetry per worker / node and the RecoveryLog
+    # of the two SPMD substrates; the reliable-delivery NetStats of a
+    # sim run under a fault plan and of every dist run.
+    stats: Any = None
+    worker_stats: list | None = None
+    recovery: Any = None
+    netstats: Any = None
     # Full config fingerprint — backend name, effective parallelism and
     # every config knob flattened to scalars — filled in uniformly by
     # :meth:`Backend.run`.  This is the ``config`` section of a
@@ -412,81 +410,7 @@ def backends() -> list[Backend]:
     return list(_CANONICAL)
 
 
-# -- error taxonomy -----------------------------------------------------
-# One substrate-independent failure vocabulary.  ``classify_error`` maps
-# any PodsError to a code; the conformance suite asserts that the same
-# program defect lands on the same code on every backend.
-
-ERROR_TAXONOMY = {
-    "compile": "the program was rejected before execution",
-    "single-assignment": "an I-structure element was written twice",
-    "bounds": "an array access fell outside the declared bounds",
-    "deadlock": "execution blocked forever on a missing write",
-    "livelock": "execution kept firing without making progress",
-    "pe-halt": "a halted PE stranded the rest of the machine",
-    "worker-failure": "a real-parallel worker died and was not healed",
-    "node-loss": "a distributed node was lost and could not be healed",
-    "transport": "a distributed message channel gave up on its peer",
-    "execution": "an instruction failed while executing",
-    "runtime": "another runtime fault",
-    "regression": "a stored run regressed against its baseline",
-    "internal": "an error outside the PodsError hierarchy",
-}
-
-# Exception class names sniffed out of remote worker tracebacks: the
-# parallel supervisor reports worker-side faults as text, so the
-# classifier recovers the underlying taxonomy code from the detail.
-_DETAIL_MARKERS = (
-    ("SingleAssignmentViolation", "single-assignment"),
-    ("BoundsViolation", "bounds"),
-    ("DeferredReadTimeout", "deadlock"),
-    ("MissingWriteError", "deadlock"),
-    (".ExecutionError: ", "execution"),  # last; not Parallel*/Dist*
-)
-
-
-def classify_error(exc: BaseException) -> str:
-    """Map an exception to its :data:`ERROR_TAXONOMY` code."""
-    if isinstance(exc, NodeLossError):
-        # Checked before the ParallelExecutionError branch it subclasses:
-        # an unhealed node loss is its own code, whatever the node-side
-        # tracebacks happen to contain.
-        return "node-loss"
-    if isinstance(exc, TransportError):
-        return "transport"
-    if isinstance(exc, ParallelExecutionError):
-        kinds = {f.kind for f in exc.failures}
-        details = "\n".join(f.detail for f in exc.failures)
-        for marker, code in _DETAIL_MARKERS:
-            if marker in details:
-                return code
-        if "stall" in kinds:
-            # Every live worker provably blocked — the wall-clock
-            # analogue of the simulator's DeadlockError.
-            return "deadlock"
-        return "worker-failure"
-    if isinstance(exc, SingleAssignmentViolation):
-        return "single-assignment"
-    if isinstance(exc, BoundsViolation):
-        return "bounds"
-    if isinstance(exc, (DeadlockError, DeferredReadTimeout,
-                        MissingWriteError)):
-        return "deadlock"
-    if isinstance(exc, PEHaltError):
-        return "pe-halt"
-    if isinstance(exc, LivelockError):
-        return "livelock"
-    if isinstance(exc, ExecutionError):
-        return "execution"
-    if isinstance(exc, RuntimeFault):
-        return "runtime"
-    if isinstance(exc, LanguageError):
-        return "compile"
-    if isinstance(exc, RunRegressionError):
-        return "regression"
-    if isinstance(exc, PodsError):
-        return "compile"
-    return "internal"
+# -- error rendering ---------------------------------------------------
 
 
 def render_error(exc: BaseException) -> str:
@@ -506,6 +430,12 @@ def render_error(exc: BaseException) -> str:
 
 
 # -- concrete backends --------------------------------------------------
+
+
+def _net_table(result: BackendResult) -> list[str]:
+    """The network fault/recovery summary, when the run met a fault."""
+    ns = result.netstats
+    return [ns.table()] if ns is not None and ns.any_faults() else []
 
 
 class _SimConfigBackend(Backend):
@@ -547,11 +477,13 @@ class SimBackend(_SimConfigBackend):
         pods = getattr(program, "pods", program)
         result = Machine(pods, config, ckpt=ckpt, restore=restore,
                          faults=faults).run(args)
+        stats = result.stats
         return BackendResult(backend=self.name, value=result.value,
                              parallelism=config.machine.num_pes,
                              time_us=result.finish_time_us,
-                             registry=result.stats.registry, raw=result,
-                             ckpt=getattr(result, "ckpt", None))
+                             registry=stats.registry, raw=result,
+                             stats=stats, netstats=stats.netstats,
+                             ckpt=result.ckpt)
 
     def cli_config(self, args):
         from repro.common.config import MachineConfig, SimConfig
@@ -564,11 +496,9 @@ class SimBackend(_SimConfigBackend):
                  f"modeled time: {result.time_s:.6f} s on "
                  f"{result.parallelism} {self.noun}"]
         if getattr(args, "stats", False):
-            lines.append(result.raw.stats.report())
+            lines.append(result.stats.report())
         else:
-            ns = getattr(result.raw.stats, "netstats", None)
-            if ns is not None and ns.any_faults():
-                lines.append(ns.table())
+            lines += _net_table(result)
         return lines
 
 
@@ -577,9 +507,8 @@ class _SpmdBackend(Backend):
 
     Both execute the compiled :class:`repro.api.Program` they are
     handed — its AST against its already-partitioned graph — under a
-    config whose width field (``width_field``: ``workers`` / ``nodes``)
-    also names the native result's width attribute, and return a result
-    with ``wall_time_s`` / ``registry`` / ``recovery`` / ``ckpt``.
+    config whose width lives in ``width_field`` (``workers`` /
+    ``nodes``), and return a :class:`repro.runtime.spmd.SpmdResult`.
     """
 
     width_field = ""
@@ -591,7 +520,7 @@ class _SpmdBackend(Backend):
         return replace(config, **{self.width_field: width})
 
     def _launch(self, program, args, **kwargs):
-        """Run on the substrate; returns its native result object."""
+        """Run on the substrate; returns its ``SpmdResult``."""
         raise NotImplementedError
 
     def _run(self, program, args, *, config, faults, ckpt,
@@ -605,19 +534,20 @@ class _SpmdBackend(Backend):
         result = self._launch(program, args, config=config, faults=faults,
                               ckpt=ckpt, restore=restore)
         return BackendResult(backend=self.name, value=result.value,
-                             parallelism=getattr(result, self.width_field),
+                             parallelism=result.width,
                              wall_time_s=result.wall_time_s,
                              registry=result.registry, raw=result,
-                             ckpt=result.ckpt)
+                             worker_stats=result.worker_stats,
+                             recovery=result.recovery,
+                             netstats=result.netstats, ckpt=result.ckpt)
 
     def render(self, result, args) -> list[str]:
         lines = [f"value: {result.value}",
                  f"wall time: {result.wall_time_s:.3f} s on "
                  f"{result.parallelism} {self.noun}"]
-        recovery = result.raw.recovery
-        if recovery is not None and recovery.events:
-            lines.append(recovery.table())
-        return lines
+        if result.recovery.events:
+            lines.append(result.recovery.table())
+        return lines + _net_table(result)
 
 
 class ParallelBackend(_SpmdBackend):
@@ -660,7 +590,7 @@ class ParallelBackend(_SpmdBackend):
             from repro.obs.export import parallel_trace_json
 
             with open(trace_json, "w") as fh:
-                fh.write(parallel_trace_json(result.raw) + "\n")
+                fh.write(parallel_trace_json(result) + "\n")
             lines.append(f"wrote {trace_json}")
         return lines
 
@@ -754,13 +684,6 @@ class DistBackend(_SpmdBackend):
         # --nodes wins over --pes; without it the two flags agree, so
         # run()'s config-vs-parallelism consistency rule stays inert.
         return getattr(args, "nodes", None) or args.pes
-
-    def render(self, result, args) -> list[str]:
-        lines = super().render(result, args)
-        ns = getattr(result.raw, "netstats", None)
-        if ns is not None and ns.any_faults():
-            lines.append(ns.table())
-        return lines
 
 
 register(SimBackend())

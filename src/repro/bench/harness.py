@@ -62,7 +62,7 @@ class Sweeper:
         config = SimConfig(machine=MachineConfig(num_pes=pes, **machine_kwargs),
                            obs=obs)
         result = program.run(args, backend="sim", parallelism=pes,
-                             config=config).raw
+                             config=config)
         stats = result.stats
         if self.observe:
             utilization = {u: stats.timeline_utilization(u) for u in UNITS}
@@ -77,7 +77,7 @@ class Sweeper:
         point = Point(
             n=args[0] if args else 0,
             pes=pes,
-            time_us=result.finish_time_us,
+            time_us=result.time_us,
             utilization=utilization,
             value=result.value if isinstance(result.value, (int, float)) else 0.0,
             instructions=stats.instructions,
@@ -129,7 +129,7 @@ def parallel_sweep(program: Program, args: tuple,
     base: float | None = None
     for workers in worker_counts:
         result = program.run(args, backend="parallel", parallelism=workers,
-                             **run_kwargs).raw
+                             **run_kwargs)
         if base is None:
             base = result.wall_time_s
         stats = result.worker_stats
@@ -206,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
             config=SimConfig(machine=MachineConfig(num_pes=pes), obs=obs))
         if store is not None:
             store.put(result.to_run_record(program=program, args=run_args))
-        stats = result.raw.stats
+        stats = result.stats
         if base_us is None:
             base_us = stats.finish_time_us
         path = critical_path(stats.waits, stats.finish_time_us)

@@ -89,9 +89,10 @@ class Scenario:
 
     ``outcome`` is :data:`HEAL` or the taxonomy code the run's error
     must classify as.  ``expect`` maps a dotted attribute path — into
-    the backend-native result of a healed run (``netstats.dropped``,
-    ``recovery.takeovers``), or into the exception of a failed one
-    (``pe``) — to an exact value or an inclusive ``(lo, hi)`` range.
+    the ``BackendResult`` of a healed run (``netstats.dropped``,
+    ``recovery.takeovers``: one spelling on every backend), or into the
+    exception of a failed one (``pe``) — to an exact value or an
+    inclusive ``(lo, hi)`` range.
     """
 
     name: str
@@ -116,12 +117,12 @@ def sim_scenarios(pes: int) -> list[Scenario]:
     # first, after which in-flight channels are (correctly) abandoned.
     fast = {"retransmit_timeout_us": 1_000.0}
     # Whatever was dropped was retransmitted.
-    healed = {"stats.netstats.retransmits": at_least(1)}
+    healed = {"netstats.retransmits": at_least(1)}
     return [
         Scenario("drop-bcast", "drop:kind=bcast,count=2", cfg=dict(fast),
-                 expect={"stats.netstats.dropped": 2, **healed}),
+                 expect={"netstats.dropped": 2, **healed}),
         Scenario("drop-page", "drop:kind=page,count=1", cfg=dict(fast),
-                 expect={"stats.netstats.dropped": 1, **healed}),
+                 expect={"netstats.dropped": 1, **healed}),
         Scenario("dup-page", "dup:kind=page,count=3"),
         Scenario("reorder-page", "reorder:kind=page,count=2"),
         Scenario("delay-value", "delay:kind=value,count=5"),
@@ -129,7 +130,7 @@ def sim_scenarios(pes: int) -> list[Scenario]:
         Scenario("lossy-link", "drop:prob=0.15,seed=11,count=0",
                  cfg=dict(fast), expect=healed),
         Scenario("ack-loss", "drop:kind=ack,count=4", cfg=dict(fast),
-                 expect={"stats.netstats.dropped": 4, **healed}),
+                 expect={"netstats.dropped": 4, **healed}),
         Scenario("pe-degrade", f"pe-degrade:pe={pes - 1},factor=3"),
         # Halt PE 1: it holds real subranges at every PE count (at n=8
         # the LCD distribution can leave the highest PEs with only empty
@@ -368,7 +369,7 @@ def _check_healed(backend: str, sc: Scenario, width: int, res, rerun,
             f"value diverged from seq: {res.value!r} != {oracle!r}")
     if _semantic(res.registry, RECOVERY in capabilities) != reference:
         problems.append("semantic metrics diverged from the fault-free run")
-    seen = _check_expect(sc, res.raw, problems)
+    seen = _check_expect(sc, res, problems)
     if MODELED_TIME not in capabilities:
         return " ".join([f"wall {res.wall_time_s:.2f}s", *seen])
     # Replayability: the same seeded plan injects identically.

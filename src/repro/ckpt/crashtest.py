@@ -232,7 +232,7 @@ def dist_coord_kill9(nodes: int, verbose: bool) -> list[str]:
         try:
             cfg = DistConfig(nodes=nodes, heartbeat_interval_s=0.01,
                              poll_interval_s=0.02, read_timeout_s=15.0)
-            res = program.run((n,), backend="dist", config=cfg).raw
+            res = program.run((n,), backend="dist", config=cfg)
         finally:
             killer.join(timeout=KILL_TIMEOUT_S)
             os.environ.pop(COORD_PIDFILE_ENV, None)

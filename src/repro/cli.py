@@ -204,27 +204,24 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.common.config import MachineConfig, ObsConfig, SimConfig
     from repro.obs.export import filter_events, perfetto_json
-    from repro.sim.machine import Machine
 
     program = _load(args.file)
     call_args = tuple(_parse_value(a) for a in (args.args or []))
     obs = ObsConfig(metrics=True, timelines=True, trace=True, waits=True)
     config = SimConfig(machine=MachineConfig(num_pes=args.pes), obs=obs)
-    plan = get_backend("sim").fault_plan(args.faults, args.pes)
-    machine = Machine(program.pods, config, faults=plan)
-    result = machine.run(call_args)
-    tracer = machine.tracer
-    netspans = (result.stats.netstats.spans
-                if result.stats.netstats is not None else ())
+    result = program.run(call_args, backend="sim", config=config,
+                         faults=args.faults)
+    stats = result.stats
+    tracer = stats.trace
+    netspans = stats.netstats.spans if stats.netstats is not None else ()
 
     if args.format == "perfetto":
         # Only the JSON goes to stdout: identical runs must produce
         # byte-identical output (anything else lands on stderr).
-        text = perfetto_json(result.stats.timelines, tracer.events,
+        text = perfetto_json(stats.timelines, tracer.events,
                              num_pes=args.pes, pe=args.pe,
-                             since_us=args.since_us,
-                             waits=result.stats.waits,
-                             finish_us=result.stats.finish_time_us,
+                             since_us=args.since_us, waits=stats.waits,
+                             finish_us=stats.finish_time_us,
                              netspans=netspans)
         if tracer.truncated:
             print(tracer.drop_warning(), file=sys.stderr)
@@ -237,7 +234,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 0
 
     lines = [f"value: {result.value}",
-             f"modeled time: {result.finish_time_s:.6f} s", ""]
+             f"modeled time: {result.time_s:.6f} s", ""]
     if tracer.truncated:
         lines.insert(0, tracer.drop_warning())
     lines.append(tracer.summary())
@@ -245,13 +242,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.format == "summary":
         from repro.bench.report import render_metrics_table
 
-        lines += ["", _blocked_cause_table(machine, result)]
-        if result.stats.registry is not None:
-            lines += ["", render_metrics_table(result.stats.registry)]
+        lines += ["", _blocked_cause_table(stats),
+                  "", render_metrics_table(result.registry)]
     else:  # text
         from repro.sim.trace import timeline
 
-        lines += ["", timeline(tracer, args.pes, result.finish_time_us), ""]
+        lines += ["", timeline(tracer, args.pes, result.time_us), ""]
         events = filter_events(tracer.events, pe=args.pe,
                                since_us=args.since_us, kind=args.kind)
         lines += [event.format() for event in events[:args.limit]]
@@ -268,54 +264,40 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _blocked_cause_table(machine, result) -> str:
+def _blocked_cause_table(stats) -> str:
     """Per-PE blocked-cause column for ``pods trace --format summary``:
     the shared :func:`repro.obs.profile.blocked_cause_table` plus
     anything still blocked at the end of the run
-    (``PE.describe_blocked()``)."""
+    (``RunStats.still_blocked``)."""
     from repro.obs.critpath import pe_wait_breakdown
     from repro.obs.profile import blocked_cause_table
 
-    stats = result.stats
     breakdown = pe_wait_breakdown(stats.waits, stats.timelines,
                                   stats.num_pes, stats.finish_time_us)
     lines = [blocked_cause_table(breakdown, stats.num_pes)]
-    still_blocked = []
-    for pe in machine.pes:
-        still_blocked.extend(pe.describe_blocked())
-    if still_blocked:
+    if stats.still_blocked:
         lines.append("  still blocked at end of run:")
-        lines.extend(f"    {line}" for line in still_blocked)
+        lines.extend(f"    {line}" for line in stats.still_blocked)
     return "\n".join(lines)
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.common.config import MachineConfig, ObsConfig, SimConfig
-    from repro.obs.profile import Profile
-    from repro.sim.machine import Machine
+    from repro.obs.profile import Profile, parallel_profile
 
     program = _load(args.file, optimize=args.optimize)
     call_args = tuple(_parse_value(a) for a in (args.args or []))
     if WALL_TIME in get_backend(args.backend).capabilities:
-        from repro.obs.profile import parallel_profile
-
         result = program.run(call_args, backend=args.backend,
-                             parallelism=args.pes).raw
-        text = f"value: {result.value}\n\n" + parallel_profile(result)
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text + "\n")
-            print(f"wrote {args.output}")
-        else:
-            print(text)
-        return 0
-    obs = ObsConfig(metrics=True, timelines=True, waits=True)
-    config = SimConfig(machine=MachineConfig(num_pes=args.pes), obs=obs)
-    plan = get_backend("sim").fault_plan(args.faults, args.pes)
-    machine = Machine(program.pods, config, faults=plan)
-    result = machine.run(call_args)
-    profile = Profile.from_stats(result.stats)
-    text = (f"value: {result.value}\n\n" + profile.render(top=args.top))
+                             parallelism=args.pes)
+        report = parallel_profile(result)
+    else:
+        obs = ObsConfig(metrics=True, timelines=True, waits=True)
+        config = SimConfig(machine=MachineConfig(num_pes=args.pes), obs=obs)
+        result = program.run(call_args, backend="sim", config=config,
+                             faults=args.faults)
+        report = Profile.from_stats(result.stats).render(top=args.top)
+    text = f"value: {result.value}\n\n" + report
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
@@ -475,11 +457,11 @@ def _cmd_simple(args: argparse.Namespace) -> int:
     base = None
     for p in pes:
         result = program.run((args.size, args.steps), backend="sim",
-                             parallelism=p).raw
+                             parallelism=p)
         if base is None:
-            base = result.finish_time_us
-        print(f"{p:3d} PEs: {result.finish_time_s:8.4f} s  "
-              f"speed-up {base / result.finish_time_us:5.2f}  "
+            base = result.time_us
+        print(f"{p:3d} PEs: {result.time_s:8.4f} s  "
+              f"speed-up {base / result.time_us:5.2f}  "
               f"EU {result.stats.utilization('EU') * 100:5.1f}%")
     return 0
 

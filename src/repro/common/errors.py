@@ -3,13 +3,52 @@
 Each layer of the pipeline (language, graph, translation, partitioning,
 runtime, simulation) raises its own subclass of :class:`PodsError` so callers
 can catch at the granularity they care about.
+
+Every class also declares, as its ``code`` attribute, where it falls in
+the one substrate-independent failure vocabulary
+(:data:`ERROR_TAXONOMY`): a missing write is a ``deadlock`` whether it
+is the simulator's :class:`DeadlockError`, a worker's
+:class:`DeferredReadTimeout` or the sequential interpreter's
+:class:`MissingWriteError`.  The code is data — it crosses a process
+boundary beside the failure's text (:class:`WorkerFailure`), never
+recovered from it.
 """
 
 from __future__ import annotations
 
+ERROR_TAXONOMY = {
+    "compile": "the program was rejected before execution",
+    "single-assignment": "an I-structure element was written twice",
+    "bounds": "an array access fell outside the declared bounds",
+    "deadlock": "execution blocked forever on a missing write",
+    "livelock": "execution kept firing without making progress",
+    "pe-halt": "a halted PE stranded the rest of the machine",
+    "worker-failure": "a real-parallel worker died and was not healed",
+    "node-loss": "a distributed node was lost and could not be healed",
+    "transport": "a distributed message channel gave up on its peer",
+    "execution": "an instruction failed while executing",
+    "runtime": "another runtime fault",
+    "regression": "a stored run regressed against its baseline",
+    "internal": "an error outside the PodsError hierarchy",
+}
+
 
 class PodsError(Exception):
-    """Base class for every error raised by the repro package."""
+    """Base class for every error raised by the repro package.
+
+    ``code`` is the class's :data:`ERROR_TAXONOMY` verdict; a subclass
+    that says nothing inherits its parent's.  The base's is ``compile``:
+    what is not a fault of a running program was rejected before one ran
+    (a language, graph, translation, partition, config, checkpoint or
+    run-store error).
+    """
+
+    code = "compile"
+
+
+def classify_error(exc: BaseException) -> str:
+    """Map an exception to its :data:`ERROR_TAXONOMY` code."""
+    return exc.code if isinstance(exc, PodsError) else "internal"
 
 
 class SourceLocation:
@@ -68,6 +107,8 @@ class RunRegressionError(PodsError):
     consumers get the shared one-line ``error[Type/code]`` rendering and
     nonzero exit of every other structured failure."""
 
+    code = "regression"
+
 
 class TranslationError(PodsError):
     """The PODS Translator could not order or lower a code block."""
@@ -80,9 +121,13 @@ class PartitionError(PodsError):
 class RuntimeFault(PodsError):
     """Base class for faults raised while a PODS program executes."""
 
+    code = "runtime"
+
 
 class SingleAssignmentViolation(RuntimeFault):
     """An I-structure element was written twice (forbidden by Id semantics)."""
+
+    code = "single-assignment"
 
     def __init__(self, array_id: int, offset: int) -> None:
         self.array_id = array_id
@@ -95,6 +140,8 @@ class SingleAssignmentViolation(RuntimeFault):
 
 class BoundsViolation(RuntimeFault):
     """An array access fell outside the declared bounds."""
+
+    code = "bounds"
 
     def __init__(self, array_id: int, indices: tuple[int, ...], dims: tuple[int, ...]) -> None:
         self.array_id = array_id
@@ -142,6 +189,8 @@ class DeadlockError(RuntimeFault):
     text alone.
     """
 
+    code = "deadlock"
+
     def __init__(self, message: str, blocked: list[str] | None = None,
                  channels: list[str] | None = None,
                  last_progress_us: float | None = None) -> None:
@@ -162,6 +211,8 @@ class PEHaltError(RuntimeFault):
     SPs (``PE.describe_blocked`` lines), and the channels with
     undelivered messages.
     """
+
+    code = "pe-halt"
 
     def __init__(self, pe: int, stranded: list[str] | None = None,
                  channels: list[str] | None = None,
@@ -188,6 +239,8 @@ class LivelockError(RuntimeFault):
     is a structured failure, never a hang.
     """
 
+    code = "livelock"
+
     def __init__(self, message: str, blocked: list[str] | None = None,
                  channels: list[str] | None = None,
                  sim_time_us: float | None = None,
@@ -203,6 +256,8 @@ class LivelockError(RuntimeFault):
 class ExecutionError(RuntimeFault):
     """An instruction failed while executing (bad opcode, type error, ...)."""
 
+    code = "execution"
+
 
 class MissingWriteError(ExecutionError):
     """A read of an element no execution order could have written.
@@ -211,9 +266,10 @@ class MissingWriteError(ExecutionError):
     machine's :class:`DeadlockError`: where the simulator blocks forever
     on the absent element (and diagnoses the drained machine), the
     sequential order reads it immediately and fails here.  Both land on
-    the ``deadlock`` code of the shared error taxonomy
-    (:func:`repro.backend.classify_error`).
+    the ``deadlock`` code of the shared error taxonomy.
     """
+
+    code = "deadlock"
 
     def __init__(self, array_id: int, indices: tuple[int, ...]) -> None:
         self.array_id = array_id
@@ -235,6 +291,8 @@ class DeferredReadTimeout(ExecutionError):
     (the likely — though under inner-dimension Range Filters not
     guaranteed — writer).
     """
+
+    code = "deadlock"
 
     def __init__(self, array: str, indices: tuple[int, ...], offset: int,
                  owner: int, waited_s: float) -> None:
@@ -276,7 +334,10 @@ class WorkerFailure:
     ``kind`` classifies how the supervisor saw the worker die:
 
     * ``"error"`` — the worker reported an exception before exiting
-      (``detail`` carries the remote traceback);
+      (``code`` is that exception's :data:`ERROR_TAXONOMY` code, declared
+      by its class on the far side, and ``detail`` the remote
+      traceback; every other kind is the supervisor's own observation
+      and has no ``code``);
     * ``"crash"`` — the process exited nonzero/by signal without
       reporting (``exitcode`` is negative for a signal, per
       ``multiprocessing``);
@@ -293,16 +354,18 @@ class WorkerFailure:
     original launch, higher values are recovery respawns/takeovers.
     """
 
-    __slots__ = ("worker", "exitcode", "kind", "detail", "generation")
+    __slots__ = ("worker", "exitcode", "kind", "detail", "generation",
+                 "code")
 
     def __init__(self, worker: int, exitcode: int | None = None,
                  kind: str = "crash", detail: str = "",
-                 generation: int = 1) -> None:
+                 generation: int = 1, code: str | None = None) -> None:
         self.worker = worker
         self.exitcode = exitcode
         self.kind = kind
         self.detail = detail
         self.generation = generation
+        self.code = code
 
     def __repr__(self) -> str:
         return (f"WorkerFailure(worker={self.worker}, kind={self.kind!r}, "
@@ -343,6 +406,24 @@ class ParallelExecutionError(ExecutionError):
 
     # How abort messages name this backend and its units of parallelism.
     _what, _unit = "parallel", "worker"
+
+    # A program fault some worker reported decides the run's code, most
+    # specific first; any other code a worker sent (``runtime``,
+    # ``internal``, ...) says the run broke, not the program.
+    _PROGRAM_FAULTS = ("single-assignment", "bounds", "deadlock",
+                       "execution")
+
+    @property
+    def code(self) -> str:
+        reported = {f.code for f in self.failures}
+        for code in self._PROGRAM_FAULTS:
+            if code in reported:
+                return code
+        if any(f.kind == "stall" for f in self.failures):
+            # Every live worker provably blocked — the wall-clock
+            # analogue of the simulator's DeadlockError.
+            return "deadlock"
+        return "worker-failure"
 
     @classmethod
     def unrecovered(cls, failures: list[WorkerFailure], recovery,
@@ -388,6 +469,8 @@ class TransportError(RuntimeFault):
     from a crashed peer in the error text.
     """
 
+    code = "transport"
+
     def __init__(self, src: int, dst: int, reason: str) -> None:
         self.src = src
         self.dst = dst
@@ -398,12 +481,11 @@ class TransportError(RuntimeFault):
 class DistExecutionError(ParallelExecutionError):
     """One or more distributed nodes failed; carries the records.
 
-    Subclasses :class:`ParallelExecutionError` so the shared error
-    taxonomy's detail sniffing (worker-side tracebacks reported as
-    text) classifies node-side program faults — single-assignment,
-    bounds, deferred-read deadlock — to the same codes on the ``dist``
-    backend as everywhere else.  ``failures`` holds one
-    :class:`WorkerFailure` per dead/erroring *node*.
+    Subclasses :class:`ParallelExecutionError`, so a node-side program
+    fault — single-assignment, bounds, deferred-read deadlock — gives
+    the run the same code on the ``dist`` backend as everywhere else.
+    ``failures`` holds one :class:`WorkerFailure` per dead/erroring
+    *node*.
     """
 
     _what, _unit = "distributed", "node"
@@ -417,6 +499,9 @@ class NodeLossError(DistExecutionError):
     RF subranges to survivors (idempotent presence-bit replay); this
     error is raised only when that ladder is exhausted — recovery
     disabled, the global takeover budget spent, or no survivors left.
-    Maps to the ``node-loss`` code of the shared taxonomy.
+    An unhealed node loss is its own code, whatever the surviving
+    nodes reported on the way down.
     """
+
+    code = "node-loss"
 

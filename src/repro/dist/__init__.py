@@ -18,7 +18,7 @@ package splits along the same seams as the other backends:
 The self-checking chaos matrix is ``python -m repro.chaos dist``.
 """
 
-from repro.dist.coordinator import DistResult, run_distributed
+from repro.dist.coordinator import run_distributed
 from repro.dist.faults import DistFault, DistFaultPlan
 
-__all__ = ["DistFault", "DistFaultPlan", "DistResult", "run_distributed"]
+__all__ = ["DistFault", "DistFaultPlan", "run_distributed"]

@@ -23,8 +23,8 @@ undefined behaviour), then supervise over TCP:
 * **degradation ladder** — recovery disabled, budget exhausted, or no
   survivors raises :class:`~repro.common.errors.NodeLossError`
   (taxonomy code ``node-loss``); node-side program faults raise
-  :class:`~repro.common.errors.DistExecutionError` with the same
-  detail-sniffing taxonomy as the parallel backend.
+  :class:`~repro.common.errors.DistExecutionError`, classified by the
+  code each node's ``err`` report carries, as on the parallel backend.
 
 Teardown is uniform across success, failure and interrupt: broadcast
 shutdown, then terminate/join every process ever forked and close every
@@ -39,7 +39,6 @@ import multiprocessing as mp
 import os
 import socket
 import time
-from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from typing import Any
 
@@ -51,34 +50,14 @@ from repro.dist import reasons
 from repro.dist.faults import CoordKillSwitch, DistFaultPlan
 from repro.dist.node import node_main
 from repro.dist.transport import encode_frame, frame_secret, read_frame
-from repro.runtime.spmd import (WorkerTelemetry, fold_results, reap,
-                                sigterm_as_interrupt, telemetry_table)
+from repro.runtime.spmd import (SpmdResult, fold_results, reap,
+                                sigterm_as_interrupt)
 from repro.runtime.values import ArrayValue
 from repro.sim.reliable import NetStats
-
-_NETSTAT_FIELDS = ("sent", "retransmits", "dropped", "duplicated",
-                   "delayed", "dup_discarded", "acks_sent", "halt_lost",
-                   "auth_rejected")
 
 # The forked coordinator writes its pid here so out-of-process chaos
 # (CI's crash-restart job) can aim a real ``kill -9`` at it.
 COORD_PIDFILE_ENV = "PODS_DIST_COORD_PIDFILE"
-
-
-@dataclass
-class DistResult:
-    value: Any
-    wall_time_s: float
-    nodes: int
-    worker_stats: list[WorkerTelemetry] = field(default_factory=list)
-    registry: Any = None  # MetricsRegistry over the node telemetry
-    recovery: RecoveryLog | None = None
-    netstats: NetStats | None = None
-    ckpt: dict | None = None  # checkpoint/restore summary, None when off
-
-    def telemetry_table(self) -> str:
-        """Per-node profile as an aligned text block."""
-        return telemetry_table(self.worker_stats, who="node")
 
 
 class _Supervisor:
@@ -142,7 +121,7 @@ class _Supervisor:
     # -- entry -----------------------------------------------------------
 
     async def run(self, lsock: socket.socket,
-                  t_start: float) -> DistResult:
+                  t_start: float) -> SpmdResult:
         loop = asyncio.get_running_loop()
         self.server = await asyncio.start_server(self._accept, sock=lsock)
         if self.standby:
@@ -415,20 +394,20 @@ class _Supervisor:
         elif t == "err":
             self.failures.append(WorkerFailure(
                 msg.get("slot", node), exitcode=None, kind="error",
-                detail=msg["detail"], generation=msg.get("gen", 1)))
+                detail=msg["detail"], generation=msg.get("gen", 1),
+                code=msg["code"]))
             self.fatal_message = (f"node {node} reported a program "
                                   "error")
         elif t == "peer-lost":
             peer = msg["peer"]
             if peer in self.live:
-                reason = reasons.parse_reason(msg.get("reason")
-                                              or msg.get("detail", ""))
+                reason = msg["reason"]
                 self._on_node_loss(
                     peer, kind=reasons.failure_kind(reason),
                     exitcode=None,
                     detail=reasons.reason_string(
                         reason, f"unreachable from node {node}: "
-                                f"{msg.get('detail', '')}"))
+                                f"{msg['detail']}"))
         elif t == "segment":
             for key, value in msg["vals"].items():
                 self.segments[int(key)] = value
@@ -604,21 +583,14 @@ class _Supervisor:
         return cls.unrecovered(self.failures, self.rlog, self.fatal_message,
                                self.cfg.timeout_s)
 
-    def _build_result(self, value: Any, t_start: float) -> DistResult:
-        wall = time.perf_counter() - t_start
-        stats, registry, ckpt_info = fold_results(
-            self.completed, self.n, self.rlog, self.ckpt, self.restore,
-            spin_cause="remote-read")
+    def _build_result(self, value: Any, t_start: float) -> SpmdResult:
         netstats = NetStats()
         for counters in self.byes.values():
-            for name in _NETSTAT_FIELDS:
-                setattr(netstats, name,
-                        getattr(netstats, name) + int(counters.get(name,
-                                                                   0)))
-        return DistResult(value=value, wall_time_s=wall, nodes=self.n,
-                          worker_stats=stats, registry=registry,
-                          recovery=self.rlog, netstats=netstats,
-                          ckpt=ckpt_info)
+            netstats.add(counters)
+        return fold_results(
+            value, time.perf_counter() - t_start, self.completed, self.n,
+            self.rlog, self.ckpt, self.restore, who="node",
+            spin_cause="remote-read", netstats=netstats)
 
     # -- plumbing --------------------------------------------------------
 
@@ -682,7 +654,7 @@ def _coordinator_main(cfg, procs, lsock, t_start, conn, plan,
 
 def run_distributed(program, args: tuple = (),
                     config: DistConfig | None = None,
-                    faults=None, ckpt=None, restore=None) -> DistResult:
+                    faults=None, ckpt=None, restore=None) -> SpmdResult:
     """Execute a compiled ``program`` (:class:`repro.api.Program`)
     across supervised TCP-connected nodes.
 

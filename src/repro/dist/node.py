@@ -54,7 +54,6 @@ import traceback
 
 from repro.common.errors import (DeferredReadTimeout, ExecutionError,
                                  SingleAssignmentViolation)
-from repro.dist import reasons
 from repro.dist.faults import DistFaultInjector, DistFaultPlan
 from repro.dist.memory import NodeMemory
 from repro.dist.transport import (COORD, Endpoint, encode_frame,
@@ -270,12 +269,9 @@ class NodeRuntime:
                 # coordinator already believes this process is.
                 os._exit(0)
             elif t == "shutdown":
-                ns = self.endpoint.stats
                 self._send_coord({
                     "t": "bye", "node": self.node,
-                    "netstats": {k: getattr(ns, k) for k in
-                                 ns.__dataclass_fields__
-                                 if k != "spans"}})
+                    "netstats": self.endpoint.stats.counters()})
                 try:
                     await self._coord_writer.drain()
                 except Exception:
@@ -412,6 +408,8 @@ class NodeRuntime:
                 payload["replayed_present"] = self.memory.take_replayed()
                 msg["identities"] = list(identities)
                 msg["telemetry"] = payload
+            elif tag == "err":
+                msg["code"], msg["detail"] = payload
             else:
                 msg["detail"] = payload
             self.post_report(msg)
@@ -562,6 +560,7 @@ class NodeRuntime:
         except SingleAssignmentViolation as exc:
             self._send_report({
                 "t": "err", "node": self.node, "slot": self.node, "gen": 0,
+                "code": exc.code,
                 "detail": f"{type(exc).__name__}: {exc}\n"
                           f"(write received from node {writer_node})"})
             return
@@ -610,11 +609,10 @@ class NodeRuntime:
                 if ident in rebound:
                     self._route_write(a, off, ident, value, True)
 
-    def _on_peer_lost(self, peer: int, reason: str) -> None:
+    def _on_peer_lost(self, peer: int, reason: str, detail: str) -> None:
         self._send_report({"t": "peer-lost", "node": self.node,
-                           "peer": peer,
-                           "reason": reasons.parse_reason(reason),
-                           "detail": reason})
+                           "peer": peer, "reason": reason,
+                           "detail": detail})
 
 
 def node_main(program, node: int, coord_port: int, cfg, args: tuple,

@@ -6,8 +6,10 @@ Both layers that can declare a peer dead — the socket transport
 strings.  The recovery log, the ``peer-lost`` control frames and the
 structured-abort messages all carry these strings, so drift between the
 two producers made the taxonomy unmergeable.  Every loss reason is now
-one of the named constants below, optionally followed by a free-form
-detail suffix (``"<reason>: <detail>"``).
+one of the named constants below; it travels — through the transport's
+lost-callback and in a ``peer-lost`` frame — as its own field beside
+the free-form detail, and :func:`reason_string` is the one place the
+two are formatted together for a human (``"<reason>: <detail>"``).
 
 ``FAILURE_KIND`` maps each reason onto the two-valued failure taxonomy
 used by :class:`repro.common.retry.WorkerFailure` and the recovery log:
@@ -57,12 +59,6 @@ def reason_string(reason: str, detail: str = "") -> str:
     if reason not in FAILURE_KIND:
         raise ValueError(f"unknown loss reason {reason!r}")
     return f"{reason}: {detail}" if detail else reason
-
-
-def parse_reason(text: str) -> str:
-    """Recover the canonical constant from a ``reason_string`` output."""
-    head = text.split(":", 1)[0].strip()
-    return head if head in FAILURE_KIND else CONNECTION_CLOSED
 
 
 def failure_kind(reason: str, exitcode: int | None = None) -> str:

@@ -116,7 +116,8 @@ class Endpoint:
 
     Lives entirely on the node's asyncio loop.  ``send`` enqueues a
     reliable data frame; ``on_message(src, payload)`` fires exactly once
-    per delivered payload; ``on_peer_lost(peer, reason)`` fires when a
+    per delivered payload; ``on_peer_lost(peer, reason, detail)`` — a
+    :mod:`repro.dist.reasons` constant and free text — fires when a
     channel or connection budget is exhausted.  Peers fenced by the
     coordinator are ``forget``-ten: their channels drain and further
     sends become no-ops.
@@ -221,8 +222,8 @@ class Endpoint:
             self._writers[dst] = writer
             self._spawn(self._read_conn(reader, writer))
             return writer
-        self._declare_lost(dst, reasons.reason_string(
-            reasons.RECONNECT_EXHAUSTED, f"{attempts} attempts"))
+        self._declare_lost(dst, reasons.RECONNECT_EXHAUSTED,
+                           f"{attempts} attempts")
         return None
 
     # -- receiving -------------------------------------------------------
@@ -304,9 +305,9 @@ class Endpoint:
                     if now - last_send < self.cfg.retransmit_timeout_s:
                         continue
                     if retries >= self.cfg.retransmit_budget:
-                        self._declare_lost(dst, reasons.reason_string(
-                            reasons.RETRANSMIT_EXHAUSTED,
-                            f"seq {seq} unacked after {retries} resends"))
+                        self._declare_lost(
+                            dst, reasons.RETRANSMIT_EXHAUSTED,
+                            f"seq {seq} unacked after {retries} resends")
                         break
                     entry[1] = now
                     entry[2] = retries + 1
@@ -329,11 +330,11 @@ class Endpoint:
             except Exception:
                 pass
 
-    def _declare_lost(self, peer: int, reason: str) -> None:
+    def _declare_lost(self, peer: int, reason: str, detail: str) -> None:
         if peer in self._lost:
             return
         self.forget(peer)
-        self.on_peer_lost(peer, reason)
+        self.on_peer_lost(peer, reason, detail)
 
     # -- plumbing --------------------------------------------------------
 

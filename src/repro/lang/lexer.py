@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 from repro.common.errors import LexError, SourceLocation
 
@@ -12,13 +13,23 @@ KEYWORDS = {
     "next", "return", "and", "or", "not", "true", "false",
 }
 
-# Longest-match-first punctuation/operators.
-SYMBOLS = [
-    "<=", ">=", "==", "!=",
-    "(", ")", "{", "}", "[", "]",
-    ",", ";", "=", "<", ">",
-    "+", "-", "*", "/", "%", "^",
-]
+# Every lexeme as one alternation, tried in this order at each position.
+# A number is digits with at most one '.', then an exponent only if a
+# digit follows it (``1.5e+`` is ``1.5``, ``e``, ``+``); ``int`` is what
+# has neither.  A word starts with what ``\w`` matches and ``\d`` does
+# not.  Symbols are longest first.  The last alternative takes any other
+# character, so a match never skips one.
+_LEXEME = re.compile(r"""
+    (?P<newline> \n )
+  | (?P<blank>   [ \t\r]+ )
+  | (?P<comment> (?: \# | // ) [^\n]* )
+  | (?P<float>   (?: \d+ \. \d* | \. \d+ ) (?: [eE] [+-]? \d+ )?
+               | \d+ [eE] [+-]? \d+ )
+  | (?P<int>     \d+ )
+  | (?P<word>    [^\W\d] \w* )
+  | (?P<symbol>  <= | >= | == | != | [(){}\[\],;=<>+\-*/%^] )
+  | (?P<other>   . )
+""", re.VERBOSE)
 
 
 @dataclass(frozen=True)
@@ -36,94 +47,46 @@ class Tok:
 def tokenize(source: str) -> list[Tok]:
     """Convert source text into tokens; raises LexError on bad input."""
     tokens: list[Tok] = []
+    append = tokens.append
     line = 1
-    col = 1
-    i = 0
-    n = len(source)
-
-    def loc() -> SourceLocation:
-        return SourceLocation(line, col)
-
-    while i < n:
-        ch = source[i]
-
-        if ch == "\n":
+    # Offset of column 1 of the current line.  A comment moves it along
+    # with itself: comments have never counted towards a column.
+    line_start = 0
+    for m in _LEXEME.finditer(source):
+        kind = m.lastgroup
+        if kind == "blank":
+            continue
+        if kind == "newline":
             line += 1
-            col = 1
-            i += 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "comment":
+            line_start += m.end() - m.start()
             continue
-
-        # Comments: '#' or '//' to end of line.
-        if ch == "#" or source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            start = i
-            start_loc = loc()
-            seen_dot = False
-            seen_exp = False
-            while i < n:
-                c = source[i]
-                if c.isdigit():
-                    i += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    i += 1
-                elif c in "eE" and not seen_exp and i + 1 < n and (
-                    source[i + 1].isdigit()
-                    or (source[i + 1] in "+-" and i + 2 < n and source[i + 2].isdigit())
-                ):
-                    seen_exp = True
-                    i += 1
-                    if source[i] in "+-":
-                        i += 1
-                else:
-                    break
-            text = source[start:i]
-            col += i - start
-            try:
-                value: Any = float(text) if (seen_dot or seen_exp) else int(text)
-            except ValueError:
-                raise LexError(f"malformed number {text!r}", start_loc) from None
-            tokens.append(Tok("num", value, start_loc))
-            continue
-
-        if ch.isalpha() or ch == "_":
-            start = i
-            start_loc = loc()
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            word = source[start:i]
-            col += i - start
-            if word == "true":
-                tokens.append(Tok("num", True, start_loc))
-            elif word == "false":
-                tokens.append(Tok("num", False, start_loc))
-            elif word in KEYWORDS:
-                tokens.append(Tok(word, word, start_loc))
-            else:
-                tokens.append(Tok("name", word, start_loc))
-            continue
-
-        for sym in SYMBOLS:
-            if source.startswith(sym, i):
-                tokens.append(Tok(sym, sym, loc()))
-                i += len(sym)
-                col += len(sym)
-                break
+        text = m.group()
+        loc = SourceLocation(line, m.start() - line_start + 1)
+        if kind == "word":
+            if text == "true":
+                append(Tok("num", True, loc))
+            elif text == "false":
+                append(Tok("num", False, loc))
+            elif text in KEYWORDS:
+                append(Tok(text, text, loc))
+            elif text[0].isalpha() or text[0] == "_":
+                append(Tok("name", text, loc))
+            elif text[0].isdigit():
+                # A numeral ``int()`` does not read (``²``, ``①``).
+                raise LexError(f"malformed number {text!r}", loc)
+            else:  # numeric, but no digit: ``½``
+                raise LexError(f"unexpected character {text[0]!r}", loc)
+        elif kind == "symbol":
+            append(Tok(text, text, loc))
+        elif kind == "int":
+            append(Tok("num", int(text), loc))
+        elif kind == "float":
+            append(Tok("num", float(text), loc))
         else:
-            raise LexError(f"unexpected character {ch!r}", loc())
-
-    tokens.append(Tok("eof", None, loc()))
+            raise LexError(f"unexpected character {text!r}", loc)
+    append(Tok("eof", None,
+               SourceLocation(line, len(source) - line_start + 1)))
     return tokens
-
-
-def token_stream(source: str) -> Iterator[Tok]:
-    """Generator form of :func:`tokenize` (convenience for tests)."""
-    yield from tokenize(source)

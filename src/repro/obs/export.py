@@ -152,7 +152,8 @@ RECOVERY_TRACK = 1  # tid of the per-worker recovery track
 
 
 def parallel_trace(result) -> dict:
-    """trace_event JSON for a :class:`repro.parallel.ParallelResult`.
+    """trace_event JSON for a ``parallel`` run's
+    :class:`repro.backend.BackendResult` (or its ``SpmdResult``).
 
     One process per worker slot; each gets an "exec" track holding the
     final (successful) generation's wall-time span, and — when the run
@@ -162,8 +163,7 @@ def parallel_trace(result) -> dict:
     exactly as the supervisor saw it.
     """
     out: list[dict] = []
-    recovery = getattr(result, "recovery", None)
-    rec_events = list(recovery.events) if recovery is not None else []
+    rec_events = list(result.recovery.events)
     rec_pids = {e.worker for e in rec_events}
     for t in result.worker_stats:
         pid = t.worker

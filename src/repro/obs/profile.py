@@ -23,6 +23,7 @@ from repro.obs.critpath import (
     sp_names,
 )
 from repro.obs.waits import IDLE, RUN, WAIT_CATEGORIES
+from repro.runtime.spmd import telemetry_table
 
 
 def blocked_cause_table(breakdown: list[dict[str, float]], num_pes: int,
@@ -180,7 +181,8 @@ class Profile:
 
 
 def parallel_profile(result) -> str:
-    """The ``pods profile --backend parallel`` report.
+    """The ``pods profile --backend parallel`` report of a
+    :class:`repro.backend.BackendResult`.
 
     The wall-clock counterpart of :class:`Profile`: the per-worker
     telemetry table (reads/writes/deferred spins), the spin-wait share
@@ -189,8 +191,8 @@ def parallel_profile(result) -> str:
     run's :class:`repro.common.retry.RecoveryLog`.
     """
     lines = [f"parallel run: {result.wall_time_s:.3f} s wall on "
-             f"{result.workers} worker(s)", ""]
-    lines.append(result.telemetry_table())
+             f"{result.parallelism} worker(s)", ""]
+    lines.append(telemetry_table(result.worker_stats))
     lines.append("")
     spins = [(t.worker, t.spin_wait_s, t.wall_time_s)
              for t in result.worker_stats if t.wall_time_s > 0]

@@ -6,7 +6,7 @@ loop feeds it busy spans, Range-Filter decisions and array page touches;
 at the end of the run it folds everything — including the per-PE unit
 counters — into one :class:`MetricsRegistry` whose metric names are
 shared with the real-parallel backend (see
-:func:`repro.parallel.executor.telemetry_registry`), so cross-backend
+:func:`repro.runtime.spmd.telemetry_registry`), so cross-backend
 differential tests compare registry rows, not bespoke attributes.
 """
 
@@ -129,17 +129,10 @@ class ObsRecorder:
                 for cause, us in sorted(per_cause.items()):
                     reg.set_gauge("wait.us", us, pe=str(pid), cause=cause)
         if net is not None:
-            ns = net.stats
-            for name, value in (
-                ("net.sent", ns.sent),
-                ("net.acks", ns.acks_sent),
-                ("net.retransmits", ns.retransmits),
-                ("net.dropped", ns.dropped),
-                ("net.duplicated", ns.duplicated),
-                ("net.delayed", ns.delayed),
-                ("net.dup_discarded", ns.dup_discarded),
-                ("net.halt_lost", ns.halt_lost),
-            ):
+            # Rows are named for the counter, except that ``acks_sent``
+            # has always been published as ``net.acks``.
+            for name, value in net.stats.counters().items():
                 if value:
-                    reg.inc(name, value)
+                    reg.inc("net.acks" if name == "acks_sent"
+                            else f"net.{name}", value)
         return reg

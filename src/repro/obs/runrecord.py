@@ -147,10 +147,10 @@ def build_record(result, program=None, args: tuple = ()) -> dict:
             for r in registry.rows()
         ]
 
-    stats = getattr(result.raw, "stats", None)
-    waits = getattr(stats, "waits", None)
-    timelines = getattr(stats, "timelines", None)
-    if waits is not None and timelines is not None:
+    stats = result.stats
+    if stats is not None and stats.waits is not None \
+            and stats.timelines is not None:
+        waits, timelines = stats.waits, stats.timelines
         from repro.obs.critpath import critical_path, pe_wait_breakdown
 
         finish = stats.finish_time_us
@@ -172,7 +172,7 @@ def build_record(result, program=None, args: tuple = ()) -> dict:
             ],
         }
 
-    recovery = getattr(result.raw, "recovery", None)
+    recovery = result.recovery
     if recovery is not None and recovery.events:
         doc["recovery"] = {
             "respawns": recovery.respawns,
@@ -184,23 +184,13 @@ def build_record(result, program=None, args: tuple = ()) -> dict:
             "replayed_elements": recovery.replayed_elements,
         }
 
-    netstats = getattr(stats, "netstats", None)
+    netstats = result.netstats
     if netstats is not None and netstats.any_faults():
-        doc["net"] = {
-            "sent": netstats.sent,
-            "retransmits": netstats.retransmits,
-            "dropped": netstats.dropped,
-            "duplicated": netstats.duplicated,
-            "delayed": netstats.delayed,
-            "dup_discarded": netstats.dup_discarded,
-            "acks_sent": netstats.acks_sent,
-            "halt_lost": netstats.halt_lost,
-            "auth_rejected": getattr(netstats, "auth_rejected", 0),
-        }
+        doc["net"] = netstats.counters()
 
-    ckpt = getattr(result, "ckpt", None)
-    if ckpt:
-        doc["ckpt"] = {k: _scalar(v) for k, v in sorted(ckpt.items())}
+    if result.ckpt:
+        doc["ckpt"] = {k: _scalar(v)
+                       for k, v in sorted(result.ckpt.items())}
 
     problems = validate(doc)
     if problems:

@@ -168,6 +168,3 @@ class TimelineStore:
         if pe is not None:
             return self.busy(unit, pe) / finish_us
         return self.busy(unit) / (finish_us * self.num_pes)
-
-    def span_count(self) -> int:
-        return sum(len(line) for line in self._lines.values())

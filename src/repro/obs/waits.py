@@ -126,9 +126,6 @@ class SpRecord:
 
     # -- queries ---------------------------------------------------------
 
-    def wait_segments(self) -> list[tuple[float, float, str, int | None]]:
-        return [s for s in self.segments if s[2] != RUN]
-
     def run_us(self) -> float:
         return sum(e - s for s, e, k, _ in self.segments if k == RUN)
 

@@ -56,7 +56,7 @@ import multiprocessing as mp
 import os
 import queue
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from multiprocessing import connection
 from typing import Any
 
@@ -64,9 +64,8 @@ from repro.common.config import ParallelConfig
 from repro.common.errors import (ParallelExecutionError, RuntimeFault,
                                  WorkerFailure)
 from repro.common.retry import RecoveryEvent, RecoveryLog
-from repro.runtime.spmd import (SpmdInterpreter, WorkerTelemetry,
-                                fold_results, reap, sigterm_as_interrupt,
-                                sigterm_default, telemetry_table)
+from repro.runtime.spmd import (SpmdInterpreter, SpmdResult, fold_results,
+                                reap, sigterm_as_interrupt, sigterm_default)
 from repro.parallel.faults import FaultInjector, FaultPlan
 from repro.parallel.manifest import ShmManifest
 from repro.parallel.shm_arrays import ShmArray
@@ -92,24 +91,6 @@ class _WorkerSpec:
     generation: int = 1
     kind: str = "worker"  # worker | respawn | takeover
     replay: bool = False
-
-
-@dataclass
-class ParallelResult:
-    value: Any
-    wall_time_s: float
-    workers: int
-    worker_stats: list[WorkerTelemetry] = field(default_factory=list)
-    registry: Any = None  # MetricsRegistry over the worker telemetry
-    recovery: RecoveryLog | None = None
-    # Checkpoint/restore summary (None unless the run wrote or consumed
-    # a pods-ckpt/v1 document): snapshots, elements, restored_elements,
-    # resumed_from — the run record's ``ckpt`` provenance section.
-    ckpt: dict | None = None
-
-    def telemetry_table(self) -> str:
-        """Per-worker profile as an aligned text block."""
-        return telemetry_table(self.worker_stats)
 
 
 class _WorkerInterpreter(SpmdInterpreter):
@@ -224,7 +205,7 @@ class _Rec:
 
 def run_parallel(program, args: tuple = (),
                  config: ParallelConfig | None = None,
-                 faults=None, ckpt=None, restore=None) -> ParallelResult:
+                 faults=None, ckpt=None, restore=None) -> SpmdResult:
     """Execute a compiled ``program`` (:class:`repro.api.Program`) on
     real, supervised, self-healing processes.
 
@@ -383,8 +364,10 @@ def run_parallel(program, args: tuple = (),
             stalls.clear()
         elif tag == "err":
             del active[slot]
+            code, detail = payload
             fail(rec, WorkerFailure(slot, exitcode=None, kind="error",
-                                    detail=payload, generation=gen))
+                                    detail=detail, generation=gen,
+                                    code=code))
         elif tag == "stall":
             stalls[slot] = (payload["t_spin_start"], payload["t_report"],
                             gen, payload)
@@ -580,11 +563,8 @@ def run_parallel(program, args: tuple = (),
                 arr.close()
         if ckpt is not None:
             do_snapshot()  # final cut: the complete run, restartable
-        stats, registry, ckpt_info = fold_results(completed, nw, rlog,
-                                                  ckpt, restore)
-        return ParallelResult(value=payload, wall_time_s=wall, workers=nw,
-                              worker_stats=stats, registry=registry,
-                              recovery=rlog, ckpt=ckpt_info)
+        return fold_results(payload, wall, completed, nw, rlog, ckpt,
+                            restore)
     except KeyboardInterrupt:
         # SIGTERM/interrupt drain: one last consistent cut before the
         # finally clause reclaims every shared segment.

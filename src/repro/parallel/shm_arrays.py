@@ -203,8 +203,8 @@ class ShmArray:
                 pass
             if time.monotonic() > deadline:
                 # The creating peer is gone: a fault of the run, not of an
-                # instruction, so not an ``ExecutionError`` (the taxonomy
-                # recovers that class from a worker's failure detail).
+                # instruction — ``runtime``, which a worker may report
+                # without outranking the crash that caused it.
                 raise RuntimeFault(f"shared array {name} never appeared")
             time.sleep(0.001)
 

@@ -212,11 +212,6 @@ class ArrayHeader:
 
     # -- Range Filter support (Sections 4.2.2-4.2.3) --------------------
 
-    @property
-    def row_size(self) -> int:
-        """Elements per leading-dimension row (stride of dimension 0)."""
-        return self.strides[0]
-
     def responsible_rows(self, pe: int) -> tuple[int, int]:
         """1-based inclusive row range [lo, hi] this PE is responsible for.
 

@@ -87,11 +87,6 @@ class Frame:
             )
         return self._slots[index]
 
-    def peek(self, index: int) -> tuple[bool, Any]:
-        if not self.present_mask >> index & 1:
-            return False, None
-        return True, self._slots[index]
-
     def put(self, index: int, value: Any) -> bool:
         """Write a slot.  Returns True when this fills the slot the frame
         is blocked on (the caller should move the frame to the ready

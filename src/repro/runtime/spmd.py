@@ -50,8 +50,9 @@ the process's plan holds a clause (:meth:`SpmdInterpreter.compile_for`);
 an iteration is otherwise the base seam's frame store and body call.
 
 The telemetry record, its registry fold and its table live here too
-(both backends report the same fields about the same model), as does
-the process plumbing both launchers share.
+(both backends report the same fields about the same model), as do the
+one result both launchers return (:class:`SpmdResult`) and the process
+plumbing they share.
 """
 
 from __future__ import annotations
@@ -60,9 +61,10 @@ import signal
 import time
 import traceback
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.baseline.sequential import Loop, PartitionedInterpreter, SeqArray
-from repro.common.errors import WorkerSuperseded
+from repro.common.errors import WorkerSuperseded, classify_error
 
 
 class SpmdInterpreter(PartitionedInterpreter):
@@ -173,8 +175,9 @@ class SpmdInterpreter(PartitionedInterpreter):
         The process running identity 0 emits ``result`` — ``("ok",
         value)``, or ``("array", array_ref(handle))`` while other
         processes may still be writing it — and every process then emits
-        ``done`` with its telemetry; a failed one emits ``err`` (or
-        ``superseded``) instead.
+        ``done`` with its telemetry; a failed one emits ``err`` —
+        ``(code, detail)``: the exception's taxonomy code, declared by
+        its class, beside its traceback — or ``superseded`` instead.
         """
         t0 = time.perf_counter()
         try:
@@ -188,8 +191,9 @@ class SpmdInterpreter(PartitionedInterpreter):
             # A successor generation owns this subrange now; exit quietly.
             emit("superseded", str(exc))
         except BaseException as exc:  # noqa: BLE001 - must leave the process
-            emit("err", f"{type(exc).__name__}: {exc}\n"
-                        f"{traceback.format_exc()}")
+            emit("err", (classify_error(exc),
+                         f"{type(exc).__name__}: {exc}\n"
+                         f"{traceback.format_exc()}"))
 
     def telemetry(self, wall_time_s: float) -> dict:
         out = {"wall_time_s": wall_time_s, "shared_reads": 0,
@@ -318,14 +322,44 @@ def telemetry_table(worker_stats: list[WorkerTelemetry],
     return "\n".join(lines)
 
 
-def fold_results(completed: dict[int, dict], width: int, rlog, ckpt,
-                 restore, spin_cause: str = "istructure-defer"):
-    """What a supervisor makes of the workers' ``done`` payloads.
+@dataclass
+class SpmdResult:
+    """What a run on either wall-clock SPMD substrate produced."""
 
-    Returns ``(worker_stats, registry, ckpt_info)``: the telemetry
-    records, the metrics registry with the run's ``recovery.*`` and
-    ``ckpt.*`` rows folded in, and the checkpoint/restore summary (None
-    when durable execution was off).
+    value: Any
+    wall_time_s: float
+    width: int  # workers / nodes
+    who: str  # what one unit of ``width`` is: "worker" | "node"
+    worker_stats: list[WorkerTelemetry]
+    registry: Any  # MetricsRegistry over the telemetry
+    recovery: Any  # the run's RecoveryLog
+    # Reliable-delivery counters summed over the nodes; None on
+    # ``parallel``, which has no network.
+    netstats: Any
+    # Checkpoint/restore summary (None unless the run wrote or consumed
+    # a pods-ckpt/v1 document): snapshots, elements, restored_elements,
+    # resumed_from — the run record's ``ckpt`` provenance section.
+    ckpt: dict | None
+
+    @property
+    def workers(self) -> int:
+        return self.width
+
+    nodes = workers
+
+    def telemetry_table(self) -> str:
+        """Per-worker (per-node) profile as an aligned text block."""
+        return telemetry_table(self.worker_stats, self.who)
+
+
+def fold_results(value, wall_time_s: float, completed: dict[int, dict],
+                 width: int, rlog, ckpt, restore, who: str = "worker",
+                 spin_cause: str = "istructure-defer",
+                 netstats=None) -> SpmdResult:
+    """What a supervisor makes of the workers' ``done`` payloads: the
+    telemetry records, the metrics registry with the run's
+    ``recovery.*`` and ``ckpt.*`` rows folded in, and the
+    checkpoint/restore summary (None when durable execution was off).
     """
     from repro.ckpt.format import run_summary
 
@@ -334,7 +368,10 @@ def fold_results(completed: dict[int, dict], width: int, rlog, ckpt,
     rlog.replayed_elements = sum(s.replayed_present for s in stats)
     registry = telemetry_registry(stats, spin_cause)
     rlog.to_registry(registry)
-    return stats, registry, run_summary(ckpt, restore, registry)
+    return SpmdResult(value=value, wall_time_s=wall_time_s, width=width,
+                      who=who, worker_stats=stats, registry=registry,
+                      recovery=rlog, netstats=netstats,
+                      ckpt=run_summary(ckpt, restore, registry))
 
 
 # -- supervision plumbing both launchers share --------------------------

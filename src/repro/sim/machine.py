@@ -336,6 +336,9 @@ class Machine:
             registry=registry,
             waits=waits,
             netstats=net.stats if net is not None else None,
+            trace=self.tracer,
+            still_blocked=[line for pe in self.pes
+                           for line in pe.describe_blocked()],
         )
         return RunResult(value=self._materialize(self.result), stats=stats,
                          ckpt=ckpt_info)

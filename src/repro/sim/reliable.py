@@ -29,7 +29,7 @@ pre-fault-model simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 class Channel:
@@ -73,6 +73,18 @@ class NetStats:
     # Retransmit wait spans for the Perfetto NET track:
     # (src_pe, start_us, end_us, label).
     spans: list = field(default_factory=list)
+
+    def counters(self) -> dict[str, int]:
+        """Every counter by field name — the one list the registry's
+        ``net.*`` rows, a run record's ``net`` section and a dist node's
+        ``bye`` frame are all written from."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "spans"}
+
+    def add(self, counters: dict) -> None:
+        """Sum another endpoint's :meth:`counters` into these."""
+        for name, value in self.counters().items():
+            setattr(self, name, value + int(counters.get(name, 0)))
 
     def any_faults(self) -> bool:
         return (self.retransmits or self.dropped or self.duplicated

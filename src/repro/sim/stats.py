@@ -23,6 +23,7 @@ if TYPE_CHECKING:  # no runtime dependency on repro.obs
     from repro.obs.timeline import TimelineStore
     from repro.obs.waits import WaitStore
     from repro.sim.reliable import NetStats
+    from repro.sim.trace import Tracer
 
 UNITS = ("EU", "MU", "RU", "AM", "MM")
 
@@ -71,6 +72,12 @@ class RunStats:
     # Reliable-delivery counters; None unless the fault-tolerant network
     # layer was armed (see repro.sim.reliable).
     netstats: "NetStats | None" = None
+    # The run's event trace; None unless ObsConfig(trace=True).
+    trace: "Tracer | None" = None
+    # ``PE.describe_blocked`` lines of a run that returned: deferred
+    # reads no write ever satisfied, left by SPs that ended without
+    # using the value they asked for.
+    still_blocked: list[str] = field(default_factory=list)
 
     # -- utilizations ---------------------------------------------------
 
@@ -96,10 +103,6 @@ class RunStats:
         if self.timelines is None:
             return self.utilization(unit, pe)
         return self.timelines.utilization(unit, self.finish_time_us, pe=pe)
-
-    def timeline_utilizations(self) -> dict[str, float]:
-        """Timeline-derived utilization of every unit."""
-        return {u: self.timeline_utilization(u) for u in UNITS}
 
     # -- convenience aggregates ------------------------------------------
 

@@ -105,9 +105,6 @@ class Tracer:
     def on_pe(self, pe: int) -> list[TraceEvent]:
         return [e for e in self.events if e.pe == pe]
 
-    def of_sp(self, sp: int) -> list[TraceEvent]:
-        return [e for e in self.events if e.sp == sp]
-
     def counts(self) -> dict[str, int]:
         out: dict[str, int] = {}
         for e in self.events:

@@ -69,8 +69,8 @@ def _endpoint_pair(cfg, faults_a="", faults_b=""):
         return Endpoint(node, cfg, inj,
                         on_message=lambda src, m, n=node:
                             inbox[n].append((src, m)),
-                        on_peer_lost=lambda peer, why:
-                            lost.append((peer, why)))
+                        on_peer_lost=lambda peer, why, detail:
+                            lost.append((peer, why, detail)))
 
     return make(0, faults_a), make(1, faults_b), inbox, lost
 
@@ -135,7 +135,7 @@ class TestReliableDelivery:
             faults_a="drop:kind=data,count=0")
         assert inbox[1] == []
         assert lost and lost[0][0] == 1
-        assert lost[0][1].startswith(reasons.RETRANSMIT_EXHAUSTED)
+        assert lost[0][1] == reasons.RETRANSMIT_EXHAUSTED
 
     def test_send_to_forgotten_peer_is_noop(self):
         async def go():
@@ -175,7 +175,7 @@ class TestReliableDelivery:
 
         lost = asyncio.run(go())
         assert lost and lost[0][0] == 1
-        assert lost[0][1].startswith(reasons.RECONNECT_EXHAUSTED)
+        assert lost[0][1] == reasons.RECONNECT_EXHAUSTED
 
 
 class TestFrameAuth:
@@ -264,8 +264,8 @@ class TestFrameAuth:
                 return Endpoint(node, cfg, inj,
                                 on_message=lambda src, m, n=node:
                                     inbox[n].append((src, m)),
-                                on_peer_lost=lambda peer, why:
-                                    lost.append((peer, why)))
+                                on_peer_lost=lambda peer, why, detail:
+                                    lost.append((peer, why, detail)))
 
             monkeypatch.setenv("PODS_DIST_SECRET", "key-a")
             a = make(0)
@@ -289,4 +289,4 @@ class TestFrameAuth:
         assert inbox[1] == []
         assert sb.auth_rejected >= 1
         assert lost and lost[0][0] == 1
-        assert lost[0][1].startswith(reasons.RETRANSMIT_EXHAUSTED)
+        assert lost[0][1] == reasons.RETRANSMIT_EXHAUSTED

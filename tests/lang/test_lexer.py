@@ -82,6 +82,64 @@ class TestErrors:
         assert exc.value.location.line == 2
 
 
+def stream(src):
+    return [(t.kind, t.value, repr(t.loc)) for t in tokenize(src)]
+
+
+class TestScannerCorners:
+    """What the character-at-a-time scanner did with the inputs a
+    pattern is most likely to read differently, pinned before it was
+    replaced by one."""
+
+    def test_a_dot_or_exponent_needs_its_digit(self):
+        assert stream("1.e5") == [("num", 100000.0, "1:1"),
+                                  ("eof", None, "1:5")]
+        assert stream("1.5e+") == [("num", 1.5, "1:1"), ("name", "e", "1:4"),
+                                   ("+", "+", "1:5"), ("eof", None, "1:6")]
+        assert stream("1..2") == [("num", 1.0, "1:1"), ("num", 0.2, "1:3"),
+                                  ("eof", None, "1:5")]
+        assert stream("1e5.3") == [("num", 100000.0, "1:1"),
+                                   ("num", 0.3, "1:4"), ("eof", None, "1:6")]
+        assert stream("2else 1e") == [
+            ("num", 2, "1:1"), ("else", "else", "1:2"), ("num", 1, "1:7"),
+            ("name", "e", "1:8"), ("eof", None, "1:9")]
+        with pytest.raises(LexError, match=r"^1:3: unexpected character '\.'$"):
+            tokenize(".5.")
+
+    def test_unicode_letters_and_decimal_digits(self):
+        assert stream("é1") == [("name", "é1", "1:1"), ("eof", None, "1:3")]
+        assert stream("１２ １.５") == [("num", 12, "1:1"), ("num", 1.5, "1:4"),
+                                     ("eof", None, "1:7")]
+        assert isinstance(tokenize("１２")[0].value, int)
+        assert values("1٣ 2.５") == [13, 2.5]  # scripts mix, as int() reads
+
+    def test_a_numeral_int_cannot_read_starts_no_token(self):
+        # str.isdigit accepts the superscript; int() does not.
+        with pytest.raises(LexError, match="^1:1: malformed number '²'$"):
+            tokenize("²")
+        with pytest.raises(LexError, match="^1:3: malformed number '²'$"):
+            tokenize("x ²")
+        with pytest.raises(LexError, match="^1:1: unexpected character '½'$"):
+            tokenize("½")
+        # ... but inside a name it is a letter like any other.
+        assert stream("x² y½") == [("name", "x²", "1:1"),
+                                   ("name", "y½", "1:4"),
+                                   ("eof", None, "1:6")]
+
+    def test_a_comment_counts_towards_no_column(self):
+        assert stream("x # c") == [("name", "x", "1:1"), ("eof", None, "1:3")]
+        assert stream("x // c\n") == [("name", "x", "1:1"),
+                                      ("eof", None, "2:1")]
+        assert stream("a\t\rb") == [("name", "a", "1:1"), ("name", "b", "1:4"),
+                                     ("eof", None, "1:5")]
+
+    def test_every_other_character_is_an_error_where_it_stands(self):
+        for bad in "@!$&|~'\"\\:?.":
+            with pytest.raises(LexError) as exc:
+                tokenize(f"ab\n  {bad}")
+            assert str(exc.value) == f"2:3: unexpected character {bad!r}"
+
+
 class TestRealPrograms:
     def test_paper_example_tokenizes(self):
         src = """

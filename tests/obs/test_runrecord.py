@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro.api import compile_source
+from repro.apps.matmul import compile_matmul
 from repro.backend import config_fingerprint, get_backend
 from repro.common.config import MachineConfig, ObsConfig, SimConfig
 from repro.obs import runrecord
@@ -71,6 +72,40 @@ class TestBuild:
         assert fp["obs.trace_mode"] == "drop"
         assert all(isinstance(v, (int, float, str, bool, type(None)))
                    for v in fp.values())
+
+
+class TestNetSection:
+    """The reliable layer's counters are recorded when the run met a
+    fault — on every backend that has a network, from the one list
+    ``NetStats`` owns."""
+
+    def test_a_dist_run_under_faults_records_its_network_plane(self):
+        program = compile_matmul()
+        result = program.run((12,), backend="dist", parallelism=2,
+                             faults="drop:kind=data,after=2,count=2")
+        assert result.netstats.dropped >= 2
+        assert result.netstats.retransmits >= 1
+        doc = result.to_run_record(program=program, args=(12,))
+        assert doc["net"] == result.netstats.counters()
+        assert set(doc["net"]) == {
+            "sent", "retransmits", "dropped", "duplicated", "delayed",
+            "dup_discarded", "acks_sent", "halt_lost", "auth_rejected"}
+        # ... and only then.
+        clean = program.run((12,), backend="dist", parallelism=2)
+        assert clean.netstats.sent > 0
+        assert "net" not in clean.to_run_record(program=program, args=(12,))
+
+    def test_the_sim_section_is_what_it_always_was(self):
+        program = compile_matmul()
+        result = program.run((12,), backend="sim", parallelism=2,
+                             faults="drop:after=2,count=2")
+        doc = result.to_run_record(program=program, args=(12,))
+        assert runrecord.canonical_json(doc["net"]) == (
+            '{"acks_sent":79,"auth_rejected":0,"delayed":0,"dropped":2,'
+            '"dup_discarded":0,"duplicated":0,"halt_lost":0,'
+            '"retransmits":2,"sent":79}')
+        clean = program.run((12,), backend="sim", parallelism=2)
+        assert "net" not in clean.to_run_record(program=program, args=(12,))
 
 
 class TestValidate:

@@ -170,7 +170,7 @@ ENV_VARS = {"sim": "PODS_SIM_FAULTS", "parallel": "PODS_FAULTS",
 
 
 def _recovery_events(result) -> list:
-    recovery = getattr(result.raw, "recovery", None)
+    recovery = result.recovery
     return [e.kind for e in recovery.events] if recovery else []
 
 
@@ -288,3 +288,33 @@ class TestUnknownKeywordRejection:
     def test_unknown_kwargs_rejected(self, program, backend):
         with pytest.raises(BackendConfigError, match="unknown arguments"):
             program.run((3,), backend=backend, bogus_flag=True)
+
+
+class TestResultDeclaresWhatItHolds:
+    """A consumer reads ``BackendResult`` fields; each is ``None`` where
+    the substrate has nothing to put there, and is the very object the
+    native result (``raw``, kept for the benchmark harness) holds."""
+
+    HOLDS = {"sim": {"stats"}, "seq": set(), "static": set(),
+             "parallel": {"worker_stats", "recovery"},
+             "dist": {"worker_stats", "recovery", "netstats"}}
+    FIELDS = ("stats", "worker_stats", "recovery", "netstats")
+
+    @pytest.mark.parametrize("backend", sorted(HOLDS))
+    def test_fields_by_backend(self, program, backend):
+        assert set(self.HOLDS) == set(backend_names())
+        result = program.run((3,), backend=backend, parallelism=2)
+        held = {f for f in self.FIELDS if getattr(result, f) is not None}
+        assert held == self.HOLDS[backend]
+        for f in held:
+            assert getattr(result, f) is getattr(result.raw, f)
+        if backend in ("parallel", "dist"):
+            assert result.raw.width == result.parallelism == 2
+            assert result.raw.workers == result.raw.nodes == 2
+            assert [t.worker for t in result.worker_stats] == [0, 1]
+
+    def test_a_sim_run_under_a_plan_holds_its_network_counters(self, program):
+        result = program.run((3,), backend="sim", parallelism=2,
+                             faults="delay:kind=page,count=0")
+        assert result.netstats is result.stats.netstats is not None
+        assert result.stats.trace is None  # only with ObsConfig(trace=True)

@@ -145,6 +145,20 @@ class TestTraceAndOptimize:
         out = capsys.readouterr().out
         assert "blocked causes (us per PE):" in out
         assert "token-wait" in out
+        assert "still blocked" not in out
+
+    def test_trace_summary_lists_reads_left_deferred(self, tmp_path, capsys):
+        """An SP may end without using a value it asked for; if nothing
+        ever writes the element, the run returns with that read still
+        deferred — the one thing left blocked when a machine drains."""
+        path = tmp_path / "dead_read.idl"
+        path.write_text("function main() {\n    A = array(4);\n"
+                        "    A[1] = 1;\n    x = A[3];\n    return A[1];\n}\n")
+        assert main(["trace", str(path), "--pes", "2",
+                     "--format", "summary"]) == 0
+        out = capsys.readouterr().out
+        assert "  still blocked at end of run:\n" \
+               "    PE 0: array 1 has deferred reads at elements (3,)" in out
 
 
 class TestProfile:

@@ -48,6 +48,17 @@ file names a ``PODS_*FAULTS`` variable or a ``fault_spec`` config field,
 there is one ``Scenario`` and one ``run_scenario`` (``repro/chaos.py``),
 and that runner reaches a backend only through ``Backend.run`` — it
 imports no ``Machine``, ``run_parallel`` or ``run_distributed``.
+
+And a run has one way out: what it produced leaves ``Backend.run`` as
+the declared fields of a ``BackendResult`` and how it failed as the
+``code`` its exception class declares.  So nothing under ``src/repro``
+outside ``backend.py`` reads ``.raw`` (kept for the frozen benchmark
+harness alone), a ``Machine`` is constructed only by ``backend.py``
+(and ``sim/machine.py``'s own helper), the two SPMD substrates return
+the one ``SpmdResult``, and the code that recovered a failure's class
+from traceback text or a loss reason from its formatted string
+(``_DETAIL_MARKERS``, ``parse_reason``) stays gone.  ``runtime/spmd.py``
+sits below ``backend.py`` and imports nothing from it.
 """
 
 import ast
@@ -355,3 +366,33 @@ def test_the_chaos_contract_has_one_implementation():
     assert not offenders, (
         f"repro/chaos.py imports {offenders}; it reaches a substrate "
         "only through Backend.run(faults=...)")
+
+
+def test_a_run_has_one_way_out():
+    raw = {rel: [n.lineno for n in ast.walk(ast.parse(text, rel))
+                 if isinstance(n, ast.Attribute) and n.attr == "raw"]
+           for rel, text in _sources() if rel != "backend.py"}
+    raw = {rel: lines for rel, lines in raw.items() if lines}
+    assert not raw, (
+        f".raw read outside backend.py: {raw}; read the BackendResult's "
+        "declared fields (stats, worker_stats, recovery, netstats)")
+    machines = sorted(
+        rel for rel, text in _sources()
+        if any(isinstance(n, ast.Call)
+               and getattr(n.func, "id", None) == "Machine"
+               for n in ast.walk(ast.parse(text, rel))))
+    assert machines == ["backend.py", os.path.join("sim", "machine.py")], (
+        f"Machine constructed in {machines}; go through Backend.run")
+    gone = ("_DETAIL_MARKERS", "parse_reason", "class ParallelResult",
+            "class DistResult")
+    offenders = {rel: [name for name in gone if name in text]
+                 for rel, text in _sources()
+                 if any(name in text for name in gone)}
+    assert not offenders, (
+        f"a second way out grew back: {offenders}; a failure carries its "
+        "code, a loss its reason, and both SPMD substrates return "
+        "runtime.spmd.SpmdResult")
+    spmd = os.path.join(os.path.dirname(repro.__file__), "runtime",
+                        "spmd.py")
+    assert not [name for name in _imports(spmd)
+                if name.startswith("repro.backend")]
