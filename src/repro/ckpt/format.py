@@ -354,9 +354,13 @@ def validate(doc) -> list[str]:
 
 def save(doc: dict, path: str) -> str:
     """Write canonical bytes atomically (tmp + rename); returns path."""
+    return _write(canonical_json(doc) + "\n", path)
+
+
+def _write(text: str, path: str) -> str:
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as fh:
-        fh.write(canonical_json(doc) + "\n")
+        fh.write(text)
     os.replace(tmp, path)
     return path
 
@@ -411,16 +415,12 @@ class CkptWriter:
     # -- pacing -------------------------------------------------------
 
     def due(self, now: float) -> bool:
-        """Interval pacing for wall-clock substrates."""
+        """Interval pacing for wall-clock substrates (the simulator paces
+        itself by ``spec.every_events``)."""
         if self._next_due is None:
             self._next_due = now + self.spec.interval_s
             return False
         return now >= self._next_due
-
-    def due_event(self, events: int) -> bool:
-        """Event-boundary pacing for the simulator."""
-        return (self.spec.every_events > 0 and events > 0
-                and events % self.spec.every_events == 0)
 
     # -- emission -----------------------------------------------------
 
@@ -437,8 +437,9 @@ class CkptWriter:
         os.makedirs(self.spec.dir, exist_ok=True)
         path = os.path.join(self.spec.dir,
                             f"ckpt-{self.snapshots:06d}.json")
-        save(doc, path)
-        save(doc, os.path.join(self.spec.dir, LATEST))
+        text = canonical_json(doc) + "\n"  # encoded once, written twice
+        _write(text, path)
+        _write(text, os.path.join(self.spec.dir, LATEST))
         self.snapshots += 1
         self.elements = sum(
             sum(len(cells) for cells in entry["pages"].values())

@@ -269,12 +269,9 @@ def _blocked_cause_table(stats) -> str:
     the shared :func:`repro.obs.profile.blocked_cause_table` plus
     anything still blocked at the end of the run
     (``RunStats.still_blocked``)."""
-    from repro.obs.critpath import pe_wait_breakdown
     from repro.obs.profile import blocked_cause_table
 
-    breakdown = pe_wait_breakdown(stats.waits, stats.timelines,
-                                  stats.num_pes, stats.finish_time_us)
-    lines = [blocked_cause_table(breakdown, stats.num_pes)]
+    lines = [blocked_cause_table(stats.wait_breakdown, stats.num_pes)]
     if stats.still_blocked:
         lines.append("  still blocked at end of run:")
         lines.extend(f"    {line}" for line in stats.still_blocked)

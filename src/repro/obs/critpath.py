@@ -56,10 +56,12 @@ def pe_wait_breakdown(waits: WaitStore, timelines: TimelineStore,
     ``timelines.busy("EU", pe) + sum(breakdown[pe].values())`` equals
     ``finish_us`` exactly.
     """
+    spans = waits.wait_spans_by_pe()
     out: list[dict[str, float]] = []
     for pe in range(num_pes):
         breakdown: dict[str, float] = {}
-        for s, e, cat in pe_wait_intervals(waits, timelines, pe, finish_us):
+        for s, e, cat in _intervals(spans.get(pe, ()), timelines, pe,
+                                    finish_us):
             breakdown[cat] = breakdown.get(cat, 0.0) + (e - s)
         out.append({k: v for k, v in breakdown.items() if v > _EPS})
     return out
@@ -73,8 +75,13 @@ def pe_wait_intervals(waits: WaitStore, timelines: TimelineStore,
     Exactly tiles the complement of the PE's EU busy timeline over
     ``[0, finish_us]``; the Perfetto exporter renders these on the
     per-PE wait track."""
+    return _intervals(waits.pe_wait_spans(pe), timelines, pe, finish_us)
+
+
+def _intervals(wait_spans, timelines: TimelineStore, pe: int,
+               finish_us: float) -> list[tuple[float, float, str]]:
     merged: dict[str, list[tuple[float, float]]] = {}
-    for s, e, cat in waits.pe_wait_spans(pe):
+    for s, e, cat in wait_spans:
         if e > s:
             merged.setdefault(cat, []).append((s, e))
     for cat, spans in merged.items():

@@ -16,12 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.retry import recovery_table
-from repro.obs.critpath import (
-    CriticalPath,
-    critical_path,
-    pe_wait_breakdown,
-    sp_names,
-)
+from repro.obs.critpath import CriticalPath, critical_path, sp_names
 from repro.obs.waits import IDLE, RUN, WAIT_CATEGORIES
 from repro.runtime.spmd import telemetry_table
 
@@ -81,7 +76,7 @@ class Profile:
     @classmethod
     def from_stats(cls, stats) -> "Profile":
         """Derive the profile from a RunStats observed with waits on."""
-        if stats.waits is None or stats.timelines is None:
+        if stats.wait_breakdown is None:
             raise ValueError(
                 "profiling needs a run observed with ObsConfig(waits=True)")
         finish = stats.finish_time_us
@@ -91,11 +86,9 @@ class Profile:
         # tiles the idle complement of [0, finish].
         busy = [stats.timelines.line(pe, "EU").busy_between(0.0, finish)
                 for pe in range(num_pes)]
-        breakdown = pe_wait_breakdown(stats.waits, stats.timelines,
-                                      num_pes, finish)
         path = critical_path(stats.waits, finish)
         return cls(finish_us=finish, num_pes=num_pes, busy_us=busy,
-                   breakdown=breakdown, path=path,
+                   breakdown=stats.wait_breakdown, path=path,
                    names=sp_names(stats.waits),
                    netstats=getattr(stats, "netstats", None))
 

@@ -2,12 +2,13 @@
 
 A :class:`ObsRecorder` is attached to a :class:`repro.sim.machine.Machine`
 when any :class:`repro.common.config.ObsConfig` feature is on.  The event
-loop feeds it busy spans, Range-Filter decisions and array page touches;
-at the end of the run it folds everything — including the per-PE unit
-counters — into one :class:`MetricsRegistry` whose metric names are
-shared with the real-parallel backend (see
-:func:`repro.runtime.spmd.telemetry_registry`), so cross-backend
-differential tests compare registry rows, not bespoke attributes.
+loop feeds it Range-Filter decisions and array page touches, and writes
+busy spans and wait states straight into the stores it holds; at the end
+of the run it folds everything — including the per-PE unit counters —
+into one :class:`MetricsRegistry` whose metric names are shared with the
+real-parallel backend (see :func:`repro.runtime.spmd.telemetry_registry`),
+so cross-backend differential tests compare registry rows, not bespoke
+attributes.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ class ObsRecorder:
 
     # -- hot-path hooks (machine event loop) ----------------------------
 
-    def span(self, pe: int, unit: str, start: float, end: float) -> None:
-        if self.timelines is not None:
-            self.timelines.span(pe, unit, start, end)
-
     def rf(self, pe: int, block: str, first: int, last: int,
            items: int) -> None:
         key = (pe, block, first, last, items)
@@ -59,13 +56,19 @@ class ObsRecorder:
     # -- end-of-run publication -----------------------------------------
 
     def build_registry(self, pe_stats: list, units: tuple,
-                       finish_us: float, net=None) -> MetricsRegistry:
+                       finish_us: float, net=None,
+                       wait_breakdown: list | None = None) -> MetricsRegistry:
         """Fold counters + recorded decisions into one registry.
 
         Metric names prefixed ``sim.`` are simulator-model quantities;
         the un-prefixed ``rf.*`` / ``array.*`` families are *semantic*
         (they depend only on the program, not on the execution model)
         and are published identically by the parallel backend.
+
+        ``wait_breakdown`` is the run's
+        :func:`repro.obs.critpath.pe_wait_breakdown` (``RunStats.
+        wait_breakdown``) when waits were recorded; it publishes as the
+        ``wait.us`` family.
 
         ``net`` is the run's :class:`repro.sim.reliable.ReliableNet`
         when the fault-tolerant delivery layer was armed; its counters
@@ -117,15 +120,11 @@ class ObsRecorder:
             reg.inc("rf.items", items * count, pe=pe)
         for aid, pages in sorted(self.pages_touched.items()):
             reg.set_gauge("array.pages_touched", len(pages), array=aid)
-        if self.waits is not None and self.timelines is not None:
+        if wait_breakdown is not None:
             # `wait.us` is the shared cross-backend family: the parallel
             # executor publishes its deferred-read spin time under the
             # same name (cause="istructure-defer").
-            from repro.obs.critpath import pe_wait_breakdown
-
-            breakdown = pe_wait_breakdown(self.waits, self.timelines,
-                                          len(pe_stats), finish_us)
-            for pid, per_cause in enumerate(breakdown):
+            for pid, per_cause in enumerate(wait_breakdown):
                 for cause, us in sorted(per_cause.items()):
                     reg.set_gauge("wait.us", us, pe=str(pid), cause=cause)
         if net is not None:

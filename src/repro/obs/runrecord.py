@@ -148,20 +148,15 @@ def build_record(result, program=None, args: tuple = ()) -> dict:
         ]
 
     stats = result.stats
-    if stats is not None and stats.waits is not None \
-            and stats.timelines is not None:
-        waits, timelines = stats.waits, stats.timelines
-        from repro.obs.critpath import critical_path, pe_wait_breakdown
+    if stats is not None and stats.wait_breakdown is not None:
+        from repro.obs.critpath import critical_path
 
-        finish = stats.finish_time_us
-        breakdown = pe_wait_breakdown(waits, timelines, stats.num_pes,
-                                      finish)
         doc["waits"] = [
             {"pe": pe, "category": cat, "us": us}
-            for pe in range(stats.num_pes)
-            for cat, us in sorted(breakdown[pe].items())
+            for pe, per_cause in enumerate(stats.wait_breakdown)
+            for cat, us in sorted(per_cause.items())
         ]
-        path = critical_path(waits, finish)
+        path = critical_path(stats.waits, stats.finish_time_us)
         doc["critpath"] = {
             "total_us": path.total_us,
             "contributions": dict(sorted(path.contributions().items())),

@@ -1,12 +1,12 @@
 """Per-unit busy-interval timelines.
 
 The simulator's event loop reports every interval a functional unit is
-occupied (``span(pe, unit, start, end)``); adjacent intervals coalesce,
-so a saturated unit costs one span, not one per service.  Utilization —
-the paper's "fraction of the time a given facility is busy" — is then a
-*derivation* over the spans rather than a separately maintained
-accumulator, and the same spans feed the Perfetto exporter one track per
-PE x unit.
+occupied (through each line's bound ``TimelineStore.adder``); adjacent
+intervals coalesce, so a saturated unit costs one span, not one per
+service.  Utilization — the paper's "fraction of the time a given
+facility is busy" — is then a *derivation* over the spans rather than a
+separately maintained accumulator, and the same spans feed the Perfetto
+exporter one track per PE x unit.
 
 Spans arrive in nondecreasing start order and never overlap within one
 (pe, unit) — both properties fall out of the sequential-server model
@@ -44,27 +44,37 @@ class Span:
 class UnitTimeline:
     """Busy intervals of one unit on one PE, coalesced, in time order."""
 
-    __slots__ = ("starts", "ends", "busy_us", "limit", "dropped")
+    __slots__ = ("starts", "ends", "busy_us", "limit", "dropped",
+                 "_listing")
 
-    def __init__(self, limit: int | None = None) -> None:
+    def __init__(self, limit: int | None = None,
+                 listing: tuple | None = None) -> None:
         self.starts: list[float] = []
         self.ends: list[float] = []
         self.busy_us = 0.0
         self.limit = limit
         self.dropped = 0
+        # ``(lines, key)`` of a store line bound before it held a span
+        # (TimelineStore.adder): its first span lists it there.
+        self._listing = listing
 
     def add(self, start: float, end: float) -> None:
         if end <= start:
             return
-        if self.ends:
-            frontier = self.ends[-1]
+        ends = self.ends
+        if ends:
+            frontier = ends[-1]
             if start - frontier <= _COALESCE_EPS:
                 # Adjacent, overlapping, or out-of-order: clamp to the
                 # frontier so overlapping time is counted exactly once.
                 if end > frontier:
                     self.busy_us += end - frontier
-                    self.ends[-1] = end
+                    ends[-1] = end
                 return
+        elif self._listing is not None:
+            lines, key = self._listing
+            lines[key] = self
+            self._listing = None
         self.busy_us += end - start
         if self.limit is not None and len(self.starts) >= self.limit:
             # Overflow: the busy accumulator stays exact, the span list
@@ -73,7 +83,7 @@ class UnitTimeline:
             self.dropped += 1
             return
         self.starts.append(start)
-        self.ends.append(end)
+        ends.append(end)
 
     @property
     def truncated(self) -> bool:
@@ -124,13 +134,23 @@ class TimelineStore:
     def __init__(self, num_pes: int, span_limit: int | None = None) -> None:
         self.num_pes = num_pes
         self.span_limit = span_limit
+        # Lines that hold a span, in the order their first span landed.
         self._lines: dict[tuple[int, str], UnitTimeline] = {}
 
-    def span(self, pe: int, unit: str, start: float, end: float) -> None:
-        line = self._lines.get((pe, unit))
+    def adder(self, pe: int, unit: str):
+        """The (pe, unit) line's ``add(start, end)``, bound once for a
+        hot path.  A line is listed — in ``items``, ``units``, ``busy`` —
+        only once its first span lands, however early it was bound (so
+        bind a line once: two binds before its first span are two
+        lines)."""
+        key = (pe, unit)
+        line = self._lines.get(key)
         if line is None:
-            line = self._lines[(pe, unit)] = UnitTimeline(self.span_limit)
-        line.add(start, end)
+            line = UnitTimeline(self.span_limit, listing=(self._lines, key))
+        return line.add
+
+    def span(self, pe: int, unit: str, start: float, end: float) -> None:
+        self.adder(pe, unit)(start, end)
 
     def line(self, pe: int, unit: str) -> UnitTimeline:
         return self._lines.get((pe, unit)) or UnitTimeline()

@@ -23,10 +23,10 @@ alternating segments:
   - ``sched-queue`` — ready but waiting for the Execution Unit (ready
     queue, or the k-bounded spawn-budget stall).
 
-The simulator event loop feeds the store through the ``sp_*`` hooks
-(zero-cost when :class:`repro.common.config.ObsConfig` has ``waits``
-off); :mod:`repro.obs.critpath` derives the per-PE blocked-time
-breakdown and the critical path from the recorded segments.
+The simulator event loop creates one :class:`SpRecord` per SP and drives
+it directly (zero-cost when :class:`repro.common.config.ObsConfig` has
+``waits`` off); :mod:`repro.obs.critpath` derives the per-PE
+blocked-time breakdown and the critical path from the recorded segments.
 """
 
 from __future__ import annotations
@@ -148,37 +148,15 @@ class WaitStore:
         self.result_at: float | None = None
         self.result_src: int | None = None
 
-    # -- SP lifecycle hooks (called by the machine event loop) -----------
+    # -- hooks (called by the machine event loop) ------------------------
+    #
+    # An SP's record is created here; the machine then drives it directly
+    # through ``sps[uid]`` (SpRecord.run_begin / run_end / block / wake /
+    # end) — every simulated frame has one.
 
     def sp_create(self, pe: int, uid: int, t: float,
                   parent: int | None, name: str) -> None:
         self.sps[uid] = SpRecord(uid, name, pe, t, parent)
-
-    def sp_run_begin(self, uid: int, t: float) -> None:
-        rec = self.sps.get(uid)
-        if rec is not None:
-            rec.run_begin(t)
-
-    def sp_run_end(self, uid: int, t: float) -> None:
-        rec = self.sps.get(uid)
-        if rec is not None:
-            rec.run_end(t)
-
-    def sp_block(self, uid: int, t: float) -> None:
-        rec = self.sps.get(uid)
-        if rec is not None:
-            rec.block(t)
-
-    def sp_wake(self, uid: int, t: float, cause: str,
-                resolver: int | None = None) -> None:
-        rec = self.sps.get(uid)
-        if rec is not None:
-            rec.wake(t, cause, resolver)
-
-    def sp_end(self, uid: int, t: float) -> None:
-        rec = self.sps.get(uid)
-        if rec is not None:
-            rec.end(t)
 
     def pe_stall_begin(self, pe: int, t: float) -> None:
         self._open_stall[pe] = t
@@ -198,19 +176,24 @@ class WaitStore:
         """Deterministic (uid-ordered) SP records."""
         return [self.sps[uid] for uid in sorted(self.sps)]
 
-    def pe_wait_spans(self, pe: int) -> list[tuple[float, float, str]]:
-        """Every wait span of SPs living on ``pe`` plus PE-level stalls,
-        as (start, end, category), unsorted and possibly overlapping."""
-        out: list[tuple[float, float, str]] = []
+    def wait_spans_by_pe(self) -> dict[int, list[tuple[float, float, str]]]:
+        """Every wait span of every SP plus the PE-level stalls, as
+        (start, end, category) grouped by PE in one pass over the
+        records; per PE unsorted and possibly overlapping."""
+        out: dict[int, list[tuple[float, float, str]]] = {}
         for rec in self.records():
-            if rec.pe != pe:
-                continue
+            spans = out.setdefault(rec.pe, [])
             for s, e, kind, _ in rec.segments:
                 if kind != RUN:
-                    out.append((s, e, kind))
-        for s, e in self.pe_stalls.get(pe, ()):
-            out.append((s, e, "remote-read"))
+                    spans.append((s, e, kind))
+        for pe, stalls in self.pe_stalls.items():
+            out.setdefault(pe, []).extend(
+                (s, e, "remote-read") for s, e in stalls)
         return out
+
+    def pe_wait_spans(self, pe: int) -> list[tuple[float, float, str]]:
+        """The :meth:`wait_spans_by_pe` entry of one PE."""
+        return self.wait_spans_by_pe().get(pe, [])
 
     def final_sp(self) -> int | None:
         """The SP the backward walk starts from: the result's producer,

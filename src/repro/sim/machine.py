@@ -64,7 +64,7 @@ from repro.runtime.values import ArrayId, ArrayValue
 from repro.sim import timing as T
 from repro.sim.decode import decode_program
 from repro.sim.pe import PE
-from repro.sim.stats import RunStats
+from repro.sim.stats import UNITS, RunStats
 from repro.translator import isa
 
 ROOT_UID = 0
@@ -109,9 +109,10 @@ class Machine:
         # Durable execution (repro.ckpt): both default to None and every
         # hook site pays one identity check, so a run without
         # checkpointing is byte-identical to one on a build without it.
-        # ``ckpt`` is a CkptWriter paced by ``due_event``; ``restore`` is
-        # a CkptRestore whose elements are seeded at header-install time
-        # (allocation ordinal == array id — ids are issued sequentially).
+        # ``ckpt`` is a CkptWriter paced by its spec's ``every_events``
+        # (read once, in ``run``); ``restore`` is a CkptRestore whose
+        # elements are seeded at header-install time (allocation ordinal
+        # == array id — ids are issued sequentially).
         self._ckpt = ckpt
         self._restore = restore
         self._replay = restore is not None
@@ -159,34 +160,17 @@ class Machine:
                                    timelines=obs_cfg.timelines,
                                    metrics=obs_cfg.metrics,
                                    waits=obs_cfg.waits)
-        # Wait-state hooks check this one attribute on the hot path.
+        # Wait-state hooks check this one attribute on the hot path, then
+        # write the SP's record directly (``_waits.sps[uid]``).
         self._waits = self.obs.waits if self.obs is not None else None
-        # Busy-span hook: None when no timelines are recorded (so a
-        # metrics-only run pays one identity check instead of a no-op
-        # call per span), else a dispatcher that caches the bound
-        # UnitTimeline.add per (pe, unit) — the equivalent of
-        # obs.span -> TimelineStore.span -> UnitTimeline.add with the
-        # two indirection layers peeled off the hot path.
-        self._span = None
+        # Busy-span hooks: None when no timelines are recorded (a
+        # metrics-only run pays one identity check per span), else per
+        # PE a {unit: UnitTimeline.add} bound once, here.
+        self._span_adds = None
         if self.obs is not None and self.obs.timelines is not None:
             store = self.obs.timelines
-            lines = store._lines
-            span_limit = store.span_limit
-            adds: dict = {}
-
-            def _span(pid, unit, start, end):
-                key = (pid, unit)
-                add = adds.get(key)
-                if add is None:
-                    from repro.obs.timeline import UnitTimeline
-
-                    line = lines.get(key)
-                    if line is None:
-                        line = lines[key] = UnitTimeline(span_limit)
-                    adds[key] = add = line.add
-                add(start, end)
-
-            self._span = _span
+            self._span_adds = [{unit: store.adder(pe.pid, unit)
+                                for unit in UNITS} for pe in self.pes]
         # One compiled Execution Unit per PE, built after the hooks it
         # closes over.
         for pe in self.pes:
@@ -238,8 +222,8 @@ class Machine:
             start = self.now
         done = free[unit] = start + cost
         pe.stats.busy[unit] += cost
-        if self._span is not None:
-            self._span(pe.pid, unit, start, done)
+        if self._span_adds is not None:
+            self._span_adds[pe.pid][unit](start, done)
         return done
 
     # ------------------------------------------------------------------
@@ -265,7 +249,7 @@ class Machine:
         # quiescence detector could never fire.
         maintenance = ((self._net_check, self._net_transmit_ack,
                         self._net_ack_receive) if net is not None else ())
-        ckpt = self._ckpt
+        every = self._ckpt.spec.every_events if self._ckpt is not None else 0
         events = self.events_processed
         try:
             while queue:
@@ -285,7 +269,7 @@ class Machine:
                 if net is not None and fn not in maintenance:
                     self._finish_us = self._last_progress_us = self.now
                 fn(*fargs)
-                if ckpt is not None and ckpt.due_event(events):
+                if every and events % every == 0:
                     self._ckpt_snapshot()
         finally:
             self.events_processed = events
@@ -311,16 +295,19 @@ class Machine:
         finish = self._finish_us if net is not None else self.now
         if self._ckpt is not None:
             self._ckpt_snapshot(final=True)
-        timelines = registry = waits = None
+        timelines = registry = waits = breakdown = None
         if self.obs is not None:
             timelines = self.obs.timelines
             waits = self.obs.waits
-            if self.obs.metrics:
-                from repro.sim.stats import UNITS
+            if waits is not None:
+                from repro.obs.critpath import pe_wait_breakdown
 
+                breakdown = pe_wait_breakdown(waits, timelines,
+                                              self.mc.num_pes, finish)
+            if self.obs.metrics:
                 registry = self.obs.build_registry(
                     [pe.stats for pe in self.pes], UNITS, finish,
-                    net=net)
+                    net=net, wait_breakdown=breakdown)
         ckpt_info = None
         if self._ckpt is not None or self._restore is not None:
             from repro.ckpt.format import run_summary
@@ -335,6 +322,7 @@ class Machine:
             timelines=timelines,
             registry=registry,
             waits=waits,
+            wait_breakdown=breakdown,
             netstats=net.stats if net is not None else None,
             trace=self.tracer,
             still_blocked=[line for pe in self.pes
@@ -460,7 +448,7 @@ class Machine:
         woke = frame.put(slot, value)
         if woke:
             if self._waits is not None:
-                self._waits.sp_wake(frame.uid, self.now, cause, src)
+                self._waits.sps[frame.uid].wake(self.now, cause, src)
             frame.make_ready()
             pe.ready.append(frame)
         if pe.suspended_on == (frame.uid, slot):
@@ -525,9 +513,9 @@ class Machine:
         once per step, outside the instruction loop.
         """
         queue = self._queue
-        span = self._span
-        waits = self._waits
-        pid = pe.pid
+        span = (self._span_adds[pe.pid]["EU"]
+                if self._span_adds is not None else None)
+        sps = self._waits.sps if self._waits is not None else None
         stats = pe.stats
         busy = stats.busy
         ready = pe.ready
@@ -535,11 +523,24 @@ class Machine:
 
         def eu_step(M, pe) -> None:
             pe.eu_scheduled = False
+            # An SP carried over a yield keeps its run segment open: a
+            # resume at the yield instant continues it (what closing and
+            # reopening records, since ``SpRecord`` merges a run piece
+            # that starts where the last one ended).  It is closed at the
+            # yield, ``pe.eu_time``, only when something came between.
+            frame = pe.running
             if pe.halted or pe.suspended_on is not None:
+                if pe.halted and sps is not None and frame is not None:
+                    sps[frame.uid].run_end(pe.eu_time)
                 return
             now = M.now
             t = pe.eu_time
             if now > t:
+                if sps is not None and frame is not None:
+                    # Resumed after a blocking-read suspension.
+                    rec = sps[frame.uid]
+                    rec.run_end(t)
+                    rec.run_begin(now)
                 t = now
             # Inside one EU step the local clock advances only by busy
             # work (instruction costs and context switches), so
@@ -547,18 +548,13 @@ class Machine:
             # timeline.
             t0 = t
             degrade = pe.degrade
-            frame = pe.running
-            if waits is not None and frame is not None:
-                # Re-entering with a carried-over SP (after a yield): its
-                # run segment resumes here.
-                waits.sp_run_begin(frame.uid, t)
 
             while True:
                 if frame is None:
                     if not ready:
                         pe.eu_time = t
                         if span is not None and t > t0:
-                            span(pid, "EU", t0, t)
+                            span(t0, t)
                         return
                     frame = ready.popleft()
                     if frame.status != READY:
@@ -566,10 +562,10 @@ class Machine:
                         continue
                     frame.status = RUNNING
                     pe.running = frame
-                    if waits is not None:
+                    if sps is not None:
                         # Ends the sched-queue wait; the context switch
                         # is charged to the SP's run time.
-                        waits.sp_run_begin(frame.uid, t)
+                        sps[frame.uid].run_begin(t)
                     t += switch
                     busy["EU"] += switch
                     stats.context_switches += 1
@@ -583,10 +579,8 @@ class Machine:
                     pe.eu_time = t
                     M._seq = seq = M._seq + 1
                     heappush(queue, (t, seq, pe.eu_step, (M, pe)))
-                    if waits is not None:
-                        waits.sp_run_end(frame.uid, t)
                     if span is not None and t > t0:
-                        span(pid, "EU", t0, t)
+                        span(t0, t)
                     return
 
                 # handler -> (new_time, frame_or_None); None means the
@@ -602,11 +596,10 @@ class Machine:
                     t2 += extra
                 t = t2
                 if pe.suspended_on is not None:
+                    # Left open like a yield; the resume closes it.
                     pe.eu_time = t
-                    if waits is not None and frame is not None:
-                        waits.sp_run_end(frame.uid, t)
                     if span is not None and t > t0:
-                        span(pid, "EU", t0, t)
+                        span(t0, t)
                     return
 
         return eu_step
@@ -620,14 +613,14 @@ class Machine:
                                unit="EU", sp=frame.uid)
         frame.block_on_slot(slot)
         if self._waits is not None:
-            self._waits.sp_block(frame.uid, t)
+            self._waits.sps[frame.uid].block(t)
         pe.running = None
         return t, None
 
     def _block_on_header(self, pe: PE, frame: Frame, array_id: int, t: float):
         frame.block_on_header(array_id)
         if self._waits is not None:
-            self._waits.sp_block(frame.uid, t)
+            self._waits.sps[frame.uid].block(t)
         pe.header_waiters.setdefault(array_id, []).append(frame)
         pe.running = None
         return t, None
@@ -640,7 +633,7 @@ class Machine:
         frame.status = DONE
         pe.running = None
         if self._waits is not None:
-            self._waits.sp_end(frame.uid, t)
+            self._waits.sps[frame.uid].end(t)
         pe.stats.frames_destroyed += 1
         pe.live_frames -= 1
         ctx = frame.ctx
@@ -653,8 +646,8 @@ class Machine:
                     parent.budget_blocked = False
                     if self._waits is not None:
                         # The retiring child freed the budget slot.
-                        self._waits.sp_wake(parent.uid, t,
-                                            "sched-queue", frame.uid)
+                        self._waits.sps[parent.uid].wake(
+                            t, "sched-queue", frame.uid)
                     parent.make_ready()
                     parent_pe = self.pes[parent.pe]
                     parent_pe.ready.append(parent)
@@ -746,7 +739,7 @@ class Machine:
             frame.waiting_header = None
             frame.budget_blocked = True
             if self._waits is not None:
-                self._waits.sp_block(frame.uid, t)
+                self._waits.sps[frame.uid].block(t)
             pe.running = None
             return t, None
         if counted:
@@ -1120,8 +1113,8 @@ class Machine:
             for frame in waiters:
                 if frame.status == BLOCKED and frame.waiting_header == aid:
                     if self._waits is not None:
-                        self._waits.sp_wake(frame.uid, self.now,
-                                            "net-queue", None)
+                        self._waits.sps[frame.uid].wake(
+                            self.now, "net-queue", None)
                     frame.make_ready()
                     pe.ready.append(frame)
             self._kick_eu(pe)

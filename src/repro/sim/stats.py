@@ -69,6 +69,9 @@ class RunStats:
     timelines: "TimelineStore | None" = None
     registry: "MetricsRegistry | None" = None
     waits: "WaitStore | None" = None
+    # ``repro.obs.critpath.pe_wait_breakdown`` of ``waits``, derived once
+    # when the run ends; None unless waits were recorded.
+    wait_breakdown: "list[dict[str, float]] | None" = None
     # Reliable-delivery counters; None unless the fault-tolerant network
     # layer was armed (see repro.sim.reliable).
     netstats: "NetStats | None" = None

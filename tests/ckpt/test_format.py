@@ -116,16 +116,27 @@ class TestWriterPacing:
         assert not w.due(100.5)
         assert w.due(101.0)
 
-    def test_event_pacing(self):
-        w = CkptWriter(CkptSpec(dir="/tmp/x", every_events=10))
-        assert not w.due_event(0)
-        assert not w.due_event(5)
-        assert w.due_event(10)
-        assert w.due_event(20)
+    FILL = ("function main(n) { A = array(n);"
+            " for i = 1 to n { A[i] = i; } return A; }")
 
-    def test_event_pacing_off_by_default(self):
-        w = CkptWriter(CkptSpec(dir="/tmp/x"))
-        assert not w.due_event(10)
+    def simulated_snapshots(self, tmp_path, **spec) -> tuple[int, int]:
+        """(snapshots written, events run) of one simulated run."""
+        from repro.api import compile_source
+
+        w = CkptWriter(CkptSpec(dir=str(tmp_path), **spec))
+        result = compile_source(self.FILL).run((6,), backend="sim", ckpt=w)
+        return w.snapshots, result.stats.events_processed
+
+    def test_event_pacing(self, tmp_path):
+        snapshots, events = self.simulated_snapshots(tmp_path,
+                                                     every_events=10)
+        assert events > 20
+        # One at every 10th event boundary, plus the final one.
+        assert snapshots == events // 10 + 1
+
+    def test_event_pacing_off_by_default(self, tmp_path):
+        snapshots, _ = self.simulated_snapshots(tmp_path)
+        assert snapshots == 1              # the final checkpoint only
 
 
 class TestWriterSnapshot:

@@ -14,6 +14,11 @@ import random
 
 import pytest
 
+import repro.obs.critpath as critpath
+from repro.api import compile_source
+from repro.apps import compile_matmul
+from repro.common.config import MachineConfig, ObsConfig, SimConfig
+from repro.common.errors import PEHaltError
 from repro.obs.critpath import (
     _EPS,
     IDLE,
@@ -26,6 +31,10 @@ from repro.obs.critpath import (
 )
 from repro.obs.profile import Profile
 from repro.obs.waits import RUN, WAIT_CATEGORIES, SpRecord, WaitStore
+from repro.sim.machine import Machine
+from repro.translator import isa
+from repro.translator.isa import Instr, SPTemplate, const, slot
+from tests.obs.conftest import FILL_AND_SUM
 
 
 class TestSpRecord:
@@ -95,19 +104,22 @@ class TestWaitStore:
         store = WaitStore()
         store.sp_create(0, 1, 0.0, None, "main")
         store.sp_create(0, 2, 0.0, 1, "main.for_i")
-        store.sp_end(1, 5.0)
-        store.sp_end(2, 9.0)
+        store.sps[1].end(5.0)
+        store.sps[2].end(9.0)
         assert store.final_sp() == 2       # last to end
         store.result(9.0, 1)
         assert store.final_sp() == 1       # explicit producer wins
 
     def test_hooks_ignore_unknown_uids(self):
+        # The machine reaches only records it created; a result produced
+        # by an SP the store never saw falls back to the last SP to end.
         store = WaitStore()
-        store.sp_run_begin(42, 1.0)
-        store.sp_block(42, 2.0)
-        store.sp_wake(42, 3.0, "token-wait")
-        store.sp_end(42, 4.0)
-        assert store.records() == []
+        store.sp_create(0, 1, 0.0, None, "main")
+        store.sps[1].end(4.0)
+        store.result(5.0, 42)
+        assert store.final_sp() == 1
+        assert [r.uid for r in store.records()] == [1]
+        assert store.pe_wait_spans(0) == store.pe_wait_spans(3) == []
 
 
 class TestSimulatedRun:
@@ -250,6 +262,150 @@ class TestSimulatedRun:
         _, result = observed_run       # metrics+timelines, no waits
         with pytest.raises(ValueError):
             Profile.from_stats(result.stats)
+
+
+class TestOneBreakdown:
+    def test_registry_record_and_profile_share_one_breakdown(
+            self, monkeypatch):
+        """The per-PE wait breakdown is derived once, when the run ends;
+        the registry's ``wait.us`` rows, the run record's ``waits``
+        section and ``pods profile`` all read that one derivation."""
+        calls = []
+        derive = critpath.pe_wait_breakdown
+
+        def counted(*args):
+            calls.append(args)
+            return derive(*args)
+
+        monkeypatch.setattr(critpath, "pe_wait_breakdown", counted)
+        program = compile_source(FILL_AND_SUM)
+        result = program.run((4,), backend="sim", config=SimConfig(
+            machine=MachineConfig(num_pes=4),
+            obs=ObsConfig(metrics=True, timelines=True, waits=True)))
+        record = result.to_run_record(program, (4,))
+        profile = Profile.from_stats(result.stats)
+        assert len(calls) == 1
+
+        breakdown = result.stats.wait_breakdown
+        rows = [(pe, cat, us) for pe, per_cause in enumerate(breakdown)
+                for cat, us in sorted(per_cause.items())]
+        assert rows
+        assert sorted((int(r.labels_dict()["pe"]), r.labels_dict()["cause"],
+                       r.value)
+                      for r in result.registry.select("wait.us")) == rows
+        assert [(w["pe"], w["category"], w["us"])
+                for w in record["waits"]] == rows
+        assert profile.breakdown is breakdown
+
+
+class TestOpenRunSegment:
+    """An SP's run segment stays open across an EU yield and is closed
+    at the yield only when something comes between yield and resume —
+    recording what closing at every yield and reopening at every resume
+    recorded."""
+
+    @staticmethod
+    def machine():
+        # main (PE 0) replicates `worker` - 40 NOPs - on both PEs.
+        worker = SPTemplate(block_id=1, name="worker", kind="loop",
+                            code=[Instr(isa.NOP)] * 40 + [Instr(isa.END)],
+                            num_slots=1, inputs=(0,))
+        main = SPTemplate(block_id=0, name="main", kind="function", code=[
+            Instr(isa.SPAWN, block=1, args=(const(0),), distributed=True),
+            Instr(isa.SENDR, a=slot(0), b=const(1)),
+            Instr(isa.END),
+        ], num_slots=1, inputs=(0,))
+        program = isa.PodsProgram({0: main, 1: worker}, entry_block=0,
+                                  arity=0)
+        return Machine(program, SimConfig(machine=MachineConfig(num_pes=2),
+                                          obs=ObsConfig(waits=True)))
+
+    @staticmethod
+    def worker_runs(m):
+        """The run segments of PE 1's worker."""
+        rec, = [r for r in m._waits.sps.values()
+                if r.name == "worker" and r.pe == 1]
+        return [(s, e) for s, e, kind, _ in rec.segments if kind == RUN]
+
+    def interrupted(self, action):
+        """A machine that calls ``action(m, pe)`` half-way through PE 1's
+        worker, and what PE 1's EU was doing then: ``yielded`` (to that
+        very call) and ``eu_time`` (the yield time)."""
+        plain = self.machine()
+        plain.run(())
+        (start, end), = self.worker_runs(plain)
+        m, seen = self.machine(), {}
+
+        def probe():
+            pe = m.pes[1]
+            seen.update(yielded=pe.eu_scheduled, eu_time=pe.eu_time)
+            action(m, pe)
+
+        m.schedule((start + end) / 2, probe)
+        return m, seen
+
+    def test_resume_at_the_yield_instant_continues_the_run(self):
+        m, seen = self.interrupted(lambda m, pe: None)
+        m.run(())
+        assert seen["yielded"]
+        (start, end), = self.worker_runs(m)
+        assert start < seen["eu_time"] < end
+
+    def test_later_resume_keeps_two_runs_with_the_gap(self):
+        def suspend(m, pe):
+            pe.suspended_on = ("probe", 0)
+
+            def resume():
+                pe.suspended_on = None
+                m._resume_eu(pe)
+
+            m.schedule(m.now + 100.0, resume)
+
+        m, seen = self.interrupted(suspend)
+        m.run(())
+        assert seen["yielded"]
+        (_, first_end), (second_start, _) = self.worker_runs(m)
+        assert first_end == seen["eu_time"]
+        assert second_start > first_end
+
+    def test_halt_after_a_yield_ends_the_run_at_the_yield(self):
+        m, seen = self.interrupted(lambda m, pe: m._pe_halt(pe))
+        with pytest.raises(PEHaltError):
+            m.run(())
+        assert seen["yielded"]
+        (_, end), = self.worker_runs(m)
+        assert end == seen["eu_time"]
+
+    def test_blocking_read_suspension_closes_the_run_at_the_yield(self):
+        """Split-phase reads off: the whole PE stalls on a remote read,
+        and the running SP's run ends where its EU last yielded."""
+        m = Machine(compile_matmul().pods, SimConfig(
+            machine=MachineConfig(num_pes=4, split_phase_reads=False),
+            obs=ObsConfig(waits=True)))
+        waits, stalling, stalls = m._waits, {}, []
+        stall_begin, stall_end = waits.pe_stall_begin, waits.pe_stall_end
+
+        def begin(pid, t):
+            pe = m.pes[pid]
+            if pe.running is not None and pe.eu_scheduled:
+                # The EU yielded to this read: (SP, yield time).
+                stalling[pid] = (pe.running.uid, pe.eu_time)
+            stall_begin(pid, t)
+
+        def end(pid, t):
+            if pid in stalling:
+                stalls.append(stalling.pop(pid) + (t,))
+            stall_end(pid, t)
+
+        waits.pe_stall_begin, waits.pe_stall_end = begin, end
+        m.run((6,))
+        assert stalls
+        for uid, yielded, resumed in stalls:
+            assert resumed > yielded
+            runs = [(s, e) for s, e, kind, _ in waits.sps[uid].segments
+                    if kind == RUN]
+            assert any(e == yielded for _, e in runs)
+            assert not any(s < resumed and e > yielded for s, e in runs)
 
 
 class TestAttributeGap:
