@@ -51,6 +51,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
+from repro.common.canonical import canonical_json
 from repro.common.errors import PodsError
 
 SCHEMA = "pods-ckpt/v1"
@@ -191,11 +192,6 @@ def program_section(source: str | None, entry: str = "main",
 # ---------------------------------------------------------------------
 # canonical bytes / content addressing
 # ---------------------------------------------------------------------
-
-
-def canonical_json(doc: dict) -> str:
-    """The one byte encoding (sorted keys, no whitespace)."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def ckpt_id(doc: dict) -> str:

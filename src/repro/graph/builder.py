@@ -35,19 +35,19 @@ class _BlockBuilder:
         # Parent-side vids to pass for lazily created import params,
         # parallel to the param order in which they were created.
         self.import_args: list[int] = []
+        # The region items are appended to; the top of ``_regions``.
+        self.region: ir.Region = block.body
         self._regions: list[ir.Region] = [block.body]
 
     # -- regions --------------------------------------------------------
 
-    @property
-    def region(self) -> ir.Region:
-        return self._regions[-1]
-
     def push_region(self, region: ir.Region) -> None:
         self._regions.append(region)
+        self.region = region
 
     def pop_region(self) -> None:
         self._regions.pop()
+        self.region = self._regions[-1]
 
     # -- defs -----------------------------------------------------------
 
@@ -80,33 +80,30 @@ class _BlockBuilder:
     # -- expressions -------------------------------------------------------
 
     def build_expr(self, expr: A.Expr) -> int:
-        if isinstance(expr, A.Num):
-            return self.const(expr.value)
+        build = _BUILD_EXPR.get(type(expr))
+        if build is None:
+            raise GraphError(f"unknown expression {type(expr).__name__}")
+        return build(self, expr)
 
-        if isinstance(expr, A.Var):
-            return self.lookup(expr.name, expr.loc)
+    def build_num(self, expr: A.Num) -> int:
+        return self.const(expr.value)
 
-        if isinstance(expr, A.BinOp):
-            left = self.build_expr(expr.left)
-            right = self.build_expr(expr.right)
-            return self.add_computed(ir.OpDef(expr.op, [left, right]))
+    def build_var(self, expr: A.Var) -> int:
+        return self.lookup(expr.name, expr.loc)
 
-        if isinstance(expr, A.UnOp):
-            operand = self.build_expr(expr.operand)
-            return self.add_computed(ir.OpDef(expr.op, [operand]))
+    def build_binop(self, expr: A.BinOp) -> int:
+        left = self.build_expr(expr.left)
+        right = self.build_expr(expr.right)
+        return self.add_computed(ir.OpDef(expr.op, [left, right]))
 
-        if isinstance(expr, A.Index):
-            array = self.lookup(expr.array, expr.loc)
-            indices = [self.build_expr(e) for e in expr.indices]
-            return self.add_computed(ir.ReadDef(array, indices))
+    def build_unop(self, expr: A.UnOp) -> int:
+        operand = self.build_expr(expr.operand)
+        return self.add_computed(ir.OpDef(expr.op, [operand]))
 
-        if isinstance(expr, A.IfExp):
-            return self.build_ifexp(expr)
-
-        if isinstance(expr, A.Call):
-            return self.build_call(expr)
-
-        raise GraphError(f"unknown expression {type(expr).__name__}")
+    def build_index(self, expr: A.Index) -> int:
+        array = self.lookup(expr.array, expr.loc)
+        indices = [self.build_expr(e) for e in expr.indices]
+        return self.add_computed(ir.ReadDef(array, indices))
 
     def build_ifexp(self, expr: A.IfExp) -> int:
         cond = self.build_expr(expr.cond)
@@ -143,56 +140,43 @@ class _BlockBuilder:
 
     def build_body(self, body: list[A.Stmt]) -> None:
         for stmt in body:
-            self.build_stmt(stmt)
+            build = _BUILD_STMT.get(type(stmt))
+            if build is None:
+                raise GraphError(f"unknown statement {type(stmt).__name__}")
+            build(self, stmt)
 
-    def build_stmt(self, stmt: A.Stmt) -> None:
-        if isinstance(stmt, A.Bind):
-            self.env[stmt.name] = self.build_expr(stmt.value)
-            return
+    def build_bind(self, stmt: A.Bind) -> None:
+        self.env[stmt.name] = self.build_expr(stmt.value)
 
-        if isinstance(stmt, A.NextBind):
-            value = self.build_expr(stmt.value)
-            k = self.block.carried_names.index(stmt.name)
-            self.region.append(ir.NextItem(k, value))
-            return
+    def build_next(self, stmt: A.NextBind) -> None:
+        value = self.build_expr(stmt.value)
+        k = self.block.carried_names.index(stmt.name)
+        self.region.append(ir.NextItem(k, value))
 
-        if isinstance(stmt, A.ArrayWrite):
-            array = self.lookup(stmt.array, stmt.loc)
-            indices = [self.build_expr(e) for e in stmt.indices]
-            value = self.build_expr(stmt.value)
-            self.region.append(ir.WriteItem(array, indices, value))
-            return
+    def build_write(self, stmt: A.ArrayWrite) -> None:
+        array = self.lookup(stmt.array, stmt.loc)
+        indices = [self.build_expr(e) for e in stmt.indices]
+        value = self.build_expr(stmt.value)
+        self.region.append(ir.WriteItem(array, indices, value))
 
-        if isinstance(stmt, A.If):
-            cond = self.build_expr(stmt.cond)
-            uid = self.block.new_uid()
-            item = ir.IfItem(uid, cond, [], [])
-            self.region.append(item)
-            saved = dict(self.env)
-            self.push_region(item.then_region)
-            self.build_body(stmt.then_body)
-            self.pop_region()
-            self.env = dict(saved)
-            self.push_region(item.else_region)
-            self.build_body(stmt.else_body)
-            self.pop_region()
-            self.env = saved
-            return
+    def build_if(self, stmt: A.If) -> None:
+        cond = self.build_expr(stmt.cond)
+        uid = self.block.new_uid()
+        item = ir.IfItem(uid, cond, [], [])
+        self.region.append(item)
+        saved = dict(self.env)
+        self.push_region(item.then_region)
+        self.build_body(stmt.then_body)
+        self.pop_region()
+        self.env = dict(saved)
+        self.push_region(item.else_region)
+        self.build_body(stmt.else_body)
+        self.pop_region()
+        self.env = saved
 
-        if isinstance(stmt, A.Return):
-            value = self.build_expr(stmt.value)
-            self.region.append(ir.ReturnItem(value))
-            return
-
-        if isinstance(stmt, A.For):
-            self.build_for(stmt)
-            return
-
-        if isinstance(stmt, A.While):
-            self.build_while(stmt)
-            return
-
-        raise GraphError(f"unknown statement {type(stmt).__name__}")
+    def build_return(self, stmt: A.Return) -> None:
+        value = self.build_expr(stmt.value)
+        self.region.append(ir.ReturnItem(value))
 
     def build_for(self, stmt: A.For) -> None:
         init = self.build_expr(stmt.init)
@@ -256,6 +240,28 @@ class _BlockBuilder:
             item.results.append(rvid)
             self.env[name] = rvid
         self.region.append(item)
+
+
+# Node class -> its handler, looked up by ``type(node)``: every AST
+# node class is a leaf, so the exact type is the whole decision.
+_BUILD_EXPR = {
+    A.Num: _BlockBuilder.build_num,
+    A.Var: _BlockBuilder.build_var,
+    A.BinOp: _BlockBuilder.build_binop,
+    A.UnOp: _BlockBuilder.build_unop,
+    A.Index: _BlockBuilder.build_index,
+    A.IfExp: _BlockBuilder.build_ifexp,
+    A.Call: _BlockBuilder.build_call,
+}
+_BUILD_STMT = {
+    A.Bind: _BlockBuilder.build_bind,
+    A.NextBind: _BlockBuilder.build_next,
+    A.ArrayWrite: _BlockBuilder.build_write,
+    A.If: _BlockBuilder.build_if,
+    A.Return: _BlockBuilder.build_return,
+    A.For: _BlockBuilder.build_for,
+    A.While: _BlockBuilder.build_while,
+}
 
 
 def build_graph(program: A.Program, entry: str = "main") -> ir.ProgramGraph:

@@ -310,39 +310,3 @@ class ProgramGraph:
 
     def loop_blocks(self) -> list[CodeBlock]:
         return [b for b in self.blocks.values() if b.kind in (FOR, WHILE)]
-
-    def dump(self) -> str:
-        """Readable multi-block listing for tests and debugging."""
-        lines = []
-        for bid in sorted(self.blocks):
-            block = self.blocks[bid]
-            lines.append(block.describe())
-            for vid in sorted(block.defs):
-                lines.append(f"  v{vid} = {block.defs[vid]}")
-            lines.append(f"  body: {_dump_region(block.body)}")
-            if block.kind == WHILE:
-                lines.append(f"  cond: {_dump_region(block.cond_region)} "
-                             f"-> v{block.cond_vid}")
-        return "\n".join(lines)
-
-
-def _dump_region(region: Region) -> str:
-    parts = []
-    for item in region:
-        if isinstance(item, ComputeItem):
-            parts.append(f"v{item.vid}")
-        elif isinstance(item, WriteItem):
-            parts.append(f"write v{item.array}[{item.indices}]=v{item.value}")
-        elif isinstance(item, InvokeItem):
-            tag = "LD" if item.distributed else "L"
-            parts.append(f"{tag}#{item.block}({item.args})->{item.results}")
-        elif isinstance(item, IfItem):
-            parts.append(
-                f"if v{item.cond} {{{_dump_region(item.then_region)}}} "
-                f"else {{{_dump_region(item.else_region)}}}"
-            )
-        elif isinstance(item, NextItem):
-            parts.append(f"next[{item.carried_index}]=v{item.value}")
-        elif isinstance(item, ReturnItem):
-            parts.append(f"return v{item.value}")
-    return "; ".join(parts)

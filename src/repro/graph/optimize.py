@@ -84,8 +84,10 @@ def hoist_invariants(graph: ir.ProgramGraph,
     # Innermost loops first so invariants can bubble multiple levels.
     loops = sorted(graph.loop_blocks(),
                    key=lambda b: _depth(graph, b), reverse=True)
+    # Hoisting inserts compute items and appends invoke args in place;
+    # it never adds or moves an InvokeItem, so the sites hold throughout.
+    sites = _invoke_sites(graph)
     for loop in loops:
-        sites = _invoke_sites(graph)
         if loop.block_id not in sites:
             continue
         parent, parent_region, invoke = sites[loop.block_id]

@@ -23,16 +23,14 @@ def validate_graph(graph: ir.ProgramGraph) -> None:
 def _validate_block(graph: ir.ProgramGraph, block: ir.CodeBlock) -> None:
     where = block.describe()
 
-    params = [d for d in block.defs.values() if isinstance(d, ir.ParamDef)]
+    params = [d for d in block.defs.values() if type(d) is ir.ParamDef]
     positions = sorted(p.index for p in params)
     if positions != list(range(block.num_params)):
         raise GraphError(f"{where}: param positions {positions} are not "
                          f"0..{block.num_params - 1}")
 
-    available: set[int] = set()
-    for vid, d in block.defs.items():
-        if isinstance(d, (ir.ParamDef, ir.ConstDef, ir.IndexDef)):
-            available.add(vid)
+    available = {vid for vid, d in block.defs.items()
+                 if type(d) in _INPUT_DEFS}
     if block.kind == ir.FOR and block.index_vid is None:
         raise GraphError(f"{where}: for-block without index def")
     if block.kind == ir.WHILE:
@@ -46,106 +44,138 @@ def _validate_block(graph: ir.ProgramGraph, block: ir.CodeBlock) -> None:
     _validate_region(graph, block, block.body, available, where)
 
 
+# Definitions available from a block's start: not computed by an item.
+_INPUT_DEFS = frozenset((ir.ParamDef, ir.ConstDef, ir.IndexDef))
+
+
 def _validate_region(graph: ir.ProgramGraph, block: ir.CodeBlock,
                      region: ir.Region, available: set[int], where: str) -> None:
-
-    def need(vid: int, what: str) -> None:
-        if vid not in block.defs:
-            raise GraphError(f"{where}: {what} references unknown v{vid}")
-        if vid not in available:
-            raise GraphError(
-                f"{where}: {what} uses v{vid} before it is defined "
-                "(dataflow-order violation)"
-            )
-
     for item in region:
-        if isinstance(item, ir.ComputeItem):
-            d = block.defs.get(item.vid)
-            if d is None:
-                raise GraphError(f"{where}: compute of unknown v{item.vid}")
-            if isinstance(d, ir.OpDef):
-                for a in d.args:
-                    need(a, f"op {d.fn}")
-            elif isinstance(d, ir.ReadDef):
-                need(d.array, "array read")
-                for a in d.indices:
-                    need(a, "array read index")
-            elif isinstance(d, ir.AllocDef):
-                for a in d.dims:
-                    need(a, "alloc dim")
-            elif isinstance(d, ir.CallDef):
-                if d.fn not in graph.functions:
-                    raise GraphError(f"{where}: call to unknown {d.fn!r}")
-                for a in d.args:
-                    need(a, f"call {d.fn}")
-            else:
-                raise GraphError(
-                    f"{where}: v{item.vid} ({type(d).__name__}) cannot be a "
-                    "compute item"
-                )
-            available.add(item.vid)
-
-        elif isinstance(item, ir.WriteItem):
-            need(item.array, "array write")
-            for a in item.indices:
-                need(a, "array write index")
-            need(item.value, "array write value")
-
-        elif isinstance(item, ir.InvokeItem):
-            child = graph.blocks.get(item.block)
-            if child is None:
-                raise GraphError(f"{where}: invoke of unknown block {item.block}")
-            if child.kind not in (ir.FOR, ir.WHILE):
-                raise GraphError(f"{where}: invoke target is not a loop block")
-            if len(item.args) != child.num_params:
-                raise GraphError(
-                    f"{where}: invoke of {child.name} passes {len(item.args)} "
-                    f"args, block declares {child.num_params} params"
-                )
-            if len(item.results) != len(child.carried_names):
-                raise GraphError(
-                    f"{where}: invoke of {child.name} binds {len(item.results)} "
-                    f"results, loop carries {len(child.carried_names)}"
-                )
-            for a in item.args:
-                need(a, f"invoke {child.name}")
-            for r in item.results:
-                d = block.defs.get(r)
-                if not isinstance(d, ir.ResultDef):
-                    raise GraphError(f"{where}: invoke result v{r} is not a "
-                                     "ResultDef")
-                available.add(r)
-
-        elif isinstance(item, ir.IfItem):
-            need(item.cond, "if condition")
-            then_avail = set(available)
-            _validate_region(graph, block, item.then_region, then_avail, where)
-            else_avail = set(available)
-            _validate_region(graph, block, item.else_region, else_avail, where)
-            for j in item.joins:
-                d = block.defs.get(j)
-                if not isinstance(d, ir.JoinDef):
-                    raise GraphError(f"{where}: if join v{j} is not a JoinDef")
-                if d.then_vid not in then_avail:
-                    raise GraphError(f"{where}: join then-value v{d.then_vid} "
-                                     "not defined by then branch")
-                if d.else_vid not in else_avail:
-                    raise GraphError(f"{where}: join else-value v{d.else_vid} "
-                                     "not defined by else branch")
-                available.add(j)
-
-        elif isinstance(item, ir.NextItem):
-            if block.kind not in (ir.FOR, ir.WHILE):
-                raise GraphError(f"{where}: next outside loop block")
-            if not 0 <= item.carried_index < len(block.carried_names):
-                raise GraphError(f"{where}: next index {item.carried_index} "
-                                 "out of range")
-            need(item.value, "next value")
-
-        elif isinstance(item, ir.ReturnItem):
-            if block.kind != ir.FUNCTION:
-                raise GraphError(f"{where}: return inside loop block")
-            need(item.value, "return value")
-
-        else:
+        check = _CHECK_ITEM.get(type(item))
+        if check is None:
             raise GraphError(f"{where}: unknown item {type(item).__name__}")
+        check(graph, block, item, available, where)
+
+
+def _need(block: ir.CodeBlock, available: set[int], vid: int, what: str,
+          where: str) -> None:
+    if vid in available:  # everything available is one of block.defs
+        return
+    if vid not in block.defs:
+        raise GraphError(f"{where}: {what} references unknown v{vid}")
+    raise GraphError(
+        f"{where}: {what} uses v{vid} before it is defined "
+        "(dataflow-order violation)"
+    )
+
+
+def _check_compute(graph: ir.ProgramGraph, block: ir.CodeBlock,
+                   item: ir.ComputeItem, available: set[int], where: str) -> None:
+    d = block.defs.get(item.vid)
+    if d is None:
+        raise GraphError(f"{where}: compute of unknown v{item.vid}")
+    kind = type(d)
+    if kind is ir.OpDef:
+        for a in d.args:
+            _need(block, available, a, f"op {d.fn}", where)
+    elif kind is ir.ReadDef:
+        _need(block, available, d.array, "array read", where)
+        for a in d.indices:
+            _need(block, available, a, "array read index", where)
+    elif kind is ir.AllocDef:
+        for a in d.dims:
+            _need(block, available, a, "alloc dim", where)
+    elif kind is ir.CallDef:
+        if d.fn not in graph.functions:
+            raise GraphError(f"{where}: call to unknown {d.fn!r}")
+        for a in d.args:
+            _need(block, available, a, f"call {d.fn}", where)
+    else:
+        raise GraphError(
+            f"{where}: v{item.vid} ({kind.__name__}) cannot be a "
+            "compute item"
+        )
+    available.add(item.vid)
+
+
+def _check_write(graph: ir.ProgramGraph, block: ir.CodeBlock,
+                 item: ir.WriteItem, available: set[int], where: str) -> None:
+    _need(block, available, item.array, "array write", where)
+    for a in item.indices:
+        _need(block, available, a, "array write index", where)
+    _need(block, available, item.value, "array write value", where)
+
+
+def _check_invoke(graph: ir.ProgramGraph, block: ir.CodeBlock,
+                  item: ir.InvokeItem, available: set[int], where: str) -> None:
+    child = graph.blocks.get(item.block)
+    if child is None:
+        raise GraphError(f"{where}: invoke of unknown block {item.block}")
+    if child.kind not in (ir.FOR, ir.WHILE):
+        raise GraphError(f"{where}: invoke target is not a loop block")
+    if len(item.args) != child.num_params:
+        raise GraphError(
+            f"{where}: invoke of {child.name} passes {len(item.args)} "
+            f"args, block declares {child.num_params} params"
+        )
+    if len(item.results) != len(child.carried_names):
+        raise GraphError(
+            f"{where}: invoke of {child.name} binds {len(item.results)} "
+            f"results, loop carries {len(child.carried_names)}"
+        )
+    for a in item.args:
+        _need(block, available, a, f"invoke {child.name}", where)
+    for r in item.results:
+        if type(block.defs.get(r)) is not ir.ResultDef:
+            raise GraphError(f"{where}: invoke result v{r} is not a "
+                             "ResultDef")
+        available.add(r)
+
+
+def _check_if(graph: ir.ProgramGraph, block: ir.CodeBlock,
+              item: ir.IfItem, available: set[int], where: str) -> None:
+    _need(block, available, item.cond, "if condition", where)
+    then_avail = set(available)
+    _validate_region(graph, block, item.then_region, then_avail, where)
+    else_avail = set(available)
+    _validate_region(graph, block, item.else_region, else_avail, where)
+    for j in item.joins:
+        d = block.defs.get(j)
+        if type(d) is not ir.JoinDef:
+            raise GraphError(f"{where}: if join v{j} is not a JoinDef")
+        if d.then_vid not in then_avail:
+            raise GraphError(f"{where}: join then-value v{d.then_vid} "
+                             "not defined by then branch")
+        if d.else_vid not in else_avail:
+            raise GraphError(f"{where}: join else-value v{d.else_vid} "
+                             "not defined by else branch")
+        available.add(j)
+
+
+def _check_next(graph: ir.ProgramGraph, block: ir.CodeBlock,
+                item: ir.NextItem, available: set[int], where: str) -> None:
+    if block.kind not in (ir.FOR, ir.WHILE):
+        raise GraphError(f"{where}: next outside loop block")
+    if not 0 <= item.carried_index < len(block.carried_names):
+        raise GraphError(f"{where}: next index {item.carried_index} "
+                         "out of range")
+    _need(block, available, item.value, "next value", where)
+
+
+def _check_return(graph: ir.ProgramGraph, block: ir.CodeBlock,
+                  item: ir.ReturnItem, available: set[int], where: str) -> None:
+    if block.kind != ir.FUNCTION:
+        raise GraphError(f"{where}: return inside loop block")
+    _need(block, available, item.value, "return value", where)
+
+
+# Item class -> its check, looked up by ``type(item)``: every region
+# item class is a leaf, so the exact type is the whole decision.
+_CHECK_ITEM = {
+    ir.ComputeItem: _check_compute,
+    ir.WriteItem: _check_write,
+    ir.InvokeItem: _check_invoke,
+    ir.IfItem: _check_if,
+    ir.NextItem: _check_next,
+    ir.ReturnItem: _check_return,
+}

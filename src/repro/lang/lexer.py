@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.common.errors import LexError, SourceLocation
 
@@ -13,27 +12,36 @@ KEYWORDS = {
     "next", "return", "and", "or", "not", "true", "false",
 }
 
-# Every lexeme as one alternation, tried in this order at each position.
-# A number is digits with at most one '.', then an exponent only if a
-# digit follows it (``1.5e+`` is ``1.5``, ``e``, ``+``); ``int`` is what
-# has neither.  A word starts with what ``\w`` matches and ``\d`` does
-# not.  Symbols are longest first.  The last alternative takes any other
-# character, so a match never skips one.
+# A word that is not a name: word -> (token kind, token value).
+_WORDS: dict[str, tuple[str, Any]] = {k: (k, k) for k in KEYWORDS}
+_WORDS["true"] = ("num", True)
+_WORDS["false"] = ("num", False)
+
+# One match per token, newline or comment: the blanks in front of a
+# lexeme are taken into its match, and the lexeme itself is one
+# alternation tried in this order.  A number is digits with at most one
+# '.', then an exponent only if a digit follows it (``1.5e+`` is
+# ``1.5``, ``e``, ``+``); ``int`` is what has neither.  A word starts
+# with what ``\w`` matches and ``\d`` does not.  Symbols are longest
+# first.  ``other`` takes any other character but a blank, so a match
+# never skips one, and ``end`` takes the blanks at the end of the source.
+# No lexeme starts with a blank and one always follows the blanks, so
+# the greedy prefix never backtracks: a scan is linear in the source.
 _LEXEME = re.compile(r"""
-    (?P<newline> \n )
-  | (?P<blank>   [ \t\r]+ )
-  | (?P<comment> (?: \# | // ) [^\n]* )
-  | (?P<float>   (?: \d+ \. \d* | \. \d+ ) (?: [eE] [+-]? \d+ )?
-               | \d+ [eE] [+-]? \d+ )
-  | (?P<int>     \d+ )
-  | (?P<word>    [^\W\d] \w* )
-  | (?P<symbol>  <= | >= | == | != | [(){}\[\],;=<>+\-*/%^] )
-  | (?P<other>   . )
+    [ \t\r]*
+    (?: (?P<newline> \n )
+      | (?P<comment> (?: \# | // ) [^\n]* )
+      | (?P<float>   (?: \d+ \. \d* | \. \d+ ) (?: [eE] [+-]? \d+ )?
+                   | \d+ [eE] [+-]? \d+ )
+      | (?P<int>     \d+ )
+      | (?P<word>    [^\W\d] \w* )
+      | (?P<symbol>  <= | >= | == | != | [(){}\[\],;=<>+\-*/%^] )
+      | (?P<other>   [^ \t\r\n] )
+      | (?P<end>     \Z ) )
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Tok:
+class Tok(NamedTuple):
     """A lexical token: kind is 'num', 'name', a keyword, or a symbol."""
 
     kind: str
@@ -48,30 +56,27 @@ def tokenize(source: str) -> list[Tok]:
     """Convert source text into tokens; raises LexError on bad input."""
     tokens: list[Tok] = []
     append = tokens.append
+    words = _WORDS.get
     line = 1
     # Offset of column 1 of the current line.  A comment moves it along
     # with itself: comments have never counted towards a column.
     line_start = 0
     for m in _LEXEME.finditer(source):
         kind = m.lastgroup
-        if kind == "blank":
-            continue
+        start = m.start(kind)
         if kind == "newline":
             line += 1
-            line_start = m.end()
+            line_start = start + 1
             continue
         if kind == "comment":
-            line_start += m.end() - m.start()
+            line_start += m.end() - start
             continue
-        text = m.group()
-        loc = SourceLocation(line, m.start() - line_start + 1)
+        text = m.group(kind)
+        loc = SourceLocation(line, start - line_start + 1)
         if kind == "word":
-            if text == "true":
-                append(Tok("num", True, loc))
-            elif text == "false":
-                append(Tok("num", False, loc))
-            elif text in KEYWORDS:
-                append(Tok(text, text, loc))
+            word = words(text)
+            if word is not None:
+                append(Tok(word[0], word[1], loc))
             elif text[0].isalpha() or text[0] == "_":
                 append(Tok("name", text, loc))
             elif text[0].isdigit():
@@ -85,6 +90,8 @@ def tokenize(source: str) -> list[Tok]:
             append(Tok("num", int(text), loc))
         elif kind == "float":
             append(Tok("num", float(text), loc))
+        elif kind == "end":
+            break
         else:
             raise LexError(f"unexpected character {text!r}", loc)
     append(Tok("eof", None,

@@ -1,4 +1,5 @@
-"""Recursive-descent parser for IdLite.
+"""Parser for IdLite: recursive descent for statements, precedence
+climbing for expressions.
 
 Grammar (EBNF)::
 
@@ -23,6 +24,10 @@ Grammar (EBNF)::
     power      := atom [ "^" unary ]
     atom       := NUM | NAME | NAME "(" args ")" | NAME "[" exprs "]"
                 | "(" expr ")"
+
+``or_expr`` to ``power`` are one loop, :meth:`_Parser.parse_binary`,
+over the levels below: an operand parsed at level ``n`` takes every
+operator of precedence ``n`` or more.
 """
 
 from __future__ import annotations
@@ -31,9 +36,27 @@ from repro.common.errors import ParseError
 from repro.lang import ast_nodes as A
 from repro.lang.lexer import Tok, tokenize
 
-_CMP_OPS = {"<": "lt", "<=": "le", ">": "gt", ">=": "ge", "==": "eq", "!=": "ne"}
-_ADD_OPS = {"+": "add", "-": "sub"}
-_MUL_OPS = {"*": "mul", "/": "div", "%": "mod"}
+# Levels of the expression grammar, loosest first.
+_OR, _AND, _NOT, _CMP, _ADD, _MUL, _UNARY, _POW = range(1, 9)
+
+# Binary operator token -> (precedence, ISA op, level its right operand
+# is parsed at, highest precedence an operator after it may have).  The
+# last two say what the grammar says: a comparison takes no second
+# comparison (non-associative), and ``^`` takes a unary right operand
+# (right-associative, and ``2 ^ -1`` parses).
+_BINARY: dict[str, tuple[int, str, int, int]] = {
+    "or": (_OR, "or", _AND, _OR),
+    "and": (_AND, "and", _NOT, _AND),
+    **{kind: (_CMP, op, _ADD, _NOT) for kind, op in (
+        ("<", "lt"), ("<=", "le"), (">", "gt"), (">=", "ge"), ("==", "eq"),
+        ("!=", "ne"))},
+    "+": (_ADD, "add", _MUL, _ADD),
+    "-": (_ADD, "sub", _MUL, _ADD),
+    "*": (_MUL, "mul", _UNARY, _MUL),
+    "/": (_MUL, "div", _UNARY, _MUL),
+    "%": (_MUL, "mod", _UNARY, _MUL),
+    "^": (_POW, "pow", _UNARY, _POW),
+}
 
 
 class _Parser:
@@ -43,36 +66,36 @@ class _Parser:
 
     # -- primitives ----------------------------------------------------
 
-    @property
-    def cur(self) -> Tok:
-        return self.tokens[self.pos]
-
     def advance(self) -> Tok:
-        tok = self.cur
+        tok = self.tokens[self.pos]
         if tok.kind != "eof":
             self.pos += 1
         return tok
 
     def check(self, kind: str) -> bool:
-        return self.cur.kind == kind
+        return self.tokens[self.pos].kind == kind
 
     def accept(self, kind: str) -> Tok | None:
-        if self.check(kind):
-            return self.advance()
+        tok = self.tokens[self.pos]
+        if tok.kind == kind:
+            self.pos += 1
+            return tok
         return None
 
     def expect(self, kind: str, what: str = "") -> Tok:
-        if not self.check(kind):
+        tok = self.tokens[self.pos]
+        if tok.kind != kind:
             hint = f" while parsing {what}" if what else ""
             raise ParseError(
-                f"expected {kind!r}, found {self.cur.kind!r}{hint}", self.cur.loc
-            )
-        return self.advance()
+                f"expected {kind!r}, found {tok.kind!r}{hint}", tok.loc)
+        if kind != "eof":
+            self.pos += 1
+        return tok
 
     # -- grammar -------------------------------------------------------
 
     def parse_program(self) -> A.Program:
-        loc = self.cur.loc
+        loc = self.tokens[self.pos].loc
         functions: dict[str, A.Function] = {}
         while not self.check("eof"):
             fn = self.parse_function()
@@ -103,13 +126,14 @@ class _Parser:
         stmts: list[A.Stmt] = []
         while not self.check("}"):
             if self.check("eof"):
-                raise ParseError("unterminated block", self.cur.loc)
+                raise ParseError("unterminated block",
+                                 self.tokens[self.pos].loc)
             stmts.append(self.parse_statement())
         self.expect("}")
         return stmts
 
     def parse_statement(self) -> A.Stmt:
-        tok = self.cur
+        tok = self.tokens[self.pos]
 
         if tok.kind == "next":
             self.advance()
@@ -135,7 +159,8 @@ class _Parser:
             elif self.accept("downto"):
                 descending = True
             else:
-                raise ParseError("expected 'to' or 'downto'", self.cur.loc)
+                raise ParseError("expected 'to' or 'downto'",
+                                 self.tokens[self.pos].loc)
             limit = self.parse_expr()
             body = self.parse_block()
             return A.For(tok.loc, var, init, limit, descending, body)
@@ -182,108 +207,85 @@ class _Parser:
     # -- expressions ---------------------------------------------------
 
     def parse_expr(self) -> A.Expr:
-        if self.check("if"):
-            loc = self.advance().loc
+        tok = self.tokens[self.pos]
+        if tok.kind == "if":
+            self.pos += 1
             cond = self.parse_expr()
             self.expect("then", "conditional expression")
             then = self.parse_expr()
             self.expect("else", "conditional expression")
             other = self.parse_expr()
-            return A.IfExp(loc, cond, then, other)
-        return self.parse_or()
+            return A.IfExp(tok.loc, cond, then, other)
+        return self.parse_binary(_OR)
 
-    def parse_or(self) -> A.Expr:
-        left = self.parse_and()
-        while self.check("or"):
-            loc = self.advance().loc
-            left = A.BinOp(loc, "or", left, self.parse_and())
-        return left
+    def parse_binary(self, level: int) -> A.Expr:
+        """An expression at grammar ``level``: a prefixed or plain
+        operand, then every binary operator of precedence ``level`` or
+        more (the precedence-climbing loop)."""
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        kind = tok.kind
+        highest = _POW
+        if kind == "not" and level <= _NOT:
+            self.pos += 1
+            left = A.UnOp(tok.loc, "not", self.parse_binary(_NOT))
+            highest = _AND
+        elif kind == "-":
+            self.pos += 1
+            operand = self.parse_binary(_UNARY)
+            if type(operand) is A.Num and type(operand.value) is not bool:
+                left = A.Num(tok.loc, -operand.value)
+            else:
+                left = A.UnOp(tok.loc, "neg", operand)
+            highest = _MUL
+        else:
+            left = self.parse_atom(tok)
+        while True:
+            tok = tokens[self.pos]
+            binary = _BINARY.get(tok.kind)
+            if binary is None:
+                return left
+            prec, op, right_level, after = binary
+            if not level <= prec <= highest:
+                return left
+            self.pos += 1
+            left = A.BinOp(tok.loc, op, left, self.parse_binary(right_level))
+            highest = after
 
-    def parse_and(self) -> A.Expr:
-        left = self.parse_not()
-        while self.check("and"):
-            loc = self.advance().loc
-            left = A.BinOp(loc, "and", left, self.parse_not())
-        return left
-
-    def parse_not(self) -> A.Expr:
-        if self.check("not"):
-            loc = self.advance().loc
-            return A.UnOp(loc, "not", self.parse_not())
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> A.Expr:
-        left = self.parse_additive()
-        if self.cur.kind in _CMP_OPS:
-            tok = self.advance()
-            right = self.parse_additive()
-            return A.BinOp(tok.loc, _CMP_OPS[tok.kind], left, right)
-        return left
-
-    def parse_additive(self) -> A.Expr:
-        left = self.parse_multiplicative()
-        while self.cur.kind in _ADD_OPS:
-            tok = self.advance()
-            left = A.BinOp(tok.loc, _ADD_OPS[tok.kind], left,
-                           self.parse_multiplicative())
-        return left
-
-    def parse_multiplicative(self) -> A.Expr:
-        left = self.parse_unary()
-        while self.cur.kind in _MUL_OPS:
-            tok = self.advance()
-            left = A.BinOp(tok.loc, _MUL_OPS[tok.kind], left, self.parse_unary())
-        return left
-
-    def parse_unary(self) -> A.Expr:
-        if self.check("-"):
-            loc = self.advance().loc
-            operand = self.parse_unary()
-            if isinstance(operand, A.Num) and not isinstance(operand.value, bool):
-                return A.Num(loc, -operand.value)
-            return A.UnOp(loc, "neg", operand)
-        return self.parse_power()
-
-    def parse_power(self) -> A.Expr:
-        base = self.parse_atom()
-        if self.check("^"):
-            loc = self.advance().loc
-            # Right-associative.
-            return A.BinOp(loc, "pow", base, self.parse_unary())
-        return base
-
-    def parse_atom(self) -> A.Expr:
-        tok = self.cur
-
-        if tok.kind == "num":
-            self.advance()
+    def parse_atom(self, tok: Tok) -> A.Expr:
+        kind = tok.kind
+        if kind == "num":
+            self.pos += 1
             return A.Num(tok.loc, tok.value)
 
-        if tok.kind == "(":
-            self.advance()
-            inner = self.parse_expr()
-            self.expect(")", "parenthesized expression")
-            return inner
-
-        if tok.kind == "name":
-            name = self.advance().value
-            if self.accept("("):
+        if kind == "name":
+            self.pos += 1
+            nxt = self.tokens[self.pos].kind
+            if nxt == "(":
+                self.pos += 1
                 args: list[A.Expr] = []
                 if not self.check(")"):
                     args.append(self.parse_expr())
                     while self.accept(","):
                         args.append(self.parse_expr())
-                self.expect(")", f"arguments of {name}")
-                return A.Call(tok.loc, name, args)
-            if self.accept("["):
+                self.expect(")", f"arguments of {tok.value}")
+                return A.Call(tok.loc, tok.value, args)
+            if nxt == "[":
+                self.pos += 1
                 indices = [self.parse_expr()]
                 while self.accept(","):
                     indices.append(self.parse_expr())
                 self.expect("]", "array subscript")
-                return A.Index(tok.loc, name, indices)
-            return A.Var(tok.loc, name)
+                return A.Index(tok.loc, tok.value, indices)
+            return A.Var(tok.loc, tok.value)
 
-        raise ParseError(f"unexpected token {tok.kind!r} in expression", tok.loc)
+        if kind == "(":
+            self.pos += 1
+            inner = self.parse_expr()
+            self.expect(")", "parenthesized expression")
+            return inner
+
+        raise ParseError(f"unexpected token {kind!r} in expression", tok.loc)
 
 
 def parse(source: str) -> A.Program:

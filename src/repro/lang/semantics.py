@@ -127,92 +127,104 @@ class _Analyzer:
 
     def _check_stmt(self, stmt: A.Stmt, scope: _Scope, in_loop: bool,
                     next_seen: set[str]) -> bool:
-        if isinstance(stmt, A.Bind):
-            kind = self._check_expr(stmt.value, scope)
-            scope.define(stmt.name, kind, stmt.loc)
-            return False
+        """Check one statement; returns True if it definitely returns."""
+        check = _CHECK_STMT.get(type(stmt))
+        if check is None:
+            raise SemanticError(f"unknown statement {type(stmt).__name__}",
+                                stmt.loc)
+        return check(self, stmt, scope, in_loop, next_seen)
 
-        if isinstance(stmt, A.NextBind):
-            if not in_loop:
-                raise SemanticError(
-                    f"'next {stmt.name}' outside of a loop", stmt.loc)
-            # Find the innermost loop scope.
-            loop_scope = scope
-            while loop_scope.loop is None:
-                assert loop_scope.parent is not None
-                loop_scope = loop_scope.parent
-            if not scope.defined_outside_loop(stmt.name, loop_scope):
-                raise SemanticError(
-                    f"'next {stmt.name}': variable is not defined outside "
-                    "the enclosing loop", stmt.loc,
-                )
-            if stmt.name in next_seen:
-                raise SemanticError(
-                    f"'next {stmt.name}' appears twice on one path", stmt.loc)
-            next_seen.add(stmt.name)
-            loop = loop_scope.loop
-            if stmt.name not in loop.carried:
-                loop.carried.append(stmt.name)
-            self._check_expr(stmt.value, scope)
-            return False
+    def _check_bind(self, stmt: A.Bind, scope: _Scope, in_loop: bool,
+                    next_seen: set[str]) -> bool:
+        kind = self._check_expr(stmt.value, scope)
+        scope.define(stmt.name, kind, stmt.loc)
+        return False
 
-        if isinstance(stmt, A.ArrayWrite):
-            kind = scope.lookup(stmt.array)
-            if kind is None:
-                raise SemanticError(f"undefined array {stmt.array!r}", stmt.loc)
-            if kind == SCALAR:
-                raise SemanticError(
-                    f"{stmt.array!r} is a scalar, not an array", stmt.loc)
-            for idx in stmt.indices:
-                self._check_expr(idx, scope)
-            self._check_expr(stmt.value, scope)
-            return False
+    def _check_next(self, stmt: A.NextBind, scope: _Scope, in_loop: bool,
+                    next_seen: set[str]) -> bool:
+        if not in_loop:
+            raise SemanticError(
+                f"'next {stmt.name}' outside of a loop", stmt.loc)
+        # Find the innermost loop scope.
+        loop_scope = scope
+        while loop_scope.loop is None:
+            assert loop_scope.parent is not None
+            loop_scope = loop_scope.parent
+        if not scope.defined_outside_loop(stmt.name, loop_scope):
+            raise SemanticError(
+                f"'next {stmt.name}': variable is not defined outside "
+                "the enclosing loop", stmt.loc,
+            )
+        if stmt.name in next_seen:
+            raise SemanticError(
+                f"'next {stmt.name}' appears twice on one path", stmt.loc)
+        next_seen.add(stmt.name)
+        loop = loop_scope.loop
+        if stmt.name not in loop.carried:
+            loop.carried.append(stmt.name)
+        self._check_expr(stmt.value, scope)
+        return False
 
-        if isinstance(stmt, A.For):
-            assert self.current is not None
-            self.current.has_loops = True
-            self._check_expr(stmt.init, scope)
-            self._check_expr(stmt.limit, scope)
-            body_scope = _Scope(scope, loop=stmt)
-            body_scope.define(stmt.var, SCALAR, stmt.loc)
-            self._check_body(stmt.body, body_scope, in_loop=True)
-            if stmt.var in stmt.carried:
-                raise SemanticError(
-                    f"loop variable {stmt.var!r} cannot be a next-variable",
-                    stmt.loc,
-                )
-            return False
+    def _check_write(self, stmt: A.ArrayWrite, scope: _Scope, in_loop: bool,
+                     next_seen: set[str]) -> bool:
+        kind = scope.lookup(stmt.array)
+        if kind is None:
+            raise SemanticError(f"undefined array {stmt.array!r}", stmt.loc)
+        if kind == SCALAR:
+            raise SemanticError(
+                f"{stmt.array!r} is a scalar, not an array", stmt.loc)
+        for idx in stmt.indices:
+            self._check_expr(idx, scope)
+        self._check_expr(stmt.value, scope)
+        return False
 
-        if isinstance(stmt, A.While):
-            assert self.current is not None
-            self.current.has_loops = True
-            body_scope = _Scope(scope, loop=stmt)
-            # The condition sees carried variables, i.e. the loop scope.
-            self._check_expr(stmt.cond, body_scope)
-            self._check_body(stmt.body, body_scope, in_loop=True)
-            return False
+    def _check_for(self, stmt: A.For, scope: _Scope, in_loop: bool,
+                   next_seen: set[str]) -> bool:
+        assert self.current is not None
+        self.current.has_loops = True
+        self._check_expr(stmt.init, scope)
+        self._check_expr(stmt.limit, scope)
+        body_scope = _Scope(scope, loop=stmt)
+        body_scope.define(stmt.var, SCALAR, stmt.loc)
+        self._check_body(stmt.body, body_scope, in_loop=True)
+        if stmt.var in stmt.carried:
+            raise SemanticError(
+                f"loop variable {stmt.var!r} cannot be a next-variable",
+                stmt.loc,
+            )
+        return False
 
-        if isinstance(stmt, A.If):
-            self._check_expr(stmt.cond, scope)
-            then_scope = _Scope(scope, loop=None)
-            then_ret = self._check_body_branch(stmt.then_body, then_scope,
-                                               in_loop, next_seen)
-            else_scope = _Scope(scope, loop=None)
-            else_ret = self._check_body_branch(stmt.else_body, else_scope,
-                                               in_loop, next_seen)
-            return then_ret and else_ret and bool(stmt.else_body)
+    def _check_while(self, stmt: A.While, scope: _Scope, in_loop: bool,
+                     next_seen: set[str]) -> bool:
+        assert self.current is not None
+        self.current.has_loops = True
+        body_scope = _Scope(scope, loop=stmt)
+        # The condition sees carried variables, i.e. the loop scope.
+        self._check_expr(stmt.cond, body_scope)
+        self._check_body(stmt.body, body_scope, in_loop=True)
+        return False
 
-        if isinstance(stmt, A.Return):
-            if in_loop:
-                raise SemanticError(
-                    "'return' inside a loop body is not supported: loop SPs "
-                    "run asynchronously and have no caller to return to",
-                    stmt.loc,
-                )
-            self._check_expr(stmt.value, scope)
-            return True
+    def _check_if(self, stmt: A.If, scope: _Scope, in_loop: bool,
+                  next_seen: set[str]) -> bool:
+        self._check_expr(stmt.cond, scope)
+        then_scope = _Scope(scope, loop=None)
+        then_ret = self._check_body_branch(stmt.then_body, then_scope,
+                                           in_loop, next_seen)
+        else_scope = _Scope(scope, loop=None)
+        else_ret = self._check_body_branch(stmt.else_body, else_scope,
+                                           in_loop, next_seen)
+        return then_ret and else_ret and bool(stmt.else_body)
 
-        raise SemanticError(f"unknown statement {type(stmt).__name__}", stmt.loc)
+    def _check_return(self, stmt: A.Return, scope: _Scope, in_loop: bool,
+                      next_seen: set[str]) -> bool:
+        if in_loop:
+            raise SemanticError(
+                "'return' inside a loop body is not supported: loop SPs "
+                "run asynchronously and have no caller to return to",
+                stmt.loc,
+            )
+        self._check_expr(stmt.value, scope)
+        return True
 
     def _check_body_branch(self, body: list[A.Stmt], scope: _Scope,
                            in_loop: bool, outer_next_seen: set[str]) -> bool:
@@ -230,49 +242,50 @@ class _Analyzer:
 
     def _check_expr(self, expr: A.Expr, scope: _Scope) -> str:
         """Check an expression; returns the kind of value it denotes."""
-        if isinstance(expr, A.Num):
-            return SCALAR
+        check = _CHECK_EXPR.get(type(expr))
+        if check is None:
+            raise SemanticError(f"unknown expression {type(expr).__name__}",
+                                expr.loc)
+        return check(self, expr, scope)
 
-        if isinstance(expr, A.Var):
-            kind = scope.lookup(expr.name)
-            if kind is None:
-                raise SemanticError(f"undefined name {expr.name!r}", expr.loc)
-            return kind
+    def _check_num(self, expr: A.Num, scope: _Scope) -> str:
+        return SCALAR
 
-        if isinstance(expr, A.BinOp):
-            self._check_expr(expr.left, scope)
-            self._check_expr(expr.right, scope)
-            return SCALAR
+    def _check_var(self, expr: A.Var, scope: _Scope) -> str:
+        kind = scope.lookup(expr.name)
+        if kind is None:
+            raise SemanticError(f"undefined name {expr.name!r}", expr.loc)
+        return kind
 
-        if isinstance(expr, A.UnOp):
-            self._check_expr(expr.operand, scope)
-            return SCALAR
+    def _check_binop(self, expr: A.BinOp, scope: _Scope) -> str:
+        self._check_expr(expr.left, scope)
+        self._check_expr(expr.right, scope)
+        return SCALAR
 
-        if isinstance(expr, A.IfExp):
-            self._check_expr(expr.cond, scope)
-            k1 = self._check_expr(expr.then, scope)
-            k2 = self._check_expr(expr.other, scope)
-            if ARRAY in (k1, k2):
-                return UNKNOWN
-            return SCALAR
+    def _check_unop(self, expr: A.UnOp, scope: _Scope) -> str:
+        self._check_expr(expr.operand, scope)
+        return SCALAR
 
-        if isinstance(expr, A.Index):
-            kind = scope.lookup(expr.array)
-            if kind is None:
-                raise SemanticError(f"undefined array {expr.array!r}", expr.loc)
-            if kind == SCALAR:
-                raise SemanticError(
-                    f"{expr.array!r} is a scalar, not an array", expr.loc)
-            if not expr.indices:
-                raise SemanticError("empty subscript", expr.loc)
-            for idx in expr.indices:
-                self._check_expr(idx, scope)
-            return SCALAR
+    def _check_ifexp(self, expr: A.IfExp, scope: _Scope) -> str:
+        self._check_expr(expr.cond, scope)
+        k1 = self._check_expr(expr.then, scope)
+        k2 = self._check_expr(expr.other, scope)
+        if ARRAY in (k1, k2):
+            return UNKNOWN
+        return SCALAR
 
-        if isinstance(expr, A.Call):
-            return self._check_call(expr, scope)
-
-        raise SemanticError(f"unknown expression {type(expr).__name__}", expr.loc)
+    def _check_index(self, expr: A.Index, scope: _Scope) -> str:
+        kind = scope.lookup(expr.array)
+        if kind is None:
+            raise SemanticError(f"undefined array {expr.array!r}", expr.loc)
+        if kind == SCALAR:
+            raise SemanticError(
+                f"{expr.array!r} is a scalar, not an array", expr.loc)
+        if not expr.indices:
+            raise SemanticError("empty subscript", expr.loc)
+        for idx in expr.indices:
+            self._check_expr(idx, scope)
+        return SCALAR
 
     def _check_call(self, call: A.Call, scope: _Scope) -> str:
         name = call.name
@@ -312,6 +325,28 @@ class _Analyzer:
         assert self.current is not None
         self.current.calls.add(name)
         return UNKNOWN
+
+
+# Node class -> its check, looked up by ``type(node)``: every AST node
+# class is a leaf, so the exact type is the whole decision.
+_CHECK_STMT = {
+    A.Bind: _Analyzer._check_bind,
+    A.NextBind: _Analyzer._check_next,
+    A.ArrayWrite: _Analyzer._check_write,
+    A.For: _Analyzer._check_for,
+    A.While: _Analyzer._check_while,
+    A.If: _Analyzer._check_if,
+    A.Return: _Analyzer._check_return,
+}
+_CHECK_EXPR = {
+    A.Num: _Analyzer._check_num,
+    A.Var: _Analyzer._check_var,
+    A.BinOp: _Analyzer._check_binop,
+    A.UnOp: _Analyzer._check_unop,
+    A.IfExp: _Analyzer._check_ifexp,
+    A.Index: _Analyzer._check_index,
+    A.Call: _Analyzer._check_call,
+}
 
 
 def analyze(program: A.Program) -> ProgramInfo:

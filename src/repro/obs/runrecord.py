@@ -52,6 +52,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from repro.common.canonical import canonical_json
+
 SCHEMA = "pods-run/v1"
 
 # Hex digits of the sha256 a record is addressed by (store filenames and
@@ -196,11 +198,6 @@ def build_record(result, program=None, args: tuple = ()) -> dict:
 # ---------------------------------------------------------------------
 # canonical bytes / content addressing
 # ---------------------------------------------------------------------
-
-
-def canonical_json(doc: dict) -> str:
-    """The one byte encoding of a record (sorted keys, no whitespace)."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def deterministic_projection(doc: dict) -> dict:

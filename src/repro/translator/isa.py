@@ -41,6 +41,8 @@ OP_NAMES = {
     SPAWN: "SPAWN", SENDR: "SENDR", END: "END", NOP: "NOP",
 }
 
+_BRANCHES = frozenset((JUMP, BRF, BRT))
+
 Operand = tuple  # ("s", slot_index) | ("k", constant)
 
 
@@ -161,25 +163,22 @@ class Instr:
 
     def input_operands(self) -> list[Operand]:
         """Operands whose presence gates execution of this instruction."""
-        ops: list[Operand] = []
-        for o in (self.a, self.b, self.extra):
-            if o is not None:
-                ops.append(o)
+        ops = [o for o in (self.a, self.b, self.extra) if o is not None]
         ops.extend(self.args)
         return ops
 
     def __repr__(self) -> str:
-        name = OP_NAMES.get(self.op, f"op{self.op}")
-        parts = [name]
+        op = self.op
+        parts = [OP_NAMES.get(op) or f"op{op}"]
         if self.dst is not None:
             parts.append(f"s{self.dst}<-")
         if self.fn:
             parts.append(self.fn)
         for o in self.input_operands():
             parts.append(f"s{o[1]}" if o[0] == "s" else repr(o[1]))
-        if self.op in (JUMP, BRF, BRT):
+        if op in _BRANCHES:
             parts.append(f"@{self.target}")
-        if self.op == SPAWN:
+        elif op == SPAWN:
             parts.append(f"block={self.block}{'D' if self.distributed else ''}")
         if self.comment:
             parts.append(f"; {self.comment}")

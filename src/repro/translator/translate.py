@@ -57,7 +57,7 @@ class _Lower:
 
     def operand(self, vid: int) -> isa.Operand:
         d = self.block.defs[vid]
-        if isinstance(d, ir.ConstDef):
+        if type(d) is ir.ConstDef:
             return isa.const(d.value)
         return isa.slot(self.slot_of(vid))
 
@@ -201,77 +201,89 @@ class _Lower:
     def emit_region(self, region: ir.Region, raddr_slot: int | None,
                     shadow: list[int] | None = None) -> None:
         for item in region:
-            if isinstance(item, ir.ComputeItem):
-                self._emit_compute(item.vid)
-            elif isinstance(item, ir.WriteItem):
-                self.emit(isa.Instr(
-                    isa.AWRITE, a=self.operand(item.array),
-                    args=tuple(self.operand(v) for v in item.indices),
-                    b=self.operand(item.value),
-                ))
-            elif isinstance(item, ir.InvokeItem):
-                self.emit(isa.Instr(
-                    isa.SPAWN, block=item.block,
-                    args=tuple(self.operand(v) for v in item.args),
-                    result_slots=tuple(self.slot_of(r) for r in item.results),
-                    distributed=item.distributed,
-                    comment="LD" if item.distributed else "L",
-                ))
-            elif isinstance(item, ir.IfItem):
-                self._emit_if(item, raddr_slot, shadow)
-            elif isinstance(item, ir.NextItem):
-                if shadow is None:
-                    raise TranslationError("next outside loop skeleton")
-                self.emit(isa.Instr(
-                    isa.MOV, dst=shadow[item.carried_index],
-                    a=self.operand(item.value),
-                    comment=f"next {self.block.carried_names[item.carried_index]}",
-                ))
-            elif isinstance(item, ir.ReturnItem):
-                if raddr_slot is None:
-                    raise TranslationError("return outside function block")
-                self.emit(isa.Instr(isa.SENDR, a=isa.slot(raddr_slot),
-                                    b=self.operand(item.value)))
-                self.emit(isa.Instr(isa.END))
-            else:
+            emit = _EMIT_ITEM.get(type(item))
+            if emit is None:
                 raise TranslationError(f"unknown item {type(item).__name__}")
+            emit(self, item, raddr_slot, shadow)
 
-    def _emit_compute(self, vid: int) -> None:
+    def _emit_compute_item(self, item: ir.ComputeItem, raddr_slot: int | None,
+                           shadow: list[int] | None) -> None:
+        vid = item.vid
         d = self.block.defs[vid]
-        dst = self.slot_of(vid)
-
-        if isinstance(d, ir.OpDef):
-            ops = [self.operand(a) for a in d.args]
-            if len(ops) == 1:
-                self.emit(isa.Instr(isa.UN, dst=dst, fn=d.fn, a=ops[0]))
-            elif len(ops) == 2:
-                self.emit(isa.Instr(isa.BIN, dst=dst, fn=d.fn,
-                                    a=ops[0], b=ops[1]))
-            else:
-                raise TranslationError(f"op {d.fn} arity {len(ops)}")
-        elif isinstance(d, ir.AllocDef):
-            self.emit(isa.Instr(
-                isa.ALLOC, dst=dst,
-                args=tuple(self.operand(a) for a in d.dims),
-                distributed=d.distributed, comment=d.name,
-            ))
-        elif isinstance(d, ir.ReadDef):
-            self.emit(isa.Instr(
-                isa.AREAD, dst=dst, a=self.operand(d.array),
-                args=tuple(self.operand(a) for a in d.indices),
-            ))
-        elif isinstance(d, ir.CallDef):
-            callee = self.graph.functions.get(d.fn)
-            if callee is None:
-                raise TranslationError(f"call to unknown function {d.fn!r}")
-            self.emit(isa.Instr(
-                isa.SPAWN, block=callee,
-                args=tuple(self.operand(a) for a in d.args),
-                result_slots=(dst,), comment=f"call {d.fn}",
-            ))
-        else:
+        emit = _EMIT_DEF.get(type(d))
+        if emit is None:
             raise TranslationError(
                 f"cannot compute def {type(d).__name__} (v{vid})")
+        emit(self, d, self.slot_of(vid))
+
+    def _emit_write(self, item: ir.WriteItem, raddr_slot: int | None,
+                    shadow: list[int] | None) -> None:
+        self.emit(isa.Instr(
+            isa.AWRITE, a=self.operand(item.array),
+            args=tuple(self.operand(v) for v in item.indices),
+            b=self.operand(item.value),
+        ))
+
+    def _emit_invoke(self, item: ir.InvokeItem, raddr_slot: int | None,
+                     shadow: list[int] | None) -> None:
+        self.emit(isa.Instr(
+            isa.SPAWN, block=item.block,
+            args=tuple(self.operand(v) for v in item.args),
+            result_slots=tuple(self.slot_of(r) for r in item.results),
+            distributed=item.distributed,
+            comment="LD" if item.distributed else "L",
+        ))
+
+    def _emit_next(self, item: ir.NextItem, raddr_slot: int | None,
+                   shadow: list[int] | None) -> None:
+        if shadow is None:
+            raise TranslationError("next outside loop skeleton")
+        self.emit(isa.Instr(
+            isa.MOV, dst=shadow[item.carried_index],
+            a=self.operand(item.value),
+            comment=f"next {self.block.carried_names[item.carried_index]}",
+        ))
+
+    def _emit_return(self, item: ir.ReturnItem, raddr_slot: int | None,
+                     shadow: list[int] | None) -> None:
+        if raddr_slot is None:
+            raise TranslationError("return outside function block")
+        self.emit(isa.Instr(isa.SENDR, a=isa.slot(raddr_slot),
+                            b=self.operand(item.value)))
+        self.emit(isa.Instr(isa.END))
+
+    def _emit_op(self, d: ir.OpDef, dst: int) -> None:
+        ops = [self.operand(a) for a in d.args]
+        if len(ops) == 1:
+            self.emit(isa.Instr(isa.UN, dst=dst, fn=d.fn, a=ops[0]))
+        elif len(ops) == 2:
+            self.emit(isa.Instr(isa.BIN, dst=dst, fn=d.fn,
+                                a=ops[0], b=ops[1]))
+        else:
+            raise TranslationError(f"op {d.fn} arity {len(ops)}")
+
+    def _emit_alloc(self, d: ir.AllocDef, dst: int) -> None:
+        self.emit(isa.Instr(
+            isa.ALLOC, dst=dst,
+            args=tuple(self.operand(a) for a in d.dims),
+            distributed=d.distributed, comment=d.name,
+        ))
+
+    def _emit_read(self, d: ir.ReadDef, dst: int) -> None:
+        self.emit(isa.Instr(
+            isa.AREAD, dst=dst, a=self.operand(d.array),
+            args=tuple(self.operand(a) for a in d.indices),
+        ))
+
+    def _emit_call(self, d: ir.CallDef, dst: int) -> None:
+        callee = self.graph.functions.get(d.fn)
+        if callee is None:
+            raise TranslationError(f"call to unknown function {d.fn!r}")
+        self.emit(isa.Instr(
+            isa.SPAWN, block=callee,
+            args=tuple(self.operand(a) for a in d.args),
+            result_slots=(dst,), comment=f"call {d.fn}",
+        ))
 
     def _emit_if(self, item: ir.IfItem, raddr_slot: int | None,
                  shadow: list[int] | None) -> None:
@@ -289,6 +301,24 @@ class _Lower:
             self.emit(isa.Instr(isa.MOV, dst=self.slot_of(j),
                                 a=self.operand(d.else_vid), comment="join"))
         self.code[jump_end].target = self.here()
+
+
+# Item / def class -> its emitter, looked up by ``type()``: every IR
+# item and def class is a leaf, so the exact type is the whole decision.
+_EMIT_ITEM = {
+    ir.ComputeItem: _Lower._emit_compute_item,
+    ir.WriteItem: _Lower._emit_write,
+    ir.InvokeItem: _Lower._emit_invoke,
+    ir.IfItem: _Lower._emit_if,
+    ir.NextItem: _Lower._emit_next,
+    ir.ReturnItem: _Lower._emit_return,
+}
+_EMIT_DEF = {
+    ir.OpDef: _Lower._emit_op,
+    ir.AllocDef: _Lower._emit_alloc,
+    ir.ReadDef: _Lower._emit_read,
+    ir.CallDef: _Lower._emit_call,
+}
 
 
 def translate(graph: ir.ProgramGraph) -> isa.PodsProgram:

@@ -1,9 +1,12 @@
 """Lexer tests."""
 
+import re
+import time
+
 import pytest
 
 from repro.common.errors import LexError
-from repro.lang.lexer import tokenize
+from repro.lang.lexer import _LEXEME, tokenize
 
 
 def kinds(src):
@@ -138,6 +141,24 @@ class TestScannerCorners:
             with pytest.raises(LexError) as exc:
                 tokenize(f"ab\n  {bad}")
             assert str(exc.value) == f"2:3: unexpected character {bad!r}"
+
+    def test_a_long_run_of_blanks_scans_in_linear_time(self):
+        n = 50_000
+        assert stream("x" + " " * n) == [("name", "x", "1:1"),
+                                         ("eof", None, f"1:{n + 2}")]
+        assert stream("x # c" + "\t" * 3) == [("name", "x", "1:1"),
+                                              ("eof", None, "1:3")]
+        # A scan that retried the blanks at every later position would
+        # take n²/2 steps here: seconds, not a millisecond.
+        for src in ("x" + " " * n, " " * n + "x", ("x" + " " * 100) * 500):
+            start = time.perf_counter()
+            tokenize(src)
+            assert time.perf_counter() - start < 0.5
+
+    def test_the_pattern_compiles_on_every_supported_python(self):
+        # Possessive quantifiers and atomic groups are Python 3.11+;
+        # on 3.10 the module would not import.
+        assert not re.search(r"[*+?}]\+|\(\?>", _LEXEME.pattern)
 
 
 class TestRealPrograms:
