@@ -18,9 +18,6 @@ from repro.sim.stats import UNITS
 # in a few minutes on a laptop.
 FULL_SCALE = bool(os.environ.get("PODS_BENCH_FULL"))
 
-PE_COUNTS = [1, 2, 4, 8, 16, 32]
-
-
 @dataclass
 class Point:
     """One simulated configuration (everything the figures consume)."""
@@ -87,20 +84,6 @@ class Sweeper:
         )
         self._cache[cache_key] = point
         return point
-
-    def speedups(self, program: Program, args: tuple,
-                 pe_counts: list[int] | None = None,
-                 key: str = "", **machine_kwargs) -> dict[int, float]:
-        """PE count -> speedup relative to the 1-PE run."""
-        counts = pe_counts or PE_COUNTS
-        base = self.run(program, args, 1, key=key, **machine_kwargs)
-        out = {1: 1.0}
-        for pes in counts:
-            if pes == 1:
-                continue
-            point = self.run(program, args, pes, key=key, **machine_kwargs)
-            out[pes] = base.time_us / point.time_us
-        return out
 
 
 @dataclass

@@ -31,19 +31,6 @@ def render_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(out)
 
 
-def render_bar_chart(labels: Sequence[str], values: Sequence[float],
-                     width: int = 50, unit: str = "") -> str:
-    """Horizontal bars scaled to the maximum value."""
-    peak = max(values) if values else 1.0
-    peak = peak or 1.0
-    label_w = max(len(l) for l in labels) if labels else 0
-    out = []
-    for label, value in zip(labels, values):
-        bar = "#" * max(1, round(width * value / peak)) if value > 0 else ""
-        out.append(f"{label.rjust(label_w)} | {bar} {value:.2f}{unit}")
-    return "\n".join(out)
-
-
 def render_series_chart(x_values: Sequence, series: dict[str, Sequence[float]],
                         height: int = 16, width: int = 64,
                         y_label: str = "") -> str:

@@ -54,7 +54,7 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.api import compile_source
 from repro.backend import (MODELED_TIME, RECOVERY, classify_error,
@@ -271,10 +271,11 @@ def dist_scenarios(nodes: int) -> list[Scenario]:
         # subrange re-execution must reconstruct the lost segment.
         scenario("late-kill-replay", "node-kill:node=1,on=write,after=30",
                  n=N_LONG, takeovers=1),
-        # Takeover budget exhausted: the structured error, not a hang.
+        # Recovery budget exhausted: the structured error, not a hang.
         scenario("kill-budget-exhausted",
                  "node-kill:node=1,on=iter,after=2",
-                 n=N_LONG, outcome="node-loss", max_takeovers=0),
+                 n=N_LONG, outcome="node-loss",
+                 retry=replace(FAST_RECOVERY["retry"], max_retries_total=0)),
         # The coordinator itself dies mid-run (power-loss semantics: no
         # shutdown broadcast, its listener just vanishes).  The warm
         # standby fences the dead generation, nodes rejoin on the

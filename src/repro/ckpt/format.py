@@ -45,13 +45,13 @@ what lets a 2-worker checkpoint resume on 4 workers (or 3 nodes).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 from dataclasses import dataclass, field
 
-from repro.common.canonical import canonical_json
+from repro.common.canonical import (canonical_json, content_address,
+                                    source_hash, source_hash_problems)
 from repro.common.errors import PodsError
 
 SCHEMA = "pods-ckpt/v1"
@@ -180,8 +180,6 @@ def build_checkpoint(arrays: list[dict], progress: list[dict],
 def program_section(source: str | None, entry: str = "main",
                     name: str | None = None) -> dict:
     """The embedded-program identity section of a checkpoint."""
-    from repro.obs.runrecord import source_hash
-
     sec: dict = {"entry": entry, "name": name or entry}
     if isinstance(source, str):
         sec["source"] = source
@@ -200,7 +198,7 @@ def ckpt_id(doc: dict) -> str:
     Checkpoints carry no host-dependent fields (no wall times), so the
     id hashes the document as-is — no deterministic projection needed.
     """
-    return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
+    return content_address(doc)
 
 
 # ---------------------------------------------------------------------
@@ -224,20 +222,15 @@ def validate(doc) -> list[str]:
     if not isinstance(prog, dict):
         problems.append("'program' must be an object")
     else:
+        problems += source_hash_problems(prog)
         sha = prog.get("source_sha256")
-        if sha is not None and not (isinstance(sha, str) and len(sha) == 64):
-            problems.append("'program.source_sha256' must be a sha256 hex "
-                            "digest")
         src = prog.get("source")
         if src is not None:
             if not isinstance(src, str):
                 problems.append("'program.source' must be a string")
-            elif isinstance(sha, str):
-                from repro.obs.runrecord import source_hash
-
-                if source_hash(src) != sha:
-                    problems.append("'program.source' does not hash to "
-                                    "'program.source_sha256'")
+            elif isinstance(sha, str) and source_hash(src) != sha:
+                problems.append("'program.source' does not hash to "
+                                "'program.source_sha256'")
     if not isinstance(doc.get("args"), list):
         problems.append("'args' must be an array")
     config = doc.get("config")

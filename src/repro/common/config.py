@@ -270,13 +270,15 @@ class DistConfig:
         reconnect_attempts: Redials allowed per peer connection before
             the link is declared dead (backoff from the shared
             :class:`repro.common.retry.RetryPolicy`).
-        max_takeovers: Global takeover budget; exhausting it aborts
-            with :class:`repro.common.errors.NodeLossError`.
         retry: The shared :class:`repro.common.retry.RetryPolicy`:
             ``enabled`` turns node-loss takeover on (a dead node's RF
             subranges are re-executed by a survivor, idempotently via
-            presence-bit replay, instead of aborting the run); its
-            backoff schedule paces both reconnects and takeovers.
+            presence-bit replay, instead of aborting the run);
+            ``max_retries_total`` is the budget of takeovers, past which
+            the run aborts with :class:`repro.common.errors.NodeLossError`
+            (a node is never respawned, so ``max_retries_per_worker``
+            does not apply); its backoff schedule paces both reconnects
+            and takeovers.
     """
 
     nodes: int = 2
@@ -291,7 +293,6 @@ class DistConfig:
     retransmit_timeout_s: float = 0.25
     retransmit_budget: int = 16
     reconnect_attempts: int = 3
-    max_takeovers: int = 2
     retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
@@ -305,6 +306,6 @@ class DistConfig:
             "retransmit_timeout_s"))
         if self.retransmit_budget < 1:
             raise ValueError("retransmit_budget must be >= 1")
-        require_nonneg(self, ("reconnect_attempts", "max_takeovers"))
+        require_nonneg(self, ("reconnect_attempts",))
         self.retry.__post_init__()
 

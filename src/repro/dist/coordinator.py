@@ -12,19 +12,11 @@ undefined behaviour), then supervise over TCP:
   watches heartbeat deadlines *and* process sentinels, so both a
   silent partition and an outright death surface within one poll
   interval as a structured :class:`WorkerFailure`;
-* **takeover** — when recovery is on and the global takeover budget
-  allows, a dead node is fenced, its identities are rebound to the
-  lowest-numbered survivor in a new owner-map version broadcast to the
-  cluster, and the survivor re-executes the orphaned Range-Filter
-  subranges after deterministic backoff.  Single assignment makes the
-  replay idempotent: elements other nodes already hold are verified
-  (presence-bit replay), the missing suffix is recomputed.  Reads that
-  were in flight to the dead node are re-issued against the new owner.
-* **degradation ladder** — recovery disabled, budget exhausted, or no
-  survivors raises :class:`~repro.common.errors.NodeLossError`
-  (taxonomy code ``node-loss``); node-side program faults raise
-  :class:`~repro.common.errors.DistExecutionError`, classified by the
-  code each node's ``err`` report carries, as on the parallel backend.
+* **takeover** — what a loss means is the supervision core's decision
+  (:mod:`repro.runtime.supervise`): the dead node is fenced, and its
+  identities are rebound to the lowest-numbered survivor, which
+  re-executes their subranges in presence-bit replay — or the run
+  raises :class:`~repro.common.errors.NodeLossError`.
 
 Teardown is uniform across success, failure and interrupt: broadcast
 shutdown, then terminate/join every process ever forked and close every
@@ -45,13 +37,13 @@ from typing import Any
 from repro.common.config import DistConfig
 from repro.common.errors import (DistExecutionError, NodeLossError,
                                  WorkerFailure)
-from repro.common.retry import RecoveryEvent, RecoveryLog
 from repro.dist import reasons
 from repro.dist.faults import CoordKillSwitch, DistFaultPlan
 from repro.dist.node import node_main
 from repro.dist.transport import encode_frame, frame_secret, read_frame
 from repro.runtime.spmd import (SpmdResult, fold_results, reap,
                                 sigterm_as_interrupt)
+from repro.runtime.supervise import Abort, Fence, Start, Supervision
 from repro.runtime.values import ArrayValue
 from repro.sim.reliable import NetStats
 
@@ -59,16 +51,18 @@ from repro.sim.reliable import NetStats
 # (CI's crash-restart job) can aim a real ``kill -9`` at it.
 COORD_PIDFILE_ENV = "PODS_DIST_COORD_PIDFILE"
 
+# The node frames that are reports for the supervision core.
+_REPORTS = ("started", "done", "result", "err", "peer-lost")
+
 
 class _Supervisor:
     """The coordinator's asyncio half: registration through teardown.
 
-    With ``standby=True`` this is the *promoted* supervisor: the nodes
-    are already running, so registration waits for them to rejoin on
-    the standby socket and absorbs their resync payloads (owner map,
-    generation, remembered done/result reports) instead of launching
-    executors.  The promoted supervisor never arms ``coord-kill``
-    clauses — a scenario tests exactly one failover.
+    The supervision core's shell: what a report, a loss or the passing
+    of time means is ``self.core``'s to decide.  With ``standby=True``
+    this is the *promoted* supervisor: registration waits for the
+    running nodes to rejoin and keeps their resync payloads, from which
+    the core is rebuilt; it never arms ``coord-kill`` clauses.
     """
 
     def __init__(self, cfg: DistConfig, procs: list, plan=None,
@@ -81,9 +75,16 @@ class _Supervisor:
         self.restore = restore
         self.standby = standby
         self.expect: set[int] = set(range(self.n))
-        self.max_resync_gen = 0
+        self.core = Supervision(self.n, cfg.retry, respawns=0, hosted=True,
+                                timeout_s=cfg.timeout_s, unit="node",
+                                now=time.monotonic())
+        self.outcome = None  # the core's Abort or Finish
         self._registering = True
         self._deferred_losses: list[tuple[int, int | None]] = []
+        # Standby only: the highest-generation resync's (generation,
+        # owners, live), and every report kept for the core meanwhile.
+        self._vote: tuple = (0, None, None)
+        self._absorbed: list[tuple[int, dict]] = []
         self._ckpt_pending: set[int] = set()
         # array id -> (dims, {offset: value}); a monotone union across
         # rounds — single assignment makes mixed-time replies a cut.
@@ -92,31 +93,13 @@ class _Supervisor:
         self.conns: dict[int, asyncio.StreamWriter] = {}
         self.ports: dict[int, int] = {}
         self.last_hb: dict[int, float] = {}
-        self.live: set[int] = set(range(self.n))
-        self.owners: list[int] = list(range(self.n))
-        self.remaining: set[int] = set(range(self.n))
-        self.completed: dict[int, dict] = {}
-        self.result_msg: tuple | None = None
-        self.failures: list[WorkerFailure] = []
-        self.fatal_message: str | None = None
-        self.node_loss = False
-        self.rlog = RecoveryLog()
-        self.takeovers_used = 0
-        self.generation = 1
-        # (due monotonic, dead node, identities, generation)
-        self.pending_adopts: list[tuple[float, int, tuple[int, ...],
-                                        int]] = []
         self.segments: dict[int, Any] = {}
         self.collect_pending: set[int] = set()
         self.byes: dict[int, dict] = {}
         self.finishing = False
         self.kick = asyncio.Event()
-        self.t0 = time.monotonic()
         self._conn_tasks: set[asyncio.Task] = set()
         self.server = None
-
-    def t(self) -> float:
-        return time.monotonic() - self.t0
 
     # -- entry -----------------------------------------------------------
 
@@ -140,7 +123,7 @@ class _Supervisor:
                 self._broadcast_start()
                 self.kill.fire("start")
             await self._supervise()
-            if self.failures:
+            if isinstance(self.outcome, Abort):
                 raise self._build_error()
             value = await self._finish_value()
             if self.ckpt is not None:
@@ -174,13 +157,14 @@ class _Supervisor:
         while True:
             if self.standby:
                 dead = {node for node, _ in self._deferred_losses}
-                expected = {node for node in self.expect
-                            if node in self.live and node not in dead}
+                live = self._vote[2]
+                expected = {node for node in self.expect if node not in dead
+                            and (live is None or node in live)}
             else:
                 expected = set(range(self.n))
             if expected <= set(self.conns):
                 return
-            if self.failures:
+            if isinstance(self.outcome, Abort):
                 raise self._build_error()
             if time.monotonic() > deadline:
                 missing = sorted(expected - set(self.conns))
@@ -192,110 +176,66 @@ class _Supervisor:
                                    detail="never registered with the "
                                           "coordinator")
                      for node in missing],
-                    recovery=self.rlog)
+                    recovery=self.core.log)
             await self._wait_kick()
 
     def _assume_command(self) -> None:
-        """Promoted standby takes over: fence the dead epoch, realign.
+        """Promoted standby takes over: a core rebuilt from the resyncs.
 
-        The resync payloads already replayed done/result reports and
-        installed the highest-generation owner map; what remains is to
-        bump past the old coordinator's generation (fencing any frame
-        it might still emit conceptually) and re-broadcast the agreed
-        owner map so every survivor shares one view.  Node deaths that
-        raced the failover were deferred during registration and are
-        processed now, against the absorbed owner map — so a loss the
-        old coordinator already healed is not healed twice.
+        The highest-generation owner map and live set seed the core one
+        generation on, and are re-broadcast; every remembered report
+        (``started`` records included) is replayed — twice is
+        idempotent; node deaths that raced the failover come last, so a
+        loss the old coordinator already healed is not healed twice.
         """
-        self.generation = max(self.generation, self.max_resync_gen) + 1
-        self.rlog.record(RecoveryEvent(
-            self.t(), "failover", -1, self.generation,
-            detail=(f"standby coordinator took over; nodes "
-                    f"{sorted(self.conns)} rejoined, owner map "
-                    f"{self.owners}")))
-        self._broadcast({"t": "ownermap", "owners": self.owners,
-                         "live": sorted(self.live),
-                         "gen": self.generation})
+        generation, owners, live = self._vote
+        self.core.resume(time.monotonic(), owners, live, generation,
+                         self.conns)
+        self._broadcast({"t": "ownermap", "owners": self.core.owners,
+                         "live": sorted(self.core.live),
+                         "gen": self.core.generation})
+        for node, msg in self._absorbed:
+            self._report(node, msg)
         for node, exitcode in self._deferred_losses:
-            if node in self.live:
-                self._report_exit(node, exitcode)
+            self._report_exit(node, exitcode)
+        self._absorbed.clear()
         self._deferred_losses.clear()
 
     def _broadcast_start(self) -> None:
         peers = {str(node): [self.cfg.host, self.ports[node]]
                  for node in range(self.n)}
         self._broadcast({"t": "start", "peers": peers,
-                         "owners": self.owners,
-                         "live": sorted(self.live)})
+                         "owners": self.core.owners,
+                         "live": sorted(self.core.live)})
+        now = time.monotonic()
+        for node in range(self.n):
+            self._apply(self.core.started(now, node, node, (node,), 1))
 
     async def _supervise(self) -> None:
-        deadline = time.monotonic() + self.cfg.timeout_s
-        while True:
-            if self.failures:
-                return
-            if not self.remaining:
-                if self.result_msg is not None:
-                    return
-                self.failures.append(WorkerFailure(
-                    0, exitcode=None, kind="lost",
-                    detail="no result message received"))
-                self.fatal_message = ("node 0 completed without "
-                                      "producing a result")
-                return
+        while self.outcome is None:
             now = time.monotonic()
             if (self.ckpt is not None and not self._ckpt_pending
-                    and self.live and self.ckpt.due(now)):
-                self._ckpt_pending = set(self.live)
+                    and self.core.live and self.ckpt.due(now)):
+                self._ckpt_pending = set(self.core.live)
                 self._broadcast({"t": "ckpt"})
-            due = [a for a in self.pending_adopts if a[0] <= now]
-            if due:
-                self.pending_adopts = [a for a in self.pending_adopts
-                                       if a[0] > now]
-                for _, dead, idents, generation in due:
-                    self._fire_adopt(dead, idents, generation)
-                continue
-            for node in sorted(self.live):
+            self._apply(self.core.tick(now))
+            for node in sorted(self.core.live):
                 hb = self.last_hb.get(node)
                 if hb is not None and \
                         now - hb > self.cfg.heartbeat_timeout_s:
-                    self._on_node_loss(
-                        node,
-                        kind=reasons.failure_kind(
-                            reasons.HEARTBEAT_SILENCE),
-                        exitcode=None,
-                        detail=reasons.reason_string(
-                            reasons.HEARTBEAT_SILENCE,
-                            f"{now - hb:.2f}s silent (threshold "
-                            f"{self.cfg.heartbeat_timeout_s:g}s)"))
-            if now > deadline:
-                for node in sorted(self.live):
-                    if not self.remaining.intersection(
-                            i for i in range(self.n)
-                            if self.owners[i] == node):
-                        continue
-                    self.failures.append(WorkerFailure(
-                        node, exitcode=None, kind="hang",
-                        detail=f"still running at the "
-                               f"{self.cfg.timeout_s:g}s deadline; "
-                               "terminated",
-                        generation=self.generation))
-                for _, _, idents, generation in self.pending_adopts:
-                    self.failures.append(WorkerFailure(
-                        min(idents), exitcode=None, kind="hang",
-                        detail="takeover still pending at the run "
-                               "deadline",
-                        generation=generation))
-                self.pending_adopts.clear()
-                return
-            await self._wait_kick()
+                    self._lose(node, reasons.HEARTBEAT_SILENCE, None,
+                               f"{now - hb:.2f}s silent (threshold "
+                               f"{self.cfg.heartbeat_timeout_s:g}s)")
+            if self.outcome is None:
+                await self._wait_kick()
 
     async def _finish_value(self) -> Any:
-        status, payload = self.result_msg
+        status, payload = self.outcome.result
         if status != "array":
             return payload
         seq, dims = payload[0], tuple(payload[1])
         self.segments = {}
-        self.collect_pending = set(self.live)
+        self.collect_pending = set(self.core.live)
         self._broadcast({"t": "collect", "a": seq})
         deadline = time.monotonic() + self.cfg.connect_timeout_s
         while self.collect_pending:
@@ -307,7 +247,7 @@ class _Supervisor:
                                    detail="did not answer the collect "
                                           "request")
                      for node in sorted(self.collect_pending)],
-                    recovery=self.rlog)
+                    recovery=self.core.log)
             await self._wait_kick()
         total = 1
         for d in dims:
@@ -317,7 +257,7 @@ class _Supervisor:
 
     async def _graceful_shutdown(self) -> None:
         self.finishing = True
-        expected = set(self.live)
+        expected = set(self.core.live)
         self._broadcast({"t": "shutdown"})
         deadline = time.monotonic() + max(1.0,
                                           10 * self.cfg.poll_interval_s)
@@ -355,26 +295,18 @@ class _Supervisor:
             pass
 
     def _absorb_resync(self, node: int, resync: dict) -> None:
-        """Install a rejoining node's memory of the dead epoch.
+        """Keep a rejoining node's memory of the dead epoch.
 
         The highest generation any survivor saw wins the owner-map /
         live-set vote (later broadcasts strictly supersede earlier
-        ones); every remembered done/result/err report is replayed
-        through the normal message path — replaying a report twice is
-        idempotent, so overlap between survivors' memories is safe.
+        ones); its remembered reports wait for :meth:`_assume_command`.
         """
-        gen = int(resync.get("gen", 1))
-        if gen > self.max_resync_gen:
-            self.max_resync_gen = gen
-            owners = resync.get("owners")
-            if owners is not None:
-                self.owners = [int(o) for o in owners]
-            live = resync.get("live")
-            if live is not None:
-                self.live = {int(x) for x in live}
-        for report in resync.get("reports", ()):
-            src = int(report.get("node", node))
-            self._on_msg(src, report)
+        generation = int(resync.get("gen", 1))
+        if generation > self._vote[0]:
+            self._vote = (generation, resync.get("owners"),
+                          resync.get("live"))
+        self._absorbed.extend((int(report.get("node", node)), report)
+                              for report in resync.get("reports", ()))
 
     def _on_msg(self, node: int, msg: dict) -> None:
         t = msg.get("t")
@@ -383,31 +315,15 @@ class _Supervisor:
         if t == "hb":
             self.last_hb[node] = time.monotonic()
             return
-        if node not in self.live and t != "bye":
-            return  # fenced zombie
-        if t == "done":
-            self.completed[msg["slot"]] = msg["telemetry"]
-            self.remaining.difference_update(msg["identities"])
-        elif t == "result":
-            status, payload = msg["v"]
-            self.result_msg = (status, payload)
-        elif t == "err":
-            self.failures.append(WorkerFailure(
-                msg.get("slot", node), exitcode=None, kind="error",
-                detail=msg["detail"], generation=msg.get("gen", 1),
-                code=msg["code"]))
-            self.fatal_message = (f"node {node} reported a program "
-                                  "error")
-        elif t == "peer-lost":
-            peer = msg["peer"]
-            if peer in self.live:
-                reason = msg["reason"]
-                self._on_node_loss(
-                    peer, kind=reasons.failure_kind(reason),
-                    exitcode=None,
-                    detail=reasons.reason_string(
-                        reason, f"unreachable from node {node}: "
-                                f"{msg['detail']}"))
+        if t in _REPORTS:
+            if self._registering and self.standby:
+                self._absorbed.append((node, msg))
+            else:
+                self._report(node, msg)
+        elif t == "bye":
+            self.byes[node] = msg.get("netstats") or {}
+        elif node not in self.core.live:
+            return  # a fenced zombie's state
         elif t == "segment":
             for key, value in msg["vals"].items():
                 self.segments[int(key)] = value
@@ -421,9 +337,25 @@ class _Supervisor:
                 for off, value in entry.get("vals", {}).items():
                     vals.setdefault(int(off), value)
             self._ckpt_mark(node)
-        elif t == "bye":
-            self.byes[node] = msg.get("netstats") or {}
         self.kick.set()
+
+    def _report(self, node: int, msg: dict) -> None:
+        """Hand one of ``node``'s reports to the core."""
+        t, now = msg["t"], time.monotonic()
+        if self.finishing:
+            return
+        if t == "peer-lost":
+            self._lose(msg["peer"], msg["reason"], None,
+                       f"unreachable from node {node}: {msg['detail']}",
+                       reporter=node)
+        elif t == "started":
+            self._apply(self.core.started(now, node, msg["slot"],
+                                          msg["identities"], msg["gen"]))
+        else:
+            payload = {"done": msg.get("telemetry"), "result": msg.get("v"),
+                       "err": (msg.get("code"), msg.get("detail"))}[t]
+            self._apply(self.core.report(now, node, msg.get("slot", node),
+                                         msg.get("gen", 1), t, payload))
 
     def _sentinel_fired(self, node: int) -> None:
         loop = asyncio.get_running_loop()
@@ -431,7 +363,7 @@ class _Supervisor:
             loop.remove_reader(self.procs[node].sentinel)
         except Exception:
             pass
-        if self.finishing or node not in self.live:
+        if self.finishing:
             self.kick.set()
             return
         try:
@@ -452,95 +384,35 @@ class _Supervisor:
         self._report_exit(node, exitcode)
 
     def _report_exit(self, node: int, exitcode: int | None) -> None:
-        self._on_node_loss(
-            node,
-            kind=reasons.failure_kind(reasons.PROCESS_EXIT, exitcode),
-            exitcode=exitcode,
-            detail=reasons.reason_string(
-                reasons.PROCESS_EXIT,
-                f"exitcode {'?' if exitcode is None else exitcode}"))
+        self._lose(node, reasons.PROCESS_EXIT, exitcode,
+                   f"exitcode {'?' if exitcode is None else exitcode}")
 
-    # -- node loss and takeover ------------------------------------------
+    def _lose(self, node: int, reason: str, exitcode: int | None,
+              detail: str, reporter: int | None = None) -> None:
+        if not self.finishing:
+            self._apply(self.core.lost(
+                time.monotonic(), node,
+                reasons.failure_kind(reason, exitcode), exitcode,
+                reasons.reason_string(reason, detail), reporter))
 
-    def _on_node_loss(self, node: int, kind: str, exitcode,
-                      detail: str) -> None:
-        if self.finishing or node not in self.live:
-            return
-        self.live.discard(node)
-        self._ckpt_mark(node)  # don't let a dead node stall a round
-        failure = WorkerFailure(node, exitcode=exitcode, kind=kind,
-                                detail=detail,
-                                generation=self.generation)
-        self.rlog.record(RecoveryEvent(
-            self.t(), "failure", node, self.generation,
-            detail=f"{kind} "
-                   f"(exitcode {'?' if exitcode is None else exitcode})"
-                   f": {detail}"))
-        writer = self.conns.get(node)
-        if writer is not None:
-            try:
-                writer.write(encode_frame({"t": "fence"}, self._secret))
-            except Exception:
-                pass
-        idents = tuple(i for i in range(self.n)
-                       if self.owners[i] == node)
-        self.kick.set()
-        if not self.cfg.retry.enabled:
-            self.failures.append(failure)
-            self.fatal_message = (f"node {node} lost and recovery is "
-                                  "disabled")
-            self.node_loss = True
-            return
-        if self.takeovers_used >= self.cfg.max_takeovers:
-            self.failures.append(failure)
-            self.fatal_message = (f"takeover budget exhausted "
-                                  f"({self.cfg.max_takeovers})")
-            self.node_loss = True
-            self.rlog.record(RecoveryEvent(
-                self.t(), "exhausted", node, self.generation,
-                detail=f"{self.cfg.max_takeovers} takeover(s) used"))
-            return
-        if not self.live:
-            self.failures.append(failure)
-            self.fatal_message = (f"node {node} lost; no survivor to "
-                                  "take over")
-            self.node_loss = True
-            return
-        self.takeovers_used += 1
-        self.generation += 1
-        delay = self.cfg.retry.backoff_s(node, self.takeovers_used)
-        # Re-run every identity the dead node owned — even completed
-        # ones, because its element store died with it.
-        self.remaining.update(idents)
-        self.pending_adopts.append(
-            (time.monotonic() + delay, node, idents, self.generation))
-        self.rlog.record(RecoveryEvent(
-            self.t(), "takeover", min(idents) if idents else node,
-            self.generation,
-            detail=(f"identities {idents} orphaned by node {node} "
-                    f"({kind}); survivors {sorted(self.live)}"),
-            dur_s=delay))
-
-    def _fire_adopt(self, dead: int, idents: tuple[int, ...],
-                    generation: int) -> None:
-        survivors = sorted(self.live)
-        if not survivors:
-            self.failures.append(WorkerFailure(
-                dead, exitcode=None, kind="lost",
-                detail="no survivor left to adopt its identities",
-                generation=generation))
-            self.fatal_message = "no survivor to take over"
-            self.node_loss = True
+    def _apply(self, actions: list) -> None:
+        """Carry out what the core decided."""
+        for act in actions:
+            if isinstance(act, Fence):
+                self._send(act.member, {"t": "fence"})
+                self._ckpt_mark(act.member)  # must not stall a round
+            elif isinstance(act, Start):
+                self._broadcast({"t": "ownermap", "owners": self.core.owners,
+                                 "live": sorted(self.core.live),
+                                 "gen": act.generation})
+                self._send(act.member, {"t": "adopt",
+                                        "identities": list(act.identities),
+                                        "generation": act.generation,
+                                        "slot": act.slot})
+            else:
+                self.outcome = act
+        if actions:
             self.kick.set()
-            return
-        target = survivors[0]
-        for ident in idents:
-            self.owners[ident] = target
-        self._broadcast({"t": "ownermap", "owners": self.owners,
-                         "live": survivors, "gen": generation})
-        self._send(target, {"t": "adopt", "identities": list(idents),
-                            "generation": generation,
-                            "slot": min(idents) if idents else target})
 
     # -- checkpointing ----------------------------------------------------
 
@@ -556,7 +428,7 @@ class _Supervisor:
             return
         arrays = [(aid, dims, self.cfg.page_size, dict(vals))
                   for aid, (dims, vals) in sorted(self._ckpt_acc.items())]
-        done = set(range(self.n)) - set(self.remaining)
+        done = set(range(self.n)) - self.core.remaining
         try:
             self.ckpt.snapshot(arrays, done, self.n,
                                now=time.monotonic())
@@ -565,9 +437,9 @@ class _Supervisor:
 
     async def _ckpt_final(self) -> None:
         """One synchronous round so the checkpoint covers the result."""
-        if not self.live:
+        if not self.core.live:
             return
-        self._ckpt_pending = set(self.live)
+        self._ckpt_pending = set(self.core.live)
         self._broadcast({"t": "ckpt"})
         deadline = time.monotonic() + self.cfg.connect_timeout_s
         while self._ckpt_pending and time.monotonic() < deadline:
@@ -579,17 +451,18 @@ class _Supervisor:
     # -- error / result assembly -----------------------------------------
 
     def _build_error(self) -> DistExecutionError:
-        cls = NodeLossError if self.node_loss else DistExecutionError
-        return cls.unrecovered(self.failures, self.rlog, self.fatal_message,
-                               self.cfg.timeout_s)
+        outcome = self.outcome
+        cls = NodeLossError if outcome.member_lost else DistExecutionError
+        return cls.unrecovered(list(outcome.failures), self.core.log,
+                               outcome.message, self.cfg.timeout_s)
 
     def _build_result(self, value: Any, t_start: float) -> SpmdResult:
         netstats = NetStats()
         for counters in self.byes.values():
             netstats.add(counters)
         return fold_results(
-            value, time.perf_counter() - t_start, self.completed, self.n,
-            self.rlog, self.ckpt, self.restore, who="node",
+            value, time.perf_counter() - t_start, self.core.completed,
+            self.n, self.core.log, self.ckpt, self.restore, who="node",
             spin_cause="remote-read", netstats=netstats)
 
     # -- plumbing --------------------------------------------------------
@@ -612,7 +485,7 @@ class _Supervisor:
             pass
 
     def _broadcast(self, msg: dict) -> None:
-        for node in sorted(self.live):
+        for node in sorted(self.core.live):
             self._send(node, msg)
 
 
@@ -659,8 +532,8 @@ def run_distributed(program, args: tuple = (),
     across supervised TCP-connected nodes.
 
     Node-loss recovery (heartbeat detection, fencing, identity takeover
-    with presence-bit replay) heals up to ``config.max_takeovers``
-    failures when ``config.retry.enabled`` is on; past the budget — or with
+    with presence-bit replay) heals up to ``retry.max_retries_total``
+    losses when ``retry.enabled`` is on; past the budget — or with
     recovery off, or with no survivors — the run aborts with
     :class:`NodeLossError`.  Node-side program faults abort with
     :class:`DistExecutionError` carrying per-node
@@ -669,20 +542,13 @@ def run_distributed(program, args: tuple = (),
     :class:`~repro.dist.faults.DistFaultPlan` ``Backend.run`` built
     (``None`` = no faults).
 
-    The coordinator itself is not a single point of failure: it runs in
-    its own forked process while the client acts as a warm standby.
-    Nodes learn both ports up front; if the coordinator dies mid-run
-    they rejoin on the standby port carrying a resync payload (owner
-    map, generation, remembered reports) and the promoted standby
-    completes the run.
-
-    ``ckpt`` takes a :class:`repro.ckpt.format.CkptWriter`: the
-    coordinator periodically broadcasts a checkpoint request, nodes
-    stream their owned element state back, and the monotone union is
-    written as a ``pods-ckpt/v1`` snapshot.  ``restore`` takes a
-    :class:`repro.ckpt.format.CkptRestore`: nodes pre-seed their stores
-    and caches from the checkpoint (re-partitioned at the *current*
-    node count) and re-execute in presence-bit replay mode.
+    The coordinator runs in its own forked process while the client
+    is a warm standby: if it dies mid-run, nodes rejoin on the standby
+    port with a resync payload and the promoted standby completes the
+    run.  ``ckpt`` (a :class:`repro.ckpt.format.CkptWriter`) collects
+    periodic ``pods-ckpt/v1`` snapshots of the nodes' owned elements;
+    ``restore`` (a :class:`repro.ckpt.format.CkptRestore`) pre-seeds
+    them, re-partitioned at the current node count, for a replay.
     """
     cfg = config or DistConfig()
     plan = faults or DistFaultPlan()

@@ -184,8 +184,9 @@ class NodeRuntime:
         self._started = False
         self.gen = 1  # highest coordinator generation seen
         self.peer_port: int | None = None
-        # Every done/result/err/peer-lost frame ever sent, so a
-        # promoted standby coordinator can be brought up to date.
+        # Every done/result/err/peer-lost frame ever sent, and each
+        # executor started, so a promoted standby can be brought up to
+        # date.
         self.reports: list[dict] = []
 
     # ------------------------------------------------------------------
@@ -205,6 +206,10 @@ class NodeRuntime:
         self.peer_port = port
         self._send_coord({"t": "hello", "node": self.node, "port": port})
         coord_task = asyncio.ensure_future(self._coord_loop(reader))
+        # A control loop that raises must take the node down (node_main
+        # exits non-zero), so the coordinator sees a crash within one
+        # poll instead of a node that never answers again.
+        coord_task.add_done_callback(lambda _: self._stop.set())
         try:
             await self._stop.wait()
         finally:
@@ -216,6 +221,8 @@ class NodeRuntime:
                 writer.close()
             except Exception:
                 pass
+        if coord_task.done() and not coord_task.cancelled():
+            coord_task.result()  # re-raises the control loop's error
 
     async def _coord_loop(self, reader) -> None:
         while True:
@@ -388,6 +395,11 @@ class NodeRuntime:
 
     def _start_executor(self, identities: tuple[int, ...],
                         generation: int, slot: int, replay: bool) -> None:
+        # Remembered, not sent: a promoted standby rebuilds its
+        # supervision core from the executions the nodes say they run.
+        self.reports.append({"t": "started", "node": self.node,
+                             "slot": slot, "identities": list(identities),
+                             "gen": generation})
         thread = threading.Thread(
             target=self._executor_main,
             args=(identities, generation, slot, replay),
@@ -559,7 +571,8 @@ class NodeRuntime:
             waiters = self.memory.write(a, off, value, replay)
         except SingleAssignmentViolation as exc:
             self._send_report({
-                "t": "err", "node": self.node, "slot": self.node, "gen": 0,
+                "t": "err", "node": self.node, "slot": self.node,
+                "gen": self.gen,  # no older than any execution here
                 "code": exc.code,
                 "detail": f"{type(exc).__name__}: {exc}\n"
                           f"(write received from node {writer_node})"})
@@ -600,11 +613,15 @@ class NodeRuntime:
             self._replay_cached(rebound)
 
     def _replay_cached(self, rebound: set[int]) -> None:
-        for a, cache in self.caches.items():
+        # This node's executors keep filling the caches meanwhile.  A
+        # ``dict.copy()`` snapshots each in one allocation; iterating the
+        # live dict (or ``list(cache.items())``, a tuple per entry, which
+        # can run the GC and switch threads) could see it change size.
+        for a, cache in self.caches.copy().items():
             header = self.headers.get(a)
             if header is None:
                 continue
-            for off, value in list(cache.items()):
+            for off, value in cache.copy().items():
                 ident = header.owner_of_offset(off)
                 if ident in rebound:
                     self._route_write(a, off, ident, value, True)

@@ -47,12 +47,12 @@ time.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
 
-from repro.common.canonical import canonical_json
+from repro.common.canonical import (canonical_json, content_address,
+                                    source_hash, source_hash_problems)
 
 SCHEMA = "pods-run/v1"
 
@@ -100,11 +100,6 @@ def _jsonable_value(value):
         except Exception:
             pass
     return str(value)
-
-
-def source_hash(source: str) -> str:
-    """Content hash of a program's IdLite source text."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 def build_record(result, program=None, args: tuple = ()) -> dict:
@@ -218,8 +213,7 @@ def deterministic_projection(doc: dict) -> dict:
 
 def record_id(doc: dict) -> str:
     """Content address: sha256 of the deterministic projection."""
-    text = canonical_json(deterministic_projection(doc))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return content_address(deterministic_projection(doc))
 
 
 # ---------------------------------------------------------------------
@@ -244,11 +238,8 @@ def validate(doc) -> list[str]:
     prog = doc.get("program")
     if not isinstance(prog, dict):
         problems.append("'program' must be an object")
-    elif "source_sha256" in prog and not (
-            isinstance(prog["source_sha256"], str)
-            and len(prog["source_sha256"]) == 64):
-        problems.append("'program.source_sha256' must be a sha256 hex "
-                        "digest")
+    else:
+        problems += source_hash_problems(prog)
     if not isinstance(doc.get("args"), list):
         problems.append("'args' must be an array")
     config = doc.get("config")

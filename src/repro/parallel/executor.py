@@ -17,32 +17,14 @@ Distributed Execution:
   which also gives sweep pipelining for free;
 * arrays allocated inside a distributed iteration are worker-private.
 
-Process lifecycle is supervised: the parent watches worker sentinels
-concurrently with the result queue, so a crashed, lost, or hung worker
-surfaces as a structured :class:`WorkerFailure` within one poll interval
-— never as a silently truncated result or a full-timeout stall.  Shared
-segments are tracked in an append-only manifest
-(:mod:`repro.parallel.manifest`) and reclaimed on every exit path —
-including ``KeyboardInterrupt``/SIGTERM; the failure paths themselves
-are testable through deterministic fault injection
-(:mod:`repro.parallel.faults`).
-
-On top of the supervisor sits the *self-healing* layer (policy and log
-in :mod:`repro.common.retry`).  Single assignment makes a dead
-worker's subrange idempotently re-executable — presence bits turn the
-replay's already-done prefix into no-ops — so a retriable failure
-(``crash``/``lost``) respawns the worker against the same segments
-after deterministic backoff; per-worker retry exhaustion reassigns the
-orphaned *identity* to a degraded-mode takeover process (an identity,
-not a process, owns a Range-Filter subrange — the replacement re-derives
-the exact subrange from the identity via the same first-element-
-ownership math).  Ownership epochs on each segment make a half-dead
-predecessor's late writes detectable (:class:`WorkerSuperseded`) and
-benign.  A deferred-read stall watchdog bounds every spin
-(``ParallelConfig.spin_ceiling_s``): spinning workers report *who* they
-are blocked on, and when every live worker is provably blocked at one
-instant the run aborts as a deadlock immediately — causal, not
-timeout-driven.
+The parent watches worker sentinels concurrently with the result
+queue, so a crashed, lost, or hung worker surfaces as a structured
+:class:`WorkerFailure` within one poll interval.  What that means —
+respawn, takeover, budgets, deadline, stall-quorum deadlock — is the
+supervision core's decision (:mod:`repro.runtime.supervise`); this
+module is its shell: processes, the result queue, the exit grace period
+and the shm manifest (:mod:`repro.parallel.manifest`), which reclaims
+every segment on every exit path, ``KeyboardInterrupt``/SIGTERM too.
 
 The backend exists to demonstrate genuine wall-clock speedup of the
 partitioning scheme on real cores; the instruction-level simulator
@@ -56,23 +38,20 @@ import multiprocessing as mp
 import os
 import queue
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing import connection
 from typing import Any
 
 from repro.common.config import ParallelConfig
-from repro.common.errors import (ParallelExecutionError, RuntimeFault,
-                                 WorkerFailure)
-from repro.common.retry import RecoveryEvent, RecoveryLog
+from repro.common.errors import ParallelExecutionError, RuntimeFault
 from repro.runtime.spmd import (SpmdInterpreter, SpmdResult, fold_results,
                                 reap, sigterm_as_interrupt, sigterm_default)
+from repro.runtime.supervise import Abort, Finish, Start, Supervision
 from repro.parallel.faults import FaultInjector, FaultPlan
 from repro.parallel.manifest import ShmManifest
 from repro.parallel.shm_arrays import ShmArray
 
 log = logging.getLogger("repro.parallel")
-
-_RETRIABLE = ("crash", "lost")
 
 
 @dataclass(frozen=True)
@@ -81,15 +60,14 @@ class _WorkerSpec:
 
     ``identities`` are the PE numbers whose Range-Filter subranges this
     process runs — ``(slot,)`` normally; several after a degraded-mode
-    takeover adopts orphans.  ``generation`` counts executions (1 =
-    original launch); a replay sets ``replay`` so already-present
-    elements are verified instead of re-written.
+    takeover adopts orphans.  ``generation`` is the run's generation at
+    its start (1 = original launch); a replay sets ``replay`` so
+    already-present elements are verified instead of re-written.
     """
 
     slot: int
     identities: tuple[int, ...]
     generation: int = 1
-    kind: str = "worker"  # worker | respawn | takeover
     replay: bool = False
 
 
@@ -196,7 +174,7 @@ def _worker_main(program, spec: _WorkerSpec, cfg: ParallelConfig, run_tag,
 
 @dataclass
 class _Rec:
-    """Supervisor-side record of one live worker process."""
+    """One watched worker process."""
 
     spec: _WorkerSpec
     proc: Any
@@ -209,21 +187,18 @@ def run_parallel(program, args: tuple = (),
     """Execute a compiled ``program`` (:class:`repro.api.Program`) on
     real, supervised, self-healing processes.
 
-    Retriable worker failures (``crash``/``lost``) are healed by the
-    recovery layer when ``config.retry.enabled`` is on (the default):
-    respawns with deterministic backoff, then degraded-mode takeover on
-    per-worker retry exhaustion (see ``docs/parallel.md``).
-    Unrecoverable runs raise :class:`ParallelExecutionError` (an
-    :class:`ExecutionError`) carrying one :class:`WorkerFailure` per
-    failed worker plus the :class:`RecoveryLog`; a partial result is
-    never returned.  ``faults`` takes the parsed :class:`FaultPlan`
-    ``Backend.run`` built (``None`` = no faults).  ``KeyboardInterrupt``
-    and SIGTERM terminate the workers, reclaim every shared segment via
-    the manifest, and re-raise.
+    Retriable failures (``crash``/``lost``) heal when
+    ``config.retry.enabled`` (see ``docs/parallel.md``); an unrecovered
+    run raises :class:`ParallelExecutionError` carrying its
+    :class:`WorkerFailure` records and the :class:`RecoveryLog`; a
+    partial result is never returned.
+    ``faults`` takes the parsed :class:`FaultPlan` ``Backend.run`` built
+    (``None`` = no faults).  ``KeyboardInterrupt`` and SIGTERM terminate
+    the workers, reclaim every shared segment via the manifest, and
+    re-raise.
     """
     cfg = config or ParallelConfig()
     plan = faults or FaultPlan()
-    policy = cfg.retry
     nw = cfg.workers
 
     run_tag = f"pods{os.getpid()}_{int(time.monotonic_ns() % 1_000_000_000)}"
@@ -231,24 +206,14 @@ def run_parallel(program, args: tuple = (),
     ctx = mp.get_context("fork")
     out_queue = ctx.Queue()
 
-    rlog = RecoveryLog()
-    t0_mono = time.monotonic()
-
-    def t() -> float:
-        return time.monotonic() - t0_mono
-
-    active: dict[int, _Rec] = {}
+    core = Supervision(nw, cfg.retry,
+                       respawns=cfg.retry.max_retries_per_worker,
+                       hosted=False, timeout_s=cfg.timeout_s, unit="worker",
+                       now=time.monotonic())
+    # slot -> its newest process, until that reports its end or dies
+    watched: dict[int, _Rec] = {}
     all_procs: list = []
-    pending_spawns: list[tuple[float, _WorkerSpec]] = []
-    completed: dict[int, dict] = {}
-    remaining: set[int] = set(range(nw))
-    retries_used: dict[int, int] = {}
-    total_retries = 0
-    # slot -> (t_spin_start, t_report, generation, info) latest stall
-    stalls: dict[int, tuple] = {}
-    failures: list[WorkerFailure] = []
-    result_msg: tuple | None = None
-    fatal_message: str | None = None
+    outcome: Abort | Finish | None = None
     # Checkpointing only: allocation ordinal -> (segment name, dims),
     # reported by workers so the supervisor can attach and snapshot.
     allocs: dict[int, tuple[str, tuple]] = {}
@@ -260,81 +225,20 @@ def run_parallel(program, args: tuple = (),
                   manifest.path, plan, ckpt is not None))
         proc.start()
         all_procs.append(proc)
-        active[spec.slot] = _Rec(spec=spec, proc=proc)
-        stalls.pop(spec.slot, None)
+        watched[spec.slot] = _Rec(spec=spec, proc=proc)
 
-    def fail(rec: _Rec, wf: WorkerFailure) -> None:
-        nonlocal total_retries, fatal_message
-        rlog.record(RecoveryEvent(
-            t(), "failure", wf.worker, wf.generation,
-            detail=f"{wf.kind} (exitcode "
-                   f"{'?' if wf.exitcode is None else wf.exitcode})"))
-        if not policy.enabled or wf.kind not in _RETRIABLE:
-            failures.append(wf)
-            return
-        spec = rec.spec
-        total_retries += 1
-        if total_retries > policy.max_retries_total:
-            fatal_message = (f"recovery budget exhausted "
-                             f"({policy.max_retries_total} retries)")
-            failures.append(wf)
-            return
-        slot = spec.slot
-        attempt = retries_used.get(slot, 0) + 1
-        retries_used[slot] = attempt
-        if attempt <= policy.max_retries_per_worker:
-            delay = policy.backoff_s(slot, attempt)
-            newspec = replace(spec, generation=spec.generation + 1,
-                              kind="respawn", replay=True)
-            pending_spawns.append((time.monotonic() + delay, newspec))
-            rlog.record(RecoveryEvent(
-                t(), "respawn", slot, newspec.generation,
-                detail=(f"attempt {attempt}/{policy.max_retries_per_worker}"
-                        f" after {wf.kind}; backoff {delay * 1e3:.0f} ms"),
-                dur_s=delay))
-            log.info("pods.parallel: respawning worker %d (generation %d) "
-                     "after %s", slot, newspec.generation, wf.kind)
-            return
-        # Per-worker budget exhausted: reassign the orphaned identities.
-        rlog.record(RecoveryEvent(
-            t(), "exhausted", slot, spec.generation,
-            detail=f"{policy.max_retries_per_worker} retries used"))
-        ids = set(spec.identities)
-        gens = [spec.generation]
-        keep = []
-        for due, s in pending_spawns:
-            if s.kind == "takeover":
-                # Merge not-yet-started takeovers into one.
-                ids.update(s.identities)
-                gens.append(s.generation)
-            else:
-                keep.append((due, s))
-        pending_spawns[:] = keep
-        survivors = sorted(set(active) | set(completed))
-        if not survivors and not keep:
-            fatal_message = ("all workers exhausted their retry budget; "
-                            "no survivor to take over")
-            failures.append(wf)
-            return
-        delay = policy.backoff_s(slot, attempt)
-        newspec = _WorkerSpec(slot=min(ids), identities=tuple(sorted(ids)),
-                              generation=max(gens) + 1, kind="takeover",
-                              replay=True)
-        pending_spawns.append((time.monotonic() + delay, newspec))
-        rlog.record(RecoveryEvent(
-            t(), "takeover", newspec.slot, newspec.generation,
-            detail=(f"identities {newspec.identities} reassigned after "
-                    f"worker {slot} exhausted retries; survivors "
-                    f"{survivors}"),
-            dur_s=delay))
-        log.warning(
-            "pods.parallel: DEGRADED MODE — worker %d exhausted its retry "
-            "budget; subrange identities %s reassigned to a recovery "
-            "worker (generation %d)", slot, newspec.identities,
-            newspec.generation)
+    def apply(actions: list) -> None:
+        # A Fence needs nothing here: a superseded zombie finds its
+        # generation stale in the segment epochs and exits by itself.
+        nonlocal outcome
+        for act in actions:
+            if isinstance(act, Start):
+                spawn(_WorkerSpec(act.slot, act.identities, act.generation,
+                                  replay=True))
+            elif isinstance(act, (Abort, Finish)):
+                outcome = act
 
     def handle(msg: tuple) -> None:
-        nonlocal result_msg
         tag, slot, gen, payload = msg
         if tag == "alloc":
             # Any generation may report: allocation order is
@@ -342,78 +246,11 @@ def run_parallel(program, args: tuple = (),
             seq, name, dims = payload
             allocs.setdefault(seq, (name, tuple(dims)))
             return
-        if tag == "superseded":
-            rlog.record(RecoveryEvent(t(), "superseded", slot, gen,
-                                      detail=str(payload)))
-            return
-        rec = active.get(slot)
-        if rec is None or rec.spec.generation != gen:
-            return  # stale generation: a zombie predecessor's late message
-        if tag == "result":
-            result_msg = payload
-        elif tag == "done":
-            completed[slot] = payload
-            remaining.difference_update(rec.spec.identities)
-            del active[slot]
-            # A completing worker may have satisfied a blocked read
-            # *after* a stale stall interval was recorded, so every
-            # recorded interval is now invalid as deadlock evidence.
-            # Truly blocked workers re-report at the next ceiling
-            # crossing, so a real deadlock is still caught one spin
-            # ceiling later.
-            stalls.clear()
-        elif tag == "err":
-            del active[slot]
-            code, detail = payload
-            fail(rec, WorkerFailure(slot, exitcode=None, kind="error",
-                                    detail=detail, generation=gen,
-                                    code=code))
-        elif tag == "stall":
-            stalls[slot] = (payload["t_spin_start"], payload["t_report"],
-                            gen, payload)
-            rlog.record(RecoveryEvent(
-                t(), "stall", slot, gen,
-                detail=(f"{payload['array']}{payload['indices']} "
-                        f"(segment owner: worker {payload['owner']}) "
-                        f"waited {payload['waited_s']:.3f}s")))
-
-    def check_deadlock() -> None:
-        """Abort when every live worker is provably blocked at once.
-
-        Each stall report carries the interval [spin start, report time]
-        during which its worker was certainly inside a deferred-read
-        spin (worker-side monotonic timestamps).  If every live worker's
-        latest interval shares a common instant, then at that instant no
-        process that could ever produce a write was running — only
-        workers write, and intervals recorded before the most recent
-        completion are discarded in ``handle`` (the completing worker
-        may have written the awaited element after the report) — so the
-        blocked reads can never be satisfied: deadlock, reported
-        causally instead of after ``read_timeout_s``.
-        """
-        nonlocal fatal_message
-        if failures or pending_spawns or not active:
-            return
-        intervals = []
-        for slot, rec in active.items():
-            iv = stalls.get(slot)
-            if iv is None or iv[2] != rec.spec.generation:
-                return  # this worker is not provably blocked
-            intervals.append((slot, iv))
-        lo = max(iv[0] for _, iv in intervals)
-        hi = min(iv[1] for _, iv in intervals)
-        if lo > hi:
-            return
-        for slot, iv in sorted(intervals):
-            info = iv[3]
-            failures.append(WorkerFailure(
-                slot, exitcode=None, kind="stall",
-                detail=(f"blocked on {info['array']}{info['indices']} "
-                        f"(segment owner: worker {info['owner']}) for "
-                        f"{info['waited_s']:.3f}s"),
-                generation=active[slot].spec.generation))
-        fatal_message = ("every live worker blocked in a deferred-read "
-                         "spin (missing write -> deadlock)")
+        rec = watched.get(slot)
+        if tag in ("done", "err") and rec is not None \
+                and rec.spec.generation == gen:
+            del watched[slot]  # it reported its end: no exit to wait for
+        apply(core.report(time.monotonic(), slot, slot, gen, tag, payload))
 
     def do_snapshot(now: float | None = None) -> None:
         """Snapshot every reported segment into the checkpoint store.
@@ -435,7 +272,7 @@ def run_parallel(program, args: tuple = (),
                 arrays.append((seq, dims, cfg.page_size, arr.dump()))
             finally:
                 arr.close()
-        done = set(range(nw)) - remaining
+        done = set(range(nw)) - core.remaining
         try:
             ckpt.snapshot(arrays, done, nw, now=now)
         except OSError as exc:  # pragma: no cover - disk trouble
@@ -443,7 +280,6 @@ def run_parallel(program, args: tuple = (),
 
     restore_sigterm = sigterm_as_interrupt()
     start = time.perf_counter()
-    deadline = time.monotonic() + cfg.timeout_s
     try:
         if restore is not None:
             # Pre-create and seed every checkpointed segment under the
@@ -465,94 +301,52 @@ def run_parallel(program, args: tuple = (),
         for w in range(nw):
             spawn(_WorkerSpec(slot=w, identities=(w,),
                               replay=restore is not None))
-        while remaining and not failures:
+            apply(core.started(time.monotonic(), w, w, (w,), 1))
+        while outcome is None:
             # Drain every message already delivered.
-            while True:
+            while outcome is None:
                 try:
                     handle(out_queue.get_nowait())
                 except queue.Empty:
                     break
-            if not remaining or failures:
+            if outcome is not None:
                 break
             now = time.monotonic()
             if ckpt is not None and ckpt.due(now):
                 do_snapshot(now)
-            due = [s for d, s in pending_spawns if d <= now]
-            if due:
-                pending_spawns[:] = [(d, s) for d, s in pending_spawns
-                                     if d > now]
-                for s in due:
-                    spawn(s)
-            if now >= deadline:
-                for slot in sorted(active):
-                    rec = active.pop(slot)
-                    failures.append(WorkerFailure(
-                        slot, exitcode=None, kind="hang",
-                        detail=f"still running at the {cfg.timeout_s:g}s "
-                               "deadline; terminated",
-                        generation=rec.spec.generation))
-                for _, s in pending_spawns:
-                    failures.append(WorkerFailure(
-                        s.slot, exitcode=None, kind="hang",
-                        detail="recovery respawn still pending at the run "
-                               "deadline",
-                        generation=s.generation))
-                pending_spawns.clear()
-                break
+            apply(core.tick(now))
             # A worker that exited without reporting gets a short grace
             # for its final queue message to flush, then is declared
             # crashed (nonzero exit) or lost (clean exit, no message).
-            for slot in sorted(active):
-                rec = active[slot]
-                if rec.proc.is_alive():
+            for slot in sorted(watched):
+                rec = watched[slot]
+                if outcome is not None or rec.proc.is_alive():
                     continue
                 if rec.grace_until is None:
                     rec.grace_until = now + cfg.grace_s
                 elif now >= rec.grace_until:
+                    del watched[slot]
                     code = rec.proc.exitcode
-                    del active[slot]
-                    fail(rec, WorkerFailure(
-                        slot, exitcode=code,
-                        kind="lost" if code == 0 else "crash",
-                        detail="exited without reporting a result",
-                        generation=rec.spec.generation))
-            if failures or not remaining:
+                    apply(core.lost(now, slot,
+                                    "lost" if code == 0 else "crash", code,
+                                    "exited without reporting a result"))
+            if outcome is not None:
                 break
-            check_deadlock()
-            if failures:
-                break
-            if not active and not pending_spawns:
-                fatal_message = ("no live worker or pending respawn covers "
-                                 f"identities {sorted(remaining)}")
-                failures.append(WorkerFailure(
-                    min(remaining), exitcode=None, kind="lost",
-                    detail="identity left uncovered (supervisor invariant "
-                           "violation)"))
-                break
-            sentinels = [rec.proc.sentinel for rec in active.values()
+            sentinels = [rec.proc.sentinel for rec in watched.values()
                          if rec.proc.is_alive()]
-            wait_s = min(cfg.poll_interval_s, max(deadline - now, 0.001))
-            if pending_spawns:
-                nxt = min(d for d, _ in pending_spawns) - now
-                wait_s = min(wait_s, max(nxt, 0.001))
+            wait_s = min(cfg.poll_interval_s, max(core.due() - now, 0.001))
             if sentinels:
                 connection.wait(sentinels, timeout=wait_s)
             else:
                 time.sleep(min(wait_s, 0.005))
         wall = time.perf_counter() - start
 
-        if failures:
+        if isinstance(outcome, Abort):
             raise ParallelExecutionError.unrecovered(
-                failures, rlog, fatal_message, cfg.timeout_s)
+                list(outcome.failures), core.log, outcome.message,
+                cfg.timeout_s)
 
-        if result_msg is None:
-            raise ParallelExecutionError(
-                "worker 0 completed without producing a result",
-                [WorkerFailure(0, exitcode=None, kind="lost",
-                               detail="no result message received")],
-                recovery=rlog)
-
-        status, payload = result_msg
+        status, payload = outcome.result
         if status == "array":
             name, dims = payload
             arr = ShmArray(name, tuple(dims), create=False,
@@ -563,8 +357,8 @@ def run_parallel(program, args: tuple = (),
                 arr.close()
         if ckpt is not None:
             do_snapshot()  # final cut: the complete run, restartable
-        return fold_results(payload, wall, completed, nw, rlog, ckpt,
-                            restore)
+        return fold_results(payload, wall, core.completed, nw, core.log,
+                            ckpt, restore)
     except KeyboardInterrupt:
         # SIGTERM/interrupt drain: one last consistent cut before the
         # finally clause reclaims every shared segment.

@@ -200,11 +200,6 @@ class PageCache:
         if 0 <= idx < len(cells):
             cells[idx] = value
 
-    def invalidate_array(self, array_id: int) -> None:
-        """Drop pages of a freed array."""
-        for key in [k for k in self._pages if k[0] == array_id]:
-            del self._pages[key]
-
 
 ABSENT = _ABSENT
 """Sentinel marking an unwritten cell inside page snapshots."""

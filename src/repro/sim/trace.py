@@ -99,12 +99,6 @@ class Tracer:
 
     # -- queries ----------------------------------------------------------
 
-    def of_kind(self, kind: str) -> list[TraceEvent]:
-        return [e for e in self.events if e.kind == kind]
-
-    def on_pe(self, pe: int) -> list[TraceEvent]:
-        return [e for e in self.events if e.pe == pe]
-
     def counts(self) -> dict[str, int]:
         out: dict[str, int] = {}
         for e in self.events:

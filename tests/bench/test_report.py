@@ -3,7 +3,6 @@
 from repro.bench.harness import Sweeper
 from repro.bench.report import (
     percent,
-    render_bar_chart,
     render_series_chart,
     render_table,
 )
@@ -21,18 +20,6 @@ class TestTable:
     def test_strings_pass_through(self):
         text = render_table(["a"], [["hello"]])
         assert "hello" in text
-
-
-class TestBarChart:
-    def test_scaled_to_peak(self):
-        text = render_bar_chart(["EU", "MU"], [1.0, 0.5], width=10)
-        eu, mu = text.splitlines()
-        assert eu.count("#") == 10
-        assert mu.count("#") == 5
-
-    def test_zero_values(self):
-        text = render_bar_chart(["x"], [0.0])
-        assert "0.00" in text
 
 
 class TestSeriesChart:
@@ -87,15 +74,6 @@ class TestSweeper:
         a = sweeper.run(program, (8,), 2, key="t")
         b = sweeper.run(program, (8,), 2, key="t", cache_enabled=False)
         assert a is not b
-
-    def test_speedups_relative_to_one_pe(self):
-        from repro.api import compile_source
-
-        sweeper = Sweeper()
-        program = compile_source(self.SRC)
-        s = sweeper.speedups(program, (32,), [1, 2], key="t")
-        assert s[1] == 1.0
-        assert s[2] > 0
 
 
 class TestFigures:

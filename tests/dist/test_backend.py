@@ -7,11 +7,14 @@ the :class:`DistResult` fields, the recovery ladder and the render
 hooks — on one small program so they stay fast.
 """
 
+import time
+
 import pytest
 
 from repro.api import compile_source
 from repro.apps.matmul import compile_matmul
 from repro.backend import classify_error, get_backend, render_error
+from repro.common.chaoslib import ROW_SWEEP
 from repro.common.config import DistConfig
 from repro.common.errors import NodeLossError
 from repro.common.retry import RetryPolicy
@@ -103,7 +106,8 @@ class TestRecovery:
         assert "failure" in kinds and "takeover" in kinds
 
     def test_budget_exhaustion_raises_node_loss(self, program):
-        cfg = DistConfig(nodes=2, max_takeovers=0, **FAST)
+        cfg = DistConfig(nodes=2, **{**FAST, "retry": RetryPolicy(
+            backoff_base_s=0.01, backoff_max_s=0.05, max_retries_total=0)})
         with pytest.raises(NodeLossError) as excinfo:
             get_backend("dist").run(program, (12,), config=cfg,
                                     faults="node-kill:node=1,on=iter,"
@@ -114,6 +118,41 @@ class TestRecovery:
         assert "\n" not in rendered
         assert rendered.startswith("error[NodeLossError/node-loss]: ")
         assert any(f.worker == 1 for f in exc.failures)
+
+    def test_takeover_onto_a_busy_survivor(self):
+        # Heartbeats held past the detector's deadline fence node 1 while
+        # node 0's executor is still filling its caches, which node 0's
+        # loop replays to the new owner at the same time.
+        cfg = DistConfig(nodes=2, heartbeat_interval_s=0.04,
+                         heartbeat_timeout_s=0.2, poll_interval_s=0.02,
+                         retransmit_timeout_s=0.05, read_timeout_s=15.0,
+                         retry=FAST["retry"])
+        sweep = compile_source(ROW_SWEEP)
+        r = get_backend("dist").run(
+            sweep, (512,), config=cfg,
+            faults="delay:src=1,kind=hb,seconds=2.0,count=0")
+        assert r.value == get_backend("seq").run(sweep, (512,)).value
+        assert r.recovery.takeovers == 1
+
+    def test_a_dying_control_loop_is_a_node_loss(self, program,
+                                                  monkeypatch):
+        # The forked nodes inherit the patch: the survivor's loop raises
+        # as it takes over, and the node must exit so the run ends as a
+        # classified loss at once, not as a read-timeout deadlock.
+        def broken(self, rebound):
+            raise RuntimeError("replay failed")
+
+        monkeypatch.setattr(NodeRuntime, "_replay_cached", broken)
+        cfg = DistConfig(nodes=2, read_timeout_s=30.0, **FAST)
+        t0 = time.monotonic()
+        with pytest.raises(NodeLossError) as excinfo:
+            get_backend("dist").run(program, (12,), config=cfg,
+                                    faults="node-kill:node=1,on=iter,"
+                                           "after=2")
+        assert time.monotonic() - t0 < 10.0
+        assert classify_error(excinfo.value) == "node-loss"
+        assert any(f.worker == 0 and "process-exit" in f.detail
+                   for f in excinfo.value.failures)
 
     def test_recovery_disabled_fails_fast(self, program):
         cfg = DistConfig(nodes=2,

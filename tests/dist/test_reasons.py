@@ -64,7 +64,7 @@ def test_no_freeform_reason_strings_left_in_producers():
     # The pre-taxonomy producers formatted these loss reasons inline
     # ("retransmit budget exhausted to node 3" etc.); grep-gate the
     # package so a revert cannot silently fork the taxonomy.  (Abort
-    # *messages* like "takeover budget exhausted" are out of scope —
+    # *messages* like "recovery budget exhausted" are out of scope —
     # they ride structured exceptions, not peer-lost frames.)
     import os
 

@@ -40,7 +40,7 @@ _parallel_clause = st.one_of(
 )
 
 # A handful of lost or late data frames (retransmit budget: 16 per
-# channel) and at most one node loss (takeover budget: 2).
+# channel) and at most one node loss (recovery budget: 8).
 _frame_clause = st.one_of(
     st.builds("drop:kind=data,after={},count={}".format,
               st.integers(0, 6), st.integers(1, 4)),

@@ -158,14 +158,6 @@ class TestPageCache:
         hit, _ = cache.lookup(1, 2, 64)
         assert hit
 
-    def test_invalidate_array(self):
-        cache = PageCache()
-        cache.install(1, 0, 0, [1])
-        cache.install(2, 0, 0, [9])
-        cache.invalidate_array(1)
-        assert not cache.lookup(1, 0, 0)[0]
-        assert cache.lookup(2, 0, 0)[0]
-
 
 class TestMaterialize:
     def test_materialize_with_default(self):

@@ -406,7 +406,7 @@ class TestDiagnostics:
     def test_rf_range_trace_shows_per_pe_subranges(self):
         m, _ = machine_for(FILL, num_pes=4, trace=True)
         m.run((128,))
-        events = m.tracer.of_kind("rf-range")
+        events = [e for e in m.tracer.events if e.kind == "rf-range"]
         assert len(events) == 4
         spans = sorted(e.detail.split("-> ")[1] for e in events)
         assert spans == ["1..32", "33..64", "65..96", "97..128"]

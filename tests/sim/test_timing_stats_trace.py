@@ -125,8 +125,8 @@ class TestTracer:
         t.record(1.0, 0, "frame-create", "a")
         t.record(2.0, 1, "block", "b")
         t.record(3.0, 0, "block", "c")
-        assert len(t.of_kind("block")) == 2
-        assert len(t.on_pe(0)) == 2
+        assert len([e for e in t.events if e.kind == "block"]) == 2
+        assert len([e for e in t.events if e.pe == 0]) == 2
         assert t.counts() == {"frame-create": 1, "block": 2}
 
     def test_limit_drops_and_reports(self):

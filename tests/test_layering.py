@@ -42,6 +42,11 @@ simulator's chaos plans can drive it — and ``dist/node.py`` keeps no
 element store of its own beside it: ``IStructureSegment`` is constructed
 only under ``sim/`` and in ``dist/memory.py``.
 
+And a recovery decision is made once: ``runtime/supervise.py`` is the
+supervision core both SPMD supervisors are shells around — it imports
+no processes, sockets, threads, queues, signals, clocks or either
+substrate — and a ``RecoveryEvent`` is constructed nowhere else.
+
 And a fault plan has one way into a run and one contract to survive:
 ``common/faultplan.py`` never reads the process environment, no source
 file names a ``PODS_*FAULTS`` variable or a ``fault_spec`` config field,
@@ -290,6 +295,32 @@ def test_the_node_memory_is_pure():
     assert not offenders, (
         f"dist/memory.py imports {offenders}; it returns what to do and "
         "leaves loops, sockets, futures and clocks to its caller")
+
+
+def test_the_supervision_core_is_pure():
+    path = os.path.join(os.path.dirname(repro.__file__), "runtime",
+                        "supervise.py")
+    impure = ("asyncio", "socket", "multiprocessing", "concurrent",
+              "threading", "queue", "signal", "time", "os",
+              "repro.parallel", "repro.dist")
+    offenders = sorted(
+        name for name in _imports(path)
+        if any(name == mod or name.startswith(mod + ".") for mod in impure))
+    assert not offenders, (
+        f"runtime/supervise.py imports {offenders}; it takes events with "
+        "the time passed in and returns actions, leaving processes, "
+        "sockets, threads and clocks to the shells")
+
+
+def test_recovery_has_one_decider():
+    deciders = sorted(
+        rel for rel, text in _sources()
+        if any(isinstance(n, ast.Call)
+               and getattr(n.func, "id", None) == "RecoveryEvent"
+               for n in ast.walk(ast.parse(text, rel))))
+    assert deciders == [os.path.join("runtime", "supervise.py")], (
+        f"RecoveryEvent constructed in {deciders}; a recovery decision "
+        "is the supervision core's, and so is its record")
 
 
 def test_a_node_keeps_no_element_store_beside_its_memory():
