@@ -42,7 +42,7 @@ from repro.common.errors import (
 )
 from repro.graph import ir
 from repro.lang import ast_nodes as A
-from repro.runtime.arrays import flat_size, offset_fn
+from repro.runtime.arrays import check_extents, flat_size, index_fn, offset_fn
 from repro.runtime.values import ArrayValue
 from repro.sim import timing as T
 from repro.sim.timing import _BIN_COSTS, _UN_COSTS
@@ -73,27 +73,38 @@ class Clock:
         return self.time
 
 
+# ``SeqArray.read`` after the index rule: the element, or the eager
+# order's missing write.
+_SEQ_READ = """\
+value = cells[off]
+if value is ABSENT:
+    raise MissingWriteError(label, indices)
+return value
+"""
+
+
 class SeqArray:
     """A host-side I-structure: plain storage + single assignment."""
 
-    __slots__ = ("array_id", "dims", "offset", "cells")
+    __slots__ = ("array_id", "dims", "offset", "cells", "read")
 
     _next_id = 1
 
     def __init__(self, dims: tuple[int, ...]) -> None:
-        if any((not isinstance(d, int)) or d < 1 for d in dims):
-            raise ExecutionError(f"bad array dimensions {dims!r}")
+        check_extents(dims)
         self.array_id = SeqArray._next_id
         SeqArray._next_id += 1
         self.dims = dims
         self.offset = offset_fn(self.array_id, dims)
-        self.cells: list[Any] = [_ABSENT] * flat_size(dims)
+        self.bind_cells([_ABSENT] * flat_size(dims))
 
-    def read(self, indices: tuple[int, ...]) -> Any:
-        value = self.cells[self.offset(indices)]
-        if value is _ABSENT:
-            raise MissingWriteError(self.array_id, indices)
-        return value
+    def bind_cells(self, cells: list) -> None:
+        """Keep the elements in ``cells`` — this handle's own list, or
+        one it shares — and build ``read(indices)`` over it."""
+        self.cells = cells
+        self.read = index_fn("read", self.array_id, self.dims, _SEQ_READ,
+                             cells=cells, ABSENT=_ABSENT,
+                             MissingWriteError=MissingWriteError)
 
     def write(self, indices: tuple[int, ...], value: Any) -> int:
         off = self.offset(indices)
@@ -170,9 +181,10 @@ class Interpreter:
 
     The array hooks (:meth:`on_alloc`, :meth:`on_array_read`,
     :meth:`on_array_write`) and the loop seams (:meth:`run_for`,
-    :meth:`run_for_range`, :meth:`run_iteration`, handed the compiled
-    :class:`Loop` and the activation's frame) are the override points
-    for the static baseline and the SPMD core.
+    :meth:`run_for_range`, handed the compiled :class:`Loop` and the
+    activation's frame) are the override points for the static
+    baseline and the SPMD core.  An iteration is no seam: a subclass
+    that must see one wraps ``loop.body`` in :meth:`compile_for`.
     """
 
     def __init__(self, program: A.Program, clock: Clock | None = None,
@@ -347,6 +359,16 @@ class Interpreter:
                    for name, pending in sc.loops.pop().items()]
         if not carried:
             return code
+        if len(carried) == 1:
+            (pending, slot), = carried
+
+            def iteration(frame):
+                frame[pending] = _UNSET
+                code(frame)
+                value = frame[pending]
+                if value is not _UNSET:
+                    frame[slot] = value
+            return iteration
 
         def iteration(frame):
             for pending, _ in carried:
@@ -363,22 +385,20 @@ class Interpreter:
 
     def run_for_range(self, loop: Loop, frame: list,
                       init: int, limit: int, step: int) -> None:
-        run_iteration = self.run_iteration
+        var, body = loop.var, loop.body
         i = init  # any number: ``for i = 1.5 to n`` is a program too
         if self.clock is None:
             while (i >= limit) if step < 0 else (i <= limit):
-                run_iteration(loop, frame, i)
+                frame[var] = i
+                body(frame)
                 i += step
             return
         charge = self.clock.charge
         while (i >= limit) if step < 0 else (i <= limit):
             charge(LOOP_ITER)
-            run_iteration(loop, frame, i)
+            frame[var] = i
+            body(frame)
             i += step
-
-    def run_iteration(self, loop: Loop, frame: list, i: int) -> None:
-        frame[loop.var] = i
-        loop.body(frame)
 
     # -- expressions: ``frame -> value`` -------------------------------------
 
@@ -508,7 +528,11 @@ class Interpreter:
         self.array_types.add(type(arr))
 
     def compile_indices(self, indices: list[A.Expr], sc: Scopes) -> Callable:
-        """``frame -> index tuple`` (ranks 1 and 2 without the list)."""
+        """``frame -> index tuple``: one ``itemgetter`` when there are two
+        or more subscripts and each is a name; otherwise ranks 1 and 2
+        without the list."""
+        if len(indices) > 1 and all(isinstance(e, A.Var) for e in indices):
+            return itemgetter(*[sc.slot_of(e.name) for e in indices])
         subs = [self.compile_expr(e, sc) for e in indices]
         if len(subs) == 1:
             only, = subs

@@ -88,6 +88,3 @@ def render_metrics_table(registry) -> str:
         rows.append([row.kind, row.name, labels, value])
     return render_table(["kind", "metric", "labels", "value"], rows)
 
-
-def percent(value: float) -> str:
-    return f"{value * 100:.1f}%"

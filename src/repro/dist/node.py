@@ -52,14 +52,21 @@ import threading
 import time
 import traceback
 
-from repro.common.errors import (DeferredReadTimeout, ExecutionError,
-                                 SingleAssignmentViolation)
+from repro.common.errors import DeferredReadTimeout, SingleAssignmentViolation
 from repro.dist.faults import DistFaultInjector, DistFaultPlan
 from repro.dist.memory import NodeMemory
 from repro.dist.transport import (COORD, Endpoint, encode_frame,
                                   frame_secret, read_frame)
-from repro.runtime.arrays import ArrayHeader
+from repro.runtime.arrays import ArrayHeader, check_extents, index_fn
 from repro.runtime.spmd import SpmdInterpreter, sigterm_default
+
+# ``DistArray.read`` after the index rule: count, then the node's read
+# cache (program values are numbers, never None), then the miss path.
+_DIST_READ = """\
+self.reads += 1
+value = cached(off)
+return miss(self, indices, off) if value is None else value
+"""
 
 
 class DistArray:
@@ -68,8 +75,10 @@ class DistArray:
     Holds the geometry (an :class:`ArrayHeader` over the *identity*
     space — ownership never changes shape, only the identity->node
     binding does) and this executor's access counters; storage lives in
-    the node's memory and read cache.  ``read`` is bound here, once:
-    the index rule, the cache's ``dict.get``, then the miss path.
+    the node's memory and read cache.  ``read`` is built here, once, by
+    :func:`~repro.runtime.arrays.index_fn`: the index rule for this
+    handle's rank, the counter and the cache's ``dict.get`` in one
+    Python frame, then the miss path.
     """
 
     __slots__ = ("runtime", "seq", "replay", "dims", "header", "name",
@@ -78,8 +87,7 @@ class DistArray:
 
     def __init__(self, runtime: "NodeRuntime", seq: int,
                  dims: tuple[int, ...], replay: bool = False) -> None:
-        if any((not isinstance(d, int)) or d < 1 for d in dims):
-            raise ExecutionError(f"bad array dimensions {dims!r}")
+        check_extents(dims)
         self.runtime = runtime
         self.seq = seq
         self.replay = replay  # writes verify already-present elements
@@ -100,14 +108,8 @@ class DistArray:
         self.max_spin_wait_s = 0.0
         self.pages_touched: set[int] = set()
         self.cache = cache = runtime.caches.setdefault(seq, {})
-        offset, cached, miss = self.header.offset, cache.get, runtime.read_miss
-
-        def read(indices: tuple) -> object:
-            off = offset(indices)
-            self.reads += 1
-            value = cached(off)  # program values are numbers, never None
-            return miss(self, indices, off) if value is None else value
-        self.read = read
+        self.read = index_fn("read", seq, dims, _DIST_READ, self=self,
+                             cached=cache.get, miss=runtime.read_miss)
 
     def write(self, indices: tuple, value) -> None:
         self.runtime.array_write(self, indices, value)

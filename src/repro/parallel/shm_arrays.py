@@ -47,7 +47,7 @@ import _posixshmem
 from repro.common.errors import (BoundsViolation, DeferredReadTimeout,
                                  ExecutionError, RuntimeFault,
                                  SingleAssignmentViolation, WorkerSuperseded)
-from repro.runtime.arrays import ArrayHeader, offset_fn
+from repro.runtime.arrays import ArrayHeader, check_extents, index_fn, offset_fn
 
 FLAG_ABSENT = 0
 FLAG_FLOAT = 1
@@ -55,6 +55,18 @@ FLAG_INT = 2
 FLAG_BOOL = 3
 
 _INT_MIN, _INT_MAX = -2 ** 63, 2 ** 63 - 1  # what an 8-byte cell holds
+
+# ``ShmArray.read`` after the index rule: count, load the flag, answer a
+# present float from its typed view; an absent element waits.
+_SHM_READ = """\
+self.reads += 1
+flag = flags[off]
+if flag == FLAG_FLOAT:
+    return floats[off]
+if flag == FLAG_ABSENT:
+    return wait(indices, off)
+return present(off, flag)
+"""
 
 
 class _Segment:
@@ -116,6 +128,11 @@ class ShmArray:
     the supervisor; ``on_spin`` fires once when a spin begins (the
     fault-injection hook); a spin that outlives ``timeout_s`` raises
     :class:`~repro.common.errors.DeferredReadTimeout`.
+
+    ``read(indices)`` is built here too, by
+    :func:`~repro.runtime.arrays.index_fn`: the index rule for this
+    handle's rank and the present-element path in one Python frame,
+    ``_wait`` behind it for an absent element.
     """
 
     def __init__(self, name: str, dims: tuple[int, ...], create: bool,
@@ -127,6 +144,7 @@ class ShmArray:
                  spin_ceiling_s: float | None = None,
                  on_stall: Callable[[dict], None] | None = None,
                  on_spin: Callable[[], None] | None = None) -> None:
+        check_extents(dims)  # before a segment exists to leak
         self.dims = dims
         self.page_size = page_size
         if epoch_slots < 1:
@@ -176,6 +194,10 @@ class ShmArray:
         self._ints = vals.cast("q")
         if generation:
             self.set_epoch(slot, generation)
+        self.read = index_fn("read", name, dims, _SHM_READ, self=self,
+                             flags=self._flags, floats=self._floats,
+                             wait=self._wait, present=self._read_present,
+                             FLAG_FLOAT=FLAG_FLOAT, FLAG_ABSENT=FLAG_ABSENT)
         # Telemetry counters, all process-local (each worker holds its
         # own attachment): fed into per-worker WorkerTelemetry and from
         # there into the run's shared MetricsRegistry (repro.obs).
@@ -262,53 +284,47 @@ class ShmArray:
                                  "shared array")
         self._flags[off] = flag  # presence bit set last
 
-    def read(self, indices: tuple[int, ...]):
-        """I-structure read: spin until the element is present, under
-        the settings bound at construction."""
-        off = self.offset(indices)
-        self.reads += 1
-        flag = self._flags[off]
-        if flag == FLAG_FLOAT:
-            return self._floats[off]
-        if flag == FLAG_ABSENT:
-            self.deferred_reads += 1
-            if self.on_spin is not None:
-                self.on_spin()
-            spin_ceiling_s, on_stall = self.spin_ceiling_s, self.on_stall
-            spin_start = time.monotonic()
-            deadline = spin_start + self.timeout_s
-            next_stall = (spin_start + spin_ceiling_s
-                          if spin_ceiling_s else None)
-            pause = 1e-6
-            owner_of = self.header.owner_of_offset
-            try:
-                while True:
-                    flag = self._flags[off]
-                    if flag != FLAG_ABSENT:
-                        break
-                    if self.generation:
-                        self._check_superseded()
-                    now = time.monotonic()
-                    if next_stall is not None and now >= next_stall:
-                        self.stall_reports += 1
-                        if on_stall is not None:
-                            on_stall({"array": self.name,
-                                      "indices": list(indices),
-                                      "offset": off,
-                                      "owner": owner_of(off),
-                                      "waited_s": now - spin_start})
-                        next_stall = now + spin_ceiling_s
-                    if now > deadline:
-                        raise DeferredReadTimeout(
-                            self.name, indices, off,
-                            owner_of(off), now - spin_start)
-                    time.sleep(pause)
-                    pause = min(pause * 2, 0.001)
-            finally:
-                waited = time.monotonic() - spin_start
-                self.spin_wait_s += waited
-                if waited > self.max_spin_wait_s:
-                    self.max_spin_wait_s = waited
+    def _wait(self, indices: tuple[int, ...], off: int):
+        """An I-structure read of an absent element: spin until it is
+        present, under the settings bound at construction."""
+        self.deferred_reads += 1
+        if self.on_spin is not None:
+            self.on_spin()
+        spin_ceiling_s, on_stall = self.spin_ceiling_s, self.on_stall
+        spin_start = time.monotonic()
+        deadline = spin_start + self.timeout_s
+        next_stall = (spin_start + spin_ceiling_s
+                      if spin_ceiling_s else None)
+        pause = 1e-6
+        owner_of = self.header.owner_of_offset
+        try:
+            while True:
+                flag = self._flags[off]
+                if flag != FLAG_ABSENT:
+                    break
+                if self.generation:
+                    self._check_superseded()
+                now = time.monotonic()
+                if next_stall is not None and now >= next_stall:
+                    self.stall_reports += 1
+                    if on_stall is not None:
+                        on_stall({"array": self.name,
+                                  "indices": list(indices),
+                                  "offset": off,
+                                  "owner": owner_of(off),
+                                  "waited_s": now - spin_start})
+                    next_stall = now + spin_ceiling_s
+                if now > deadline:
+                    raise DeferredReadTimeout(
+                        self.name, indices, off,
+                        owner_of(off), now - spin_start)
+                time.sleep(pause)
+                pause = min(pause * 2, 0.001)
+        finally:
+            waited = time.monotonic() - spin_start
+            self.spin_wait_s += waited
+            if waited > self.max_spin_wait_s:
+                self.max_spin_wait_s = waited
         return self._read_present(off, flag)
 
     def _read_present(self, off: int, flag: int):

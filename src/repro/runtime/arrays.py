@@ -19,8 +19,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from textwrap import indent
 
-from repro.common.errors import BoundsViolation, PartitionError
+from repro.common.errors import BoundsViolation, ExecutionError, PartitionError
+
+
+def check_extents(dims: tuple) -> None:
+    """Refuse extents no store can hold: each one a positive ``int``.
+
+    Every host-side store asks this before it allocates anything (a
+    shared-memory store before it opens its segment), so a bad
+    ``array(...)`` is the program's ``ExecutionError`` on every backend.
+    """
+    if any((not isinstance(d, int)) or d < 1 for d in dims):
+        raise ExecutionError(f"bad array dimensions {dims!r}")
 
 
 def flat_size(dims: tuple[int, ...]) -> int:
@@ -39,39 +51,75 @@ def row_strides(dims: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(strides)
 
 
-def offset_fn(label, dims: tuple[int, ...]):
-    """``indices -> row-major flat offset`` for extents ``dims``, built once.
+# The one index rule of every I-structure store, as source: an index is
+# exactly an ``int`` (``type(i) is int`` — no ``bool``, no other
+# subclass), in ``1..dim``, and the tuple has exactly ``len(dims)``
+# entries; anything else is ``BoundsViolation(label, indices, dims)``.
+# What passes binds ``off``, the row-major flat offset, and runs the
+# accessor's body.  Rank 2 — every array the timed workloads allocate —
+# is unrolled with the bounds captured; any other rank keeps the loop.
+_RANK2_RULE = """\
+if len(indices) == 2:
+    i, j = indices
+    if (type(i) is int and type(j) is int
+            and 1 <= i <= d0 and 1 <= j <= d1):
+        off = (i - 1) * d1 + j - 1
+{body}
+raise BoundsViolation(label, indices, dims)
+"""
 
-    The one index rule of every I-structure store: an index is exactly
-    an ``int`` (``type(i) is int`` — no ``bool``, no other subclass), in
-    ``1..dim``, and the tuple has exactly ``len(dims)`` entries; anything
-    else is ``BoundsViolation(label, indices, dims)``.  Rank 2 — every
-    array the timed workloads allocate — is unrolled with the bounds
-    captured; any other rank keeps the generic loop.
+_RANK_N_RULE = """\
+if len(indices) != rank:
+    raise BoundsViolation(label, indices, dims)
+off = 0
+for idx, dim, stride in zip(indices, dims, strides):
+    if type(idx) is not int or idx < 1 or idx > dim:
+        raise BoundsViolation(label, indices, dims)
+    off += (idx - 1) * stride
+{body}
+"""
+
+# (name, rule, body, captured names) -> the compiled closure factory.
+_makers: dict[tuple, object] = {}
+
+
+def index_fn(name: str, label, dims: tuple[int, ...], body: str, **names):
+    """``name(indices)``: the index rule for extents ``dims``, then ``body``.
+
+    ``body`` is source lines run with ``off`` bound and ``names``
+    captured; every path through it must ``return`` or ``raise``.  The function is
+    generated per handle and specialised to its rank (the way
+    ``dataclasses`` writes ``__init__``), so a store's present-element
+    path is one Python frame with the rule inlined, and no store spells
+    the rule a second time.  Only the closure is built per handle: the
+    source is compiled once per (name, rule, body, captured names).
     """
+    free = dict(names, label=label, dims=dims)
     if len(dims) == 2:
-        d0, d1 = dims
-
-        def offset(indices):
-            if len(indices) == 2:
-                i, j = indices
-                if (type(i) is int and type(j) is int
-                        and 1 <= i <= d0 and 1 <= j <= d1):
-                    return (i - 1) * d1 + j - 1
-            raise BoundsViolation(label, indices, dims)
+        rule, pad = _RANK2_RULE, " " * 8
+        free.update(d0=dims[0], d1=dims[1])
     else:
-        strides = row_strides(dims)
+        rule, pad = _RANK_N_RULE, ""
+        free.update(rank=len(dims), strides=row_strides(dims))
+    key = (name, rule, body, tuple(free))
+    make = _makers.get(key)
+    if make is None:
+        source = (f"def make({', '.join(free)}):\n"
+                  f"    def {name}(indices):\n"
+                  + indent(rule.format(body=indent(body.rstrip("\n"), pad)),
+                           " " * 8)
+                  + f"    return {name}\n")
+        scope: dict = {}
+        exec(compile(source, f"<index rule: {name}>", "exec"),
+             {"BoundsViolation": BoundsViolation}, scope)
+        make = _makers[key] = scope["make"]
+    return make(**free)
 
-        def offset(indices):
-            if len(indices) != len(dims):
-                raise BoundsViolation(label, indices, dims)
-            off = 0
-            for idx, dim, stride in zip(indices, dims, strides):
-                if type(idx) is not int or idx < 1 or idx > dim:
-                    raise BoundsViolation(label, indices, dims)
-                off += (idx - 1) * stride
-            return off
-    return offset
+
+def offset_fn(label, dims: tuple[int, ...]):
+    """``indices -> row-major flat offset`` for extents ``dims``, built
+    once: the index rule (:func:`index_fn`) and nothing else."""
+    return index_fn("offset", label, dims, "return off")
 
 
 def num_pages(total_elements: int, page_size: int) -> int:

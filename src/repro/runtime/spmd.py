@@ -34,20 +34,19 @@ counters, with whatever a read needs bound into the handle — and
 :meth:`alloc_shared`, which builds one.
 
 The base interpreter is compile-once (:mod:`repro.baseline.sequential`):
-the loop seams overridden here take the compiled
-:class:`~repro.baseline.sequential.Loop` and the activation's slot frame
-— ``run_for(loop, frame)``, ``run_iteration(loop, frame, i)`` — and the
-program's closures capture the bound ``on_*`` hooks when a function is
-first *called*.  So a substrate may finish its own ``__init__`` after
-``super().__init__`` returns, but must not rebind a hook once ``run``
-has started.
+the loop seam overridden here, ``run_for(loop, frame)``, takes the
+compiled :class:`~repro.baseline.sequential.Loop` and the activation's
+slot frame, and the program's closures capture the bound ``on_*`` hooks
+when a function is first *called*.  So a substrate may finish its own
+``__init__`` after ``super().__init__`` returns, but must not rebind a
+hook once ``run`` has started.
 
 A worker runs the program, not the cost model: both substrates report
 measured wall time only, so the core passes no clock and its closures
 are compiled without the charges ``seq`` and ``static`` fuse in.  The
 ``iter`` fault trigger is likewise compiled into a loop's body only when
 the process's plan holds a clause (:meth:`SpmdInterpreter.compile_for`);
-an iteration is otherwise the base seam's frame store and body call.
+an iteration is otherwise ``run_for_range``'s frame store and body call.
 
 The telemetry record, its registry fold and its table live here too
 (both backends report the same fields about the same model), as do the

@@ -53,9 +53,6 @@ class PEStats:
     messages_sent: int = 0
     bytes_sent: int = 0
 
-    def add_busy(self, unit: str, amount: float) -> None:
-        self.busy[unit] += amount
-
 
 @dataclass
 class RunStats:

@@ -76,10 +76,6 @@ ENQUEUED_READ = 2.9      # 3 reads + 5 writes: push an early read
 ALLOC_ARRAY = 100.0      # + message time
 
 
-def am_free_array(size: int) -> float:
-    return size * MEM_READ
-
-
 def am_array_write(queued_reads: int) -> float:
     return MEM_WRITE + queued_reads * UNIT_SIGNAL
 

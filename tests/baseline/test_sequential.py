@@ -182,8 +182,9 @@ class TestScoping:
 
     @pytest.mark.parametrize("width", [1, 2, 3])
     def test_spmd_core(self, name, width):
-        """Through the SPMD seams (``run_for`` / ``run_iteration``
-        overrides), every identity of an in-process store."""
+        """Through the SPMD seams (the ``run_for`` override, a loop body
+        wrapped in ``compile_for``), every identity of an in-process
+        store."""
         source, args, expected = SCOPING[name]
         program = compile_source(source)
         store: dict = {}

@@ -1,11 +1,7 @@
 """Tests for the bench harness text rendering and sweep memoization."""
 
 from repro.bench.harness import Sweeper
-from repro.bench.report import (
-    percent,
-    render_series_chart,
-    render_table,
-)
+from repro.bench.report import render_series_chart, render_table
 
 
 class TestTable:
@@ -38,12 +34,6 @@ class TestSeriesChart:
         text = render_series_chart([1, 2], {"a": [1.0, 1.0],
                                             "b": [2.0, 2.0]})
         assert "* a" in text and "o b" in text
-
-
-class TestPercent:
-    def test_format(self):
-        assert percent(0.5) == "50.0%"
-        assert percent(0.123) == "12.3%"
 
 
 class TestSweeper:

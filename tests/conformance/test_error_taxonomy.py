@@ -20,6 +20,11 @@ backend would report as a ``worker-failure``).  A fifth pins the other
 half of the one index rule (``runtime.arrays.offset_fn``): a boolean is
 not an index either, so ``A[n == n]`` is never ``A[1]``.
 
+Two pin a bad array extent (``array(0)``, ``array(1.5)``) to
+``execution``: every store asks ``runtime.arrays.check_extents`` before
+it allocates, so the parallel backend's shared-memory store refuses the
+extent instead of dying in ``os.ftruncate`` as a ``worker-failure``.
+
 Three more pin the arithmetic faults to ``execution``: a division by
 zero is the program's error on every substrate (not a ``worker-failure``
 because a worker reported it), and the two powers Python refuses with
@@ -99,12 +104,27 @@ CASES = {
             return A[n == n];
         }
     """,
+    "zero-extent": """
+        function main(n) {
+            A = array(n - n);
+            for i = 1 to n { A[i] = i * 1.0; }
+            return A[1];
+        }
+    """,
+    "fractional-extent": """
+        function main(n) {
+            A = array(n / 4);
+            for i = 1 to n { A[i] = i * 1.0; }
+            return A[1];
+        }
+    """,
     "div-zero": "function main(n) { return n / 0; }",
     "zero-to-negative-power": "function main(n) { return 0.0 ^ (0 - 1); }",
     "pow-overflow": "function main(n) { return 10.0 ^ 400; }",
 }
 # Case name -> taxonomy code, where the name is not the code itself.
 CODES = {"float-subscript": "bounds", "bool-subscript": "bounds",
+         "zero-extent": "execution", "fractional-extent": "execution",
          "div-zero": "execution", "zero-to-negative-power": "execution",
          "pow-overflow": "execution"}
 

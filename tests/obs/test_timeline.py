@@ -174,6 +174,6 @@ class TestDerivationMatchesAccumulators:
         from repro.sim.stats import PEStats, RunStats
 
         pe = PEStats()
-        pe.add_busy("EU", 5.0)
+        pe.busy["EU"] = 5.0
         stats = RunStats(num_pes=1, finish_time_us=10.0, pe_stats=[pe])
         assert stats.timeline_utilization("EU") == pytest.approx(0.5)

@@ -145,6 +145,58 @@ class TestOneIndexRule:
         assert len({used: 1, fresh: 2}) == 1
 
 
+class TestIndexRuleParity:
+    """The rule has one definition (``runtime.arrays.index_fn``) and four
+    ways in: a bare ``offset_fn``, the header's ``offset``, and each
+    host store's generated ``read`` and its ``write``.  A refused tuple
+    is the same ``BoundsViolation`` — the door's own label, the tuple as
+    given, the extents — through every one of them, at every rank."""
+
+    @pytest.fixture(params=[(5,), (3, 4), (2, 3, 4)],
+                    ids=["rank1", "rank2", "rank3"])
+    def doors(self, request):
+        dims = request.param
+        seq = SeqArray(dims)
+        shm = ShmArray(f"test_pods_parity{len(dims)}", dims, create=True)
+        try:
+            yield dims, {
+                "offset_fn": ("x", offset_fn("x", dims)),
+                "ArrayHeader": (7, ArrayHeader(7, dims, 4, 2).offset),
+                "SeqArray.read": (seq.array_id, seq.read),
+                "SeqArray.write": (seq.array_id,
+                                   lambda indices: seq.write(indices, 1.0)),
+                "ShmArray.read": (shm.name, shm.read),
+                "ShmArray.write": (shm.name,
+                                   lambda indices: shm.write(indices, 1.0)),
+            }
+            # Nothing got past the rule into either store.
+            assert not shm.dump() and shm.reads == shm.writes == 0
+            assert seq.to_value().flat == [None] * flat_size(dims)
+        finally:
+            shm.close()
+            shm.unlink()
+
+    @staticmethod
+    def refused(dims) -> dict[str, tuple]:
+        ok = (1,) * len(dims)
+        table = {"short": ok[:-1], "long": ok + (1,)}
+        for pos, dim in enumerate(dims):
+            for case, idx in (("bool", True), ("float", 1.0), ("zero", 0),
+                              ("extent+1", dim + 1)):
+                table[f"{case}@{pos}"] = ok[:pos] + (idx,) + ok[pos + 1:]
+        return table
+
+    def test_every_door_refuses_alike(self, doors):
+        dims, doors = doors
+        for case, indices in self.refused(dims).items():
+            for door, (label, access) in doors.items():
+                with pytest.raises(BoundsViolation) as exc:
+                    access(indices)
+                got = exc.value
+                assert (got.array_id, got.indices, got.dims) \
+                    == (label, indices, dims), (case, door)
+
+
 class TestSegments:
     def test_even_split(self):
         # 48 pages over 4 PEs -> 12 each (the Figure 4 example).

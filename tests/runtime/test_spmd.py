@@ -17,9 +17,13 @@ width, ascending and descending, one identity per interpreter or several
 * the core keeps no modeled time, and the closures it compiles without
   the cost model compute what ``seq``'s charged ones do;
 * the ``iter`` fault trigger is compiled into the loops exactly when the
-  plan holds a clause, and ``iter``/``write`` clauses act at their counts.
+  plan holds a clause, and ``iter``/``write`` clauses act at their counts;
+* over real shared-memory handles, an element read costs the host no
+  more Python frames than its budget.
 """
 
+import os
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -28,6 +32,7 @@ from repro import compile_source
 from repro.baseline.sequential import SeqArray
 from repro.common.errors import ExecutionError
 from repro.common.faultplan import EventTrigger
+from repro.parallel.shm_arrays import ShmArray
 from repro.runtime.arrays import ArrayHeader
 from repro.runtime.spmd import (SpmdInterpreter, WorkerTelemetry,
                                 telemetry_registry, telemetry_table)
@@ -90,7 +95,7 @@ class PlainArray(SeqArray):
 
     def __init__(self, seq: int, dims, width: int, store: dict) -> None:
         super().__init__(dims)
-        self.cells = store.setdefault(seq, self.cells)
+        self.bind_cells(store.setdefault(seq, self.cells))
         self.name = f"a{seq}"
         self.header = ArrayHeader(seq, tuple(dims), PAGE, width)
         self.writes = 0
@@ -122,10 +127,19 @@ class PlainSpmd(SpmdInterpreter):
     def alloc_shared(self, seq, dims):
         return PlainArray(seq, dims, self.width, self.store)
 
-    def run_iteration(self, loop, frame, i):
+    def compile_for(self, stmt, sc):
+        # A distributed loop's iterations are noted in front of its body,
+        # the way the ``iter`` trigger joins it.
+        loop = super().compile_for(stmt, sc)
         if loop.block is not None and loop.block.distributed:
-            self.executed.append((loop.block.name, i))
-        super().run_iteration(loop, frame, i)
+            body, var, name = loop.body, loop.var, loop.block.name
+            executed = self.executed
+
+            def noted(frame):
+                executed.append((name, frame[var]))
+                body(frame)
+            loop.body = noted
+        return loop
 
 
 def _groups(width: int, takeover: bool) -> list[tuple[int, ...]]:
@@ -414,3 +428,73 @@ def test_a_later_generations_clause_is_bound_from_the_start():
     trigger.arm(2)
     interp.run((23,), materialize=False)  # allocates a second array
     assert trigger.hits == [("iter", 23 + 2)]
+
+
+# -- what an element read costs the host ----------------------------------
+
+
+class ShmSpmd(SpmdInterpreter):
+    """The core over real shared-memory handles, in this process: one
+    identity, generation 0, every segment created here."""
+
+    shared_cls = ShmArray
+
+    def __init__(self, program) -> None:
+        super().__init__(program, (0,), EventTrigger((), ()))
+
+    def alloc_shared(self, seq, dims):
+        return ShmArray(f"pods{os.getpid()}_budget_{seq}", dims, create=True)
+
+
+class TestSpmdHostWorkBudget:
+    """A standing budget for Python work per shared element read, with
+    the ``sys.setprofile`` recipe of the simulator's
+    ``TestHostWorkBudget``: Python frames entered over the whole run,
+    divided by the element reads the handles counted.  What a worker
+    pays per element is interpreter frames (docs/parallel.md, "Where a
+    worker's time goes"), so a change to the closures or to a store's
+    ``read`` is held to this count.  Builtin calls are not frames and
+    are not counted."""
+
+    # Rank 2, matmul n = 24: 7.39 with a loop seam, an index lambda and a
+    # separate offset frame; 4.78 with all three gone.
+    RANK2_CALLS_PER_READ = 5.0
+    # Rank 1, Livermore hydro n = 64 (256 reads, so allocation weighs
+    # in): 15.38 when set, held at 17.05 — its cost with the offset in a
+    # frame of its own — so rank 2 is never bought with rank 1.
+    RANK1_CALLS_PER_READ = 17.05
+
+    def test_rank2_matmul(self):
+        from repro.apps import compile_matmul
+
+        per_read = self.calls_per_read(compile_matmul(checksum=True), (24,))
+        assert per_read <= self.RANK2_CALLS_PER_READ, per_read
+
+    def test_rank1_hydro(self):
+        from repro.apps.livermore import compile_kernel
+
+        per_read = self.calls_per_read(compile_kernel("hydro"), (64,))
+        assert per_read <= self.RANK1_CALLS_PER_READ, per_read
+
+    @staticmethod
+    def calls_per_read(program, args) -> float:
+        interp = ShmSpmd(program)
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            interp.run(args, materialize=False)
+        finally:
+            sys.setprofile(previous)
+            for arr in interp.shared_arrays:
+                arr.close()
+                arr.unlink()
+        reads = sum(arr.reads for arr in interp.shared_arrays)
+        assert reads > 0
+        return calls / reads

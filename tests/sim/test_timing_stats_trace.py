@@ -59,7 +59,6 @@ class TestTimingModel:
         assert long == pytest.approx(697.0 + 400.0 + T.NET_PROPAGATION)
 
     def test_array_manager_formulas(self):
-        assert T.am_free_array(100) == pytest.approx(30.0)
         assert T.am_array_write(0) == pytest.approx(0.4)
         assert T.am_array_write(3) == pytest.approx(0.4 + 3.0)
         assert T.am_send_page(32) == pytest.approx(32 * 0.3 + 1.0)
@@ -77,7 +76,7 @@ class TestStats:
         pe_stats = []
         for _ in range(pes):
             s = PEStats()
-            s.add_busy("EU", busy_eu)
+            s.busy["EU"] = busy_eu
             s.instructions = 10
             pe_stats.append(s)
         return RunStats(num_pes=pes, finish_time_us=finish,

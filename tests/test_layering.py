@@ -54,6 +54,11 @@ there is one ``Scenario`` and one ``run_scenario`` (``repro/chaos.py``),
 and that runner reaches a backend only through ``Backend.run`` — it
 imports no ``Machine``, ``run_parallel`` or ``run_distributed``.
 
+And an index has one rule: a refused index tuple is a
+``BoundsViolation`` built only in ``runtime/arrays.py`` — each store's
+accessor is generated there (``index_fn``), so no store writes a second
+copy of the rule beside it.
+
 And a run has one way out: what it produced leaves ``Backend.run`` as
 the declared fields of a ``BackendResult`` and how it failed as the
 ``code`` its exception class declares.  So nothing under ``src/repro``
@@ -427,3 +432,31 @@ def test_a_run_has_one_way_out():
                         "spmd.py")
     assert not [name for name in _imports(spmd)
                 if name.startswith("repro.backend")]
+
+
+def test_the_index_rule_has_one_definition():
+    """A refused index tuple is spelled once: only ``runtime/arrays.py``
+    builds a ``BoundsViolation`` — as a call, or as generated source a
+    store compiles.  ``ShmArray.seed`` refusing a flat checkpoint offset
+    (no index tuple) is the one named exception."""
+    sites = set()
+    for rel, text in _sources():
+        for node, chain in _by_function(ast.parse(text, rel)):
+            called = (isinstance(node, ast.Call)
+                      and getattr(node.func, "id", None) == "BoundsViolation")
+            generated = (isinstance(node, ast.Constant)
+                         and isinstance(node.value, str)
+                         and "BoundsViolation(" in node.value)
+            if called or generated:
+                sites.add((rel, chain[-1]))
+    rule = os.path.join("runtime", "arrays.py")
+    seed = (os.path.join("parallel", "shm_arrays.py"), "seed")
+    offenders = sorted(site for site in sites
+                       if site[0] != rule and site != seed)
+    assert not offenders, (
+        f"BoundsViolation built in {offenders}; generate the store's "
+        "accessor with runtime.arrays.index_fn instead of a second copy "
+        "of the index rule")
+    # Not vacuous: the rule and the exception are where they are looked for.
+    assert {site[0] for site in sites} == {rule, seed[0]}
+    assert seed in sites
