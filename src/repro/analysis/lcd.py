@@ -30,7 +30,9 @@ from fractions import Fraction
 
 from repro.graph import ir
 
-Affine = tuple  # (coeff, offset) with exact Fraction/int arithmetic
+# (coeff, offset), exact: ints, and a Fraction wherever a float
+# constant takes part.
+Affine = tuple
 VARIES = None   # not affine in the loop index
 
 
@@ -41,9 +43,9 @@ def _invoke_map(graph: ir.ProgramGraph) -> dict[int, tuple[ir.CodeBlock, ir.Invo
 
     def scan(block: ir.CodeBlock, region: ir.Region) -> None:
         for item in region:
-            if isinstance(item, ir.InvokeItem):
+            if type(item) is ir.InvokeItem:
                 out[item.block] = (block, item)
-            elif isinstance(item, ir.IfItem):
+            elif type(item) is ir.IfItem:
                 scan(block, item.then_region)
                 scan(block, item.else_region)
 
@@ -84,9 +86,9 @@ class LcdAnalysis:
         then distribute, which single assignment keeps correct).
         """
         d = block.defs[vid]
-        if isinstance(d, ir.AllocDef):
+        if type(d) is ir.AllocDef:
             return ("alloc", block.block_id, vid)
-        if isinstance(d, ir.ParamDef):
+        if type(d) is ir.ParamDef:
             if block.kind in (ir.FOR, ir.WHILE) and block.block_id in self.invokes:
                 parent, invoke = self.invokes[block.block_id]
                 return self.trace_array_key(parent, invoke.args[d.index])
@@ -97,18 +99,22 @@ class LcdAnalysis:
                   loop: ir.CodeBlock) -> Affine | None:
         """Express vid as coeff*index(loop) + offset, or VARIES."""
         d = block.defs[vid]
+        kind = type(d)
 
-        if isinstance(d, ir.ConstDef):
-            if isinstance(d.value, bool) or not isinstance(d.value, (int, float)):
-                return VARIES
-            return (Fraction(0), Fraction(d.value))
+        if kind is ir.ConstDef:
+            value = d.value
+            if type(value) is int:
+                return (0, value)
+            if type(value) is float:
+                return (0, Fraction(value))
+            return VARIES  # a bool is no number
 
-        if isinstance(d, ir.IndexDef):
+        if kind is ir.IndexDef:
             if block.block_id == loop.block_id:
-                return (Fraction(1), Fraction(0))
+                return (1, 0)
             return VARIES  # a deeper loop's index: varies within one iteration
 
-        if isinstance(d, ir.ParamDef):
+        if kind is ir.ParamDef:
             if block.block_id == loop.block_id:
                 # Defined outside the loop: invariant, value unknown.
                 return VARIES
@@ -117,7 +123,7 @@ class LcdAnalysis:
                 return self.affine_of(parent, invoke.args[d.index], loop)
             return VARIES
 
-        if isinstance(d, ir.OpDef):
+        if kind is ir.OpDef:
             if d.fn in ("add", "sub") and len(d.args) == 2:
                 left = self.affine_of(block, d.args[0], loop)
                 right = self.affine_of(block, d.args[1], loop)
@@ -157,23 +163,24 @@ class LcdAnalysis:
 
         def visit_region(block: ir.CodeBlock, region: ir.Region) -> None:
             for item in region:
-                if isinstance(item, ir.ComputeItem):
+                kind = type(item)
+                if kind is ir.ComputeItem:
                     d = block.defs[item.vid]
-                    if isinstance(d, ir.ReadDef):
+                    if type(d) is ir.ReadDef:
                         out.append(Access(
                             self.trace_array_key(block, d.array),
                             [self.affine_of(block, s, loop) for s in d.indices],
                             is_write=False, block_id=block.block_id,
                         ))
-                elif isinstance(item, ir.WriteItem):
+                elif kind is ir.WriteItem:
                     out.append(Access(
                         self.trace_array_key(block, item.array),
                         [self.affine_of(block, s, loop) for s in item.indices],
                         is_write=True, block_id=block.block_id,
                     ))
-                elif isinstance(item, ir.InvokeItem):
+                elif kind is ir.InvokeItem:
                     visit_block(self.graph.blocks[item.block])
-                elif isinstance(item, ir.IfItem):
+                elif kind is ir.IfItem:
                     visit_region(block, item.then_region)
                     visit_region(block, item.else_region)
 

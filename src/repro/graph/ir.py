@@ -264,7 +264,7 @@ class CodeBlock:
     def param_vids(self) -> list[int]:
         """Vids of ParamDefs ordered by input position."""
         params = [(d.index, vid) for vid, d in self.defs.items()
-                  if isinstance(d, ParamDef)]
+                  if type(d) is ParamDef]
         params.sort()
         return [vid for _, vid in params]
 

@@ -55,9 +55,9 @@ def _invoke_sites(graph: ir.ProgramGraph):
 
     def scan(block: ir.CodeBlock, region: ir.Region) -> None:
         for idx, item in enumerate(region):
-            if isinstance(item, ir.InvokeItem):
+            if type(item) is ir.InvokeItem:
                 sites[item.block] = (block, region, item)
-            elif isinstance(item, ir.IfItem):
+            elif type(item) is ir.IfItem:
                 scan(block, item.then_region)
                 scan(block, item.else_region)
 
@@ -105,9 +105,9 @@ def _hoist_block(loop: ir.CodeBlock, parent: ir.CodeBlock,
 
     def invariant_vid(vid: int) -> bool:
         d = loop.defs[vid]
-        if isinstance(d, ir.ConstDef):
+        if type(d) is ir.ConstDef:
             return True
-        if isinstance(d, ir.ParamDef):
+        if type(d) is ir.ParamDef:
             return vid not in carried
         return False
 
@@ -116,10 +116,10 @@ def _hoist_block(loop: ir.CodeBlock, parent: ir.CodeBlock,
     while changed:
         changed = False
         for idx, item in enumerate(loop.body):
-            if not isinstance(item, ir.ComputeItem):
+            if type(item) is not ir.ComputeItem:
                 continue
             d = loop.defs[item.vid]
-            if not isinstance(d, ir.OpDef) or d.fn not in fns:
+            if type(d) is not ir.OpDef or d.fn not in fns:
                 continue
             if not all(invariant_vid(a) for a in d.args):
                 continue
@@ -128,7 +128,7 @@ def _hoist_block(loop: ir.CodeBlock, parent: ir.CodeBlock,
             parent_args = []
             for a in d.args:
                 ad = loop.defs[a]
-                if isinstance(ad, ir.ConstDef):
+                if type(ad) is ir.ConstDef:
                     parent_args.append(parent.new_vid(ir.ConstDef(ad.value)))
                 else:  # invariant ParamDef
                     parent_args.append(invoke.args[ad.index])
@@ -156,17 +156,18 @@ def _hoist_block(loop: ir.CodeBlock, parent: ir.CodeBlock,
 def _replace_uses(block: ir.CodeBlock, old: int, new: int) -> None:
     """Rewrite every reference to vid ``old`` into ``new``."""
     for d in block.defs.values():
-        if isinstance(d, ir.OpDef):
+        kind = type(d)
+        if kind is ir.OpDef:
             d.args = [new if a == old else a for a in d.args]
-        elif isinstance(d, ir.ReadDef):
+        elif kind is ir.ReadDef:
             if d.array == old:
                 d.array = new
             d.indices = [new if a == old else a for a in d.indices]
-        elif isinstance(d, ir.AllocDef):
+        elif kind is ir.AllocDef:
             d.dims = [new if a == old else a for a in d.dims]
-        elif isinstance(d, ir.CallDef):
+        elif kind is ir.CallDef:
             d.args = [new if a == old else a for a in d.args]
-        elif isinstance(d, ir.JoinDef):
+        elif kind is ir.JoinDef:
             if d.then_vid == old:
                 d.then_vid = new
             if d.else_vid == old:
@@ -174,23 +175,24 @@ def _replace_uses(block: ir.CodeBlock, old: int, new: int) -> None:
 
     def visit(region: ir.Region) -> None:
         for item in region:
-            if isinstance(item, ir.WriteItem):
+            kind = type(item)
+            if kind is ir.WriteItem:
                 if item.array == old:
                     item.array = new
                 item.indices = [new if a == old else a for a in item.indices]
                 if item.value == old:
                     item.value = new
-            elif isinstance(item, ir.InvokeItem):
+            elif kind is ir.InvokeItem:
                 item.args = [new if a == old else a for a in item.args]
-            elif isinstance(item, ir.IfItem):
+            elif kind is ir.IfItem:
                 if item.cond == old:
                     item.cond = new
                 visit(item.then_region)
                 visit(item.else_region)
-            elif isinstance(item, ir.NextItem):
+            elif kind is ir.NextItem:
                 if item.value == old:
                     item.value = new
-            elif isinstance(item, ir.ReturnItem):
+            elif kind is ir.ReturnItem:
                 if item.value == old:
                     item.value = new
 
@@ -224,14 +226,14 @@ def _cse_region(block: ir.CodeBlock, region: ir.Region) -> int:
     idx = 0
     while idx < len(region):
         item = region[idx]
-        if isinstance(item, ir.IfItem):
+        if type(item) is ir.IfItem:
             removed += _cse_region(block, item.then_region)
             removed += _cse_region(block, item.else_region)
             idx += 1
             continue
-        if isinstance(item, ir.ComputeItem):
+        if type(item) is ir.ComputeItem:
             d = block.defs[item.vid]
-            if isinstance(d, ir.OpDef):
+            if type(d) is ir.OpDef:
                 key = (d.fn, tuple(d.args))
                 prior = seen.get(key)
                 if prior is not None:
@@ -250,6 +252,10 @@ def _cse_region(block: ir.CodeBlock, region: ir.Region) -> int:
 # ---------------------------------------------------------------------
 
 
+# Defs a dead-code sweep keeps whether or not their value is used.
+_EFFECTFUL = frozenset((ir.AllocDef, ir.ReadDef, ir.CallDef))
+
+
 def _live_vids(block: ir.CodeBlock) -> set[int]:
     """Vids whose values are observable (reach a side effect, control
     decision, invoke, next, or return), transitively."""
@@ -263,31 +269,31 @@ def _live_vids(block: ir.CodeBlock) -> set[int]:
 
     def seed(region: ir.Region) -> None:
         for item in region:
-            if isinstance(item, ir.ComputeItem):
-                d = block.defs[item.vid]
+            kind = type(item)
+            if kind is ir.ComputeItem:
                 # Allocations, reads and calls are kept (observable /
                 # effectful); their operands are therefore live.
-                if isinstance(d, (ir.AllocDef, ir.ReadDef, ir.CallDef)):
+                if type(block.defs[item.vid]) in _EFFECTFUL:
                     mark(item.vid)
-            elif isinstance(item, ir.WriteItem):
+            elif kind is ir.WriteItem:
                 mark(item.array)
                 for a in item.indices:
                     mark(a)
                 mark(item.value)
-            elif isinstance(item, ir.InvokeItem):
+            elif kind is ir.InvokeItem:
                 for a in item.args:
                     mark(a)
                 for r in item.results:
                     mark(r)
-            elif isinstance(item, ir.IfItem):
+            elif kind is ir.IfItem:
                 mark(item.cond)
                 for j in item.joins:
                     mark(j)
                 seed(item.then_region)
                 seed(item.else_region)
-            elif isinstance(item, ir.NextItem):
+            elif kind is ir.NextItem:
                 mark(item.value)
-            elif isinstance(item, ir.ReturnItem):
+            elif kind is ir.ReturnItem:
                 mark(item.value)
 
     seed(block.body)
@@ -298,20 +304,21 @@ def _live_vids(block: ir.CodeBlock) -> set[int]:
 
     while worklist:
         d = block.defs.get(worklist.pop())
-        if isinstance(d, ir.OpDef):
+        kind = type(d)
+        if kind is ir.OpDef:
             for a in d.args:
                 mark(a)
-        elif isinstance(d, ir.ReadDef):
+        elif kind is ir.ReadDef:
             mark(d.array)
             for a in d.indices:
                 mark(a)
-        elif isinstance(d, ir.AllocDef):
+        elif kind is ir.AllocDef:
             for a in d.dims:
                 mark(a)
-        elif isinstance(d, ir.CallDef):
+        elif kind is ir.CallDef:
             for a in d.args:
                 mark(a)
-        elif isinstance(d, ir.JoinDef):
+        elif kind is ir.JoinDef:
             mark(d.then_vid)
             mark(d.else_vid)
     return live
@@ -329,12 +336,12 @@ def eliminate_dead_code(graph: ir.ProgramGraph) -> int:
             idx = 0
             while idx < len(region):
                 item = region[idx]
-                if isinstance(item, ir.IfItem):
+                if type(item) is ir.IfItem:
                     sweep(item.then_region)
                     sweep(item.else_region)
-                elif isinstance(item, ir.ComputeItem):
+                elif type(item) is ir.ComputeItem:
                     d = block.defs[item.vid]
-                    if isinstance(d, ir.OpDef) and item.vid not in live:
+                    if type(d) is ir.OpDef and item.vid not in live:
                         del block.defs[item.vid]
                         del region[idx]
                         removed += 1

@@ -57,16 +57,18 @@ def _validate_region(graph: ir.ProgramGraph, block: ir.CodeBlock,
         check(graph, block, item, available, where)
 
 
-def _need(block: ir.CodeBlock, available: set[int], vid: int, what: str,
+def _need(block: ir.CodeBlock, available: set[int], vids, what: str,
           where: str) -> None:
-    if vid in available:  # everything available is one of block.defs
-        return
-    if vid not in block.defs:
-        raise GraphError(f"{where}: {what} references unknown v{vid}")
-    raise GraphError(
-        f"{where}: {what} uses v{vid} before it is defined "
-        "(dataflow-order violation)"
-    )
+    """Every vid of ``vids`` is defined before this point of the region."""
+    for vid in vids:
+        if vid in available:  # everything available is one of block.defs
+            continue
+        if vid not in block.defs:
+            raise GraphError(f"{where}: {what} references unknown v{vid}")
+        raise GraphError(
+            f"{where}: {what} uses v{vid} before it is defined "
+            "(dataflow-order violation)"
+        )
 
 
 def _check_compute(graph: ir.ProgramGraph, block: ir.CodeBlock,
@@ -76,20 +78,16 @@ def _check_compute(graph: ir.ProgramGraph, block: ir.CodeBlock,
         raise GraphError(f"{where}: compute of unknown v{item.vid}")
     kind = type(d)
     if kind is ir.OpDef:
-        for a in d.args:
-            _need(block, available, a, f"op {d.fn}", where)
+        _need(block, available, d.args, f"op {d.fn}", where)
     elif kind is ir.ReadDef:
-        _need(block, available, d.array, "array read", where)
-        for a in d.indices:
-            _need(block, available, a, "array read index", where)
+        _need(block, available, (d.array,), "array read", where)
+        _need(block, available, d.indices, "array read index", where)
     elif kind is ir.AllocDef:
-        for a in d.dims:
-            _need(block, available, a, "alloc dim", where)
+        _need(block, available, d.dims, "alloc dim", where)
     elif kind is ir.CallDef:
         if d.fn not in graph.functions:
             raise GraphError(f"{where}: call to unknown {d.fn!r}")
-        for a in d.args:
-            _need(block, available, a, f"call {d.fn}", where)
+        _need(block, available, d.args, f"call {d.fn}", where)
     else:
         raise GraphError(
             f"{where}: v{item.vid} ({kind.__name__}) cannot be a "
@@ -100,10 +98,9 @@ def _check_compute(graph: ir.ProgramGraph, block: ir.CodeBlock,
 
 def _check_write(graph: ir.ProgramGraph, block: ir.CodeBlock,
                  item: ir.WriteItem, available: set[int], where: str) -> None:
-    _need(block, available, item.array, "array write", where)
-    for a in item.indices:
-        _need(block, available, a, "array write index", where)
-    _need(block, available, item.value, "array write value", where)
+    _need(block, available, (item.array,), "array write", where)
+    _need(block, available, item.indices, "array write index", where)
+    _need(block, available, (item.value,), "array write value", where)
 
 
 def _check_invoke(graph: ir.ProgramGraph, block: ir.CodeBlock,
@@ -123,8 +120,7 @@ def _check_invoke(graph: ir.ProgramGraph, block: ir.CodeBlock,
             f"{where}: invoke of {child.name} binds {len(item.results)} "
             f"results, loop carries {len(child.carried_names)}"
         )
-    for a in item.args:
-        _need(block, available, a, f"invoke {child.name}", where)
+    _need(block, available, item.args, f"invoke {child.name}", where)
     for r in item.results:
         if type(block.defs.get(r)) is not ir.ResultDef:
             raise GraphError(f"{where}: invoke result v{r} is not a "
@@ -134,7 +130,7 @@ def _check_invoke(graph: ir.ProgramGraph, block: ir.CodeBlock,
 
 def _check_if(graph: ir.ProgramGraph, block: ir.CodeBlock,
               item: ir.IfItem, available: set[int], where: str) -> None:
-    _need(block, available, item.cond, "if condition", where)
+    _need(block, available, (item.cond,), "if condition", where)
     then_avail = set(available)
     _validate_region(graph, block, item.then_region, then_avail, where)
     else_avail = set(available)
@@ -159,14 +155,14 @@ def _check_next(graph: ir.ProgramGraph, block: ir.CodeBlock,
     if not 0 <= item.carried_index < len(block.carried_names):
         raise GraphError(f"{where}: next index {item.carried_index} "
                          "out of range")
-    _need(block, available, item.value, "next value", where)
+    _need(block, available, (item.value,), "next value", where)
 
 
 def _check_return(graph: ir.ProgramGraph, block: ir.CodeBlock,
                   item: ir.ReturnItem, available: set[int], where: str) -> None:
     if block.kind != ir.FUNCTION:
         raise GraphError(f"{where}: return inside loop block")
-    _need(block, available, item.value, "return value", where)
+    _need(block, available, (item.value,), "return value", where)
 
 
 # Item class -> its check, looked up by ``type(item)``: every region

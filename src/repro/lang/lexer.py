@@ -1,9 +1,20 @@
-"""Tokenizer for IdLite source text."""
+"""Tokenizer for IdLite source text.
+
+:func:`tokenize` returns one plain tuple per token, ``(kind, value,
+line, column)``: ``kind`` is ``"num"``, ``"name"``, a keyword, a symbol
+or ``"eof"`` (always the last token); ``value`` is the number, the name,
+the keyword or symbol text, or ``None`` for ``eof``; ``line`` and
+``column`` are 1-based.  No token carries a ``SourceLocation``: the
+parser builds one for the AST node or the ``ParseError`` that holds it,
+and a ``LexError`` builds its own when it is raised.  A comment counts
+towards no column, and ``eof`` stands one column past the last
+character of the last line.
+"""
 
 from __future__ import annotations
 
 import re
-from typing import Any, NamedTuple
+from typing import Any
 
 from repro.common.errors import LexError, SourceLocation
 
@@ -41,15 +52,8 @@ _LEXEME = re.compile(r"""
 """, re.VERBOSE)
 
 
-class Tok(NamedTuple):
-    """A lexical token: kind is 'num', 'name', a keyword, or a symbol."""
-
-    kind: str
-    value: Any
-    loc: SourceLocation
-
-    def __repr__(self) -> str:
-        return f"Tok({self.kind!r}, {self.value!r} @{self.loc})"
+# What :func:`tokenize` returns a list of.
+Tok = tuple[str, Any, int, int]
 
 
 def tokenize(source: str) -> list[Tok]:
@@ -63,37 +67,38 @@ def tokenize(source: str) -> list[Tok]:
     line_start = 0
     for m in _LEXEME.finditer(source):
         kind = m.lastgroup
-        start = m.start(kind)
-        if kind == "newline":
-            line += 1
-            line_start = start + 1
-            continue
-        if kind == "comment":
-            line_start += m.end() - start
-            continue
-        text = m.group(kind)
-        loc = SourceLocation(line, start - line_start + 1)
+        start, end = m.span(kind)
+        column = start - line_start + 1
         if kind == "word":
+            text = source[start:end]
             word = words(text)
             if word is not None:
-                append(Tok(word[0], word[1], loc))
+                append((word[0], word[1], line, column))
             elif text[0].isalpha() or text[0] == "_":
-                append(Tok("name", text, loc))
+                append(("name", text, line, column))
             elif text[0].isdigit():
                 # A numeral ``int()`` does not read (``²``, ``①``).
-                raise LexError(f"malformed number {text!r}", loc)
+                raise LexError(f"malformed number {text!r}",
+                               SourceLocation(line, column))
             else:  # numeric, but no digit: ``½``
-                raise LexError(f"unexpected character {text[0]!r}", loc)
+                raise LexError(f"unexpected character {text[0]!r}",
+                               SourceLocation(line, column))
         elif kind == "symbol":
-            append(Tok(text, text, loc))
+            text = source[start:end]
+            append((text, text, line, column))
+        elif kind == "newline":
+            line += 1
+            line_start = end
         elif kind == "int":
-            append(Tok("num", int(text), loc))
+            append(("num", int(source[start:end]), line, column))
         elif kind == "float":
-            append(Tok("num", float(text), loc))
+            append(("num", float(source[start:end]), line, column))
+        elif kind == "comment":
+            line_start += end - start
         elif kind == "end":
             break
         else:
-            raise LexError(f"unexpected character {text!r}", loc)
-    append(Tok("eof", None,
-               SourceLocation(line, len(source) - line_start + 1)))
+            raise LexError(f"unexpected character {source[start:end]!r}",
+                           SourceLocation(line, column))
+    append(("eof", None, line, len(source) - line_start + 1))
     return tokens

@@ -25,14 +25,15 @@ Grammar (EBNF)::
     atom       := NUM | NAME | NAME "(" args ")" | NAME "[" exprs "]"
                 | "(" expr ")"
 
-``or_expr`` to ``power`` are one loop, :meth:`_Parser.parse_binary`,
-over the levels below: an operand parsed at level ``n`` takes every
-operator of precedence ``n`` or more.
+``expr`` to ``atom`` are one method, :meth:`_Parser.parse_expr`, over
+the levels below: an operand parsed at level ``n`` takes every operator
+of precedence ``n`` or more.
 """
 
 from __future__ import annotations
 
 from repro.common.errors import ParseError
+from repro.common.errors import SourceLocation as Loc
 from repro.lang import ast_nodes as A
 from repro.lang.lexer import Tok, tokenize
 
@@ -60,42 +61,44 @@ _BINARY: dict[str, tuple[int, str, int, int]] = {
 
 
 class _Parser:
+    """Reads the ``(kind, value, line, column)`` tuples :func:`tokenize`
+    makes; a ``SourceLocation`` is built only for the AST node or the
+    ``ParseError`` that holds one."""
+
     def __init__(self, tokens: list[Tok]) -> None:
         self.tokens = tokens
         self.pos = 0
 
     # -- primitives ----------------------------------------------------
 
-    def advance(self) -> Tok:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
     def check(self, kind: str) -> bool:
-        return self.tokens[self.pos].kind == kind
+        return self.tokens[self.pos][0] == kind
 
-    def accept(self, kind: str) -> Tok | None:
-        tok = self.tokens[self.pos]
-        if tok.kind == kind:
+    def accept(self, kind: str) -> bool:
+        if self.tokens[self.pos][0] == kind:
             self.pos += 1
-            return tok
-        return None
+            return True
+        return False
 
     def expect(self, kind: str, what: str = "") -> Tok:
         tok = self.tokens[self.pos]
-        if tok.kind != kind:
+        if tok[0] != kind:
             hint = f" while parsing {what}" if what else ""
-            raise ParseError(
-                f"expected {kind!r}, found {tok.kind!r}{hint}", tok.loc)
+            raise ParseError(f"expected {kind!r}, found {tok[0]!r}{hint}",
+                             Loc(tok[2], tok[3]))
         if kind != "eof":
             self.pos += 1
         return tok
 
+    def here(self) -> Loc:
+        """The location of the next token."""
+        tok = self.tokens[self.pos]
+        return Loc(tok[2], tok[3])
+
     # -- grammar -------------------------------------------------------
 
     def parse_program(self) -> A.Program:
-        loc = self.tokens[self.pos].loc
+        loc = self.here()
         functions: dict[str, A.Function] = {}
         while not self.check("eof"):
             fn = self.parse_function()
@@ -107,16 +110,17 @@ class _Parser:
         return A.Program(loc, functions)
 
     def parse_function(self) -> A.Function:
-        loc = self.expect("function", "a function definition").loc
-        name = self.expect("name", "function name").value
+        _, _, line, column = self.expect("function", "a function definition")
+        name = self.expect("name", "function name")[1]
         self.expect("(", f"parameters of {name}")
         params: list[str] = []
         if not self.check(")"):
-            params.append(self.expect("name", "parameter").value)
+            params.append(self.expect("name", "parameter")[1])
             while self.accept(","):
-                params.append(self.expect("name", "parameter").value)
+                params.append(self.expect("name", "parameter")[1])
         self.expect(")", f"parameters of {name}")
         body = self.parse_block()
+        loc = Loc(line, column)
         if len(set(params)) != len(params):
             raise ParseError(f"duplicate parameter in {name}", loc)
         return A.Function(loc, name, params, body)
@@ -124,58 +128,21 @@ class _Parser:
     def parse_block(self) -> list[A.Stmt]:
         self.expect("{", "a block")
         stmts: list[A.Stmt] = []
-        while not self.check("}"):
-            if self.check("eof"):
-                raise ParseError("unterminated block",
-                                 self.tokens[self.pos].loc)
+        tokens = self.tokens
+        while True:
+            kind = tokens[self.pos][0]
+            if kind == "}":
+                self.pos += 1
+                return stmts
+            if kind == "eof":
+                raise ParseError("unterminated block", self.here())
             stmts.append(self.parse_statement())
-        self.expect("}")
-        return stmts
 
     def parse_statement(self) -> A.Stmt:
-        tok = self.tokens[self.pos]
+        kind, name, line, column = self.tokens[self.pos]
 
-        if tok.kind == "next":
-            self.advance()
-            name = self.expect("name", "next-variable").value
-            self.expect("=", "next binding")
-            value = self.parse_expr()
-            self.expect(";", "next binding")
-            return A.NextBind(tok.loc, name, value)
-
-        if tok.kind == "return":
-            self.advance()
-            value = self.parse_expr()
-            self.expect(";", "return")
-            return A.Return(tok.loc, value)
-
-        if tok.kind == "for":
-            self.advance()
-            var = self.expect("name", "loop variable").value
-            self.expect("=", "for loop")
-            init = self.parse_expr()
-            if self.accept("to"):
-                descending = False
-            elif self.accept("downto"):
-                descending = True
-            else:
-                raise ParseError("expected 'to' or 'downto'",
-                                 self.tokens[self.pos].loc)
-            limit = self.parse_expr()
-            body = self.parse_block()
-            return A.For(tok.loc, var, init, limit, descending, body)
-
-        if tok.kind == "while":
-            self.advance()
-            cond = self.parse_expr()
-            body = self.parse_block()
-            return A.While(tok.loc, cond, body)
-
-        if tok.kind == "if":
-            return self.parse_if_statement()
-
-        if tok.kind == "name":
-            name = self.advance().value
+        if kind == "name":
+            self.pos += 1
             if self.accept("["):
                 indices = [self.parse_expr()]
                 while self.accept(","):
@@ -184,16 +151,55 @@ class _Parser:
                 self.expect("=", "array write")
                 value = self.parse_expr()
                 self.expect(";", "array write")
-                return A.ArrayWrite(tok.loc, name, indices, value)
+                return A.ArrayWrite(Loc(line, column), name, indices, value)
             self.expect("=", "binding")
             value = self.parse_expr()
             self.expect(";", "binding")
-            return A.Bind(tok.loc, name, value)
+            return A.Bind(Loc(line, column), name, value)
 
-        raise ParseError(f"unexpected token {tok.kind!r}", tok.loc)
+        if kind == "next":
+            self.pos += 1
+            name = self.expect("name", "next-variable")[1]
+            self.expect("=", "next binding")
+            value = self.parse_expr()
+            self.expect(";", "next binding")
+            return A.NextBind(Loc(line, column), name, value)
+
+        if kind == "return":
+            self.pos += 1
+            value = self.parse_expr()
+            self.expect(";", "return")
+            return A.Return(Loc(line, column), value)
+
+        if kind == "for":
+            self.pos += 1
+            var = self.expect("name", "loop variable")[1]
+            self.expect("=", "for loop")
+            init = self.parse_expr()
+            if self.accept("to"):
+                descending = False
+            elif self.accept("downto"):
+                descending = True
+            else:
+                raise ParseError("expected 'to' or 'downto'", self.here())
+            limit = self.parse_expr()
+            body = self.parse_block()
+            return A.For(Loc(line, column), var, init, limit, descending,
+                         body)
+
+        if kind == "while":
+            self.pos += 1
+            cond = self.parse_expr()
+            body = self.parse_block()
+            return A.While(Loc(line, column), cond, body)
+
+        if kind == "if":
+            return self.parse_if_statement()
+
+        raise ParseError(f"unexpected token {kind!r}", Loc(line, column))
 
     def parse_if_statement(self) -> A.If:
-        loc = self.expect("if").loc
+        _, _, line, column = self.expect("if")
         cond = self.parse_expr()
         then_body = self.parse_block()
         else_body: list[A.Stmt] = []
@@ -202,65 +208,24 @@ class _Parser:
                 else_body = [self.parse_if_statement()]
             else:
                 else_body = self.parse_block()
-        return A.If(loc, cond, then_body, else_body)
+        return A.If(Loc(line, column), cond, then_body, else_body)
 
     # -- expressions ---------------------------------------------------
 
-    def parse_expr(self) -> A.Expr:
-        tok = self.tokens[self.pos]
-        if tok.kind == "if":
-            self.pos += 1
-            cond = self.parse_expr()
-            self.expect("then", "conditional expression")
-            then = self.parse_expr()
-            self.expect("else", "conditional expression")
-            other = self.parse_expr()
-            return A.IfExp(tok.loc, cond, then, other)
-        return self.parse_binary(_OR)
-
-    def parse_binary(self, level: int) -> A.Expr:
-        """An expression at grammar ``level``: a prefixed or plain
-        operand, then every binary operator of precedence ``level`` or
-        more (the precedence-climbing loop)."""
+    def parse_expr(self, level: int = _OR) -> A.Expr:
+        """An expression at grammar ``level``: a conditional (at ``expr``
+        level only), or a prefixed or plain operand followed by every
+        binary operator of precedence ``level`` or more (the
+        precedence-climbing loop)."""
         tokens = self.tokens
-        tok = tokens[self.pos]
-        kind = tok.kind
+        kind, value, line, column = tokens[self.pos]
         highest = _POW
-        if kind == "not" and level <= _NOT:
-            self.pos += 1
-            left = A.UnOp(tok.loc, "not", self.parse_binary(_NOT))
-            highest = _AND
-        elif kind == "-":
-            self.pos += 1
-            operand = self.parse_binary(_UNARY)
-            if type(operand) is A.Num and type(operand.value) is not bool:
-                left = A.Num(tok.loc, -operand.value)
-            else:
-                left = A.UnOp(tok.loc, "neg", operand)
-            highest = _MUL
-        else:
-            left = self.parse_atom(tok)
-        while True:
-            tok = tokens[self.pos]
-            binary = _BINARY.get(tok.kind)
-            if binary is None:
-                return left
-            prec, op, right_level, after = binary
-            if not level <= prec <= highest:
-                return left
-            self.pos += 1
-            left = A.BinOp(tok.loc, op, left, self.parse_binary(right_level))
-            highest = after
-
-    def parse_atom(self, tok: Tok) -> A.Expr:
-        kind = tok.kind
         if kind == "num":
             self.pos += 1
-            return A.Num(tok.loc, tok.value)
-
-        if kind == "name":
+            left = A.Num(Loc(line, column), value)
+        elif kind == "name":
             self.pos += 1
-            nxt = self.tokens[self.pos].kind
+            nxt = tokens[self.pos][0]
             if nxt == "(":
                 self.pos += 1
                 args: list[A.Expr] = []
@@ -268,24 +233,56 @@ class _Parser:
                     args.append(self.parse_expr())
                     while self.accept(","):
                         args.append(self.parse_expr())
-                self.expect(")", f"arguments of {tok.value}")
-                return A.Call(tok.loc, tok.value, args)
-            if nxt == "[":
+                self.expect(")", f"arguments of {value}")
+                left = A.Call(Loc(line, column), value, args)
+            elif nxt == "[":
                 self.pos += 1
                 indices = [self.parse_expr()]
                 while self.accept(","):
                     indices.append(self.parse_expr())
                 self.expect("]", "array subscript")
-                return A.Index(tok.loc, tok.value, indices)
-            return A.Var(tok.loc, tok.value)
-
-        if kind == "(":
+                left = A.Index(Loc(line, column), value, indices)
+            else:
+                left = A.Var(Loc(line, column), value)
+        elif kind == "(":
             self.pos += 1
-            inner = self.parse_expr()
+            left = self.parse_expr()
             self.expect(")", "parenthesized expression")
-            return inner
-
-        raise ParseError(f"unexpected token {kind!r} in expression", tok.loc)
+        elif kind == "-":
+            self.pos += 1
+            operand = self.parse_expr(_UNARY)
+            if type(operand) is A.Num and type(operand.value) is not bool:
+                left = A.Num(Loc(line, column), -operand.value)
+            else:
+                left = A.UnOp(Loc(line, column), "neg", operand)
+            highest = _MUL
+        elif kind == "not" and level <= _NOT:
+            self.pos += 1
+            left = A.UnOp(Loc(line, column), "not", self.parse_expr(_NOT))
+            highest = _AND
+        elif kind == "if" and level == _OR:
+            self.pos += 1
+            cond = self.parse_expr()
+            self.expect("then", "conditional expression")
+            then = self.parse_expr()
+            self.expect("else", "conditional expression")
+            other = self.parse_expr()
+            return A.IfExp(Loc(line, column), cond, then, other)
+        else:
+            raise ParseError(f"unexpected token {kind!r} in expression",
+                             Loc(line, column))
+        while True:
+            tok = tokens[self.pos]
+            binary = _BINARY.get(tok[0])
+            if binary is None:
+                return left
+            prec, op, right_level, after = binary
+            if not level <= prec <= highest:
+                return left
+            self.pos += 1
+            left = A.BinOp(Loc(tok[2], tok[3]), op, left,
+                           self.parse_expr(right_level))
+            highest = after
 
 
 def parse(source: str) -> A.Program:

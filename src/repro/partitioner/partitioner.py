@@ -90,7 +90,7 @@ class Partitioner:
     def _distribute_allocs(self) -> None:
         for block in self.graph.blocks.values():
             for d in block.defs.values():
-                if isinstance(d, ir.AllocDef):
+                if type(d) is ir.AllocDef:
                     d.distributed = True
 
     def _walk(self, block: ir.CodeBlock, depth: int = 0) -> None:
@@ -122,9 +122,9 @@ class Partitioner:
     def _find_invoke(self, parent: ir.CodeBlock, block_id: int) -> ir.InvokeItem:
         def scan(region: ir.Region) -> ir.InvokeItem | None:
             for item in region:
-                if isinstance(item, ir.InvokeItem) and item.block == block_id:
+                if type(item) is ir.InvokeItem and item.block == block_id:
                     return item
-                if isinstance(item, ir.IfItem):
+                if type(item) is ir.IfItem:
                     found = scan(item.then_region) or scan(item.else_region)
                     if found:
                         return found
@@ -158,11 +158,11 @@ class Partitioner:
 
         def visit_region(block: ir.CodeBlock, region: ir.Region) -> None:
             for item in region:
-                if isinstance(item, ir.WriteItem):
+                if type(item) is ir.WriteItem:
                     out.append((block, item))
-                elif isinstance(item, ir.InvokeItem):
+                elif type(item) is ir.InvokeItem:
                     visit_block(self.graph.blocks[item.block])
-                elif isinstance(item, ir.IfItem):
+                elif type(item) is ir.IfItem:
                     visit_region(block, item.then_region)
                     visit_region(block, item.else_region)
 
@@ -204,13 +204,13 @@ class Partitioner:
         ``loop``'s frame: ("s", vid_in_loop) or ("k", const).  None when
         it cannot be hoisted (it varies below the loop level)."""
         d = block.defs[vid]
-        if isinstance(d, ir.ConstDef):
+        if type(d) is ir.ConstDef:
             return ("k", d.value)
         if block.block_id == loop.block_id:
-            if isinstance(d, (ir.ParamDef, ir.IndexDef)):
+            if type(d) is ir.ParamDef or type(d) is ir.IndexDef:
                 return ("s", vid)
             return None
-        if isinstance(d, ir.ParamDef) and block.block_id in self.analysis.invokes:
+        if type(d) is ir.ParamDef and block.block_id in self.analysis.invokes:
             parent, invoke = self.analysis.invokes[block.block_id]
             return self._hoist_vid(parent, invoke.args[d.index], loop)
         return None
@@ -233,6 +233,6 @@ def partition_none(graph: ir.ProgramGraph) -> PartitionReport:
     p.report = PartitionReport()
     for block in graph.blocks.values():
         for d in block.defs.values():
-            if isinstance(d, ir.AllocDef):
+            if type(d) is ir.AllocDef:
                 d.distributed = True
     return p.report

@@ -24,15 +24,29 @@ from textwrap import indent
 from repro.common.errors import BoundsViolation, ExecutionError, PartitionError
 
 
-def check_extents(dims: tuple) -> None:
-    """Refuse extents no store can hold: each one a positive ``int``.
+# The most elements one array may hold: 64 Mi, 512 MiB of cell
+# pointers in a host list and 576 MiB of flag and value bytes in a
+# shared-memory segment.  A larger ``array(...)`` is refused before any
+# store tries to allocate it.
+MAX_ELEMENTS = 1 << 26
 
-    Every host-side store asks this before it allocates anything (a
-    shared-memory store before it opens its segment), so a bad
-    ``array(...)`` is the program's ``ExecutionError`` on every backend.
+
+def check_extents(dims: tuple) -> None:
+    """Refuse extents no store can hold: each one a positive ``int``
+    (never a ``bool``, as the index rule says), ``MAX_ELEMENTS`` or fewer
+    in all.
+
+    Every store asks this before it allocates anything (a shared-memory
+    store before it opens its segment, the simulator's AM before it
+    installs a header), so a bad ``array(...)`` is the program's
+    ``ExecutionError`` on every backend.
     """
-    if any((not isinstance(d, int)) or d < 1 for d in dims):
-        raise ExecutionError(f"bad array dimensions {dims!r}")
+    for d in dims:
+        if type(d) is not int or d < 1:
+            raise ExecutionError(f"bad array dimensions {dims!r}")
+    if flat_size(dims) > MAX_ELEMENTS:
+        raise ExecutionError(f"array dimensions {dims!r} exceed "
+                             f"{MAX_ELEMENTS} elements")
 
 
 def flat_size(dims: tuple[int, ...]) -> int:

@@ -43,7 +43,7 @@ from repro.common.errors import (
     PEHaltError,
     SingleAssignmentViolation,
 )
-from repro.runtime.arrays import ArrayHeader
+from repro.runtime.arrays import ArrayHeader, check_extents
 from repro.runtime.frames import BLOCKED, DONE, READY, RUNNING, Frame
 from repro.runtime.istructure import ABSENT as CELL_ABSENT
 from repro.runtime.istructure import IStructureSegment
@@ -1073,9 +1073,7 @@ class Machine:
             return
         aid = self._next_array_id
         self._next_array_id += 1
-        for d in dims:
-            if not isinstance(d, int) or d < 1:
-                raise ExecutionError(f"bad array dimension {d!r}")
+        check_extents(dims)
         done = self._serve(pe, "AM", T.am_allocate())
         self.schedule(done, self._install_header, pe, aid, dims)
         self.schedule(done, self._deliver_waiter, waiter, ArrayId(aid))

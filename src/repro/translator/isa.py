@@ -169,20 +169,21 @@ class Instr:
 
     def __repr__(self) -> str:
         op = self.op
-        parts = [OP_NAMES.get(op) or f"op{op}"]
+        text = OP_NAMES.get(op) or f"op{op}"
         if self.dst is not None:
-            parts.append(f"s{self.dst}<-")
+            text += f" s{self.dst}<-"
         if self.fn:
-            parts.append(self.fn)
-        for o in self.input_operands():
-            parts.append(f"s{o[1]}" if o[0] == "s" else repr(o[1]))
+            text += f" {self.fn}"
+        for o in (self.a, self.b, self.extra, *self.args):
+            if o is not None:
+                text += f" s{o[1]}" if o[0] == "s" else f" {o[1]!r}"
         if op in _BRANCHES:
-            parts.append(f"@{self.target}")
+            text += f" @{self.target}"
         elif op == SPAWN:
-            parts.append(f"block={self.block}{'D' if self.distributed else ''}")
+            text += f" block={self.block}{'D' if self.distributed else ''}"
         if self.comment:
-            parts.append(f"; {self.comment}")
-        return " ".join(parts)
+            text += f" ; {self.comment}"
+        return text
 
 
 @dataclass
@@ -210,11 +211,10 @@ class SPTemplate:
 
     def listing(self) -> str:
         """Assembly-style listing (debugging and golden tests)."""
-        lines = [f"SP {self.block_id} {self.name} kind={self.kind} "
-                 f"slots={self.num_slots} inputs={list(self.inputs)}"]
-        for pc, ins in enumerate(self.code):
-            lines.append(f"  {pc:4d}: {ins!r}")
-        return "\n".join(lines)
+        return "\n".join([
+            f"SP {self.block_id} {self.name} kind={self.kind} "
+            f"slots={self.num_slots} inputs={list(self.inputs)}",
+            *[f"  {pc:4d}: {ins!r}" for pc, ins in enumerate(self.code)]])
 
 
 @dataclass

@@ -51,15 +51,21 @@ class _Lower:
         return s
 
     def slot_of(self, vid: int) -> int:
-        if vid not in self.slots:
-            self.slots[vid] = self.new_slot()
-        return self.slots[vid]
+        s = self.slots.get(vid)
+        if s is None:
+            s = self.slots[vid] = self.num_slots
+            self.num_slots = s + 1
+        return s
 
     def operand(self, vid: int) -> isa.Operand:
         d = self.block.defs[vid]
         if type(d) is ir.ConstDef:
-            return isa.const(d.value)
-        return isa.slot(self.slot_of(vid))
+            return ("k", d.value)
+        s = self.slots.get(vid)
+        if s is None:
+            s = self.slots[vid] = self.num_slots
+            self.num_slots = s + 1
+        return ("s", s)
 
     # -- emission ---------------------------------------------------------
 
@@ -124,7 +130,7 @@ class _Lower:
             self.emit(isa.Instr(
                 isa.RFRANGE, dst=first, dst2=last,
                 a=self.operand(rf.array_vid),
-                args=tuple(self.operand(v) for v in rf.fixed_vids),
+                args=tuple(map(self.operand, rf.fixed_vids)),
                 b=init_op, extra=limit_op,
                 dim=rf.dim, descending=block.descending,
                 comment="range filter",
@@ -220,7 +226,7 @@ class _Lower:
                     shadow: list[int] | None) -> None:
         self.emit(isa.Instr(
             isa.AWRITE, a=self.operand(item.array),
-            args=tuple(self.operand(v) for v in item.indices),
+            args=tuple(map(self.operand, item.indices)),
             b=self.operand(item.value),
         ))
 
@@ -228,8 +234,8 @@ class _Lower:
                      shadow: list[int] | None) -> None:
         self.emit(isa.Instr(
             isa.SPAWN, block=item.block,
-            args=tuple(self.operand(v) for v in item.args),
-            result_slots=tuple(self.slot_of(r) for r in item.results),
+            args=tuple(map(self.operand, item.args)),
+            result_slots=tuple(map(self.slot_of, item.results)),
             distributed=item.distributed,
             comment="LD" if item.distributed else "L",
         ))
@@ -253,26 +259,28 @@ class _Lower:
         self.emit(isa.Instr(isa.END))
 
     def _emit_op(self, d: ir.OpDef, dst: int) -> None:
-        ops = [self.operand(a) for a in d.args]
-        if len(ops) == 1:
-            self.emit(isa.Instr(isa.UN, dst=dst, fn=d.fn, a=ops[0]))
-        elif len(ops) == 2:
+        args = d.args
+        if len(args) == 2:
             self.emit(isa.Instr(isa.BIN, dst=dst, fn=d.fn,
-                                a=ops[0], b=ops[1]))
+                                a=self.operand(args[0]),
+                                b=self.operand(args[1])))
+        elif len(args) == 1:
+            self.emit(isa.Instr(isa.UN, dst=dst, fn=d.fn,
+                                a=self.operand(args[0])))
         else:
-            raise TranslationError(f"op {d.fn} arity {len(ops)}")
+            raise TranslationError(f"op {d.fn} arity {len(args)}")
 
     def _emit_alloc(self, d: ir.AllocDef, dst: int) -> None:
         self.emit(isa.Instr(
             isa.ALLOC, dst=dst,
-            args=tuple(self.operand(a) for a in d.dims),
+            args=tuple(map(self.operand, d.dims)),
             distributed=d.distributed, comment=d.name,
         ))
 
     def _emit_read(self, d: ir.ReadDef, dst: int) -> None:
         self.emit(isa.Instr(
             isa.AREAD, dst=dst, a=self.operand(d.array),
-            args=tuple(self.operand(a) for a in d.indices),
+            args=tuple(map(self.operand, d.indices)),
         ))
 
     def _emit_call(self, d: ir.CallDef, dst: int) -> None:
@@ -281,7 +289,7 @@ class _Lower:
             raise TranslationError(f"call to unknown function {d.fn!r}")
         self.emit(isa.Instr(
             isa.SPAWN, block=callee,
-            args=tuple(self.operand(a) for a in d.args),
+            args=tuple(map(self.operand, d.args)),
             result_slots=(dst,), comment=f"call {d.fn}",
         ))
 

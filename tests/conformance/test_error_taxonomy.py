@@ -118,6 +118,20 @@ CASES = {
             return A[1];
         }
     """,
+    "bool-extent": """
+        function main(n) {
+            A = array(n == n);
+            A[1] = 1.0;
+            return A[1];
+        }
+    """,
+    "huge-extent": """
+        function main(n) {
+            A = array(n * 1000000000000);
+            A[1] = 1.0;
+            return A[1];
+        }
+    """,
     "div-zero": "function main(n) { return n / 0; }",
     "zero-to-negative-power": "function main(n) { return 0.0 ^ (0 - 1); }",
     "pow-overflow": "function main(n) { return 10.0 ^ 400; }",
@@ -125,6 +139,7 @@ CASES = {
 # Case name -> taxonomy code, where the name is not the code itself.
 CODES = {"float-subscript": "bounds", "bool-subscript": "bounds",
          "zero-extent": "execution", "fractional-extent": "execution",
+         "bool-extent": "execution", "huge-extent": "execution",
          "div-zero": "execution", "zero-to-negative-power": "execution",
          "pow-overflow": "execution"}
 

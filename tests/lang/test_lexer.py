@@ -10,11 +10,11 @@ from repro.lang.lexer import _LEXEME, tokenize
 
 
 def kinds(src):
-    return [t.kind for t in tokenize(src)]
+    return [kind for kind, _, _, _ in tokenize(src)]
 
 
 def values(src):
-    return [t.value for t in tokenize(src)][:-1]  # drop eof
+    return [value for _, value, _, _ in tokenize(src)][:-1]  # drop eof
 
 
 class TestBasics:
@@ -31,17 +31,17 @@ class TestBasics:
 
     def test_names_and_keywords(self):
         toks = tokenize("for foo to bar downto next while")
-        assert [t.kind for t in toks][:-1] == [
+        assert [kind for kind, _, _, _ in toks][:-1] == [
             "for", "name", "to", "name", "downto", "next", "while",
         ]
 
     def test_booleans_are_num_tokens(self):
         toks = tokenize("true false")
-        assert toks[0].kind == "num" and toks[0].value is True
-        assert toks[1].kind == "num" and toks[1].value is False
+        assert toks[0][0] == "num" and toks[0][1] is True
+        assert toks[1][0] == "num" and toks[1][1] is False
 
     def test_underscore_names(self):
-        assert tokenize("velocity_position _x x_1")[0].value == "velocity_position"
+        assert tokenize("velocity_position _x x_1")[0][1] == "velocity_position"
 
     def test_symbols_longest_match(self):
         assert kinds("<= < >= > == != =")[:-1] == [
@@ -66,9 +66,9 @@ class TestCommentsAndLayout:
 
     def test_locations_track_lines(self):
         toks = tokenize("a\n  b")
-        assert toks[0].loc.line == 1
-        assert toks[1].loc.line == 2
-        assert toks[1].loc.column == 3
+        assert toks[0][2] == 1
+        assert toks[1][2] == 2
+        assert toks[1][3] == 3
 
     def test_division_not_comment(self):
         assert kinds("a / b") == ["name", "/", "name", "eof"]
@@ -86,7 +86,8 @@ class TestErrors:
 
 
 def stream(src):
-    return [(t.kind, t.value, repr(t.loc)) for t in tokenize(src)]
+    return [(kind, value, f"{line}:{column}")
+            for kind, value, line, column in tokenize(src)]
 
 
 class TestScannerCorners:
@@ -113,7 +114,7 @@ class TestScannerCorners:
         assert stream("é1") == [("name", "é1", "1:1"), ("eof", None, "1:3")]
         assert stream("１２ １.５") == [("num", 12, "1:1"), ("num", 1.5, "1:4"),
                                      ("eof", None, "1:7")]
-        assert isinstance(tokenize("１２")[0].value, int)
+        assert isinstance(tokenize("１２")[0][1], int)
         assert values("1٣ 2.５") == [13, 2.5]  # scripts mix, as int() reads
 
     def test_a_numeral_int_cannot_read_starts_no_token(self):
@@ -175,5 +176,5 @@ class TestRealPrograms:
         }
         """
         toks = tokenize(src)
-        assert toks[-1].kind == "eof"
-        assert sum(1 for t in toks if t.kind == "for") == 2
+        assert toks[-1][0] == "eof"
+        assert sum(1 for kind, _, _, _ in toks if kind == "for") == 2

@@ -17,6 +17,7 @@ and review the listing diff that caused it.
 
 from __future__ import annotations
 
+import functools
 import glob
 import hashlib
 import json
@@ -90,39 +91,71 @@ def test_compile_output_is_unchanged(name):
     assert fingerprint(text, name.endswith("+opt")) == PINNED[name]
 
 
-class TestCompileHostWorkBudget:
-    """A standing budget for Python work per source token: the compile
-    counterpart of the simulator's ``TestHostWorkBudget``, over the
-    same in-tree sources the fingerprint pins."""
+def count_calls(work) -> int:
+    """Python calls and builtin calls made while ``work()`` runs."""
+    calls = 0
 
-    # An upper bound; 27.7 when it was set.  Before the front end lexed
-    # one match per token, parsed expressions by precedence climbing and
-    # chose node handlers by ``type()``, it was 39.8.
-    CALLS_PER_TOKEN = 29
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        work()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+@functools.cache
+def compile_work() -> tuple[int, int, int]:
+    """(calls, tokens, graph nodes) of one ``compile_source`` of every
+    in-tree source."""
+    texts = list(sources().values())
+    tokens = sum(len(tokenize(text)) for text in texts)
+    programs = []
+    calls = count_calls(lambda: programs.extend(map(compile_source, texts)))
+    nodes = sum(len(block.defs) for program in programs
+                for block in program.graph.blocks.values())
+    return calls, tokens, nodes
+
+
+class TestCompileHostWorkBudget:
+    """A standing budget for the compiler's Python work: calls (Python
+    frames and builtins) per source token and per graph node over
+    ``compile_source``, and per instruction over ``listing()``.  The
+    compile counterpart of the simulator's ``TestHostWorkBudget``, over
+    the same in-tree sources the fingerprint pins (7 139 tokens, 2 603
+    graph nodes, 2 441 instructions)."""
+
+    # Upper bounds, each a little above the value measured on Python
+    # 3.11 when it was set (3.12 reads a little lower).  Per token: 39.8
+    # before the front end lexed one match per token, parsed expressions
+    # by precedence climbing and chose node handlers by ``type()``; 27.7
+    # after; 17.8 once a token was a plain tuple, operands were built
+    # inline and the middle passes tested ``type()`` instead of calling
+    # ``isinstance``.  Per graph node: 76.1 before that last change,
+    # 48.9 after.  Per listed instruction: 10.9 while ``Instr.__repr__``
+    # built an operand list and a list of parts, 2.3 after.
+    CALLS_PER_TOKEN = 18.5
+    CALLS_PER_NODE = 50
+    CALLS_PER_INSTR = 2.4
 
     def test_python_calls_per_token(self):
-        per_token = self.calls_per_token()
-        assert per_token <= self.CALLS_PER_TOKEN, per_token
+        calls, tokens, _ = compile_work()
+        assert calls / tokens <= self.CALLS_PER_TOKEN, calls / tokens
 
-    @staticmethod
-    def calls_per_token() -> float:
-        texts = list(sources().values())
-        tokens = sum(len(tokenize(text)) for text in texts)
-        calls = 0
+    def test_python_calls_per_graph_node(self):
+        calls, _, nodes = compile_work()
+        assert calls / nodes <= self.CALLS_PER_NODE, calls / nodes
 
-        def count(frame, event, arg):
-            nonlocal calls
-            if event == "call" or event == "c_call":
-                calls += 1
-
-        previous = sys.getprofile()
-        sys.setprofile(count)
-        try:
-            for text in texts:
-                compile_source(text)
-        finally:
-            sys.setprofile(previous)
-        return calls / tokens
+    def test_python_calls_per_listed_instruction(self):
+        programs = [compile_source(text) for text in sources().values()]
+        instrs = sum(p.pods.instruction_count() for p in programs)
+        calls = count_calls(lambda: [p.listing() for p in programs])
+        assert calls / instrs <= self.CALLS_PER_INSTR, calls / instrs
 
 
 if __name__ == "__main__":  # regenerate the fixture
