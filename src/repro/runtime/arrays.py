@@ -268,10 +268,6 @@ class ArrayHeader:
             bounds = self._seg_bounds[pe] = (lo, hi)
         return bounds
 
-    def is_local(self, offset: int, pe: int) -> bool:
-        lo, hi = self.segment_bounds(pe)
-        return lo <= offset < hi
-
     # -- Range Filter support (Sections 4.2.2-4.2.3) --------------------
 
     def responsible_rows(self, pe: int) -> tuple[int, int]:

@@ -42,21 +42,33 @@ class IStructureSegment:
     def __contains__(self, offset: int) -> bool:
         return self.lo <= offset < self.hi
 
+    def _outside(self, offset: int) -> IndexError:
+        return IndexError(
+            f"offset {offset} outside segment [{self.lo}, {self.hi}) "
+            f"of array {self.array_id}"
+        )
+
     def _slot(self, offset: int) -> int:
         if not self.lo <= offset < self.hi:
-            raise IndexError(
-                f"offset {offset} outside segment [{self.lo}, {self.hi}) "
-                f"of array {self.array_id}"
-            )
+            raise self._outside(offset)
         return offset - self.lo
 
-    def is_present(self, offset: int) -> bool:
-        """True when the element at ``offset`` has been written."""
-        return self._cells[self._slot(offset)] is not _ABSENT
+    def get(self, offset: int) -> Any:
+        """The element at ``offset``, or :data:`ABSENT` while unwritten.
+
+        The one-frame accessor: the bounds check is inline (an offset
+        outside ``[lo, hi)`` is an ``IndexError``, as everywhere here)
+        and there is no tuple to unpack.  The simulator's local Array
+        Manager reads through it once per element; :meth:`read` is built
+        on it.
+        """
+        if self.lo <= offset < self.hi:
+            return self._cells[offset - self.lo]
+        raise self._outside(offset)
 
     def read(self, offset: int) -> tuple[bool, Any]:
         """Non-destructive read: (present?, value-or-None)."""
-        value = self._cells[self._slot(offset)]
+        value = self.get(offset)
         if value is _ABSENT:
             return False, None
         return True, value
@@ -64,8 +76,8 @@ class IStructureSegment:
     def defer(self, offset: int, waiter: Any) -> None:
         """Queue ``waiter`` until ``offset`` is written.
 
-        Callers must have checked :meth:`is_present` first; deferring on a
-        present element is a protocol error.
+        Callers must have found the element absent first (:meth:`get`);
+        deferring on a present element is a protocol error.
         """
         slot = self._slot(offset)
         if self._cells[slot] is not _ABSENT:
@@ -109,12 +121,6 @@ class IStructureSegment:
             else:
                 del self._deferred[offset]
 
-    def deferred_count(self, offset: int | None = None) -> int:
-        """Waiters queued on ``offset``, or on any element when None."""
-        if offset is not None:
-            return len(self._deferred.get(offset, []))
-        return sum(len(v) for v in self._deferred.values())
-
     def pending_offsets(self) -> list[int]:
         """Offsets that have deferred readers (deadlock diagnostics)."""
         return sorted(self._deferred)
@@ -129,9 +135,6 @@ class IStructureSegment:
         page_lo = max(page_lo, self.lo)
         page_hi = min(page_hi, self.hi)
         return [self._cells[off - self.lo] for off in range(page_lo, page_hi)]
-
-    def present_count(self) -> int:
-        return sum(1 for c in self._cells if c is not _ABSENT)
 
     def items(self) -> Iterator[tuple[int, Any]]:
         """Iterate (offset, value) over present elements."""

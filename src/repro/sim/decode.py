@@ -27,17 +27,24 @@ The contract every handler keeps — it is the machine's, pinned by
   additions is part of the behaviour.
 * **Diagnostics.**  Error text names the template and the pc.
 
-Complex opcodes (AREAD / AWRITE / RFRANGE / SPAWN / END) keep their
-side-effect logic in the ``Machine._eu_*`` helpers; only the
-decode/presence front end is compiled here.
+AREAD and AWRITE are compiled whole: the handler checks the operands,
+looks the header up (blocking on it while the allocate broadcast is in
+flight), computes the offset and decides locality at issue, against the
+PE's own segment.  A local access schedules the Array Manager's
+local-only event (``Machine._am_read_local`` / ``_am_write_local``), a
+remote one ``_am_read`` / ``_am_write``.  The complex opcodes RFRANGE,
+SPAWN and END keep their side-effect logic in the ``Machine._eu_*``
+helpers; only their decode/presence front end is compiled here.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable
 
 from repro.common.errors import ExecutionError
 from repro.runtime.tokens import DirectToken, ReturnAddress
+from repro.runtime.values import ArrayId
 from repro.sim.timing import _BIN_COSTS, _UN_COSTS
 from repro.translator import isa
 
@@ -47,6 +54,7 @@ _MOV_COST = T.MOV
 _INT_ADD = T.INT_ADD
 _INT_CMP = T.INT_CMP
 _UNIT_SIGNAL = T.UNIT_SIGNAL
+_ARRAY_ACCESS = T.LOCAL_ARRAY_ACCESS
 
 # handler(M, pe, frame, t) -> (t2, frame | None)
 Handler = Callable
@@ -67,6 +75,23 @@ def _operand(o) -> tuple[int, object]:
 
 def _arg_specs(instr: isa.Instr) -> tuple:
     return tuple(_operand(o) for o in instr.args)
+
+
+def _index_plan(specs: tuple) -> tuple[int, Callable | None]:
+    """An array access's subscripts, planned at decode time.
+
+    ``need`` is the presence mask of every subscript slot.  ``pick``
+    gathers the whole subscript tuple from the slots in one C call when
+    every subscript is a slot and there are at least two (``itemgetter``
+    returns a tuple then), else None: constants and rank 1 take the
+    handler's operand loop.
+    """
+    ids = [i for i, _ in specs if i >= 0]
+    need = 0
+    for i in ids:
+        need |= 1 << i
+    pick = itemgetter(*ids) if len(ids) == len(specs) >= 2 else None
+    return need, pick
 
 
 # -- per-opcode compilers ----------------------------------------------
@@ -303,8 +328,12 @@ def _c_alloc(pc: int, instr: isa.Instr) -> Handler:
 
 
 def _c_aread(pc: int, instr: isa.Instr) -> Handler:
+    next_pc = pc + 1
+    dst = instr.dst
+    keep = ~(1 << dst)
     ai, ak = _operand(instr.a)
     specs = _arg_specs(instr)
+    need, pick = _index_plan(specs)
 
     def h_aread(M, pe, frame, t):
         slots = frame._slots
@@ -315,24 +344,51 @@ def _c_aread(pc: int, instr: isa.Instr) -> Handler:
             av = slots[ai]
         else:
             av = ak
-        argvals = []
-        for i, k in specs:
-            if i >= 0:
-                if not mask >> i & 1:
-                    return M._block_on(pe, frame, i, t)
-                argvals.append(slots[i])
-            else:
-                argvals.append(k)
-        pe.stats.instructions += 1
-        return M._eu_aread(pe, frame, instr, av, argvals, t)
+        if pick is not None and mask & need == need:
+            indices = pick(slots)
+        else:
+            indices = ()
+            for i, k in specs:
+                if i >= 0:
+                    if not mask >> i & 1:
+                        return M._block_on(pe, frame, i, t)
+                    indices += (slots[i],)
+                else:
+                    indices += (k,)
+        stats = pe.stats
+        stats.instructions += 1
+        if type(av) is not ArrayId:
+            raise ExecutionError(
+                f"{frame.name} pc={pc}: subscript applied to "
+                f"non-array value {av!r}")
+        aid = av.id
+        header = pe.headers.get(aid)
+        if header is None:
+            # The allocate broadcast has not reached this PE yet.
+            return M._block_on_header(pe, frame, aid, t)
+        offset = header.offset(indices)  # may raise BoundsViolation
+        frame.present_mask = mask & keep
+        # A PE's header and segment are installed together.
+        seg = pe.segments[aid]
+        if seg.lo <= offset < seg.hi:
+            M.schedule(t + _UNIT_SIGNAL, M._am_read_local, pe, seg, offset,
+                       frame, dst)
+        else:
+            M.schedule(t + _UNIT_SIGNAL, M._am_read, pe, aid, offset,
+                       ReturnAddress(pe.pid, frame.uid, dst))
+        frame.pc = next_pc
+        stats.busy["EU"] += _ARRAY_ACCESS
+        return t + _ARRAY_ACCESS, frame
 
     return h_aread
 
 
 def _c_awrite(pc: int, instr: isa.Instr) -> Handler:
+    next_pc = pc + 1
     ai, ak = _operand(instr.a)
     bi, bk = _operand(instr.b)
     specs = _arg_specs(instr)
+    need, pick = _index_plan(specs)
 
     def h_awrite(M, pe, frame, t):
         slots = frame._slots
@@ -349,16 +405,38 @@ def _c_awrite(pc: int, instr: isa.Instr) -> Handler:
             bv = slots[bi]
         else:
             bv = bk
-        argvals = []
-        for i, k in specs:
-            if i >= 0:
-                if not mask >> i & 1:
-                    return M._block_on(pe, frame, i, t)
-                argvals.append(slots[i])
-            else:
-                argvals.append(k)
-        pe.stats.instructions += 1
-        return M._eu_awrite(pe, frame, instr, av, bv, argvals, t)
+        if pick is not None and mask & need == need:
+            indices = pick(slots)
+        else:
+            indices = ()
+            for i, k in specs:
+                if i >= 0:
+                    if not mask >> i & 1:
+                        return M._block_on(pe, frame, i, t)
+                    indices += (slots[i],)
+                else:
+                    indices += (k,)
+        stats = pe.stats
+        stats.instructions += 1
+        if type(av) is not ArrayId:
+            raise ExecutionError(
+                f"{frame.name} pc={pc}: subscript applied to "
+                f"non-array value {av!r}")
+        aid = av.id
+        header = pe.headers.get(aid)
+        if header is None:
+            return M._block_on_header(pe, frame, aid, t)
+        offset = header.offset(indices)  # may raise BoundsViolation
+        seg = pe.segments[aid]
+        if seg.lo <= offset < seg.hi:
+            M.schedule(t + _UNIT_SIGNAL, M._am_write_local, pe, seg, offset,
+                       bv, frame.uid)
+        else:
+            M.schedule(t + _UNIT_SIGNAL, M._am_write, pe, aid, offset, bv,
+                       False, frame.uid)
+        frame.pc = next_pc
+        stats.busy["EU"] += _ARRAY_ACCESS
+        return t + _ARRAY_ACCESS, frame
 
     return h_awrite
 

@@ -69,6 +69,9 @@ from repro.translator import isa
 
 ROOT_UID = 0
 _UNSET = object()
+# Array Manager service times of a local read: present, deferred.
+_AM_LOCAL_READ = T.MEM_READ + T.UNIT_SIGNAL
+_AM_DEFERRED_READ = T.MEM_READ + T.ENQUEUED_READ
 
 # Message class -> fault-plan ``kind`` qualifier (repro.sim.netfaults).
 _MSG_KIND = {
@@ -442,6 +445,14 @@ class Machine:
 
     def _put_slot(self, pe: PE, frame: Frame, slot: int, value: Any,
                   cause: str = "net-queue", src: int | None = None) -> None:
+        """Fill ``slot`` of ``frame``, which lives on ``pe``, and wake
+        what waits on it.  Also the event that answers a local read
+        (``_am_read_local``), hence the halt test.  A frame leaves
+        ``self.frames`` exactly when ``_eu_end`` marks it DONE, so the
+        DONE test here is ``_deliver_waiter``'s "uid not found": a
+        reply to an SP that has ended is one late token either way."""
+        if pe.halted:
+            return
         if frame.status == DONE:
             self.late_tokens += 1
             return
@@ -451,7 +462,8 @@ class Machine:
                 self._waits.sps[frame.uid].wake(self.now, cause, src)
             frame.make_ready()
             pe.ready.append(frame)
-        if pe.suspended_on == (frame.uid, slot):
+        suspended = pe.suspended_on
+        if suspended is not None and suspended == (frame.uid, slot):
             pe.suspended_on = None
             if self._waits is not None:
                 self._waits.pe_stall_end(pe.pid, self.now)
@@ -659,43 +671,6 @@ class Machine:
         # else: keep the entry as a tombstone so straggler tokens match
         # it and get dropped (see _mu_deliver).
         return t, None
-
-    def _element_offset(self, pe: PE, frame: Frame, array_val, indices):
-        """Common AREAD/AWRITE front end: header lookup + offset calc.
-
-        Returns the flat offset, or None when the header is not yet
-        installed on this PE (the allocate broadcast races with the
-        distributed spawn) and the frame must block on it."""
-        if not isinstance(array_val, ArrayId):
-            raise ExecutionError(
-                f"{frame.name} pc={frame.pc}: subscript applied to "
-                f"non-array value {array_val!r}")
-        header = pe.headers.get(array_val.id)
-        if header is None:
-            return None
-        return header.offset(tuple(indices))  # may raise BoundsViolation
-
-    def _eu_aread(self, pe: PE, frame: Frame, instr, av, argvals, t):
-        offset = self._element_offset(pe, frame, av, argvals)
-        if offset is None:
-            return self._block_on_header(pe, frame, av.id, t)
-        dst = instr.dst
-        frame.present_mask &= ~(1 << dst)
-        self.schedule(t + T.UNIT_SIGNAL, self._am_read, pe, av.id, offset,
-                      ReturnAddress(pe.pid, frame.uid, dst))
-        frame.pc += 1
-        pe.stats.busy["EU"] += T.LOCAL_ARRAY_ACCESS
-        return t + T.LOCAL_ARRAY_ACCESS, frame
-
-    def _eu_awrite(self, pe: PE, frame: Frame, instr, av, bv, argvals, t):
-        offset = self._element_offset(pe, frame, av, argvals)
-        if offset is None:
-            return self._block_on_header(pe, frame, av.id, t)
-        self.schedule(t + T.UNIT_SIGNAL, self._am_write, pe, av.id,
-                      offset, bv, False, frame.uid)
-        frame.pc += 1
-        pe.stats.busy["EU"] += T.LOCAL_ARRAY_ACCESS
-        return t + T.LOCAL_ARRAY_ACCESS, frame
 
     def _eu_rfrange(self, pe: PE, frame: Frame, instr, av, bv, ev, argvals, t):
         if not isinstance(av, ArrayId):
@@ -1117,23 +1092,32 @@ class Machine:
                     pe.ready.append(frame)
             self._kick_eu(pe)
 
-    def _am_read(self, pe: PE, aid: int, offset: int,
-                 waiter: ReturnAddress) -> None:
+    def _am_read_local(self, pe: PE, seg: IStructureSegment, offset: int,
+                       frame: Frame, slot: int) -> None:
+        """Serve an AREAD of an element this PE holds (the EU decided
+        locality at issue, ``decode._c_aread``).  A present element's
+        value goes straight into ``frame``.  An absent one parks a
+        ``ReturnAddress``: a segment queues one waiter type, since a
+        deferred remote read parks its reader's here too, and the write
+        wakes each by ``waiter.pe`` (``_am_write_local``)."""
         if pe.halted:
             return
-        seg = pe.segments[aid]
-        if seg.lo <= offset < seg.hi:
-            pe.stats.array_reads_local += 1
-            present, value = seg.read(offset)
-            if present:
-                done = self._serve(pe, "AM", T.MEM_READ + T.UNIT_SIGNAL)
-                self.schedule(done, self._deliver_waiter, waiter, value)
-            else:
-                self._serve(pe, "AM", T.MEM_READ + T.ENQUEUED_READ)
-                seg.defer(offset, waiter)
-                pe.stats.deferred_local += 1
-            return
+        pe.stats.array_reads_local += 1
+        value = seg.get(offset)
+        if value is not CELL_ABSENT:
+            done = self._serve(pe, "AM", _AM_LOCAL_READ)
+            self.schedule(done, self._put_slot, pe, frame, slot, value)
+        else:
+            self._serve(pe, "AM", _AM_DEFERRED_READ)
+            seg.defer(offset, ReturnAddress(pe.pid, frame.uid, slot))
+            pe.stats.deferred_local += 1
 
+    def _am_read(self, pe: PE, aid: int, offset: int,
+                 waiter: ReturnAddress) -> None:
+        """Serve an AREAD of an element another PE holds: the page cache,
+        else a split-phase request to the owner."""
+        if pe.halted:
+            return
         pe.stats.array_reads_remote += 1
         header = pe.headers[aid]
         if self.mc.cache_enabled:
@@ -1184,8 +1168,7 @@ class Machine:
             self.schedule(self.now + T.ALLOC_ARRAY, self._am_remote_read_request,
                           pe, msg)
             return
-        present, _ = seg.read(msg.offset)
-        if present:
+        if seg.get(msg.offset) is not CELL_ABSENT:
             header = pe.headers[msg.array_id]
             page = header.page_of(msg.offset)
             page_lo = max(page * header.page_size, seg.lo)
@@ -1232,6 +1215,8 @@ class Machine:
 
     def _am_write(self, pe: PE, aid: int, offset: int, value: Any,
                   forwarded: bool = False, writer: int | None = None) -> None:
+        """Serve an AWRITE this PE's EU found remote, or one forwarded to
+        it (a ``RemoteWriteMsg``, whose header may still be in flight)."""
         if pe.halted:
             return
         header = pe.headers.get(aid)
@@ -1239,33 +1224,9 @@ class Machine:
             self.schedule(self.now + T.ALLOC_ARRAY, self._am_write, pe, aid,
                           offset, value, forwarded, writer)
             return
-        if header.is_local(offset, pe.pid):
-            pe.stats.array_writes_local += 1
-            if self.obs is not None:
-                self.obs.page_touch(aid, header.page_of(offset))
-            seg = pe.segments[aid]
-            if self._replay and seg.is_present(offset):
-                # Resumed run recomputing a checkpointed element: single
-                # assignment guarantees the recomputed value is
-                # identical; verify so genuine double writes stay
-                # detectable even under replay.  Pre-seeded elements
-                # never have deferred readers (present from install).
-                present, stored = seg.read(offset)
-                if stored != value:
-                    raise SingleAssignmentViolation(aid, offset)
-                self.replayed_present += 1
-                self._serve(pe, "AM", T.am_array_write(0))
-                return
-            woken = seg.write(offset, value)  # may raise single-assignment
-            done = self._serve(pe, "AM", T.am_array_write(len(woken)))
-            for waiter in woken:
-                if waiter.pe == pe.pid:
-                    self.schedule(done, self._deliver_waiter, waiter, value,
-                                  "istructure-defer", writer)
-                else:
-                    reply = ValueResponseMsg(pe.pid, waiter.pe, aid, offset,
-                                             value, waiter, src_sp=writer)
-                    self.schedule(done, self._send_msg, pe, reply)
+        seg = pe.segments[aid]
+        if seg.lo <= offset < seg.hi:
+            self._am_write_local(pe, seg, offset, value, writer)
             return
         # Index-space responsibility differs from data ownership: forward
         # the write to the owner (the remote writes of Section 4.2.3).
@@ -1276,6 +1237,38 @@ class Machine:
                              src_sp=writer)
         self.schedule(done, self._send_msg, pe, msg)
 
+    def _am_write_local(self, pe: PE, seg: IStructureSegment, offset: int,
+                        value: Any, writer: int | None) -> None:
+        """Store an element this PE holds and wake its deferred readers."""
+        if pe.halted:
+            return
+        aid = seg.array_id
+        pe.stats.array_writes_local += 1
+        if self.obs is not None:
+            self.obs.page_touch(aid, pe.headers[aid].page_of(offset))
+        if self._replay:
+            stored = seg.get(offset)
+            if stored is not CELL_ABSENT:
+                # Resumed run recomputing a checkpointed element: single
+                # assignment guarantees the recomputed value is
+                # identical; verify so genuine double writes stay
+                # detectable even under replay.  Pre-seeded elements
+                # never have deferred readers (present from install).
+                if stored != value:
+                    raise SingleAssignmentViolation(aid, offset)
+                self.replayed_present += 1
+                self._serve(pe, "AM", T.am_array_write(0))
+                return
+        woken = seg.write(offset, value)  # may raise single-assignment
+        done = self._serve(pe, "AM", T.am_array_write(len(woken)))
+        for waiter in woken:
+            if waiter.pe == pe.pid:
+                self.schedule(done, self._deliver_waiter, waiter, value,
+                              "istructure-defer", writer)
+            else:
+                reply = ValueResponseMsg(pe.pid, waiter.pe, aid, offset,
+                                         value, waiter, src_sp=writer)
+                self.schedule(done, self._send_msg, pe, reply)
 
     def _ckpt_snapshot(self, final: bool = False) -> None:
         """Persist one event-boundary checkpoint of every array.

@@ -51,7 +51,7 @@ def test_option_is_honoured(name, option, backend, compiled):
               else None)
     got = program.run(args, backend=backend, parallelism=2, config=config)
     oracle = program.run(args, backend="seq").value
-    assert got.value == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+    assert got.value == oracle
 
     if METRICS in get_backend(backend).capabilities:
         filtered = {row.labels_dict()["block"]

@@ -45,7 +45,7 @@ def _rf_rows(reg):
 def test_value_parity(app, nodes, runner):
     oracle = runner(app, "seq", 1).value
     got = runner(app, "dist", nodes)
-    assert got.value == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+    assert got.value == oracle
 
 
 @pytest.mark.parametrize("nodes", DIST_NODES)

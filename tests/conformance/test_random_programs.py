@@ -121,6 +121,6 @@ def test_random_program_church_rosser(body, n, prefix, guard, loop):
     seq = get_backend("seq").run(program, (n,)).value
     sim = get_backend("sim").run(program, (n,), parallelism=2).value
     par = get_backend("parallel").run(program, (n,), parallelism=2).value
-    assert seq == pytest.approx(oracle, rel=1e-12, abs=1e-12)
-    assert sim == pytest.approx(oracle, rel=1e-12, abs=1e-12)
-    assert par == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+    assert seq == oracle
+    assert sim == oracle
+    assert par == oracle

@@ -48,7 +48,7 @@ def test_segment_invariants_under_random_ops(ops):
 
     # Leftover deferred readers are exactly the ones never written.
     assert seg.pending_offsets() == sorted(deferred)
-    assert seg.present_count() == len(model)
+    assert sum(1 for _ in seg.items()) == len(model)
     assert dict(seg.items()) == model
 
 

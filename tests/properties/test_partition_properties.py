@@ -5,6 +5,13 @@ from hypothesis import strategies as st
 
 from repro.runtime.arrays import ArrayHeader, segment_of_page, segment_page_range
 
+
+def is_local(header, offset, pe):
+    """Whether ``pe``'s segment of ``header``'s array holds ``offset``."""
+    lo, hi = header.segment_bounds(pe)
+    return lo <= offset < hi
+
+
 dims_2d = st.tuples(st.integers(1, 40), st.integers(1, 40))
 dims_any = st.one_of(
     st.tuples(st.integers(1, 60)),
@@ -40,10 +47,10 @@ def test_every_element_has_exactly_one_owner(dims, page, pes):
     h = ArrayHeader(1, dims, page, pes)
     for off in range(h.total_elements):
         owner = h.owner_of_offset(off)
-        assert h.is_local(off, owner)
+        assert is_local(h, off, owner)
         for pe in range(pes):
             if pe != owner:
-                assert not h.is_local(off, pe)
+                assert not is_local(h, off, pe)
 
 
 @given(dims=dims_any, page=page_sizes, pes=pe_counts)

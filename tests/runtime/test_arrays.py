@@ -23,6 +23,12 @@ from repro.runtime.arrays import (
 )
 
 
+def is_local(header, offset, pe):
+    """Whether ``pe``'s segment of ``header``'s array holds ``offset``."""
+    lo, hi = header.segment_bounds(pe)
+    return lo <= offset < hi
+
+
 class TestGeometry:
     def test_flat_size(self):
         assert flat_size((6, 256)) == 1536
@@ -357,11 +363,11 @@ class TestRangeFilter:
 class TestLocality:
     def test_is_local(self):
         h = ArrayHeader(1, (6, 256), 32, 4)
-        assert h.is_local(0, 0)
-        assert h.is_local(383, 0)
-        assert not h.is_local(384, 0)
-        assert h.is_local(384, 1)
-        assert h.is_local(1535, 3)
+        assert is_local(h, 0, 0)
+        assert is_local(h, 383, 0)
+        assert not is_local(h, 384, 0)
+        assert is_local(h, 384, 1)
+        assert is_local(h, 1535, 3)
 
     def test_last_partial_page_clipped(self):
         # 10 elements, page 4 -> 3 pages (4,4,2), 3 PEs -> 1 page each.

@@ -6,16 +6,28 @@ from repro.common.errors import SingleAssignmentViolation
 from repro.runtime.istructure import ABSENT, IStructureSegment, PageCache, materialize
 
 
+def deferred_count(seg, offset=None):
+    """Waiters queued on ``offset``, or on any element when None."""
+    if offset is not None:
+        return len(seg._deferred.get(offset, []))
+    return sum(len(v) for v in seg._deferred.values())
+
+
+def present_count(seg):
+    """Elements written so far."""
+    return sum(1 for _ in seg.items())
+
+
 class TestSegmentBasics:
     def test_write_then_read(self):
         seg = IStructureSegment(1, 0, 10)
         assert seg.write(3, 42) == []
-        assert seg.is_present(3)
+        assert seg.get(3) is not ABSENT
         assert seg.read(3) == (True, 42)
 
     def test_read_absent(self):
         seg = IStructureSegment(1, 0, 10)
-        assert not seg.is_present(0)
+        assert seg.get(0) is ABSENT
         assert seg.read(0) == (False, None)
 
     def test_double_write_raises(self):
@@ -42,6 +54,19 @@ class TestSegmentBasics:
         with pytest.raises(IndexError):
             seg.write(110, "x")
 
+    def test_get_returns_the_value_or_absent(self):
+        seg = IStructureSegment(1, 100, 104)
+        assert seg.get(101) is ABSENT
+        seg.write(101, None)
+        assert seg.get(101) is None
+        seg.write(103, 7)
+        assert seg.get(103) == 7
+        for outside in (99, 104):
+            with pytest.raises(IndexError) as exc:
+                seg.get(outside)
+            assert str(exc.value) == (
+                f"offset {outside} outside segment [100, 104) of array 1")
+
     def test_contains(self):
         seg = IStructureSegment(1, 4, 8)
         assert 4 in seg
@@ -52,7 +77,7 @@ class TestSegmentBasics:
     def test_none_is_a_legal_value(self):
         seg = IStructureSegment(1, 0, 2)
         seg.write(0, None)
-        assert seg.is_present(0)
+        assert seg.get(0) is not ABSENT
         assert seg.read(0) == (True, None)
         with pytest.raises(SingleAssignmentViolation):
             seg.write(0, None)
@@ -63,10 +88,10 @@ class TestDeferredReads:
         seg = IStructureSegment(1, 0, 4)
         seg.defer(1, "reader-a")
         seg.defer(1, "reader-b")
-        assert seg.deferred_count(1) == 2
+        assert deferred_count(seg, 1) == 2
         woken = seg.write(1, 99)
         assert woken == ["reader-a", "reader-b"]
-        assert seg.deferred_count(1) == 0
+        assert deferred_count(seg, 1) == 0
 
     def test_defer_on_present_is_protocol_error(self):
         seg = IStructureSegment(1, 0, 4)
@@ -80,14 +105,14 @@ class TestDeferredReads:
         seg.defer(2, "y")
         seg.defer(5, "z")
         assert seg.pending_offsets() == [2, 5]
-        assert seg.deferred_count() == 3
+        assert deferred_count(seg) == 3
 
     def test_waiters_independent_per_offset(self):
         seg = IStructureSegment(1, 0, 4)
         seg.defer(0, "a")
         seg.defer(1, "b")
         assert seg.write(0, 10) == ["a"]
-        assert seg.deferred_count(1) == 1
+        assert deferred_count(seg, 1) == 1
 
 
 class TestPageSnapshot:
@@ -111,7 +136,7 @@ class TestPageSnapshot:
         seg = IStructureSegment(1, 10, 14)
         seg.write(11, "b")
         seg.write(13, "d")
-        assert seg.present_count() == 2
+        assert present_count(seg) == 2
         assert list(seg.items()) == [(11, "b"), (13, "d")]
 
 
