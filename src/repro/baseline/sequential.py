@@ -20,18 +20,25 @@ the substrate of the Pingali & Rogers static baseline and of the SPMD
 core every ``parallel`` worker and ``dist`` node runs.
 
 The program is decoded once, not re-discovered per evaluation: the first
-call of a function compiles it into nested closures over a flat slot
-frame (see :class:`Interpreter`), as ``sim/decode.py`` does for SP
-templates.  The cost model is decided there too: with a clock each
-closure charges exactly what the retired tree walker did, in its order
+call of a function writes it out as Python source — one function over
+locals, each expression a run of flat three-address statements, each
+loop without a Range Filter a Python ``for`` — which ``compile()`` turns
+into what every later call runs (see :class:`Interpreter` and
+:class:`_Writer`), as ``sim/decode.py`` decodes SP templates once.  The
+cost model is decided there too: with a clock the source charges exactly
+what the retired tree walker did, in its order
 (``tests/baseline/reference_fingerprint.json`` holds ``seq`` and
 ``static`` to its bits); without one — the SPMD core, whose substrates
-report wall time — it is built without the charge and only evaluates.
+report wall time — no charge is written and the code only evaluates.
 """
 
 from __future__ import annotations
 
+import linecache
+import math
+import operator
 from dataclasses import dataclass
+from itertools import count
 from operator import itemgetter
 from typing import Any, Callable
 
@@ -56,18 +63,20 @@ CALL = 2 * T.CONTEXT_SWITCH                            # CALL + RET
 BRANCH = T.INT_CMP
 
 _ABSENT = object()
-_UNSET = object()  # a ``next`` slot no branch of this iteration has assigned
+_UNSET = object()  # a ``next`` no branch of this iteration has assigned
 
 
 class Clock:
-    """Accumulates modeled execution time.  Subclasses may attribute
-    costs to multiple PEs (see the static baseline)."""
+    """Accumulates modeled execution time, one cost after another.
+    Subclasses may attribute costs to multiple PEs (see the static
+    baseline)."""
 
     def __init__(self) -> None:
         self.time = 0.0
 
-    def charge(self, cost: float) -> None:
-        self.time += cost
+    def charge(self, *costs: float) -> None:
+        for cost in costs:
+            self.time += cost
 
     def finish_time(self) -> float:
         return self.time
@@ -133,10 +142,28 @@ class SeqResult:
         return self.time_us / 1e6
 
 
+def _span(first, last, step):
+    """The indices of ``for i = first to last`` (``downto``: ``step``
+    -1): a ``range`` over two ints, else :func:`_counting`."""
+    if type(first) is int and type(last) is int:
+        return range(first, last + step, step)
+    return _counting(first, last, step)
+
+
+def _counting(first, last, step):
+    """Any number counts as a bound (``for i = 1.5 to n``), compared as
+    it stands."""
+    i = first
+    while (i >= last) if step < 0 else (i <= last):
+        yield i
+        i += step
+
+
 class Scopes:
     """Compile-time lexical scopes of one function.  Every (scope, name)
-    pair ``lang/semantics.py`` checked gets its own slot of the call's
-    flat frame; ``frame[0]`` is the call depth, parameters follow."""
+    pair ``lang/semantics.py`` checked gets its own slot, and each slot
+    its own local of the generated code; slot 0 is the call depth,
+    parameters follow."""
 
     def __init__(self, params: list[str]) -> None:
         self.chain = [{p: k + 1 for k, p in enumerate(params)}]
@@ -157,34 +184,35 @@ class Scopes:
 
 @dataclass(slots=True)
 class Loop:
-    """One compiled ``for``: what the loop seams are handed."""
+    """One Range-Filter ``for``: what the loop seams are handed, with a
+    seam frame ``[first index, last index, index, outer values...]``."""
 
     descending: bool
-    var: int          # frame slot of the index variable
-    init: Callable    # frame -> first index
-    limit: Callable   # frame -> last index
     body: Callable    # frame -> None: one iteration, ``next`` values applied
-    # PartitionedInterpreter: the loop's code block and, when it is
-    # distributed, its Range Filter's (array, fixed indices) operands.
-    block: Any = None
-    rf: tuple | None = None
+    block: Any        # its code block in the partitioned graph
+    # Its Range Filter's (array, fixed indices) operands, ``frame ->
+    # value`` each.
+    rf: tuple
 
 
 class Interpreter:
     """Compile-once evaluator; ``clock=None`` compiles the cost model out.
 
-    Each function is decoded, on its first call, into nested closures
-    over a flat slot frame: names are resolved to slot indices, operator
-    functions and cost pairs looked up, hooks bound — once, in the
-    ``compile_*`` methods, which are the only code that inspects AST
-    node classes.  Running a program executes closures only.
+    Each function is written out, on its first call, as the source of one
+    Python function over locals (:class:`_Writer`, the only code that
+    inspects AST node classes), and ``compile()`` makes it what every
+    later call runs.  Names are locals, expressions flat three-address
+    statements, and a ``for`` is a Python ``for`` — except one with a
+    Range Filter (:meth:`partition_of`), which crosses the loop seams
+    :meth:`run_for` / :meth:`run_for_range` with a generated body that
+    takes its outer values from a seam frame.
 
     The array hooks (:meth:`on_alloc`, :meth:`on_array_read`,
-    :meth:`on_array_write`) and the loop seams (:meth:`run_for`,
-    :meth:`run_for_range`, handed the compiled :class:`Loop` and the
-    activation's frame) are the override points for the static
-    baseline and the SPMD core.  An iteration is no seam: a subclass
-    that must see one wraps ``loop.body`` in :meth:`compile_for`.
+    :meth:`on_array_write`) and the loop seams are the override points
+    for the static baseline and the SPMD core; the generated code calls
+    them through its globals, bound on the first run.  An iteration is
+    no seam: a subclass that must see one returns a callable from
+    :meth:`iteration_hook`.
     """
 
     def __init__(self, program: A.Program, clock: Clock | None = None,
@@ -192,13 +220,16 @@ class Interpreter:
         self.program = program
         self.clock = clock  # None: this substrate keeps no modeled time
         self.entry = entry
-        # Nested closures burn a few Python frames per IdLite call; keep
-        # the guard comfortably below CPython's own recursion limit.
+        # An IdLite call is one Python frame, a Range-Filter loop three
+        # more; the guard stays well below CPython's own recursion limit.
         self.max_depth = 150
-        # name -> (frame size, body).  Filled on first call, never here:
-        # the closures capture the bound hooks, which a subclass's
-        # ``__init__`` has yet to finish setting up.
-        self.compiled: dict[str, tuple[int, Callable]] = {}
+        # The generated code's globals.  Built on the first run, never
+        # here: they bind the hooks, which a subclass's ``__init__`` has
+        # yet to finish setting up.
+        self.namespace: dict[str, Any] | None = None
+        self.fn_keys = {name: f"_f{k}"
+                        for k, name in enumerate(program.functions)}
+        self.serial = count()  # numbers the generated globals
         # Classes already seen to pass :func:`is_istructure`.
         self.array_types: set[type] = set()
 
@@ -211,340 +242,115 @@ class Interpreter:
         if len(args) != len(fn.params):
             raise ExecutionError(
                 f"{self.entry} expects {len(fn.params)} args, got {len(args)}")
-        value = self.call_function(fn, list(args), depth=0)
+        if self.namespace is None:
+            self.namespace = self.bind_namespace()
+        value = self.namespace[self.fn_keys[self.entry]](0, *args)
         if materialize and is_istructure(value):
             value = value.to_value()
         time_us = None if self.clock is None else self.clock.finish_time()
         return SeqResult(value=value, time_us=time_us)
 
-    def call_function(self, fn: A.Function, args: list[Any], depth: int) -> Any:
-        if depth > self.max_depth:
-            raise ExecutionError(f"call depth over {self.max_depth}")
+    def bind_namespace(self) -> dict[str, Any]:
+        """The globals every generated function of this interpreter runs
+        in: the hooks, the seam, the operator tables, and a stand-in per
+        IdLite function that writes it on its first call."""
+        ns = {"_Err": ExecutionError, "_UNSET": _UNSET, "_span": _span,
+              "_known": self.array_types, "_check": self.check_array,
+              "_fault": self.fault,
+              "_alloc": self.on_alloc, "_write": self.on_array_write,
+              "_runfor": self.run_for}
         if self.clock is not None:
-            self.clock.charge(CALL)
-        code = self.compiled.get(fn.name)
-        if code is None:
-            scopes = Scopes(fn.params)
-            body = self.compile_body(fn.body, scopes)  # grows scopes.size
-            code = self.compiled[fn.name] = (scopes.size, body)
-        size, body = code
-        frame = [depth, *args]
-        frame += [None] * (size - len(frame))
-        value = body(frame)
-        return 0 if value is None else value
+            ns["_charge"] = self.clock.charge
+            ns["_read"] = self.on_array_read
+        ns.update(("_b" + op, fn) for op, fn in BINARY_FUNCS.items())
+        ns.update(("_u" + op, fn) for op, fn in UNARY_FUNCS.items())
+        for name, key in self.fn_keys.items():
+            ns[key] = self.first_call(name)
+        return ns
 
-    # -- statements: ``frame -> returned value, or None`` -------------------
+    def first_call(self, name: str) -> Callable:
+        def first(*args):
+            return self.generate(name)(*args)
+        return first
 
-    def compile_body(self, body: list[A.Stmt], sc: Scopes,
-                     scope: dict | None = None) -> Callable:
-        """A statement list, in a lexical scope of its own when ``scope``
-        (its initial names) is given."""
-        if scope is not None:
-            sc.chain.append(scope)
-        stmts = [self.compile_stmt(stmt, sc) for stmt in body]
-        if scope is not None:
-            sc.chain.pop()
-        if len(stmts) == 1:
-            return stmts[0]
-        if len(stmts) == 2:
-            first, second = stmts
+    def generate(self, name: str) -> Callable:
+        """Write the function ``name`` out, compile it into the namespace
+        (replacing its stand-in) and return it.  Its source is registered
+        with ``linecache`` under ``<idlite:NAME>``, so a traceback shows
+        the generated line."""
+        source, loops = _Writer(self, self.program.functions[name]).module()
+        filename = f"<idlite:{name}>"
+        linecache.cache[filename] = (len(source), None,
+                                     source.splitlines(keepends=True),
+                                     filename)
+        exec(compile(source, filename, "exec"), self.namespace)
+        for loop, key in loops:
+            loop.body = self.namespace[key]
+        return self.namespace[self.fn_keys[name]]
 
-            def run(frame):
-                value = first(frame)
-                return second(frame) if value is None else value
-            return run
+    # -- what the writer asks (overridden by the partitioned interpreters) --
 
-        def run(frame):
-            for stmt in stmts:
-                value = stmt(frame)
-                if value is not None:  # a ``return`` ran
-                    return value
-        return run
+    def partition_of(self, stmt) -> tuple[Any, tuple | None]:
+        """``(code block, Range-Filter operands)`` of the ``for`` ``stmt``,
+        the operands — array first, then the fixed indices — each
+        ``("n", name)`` or ``("k", constant)``, and None unless the loop
+        is distributed with a Range Filter.  Nothing is partitioned here."""
+        return None, None
 
-    def compile_stmt(self, stmt: A.Stmt, sc: Scopes) -> Callable:
-        if isinstance(stmt, (A.Bind, A.NextBind)):
-            value = self.compile_expr(stmt.value, sc)  # before the name binds
-            # A binding names a slot of the innermost scope; a ``next``,
-            # a pending slot of the innermost loop.
-            if isinstance(stmt, A.Bind):
-                names = sc.chain[-1]
-            elif sc.loops:
-                names = sc.loops[-1]
-            else:
-                raise ExecutionError("'next' outside loop (interpreter bug)")
-            slot = names.get(stmt.name)
-            if slot is None:
-                slot = names[stmt.name] = sc.new_slot()
+    def iteration_hook(self, block) -> Callable | None:
+        """A callable the generated code calls with the index at the top
+        of every iteration of a ``for`` of code block ``block`` (None for
+        an unpartitioned loop), or None: no call is written."""
+        return None
 
-            def run(frame):
-                frame[slot] = value(frame)
-            return run
-        if isinstance(stmt, A.ArrayWrite):
-            slot, name = sc.slot_of(stmt.array), stmt.array
-            indices = self.compile_indices(stmt.indices, sc)
-            value = self.compile_expr(stmt.value, sc)
-            write = self.on_array_write
-            known, check = self.array_types, self.check_array
-            if self.clock is None:
-                def run(frame):
-                    arr = frame[slot]
-                    if type(arr) not in known:
-                        check(arr, name)
-                    write(arr, indices(frame), value(frame))
-                return run
-            charge = self.clock.charge
-
-            def run(frame):
-                arr = frame[slot]
-                if type(arr) not in known:
-                    check(arr, name)
-                at, new = indices(frame), value(frame)
-                charge(ARRAY_WRITE)
-                write(arr, at, new)
-            return run
-        if isinstance(stmt, A.If):
-            return self.branch(self.compile_expr(stmt.cond, sc),
-                               self.compile_body(stmt.then_body, sc, {}),
-                               self.compile_body(stmt.else_body, sc, {}))
-        if isinstance(stmt, A.Return):
-            return self.compile_expr(stmt.value, sc)
-        if isinstance(stmt, A.For):
-            loop, run_for = self.compile_for(stmt, sc), self.run_for
-            return lambda frame: run_for(loop, frame)
-        if isinstance(stmt, A.While):
-            cond = self.compile_expr(stmt.cond, sc)
-            body = self.compile_loop_body(stmt.body, sc, {})
-            runaway = "while loop ran 10M iterations"
-            if self.clock is None:
-                def run(frame):
-                    guard = 0
-                    while cond(frame):
-                        guard += 1
-                        if guard > 10_000_000:
-                            raise ExecutionError(runaway)
-                        body(frame)
-                return run
-            charge = self.clock.charge
-
-            def run(frame):
-                guard = 0
-                while True:
-                    charge(BRANCH)
-                    if not cond(frame):
-                        return
-                    guard += 1
-                    if guard > 10_000_000:
-                        raise ExecutionError(runaway)
-                    body(frame)
-            return run
-        raise ExecutionError(f"unknown statement {type(stmt).__name__}")
-
-    # -- loops ----------------------------------------------------------
-
-    def compile_for(self, stmt: A.For, sc: Scopes) -> Loop:
-        init = self.compile_expr(stmt.init, sc)
-        limit = self.compile_expr(stmt.limit, sc)
-        var = sc.new_slot()
-        body = self.compile_loop_body(stmt.body, sc, {stmt.var: var})
-        return Loop(stmt.descending, var, init, limit, body)
-
-    def compile_loop_body(self, body: list[A.Stmt], sc: Scopes,
-                          scope: dict) -> Callable:
-        """One iteration of a loop: run the body, then let the ``next``
-        values the taken branches assigned replace the carried variables
-        (each resolved where the loop statement stands)."""
-        sc.loops.append({})
-        code = self.compile_body(body, sc, scope)
-        carried = [(pending, sc.slot_of(name))
-                   for name, pending in sc.loops.pop().items()]
-        if not carried:
-            return code
-        if len(carried) == 1:
-            (pending, slot), = carried
-
-            def iteration(frame):
-                frame[pending] = _UNSET
-                code(frame)
-                value = frame[pending]
-                if value is not _UNSET:
-                    frame[slot] = value
-            return iteration
-
-        def iteration(frame):
-            for pending, _ in carried:
-                frame[pending] = _UNSET
-            code(frame)
-            for pending, slot in carried:
-                if frame[pending] is not _UNSET:
-                    frame[slot] = frame[pending]
-        return iteration
+    # -- the loop seams (a Range-Filter loop only) ---------------------------
 
     def run_for(self, loop: Loop, frame: list) -> None:
-        self.run_for_range(loop, frame, loop.init(frame), loop.limit(frame),
+        self.run_for_range(loop, frame, frame[0], frame[1],
                            -1 if loop.descending else 1)
 
     def run_for_range(self, loop: Loop, frame: list,
                       init: int, limit: int, step: int) -> None:
-        var, body = loop.var, loop.body
+        body = loop.body
         i = init  # any number: ``for i = 1.5 to n`` is a program too
         if self.clock is None:
             while (i >= limit) if step < 0 else (i <= limit):
-                frame[var] = i
+                frame[2] = i
                 body(frame)
                 i += step
             return
         charge = self.clock.charge
         while (i >= limit) if step < 0 else (i <= limit):
             charge(LOOP_ITER)
-            frame[var] = i
+            frame[2] = i
             body(frame)
             i += step
-
-    # -- expressions: ``frame -> value`` -------------------------------------
-
-    def compile_expr(self, expr: A.Expr, sc: Scopes) -> Callable:
-        if isinstance(expr, A.Num):
-            value = expr.value
-            return lambda frame: value
-        if isinstance(expr, A.Var):
-            return itemgetter(sc.slot_of(expr.name))
-        if isinstance(expr, A.BinOp):
-            return self.compile_binary(expr.op, expr.left, expr.right, sc,
-                                       expr.loc)
-        if isinstance(expr, A.UnOp):
-            return self.compile_unary(expr.op, expr.operand, sc)
-        if isinstance(expr, A.IfExp):
-            return self.branch(self.compile_expr(expr.cond, sc),
-                               self.compile_expr(expr.then, sc),
-                               self.compile_expr(expr.other, sc))
-        if isinstance(expr, A.Index):
-            slot, name = sc.slot_of(expr.array), expr.array
-            indices = self.compile_indices(expr.indices, sc)
-            known, check = self.array_types, self.check_array
-            if self.clock is None:  # no read hook either: the handle
-                def ev(frame):
-                    arr = frame[slot]
-                    if type(arr) not in known:
-                        check(arr, name)
-                    return arr.read(indices(frame))
-                return ev
-            read, charge = self.on_array_read, self.clock.charge
-
-            def ev(frame):
-                arr = frame[slot]
-                if type(arr) not in known:
-                    check(arr, name)
-                at = indices(frame)
-                charge(ARRAY_READ)
-                return read(arr, at)
-            return ev
-        if isinstance(expr, A.Call):
-            return self.compile_call(expr, sc)
-        raise ExecutionError(f"unknown expression {type(expr).__name__}")
-
-    def compile_binary(self, op: str, left: A.Expr, right: A.Expr,
-                       sc: Scopes, loc=None) -> Callable:
-        left, right = self.compile_expr(left, sc), self.compile_expr(right, sc)
-        (fcost, icost), fn = _BIN_COSTS[op], BINARY_FUNCS[op]
-        if self.clock is None:  # evaluate, and nothing else
-            def ev(frame):
-                a, b = left(frame), right(frame)
-                try:
-                    return fn(a, b)
-                except TypeError as exc:
-                    if loc is None:
-                        raise
-                    raise ExecutionError(f"{loc}: {op}: {exc}") from None
-            return ev
-        charge = self.clock.charge
-
-        def ev(frame):
-            a = left(frame)
-            b = right(frame)
-            charge(fcost if isinstance(a, float) or isinstance(b, float)
-                   else icost)
-            try:
-                return fn(a, b)
-            except TypeError as exc:
-                if loc is None:  # a builtin's (min, max) goes up as it is
-                    raise
-                raise ExecutionError(f"{loc}: {op}: {exc}") from None
-        return ev
-
-    def compile_unary(self, op: str, operand: A.Expr, sc: Scopes) -> Callable:
-        operand = self.compile_expr(operand, sc)
-        (fcost, icost), fn = _UN_COSTS[op], UNARY_FUNCS[op]
-        if self.clock is None:
-            return lambda frame: fn(operand(frame))
-        charge = self.clock.charge
-
-        def ev(frame):
-            a = operand(frame)
-            charge(fcost if isinstance(a, float) else icost)
-            return fn(a)
-        return ev
-
-    def compile_call(self, call: A.Call, sc: Scopes) -> Callable:
-        if call.name in A.UNARY_BUILTINS:
-            return self.compile_unary(call.name, call.args[0], sc)
-        if call.name in A.BINARY_BUILTINS:
-            return self.compile_binary(call.name, *call.args, sc)
-        args = [self.compile_expr(arg, sc) for arg in call.args]
-        if call.name in A.ALLOC_BUILTINS:
-            alloc = self.on_alloc
-            if self.clock is None:
-                return lambda frame: alloc(tuple([arg(frame) for arg in args]))
-            charge = self.clock.charge
-
-            def ev(frame):
-                dims = tuple([arg(frame) for arg in args])
-                charge(T.ALLOC_ARRAY)
-                return alloc(dims)
-            return ev
-        fn = self.program.functions.get(call.name)
-        if fn is None:
-            raise ExecutionError(f"call to unknown {call.name!r}")
-        invoke = self.call_function
-        return lambda frame: invoke(fn, [arg(frame) for arg in args],
-                                    frame[0] + 1)
-
-    def branch(self, cond: Callable, then: Callable,
-               other: Callable) -> Callable:
-        """``if`` as a statement or as an expression: one compare, then
-        whatever the taken arm yields (a statement arm: its ``return``)."""
-        if self.clock is None:
-            return lambda frame: then(frame) if cond(frame) else other(frame)
-        charge = self.clock.charge
-
-        def run(frame):
-            charge(BRANCH)
-            return then(frame) if cond(frame) else other(frame)
-        return run
 
     def check_array(self, arr, name: str) -> None:
         """Admit the class of ``arr`` as an array type, or reject ``arr``."""
         if not is_istructure(arr):
-            raise ExecutionError(f"{name!r} is not an array")
+            raise ExecutionError(f"{name!r} is not an array") from None
         self.array_types.add(type(arr))
 
-    def compile_indices(self, indices: list[A.Expr], sc: Scopes) -> Callable:
-        """``frame -> index tuple``: one ``itemgetter`` when there are two
-        or more subscripts and each is a name; otherwise ranks 1 and 2
-        without the list."""
-        if len(indices) > 1 and all(isinstance(e, A.Var) for e in indices):
-            return itemgetter(*[sc.slot_of(e.name) for e in indices])
-        subs = [self.compile_expr(e, sc) for e in indices]
-        if len(subs) == 1:
-            only, = subs
-            return lambda frame: (only(frame),)
-        if len(subs) == 2:
-            row, col = subs
-            return lambda frame: (row(frame), col(frame))
-        return lambda frame: tuple([sub(frame) for sub in subs])
+    def fault(self, exc: Exception, sites: dict[int, tuple]) -> None:
+        """Raise the program's error for ``exc``, a ``TypeError`` or
+        ``AttributeError`` caught in a generated function, when the line
+        it came from is a site of one (``sites``, by line number): an
+        operator's type error, re-raised naming its source location and
+        operator, or an access of something that is not an array.
+        Return otherwise: the caller re-raises ``exc`` as it is."""
+        tb = exc.__traceback__
+        site = sites.get(tb.tb_lineno)
+        if site is None or not isinstance(exc, site[0]):
+            return
+        if site[0] is TypeError:
+            raise ExecutionError(site[1] + str(exc)).with_traceback(tb) \
+                from None
+        self.check_array(tb.tb_frame.f_locals[site[1]], site[2])
 
     # -- array hooks (overridden by the static baseline and the SPMD core) --
     # Where an array and its elements live; the flat charge of the access
-    # is the calling closure's, so no hook tests for a clock.  The read hook
+    # is the generated code's, so no hook tests for a clock.  The read hook
     # is the clock-bearing interpreters' seam: without one, ``arr.read``.
 
     def on_alloc(self, dims: tuple[int, ...]) -> SeqArray:
@@ -555,6 +361,536 @@ class Interpreter:
 
     def on_array_write(self, arr: SeqArray, indices: tuple, value: Any) -> None:
         arr.write(indices, value)
+
+
+# -- the source generator ---------------------------------------------------
+
+# Operator-table entries written as Python operators: ``operator.add(a,
+# b)`` is ``a + b``, the same result and the same ``TypeError`` text.
+_INFIX = {operator.add: "+", operator.sub: "-", operator.mul: "*",
+          operator.lt: "<", operator.le: "<=", operator.gt: ">",
+          operator.ge: ">=", operator.eq: "==", operator.ne: "!="}
+_PREFIX = {operator.neg: "-", operator.not_: "not "}
+
+
+def _arith(ka: type | None, kb: type | None) -> type | None:
+    """The type of ``a + b`` (``-``, ``*``, ``//``, ``%``) for numbers
+    of types ``ka`` and ``kb``; None when it depends on more."""
+    if float in (ka, kb):
+        return float
+    return int if ka is not None and kb is not None else None
+
+
+def _same(ka: type | None, kb: type | None) -> type | None:
+    return ka if ka is kb else None
+
+
+# What an operator's result is, from what its operands are (numbers of
+# a known type, or None): how the writer knows, without a test at run
+# time, which of an operator's two costs a later one charges.
+_BIN_KIND = {"add": _arith, "sub": _arith, "mul": _arith, "idiv": _arith,
+             "mod": _arith, "div": lambda ka, kb: float,
+             "pow": lambda ka, kb: float if float in (ka, kb) else None,
+             "min": _same, "max": _same,
+             **dict.fromkeys(("lt", "le", "gt", "ge", "eq", "ne", "and",
+                              "or"), lambda ka, kb: bool)}
+_UN_KIND = {"neg": lambda k: int if k is bool else k,
+            "abs": lambda k: int if k is bool else k,
+            "not": lambda k: bool, "sqrt": lambda k: float,
+            "float": lambda k: float, "int": lambda k: int}
+
+
+class _Site(str):
+    """A generated line whose exception of class ``fault[0]`` is the
+    program's error (see :meth:`Interpreter.fault`)."""
+
+    fault: tuple
+
+
+class _Unit:
+    """One generated ``def`` being written: the lines before its body
+    (``head``), its body, and the slots of the code around it that it
+    reads (``free``) and assigns (``written``) — those below ``first``,
+    the first slot it owns."""
+
+    __slots__ = ("first", "head", "lines", "indent", "free", "written",
+                 "costs")
+
+    def __init__(self, first: int) -> None:
+        self.first = first
+        self.head: list[str] = []
+        self.lines: list[str] = []
+        self.indent = 2  # in the ``try`` around the body
+        self.free: dict[int, None] = {}
+        self.written: dict[int, None] = {}
+        self.costs: list[str] = []  # charges not yet written out
+
+
+class _Writer:
+    """Writes one IdLite function out as Python source.
+
+    What the closures of a tree-walking compiler decided per evaluation
+    is decided here once: each slot is a local (``NAME_SLOT``; the call
+    depth is ``_depth``), each operator one statement into a temporary
+    (``_N``) or straight into the name it binds, a ``next`` a pending
+    local applied at the end of the iteration.  With a clock, the
+    charges are the reference interpreter's, in its order, each run of
+    them one ``_charge`` call before the next line that may read the
+    clock; without one, none is written.  A binary or unary operator's
+    ``TypeError`` is re-raised as the program's ``ExecutionError``
+    naming its source location and operator (a ``min`` / ``max`` one,
+    which has no location, goes up as it is).  An array name is checked
+    before its subscripts are evaluated; when they are plain names and
+    constants, only a failed access checks it.  Both are decided after
+    the fact, by one ``try`` around each function's body and the line
+    the exception came from (:class:`_Site`), so no operator carries a
+    ``try`` of its own.
+    """
+
+    def __init__(self, interp: Interpreter, fn: A.Function) -> None:
+        self.interp = interp
+        self.clock = interp.clock is not None
+        self.fn = fn
+        self.sc = Scopes(fn.params)
+        self.names = {0: "_depth"}  # slot -> local
+        for k, param in enumerate(fn.params):
+            self.names[k + 1] = self.local(param, k + 1)
+        # Atom -> its type, where the writer knows it: literals, ``for``
+        # indices and temporaries computed from them.
+        self.kinds: dict[str, type] = {}
+        self.indexes: set[int] = set()  # slots of ``for`` indices
+        self.temps = count(1)
+        self.loop_level = 0
+        self.unit = _Unit(0)
+        self.defs: list[tuple[str, _Unit]] = []
+        self.loops: list[tuple[Loop, str]] = []
+
+    def module(self) -> tuple[str, list[tuple[Loop, str]]]:
+        """The source of the function and of its Range-Filter loop
+        bodies, and each such loop with the name of its body."""
+        depth = self.interp.max_depth
+        self.unit.head += [f"    if _depth > {depth}:",
+                           f"        raise _Err('call depth over {depth}')"]
+        if self.clock:
+            self.unit.head.append(f"    _charge({CALL!r})")
+        self.body(self.fn.body, None)
+        self.flush()
+        params = ", ".join(self.names[k]
+                           for k in range(len(self.fn.params) + 1))
+        self.defs.append(
+            (f"{self.interp.fn_keys[self.fn.name]}({params})", self.unit))
+        key = self.global_({}, "sites")
+        sites = self.interp.namespace[key]
+        lines = []
+        for signature, unit in self.defs:
+            lines += [f"def {signature}:", *unit.head]
+            if not any(isinstance(line, _Site) for line in unit.lines):
+                lines += [line[4:] for line in unit.lines]
+            else:
+                lines.append("    try:")
+                for line in unit.lines:
+                    if isinstance(line, _Site):
+                        sites[len(lines) + 1] = line.fault
+                    lines.append(line)
+                lines += ["    except (TypeError, AttributeError) as exc:",
+                          f"        _fault(exc, {key})",
+                          "        raise"]
+            lines.append("")
+        return "\n".join(lines), self.loops
+
+    # -- writing --------------------------------------------------------
+
+    @staticmethod
+    def local(name: str, slot: int) -> str:
+        local = f"{name}_{slot}"
+        return local if local.isascii() and local.isidentifier() \
+            else f"v_{slot}"
+
+    def emit(self, line: str, fault: tuple | None = None,
+             pure: bool = False) -> None:
+        """Write ``line``; unless it is ``pure`` — an operator or a copy,
+        which neither reads the clock nor leaves the straight line —
+        the charges made before it are written out first."""
+        if not pure and self.unit.costs:
+            self.flush()
+        line = "    " * self.unit.indent + line
+        if fault is not None:
+            line = _Site(line)
+            line.fault = fault
+        self.unit.lines.append(line)
+
+    def global_(self, value: Any, stem: str) -> str:
+        key = f"_{stem}{next(self.interp.serial)}"
+        self.interp.namespace[key] = value
+        return key
+
+    def temp(self, kind: type | None = None) -> str:
+        """A new temporary, of type ``kind`` when known."""
+        t = f"_{next(self.temps)}"
+        if kind is not None:
+            self.kinds[t] = kind
+        return t
+
+    def new_slot(self, name: str) -> int:
+        slot = self.sc.new_slot()
+        self.names[slot] = self.local(name, slot)
+        return slot
+
+    def read(self, slot: int) -> str:
+        if slot < self.unit.first:
+            self.unit.free[slot] = None
+        return self.names[slot]
+
+    def assign(self, slot: int) -> str:
+        if slot < self.unit.first:
+            self.unit.free[slot] = None
+            self.unit.written[slot] = None
+        return self.names[slot]
+
+    def open(self, header: str) -> int:
+        """Emit a compound statement's ``header`` and indent its block."""
+        self.emit(header)
+        self.unit.indent += 1
+        return len(self.unit.lines)
+
+    def shut(self, mark: int) -> None:
+        """End the block :meth:`open` began at ``mark``."""
+        self.flush()
+        if len(self.unit.lines) == mark:
+            self.emit("pass")
+        self.unit.indent -= 1
+
+    def charge(self, cost: float | str) -> None:
+        """Charge ``cost`` (a number, or the source of one) at the next
+        line that is not pure: one ``_charge`` call adds a run of costs
+        one by one, in order, as separate calls would."""
+        self.unit.costs.append(cost if isinstance(cost, str) else repr(cost))
+
+    def flush(self) -> None:
+        costs, self.unit.costs = self.unit.costs, []
+        if costs:
+            self.emit(f"_charge({', '.join(costs)})", pure=True)
+
+    def charge_op(self, costs: tuple[float, float], *atoms: str) -> None:
+        """An operator's charge: its float cost when an operand is a
+        float, else its integer cost — decided here where the writer
+        knows the operands' types (:attr:`kinds`)."""
+        fcost, icost = costs
+        kinds = [self.kinds.get(atom) for atom in atoms]
+        if fcost == icost or float in kinds:
+            return self.charge(fcost)
+        if None not in kinds:
+            return self.charge(icost)
+        test = " or ".join(f"isinstance({atom}, float)"
+                           for atom, kind in zip(atoms, kinds) if kind is None)
+        self.charge(f"{fcost!r} if {test} else {icost!r}")
+
+    def guarded(self, line: str, loc, op: str) -> None:
+        """``line``, its ``TypeError`` the program's error at ``loc``."""
+        self.emit(line, None if loc is None else (TypeError, f"{loc}: {op}: "),
+                  pure=True)
+
+    def access(self, line: str, arr: str, name: str, mark: int,
+               operands: list[A.Expr]) -> None:
+        """``line``, an access of array local ``arr``: checked up front
+        (at ``mark``, before the subscripts) when evaluating its
+        ``operands`` may raise, else only when the access fails."""
+        if len(self.unit.lines) == mark or all(map(self.safe, operands)):
+            return self.emit(line, (AttributeError, arr, name))
+        pad = "    " * self.unit.indent
+        self.unit.lines.insert(
+            mark,
+            f"{pad}if type({arr}) not in _known: _check({arr}, {name!r})")
+        self.emit(line)
+
+    def safe(self, e: A.Expr) -> bool:
+        """Whether evaluating ``e`` cannot raise: a sum, difference or
+        product of constants and ``for`` indices, which are numbers."""
+        if type(e) is A.BinOp:
+            return e.op in ("add", "sub", "mul") \
+                and self.safe(e.left) and self.safe(e.right)
+        return type(e) is A.Num or (
+            type(e) is A.Var and self.sc.slot_of(e.name) in self.indexes)
+
+    # -- statements -----------------------------------------------------
+
+    def body(self, stmts: list[A.Stmt], scope: dict | None) -> None:
+        """A statement list, in a lexical scope of its own when ``scope``
+        (its initial names) is given."""
+        if scope is not None:
+            self.sc.chain.append(scope)
+        for stmt in stmts:
+            _WRITE_STMT[type(stmt)](self, stmt)
+        if scope is not None:
+            self.sc.chain.pop()
+
+    def store(self, names: dict[str, int], name: str, value: A.Expr) -> None:
+        # The value is written before the name binds: a use of ``name``
+        # in it is the enclosing one.
+        slot = names.get(name)
+        if slot is None:
+            slot = self.new_slot(name)
+        target = self.assign(slot)
+        atom = self.expr(value, target)
+        if atom != target:
+            self.emit(f"{target} = {atom}", pure=True)
+        names[name] = slot
+
+    def write_bind(self, stmt: A.Bind) -> None:
+        self.store(self.sc.chain[-1], stmt.name, stmt.value)
+
+    def write_next(self, stmt: A.NextBind) -> None:
+        if not self.sc.loops:
+            raise ExecutionError("'next' outside loop (interpreter bug)")
+        self.store(self.sc.loops[-1], stmt.name, stmt.value)
+
+    def write_array_write(self, stmt: A.ArrayWrite) -> None:
+        arr = self.read(self.sc.slot_of(stmt.array))
+        mark = len(self.unit.lines)
+        at = self.indices(stmt.indices)
+        value = self.expr(stmt.value)
+        if self.clock:
+            self.charge(ARRAY_WRITE)
+        self.access(f"_write({arr}, {at}, {value})", arr, stmt.array, mark,
+                    [*stmt.indices, stmt.value])
+
+    def write_if(self, stmt: A.If) -> None:
+        if self.clock:
+            self.charge(BRANCH)
+        mark = self.open(f"if {self.expr(stmt.cond)}:")
+        self.body(stmt.then_body, {})
+        self.shut(mark)
+        if stmt.else_body:
+            mark = self.open("else:")
+            self.body(stmt.else_body, {})
+            self.shut(mark)
+
+    def write_return(self, stmt: A.Return) -> None:
+        if self.loop_level:
+            raise ExecutionError("'return' inside a loop (interpreter bug)")
+        self.emit(f"return {self.expr(stmt.value)}")
+
+    def write_while(self, stmt: A.While) -> None:
+        guard = self.temp()
+        self.emit(f"{guard} = 0")
+        mark = self.open("while True:")
+        if self.clock:
+            self.charge(BRANCH)
+        self.emit(f"if not {self.expr(stmt.cond)}:")
+        self.emit("    break")
+        self.emit(f"{guard} += 1")
+        self.emit(f"if {guard} > 10000000:")
+        self.emit("    raise _Err('while loop ran 10M iterations')")
+        self.loop_body(stmt.body, {})
+        self.shut(mark)
+
+    def write_for(self, stmt: A.For) -> None:
+        first, last = self.expr(stmt.init), self.expr(stmt.limit)
+        block, rf = self.interp.partition_of(stmt)
+        hook = self.interp.iteration_hook(block)
+        if hook is not None:
+            hook = self.global_(hook, "hook")
+        if rf is not None:
+            return self.seam_loop(stmt, first, last, block, rf, hook)
+        var = self.new_slot(stmt.var)
+        self.indexes.add(var)
+        index = self.names[var]
+        if self.kinds.get(first) is not None:  # it counts from ``first``
+            self.kinds[index] = self.kinds[first]
+        mark = self.open(f"for {index} in "
+                         f"{self.indices_of(stmt, first, last)}:")
+        if self.clock:
+            self.charge(LOOP_ITER)
+        if hook is not None:
+            self.emit(f"{hook}({index})")
+        self.loop_body(stmt.body, {stmt.var: var})
+        self.shut(mark)
+
+    def indices_of(self, stmt: A.For, first: str, last: str) -> str:
+        """What a ``for`` from ``first`` to ``last`` iterates over."""
+        step = -1 if stmt.descending else 1
+        if self.kinds.get(first) is int and self.kinds.get(last) is int:
+            return f"range({first}, {last} + {step}, {step})"
+        return f"_span({first}, {last}, {step})"
+
+    def seam_loop(self, stmt: A.For, first: str, last: str, block,
+                  rf: tuple, hook: str | None) -> None:
+        """A Range-Filter ``for``: the iteration becomes a function of a
+        seam frame ``[init, limit, index, outer values...]``, which takes
+        the outer slots it reads from the frame and puts back the ones
+        it assigns; the loop itself is :meth:`Interpreter.run_for`'s."""
+        # Operands resolved where the ``for`` stands: a name bound later
+        # in the same scope must not capture one.
+        operands = [(kind, self.sc.slot_of(v) if kind == "n" else v)
+                    for kind, v in rf]
+        self.flush()  # the loop seam reads the clock
+        parent, unit = self.unit, _Unit(self.sc.size)
+        self.unit = unit
+        var = self.new_slot(stmt.var)
+        self.indexes.add(var)
+        if hook is not None:
+            self.emit(f"{hook}({self.names[var]})")
+        self.loop_body(stmt.body, {stmt.var: var})
+        self.flush()
+        self.unit = parent
+        outer = list(unit.free)
+        outer += [v for kind, v in operands if kind == "n" and v not in outer]
+        position = {slot: 3 + k for k, slot in enumerate(outer)}
+        unpack = ", ".join(["_", "_", self.names[var],
+                            *(self.names[slot] for slot in outer)])
+        unit.head.append(f"    {unpack} = frame")
+        unit.lines += [f"        frame[{position[slot]}] = {self.names[slot]}"
+                       for slot in unit.written]
+        body = f"_body{next(self.interp.serial)}"
+        self.defs.append((f"{body}(frame)", unit))
+
+        def operand(kind, v):
+            return itemgetter(position[v]) if kind == "n" \
+                else (lambda frame: v)
+        array, *fixed = [operand(kind, v) for kind, v in operands]
+        loop = Loop(stmt.descending, None, block, (array, tuple(fixed)))
+        self.loops.append((loop, body))
+        frame = self.temp()
+        values = [first, last, "None", *(self.read(slot) for slot in outer)]
+        self.emit(f"{frame} = [{', '.join(values)}]")
+        self.emit(f"_runfor({self.global_(loop, 'loop')}, {frame})")
+        for slot in unit.written:
+            self.emit(f"{self.assign(slot)} = {frame}[{position[slot]}]")
+
+    def loop_body(self, stmts: list[A.Stmt], scope: dict) -> None:
+        """One iteration: the body, then the ``next`` values the taken
+        branches assigned replace the carried variables (each resolved
+        where the loop statement stands).  A ``next`` at the top of the
+        body is assigned in every iteration; any other starts each one
+        unset."""
+        self.sc.loops.append({})
+        self.loop_level += 1
+        mark = len(self.unit.lines)
+        self.body(stmts, scope)
+        self.loop_level -= 1
+        definite = {s.name for s in stmts if type(s) is A.NextBind}
+        unset = []
+        for name, pending in self.sc.loops.pop().items():
+            local, carried = self.names[pending], self.assign(
+                self.sc.slot_of(name))
+            if name in definite:
+                self.emit(f"{carried} = {local}")
+                continue
+            unset.append(local)
+            self.emit(f"if {local} is not _UNSET:")
+            self.emit(f"    {carried} = {local}")
+        pad = "    " * self.unit.indent
+        self.unit.lines[mark:mark] = [f"{pad}{local} = _UNSET"
+                                      for local in unset]
+
+    # -- expressions: each returns the atom that holds its value ----------
+
+    def expr(self, e: A.Expr, into: str | None = None) -> str:
+        """Write ``e``; its value ends up in ``into`` when given and the
+        expression computes anything, else in the returned atom."""
+        return _WRITE_EXPR[type(e)](self, e, into)
+
+    def write_num(self, e: A.Num, into) -> str:
+        value = e.value
+        if isinstance(value, float) and not math.isfinite(value):
+            atom = self.global_(value, "k")
+        else:
+            atom = repr(value)
+            if atom.startswith("-"):
+                atom = f"({atom})"
+        self.kinds[atom] = type(value)
+        return atom
+
+    def write_var(self, e: A.Var, into) -> str:
+        return self.read(self.sc.slot_of(e.name))
+
+    def write_binop(self, e: A.BinOp, into) -> str:
+        return self.binary(e.op, e.left, e.right, e.loc, into)
+
+    def write_unop(self, e: A.UnOp, into) -> str:
+        return self.unary(e.op, e.operand, e.loc, into)
+
+    def binary(self, op: str, left: A.Expr, right: A.Expr, loc,
+               into: str | None) -> str:
+        a, b = self.expr(left), self.expr(right)
+        if self.clock:
+            self.charge_op(_BIN_COSTS[op], a, b)
+        t = into or self.temp(_BIN_KIND[op](self.kinds.get(a),
+                                            self.kinds.get(b)))
+        infix = _INFIX.get(BINARY_FUNCS[op])
+        self.guarded(f"{t} = {a} {infix} {b}" if infix
+                     else f"{t} = _b{op}({a}, {b})", loc, op)
+        return t
+
+    def unary(self, op: str, operand: A.Expr, loc, into: str | None) -> str:
+        a = self.expr(operand)
+        if self.clock:
+            self.charge_op(_UN_COSTS[op], a)
+        t = into or self.temp(_UN_KIND[op](self.kinds.get(a)))
+        prefix = _PREFIX.get(UNARY_FUNCS[op])
+        self.guarded(f"{t} = {prefix}{a}" if prefix
+                     else f"{t} = _u{op}({a})", loc, op)
+        return t
+
+    def write_ifexp(self, e: A.IfExp, into) -> str:
+        """One compare, then whichever arm is taken."""
+        if self.clock:
+            self.charge(BRANCH)
+        t = into or self.temp()
+        for header, arm in ((f"if {self.expr(e.cond)}:", e.then),
+                            ("else:", e.other)):
+            mark = self.open(header)
+            atom = self.expr(arm, t)
+            if atom != t:
+                self.emit(f"{t} = {atom}", pure=True)
+            self.shut(mark)
+        return t
+
+    def write_index(self, e: A.Index, into) -> str:
+        arr = self.read(self.sc.slot_of(e.array))
+        mark = len(self.unit.lines)
+        at = self.indices(e.indices)
+        t = into or self.temp()
+        if self.clock:
+            self.charge(ARRAY_READ)
+            line = f"{t} = _read({arr}, {at})"
+        else:  # no read hook either: the handle
+            line = f"{t} = {arr}.read({at})"
+        self.access(line, arr, e.array, mark, e.indices)
+        return t
+
+    def indices(self, subs: list[A.Expr]) -> str:
+        atoms = [self.expr(sub) for sub in subs]
+        return f"({atoms[0]},)" if len(atoms) == 1 else f"({', '.join(atoms)})"
+
+    def write_call(self, e: A.Call, into) -> str:
+        if e.name in A.UNARY_BUILTINS:
+            return self.unary(e.name, e.args[0], e.loc, into)
+        if e.name in A.BINARY_BUILTINS:
+            return self.binary(e.name, *e.args, None, into)
+        args = [self.expr(arg) for arg in e.args]
+        t = into or self.temp()
+        if e.name in A.ALLOC_BUILTINS:
+            if self.clock:
+                self.charge(T.ALLOC_ARRAY)
+            self.emit(f"{t} = _alloc(({', '.join(args)},))")
+            return t
+        if e.name not in self.interp.program.functions:
+            raise ExecutionError(f"call to unknown {e.name!r}")
+        callee = self.interp.fn_keys[e.name]
+        args = ", ".join([f"{self.read(0)} + 1", *args])
+        self.emit(f"{t} = {callee}({args})")
+        return t
+
+
+_WRITE_STMT = {A.Bind: _Writer.write_bind, A.NextBind: _Writer.write_next,
+               A.ArrayWrite: _Writer.write_array_write, A.If: _Writer.write_if,
+               A.Return: _Writer.write_return, A.For: _Writer.write_for,
+               A.While: _Writer.write_while}
+_WRITE_EXPR = {A.Num: _Writer.write_num, A.Var: _Writer.write_var,
+               A.BinOp: _Writer.write_binop, A.UnOp: _Writer.write_unop,
+               A.IfExp: _Writer.write_ifexp, A.Index: _Writer.write_index,
+               A.Call: _Writer.write_call}
 
 
 class PartitionedInterpreter(Interpreter):
@@ -569,35 +905,27 @@ class PartitionedInterpreter(Interpreter):
         self.block_of = {id(b.ast_ref): b for b in graph.loop_blocks()
                          if b.ast_ref is not None}
 
-    def compile_for(self, stmt: A.For, sc: Scopes) -> Loop:
-        loop = super().compile_for(stmt, sc)
-        block = loop.block = self.block_of.get(id(stmt))
-        if block is not None and block.distributed \
-                and block.range_filter is not None:
-            rf = block.range_filter
-            loop.rf = (self._operand(block, rf.array_vid, sc),
-                       tuple(self._operand(block, v, sc)
-                             for v in rf.fixed_vids))
-        return loop
+    def partition_of(self, stmt) -> tuple[Any, tuple | None]:
+        block = self.block_of.get(id(stmt))
+        if block is None or not block.distributed \
+                or block.range_filter is None:
+            return block, None
+        rf = block.range_filter
+        return block, tuple(self._operand(block, vid)
+                            for vid in (rf.array_vid, *rf.fixed_vids))
 
     def range_filter_of(self, loop: Loop, frame: list):
-        """``(block, array, fixed indices)`` when ``loop`` is a
-        distributed loop with a Range Filter, else None."""
-        if loop.rf is None:
-            return None
+        """``(block, array, fixed indices)`` of a Range-Filter loop."""
         array, fixed = loop.rf
         return loop.block, array(frame), tuple(f(frame) for f in fixed)
 
-    def _operand(self, block: ir.CodeBlock, vid: int, sc: Scopes) -> Callable:
-        """``frame -> value`` of a Range-Filter operand.  Resolved while
-        ``sc`` still stands at the ``for``: a name bound later in the
-        same scope must not capture it."""
+    def _operand(self, block: ir.CodeBlock, vid: int) -> tuple[str, Any]:
+        """A Range-Filter operand: ``("k", constant)`` or ``("n", name)``."""
         d = block.defs[vid]
         if isinstance(d, ir.ConstDef):
-            value = d.value
-            return lambda frame: value
+            return "k", d.value
         if isinstance(d, (ir.ParamDef, ir.IndexDef)) and d.name:
-            return itemgetter(sc.slot_of(d.name))
+            return "n", d.name
         raise ExecutionError(f"cannot resolve vid {vid} of {block.name}")
 
 

@@ -67,12 +67,13 @@ class PEClocks(Clock):
         self.times = [0.0] * num_pes
         self.ctx: int | str = "all"
 
-    def charge(self, cost: float) -> None:
-        if self.ctx == "all":
-            for p in range(len(self.times)):
-                self.times[p] += cost
-        else:
-            self.times[self.ctx] += cost
+    def charge(self, *costs: float) -> None:
+        for cost in costs:
+            if self.ctx == "all":
+                for p in range(len(self.times)):
+                    self.times[p] += cost
+            else:
+                self.times[self.ctx] += cost
 
     def wait_until(self, t: float) -> None:
         if self.ctx == "all":
@@ -138,8 +139,7 @@ class StaticInterpreter(PartitionedInterpreter):
     # -- distributed loops --------------------------------------------------
 
     def run_for(self, loop: Loop, frame: list) -> None:
-        init = loop.init(frame)
-        limit = loop.limit(frame)
+        init, limit = frame[0], frame[1]
         step = -1 if loop.descending else 1
         found = (self.range_filter_of(loop, frame)
                  if self.clocks.ctx == "all" else None)
@@ -166,8 +166,8 @@ class StaticInterpreter(PartitionedInterpreter):
             self.clocks.ctx = "all"
 
     # -- array hooks -------------------------------------------------------
-    # The flat access charge is already on the clock (the calling closure
-    # fuses it in); what these add is where the element lives.
+    # The flat access charge is already on the clock (the generated code
+    # writes it in); what these add is where the element lives.
 
     def on_array_read(self, arr: SeqArray, indices: tuple) -> Any:
         header = self.header_for(arr)

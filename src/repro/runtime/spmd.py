@@ -34,19 +34,24 @@ counters, with whatever a read needs bound into the handle — and
 :meth:`alloc_shared`, which builds one.
 
 The base interpreter is compile-once (:mod:`repro.baseline.sequential`):
-the loop seam overridden here, ``run_for(loop, frame)``, takes the
-compiled :class:`~repro.baseline.sequential.Loop` and the activation's
-slot frame, and the program's closures capture the bound ``on_*`` hooks
-when a function is first *called*.  So a substrate may finish its own
-``__init__`` after ``super().__init__`` returns, but must not rebind a
-hook once ``run`` has started.
+each function is written out as the source of one Python function over
+locals on its first *call*, each loop a Python ``for`` — except a loop
+with a Range Filter, which crosses the seam overridden here,
+``run_for(loop, frame)``: it takes the
+:class:`~repro.baseline.sequential.Loop` and a seam frame holding the
+loop's bounds and the values its generated body reads.  The generated
+code calls the ``on_*`` hooks through globals bound when ``run`` first
+starts, so a substrate may finish its own ``__init__`` after
+``super().__init__`` returns, but must not rebind a hook once ``run``
+has started.
 
 A worker runs the program, not the cost model: both substrates report
-measured wall time only, so the core passes no clock and its closures
-are compiled without the charges ``seq`` and ``static`` fuse in.  The
-``iter`` fault trigger is likewise compiled into a loop's body only when
-the process's plan holds a clause (:meth:`SpmdInterpreter.compile_for`);
-an iteration is otherwise ``run_for_range``'s frame store and body call.
+measured wall time only, so the core passes no clock and its code is
+generated without the charges ``seq`` and ``static`` write in.  The
+``iter`` fault trigger is likewise written into every ``for`` iteration
+only when the process's plan holds a clause
+(:meth:`SpmdInterpreter.iteration_hook`); an iteration is otherwise the
+generated loop's own code.
 
 The telemetry record, its registry fold and its table live here too
 (both backends report the same fields about the same model), as do the
@@ -124,22 +129,16 @@ class SpmdInterpreter(PartitionedInterpreter):
 
     # -- loops ------------------------------------------------------------
 
-    def compile_for(self, stmt, sc) -> Loop:
-        loop = super().compile_for(stmt, sc)
-        if self.injector.planned:
-            # A clause of any generation: a takeover re-arms the trigger
-            # under a running executor, whose loops are already compiled.
-            body, fire = loop.body, self.injector.fire
-
-            def faulted(frame):
-                fire("iter")
-                body(frame)
-            loop.body = faulted
-        return loop
+    def iteration_hook(self, block):
+        if not self.injector.planned:
+            return None
+        # A clause of any generation: a takeover re-arms the trigger
+        # under a running executor, whose loops are already generated.
+        fire = self.injector.fire
+        return lambda index: fire("iter")
 
     def run_for(self, loop: Loop, frame: list) -> None:
-        init = loop.init(frame)
-        limit = loop.limit(frame)
+        init, limit = frame[0], frame[1]
         step = -1 if loop.descending else 1
         found = (None if self.in_distributed
                  else self.range_filter_of(loop, frame))

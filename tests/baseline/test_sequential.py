@@ -1,7 +1,12 @@
 """Tests for the sequential reference interpreter."""
 
+import sys
+
 import pytest
 
+from repro.apps import compile_matmul, compile_simple
+from repro.baseline.static_pr import StaticInterpreter
+from repro.common.config import MachineConfig, SimConfig
 from repro.common.errors import (
     BoundsViolation,
     ExecutionError,
@@ -285,6 +290,74 @@ class TestCostModel:
         assert charged.time_us > 0 and bare.time_us is None
         with pytest.raises(ExecutionError, match="call depth over"):
             Interpreter(tree).run((12,))
+
+
+class TestHostWorkBudget:
+    """A standing budget for the Python work of a clock-bearing run: Python
+    calls (``sys.setprofile`` ``"call"`` events — builtins are not frames)
+    over a whole run, divided by the loop iterations it executed (counted
+    by an :meth:`~repro.baseline.sequential.Interpreter.iteration_hook` in
+    a separate run).  Every run of charges and, on ``static``, every array
+    hook is a call, so these hold the generated code and the cost model's
+    Python work together; a perf change tightens the bound it moved."""
+
+    # name -> (program, args, {backend: bound}).  Over the closure
+    # compiler: matmul 15.62 (seq) / 27.16 (static, 4 PEs), SIMPLE 90.0 /
+    # 137.1.  Generated, a run of charges one call: 7.24 / 18.80 and
+    # 43.74 / 92.20.
+    BUDGETS = {
+        "matmul": (lambda: compile_matmul(checksum=True), (12,),
+                   {"seq": 7.4, "static": 19.2}),
+        "simple": (lambda: compile_simple(), (8, 1),
+                   {"seq": 44.6, "static": 94.0}),
+    }
+
+    @pytest.mark.parametrize("backend", ["seq", "static"])
+    @pytest.mark.parametrize("name", sorted(BUDGETS))
+    def test_calls_per_iteration(self, name, backend):
+        build, args, bounds = self.BUDGETS[name]
+        program = build()
+        per_iteration = self.calls(program, args, backend) \
+            / self.iterations(program, args)
+        assert per_iteration <= bounds[backend], per_iteration
+
+    @staticmethod
+    def interpreter(program, backend):
+        if backend == "seq":
+            return Interpreter(program.ast, Clock())
+        config = SimConfig(machine=MachineConfig(num_pes=4))
+        return StaticInterpreter(program.ast, program.graph, config)
+
+    @staticmethod
+    def iterations(program, args) -> int:
+        class Counting(Interpreter):
+            count = 0
+
+            def iteration_hook(self, block):
+                def counted(index):
+                    self.count += 1
+                return counted
+
+        interp = Counting(program.ast, Clock())
+        interp.run(args)
+        return interp.count
+
+    def calls(self, program, args, backend) -> int:
+        interp = self.interpreter(program, backend)
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            interp.run(args)
+        finally:
+            sys.setprofile(previous)
+        return calls
 
 
 class TestAgreementWithSimulator:

@@ -30,7 +30,11 @@ zero is the program's error on every substrate (not a ``worker-failure``
 because a worker reported it), and the two powers Python refuses with
 exceptions of its own (``0.0 ^ -1``, ``10.0 ^ 400``) are the same
 ``ExecutionError`` a fractional power of a negative base is — never
-``internal``.
+``internal``.  So is a unary operator or builtin applied to an array
+(``sqrt(B)``): the same ``ExecutionError`` naming the source location
+and the operator that a binary operator's type error is, on every
+substrate — never ``internal`` on ``seq`` nor a ``worker-failure`` on
+``parallel``.
 
 A fault plan the run cannot honour — malformed, not a spec at all, or
 addressed to a PE / worker / node the run does not have — is a
@@ -135,13 +139,22 @@ CASES = {
     "div-zero": "function main(n) { return n / 0; }",
     "zero-to-negative-power": "function main(n) { return 0.0 ^ (0 - 1); }",
     "pow-overflow": "function main(n) { return 10.0 ^ 400; }",
+    "unary-type": """
+        function main(n) {
+            B = array(n);
+            for i = 1 to n { B[i] = i * 1.0; }
+            A = array(n);
+            A[1] = sqrt(B);
+            return A[1];
+        }
+    """,
 }
 # Case name -> taxonomy code, where the name is not the code itself.
 CODES = {"float-subscript": "bounds", "bool-subscript": "bounds",
          "zero-extent": "execution", "fractional-extent": "execution",
          "bool-extent": "execution", "huge-extent": "execution",
          "div-zero": "execution", "zero-to-negative-power": "execution",
-         "pow-overflow": "execution"}
+         "pow-overflow": "execution", "unary-type": "execution"}
 
 BACKENDS = ("sim", "seq", "static", "parallel")
 

@@ -14,16 +14,18 @@ width, ascending and descending, one identity per interpreter or several
 * the assembled array equals the sequential interpreter's;
 * replicated code (outside any distributed loop) writes each element
   once, at its owner — the location rule;
-* the core keeps no modeled time, and the closures it compiles without
-  the cost model compute what ``seq``'s charged ones do;
-* the ``iter`` fault trigger is compiled into the loops exactly when the
+* the core keeps no modeled time, and the code it generates without the
+  cost model computes what ``seq``'s charged code does;
+* the ``iter`` fault trigger is written into the loops exactly when the
   plan holds a clause, and ``iter``/``write`` clauses act at their counts;
+* a failing worker's traceback shows the generated line it failed on;
 * over real shared-memory handles, an element read costs the host no
   more Python frames than its budget.
 """
 
 import os
 import sys
+import traceback
 from types import SimpleNamespace
 
 import pytest
@@ -127,19 +129,19 @@ class PlainSpmd(SpmdInterpreter):
     def alloc_shared(self, seq, dims):
         return PlainArray(seq, dims, self.width, self.store)
 
-    def compile_for(self, stmt, sc):
-        # A distributed loop's iterations are noted in front of its body,
-        # the way the ``iter`` trigger joins it.
-        loop = super().compile_for(stmt, sc)
-        if loop.block is not None and loop.block.distributed:
-            body, var, name = loop.body, loop.var, loop.block.name
-            executed = self.executed
+    def iteration_hook(self, block):
+        # A distributed loop's iterations are noted at the top of each,
+        # where the ``iter`` trigger is called.
+        fire = super().iteration_hook(block)
+        if block is None or not block.distributed:
+            return fire
+        executed, name = self.executed, block.name
 
-            def noted(frame):
-                executed.append((name, frame[var]))
-                body(frame)
-            loop.body = noted
-        return loop
+        def noted(index):
+            executed.append((name, index))
+            if fire is not None:
+                fire(index)
+        return noted
 
 
 def _groups(width: int, takeover: bool) -> list[tuple[int, ...]]:
@@ -282,11 +284,11 @@ def test_telemetry_sums_the_store_counters_and_renders():
     assert telemetry_table(stats).startswith("worker  wall(s)")
 
 
-# -- the clock-less closures, against ``seq`` ----------------------------
+# -- the clock-less code, against ``seq`` --------------------------------
 #
-# A worker's closures are compiled without the cost model, so each one
-# has a second body that only ``parallel`` and ``dist`` execute.  Between
-# them these programs run every such body.  The identities run one after
+# A worker's code is generated without the cost model, so each construct
+# has a second form that only ``parallel`` and ``dist`` execute.  Between
+# them these programs run every such form.  The identities run one after
 # another here, so an element is only ever read by the iteration that
 # wrote it (or from an array private to that iteration).
 
@@ -362,6 +364,44 @@ def test_type_error_text_is_the_sequential_one():
         PlainSpmd(program, (0,), 1, {}).run((3,))
     assert str(spmd.value) == str(seq.value)
     assert ": add: unsupported operand" in str(seq.value)
+
+
+DIV_ZERO = """
+function main(n) {
+    A = array(n);
+    for i = 1 to n { A[i] = 10 / (i - n); }
+    return A[1];
+}"""
+
+
+def _failing_line(detail: str) -> str:
+    """The source line a traceback shows under its last generated frame."""
+    lines = detail.splitlines()
+    at = max(k for k, line in enumerate(lines) if "<idlite:main>" in line)
+    return lines[at + 1].strip()
+
+
+def test_a_traceback_shows_the_generated_line():
+    with pytest.raises(ExecutionError) as info:
+        PlainSpmd(compile_source(DIV_ZERO), (0,), 1, {}).run((4,))
+    detail = "".join(traceback.format_exception(info.value))
+    assert 'File "<idlite:main>", line' in detail
+    assert "_bdiv(10, " in _failing_line(detail)
+
+
+def test_a_failing_workers_report_shows_the_generated_line():
+    from repro.common.config import ParallelConfig
+    from repro.common.errors import ParallelExecutionError
+    from repro.common.retry import RetryPolicy
+
+    config = ParallelConfig(workers=2, retry=RetryPolicy(enabled=False),
+                            timeout_s=20.0)
+    with pytest.raises(ParallelExecutionError) as info:
+        compile_source(DIV_ZERO).run((8,), backend="parallel", config=config)
+    failed = [f for f in info.value.failures if f.kind == "error"]
+    assert failed and failed[0].code == "execution"
+    assert "division by zero" in failed[0].detail
+    assert "_bdiv(10, " in _failing_line(failed[0].detail)
 
 
 # -- the ``iter`` trigger joins a loop only under a plan ------------------
@@ -452,17 +492,19 @@ class TestSpmdHostWorkBudget:
     ``TestHostWorkBudget``: Python frames entered over the whole run,
     divided by the element reads the handles counted.  What a worker
     pays per element is interpreter frames (docs/parallel.md, "Where a
-    worker's time goes"), so a change to the closures or to a store's
-    ``read`` is held to this count.  Builtin calls are not frames and
+    worker's time goes"), so a change to the generated code or to a
+    store's ``read`` is held to this count.  Builtin calls are not frames and
     are not counted."""
 
     # Rank 2, matmul n = 24: 7.39 with a loop seam, an index lambda and a
-    # separate offset frame; 4.78 with all three gone.
-    RANK2_CALLS_PER_READ = 5.0
-    # Rank 1, Livermore hydro n = 64 (256 reads, so allocation weighs
-    # in): 15.38 when set, held at 17.05 — its cost with the offset in a
-    # frame of its own — so rank 2 is never bought with rank 1.
-    RANK1_CALLS_PER_READ = 17.05
+    # separate offset frame; 4.78 with all three gone but the closures;
+    # 1.32 with each function generated as one Python function (the read
+    # is the only frame of a ``k`` step).
+    RANK2_CALLS_PER_READ = 1.35
+    # Rank 1, Livermore hydro n = 64 (256 reads, so allocation and
+    # writing the source out weigh in): 15.37 over the closures, 7.97
+    # generated.
+    RANK1_CALLS_PER_READ = 8.3
 
     def test_rank2_matmul(self):
         from repro.apps import compile_matmul

@@ -1,7 +1,7 @@
 """The front end's handler tables cover every node class they dispatch on.
 
-The builder, semantic analysis, validator and translator look a handler
-up by ``type(node)``.  That is only right while every AST node, region
+The builder, semantic analysis, validator, translator and the
+interpreter's source generator look a handler up by ``type(node)``.  That is only right while every AST node, region
 item and def class is a leaf class with its own entry: a subclass, or a
 new class missing from a table, would import cleanly and fail only when
 a program that uses it compiles.
@@ -13,6 +13,7 @@ import inspect
 from importlib import import_module
 from typing import get_args
 
+from repro.baseline import sequential
 from repro.graph import builder, ir
 from repro.lang import ast_nodes as A
 from repro.lang import semantics
@@ -52,6 +53,8 @@ def test_every_expression_and_statement_has_its_handlers():
     assert set(semantics._CHECK_EXPR) == EXPRS
     assert set(builder._BUILD_STMT) == STMTS
     assert set(semantics._CHECK_STMT) == STMTS
+    assert set(sequential._WRITE_EXPR) == EXPRS
+    assert set(sequential._WRITE_STMT) == STMTS
 
 
 def test_every_item_has_its_handlers():

@@ -21,19 +21,19 @@ semantic change would again have to be made twice.
 
 And the AST interpreter decodes once: under ``repro/{baseline,runtime,
 parallel,dist}`` only ``baseline/sequential.py`` names an ``ast_nodes``
-expression or statement class, and there only its ``compile_*`` methods
-do — not the closures they build, not the ``run_*`` seams, not the
-``on_*`` hooks.  An ``isinstance(stmt, A.For)`` anywhere else is the
-per-evaluation dispatch ladder growing back.
+expression or statement class, and there only its source generator
+does — the methods of ``_Writer`` and its two dispatch tables — not the
+``run_*`` seams, not the ``on_*`` hooks.  An ``isinstance(stmt, A.For)``
+anywhere else is the per-evaluation dispatch ladder growing back.
 
 And modeled time belongs to the interpreters that report it: nothing
 under ``repro/{runtime,parallel,dist}`` names ``Clock`` (a worker runs
 the program, not the cost model), and in ``baseline/sequential.py`` the
-clock is only ever touched directly inside the ``compile_*`` methods,
-``branch``, ``run_for_range`` and ``call_function`` — never in a closure
-they build (whatever its name) nor in an ``on_*`` hook, which would be
-looking the clock up per evaluation instead of having the charge
-compiled in or out.
+clock is only ever touched directly by the generator's methods (which
+write a charge into the source or leave it out), by ``bind_namespace``
+(which binds ``clock.charge`` into the generated code's globals once)
+and by ``run_for_range`` — never in a nested function or lambda nor in
+an ``on_*`` hook, which would be looking the clock up per evaluation.
 
 And a node has one I-structure memory: ``dist/memory.py`` is the pure
 unit — it imports no ``asyncio``, ``socket``, ``concurrent``, ``time``
@@ -222,8 +222,29 @@ def _node_class_refs(path: str) -> list[tuple[str, str]]:
     return found
 
 
-def test_only_the_compile_functions_see_ast_node_classes():
+def _generator(tree: ast.Module) -> tuple[set[str], set[int]]:
+    """The method names of ``_Writer`` and the source lines of its
+    module-level dispatch tables (``_WRITE_STMT``, ``_WRITE_EXPR``)."""
+    methods, lines = set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == "_Writer":
+            methods = {f.name for f in node.body
+                       if isinstance(f, ast.FunctionDef)}
+        elif isinstance(node, ast.Assign) and any(
+                getattr(t, "id", "") in ("_WRITE_STMT", "_WRITE_EXPR")
+                for t in node.targets):
+            lines |= set(range(node.lineno, node.end_lineno + 1))
+    return methods, lines
+
+
+SEQUENTIAL = os.path.join(os.path.dirname(repro.__file__), "baseline",
+                          "sequential.py")
+
+
+def test_only_the_source_generator_sees_ast_node_classes():
     root = os.path.dirname(repro.__file__)
+    with open(SEQUENTIAL) as fh:
+        methods, tables = _generator(ast.parse(fh.read(), SEQUENTIAL))
     offenders, decoders = {}, set()
     for package in ("baseline", "runtime", "parallel", "dist"):
         for fname in sorted(os.listdir(os.path.join(root, package))):
@@ -231,16 +252,21 @@ def test_only_the_compile_functions_see_ast_node_classes():
                 continue
             refs = _node_class_refs(os.path.join(root, package, fname))
             if (package, fname) == ("baseline", "sequential.py"):
-                decoders = {fn for fn, _ in refs if fn.startswith("compile_")}
-                refs = [r for r in refs if r[0] not in decoders]
+                decoders = {fn for fn, ref in refs if fn in methods or (
+                    fn == "<module>"
+                    and int(ref.split(":")[1]) in tables)}
+                refs = [(fn, ref) for fn, ref in refs
+                        if fn not in methods and not (
+                            fn == "<module>"
+                            and int(ref.split(":")[1]) in tables)]
             if refs:
                 offenders[f"{package}/{fname}"] = refs
     assert not offenders, (
         f"AST node classes named outside the decoder: {offenders}; resolve "
-        "it in a compile_* method of baseline/sequential.py and capture "
-        "the result in the closure instead")
+        "it in a _Writer method of baseline/sequential.py and write the "
+        "result into the generated source instead")
     # The gate is not vacuous: the decoder is where it is looked for.
-    assert {"compile_stmt", "compile_expr"} <= decoders
+    assert {"write_for", "loop_body", "<module>"} <= decoders
 
 
 def test_the_wall_clock_substrates_do_not_name_the_cost_clock():
@@ -264,30 +290,27 @@ def test_the_wall_clock_substrates_do_not_name_the_cost_clock():
         "pass the interpreter no clock instead")
 
 
-CHARGING = {"branch", "run_for_range", "call_function"}
+CHARGING = {"bind_namespace", "run_for_range"}
 
 
-def test_no_closure_looks_the_clock_up_at_run_time():
-    path = os.path.join(os.path.dirname(repro.__file__), "baseline",
-                        "sequential.py")
-    with open(path) as fh:
-        tree = ast.parse(fh.read(), path)
+def test_nothing_looks_the_clock_up_at_run_time():
+    with open(SEQUENTIAL) as fh:
+        tree = ast.parse(fh.read(), SEQUENTIAL)
+    methods, _ = _generator(tree)
     # ``chain[1:]``: the functions around the reference, methods first.
     found = [(chain[1:], node.lineno) for node, chain in _by_function(tree)
              if isinstance(node, ast.Attribute)
              and node.attr in ("clock", "charge")]
     offenders = [(".".join(fns), line) for fns, line in found
-                 if len(fns) != 1  # a closure, even one named ``run``
-                 or not (fns[0] in CHARGING | {"__init__", "run"}
-                         or fns[0].startswith("compile_"))]
+                 if len(fns) != 1  # a nested function or a lambda
+                 or fns[0] not in CHARGING | methods | {"__init__", "run"}]
     assert not offenders, (
-        f"the clock touched outside the decoder and the seams: {offenders}; "
-        "capture it where the closure is built (or build the closure "
-        "without it when there is no clock)")
+        f"the clock touched outside the generator and the seams: "
+        f"{offenders}; write the charge into the generated source (or "
+        "leave it out when there is no clock)")
     # Not vacuous: every charging site is where it is looked for.
     sites = {fns[0] for fns, _ in found}
-    assert CHARGING | {"compile_stmt", "compile_expr", "compile_binary"} \
-        <= sites
+    assert CHARGING | {"write_for", "write_index", "binary"} <= sites
 
 
 def test_the_node_memory_is_pure():
