@@ -456,9 +456,13 @@ class _Writer:
         for k, param in enumerate(fn.params):
             self.names[k + 1] = self.local(param, k + 1)
         # Atom -> its type, where the writer knows it: literals, ``for``
-        # indices and temporaries computed from them.
+        # indices, and temporaries and names computed from them.
         self.kinds: dict[str, type] = {}
         self.indexes: set[int] = set()  # slots of ``for`` indices
+        # Locals bound once per pass that no ``next`` reassigns: their
+        # type is their expression's.
+        self.steady: set[str] = set()
+        self.carried = set(self.carried_names(fn.body))
         self.temps = count(1)
         self.loop_level = 0
         self.unit = _Unit(0)
@@ -524,12 +528,8 @@ class _Writer:
         self.interp.namespace[key] = value
         return key
 
-    def temp(self, kind: type | None = None) -> str:
-        """A new temporary, of type ``kind`` when known."""
-        t = f"_{next(self.temps)}"
-        if kind is not None:
-            self.kinds[t] = kind
-        return t
+    def temp(self) -> str:
+        return f"_{next(self.temps)}"
 
     def new_slot(self, name: str) -> int:
         slot = self.sc.new_slot()
@@ -604,13 +604,18 @@ class _Writer:
         self.emit(line)
 
     def safe(self, e: A.Expr) -> bool:
-        """Whether evaluating ``e`` cannot raise: a sum, difference or
-        product of constants and ``for`` indices, which are numbers."""
+        """Whether evaluating ``e`` cannot raise: ``+``, ``-``, ``*``,
+        ``min`` or ``max`` of numbers — constants, ``for`` indices and
+        names the writer knows the type of."""
         if type(e) is A.BinOp:
             return e.op in ("add", "sub", "mul") \
                 and self.safe(e.left) and self.safe(e.right)
-        return type(e) is A.Num or (
-            type(e) is A.Var and self.sc.slot_of(e.name) in self.indexes)
+        if type(e) is A.Call:
+            return e.name in A.BINARY_BUILTINS and all(map(self.safe, e.args))
+        if type(e) is A.Var:
+            slot = self.sc.slot_of(e.name)
+            return slot in self.indexes or self.names[slot] in self.kinds
+        return type(e) is A.Num
 
     # -- statements -----------------------------------------------------
 
@@ -630,11 +635,31 @@ class _Writer:
         slot = names.get(name)
         if slot is None:
             slot = self.new_slot(name)
+            if names is self.sc.chain[-1] and name not in self.carried:
+                self.steady.add(self.names[slot])
         target = self.assign(slot)
         atom = self.expr(value, target)
         if atom != target:
             self.emit(f"{target} = {atom}", pure=True)
+            self.typed(target, self.kinds.get(atom))
         names[name] = slot
+
+    def typed(self, local: str, kind: type | None) -> None:
+        """Note that ``local`` holds a ``kind``, where it stays one."""
+        if kind is not None and (local in self.steady
+                                 or local[1:].isdigit()):  # a temporary
+            self.kinds[local] = kind
+
+    @staticmethod
+    def carried_names(stmts: list[A.Stmt]):
+        """Every name a ``next`` in ``stmts`` carries."""
+        for s in stmts:
+            if type(s) in (A.For, A.While):
+                yield from s.carried
+                yield from _Writer.carried_names(s.body)
+            elif type(s) is A.If:
+                yield from _Writer.carried_names(s.then_body)
+                yield from _Writer.carried_names(s.else_body)
 
     def write_bind(self, stmt: A.Bind) -> None:
         self.store(self.sc.chain[-1], stmt.name, stmt.value)
@@ -815,8 +840,8 @@ class _Writer:
         a, b = self.expr(left), self.expr(right)
         if self.clock:
             self.charge_op(_BIN_COSTS[op], a, b)
-        t = into or self.temp(_BIN_KIND[op](self.kinds.get(a),
-                                            self.kinds.get(b)))
+        t = into or self.temp()
+        self.typed(t, _BIN_KIND[op](self.kinds.get(a), self.kinds.get(b)))
         infix = _INFIX.get(BINARY_FUNCS[op])
         self.guarded(f"{t} = {a} {infix} {b}" if infix
                      else f"{t} = _b{op}({a}, {b})", loc, op)
@@ -826,7 +851,8 @@ class _Writer:
         a = self.expr(operand)
         if self.clock:
             self.charge_op(_UN_COSTS[op], a)
-        t = into or self.temp(_UN_KIND[op](self.kinds.get(a)))
+        t = into or self.temp()
+        self.typed(t, _UN_KIND[op](self.kinds.get(a)))
         prefix = _PREFIX.get(UNARY_FUNCS[op])
         self.guarded(f"{t} = {prefix}{a}" if prefix
                      else f"{t} = _u{op}({a})", loc, op)

@@ -303,8 +303,8 @@ class TestHostWorkBudget:
 
     # name -> (program, args, {backend: bound}).  Over the closure
     # compiler: matmul 15.62 (seq) / 27.16 (static, 4 PEs), SIMPLE 90.0 /
-    # 137.1.  Generated, a run of charges one call: 7.24 / 18.80 and
-    # 43.74 / 92.20.
+    # 137.1.  Generated, a run of charges one call: 7.25 / 18.82 and
+    # 44.15 / 92.61.
     BUDGETS = {
         "matmul": (lambda: compile_matmul(checksum=True), (12,),
                    {"seq": 7.4, "static": 19.2}),

@@ -502,7 +502,7 @@ class TestSpmdHostWorkBudget:
     # is the only frame of a ``k`` step).
     RANK2_CALLS_PER_READ = 1.35
     # Rank 1, Livermore hydro n = 64 (256 reads, so allocation and
-    # writing the source out weigh in): 15.37 over the closures, 7.97
+    # writing the source out weigh in): 15.37 over the closures, 8.05
     # generated.
     RANK1_CALLS_PER_READ = 8.3
 
