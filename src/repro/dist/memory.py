@@ -11,8 +11,8 @@ that computes and the loop that serves peers.
 
 The unit is pure: no asyncio, no sockets, no futures, no clock.  Waiter
 records go in opaque and every method returns *what to do* — the
-waiters a write released, a page's present elements, a snapshot, the
-drained replay count — for the caller to act on outside the lock.  A
+waiters a write released, the run a read reply carries, a snapshot,
+the drained replay count — for the caller to act on outside the lock.  A
 peer's frame can name an array before this node's executor allocates
 it, so a segment starts empty and grows by whole pages as it is touched.
 """
@@ -69,13 +69,24 @@ class NodeMemory:
                 seg.defer(off, waiter)
             return value
 
-    def page(self, a: int, off: int) -> dict[int, Any]:
-        """``{offset: value}`` of ``off``'s page: a read reply."""
+    def page(self, a: int, off: int, n: int) -> tuple[int, list]:
+        """A read reply: ``(lo, values)``, the run of up to ``n`` elements
+        that starts at ``off``'s page (at ``off``'s ``n``-aligned slice
+        of it when a page is longer than ``n``).  An absent element is
+        None (program values are numbers, never None); the run is
+        clipped to what this node stores and ends at its last present
+        element, so an array no frame has named yet gives ``[]``."""
         lo = off // self.page_size * self.page_size
+        lo += (off - lo) // n * n
         with self._lock:
-            cells = self._segment(a, off).snapshot_page(
-                lo, lo + self.page_size)
-        return {lo + k: v for k, v in enumerate(cells) if v is not ABSENT}
+            seg = self._segments.get(a)
+            cells = seg.snapshot_page(lo, lo + n) if seg is not None else []
+        values = [None if v is ABSENT else v for v in cells]
+        end = len(values)
+        while end and values[end - 1] is None:
+            end -= 1
+        del values[end:]
+        return lo, values
 
     def seed(self, a: int, off: int, value: Any) -> None:
         """Pre-store a checkpointed element; monotone (present stays)."""

@@ -29,9 +29,11 @@ non-replay write is a :class:`SingleAssignmentViolation`; a replay
 write of an already-present element is *verified* against the stored
 value instead (the idempotence that makes takeover re-execution safe).
 A read misses the node-local cache, then becomes a genuine split-phase
-exchange: a ``read`` request to the owner, answered with every present
-element of the requested *page* (page-grain caching), or deferred
-owner-side until the write arrives.  A read that nothing will ever
+exchange: a ``read`` request to the owner, answered with a run of the
+owner's elements that starts at the requested element's page and grows
+with each miss of the same handle (the read window), or deferred
+owner-side until the write arrives and then answered with that one
+element.  A read that nothing will ever
 satisfy times out as a structured
 :class:`~repro.common.errors.DeferredReadTimeout` — the distributed
 face of deadlock.
@@ -60,6 +62,11 @@ from repro.dist.transport import (COORD, Endpoint, encode_frame,
 from repro.runtime.arrays import ArrayHeader, check_extents, index_fn
 from repro.runtime.spmd import SpmdInterpreter, sigterm_default
 
+# The longest run a read may ask for, in elements (64 pages of 32): it
+# bounds a reply's frame and the owner's time encoding it, whatever the
+# page size.
+_RUN_CAP = 2048
+
 # ``DistArray.read`` after the index rule: count, then the node's read
 # cache (program values are numbers, never None), then the miss path.
 _DIST_READ = """\
@@ -79,11 +86,17 @@ class DistArray:
     :func:`~repro.runtime.arrays.index_fn`: the index rule for this
     handle's rank, the counter and the cache's ``dict.get`` in one
     Python frame, then the miss path.
+
+    ``window`` is how many elements this handle's next remote miss asks
+    the owner for: one page at first (at most ``_RUN_CAP``), doubled by
+    each remote miss up to ``_RUN_CAP``, so a scan that keeps missing
+    fetches runs that grow with it while a one-off miss costs one page.
     """
 
     __slots__ = ("runtime", "seq", "replay", "dims", "header", "name",
                  "cache", "read", "reads", "writes", "deferred_reads",
-                 "spin_wait_s", "max_spin_wait_s", "pages_touched")
+                 "spin_wait_s", "max_spin_wait_s", "pages_touched",
+                 "window")
 
     def __init__(self, runtime: "NodeRuntime", seq: int,
                  dims: tuple[int, ...], replay: bool = False) -> None:
@@ -107,6 +120,7 @@ class DistArray:
         self.spin_wait_s = 0.0
         self.max_spin_wait_s = 0.0
         self.pages_touched: set[int] = set()
+        self.window = min(runtime.cfg.page_size, _RUN_CAP)
         self.cache = cache = runtime.caches.setdefault(seq, {})
         self.read = index_fn("read", seq, dims, _DIST_READ, self=self,
                              cached=cache.get, miss=runtime.read_miss)
@@ -174,7 +188,8 @@ class NodeRuntime:
         self.caches: dict[int, dict[int, object]] = {}
         self.headers: dict[int, ArrayHeader] = {}
         # (array seq, offset) -> {"ident": owner identity, "target":
-        # node the request went to, "futs": [concurrent futures]}
+        # node the request went to, "n": the run it asked for, "futs":
+        # [concurrent futures]}
         self.pending: dict[tuple[int, int], dict] = {}
         self.loop: asyncio.AbstractEventLoop | None = None
         self.endpoint: Endpoint | None = None
@@ -464,7 +479,8 @@ class NodeRuntime:
             self._read_local(arr.seq, off, fut)
         else:
             self.loop.call_soon_threadsafe(self._read_entry, arr.seq, off,
-                                           ident, fut)
+                                           ident, arr.window, fut)
+            arr.window = min(2 * arr.window, _RUN_CAP)
         t0 = time.perf_counter()
         try:
             value = fut.result(timeout=self.cfg.read_timeout_s)
@@ -487,7 +503,8 @@ class NodeRuntime:
 
     def _release(self, a: int, off: int, value, waiters: list) -> None:
         """Wake the readers a write released: local futures right here;
-        remote nodes need the socket — one hand-over to the loop."""
+        remote nodes need the socket — one hand-over to the loop, and a
+        reply of that one element: a parked reader waits on it alone."""
         remote = []
         for kind, waiter in waiters:
             if kind == "local":
@@ -495,14 +512,17 @@ class NodeRuntime:
             else:
                 remote.append(waiter)
         if remote:
-            self.loop.call_soon_threadsafe(self._send_rdy, remote, a,
-                                           {off: value})
+            self.loop.call_soon_threadsafe(self._send_rdy, remote, a, off,
+                                           [value])
 
     # -- loop-side entry points ------------------------------------------
 
-    def _send_rdy(self, nodes, a: int, vals: dict) -> None:
+    def _send_rdy(self, nodes, a: int, lo: int, values: list) -> None:
+        """Send the run ``values`` of elements ``lo, lo + 1, ...`` (None
+        where absent) to each reader in ``nodes``."""
         for node in nodes:
-            self.endpoint.send(node, {"t": "rdy", "a": a, "vals": vals})
+            self.endpoint.send(node, {"t": "rdy", "a": a, "lo": lo,
+                                      "v": values})
 
     def _write_entry(self, a: int, off: int, owner_ident: int, value,
                      replay: bool, fut: cf.Future) -> None:
@@ -524,7 +544,7 @@ class NodeRuntime:
                                {"t": "write", "a": a, "off": off,
                                 "v": value, "replay": replay})
 
-    def _read_entry(self, a: int, off: int, owner_ident: int,
+    def _read_entry(self, a: int, off: int, owner_ident: int, n: int,
                     fut: cf.Future) -> None:
         owner_node = self.owners[owner_ident]
         if owner_node == self.node:  # rebound here since the sender looked
@@ -532,13 +552,13 @@ class NodeRuntime:
             return
         key = (a, off)
         entry = self.pending.get(key)
-        if entry is None:
-            entry = self.pending[key] = {"ident": owner_ident,
-                                         "target": owner_node,
-                                         "futs": []}
-            self.endpoint.send(owner_node,
-                               {"t": "read", "a": a, "off": off})
-        entry["futs"].append(fut)
+        if entry is not None:
+            entry["futs"].append(fut)
+            return
+        self.pending[key] = {"ident": owner_ident, "target": owner_node,
+                             "n": n, "futs": [fut]}
+        self.endpoint.send(owner_node,
+                           {"t": "read", "a": a, "off": off, "n": n})
 
     # ------------------------------------------------------------------
     # peer messages (loop thread)
@@ -553,16 +573,22 @@ class NodeRuntime:
         elif t == "read":
             a, off = m["a"], m["off"]
             if self.memory.read(a, off, ("remote", src)) is not None:
-                self._send_rdy((src,), a, self.memory.page(a, off))
+                self._send_rdy((src,), a,
+                               *self.memory.page(a, off, m["n"]))
         elif t == "rdy":
-            a = m["a"]
+            a, lo, values = m["a"], m["lo"], m["v"]
+            hi = lo + len(values)
             cache = self.caches.setdefault(a, {})
-            for key, value in m["vals"].items():
-                off = int(key)
-                cache[off] = value
-                entry = self.pending.pop((a, off), None)
-                if entry is not None:
-                    for fut in entry["futs"]:
+            cache.update((off, value) for off, value
+                         in enumerate(values, lo) if value is not None)
+            # The cache first, then the readers: a woken reader's next
+            # reads find the whole run.  Few reads are pending at once,
+            # so look them up rather than the run's every element.
+            for key in [k for k in self.pending
+                        if k[0] == a and lo <= k[1] < hi]:
+                value = values[key[1] - lo]
+                if value is not None:
+                    for fut in self.pending.pop(key)["futs"]:
                         fut.set_result(value)
 
     def _store(self, a: int, off: int, value, replay: bool,
@@ -598,12 +624,13 @@ class NodeRuntime:
         # takeover replay re-reads everything it needs.
         self.memory.drop_waiters(
             lambda w: w[0] == "remote" and w[1] in dead)
-        # Re-issue pending reads that were addressed to a dead node.
+        # Re-issue pending reads that were addressed to a dead node, each
+        # asking for the run it asked for before.
         for key, entry in list(self.pending.items()):
             if entry["target"] not in live:
                 del self.pending[key]
                 for fut in entry["futs"]:
-                    self._read_entry(*key, entry["ident"], fut)
+                    self._read_entry(*key, entry["ident"], entry["n"], fut)
         # Presence-bit replay: the dead node's memory is gone, but every
         # value a survivor ever wrote or read is in its cache (single
         # assignment made them immutable at first sight).  Push this
@@ -642,8 +669,11 @@ def node_main(program, node: int, coord_port: int, cfg, args: tuple,
     # An executor that stores what it owns holds the GIL while the loop
     # thread waits to answer a *peer's* read: the default 5 ms hand-over
     # dwarfs the 31 us frame round trip.  Ours to set (the process is
-    # forked for the node); dist_matmul time_cal 5 ms 0.85, 2 ms 0.71, 1 /
-    # 0.5 / 0.1 ms 0.66 / 0.63 / 0.63 (flat); a loss alone on the parent.
+    # forked for the node).  dist_matmul time_cal, 2-core host: with
+    # one-page read replies (2026-10-02) 5 ms 0.85, 2 ms 0.71, 1 / 0.5 /
+    # 0.1 ms 0.66 / 0.63 / 0.63; with growing runs (2026-10-17, median
+    # of three) 5 ms 0.49, 2 ms 0.47, 0.5 ms 0.49, 0.1 ms 0.52 — flat,
+    # with half or more of the misses gone.
     sys.setswitchinterval(5e-4)
     runtime = NodeRuntime(program, node, coord_port, cfg, args, plan,
                           standby_port=standby_port, restore=restore)

@@ -7,6 +7,8 @@ the :class:`DistResult` fields, the recovery ladder and the render
 hooks — on one small program so they stay fast.
 """
 
+import concurrent.futures as cf
+import math
 import time
 
 import pytest
@@ -176,18 +178,53 @@ class _RecordingLoop:
 
 
 class _RecordingEndpoint:
+    """Remembers every frame sent; with ``deliver``, also hands each one
+    inline to the peer it is addressed to."""
+
     def __init__(self):
         self.sent = []
+        self.deliver = None
 
     def send(self, dst, payload):
         self.sent.append((dst, payload))
+        if self.deliver is not None:
+            self.deliver(dst, payload)
+
+    def forget(self, node):
+        pass
+
+    def reads(self):
+        return [(dst, m) for dst, m in self.sent if m["t"] == "read"]
 
 
-def _runtime(program, nodes, args=()):
-    rt = NodeRuntime(program, 0, 0, DistConfig(nodes=nodes), args,
+def _runtime(program, nodes, args=(), node=0):
+    rt = NodeRuntime(program, node, 0, DistConfig(nodes=nodes), args,
                      DistFaultPlan())
     rt.loop, rt.endpoint = _RecordingLoop(), _RecordingEndpoint()
     return rt
+
+
+# 30 x 64 elements in 32-element pages: 60 pages, and identity 1 owns
+# the last 30 (rows 16..30, offsets 960..1919).
+SCAN_DIMS = (30, 64)
+
+
+def _remote_segment(program):
+    """Node 0 of two, wired in process to a node 1 that has written every
+    element identity 1 owns (element at offset ``o`` is ``o / 2``); node
+    0's handle to the array, ready to scan node 1's segment."""
+    rt0, rt1 = _runtime(program, 2), _runtime(program, 2, node=1)
+    rt0.endpoint.deliver = lambda dst, m: rt1._on_peer_msg(0, m)
+    rt1.endpoint.deliver = lambda dst, m: rt0._on_peer_msg(1, m)
+    owner = DistArray(rt1, 1, SCAN_DIMS)
+    for off in range(*owner.header.segment_bounds(1)):
+        owner.write(owner.header.indices_of(off), off / 2)
+    assert rt1.loop.handovers == []
+    return rt0, DistArray(rt0, 1, SCAN_DIMS)
+
+
+def _read(a, n):
+    return (1, {"t": "read", "a": 1, "off": a, "n": n})
 
 
 class TestCrossings:
@@ -205,13 +242,15 @@ class TestCrossings:
         rt = _runtime(program, 2)
         rt.owners = [0, 0]  # node 0 adopted identity 1: every element here
         arr = DistArray(rt, 1, (64,))
-        rt._on_peer_msg(1, {"t": "read", "a": 1, "off": 40})  # parks
+        rt._on_peer_msg(1, {"t": "read", "a": 1, "off": 40,
+                            "n": 32})  # parks
         arr.write((1,), 0.5)  # nobody waits: no hand-over
         assert rt.loop.handovers == [] and rt.endpoint.sent == []
         arr.write((41,), 1.5)
         assert rt.loop.handovers == ["_send_rdy"]
+        # A release is a run of the one element the reader waits on.
         assert rt.endpoint.sent == [
-            (1, {"t": "rdy", "a": 1, "vals": {40: 1.5}})]
+            (1, {"t": "rdy", "a": 1, "lo": 40, "v": [1.5]})]
         assert arr.read((41,)) == 1.5 and rt.loop.handovers == ["_send_rdy"]
 
     def test_remote_owned_write_crosses_once(self, program):
@@ -222,3 +261,67 @@ class TestCrossings:
         assert rt.endpoint.sent == [(1, {"t": "write", "a": 1, "off": 63,
                                          "v": 2.5, "replay": False})]
         assert rt.memory.snapshot() == {}
+
+    def test_row_scan_asks_for_runs_that_double(self, program):
+        rt, arr = _remote_segment(program)
+        rows, cols = SCAN_DIMS
+        for i in range(16, rows + 1):
+            for j in range(1, cols + 1):
+                assert arr.read((i, j)) == ((i - 1) * cols + j - 1) / 2
+        assert rt.endpoint.reads() == [
+            _read(960, 32), _read(992, 64), _read(1056, 128),
+            _read(1184, 256), _read(1440, 512)]
+        assert arr.window == 1024 and arr.deferred_reads == 5
+
+    def test_column_scan_asks_for_runs_that_double(self, program):
+        rt, arr = _remote_segment(program)
+        rows, cols = SCAN_DIMS
+        for j in range(1, cols + 1):
+            for i in range(16, rows + 1):
+                assert arr.read((i, j)) == ((i - 1) * cols + j - 1) / 2
+        # Rows 16, 17, 18-19, 20-23 and 24-30 (clipped to the array),
+        # then row 16's second page with the rest of the segment.
+        assert rt.endpoint.reads() == [
+            _read(960, 32), _read(1024, 64), _read(1088, 128),
+            _read(1216, 256), _read(1472, 512), _read(992, 1024)]
+
+    @pytest.mark.parametrize("order", ["row", "column"])
+    def test_a_full_scan_stays_within_the_read_frame_budget(self, program,
+                                                           order):
+        # One frame per page (30 here) without the window.
+        rt, arr = _remote_segment(program)
+        rows, cols = SCAN_DIMS
+        cells = [(i, j) for i in range(16, rows + 1)
+                 for j in range(1, cols + 1)]
+        if order == "column":
+            cells.sort(key=lambda ij: (ij[1], ij[0]))
+        for ij in cells:
+            arr.read(ij)
+        pages = arr.header.pages // 2
+        assert len(rt.endpoint.reads()) <= math.ceil(math.log2(pages)) + 1
+
+    def test_a_run_holds_present_elements_clipped_to_the_owner(self,
+                                                               program):
+        rt = _runtime(program, 2, node=1)
+        arr = DistArray(rt, 1, SCAN_DIMS)
+        for off in (1856, 1858, 1861):
+            arr.write(arr.header.indices_of(off), off / 2)
+        rt._on_peer_msg(0, {"t": "read", "a": 1, "off": 1858, "n": 256})
+        rt._on_peer_msg(0, {"t": "read", "a": 1, "off": 1857, "n": 256})
+        assert rt.endpoint.sent == [
+            (0, {"t": "rdy", "a": 1, "lo": 1856,
+                 "v": [928.0, None, 929.0, None, None, 930.5]})]
+
+    def test_a_reissued_read_keeps_its_window(self, program):
+        rt = _runtime(program, 3)
+        DistArray(rt, 1, (384,))  # 12 pages: identity 1 owns 128..255
+        fut = cf.Future()
+        rt._read_entry(1, 130, 1, 128, fut)
+        rt._apply_ownermap([0, 2, 2], {0, 2})  # node 1 lost to node 2
+        assert rt.endpoint.reads() == [
+            (1, {"t": "read", "a": 1, "off": 130, "n": 128}),
+            (2, {"t": "read", "a": 1, "off": 130, "n": 128})]
+        rt._on_peer_msg(2, {"t": "rdy", "a": 1, "lo": 128,
+                            "v": [None, None, 6.5]})
+        assert fut.result(timeout=0) == 6.5
+        assert rt.pending == {}

@@ -2,7 +2,7 @@
 
 :class:`repro.dist.memory.NodeMemory` is pure — no loop, no socket, no
 clock — so everything the ``dist`` backend's element storage promises
-(presence, FIFO deferred readers, single assignment, replay verify, page
+(presence, FIFO deferred readers, single assignment, replay verify, run
 replies, fencing a dead reader) is pinned here without a cluster, and
 the one thing its lock exists for — no lost wake-up between a reader
 parking and a writer storing — under real threads.
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import SingleAssignmentViolation
 from repro.dist.memory import NodeMemory
+from repro.dist.transport import _MAX_FRAME, encode_frame
 
 PAGE = 4
 
@@ -65,14 +66,37 @@ def test_replay_verifies_and_counts():
     assert mem.take_replayed() == 0  # drained
 
 
-def test_page_reply_holds_present_elements_only():
+def test_run_reply_holds_present_elements_only():
     mem = NodeMemory(PAGE)
     for off, value in [(4, 0.5), (6, 1.5), (8, 2.5), (3, 3.5)]:
         mem.write(2, off, value)
-    assert mem.page(2, 6) == {4: 0.5, 6: 1.5}
-    assert mem.page(2, 5) == {4: 0.5, 6: 1.5}  # an absent element's page
-    assert mem.page(2, 12) == {}
-    assert mem.page(7, 0) == {}  # an array no frame has named yet
+    # One page: the run starts at the page, None marks an absent element
+    # and the run ends at the page's last present one.
+    assert mem.page(2, 6, PAGE) == (4, [0.5, None, 1.5])
+    assert mem.page(2, 5, PAGE) == (4, [0.5, None, 1.5])  # absent element
+    # Two pages, clipped to what this node stores (offsets 0..11).
+    assert mem.page(2, 6, 2 * PAGE) == (4, [0.5, None, 1.5, None, 2.5])
+    assert mem.page(2, 1, 64 * PAGE) == (0, [None, None, None, 3.5, 0.5,
+                                             None, 1.5, None, 2.5])
+    assert mem.page(2, 12, PAGE) == (12, [])
+    assert mem.page(7, 0, PAGE) == (0, [])  # an array no frame has named yet
+
+
+def test_run_shorter_than_a_page_holds_the_element():
+    # A run is capped in elements, not pages: past the cap a page is cut
+    # into run-sized slices and the reply is the requested element's.
+    big, n = 1 << 20, 2048
+    mem = NodeMemory(big)
+    off = big - 3
+    for o in (off - 1, off, big - 1):
+        mem.write(1, o, float(o))
+    lo, values = mem.page(1, off, n)
+    assert lo == big - n and len(values) == n
+    assert values[off - lo] == float(off)
+    assert values[-1] == float(big - 1)
+    assert values.count(None) == n - 3
+    frame = encode_frame({"t": "rdy", "a": 1, "lo": lo, "v": values})
+    assert len(frame) < _MAX_FRAME
 
 
 def test_dropping_a_dead_nodes_waiters_keeps_local_ones():
@@ -121,11 +145,13 @@ def test_snapshot_while_another_thread_writes():
 @given(ops=st.lists(
     st.tuples(st.sampled_from(["write", "local", "remote", "replay"]),
               st.integers(1, 2), st.integers(0, 11), st.integers(0, 2)),
-    max_size=120))
-def test_every_waiter_released_once_with_the_written_value(ops):
+    max_size=120),
+    n=st.sampled_from([PAGE // 2, PAGE, 2 * PAGE, 4 * PAGE]))
+def test_every_waiter_released_once_with_the_written_value(ops, n):
     """Random write / local read / remote read / replay write against a
     dict model: a waiter is released exactly once, by the write, with
-    the written value — never before it, never twice."""
+    the written value — never before it, never twice.  A run of ``n``
+    from any element holds the model's values, None for the rest."""
     mem = NodeMemory(PAGE)
     model: dict[tuple[int, int], int] = {}
     parked: dict[tuple[int, int], list] = {}
@@ -162,9 +188,14 @@ def test_every_waiter_released_once_with_the_written_value(ops):
     assert {(a, off): v for a, vals in mem.snapshot().items()
             for off, v in vals.items()} == model
     for a, off in model:
-        assert mem.page(a, off) == {
-            o: v for (b, o), v in model.items()
-            if b == a and o // PAGE == off // PAGE}
+        lo, values = mem.page(a, off, n)
+        assert lo == off // PAGE * PAGE + off % PAGE // n * n
+        assert lo <= off < lo + len(values) <= lo + n
+        assert values[-1] is not None
+        assert values == [model.get((a, o))
+                          for o in range(lo, lo + len(values))]
+        assert not any((a, o) in model
+                       for o in range(lo + len(values), lo + n))
 
 
 def test_no_lost_wakeup_under_threads():
