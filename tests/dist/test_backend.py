@@ -262,43 +262,29 @@ class TestCrossings:
                                          "v": 2.5, "replay": False})]
         assert rt.memory.snapshot() == {}
 
-    def test_row_scan_asks_for_runs_that_double(self, program):
-        rt, arr = _remote_segment(program)
-        rows, cols = SCAN_DIMS
-        for i in range(16, rows + 1):
-            for j in range(1, cols + 1):
-                assert arr.read((i, j)) == ((i - 1) * cols + j - 1) / 2
-        assert rt.endpoint.reads() == [
-            _read(960, 32), _read(992, 64), _read(1056, 128),
-            _read(1184, 256), _read(1440, 512)]
-        assert arr.window == 1024 and arr.deferred_reads == 5
-
-    def test_column_scan_asks_for_runs_that_double(self, program):
-        rt, arr = _remote_segment(program)
-        rows, cols = SCAN_DIMS
-        for j in range(1, cols + 1):
-            for i in range(16, rows + 1):
-                assert arr.read((i, j)) == ((i - 1) * cols + j - 1) / 2
+    @pytest.mark.parametrize("order, frames", [
+        ("row", [_read(960, 32), _read(992, 64), _read(1056, 128),
+                 _read(1184, 256), _read(1440, 512)]),
         # Rows 16, 17, 18-19, 20-23 and 24-30 (clipped to the array),
         # then row 16's second page with the rest of the segment.
-        assert rt.endpoint.reads() == [
-            _read(960, 32), _read(1024, 64), _read(1088, 128),
-            _read(1216, 256), _read(1472, 512), _read(992, 1024)]
-
-    @pytest.mark.parametrize("order", ["row", "column"])
-    def test_a_full_scan_stays_within_the_read_frame_budget(self, program,
-                                                           order):
-        # One frame per page (30 here) without the window.
+        ("column", [_read(960, 32), _read(1024, 64), _read(1088, 128),
+                    _read(1216, 256), _read(1472, 512), _read(992, 1024)]),
+    ])
+    def test_a_remote_scan_asks_for_runs_that_double(self, program, order,
+                                                     frames):
         rt, arr = _remote_segment(program)
         rows, cols = SCAN_DIMS
         cells = [(i, j) for i in range(16, rows + 1)
                  for j in range(1, cols + 1)]
         if order == "column":
             cells.sort(key=lambda ij: (ij[1], ij[0]))
-        for ij in cells:
-            arr.read(ij)
+        for i, j in cells:
+            assert arr.read((i, j)) == ((i - 1) * cols + j - 1) / 2
+        assert rt.endpoint.reads() == frames
+        assert arr.deferred_reads == len(frames)
+        # The budget for a full scan; one frame per page sent 30.
         pages = arr.header.pages // 2
-        assert len(rt.endpoint.reads()) <= math.ceil(math.log2(pages)) + 1
+        assert len(frames) <= math.ceil(math.log2(pages)) + 1
 
     def test_a_run_holds_present_elements_clipped_to_the_owner(self,
                                                                program):
