@@ -29,7 +29,10 @@ cost model is decided there too: with a clock the source charges exactly
 what the retired tree walker did, in its order
 (``tests/baseline/reference_fingerprint.json`` holds ``seq`` and
 ``static`` to its bits); without one — the SPMD core, whose substrates
-report wall time — no charge is written and the code only evaluates.
+report wall time — no charge is written and the code only evaluates,
+reading a present element of rank 1 or 2 inline: a probe of what the
+handle has seen (:class:`~repro.runtime.arrays.Handle`), its ``read``
+only on a miss.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ from repro.common.errors import (
 )
 from repro.graph import ir
 from repro.lang import ast_nodes as A
-from repro.runtime.arrays import check_extents, flat_size, index_fn, offset_fn
+from repro.runtime.arrays import (Handle, check_extents, flat_size, index_fn,
+                                  offset_fn, probe_source)
 from repro.runtime.values import ArrayValue
 from repro.sim import timing as T
 from repro.sim.timing import _BIN_COSTS, _UN_COSTS
@@ -62,7 +66,6 @@ LOOP_ITER = T.INT_ADD + T.INT_CMP + T.INT_CMP          # inc + cmp + branch
 CALL = 2 * T.CONTEXT_SWITCH                            # CALL + RET
 BRANCH = T.INT_CMP
 
-_ABSENT = object()
 _UNSET = object()  # a ``next`` no branch of this iteration has assigned
 
 
@@ -86,50 +89,53 @@ class Clock:
 # order's missing write.
 _SEQ_READ = """\
 value = cells[off]
-if value is ABSENT:
+if value is None:
     raise MissingWriteError(label, indices)
 return value
 """
 
 
-class SeqArray:
-    """A host-side I-structure: plain storage + single assignment."""
+class SeqArray(Handle):
+    """A host-side I-structure: plain storage + single assignment.  Its
+    cells are what the inline read probes, absent as None (no program
+    value is ever None).  Its ``read`` counts nothing: ``seq`` and
+    ``static`` read through it, and the SPMD core never reports a
+    private array's counters."""
 
-    __slots__ = ("array_id", "dims", "offset", "cells", "read")
+    __slots__ = ("array_id", "offset", "cells", "read")
 
     _next_id = 1
 
     def __init__(self, dims: tuple[int, ...]) -> None:
         check_extents(dims)
+        super().__init__(dims)
         self.array_id = SeqArray._next_id
         SeqArray._next_id += 1
-        self.dims = dims
         self.offset = offset_fn(self.array_id, dims)
-        self.bind_cells([_ABSENT] * flat_size(dims))
+        self.bind_cells([None] * flat_size(dims))
 
     def bind_cells(self, cells: list) -> None:
         """Keep the elements in ``cells`` — this handle's own list, or
         one it shares — and build ``read(indices)`` over it."""
-        self.cells = cells
+        self.cells = self.probe(cells)
         self.read = index_fn("read", self.array_id, self.dims, _SEQ_READ,
-                             cells=cells, ABSENT=_ABSENT,
-                             MissingWriteError=MissingWriteError)
+                             cells=cells, MissingWriteError=MissingWriteError)
 
     def write(self, indices: tuple[int, ...], value: Any) -> int:
         off = self.offset(indices)
-        if self.cells[off] is not _ABSENT:
+        if self.cells[off] is not None:
             raise SingleAssignmentViolation(self.array_id, off)
         self.cells[off] = value
         return off
 
     def to_value(self) -> ArrayValue:
-        flat = [None if c is _ABSENT else c for c in self.cells]
-        return ArrayValue(self.dims, flat)
+        return ArrayValue(self.dims, list(self.cells))
 
 
 def is_istructure(obj) -> bool:
-    """Duck-typed check for array-like values (SeqArray, ShmArray, ...)."""
-    return callable(getattr(obj, "read", None)) and hasattr(obj, "dims")
+    """Whether ``obj`` is an array: a handle of any store (SeqArray,
+    ShmArray, ...), all of which the inline read probes alike."""
+    return isinstance(obj, Handle)
 
 
 @dataclass
@@ -590,18 +596,21 @@ class _Writer:
         self.emit(line, None if loc is None else (TypeError, f"{loc}: {op}: "),
                   pure=True)
 
-    def access(self, line: str, arr: str, name: str, mark: int,
+    def access(self, lines: list[str], arr: str, name: str, mark: int,
                operands: list[A.Expr]) -> None:
-        """``line``, an access of array local ``arr``: checked up front
+        """``lines``, an access of array local ``arr``: checked up front
         (at ``mark``, before the subscripts) when evaluating its
         ``operands`` may raise, else only when the access fails."""
         if len(self.unit.lines) == mark or all(map(self.safe, operands)):
-            return self.emit(line, (AttributeError, arr, name))
+            for line in lines:
+                self.emit(line, (AttributeError, arr, name))
+            return
         pad = "    " * self.unit.indent
         self.unit.lines.insert(
             mark,
             f"{pad}if type({arr}) not in _known: _check({arr}, {name!r})")
-        self.emit(line)
+        for line in lines:
+            self.emit(line)
 
     def safe(self, e: A.Expr) -> bool:
         """Whether evaluating ``e`` cannot raise: ``+``, ``-``, ``*``,
@@ -676,8 +685,8 @@ class _Writer:
         value = self.expr(stmt.value)
         if self.clock:
             self.charge(ARRAY_WRITE)
-        self.access(f"_write({arr}, {at}, {value})", arr, stmt.array, mark,
-                    [*stmt.indices, stmt.value])
+        self.access([f"_write({arr}, {at}, {value})"], arr, stmt.array,
+                    mark, [*stmt.indices, stmt.value])
 
     def write_if(self, stmt: A.If) -> None:
         if self.clock:
@@ -753,6 +762,8 @@ class _Writer:
         self.unit = unit
         var = self.new_slot(stmt.var)
         self.indexes.add(var)
+        if self.kinds.get(first) is int:  # so is every subrange's start
+            self.kinds[self.names[var]] = int
         if hook is not None:
             self.emit(f"{hook}({self.names[var]})")
         self.loop_body(stmt.body, {stmt.var: var})
@@ -875,18 +886,28 @@ class _Writer:
     def write_index(self, e: A.Index, into) -> str:
         arr = self.read(self.sc.slot_of(e.array))
         mark = len(self.unit.lines)
-        at = self.indices(e.indices)
+        atoms = [self.expr(sub) for sub in e.indices]
         t = into or self.temp()
         if self.clock:
             self.charge(ARRAY_READ)
-            line = f"{t} = _read({arr}, {at})"
-        else:  # no read hook either: the handle
-            line = f"{t} = {arr}.read({at})"
-        self.access(line, arr, e.array, mark, e.indices)
+            lines = [f"{t} = _read({arr}, {self.at(atoms)})"]
+        else:
+            # No read hook either: the handle's probe, then its ``read``
+            # for whatever the probe does not hold.
+            lines = [f"{t} = {arr}.read({self.at(atoms)})"]
+            probe = probe_source(arr, atoms,
+                                 [self.kinds.get(a) for a in atoms], t)
+            if probe is not None:
+                lines = [f"if {probe}: {arr}.reads += 1", f"else: {lines[0]}"]
+        self.access(lines, arr, e.array, mark, e.indices)
         return t
 
     def indices(self, subs: list[A.Expr]) -> str:
-        atoms = [self.expr(sub) for sub in subs]
+        return self.at([self.expr(sub) for sub in subs])
+
+    @staticmethod
+    def at(atoms: list[str]) -> str:
+        """The index tuple of ``atoms``, as source."""
         return f"({atoms[0]},)" if len(atoms) == 1 else f"({', '.join(atoms)})"
 
     def write_call(self, e: A.Call, into) -> str:

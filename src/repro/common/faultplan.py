@@ -96,18 +96,6 @@ def format_clause(action: str, args: dict) -> str:
     return f"{action}:{body}"
 
 
-def format_spec(clauses: list[tuple[str, dict]]) -> str:
-    """Render ``(action, parsed-args)`` pairs back to one plan spec.
-
-    ``parse -> format -> parse`` is the identity (clause order, key
-    order and values all preserved) — the property the round-trip tests
-    in ``tests/common/test_faultplan.py`` hold the grammar to, so specs
-    can be echoed into logs, chaos reports and run records without
-    drift.
-    """
-    return ";".join(format_clause(action, args) for action, args in clauses)
-
-
 def parse_plan(spec: str | None, fault_cls, schema: dict,
                required: tuple[str, ...] = ()) -> tuple:
     """Parse ``action:key=value,...[;action:...]`` into ``fault_cls`` clauses.

@@ -59,7 +59,7 @@ from repro.dist.faults import DistFaultInjector, DistFaultPlan
 from repro.dist.memory import NodeMemory
 from repro.dist.transport import (COORD, Endpoint, encode_frame,
                                   frame_secret, read_frame)
-from repro.runtime.arrays import ArrayHeader, check_extents, index_fn
+from repro.runtime.arrays import ArrayHeader, Handle, check_extents, index_fn
 from repro.runtime.spmd import SpmdInterpreter, sigterm_default
 
 # The longest run a read may ask for, in elements (64 pages of 32): it
@@ -68,15 +68,19 @@ from repro.runtime.spmd import SpmdInterpreter, sigterm_default
 _RUN_CAP = 2048
 
 # ``DistArray.read`` after the index rule: count, then the node's read
-# cache (program values are numbers, never None), then the miss path.
+# cache (program values are numbers, never None), then the miss path;
+# what it answers goes into the handle's mirror for the inline read.
 _DIST_READ = """\
 self.reads += 1
 value = cached(off)
-return miss(self, indices, off) if value is None else value
+if value is None:
+    value = miss(self, indices, off)
+(self.seen or self.mirror())[off] = value
+return value
 """
 
 
-class DistArray:
+class DistArray(Handle):
     """One executor's handle to a distributed I-structure.
 
     Holds the geometry (an :class:`ArrayHeader` over the *identity*
@@ -85,7 +89,10 @@ class DistArray:
     the node's memory and read cache.  ``read`` is built here, once, by
     :func:`~repro.runtime.arrays.index_fn`: the index rule for this
     handle's rank, the counter and the cache's ``dict.get`` in one
-    Python frame, then the miss path.
+    Python frame, then the miss path.  What it answers goes into the
+    handle's mirror, a list of this executor's own that the
+    interpreter's inline read looks in first
+    (:class:`~repro.runtime.arrays.Handle`).
 
     ``window`` is how many elements this handle's next remote miss asks
     the owner for: one page at first (at most ``_RUN_CAP``), doubled by
@@ -93,18 +100,17 @@ class DistArray:
     fetches runs that grow with it while a one-off miss costs one page.
     """
 
-    __slots__ = ("runtime", "seq", "replay", "dims", "header", "name",
-                 "cache", "read", "reads", "writes", "deferred_reads",
-                 "spin_wait_s", "max_spin_wait_s", "pages_touched",
-                 "window")
+    __slots__ = ("runtime", "seq", "replay", "header", "name", "cache",
+                 "read", "writes", "deferred_reads", "spin_wait_s",
+                 "max_spin_wait_s", "pages_touched", "window")
 
     def __init__(self, runtime: "NodeRuntime", seq: int,
                  dims: tuple[int, ...], replay: bool = False) -> None:
         check_extents(dims)
+        super().__init__(dims)
         self.runtime = runtime
         self.seq = seq
         self.replay = replay  # writes verify already-present elements
-        self.dims = dims
         self.header = ArrayHeader(seq, dims, runtime.cfg.page_size,
                                   runtime.num_identities)
         # The loop thread needs the geometry during takeover (to decide
@@ -114,7 +120,6 @@ class DistArray:
         # Zero-padded so the registry's sorted-name indexing matches
         # allocation order past nine arrays.
         self.name = f"a{seq:04d}"
-        self.reads = 0
         self.writes = 0
         self.deferred_reads = 0
         self.spin_wait_s = 0.0

@@ -92,18 +92,6 @@ class Profile:
                    names=sp_names(stats.waits),
                    netstats=getattr(stats, "netstats", None))
 
-    # -- invariants -----------------------------------------------------
-
-    def accounted_fraction(self, pe: int) -> float:
-        """(busy + attributed waits) / makespan for one PE.
-
-        1.0 by construction (the breakdown tiles the idle complement);
-        the acceptance tests assert >= 0.99."""
-        if self.finish_us <= 0:
-            return 1.0
-        total = self.busy_us[pe] + sum(self.breakdown[pe].values())
-        return total / self.finish_us
-
     def wait_totals(self) -> dict[str, float]:
         """Machine-wide wait time per category (summed over PEs)."""
         out: dict[str, float] = {}

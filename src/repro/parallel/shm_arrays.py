@@ -47,7 +47,8 @@ import _posixshmem
 from repro.common.errors import (BoundsViolation, DeferredReadTimeout,
                                  ExecutionError, RuntimeFault,
                                  SingleAssignmentViolation, WorkerSuperseded)
-from repro.runtime.arrays import ArrayHeader, check_extents, index_fn, offset_fn
+from repro.runtime.arrays import (ArrayHeader, Handle, check_extents,
+                                  index_fn, offset_fn)
 
 FLAG_ABSENT = 0
 FLAG_FLOAT = 1
@@ -56,16 +57,20 @@ FLAG_BOOL = 3
 
 _INT_MIN, _INT_MAX = -2 ** 63, 2 ** 63 - 1  # what an 8-byte cell holds
 
-# ``ShmArray.read`` after the index rule: count, load the flag, answer a
-# present float from its typed view; an absent element waits.
+# ``ShmArray.read`` after the index rule: count, load the flag, take a
+# present float from its typed view (an absent element waits), and keep
+# what was answered in the handle's mirror for the inline read.
 _SHM_READ = """\
 self.reads += 1
 flag = flags[off]
 if flag == FLAG_FLOAT:
-    return floats[off]
-if flag == FLAG_ABSENT:
-    return wait(indices, off)
-return present(off, flag)
+    value = floats[off]
+elif flag == FLAG_ABSENT:
+    value = wait(indices, off)
+else:
+    value = present(off, flag)
+(self.seen or self.mirror())[off] = value
+return value
 """
 
 
@@ -109,7 +114,7 @@ def unlink_segment(name: str) -> bool:
     return True
 
 
-class ShmArray:
+class ShmArray(Handle):
     """One shared I-structure array (attached or created).
 
     ``epoch_slots`` sizes the ownership-epoch table (one slot per
@@ -132,7 +137,9 @@ class ShmArray:
     ``read(indices)`` is built here too, by
     :func:`~repro.runtime.arrays.index_fn`: the index rule for this
     handle's rank and the present-element path in one Python frame,
-    ``_wait`` behind it for an absent element.
+    ``_wait`` behind it for an absent element.  What it answers goes
+    into the handle's mirror, a worker-local list the interpreter's
+    inline read looks in first (:class:`~repro.runtime.arrays.Handle`).
     """
 
     def __init__(self, name: str, dims: tuple[int, ...], create: bool,
@@ -145,7 +152,7 @@ class ShmArray:
                  on_stall: Callable[[dict], None] | None = None,
                  on_spin: Callable[[], None] | None = None) -> None:
         check_extents(dims)  # before a segment exists to leak
-        self.dims = dims
+        super().__init__(dims)
         self.page_size = page_size
         if epoch_slots < 1:
             raise ExecutionError(f"epoch_slots must be >= 1, got {epoch_slots}")
@@ -201,7 +208,6 @@ class ShmArray:
         # Telemetry counters, all process-local (each worker holds its
         # own attachment): fed into per-worker WorkerTelemetry and from
         # there into the run's shared MetricsRegistry (repro.obs).
-        self.reads = 0
         self.writes = 0
         self.deferred_reads = 0
         self.spin_wait_s = 0.0

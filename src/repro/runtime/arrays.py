@@ -65,6 +65,11 @@ def row_strides(dims: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(strides)
 
 
+def _offset2(i: str, j: str, cols: str) -> str:
+    """The rank-2 row-major offset of ``(i, j)``, as source."""
+    return f"({i} - 1) * {cols} + {j} - 1"
+
+
 # The one index rule of every I-structure store, as source: an index is
 # exactly an ``int`` (``type(i) is int`` — no ``bool``, no other
 # subclass), in ``1..dim``, and the tuple has exactly ``len(dims)``
@@ -72,13 +77,13 @@ def row_strides(dims: tuple[int, ...]) -> tuple[int, ...]:
 # What passes binds ``off``, the row-major flat offset, and runs the
 # accessor's body.  Rank 2 — every array the timed workloads allocate —
 # is unrolled with the bounds captured; any other rank keeps the loop.
-_RANK2_RULE = """\
+_RANK2_RULE = f"""\
 if len(indices) == 2:
     i, j = indices
     if (type(i) is int and type(j) is int
             and 1 <= i <= d0 and 1 <= j <= d1):
-        off = (i - 1) * d1 + j - 1
-{body}
+        off = {_offset2("i", "j", "d1")}
+{{body}}
 raise BoundsViolation(label, indices, dims)
 """
 
@@ -92,6 +97,37 @@ for idx, dim, stride in zip(indices, dims, strides):
     off += (idx - 1) * stride
 {body}
 """
+
+# The rule's present-element path as one condition, written inline by
+# the interpreter into every clock-less read of rank 1 or 2 (the
+# ``{typed}`` type tests only for subscripts it does not know are
+# ``int``s): the range test against the handle's probe extents, the
+# offset, and a look in what the handle has seen present.  It holds
+# only where the rule passes, so whatever fails it — an index out of
+# range or not an ``int``, a rank the extents do not match, an element
+# absent or not yet seen — goes to the handle's ``read``, which applies
+# the rule whole.
+_PROBE_RULES = {
+    1: "{typed}1 <= {i} <= {a}.ext and ({t} := {a}.seen[{i} - 1]) is not None",
+    2: ("{typed}1 <= {i} <= {a}.rows and 1 <= {j} <= {a}.cols"
+        " and ({t} := {a}.seen[" + _offset2("{i}", "{j}", "{a}.cols")
+        + "]) is not None"),
+}
+
+
+def probe_source(arr: str, subs: list[str], kinds: list, target: str):
+    """The probe condition of a read of handle ``arr`` at ``subs``
+    (atoms whose types, where known, are ``kinds``) binding ``target``;
+    None where it could never hold: rank 3 or more, or a subscript
+    known to be something other than an ``int``."""
+    rule = _PROBE_RULES.get(len(subs))
+    if rule is None or any(k not in (int, None) for k in kinds):
+        return None
+    typed = "".join(f"type({s}) is int and "
+                    for s, k in zip(subs, kinds) if k is None)
+    return rule.format(typed=typed, a=arr, t=target, i=subs[0],
+                       j=subs[-1])
+
 
 # (name, rule, body, captured names) -> the compiled closure factory.
 _makers: dict[tuple, object] = {}
@@ -134,6 +170,43 @@ def offset_fn(label, dims: tuple[int, ...]):
     """``indices -> row-major flat offset`` for extents ``dims``, built
     once: the index rule (:func:`index_fn`) and nothing else."""
     return index_fn("offset", label, dims, "return off")
+
+
+class Handle:
+    """What every store's I-structure handle gives the inline read: the
+    list ``seen``, indexed by flat offset, of the elements this process
+    has seen present (None otherwise), the extents the probe tests
+    (``ext`` at rank 1, ``rows`` and ``cols`` at rank 2; 0 where they do
+    not apply, or while there is no list), and ``reads``: the generated
+    code counts each read the probe answers, and a shared store's
+    ``read`` counts the rest, so every element read counts once.
+
+    A store that mirrors (shared memory, a node's cache) builds the list
+    on its handle's first ``read`` (:meth:`mirror`): one pointer per
+    element, so a handle never read costs no memory per element.
+    Single assignment keeps every copy valid with no coherence work.
+    """
+
+    __slots__ = ("dims", "seen", "ext", "rows", "cols", "reads")
+
+    def __init__(self, dims: tuple[int, ...]) -> None:
+        # No list yet: every probe fails until :meth:`probe`.
+        self.dims = dims
+        self.seen = None
+        self.ext = self.rows = self.cols = 0
+        self.reads = 0
+
+    def probe(self, seen: list) -> list:
+        """Probe ``seen`` from now on, under this handle's extents."""
+        dims = self.dims
+        self.ext = dims[0] if len(dims) == 1 else 0
+        self.rows, self.cols = dims if len(dims) == 2 else (0, 0)
+        self.seen = seen
+        return seen
+
+    def mirror(self) -> list:
+        """Build a mirroring store's list, on its first ``read``."""
+        return self.probe([None] * flat_size(self.dims))
 
 
 def num_pages(total_elements: int, page_size: int) -> int:

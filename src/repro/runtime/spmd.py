@@ -31,7 +31,11 @@ statement semantics, so the store is the parameter.  A substrate
 supplies ``shared_cls`` — its handle class: ``name``, the identity-space
 ``header``, ``read(indices)``, ``write(indices, value)`` and ``stats()``
 counters, with whatever a read needs bound into the handle — and
-:meth:`alloc_shared`, which builds one.
+:meth:`alloc_shared`, which builds one.  The handle is a
+:class:`~repro.runtime.arrays.Handle` too: the generated code probes its
+list of elements seen present, under its extents, and counts a hit in
+its ``reads``; ``read`` is the miss path, which counts the read itself
+and puts what it answers in the list.
 
 The base interpreter is compile-once (:mod:`repro.baseline.sequential`):
 each function is written out as the source of one Python function over

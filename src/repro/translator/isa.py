@@ -161,12 +161,6 @@ class Instr:
     result_slots: tuple[int, ...] = ()
     comment: str = ""
 
-    def input_operands(self) -> list[Operand]:
-        """Operands whose presence gates execution of this instruction."""
-        ops = [o for o in (self.a, self.b, self.extra) if o is not None]
-        ops.extend(self.args)
-        return ops
-
     def __repr__(self) -> str:
         op = self.op
         text = OP_NAMES.get(op) or f"op{op}"

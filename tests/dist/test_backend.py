@@ -286,6 +286,35 @@ class TestCrossings:
         pages = arr.header.pages // 2
         assert len(frames) <= math.ceil(math.log2(pages)) + 1
 
+    def test_a_scan_counts_each_read_once(self):
+        # Rows 16..30 twice through the generated code: the first scan
+        # misses the mirror on every element (the frames of the row scan
+        # above), the second hits it on every one; each read counts once.
+        rt, arr = _remote_segment(compile_source("""
+        function main(A, first, rows, cols) {
+            s = 0.0;
+            for i = first to rows {
+                row = 0.0;
+                for j = 1 to cols { next row = row + A[i, j]; }
+                next s = s + row;
+            }
+            return s;
+        }"""))
+        calls = []
+        read = arr.read
+        arr.read = lambda indices: calls.append(indices) or read(indices)
+        interp = _NodeInterpreter(rt, (0,), False)
+        elements = range(960, 1920)
+        for scanned in (1, 2):
+            value = interp.run((arr, 16, 30, 64)).value
+            assert value == sum(off / 2 for off in elements)
+            assert arr.reads == scanned * len(elements)
+        assert len(calls) == len(elements) == len(set(calls))
+        assert rt.endpoint.reads() == [_read(960, 32), _read(992, 64),
+                                       _read(1056, 128), _read(1184, 256),
+                                       _read(1440, 512)]
+        assert arr.deferred_reads == 5
+
     def test_a_run_holds_present_elements_clipped_to_the_owner(self,
                                                                program):
         rt = _runtime(program, 2, node=1)

@@ -2,13 +2,16 @@
 
 import enum
 import itertools
+import threading
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import compile_source
 from repro.baseline.sequential import SeqArray
-from repro.common.errors import BoundsViolation, PartitionError
+from repro.common.errors import (BoundsViolation, ExecutionError,
+                                 MissingWriteError, PartitionError)
 from repro.parallel.shm_arrays import ShmArray
 from repro.runtime.arrays import (
     ArrayHeader,
@@ -21,6 +24,8 @@ from repro.runtime.arrays import (
     segment_of_page,
     segment_page_range,
 )
+from tests.runtime.test_spmd import (PlainArray, PlainSpmd, ShmSpmd,
+                                     count_read_calls)
 
 
 def is_local(header, offset, pe):
@@ -201,6 +206,125 @@ class TestIndexRuleParity:
                 got = exc.value
                 assert (got.array_id, got.indices, got.dims) \
                     == (label, indices, dims), (case, door)
+
+    # -- the read the interpreter writes inline ----------------------------
+
+    @staticmethod
+    def generated_read(interp_cls):
+        """``(handle, indices) -> handle[indices]`` through a clock-less
+        interpreter's generated code, one IdLite function per arity,
+        whose array and subscripts are its parameters."""
+        interps = {}
+
+        def read(handle, indices):
+            interp = interps.get(len(indices))
+            if interp is None:
+                subs = [f"i{k}" for k in range(len(indices))]
+                program = compile_source(
+                    f"function main(A, {', '.join(subs)}) "
+                    f"{{ return A[{', '.join(subs)}]; }}")
+                interp = interps[len(indices)] = interp_cls(program)
+            return interp.run((handle, *indices), materialize=False).value
+        return read
+
+    @pytest.fixture(params=["PlainSpmd", "ShmSpmd"])
+    def generated(self, request):
+        """A handle of the interpreter's own store and its generated
+        read."""
+        def handle(dims):
+            if request.param == "PlainSpmd":
+                arr = PlainArray(1, dims, 1, {})
+                return arr.array_id, arr
+            arr = ShmArray(f"test_pods_generated{len(dims)}", dims,
+                           create=True)
+            opened.append(arr)
+            return arr.name, arr
+
+        opened = []
+        interp_cls = (ShmSpmd if request.param == "ShmSpmd"
+                      else lambda program: PlainSpmd(program, (0,), 1, {}))
+        try:
+            yield handle, self.generated_read(interp_cls)
+        finally:
+            for arr in opened:
+                arr.close()
+                arr.unlink()
+
+    @pytest.mark.parametrize("dims", [(5,), (3, 4), (2, 3, 4)],
+                             ids=["rank1", "rank2", "rank3"])
+    def test_the_generated_read_refuses_alike(self, generated, dims):
+        handle, read = generated
+        label, arr = handle(dims)
+        header = ArrayHeader(7, dims, 4, 2)
+        for off in range(flat_size(dims)):
+            arr.write(header.indices_of(off), off + 0.5)
+        # Each element twice: through ``read``, then (rank 1 and 2) out
+        # of what the probe has seen.
+        for _ in range(2):
+            for off in range(flat_size(dims)):
+                assert read(arr, header.indices_of(off)) == off + 0.5
+        for case, indices in self.refused(dims).items():
+            if not indices:
+                continue  # ``A[]`` is no program
+            with pytest.raises(BoundsViolation) as exc:
+                read(arr, indices)
+            got = exc.value
+            assert (got.array_id, got.indices, got.dims) \
+                == (label, indices, dims), case
+
+    def test_a_non_array_is_the_sequential_error(self):
+        program = compile_source("""
+        function main(A, n) {
+            s = 0;
+            for i = 1 to n { next s = s + A[i]; }
+            return s;
+        }""")
+        with pytest.raises(ExecutionError) as seq:
+            program.run((5, 3), backend="seq")
+        with pytest.raises(ExecutionError) as spmd:
+            PlainSpmd(program, (0,), 1, {}).run((5, 3))
+        assert str(spmd.value) == str(seq.value) == "'A' is not an array"
+
+    def test_an_absent_element_is_never_remembered(self):
+        # Plain cells are the probe's own list: a read that missed sees
+        # the element once another identity's handle writes it.
+        read = self.generated_read(
+            lambda program: PlainSpmd(program, (0,), 2, {}))
+        cells: dict = {}
+        mine, theirs = (PlainArray(1, (4, 4), 2, cells) for _ in range(2))
+        with pytest.raises(MissingWriteError):
+            read(mine, (3, 2))
+        theirs.write((3, 2), 6.5)
+        assert read(mine, (3, 2)) == 6.5 and mine.reads == 1
+
+    def test_a_read_waits_then_hits_the_mirror(self):
+        # Shared memory at width 2: identity 0 reads an element of
+        # identity 1's and spins until identity 1, started only then,
+        # writes it; the element's second read is a hit in the mirror.
+        program = compile_source("""
+        function main(n) {
+            A = array(n);
+            for i = 1 to n { A[i] = 0.5 * i; }
+            return A[n] + A[n];
+        }""")
+        spinning = threading.Event()
+        reader = ShmSpmd(program, 0, 2, tag="waits", on_spin=spinning.set)
+        writer = ShmSpmd(program, 1, 2, tag="waits")
+        calls = count_read_calls(reader)
+        values = []
+        thread = threading.Thread(
+            target=lambda: values.append(reader.run((64,)).value))
+        thread.start()
+        try:
+            assert spinning.wait(10.0)
+            assert writer.run((64,)).value == 64.0
+        finally:
+            thread.join()
+            writer.close()
+            reader.close()
+        arr = reader.shared_arrays[0]
+        assert values == [64.0]
+        assert (arr.deferred_reads, calls[0], arr.reads) == (1, 1, 2)
 
 
 class TestSegments:

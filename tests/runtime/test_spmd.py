@@ -25,6 +25,8 @@ width, ascending and descending, one identity per interpreter or several
 
 import os
 import sys
+import threading
+import time
 import traceback
 from types import SimpleNamespace
 
@@ -32,7 +34,7 @@ import pytest
 
 from repro import compile_source
 from repro.baseline.sequential import SeqArray
-from repro.common.errors import ExecutionError
+from repro.common.errors import ExecutionError, MissingWriteError
 from repro.common.faultplan import EventTrigger
 from repro.parallel.shm_arrays import ShmArray
 from repro.runtime.arrays import ArrayHeader
@@ -91,26 +93,52 @@ function main(n) {
 
 class PlainArray(SeqArray):
     """One interpreter's handle to a shared array that lives in this
-    process: the run's shared cells + geometry + this handle's counter."""
+    process: the run's shared cells + geometry + this handle's counters,
+    its ``read`` counting as a shared store's does.  With ``wait``, for
+    identities that run at once in threads, a read of an element not yet
+    written waits for it, as a worker's would."""
 
     __slots__ = ("name", "header", "writes")
 
-    def __init__(self, seq: int, dims, width: int, store: dict) -> None:
+    def __init__(self, seq: int, dims, width: int, store: dict,
+                 wait: bool = False) -> None:
         super().__init__(dims)
         self.bind_cells(store.setdefault(seq, self.cells))
         self.name = f"a{seq}"
         self.header = ArrayHeader(seq, tuple(dims), PAGE, width)
         self.writes = 0
+        read = _waiting(self.read) if wait else self.read
+
+        def counted(indices):
+            value = read(indices)
+            self.reads += 1
+            return value
+        self.read = counted
 
     def write(self, indices, value):
         self.writes += 1
         return super().write(indices, value)  # enforces single assignment
 
     def stats(self) -> dict:
-        return {"reads": 0, "writes": self.writes, "deferred_reads": 0,
+        return {"reads": self.reads, "writes": self.writes,
+                "deferred_reads": 0,
                 "spin_wait_s": 0.0, "max_spin_wait_s": 0.0,
                 "replayed_present": 0, "stall_reports": 0,
                 "pages_touched": []}
+
+
+def _waiting(read):
+    """``read``, retried while the element it asks for is absent."""
+    def read_when_written(indices):
+        deadline = time.monotonic() + 30.0
+        while True:
+            try:
+                return read(indices)
+            except MissingWriteError:
+                if time.monotonic() > deadline:
+                    raise
+                time.sleep(1e-4)
+    return read_when_written
 
 
 class PlainSpmd(SpmdInterpreter):
@@ -119,15 +147,16 @@ class PlainSpmd(SpmdInterpreter):
     shared_cls = PlainArray
 
     def __init__(self, program, identities, width, store,
-                 injector=None) -> None:
+                 injector=None, wait: bool = False) -> None:
         super().__init__(program, identities,
                          injector or EventTrigger((), ()))
         self.width = width
         self.store = store
+        self.wait = wait
         self.executed: list[tuple[str, int]] = []
 
     def alloc_shared(self, seq, dims):
-        return PlainArray(seq, dims, self.width, self.store)
+        return PlainArray(seq, dims, self.width, self.store, self.wait)
 
     def iteration_hook(self, block):
         # A distributed loop's iterations are noted at the top of each,
@@ -470,20 +499,135 @@ def test_a_later_generations_clause_is_bound_from_the_start():
     assert trigger.hits == [("iter", 23 + 2)]
 
 
-# -- what an element read costs the host ----------------------------------
+# -- element reads over real shared-memory handles ---------------------------
 
 
 class ShmSpmd(SpmdInterpreter):
-    """The core over real shared-memory handles, in this process: one
-    identity, generation 0, every segment created here."""
+    """The core over real shared-memory handles, in this process:
+    identity ``ident`` of ``width``, generation 0.  Every identity's
+    handle to an array opens the one segment of its allocation ordinal
+    (whichever comes first creates it); ``settings`` are the handles'
+    read settings."""
 
     shared_cls = ShmArray
 
-    def __init__(self, program) -> None:
-        super().__init__(program, (0,), EventTrigger((), ()))
+    def __init__(self, program, ident: int = 0, width: int = 1,
+                 tag: str = "budget", **settings) -> None:
+        super().__init__(program, (ident,), EventTrigger((), ()))
+        self.width = width
+        self.tag = tag
+        self.settings = settings
 
     def alloc_shared(self, seq, dims):
-        return ShmArray(f"pods{os.getpid()}_budget_{seq}", dims, create=True)
+        return ShmArray(f"pods{os.getpid()}_{self.tag}_{seq}", dims,
+                        create=True, exist_ok=True, epoch_slots=self.width,
+                        slot=self.identities[0], **self.settings)
+
+    def close(self) -> None:
+        """Close this interpreter's handles and unlink their segments."""
+        for arr in self.shared_arrays:
+            arr.close()
+            arr.unlink()
+
+
+def in_threads(interps, args: tuple) -> list:
+    """Run each interpreter in a thread of its own, all at once: what
+    they return, or the first error one raised."""
+    values, errors = [None] * len(interps), []
+
+    def run(k):
+        try:
+            values[k] = interps[k].run(args, materialize=False).value
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(k,))
+               for k in range(len(interps))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return values
+
+
+def count_read_calls(interp) -> list[int]:
+    """A one-element list the ``read`` calls of every shared handle
+    ``interp`` allocates from now on are counted into."""
+    calls = [0]
+    alloc = interp.alloc_shared
+
+    def alloc_counted(seq, dims):
+        arr = alloc(seq, dims)
+        read = arr.read
+
+        def counted(indices):
+            calls[0] += 1
+            return read(indices)
+        arr.read = counted
+        return arr
+    interp.alloc_shared = alloc_counted
+    return calls
+
+
+# Checksummed matmul, n = 12, each identity in its own interpreter over
+# shared-memory handles (32-element pages): the shared reads of each, as
+# measured when every read was a call of the handle's ``read``.
+SHM_READS_PER_IDENTITY = {1: [3600], 2: [2448, 1296],
+                          3: [1872, 1584, 432]}
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+@pytest.mark.parametrize("store", ["shm", "plain"])
+def test_shared_reads_count_each_read_once(store, width):
+    from repro.apps import compile_matmul
+
+    n = 12
+    program = compile_matmul(checksum=True)
+    if store == "shm":
+        interps = [ShmSpmd(program, p, width, tag="count")
+                   for p in range(width)]
+    else:
+        cells: dict = {}
+        interps = [PlainSpmd(program, (p,), width, cells, wait=True)
+                   for p in range(width)]
+    calls = [count_read_calls(interp) for interp in interps]
+    try:
+        values = in_threads(interps, (n,))
+    finally:
+        if store == "shm":
+            for interp in interps:
+                interp.close()
+    assert values == [program.run((n,), backend="seq").value] * width
+    reads = [interp.telemetry(0.0)["shared_reads"] for interp in interps]
+    # Each identity reads its rows of A and all of B (2n reads for each
+    # element of its rows of C), then every element of C.
+    header = interps[0].shared_arrays[2].header
+    assert reads == [2 * n * n * (hi - lo + 1) + n * n for lo, hi
+                     in map(header.responsible_rows, range(width))]
+    assert sum(reads) == 2 * n ** 3 + width * n * n
+    if store == "shm":
+        assert reads == SHM_READS_PER_IDENTITY[width]
+    # Both paths counted: most reads hit the probe inline; the rest
+    # called ``read`` — on shared memory at least each element's first,
+    # while plain cells are themselves the probe's list.
+    assert all(c[0] < r for c, r in zip(calls, reads)), (calls, reads)
+    if store == "shm":
+        assert all(c[0] >= n * n for c in calls), calls
+
+
+# Every element of an ``n`` x ``n`` matrix handed in, read once.
+READ_ALL = """
+function main(A, n) {
+    s = 0.0;
+    for i = 1 to n {
+        row = 0.0;
+        for j = 1 to n { next row = row + A[i, j]; }
+        next s = s + row;
+    }
+    return s;
+}"""
 
 
 class TestSpmdHostWorkBudget:
@@ -499,12 +643,16 @@ class TestSpmdHostWorkBudget:
     # Rank 2, matmul n = 24: 7.39 with a loop seam, an index lambda and a
     # separate offset frame; 4.78 with all three gone but the closures;
     # 1.32 with each function generated as one Python function (the read
-    # is the only frame of a ``k`` step).
-    RANK2_CALLS_PER_READ = 1.35
+    # is the only frame of a ``k`` step); 0.38 with the present element
+    # read inline (a frame only for the first read of each element).
+    RANK2_CALLS_PER_READ = 0.40
     # Rank 1, Livermore hydro n = 64 (256 reads, so allocation and
     # writing the source out weigh in): 15.37 over the closures, 8.05
-    # generated.
-    RANK1_CALLS_PER_READ = 8.3
+    # generated, 8.01 read inline (nearly every element is read once).
+    RANK1_CALLS_PER_READ = 8.05
+    # Rank 2, every element present and in the handle's mirror, n = 48:
+    # the run's own frames only, spread over its reads.
+    MIRRORED_CALLS_PER_READ = 0.03
 
     def test_rank2_matmul(self):
         from repro.apps import compile_matmul
@@ -518,9 +666,29 @@ class TestSpmdHostWorkBudget:
         per_read = self.calls_per_read(compile_kernel("hydro"), (64,))
         assert per_read <= self.RANK1_CALLS_PER_READ, per_read
 
+    def test_mirrored_reads_enter_no_frame(self):
+        n = 48
+        arr = ShmArray(f"pods{os.getpid()}_mirrored", (n, n), create=True)
+        try:
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    arr.write((i, j), 0.5 * i + j)
+                    arr.read((i, j))  # into the mirror
+            interp = ShmSpmd(compile_source(READ_ALL))
+            expected = interp.run((arr, n)).value  # writes the code out
+            before = arr.reads
+            calls, value = self.frames(lambda: interp.run((arr, n)).value)
+            per_read = calls / (arr.reads - before)
+        finally:
+            arr.close()
+            arr.unlink()
+        assert value == expected and arr.reads - before == n * n
+        assert per_read <= self.MIRRORED_CALLS_PER_READ, per_read
+
     @staticmethod
-    def calls_per_read(program, args) -> float:
-        interp = ShmSpmd(program)
+    def frames(run) -> tuple[int, object]:
+        """The Python frames entered while ``run()`` runs, and what it
+        returns."""
         calls = 0
 
         def count(frame, event, arg):
@@ -531,12 +699,18 @@ class TestSpmdHostWorkBudget:
         previous = sys.getprofile()
         sys.setprofile(count)
         try:
-            interp.run(args, materialize=False)
+            value = run()
         finally:
             sys.setprofile(previous)
-            for arr in interp.shared_arrays:
-                arr.close()
-                arr.unlink()
+        return calls, value
+
+    def calls_per_read(self, program, args) -> float:
+        interp = ShmSpmd(program)
+        try:
+            calls, _ = self.frames(
+                lambda: interp.run(args, materialize=False))
+        finally:
+            interp.close()
         reads = sum(arr.reads for arr in interp.shared_arrays)
         assert reads > 0
         return calls / reads

@@ -8,6 +8,13 @@ from repro.partitioner import partition
 from repro.translator import isa, translate
 
 
+def input_operands(instr: isa.Instr) -> list:
+    """Operands whose presence gates execution of ``instr``."""
+    ops = [o for o in (instr.a, instr.b, instr.extra) if o is not None]
+    ops.extend(instr.args)
+    return ops
+
+
 def translated(src, distribute=True):
     g = build_graph(parse(src))
     if distribute:
@@ -65,7 +72,7 @@ class TestTemplates:
         p = translated(PAPER)
         for t in p.templates.values():
             for instr in t.code:
-                for op in instr.input_operands():
+                for op in input_operands(instr):
                     if op[0] == "s":
                         assert 0 <= op[1] < t.num_slots
                 for dst in (instr.dst, instr.dst2):
@@ -211,7 +218,7 @@ class TestOrderingInvariant:
                     # may come from either side; stop checking strictly.
                     back_edge_region = True
                 if not back_edge_region:
-                    for op in instr.input_operands():
+                    for op in input_operands(instr):
                         if op[0] == "s":
                             assert op[1] in defined, (
                                 f"{t.name} pc={pc}: slot {op[1]} read "
