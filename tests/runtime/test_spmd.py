@@ -19,6 +19,8 @@ width, ascending and descending, one identity per interpreter or several
 * the ``iter`` fault trigger is written into the loops exactly when the
   plan holds a clause, and ``iter``/``write`` clauses act at their counts;
 * a failing worker's traceback shows the generated line it failed on;
+* each shared read counts once, whether the inline probe or the
+  handle's ``read`` answers it;
 * over real shared-memory handles, an element read costs the host no
   more Python frames than its budget.
 """
