@@ -52,8 +52,8 @@ from repro.common.errors import (
 )
 from repro.graph import ir
 from repro.lang import ast_nodes as A
-from repro.runtime.arrays import (Handle, check_extents, flat_size, index_fn,
-                                  offset_fn, probe_source)
+from repro.runtime.arrays import (Handle, flat_size, index_fn, offset_fn,
+                                  probe_source)
 from repro.runtime.values import ArrayValue
 from repro.sim import timing as T
 from repro.sim.timing import _BIN_COSTS, _UN_COSTS
@@ -102,29 +102,19 @@ class SeqArray(Handle):
     ``static`` read through it, and the SPMD core never reports a
     private array's counters."""
 
-    __slots__ = ("array_id", "offset", "cells", "read")
+    __slots__ = ("offset", "cells", "read")
 
-    _next_id = 1
-
-    def __init__(self, dims: tuple[int, ...]) -> None:
-        check_extents(dims)
-        super().__init__(dims)
-        self.array_id = SeqArray._next_id
-        SeqArray._next_id += 1
-        self.offset = offset_fn(self.array_id, dims)
-        self.bind_cells([None] * flat_size(dims))
-
-    def bind_cells(self, cells: list) -> None:
-        """Keep the elements in ``cells`` — this handle's own list, or
-        one it shares — and build ``read(indices)`` over it."""
-        self.cells = self.probe(cells)
-        self.read = index_fn("read", self.array_id, self.dims, _SEQ_READ,
-                             cells=cells, MissingWriteError=MissingWriteError)
+    def __init__(self, ordinal: int, dims: tuple[int, ...]) -> None:
+        super().__init__(ordinal, dims)
+        self.offset = offset_fn(ordinal, dims)
+        self.cells = cells = self.probe([None] * flat_size(dims))
+        self.read = index_fn("read", ordinal, dims, _SEQ_READ, cells=cells,
+                             MissingWriteError=MissingWriteError)
 
     def write(self, indices: tuple[int, ...], value: Any) -> int:
         off = self.offset(indices)
         if self.cells[off] is not None:
-            raise SingleAssignmentViolation(self.array_id, off)
+            raise SingleAssignmentViolation(self.ordinal, off)
         self.cells[off] = value
         return off
 
@@ -238,6 +228,9 @@ class Interpreter:
         self.serial = count()  # numbers the generated globals
         # Classes already seen to pass :func:`is_istructure`.
         self.array_types: set[type] = set()
+        # The allocation ordinal of the last array allocated: every
+        # array is named by its own.
+        self.alloc_seq = 0
 
     # -- entry ------------------------------------------------------------
 
@@ -360,7 +353,8 @@ class Interpreter:
     # is the clock-bearing interpreters' seam: without one, ``arr.read``.
 
     def on_alloc(self, dims: tuple[int, ...]) -> SeqArray:
-        return SeqArray(dims)
+        self.alloc_seq += 1
+        return SeqArray(self.alloc_seq, dims)
 
     def on_array_read(self, arr: SeqArray, indices: tuple) -> Any:
         return arr.read(indices)

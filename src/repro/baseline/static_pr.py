@@ -118,9 +118,9 @@ class StaticInterpreter(PartitionedInterpreter):
         super().__init__(program, graph, clocks)
         self.clocks = clocks
         self.graph = graph
-        # (array_id, offset) -> time available at its owner.
+        # (ordinal, offset) -> time available at its owner.
         self.avail: dict[tuple[int, int], float] = {}
-        # (pe, array_id, page) -> cached since time t.
+        # (pe, ordinal, page) -> cached since time t.
         self.page_cache: dict[tuple[int, int, int], float] = {}
         self.headers: dict[int, ArrayHeader] = {}
         self.remote_misses = 0
@@ -129,11 +129,11 @@ class StaticInterpreter(PartitionedInterpreter):
     # -- ownership --------------------------------------------------------
 
     def header_for(self, arr: SeqArray) -> ArrayHeader:
-        header = self.headers.get(arr.array_id)
+        header = self.headers.get(arr.ordinal)
         if header is None:
-            header = ArrayHeader(arr.array_id, arr.dims, self.page_size,
+            header = ArrayHeader(arr.ordinal, arr.dims, self.page_size,
                                  self.num_pes)
-            self.headers[arr.array_id] = header
+            self.headers[arr.ordinal] = header
         return header
 
     # -- distributed loops --------------------------------------------------
@@ -172,7 +172,7 @@ class StaticInterpreter(PartitionedInterpreter):
     def on_array_read(self, arr: SeqArray, indices: tuple) -> Any:
         header = self.header_for(arr)
         offset = arr.offset(indices)
-        avail = self.avail.get((arr.array_id, offset), 0.0)
+        avail = self.avail.get((arr.ordinal, offset), 0.0)
         ctx = self.clocks.ctx
         if ctx == "all":
             # Replicated SPMD code: every non-owner PE must fetch the
@@ -185,7 +185,7 @@ class StaticInterpreter(PartitionedInterpreter):
                     self.clocks.times[p] = avail
                 if p == owner:
                     continue
-                key = (p, arr.array_id, page)
+                key = (p, arr.ordinal, page)
                 if self.cache_enabled and self.page_cache.get(key, -1.0) >= avail:
                     continue
                 self.clocks.times[p] += self.remote_rt
@@ -198,7 +198,7 @@ class StaticInterpreter(PartitionedInterpreter):
             self.clocks.wait_until(avail)
         else:
             page = header.page_of(offset)
-            key = (ctx, arr.array_id, page)
+            key = (ctx, arr.ordinal, page)
             if self.cache_enabled and key in self.page_cache \
                     and self.page_cache[key] >= avail:
                 self.clocks.wait_until(avail)
@@ -223,7 +223,7 @@ class StaticInterpreter(PartitionedInterpreter):
                 # value lands after the message latency.
                 self.clocks.charge(REMOTE_WRITE_SEND)
                 when = self.clocks.now() + T.message_latency(32)
-        self.avail[(arr.array_id, offset)] = when
+        self.avail[(arr.ordinal, offset)] = when
 
 
 def run_static(program, args: tuple = (), num_pes: int = 1,

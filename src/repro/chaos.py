@@ -267,7 +267,7 @@ def dist_scenarios(nodes: int) -> list[Scenario]:
         scenario("node-kill-takeover", "node-kill:node=1,on=iter,after=2",
                  n=N_LONG, takeovers=1),
         # A node dies *late*, after survivors already pushed writes into
-        # its store: the presence-bit replay (survivor caches) plus the
+        # its store: the presence-bit replay (survivors' lists) plus the
         # subrange re-execution must reconstruct the lost segment.
         scenario("late-kill-replay", "node-kill:node=1,on=write,after=30",
                  n=N_LONG, takeovers=1),

@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 from repro.common.canonical import (canonical_json, content_address,
                                     source_hash, source_hash_problems)
 from repro.common.errors import PodsError
+from repro.runtime.arrays import flat_size
 
 SCHEMA = "pods-ckpt/v1"
 ID_ABBREV = 12
@@ -104,13 +105,6 @@ class CkptSpec:
 # ---------------------------------------------------------------------
 
 
-def _flat_size(dims) -> int:
-    total = 1
-    for d in dims:
-        total *= d
-    return total
-
-
 def bitmap_hex(total: int, offsets) -> str:
     """Presence bitmap over ``total`` elements as hex (LSB-first bits)."""
     buf = bytearray((total + 7) // 8)
@@ -136,7 +130,7 @@ def bitmap_offsets(hexmap: str) -> set[int]:
 def array_entry(seq: int, dims, page_size: int,
                 elements: dict[int, object]) -> dict:
     """One ``arrays[]`` entry from a flat ``offset -> value`` mapping."""
-    total = _flat_size(dims)
+    total = flat_size(dims)
     pages: dict[str, list] = {}
     for off in sorted(elements):
         value = elements[off]
@@ -266,7 +260,7 @@ def validate(doc) -> list[str]:
                         and d >= 1 for d in dims)):
             problems.append(f"{where}: 'dims' must be positive ints")
             continue
-        total = _flat_size(dims)
+        total = flat_size(dims)
         page_size = a.get("page_size")
         if not isinstance(page_size, int) or isinstance(page_size, bool) \
                 or page_size < 1:

@@ -25,7 +25,6 @@ ERROR_TAXONOMY = {
     "pe-halt": "a halted PE stranded the rest of the machine",
     "worker-failure": "a real-parallel worker died and was not healed",
     "node-loss": "a distributed node was lost and could not be healed",
-    "transport": "a distributed message channel gave up on its peer",
     "execution": "an instruction failed while executing",
     "runtime": "another runtime fault",
     "regression": "a stored run regressed against its baseline",
@@ -456,26 +455,6 @@ def _restore_parallel_error(cls, message, failures, recovery):
     exc.failures = failures
     exc.recovery = recovery
     return exc
-
-
-class TransportError(RuntimeFault):
-    """The distributed backend's TCP message layer gave up on a link.
-
-    Raised (or reported as a node-side failure detail) when a
-    per-(src, dst) channel exhausts its retransmit budget or a peer
-    connection exhausts its reconnect budget — the wall-clock analogue
-    of the simulator's :class:`LivelockError` on an unreachable
-    receiver.  Carries the endpoints so a partition reads differently
-    from a crashed peer in the error text.
-    """
-
-    code = "transport"
-
-    def __init__(self, src: int, dst: int, reason: str) -> None:
-        self.src = src
-        self.dst = dst
-        self.reason = reason
-        super().__init__(f"transport node {src} -> node {dst}: {reason}")
 
 
 class DistExecutionError(ParallelExecutionError):

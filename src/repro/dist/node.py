@@ -28,12 +28,12 @@ routed to the owning node and lands in its memory once — a second
 non-replay write is a :class:`SingleAssignmentViolation`; a replay
 write of an already-present element is *verified* against the stored
 value instead (the idempotence that makes takeover re-execution safe).
-A read misses the node-local cache, then becomes a genuine split-phase
-exchange: a ``read`` request to the owner, answered with a run of the
-owner's elements that starts at the requested element's page and grows
-with each miss of the same handle (the read window), or deferred
-owner-side until the write arrives and then answered with that one
-element.  A read that nothing will ever
+A read of an element the node has not seen becomes a genuine
+split-phase exchange: a ``read`` request to the owner, answered with a
+run of the owner's elements that starts at the requested element's page
+and grows with each miss of the same handle (the read window), or
+deferred owner-side until the write arrives and then answered with that
+one element.  A read that nothing will ever
 satisfy times out as a structured
 :class:`~repro.common.errors.DeferredReadTimeout` — the distributed
 face of deadlock.
@@ -59,7 +59,7 @@ from repro.dist.faults import DistFaultInjector, DistFaultPlan
 from repro.dist.memory import NodeMemory
 from repro.dist.transport import (COORD, Endpoint, encode_frame,
                                   frame_secret, read_frame)
-from repro.runtime.arrays import ArrayHeader, Handle, check_extents, index_fn
+from repro.runtime.arrays import ArrayHeader, SharedHandle, index_fn
 from repro.runtime.spmd import SpmdInterpreter, sigterm_default
 
 # The longest run a read may ask for, in elements (64 pages of 32): it
@@ -67,32 +67,33 @@ from repro.runtime.spmd import SpmdInterpreter, sigterm_default
 # page size.
 _RUN_CAP = 2048
 
-# ``DistArray.read`` after the index rule: count, then the node's read
-# cache (program values are numbers, never None), then the miss path;
-# what it answers goes into the handle's mirror for the inline read.
+# ``DistArray.read`` after the index rule: count, then the node's list
+# of the array's elements (program values are numbers, never None), then
+# the miss path, which waits for the element; whatever answers it puts
+# the element in the list first.
 _DIST_READ = """\
 self.reads += 1
-value = cached(off)
+value = seen[off]
 if value is None:
     value = miss(self, indices, off)
-(self.seen or self.mirror())[off] = value
 return value
 """
 
 
-class DistArray(Handle):
+class DistArray(SharedHandle):
     """One executor's handle to a distributed I-structure.
 
     Holds the geometry (an :class:`ArrayHeader` over the *identity*
     space — ownership never changes shape, only the identity->node
     binding does) and this executor's access counters; storage lives in
-    the node's memory and read cache.  ``read`` is built here, once, by
+    the node's memory, and every element the node has seen in the
+    node's one list of the array (:meth:`NodeRuntime.seen_list`), which
+    every handle of the array on the node shares and the interpreter's
+    inline read probes (:class:`~repro.runtime.arrays.Handle`).
+    ``read`` is built here, once, by
     :func:`~repro.runtime.arrays.index_fn`: the index rule for this
-    handle's rank, the counter and the cache's ``dict.get`` in one
-    Python frame, then the miss path.  What it answers goes into the
-    handle's mirror, a list of this executor's own that the
-    interpreter's inline read looks in first
-    (:class:`~repro.runtime.arrays.Handle`).
+    handle's rank, the counter and a look in the list in one Python
+    frame, then the miss path.
 
     ``window`` is how many elements this handle's next remote miss asks
     the owner for: one page at first (at most ``_RUN_CAP``), doubled by
@@ -100,54 +101,25 @@ class DistArray(Handle):
     fetches runs that grow with it while a one-off miss costs one page.
     """
 
-    __slots__ = ("runtime", "seq", "replay", "header", "name", "cache",
-                 "read", "writes", "deferred_reads", "spin_wait_s",
-                 "max_spin_wait_s", "pages_touched", "window")
+    __slots__ = ("runtime", "replay", "read", "window")
 
     def __init__(self, runtime: "NodeRuntime", seq: int,
                  dims: tuple[int, ...], replay: bool = False) -> None:
-        check_extents(dims)
-        super().__init__(dims)
+        super().__init__(seq, dims, runtime.cfg.page_size,
+                         runtime.num_identities)
         self.runtime = runtime
-        self.seq = seq
         self.replay = replay  # writes verify already-present elements
-        self.header = ArrayHeader(seq, dims, runtime.cfg.page_size,
-                                  runtime.num_identities)
-        # The loop thread needs the geometry during takeover (to decide
-        # which cached offsets a rebound identity owns).  setdefault on
-        # a builtin dict is atomic under the GIL; headers are immutable.
-        runtime.headers.setdefault(seq, self.header)
-        # Zero-padded so the registry's sorted-name indexing matches
-        # allocation order past nine arrays.
-        self.name = f"a{seq:04d}"
-        self.writes = 0
-        self.deferred_reads = 0
-        self.spin_wait_s = 0.0
-        self.max_spin_wait_s = 0.0
-        self.pages_touched: set[int] = set()
         self.window = min(runtime.cfg.page_size, _RUN_CAP)
-        self.cache = cache = runtime.caches.setdefault(seq, {})
+        seen = self.probe(runtime.seen_list(self.header))
         self.read = index_fn("read", seq, dims, _DIST_READ, self=self,
-                             cached=cache.get, miss=runtime.read_miss)
+                             seen=seen, miss=runtime.read_miss)
 
     def write(self, indices: tuple, value) -> None:
         self.runtime.array_write(self, indices, value)
 
-    def stats(self) -> dict:
-        """This executor's access counters (replay verifies are counted
-        node-wide by the memory; there is no stall watchdog here)."""
-        return {"reads": self.reads, "writes": self.writes,
-                "deferred_reads": self.deferred_reads,
-                "spin_wait_s": self.spin_wait_s,
-                "max_spin_wait_s": self.max_spin_wait_s,
-                "replayed_present": 0, "stall_reports": 0,
-                "pages_touched": sorted(self.pages_touched)}
-
 
 class _NodeInterpreter(SpmdInterpreter):
-    """The SPMD core over this node's memory and read cache."""
-
-    shared_cls = DistArray
+    """The SPMD core over this node's memory and element lists."""
 
     def __init__(self, runtime: "NodeRuntime", identities: tuple[int, ...],
                  replay: bool) -> None:
@@ -163,10 +135,10 @@ class NodeRuntime:
     """Everything one node process owns: loop, transport, memory, threads.
 
     Thread contract.  Both kinds of thread use ``memory`` (its lock is
-    the only one here) and the read caches (plain dicts under the GIL;
-    single assignment makes a cached value immutable).  The loop thread
-    alone owns the sockets, the pending reads and the report memory,
-    and *assigns* ``owners`` and ``live``.  An executor reads ``owners``
+    the only one here) and the element lists (plain lists under the GIL,
+    written one element at a time; single assignment makes a value in
+    one immutable).  The loop thread alone owns the sockets, the pending
+    reads and the report memory, and *assigns* ``owners`` and ``live``.  An executor reads ``owners``
     to ask one question — is this element mine? — and acts on a yes
     without the loop.  The answer cannot go stale in the dangerous
     direction: an owner-map change only ever rebinds a *dead* node's
@@ -190,8 +162,11 @@ class NodeRuntime:
         self.owners = list(range(cfg.nodes))  # identity -> node
         self.live = set(range(cfg.nodes))
         self.memory = NodeMemory(cfg.page_size)
-        self.caches: dict[int, dict[int, object]] = {}
+        # Per allocation ordinal: the array's header, and the node's one
+        # list of the elements it has seen (None: not seen), which every
+        # handle of the array here shares.
         self.headers: dict[int, ArrayHeader] = {}
+        self.seen: dict[int, list] = {}
         # (array seq, offset) -> {"ident": owner identity, "target":
         # node the request went to, "n": the run it asked for, "futs":
         # [concurrent futures]}
@@ -349,12 +324,13 @@ class NodeRuntime:
         return arrays
 
     def _seed_restore(self) -> None:
-        """Pre-seed memory and caches from a ``pods-ckpt/v1`` snapshot.
+        """Pre-seed memory and element lists from a ``pods-ckpt/v1``
+        snapshot.
 
         Ownership is re-derived at the *current* node count — the
         checkpoint stores flat offsets, and ``owner_of_offset`` is pure
         geometry — so a run checkpointed at N nodes restores at M.
-        Every element also lands in the read cache (single assignment
+        Every element also lands in the node's list (single assignment
         makes any copy authoritative), sparing the replay a round of
         remote reads.
         """
@@ -366,12 +342,24 @@ class NodeRuntime:
             header = ArrayHeader(ordinal, tuple(dims),
                                  self.cfg.page_size,
                                  self.num_identities)
-            self.headers.setdefault(ordinal, header)
-            cache = self.caches.setdefault(ordinal, {})
+            seen = self.seen_list(header)
             for off, value in elements.items():
-                cache[off] = value
+                seen[off] = value
                 if self.owners[header.owner_of_offset(off)] == self.node:
                     self.memory.seed(ordinal, off, value)
+
+    def seen_list(self, header: ArrayHeader) -> list:
+        """The node's list of the elements of ``header``'s array, made
+        on first use (either thread).  ``setdefault`` on a builtin dict
+        is atomic under the GIL, so two executors allocating the array
+        at once share one list; the header goes in first, for the loop
+        thread's replay, and headers are immutable."""
+        a = header.array_id
+        seen = self.seen.get(a)
+        if seen is None:
+            self.headers.setdefault(a, header)
+            seen = self.seen.setdefault(a, [None] * header.total_elements)
+        return seen
 
     def _auth_reject(self) -> None:
         if self.endpoint is not None:
@@ -449,7 +437,7 @@ class NodeRuntime:
             self.post_report(msg)
 
         interp.execute(self.args, emit,
-                       lambda arr: [arr.seq, list(arr.dims)])
+                       lambda arr: [arr.ordinal, list(arr.dims)])
 
     # ------------------------------------------------------------------
     # array access (executor threads; the two helpers, either thread)
@@ -462,48 +450,45 @@ class NodeRuntime:
         arr.writes += 1
         arr.pages_touched.add(header.page_of(off))
         # Single assignment makes the value immutable: the writer may
-        # cache it immediately, whoever ends up storing it.
-        arr.cache[off] = value
+        # keep it immediately, whoever ends up storing it.
+        arr.seen[off] = value
         if self.owners[ident] == self.node:
             # Stored from this thread; a violation is raised right here.
-            self._release(arr.seq, off, value, self.memory.write(
-                arr.seq, off, value, arr.replay))
+            self._release(arr.ordinal, off, value, self.memory.write(
+                arr.ordinal, off, value, arr.replay))
             return
         # Resolved once handed to the reliable transport (a violation
         # surfaces owner-side as a node error).
         fut: cf.Future = cf.Future()
-        self.loop.call_soon_threadsafe(self._write_entry, arr.seq, off,
+        self.loop.call_soon_threadsafe(self._write_entry, arr.ordinal, off,
                                        ident, value, arr.replay, fut)
         fut.result(timeout=self.cfg.read_timeout_s)
 
     def read_miss(self, arr: DistArray, indices: tuple, off: int):
-        """A read the cache could not serve: wait for the element."""
+        """A read of an element the node has not seen: wait for it."""
         ident = arr.header.owner_of_offset(off)
         fut: cf.Future = cf.Future()
         if self.owners[ident] == self.node:
-            self._read_local(arr.seq, off, fut)
+            self._read_local(arr.ordinal, off, fut)
         else:
-            self.loop.call_soon_threadsafe(self._read_entry, arr.seq, off,
-                                           ident, arr.window, fut)
+            self.loop.call_soon_threadsafe(self._read_entry, arr.ordinal,
+                                           off, ident, arr.window, fut)
             arr.window = min(2 * arr.window, _RUN_CAP)
         t0 = time.perf_counter()
         try:
             value = fut.result(timeout=self.cfg.read_timeout_s)
         except cf.TimeoutError:
             raise DeferredReadTimeout(
-                arr.name, indices, off, ident,
+                f"array {arr.ordinal}", indices, off, ident,
                 time.perf_counter() - t0) from None
-        waited = time.perf_counter() - t0
-        arr.deferred_reads += 1
-        arr.spin_wait_s += waited
-        arr.max_spin_wait_s = max(arr.max_spin_wait_s, waited)
+        arr.waited(time.perf_counter() - t0)
         return value
 
     def _read_local(self, a: int, off: int, fut: cf.Future) -> None:
         """Resolve ``fut`` with an owned element: now, or at its write."""
         value = self.memory.read(a, off, ("local", fut))
         if value is not None:
-            self.caches.setdefault(a, {})[off] = value
+            self.seen[a][off] = value
             fut.set_result(value)
 
     def _release(self, a: int, off: int, value, waiters: list) -> None:
@@ -583,10 +568,13 @@ class NodeRuntime:
         elif t == "rdy":
             a, lo, values = m["a"], m["lo"], m["v"]
             hi = lo + len(values)
-            cache = self.caches.setdefault(a, {})
-            cache.update((off, value) for off, value
-                         in enumerate(values, lo) if value is not None)
-            # The cache first, then the readers: a woken reader's next
+            # One element at a time, present ones only: a slice would
+            # put back None over an element an executor wrote meanwhile.
+            seen = self.seen[a]
+            for off, value in enumerate(values, lo):
+                if value is not None:
+                    seen[off] = value
+            # The list first, then the readers: a woken reader's next
             # reads find the whole run.  Few reads are pending at once,
             # so look them up rather than the run's every element.
             for key in [k for k in self.pending
@@ -598,8 +586,9 @@ class NodeRuntime:
 
     def _store(self, a: int, off: int, value, replay: bool,
                writer_node: int) -> None:
-        """A write that reached its owner by frame or cache replay: the
-        writer has moved on, so a violation is posted as a node error."""
+        """A write that reached its owner by frame or presence-bit
+        replay: the writer has moved on, so a violation is posted as a
+        node error."""
         try:
             waiters = self.memory.write(a, off, value, replay)
         except SingleAssignmentViolation as exc:
@@ -610,7 +599,9 @@ class NodeRuntime:
                 "detail": f"{type(exc).__name__}: {exc}\n"
                           f"(write received from node {writer_node})"})
             return
-        self.caches.setdefault(a, {})[off] = value
+        seen = self.seen.get(a)
+        if seen is not None:  # else no handle here yet: memory has it
+            seen[off] = value
         self._release(a, off, value, waiters)
 
     # ------------------------------------------------------------------
@@ -637,28 +628,28 @@ class NodeRuntime:
                 for fut in entry["futs"]:
                     self._read_entry(*key, entry["ident"], entry["n"], fut)
         # Presence-bit replay: the dead node's memory is gone, but every
-        # value a survivor ever wrote or read is in its cache (single
+        # value a survivor ever wrote or read is in its lists (single
         # assignment made them immutable at first sight).  Push this
-        # node's cached copies of the rebound identities' elements to
-        # the new owner as idempotent replay writes — between the
-        # survivors' caches and the takeover re-execution, the lost
-        # memory is reconstructed in full.
+        # node's copies of the rebound identities' elements to the new
+        # owner as idempotent replay writes — between the survivors'
+        # lists and the takeover re-execution, the lost memory is
+        # reconstructed in full.
         if rebound:
             self._replay_cached(rebound)
 
     def _replay_cached(self, rebound: set[int]) -> None:
-        # This node's executors keep filling the caches meanwhile.  A
-        # ``dict.copy()`` snapshots each in one allocation; iterating the
-        # live dict (or ``list(cache.items())``, a tuple per entry, which
-        # can run the GC and switch threads) could see it change size.
-        for a, cache in self.caches.copy().items():
-            header = self.headers.get(a)
-            if header is None:
-                continue
-            for off, value in cache.copy().items():
-                ident = header.owner_of_offset(off)
-                if ident in rebound:
-                    self._route_write(a, off, ident, value, True)
+        # This node's executors keep filling the lists meanwhile.  A list
+        # never changes length and is written one element at a time, so
+        # each is scanned live, over the rebound identities' segments
+        # only; the small ordinal map is copied in one allocation, as an
+        # executor may add an array to it.
+        for a, seen in self.seen.copy().items():
+            header = self.headers[a]
+            for ident in sorted(rebound):
+                for off in range(*header.segment_bounds(ident)):
+                    value = seen[off]
+                    if value is not None:
+                        self._route_write(a, off, ident, value, True)
 
     def _on_peer_lost(self, peer: int, reason: str, detail: str) -> None:
         self._send_report({"t": "peer-lost", "node": self.node,

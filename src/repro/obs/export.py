@@ -260,19 +260,6 @@ def validate_trace_events(obj) -> list[str]:
 
 # -- flat metric/trace text ---------------------------------------------
 
-def metrics_jsonl(registry) -> str:
-    return registry.to_jsonl()
-
-
-def metrics_csv(registry) -> str:
-    return registry.to_csv()
-
-
-def metrics_openmetrics(registry, prefix: str = "pods") -> str:
-    """OpenMetrics exposition of a live registry (full histograms)."""
-    return registry.to_openmetrics(prefix=prefix)
-
-
 def openmetrics_from_rows(rows, prefix: str = "pods") -> str:
     """OpenMetrics exposition of *stored* metric rows (a ``pods-run/v1``
     record's ``metrics`` section).
@@ -282,41 +269,20 @@ def openmetrics_from_rows(rows, prefix: str = "pods") -> str:
     ``_count``/``_sum`` without per-bucket series.  Rows are re-sorted
     into the registry's deterministic (kind, name, labels) order, so a
     record deposited from a live registry and re-exposed from the store
-    agree line for line on every non-bucket sample.
+    agree line for line on every non-bucket sample.  A row of another
+    kind, or a histogram without its summary, is left out.
     """
-    from repro.obs.registry import _labelkey, _om_labels, _om_name, _om_num
+    from repro.obs.registry import _labelkey, openmetrics
 
-    lines: list[str] = []
-    typed: set[str] = set()
-
-    def family(kind: str, name: str) -> str:
-        mname = _om_name(prefix, name)
-        if mname not in typed:
-            typed.add(mname)
-            lines.append(f"# TYPE {mname} {kind}")
-        return mname
-
-    ordered = sorted(rows, key=lambda r: (
-        r.get("kind", ""), r.get("name", ""),
-        _labelkey(r.get("labels") or {})))
-    for row in ordered:
-        kind, name = row.get("kind"), row.get("name", "")
-        labels = _om_labels(_labelkey(row.get("labels") or {}))
-        value = row.get("value")
-        if kind == "counter":
-            lines.append(f"{family('counter', name)}_total{labels} "
-                         f"{_om_num(value)}")
-        elif kind == "gauge":
-            lines.append(f"{family('gauge', name)}{labels} "
-                         f"{_om_num(value)}")
-        elif kind == "histogram" and isinstance(value, dict):
-            mname = family("histogram", name)
-            lines.append(f"{mname}_count{labels} "
-                         f"{_om_num(value.get('count', 0))}")
-            lines.append(f"{mname}_sum{labels} "
-                         f"{_om_num(value.get('sum', 0.0))}")
-    lines.append("# EOF")
-    return "\n".join(lines)
+    entries = sorted(
+        ((row.get("kind"), row.get("name", ""),
+          _labelkey(row.get("labels") or {}), row.get("value"))
+         for row in rows
+         if row.get("kind") in ("counter", "gauge")
+         or (row.get("kind") == "histogram"
+             and isinstance(row.get("value"), dict))),
+        key=lambda entry: entry[:3])
+    return openmetrics(entries, prefix)
 
 
 def trace_golden(events: Iterable) -> str:

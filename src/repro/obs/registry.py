@@ -144,14 +144,17 @@ class MetricsRegistry:
 
     def rows(self) -> list[MetricRow]:
         """Every row of the registry, sorted by (kind, name, labels)."""
-        out: list[MetricRow] = []
-        for (name, lk), v in self._counters.items():
-            out.append(MetricRow("counter", name, lk, v))
-        for (name, lk), v in self._gauges.items():
-            out.append(MetricRow("gauge", name, lk, v))
-        for (name, lk), hist in self._hists.items():
-            out.append(MetricRow("histogram", name, lk, hist.summary()))
-        out.sort(key=lambda r: (r.kind, r.name, r.labels))
+        return [MetricRow(kind, name, lk, value.summary()
+                          if kind == "histogram" else value)
+                for kind, name, lk, value in self._entries()]
+
+    def _entries(self) -> list[tuple]:
+        """``(kind, name, labels, value)`` of every row, sorted by
+        (kind, name, labels); a histogram's value is the live one."""
+        out = [("counter", *key, v) for key, v in self._counters.items()]
+        out += [("gauge", *key, v) for key, v in self._gauges.items()]
+        out += [("histogram", *key, h) for key, h in self._hists.items()]
+        out.sort(key=lambda r: r[:3])
         return out
 
     def __len__(self) -> int:
@@ -190,40 +193,47 @@ class MetricsRegistry:
         the spec's ``# EOF`` terminator, so identical runs expose
         byte-identical pages.
         """
-        lines: list[str] = []
-        typed: set[str] = set()
-
-        def family(kind: str, name: str) -> str:
-            mname = _om_name(prefix, name)
-            if mname not in typed:
-                typed.add(mname)
-                lines.append(f"# TYPE {mname} {kind}")
-            return mname
-
-        for (name, lk), v in sorted(self._counters.items()):
-            mname = family("counter", name)
-            lines.append(f"{mname}_total{_om_labels(lk)} {_om_num(v)}")
-        for (name, lk), v in sorted(self._gauges.items()):
-            mname = family("gauge", name)
-            lines.append(f"{mname}{_om_labels(lk)} {_om_num(v)}")
-        for (name, lk), hist in sorted(self._hists.items()):
-            mname = family("histogram", name)
-            cumulative = 0
-            for bound, count in zip(hist.bounds, hist.counts):
-                cumulative += count
-                lines.append(
-                    f"{mname}_bucket{_om_labels(lk, le=_om_num(bound))} "
-                    f"{cumulative}")
-            lines.append(
-                f"{mname}_bucket{_om_labels(lk, le='+Inf')} {hist.count}")
-            lines.append(f"{mname}_count{_om_labels(lk)} {hist.count}")
-            lines.append(f"{mname}_sum{_om_labels(lk)} "
-                         f"{_om_num(hist.total)}")
-        lines.append("# EOF")
-        return "\n".join(lines)
+        return openmetrics(self._entries(), prefix)
 
 
-# -- OpenMetrics encoding helpers ---------------------------------------
+# -- OpenMetrics encoding -------------------------------------------------
+
+
+def openmetrics(entries, prefix: str) -> str:
+    """The OpenMetrics page of ``entries``: ``(kind, name, labels,
+    value)`` in (kind, name, labels) order, one ``# TYPE`` line per
+    family.  A histogram's value is a live :class:`Histogram`, exposed
+    with its cumulative buckets, or a stored summary, exposed as
+    ``_count`` / ``_sum`` alone."""
+    lines: list[str] = []
+    typed: set[str] = set()
+    for kind, name, lk, value in entries:
+        mname = _om_name(prefix, name)
+        if mname not in typed:
+            typed.add(mname)
+            lines.append(f"# TYPE {mname} {kind}")
+        labels = _om_labels(lk)
+        if kind == "counter":
+            lines.append(f"{mname}_total{labels} {_om_num(value)}")
+        elif kind == "gauge":
+            lines.append(f"{mname}{labels} {_om_num(value)}")
+        else:
+            if isinstance(value, Histogram):
+                cumulative = 0
+                for bound, count in zip(value.bounds, value.counts):
+                    cumulative += count
+                    lines.append(
+                        f"{mname}_bucket{_om_labels(lk, le=_om_num(bound))} "
+                        f"{cumulative}")
+                lines.append(f"{mname}_bucket{_om_labels(lk, le='+Inf')} "
+                             f"{value.count}")
+                value = value.summary()
+            lines.append(f"{mname}_count{labels} "
+                         f"{_om_num(value.get('count', 0))}")
+            lines.append(f"{mname}_sum{labels} "
+                         f"{_om_num(value.get('sum', 0.0))}")
+    lines.append("# EOF")
+    return "\n".join(lines)
 
 
 def _om_name(prefix: str, name: str) -> str:

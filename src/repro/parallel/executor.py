@@ -79,8 +79,6 @@ class _WorkerInterpreter(SpmdInterpreter):
     an ownership epoch claimed per adopted identity.
     """
 
-    shared_cls = ShmArray
-
     def __init__(self, program, spec: _WorkerSpec, cfg: ParallelConfig,
                  run_tag: str, injector: FaultInjector,
                  manifest: ShmManifest | None = None,
@@ -112,7 +110,7 @@ class _WorkerInterpreter(SpmdInterpreter):
             # Record before creating: a death in the gap costs a no-op
             # unlink, while the reverse order would leak the segment.
             self.manifest.record(name)
-        arr = ShmArray(name, dims, create=create,
+        arr = ShmArray(name, dims, create=create, ordinal=seq,
                        page_size=self.page_size,
                        epoch_slots=self.num_workers,
                        slot=self.worker, generation=self.spec.generation,
@@ -263,7 +261,7 @@ def run_parallel(program, args: tuple = (),
         for seq in sorted(allocs):
             name, dims = allocs[seq]
             try:
-                arr = ShmArray(name, dims, create=False,
+                arr = ShmArray(name, dims, create=False, ordinal=seq,
                                page_size=cfg.page_size, epoch_slots=nw,
                                attach_timeout_s=0.5)
             except RuntimeFault:
@@ -290,7 +288,7 @@ def run_parallel(program, args: tuple = (),
                 dims, elements = restore.array(ordinal)
                 name = f"{run_tag}_{ordinal}"
                 manifest.record(name)
-                arr = ShmArray(name, dims, create=True,
+                arr = ShmArray(name, dims, create=True, ordinal=ordinal,
                                page_size=cfg.page_size, epoch_slots=nw)
                 try:
                     for off, value in elements.items():

@@ -47,8 +47,7 @@ import _posixshmem
 from repro.common.errors import (BoundsViolation, DeferredReadTimeout,
                                  ExecutionError, RuntimeFault,
                                  SingleAssignmentViolation, WorkerSuperseded)
-from repro.runtime.arrays import (ArrayHeader, Handle, check_extents,
-                                  index_fn, offset_fn)
+from repro.runtime.arrays import SharedHandle, index_fn
 
 FLAG_ABSENT = 0
 FLAG_FLOAT = 1
@@ -114,8 +113,11 @@ def unlink_segment(name: str) -> bool:
     return True
 
 
-class ShmArray(Handle):
-    """One shared I-structure array (attached or created).
+class ShmArray(SharedHandle):
+    """One shared I-structure array (attached or created): segment
+    ``name``, holding the array of allocation ordinal ``ordinal`` (1 for
+    an array of its own), whose identity-space header carries the
+    ordinal as every store's does.
 
     ``epoch_slots`` sizes the ownership-epoch table (one slot per
     worker) and must agree between the creator and every attacher —
@@ -143,7 +145,7 @@ class ShmArray(Handle):
     """
 
     def __init__(self, name: str, dims: tuple[int, ...], create: bool,
-                 attach_timeout_s: float = 10.0,
+                 ordinal: int = 1, attach_timeout_s: float = 10.0,
                  page_size: int = 32, epoch_slots: int = 1,
                  slot: int = 0, generation: int = 0,
                  replay: bool = False, exist_ok: bool = False,
@@ -151,8 +153,11 @@ class ShmArray(Handle):
                  spin_ceiling_s: float | None = None,
                  on_stall: Callable[[dict], None] | None = None,
                  on_spin: Callable[[], None] | None = None) -> None:
-        check_extents(dims)  # before a segment exists to leak
-        super().__init__(dims)
+        # The extents pass their check before a segment exists to leak.
+        # The header is identity-space geometry (``epoch_slots`` plays
+        # ``num_pes``): what the Range Filter consults, and the
+        # segment-owner hint in stall reports.
+        super().__init__(ordinal, dims, page_size, epoch_slots)
         self.page_size = page_size
         if epoch_slots < 1:
             raise ExecutionError(f"epoch_slots must be >= 1, got {epoch_slots}")
@@ -164,10 +169,6 @@ class ShmArray(Handle):
         self.spin_ceiling_s = spin_ceiling_s
         self.on_stall = on_stall
         self.on_spin = on_spin
-        # Identity-space geometry (``epoch_slots`` plays ``num_pes``):
-        # what the Range Filter consults, and the segment-owner hint in
-        # stall reports.
-        self.header = ArrayHeader(1, dims, page_size, epoch_slots)
         self.total = total = self.header.total_elements
         self._epoch_bytes = 8 * epoch_slots
         size = self._epoch_bytes + total * 9  # epochs + flag + value bytes
@@ -188,7 +189,7 @@ class ShmArray(Handle):
         else:
             self.shm = self._attach(name, size, attach_timeout_s)
         self.name = name
-        self.offset = offset_fn(name, dims)
+        self.offset = self.header.offset
         # Typed views over the mapping: cells are read and written as
         # native 8-byte floats / ints with no per-access (un)packing.
         # The value region follows ``total`` flag bytes and so need not
@@ -201,20 +202,10 @@ class ShmArray(Handle):
         self._ints = vals.cast("q")
         if generation:
             self.set_epoch(slot, generation)
-        self.read = index_fn("read", name, dims, _SHM_READ, self=self,
+        self.read = index_fn("read", ordinal, dims, _SHM_READ, self=self,
                              flags=self._flags, floats=self._floats,
                              wait=self._wait, present=self._read_present,
                              FLAG_FLOAT=FLAG_FLOAT, FLAG_ABSENT=FLAG_ABSENT)
-        # Telemetry counters, all process-local (each worker holds its
-        # own attachment): fed into per-worker WorkerTelemetry and from
-        # there into the run's shared MetricsRegistry (repro.obs).
-        self.writes = 0
-        self.deferred_reads = 0
-        self.spin_wait_s = 0.0
-        self.max_spin_wait_s = 0.0
-        self.replayed_present = 0
-        self.stall_reports = 0
-        self.pages_touched: set[int] = set()
 
     @staticmethod
     def _attach(name: str, size: int, attach_timeout_s: float) -> _Segment:
@@ -266,10 +257,10 @@ class ShmArray(Handle):
                 # violations (double writes in the program) detectable
                 # even under replay.
                 if self._read_present(off, self._flags[off]) != value:
-                    raise SingleAssignmentViolation(0, off)
+                    raise SingleAssignmentViolation(self.ordinal, off)
                 self.replayed_present += 1
                 return
-            raise SingleAssignmentViolation(0, off)
+            raise SingleAssignmentViolation(self.ordinal, off)
         if self.generation:
             self._check_superseded()
         if isinstance(value, float):
@@ -293,7 +284,6 @@ class ShmArray(Handle):
     def _wait(self, indices: tuple[int, ...], off: int):
         """An I-structure read of an absent element: spin until it is
         present, under the settings bound at construction."""
-        self.deferred_reads += 1
         if self.on_spin is not None:
             self.on_spin()
         spin_ceiling_s, on_stall = self.spin_ceiling_s, self.on_stall
@@ -327,10 +317,7 @@ class ShmArray(Handle):
                 time.sleep(pause)
                 pause = min(pause * 2, 0.001)
         finally:
-            waited = time.monotonic() - spin_start
-            self.spin_wait_s += waited
-            if waited > self.max_spin_wait_s:
-                self.max_spin_wait_s = waited
+            self.waited(time.monotonic() - spin_start)
         return self._read_present(off, flag)
 
     def _read_present(self, off: int, flag: int):
@@ -339,19 +326,6 @@ class ShmArray(Handle):
         value = self._ints[off]
         return bool(value) if flag == FLAG_BOOL else value
 
-    def stats(self) -> dict:
-        """This attachment's access counters (one worker's view)."""
-        return {
-            "reads": self.reads,
-            "writes": self.writes,
-            "deferred_reads": self.deferred_reads,
-            "spin_wait_s": self.spin_wait_s,
-            "max_spin_wait_s": self.max_spin_wait_s,
-            "replayed_present": self.replayed_present,
-            "stall_reports": self.stall_reports,
-            "pages_touched": sorted(self.pages_touched),
-        }
-
     def seed(self, off: int, value) -> None:
         """Host-side restore: store one checkpointed element by offset.
 
@@ -359,7 +333,7 @@ class ShmArray(Handle):
         worker is attached yet and the handle is generation 0.
         """
         if not 0 <= off < self.total:
-            raise BoundsViolation(self.name, (off,), self.dims)
+            raise BoundsViolation(self.ordinal, (off,), self.dims)
         self.write(self.header.indices_of(off), value)
 
     def dump(self) -> dict:

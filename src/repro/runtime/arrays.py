@@ -181,16 +181,23 @@ class Handle:
     code counts each read the probe answers, and a shared store's
     ``read`` counts the rest, so every element read counts once.
 
-    A store that mirrors (shared memory, a node's cache) builds the list
-    on its handle's first ``read`` (:meth:`mirror`): one pointer per
-    element, so a handle never read costs no memory per element.
-    Single assignment keeps every copy valid with no coherence work.
+    Every handle is named by ``ordinal``, its array's allocation
+    ordinal: the label of its ``BoundsViolation``, its header and its
+    telemetry on every store.  Its extents pass :func:`check_extents`
+    before the store allocates anything.
+
+    A store that mirrors (shared memory) builds the list on its
+    handle's first ``read`` (:meth:`mirror`): one pointer per element,
+    so a handle never read costs no memory per element.  Single
+    assignment keeps every copy valid with no coherence work.
     """
 
-    __slots__ = ("dims", "seen", "ext", "rows", "cols", "reads")
+    __slots__ = ("ordinal", "dims", "seen", "ext", "rows", "cols", "reads")
 
-    def __init__(self, dims: tuple[int, ...]) -> None:
+    def __init__(self, ordinal: int, dims: tuple[int, ...]) -> None:
+        check_extents(dims)
         # No list yet: every probe fails until :meth:`probe`.
+        self.ordinal = ordinal
         self.dims = dims
         self.seen = None
         self.ext = self.rows = self.cols = 0
@@ -207,6 +214,52 @@ class Handle:
     def mirror(self) -> list:
         """Build a mirroring store's list, on its first ``read``."""
         return self.probe([None] * flat_size(self.dims))
+
+
+class SharedHandle(Handle):
+    """A handle to an array every process of a run shares (``ShmArray``,
+    ``DistArray``): its ``header`` over the identity space, and the
+    access counters — declared here, once, for every shared store —
+    which one process keeps per handle and reports summed
+    (:meth:`totals`)."""
+
+    __slots__ = ("header", "writes", "deferred_reads", "spin_wait_s",
+                 "max_spin_wait_s", "replayed_present", "stall_reports",
+                 "pages_touched")
+
+    def __init__(self, ordinal: int, dims: tuple[int, ...], page_size: int,
+                 identities: int) -> None:
+        super().__init__(ordinal, dims)
+        self.header = ArrayHeader(ordinal, dims, page_size, identities)
+        self.writes = self.deferred_reads = 0
+        self.replayed_present = self.stall_reports = 0
+        self.spin_wait_s = self.max_spin_wait_s = 0.0
+        self.pages_touched: set[int] = set()
+
+    def waited(self, seconds: float) -> None:
+        """Count a read that waited ``seconds`` for its element."""
+        self.deferred_reads += 1
+        self.spin_wait_s += seconds
+        if seconds > self.max_spin_wait_s:
+            self.max_spin_wait_s = seconds
+
+    @staticmethod
+    def totals(handles: list) -> dict:
+        """One process's counters over ``handles``, as the fields of its
+        :class:`~repro.runtime.spmd.WorkerTelemetry`: pages written by
+        ordinal, the longest wait, the rest summed."""
+        return {
+            "shared_reads": sum(h.reads for h in handles),
+            "shared_writes": sum(h.writes for h in handles),
+            "deferred_reads": sum(h.deferred_reads for h in handles),
+            "spin_wait_s": sum((h.spin_wait_s for h in handles), 0.0),
+            "max_spin_wait_s": max((h.max_spin_wait_s for h in handles),
+                                   default=0.0),
+            "replayed_present": sum(h.replayed_present for h in handles),
+            "stall_reports": sum(h.stall_reports for h in handles),
+            "pages_touched": {h.ordinal: sorted(h.pages_touched)
+                              for h in handles if h.pages_touched},
+        }
 
 
 def num_pages(total_elements: int, page_size: int) -> int:

@@ -28,14 +28,13 @@ mean on the simulator.
 What varies between substrates is the *location* of a shared array's
 elements — a shared-memory segment, a node's element store — never the
 statement semantics, so the store is the parameter.  A substrate
-supplies ``shared_cls`` — its handle class: ``name``, the identity-space
-``header``, ``read(indices)``, ``write(indices, value)`` and ``stats()``
-counters, with whatever a read needs bound into the handle — and
-:meth:`alloc_shared`, which builds one.  The handle is a
-:class:`~repro.runtime.arrays.Handle` too: the generated code probes its
-list of elements seen present, under its extents, and counts a hit in
-its ``reads``; ``read`` is the miss path, which counts the read itself
-and puts what it answers in the list.
+supplies :meth:`alloc_shared`, which builds its handle of the array of
+one allocation ordinal: a :class:`~repro.runtime.arrays.SharedHandle`
+(the ordinal, the identity-space ``header`` and the access counters)
+with ``read(indices)`` and ``write(indices, value)``, and whatever a
+read needs bound into it.  The generated code probes the handle's list
+of elements seen present, under its extents, and counts a hit in its
+``reads``; ``read`` is the miss path, which counts the read itself.
 
 The base interpreter is compile-once (:mod:`repro.baseline.sequential`):
 each function is written out as the source of one Python function over
@@ -73,6 +72,7 @@ from typing import Any
 
 from repro.baseline.sequential import Loop, PartitionedInterpreter, SeqArray
 from repro.common.errors import WorkerSuperseded, classify_error
+from repro.runtime.arrays import SharedHandle
 
 
 class SpmdInterpreter(PartitionedInterpreter):
@@ -90,19 +90,16 @@ class SpmdInterpreter(PartitionedInterpreter):
     :class:`repro.common.faultplan.EventTrigger`.
     """
 
-    shared_cls: type = type(None)
-
     def __init__(self, program, identities: tuple[int, ...],
                  injector) -> None:
         super().__init__(program.ast, program.graph, None, program.entry)
         self.identities = identities
         self.injector = injector
-        self.alloc_seq = 0
-        self.shared_arrays: list = []
+        self.shared_arrays: list[SharedHandle] = []
         self.in_distributed = 0
         self.rf_counts: dict[tuple[str, int, int, int], int] = {}
 
-    def alloc_shared(self, seq: int, dims: tuple[int, ...]):
+    def alloc_shared(self, seq: int, dims: tuple[int, ...]) -> SharedHandle:
         """Create (or attach) the shared array of allocation ordinal ``seq``."""
         raise NotImplementedError
 
@@ -110,8 +107,9 @@ class SpmdInterpreter(PartitionedInterpreter):
 
     def on_alloc(self, dims: tuple[int, ...]):
         if self.in_distributed:
-            # Private temporary of this iteration's executor.
-            return SeqArray(dims)
+            # Private temporary of this iteration's executor: no
+            # ordinal every process agrees on, so none (0).
+            return SeqArray(0, dims)
         # Replicated allocation: every process computes the same
         # sequence number, so they agree on the array's identity without
         # any coordination.
@@ -123,7 +121,7 @@ class SpmdInterpreter(PartitionedInterpreter):
     # -- element access ---------------------------------------------------
 
     def on_array_write(self, arr, indices: tuple, value) -> None:
-        if isinstance(arr, self.shared_cls):
+        if isinstance(arr, SharedHandle):
             # The location rule: replicated code writes at the owner only.
             if not self.in_distributed and \
                     arr.header.owner_of(indices) not in self.identities:
@@ -146,7 +144,7 @@ class SpmdInterpreter(PartitionedInterpreter):
         step = -1 if loop.descending else 1
         found = (None if self.in_distributed
                  else self.range_filter_of(loop, frame))
-        if found is None or not isinstance(found[1], self.shared_cls):
+        if found is None or not isinstance(found[1], SharedHandle):
             # Not distributed — or the RF array is process-private
             # (shouldn't happen): run it all.
             self.run_for_range(loop, frame, init, limit, step)
@@ -187,7 +185,7 @@ class SpmdInterpreter(PartitionedInterpreter):
             self.injector.fire("result")
             if 0 in self.identities:
                 emit("result", ("array", array_ref(value))
-                     if isinstance(value, self.shared_cls) else ("ok", value))
+                     if isinstance(value, SharedHandle) else ("ok", value))
             emit("done", self.telemetry(time.perf_counter() - t0))
         except WorkerSuperseded as exc:
             # A successor generation owns this subrange now; exit quietly.
@@ -198,31 +196,18 @@ class SpmdInterpreter(PartitionedInterpreter):
                          f"{traceback.format_exc()}"))
 
     def telemetry(self, wall_time_s: float) -> dict:
-        out = {"wall_time_s": wall_time_s, "shared_reads": 0,
-               "shared_writes": 0, "deferred_reads": 0, "spin_wait_s": 0.0,
-               "max_spin_wait_s": 0.0, "replayed_present": 0,
-               "stall_reports": 0, "pages_touched": {},
-               "rf_subranges": [(name, first, last, items, count)
-                                for (name, first, last, items), count
-                                in self.rf_counts.items()]}
-        for arr in self.shared_arrays:
-            s = arr.stats()
-            out["shared_reads"] += s["reads"]
-            out["shared_writes"] += s["writes"]
-            out["deferred_reads"] += s["deferred_reads"]
-            out["spin_wait_s"] += s["spin_wait_s"]
-            out["max_spin_wait_s"] = max(out["max_spin_wait_s"],
-                                         s["max_spin_wait_s"])
-            out["replayed_present"] += s["replayed_present"]
-            out["stall_reports"] += s["stall_reports"]
-            if s["pages_touched"]:
-                out["pages_touched"][arr.name] = s["pages_touched"]
-        return out
+        return {"wall_time_s": wall_time_s,
+                "rf_subranges": [(name, first, last, items, count)
+                                 for (name, first, last, items), count
+                                 in self.rf_counts.items()],
+                **SharedHandle.totals(self.shared_arrays)}
 
 
 @dataclass
 class WorkerTelemetry:
-    """One worker's (or node's) self-reported execution profile."""
+    """One worker's (or node's) self-reported execution profile: its
+    shared handles' counters (:meth:`SharedHandle.totals`) and the
+    Range-Filter subranges it ran."""
 
     worker: int
     wall_time_s: float = 0.0
@@ -237,26 +222,19 @@ class WorkerTelemetry:
     # inner-loop RF runs once per enclosing iteration, hence the count.
     rf_subranges: list[tuple[str, int, int, int, int]] = field(
         default_factory=list)
-    # shared array name -> page indices this worker wrote at least one
+    # allocation ordinal -> page indices this worker wrote at least one
     # element of (page grain as in MachineConfig.page_size)
-    pages_touched: dict[str, list[int]] = field(default_factory=dict)
+    pages_touched: dict[int, list[int]] = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, worker: int, d: dict) -> "WorkerTelemetry":
-        return cls(
-            worker=worker,
-            wall_time_s=d.get("wall_time_s", 0.0),
-            shared_reads=d.get("shared_reads", 0),
-            shared_writes=d.get("shared_writes", 0),
-            deferred_reads=d.get("deferred_reads", 0),
-            spin_wait_s=d.get("spin_wait_s", 0.0),
-            max_spin_wait_s=d.get("max_spin_wait_s", 0.0),
-            replayed_present=d.get("replayed_present", 0),
-            stall_reports=d.get("stall_reports", 0),
-            rf_subranges=[tuple(r) for r in d.get("rf_subranges", [])],
-            pages_touched={k: list(v)
-                           for k, v in d.get("pages_touched", {}).items()},
-        )
+        # A JSON frame turned the tuples into lists, the ordinals into
+        # strings.
+        return cls(worker, **{
+            **d, "rf_subranges": [tuple(r)
+                                  for r in d.get("rf_subranges", ())],
+            "pages_touched": {int(a): pages for a, pages
+                              in d.get("pages_touched", {}).items()}})
 
 
 def telemetry_registry(worker_stats: list[WorkerTelemetry],
@@ -278,7 +256,7 @@ def telemetry_registry(worker_stats: list[WorkerTelemetry],
     from repro.obs.registry import MetricsRegistry
 
     reg = MetricsRegistry()
-    pages: dict[str, set[int]] = {}
+    pages: dict[int, set[int]] = {}
     for t in worker_stats:
         pe = str(t.worker)
         reg.set_gauge("par.wall_time_s", t.wall_time_s, pe=pe)
@@ -297,13 +275,10 @@ def telemetry_registry(worker_stats: list[WorkerTelemetry],
             reg.inc("rf.subrange", count, pe=pe, block=name,
                     first=first, last=last)
             reg.inc("rf.items", items * count, pe=pe)
-        for name, touched in t.pages_touched.items():
-            pages.setdefault(name, set()).update(touched)
-    for i, name in enumerate(sorted(pages)):
-        # Shared arrays allocate in a replicated, deterministic order;
-        # index them 1-based like the simulator's array ids.
-        reg.set_gauge("array.pages_touched", len(pages[name]),
-                      array=str(i + 1))
+        for ordinal, touched in t.pages_touched.items():
+            pages.setdefault(ordinal, set()).update(touched)
+    for ordinal, touched in sorted(pages.items()):
+        reg.set_gauge("array.pages_touched", len(touched), array=ordinal)
     return reg
 
 

@@ -31,7 +31,6 @@ import pytest
 
 from repro.api import compile_source
 from repro.apps import compile_simple
-from repro.baseline.sequential import SeqArray
 from repro.common.errors import RuntimeFault
 from tests.conformance.matrix import APPS as CATALOG
 from tests.conformance.test_error_taxonomy import CASES
@@ -63,9 +62,6 @@ ERROR_PES = 2
 def fingerprint(program, args: tuple, pes: int | None = None) -> dict:
     """What one run is pinned by: ``seq`` when ``pes`` is None, else
     ``static`` at that width (see the module docstring)."""
-    # Array ids come from a process-wide counter and appear in the
-    # diagnostics; restart it so the text does not depend on test order.
-    SeqArray._next_id = 1
     try:
         if pes is None:
             raw = program.run(args, backend="seq").raw

@@ -54,6 +54,7 @@ pickling and a coordinator failover, and a message that merely
 import importlib
 import pickle
 import pkgutil
+import re
 
 import pytest
 
@@ -236,6 +237,50 @@ def test_a_failure_is_classified_by_its_class_not_its_text(mentioned,
         == "execution"
 
 
+# A bounds error in the program's second array, written in replicated
+# code and inside a ``for``: every backend names the array by its
+# allocation ordinal, however many arrays the process allocated before.
+SECOND_ARRAY = {
+    "replicated": """
+        function main(n) {
+            A = array(n);
+            for i = 1 to n { A[i] = i * 1.0; }
+            B = array(n);
+            for i = 1 to n { B[i] = A[i] + 1.0; }
+            B[n + 1] = 99.0;
+            return B[1];
+        }
+    """,
+    "in-a-for": """
+        function main(n) {
+            A = array(n);
+            for i = 1 to n { A[i] = i * 1.0; }
+            B = array(n);
+            for i = 1 to n { B[i + 1] = A[i]; }
+            return B[2];
+        }
+    """,
+}
+
+
+@pytest.mark.parametrize("where", sorted(SECOND_ARRAY))
+def test_a_bounds_error_names_the_array_by_its_ordinal(where):
+    program = compile_source(SECOND_ARRAY[where])
+    configs = {"parallel": {"config": FAST_PARALLEL},
+               "dist": {"config": FAST_DIST}}
+    # ``seq`` twice: a second run in this process names the same array.
+    for backend in ("sim", "seq", "static", "parallel", "dist", "seq"):
+        with pytest.raises(PodsError) as excinfo:
+            get_backend(backend).run(program, (6,),
+                                     **configs.get(backend,
+                                                   {"parallelism": 2}))
+        assert classify_error(excinfo.value) == "bounds", backend
+        found = set(re.findall(r"index \S+ out of bounds for array \d+ "
+                               r"with dims \S+", str(excinfo.value)))
+        assert found == {"index (7,) out of bounds for array 2 "
+                         "with dims (6,)"}, backend
+
+
 def test_a_peer_that_died_before_allocating_stays_a_worker_failure():
     """A survivor that times out attaching a segment its dead peer never
     created reports the run's fault, not an instruction's: ``runtime``
@@ -278,7 +323,6 @@ _ARGS = {
     "MissingWriteError": (1, (1,)),
     "DeferredReadTimeout": ("a", (1,), 0, 0, 0.5),
     "WorkerSuperseded": (0, 1, 2),
-    "TransportError": (0, 1, "retransmit-exhausted"),
     "LanguageError": ("x", SourceLocation(1, 1)),
 }
 
@@ -293,7 +337,7 @@ _VERDICTS = {
     "ExecutionError": "execution", "WorkerSuperseded": "execution",
     "ParallelExecutionError": "worker-failure",
     "DistExecutionError": "worker-failure",
-    "NodeLossError": "node-loss", "TransportError": "transport",
+    "NodeLossError": "node-loss",
     "RunRegressionError": "regression",
 }
 

@@ -51,6 +51,35 @@ def test_semantic_metric_families_agree(app, pes, runner):
     assert sim_pages == par_pages
 
 
+def _pages_by_array(reg) -> dict[str, float]:
+    return {r.labels_dict()["array"]: r.value
+            for r in reg.select("array.pages_touched")}
+
+
+# Twelve arrays, array ``k`` of ``k`` pages (``p`` elements a page), each
+# written whole by a distributed loop: every array is labelled by its
+# allocation ordinal on every backend, past nine arrays too.
+TWELVE_ARRAYS = "function main(p) {\n%s    return A12[1];\n}" % "".join(
+    f"    A{k} = array({k} * p);\n"
+    f"    for i = 1 to {k} * p {{ A{k}[i] = i * 1.0; }}\n"
+    for k in range(1, 13))
+
+
+def test_pages_touched_are_labelled_by_allocation_ordinal():
+    from repro.api import compile_source
+    from repro.backend import get_backend
+    from repro.common.config import (MachineConfig, ObsConfig, SimConfig)
+
+    program = compile_source(TWELVE_ARRAYS)
+    sim = get_backend("sim").run(program, (32,), config=SimConfig(
+        machine=MachineConfig(num_pes=2), obs=ObsConfig(metrics=True)))
+    expected = {str(k): k for k in range(1, 13)}
+    assert _pages_by_array(sim.registry) == expected
+    for backend in ("parallel", "dist"):
+        result = get_backend(backend).run(program, (32,), parallelism=2)
+        assert _pages_by_array(result.registry) == expected, backend
+
+
 @pytest.mark.parametrize("app", sorted(APPS))
 def test_wait_attribution_is_structural(app, runner):
     """wait.us rows use the same label schema and cause vocabulary."""

@@ -9,6 +9,8 @@ hooks — on one small program so they stay fast.
 
 import concurrent.futures as cf
 import math
+import sys
+import threading
 import time
 
 import pytest
@@ -123,8 +125,8 @@ class TestRecovery:
 
     def test_takeover_onto_a_busy_survivor(self):
         # Heartbeats held past the detector's deadline fence node 1 while
-        # node 0's executor is still filling its caches, which node 0's
-        # loop replays to the new owner at the same time.
+        # node 0's executor is still filling its element lists, which
+        # node 0's loop replays to the new owner at the same time.
         cfg = DistConfig(nodes=2, heartbeat_interval_s=0.04,
                          heartbeat_timeout_s=0.2, poll_interval_s=0.02,
                          retransmit_timeout_s=0.05, read_timeout_s=15.0,
@@ -288,8 +290,10 @@ class TestCrossings:
 
     def test_a_scan_counts_each_read_once(self):
         # Rows 16..30 twice through the generated code: the first scan
-        # misses the mirror on every element (the frames of the row scan
-        # above), the second hits it on every one; each read counts once.
+        # calls ``read`` on the first element of each run (the frames of
+        # the row scan above), and the probe finds the rest of the run in
+        # the node's list; the second scan finds every element there.
+        # Each read counts once.
         rt, arr = _remote_segment(compile_source("""
         function main(A, first, rows, cols) {
             s = 0.0;
@@ -309,11 +313,45 @@ class TestCrossings:
             value = interp.run((arr, 16, 30, 64)).value
             assert value == sum(off / 2 for off in elements)
             assert arr.reads == scanned * len(elements)
-        assert len(calls) == len(elements) == len(set(calls))
-        assert rt.endpoint.reads() == [_read(960, 32), _read(992, 64),
-                                       _read(1056, 128), _read(1184, 256),
-                                       _read(1440, 512)]
+        runs = [_read(960, 32), _read(992, 64), _read(1056, 128),
+                _read(1184, 256), _read(1440, 512)]
+        assert rt.endpoint.reads() == runs
+        assert calls == [arr.header.indices_of(m["off"]) for _, m in runs]
         assert arr.deferred_reads == 5
+
+    def test_a_run_never_unsets_an_element_the_node_wrote(self, program):
+        # Four executor threads write identity 1's elements on node 0
+        # (each kept in the node's list at once) while the loop thread
+        # applies runs of that segment from an owner that stored none of
+        # them yet, and a few after: a run puts present elements in,
+        # never None back.
+        rt = _runtime(program, 2)
+        arr = DistArray(rt, 1, SCAN_DIMS)
+        lo, hi = arr.header.segment_bounds(1)
+
+        def write(first):
+            for off in range(first, hi, 4):
+                arr.write(arr.header.indices_of(off), off / 2)
+
+        writers = [threading.Thread(target=write, args=(lo + k,))
+                   for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in writers:
+                thread.start()
+            deadline, runs = time.monotonic() + 30.0, 0
+            while (runs < 10 or any(t.is_alive() for t in writers)) \
+                    and time.monotonic() < deadline:
+                rt._on_peer_msg(1, {"t": "rdy", "a": 1, "lo": lo,
+                                    "v": [None] * (hi - lo)})
+                runs += 1
+            for thread in writers:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert rt.seen[1][lo:hi] == [off / 2 for off in range(lo, hi)]
 
     def test_a_run_holds_present_elements_clipped_to_the_owner(self,
                                                                program):

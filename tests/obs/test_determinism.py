@@ -20,8 +20,7 @@ from __future__ import annotations
 import ast
 import re
 
-from repro.obs.export import metrics_csv, metrics_jsonl, perfetto_json, \
-    trace_golden
+from repro.obs.export import perfetto_json, trace_golden
 
 from tests.obs.conftest import run_observed
 
@@ -71,10 +70,8 @@ class TestReplayDeterminism:
                               num_pes=2)
                 == perfetto_json(r2.stats.timelines, m2.tracer.events,
                                  num_pes=2))
-        assert metrics_jsonl(r1.stats.registry) \
-            == metrics_jsonl(r2.stats.registry)
-        assert metrics_csv(r1.stats.registry) \
-            == metrics_csv(r2.stats.registry)
+        assert r1.stats.registry.to_jsonl() == r2.stats.registry.to_jsonl()
+        assert r1.stats.registry.to_csv() == r2.stats.registry.to_csv()
 
     def test_jitter_itself_is_deterministic(self):
         m1, r1 = run_observed(jitter_seed=7)

@@ -3,7 +3,7 @@ determinism, escaping, and live-vs-stored agreement."""
 
 from __future__ import annotations
 
-from repro.obs.export import metrics_openmetrics, openmetrics_from_rows
+from repro.obs.export import openmetrics_from_rows
 from repro.obs.registry import MetricsRegistry
 
 from tests.obs.conftest import run_observed
@@ -75,10 +75,6 @@ class TestGolden:
         reg.set_gauge("g", 1.0, detail='say "hi"\nback\\slash')
         text = reg.to_openmetrics()
         assert 'detail="say \\"hi\\"\\nback\\\\slash"' in text
-
-    def test_metrics_openmetrics_helper(self):
-        reg = small_registry()
-        assert metrics_openmetrics(reg) == reg.to_openmetrics()
 
 
 class TestStoredRows:

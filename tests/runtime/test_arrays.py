@@ -109,7 +109,7 @@ class TestOneIndexRule:
         try:
             yield dims, {"offset_fn": offset_fn("x", dims),
                          "ArrayHeader": ArrayHeader(7, dims, 4, 2).offset,
-                         "SeqArray": SeqArray(dims).offset,
+                         "SeqArray": SeqArray(7, dims).offset,
                          "ShmArray": shm.offset}
         finally:
             shm.close()
@@ -160,25 +160,25 @@ class TestIndexRuleParity:
     """The rule has one definition (``runtime.arrays.index_fn``) and four
     ways in: a bare ``offset_fn``, the header's ``offset``, and each
     host store's generated ``read`` and its ``write``.  A refused tuple
-    is the same ``BoundsViolation`` — the door's own label, the tuple as
-    given, the extents — through every one of them, at every rank."""
+    is the same ``BoundsViolation`` — the door's own label (a store's is
+    its array's allocation ordinal), the tuple as given, the extents —
+    through every one of them, at every rank."""
 
     @pytest.fixture(params=[(5,), (3, 4), (2, 3, 4)],
                     ids=["rank1", "rank2", "rank3"])
     def doors(self, request):
         dims = request.param
-        seq = SeqArray(dims)
-        shm = ShmArray(f"test_pods_parity{len(dims)}", dims, create=True)
+        seq = SeqArray(3, dims)
+        shm = ShmArray(f"test_pods_parity{len(dims)}", dims, create=True,
+                       ordinal=2)
         try:
             yield dims, {
                 "offset_fn": ("x", offset_fn("x", dims)),
                 "ArrayHeader": (7, ArrayHeader(7, dims, 4, 2).offset),
-                "SeqArray.read": (seq.array_id, seq.read),
-                "SeqArray.write": (seq.array_id,
-                                   lambda indices: seq.write(indices, 1.0)),
-                "ShmArray.read": (shm.name, shm.read),
-                "ShmArray.write": (shm.name,
-                                   lambda indices: shm.write(indices, 1.0)),
+                "SeqArray.read": (3, seq.read),
+                "SeqArray.write": (3, lambda indices: seq.write(indices, 1.0)),
+                "ShmArray.read": (2, shm.read),
+                "ShmArray.write": (2, lambda indices: shm.write(indices, 1.0)),
             }
             # Nothing got past the rule into either store.
             assert not shm.dump() and shm.reads == shm.writes == 0
@@ -233,12 +233,11 @@ class TestIndexRuleParity:
         read."""
         def handle(dims):
             if request.param == "PlainSpmd":
-                arr = PlainArray(1, dims, 1, {})
-                return arr.array_id, arr
+                return 1, PlainArray(1, dims, 1, {})
             arr = ShmArray(f"test_pods_generated{len(dims)}", dims,
-                           create=True)
+                           create=True, ordinal=4)
             opened.append(arr)
-            return arr.name, arr
+            return 4, arr
 
         opened = []
         interp_cls = (ShmSpmd if request.param == "ShmSpmd"

@@ -3,8 +3,8 @@
 ``repro.runtime.spmd.SpmdInterpreter`` is what both the ``parallel`` and
 ``dist`` backends execute; before it existed its Range-Filter logic was
 only reachable through a full process (or cluster) launch.  Here the
-store seam is filled with the simplest thing that works — ``SeqArray``
-elements in one dict shared by every identity, no processes, no sockets
+store seam is filled with the simplest thing that works — one
+``SeqArray`` per array shared by every identity, no processes, no sockets
 — and the identities run one after another.  What must hold at every
 width, ascending and descending, one identity per interpreter or several
 (the takeover shape):
@@ -39,7 +39,7 @@ from repro.baseline.sequential import SeqArray
 from repro.common.errors import ExecutionError, MissingWriteError
 from repro.common.faultplan import EventTrigger
 from repro.parallel.shm_arrays import ShmArray
-from repro.runtime.arrays import ArrayHeader
+from repro.runtime.arrays import ArrayHeader, SharedHandle
 from repro.runtime.spmd import (SpmdInterpreter, WorkerTelemetry,
                                 telemetry_registry, telemetry_table)
 
@@ -93,23 +93,21 @@ function main(n) {
 }"""
 
 
-class PlainArray(SeqArray):
+class PlainArray(SharedHandle):
     """One interpreter's handle to a shared array that lives in this
-    process: the run's shared cells + geometry + this handle's counters,
-    its ``read`` counting as a shared store's does.  With ``wait``, for
-    identities that run at once in threads, a read of an element not yet
-    written waits for it, as a worker's would."""
-
-    __slots__ = ("name", "header", "writes")
+    process: the run's one ``SeqArray`` of the ordinal (whose cells are
+    the probe's list) and this handle's shared counters, its ``read``
+    counting as a shared store's does.  With ``wait``, for identities
+    that run at once in threads, a read of an element not yet written
+    waits for it, as a worker's would."""
 
     def __init__(self, seq: int, dims, width: int, store: dict,
                  wait: bool = False) -> None:
-        super().__init__(dims)
-        self.bind_cells(store.setdefault(seq, self.cells))
+        super().__init__(seq, tuple(dims), PAGE, width)
+        self.cells = cells = store.setdefault(seq, SeqArray(seq, dims))
+        self.probe(cells.cells)
         self.name = f"a{seq}"
-        self.header = ArrayHeader(seq, tuple(dims), PAGE, width)
-        self.writes = 0
-        read = _waiting(self.read) if wait else self.read
+        read = _waiting(cells.read) if wait else cells.read
 
         def counted(indices):
             value = read(indices)
@@ -119,14 +117,10 @@ class PlainArray(SeqArray):
 
     def write(self, indices, value):
         self.writes += 1
-        return super().write(indices, value)  # enforces single assignment
+        return self.cells.write(indices, value)  # single assignment
 
-    def stats(self) -> dict:
-        return {"reads": self.reads, "writes": self.writes,
-                "deferred_reads": 0,
-                "spin_wait_s": 0.0, "max_spin_wait_s": 0.0,
-                "replayed_present": 0, "stall_reports": 0,
-                "pages_touched": []}
+    def to_value(self):
+        return self.cells.to_value()
 
 
 def _waiting(read):
@@ -144,9 +138,7 @@ def _waiting(read):
 
 
 class PlainSpmd(SpmdInterpreter):
-    """The core over a dict of cell lists shared by the run."""
-
-    shared_cls = PlainArray
+    """The core over a dict of ``SeqArray`` stores shared by the run."""
 
     def __init__(self, program, identities, width, store,
                  injector=None, wait: bool = False) -> None:
@@ -184,7 +176,7 @@ def _groups(width: int, takeover: bool) -> list[tuple[int, ...]]:
 
 def _run(source: str, args: tuple, width: int, takeover: bool):
     program = compile_source(source)
-    store: dict[int, list] = {}
+    store: dict[int, SeqArray] = {}
     interps = []
     for identities in _groups(width, takeover):
         interp = PlainSpmd(program, identities, width, store)
@@ -511,8 +503,6 @@ class ShmSpmd(SpmdInterpreter):
     (whichever comes first creates it); ``settings`` are the handles'
     read settings."""
 
-    shared_cls = ShmArray
-
     def __init__(self, program, ident: int = 0, width: int = 1,
                  tag: str = "budget", **settings) -> None:
         super().__init__(program, (ident,), EventTrigger((), ()))
@@ -522,7 +512,8 @@ class ShmSpmd(SpmdInterpreter):
 
     def alloc_shared(self, seq, dims):
         return ShmArray(f"pods{os.getpid()}_{self.tag}_{seq}", dims,
-                        create=True, exist_ok=True, epoch_slots=self.width,
+                        create=True, ordinal=seq, exist_ok=True,
+                        epoch_slots=self.width,
                         slot=self.identities[0], **self.settings)
 
     def close(self) -> None:

@@ -40,7 +40,10 @@ unit — it imports no ``asyncio``, ``socket``, ``concurrent``, ``time``
 or ``repro.dist.transport``, so a sans-IO protocol core and the
 simulator's chaos plans can drive it — and ``dist/node.py`` keeps no
 element store of its own beside it: ``IStructureSegment`` is constructed
-only under ``sim/`` and in ``dist/memory.py``.
+only under ``sim/`` and in ``dist/memory.py``.  What a node has seen it
+keeps once, in one list per array that all its handles share — no cache
+or mirror beside it — and the shared stores' access counters are
+declared once, by ``runtime.arrays.SharedHandle``.
 
 And a recovery decision is made once: ``runtime/supervise.py`` is the
 supervision core both SPMD supervisors are shells around — it imports
@@ -380,6 +383,51 @@ def test_a_node_keeps_no_element_store_beside_its_memory():
     assert not queues, (
         f"dist/node.py lines {queues}: presence, deferred readers and "
         "single assignment live in dist/memory.py's segments")
+
+
+def test_a_node_keeps_one_list_per_array_and_one_counter_declaration():
+    """A ``dist`` node keeps each element it has seen once, in its one
+    list of the array: no cache or mirror beside it.  And the shared
+    stores' access counters are declared by ``runtime.arrays.SharedHandle``
+    alone: no other SPMD module sets one up, nor re-lists them in a
+    ``stats()``."""
+    root = os.path.dirname(repro.__file__)
+    with open(os.path.join(root, "dist", "node.py")) as fh:
+        tree = ast.parse(fh.read())
+    beside = sorted(n.lineno for n in ast.walk(tree)
+                    if isinstance(n, (ast.Attribute, ast.FunctionDef))
+                    and getattr(n, "attr", getattr(n, "name", None))
+                    in ("cache", "caches", "mirror"))
+    assert not beside, (
+        f"dist/node.py lines {beside}: a second copy of the elements the "
+        "node has seen; fill the node's list (NodeRuntime.seen_list)")
+    counters = ("reads", "writes", "deferred_reads", "spin_wait_s",
+                "max_spin_wait_s", "replayed_present", "stall_reports",
+                "pages_touched")
+    declared, relisted = set(), set()
+    for rel, text in _sources():
+        if rel.split(os.sep)[0] not in ("baseline", "runtime", "parallel",
+                                        "dist"):
+            continue
+        for node in ast.walk(ast.parse(text, rel)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            if any(isinstance(t, ast.Attribute) and t.attr in counters
+                   for target in targets for t in ast.walk(target)):
+                declared.add(rel)
+            if isinstance(node, ast.ClassDef) and any(
+                    getattr(base, "id", None) == "SharedHandle"
+                    for base in node.bases) and any(
+                    isinstance(item, ast.FunctionDef)
+                    and item.name == "stats" for item in node.body):
+                relisted.add(rel)
+    assert declared == {os.path.join("runtime", "arrays.py")}, (
+        f"shared counters declared in {sorted(declared)}; subclass "
+        "runtime.arrays.SharedHandle")
+    assert not relisted, (
+        f"a stats() in {sorted(relisted)}: a process reports its counters "
+        "through SharedHandle.totals")
 
 
 def _sources():
