@@ -5,7 +5,11 @@ Per case the fixture holds one sha256 per artifact: the busy timelines
 (every line's ``starts``, ``ends``, ``busy_us``, ``dropped``), the wait
 store (every ``SpRecord`` and the PE stalls), the critical-path steps,
 the metrics-registry JSONL and the canonical ``pods-run/v1`` record minus
-its wall time.  Comparison is ``==`` — the contract is identical float
+its wall time.  A second run of the same case with ``trace=True`` as
+well pins the two rendered views: the Perfetto JSON that ``pods trace
+--format perfetto`` prints and the report ``pods profile`` prints.
+(``obs.trace`` is part of the config fingerprint, so the record digest
+comes from the first run.)  Comparison is ``==`` — the contract is identical float
 accumulation order, not approximately-equal results — so the fixture
 fails only when what the observer records changes.
 
@@ -56,17 +60,41 @@ def _sha(obj) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def fingerprint(name: str) -> dict:
-    """The five digests of one case (see the module docstring)."""
-    from repro.obs.critpath import critical_path
-    from repro.obs.runrecord import canonical_json
-
+def _run(name: str, trace: bool):
     app, args, pes, machine, sim, faults = CASES[name]
     program = _PROGRAMS[app]()
     config = SimConfig(machine=MachineConfig(num_pes=pes, **machine),
                        obs=ObsConfig(metrics=True, timelines=True,
-                                     waits=True), **sim)
+                                     waits=True, trace=trace), **sim)
     result = program.run(args, backend="sim", config=config, faults=faults)
+    return program, args, result
+
+
+def _views(name: str) -> dict:
+    """Digests of the rendered views, from a run with the trace on."""
+    from repro.obs.export import perfetto_json
+    from repro.obs.profile import Profile
+
+    _, _, result = _run(name, trace=True)
+    stats = result.stats
+    netspans = stats.netstats.spans if stats.netstats is not None else ()
+    perfetto = perfetto_json(stats.timelines, stats.trace.events,
+                             num_pes=stats.num_pes, waits=stats.waits,
+                             finish_us=stats.finish_time_us,
+                             netspans=netspans)
+    profile = Profile.from_stats(stats).render(top=10)
+    return {
+        "perfetto": hashlib.sha256(perfetto.encode()).hexdigest(),
+        "profile": hashlib.sha256(profile.encode()).hexdigest(),
+    }
+
+
+def fingerprint(name: str) -> dict:
+    """The seven digests of one case (see the module docstring)."""
+    from repro.obs.critpath import critical_path
+    from repro.obs.runrecord import canonical_json
+
+    program, args, result = _run(name, trace=False)
     stats = result.stats
     waits = stats.waits
     timelines = [[pe, unit, line.starts, line.ends, line.busy_us,
@@ -87,6 +115,7 @@ def fingerprint(name: str) -> dict:
             stats.registry.to_jsonl().encode()).hexdigest(),
         "record": hashlib.sha256(
             canonical_json(record).encode()).hexdigest(),
+        **_views(name),
     }
 
 

@@ -421,6 +421,52 @@ class TestHostWorkBudget:
         return calls / result.stats.events_processed
 
 
+class TestObserverMemory:
+    """A standing bound on what the observer keeps and what a run peaks
+    at, in ``tracemalloc`` bytes: an observed SIMPLE ``(8, 1)`` on 4
+    PEs with metrics, timelines and waits on.  The machine is built
+    outside the window, so the reading is the run and what its stats
+    retain once the machine is gone.  The first run in a process pays
+    first-use allocations (0.92 MB retained, 1.94 MB peak), so the
+    reading is taken after a warm-up run.  With obs off the same run
+    retains 1.4 KB and peaks at 0.29 MB."""
+
+    # Upper bounds, a little above the readings of 870 801 B retained
+    # and 1 250 920 B peak.
+    RETAINED_BYTES = 900_000
+    PEAK_BYTES = 1_300_000
+
+    def test_observed_run_retains_and_peaks_within_bounds(self):
+        import gc
+        import tracemalloc
+
+        from repro.apps import compile_simple
+
+        program = compile_simple().pods
+        config = SimConfig(machine=MachineConfig(num_pes=4),
+                           obs=ObsConfig(metrics=True, timelines=True,
+                                         waits=True))
+
+        def reading():
+            machine = Machine(program, config)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                stats = machine.run((8, 1)).stats
+                del machine
+                gc.collect()
+                retained, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert stats.events_processed == 27993
+            return retained, peak
+
+        reading()  # warm-up: first-use allocations
+        retained, peak = reading()
+        assert retained <= self.RETAINED_BYTES, retained
+        assert peak <= self.PEAK_BYTES, peak
+
+
 class TestDiagnostics:
     def test_rf_range_trace_shows_per_pe_subranges(self):
         m, _ = machine_for(FILL, num_pes=4, trace=True)
