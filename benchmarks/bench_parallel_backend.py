@@ -6,14 +6,61 @@ telemetry the supervisor returns — must hold regardless."""
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 
 import pytest
 
+from repro.api import Program
 from repro.apps.matmul import compile_matmul
-from repro.bench.harness import parallel_sweep, save_report
+from repro.bench.harness import save_report
 from repro.bench.report import render_table
 
 N = 20
+
+
+@dataclass
+class WallPoint:
+    """One real-parallel configuration (wall clock + worker telemetry)."""
+
+    workers: int
+    wall_time_s: float
+    speedup: float
+    value: float
+    shared_reads: int
+    shared_writes: int
+    deferred_reads: int
+    max_spin_wait_s: float
+
+
+def parallel_sweep(program: Program, args: tuple,
+                   worker_counts: tuple[int, ...] = (1, 2, 4),
+                   **run_kwargs) -> list[WallPoint]:
+    """Sweep the supervised real-parallel backend over worker counts.
+
+    Telemetry columns are summed over workers (max-spin is the max);
+    speedup is relative to the 1-worker point (or the first count run).
+    """
+    points: list[WallPoint] = []
+    base: float | None = None
+    for workers in worker_counts:
+        result = program.run(args, backend="parallel", parallelism=workers,
+                             **run_kwargs)
+        if base is None:
+            base = result.wall_time_s
+        stats = result.worker_stats
+        points.append(WallPoint(
+            workers=workers,
+            wall_time_s=result.wall_time_s,
+            speedup=base / result.wall_time_s,
+            value=result.value if isinstance(result.value, (int, float))
+            else 0.0,
+            shared_reads=sum(t.shared_reads for t in stats),
+            shared_writes=sum(t.shared_writes for t in stats),
+            deferred_reads=sum(t.deferred_reads for t in stats),
+            max_spin_wait_s=max((t.max_spin_wait_s for t in stats),
+                                default=0.0),
+        ))
+    return points
 
 
 def test_parallel_backend_wall_clock(benchmark):

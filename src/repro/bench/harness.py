@@ -86,51 +86,6 @@ class Sweeper:
         return point
 
 
-@dataclass
-class WallPoint:
-    """One real-parallel configuration (wall clock + worker telemetry)."""
-
-    workers: int
-    wall_time_s: float
-    speedup: float
-    value: float
-    shared_reads: int
-    shared_writes: int
-    deferred_reads: int
-    max_spin_wait_s: float
-
-
-def parallel_sweep(program: Program, args: tuple,
-                   worker_counts: tuple[int, ...] = (1, 2, 4),
-                   **run_kwargs) -> list[WallPoint]:
-    """Sweep the supervised real-parallel backend over worker counts.
-
-    Telemetry columns are summed over workers (max-spin is the max);
-    speedup is relative to the 1-worker point (or the first count run).
-    """
-    points: list[WallPoint] = []
-    base: float | None = None
-    for workers in worker_counts:
-        result = program.run(args, backend="parallel", parallelism=workers,
-                             **run_kwargs)
-        if base is None:
-            base = result.wall_time_s
-        stats = result.worker_stats
-        points.append(WallPoint(
-            workers=workers,
-            wall_time_s=result.wall_time_s,
-            speedup=base / result.wall_time_s,
-            value=result.value if isinstance(result.value, (int, float))
-            else 0.0,
-            shared_reads=sum(t.shared_reads for t in stats),
-            shared_writes=sum(t.shared_writes for t in stats),
-            deferred_reads=sum(t.deferred_reads for t in stats),
-            max_spin_wait_s=max((t.max_spin_wait_s for t in stats),
-                                default=0.0),
-        ))
-    return points
-
-
 def results_dir() -> str:
     """Directory the bench modules drop their text reports into."""
     here = os.path.dirname(os.path.dirname(os.path.dirname(
@@ -192,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
         stats = result.stats
         if base_us is None:
             base_us = stats.finish_time_us
-        path = critical_path(stats.waits, stats.finish_time_us)
+        path = critical_path(stats.log, stats.finish_time_us)
         print(f"{pes:3d} PEs: {stats.finish_time_us / 1e6:9.6f} s  "
               f"speed-up {base_us / stats.finish_time_us:5.2f}  "
               f"EU {stats.timeline_utilization('EU') * 100:5.1f}%  "

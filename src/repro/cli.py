@@ -204,6 +204,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.common.config import MachineConfig, ObsConfig, SimConfig
     from repro.obs.export import filter_events, perfetto_json
+    from repro.obs.spanlog import activity, drop_warning, listing, summary
 
     program = _load(args.file)
     call_args = tuple(_parse_value(a) for a in (args.args or []))
@@ -212,19 +213,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     result = program.run(call_args, backend="sim", config=config,
                          faults=args.faults)
     stats = result.stats
-    tracer = stats.trace
+    log = stats.log
     netspans = stats.netstats.spans if stats.netstats is not None else ()
 
     if args.format == "perfetto":
         # Only the JSON goes to stdout: identical runs must produce
         # byte-identical output (anything else lands on stderr).
-        text = perfetto_json(stats.timelines, tracer.events,
-                             num_pes=args.pes, pe=args.pe,
-                             since_us=args.since_us, waits=stats.waits,
-                             finish_us=stats.finish_time_us,
-                             netspans=netspans)
-        if tracer.truncated:
-            print(tracer.drop_warning(), file=sys.stderr)
+        text = perfetto_json(log, stats.finish_time_us, pe=args.pe,
+                             since_us=args.since_us, netspans=netspans)
+        if log.dropped:
+            print(drop_warning(log), file=sys.stderr)
         if args.output:
             with open(args.output, "w") as fh:
                 fh.write(text + "\n")
@@ -235,9 +233,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     lines = [f"value: {result.value}",
              f"modeled time: {result.time_s:.6f} s", ""]
-    if tracer.truncated:
-        lines.insert(0, tracer.drop_warning())
-    lines.append(tracer.summary())
+    if log.dropped:
+        lines.insert(0, drop_warning(log))
+    lines.append(summary(log))
 
     if args.format == "summary":
         from repro.bench.report import render_metrics_table
@@ -245,14 +243,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         lines += ["", _blocked_cause_table(stats),
                   "", render_metrics_table(result.registry)]
     else:  # text
-        from repro.sim.trace import timeline
-
-        lines += ["", timeline(tracer, args.pes, result.time_us), ""]
-        events = filter_events(tracer.events, pe=args.pe,
-                               since_us=args.since_us, kind=args.kind)
-        lines += [event.format() for event in events[:args.limit]]
-        if len(events) > args.limit:
-            lines.append(f"... {len(events) - args.limit} more events")
+        lines += ["", activity(log, result.time_us), ""]
+        lines += listing(filter_events(log.events, pe=args.pe,
+                                       since_us=args.since_us,
+                                       kind=args.kind), args.limit)
 
     text = "\n".join(lines)
     if args.output:

@@ -131,7 +131,9 @@ class ObsConfig:
     """Observability knobs (see :mod:`repro.obs`).
 
     Everything defaults to off; a run with the default ObsConfig pays
-    one ``is None`` check per simulator event and nothing else.
+    one ``is None`` check per simulator hook site and nothing else.  On,
+    the fields filter what the run's span log keeps
+    (:mod:`repro.obs.spanlog`).
 
     Attributes:
         metrics: Publish a :class:`repro.obs.MetricsRegistry` on the
@@ -139,8 +141,8 @@ class ObsConfig:
         timelines: Record per-(PE, unit) busy-interval timelines, from
             which unit utilization (Figures 8/9) is derived and which
             the Perfetto exporter renders one track per PE x unit.
-        trace: Record the structured event trace
-            (:mod:`repro.sim.trace`).
+        trace: Record the structured event trace (the log's
+            instants).
         trace_limit: Maximum retained trace events.
         trace_mode: What happens at the limit — ``"drop"`` stops
             recording (keeps the oldest events), ``"ring"`` keeps the
@@ -149,7 +151,7 @@ class ObsConfig:
             with a cause category — token-wait, istructure-defer,
             remote-read, net-queue, sched-queue) from which the
             blocked-time breakdown and the critical path are derived
-            (see :mod:`repro.obs.waits` / :mod:`repro.obs.critpath`).
+            (see :mod:`repro.obs.critpath`).
     """
 
     metrics: bool = False

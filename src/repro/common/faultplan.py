@@ -81,21 +81,6 @@ def parse_clause_args(argstr: str, schema: dict, clause: str = "") -> dict:
     return kwargs
 
 
-def format_clause(action: str, args: dict) -> str:
-    """Render one parsed clause back to its spec form.
-
-    The inverse of ``split_clauses`` + ``parse_clause_args`` for one
-    clause: ``format_clause("drop", {"kind": "page", "count": 2})`` is
-    ``"drop:kind=page,count=2"``.  Values are rendered with ``str``,
-    which round-trips exactly for the grammar's ``int``/``float``/``str``
-    coercions (``repr`` and ``str`` agree on Python numbers).
-    """
-    if not args:
-        return action
-    body = ",".join(f"{key}={value}" for key, value in args.items())
-    return f"{action}:{body}"
-
-
 def parse_plan(spec: str | None, fault_cls, schema: dict,
                required: tuple[str, ...] = ()) -> tuple:
     """Parse ``action:key=value,...[;action:...]`` into ``fault_cls`` clauses.

@@ -1,10 +1,10 @@
 """Blocked-time breakdown and critical-path extraction.
 
-Two derivations over the wait-state spans of :mod:`repro.obs.waits`:
+Two derivations over a run's span log (:mod:`repro.obs.spanlog`):
 
 * :func:`pe_wait_breakdown` — for each PE, how its *idle* time (the
-  complement of the EU busy timeline) splits across the wait categories.
-  Concurrent waits are resolved by :data:`repro.obs.waits.CATEGORY_PRIORITY`
+  complement of the EU busy line) splits across the wait categories.
+  Concurrent waits are resolved by :data:`repro.obs.spanlog.CATEGORY_PRIORITY`
   (a dependency stall outranks a mere scheduling wait), and idle time no
   SP was waiting through is reported as ``idle`` (starvation).  Per PE,
   ``EU busy + sum(breakdown)`` equals the makespan *exactly*.
@@ -24,13 +24,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from repro.obs.timeline import TimelineStore
-from repro.obs.waits import (
+from repro.obs.spanlog import (
     CATEGORY_PRIORITY,
     IDLE,
     RUN,
     WAIT_CATEGORIES,
-    WaitStore,
+    SpanLog,
+    final_sp,
+    wait_spans_by_pe,
 )
 
 UNATTRIBUTED = "unattributed"
@@ -45,40 +46,37 @@ _MAX_STALLED = 10_000
 # ---------------------------------------------------------------------
 
 
-def pe_wait_breakdown(waits: WaitStore, timelines: TimelineStore,
-                      num_pes: int, finish_us: float,
+def pe_wait_breakdown(log: SpanLog, finish_us: float,
                       ) -> list[dict[str, float]]:
     """Attribute each PE's idle time to wait categories.
 
     Returns one ``{category: us}`` dict per PE (zero categories omitted;
     unexplained idle appears under ``"idle"``).  The invariant checked by
-    the acceptance tests: for every PE,
-    ``timelines.busy("EU", pe) + sum(breakdown[pe].values())`` equals
+    the acceptance tests: for every PE, the EU's busy time up to
+    ``finish_us`` plus ``sum(breakdown[pe].values())`` equals
     ``finish_us`` exactly.
     """
-    spans = waits.wait_spans_by_pe()
+    spans = wait_spans_by_pe(log)
     out: list[dict[str, float]] = []
-    for pe in range(num_pes):
+    for pe in range(log.num_pes):
         breakdown: dict[str, float] = {}
-        for s, e, cat in _intervals(spans.get(pe, ()), timelines, pe,
-                                    finish_us):
+        for s, e, cat in _intervals(spans.get(pe, ()), log, pe, finish_us):
             breakdown[cat] = breakdown.get(cat, 0.0) + (e - s)
         out.append({k: v for k, v in breakdown.items() if v > _EPS})
     return out
 
 
-def pe_wait_intervals(waits: WaitStore, timelines: TimelineStore,
-                      pe: int, finish_us: float,
+def pe_wait_intervals(log: SpanLog, pe: int, finish_us: float,
                       ) -> list[tuple[float, float, str]]:
     """Non-overlapping attributed idle intervals of one PE, time-ordered.
 
-    Exactly tiles the complement of the PE's EU busy timeline over
+    Exactly tiles the complement of the PE's EU busy line over
     ``[0, finish_us]``; the Perfetto exporter renders these on the
     per-PE wait track."""
-    return _intervals(waits.pe_wait_spans(pe), timelines, pe, finish_us)
+    return _intervals(wait_spans_by_pe(log).get(pe, ()), log, pe, finish_us)
 
 
-def _intervals(wait_spans, timelines: TimelineStore, pe: int,
+def _intervals(wait_spans, log: SpanLog, pe: int,
                finish_us: float) -> list[tuple[float, float, str]]:
     merged: dict[str, list[tuple[float, float]]] = {}
     for s, e, cat in wait_spans:
@@ -87,8 +85,8 @@ def _intervals(wait_spans, timelines: TimelineStore, pe: int,
     for cat, spans in merged.items():
         merged[cat] = _merge(spans)
     out: list[tuple[float, float, str]] = []
-    for gap in timelines.line(pe, "EU").gaps(0.0, finish_us):
-        _attribute_gap(gap.start, gap.end, merged, out)
+    for lo, hi in log.line(pe, "EU").gaps(0.0, finish_us):
+        _attribute_gap(lo, hi, merged, out)
     return out
 
 
@@ -231,7 +229,7 @@ class CriticalPath:
         return out
 
 
-def critical_path(waits: WaitStore, makespan_us: float) -> CriticalPath:
+def critical_path(log: SpanLog, makespan_us: float) -> CriticalPath:
     """Walk backward from the result to t=0, following the binding edge
     at every point.
 
@@ -246,7 +244,8 @@ def critical_path(waits: WaitStore, makespan_us: float) -> CriticalPath:
     cp = CriticalPath(total_us=makespan_us)
     if makespan_us <= _EPS:
         return cp
-    uid = waits.final_sp()
+    sps = log.sps
+    uid = final_sp(log)
     if uid is None:
         cp.steps.append(PathStep(0.0, makespan_us, UNATTRIBUTED, None))
         return cp
@@ -271,7 +270,7 @@ def critical_path(waits: WaitStore, makespan_us: float) -> CriticalPath:
     for _ in range(_MAX_STEPS):
         if t <= _EPS or stalled > _MAX_STALLED:
             break
-        rec = waits.sps.get(uid) if uid is not None else None
+        rec = sps.get(uid) if uid is not None else None
         if rec is None:
             t = emit(0.0, UNATTRIBUTED, None)
             break
@@ -284,7 +283,7 @@ def critical_path(waits: WaitStore, makespan_us: float) -> CriticalPath:
             # edge to the parent; the remaining gap at the parent is
             # token-delivery latency.
             t = min(t, rec.created_at) if rec.created_at < t else t
-            if rec.parent is not None and rec.parent in waits.sps:
+            if rec.parent is not None and rec.parent in sps:
                 uid = rec.parent
                 link_cat = "net-queue"
                 stalled += 1
@@ -310,8 +309,8 @@ def critical_path(waits: WaitStore, makespan_us: float) -> CriticalPath:
         # value — including a wait resolved by us, an infinite
         # oscillation for mutually-dependent loop SPs.)
         wake = min(t, e)
-        if resolver is not None and resolver in waits.sps:
-            rrec = waits.sps[resolver]
+        if resolver is not None and resolver in sps:
+            rrec = sps[resolver]
             rstarts = starts_cache.get(rrec.uid)
             if rstarts is None:
                 rstarts = starts_cache[rrec.uid] = [
@@ -336,6 +335,6 @@ def critical_path(waits: WaitStore, makespan_us: float) -> CriticalPath:
     return cp
 
 
-def sp_names(waits: WaitStore) -> dict[int, str]:
+def sp_names(log: SpanLog) -> dict[int, str]:
     """uid -> template name map for labelling path steps."""
-    return {rec.uid: rec.name for rec in waits.records()}
+    return {sp.uid: sp.name for sp in log.records()}

@@ -1,8 +1,9 @@
-"""Exporters: Perfetto ``trace_event`` JSON, CSV/JSONL metrics, text.
+"""Exporters: Perfetto ``trace_event`` JSON and OpenMetrics text.
 
 The Perfetto exporter emits the classic Chrome trace_event format
 (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU),
-loadable in ``ui.perfetto.dev`` or ``chrome://tracing``:
+loadable in ``ui.perfetto.dev`` or ``chrome://tracing``.  A ``sim``
+run's trace is a view of its span log (:mod:`repro.obs.spanlog`):
 
 * one *process* per PE, one *thread* (track) per PE x unit, named via
   ``M`` metadata events;
@@ -44,24 +45,23 @@ def filter_events(events: Iterable, pe: int | None = None,
     return out
 
 
-def perfetto_trace(timelines=None, events: Iterable = (),
-                   num_pes: int = 1, pe: int | None = None,
-                   since_us: float = 0.0, waits=None,
-                   finish_us: float = 0.0, netspans: Iterable = ()) -> dict:
-    """Build the trace_event JSON object (see module docstring).
+def perfetto_trace(log, finish_us: float = 0.0, pe: int | None = None,
+                   since_us: float = 0.0, netspans: Iterable = ()) -> dict:
+    """Build the trace_event JSON object of a run's span log (see the
+    module docstring).
 
-    With a :class:`repro.obs.waits.WaitStore` passed as ``waits`` (and
-    the run's makespan as ``finish_us``), each PE additionally gets a
-    "WAIT" track of complete events — the attributed idle intervals of
-    :func:`repro.obs.critpath.pe_wait_intervals`, named by cause
-    category.
+    When the log recorded wait states, each PE additionally gets a
+    "WAIT" track of complete events — the attributed idle intervals up
+    to the makespan ``finish_us`` (:func:`repro.obs.critpath.
+    pe_wait_intervals`), named by cause category.
 
     ``netspans`` takes the reliable-delivery layer's retransmit spans
     (``RunStats.netstats.spans`` — tuples of ``(pe, start_us, end_us,
     label)``); PEs that retransmitted anything get a "NET" track showing
     each healing re-send in flight.
     """
-    pes = [pe] if pe is not None else list(range(num_pes))
+    pes = [pe] if pe is not None else list(range(log.num_pes))
+    waits = log.sps is not None
     netspans = [s for s in netspans
                 if pe is None or s[0] == pe]
     net_pids = {s[0] for s in netspans}
@@ -74,7 +74,7 @@ def perfetto_trace(timelines=None, events: Iterable = (),
                         "tid": tid, "args": {"name": f"PE{pid} {unit}"}})
         out.append({"ph": "M", "name": "thread_name", "pid": pid,
                     "tid": SP_TRACK, "args": {"name": f"PE{pid} SP"}})
-        if waits is not None and timelines is not None:
+        if waits:
             out.append({"ph": "M", "name": "thread_name", "pid": pid,
                         "tid": WAIT_TRACK,
                         "args": {"name": f"PE{pid} WAIT"}})
@@ -90,31 +90,29 @@ def perfetto_trace(timelines=None, events: Iterable = (),
                     "pid": src, "tid": NET_TRACK, "ts": start,
                     "dur": end - start})
 
-    if waits is not None and timelines is not None:
+    if waits:
         from repro.obs.critpath import pe_wait_intervals
 
         for pid in pes:
-            for start, end, cat in pe_wait_intervals(
-                    waits, timelines, pid, finish_us):
+            for start, end, cat in pe_wait_intervals(log, pid, finish_us):
                 if end < since_us:
                     continue
                 out.append({"ph": "X", "name": cat, "cat": "wait",
                             "pid": pid, "tid": WAIT_TRACK, "ts": start,
                             "dur": end - start})
 
-    if timelines is not None:
-        for pid, unit, line in timelines.items():
-            if pe is not None and pid != pe:
+    for pid, unit, line in log.busy_lines():
+        if pe is not None and pid != pe:
+            continue
+        tid = _UNIT_TID.get(unit, SP_TRACK)
+        for start, end in zip(line.starts, line.ends):
+            if end < since_us:
                 continue
-            tid = _UNIT_TID.get(unit, SP_TRACK)
-            for start, end in zip(line.starts, line.ends):
-                if end < since_us:
-                    continue
-                out.append({"ph": "X", "name": unit, "cat": "unit",
-                            "pid": pid, "tid": tid, "ts": start,
-                            "dur": end - start})
+            out.append({"ph": "X", "name": unit, "cat": "unit",
+                        "pid": pid, "tid": tid, "ts": start,
+                        "dur": end - start})
 
-    for e in filter_events(events, pe=pe, since_us=since_us):
+    for e in filter_events(log.events or (), pe=pe, since_us=since_us):
         base = {"pid": e.pe, "ts": e.time_us}
         if e.kind == "frame-create" and e.sp is not None:
             out.append({**base, "ph": "b", "cat": "sp", "id": e.sp,
@@ -134,14 +132,11 @@ def perfetto_trace(timelines=None, events: Iterable = (),
     return {"traceEvents": out, "displayTimeUnit": "ms"}
 
 
-def perfetto_json(timelines=None, events: Iterable = (), num_pes: int = 1,
-                  pe: int | None = None, since_us: float = 0.0,
-                  waits=None, finish_us: float = 0.0,
-                  netspans: Iterable = ()) -> str:
+def perfetto_json(log, finish_us: float = 0.0, pe: int | None = None,
+                  since_us: float = 0.0, netspans: Iterable = ()) -> str:
     """Deterministic (byte-stable) JSON encoding of the trace."""
     return json.dumps(
-        perfetto_trace(timelines, events, num_pes, pe=pe,
-                       since_us=since_us, waits=waits, finish_us=finish_us,
+        perfetto_trace(log, finish_us, pe=pe, since_us=since_us,
                        netspans=netspans),
         sort_keys=True, separators=(",", ":"))
 
@@ -258,7 +253,7 @@ def validate_trace_events(obj) -> list[str]:
     return problems
 
 
-# -- flat metric/trace text ---------------------------------------------
+# -- OpenMetrics text ---------------------------------------------------
 
 def openmetrics_from_rows(rows, prefix: str = "pods") -> str:
     """OpenMetrics exposition of *stored* metric rows (a ``pods-run/v1``
@@ -283,8 +278,3 @@ def openmetrics_from_rows(rows, prefix: str = "pods") -> str:
              and isinstance(row.get("value"), dict))),
         key=lambda entry: entry[:3])
     return openmetrics(entries, prefix)
-
-
-def trace_golden(events: Iterable) -> str:
-    """The stable-field projection used by golden-trace fixtures."""
-    return "\n".join(e.golden_line() for e in events)

@@ -1,6 +1,7 @@
 """The ``pods profile`` report: breakdown + critical path + what-ifs.
 
-Builds on :mod:`repro.obs.waits` / :mod:`repro.obs.critpath` and renders
+A view of a run's span log (:mod:`repro.obs.spanlog`) through
+:mod:`repro.obs.critpath`; renders
 the three tables the CLI prints:
 
 * per-PE blocked-time breakdown (busy + each wait category + idle,
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 from repro.common.retry import recovery_table
 from repro.obs.critpath import CriticalPath, critical_path, sp_names
-from repro.obs.waits import IDLE, RUN, WAIT_CATEGORIES
+from repro.obs.spanlog import IDLE, RUN, WAIT_CATEGORIES
 from repro.runtime.spmd import telemetry_table
 
 
@@ -79,17 +80,22 @@ class Profile:
         if stats.wait_breakdown is None:
             raise ValueError(
                 "profiling needs a run observed with ObsConfig(waits=True)")
+        log = stats.log
         finish = stats.finish_time_us
         num_pes = stats.num_pes
         # Clamp to the makespan: chunked EU execution can record a span
         # that runs past the result's arrival, and the breakdown only
         # tiles the idle complement of [0, finish].
-        busy = [stats.timelines.line(pe, "EU").busy_between(0.0, finish)
-                for pe in range(num_pes)]
-        path = critical_path(stats.waits, finish)
+        busy = [0.0] * num_pes
+        for pe in range(num_pes):
+            line = log.line(pe, "EU")
+            for s, e in zip(line.starts, line.ends):
+                if s < finish:
+                    busy[pe] += min(e, finish) - s
+        path = critical_path(log, finish)
         return cls(finish_us=finish, num_pes=num_pes, busy_us=busy,
                    breakdown=stats.wait_breakdown, path=path,
-                   names=sp_names(stats.waits),
+                   names=sp_names(log),
                    netstats=getattr(stats, "netstats", None))
 
     def wait_totals(self) -> dict[str, float]:

@@ -172,16 +172,6 @@ class MetricsRegistry:
                 sort_keys=True, separators=(",", ":")))
         return "\n".join(lines)
 
-    def to_csv(self) -> str:
-        """Flat ``kind,name,labels,value`` dump (labels as k=v;k=v)."""
-        lines = ["kind,name,labels,value"]
-        for row in self.rows():
-            labels = ";".join(f"{k}={v}" for k, v in row.labels)
-            value = (json.dumps(row.value, sort_keys=True)
-                     if isinstance(row.value, dict) else row.value)
-            lines.append(f"{row.kind},{row.name},{labels},{value}")
-        return "\n".join(lines)
-
     def to_openmetrics(self, prefix: str = "pods") -> str:
         """OpenMetrics / Prometheus text exposition of the registry.
 

@@ -153,7 +153,7 @@ def build_record(result, program=None, args: tuple = ()) -> dict:
             for pe, per_cause in enumerate(stats.wait_breakdown)
             for cat, us in sorted(per_cause.items())
         ]
-        path = critical_path(stats.waits, stats.finish_time_us)
+        path = critical_path(stats.log, stats.finish_time_us)
         doc["critpath"] = {
             "total_us": path.total_us,
             "contributions": dict(sorted(path.contributions().items())),

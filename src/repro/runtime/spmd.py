@@ -243,7 +243,7 @@ def telemetry_registry(worker_stats: list[WorkerTelemetry],
 
     The semantic metric families (``rf.*``, ``array.*``) use the same
     names and label shapes as the simulator's registry (see
-    :meth:`repro.obs.recorder.ObsRecorder.build_registry`), so a
+    :func:`repro.obs.spanlog.build_registry`), so a
     differential test can assert that e.g. Range-Filter subranges agree
     between backends by comparing registry rows directly.  Workers map
     onto the ``pe`` label — the backend's wall-clock counterpart.
@@ -266,7 +266,7 @@ def telemetry_registry(worker_stats: list[WorkerTelemetry],
         reg.observe("par.spin_wait_s", t.spin_wait_s, pe=pe)
         reg.set_gauge("par.max_spin_wait_s", t.max_spin_wait_s, pe=pe)
         # Same metric family as the simulator's wait-state attribution
-        # (see ObsRecorder.build_registry): a worker spinning on an
+        # (see repro.obs.spanlog.build_registry): a worker spinning on an
         # absent shared-array element is the wall-clock counterpart of
         # the simulator's istructure-defer wait.
         reg.set_gauge("wait.us", t.spin_wait_s * 1e6, pe=pe,

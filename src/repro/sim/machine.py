@@ -146,34 +146,14 @@ class Machine:
         self._rng = (random.Random(self.config.jitter_seed)
                      if self.config.jitter_seed is not None else None)
         # Observability is opt-in and zero-cost when off: with the
-        # default config both attributes stay None and the event loop
-        # pays one identity check per hook site.
-        obs_cfg = self.config.obs
-        self.tracer = None
-        if obs_cfg.trace:
-            from repro.sim.trace import Tracer
+        # default config ``log`` stays None and each hook site pays one
+        # identity check.  On, each site makes one call into the run's
+        # span log (repro.obs.spanlog), which keeps what ObsConfig asks.
+        self.log = None
+        if self.config.obs.enabled:
+            from repro.obs.spanlog import SpanLog
 
-            self.tracer = Tracer(limit=obs_cfg.trace_limit,
-                                 mode=obs_cfg.trace_mode)
-        self.obs = None
-        if obs_cfg.metrics or obs_cfg.timelines or obs_cfg.waits:
-            from repro.obs.recorder import ObsRecorder
-
-            self.obs = ObsRecorder(self.mc.num_pes,
-                                   timelines=obs_cfg.timelines,
-                                   metrics=obs_cfg.metrics,
-                                   waits=obs_cfg.waits)
-        # Wait-state hooks check this one attribute on the hot path, then
-        # write the SP's record directly (``_waits.sps[uid]``).
-        self._waits = self.obs.waits if self.obs is not None else None
-        # Busy-span hooks: None when no timelines are recorded (a
-        # metrics-only run pays one identity check per span), else per
-        # PE a {unit: UnitTimeline.add} bound once, here.
-        self._span_adds = None
-        if self.obs is not None and self.obs.timelines is not None:
-            store = self.obs.timelines
-            self._span_adds = [{unit: store.adder(pe.pid, unit)
-                                for unit in UNITS} for pe in self.pes]
+            self.log = SpanLog(self.mc.num_pes, self.config.obs)
         # One compiled Execution Unit per PE, built after the hooks it
         # closes over.
         for pe in self.pes:
@@ -225,8 +205,8 @@ class Machine:
             start = self.now
         done = free[unit] = start + cost
         pe.stats.busy[unit] += cost
-        if self._span_adds is not None:
-            self._span_adds[pe.pid][unit](start, done)
+        if self.log is not None:
+            self.log.busy[pe.pid][unit](start, done)
         return done
 
     # ------------------------------------------------------------------
@@ -298,18 +278,18 @@ class Machine:
         finish = self._finish_us if net is not None else self.now
         if self._ckpt is not None:
             self._ckpt_snapshot(final=True)
-        timelines = registry = waits = breakdown = None
-        if self.obs is not None:
-            timelines = self.obs.timelines
-            waits = self.obs.waits
-            if waits is not None:
+        log = self.log
+        registry = breakdown = None
+        if log is not None:
+            if log.sps is not None:
                 from repro.obs.critpath import pe_wait_breakdown
 
-                breakdown = pe_wait_breakdown(waits, timelines,
-                                              self.mc.num_pes, finish)
-            if self.obs.metrics:
-                registry = self.obs.build_registry(
-                    [pe.stats for pe in self.pes], UNITS, finish,
+                breakdown = pe_wait_breakdown(log, finish)
+            if log.metrics:
+                from repro.obs.spanlog import build_registry
+
+                registry = build_registry(
+                    log, [pe.stats for pe in self.pes], UNITS, finish,
                     net=net, wait_breakdown=breakdown)
         ckpt_info = None
         if self._ckpt is not None or self._restore is not None:
@@ -322,12 +302,10 @@ class Machine:
             pe_stats=[pe.stats for pe in self.pes],
             events_processed=self.events_processed,
             max_live_frames=self.max_live_frames,
-            timelines=timelines,
+            log=log,
             registry=registry,
-            waits=waits,
             wait_breakdown=breakdown,
             netstats=net.stats if net is not None else None,
-            trace=self.tracer,
             still_blocked=[line for pe in self.pes
                            for line in pe.describe_blocked()],
         )
@@ -381,9 +359,8 @@ class Machine:
         if pe.halted:
             return
         pe.stats.tokens_matched += 1
-        if self.tracer is not None:
-            self.tracer.record(self.now, pe.pid, "token-match", repr(token),
-                               unit="MU")
+        if self.log is not None:
+            self.log.token_match(self.now, pe.pid, token)
         if isinstance(token, MatchToken):
             key = (token.block_id, token.ctx)
             frame = pe.match_table.get(key)
@@ -410,8 +387,8 @@ class Machine:
         else:  # DirectToken
             if token.frame_uid == ROOT_UID:
                 self.result = token.value
-                if self._waits is not None:
-                    self._waits.result(self.now, token.src_sp)
+                if self.log is not None:
+                    self.log.result(self.now, token.src_sp)
                 return
             frame = self.frames.get(token.frame_uid)
             if frame is None or frame.status == DONE:
@@ -434,13 +411,8 @@ class Machine:
         pe.live_frames += 1
         if pe.live_frames > self.max_live_frames:
             self.max_live_frames = pe.live_frames
-        if self.tracer is not None:
-            self.tracer.record(self.now, pe.pid, "frame-create",
-                               f"{frame.name} uid={uid} ctx={ctx}",
-                               unit="MM", sp=uid)
-        if self._waits is not None:
-            parent = ctx[0] if ctx and isinstance(ctx[0], int) else None
-            self._waits.sp_create(pe.pid, uid, self.now, parent, frame.name)
+        if self.log is not None:
+            self.log.sp_create(self.now, pe.pid, frame)
         return frame
 
     def _put_slot(self, pe: PE, frame: Frame, slot: int, value: Any,
@@ -458,15 +430,15 @@ class Machine:
             return
         woke = frame.put(slot, value)
         if woke:
-            if self._waits is not None:
-                self._waits.sps[frame.uid].wake(self.now, cause, src)
+            if self.log is not None:
+                self.log.wake(self.now, frame.uid, cause, src)
             frame.make_ready()
             pe.ready.append(frame)
         suspended = pe.suspended_on
         if suspended is not None and suspended == (frame.uid, slot):
             pe.suspended_on = None
-            if self._waits is not None:
-                self._waits.pe_stall_end(pe.pid, self.now)
+            if self.log is not None:
+                self.log.stall_end(pe.pid, self.now)
             self._resume_eu(pe)
         elif woke:
             self._kick_eu(pe)
@@ -478,8 +450,8 @@ class Machine:
             return
         if waiter.frame_uid == ROOT_UID:
             self.result = value
-            if self._waits is not None:
-                self._waits.result(self.now, src)
+            if self.log is not None:
+                self.log.result(self.now, src)
             return
         frame = self.frames.get(waiter.frame_uid)
         if frame is None:
@@ -525,9 +497,12 @@ class Machine:
         once per step, outside the instruction loop.
         """
         queue = self._queue
-        span = (self._span_adds[pe.pid]["EU"]
-                if self._span_adds is not None else None)
-        sps = self._waits.sps if self._waits is not None else None
+        log = self.log
+        span = run_begin = run_end = None
+        if log is not None and log.lines is not None:
+            span = log.lines[pe.pid, "EU"].add
+        if log is not None and log.sps is not None:
+            run_begin, run_end = log.run_begin, log.run_end
         stats = pe.stats
         busy = stats.busy
         ready = pe.ready
@@ -537,22 +512,21 @@ class Machine:
             pe.eu_scheduled = False
             # An SP carried over a yield keeps its run segment open: a
             # resume at the yield instant continues it (what closing and
-            # reopening records, since ``SpRecord`` merges a run piece
-            # that starts where the last one ended).  It is closed at the
+            # reopening records, since the log merges a run piece that
+            # starts where the last one ended).  It is closed at the
             # yield, ``pe.eu_time``, only when something came between.
             frame = pe.running
             if pe.halted or pe.suspended_on is not None:
-                if pe.halted and sps is not None and frame is not None:
-                    sps[frame.uid].run_end(pe.eu_time)
+                if pe.halted and run_end is not None and frame is not None:
+                    run_end(frame.uid, pe.eu_time)
                 return
             now = M.now
             t = pe.eu_time
             if now > t:
-                if sps is not None and frame is not None:
+                if run_end is not None and frame is not None:
                     # Resumed after a blocking-read suspension.
-                    rec = sps[frame.uid]
-                    rec.run_end(t)
-                    rec.run_begin(now)
+                    run_end(frame.uid, t)
+                    run_begin(frame.uid, now)
                 t = now
             # Inside one EU step the local clock advances only by busy
             # work (instruction costs and context switches), so
@@ -574,10 +548,10 @@ class Machine:
                         continue
                     frame.status = RUNNING
                     pe.running = frame
-                    if sps is not None:
+                    if run_begin is not None:
                         # Ends the sched-queue wait; the context switch
                         # is charged to the SP's run time.
-                        sps[frame.uid].run_begin(t)
+                        run_begin(frame.uid, t)
                     t += switch
                     busy["EU"] += switch
                     stats.context_switches += 1
@@ -619,33 +593,25 @@ class Machine:
     # -- EU helpers ------------------------------------------------------
 
     def _block_on(self, pe: PE, frame: Frame, slot: int, t: float):
-        if self.tracer is not None:
-            self.tracer.record(t, pe.pid, "block",
-                               f"{frame.name} uid={frame.uid} slot={slot}",
-                               unit="EU", sp=frame.uid)
         frame.block_on_slot(slot)
-        if self._waits is not None:
-            self._waits.sps[frame.uid].block(t)
+        if self.log is not None:
+            self.log.block(t, pe.pid, frame, slot)
         pe.running = None
         return t, None
 
     def _block_on_header(self, pe: PE, frame: Frame, array_id: int, t: float):
         frame.block_on_header(array_id)
-        if self._waits is not None:
-            self._waits.sps[frame.uid].block(t)
+        if self.log is not None:
+            self.log.block(t, pe.pid, frame)
         pe.header_waiters.setdefault(array_id, []).append(frame)
         pe.running = None
         return t, None
 
     def _eu_end(self, pe: PE, frame: Frame, t: float):
-        if self.tracer is not None:
-            self.tracer.record(t, pe.pid, "frame-end",
-                               f"{frame.name} uid={frame.uid}",
-                               unit="EU", sp=frame.uid)
         frame.status = DONE
         pe.running = None
-        if self._waits is not None:
-            self._waits.sps[frame.uid].end(t)
+        if self.log is not None:
+            self.log.sp_end(t, pe.pid, frame)
         pe.stats.frames_destroyed += 1
         pe.live_frames -= 1
         ctx = frame.ctx
@@ -656,10 +622,10 @@ class Machine:
                 parent.outstanding_children -= 1
                 if parent.budget_blocked:
                     parent.budget_blocked = False
-                    if self._waits is not None:
+                    if self.log is not None:
                         # The retiring child freed the budget slot.
-                        self._waits.sps[parent.uid].wake(
-                            t, "sched-queue", frame.uid)
+                        self.log.wake(t, parent.uid, "sched-queue",
+                                      frame.uid)
                     parent.make_ready()
                     parent_pe = self.pes[parent.pe]
                     parent_pe.ready.append(parent)
@@ -683,17 +649,8 @@ class Machine:
             pe.pid, bv, ev, descending=instr.descending,
             fixed=tuple(argvals), dim=instr.dim,
         )
-        if self.tracer is not None:
-            span = (f"{first}..{last}" if (last - first) * (1, -1)[
-                instr.descending] >= 0 else "empty")
-            self.tracer.record(t, pe.pid, "rf-range",
-                               f"{frame.name} dim={instr.dim} "
-                               f"fixed={list(argvals)} -> {span}",
-                               unit="EU", sp=frame.uid)
-        if self.obs is not None:
-            step = -1 if instr.descending else 1
-            items = max(0, (last - first) * step + 1)
-            self.obs.rf(pe.pid, frame.name, first, last, items)
+        if self.log is not None:
+            self.log.rf(t, pe.pid, frame, instr, argvals, first, last)
         frame._slots[instr.dst] = first
         frame._slots[instr.dst2] = last
         frame.present_mask |= (1 << instr.dst) | (1 << instr.dst2)
@@ -713,8 +670,8 @@ class Machine:
             frame.waiting_slot = None
             frame.waiting_header = None
             frame.budget_blocked = True
-            if self._waits is not None:
-                self._waits.sps[frame.uid].block(t)
+            if self.log is not None:
+                self.log.block(t, pe.pid, frame)
             pe.running = None
             return t, None
         if counted:
@@ -827,11 +784,8 @@ class Machine:
             latency += self._rng.uniform(0.0, self.config.jitter_max_us)
         pe.stats.messages_sent += 1
         pe.stats.bytes_sent += msg.wire_bytes
-        if self.tracer is not None:
-            self.tracer.record(self.now, pe.pid, "message",
-                               f"{type(msg).__name__} -> PE{msg.dst_pe} "
-                               f"({msg.wire_bytes}B, +{latency:.0f}us)",
-                               unit="RU")
+        if self.log is not None:
+            self.log.message(self.now, pe.pid, msg, latency)
         self.schedule(self.now + latency, self._deliver_msg, msg)
 
     # -- reliable delivery + fault injection (repro.sim.reliable) --------
@@ -857,19 +811,9 @@ class Machine:
         pe.stats.bytes_sent += smsg.wire_bytes
         kind = _MSG_KIND[type(msg)]
         dec = self._injector.decide(pe.pid, msg.dst_pe, kind)
-        if self.tracer is not None:
-            flags = " retransmit" if retransmit else ""
-            if dec.drop:
-                flags += " DROPPED"
-            if dec.dup:
-                flags += " duplicated"
-            if dec.extra_us:
-                flags += f" delayed+{dec.extra_us:.0f}us"
-            self.tracer.record(self.now, pe.pid, "message",
-                               f"{type(msg).__name__}[seq {smsg.seq}] -> "
-                               f"PE{msg.dst_pe} ({smsg.wire_bytes}B, "
-                               f"+{latency:.0f}us){flags}",
-                               unit="RU")
+        if self.log is not None:
+            self.log.message(self.now, pe.pid, msg, latency, smsg, dec,
+                             retransmit)
         if retransmit:
             net.stats.spans.append(
                 (pe.pid, self.now, self.now + latency,
@@ -978,16 +922,16 @@ class Machine:
     def _pe_halt(self, pe: PE) -> None:
         pe.halted = True
         self._halted.append(pe.pid)
-        if self.tracer is not None:
-            self.tracer.record(self.now, pe.pid, "pe-halt",
-                               f"PE {pe.pid} halted (injected fault)")
+        if self.log is not None:
+            self.log.instant(self.now, pe.pid, "pe-halt",
+                             f"PE {pe.pid} halted (injected fault)")
 
     def _pe_degrade(self, pe: PE, factor: float) -> None:
         pe.degrade *= factor
-        if self.tracer is not None:
-            self.tracer.record(self.now, pe.pid, "pe-degrade",
-                               f"PE {pe.pid} degraded x{pe.degrade:g} "
-                               "(injected fault)")
+        if self.log is not None:
+            self.log.instant(self.now, pe.pid, "pe-degrade",
+                             f"PE {pe.pid} degraded x{pe.degrade:g} "
+                             "(injected fault)")
 
     def _stuck_error(self, why: str | None, halted_pe: int | None = None):
         """Build the structured no-progress error for the current state."""
@@ -1085,9 +1029,9 @@ class Machine:
         if waiters:
             for frame in waiters:
                 if frame.status == BLOCKED and frame.waiting_header == aid:
-                    if self._waits is not None:
-                        self._waits.sps[frame.uid].wake(
-                            self.now, "net-queue", None)
+                    if self.log is not None:
+                        self.log.wake(self.now, frame.uid, "net-queue",
+                                      None)
                     frame.make_ready()
                     pe.ready.append(frame)
             self._kick_eu(pe)
@@ -1131,10 +1075,9 @@ class Machine:
             pe.stats.cache_misses += 1
         done = self._serve(pe, "AM", T.am_cached_read(False))
         owner = header.owner_of_offset(offset)
-        if self.tracer is not None:
-            self.tracer.record(self.now, pe.pid, "remote-read",
-                               f"array {aid} off {offset} -> PE{owner}",
-                               unit="AM", sp=waiter.frame_uid)
+        if self.log is not None:
+            self.log.remote_read(self.now, pe.pid, aid, offset, owner,
+                                 waiter.frame_uid)
         msg = ReadRequestMsg(pe.pid, owner, aid, offset, waiter)
         self.schedule(done, self._send_msg, pe, msg)
         if not self.mc.split_phase_reads:
@@ -1145,8 +1088,8 @@ class Machine:
             # the bound the EU yields to other SPs.
             key = (waiter.frame_uid, waiter.slot)
             pe.suspended_on = key
-            if self._waits is not None:
-                self._waits.pe_stall_begin(pe.pid, self.now)
+            if self.log is not None:
+                self.log.stall_begin(pe.pid, self.now)
             bound = 2.0 * T.message_latency(32) + T.message_latency(
                 self.mc.page_size * self.mc.element_bytes + 32)
             self.schedule(self.now + bound, self._suspend_timeout, pe, key)
@@ -1154,8 +1097,8 @@ class Machine:
     def _suspend_timeout(self, pe: PE, key: tuple) -> None:
         if pe.suspended_on == key:
             pe.suspended_on = None
-            if self._waits is not None:
-                self._waits.pe_stall_end(pe.pid, self.now)
+            if self.log is not None:
+                self.log.stall_end(pe.pid, self.now)
             self._resume_eu(pe)
 
     def _am_remote_read_request(self, pe: PE, msg: ReadRequestMsg) -> None:
@@ -1244,8 +1187,8 @@ class Machine:
             return
         aid = seg.array_id
         pe.stats.array_writes_local += 1
-        if self.obs is not None:
-            self.obs.page_touch(aid, pe.headers[aid].page_of(offset))
+        if self.log is not None:
+            self.log.page_touch(aid, pe.headers[aid].page_of(offset))
         if self._replay:
             stored = seg.get(offset)
             if stored is not CELL_ABSENT:

@@ -7,10 +7,10 @@ logical units of Figure 7 — Execution Unit (EU), Matching Unit (MU, the
 Memory Manager (MM).
 
 With observability enabled (:class:`repro.common.config.ObsConfig`) a
-run additionally carries per-unit busy-interval *timelines* and a
+run additionally carries its span log (:mod:`repro.obs.spanlog`) and a
 :class:`repro.obs.MetricsRegistry`; utilization can then be derived from
-the recorded intervals (``timeline_utilization``) instead of the running
-accumulators — the derivation the bench figures use.
+the recorded busy intervals (``timeline_utilization``) instead of the
+running accumulators — the derivation the bench figures use.
 """
 
 from __future__ import annotations
@@ -20,10 +20,8 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # no runtime dependency on repro.obs
     from repro.obs.registry import MetricsRegistry
-    from repro.obs.timeline import TimelineStore
-    from repro.obs.waits import WaitStore
+    from repro.obs.spanlog import SpanLog
     from repro.sim.reliable import NetStats
-    from repro.sim.trace import Tracer
 
 UNITS = ("EU", "MU", "RU", "AM", "MM")
 
@@ -63,21 +61,26 @@ class RunStats:
     pe_stats: list[PEStats]
     events_processed: int = 0
     max_live_frames: int = 0  # high-water mark of live SPs on any one PE
-    timelines: "TimelineStore | None" = None
+    # What the run recorded (busy lines, SP segments, trace); None
+    # unless some ObsConfig feature was on.
+    log: "SpanLog | None" = None
     registry: "MetricsRegistry | None" = None
-    waits: "WaitStore | None" = None
-    # ``repro.obs.critpath.pe_wait_breakdown`` of ``waits``, derived once
+    # ``repro.obs.critpath.pe_wait_breakdown`` of the log, derived once
     # when the run ends; None unless waits were recorded.
     wait_breakdown: "list[dict[str, float]] | None" = None
     # Reliable-delivery counters; None unless the fault-tolerant network
     # layer was armed (see repro.sim.reliable).
     netstats: "NetStats | None" = None
-    # The run's event trace; None unless ObsConfig(trace=True).
-    trace: "Tracer | None" = None
     # ``PE.describe_blocked`` lines of a run that returned: deferred
     # reads no write ever satisfied, left by SPs that ended without
     # using the value they asked for.
     still_blocked: list[str] = field(default_factory=list)
+
+    @property
+    def waits(self) -> "SpanLog | None":
+        """The log, if it recorded SP wait states (``ObsConfig.waits``)."""
+        log = self.log
+        return log if log is not None and log.sps is not None else None
 
     # -- utilizations ---------------------------------------------------
 
@@ -97,12 +100,14 @@ class RunStats:
     def timeline_utilization(self, unit: str, pe: int | None = None) -> float:
         """Utilization *derived* from recorded busy intervals.
 
-        Falls back to the accumulator-based number when the run was not
-        observed with ``ObsConfig(timelines=True)``.
+        Falls back to the accumulator-based number when the run kept no
+        busy lines (``ObsConfig(timelines=True)`` or ``waits=True``).
         """
-        if self.timelines is None:
+        if self.log is None or self.log.lines is None:
             return self.utilization(unit, pe)
-        return self.timelines.utilization(unit, self.finish_time_us, pe=pe)
+        from repro.obs.spanlog import utilization
+
+        return utilization(self.log, unit, self.finish_time_us, pe=pe)
 
     # -- convenience aggregates ------------------------------------------
 

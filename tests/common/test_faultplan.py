@@ -18,12 +18,27 @@ from repro.parallel.faults import FaultInjector, FaultPlan
 from repro.sim.netfaults import NetFaultInjector, SimFaultPlan
 
 
+def format_clause(action: str, args: dict) -> str:
+    """Render one parsed clause back to its spec form.
+
+    The inverse of ``split_clauses`` + ``parse_clause_args`` for one
+    clause: ``format_clause("drop", {"kind": "page", "count": 2})`` is
+    ``"drop:kind=page,count=2"``.  Values are rendered with ``str``,
+    which round-trips exactly for the grammar's ``int``/``float``/``str``
+    coercions (``repr`` and ``str`` agree on Python numbers).
+    """
+    if not args:
+        return action
+    body = ",".join(f"{key}={value}" for key, value in args.items())
+    return f"{action}:{body}"
+
+
 def format_spec(clauses: list[tuple[str, dict]]) -> str:
     """Render ``(action, parsed-args)`` pairs back to one plan spec:
     ``parse -> format -> parse`` is the identity (clause order, key
     order and values all preserved), the property the round-trip tests
     hold the grammar to."""
-    return ";".join(faultplan.format_clause(action, args)
+    return ";".join(format_clause(action, args)
                     for action, args in clauses)
 
 
@@ -159,7 +174,7 @@ class TestRoundTrip:
         """A bad clause anywhere in the spec raises a ValueError whose
         message pins the offending clause, never a neighbouring one."""
         pos = min(pos, len(clauses))
-        parts = [faultplan.format_clause(a, kw) for a, kw in clauses]
+        parts = [format_clause(a, kw) for a, kw in clauses]
         parts.insert(pos, f"kill:{junk}")
         spec = ";".join(parts)
         with pytest.raises(ValueError) as excinfo:
@@ -170,7 +185,7 @@ class TestRoundTrip:
         assert junk.partition("=")[0] in msg
 
     def test_format_clause_bare_action(self):
-        assert faultplan.format_clause("dup", {}) == "dup"
+        assert format_clause("dup", {}) == "dup"
         assert faultplan.split_clauses("dup") == [("dup", "")]
 
     @given(clauses=st.lists(_clauses(), min_size=1, max_size=4))
@@ -213,7 +228,7 @@ class TestEngine:
         (``ack`` is the one message kind both vocabularies name)."""
         args = {k: v for k, v in (("src", src), ("dst", dst),
                                   ("kind", kind)) if v is not None}
-        spec = faultplan.format_clause(
+        spec = format_clause(
             action, args | {"after": after, "count": count})
         sim = NetFaultInjector(SimFaultPlan.parse(spec))
         dist = DistFaultInjector(DistFaultPlan.parse(spec), node=self.NODE)

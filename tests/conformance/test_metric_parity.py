@@ -83,7 +83,7 @@ def test_pages_touched_are_labelled_by_allocation_ordinal():
 @pytest.mark.parametrize("app", sorted(APPS))
 def test_wait_attribution_is_structural(app, runner):
     """wait.us rows use the same label schema and cause vocabulary."""
-    from repro.obs.waits import IDLE, WAIT_CATEGORIES
+    from repro.obs.spanlog import IDLE, WAIT_CATEGORIES
 
     causes = set(WAIT_CATEGORIES) | {IDLE}
     sim = runner(app, "sim", PES[0], metrics=True)

@@ -188,7 +188,7 @@ def test_cross_backend_wait_attribution(compiled):
     program, args, _ = compiled["row-sweep"]
 
     from repro.common.config import MachineConfig, ObsConfig, SimConfig
-    from repro.obs.waits import IDLE, WAIT_CATEGORIES
+    from repro.obs.spanlog import IDLE, WAIT_CATEGORIES
 
     sim_cfg = SimConfig(machine=MachineConfig(num_pes=2),
                         obs=ObsConfig(metrics=True, timelines=True,

@@ -1,7 +1,10 @@
 """Shared helpers for the observability tests: one small program, run on
-the simulator with the full observability stack enabled."""
+the simulator with the full observability stack enabled, and two flat
+renderings the tests compare (golden-trace lines, a metrics CSV)."""
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -31,10 +34,9 @@ def run_observed(source: str = FILL_AND_SUM, args: tuple = (3,),
                  waits: bool = False):
     """Compile + run with metrics, timelines and tracing all on.
 
-    Returns (machine, result); the machine exposes the tracer, the
-    result's stats carry the timelines and the metrics registry.  With
-    ``waits=True`` the wait-state recorder is on too and
-    ``result.stats.waits`` holds the WaitStore.
+    Returns (machine, result); ``machine.log`` (``result.stats.log``)
+    is the run's span log, the result's stats carry the metrics
+    registry.  With ``waits=True`` the log records wait states too.
     """
     program = compile_source(source)
     config = SimConfig(
@@ -57,3 +59,19 @@ def observed_run():
 def waits_run():
     """A 4-PE fill-and-sum run with wait-state attribution enabled."""
     return run_observed(args=(4,), num_pes=4, waits=True)
+
+
+def trace_golden(events) -> str:
+    """The stable-field projection golden-trace fixtures hold."""
+    return "\n".join(e.golden_line() for e in events)
+
+
+def to_csv(registry) -> str:
+    """Flat ``kind,name,labels,value`` dump (labels as k=v;k=v)."""
+    lines = ["kind,name,labels,value"]
+    for row in registry.rows():
+        labels = ";".join(f"{k}={v}" for k, v in row.labels)
+        value = (json.dumps(row.value, sort_keys=True)
+                 if isinstance(row.value, dict) else row.value)
+        lines.append(f"{row.kind},{row.name},{labels},{value}")
+    return "\n".join(lines)

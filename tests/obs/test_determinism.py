@@ -20,9 +20,9 @@ from __future__ import annotations
 import ast
 import re
 
-from repro.obs.export import perfetto_json, trace_golden
+from repro.obs.export import perfetto_json
 
-from tests.obs.conftest import run_observed
+from tests.obs.conftest import run_observed, to_csv, trace_golden
 
 _CREATE = re.compile(r"(\S+) uid=(\d+) ctx=(\(.*\))")
 
@@ -31,10 +31,10 @@ _CREATE = re.compile(r"(\S+) uid=(\d+) ctx=(\(.*\))")
 CAUSAL_KINDS = ("frame-create", "rf-range", "frame-end")
 
 
-def stable_sp_keys(tracer) -> dict[int, tuple]:
+def stable_sp_keys(log) -> dict[int, tuple]:
     """frame uid -> (name, spawn-path, pe), jitter-invariant."""
     info: dict[int, tuple] = {}
-    for e in tracer.events:
+    for e in log.events:
         if e.kind != "frame-create":
             continue
         m = _CREATE.match(e.detail)
@@ -49,9 +49,9 @@ def stable_sp_keys(tracer) -> dict[int, tuple]:
 
 
 def causal_subsequences(machine) -> dict[tuple, list]:
-    keys = stable_sp_keys(machine.tracer)
+    keys = stable_sp_keys(machine.log)
     out: dict[tuple, list] = {}
-    for e in machine.tracer.events:
+    for e in machine.log.events:
         if e.sp is None or e.kind not in CAUSAL_KINDS:
             continue
         detail = e.detail if e.kind == "rf-range" else ""
@@ -64,21 +64,18 @@ class TestReplayDeterminism:
         runs = [run_observed() for _ in range(2)]
         (m1, r1), (m2, r2) = runs
         assert r1.value == r2.value
-        assert (trace_golden(m1.tracer.events)
-                == trace_golden(m2.tracer.events))
-        assert (perfetto_json(r1.stats.timelines, m1.tracer.events,
-                              num_pes=2)
-                == perfetto_json(r2.stats.timelines, m2.tracer.events,
-                                 num_pes=2))
+        assert (trace_golden(m1.log.events)
+                == trace_golden(m2.log.events))
+        assert perfetto_json(r1.stats.log) == perfetto_json(r2.stats.log)
         assert r1.stats.registry.to_jsonl() == r2.stats.registry.to_jsonl()
-        assert r1.stats.registry.to_csv() == r2.stats.registry.to_csv()
+        assert to_csv(r1.stats.registry) == to_csv(r2.stats.registry)
 
     def test_jitter_itself_is_deterministic(self):
         m1, r1 = run_observed(jitter_seed=7)
         m2, r2 = run_observed(jitter_seed=7)
         assert r1.value == r2.value
-        assert (trace_golden(m1.tracer.events)
-                == trace_golden(m2.tracer.events))
+        assert (trace_golden(m1.log.events)
+                == trace_golden(m2.log.events))
 
 
 class TestChurchRosserUnderJitter:

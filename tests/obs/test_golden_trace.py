@@ -20,13 +20,11 @@ import difflib
 import os
 import sys
 
-from repro.obs.export import trace_golden
-
 try:
-    from tests.obs.conftest import run_observed
+    from tests.obs.conftest import run_observed, trace_golden
 except ImportError:  # running as a script (fixture regeneration)
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", ".."))
-    from tests.obs.conftest import run_observed
+    from tests.obs.conftest import run_observed, trace_golden
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "golden_trace.txt")
 
@@ -34,7 +32,7 @@ FIXTURE = os.path.join(os.path.dirname(__file__), "golden_trace.txt")
 def current_golden() -> str:
     machine, result = run_observed()
     assert result.value == 36  # sum of i*j over 3x3
-    return trace_golden(machine.tracer.events) + "\n"
+    return trace_golden(machine.log.events) + "\n"
 
 
 def test_trace_matches_golden_fixture():
@@ -58,7 +56,7 @@ def test_trace_matches_golden_fixture():
 
 def test_golden_lines_are_stable_fields_only():
     machine, _ = run_observed()
-    for event in machine.tracer.events[:10]:
+    for event in machine.log.events[:10]:
         parts = event.golden_line().split()
         assert len(parts) == 5
         assert parts[0] == str(event.seq)

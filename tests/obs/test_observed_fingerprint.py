@@ -1,9 +1,10 @@
 """Pinned observed outputs: what ``ObsConfig(metrics, timelines, waits)``
 records is held to the bits of the fixture ``observed_fingerprint.json``.
 
-Per case the fixture holds one sha256 per artifact: the busy timelines
-(every line's ``starts``, ``ends``, ``busy_us``, ``dropped``), the wait
-store (every ``SpRecord`` and the PE stalls), the critical-path steps,
+Per case the fixture holds one sha256 per view of the run's span log:
+the busy lines (every line's ``starts``, ``ends``, ``busy_us`` and a
+``dropped`` count that is always 0), the SP lanes (every SP's identity
+and segments) and the PE stalls, the critical-path steps,
 the metrics-registry JSONL and the canonical ``pods-run/v1`` record minus
 its wall time.  A second run of the same case with ``trace=True`` as
 well pins the two rendered views: the Perfetto JSON that ``pods trace
@@ -78,9 +79,7 @@ def _views(name: str) -> dict:
     _, _, result = _run(name, trace=True)
     stats = result.stats
     netspans = stats.netstats.spans if stats.netstats is not None else ()
-    perfetto = perfetto_json(stats.timelines, stats.trace.events,
-                             num_pes=stats.num_pes, waits=stats.waits,
-                             finish_us=stats.finish_time_us,
+    perfetto = perfetto_json(stats.log, stats.finish_time_us,
                              netspans=netspans)
     profile = Profile.from_stats(stats).render(top=10)
     return {
@@ -96,14 +95,13 @@ def fingerprint(name: str) -> dict:
 
     program, args, result = _run(name, trace=False)
     stats = result.stats
-    waits = stats.waits
-    timelines = [[pe, unit, line.starts, line.ends, line.busy_us,
-                  line.dropped]
-                 for pe, unit, line in stats.timelines.items()]
+    log = stats.log
+    timelines = [[pe, unit, line.starts, line.ends, line.busy_us, 0]
+                 for pe, unit, line in log.busy_lines()]
     records = [[r.uid, r.name, r.pe, r.created_at, r.ended_at, r.parent,
-                r.segments] for r in waits.records()]
-    stalls = sorted(waits.pe_stalls.items())
-    path = critical_path(waits, stats.finish_time_us)
+                r.segments] for r in log.records()]
+    stalls = sorted(log.stalls.items())
+    path = critical_path(log, stats.finish_time_us)
     record = result.to_run_record(program, args)
     del record["result"]["wall_time_s"]
     return {

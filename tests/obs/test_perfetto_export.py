@@ -6,8 +6,8 @@ import json
 
 from repro.obs.export import SP_TRACK, filter_events, perfetto_json, \
     perfetto_trace, validate_trace_events
+from repro.obs.spanlog import Instant, busy
 from repro.sim.stats import UNITS
-from repro.sim.trace import TraceEvent
 
 from tests.obs.conftest import run_observed
 
@@ -15,14 +15,12 @@ from tests.obs.conftest import run_observed
 class TestExportedTrace:
     def test_validates_clean(self, observed_run):
         machine, result = observed_run
-        trace = perfetto_trace(result.stats.timelines,
-                               machine.tracer.events, num_pes=2)
+        trace = perfetto_trace(machine.log)
         assert validate_trace_events(trace) == []
 
     def test_track_metadata_per_pe_and_unit(self, observed_run):
         machine, result = observed_run
-        trace = perfetto_trace(result.stats.timelines,
-                               machine.tracer.events, num_pes=2)
+        trace = perfetto_trace(machine.log)
         names = {(e["pid"], e["tid"]): e["args"]["name"]
                  for e in trace["traceEvents"]
                  if e["ph"] == "M" and e["name"] == "thread_name"}
@@ -33,8 +31,7 @@ class TestExportedTrace:
 
     def test_sp_lifecycle_spans_and_flows_balanced(self, observed_run):
         machine, result = observed_run
-        trace = perfetto_trace(result.stats.timelines,
-                               machine.tracer.events, num_pes=2)
+        trace = perfetto_trace(machine.log)
         by_ph: dict[str, list] = {}
         for e in trace["traceEvents"]:
             by_ph.setdefault(e["ph"], []).append(e)
@@ -45,28 +42,23 @@ class TestExportedTrace:
 
     def test_unit_spans_cover_busy_time(self, observed_run):
         machine, result = observed_run
-        trace = perfetto_trace(result.stats.timelines,
-                               machine.tracer.events, num_pes=2)
+        trace = perfetto_trace(machine.log)
         x_total = sum(e["dur"] for e in trace["traceEvents"]
                       if e["ph"] == "X" and e["name"] == "EU")
         assert x_total > 0
-        derived = result.stats.timelines.busy("EU")
+        derived = busy(result.stats.log, "EU")
         assert abs(x_total - derived) < 1e-6
 
     def test_byte_identical_and_parseable(self, observed_run):
         machine, result = observed_run
-        a = perfetto_json(result.stats.timelines, machine.tracer.events,
-                          num_pes=2)
-        b = perfetto_json(result.stats.timelines, machine.tracer.events,
-                          num_pes=2)
+        a = perfetto_json(result.stats.log)
+        b = perfetto_json(result.stats.log)
         assert a == b
         assert validate_trace_events(json.loads(a)) == []
 
     def test_pe_and_since_filters(self, observed_run):
         machine, result = observed_run
-        trace = perfetto_trace(result.stats.timelines,
-                               machine.tracer.events, num_pes=2,
-                               pe=1, since_us=10.0)
+        trace = perfetto_trace(machine.log, pe=1, since_us=10.0)
         assert validate_trace_events(trace) == []
         for e in trace["traceEvents"]:
             assert e["pid"] == 1
@@ -76,9 +68,9 @@ class TestExportedTrace:
 
 class TestFilterEvents:
     EVENTS = [
-        TraceEvent(1.0, 0, "block", "a"),
-        TraceEvent(2.0, 1, "block", "b"),
-        TraceEvent(3.0, 0, "message", "c"),
+        Instant(1.0, 0, "block", "a"),
+        Instant(2.0, 1, "block", "b"),
+        Instant(3.0, 0, "message", "c"),
     ]
 
     def test_by_pe(self):

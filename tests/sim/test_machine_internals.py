@@ -9,6 +9,7 @@ import pytest
 
 from repro.api import compile_source
 from repro.common.config import MachineConfig, ObsConfig, SimConfig
+from repro.obs.spanlog import listing, summary
 from repro.sim import timing as T
 from repro.sim.machine import Machine
 from repro.translator import isa
@@ -152,7 +153,9 @@ class TestTracing:
     def test_trace_records_lifecycle(self):
         m, _ = machine_for(FILL, num_pes=2, trace=True)
         m.run((40,))
-        counts = m.tracer.counts()
+        counts = {}
+        for e in m.log.events:
+            counts[e.kind] = counts.get(e.kind, 0) + 1
         assert counts["frame-create"] == counts["frame-end"]
         assert counts["token-match"] > 0
         assert "message" in counts
@@ -160,14 +163,14 @@ class TestTracing:
     def test_trace_format_and_summary(self):
         m, _ = machine_for(FILL, num_pes=2, trace=True)
         m.run((8,))
-        text = m.tracer.format(limit=5)
+        text = "\n".join(listing(m.log.events, limit=5))
         assert "PE0" in text and "us" in text
-        assert "trace summary" in m.tracer.summary()
+        assert "trace summary" in summary(m.log)
 
     def test_trace_off_by_default(self):
         m, _ = machine_for(FILL, num_pes=2)
         m.run((8,))
-        assert m.tracer is None
+        assert m.log is None
 
 
 class TestFunctionPlacement:
@@ -471,7 +474,7 @@ class TestDiagnostics:
     def test_rf_range_trace_shows_per_pe_subranges(self):
         m, _ = machine_for(FILL, num_pes=4, trace=True)
         m.run((128,))
-        events = [e for e in m.tracer.events if e.kind == "rf-range"]
+        events = [e for e in m.log.events if e.kind == "rf-range"]
         assert len(events) == 4
         spans = sorted(e.detail.split("-> ")[1] for e in events)
         assert spans == ["1..32", "33..64", "65..96", "97..128"]

@@ -1,13 +1,22 @@
-"""Unit tests for the timing model, statistics, and tracer."""
+"""Unit tests for the timing model, statistics, and the trace (the span
+log's instants)."""
 
 import pytest
 
+from repro.common.config import ObsConfig
+from repro.obs.spanlog import (
+    Instant,
+    SpanLog,
+    activity,
+    drop_warning,
+    listing,
+    summary,
+)
 from repro.runtime.frames import Frame
 from repro.sim import timing as T
 from repro.sim.decode import compile_template
 from repro.sim.pe import PE
 from repro.sim.stats import PEStats, RunStats, UNITS
-from repro.sim.trace import TraceEvent, Tracer
 from repro.translator import isa
 from repro.translator.isa import Instr, SPTemplate, slot
 
@@ -118,57 +127,61 @@ class TestStats:
         assert "EU=50.0%" in text
 
 
+def trace_log(num_pes=1, **obs):
+    return SpanLog(num_pes, ObsConfig(trace=True, **obs))
+
+
 class TestTracer:
     def test_record_and_query(self):
-        t = Tracer()
-        t.record(1.0, 0, "frame-create", "a")
-        t.record(2.0, 1, "block", "b")
-        t.record(3.0, 0, "block", "c")
+        t = trace_log(2)
+        t.instant(1.0, 0, "frame-create", "a")
+        t.instant(2.0, 1, "block", "b")
+        t.instant(3.0, 0, "block", "c")
         assert len([e for e in t.events if e.kind == "block"]) == 2
         assert len([e for e in t.events if e.pe == 0]) == 2
-        assert t.counts() == {"frame-create": 1, "block": 2}
+        assert summary(t).splitlines()[1:] == [
+            "  block          2", "  frame-create   1"]
 
     def test_limit_drops_and_reports(self):
-        t = Tracer(limit=2)
+        t = trace_log(trace_limit=2)
         for i in range(5):
-            t.record(float(i), 0, "x", "d")
+            t.instant(float(i), 0, "x", "d")
         assert len(t.events) == 2
         assert t.dropped == 3
-        assert "3 events dropped" in t.format()
+        assert "3 of 5 events dropped" in drop_warning(t)
 
     def test_format_truncation(self):
-        t = Tracer()
+        t = trace_log()
         for i in range(10):
-            t.record(float(i), 0, "x", f"event {i}")
-        text = t.format(limit=3)
-        assert "7 more events" in text
+            t.instant(float(i), 0, "x", f"event {i}")
+        lines = listing(t.events, limit=3)
+        assert len(lines) == 4 and lines[-1] == "... 7 more events"
 
     def test_event_format(self):
-        e = TraceEvent(12.5, 3, "message", "hello")
+        e = Instant(12.5, 3, "message", "hello")
         line = e.format()
         assert "12.5us" in line and "PE3" in line and "hello" in line
 
     def test_golden_line_stable_fields(self):
-        e = TraceEvent(12.5, 3, "block", "main uid=7 slot=2",
-                       unit="EU", sp=7, seq=41)
+        e = Instant(12.5, 3, "block", "main uid=7 slot=2",
+                    unit="EU", sp=7, seq=41)
         assert e.golden_line() == "41 3 EU block 7"
-        bare = TraceEvent(1.0, 0, "message", "x")
+        bare = Instant(1.0, 0, "message", "x")
         assert bare.golden_line() == "0 0 - message -"
 
 
 class TestTracerOverflow:
     def test_drop_mode_keeps_oldest(self):
-        t = Tracer(limit=2, mode="drop")
+        t = trace_log(trace_limit=2, trace_mode="drop")
         for i in range(5):
-            t.record(float(i), 0, "x", f"e{i}")
+            t.instant(float(i), 0, "x", f"e{i}")
         assert [e.detail for e in t.events] == ["e0", "e1"]
         assert t.dropped == 3
-        assert t.truncated
 
     def test_ring_mode_keeps_newest(self):
-        t = Tracer(limit=2, mode="ring")
+        t = trace_log(trace_limit=2, trace_mode="ring")
         for i in range(5):
-            t.record(float(i), 0, "x", f"e{i}")
+            t.instant(float(i), 0, "x", f"e{i}")
         assert [e.detail for e in t.events] == ["e3", "e4"]
         assert t.dropped == 3
         # seq numbering is global, so the survivors still show where
@@ -177,51 +190,46 @@ class TestTracerOverflow:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            Tracer(mode="spill")
+            ObsConfig(trace=True, trace_mode="spill")
 
     def test_complete_trace_has_no_warning(self):
-        t = Tracer(limit=10)
-        t.record(1.0, 0, "x", "a")
-        assert not t.truncated
-        assert t.drop_warning() == ""
-        assert "WARNING" not in t.summary()
+        t = trace_log(trace_limit=10)
+        t.instant(1.0, 0, "x", "a")
+        assert not t.dropped
+        assert drop_warning(t) == ""
+        assert "WARNING" not in summary(t)
 
     def test_drop_warning_prominent_in_summary(self):
         for mode in ("drop", "ring"):
-            t = Tracer(limit=2, mode=mode)
+            t = trace_log(trace_limit=2, trace_mode=mode)
             for i in range(5):
-                t.record(float(i), 0, "x", "d")
-            warning = t.drop_warning()
+                t.instant(float(i), 0, "x", "d")
+            warning = drop_warning(t)
             assert "WARNING" in warning
             assert "3 of 5 events dropped" in warning
             # the summary must lead with it: a truncated trace should
             # never read as complete
-            assert t.summary().startswith(warning)
+            assert summary(t).startswith(warning)
 
 
 class TestTimeline:
     def test_timeline_shape(self):
-        from repro.sim.trace import timeline
-
-        t = Tracer()
+        t = trace_log(2)
         for i in range(50):
-            t.record(float(i), i % 2, "x", "d")
-        text = timeline(t, num_pes=2, finish_us=50.0, buckets=10)
+            t.instant(float(i), i % 2, "x", "d")
+        text = activity(t, finish_us=50.0, buckets=10)
         lines = text.splitlines()
         assert lines[0].startswith("PE0")
         assert lines[1].startswith("PE1")
         assert len(lines) == 3
 
     def test_timeline_empty(self):
-        from repro.sim.trace import timeline
-
-        assert timeline(Tracer(), 2, 0.0) == "(no events)"
+        assert activity(trace_log(2), 0.0) == "(no events)"
 
     def test_timeline_from_real_run(self):
         from repro.api import compile_source
-        from repro.common.config import MachineConfig, ObsConfig, SimConfig
+        from repro.common.config import MachineConfig, SimConfig
         from repro.sim.machine import Machine
-        from repro.sim.trace import timeline
 
         program = compile_source("""
         function main(n) {
@@ -234,5 +242,5 @@ class TestTimeline:
                     SimConfig(machine=MachineConfig(num_pes=3),
                               obs=ObsConfig(trace=True)))
         r = m.run((48,))
-        text = timeline(m.tracer, 3, r.finish_time_us, buckets=20)
+        text = activity(m.log, r.finish_time_us, buckets=20)
         assert text.count("PE") == 3

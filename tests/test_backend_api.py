@@ -317,4 +317,4 @@ class TestResultDeclaresWhatItHolds:
         result = program.run((3,), backend="sim", parallelism=2,
                              faults="delay:kind=page,count=0")
         assert result.netstats is result.stats.netstats is not None
-        assert result.stats.trace is None  # only with ObsConfig(trace=True)
+        assert result.stats.log is None  # only with an ObsConfig feature on

@@ -62,6 +62,12 @@ And an index has one rule: a refused index tuple is a
 accessor is generated there (``index_fn``), so no store writes a second
 copy of the rule beside it.
 
+And a simulated run has one record: ``sim/machine.py`` writes what it
+observes into one span log (``repro.obs.spanlog``) through one
+attribute, ``Machine.log``, and names none of the separate stores and
+the glue that recorded it three ways (``Tracer``, ``WaitStore``,
+``TimelineStore``, ``ObsRecorder``), nor their attributes.
+
 And a run has one way out: what it produced leaves ``Backend.run`` as
 the declared fields of a ``BackendResult`` and how it failed as the
 ``code`` its exception class declares.  So nothing under ``src/repro``
@@ -503,6 +509,31 @@ def test_a_run_has_one_way_out():
                         "spmd.py")
     assert not [name for name in _imports(spmd)
                 if name.startswith("repro.backend")]
+
+
+def test_a_simulated_run_has_one_record():
+    root = os.path.dirname(repro.__file__)
+    path = os.path.join(root, "sim", "machine.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    stores = {"Tracer", "WaitStore", "TimelineStore", "ObsRecorder"}
+    attrs = {"tracer", "obs", "_waits", "_span_adds"}
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in stores:
+            named.add(node.id)
+        elif isinstance(node, ast.alias) and node.name in stores:
+            named.add(node.name)
+        elif (isinstance(node, ast.Attribute) and node.attr in attrs
+              and getattr(node.value, "id", None) == "self"):
+            named.add(f"self.{node.attr}")
+    assert not named, (
+        f"sim/machine.py names {sorted(named)}; record through Machine.log "
+        "(repro.obs.spanlog) and derive every view from it")
+    gone = [rel for rel in (("obs", "recorder.py"), ("obs", "timeline.py"),
+                            ("obs", "waits.py"), ("sim", "trace.py"))
+            if os.path.exists(os.path.join(root, *rel))]
+    assert not gone, f"a second record of a simulated run: {gone}"
 
 
 def test_the_index_rule_has_one_definition():
