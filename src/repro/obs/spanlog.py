@@ -215,7 +215,7 @@ class SpanLog:
         self.sps: dict[int, SpLane] | None = {} if obs.waits else None
         self.stalls: dict[int, list[tuple[float, float]]] = {}
         self._open_stall: dict[int, float] = {}
-        self.result_at: float | None = None
+        # The SP whose token carried the program's result.
         self.result_src: int | None = None
         # Instants: the oldest ``trace_limit`` ("drop") or the newest
         # ("ring"); ``seq`` counts every one, kept or not.
@@ -374,8 +374,7 @@ class SpanLog:
         if start is not None and t > start:
             self.stalls.setdefault(pe, []).append((start, t))
 
-    def result(self, t: float, src: int | None) -> None:
-        self.result_at = t
+    def result(self, src: int | None) -> None:
         self.result_src = src
 
     # -- what it holds ---------------------------------------------------
@@ -415,7 +414,8 @@ def utilization(log: SpanLog, unit: str, finish_us: float,
     return busy(log, unit) / (finish_us * log.num_pes)
 
 
-def wait_spans_by_pe(log: SpanLog) -> dict[int, list[tuple[float, float, str]]]:
+def wait_spans_by_pe(log: SpanLog,
+                     ) -> dict[int, list[tuple[float, float, str]]]:
     """Every SP wait segment plus the PE stalls as (start, end, category),
     grouped by PE; per PE unsorted and possibly overlapping."""
     out: dict[int, list[tuple[float, float, str]]] = {}

@@ -388,7 +388,7 @@ class Machine:
             if token.frame_uid == ROOT_UID:
                 self.result = token.value
                 if self.log is not None:
-                    self.log.result(self.now, token.src_sp)
+                    self.log.result(token.src_sp)
                 return
             frame = self.frames.get(token.frame_uid)
             if frame is None or frame.status == DONE:
@@ -451,7 +451,7 @@ class Machine:
         if waiter.frame_uid == ROOT_UID:
             self.result = value
             if self.log is not None:
-                self.log.result(self.now, src)
+                self.log.result(src)
             return
         frame = self.frames.get(waiter.frame_uid)
         if frame is None:

@@ -78,7 +78,8 @@ class RunStats:
 
     @property
     def waits(self) -> "SpanLog | None":
-        """The log, if it recorded SP wait states (``ObsConfig.waits``)."""
+        """The log, if it recorded SP wait states (``ObsConfig.waits``);
+        ``benchmarks/e2e`` counts its segments through ``records()``."""
         log = self.log
         return log if log is not None and log.sps is not None else None
 

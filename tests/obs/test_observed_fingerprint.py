@@ -4,15 +4,15 @@ records is held to the bits of the fixture ``observed_fingerprint.json``.
 Per case the fixture holds one sha256 per view of the run's span log:
 the busy lines (every line's ``starts``, ``ends``, ``busy_us`` and a
 ``dropped`` count that is always 0), the SP lanes (every SP's identity
-and segments) and the PE stalls, the critical-path steps,
-the metrics-registry JSONL and the canonical ``pods-run/v1`` record minus
+and segments) and the PE stalls, the critical-path steps, the
+metrics-registry JSONL and the canonical ``pods-run/v1`` record minus
 its wall time.  A second run of the same case with ``trace=True`` as
 well pins the two rendered views: the Perfetto JSON that ``pods trace
 --format perfetto`` prints and the report ``pods profile`` prints.
 (``obs.trace`` is part of the config fingerprint, so the record digest
-comes from the first run.)  Comparison is ``==`` — the contract is identical float
-accumulation order, not approximately-equal results — so the fixture
-fails only when what the observer records changes.
+comes from the first run.)  Comparison is ``==`` — the contract is
+identical float accumulation order, not approximately-equal results —
+so the fixture fails only when what the observer records changes.
 
 If a deliberate change shifts any of them, regenerate with::
 

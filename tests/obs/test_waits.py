@@ -143,7 +143,7 @@ class TestWaitStore:
         log.sp_end(5.0, 0, main)
         log.sp_end(9.0, 0, loop)
         assert final_sp(log) == 2           # last to end
-        log.result(9.0, 1)
+        log.result(1)
         assert final_sp(log) == 1           # explicit producer wins
 
     def test_hooks_ignore_unknown_uids(self):
@@ -151,7 +151,7 @@ class TestWaitStore:
         # an SP the log never saw falls back to the last SP to end.
         log, f = sp_lane(0.0)
         log.sp_end(4.0, 0, f)
-        log.result(5.0, 42)
+        log.result(42)
         assert final_sp(log) == 1
         assert [r.uid for r in log.records()] == [1]
         spans = wait_spans_by_pe(log)
