@@ -40,6 +40,7 @@ from repro.common.errors import (DistExecutionError, NodeLossError,
 from repro.dist import reasons
 from repro.dist.faults import CoordKillSwitch, DistFaultPlan
 from repro.dist.node import node_main
+from repro.dist.protocol import control_frames
 from repro.dist.transport import encode_frame, frame_secret, read_frame
 from repro.runtime.spmd import (SpmdResult, fold_results, reap,
                                 sigterm_as_interrupt)
@@ -399,18 +400,11 @@ class _Supervisor:
         """Carry out what the core decided."""
         for act in actions:
             if isinstance(act, Fence):
-                self._send(act.member, {"t": "fence"})
                 self._ckpt_mark(act.member)  # must not stall a round
-            elif isinstance(act, Start):
-                self._broadcast({"t": "ownermap", "owners": self.core.owners,
-                                 "live": sorted(self.core.live),
-                                 "gen": act.generation})
-                self._send(act.member, {"t": "adopt",
-                                        "identities": list(act.identities),
-                                        "generation": act.generation,
-                                        "slot": act.slot})
-            else:
+            elif not isinstance(act, Start):
                 self.outcome = act
+        for node, msg in control_frames(self.core, actions):
+            self._send(node, msg)
         if actions:
             self.kick.set()
 

@@ -51,42 +51,41 @@ def pe_wait_breakdown(log: SpanLog, finish_us: float,
     """Attribute each PE's idle time to wait categories.
 
     Returns one ``{category: us}`` dict per PE (zero categories omitted;
-    unexplained idle appears under ``"idle"``).  The invariant checked by
-    the acceptance tests: for every PE, the EU's busy time up to
-    ``finish_us`` plus ``sum(breakdown[pe].values())`` equals
-    ``finish_us`` exactly.
+    unexplained idle appears under ``"idle"``), the sums of
+    :func:`pe_wait_intervals`.  The invariant checked by the acceptance
+    tests: for every PE, the EU's busy time up to ``finish_us`` plus
+    ``sum(breakdown[pe].values())`` equals ``finish_us`` exactly.
     """
-    spans = wait_spans_by_pe(log)
     out: list[dict[str, float]] = []
-    for pe in range(log.num_pes):
+    for intervals in pe_wait_intervals(log, finish_us):
         breakdown: dict[str, float] = {}
-        for s, e, cat in _intervals(spans.get(pe, ()), log, pe, finish_us):
+        for s, e, cat in intervals:
             breakdown[cat] = breakdown.get(cat, 0.0) + (e - s)
         out.append({k: v for k, v in breakdown.items() if v > _EPS})
     return out
 
 
-def pe_wait_intervals(log: SpanLog, pe: int, finish_us: float,
-                      ) -> list[tuple[float, float, str]]:
-    """Non-overlapping attributed idle intervals of one PE, time-ordered.
+def pe_wait_intervals(log: SpanLog, finish_us: float,
+                      ) -> list[list[tuple[float, float, str]]]:
+    """Per PE, the non-overlapping attributed idle intervals,
+    time-ordered, from one walk of the SP lanes.
 
-    Exactly tiles the complement of the PE's EU busy line over
+    Each PE's list exactly tiles the complement of its EU busy line over
     ``[0, finish_us]``; the Perfetto exporter renders these on the
     per-PE wait track."""
-    return _intervals(wait_spans_by_pe(log).get(pe, ()), log, pe, finish_us)
-
-
-def _intervals(wait_spans, log: SpanLog, pe: int,
-               finish_us: float) -> list[tuple[float, float, str]]:
-    merged: dict[str, list[tuple[float, float]]] = {}
-    for s, e, cat in wait_spans:
-        if e > s:
-            merged.setdefault(cat, []).append((s, e))
-    for cat, spans in merged.items():
-        merged[cat] = _merge(spans)
-    out: list[tuple[float, float, str]] = []
-    for lo, hi in log.line(pe, "EU").gaps(0.0, finish_us):
-        _attribute_gap(lo, hi, merged, out)
+    spans = wait_spans_by_pe(log)
+    out = []
+    for pe in range(log.num_pes):
+        merged: dict[str, list[tuple[float, float]]] = {}
+        for s, e, cat in spans.get(pe, ()):
+            if e > s:
+                merged.setdefault(cat, []).append((s, e))
+        for cat, cat_spans in merged.items():
+            merged[cat] = _merge(cat_spans)
+        intervals: list[tuple[float, float, str]] = []
+        for lo, hi in log.line(pe, "EU").gaps(0.0, finish_us):
+            _attribute_gap(lo, hi, merged, intervals)
+        out.append(intervals)
     return out
 
 

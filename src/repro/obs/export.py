@@ -93,8 +93,9 @@ def perfetto_trace(log, finish_us: float = 0.0, pe: int | None = None,
     if waits:
         from repro.obs.critpath import pe_wait_intervals
 
+        intervals = pe_wait_intervals(log, finish_us)
         for pid in pes:
-            for start, end, cat in pe_wait_intervals(log, pid, finish_us):
+            for start, end, cat in intervals[pid]:
                 if end < since_us:
                     continue
                 out.append({"ph": "X", "name": cat, "cat": "wait",

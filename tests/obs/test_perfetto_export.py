@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+from repro.obs import critpath
 from repro.obs.export import SP_TRACK, filter_events, perfetto_json, \
     perfetto_trace, validate_trace_events
 from repro.obs.spanlog import Instant, busy
@@ -64,6 +65,25 @@ class TestExportedTrace:
             assert e["pid"] == 1
             if e["ph"] not in ("M", "X"):
                 assert e["ts"] >= 10.0
+
+    def test_wait_tracks_walk_the_sp_lanes_once(self, waits_run,
+                                                monkeypatch):
+        # Every PE's WAIT track comes from one pass over every SP's
+        # segments, not one pass per PE.
+        machine, result = waits_run
+        calls = []
+        walk = critpath.wait_spans_by_pe
+
+        def counted(log):
+            calls.append(log)
+            return walk(log)
+
+        monkeypatch.setattr(critpath, "wait_spans_by_pe", counted)
+        trace = perfetto_trace(machine.log, result.stats.finish_time_us)
+        assert len(calls) == 1
+        assert any(e.get("cat") == "wait" for e in trace["traceEvents"])
+        assert {e["pid"] for e in trace["traceEvents"]
+                if e.get("cat") == "wait"} == {0, 1, 2, 3}
 
 
 class TestFilterEvents:

@@ -200,7 +200,7 @@ class TestSimulatedRun:
         stats = result.stats
         finish = stats.finish_time_us
         for pe in range(stats.num_pes):
-            intervals = pe_wait_intervals(stats.log, pe, finish)
+            intervals = pe_wait_intervals(stats.log, finish)[pe]
             prev = 0.0
             for s, e, cat in intervals:
                 assert e > s
@@ -217,8 +217,8 @@ class TestSimulatedRun:
         rows = pe_wait_breakdown(stats.log, stats.finish_time_us)
         assert len(rows) == stats.num_pes
         for pe, row in enumerate(rows):
-            intervals = pe_wait_intervals(stats.log, pe,
-                                          stats.finish_time_us)
+            intervals = pe_wait_intervals(stats.log,
+                                          stats.finish_time_us)[pe]
             for cat in list(row):
                 ref = sum(e - s for s, e, c in intervals if c == cat)
                 assert row[cat] == pytest.approx(ref, rel=1e-9)

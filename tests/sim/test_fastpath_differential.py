@@ -161,7 +161,7 @@ class TestTilingInvariant:
         stats = result.stats
         finish = stats.finish_time_us
         for pe in range(pes):
-            intervals = pe_wait_intervals(stats.log, pe, finish)
+            intervals = pe_wait_intervals(stats.log, finish)[pe]
             line = stats.log.line(pe, "EU")
             # Structural exactness: the attributed idle intervals are the
             # complement of the busy spans — shared boundaries are equal

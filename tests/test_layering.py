@@ -35,15 +35,17 @@ write a charge into the source or leave it out), by ``bind_namespace``
 and by ``run_for_range`` — never in a nested function or lambda nor in
 an ``on_*`` hook, which would be looking the clock up per evaluation.
 
-And a node has one I-structure memory: ``dist/memory.py`` is the pure
-unit — it imports no ``asyncio``, ``socket``, ``concurrent``, ``time``
-or ``repro.dist.transport``, so a sans-IO protocol core and the
-simulator's chaos plans can drive it — and ``dist/node.py`` keeps no
-element store of its own beside it: ``IStructureSegment`` is constructed
-only under ``sim/`` and in ``dist/memory.py``.  What a node has seen it
-keeps once, in one list per array that all its handles share — no cache
-or mirror beside it — and the shared stores' access counters are
-declared once, by ``runtime.arrays.SharedHandle``.
+And a node's rules live in one place: ``dist/protocol.py`` is the node
+as a state machine — it imports no ``asyncio``, ``threading``,
+``socket``, ``time``, ``concurrent`` or ``repro.dist.transport``, so a
+whole cluster of them runs in one test process — and ``dist/node.py``,
+its shell, keeps none of its state: it constructs no
+``IStructureSegment`` (only ``sim/`` and ``dist/protocol.py`` do), holds
+no segments and never assigns the pending reads, the owner map or the
+live set.  What a node has seen it keeps once, in one list per array
+that all its handles share — no cache or mirror beside it — and the
+shared stores' access counters are declared once, by
+``runtime.arrays.SharedHandle``.
 
 And a recovery decision is made once: ``runtime/supervise.py`` is the
 supervision core both SPMD supervisors are shells around — it imports
@@ -323,15 +325,16 @@ def test_nothing_looks_the_clock_up_at_run_time():
 
 
 def test_the_node_memory_is_pure():
-    path = os.path.join(os.path.dirname(repro.__file__), "dist", "memory.py")
-    impure = ("asyncio", "socket", "concurrent", "time",
+    path = os.path.join(os.path.dirname(repro.__file__), "dist",
+                        "protocol.py")
+    impure = ("asyncio", "threading", "socket", "concurrent", "time",
               "repro.dist.transport")
     offenders = sorted(
         name for name in _imports(path)
         if any(name == mod or name.startswith(mod + ".") for mod in impure))
     assert not offenders, (
-        f"dist/memory.py imports {offenders}; it returns what to do and "
-        "leaves loops, sockets, futures and clocks to its caller")
+        f"dist/protocol.py imports {offenders}; it returns what to do and "
+        "leaves loops, threads, sockets, futures and clocks to its shell")
 
 
 def test_the_supervision_core_is_pure():
@@ -375,7 +378,7 @@ def test_a_node_keeps_no_element_store_beside_its_memory():
                    for node in ast.walk(tree)):
                 builders.add(os.path.relpath(path, root))
     assert builders == {os.path.join("sim", "machine.py"),
-                        os.path.join("dist", "memory.py")}
+                        os.path.join("dist", "protocol.py")}
     # ... and the node did not grow a store of another kind back: its
     # classes are the handle, the interpreter and the runtime, and none
     # of them queues deferred readers.
@@ -388,7 +391,24 @@ def test_a_node_keeps_no_element_store_beside_its_memory():
                     and n.attr in ("deferred", "stores"))
     assert not queues, (
         f"dist/node.py lines {queues}: presence, deferred readers and "
-        "single assignment live in dist/memory.py's segments")
+        "single assignment live in dist/protocol.py's segments")
+    # ... nor any of the protocol's state: it reads the pending reads,
+    # the owner map and the live set at most, and holds no segments.
+    state = ("pending", "owners", "live", "segments", "_segments",
+             "memory")
+    held = sorted(
+        n.lineno for n in ast.walk(tree)
+        if isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in (n.targets if isinstance(n, ast.Assign)
+                       else [n.target])
+        for t in ast.walk(target)
+        if isinstance(t, ast.Attribute) and t.attr in state)
+    named = sorted(n.lineno for n in ast.walk(tree)
+                   if isinstance(n, ast.Attribute)
+                   and n.attr in ("segments", "_segments", "memory"))
+    assert not held and not named, (
+        f"dist/node.py lines {held + named}: the node's state is its "
+        "NodeProtocol's, assigned only under the protocol's lock")
 
 
 def test_a_node_keeps_one_list_per_array_and_one_counter_declaration():
@@ -398,15 +418,17 @@ def test_a_node_keeps_one_list_per_array_and_one_counter_declaration():
     alone: no other SPMD module sets one up, nor re-lists them in a
     ``stats()``."""
     root = os.path.dirname(repro.__file__)
-    with open(os.path.join(root, "dist", "node.py")) as fh:
-        tree = ast.parse(fh.read())
-    beside = sorted(n.lineno for n in ast.walk(tree)
-                    if isinstance(n, (ast.Attribute, ast.FunctionDef))
-                    and getattr(n, "attr", getattr(n, "name", None))
-                    in ("cache", "caches", "mirror"))
+    beside = []
+    for name in ("node.py", "protocol.py"):
+        with open(os.path.join(root, "dist", name)) as fh:
+            tree = ast.parse(fh.read())
+        beside += [f"{name}:{n.lineno}" for n in ast.walk(tree)
+                   if isinstance(n, (ast.Attribute, ast.FunctionDef))
+                   and getattr(n, "attr", getattr(n, "name", None))
+                   in ("cache", "caches", "mirror")]
     assert not beside, (
-        f"dist/node.py lines {beside}: a second copy of the elements the "
-        "node has seen; fill the node's list (NodeRuntime.seen_list)")
+        f"{beside}: a second copy of the elements the node has seen; "
+        "fill the node's list (NodeProtocol.array)")
     counters = ("reads", "writes", "deferred_reads", "spin_wait_s",
                 "max_spin_wait_s", "replayed_present", "stall_reports",
                 "pages_touched")
