@@ -127,7 +127,7 @@ class NodeRuntime:
     on) and carries out the protocol's actions; it keeps no protocol
     state.  An event from an executor runs on the executor, and of its
     actions the executor releases waiters itself and hands each frame to
-    the loop (:meth:`hand_over`): one ``call_soon_threadsafe`` per frame.
+    the loop (:meth:`hand_over`): one ``call_soon_threadsafe`` per event.
     """
 
     def __init__(self, program, node: int, coord_port: int, cfg,
@@ -298,13 +298,16 @@ class NodeRuntime:
 
     def hand_over(self, actions: list) -> None:
         """Carry out an executor event's ``actions`` (executor thread):
-        a release here, each frame on the loop."""
+        a release here, the frames on the loop in one hand-over."""
+        frames = []
         for act in actions:
             if act[0] == RELEASE:
                 act[1].set_result(act[2])
-                continue
+            else:
+                frames.append(act)
+        if frames:
             try:
-                self.loop.call_soon_threadsafe(self.act, (act,))
+                self.loop.call_soon_threadsafe(self.act, frames)
             except RuntimeError:
                 pass  # loop already closed during teardown
 

@@ -34,8 +34,8 @@ map, initially the identity map).  A write is stored by its owner once;
 a second non-replay write is a :class:`SingleAssignmentViolation`, and a
 *replay* write of a present element is verified against it and counted
 (the idempotence that makes takeover re-execution safe); the original
-write of an element a replay stored first — a fenced node's late frame
-— is verified too, not counted.  A read of an
+write of an element a replay stored first, arriving by frame — a fenced
+node's late frame — is verified too, not counted.  A read of an
 element the node has not seen is split-phase: a ``read`` frame to the
 owner, answered with a run of the owner's elements from the requested
 element's page (``n`` long, the reader's window), or deferred owner-side
@@ -236,18 +236,14 @@ class NodeProtocol:
     def _write(self, a: int, off: int, value, replay: bool) -> list:
         """Store ``value``: the waiters it released, in arrival order.  A
         second write raises unless it is a ``replay`` of the stored
-        value, which is counted, or the stored value's original write
-        after a replay stored it first: a fenced node's frame that
-        reached this node before the owner map that fences it."""
+        value, which is counted."""
         seg = self._segment(a, off)
         try:
             waiters = seg.write(off, value)
         except SingleAssignmentViolation:
-            if seg.get(off) != value or not (
-                    replay or (a, off) in self.stored_by_replay):
+            if not replay or seg.get(off) != value:
                 raise
-            if replay:
-                self.replayed += 1
+            self.replayed += 1
             return []
         if replay:
             self.stored_by_replay.add((a, off))
@@ -262,10 +258,16 @@ class NodeProtocol:
     def _store(self, a: int, off: int, value, replay: bool,
                writer: int) -> list:
         """A write that reached its owner by frame or by replay: the
-        writer has moved on, so a violation is reported as an error."""
+        writer has moved on, so a violation is reported as an error.  An
+        original write of the value a replay stored first is none: a
+        fenced node's frame that reached this node before the owner map
+        that fences it."""
         try:
             waiters = self._write(a, off, value, replay)
         except SingleAssignmentViolation as exc:
+            if ((a, off) in self.stored_by_replay
+                    and self.segments[a].get(off) == value):
+                return []
             return self._report({
                 "t": "err", "node": self.node, "slot": self.node,
                 "gen": self.gen,  # no older than any execution here

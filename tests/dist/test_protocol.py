@@ -127,6 +127,8 @@ def test_an_original_write_after_its_replay_is_no_violation():
     [(_, err)] = proto.peer(2, {"t": "write", "a": 1, "off": 0, "v": 2.0,
                                 "replay": False})
     assert err["t"] == "err"  # a different value still violates
+    with pytest.raises(SingleAssignmentViolation):
+        proto.write(1, 0, 1.0, False)  # an executor here: two writers
     proto.write(1, 1, 1.0, False)  # stored by its original write
     with pytest.raises(SingleAssignmentViolation):
         proto.write(1, 1, 1.0, False)
@@ -211,6 +213,20 @@ def test_a_checkpoint_seeds_the_owned_elements_and_every_list():
                           "live": [0, 1]}) == []  # started once
 
 
+def test_a_seed_leaves_a_present_element():
+    # Seeding is monotone: a second seed of an element, or a seed after
+    # its write, keeps the value already stored.
+    restore = _Restore({1: ((16,), {2: 5.0})})
+    proto = NodeProtocol(0, 2, PAGE, threading.Lock(), restore)
+    proto._seed_restore()
+    proto.write(1, 3, 7.0, False)
+    restore.arrays[1] = ((16,), {2: 6.0, 3: 8.0})
+    proto._seed_restore()
+    assert _collect(proto) == {2: 5.0, 3: 7.0}
+    assert proto.write(1, 2, 5.0, True) == []  # what a resume does
+    assert _replayed(proto) == 1
+
+
 def test_collect_while_another_thread_writes():
     proto = _owner_of_all(dims=(4000,))
     total, errors = 4000, []
@@ -242,13 +258,12 @@ def test_every_waiter_released_once_with_the_written_value(ops, n):
     """Random write / local read / remote read / replay write against a
     dict model: a waiter is released exactly once, by the write, with
     the written value — never before it, never twice; a second write is
-    a violation unless it, or the first, was a replay of the value.  A run of ``n``
-    from any element holds the model's values, None for the rest."""
+    a violation unless it is a replay of the value.  A run of ``n`` from
+    any element holds the model's values, None for the rest."""
     proto = _owner_of_all(dims=(12,))
     model: dict[tuple[int, int], int] = {}
     parked: dict[tuple[int, int], list] = {}
     released, replayed, serial = [], 0, 0
-    by_replay = set()
 
     def woken(actions, a, off):
         out = []
@@ -268,13 +283,11 @@ def test_every_waiter_released_once_with_the_written_value(ops, n):
             if key not in model:
                 actions = proto.write(a, off, value, replay)
                 model[key] = value
-                if replay:
-                    by_replay.add(key)
                 assert woken(actions, a, off) == parked.pop(key, [])
                 released += [w for w in actions if w[0] == RELEASE]
-            elif (replay or key in by_replay) and model[key] == value:
+            elif replay and model[key] == value:
                 assert proto.write(a, off, value, replay) == []
-                replayed += replay
+                replayed += 1
             else:
                 with pytest.raises(SingleAssignmentViolation):
                     proto.write(a, off, value, replay)
