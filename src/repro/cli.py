@@ -214,13 +214,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                          faults=args.faults)
     stats = result.stats
     log = stats.log
-    netspans = stats.netstats.spans if stats.netstats is not None else ()
 
     if args.format == "perfetto":
         # Only the JSON goes to stdout: identical runs must produce
         # byte-identical output (anything else lands on stderr).
         text = perfetto_json(log, stats.finish_time_us, pe=args.pe,
-                             since_us=args.since_us, netspans=netspans)
+                             since_us=args.since_us)
         if log.dropped:
             print(drop_warning(log), file=sys.stderr)
         if args.output:

@@ -237,12 +237,8 @@ class NodeProtocol:
         """Store ``value``: the waiters it released, in arrival order.  A
         second write raises unless it is a ``replay`` of the stored
         value, which is counted."""
-        seg = self._segment(a, off)
-        try:
-            waiters = seg.write(off, value)
-        except SingleAssignmentViolation:
-            if not replay or seg.get(off) != value:
-                raise
+        waiters = self._segment(a, off).write(off, value, replay)
+        if waiters is None:
             self.replayed += 1
             return []
         if replay:

@@ -46,7 +46,7 @@ def filter_events(events: Iterable, pe: int | None = None,
 
 
 def perfetto_trace(log, finish_us: float = 0.0, pe: int | None = None,
-                   since_us: float = 0.0, netspans: Iterable = ()) -> dict:
+                   since_us: float = 0.0) -> dict:
     """Build the trace_event JSON object of a run's span log (see the
     module docstring).
 
@@ -55,14 +55,12 @@ def perfetto_trace(log, finish_us: float = 0.0, pe: int | None = None,
     to the makespan ``finish_us`` (:func:`repro.obs.critpath.
     pe_wait_intervals`), named by cause category.
 
-    ``netspans`` takes the reliable-delivery layer's retransmit spans
-    (``RunStats.netstats.spans`` — tuples of ``(pe, start_us, end_us,
-    label)``); PEs that retransmitted anything get a "NET" track showing
-    each healing re-send in flight.
+    PEs that retransmitted anything under a fault plan get a "NET"
+    track showing each healing re-send in flight (``log.net_spans``).
     """
     pes = [pe] if pe is not None else list(range(log.num_pes))
     waits = log.sps is not None
-    netspans = [s for s in netspans
+    netspans = [s for s in log.net_spans
                 if pe is None or s[0] == pe]
     net_pids = {s[0] for s in netspans}
     out: list[dict] = []
@@ -134,11 +132,10 @@ def perfetto_trace(log, finish_us: float = 0.0, pe: int | None = None,
 
 
 def perfetto_json(log, finish_us: float = 0.0, pe: int | None = None,
-                  since_us: float = 0.0, netspans: Iterable = ()) -> str:
+                  since_us: float = 0.0) -> str:
     """Deterministic (byte-stable) JSON encoding of the trace."""
     return json.dumps(
-        perfetto_trace(log, finish_us, pe=pe, since_us=since_us,
-                       netspans=netspans),
+        perfetto_trace(log, finish_us, pe=pe, since_us=since_us),
         sort_keys=True, separators=(",", ":"))
 
 

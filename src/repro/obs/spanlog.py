@@ -231,6 +231,9 @@ class SpanLog:
         # the (array id, page) pairs with an element written.
         self.rf_spans: dict[tuple, int] = {}
         self.pages_touched: set[tuple[int, int]] = set()
+        # Retransmissions of the reliable layer in flight, the Perfetto
+        # NET track: (src PE, start, end, label).
+        self.net_spans: list[tuple[int, float, float, str]] = []
 
     # -- hooks (called by the machine) ----------------------------------
 
@@ -253,7 +256,12 @@ class SpanLog:
     def message(self, t: float, pe: int, msg, latency: float,
                 smsg=None, dec=None, retransmit: bool = False) -> None:
         """A message put on the wire; ``smsg`` and ``dec`` on the reliable
-        path (its sequenced copy and the fault injector's decision)."""
+        path (its sequenced copy and the fault injector's decision).  A
+        retransmission is also a span of the NET track."""
+        if retransmit:
+            self.net_spans.append(
+                (pe, t, t + latency, f"retransmit {msg.kind} seq={smsg.seq} "
+                                     f"-> PE{msg.dst_pe}"))
         if self.events is None:
             return
         if smsg is None:

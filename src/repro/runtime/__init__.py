@@ -12,12 +12,7 @@ from repro.runtime.arrays import (
     segment_page_range,
 )
 from repro.runtime.frames import BLOCKED, DONE, READY, RUNNING, Frame
-from repro.runtime.istructure import (
-    ABSENT,
-    IStructureSegment,
-    PageCache,
-    materialize,
-)
+from repro.runtime.istructure import ABSENT, IStructureSegment, PageCache
 from repro.runtime.tokens import (
     AllocRequestMsg,
     DirectToken,
@@ -29,7 +24,6 @@ from repro.runtime.tokens import (
     ReturnAddress,
     Token,
     TokenBatchMsg,
-    TokenCounter,
     ValueResponseMsg,
 )
 
@@ -53,11 +47,9 @@ __all__ = [
     "ReturnAddress",
     "Token",
     "TokenBatchMsg",
-    "TokenCounter",
     "ValueResponseMsg",
     "flat_size",
     "index_space_diagram",
-    "materialize",
     "num_pages",
     "offset_fn",
     "page_map_diagram",

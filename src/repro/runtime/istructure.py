@@ -87,10 +87,19 @@ class IStructureSegment:
             )
         self._deferred.setdefault(offset, []).append(waiter)
 
-    def write(self, offset: int, value: Any) -> list[Any]:
-        """Store ``value`` and return the waiters to wake (FIFO order)."""
+    def write(self, offset: int, value: Any,
+              replay: bool = False) -> list[Any] | None:
+        """Store ``value`` and return the waiters to wake (FIFO order).
+
+        A second write raises :class:`SingleAssignmentViolation`, unless
+        it is a ``replay`` (a resumed run recomputing a stored element)
+        of the value stored: that returns None, for the caller to count.
+        """
         slot = self._slot(offset)
-        if self._cells[slot] is not _ABSENT:
+        stored = self._cells[slot]
+        if stored is not _ABSENT:
+            if replay and stored == value:
+                return None
             raise SingleAssignmentViolation(self.array_id, offset)
         self._cells[slot] = value
         return self._deferred.pop(offset, [])
@@ -150,43 +159,27 @@ class PageCache:
     in the copy.  A hit requires the *element* to be present, not just the
     page ("the need is not completely eliminated because not all elements
     will, in general, be present at the time the page is transmitted" -
-    Section 4).  There is no eviction in the paper's model; we optionally
-    bound the cache for ablation studies.
+    Section 4).  There is no eviction in the paper's model.  The
+    simulator counts hits and misses in its ``PEStats``.
     """
 
-    def __init__(self, capacity_pages: int | None = None) -> None:
-        self.capacity_pages = capacity_pages
+    def __init__(self) -> None:
         # (array_id, page_index) -> (page_lo_offset, list of cells)
         self._pages: dict[tuple[int, int], tuple[int, list[Any]]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.refetches = 0
-
-    def __len__(self) -> int:
-        return len(self._pages)
 
     def lookup(self, array_id: int, page: int, offset: int) -> tuple[bool, Any]:
         """(hit?, value).  A present page with an absent cell is a miss."""
         entry = self._pages.get((array_id, page))
         if entry is None:
-            self.misses += 1
             return False, None
         page_lo, cells = entry
         idx = offset - page_lo
         if idx < 0 or idx >= len(cells) or cells[idx] is _ABSENT:
-            self.misses += 1
-            self.refetches += 1
             return False, None
-        self.hits += 1
         return True, cells[idx]
 
     def install(self, array_id: int, page: int, page_lo: int, cells: list[Any]) -> None:
         """Install (or refresh) a page snapshot received from its owner."""
-        if self.capacity_pages is not None and len(self._pages) >= self.capacity_pages:
-            if (array_id, page) not in self._pages:
-                # FIFO eviction, only used by the bounded-cache ablation.
-                oldest = next(iter(self._pages))
-                del self._pages[oldest]
         self._pages[(array_id, page)] = (page_lo, list(cells))
 
     def install_element(self, array_id: int, page: int, page_lo: int,
@@ -206,23 +199,3 @@ class PageCache:
 
 ABSENT = _ABSENT
 """Sentinel marking an unwritten cell inside page snapshots."""
-
-
-def materialize(
-    dims: tuple[int, ...],
-    reader: Callable[[int], tuple[bool, Any]],
-    default: Any = None,
-) -> list[Any]:
-    """Flatten an array through ``reader(offset) -> (present, value)``.
-
-    Utility for gathering distributed results back into a host-side list;
-    absent cells become ``default``.
-    """
-    total = 1
-    for d in dims:
-        total *= d
-    out = []
-    for off in range(total):
-        present, value = reader(off)
-        out.append(value if present else default)
-    return out

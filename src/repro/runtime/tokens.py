@@ -10,6 +10,8 @@ return-address slot.
 Messages are the network-level envelopes: token batches, array traffic
 (read request / value response / page response / remote write), and the
 allocate broadcast of the distributing allocate operator (Section 4.1).
+Each message class declares its ``kind``, the name a fault plan's
+``kind=`` qualifier selects it by (:mod:`repro.sim.netfaults`).
 """
 
 from __future__ import annotations
@@ -69,6 +71,8 @@ Token = MatchToken | DirectToken
 class TokenBatchMsg:
     """A Routing-Unit batch of tokens bound for one destination PE."""
 
+    kind = "token"
+
     src_pe: int
     dst_pe: int
     tokens: tuple[Token, ...]
@@ -90,6 +94,8 @@ class BroadcastTokensMsg:
     its tree children, so no single Routing Unit serializes P sends.
     """
 
+    kind = "bcast"
+
     src_pe: int
     dst_pe: int
     root: int
@@ -104,6 +110,8 @@ class BroadcastTokensMsg:
 class ReadRequestMsg:
     """Split-phase remote read: asks the owner PE for one element."""
 
+    kind = "read"
+
     src_pe: int
     dst_pe: int
     array_id: int
@@ -116,6 +124,8 @@ class ReadRequestMsg:
 @dataclass(frozen=True)
 class ValueResponseMsg:
     """Single-element answer to a read that was deferred at the owner."""
+
+    kind = "value"
 
     src_pe: int
     dst_pe: int
@@ -132,6 +142,8 @@ class ValueResponseMsg:
 @dataclass(frozen=True)
 class PageResponseMsg:
     """Whole-page answer to a remote read hit (Section 4 caching)."""
+
+    kind = "page"
 
     src_pe: int
     dst_pe: int
@@ -152,6 +164,8 @@ class PageResponseMsg:
 class RemoteWriteMsg:
     """Write forwarded to the owning PE (index space > data ownership)."""
 
+    kind = "write"
+
     src_pe: int
     dst_pe: int
     array_id: int
@@ -165,6 +179,8 @@ class RemoteWriteMsg:
 @dataclass(frozen=True)
 class AllocRequestMsg:
     """Distributing-allocate broadcast carrying the agreed array ID."""
+
+    kind = "alloc"
 
     src_pe: int
     dst_pe: int
@@ -221,34 +237,10 @@ class AckMsg:
     retransmission), so they carry no sequence number of their own.
     """
 
+    kind = "ack"
+
     src_pe: int
     dst_pe: int
     seq: int
 
     wire_bytes: int = 16
-
-
-@dataclass
-class TokenCounter:
-    """Aggregate token/message statistics for one run."""
-
-    tokens_sent: int = 0
-    tokens_matched: int = 0
-    messages_sent: int = 0
-    bytes_sent: int = 0
-    remote_reads: int = 0
-    remote_writes: int = 0
-    pages_shipped: int = 0
-    deferred_reads: int = 0
-
-    def merge(self, other: "TokenCounter") -> "TokenCounter":
-        return TokenCounter(
-            tokens_sent=self.tokens_sent + other.tokens_sent,
-            tokens_matched=self.tokens_matched + other.tokens_matched,
-            messages_sent=self.messages_sent + other.messages_sent,
-            bytes_sent=self.bytes_sent + other.bytes_sent,
-            remote_reads=self.remote_reads + other.remote_reads,
-            remote_writes=self.remote_writes + other.remote_writes,
-            pages_shipped=self.pages_shipped + other.pages_shipped,
-            deferred_reads=self.deferred_reads + other.deferred_reads,
-        )

@@ -9,7 +9,8 @@ this module declares only the simulator's vocabulary (the clause loop,
 the selector and the ``after``/``count`` arming window are that module's
 engine):
 
-Message-level actions, applied at the ``_transmit`` boundary:
+Message-level actions, applied where a copy goes on the wire
+(``repro.sim.ru.transmit``):
 
 * ``drop``    — the message copy is lost in flight (never delivered);
 * ``dup``     — the message is delivered twice;

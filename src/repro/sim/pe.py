@@ -18,7 +18,7 @@ class PE:
 
     The serial units (MU, MM, AM, RU) are modeled as servers via the
     ``free`` map of next-available times; the EU's timeline is driven by the
-    chunked execution loop in :mod:`repro.sim.machine`.
+    chunked execution step of :mod:`repro.sim.decode`.
     """
 
     pid: int
@@ -28,7 +28,7 @@ class PE:
     running: Frame | None = None
     eu_time: float = 0.0           # when the EU last finished work
     eu_scheduled: bool = False     # an eu_step event is pending
-    eu_step: Callable | None = None  # step(machine, pe), Machine._compile_eu
+    eu_step: Callable | None = None  # step(M, pe), decode.compile_eu
     suspended_on: tuple | None = None  # (frame_uid, slot) in blocking-read mode
 
     # Injected PE faults (repro.sim.netfaults): a halted PE's units

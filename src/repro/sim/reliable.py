@@ -29,7 +29,7 @@ pre-fault-model simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 
 class Channel:
@@ -59,7 +59,8 @@ class Channel:
 
 @dataclass
 class NetStats:
-    """Counters and spans of the reliable layer, one per run."""
+    """Counters of the reliable layer, one per run.  (A retransmission's
+    span goes into the run's span log, ``SpanLog.net_spans``.)"""
 
     sent: int = 0              # data messages given a sequence number
     retransmits: int = 0       # re-sends after a timer expiry
@@ -70,16 +71,12 @@ class NetStats:
     acks_sent: int = 0
     halt_lost: int = 0         # copies addressed to a halted PE
     auth_rejected: int = 0     # frames dropped for a bad HMAC tag
-    # Retransmit wait spans for the Perfetto NET track:
-    # (src_pe, start_us, end_us, label).
-    spans: list = field(default_factory=list)
 
     def counters(self) -> dict[str, int]:
         """Every counter by field name — the one list the registry's
         ``net.*`` rows, a run record's ``net`` section and a dist node's
         ``bye`` frame are all written from."""
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name != "spans"}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def add(self, counters: dict) -> None:
         """Sum another endpoint's :meth:`counters` into these."""

@@ -20,21 +20,6 @@ from __future__ import annotations
 
 # -- Execution Unit: measured instruction times (paper, p. 22) ---------
 
-INSTRUCTION_TIMES_US = {
-    "integer add": 0.300,
-    "integer subtraction": 0.300,
-    "bitwise logical": 0.558,
-    "floating point negate": 0.555,
-    "floating point compare": 5.803,
-    "floating point power": 96.418,
-    "floating point abs": 12.626,
-    "floating point square root": 18.929,
-    "floating point multiply": 7.217,
-    "floating point division": 10.707,
-    "floating point addition": 6.753,
-    "floating point subtraction": 6.757,
-}
-
 INT_ADD = 0.300
 INT_SUB = 0.300
 INT_MUL = 1.200          # derived, see module docstring

@@ -78,9 +78,7 @@ def _views(name: str) -> dict:
 
     _, _, result = _run(name, trace=True)
     stats = result.stats
-    netspans = stats.netstats.spans if stats.netstats is not None else ()
-    perfetto = perfetto_json(stats.log, stats.finish_time_us,
-                             netspans=netspans)
+    perfetto = perfetto_json(stats.log, stats.finish_time_us)
     profile = Profile.from_stats(stats).render(top=10)
     return {
         "perfetto": hashlib.sha256(perfetto.encode()).hexdigest(),

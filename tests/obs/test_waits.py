@@ -38,6 +38,7 @@ from repro.obs.spanlog import (
     final_sp,
     wait_spans_by_pe,
 )
+from repro.sim import decode
 from repro.sim.machine import Machine
 from repro.translator import isa
 from repro.translator.isa import Instr, SPTemplate, const, slot
@@ -391,7 +392,7 @@ class TestOpenRunSegment:
 
             def resume():
                 pe.suspended_on = None
-                m._resume_eu(pe)
+                decode.kick(m, pe)
 
             m.schedule(m.now + 100.0, resume)
 

@@ -98,8 +98,9 @@ def test_drop_plans_heal_within_retransmit_budget(clauses, prob):
 # Named counter-examples to the property above: a dropped message the
 # program does not *wait* for must still be delivered before the run
 # counts as complete.  Both returned a wrong answer without an error
-# while ``_net_check`` abandoned every unacked message at completion
-# instead of only those the receiver already had (``seq in ch.seen``).
+# while the retransmit timer (``ru.net_check``) abandoned every unacked
+# message at completion instead of only those the receiver already had
+# (``seq in ch.seen``).
 
 def test_dropped_empty_replica_broadcast_is_retransmitted_after_result():
     # PE 1's replica of the inner loop has an empty Range Filter: nothing

@@ -10,7 +10,6 @@ from repro.runtime.tokens import (
     PageResponseMsg,
     ReturnAddress,
     TokenBatchMsg,
-    TokenCounter,
 )
 from repro.runtime.values import ArrayId, ArrayValue
 
@@ -133,11 +132,3 @@ class TestMessages:
                                 ReturnAddress(1, 2, 3))
         assert large.wire_bytes > small.wire_bytes
         assert large.wire_bytes == 32 + 8 * 32
-
-    def test_counter_merge(self):
-        a = TokenCounter(tokens_sent=3, messages_sent=1)
-        b = TokenCounter(tokens_sent=4, remote_reads=2)
-        c = a.merge(b)
-        assert c.tokens_sent == 7
-        assert c.messages_sent == 1
-        assert c.remote_reads == 2

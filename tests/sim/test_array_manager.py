@@ -7,6 +7,7 @@ from repro.api import compile_source
 from repro.common.config import MachineConfig, SimConfig
 from repro.common.errors import ExecutionError, PEHaltError
 from repro.runtime.tokens import ReadRequestMsg, RemoteWriteMsg, ReturnAddress
+from repro.sim import am, decode
 from repro.sim.machine import Machine
 from repro.translator import isa
 from repro.translator.isa import Instr, SPTemplate, const, slot
@@ -116,7 +117,7 @@ class TestBroadcastRaces:
         m2 = build(GATHER, pes=2)
         waiter = ReturnAddress(0, 0, 0)
         msg = ReadRequestMsg(0, 1, array_id=999, offset=0, waiter=waiter)
-        m2.schedule(0.0, m2._am_remote_read_request, m2.pes[1], msg)
+        m2.schedule(0.0, am.read_request, m2, msg)
         # Run the program; the stray request keeps requeueing but the
         # program itself must finish correctly.
         with pytest.raises(Exception):
@@ -137,7 +138,7 @@ class TestBroadcastRaces:
 
         m.config = m.config.__class__(machine=m.config.machine,
                                       max_events=5000)
-        m.schedule(0.0, m._am_write, m.pes[1], 7, 0, 1.0, True)
+        m.schedule(0.0, am.receive_write, m, msg)
         with pytest.raises(ExecutionError):
             m.run((8,))
 
@@ -356,7 +357,8 @@ class TestLocalAccess:
         assert list(pe.segments[1].items()) == []
         assert pe.segments[1].pending_offsets() == []
 
-    def test_access_before_its_header_blocks_and_counts_twice(self):
+    def test_access_before_its_header_blocks_and_counts_twice(
+            self, monkeypatch):
         # The reader runs on PE 1 and reads A[40], which PE 1 holds; PE
         # 1's header install is held back, so the read blocks on the
         # header and re-executes (counted again) once it lands.
@@ -383,24 +385,26 @@ class TestLocalAccess:
 
         def run(hold_us):
             m = _machine(templates, pes=2, function_placement="round_robin")
-            install, blocks = m._install_header, []
+            blocks = []
 
-            def held(pe, aid, dims):
-                if pe.pid == 1 and hold_us and m.now < hold_us:
-                    m.schedule(hold_us, m._install_header, pe, aid, dims)
+            def held(M, pe, aid, dims):
+                if pe.pid == 1 and hold_us and M.now < hold_us:
+                    M.schedule(hold_us, am.install_header, M, pe, aid, dims)
                     return
-                install(pe, aid, dims)
+                install_header(M, pe, aid, dims)
 
-            block_on_header = m._block_on_header
+            def counted(M, pe, frame, slot, t, header=None):
+                if header is not None:
+                    blocks.append((pe.pid, frame.name, header))
+                return block_on(M, pe, frame, slot, t, header)
 
-            def counted(pe, frame, aid, t):
-                blocks.append((pe.pid, frame.name, aid))
-                return block_on_header(pe, frame, aid, t)
-
-            m._install_header = held
-            m._block_on_header = counted
-            r = m.run(())
+            with monkeypatch.context() as patch:
+                patch.setattr(am, "install_header", held)
+                patch.setattr(decode, "block_on", counted)
+                r = m.run(())
             return m, r, blocks
+
+        install_header, block_on = am.install_header, decode.block_on
 
         m0, r0, blocks0 = run(0)
         m1, r1, blocks1 = run(5000.0)

@@ -10,6 +10,7 @@ import pytest
 from repro.api import compile_source
 from repro.common.config import MachineConfig, ObsConfig, SimConfig
 from repro.obs.spanlog import listing, summary
+from repro.sim import ru
 from repro.sim import timing as T
 from repro.sim.machine import Machine
 from repro.translator import isa
@@ -35,7 +36,7 @@ function main(n) {
 
 class TestBroadcastTree:
     def children(self, machine, pid, root):
-        return machine._bcast_children(pid, root)
+        return ru.bcast_children(pid, root, machine.mc.num_pes)
 
     def test_tree_reaches_every_pe_exactly_once(self):
         m, _ = machine_for(FILL, num_pes=32)

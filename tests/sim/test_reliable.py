@@ -134,7 +134,7 @@ class TestHealing:
 
     def test_retransmit_spans_for_perfetto(self, program):
         res = self.run_chaos(program, "drop:kind=page,count=1")
-        spans = res.stats.netstats.spans
+        spans = res.stats.log.net_spans
         assert spans, "retransmissions must record NET-track spans"
         pe, start, end, label = spans[0]
         assert end > start and "retransmit" in label

@@ -64,11 +64,15 @@ And an index has one rule: a refused index tuple is a
 accessor is generated there (``index_fn``), so no store writes a second
 copy of the rule beside it.
 
-And a simulated run has one record: ``sim/machine.py`` writes what it
+And a simulated run has one record: the simulator writes what it
 observes into one span log (``repro.obs.spanlog``) through one
-attribute, ``Machine.log``, and names none of the separate stores and
-the glue that recorded it three ways (``Tracer``, ``WaitStore``,
-``TimelineStore``, ``ObsRecorder``), nor their attributes.
+attribute, ``Machine.log``, and no ``sim`` module names the separate
+stores and the glue that recorded it three ways (``Tracer``,
+``WaitStore``, ``TimelineStore``, ``ObsRecorder``), nor their
+attributes.  And the simulator is Figure 7: one module per unit (the
+EU in ``decode.py``, ``mu.py``, ``am.py``, ``ru.py``), which meet only
+through the machine ``M`` and one another's public functions, and a
+``Machine`` that keeps no unit's handler.
 
 And a run has one way out: what it produced leaves ``Backend.run`` as
 the declared fields of a ``BackendResult`` and how it failed as the
@@ -377,7 +381,7 @@ def test_a_node_keeps_no_element_store_beside_its_memory():
                    and getattr(node.func, "id", None) == "IStructureSegment"
                    for node in ast.walk(tree)):
                 builders.add(os.path.relpath(path, root))
-    assert builders == {os.path.join("sim", "machine.py"),
+    assert builders == {os.path.join("sim", "am.py"),
                         os.path.join("dist", "protocol.py")}
     # ... and the node did not grow a store of another kind back: its
     # classes are the handle, the interpreter and the runtime, and none
@@ -535,27 +539,79 @@ def test_a_run_has_one_way_out():
 
 def test_a_simulated_run_has_one_record():
     root = os.path.dirname(repro.__file__)
-    path = os.path.join(root, "sim", "machine.py")
-    with open(path) as fh:
-        tree = ast.parse(fh.read(), path)
     stores = {"Tracer", "WaitStore", "TimelineStore", "ObsRecorder"}
     attrs = {"tracer", "obs", "_waits", "_span_adds"}
     named = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id in stores:
-            named.add(node.id)
-        elif isinstance(node, ast.alias) and node.name in stores:
-            named.add(node.name)
-        elif (isinstance(node, ast.Attribute) and node.attr in attrs
-              and getattr(node.value, "id", None) == "self"):
-            named.add(f"self.{node.attr}")
+    for fname in _sim_modules():
+        path = os.path.join(root, "sim", fname)
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id in stores:
+                named.add(f"{fname}: {node.id}")
+            elif isinstance(node, ast.alias) and node.name in stores:
+                named.add(f"{fname}: {node.name}")
+            elif (isinstance(node, ast.Attribute) and node.attr in attrs
+                  and getattr(node.value, "id", None) in ("self", "M")):
+                named.add(f"{fname}: {node.value.id}.{node.attr}")
     assert not named, (
-        f"sim/machine.py names {sorted(named)}; record through Machine.log "
+        f"repro/sim names {sorted(named)}; record through Machine.log "
         "(repro.obs.spanlog) and derive every view from it")
     gone = [rel for rel in (("obs", "recorder.py"), ("obs", "timeline.py"),
                             ("obs", "waits.py"), ("sim", "trace.py"))
             if os.path.exists(os.path.join(root, *rel))]
     assert not gone, f"a second record of a simulated run: {gone}"
+
+
+# Figure 7's units, one module each: the EU (with its instruction
+# handlers), the MU (with the MM's frame operations), the AM, the RU.
+SIM_UNITS = ("decode", "mu", "am", "ru")
+
+
+def _sim_modules() -> list[str]:
+    root = os.path.join(os.path.dirname(repro.__file__), "sim")
+    return sorted(f for f in os.listdir(root) if f.endswith(".py"))
+
+
+def test_the_units_meet_only_through_the_machine():
+    """A unit calls another unit's public functions and shares state only
+    through the machine ``M``: no ``sim`` module imports a unit's private
+    name or reaches into one (``am._x``).  And ``Machine`` keeps the
+    event loop, the server model, the PE faults, the no-progress
+    diagnosis and the arrays' gather — no unit's handler."""
+    root = os.path.join(os.path.dirname(repro.__file__), "sim")
+    modules = {f"repro.sim.{unit}" for unit in SIM_UNITS}
+    offenders, imported = [], set()
+    for fname in _sim_modules():
+        path = os.path.join(root, fname)
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        units = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "repro.sim":
+                units.update(a.asname or a.name for a in node.names
+                             if a.name in SIM_UNITS)
+            elif isinstance(node, ast.ImportFrom) and node.module in modules:
+                offenders.extend(f"{fname}:{node.lineno} {a.name}"
+                                 for a in node.names
+                                 if a.name.startswith("_"))
+        imported |= units
+        offenders.extend(
+            f"{fname}:{node.lineno} {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and isinstance(node.value, ast.Name) and node.value.id in units)
+    assert not offenders, (
+        f"a unit's private name used from outside it: {offenders}; make it "
+        "public, or share the state through M")
+    assert imported == set(SIM_UNITS)  # not vacuous
+    from repro.sim.machine import Machine
+
+    methods = {name for name, value in vars(Machine).items()
+               if callable(value) and not name.startswith("__")}
+    assert methods == {"schedule", "_serve", "run", "_spawn_entry",
+                       "read_array", "_gather", "_pe_halt", "_pe_degrade",
+                       "_stuck_error", "_ckpt_snapshot"}, methods
 
 
 def test_the_index_rule_has_one_definition():
