@@ -73,7 +73,7 @@ WAITS = "waits"                  # attributes wait time (wait.us family)
 TRACE = "trace"                  # structured event trace / Perfetto
 FAULTS = "faults"                # accepts a fault-injection plan
 RECOVERY = "recovery"            # self-heals injected failures
-CHECKPOINT = "checkpoint"        # writes and restores pods-ckpt/v1
+CHECKPOINT = "checkpoint"        # writes and restores pods-ckpt/v2
 
 
 class UnknownBackendError(PodsError, ValueError):

@@ -1,4 +1,4 @@
-"""Durable execution: ``pods-ckpt/v1`` checkpoints and restart.
+"""Durable execution: ``pods-ckpt/v2`` checkpoints and restart.
 
 See :mod:`repro.ckpt.format` for the schema and the monotonicity
 argument, :mod:`repro.ckpt.resume` for the restart driver behind
@@ -13,21 +13,17 @@ from repro.ckpt.format import (  # noqa: F401
     CkptSpec,
     CkptWriter,
     array_entry,
-    bitmap_hex,
-    bitmap_offsets,
     build_checkpoint,
     canonical_json,
     ckpt_id,
     load,
     program_section,
-    save,
     validate,
 )
-from repro.ckpt.resume import resolve_ckpt_path, resume  # noqa: F401
+from repro.ckpt.resume import resume  # noqa: F401
 
 __all__ = [
     "LATEST", "SCHEMA", "CheckpointError", "CkptRestore", "CkptSpec",
-    "CkptWriter", "array_entry", "bitmap_hex", "bitmap_offsets",
-    "build_checkpoint", "canonical_json", "ckpt_id", "load",
-    "program_section", "resolve_ckpt_path", "resume", "save", "validate",
+    "CkptWriter", "array_entry", "build_checkpoint", "canonical_json",
+    "ckpt_id", "load", "program_section", "resume", "validate",
 ]

@@ -1,6 +1,6 @@
 """Crash-restart driver: durable execution as a standalone check.
 
-Exercises the ``pods-ckpt/v1`` layer end to end with *real* process
+Exercises the ``pods-ckpt/v2`` layer end to end with *real* process
 death — ``SIGKILL``, no cleanup handlers — the way an operator's node
 actually fails:
 

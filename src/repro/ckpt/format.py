@@ -1,4 +1,4 @@
-"""Durable checkpoints: schema ``pods-ckpt/v1`` + writers/restores.
+"""Durable checkpoints: schema ``pods-ckpt/v2`` + writers/restores.
 
 The I-structure memory is *monotone*: presence bits only ever flip on
 and every element is written exactly once.  A point-in-time snapshot
@@ -17,30 +17,28 @@ A checkpoint is a plain JSON document in the ``pods-run/v1`` style
 and a sha256 content address.  Unlike run records it embeds the full
 program source — a checkpoint must be self-sufficient to resume from.
 
-Schema ``pods-ckpt/v1``::
+Schema ``pods-ckpt/v2``::
 
     {
-      "schema": "pods-ckpt/v1",
+      "schema": "pods-ckpt/v2",
       "program": {"name": "main", "entry": "main",
                   "source_sha256": "...", "source": "..."},
       "args": [8, 1],
       "config": {"backend": "parallel", "parallelism": 2, ...},
       "epoch": 3,                       # writer's snapshot ordinal
       "arrays": [
-        {"seq": 1, "dims": [8, 8], "page_size": 32,
-         "bitmap": "ff03...",           # presence bits, LSB-first
-         "pages": {"0": [[0, 1.0], [1, 2.0]], ...}}  # page -> [off, v]
-      ],
-      "progress": [{"identity": 0, "complete": true}, ...]
+        {"seq": 1, "dims": [8, 8],
+         "elements": [[0, 1.0], [1, 2.0], ...]}   # [offset, value]
+      ]
     }
 
-``bitmap`` and ``pages`` are redundant by construction — the validator
-cross-checks them — because the bitmap is the cheap *presence* query
-(how much of the array exists?) while the element pages carry the
-values replay needs.  Ownership is deliberately **absent** from the
-format: which worker/node re-derives which element follows from
-first-element ownership at whatever width the resume runs at, which is
-what lets a 2-worker checkpoint resume on 4 workers (or 3 nodes).
+Single assignment makes a snapshot just the set of elements present at
+the cut, so an array entry is its present elements in ascending flat
+offset order and nothing else.  Pages, segments and ownership are
+deliberately **absent**: which worker/node holds which element follows
+from first-element ownership at whatever width the resume runs at,
+which is what lets a 2-worker checkpoint resume on 4 workers (or 3
+nodes).
 """
 
 from __future__ import annotations
@@ -48,15 +46,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.canonical import (canonical_json, content_address,
                                     source_hash, source_hash_problems)
 from repro.common.errors import PodsError
 from repro.runtime.arrays import flat_size
 
-SCHEMA = "pods-ckpt/v1"
-ID_ABBREV = 12
+SCHEMA = "pods-ckpt/v2"
 
 
 class CheckpointError(PodsError):
@@ -105,54 +102,19 @@ class CkptSpec:
 # ---------------------------------------------------------------------
 
 
-def bitmap_hex(total: int, offsets) -> str:
-    """Presence bitmap over ``total`` elements as hex (LSB-first bits)."""
-    buf = bytearray((total + 7) // 8)
-    for off in offsets:
-        if not 0 <= off < total:
-            raise CheckpointError(
-                f"offset {off} outside array of {total} elements")
-        buf[off >> 3] |= 1 << (off & 7)
-    return buf.hex()
-
-def bitmap_offsets(hexmap: str) -> set[int]:
-    """The set of present offsets encoded by :func:`bitmap_hex`."""
-    out: set[int] = set()
-    buf = bytes.fromhex(hexmap)
-    for byte_i, byte in enumerate(buf):
-        while byte:
-            bit = byte & -byte
-            out.add((byte_i << 3) + bit.bit_length() - 1)
-            byte ^= bit
-    return out
+def array_entry(seq: int, dims, elements: dict[int, object]) -> dict:
+    """One ``arrays[]`` entry from a flat ``offset -> value`` mapping
+    (:func:`validate` refuses a non-scalar value)."""
+    return {"seq": seq, "dims": list(dims),
+            "elements": [[off, elements[off]] for off in sorted(elements)]}
 
 
-def array_entry(seq: int, dims, page_size: int,
-                elements: dict[int, object]) -> dict:
-    """One ``arrays[]`` entry from a flat ``offset -> value`` mapping."""
-    total = flat_size(dims)
-    pages: dict[str, list] = {}
-    for off in sorted(elements):
-        value = elements[off]
-        if not isinstance(value, (int, float, bool)):
-            raise CheckpointError(
-                f"cannot checkpoint a {type(value).__name__} element")
-        pages.setdefault(str(off // page_size), []).append([off, value])
-    return {"seq": seq, "dims": list(dims), "page_size": page_size,
-            "bitmap": bitmap_hex(total, elements), "pages": pages}
-
-
-def build_checkpoint(arrays: list[dict], progress: list[dict],
-                     epoch: int, fingerprint: dict | None = None,
+def build_checkpoint(arrays: list[dict], epoch: int,
+                     fingerprint: dict | None = None,
                      program: dict | None = None,
                      args: tuple = ()) -> dict:
-    """Assemble (and validate) one ``pods-ckpt/v1`` document.
-
-    ``arrays`` entries come from :func:`array_entry`; ``progress`` rows
-    are ``{"identity": i, "complete": bool}`` — which identities'
-    Range-Filter subranges had fully executed at the cut (informational:
-    correctness rests on the presence bits alone).
-    """
+    """Assemble (and validate) one ``pods-ckpt/v2`` document from
+    :func:`array_entry` entries."""
     doc = {
         "schema": SCHEMA,
         "program": dict(program or {}),
@@ -161,7 +123,6 @@ def build_checkpoint(arrays: list[dict], progress: list[dict],
         "config": dict(fingerprint or {}),
         "epoch": epoch,
         "arrays": arrays,
-        "progress": progress,
     }
     problems = validate(doc)
     if problems:
@@ -205,13 +166,13 @@ def _is_scalar(v) -> bool:
 
 
 def validate(doc) -> list[str]:
-    """Structural + cross-consistency check; empty list = valid."""
-    problems: list[str] = []
+    """Structural check; empty list = valid.  A document of another
+    schema (``pods-ckpt/v1`` among them) gets that one problem only."""
     if not isinstance(doc, dict):
         return ["checkpoint must be an object"]
     if doc.get("schema") != SCHEMA:
-        problems.append(f"schema must be {SCHEMA!r}, got "
-                        f"{doc.get('schema')!r}")
+        return [f"schema must be {SCHEMA!r}, got {doc.get('schema')!r}"]
+    problems: list[str] = []
     prog = doc.get("program")
     if not isinstance(prog, dict):
         problems.append("'program' must be an object")
@@ -261,83 +222,38 @@ def validate(doc) -> list[str]:
             problems.append(f"{where}: 'dims' must be positive ints")
             continue
         total = flat_size(dims)
-        page_size = a.get("page_size")
-        if not isinstance(page_size, int) or isinstance(page_size, bool) \
-                or page_size < 1:
-            problems.append(f"{where}: 'page_size' must be a positive int")
+        cells = a.get("elements")
+        if not isinstance(cells, list):
+            problems.append(f"{where}: 'elements' must be an array")
             continue
-        bitmap = a.get("bitmap")
-        if not isinstance(bitmap, str) or \
-                len(bitmap) != 2 * ((total + 7) // 8):
-            problems.append(f"{where}: 'bitmap' must be "
-                            f"{2 * ((total + 7) // 8)} hex chars for "
-                            f"{total} elements")
-            continue
-        try:
-            present = bitmap_offsets(bitmap)
-        except ValueError:
-            problems.append(f"{where}: 'bitmap' is not hex")
-            continue
-        if present and max(present) >= total:
-            problems.append(f"{where}: bitmap sets bits beyond the array")
-        pages = a.get("pages")
-        if not isinstance(pages, dict):
-            problems.append(f"{where}: 'pages' must be an object")
-            continue
-        paged: set[int] = set()
-        for key, cells in pages.items():
-            pwhere = f"{where}.pages[{key!r}]"
-            try:
-                page = int(key)
-            except ValueError:
-                problems.append(f"{pwhere}: key must be a page index")
-                continue
-            if not isinstance(cells, list) or not cells:
-                problems.append(f"{pwhere}: must be a non-empty array")
-                continue
-            for cell in cells:
-                if not (isinstance(cell, list) and len(cell) == 2
-                        and isinstance(cell[0], int)
-                        and not isinstance(cell[0], bool)
-                        and isinstance(cell[1], (int, float, bool))):
-                    problems.append(f"{pwhere}: cells must be "
-                                    "[offset, scalar] pairs")
-                    break
-                off = cell[0]
-                if off // page_size != page:
-                    problems.append(f"{pwhere}: offset {off} belongs to "
-                                    f"page {off // page_size}")
-                    break
-                if off in paged:
-                    problems.append(f"{pwhere}: offset {off} appears twice")
-                    break
-                paged.add(off)
-        if paged != present:
-            problems.append(f"{where}: bitmap and element pages disagree "
-                            f"({len(present)} bits vs {len(paged)} "
-                            "elements)")
-    progress = doc.get("progress")
-    if not isinstance(progress, list):
-        problems.append("'progress' must be an array")
-    else:
-        for i, p in enumerate(progress):
-            if not (isinstance(p, dict)
-                    and isinstance(p.get("identity"), int)
-                    and not isinstance(p.get("identity"), bool)
-                    and isinstance(p.get("complete"), bool)):
-                problems.append(f"progress[{i}]: must be "
-                                "{identity, complete}")
+        last = -1
+        for cell in cells:
+            if not (isinstance(cell, list) and len(cell) == 2
+                    and isinstance(cell[0], int)
+                    and not isinstance(cell[0], bool)
+                    and isinstance(cell[1], (int, float, bool))):
+                problems.append(f"{where}: elements must be "
+                                "[offset, scalar] pairs")
+                break
+            off = cell[0]
+            if not 0 <= off < total:
+                problems.append(f"{where}: offset {off} outside the "
+                                f"array's {total} elements")
+                break
+            if off <= last:
+                problems.append(f"{where}: offsets must ascend "
+                                f"({off} after {last})")
+                break
+            last = off
     return problems
 
 
 # ---------------------------------------------------------------------
-# save / load
+# files: atomic write, load
 # ---------------------------------------------------------------------
 
 
-def save(doc: dict, path: str) -> str:
-    """Write canonical bytes atomically (tmp + rename); returns path."""
-    return _write(canonical_json(doc) + "\n", path)
+LATEST = "latest.json"
 
 
 def _write(text: str, path: str) -> str:
@@ -348,8 +264,9 @@ def _write(text: str, path: str) -> str:
     return path
 
 
-def load(path: str) -> dict:
-    """Load + validate a checkpoint file (or a directory's latest)."""
+def load(path: str) -> "CkptRestore":
+    """Open a checkpoint: a snapshot file, or a checkpoint directory
+    (its ``latest.json``), parsed and validated once."""
     if os.path.isdir(path):
         path = os.path.join(path, LATEST)
     try:
@@ -359,13 +276,10 @@ def load(path: str) -> dict:
         raise CheckpointError(f"no checkpoint at {path}") from None
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{path}: not JSON ({exc})") from exc
-    problems = validate(doc)
-    if problems:
-        raise CheckpointError(f"{path}: " + "; ".join(problems))
-    return doc
-
-
-LATEST = "latest.json"
+    try:
+        return CkptRestore(doc)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------
@@ -377,11 +291,11 @@ class CkptWriter:
     """Paced checkpoint emission into ``spec.dir``.
 
     Substrate-agnostic: callers hand :meth:`snapshot` an iterable of
-    ``(seq, dims, page_size, {offset: value})`` tuples plus the
-    completed-identity set, and the writer persists one numbered
-    ``ckpt-NNNNNN.json`` and refreshes ``latest.json``.  The program /
-    config identity is bound at construction (by the backend layer,
-    which knows the source text and fingerprint).
+    ``(ordinal, dims, {offset: value})`` triples, and the writer
+    persists one numbered ``ckpt-NNNNNN.json`` and refreshes
+    ``latest.json``.  The program / config identity is bound at
+    construction (by the backend layer, which knows the source text and
+    fingerprint).
     """
 
     def __init__(self, spec: CkptSpec, fingerprint: dict | None = None,
@@ -407,14 +321,11 @@ class CkptWriter:
 
     # -- emission -----------------------------------------------------
 
-    def snapshot(self, arrays, identities_done, identities_total: int,
-                 now: float | None = None) -> str:
+    def snapshot(self, arrays, now: float | None = None) -> str:
         """Persist one checkpoint; returns the file path written."""
-        entries = [array_entry(seq, dims, page_size, elements)
-                   for seq, dims, page_size, elements in arrays]
-        progress = [{"identity": i, "complete": i in identities_done}
-                    for i in range(identities_total)]
-        doc = build_checkpoint(entries, progress, epoch=self.snapshots,
+        entries = [array_entry(seq, dims, elements)
+                   for seq, dims, elements in arrays]
+        doc = build_checkpoint(entries, epoch=self.snapshots,
                                fingerprint=self.fingerprint,
                                program=self.program, args=self.args)
         os.makedirs(self.spec.dir, exist_ok=True)
@@ -424,9 +335,7 @@ class CkptWriter:
         _write(text, path)
         _write(text, os.path.join(self.spec.dir, LATEST))
         self.snapshots += 1
-        self.elements = sum(
-            sum(len(cells) for cells in entry["pages"].values())
-            for entry in entries)
+        self.elements = sum(len(entry["elements"]) for entry in entries)
         if now is not None:
             self._next_due = now + self.spec.interval_s
         self.last_path = path
@@ -468,8 +377,8 @@ class CkptRestore:
     ``seq`` order), because allocation order is replicated and
     deterministic across every substrate — the same program allocates
     the same arrays in the same order whether it runs on 2 workers,
-    4 workers or 3 nodes.  Page size and ownership are re-derived by
-    the resuming run at its own width.
+    4 workers or 3 nodes.  Pages and ownership are re-derived by the
+    resuming run at its own width.
     """
 
     def __init__(self, doc: dict) -> None:
@@ -478,15 +387,10 @@ class CkptRestore:
             raise CheckpointError("invalid checkpoint: "
                                   + "; ".join(problems))
         self.doc = doc
-        self._by_ordinal: dict[int, tuple[tuple[int, ...], dict[int, object]]] = {}
-        for ordinal, entry in enumerate(
-                sorted(doc.get("arrays", []), key=lambda a: a["seq"]),
-                start=1):
-            elements: dict[int, object] = {}
-            for cells in entry["pages"].values():
-                for off, value in cells:
-                    elements[off] = value
-            self._by_ordinal[ordinal] = (tuple(entry["dims"]), elements)
+        self._by_ordinal: dict[int, tuple[tuple[int, ...], dict[int, object]]] = {
+            ordinal: (tuple(entry["dims"]), dict(entry["elements"]))
+            for ordinal, entry in enumerate(
+                sorted(doc["arrays"], key=lambda a: a["seq"]), start=1)}
 
     @property
     def id(self) -> str:

@@ -1,4 +1,4 @@
-"""Resume a run from a ``pods-ckpt/v1`` snapshot.
+"""Resume a run from a ``pods-ckpt/v2`` snapshot.
 
 A checkpoint is self-describing: it embeds the program source, entry
 point and call arguments alongside the element state, so resuming needs
@@ -18,26 +18,10 @@ as a multiple-write violation instead of a silently wrong answer.
 
 from __future__ import annotations
 
-import os
+from repro.ckpt.format import (CheckpointError, CkptRestore, CkptSpec,
+                               CkptWriter, load)
 
-from repro.ckpt.format import (LATEST, CheckpointError, CkptRestore,
-                               CkptSpec, CkptWriter, load)
-
-__all__ = ["resolve_ckpt_path", "resume"]
-
-
-def resolve_ckpt_path(path: str) -> str:
-    """A checkpoint reference: a snapshot file, or a checkpoint
-    directory (resolves to its ``latest.json``)."""
-    if os.path.isdir(path):
-        candidate = os.path.join(path, LATEST)
-        if not os.path.exists(candidate):
-            raise CheckpointError(
-                f"no {LATEST} in checkpoint directory {path!r}")
-        return candidate
-    if not os.path.exists(path):
-        raise CheckpointError(f"checkpoint {path!r} does not exist")
-    return path
+__all__ = ["resume"]
 
 
 def resume(path, backend: str | None = None,
@@ -64,8 +48,7 @@ def resume(path, backend: str | None = None,
     from repro.api import compile_source
     from repro.backend import get_backend
 
-    restore = (path if isinstance(path, CkptRestore)
-               else CkptRestore(load(resolve_ckpt_path(path))))
+    restore = path if isinstance(path, CkptRestore) else load(path)
     if restore.source is None:
         raise CheckpointError(
             "checkpoint does not embed program source; cannot resume")

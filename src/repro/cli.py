@@ -62,6 +62,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result = backend.run(program, call_args,
                          parallelism=backend.cli_parallelism(args),
                          config=config, faults=args.faults, ckpt=writer)
+    return _report(backend, result, args, program, call_args)
+
+
+def _report(backend, result, args, program, call_args) -> int:
+    """What ``pods run`` and ``pods resume`` print after a run: the
+    backend's lines, the ``checkpoint:`` line, then the
+    ``--metrics-out`` file and the ``--record`` put; the exit code."""
     for line in backend.render(result, args):
         print(line)
     if result.ckpt:
@@ -110,11 +117,10 @@ def _ckpt_writer(backend, program, call_args, args):
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
-    """Restart a run from a ``pods-ckpt/v1`` snapshot."""
-    from repro.ckpt import (CkptRestore, CkptSpec, load,
-                            resolve_ckpt_path, resume)
+    """Restart a run from a ``pods-ckpt/v2`` snapshot."""
+    from repro.ckpt import CkptSpec, load, resume
 
-    restore = CkptRestore(load(resolve_ckpt_path(args.ckpt)))
+    restore = load(args.ckpt)
     spec = None
     if args.ckpt_dir:
         # Re-arm checkpointing on the resumed run; resume() carries the
@@ -141,19 +147,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     print(f"resumed from {restore.id[:12]} "
           f"({restore.total_elements} elements) on {result.backend} x "
           f"{result.parallelism}")
-    for line in backend.render(result, args):
-        print(line)
-    if result.ckpt:
-        print("checkpoint: " + "  ".join(
-            f"{k}={v}" for k, v in sorted(result.ckpt.items())))
-    if args.record:
-        from repro.obs.store import RunStore
-
-        store = RunStore(args.runs_dir)
-        rid = store.put(result.to_run_record(program=program,
-                                             args=restore.args))
-        print(f"recorded {rid[:12]} in {store.root}")
-    return 0
+    return _report(backend, result, args, program, restore.args)
 
 
 def _with_full_obs(config):
@@ -459,7 +453,7 @@ def _cmd_simple(args: argparse.Namespace) -> int:
 def _ckpt_args(p) -> None:
     """Durable-execution flags shared by ``run`` and ``resume``."""
     p.add_argument("--ckpt-dir", default=None,
-                   help="arm checkpointing: write pods-ckpt/v1 "
+                   help="arm checkpointing: write pods-ckpt/v2 "
                         "snapshots into this directory (resumable "
                         "with 'pods resume')")
     p.add_argument("--ckpt-interval", type=float, default=0.25,
@@ -528,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=_cmd_run)
 
     resume_cmd = sub.add_parser(
-        "resume", help="restart a run from a pods-ckpt/v1 snapshot")
+        "resume", help="restart a run from a pods-ckpt/v2 snapshot")
     resume_cmd.add_argument("ckpt",
                             help="checkpoint file, or a checkpoint "
                                  "directory (uses its latest.json)")

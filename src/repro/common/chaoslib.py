@@ -4,7 +4,8 @@
 and the end-to-end benchmark harness share two pieces: leak accounting
 around a run (child processes, open sockets, ``/dev/shm`` segments) and
 the scenario-matrix loop that times each case, prints the ``ok``/``FAIL``
-table and the summary line.
+table and the summary line.  The segment-name prefix the audit keys on,
+:func:`shm_prefix`, is the one ``run_parallel`` tags its segments with.
 
 Everything here is stdlib-only and side-effect-free on import, so the
 drivers stay runnable as ``python -m`` entry points in a bare checkout.
@@ -19,7 +20,7 @@ import time
 from typing import Callable, Sequence
 
 __all__ = ["ROW_SWEEP", "check_leaks", "open_sockets", "run_matrix",
-           "shm_entries", "wait_for_children"]
+           "shm_entries", "shm_prefix", "wait_for_children"]
 
 # The program the sim and dist matrices and the crash-restart drill all
 # run: row i's readers race row i-1's writers, so every run at width > 1
@@ -55,9 +56,17 @@ def open_sockets() -> int:
     return count
 
 
-def shm_entries() -> set[str]:
-    """The ``pods*`` segments currently present in /dev/shm."""
-    return set(glob.glob("/dev/shm/pods*"))
+def shm_prefix(pid: int | None = None) -> str:
+    """The name prefix of every shm segment process ``pid`` (default:
+    this one) creates: a ``parallel`` run's tag starts with it."""
+    return f"pods{os.getpid() if pid is None else pid}_"
+
+
+def shm_entries(pid: int | None = None) -> set[str]:
+    """The segments of process ``pid`` (default: this one) currently
+    present in /dev/shm; another process's segments are not counted, so
+    concurrent runs cannot fail each other's audit."""
+    return set(glob.glob(f"/dev/shm/{shm_prefix(pid)}*"))
 
 
 def wait_for_children(deadline_s: float = 5.0) -> list:
@@ -72,7 +81,7 @@ def wait_for_children(deadline_s: float = 5.0) -> list:
 def check_leaks(problems: list[str], sockets0: int,
                 shm0: set[str]) -> None:
     """The full post-scenario audit: no surviving child processes, the
-    open-socket count and the shm segment set back to their
+    open-socket count and this process's shm segment set back to their
     pre-scenario state."""
     leftover = wait_for_children()
     if leftover:

@@ -420,12 +420,10 @@ class _Supervisor:
     def _ckpt_flush(self) -> None:
         if self.ckpt is None:
             return
-        arrays = [(aid, dims, self.cfg.page_size, dict(vals))
+        arrays = [(aid, dims, vals)
                   for aid, (dims, vals) in sorted(self._ckpt_acc.items())]
-        done = set(range(self.n)) - self.core.remaining
         try:
-            self.ckpt.snapshot(arrays, done, self.n,
-                               now=time.monotonic())
+            self.ckpt.snapshot(arrays, now=time.monotonic())
         except OSError:  # pragma: no cover - disk trouble is best-effort
             pass
 
@@ -540,7 +538,7 @@ def run_distributed(program, args: tuple = (),
     is a warm standby: if it dies mid-run, nodes rejoin on the standby
     port with a resync payload and the promoted standby completes the
     run.  ``ckpt`` (a :class:`repro.ckpt.format.CkptWriter`) collects
-    periodic ``pods-ckpt/v1`` snapshots of the nodes' owned elements;
+    periodic ``pods-ckpt/v2`` snapshots of the nodes' owned elements;
     ``restore`` (a :class:`repro.ckpt.format.CkptRestore`) pre-seeds
     them, re-partitioned at the current node count, for a replay.
     """

@@ -368,7 +368,7 @@ class NodeProtocol:
         return arrays
 
     def _seed_restore(self) -> None:
-        """Pre-seed the segments and lists from a ``pods-ckpt/v1``
+        """Pre-seed the segments and lists from a ``pods-ckpt/v2``
         snapshot.  Ownership is re-derived at the current node count (the
         checkpoint stores flat offsets), so a run checkpointed at N nodes
         restores at M; every element also lands in the list (single

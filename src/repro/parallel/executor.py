@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import logging
 import multiprocessing as mp
-import os
 import queue
 import time
 from dataclasses import dataclass
 from multiprocessing import connection
 from typing import Any
 
+from repro.common.chaoslib import shm_prefix
 from repro.common.config import ParallelConfig
 from repro.common.errors import ParallelExecutionError, RuntimeFault
 from repro.runtime.spmd import (SpmdInterpreter, SpmdResult, fold_results,
@@ -199,7 +199,7 @@ def run_parallel(program, args: tuple = (),
     plan = faults or FaultPlan()
     nw = cfg.workers
 
-    run_tag = f"pods{os.getpid()}_{int(time.monotonic_ns() % 1_000_000_000)}"
+    run_tag = f"{shm_prefix()}{int(time.monotonic_ns() % 1_000_000_000)}"
     manifest = ShmManifest.create(run_tag)
     ctx = mp.get_context("fork")
     out_queue = ctx.Queue()
@@ -267,12 +267,11 @@ def run_parallel(program, args: tuple = (),
             except RuntimeFault:
                 continue  # torn down already; skip this snapshot's view
             try:
-                arrays.append((seq, dims, cfg.page_size, arr.dump()))
+                arrays.append((seq, dims, arr.dump()))
             finally:
                 arr.close()
-        done = set(range(nw)) - core.remaining
         try:
-            ckpt.snapshot(arrays, done, nw, now=now)
+            ckpt.snapshot(arrays, now=now)
         except OSError as exc:  # pragma: no cover - disk trouble
             log.warning("pods.ckpt: snapshot failed: %s", exc)
 

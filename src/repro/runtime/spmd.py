@@ -314,7 +314,7 @@ class SpmdResult:
     # ``parallel``, which has no network.
     netstats: Any
     # Checkpoint/restore summary (None unless the run wrote or consumed
-    # a pods-ckpt/v1 document): snapshots, elements, restored_elements,
+    # a pods-ckpt/v2 document): snapshots, elements, restored_elements,
     # resumed_from — the run record's ``ckpt`` provenance section.
     ckpt: dict | None
 

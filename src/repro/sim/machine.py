@@ -247,7 +247,7 @@ class Machine:
 
         finish = self._finish_us if net is not None else self.now
         if self._ckpt is not None:
-            self._ckpt_snapshot(final=True)
+            self._ckpt_snapshot()
         log = self.log
         registry = breakdown = None
         if log is not None:
@@ -359,7 +359,7 @@ class Machine:
             f"machine went idle at t={self.now:.1f} us but {what}",
             blocked, channels, last)
 
-    def _ckpt_snapshot(self, final: bool = False) -> None:
+    def _ckpt_snapshot(self) -> None:
         """Persist one event-boundary checkpoint of every array.
 
         No coordination with in-flight events is needed: presence bits
@@ -370,10 +370,9 @@ class Machine:
         arrays = []
         for aid in sorted({aid for pe in self.pes for aid in pe.segments}):
             header, cells = self._gather(aid)
-            arrays.append((aid, header.dims, self.mc.page_size, cells))
-        done = set(range(self.mc.num_pes)) if final else set()
+            arrays.append((aid, header.dims, cells))
         try:
-            self._ckpt.snapshot(arrays, done, self.mc.num_pes)
+            self._ckpt.snapshot(arrays)
         except OSError:  # pragma: no cover - disk trouble
             pass
 

@@ -1,10 +1,12 @@
-"""Unit tests for the ``pods-ckpt/v1`` snapshot format.
+"""Unit tests for the ``pods-ckpt/v2`` snapshot format.
 
-Pins the properties the durability layer rests on: presence bitmaps
-round-trip, the canonical bytes (and therefore the content address) are
-deterministic, invalid documents are refused at both the build and the
-restore boundary, pacing is exact, and a restore re-addresses arrays by
-allocation ordinal regardless of the width that wrote them.
+Pins the properties the durability layer rests on: an array entry is
+its present elements in ascending offset order, the canonical bytes
+(and therefore the content address) are deterministic, invalid and
+``pods-ckpt/v1`` documents are refused at both the build and the
+restore boundary, ``load`` is the one way to open a checkpoint, pacing
+is exact, and a restore re-addresses arrays by allocation ordinal
+regardless of the width that wrote them.
 """
 
 import json
@@ -12,43 +14,40 @@ import os
 
 import pytest
 
-from repro.ckpt.format import (LATEST, CheckpointError, CkptRestore,
-                               CkptSpec, CkptWriter, array_entry,
-                               bitmap_hex, bitmap_offsets,
-                               build_checkpoint, canonical_json, ckpt_id,
-                               load, program_section, save, validate)
+import repro.ckpt.format as ckpt_format
+from repro.ckpt.format import (LATEST, SCHEMA, CheckpointError,
+                               CkptRestore, CkptSpec, CkptWriter,
+                               array_entry, build_checkpoint,
+                               canonical_json, ckpt_id, load,
+                               program_section, validate)
 
-
-class TestBitmap:
-    def test_round_trip(self):
-        offsets = {0, 1, 7, 8, 63, 64, 99}
-        assert bitmap_offsets(bitmap_hex(100, offsets)) == offsets
-
-    def test_empty(self):
-        assert bitmap_offsets(bitmap_hex(16, ())) == set()
-
-    def test_out_of_range_offset_refused(self):
-        with pytest.raises(CheckpointError, match="outside"):
-            bitmap_hex(8, [8])
+# The retired schema's shape: a presence bitmap, page-grouped elements,
+# a page size and a progress table.  Nothing reads it any more.
+V1_DOC = {
+    "schema": "pods-ckpt/v1",
+    "program": {"entry": "main", "name": "main"},
+    "args": [], "config": {}, "epoch": 0,
+    "arrays": [{"seq": 1, "dims": [2], "page_size": 2, "bitmap": "01",
+                "pages": {"0": [[0, 1.0]]}}],
+    "progress": [{"identity": 0, "complete": True}],
+}
 
 
 class TestArrayEntry:
-    def test_pages_and_bitmap_agree(self):
-        entry = array_entry(1, (4, 4), page_size=4,
-                            elements={0: 1.5, 5: 2.5, 15: 3.0})
-        assert bitmap_offsets(entry["bitmap"]) == {0, 5, 15}
-        assert entry["pages"] == {"0": [[0, 1.5]], "1": [[5, 2.5]],
-                                  "3": [[15, 3.0]]}
+    def test_elements_ascend_and_nothing_else_is_stored(self):
+        entry = array_entry(1, (4, 4), {15: 3.0, 0: 1.5, 5: 2.5})
+        assert entry == {"seq": 1, "dims": [4, 4],
+                         "elements": [[0, 1.5], [5, 2.5], [15, 3.0]]}
 
     def test_non_scalar_element_refused(self):
-        with pytest.raises(CheckpointError, match="cannot checkpoint"):
-            array_entry(1, (2,), 2, {0: [1, 2]})
+        with pytest.raises(CheckpointError, match="scalar"):
+            build_checkpoint([array_entry(1, (2,), {0: [1, 2]})], epoch=0)
 
 
 def _doc(**over):
-    entry = array_entry(1, (2, 2), 2, {0: 1.0, 3: 4.0})
+    entry = array_entry(1, (2, 2), {0: 1.0, 3: 4.0})
     doc = build_checkpoint(
-        [entry], [{"identity": 0, "complete": True}], epoch=0,
+        [entry], epoch=0,
         fingerprint={"backend": "sim", "parallelism": 2},
         program=program_section("function main() { return 1; }"),
         args=(8,))
@@ -80,10 +79,25 @@ class TestValidate:
         assert validate(doc)
 
     def test_build_refuses_invalid(self):
-        entry = array_entry(1, (2,), 2, {0: 1.0})
-        entry["bitmap"] = "zz"  # not hex
+        entry = array_entry(1, (2,), {0: 1.0})
+        entry["elements"].append([2, 2.0])  # past the array's end
         with pytest.raises(CheckpointError, match="refusing"):
-            build_checkpoint([entry], [], epoch=0)
+            build_checkpoint([entry], epoch=0)
+
+    @pytest.mark.parametrize("cells, problem", [
+        ([[1, 1.0], [0, 2.0]], "ascend"),
+        ([[1, 1.0], [1, 2.0]], "ascend"),
+        ([[-1, 1.0]], "outside"),
+        ([[4, 1.0]], "outside"),
+        ([[True, 1.0]], "pairs"),
+        ([[0, "x"]], "pairs"),
+        ([[0]], "pairs"),
+    ])
+    def test_elements_checked(self, cells, problem):
+        doc = _doc()
+        doc["arrays"][0]["elements"] = cells
+        problems = validate(doc)
+        assert len(problems) == 1 and problem in problems[0]
 
     def test_restore_refuses_invalid(self):
         doc = _doc()
@@ -91,21 +105,62 @@ class TestValidate:
         with pytest.raises(CheckpointError, match="invalid checkpoint"):
             CkptRestore(doc)
 
+    def test_v1_document_refused_naming_the_schema(self, tmp_path):
+        assert validate(V1_DOC) == [
+            f"schema must be {SCHEMA!r}, got 'pods-ckpt/v1'"]
+        with pytest.raises(CheckpointError, match="pods-ckpt/v1"):
+            CkptRestore(V1_DOC)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(V1_DOC))
+        with pytest.raises(CheckpointError, match="pods-ckpt/v1"):
+            load(str(path))
+
+
+def _written(tmp_path, *elements) -> CkptWriter:
+    """A writer that has written one snapshot per ``{offset: value}``."""
+    w = CkptWriter(CkptSpec(dir=str(tmp_path / "ckpt")),
+                   fingerprint={"backend": "sim", "parallelism": 2},
+                   program=program_section("function main() { return 1; }"),
+                   args=(8,))
+    for cells in elements:
+        w.snapshot([(1, (2, 2), cells)])
+    return w
+
 
 class TestSaveLoad:
     def test_round_trip(self, tmp_path):
-        doc = _doc()
-        path = str(tmp_path / "ckpt.json")
-        save(doc, path)
-        assert load(path) == doc
+        w = _written(tmp_path, {3: 4.0, 0: 1.0})
+        r = load(w.last_path)
+        with open(w.last_path) as fh:
+            assert r.doc == json.load(fh)
+        assert r.doc == _doc()
+        assert r.array(1) == ((2, 2), {0: 1.0, 3: 4.0})
 
     def test_load_dir_joins_latest(self, tmp_path):
-        doc = _doc()
-        save(doc, str(tmp_path / LATEST))
-        assert load(str(tmp_path)) == doc
+        w = _written(tmp_path, {0: 1.0}, {0: 1.0, 3: 4.0})
+        assert load(w.spec.dir).doc == load(w.last_path).doc
+        assert load(w.spec.dir).total_elements == 2
 
     def test_load_dir_without_latest_is_structured(self, tmp_path):
         with pytest.raises(CheckpointError):
+            load(str(tmp_path))
+
+    def test_load_validates_once(self, tmp_path, monkeypatch):
+        w = _written(tmp_path, {0: 1.0})
+        seen = []
+
+        def counting(doc):
+            seen.append(doc)
+            return validate(doc)
+
+        monkeypatch.setattr(ckpt_format, "validate", counting)
+        load(w.spec.dir)
+        assert len(seen) == 1
+
+    def test_unparsable_file_is_structured(self, tmp_path):
+        path = tmp_path / LATEST
+        path.write_text("{not json")
+        with pytest.raises(CheckpointError, match="not JSON"):
             load(str(tmp_path))
 
 
@@ -144,13 +199,21 @@ class TestWriterSnapshot:
         spec = CkptSpec(dir=str(tmp_path / "ckpt"))
         w = CkptWriter(spec, fingerprint={"backend": "sim",
                                           "parallelism": 2})
-        p0 = w.snapshot([(1, (2, 2), 2, {0: 1.0})], {0}, 2)
-        p1 = w.snapshot([(1, (2, 2), 2, {0: 1.0, 3: 4.0})], {0, 1}, 2)
+        p0 = w.snapshot([(1, (2, 2), {0: 1.0})])
+        p1 = w.snapshot([(1, (2, 2), {0: 1.0, 3: 4.0})])
         assert os.path.basename(p0) == "ckpt-000000.json"
         assert os.path.basename(p1) == "ckpt-000001.json"
-        assert load(os.path.join(spec.dir, LATEST)) == load(p1)
+        assert load(os.path.join(spec.dir, LATEST)).doc == load(p1).doc
         assert w.stats() == {"snapshots": 2, "elements": 2,
                              "dir": spec.dir}
+
+    def test_written_document_is_v2(self, tmp_path):
+        w = _written(tmp_path, {0: 1.0})
+        with open(w.last_path) as fh:
+            doc = json.load(fh)
+        assert doc["schema"] == "pods-ckpt/v2"
+        assert "progress" not in doc
+        assert set(doc["arrays"][0]) == {"seq", "dims", "elements"}
 
     def test_inactive_writer_reports_none(self):
         w = CkptWriter(CkptSpec(dir="/tmp/x"))
@@ -159,9 +222,9 @@ class TestWriterSnapshot:
 
 class TestRestore:
     def test_ordinals_follow_allocation_order(self):
-        e2 = array_entry(7, (2,), 2, {1: 9.0})
-        e1 = array_entry(3, (2, 2), 2, {0: 1.0, 3: 4.0})
-        doc = build_checkpoint([e2, e1], [], epoch=0)  # unsorted on seq
+        e2 = array_entry(7, (2,), {1: 9.0})
+        e1 = array_entry(3, (2, 2), {0: 1.0, 3: 4.0})
+        doc = build_checkpoint([e2, e1], epoch=0)  # unsorted on seq
         r = CkptRestore(doc)
         assert r.ordinals() == [1, 2]
         dims, elements = r.array(1)     # lowest seq first
@@ -179,13 +242,3 @@ class TestRestore:
         assert r.backend == "sim"
         assert r.parallelism == 2
         assert r.id == ckpt_id(_doc())
-
-    def test_page_size_is_advisory(self):
-        # The restore flattens pages back to offsets; the resuming run
-        # re-derives pagination at its own width, so the page size the
-        # snapshot was written with must not leak into the view.
-        a = array_entry(1, (2, 2), 1, {0: 1.0, 3: 4.0})
-        b = array_entry(1, (2, 2), 4, {0: 1.0, 3: 4.0})
-        ra = CkptRestore(build_checkpoint([a], [], epoch=0))
-        rb = CkptRestore(build_checkpoint([b], [], epoch=0))
-        assert ra.array(1) == rb.array(1)

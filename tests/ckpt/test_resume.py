@@ -16,7 +16,7 @@ from repro.api import compile_source
 from repro.backend import get_backend
 from repro.ckpt import (CheckpointError, CkptRestore, CkptSpec,
                         CkptWriter, build_checkpoint, load,
-                        program_section, resolve_ckpt_path, resume)
+                        program_section, resume)
 
 SWEEP = """
 function main(n) {
@@ -76,7 +76,7 @@ class TestResume:
         assert os.path.exists(os.path.join(spec.dir, "latest.json"))
 
     def test_sourceless_checkpoint_is_structured(self, tmp_path):
-        doc = build_checkpoint([], [], epoch=0,
+        doc = build_checkpoint([], epoch=0,
                                program=program_section(None))
         restore = CkptRestore(doc)
         with pytest.raises(CheckpointError, match="source"):
@@ -84,7 +84,9 @@ class TestResume:
 
     def test_missing_path_is_structured(self, tmp_path):
         with pytest.raises(CheckpointError):
-            resolve_ckpt_path(str(tmp_path / "nope.json"))
+            load(str(tmp_path / "nope.json"))
+        with pytest.raises(CheckpointError):
+            resume(str(tmp_path / "nope.json"))
 
 
 class TestZeroCost:
@@ -111,4 +113,4 @@ class TestLatestPointer:
         assert len(names) >= 2  # pacing produced a history
         latest = load(os.path.join(ckpt_dir, "latest.json"))
         newest = load(os.path.join(ckpt_dir, names[-1]))
-        assert latest == newest
+        assert latest.doc == newest.doc

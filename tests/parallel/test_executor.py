@@ -217,8 +217,8 @@ class TestExecutor:
             p.run((4,), backend="parallel", parallelism=2)
 
     def test_no_leaked_segments(self):
-        import glob
+        from repro.common.chaoslib import shm_entries
 
         p = compile_source(self.FILL)
         p.run((6,), backend="parallel", parallelism=2)
-        assert not glob.glob("/dev/shm/pods*"), "leaked shared memory"
+        assert not shm_entries(), "leaked shared memory"

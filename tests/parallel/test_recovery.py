@@ -9,7 +9,6 @@ structured :class:`ParallelExecutionError`, in both cases leaking zero
 shared-memory segments.
 """
 
-import glob
 import os
 import signal
 import subprocess
@@ -19,6 +18,7 @@ import time
 import pytest
 
 from repro.api import compile_source
+from repro.common.chaoslib import shm_entries
 from repro.common.config import ParallelConfig
 from repro.common.errors import (DeferredReadTimeout, ParallelExecutionError,
                                  SingleAssignmentViolation, WorkerSuperseded)
@@ -69,7 +69,7 @@ def fast_cfg(workers=2, retry=None, **kw) -> ParallelConfig:
 
 
 def assert_no_leaked_segments():
-    assert not glob.glob("/dev/shm/pods*"), "leaked shared memory"
+    assert not shm_entries(), "leaked shared memory"
 
 
 class TestOwnershipEpochs:

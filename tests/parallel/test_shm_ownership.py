@@ -35,11 +35,16 @@ arr.unlink()  # idempotent
 
 
 def test_clean_parallel_run_leaves_stderr_and_dev_shm_empty():
-    before = shm_entries()
     src = os.path.dirname(os.path.dirname(repro.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
-    assert shm_entries() - before == set()
+    proc = subprocess.Popen([sys.executable, "-c", SCRIPT], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+    try:
+        _, stderr = proc.communicate(timeout=120)
+    finally:
+        proc.kill()  # a no-op once it has exited
+    assert proc.returncode == 0, stderr
+    assert stderr == ""
+    # Every segment the script makes carries its process's prefix.
+    assert shm_entries(proc.pid) == set()

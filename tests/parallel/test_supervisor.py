@@ -13,6 +13,7 @@ import time
 import pytest
 
 from repro.api import compile_source
+from repro.common.chaoslib import shm_entries
 from repro.common.config import ParallelConfig
 from repro.common.errors import ExecutionError, ParallelExecutionError
 from repro.common.retry import RetryPolicy
@@ -39,7 +40,7 @@ function main(n) {
 
 
 def assert_no_leaked_segments():
-    assert not glob.glob("/dev/shm/pods*"), "leaked shared memory"
+    assert not shm_entries(), "leaked shared memory"
 
 
 # These tests exercise the *fail-fast* layer underneath recovery: with
