@@ -319,6 +319,11 @@ class CkptWriter:
             return False
         return now >= self._next_due
 
+    def next_due(self) -> float:
+        """When :meth:`due` next holds, which a wall-clock caller's wait
+        must not sleep past (``inf`` until :meth:`due` arms it)."""
+        return math.inf if self._next_due is None else self._next_due
+
     # -- emission -----------------------------------------------------
 
     def snapshot(self, arrays, now: float | None = None) -> str:
@@ -387,14 +392,11 @@ class CkptRestore:
             raise CheckpointError("invalid checkpoint: "
                                   + "; ".join(problems))
         self.doc = doc
+        self.id = ckpt_id(doc)  # read at least twice by a resume
         self._by_ordinal: dict[int, tuple[tuple[int, ...], dict[int, object]]] = {
             ordinal: (tuple(entry["dims"]), dict(entry["elements"]))
             for ordinal, entry in enumerate(
                 sorted(doc["arrays"], key=lambda a: a["seq"]), start=1)}
-
-    @property
-    def id(self) -> str:
-        return ckpt_id(self.doc)
 
     @property
     def source(self) -> str | None:

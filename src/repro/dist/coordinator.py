@@ -228,7 +228,9 @@ class _Supervisor:
                                f"{now - hb:.2f}s silent (threshold "
                                f"{self.cfg.heartbeat_timeout_s:g}s)")
             if self.outcome is None:
-                await self._wait_kick()
+                await self._wait_kick(
+                    self.ckpt.next_due() if self.ckpt is not None
+                    and not self._ckpt_pending else float("inf"))
 
     async def _finish_value(self) -> Any:
         status, payload = self.outcome.result
@@ -459,10 +461,10 @@ class _Supervisor:
 
     # -- plumbing --------------------------------------------------------
 
-    async def _wait_kick(self) -> None:
+    async def _wait_kick(self, until: float = float("inf")) -> None:
+        wait_s = min(self.cfg.poll_interval_s, until - time.monotonic())
         try:
-            await asyncio.wait_for(self.kick.wait(),
-                                   self.cfg.poll_interval_s)
+            await asyncio.wait_for(self.kick.wait(), max(wait_s, 0.001))
         except asyncio.TimeoutError:
             pass
         self.kick.clear()

@@ -1,8 +1,8 @@
 """The node process: a shell around the node's protocol.
 
 One node process is the distributed backend's PE.  What it knows and
-decides — the I-structure memory, the element lists, the owner map,
-pending reads, fencing, takeover replay — is its
+decides — the I-structure memory, one segment per array, the owner
+map, pending reads, fencing, takeover replay — is its
 :class:`~repro.dist.protocol.NodeProtocol`, a state machine under one
 lock.  This module does the rest, with two kinds of thread:
 
@@ -48,10 +48,10 @@ from repro.runtime.spmd import SpmdInterpreter, sigterm_default
 # page size.
 _RUN_CAP = 2048
 
-# ``DistArray.read`` after the index rule: count, then the node's list
-# of the array's elements (program values are numbers, never None), then
-# the miss path, which waits for the element; whatever answers it puts
-# the element in the list first.
+# ``DistArray.read`` after the index rule: count, then the cells of the
+# node's segment of the array (program values are numbers, never None),
+# then the miss path, which waits for the element; whatever answers it
+# puts the element in the cells first.
 _DIST_READ = """\
 self.reads += 1
 value = seen[off]
@@ -67,13 +67,13 @@ class DistArray(SharedHandle):
     Holds the geometry (an :class:`ArrayHeader` over the *identity*
     space — ownership never changes shape, only the identity->node
     binding does) and this executor's access counters; storage lives in
-    the node's protocol, and every element the node has seen in the
-    node's one list of the array (:meth:`NodeProtocol.array`), which
+    the node's protocol, every element the node holds in the cells of
+    its one segment of the array (:meth:`NodeProtocol.array`), which
     every handle of the array on the node shares and the interpreter's
     inline read probes (:class:`~repro.runtime.arrays.Handle`).
     ``read`` is built here, once, by
     :func:`~repro.runtime.arrays.index_fn`: the index rule for this
-    handle's rank, the counter and a look in the list in one Python
+    handle's rank, the counter and a look in the cells in one Python
     frame, then the miss path.
 
     ``window`` is how many elements this handle's next remote miss asks
@@ -107,7 +107,7 @@ class DistArray(SharedHandle):
 
 
 class _NodeInterpreter(SpmdInterpreter):
-    """The SPMD core over this node's protocol and element lists."""
+    """The SPMD core over this node's protocol and its segments."""
 
     def __init__(self, runtime: "NodeRuntime", identities: tuple[int, ...],
                  replay: bool) -> None:
@@ -334,7 +334,7 @@ class NodeRuntime:
             lambda arr: [arr.ordinal, list(arr.dims)])
 
     def read_miss(self, arr: DistArray, indices: tuple, off: int):
-        """A read of an element the node has not seen: wait for it."""
+        """A read of an element the node does not hold: wait for it."""
         fut: cf.Future = cf.Future()
         remote, actions = self.protocol.read(arr.ordinal, off, arr.window,
                                              fut)

@@ -3,14 +3,15 @@
 A :class:`NodeProtocol` is the paper's PE (§4, §5.1) as a state machine.
 It owns all of one node's state:
 
-* the I-structure memory: per array, one
+* the I-structure memory, its one element store: per array, one
   :class:`~repro.runtime.istructure.IStructureSegment` (presence bits,
-  FIFO deferred readers, single assignment) for whatever the node owns
-  or comes to own by takeover, grown by whole pages as it is touched (a
-  peer's frame can name an array before this node allocates it);
-* per array, the header and the node's one list of the elements it has
-  seen (None: not seen), which every handle of the array shares and the
-  interpreter's inline read probes without the lock;
+  FIFO deferred readers, single assignment) from offset 0, grown in
+  place by whole pages as frames touch it (one can name an array before
+  this node allocates it) and to the whole array once allocated.  Its
+  cells hold what the node owns and every copy it has (single
+  assignment: a copy never goes stale); they are the list every handle
+  of the array shares and the inline read probes without the lock;
+* per array, the header;
 * the owner map (identity -> node), the live set and the highest
   coordinator generation seen;
 * the pending remote reads and the remembered reports.
@@ -33,20 +34,21 @@ The rules.  An element is owned by an identity (first-element ownership,
 map, initially the identity map).  A write is stored by its owner once;
 a second non-replay write is a :class:`SingleAssignmentViolation`, and a
 *replay* write of a present element is verified against it and counted
-(the idempotence that makes takeover re-execution safe); the original
-write of an element a replay stored first, arriving by frame — a fenced
-node's late frame — is verified too, not counted.  A read of an
-element the node has not seen is split-phase: a ``read`` frame to the
-owner, answered with a run of the owner's elements from the requested
-element's page (``n`` long, the reader's window), or deferred owner-side
-until the write and then answered with that one element.  A run is
-applied element by element, present ones only: a slice would put None
-back over an element an executor wrote meanwhile.  A frame from a node
+(the idempotence that makes takeover re-execution safe); an original
+write arriving by frame at an element its owner held first as a copy —
+a fenced node's late frame, a write a run overtook — is verified too,
+not counted.  A read of an element the node does not hold is
+split-phase: a ``read`` frame to the owner, answered with a run of its
+cells from the requested element's page (``n`` long, the reader's
+window), or deferred owner-side until the write and then answered with
+that one element.  A run fills absent cells one by one: a slice would
+put None back over an element an executor wrote meanwhile.  Whatever
+fills a cell releases the readers parked on it.  A frame from a node
 the coordinator fenced changes nothing.  An owner-map change re-issues
 the reads addressed to a dead node and replays every element of a dead
-node's identities this node has seen to their new owner — between the
-survivors' lists and the takeover re-execution the lost memory is
-rebuilt.
+node's identities this node holds to their new owner, if another —
+between the survivors' stores and the takeover re-execution the lost
+memory is rebuilt.
 
 The caller supplies the lock, so this module needs no thread, loop,
 socket, clock or future (``tests/test_layering.py``).
@@ -56,7 +58,7 @@ from __future__ import annotations
 
 from repro.common.errors import SingleAssignmentViolation
 from repro.runtime.arrays import ArrayHeader
-from repro.runtime.istructure import ABSENT, IStructureSegment
+from repro.runtime.istructure import IStructureSegment
 from repro.runtime.supervise import Fence, Start
 
 SEND, REPORT, RELEASE, START, EXIT = (
@@ -80,9 +82,9 @@ class NodeProtocol:
         self.started = False
         self.segments: dict[int, IStructureSegment] = {}
         self.replayed = 0  # replay writes verified since the last done
+        # Owned elements held before their original write could arrive.
         self.stored_by_replay: set[tuple[int, int]] = set()
         self.headers: dict[int, ArrayHeader] = {}
-        self.seen: dict[int, list] = {}
         # (array, offset) -> [node asked, run asked for, waiters]
         self.pending: dict[tuple[int, int], list] = {}
         # Every report sent and every executor started, for a promoted
@@ -92,7 +94,7 @@ class NodeProtocol:
     # -- executor events ---------------------------------------------------
 
     def array(self, header: ArrayHeader) -> list:
-        """The node's list of ``header``'s array, made on first use."""
+        """The cells of ``header``'s array: the node's one store of it."""
         with self.lock:
             return self._array(header)
 
@@ -101,16 +103,15 @@ class NodeProtocol:
         violation raises in the writer), any other goes to its owner."""
         with self.lock:
             owner = self.owners[self.headers[a].owner_of_offset(off)]
-            if owner != self.node:
-                self.seen[a][off] = value  # immutable: keep it at once
-                return [(SEND, owner, {"t": "write", "a": a, "off": off,
-                                       "v": value, "replay": replay})]
+            if owner != self.node:  # immutable: keep it at once
+                return self._keep(self.segments[a], a, off, value) + [
+                    (SEND, owner, {"t": "write", "a": a, "off": off,
+                                   "v": value, "replay": replay})]
             waiters = self._write(a, off, value, replay)
-            self.seen[a][off] = value
             return self._release(a, off, value, waiters) if waiters else []
 
     def read(self, a: int, off: int, n: int, waiter) -> tuple[bool, list]:
-        """An executor's read missed the node's list: ``waiter`` is
+        """An executor's read missed the node's cells: ``waiter`` is
         released with the value, now or later.  Also says whether the
         element is another node's (the reader's window then grows)."""
         with self.lock:
@@ -158,10 +159,9 @@ class NodeProtocol:
                 self.gen = max(self.gen, int(msg.get("gen", 1)))
                 return self._ownermap(list(msg["owners"]), set(msg["live"]))
             if t == "collect":
-                seg = self.segments.get(msg["a"])
                 return [(REPORT, {"t": "segment", "node": self.node,
                                   "a": msg["a"],
-                                  "vals": dict(seg.items()) if seg else {}})]
+                                  "vals": self._owned(msg["a"])})]
             if t == "ckpt":
                 return [(REPORT, {"t": "ckpt-state", "node": self.node,
                                   "arrays": self._ckpt_state()})]
@@ -182,19 +182,19 @@ class NodeProtocol:
             if t == "read":
                 off = m["off"]
                 seg = self._segment(a, off)
-                if seg.get(off) is ABSENT:
+                if seg.cells[off] is None:
                     seg.defer(off, src)
                     return []
                 return [(SEND, src, self._run(seg, a, off, m["n"]))]
             lo, values = m["lo"], m["v"]  # rdy
-            seen = self.seen[a]
+            hi = lo + len(values)
+            seg = self._segment(a, hi - 1)
+            actions = []
             for off, value in enumerate(values, lo):
                 if value is not None:
-                    seen[off] = value
+                    actions += self._keep(seg, a, off, value)
             # Few reads are pending at once, so look them up rather than
             # the run's every element.
-            actions = []
-            hi = lo + len(values)
             for key in [k for k in self.pending
                         if k[0] == a and lo <= k[1] < hi]:
                 value = values[key[1] - lo]
@@ -218,11 +218,9 @@ class NodeProtocol:
     # -- the rules (lock held) ---------------------------------------------
 
     def _array(self, header: ArrayHeader) -> list:
-        a = header.array_id
-        if a not in self.seen:
-            self.headers[a] = header
-            self.seen[a] = [None] * header.total_elements
-        return self.seen[a]
+        self.headers.setdefault(header.array_id, header)
+        return self._segment(header.array_id,
+                             header.total_elements - 1).cells
 
     def _segment(self, a: int, off: int) -> IStructureSegment:
         """Array ``a``'s segment, covering ``off``'s page."""
@@ -245,6 +243,16 @@ class NodeProtocol:
             self.stored_by_replay.add((a, off))
         return waiters
 
+    def _keep(self, seg: IStructureSegment, a: int, off: int,
+              value) -> list:
+        """A copy of an element written elsewhere fills an absent cell;
+        if owned here, its original write may yet come, and verifies."""
+        if seg.cells[off] is not None:
+            return []
+        if self.owners[self.headers[a].owner_of_offset(off)] == self.node:
+            self.stored_by_replay.add((a, off))
+        return self._release(a, off, value, seg.write(off, value))
+
     def _release(self, a: int, off: int, value, waiters: list) -> list:
         """Wake what a write released: an executor's read here, or a
         peer's with a run of the one element it waits on."""
@@ -253,11 +261,11 @@ class NodeProtocol:
 
     def _store(self, a: int, off: int, value, replay: bool,
                writer: int) -> list:
-        """A write that reached its owner by frame or by replay: the
-        writer has moved on, so a violation is reported as an error.  An
-        original write of the value a replay stored first is none: a
-        fenced node's frame that reached this node before the owner map
-        that fences it."""
+        """A write that reached its owner by frame: the writer has moved
+        on, so a violation is reported as an error.  An original write
+        of the value a copy stored first is none: a fenced node's frame
+        that reached this node before the owner map that fences it, or
+        a write a run from a node holding the element overtook."""
         try:
             waiters = self._write(a, off, value, replay)
         except SingleAssignmentViolation as exc:
@@ -270,24 +278,17 @@ class NodeProtocol:
                 "code": exc.code,
                 "detail": f"{type(exc).__name__}: {exc}\n"
                           f"(write received from node {writer})"})
-        seen = self.seen.get(a)
-        if seen is not None:  # else no handle here yet: the segment has it
-            seen[off] = value
         return self._release(a, off, value, waiters)
 
     def _read(self, a: int, off: int, n: int, waiter) -> tuple[bool, list]:
-        value = self.seen[a][off]
+        seg = self.segments[a]
+        value = seg.cells[off]
         if value is not None:  # a run landed since the reader looked
             return False, [(RELEASE, waiter, value)]
         owner = self.owners[self.headers[a].owner_of_offset(off)]
         if owner == self.node:
-            seg = self._segment(a, off)
-            value = seg.get(off)
-            if value is ABSENT:
-                seg.defer(off, waiter)
-                return False, []
-            self.seen[a][off] = value
-            return False, [(RELEASE, waiter, value)]
+            seg.defer(off, waiter)
+            return False, []
         entry = self.pending.get((a, off))
         if entry is not None:
             entry[2].append(waiter)
@@ -299,11 +300,11 @@ class NodeProtocol:
     def _run(self, seg: IStructureSegment, a: int, off: int, n: int) -> dict:
         """A read reply: the run of up to ``n`` elements from ``off``'s
         page (from ``off``'s ``n``-aligned slice of it when a page is
-        longer), None where absent, ending at the last present one."""
+        longer), None where absent, ending at the last present one.  It
+        carries whatever the node holds there, owned or not."""
         lo = off // self.page_size * self.page_size
         lo += (off - lo) // n * n
-        values = [None if v is ABSENT else v
-                  for v in seg.snapshot_page(lo, lo + n)]
+        values = seg.snapshot_page(lo, lo + n)
         while values[-1] is None:  # ``off`` itself is present
             values.pop()
         return {"t": "rdy", "a": a, "lo": lo, "v": values}
@@ -339,53 +340,57 @@ class NodeProtocol:
                 for waiter in waiters:
                     actions += self._read(*key, n, waiter)[1]
         # Presence-bit replay: push this node's copies of the rebound
-        # identities' elements to their new owner as replay writes.
-        for a, seen in self.seen.items():
-            header = self.headers[a]
+        # identities' elements to their new owner as replay writes.  What
+        # this node adopts it already stores; an original write of it
+        # still on its way verifies.
+        for a, header in self.headers.items():
+            cells = self.segments[a].cells
             for ident in rebound:
                 owner = owners[ident]
                 for off in range(*header.segment_bounds(ident)):
-                    value = seen[off]
-                    if value is None:
-                        continue
-                    if owner == self.node:
-                        actions += self._store(a, off, value, True,
-                                               self.node)
+                    if cells[off] is None:
+                        pass
+                    elif owner == self.node:
+                        self.stored_by_replay.add((a, off))
                     else:
                         actions.append((SEND, owner, {
-                            "t": "write", "a": a, "off": off, "v": value,
-                            "replay": True}))
+                            "t": "write", "a": a, "off": off,
+                            "v": cells[off], "replay": True}))
         return actions
 
+    def _owned(self, a: int) -> dict:
+        """Array ``a``'s present elements at the offsets this node owns."""
+        header = self.headers.get(a)
+        if header is None:
+            return {}
+        cells = self.segments[a].cells
+        return {off: cells[off]
+                for ident, node in enumerate(self.owners) if node == self.node
+                for off in range(*header.segment_bounds(ident))
+                if cells[off] is not None}
+
     def _ckpt_state(self) -> dict:
-        """This node's stored elements, keyed for ``ckpt-state``."""
-        arrays = {}
-        for a, seg in self.segments.items():
-            vals = dict(seg.items())
-            if vals and a in self.headers:
-                arrays[str(a)] = {"dims": list(self.headers[a].dims),
-                                  "vals": vals}
-        return arrays
+        """This node's owned elements, keyed for ``ckpt-state``."""
+        owned = {a: self._owned(a) for a in self.headers}
+        return {str(a): {"dims": list(self.headers[a].dims), "vals": vals}
+                for a, vals in owned.items() if vals}
 
     def _seed_restore(self) -> None:
-        """Pre-seed the segments and lists from a ``pods-ckpt/v2``
-        snapshot.  Ownership is re-derived at the current node count (the
-        checkpoint stores flat offsets), so a run checkpointed at N nodes
-        restores at M; every element also lands in the list (single
-        assignment makes any copy authoritative), sparing the replay a
-        round of remote reads."""
+        """Pre-seed the segments from a ``pods-ckpt/v2`` snapshot.
+        Ownership is re-derived at the current node count (the checkpoint
+        stores flat offsets), so a run checkpointed at N nodes restores at
+        M; every element lands, owned or not (single assignment makes any
+        copy authoritative), sparing the replay a round of remote reads."""
         for ordinal in self.restore.ordinals():
             entry = self.restore.array(ordinal)
             if entry is None:
                 continue
             dims, elements = entry
-            header = ArrayHeader(ordinal, tuple(dims), self.page_size,
-                                 self.nodes)
-            seen = self._array(header)
+            self._array(ArrayHeader(ordinal, tuple(dims), self.page_size,
+                                    self.nodes))
+            seg = self.segments[ordinal]
             for off, value in elements.items():
-                seen[off] = value
-                if self.owners[header.owner_of_offset(off)] == self.node:
-                    self._segment(ordinal, off).seed(off, value)
+                seg.seed(off, value)
 
 
 def control_frames(core, actions: list) -> list[tuple[int, dict]]:

@@ -331,7 +331,9 @@ def run_parallel(program, args: tuple = (),
                 break
             sentinels = [rec.proc.sentinel for rec in watched.values()
                          if rec.proc.is_alive()]
-            wait_s = min(cfg.poll_interval_s, max(core.due() - now, 0.001))
+            due = core.due() if ckpt is None else min(core.due(),
+                                                      ckpt.next_due())
+            wait_s = min(cfg.poll_interval_s, max(due - now, 0.001))
             if sentinels:
                 connection.wait(sentinels, timeout=wait_s)
             else:

@@ -12,7 +12,7 @@ from repro.runtime.arrays import (
     segment_page_range,
 )
 from repro.runtime.frames import BLOCKED, DONE, READY, RUNNING, Frame
-from repro.runtime.istructure import ABSENT, IStructureSegment, PageCache
+from repro.runtime.istructure import IStructureSegment, PageCache
 from repro.runtime.tokens import (
     AllocRequestMsg,
     DirectToken,
@@ -28,7 +28,6 @@ from repro.runtime.tokens import (
 )
 
 __all__ = [
-    "ABSENT",
     "AllocRequestMsg",
     "ArrayHeader",
     "BLOCKED",

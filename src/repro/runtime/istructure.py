@@ -6,8 +6,12 @@ before the write are *deferred* — enqueued on the element — and serviced
 when the write happens.  Double writes raise
 :class:`~repro.common.errors.SingleAssignmentViolation`.
 
+An absent cell is None, as in every store's list (program values are
+numbers), so a segment's ``cells`` can be the list an inline read probes.
+
 :class:`IStructureSegment` stores one PE's contiguous slice of a
-distributed array (or the whole array on a single-store backend).
+distributed array (the simulator's Array Manager), or all a ``dist``
+node holds of one: what it owns and every copy it has.
 :class:`PageCache` is the read-only software cache of remote pages
 (Section 4): thanks to single assignment a cached value can never be
 stale, so there is no coherence protocol; a cached page may simply be
@@ -21,13 +25,11 @@ from typing import Any, Callable, Iterator
 
 from repro.common.errors import SingleAssignmentViolation
 
-_ABSENT = object()
-
 
 class IStructureSegment:
     """Presence-bit storage for flat offsets in ``[lo, hi)`` of one array."""
 
-    __slots__ = ("array_id", "lo", "hi", "_cells", "_deferred")
+    __slots__ = ("array_id", "lo", "hi", "cells", "_deferred")
 
     def __init__(self, array_id: int, lo: int, hi: int) -> None:
         if hi < lo:
@@ -35,7 +37,7 @@ class IStructureSegment:
         self.array_id = array_id
         self.lo = lo
         self.hi = hi
-        self._cells: list[Any] = [_ABSENT] * (hi - lo)
+        self.cells: list[Any] = [None] * (hi - lo)
         # offset -> list of opaque waiter records, serviced FIFO on write.
         self._deferred: dict[int, list[Any]] = {}
 
@@ -54,24 +56,13 @@ class IStructureSegment:
         return offset - self.lo
 
     def get(self, offset: int) -> Any:
-        """The element at ``offset``, or :data:`ABSENT` while unwritten.
-
-        The one-frame accessor: the bounds check is inline (an offset
-        outside ``[lo, hi)`` is an ``IndexError``, as everywhere here)
-        and there is no tuple to unpack.  The simulator's local Array
-        Manager reads through it once per element; :meth:`read` is built
-        on it.
-        """
+        """The element at ``offset``, or None while unwritten; an offset
+        outside ``[lo, hi)`` is an ``IndexError``, as everywhere here.
+        One frame, its bounds check inline: the simulator's local Array
+        Manager reads through it once per element."""
         if self.lo <= offset < self.hi:
-            return self._cells[offset - self.lo]
+            return self.cells[offset - self.lo]
         raise self._outside(offset)
-
-    def read(self, offset: int) -> tuple[bool, Any]:
-        """Non-destructive read: (present?, value-or-None)."""
-        value = self.get(offset)
-        if value is _ABSENT:
-            return False, None
-        return True, value
 
     def defer(self, offset: int, waiter: Any) -> None:
         """Queue ``waiter`` until ``offset`` is written.
@@ -80,7 +71,7 @@ class IStructureSegment:
         deferring on a present element is a protocol error.
         """
         slot = self._slot(offset)
-        if self._cells[slot] is not _ABSENT:
+        if self.cells[slot] is not None:
             raise RuntimeError(
                 f"deferred read on present element {offset} of array "
                 f"{self.array_id}"
@@ -96,12 +87,12 @@ class IStructureSegment:
         of the value stored: that returns None, for the caller to count.
         """
         slot = self._slot(offset)
-        stored = self._cells[slot]
-        if stored is not _ABSENT:
+        stored = self.cells[slot]
+        if stored is not None:
             if replay and stored == value:
                 return None
             raise SingleAssignmentViolation(self.array_id, offset)
-        self._cells[slot] = value
+        self.cells[slot] = value
         return self._deferred.pop(offset, [])
 
     def seed(self, offset: int, value: Any) -> None:
@@ -112,13 +103,14 @@ class IStructureSegment:
         restore seeds at segment-install time, before any read runs.
         """
         slot = self._slot(offset)
-        if self._cells[slot] is _ABSENT:
-            self._cells[slot] = value
+        if self.cells[slot] is None:
+            self.cells[slot] = value
 
     def grow(self, hi: int) -> None:
-        """Extend to ``[lo, hi)``, never shrink (``dist`` learns an
-        array's extent late: a peer's frame can precede its allocation)."""
-        self._cells.extend([_ABSENT] * (hi - self.hi))
+        """Extend to ``[lo, hi)`` in place, never shrink (``dist`` learns
+        an array's extent late: a peer's frame can precede its
+        allocation; ``cells`` stays the list a node's handles probe)."""
+        self.cells.extend([None] * (hi - self.hi))
         self.hi = max(hi, self.hi)
 
     def discard_waiters(self, stale: Callable[[Any], bool]) -> None:
@@ -135,20 +127,18 @@ class IStructureSegment:
         return sorted(self._deferred)
 
     def snapshot_page(self, page_lo: int, page_hi: int) -> list[Any]:
-        """Copy of ``[page_lo, page_hi)`` with absent cells as ``_ABSENT``.
+        """Copy of ``[page_lo, page_hi)``, absent cells None.
 
         Used by the Array Manager to ship a whole page to a remote reader
         (Section 4's remote data caching).  The page bounds are clipped to
         the segment.
         """
-        page_lo = max(page_lo, self.lo)
-        page_hi = min(page_hi, self.hi)
-        return [self._cells[off - self.lo] for off in range(page_lo, page_hi)]
+        return self.cells[max(page_lo - self.lo, 0):max(page_hi - self.lo, 0)]
 
     def items(self) -> Iterator[tuple[int, Any]]:
         """Iterate (offset, value) over present elements."""
-        for i, cell in enumerate(self._cells):
-            if cell is not _ABSENT:
+        for i, cell in enumerate(self.cells):
+            if cell is not None:
                 yield self.lo + i, cell
 
 
@@ -174,7 +164,7 @@ class PageCache:
             return False, None
         page_lo, cells = entry
         idx = offset - page_lo
-        if idx < 0 or idx >= len(cells) or cells[idx] is _ABSENT:
+        if idx < 0 or idx >= len(cells) or cells[idx] is None:
             return False, None
         return True, cells[idx]
 
@@ -188,14 +178,10 @@ class PageCache:
         key = (array_id, page)
         entry = self._pages.get(key)
         if entry is None:
-            cells: list[Any] = [_ABSENT] * page_size
+            cells: list[Any] = [None] * page_size
             self._pages[key] = (page_lo, cells)
         else:
             page_lo, cells = entry
         idx = offset - page_lo
         if 0 <= idx < len(cells):
             cells[idx] = value
-
-
-ABSENT = _ABSENT
-"""Sentinel marking an unwritten cell inside page snapshots."""

@@ -16,7 +16,7 @@ from typing import Any
 from repro.common.errors import ExecutionError
 from repro.runtime.arrays import ArrayHeader, check_extents
 from repro.runtime.frames import BLOCKED
-from repro.runtime.istructure import ABSENT, IStructureSegment
+from repro.runtime.istructure import IStructureSegment
 from repro.runtime.tokens import (
     AllocRequestMsg,
     PageResponseMsg,
@@ -101,7 +101,7 @@ def read_local(M, pe, seg: IStructureSegment, offset: int, frame,
         return
     pe.stats.array_reads_local += 1
     value = seg.get(offset)
-    if value is not ABSENT:
+    if value is not None:
         done = M._serve(pe, "AM", _LOCAL_READ)
         M.schedule(done, mu.put_slot, M, pe, frame, slot, value)
     else:
@@ -169,7 +169,7 @@ def read_request(M, msg: ReadRequestMsg) -> None:
         # after it lands (headers install in bounded time).
         M.schedule(M.now + T.ALLOC_ARRAY, read_request, M, msg)
         return
-    if seg.get(msg.offset) is not ABSENT:
+    if seg.get(msg.offset) is not None:
         header = pe.headers[msg.array_id]
         page = header.page_of(msg.offset)
         page_lo = max(page * header.page_size, seg.lo)
@@ -198,7 +198,7 @@ def page_response(M, msg: PageResponseMsg) -> None:
         pe.cache.install(msg.array_id, msg.page, msg.page_lo,
                          list(msg.cells))
     value = msg.cells[msg.offset - msg.page_lo]
-    if value is ABSENT:
+    if value is None:
         raise ExecutionError(
             "page response does not contain the requested element "
             f"(array {msg.array_id} offset {msg.offset})")

@@ -24,7 +24,8 @@ from repro.api import compile_source
 from repro.backend import CHECKPOINT, backend_names
 from repro.ckpt import CkptSpec, CkptWriter, load, program_section, resume
 from repro.common.chaoslib import ROW_SWEEP
-from repro.common.config import DistConfig, ObsConfig, SimConfig
+from repro.common.config import (DistConfig, ObsConfig, ParallelConfig,
+                                 SimConfig)
 from repro.obs.runrecord import SEMANTIC_FAMILIES
 
 N = 12
@@ -85,6 +86,12 @@ def snapshots(tmp_path_factory):
     return partial
 
 
+def _snapshots(spec: CkptSpec) -> list[str]:
+    return sorted(os.path.join(spec.dir, name)
+                  for name in os.listdir(spec.dir)
+                  if name.startswith("ckpt-"))
+
+
 def _partial_snapshot(tmp_path_factory, backend: str) -> str:
     pacing = PACING[backend]
     for _ in range(ATTEMPTS):
@@ -97,14 +104,27 @@ def _partial_snapshot(tmp_path_factory, backend: str) -> str:
                                 config=pacing.get("config"),
                                 faults=pacing.get("faults"), ckpt=writer)
         assert result.value == _oracle()
-        paths = sorted(os.path.join(spec.dir, name)
-                       for name in os.listdir(spec.dir)
-                       if name.startswith("ckpt-"))
+        paths = _snapshots(spec)
         final = load(paths[-1]).total_elements
         cuts = [p for p in paths if 0 < load(p).total_elements < final]
         if cuts:
             return cuts[len(cuts) // 2]
     pytest.fail(f"{backend}: no partial snapshot in {ATTEMPTS} runs")
+
+
+def test_pacing_is_not_held_to_the_poll(tmp_path):
+    # The supervisor's poll is slow; its wait still ends when the writer
+    # is next due, so a slowed run is cut every interval, not every poll.
+    spec = CkptSpec(dir=str(tmp_path), interval_s=0.01)
+    writer = CkptWriter(spec, program=program_section(ROW_SWEEP), args=(N,))
+    result = _program().run((N,), backend="parallel", parallelism=WIDTH,
+                            config=ParallelConfig(poll_interval_s=0.5),
+                            faults=PACING["parallel"]["faults"], ckpt=writer)
+    assert result.value == _oracle()
+    paths = _snapshots(spec)
+    final = load(paths[-1]).total_elements
+    assert len([p for p in paths[:-1]
+                if load(p).total_elements < final]) >= 2
 
 
 WAYS = {

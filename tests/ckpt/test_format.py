@@ -157,6 +157,21 @@ class TestSaveLoad:
         load(w.spec.dir)
         assert len(seen) == 1
 
+    def test_the_id_is_encoded_once(self, tmp_path, monkeypatch):
+        w = _written(tmp_path, {0: 1.0})
+        encoded = []
+        address = ckpt_format.content_address
+
+        def counting(doc):
+            encoded.append(doc)
+            return address(doc)
+
+        monkeypatch.setattr(ckpt_format, "content_address", counting)
+        r = load(w.spec.dir)
+        first, second = r.id, r.id
+        assert len(encoded) == 1
+        assert first == second == ckpt_id(r.doc)
+
     def test_unparsable_file_is_structured(self, tmp_path):
         path = tmp_path / LATEST
         path.write_text("{not json")

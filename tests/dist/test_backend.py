@@ -24,7 +24,7 @@ from repro.common.errors import NodeLossError
 from repro.common.retry import RetryPolicy
 from repro.dist.faults import DistFaultPlan
 from repro.dist.node import DistArray, NodeRuntime, _NodeInterpreter
-from repro.dist.protocol import RELEASE, SEND, NodeProtocol
+from repro.dist.protocol import RELEASE, REPORT, SEND, NodeProtocol
 from repro.runtime.arrays import ArrayHeader
 
 from tests.dist.test_cluster import Case, cases, run_case
@@ -277,7 +277,10 @@ class TestCrossings:
                      "replay": False})
         assert rt.loop.handovers == [(SEND, *write)]
         assert rt.endpoint.sent == [write]
-        assert rt.protocol.segments == {}
+        # Kept as a copy, stored by nothing here.
+        assert rt.protocol.segments[1].cells[63] == 2.5
+        assert rt.protocol.control({"t": "collect", "a": 1}) == [
+            (REPORT, {"t": "segment", "node": 0, "a": 1, "vals": {}})]
 
     @pytest.mark.parametrize("order, frames", [
         ("row", [_read(960, 32), _read(992, 64), _read(1056, 128),
@@ -336,7 +339,7 @@ class TestCrossings:
 
     def test_a_run_never_unsets_an_element_the_node_wrote(self, program):
         # Four executor threads write identity 1's elements on node 0
-        # (each kept in the node's list at once) while the loop thread
+        # (each kept in the node's cells at once) while the loop thread
         # applies runs of that segment from an owner that stored none of
         # them yet, and a few after: a run puts present elements in,
         # never None back.
@@ -366,8 +369,8 @@ class TestCrossings:
                 assert not thread.is_alive()
         finally:
             sys.setswitchinterval(interval)
-        assert rt.protocol.seen[1][lo:hi] == [off / 2
-                                              for off in range(lo, hi)]
+        assert rt.protocol.segments[1].cells[lo:hi] == [
+            off / 2 for off in range(lo, hi)]
 
     def test_a_run_holds_present_elements_clipped_to_the_owner(self):
         proto = _protocol(1, 2, SCAN_DIMS)
@@ -398,7 +401,8 @@ class TestHandOvers:
     """The loop-bound actions of each executor event, exact, over whole
     drawn cluster runs (``tests/dist/test_cluster.py``): an owned write
     that no peer waits for hands nothing to the loop, a remote write one
-    frame, a write that releases peers one frame per reader node, a read
+    frame, a write that releases peers one frame per reader node (a
+    remote write too, for peers parked on the copy it keeps), a read
     miss at most one."""
 
     @settings(max_examples=60, deadline=None)

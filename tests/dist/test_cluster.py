@@ -22,14 +22,15 @@ one global order (so no script can deadlock), each suspending until its
 waiter is released.  A takeover re-runs the lost identities' script in
 replay.
 
-Checked at every step: no stored value is overwritten and no seen
-element unset, every value is ``F``'s; a frame from a node the receiver
-has fenced changes nothing; no message is retransmitted past its budget
-and no more takeovers start than the retry budget allows.  At
-quiescence: the run finished and every identity's owner holds each of
-its written elements — rewritten or replayed after a takeover — with no
-waiter parked anywhere; or it ended in a classified abort (a loss the
-budget or the survivors could not heal).
+Checked at every step, on each node's one store (a segment's cells):
+no element a node holds is unset or changed, and none stored at an
+offset it owns ever goes; every value is ``F``'s; a frame from a node
+the receiver has fenced changes nothing; no message is retransmitted
+past its budget and no more takeovers start than the retry budget
+allows.  At quiescence: the run finished and every identity's owner
+holds each of its written elements — rewritten or replayed after a
+takeover — with no waiter parked anywhere; or it ended in a classified
+abort (a loss the budget or the survivors could not heal).
 """
 
 from __future__ import annotations
@@ -255,7 +256,9 @@ class Cluster:
             loop = [act for act in actions if act[0] != RELEASE]
             if any(act[0] == SEND and act[2]["t"] == "write"
                    for act in loop):
-                self.crossings.append(("remote write", len(loop), 1))
+                # The copy it keeps releases the peers parked there too.
+                self.crossings.append(("remote write", len(loop),
+                                       1 + len(set(readers))))
             else:
                 assert sorted(act[1] for act in loop) == sorted(readers)
                 self.crossings.append(("owned write", len(loop),
@@ -263,7 +266,7 @@ class Cluster:
             ex.pc += 1
             self._act(ex.node, actions)
             return
-        value = proto.seen[1][off]
+        value = proto.segments[1].cells[off]
         if value is not None:  # the probe's hit
             assert value == F(off)
             ex.pc += 1
@@ -384,15 +387,16 @@ class Cluster:
     # -- invariants ----------------------------------------------------------
 
     def check(self) -> None:
-        """Nothing stored or seen is ever lost or other than ``F``'s."""
+        """Nothing held or stored is ever lost or other than ``F``'s:
+        stored is held at an offset the node owns."""
         for k in self.running:
             proto = self.protos[k]
-            now = {("seen", off): v
-                   for off, v in enumerate(proto.seen.get(1, ()))
-                   if v is not None}
             seg = proto.segments.get(1)
-            now.update((("stored", off), v)
-                       for off, v in (seg.items() if seg else ()))
+            now = {}
+            for off, v in (seg.items() if seg else ()):
+                now[("held", off)] = v
+                if proto.owners[self.header.owner_of_offset(off)] == k:
+                    now[("stored", off)] = v
             assert all(v == F(key[1]) for key, v in now.items())
             lost = self.kept[k].keys() - now.keys()
             assert not lost, f"node {k} lost {sorted(lost)}"
@@ -408,12 +412,10 @@ class Cluster:
         assert isinstance(outcome, Finish), "quiescent but unfinished"
         written = {off for _, kind, off in self.case.ops if kind == "w"}
         for ident in range(self.case.nodes):
-            proto = self.protos[self.core.owners[ident]]
-            seg = proto.segments.get(1)
-            stored = dict(seg.items()) if seg else {}
+            cells = self.protos[self.core.owners[ident]].segments[1].cells
             for off in range(*self.header.segment_bounds(ident)):
                 if off in written:
-                    assert stored.get(off) == F(off), (ident, off)
+                    assert cells[off] == F(off), (ident, off)
         for k in self.core.live:
             proto = self.protos[k]
             assert not proto.pending
@@ -424,9 +426,9 @@ class Cluster:
 
 
 def _state(proto):
-    seg = proto.segments.get(1)
-    return (sorted(seg.items()) if seg else [],
-            {a: list(seen) for a, seen in proto.seen.items()},
+    return ({a: (list(seg.cells), seg.pending_offsets())
+             for a, seg in proto.segments.items()},
+            set(proto.stored_by_replay),
             {key: len(entry[2]) for key, entry in proto.pending.items()},
             list(proto.owners), set(proto.live), len(proto.reports))
 
@@ -474,8 +476,40 @@ A_FENCED_WRITE_AFTER_ITS_REPLAY = Case(
     kills=((3, 2, True),))
 
 
+# A node holding an element of an identity it then adopts: identity 1
+# writes element 2 and, foreign, element 1; node 0 reads 2 (a run brings
+# it) and node 1 is declared dead while it runs.  Node 0 already stores
+# element 2 when it adopts identity 1, so its replay's write of 2
+# verifies and is counted once; node 1's write of 1 arrives after node
+# 0's owner map fences it, and changes nothing.
+AN_ADOPTED_ELEMENT_HELD_HERE = Case(
+    nodes=2, page=2, length=4,
+    ops=((1, "w", 2), (0, "r", 2), (1, "w", 1)),
+    moves=(("control", 0), ("control", 1), ("run", 1), ("run", 0),
+           ("run", 0), ("peer", 0), ("peer", 1), ("control", 0),
+           ("control", 0), ("peer", 0)) + (("run", 1),) * 4,
+    kills=((7, 1, True),))
+
+
+# A run landing on an offset the receiving node owns, while a peer is
+# parked there: node 0 writes element 1 (node 1's) and keeps the copy;
+# node 2's read of 1 parks at node 1; node 1's two-element run from
+# node 0 brings 1 before node 0's write does.  The landing stores it
+# and releases node 2; the write, when it comes, verifies.
+A_RUN_OVER_A_PARKED_READ = Case(
+    nodes=3, page=1, length=3,
+    ops=((0, "w", 0), (0, "w", 1), (2, "w", 2), (1, "r", 2), (1, "r", 0),
+         (2, "r", 1)),
+    moves=(("control", 0), ("control", 1), ("control", 2), ("run", 0),
+           ("run", 0), ("run", 2), ("run", 2), ("peer", 1), ("run", 1),
+           ("peer", 1), ("peer", 1), ("run", 1), ("peer", 1), ("peer", 1),
+           ("peer", 0)))
+
+
 @example(case=RUN_OVER_A_LOCAL_WRITE)
 @example(case=A_FENCED_WRITE_AFTER_ITS_REPLAY)
+@example(case=AN_ADOPTED_ELEMENT_HELD_HERE)
+@example(case=A_RUN_OVER_A_PARKED_READ)
 @settings(max_examples=400, deadline=None)
 @given(case=cases())
 def test_every_drawn_schedule_finishes_equal_or_classified(case):
@@ -494,7 +528,32 @@ def test_a_run_is_applied_element_by_element():
     for kind, who in RUN_OVER_A_LOCAL_WRITE.moves:
         assert cluster.move(kind, who)
         cluster.check()
-    assert cluster.protos[0].seen[1][8:11] == [F(8), F(9), F(10)]
+    assert cluster.protos[0].segments[1].cells[8:11] == [F(8), F(9), F(10)]
+
+
+def test_an_adopted_element_held_here_is_replayed_once():
+    cluster = run_case(AN_ADOPTED_ELEMENT_HELD_HERE)
+    assert cluster.takeovers == 1 and cluster.core.owners == [0, 0]
+    [done] = [r for r in cluster.protos[0].reports
+              if r["t"] == "done" and r["slot"] == 1]
+    assert done["telemetry"]["replayed_present"] == 1
+
+
+def test_a_run_over_a_parked_read_releases_it():
+    cluster = Cluster(A_RUN_OVER_A_PARKED_READ)
+    moves = A_RUN_OVER_A_PARKED_READ.moves
+    for kind, who in moves[:-2]:
+        assert cluster.move(kind, who)
+    node1 = cluster.protos[1]
+    assert node1.segments[1].pending_offsets() == [1]  # node 2 parked
+    cluster.move(*moves[-2])  # the run from node 0 lands
+    assert node1.segments[1].pending_offsets() == []
+    assert [cluster.frames[c] for c in cluster.pool if c[1] == 2] == [
+        {"t": "rdy", "a": 1, "lo": 1, "v": [F(1)]}]
+    cluster.move(*moves[-1])  # node 0's write verifies
+    assert not cluster.reports[1]
+    cluster.settle([])
+    cluster.check_quiescent()
 
 
 def test_a_takeover_rebuilds_the_lost_segment():
@@ -511,5 +570,5 @@ def test_a_takeover_rebuilds_the_lost_segment():
     cluster.settle([])
     cluster.check_quiescent()
     assert cluster.takeovers == 1 and cluster.core.owners == [0, 0]
-    assert dict(cluster.protos[0].segments[1].items()) == {
-        off: F(off) for off in range(8)}
+    assert cluster.protos[0].segments[1].cells[:8] == [
+        F(off) for off in range(8)]

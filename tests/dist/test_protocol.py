@@ -143,7 +143,7 @@ def test_run_reply_holds_present_elements_only():
     # and the run ends at the page's last present one.
     assert proto.peer(1, _read(6, a=2)) == [
         (SEND, 1, _rdy(4, [0.5, None, 1.5], a=2))]
-    # Two pages, clipped to what this node stores (offsets 0..11).
+    # Two pages, and 64: each ends at the last present element.
     assert proto.peer(1, _read(6, 2 * PAGE, a=2)) == [
         (SEND, 1, _rdy(4, [0.5, None, 1.5, None, 2.5], a=2))]
     assert proto.peer(1, _read(3, 64 * PAGE, a=2)) == [
@@ -205,8 +205,9 @@ def test_a_checkpoint_seeds_the_owned_elements_and_every_list():
     [start] = proto.control({"t": "start", "owners": [0, 1], "live": [0, 1]})
     assert start == (START, (0,), 1, 0, True)  # a replay of its subrange
     assert _collect(proto) == {2: 5.0, 3: 7.0}
-    assert proto.seen[1][:4] == [None, None, 5.0, 7.0]
-    assert proto.seen[1][12] == 8.0  # not owned, but seen
+    cells = proto.array(ArrayHeader(1, (16,), PAGE, 2))
+    assert cells[:4] == [None, None, 5.0, 7.0]
+    assert cells[12] == 8.0  # not owned, but held
     assert proto.write(1, 2, 5.0, True) == []  # what a resume does
     assert _replayed(proto) == 1
     assert proto.control({"t": "start", "owners": [0, 1],

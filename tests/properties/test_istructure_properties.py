@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.errors import SingleAssignmentViolation
-from repro.runtime.istructure import ABSENT, IStructureSegment, PageCache
+from repro.runtime.istructure import IStructureSegment, PageCache
 
 
 @given(ops=st.lists(
@@ -32,10 +32,7 @@ def test_segment_invariants_under_random_ops(ops):
                 model[off] = value
                 assert woken == deferred.pop(off, [])
         elif op == "read":
-            present, got = seg.read(off)
-            assert present == (off in model)
-            if present:
-                assert got == model[off]
+            assert seg.get(off) == model.get(off)
         else:  # defer
             if off in model:
                 with pytest.raises(RuntimeError):
@@ -68,7 +65,7 @@ def test_page_snapshot_reflects_exact_presence(writes):
         if off in model:
             assert cells[off] == model[off]
         else:
-            assert cells[off] is ABSENT
+            assert cells[off] is None
 
 
 @given(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import SingleAssignmentViolation
-from repro.runtime.istructure import ABSENT, IStructureSegment, PageCache
+from repro.runtime.istructure import IStructureSegment, PageCache
 
 
 def deferred_count(seg, offset=None):
@@ -22,13 +22,11 @@ class TestSegmentBasics:
     def test_write_then_read(self):
         seg = IStructureSegment(1, 0, 10)
         assert seg.write(3, 42) == []
-        assert seg.get(3) is not ABSENT
-        assert seg.read(3) == (True, 42)
+        assert seg.get(3) == 42
 
     def test_read_absent(self):
         seg = IStructureSegment(1, 0, 10)
-        assert seg.get(0) is ABSENT
-        assert seg.read(0) == (False, None)
+        assert seg.get(0) is None
 
     def test_double_write_raises(self):
         seg = IStructureSegment(5, 0, 4)
@@ -59,17 +57,17 @@ class TestSegmentBasics:
     def test_offsets_respect_segment_range(self):
         seg = IStructureSegment(1, 100, 110)
         seg.write(100, "a")
-        assert seg.read(109) == (False, None)
+        assert seg.get(109) is None
         with pytest.raises(IndexError):
-            seg.read(99)
+            seg.get(99)
         with pytest.raises(IndexError):
             seg.write(110, "x")
 
     def test_get_returns_the_value_or_absent(self):
         seg = IStructureSegment(1, 100, 104)
-        assert seg.get(101) is ABSENT
-        seg.write(101, None)
         assert seg.get(101) is None
+        seg.write(101, 0)
+        assert seg.get(101) == 0
         seg.write(103, 7)
         assert seg.get(103) == 7
         for outside in (99, 104):
@@ -85,13 +83,27 @@ class TestSegmentBasics:
         assert 8 not in seg
         assert 3 not in seg
 
-    def test_none_is_a_legal_value(self):
+    def test_an_absent_cell_is_none(self):
+        # None marks absence, as in every store's list (program values
+        # are numbers); a falsy number is present like any other.
         seg = IStructureSegment(1, 0, 2)
-        seg.write(0, None)
-        assert seg.get(0) is not ABSENT
-        assert seg.read(0) == (True, None)
+        assert seg.cells == [None, None]
+        seg.write(0, 0)
+        assert seg.cells == [0, None]
+        assert seg.get(0) == 0 and seg.get(1) is None
+        assert list(seg.items()) == [(0, 0)]
         with pytest.raises(SingleAssignmentViolation):
-            seg.write(0, None)
+            seg.write(0, 0)
+
+    def test_grow_extends_the_same_cells(self):
+        # A dist node's handles keep probing the list they were given.
+        seg = IStructureSegment(1, 0, 0)
+        cells = seg.cells
+        seg.grow(4)
+        seg.write(3, 1.5)
+        seg.grow(2)  # never shrinks
+        assert seg.cells is cells and cells == [None, None, None, 1.5]
+        assert seg.hi == 4
 
 
 class TestDeferredReads:
@@ -133,9 +145,9 @@ class TestPageSnapshot:
         seg.write(2, 30)
         cells = seg.snapshot_page(0, 4)
         assert cells[0] == 10
-        assert cells[1] is ABSENT
+        assert cells[1] is None
         assert cells[2] == 30
-        assert cells[3] is ABSENT
+        assert cells[3] is None
 
     def test_snapshot_clipped_to_segment(self):
         seg = IStructureSegment(1, 4, 8)
@@ -164,7 +176,7 @@ class TestPageCache:
         # "the same page may be copied multiple times in the future as
         # references to previously empty elements are being made"
         cache = PageCache()
-        cache.install(2, 5, 160, [1, ABSENT, 3])
+        cache.install(2, 5, 160, [1, None, 3])
         hit, _ = cache.lookup(2, 5, 161)
         assert not hit
         # Refresh with the now-complete page.

@@ -42,10 +42,10 @@ whole cluster of them runs in one test process — and ``dist/node.py``,
 its shell, keeps none of its state: it constructs no
 ``IStructureSegment`` (only ``sim/`` and ``dist/protocol.py`` do), holds
 no segments and never assigns the pending reads, the owner map or the
-live set.  What a node has seen it keeps once, in one list per array
-that all its handles share — no cache or mirror beside it — and the
-shared stores' access counters are declared once, by
-``runtime.arrays.SharedHandle``.
+live set.  What a node holds it keeps once, in the cells of its one
+segment per array, which all its handles share — no list, cache or
+mirror beside it — and the shared stores' access counters are declared
+once, by ``runtime.arrays.SharedHandle``.
 
 And a recovery decision is made once: ``runtime/supervise.py`` is the
 supervision core both SPMD supervisors are shells around — it imports
@@ -413,14 +413,28 @@ def test_a_node_keeps_no_element_store_beside_its_memory():
     assert not held and not named, (
         f"dist/node.py lines {held + named}: the node's state is its "
         "NodeProtocol's, assigned only under the protocol's lock")
+    # ... and the protocol keeps no list of elements beside its segments:
+    # no ``seen`` store, nothing built as ``[None] * n``.
+    with open(os.path.join(root, "dist", "protocol.py")) as fh:
+        tree = ast.parse(fh.read())
+    lists = sorted(
+        n.lineno for n in ast.walk(tree)
+        if (isinstance(n, ast.Attribute) and n.attr == "seen")
+        or (isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+            and isinstance(n.left, ast.List)
+            and any(isinstance(e, ast.Constant) and e.value is None
+                    for e in n.left.elts)))
+    assert not lists, (
+        f"dist/protocol.py lines {lists}: a node's elements are the cells "
+        "of its segments (NodeProtocol.array returns them)")
 
 
 def test_a_node_keeps_one_list_per_array_and_one_counter_declaration():
-    """A ``dist`` node keeps each element it has seen once, in its one
-    list of the array: no cache or mirror beside it.  And the shared
-    stores' access counters are declared by ``runtime.arrays.SharedHandle``
-    alone: no other SPMD module sets one up, nor re-lists them in a
-    ``stats()``."""
+    """A ``dist`` node keeps each element it holds once, in the cells of
+    its one segment of the array: no cache or mirror beside it.  And the
+    shared stores' access counters are declared by
+    ``runtime.arrays.SharedHandle`` alone: no other SPMD module sets one
+    up, nor re-lists them in a ``stats()``."""
     root = os.path.dirname(repro.__file__)
     beside = []
     for name in ("node.py", "protocol.py"):
@@ -431,8 +445,8 @@ def test_a_node_keeps_one_list_per_array_and_one_counter_declaration():
                    and getattr(n, "attr", getattr(n, "name", None))
                    in ("cache", "caches", "mirror")]
     assert not beside, (
-        f"{beside}: a second copy of the elements the node has seen; "
-        "fill the node's list (NodeProtocol.array)")
+        f"{beside}: a second copy of the elements the node holds; "
+        "fill the node's segment (NodeProtocol.array)")
     counters = ("reads", "writes", "deferred_reads", "spin_wait_s",
                 "max_spin_wait_s", "replayed_present", "stall_reports",
                 "pages_touched")
