@@ -328,6 +328,8 @@ class CkptWriter:
 
     def snapshot(self, arrays, now: float | None = None) -> str:
         """Persist one checkpoint; returns the file path written."""
+        if now is not None:  # paced even if the write fails
+            self._next_due = now + self.spec.interval_s
         entries = [array_entry(seq, dims, elements)
                    for seq, dims, elements in arrays]
         doc = build_checkpoint(entries, epoch=self.snapshots,
@@ -341,8 +343,6 @@ class CkptWriter:
         _write(text, os.path.join(self.spec.dir, LATEST))
         self.snapshots += 1
         self.elements = sum(len(entry["elements"]) for entry in entries)
-        if now is not None:
-            self._next_due = now + self.spec.interval_s
         self.last_path = path
         return path
 

@@ -82,8 +82,9 @@ class NodeProtocol:
         self.started = False
         self.segments: dict[int, IStructureSegment] = {}
         self.replayed = 0  # replay writes verified since the last done
-        # Owned elements held before their original write could arrive.
-        self.stored_by_replay: set[tuple[int, int]] = set()
+        # Owned elements held before their original write could arrive
+        # (stored by a replay, a run's landing, or held when adopted).
+        self.held_first: set[tuple[int, int]] = set()
         self.headers: dict[int, ArrayHeader] = {}
         # (array, offset) -> [node asked, run asked for, waiters]
         self.pending: dict[tuple[int, int], list] = {}
@@ -240,7 +241,7 @@ class NodeProtocol:
             self.replayed += 1
             return []
         if replay:
-            self.stored_by_replay.add((a, off))
+            self.held_first.add((a, off))
         return waiters
 
     def _keep(self, seg: IStructureSegment, a: int, off: int,
@@ -250,7 +251,7 @@ class NodeProtocol:
         if seg.cells[off] is not None:
             return []
         if self.owners[self.headers[a].owner_of_offset(off)] == self.node:
-            self.stored_by_replay.add((a, off))
+            self.held_first.add((a, off))
         return self._release(a, off, value, seg.write(off, value))
 
     def _release(self, a: int, off: int, value, waiters: list) -> list:
@@ -269,7 +270,7 @@ class NodeProtocol:
         try:
             waiters = self._write(a, off, value, replay)
         except SingleAssignmentViolation as exc:
-            if ((a, off) in self.stored_by_replay
+            if ((a, off) in self.held_first
                     and self.segments[a].get(off) == value):
                 return []
             return self._report({
@@ -348,11 +349,9 @@ class NodeProtocol:
             for ident in rebound:
                 owner = owners[ident]
                 for off in range(*header.segment_bounds(ident)):
-                    if cells[off] is None:
-                        pass
-                    elif owner == self.node:
-                        self.stored_by_replay.add((a, off))
-                    else:
+                    if cells[off] is not None and owner == self.node:
+                        self.held_first.add((a, off))
+                    elif cells[off] is not None:
                         actions.append((SEND, owner, {
                             "t": "write", "a": a, "off": off,
                             "v": cells[off], "replay": True}))

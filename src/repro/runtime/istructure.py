@@ -64,6 +64,11 @@ class IStructureSegment:
             return self.cells[offset - self.lo]
         raise self._outside(offset)
 
+    def read(self, offset: int) -> tuple[bool, Any]:
+        """Non-destructive read: (present?, value-or-None)."""
+        value = self.get(offset)
+        return value is not None, value
+
     def defer(self, offset: int, waiter: Any) -> None:
         """Queue ``waiter`` until ``offset`` is written.
 
@@ -115,12 +120,9 @@ class IStructureSegment:
 
     def discard_waiters(self, stale: Callable[[Any], bool]) -> None:
         """Forget every queued waiter ``stale`` accepts (its reader died)."""
-        for offset, queue in list(self._deferred.items()):
-            keep = [w for w in queue if not stale(w)]
-            if keep:
-                self._deferred[offset] = keep
-            else:
-                del self._deferred[offset]
+        kept = {offset: [w for w in queue if not stale(w)]
+                for offset, queue in self._deferred.items()}
+        self._deferred = {offset: q for offset, q in kept.items() if q}
 
     def pending_offsets(self) -> list[int]:
         """Offsets that have deferred readers (deadlock diagnostics)."""

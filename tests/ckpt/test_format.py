@@ -186,7 +186,19 @@ class TestWriterPacing:
         assert not w.due(100.5)
         assert w.due(101.0)
 
-    FILL = ("function main(n) { A = array(n);"
+    def test_a_failed_write_still_paces_the_next(self, tmp_path):
+        """A wall-clock caller waits until ``next_due``: a write that
+        fails must move it, or a failing disk is retried at once."""
+        (tmp_path / "file").write_text("")
+        w = CkptWriter(CkptSpec(dir=str(tmp_path / "file"), interval_s=1.0))
+        assert not w.due(100.0)
+        assert w.due(101.0)
+        with pytest.raises(OSError):
+            w.snapshot([], now=101.0)
+        assert not w.due(101.5)
+        assert w.next_due() == 102.0
+
+    FILL =("function main(n) { A = array(n);"
             " for i = 1 to n { A[i] = i; } return A; }")
 
     def simulated_snapshots(self, tmp_path, **spec) -> tuple[int, int]:

@@ -428,7 +428,7 @@ class Cluster:
 def _state(proto):
     return ({a: (list(seg.cells), seg.pending_offsets())
              for a, seg in proto.segments.items()},
-            set(proto.stored_by_replay),
+            set(proto.held_first),
             {key: len(entry[2]) for key, entry in proto.pending.items()},
             list(proto.owners), set(proto.live), len(proto.reports))
 

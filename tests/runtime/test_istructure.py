@@ -23,10 +23,12 @@ class TestSegmentBasics:
         seg = IStructureSegment(1, 0, 10)
         assert seg.write(3, 42) == []
         assert seg.get(3) == 42
+        assert seg.read(3) == (True, 42)
 
     def test_read_absent(self):
         seg = IStructureSegment(1, 0, 10)
         assert seg.get(0) is None
+        assert seg.read(0) == (False, None)
 
     def test_double_write_raises(self):
         seg = IStructureSegment(5, 0, 4)
@@ -57,9 +59,9 @@ class TestSegmentBasics:
     def test_offsets_respect_segment_range(self):
         seg = IStructureSegment(1, 100, 110)
         seg.write(100, "a")
-        assert seg.get(109) is None
+        assert seg.read(109) == (False, None)
         with pytest.raises(IndexError):
-            seg.get(99)
+            seg.read(99)
         with pytest.raises(IndexError):
             seg.write(110, "x")
 
