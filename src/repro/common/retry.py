@@ -73,9 +73,10 @@ class RetryPolicy:
 # the ones recovery then heals); ``respawn``/``takeover`` are the two
 # healing actions; ``stall`` is a deferred-read watchdog report;
 # ``superseded`` is a zombie generation exiting on its own; ``exhausted``
-# marks a worker whose per-identity retry budget ran out.
+# marks a worker whose per-identity retry budget ran out; ``reissue`` a
+# takeover a promoted standby starts again because no node began it.
 EVENT_KINDS = ("failure", "respawn", "takeover", "stall", "superseded",
-               "exhausted", "failover")
+               "exhausted", "failover", "reissue")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""One node's protocol: every rule of a ``dist`` node, with no I/O.
+"""The ``dist`` protocols: every rule of a node and of the coordinator,
+with no I/O.
 
 A :class:`NodeProtocol` is the paper's PE (§4, §5.1) as a state machine.
 It owns all of one node's state:
@@ -50,19 +51,34 @@ node's identities this node holds to their new owner, if another —
 between the survivors' stores and the takeover re-execution the lost
 memory is rebuilt.
 
-The caller supplies the lock, so this module needs no thread, loop,
-socket, clock or future (``tests/test_layering.py``).
+A :class:`CoordinatorProtocol` is the coordinator's half.  Its events —
+a ``hello``, a node frame, a process exit, a tick, a checkpoint due, a
+round's deadline — return actions: ``(SEND, node, frame)`` and
+``(SNAPSHOT, arrays)``, a checkpoint to write.
+
+The caller supplies the lock and the time, so this module needs no
+thread, loop, socket, clock or future (``tests/test_layering.py``).
 """
 
 from __future__ import annotations
 
-from repro.common.errors import SingleAssignmentViolation
+from math import prod
+
+from repro.common.errors import SingleAssignmentViolation, WorkerFailure
+from repro.dist import reasons
 from repro.runtime.arrays import ArrayHeader
 from repro.runtime.istructure import IStructureSegment
-from repro.runtime.supervise import Fence, Start
+from repro.runtime.supervise import Abort, Fence, Finish, Start, Supervision
+from repro.runtime.values import ArrayValue
+from repro.sim.reliable import NetStats
 
-SEND, REPORT, RELEASE, START, EXIT = (
-    "send", "report", "release", "start", "exit")
+SEND, REPORT, RELEASE, START, EXIT, SNAPSHOT = (
+    "send", "report", "release", "start", "exit", "snapshot")
+
+# The node frames that are reports for the supervision core, and those
+# that answer a coordinator round (frame type -> the round's kind).
+_REPORTS = ("started", "done", "result", "err", "peer-lost")
+_ANSWERS = {"segment": "collect", "ckpt-state": "ckpt", "bye": "shutdown"}
 
 
 def _remote(waiter) -> bool:
@@ -160,9 +176,12 @@ class NodeProtocol:
                 self.gen = max(self.gen, int(msg.get("gen", 1)))
                 return self._ownermap(list(msg["owners"]), set(msg["live"]))
             if t == "collect":
+                # Every element held, not just those owned: a write to
+                # another node's element may still be on its way there.
+                seg = self.segments.get(msg["a"])
                 return [(REPORT, {"t": "segment", "node": self.node,
                                   "a": msg["a"],
-                                  "vals": self._owned(msg["a"])})]
+                                  "vals": dict(seg.items()) if seg else {}})]
             if t == "ckpt":
                 return [(REPORT, {"t": "ckpt-state", "node": self.node,
                                   "arrays": self._ckpt_state()})]
@@ -357,22 +376,18 @@ class NodeProtocol:
                             "v": cells[off], "replay": True}))
         return actions
 
-    def _owned(self, a: int) -> dict:
-        """Array ``a``'s present elements at the offsets this node owns."""
-        header = self.headers.get(a)
-        if header is None:
-            return {}
-        cells = self.segments[a].cells
-        return {off: cells[off]
-                for ident, node in enumerate(self.owners) if node == self.node
-                for off in range(*header.segment_bounds(ident))
-                if cells[off] is not None}
-
     def _ckpt_state(self) -> dict:
         """This node's owned elements, keyed for ``ckpt-state``."""
-        owned = {a: self._owned(a) for a in self.headers}
-        return {str(a): {"dims": list(self.headers[a].dims), "vals": vals}
-                for a, vals in owned.items() if vals}
+        state = {}
+        for a, header in self.headers.items():
+            cells = self.segments[a].cells
+            vals = {off: cells[off] for ident, node in enumerate(self.owners)
+                    if node == self.node
+                    for off in range(*header.segment_bounds(ident))
+                    if cells[off] is not None}
+            if vals:
+                state[str(a)] = {"dims": list(header.dims), "vals": vals}
+        return state
 
     def _seed_restore(self) -> None:
         """Pre-seed the segments from a ``pods-ckpt/v2`` snapshot.
@@ -392,20 +407,275 @@ class NodeProtocol:
                 seg.seed(off, value)
 
 
-def control_frames(core, actions: list) -> list[tuple[int, dict]]:
-    """The coordinator frames that carry out a supervision core's
-    ``Start`` and ``Fence`` actions, as ``(node, frame)`` pairs: a start
-    is the new owner map to every live node, then the adoption."""
-    frames = []
-    for act in actions:
-        if isinstance(act, Fence):
-            frames.append((act.member, {"t": "fence"}))
-        elif isinstance(act, Start):
-            frames += [(node, {"t": "ownermap", "owners": list(core.owners),
-                               "live": sorted(core.live),
-                               "gen": act.generation})
-                       for node in sorted(core.live)]
-            frames.append((act.member, {
-                "t": "adopt", "identities": list(act.identities),
-                "generation": act.generation, "slot": act.slot}))
-    return frames
+class CoordinatorProtocol:
+    """The coordinator's state, advanced only by events.
+
+    ``cfg`` is the run's :class:`~repro.common.config.DistConfig`;
+    ``expect`` the nodes a promoted standby waits for (their processes
+    alive), ``None`` on the primary, which waits for all; ``checkpoints``
+    whether a final checkpoint round follows the run.  It owns the
+    supervision core, registration (on a standby, the resync vote and
+    every report and death held until it ends), the routing of frames
+    and exits into core events, heartbeat silence and the rounds: a
+    broadcast whose answers are merged, closed when every node still in
+    it has answered or been lost.
+    """
+
+    def __init__(self, cfg, now: float, expect=None,
+                 checkpoints: bool = False) -> None:
+        self.cfg, self.checkpoints = cfg, checkpoints
+        self.sup = Supervision(cfg.nodes, cfg.retry, respawns=0, hosted=True,
+                               timeout_s=cfg.timeout_s, unit="node", now=now)
+        self.standby = expect is not None
+        self.expect = set(range(cfg.nodes) if expect is None else expect)
+        self.ports: dict[int, int] = {}  # registered node -> peer port
+        self.last_hb: dict[int, float] = {}
+        self.registered = False
+        self.vote: tuple = (0, None, None)  # (generation, owners, live)
+        # Standby, until the vote ends: (death?, node, report | exitcode).
+        self.held: list[tuple[bool, int, object]] = []
+        self.outcome = None  # the supervision core's Abort or Finish
+        self.rounds: dict[str, set[int]] = {}  # kind -> nodes not answered
+        self.gone: set[int] = set()  # nodes the coordinator saw lost
+        self.dims, self.collected = (), {}  # the collect's array
+        # array id -> (dims, {offset: value}); a monotone union across
+        # rounds — single assignment makes mixed-time replies a cut.
+        self.ckpt_arrays: dict[int, tuple[tuple, dict]] = {}
+        self.netstats = NetStats()
+        self.value = None
+
+    @property
+    def phase(self) -> str:
+        """What the run waits for: ``register``, ``run``, the final round
+        open (``collect``, ``ckpt``, ``shutdown``), or its ``end``."""
+        if isinstance(self.outcome, Abort):
+            return "end"
+        if not self.registered:
+            return "register"
+        if self.outcome is None:
+            return "run"
+        return next((kind for kind in ("collect", "ckpt", "shutdown")
+                     if kind in self.rounds), "end")
+
+    def missing(self) -> list[int]:
+        """The nodes registration still waits for."""
+        dead = {node for death, node, _ in self.held if death}
+        live = self.vote[2]
+        return sorted(node for node in self.expect - dead - set(self.ports)
+                      if live is None or node in live)
+
+    # -- events ------------------------------------------------------------
+
+    def hello(self, now: float, node: int, port: int,
+              resync: dict | None = None) -> list:
+        """A node registered; a rejoining one brings its ``resync``."""
+        self.ports[node] = port
+        self.last_hb[node] = now
+        if resync:
+            generation = int(resync.get("gen", 1))
+            if generation > self.vote[0]:  # later broadcasts supersede
+                self.vote = (generation, resync.get("owners"),
+                             resync.get("live"))
+            self.held += [(False, int(report.get("node", node)), report)
+                          for report in resync.get("reports", ())]
+        return self._register(now)
+
+    def frame(self, now: float, node: int, msg: dict) -> list:
+        """Any other frame: a heartbeat, a report, a round's answer."""
+        t = msg.get("t")
+        if t == "hb":
+            self.last_hb[node] = now
+        elif t in _ANSWERS:
+            return self._answer(node, _ANSWERS[t], msg)
+        elif t in _REPORTS and self.standby and not self.registered:
+            self.held.append((False, node, msg))
+        elif t in _REPORTS:
+            return self._report(now, node, msg)
+        return []
+
+    def exited(self, now: float, node: int, exitcode: int | None) -> list:
+        """``node``'s process is gone."""
+        if self.standby and not self.registered:
+            self.held.append((True, node, exitcode))
+            return self._register(now)
+        return self._lose(now, node, reasons.PROCESS_EXIT, exitcode,
+                          f"exitcode {'?' if exitcode is None else exitcode}")
+
+    def tick(self, now: float) -> list:
+        """Time passed: declare the silent lost, then start what is due."""
+        if not self.registered:
+            return []
+        actions, limit = [], self.cfg.heartbeat_timeout_s
+        for node in sorted(self.sup.live):
+            hb = self.last_hb.get(node)
+            if hb is not None and now - hb > limit:
+                actions += self._lose(now, node, reasons.HEARTBEAT_SILENCE,
+                                      None, f"{now - hb:.2f}s silent "
+                                            f"(threshold {limit:g}s)")
+        return actions + self._apply(self.sup.tick(now))
+
+    def checkpoint(self) -> list:
+        """A checkpoint is due: open a round, unless one is open."""
+        if self.phase != "run" or "ckpt" in self.rounds:
+            return []
+        return self._open("ckpt")
+
+    def close(self, kind: str) -> list:
+        """Round ``kind``'s deadline passed: it ends with what it has."""
+        return self._closed(kind) if kind in self.rounds else []
+
+    # -- the rules ---------------------------------------------------------
+
+    def _register(self, now: float) -> list:
+        """Once every expected node said ``hello``: a standby takes
+        command one generation past the vote's and replays what it held,
+        reports (``started`` too; twice is idempotent) before deaths, so
+        a loss the old coordinator healed is not healed twice.  A live
+        node that never took its start is started; a takeover no node
+        began starts again."""
+        if self.registered or self.missing():
+            return []
+        self.registered = True
+        sup, actions, began = self.sup, [], set()
+        if self.standby:
+            generation, owners, live = self.vote
+            sup.resume(now, owners, live, generation, self.ports)
+            actions = self._ownermap(sup.generation)
+            held, self.held = sorted(self.held, key=lambda e: e[0]), []
+            for death, node, what in held:
+                if death:
+                    actions += self.exited(now, node, what)
+                    continue
+                if what["t"] == "started":
+                    began.add(node)
+                actions += self._report(now, node, what)
+        fresh = sorted(sup.live & set(self.ports) - began)
+        start = {"t": "start", "owners": list(sup.owners),
+                 "live": sorted(sup.live),
+                 "peers": {str(node): [self.cfg.host, port]
+                           for node, port in sorted(self.ports.items())}}
+        actions += [(SEND, node, start) for node in fresh]
+        for node in fresh:
+            actions += self._apply(sup.started(now, node, node, (node,), 1))
+        return actions + self._apply(sup.reissue(now))
+
+    def _report(self, now: float, node: int, msg: dict) -> list:
+        t = msg["t"]
+        if t == "peer-lost":
+            return self._lose(now, msg["peer"], msg["reason"], None,
+                              f"unreachable from node {node}: "
+                              f"{msg['detail']}", reporter=node)
+        if t == "started":
+            return self._apply(self.sup.started(
+                now, node, msg["slot"], msg["identities"], msg["gen"]))
+        payload = {"done": msg.get("telemetry"), "result": msg.get("v"),
+                   "err": (msg.get("code"), msg.get("detail"))}[t]
+        return self._apply(self.sup.report(now, node, msg.get("slot", node),
+                                           msg.get("gen", 1), t, payload))
+
+    def _lose(self, now: float, node: int, reason: str,
+              exitcode: int | None, detail: str,
+              reporter: int | None = None) -> list:
+        """``node`` is lost.  Seen by the coordinator itself, it leaves
+        the rounds after the finish too, and a collect it has not
+        answered ends the run with this loss; a peer's report then
+        arbitrates nothing, and the node may still answer."""
+        kind = reasons.failure_kind(reason, exitcode)
+        detail = reasons.reason_string(reason, detail)
+        actions = self._apply(self.sup.lost(now, node, kind, exitcode,
+                                            detail, reporter))
+        if reporter is not None or isinstance(self.outcome, Abort):
+            return actions
+        self.gone.add(node)
+        if node in self.rounds.get("collect", ()):
+            self.rounds.clear()
+            self.outcome = Abort((WorkerFailure(
+                node, exitcode, kind, detail, self.sup.generation),),
+                f"node {node} lost before it answered the collect request",
+                True)
+            return actions
+        return actions + self._leave(node)
+
+    def _apply(self, actions: list) -> list:
+        """Frames for the supervision core's actions (a start: the owner
+        map to every live node, then the adoption); a fenced node leaves
+        every round; a finish opens the final rounds."""
+        out = []
+        for act in actions:
+            if isinstance(act, Fence):
+                out += [(SEND, act.member, {"t": "fence"})]
+                out += self._leave(act.member)
+            elif isinstance(act, Start):
+                out += self._ownermap(act.generation) + [(SEND, act.member, {
+                    "t": "adopt", "identities": list(act.identities),
+                    "generation": act.generation, "slot": act.slot})]
+            else:
+                self.outcome = act
+                self.rounds.pop("ckpt", None)  # the final round replaces it
+                if isinstance(act, Finish) and act.result[0] == "array":
+                    self.dims = tuple(act.result[1][1])
+                    out += self._open("collect", a=act.result[1][0])
+                elif isinstance(act, Finish):
+                    self.value = act.result[1]
+                    out += self._next("collect")
+        return out
+
+    def _ownermap(self, generation: int) -> list:
+        return [(SEND, node, {"t": "ownermap", "owners": list(self.sup.owners),
+                              "live": sorted(self.sup.live),
+                              "gen": generation})
+                for node in sorted(self.sup.live)]
+
+    def _open(self, kind: str, **fields) -> list:
+        """Ask every live node the coordinator has not seen lost."""
+        pending = self.rounds[kind] = self.sup.live - self.gone
+        frame = {"t": kind, **fields}
+        return ([(SEND, node, frame) for node in sorted(pending)]
+                if pending else self._closed(kind))
+
+    def _answer(self, node: int, kind: str, msg: dict) -> list:
+        """Merge ``node``'s answer into the open round ``kind``; a node not
+        in it (fenced, lost, or answered already) changes nothing."""
+        if node not in self.rounds.get(kind, ()):
+            return []
+        if kind == "collect":
+            self.collected.update((int(off), value)
+                                  for off, value in msg["vals"].items())
+        elif kind == "ckpt":
+            for key, entry in msg.get("arrays", {}).items():
+                self.ckpt_arrays.setdefault(int(key), (tuple(entry.get(
+                    "dims", ())), {}))[1].update(
+                    (int(off), value) for off, value in entry["vals"].items())
+        else:
+            self.netstats.add(msg.get("netstats") or {})
+        return self._leave(node)
+
+    def _leave(self, node: int) -> list:
+        """``node`` answered or was lost: a round left waiting for
+        nobody closes."""
+        actions = []
+        for kind, pending in list(self.rounds.items()):
+            if node in pending:
+                pending.discard(node)
+                if not pending:
+                    actions += self._closed(kind)
+        return actions
+
+    def _closed(self, kind: str) -> list:
+        del self.rounds[kind]
+        actions = []
+        if kind == "collect":
+            self.value = ArrayValue(self.dims, [
+                self.collected.get(off) for off in range(prod(self.dims))])
+        elif kind == "ckpt":
+            actions = [(SNAPSHOT, [(aid, dims, vals) for aid, (dims, vals)
+                                   in sorted(self.ckpt_arrays.items())])]
+        if self.outcome is None or kind == "shutdown":
+            return actions
+        return actions + self._next(kind)
+
+    def _next(self, kind: str) -> list:
+        """The final round after ``kind``'s: a checkpoint, then shutdown."""
+        if self.checkpoints and kind == "collect":
+            return self._open("ckpt")
+        return self._open("shutdown")

@@ -1,18 +1,15 @@
 """Canonical peer-loss / node-loss reason taxonomy.
 
 Both layers that can declare a peer dead — the socket transport
-(:mod:`repro.dist.transport`) and the coordinator's supervision loop
-(:mod:`repro.dist.coordinator`) — used to format free-form reason
-strings.  The recovery log, the ``peer-lost`` control frames and the
-structured-abort messages all carry these strings, so drift between the
-two producers made the taxonomy unmergeable.  Every loss reason is now
-one of the named constants below; it travels — through the transport's
-lost-callback and in a ``peer-lost`` frame — as its own field beside
-the free-form detail, and :func:`reason_string` is the one place the
-two are formatted together for a human (``"<reason>: <detail>"``).
+(:mod:`repro.dist.transport`) and the coordinator's core
+(:class:`repro.dist.protocol.CoordinatorProtocol`) — name every loss
+reason by one of the constants below.  It travels — through the
+transport's lost-callback and in a ``peer-lost`` frame — as its own
+field beside the free-form detail, and :func:`reason_string` is the one
+place the two are joined for a human (``"<reason>: <detail>"``).
 
 ``FAILURE_KIND`` maps each reason onto the two-valued failure taxonomy
-used by :class:`repro.common.retry.WorkerFailure` and the recovery log:
+of :class:`repro.common.errors.WorkerFailure` and the recovery log:
 ``"lost"`` (the peer went silent; its process may be alive) versus
 ``"crash"`` (the process provably exited non-zero).  A test asserts the
 mapping is total over ``ALL_REASONS``.
@@ -24,7 +21,7 @@ from __future__ import annotations
 RECONNECT_EXHAUSTED = "reconnect-exhausted"
 RETRANSMIT_EXHAUSTED = "retransmit-exhausted"
 
-# -- coordinator-detected (supervision loop) -----------------------------
+# -- coordinator-detected ------------------------------------------------
 HEARTBEAT_SILENCE = "heartbeat-silence"
 PROCESS_EXIT = "process-exit"
 CONNECTION_CLOSED = "connection-closed"

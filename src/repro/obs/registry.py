@@ -79,9 +79,6 @@ class MetricRow:
     labels: tuple
     value: object
 
-    def labels_dict(self) -> dict:
-        return dict(self.labels)
-
 
 class MetricsRegistry:
     """Counters, gauges and histograms with explicit labels."""

@@ -187,12 +187,6 @@ class Instant(NamedTuple):
         return (f"{self.time_us:12.1f}us  PE{self.pe:<3d} "
                 f"{self.kind:<14s} {self.detail}")
 
-    def golden_line(self) -> str:
-        """``seq pe unit kind sp``: no times or details, so a golden
-        fixture fails only when the scheduling drifts."""
-        sp = "-" if self.sp is None else str(self.sp)
-        return f"{self.seq} {self.pe} {self.unit or '-'} {self.kind} {sp}"
-
 
 class SpanLog:
     """Everything one simulated run records (see the module docstring)."""

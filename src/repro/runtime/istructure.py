@@ -153,6 +153,10 @@ class PageCache:
     will, in general, be present at the time the page is transmitted" -
     Section 4).  There is no eviction in the paper's model.  The
     simulator counts hits and misses in its ``PEStats``.
+
+    :meth:`install` replaces a page: a snapshot sent before a value
+    reply and arriving after it (latency grows with size) drops the
+    value :meth:`install_element` put there, and its next read misses.
     """
 
     def __init__(self) -> None:

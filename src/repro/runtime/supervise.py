@@ -186,9 +186,7 @@ class Supervision:
             actions.append(ex)
         if now >= self.deadline:
             return actions + self._expire()
-        covered = {i for ex in self.running.values() for i in ex.identities}
-        covered.update(i for _, ex in self.pending for i in ex.identities)
-        uncovered = sorted(self.remaining - covered)
+        uncovered = self._uncovered()
         if uncovered:  # a safety net no event sequence reaches
             return actions + self._abort(
                 [WorkerFailure(uncovered[0], None, "lost", "identity left "
@@ -196,6 +194,23 @@ class Supervision:
                 f"no live {self.unit} or pending start covers identities "
                 f"{uncovered}")
         return actions + self._settle()
+
+    def reissue(self, now: float) -> list:
+        """A promoted standby, after its replay: each identity no
+        execution runs or waits to start whose owner is live — a
+        takeover the dead coordinator ordered that no node began —
+        starts again there.  Its loss was counted once already."""
+        starts = []
+        for ident in self._uncovered() if self.outcome is None else ():
+            if self.owners[ident] in self.live:
+                self.generation += 1
+                starts.append(Start(self.owners[ident], ident, (ident,),
+                                    self.generation, "takeover"))
+                self._run(starts[-1])
+                self._record(now, "reissue", ident, self.generation,
+                             f"started again on {self.unit} "
+                             f"{self.owners[ident]}")
+        return starts
 
     def due(self) -> float:
         """The latest instant the next :meth:`tick` is wanted."""
@@ -304,6 +319,12 @@ class Supervision:
             "(missing write -> deadlock)")
 
     # -- bookkeeping -------------------------------------------------------
+
+    def _uncovered(self) -> list[int]:
+        """Unfinished identities no execution runs or waits to start."""
+        covered = {i for ex in self.running.values() for i in ex.identities}
+        covered.update(i for _, ex in self.pending for i in ex.identities)
+        return sorted(self.remaining - covered)
 
     def _run(self, ex: Start) -> None:
         self.running[ex.slot] = ex

@@ -54,6 +54,6 @@ def test_option_is_honoured(name, option, backend, compiled):
     assert got.value == oracle
 
     if METRICS in get_backend(backend).capabilities:
-        filtered = {row.labels_dict()["block"]
+        filtered = {dict(row.labels)["block"]
                     for row in got.registry.select("rf.subrange")}
         assert filtered == set(program.partition_report.distributed)

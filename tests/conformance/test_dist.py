@@ -35,8 +35,8 @@ DIST_APPS = sorted(APPS)
 
 def _rf_rows(reg):
     return sorted(
-        (r.labels_dict()["pe"], r.labels_dict()["first"],
-         r.labels_dict()["last"])
+        (dict(r.labels)["pe"], dict(r.labels)["first"],
+         dict(r.labels)["last"])
         for r in reg.select("rf.subrange"))
 
 

@@ -23,8 +23,8 @@ pytestmark = pytest.mark.conformance
 
 def _rf_rows(reg):
     return sorted(
-        (r.labels_dict()["pe"], r.labels_dict()["first"],
-         r.labels_dict()["last"])
+        (dict(r.labels)["pe"], dict(r.labels)["first"],
+         dict(r.labels)["last"])
         for r in reg.select("rf.subrange"))
 
 
@@ -52,7 +52,7 @@ def test_semantic_metric_families_agree(app, pes, runner):
 
 
 def _pages_by_array(reg) -> dict[str, float]:
-    return {r.labels_dict()["array"]: r.value
+    return {dict(r.labels)["array"]: r.value
             for r in reg.select("array.pages_touched")}
 
 
@@ -90,6 +90,6 @@ def test_wait_attribution_is_structural(app, runner):
     par = runner(app, "parallel", PES[0])
     for reg in (sim.registry, par.registry):
         for row in reg.select("wait.us"):
-            labels = row.labels_dict()
+            labels = dict(row.labels)
             assert set(labels) == {"pe", "cause"}
             assert labels["cause"] in causes

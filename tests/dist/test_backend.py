@@ -86,7 +86,7 @@ class TestHealthyRuns:
         reg = r.registry
         assert reg.total("array.element_writes") > 0
         assert reg.total("rf.items") > 0
-        assert any(row.labels_dict().get("cause") == "remote-read"
+        assert any(dict(row.labels).get("cause") == "remote-read"
                    for row in reg.select("wait.us"))
 
     def test_array_result_gathers_segments(self, oracle):
@@ -277,10 +277,13 @@ class TestCrossings:
                      "replay": False})
         assert rt.loop.handovers == [(SEND, *write)]
         assert rt.endpoint.sent == [write]
-        # Kept as a copy, stored by nothing here.
+        # Kept as a copy, stored by nothing here (no checkpoint holds
+        # it); the collect carries it, as the write may be on its way.
         assert rt.protocol.segments[1].cells[63] == 2.5
+        assert rt.protocol.control({"t": "ckpt"}) == [
+            (REPORT, {"t": "ckpt-state", "node": 0, "arrays": {}})]
         assert rt.protocol.control({"t": "collect", "a": 1}) == [
-            (REPORT, {"t": "segment", "node": 0, "a": 1, "vals": {}})]
+            (REPORT, {"t": "segment", "node": 0, "a": 1, "vals": {63: 2.5}})]
 
     @pytest.mark.parametrize("order, frames", [
         ("row", [_read(960, 32), _read(992, 64), _read(1056, 128),

@@ -1,36 +1,43 @@
 """A whole ``dist`` cluster in one process, its schedule drawn.
 
-N :class:`~repro.dist.protocol.NodeProtocol` s, one
-:class:`~repro.runtime.supervise.Supervision` core standing in for the
-coordinator (its actions become frames through the coordinator's own
-:func:`~repro.dist.protocol.control_frames`) and
+N :class:`~repro.dist.protocol.NodeProtocol` s, the coordinator's own
+:class:`~repro.dist.protocol.CoordinatorProtocol` and
 :class:`~repro.sim.reliable.ReliableNet` bookkeeping for the peer
 channels.  Every peer frame in flight sits in one pool; coordinator
 frames and reports travel in order per node, as on their TCP links.
 Hypothesis draws which move comes next: run an executor one access,
 deliver, duplicate, drop or retransmit a peer frame, cut a pair of nodes
 apart (their frames in flight are lost), deliver a coordinator frame or
-a report — and which node dies when, by a crash or by being declared
-dead while it still runs (a zombie, until its fence frame arrives).
-When the drawn moves run out the cluster is driven fairly to
-quiescence.
+a report — and which node dies when, by a crash (its process exit is a
+coordinator event) or by falling silent while it still runs (a zombie,
+declared lost by the coordinator's heartbeat check and running until
+its fence frame arrives).  At most once, the coordinator dies: of each
+node's link, a drawn prefix of the reports in flight reached it and a
+drawn prefix of its frames reaches the node, the rest are lost; then a
+standby coordinator is built from the running nodes' rejoins
+(:meth:`~repro.dist.protocol.NodeProtocol.resync`), in a drawn order,
+with drawn node deaths before and during its vote.  When the drawn moves
+run out the cluster is driven fairly to quiescence.
 
 An executor is a drawn access script over array 1: its identities'
 writes of ``F(off)`` — most to elements their identity owns, some to
 another's — and reads of any written offset, placed after its write in
 one global order (so no script can deadlock), each suspending until its
-waiter is released.  A takeover re-runs the lost identities' script in
-replay.
+waiter is released.  Identity 0 returns the array.  A takeover re-runs
+the lost identities' script in replay.
 
 Checked at every step, on each node's one store (a segment's cells):
 no element a node holds is unset or changed, and none stored at an
 offset it owns ever goes; every value is ``F``'s; a frame from a node
 the receiver has fenced changes nothing; no message is retransmitted
-past its budget and no more takeovers start than the retry budget
-allows.  At quiescence: the run finished and every identity's owner
-holds each of its written elements — rewritten or replayed after a
-takeover — with no waiter parked anywhere; or it ended in a classified
-abort (a loss the budget or the survivors could not heal).
+past its budget and no coordinator starts more takeovers than the retry
+budget allows.  At quiescence: the coordinator collected the array a
+run without faults returns and shut down, every identity's owner holds
+each of its written elements — rewritten or replayed after a takeover —
+with no waiter parked anywhere; or the run ended in a classified abort
+(a loss the budget or the survivors could not heal, or a node lost
+before it answered the collect).  The recovery log holds one
+``failover`` event per coordinator death.
 """
 
 from __future__ import annotations
@@ -43,11 +50,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.common.config import DistConfig
 from repro.common.retry import RetryPolicy
 from repro.dist.protocol import (RELEASE, REPORT, SEND, START,
-                                 NodeProtocol, control_frames)
+                                 CoordinatorProtocol, NodeProtocol)
 from repro.runtime.arrays import ArrayHeader
-from repro.runtime.supervise import Abort, Finish, Supervision
+from repro.runtime.supervise import Abort
 from repro.sim.reliable import ReliableNet
 
 RETRANSMITS = 4  # per message, as ``DistConfig.retransmit_budget``
@@ -69,6 +77,10 @@ class Case:
     moves: tuple = ()  # (move, who)
     kills: tuple = ()  # (step, node, zombie)
     budget: int = 2  # RetryPolicy.max_retries_total
+    # (step, control frames kept per node, reports read per node,
+    # rejoin order, deaths as (hellos before, node); -1: before the
+    # standby is built)
+    failover: tuple | None = None
 
 
 @st.composite
@@ -95,7 +107,15 @@ def cases(draw):
                 tuple(draw(st.lists(st.tuples(
                     st.integers(0, 24), st.integers(0, nodes - 1),
                     st.booleans()), max_size=2))),
-                draw(st.integers(0, 2)))
+                draw(st.integers(0, 2)),
+                draw(st.none() | st.tuples(
+                    st.integers(0, 40),
+                    st.tuples(*[st.integers(0, 4)] * nodes),
+                    st.tuples(*[st.integers(0, 4)] * nodes),
+                    st.permutations(range(nodes)).map(tuple),
+                    st.lists(st.tuples(st.integers(-1, nodes - 1),
+                                       st.integers(0, nodes - 1)),
+                             max_size=1).map(tuple))))
 
 
 class _Waiter:
@@ -125,25 +145,27 @@ class Cluster:
                        for k in range(n)]
         self.running = set(range(n))  # processes not dead
         self.forgotten = {k: set() for k in range(n)}
+        self.silent: set[int] = set()  # zombies: running, no heartbeat
         self.now = 0.0
-        self.core = Supervision(n, RetryPolicy(
-            max_retries_total=case.budget, backoff_base_s=0.01,
-            backoff_max_s=0.01), respawns=0, hosted=True, timeout_s=1e9,
-            unit="node", now=0.0)
+        # One tick is a second: a node silent for one is lost.
+        self.cfg = DistConfig(nodes=n, timeout_s=1e9, heartbeat_timeout_s=0.5,
+                              retry=RetryPolicy(max_retries_total=case.budget,
+                                                backoff_base_s=0.01,
+                                                backoff_max_s=0.01))
         self.net = ReliableNet()
         self.pool: list[tuple[int, int, int]] = []  # (src, dst, seq)
         self.frames: dict[tuple[int, int, int], dict] = {}
         self.control = {k: deque() for k in range(n)}
         self.reports = {k: deque() for k in range(n)}
         self.executors: list[_Executor] = []
-        self.takeovers = 0
+        self.takeovers = 0  # adopt frames, over every coordinator
+        self.failovers = 0
         # (event, loop-bound actions, the count the event calls for)
         self.crossings: list[tuple[str, int, int]] = []
         self.kept = {k: {} for k in range(n)}  # every value seen so far
+        self.coord = CoordinatorProtocol(self.cfg, 0.0)
         for k in range(n):
-            self.control[k].append({"t": "start", "owners": list(range(n)),
-                                    "live": list(range(n))})
-            self.core.started(0.0, k, k, (k,), 1)
+            self._apply(self.coord.hello(0.0, k, k))
 
     # -- moves ---------------------------------------------------------------
 
@@ -187,25 +209,67 @@ class Cluster:
 
     def kill(self, node: int, zombie: bool) -> None:
         """A crash (the process is gone, its sentinel fires) or a zombie
-        (declared dead for its silence, running until fenced)."""
+        (silent from now on, declared lost at the next tick, running
+        until fenced)."""
         if node not in self.running:
             return
-        if not zombie:
-            self._crash(node)
-        self._apply(self.core.lost(self.now, node,
-                                   "lost" if zombie else "crash",
-                                   None if zombie else -9, "drawn"))
+        if zombie:
+            self.silent.add(node)
+        else:
+            self._crash(node, -9)
 
     def tick(self) -> None:
         self.now += 1.0
-        self._apply(self.core.tick(self.now))
+        for k in sorted(self.running - self.silent):
+            self.coord.frame(self.now, k, {"t": "hb", "node": k})
+        self._apply(self.coord.tick(self.now))
 
-    def settle(self, kills: list, limit: int = 5000) -> None:
+    def fail_over(self, control: tuple, reports: tuple, order: tuple,
+                  deaths: tuple) -> None:
+        """The coordinator dies.  Node ``k``'s first ``reports[k]``
+        reports in flight reached it, and its first ``control[k]``
+        frames reach ``k``, which takes them before it notices the link
+        close; the rest are lost.  A standby is built from the running
+        nodes and watches every process; each node rejoins in ``order``
+        with its resync, and ``deaths`` ((hellos before, node), -1:
+        before the standby is built) crash meanwhile."""
+        for k in range(self.case.nodes):
+            for _ in range(min(reports[k], len(self.reports[k]))):
+                self._report(k, self.reports[k].popleft())
+        for k in range(self.case.nodes):
+            self.reports[k].clear()
+            while len(self.control[k]) > control[k]:
+                self.control[k].pop()
+        for _, node in [d for d in deaths if d[0] < 0]:
+            self._crash(node, -9)
+        self.coord = CoordinatorProtocol(self.cfg, self.now,
+                                         expect=set(self.running))
+        self.failovers += 1
+        for k in sorted(set(range(self.case.nodes)) - self.running):
+            self._apply(self.coord.exited(self.now, k, -9))
+        for i, k in enumerate(order):
+            for _, node in [d for d in deaths if d[0] == i]:
+                self._crash(node, -9)
+            if k not in self.running:
+                continue
+            while self.control[k]:
+                self._control(k, self.control[k].popleft())
+            self.reports[k].clear()  # written to the dead link
+            if k in self.running:
+                self._apply(self.coord.hello(self.now, k, k,
+                                             self.protos[k].resync()))
+
+    def settle(self, kills: list, failover=None,
+               limit: int = 5000) -> None:
         """Drive every party fairly until nothing moves, killing each of
-        ``kills`` ((round, node, zombie), in order) at its round."""
+        ``kills`` ((round, node, zombie), in order) and the coordinator
+        (``failover``) at its round."""
         for step in range(limit):
             while kills and kills[0][0] <= step:
                 self.kill(*kills.pop(0)[1:])
+            if failover and failover[0] <= step:
+                self.fail_over(*failover[1:])
+                failover = None
             self.tick()
             moved = False
             for k in range(self.case.nodes):
@@ -225,7 +289,7 @@ class Cluster:
                 self._step(ex)
                 moved = True
             self.check()
-            if not moved and not kills and not self.core.pending:
+            if not (moved or kills or failover or self.coord.sup.pending):
                 return
         raise AssertionError("no quiescence: the cluster livelocked")
 
@@ -242,7 +306,7 @@ class Cluster:
             if 0 in ex.identities:
                 self._act(ex.node, proto.emit(
                     ex.slot, ex.generation, ex.identities, "result",
-                    ["ok", 0.0]))
+                    ["array", [1, [self.case.length]]]))
             self._act(ex.node, proto.emit(ex.slot, ex.generation,
                                           ex.identities, "done", {}))
             return
@@ -305,13 +369,17 @@ class Cluster:
                     node, slot, generation, identities, replay,
                     self.case.ops, self.case.page))
             else:  # EXIT
-                self._crash(node)
+                self._crash(node, 0)
 
-    def _crash(self, node: int) -> None:
+    def _crash(self, node: int, exitcode: int) -> None:
+        """``node``'s process ends, and the coordinator sees it."""
+        if node not in self.running:
+            return
         self.running.discard(node)
         for (src, _), ch in self.net.channels.items():
             if src == node:
                 ch.unacked.clear()  # nobody left to retransmit
+        self._apply(self.coord.exited(self.now, node, exitcode))
 
     def _deliver(self, src: int, dst: int, seq: int) -> None:
         if dst not in self.running:
@@ -356,6 +424,10 @@ class Cluster:
     def _control(self, node: int, msg: dict) -> None:
         if node not in self.running:
             return
+        if msg["t"] == "shutdown":  # the shell's bye; the node runs on,
+            # so that frames in flight still land
+            self.reports[node].append({"t": "bye", "node": node,
+                                       "netstats": {}})
         actions = self.protos[node].control(msg)
         if msg["t"] == "ownermap":  # the shell forgets the dead
             for dead in set(range(self.case.nodes)) - set(msg["live"]):
@@ -368,21 +440,14 @@ class Cluster:
     # -- the coordinator -----------------------------------------------------
 
     def _report(self, node: int, msg: dict) -> None:
-        t = msg["t"]
-        if t == "peer-lost":
-            self._apply(self.core.lost(self.now, msg["peer"], "lost", None,
-                                       msg["detail"], reporter=node))
-            return
-        payload = {"done": msg.get("telemetry"), "result": msg.get("v"),
-                   "err": (msg.get("code"), msg.get("detail"))}.get(t)
-        self._apply(self.core.report(self.now, node, msg["slot"],
-                                     msg["gen"], t, payload))
+        self._apply(self.coord.frame(self.now, node, msg))
 
     def _apply(self, actions: list) -> None:
-        for node, frame in control_frames(self.core, actions):
+        """What the coordinator's shell does with its core's actions."""
+        for _, node, frame in actions:  # no checkpoints here: all SENDs
             self.takeovers += frame["t"] == "adopt"
             self.control[node].append(frame)
-        assert self.takeovers <= self.case.budget
+        assert self.coord.sup.log.takeovers <= self.case.budget
 
     # -- invariants ----------------------------------------------------------
 
@@ -403,26 +468,31 @@ class Cluster:
             self.kept[k] = now
 
     def check_quiescent(self) -> None:
-        outcome = self.core.outcome
+        coord = self.coord
+        assert coord.sup.log.failovers == self.failovers
+        outcome = coord.outcome
         if isinstance(outcome, Abort):
             assert outcome.member_lost and outcome.failures, outcome
-            assert (self.core.retries > self.case.budget
-                    or not self.core.live), outcome
+            assert (coord.sup.retries > self.case.budget or not coord.sup.live
+                    or "collect" in outcome.message), outcome
             return
-        assert isinstance(outcome, Finish), "quiescent but unfinished"
+        assert coord.phase == "end", f"quiescent in phase {coord.phase}"
         written = {off for _, kind, off in self.case.ops if kind == "w"}
+        assert coord.value.dims == (self.case.length,)
+        assert coord.value.flat == [F(off) if off in written else None
+                                    for off in range(self.case.length)]
         for ident in range(self.case.nodes):
-            cells = self.protos[self.core.owners[ident]].segments[1].cells
+            cells = self.protos[coord.sup.owners[ident]].segments[1].cells
             for off in range(*self.header.segment_bounds(ident)):
                 if off in written:
                     assert cells[off] == F(off), (ident, off)
-        for k in self.core.live:
+        for k in coord.sup.live:
             proto = self.protos[k]
             assert not proto.pending
             assert not any(seg.pending_offsets()
                            for seg in proto.segments.values())
         assert not any(ex.waiting for ex in self.executors
-                       if ex.node in self.core.live)
+                       if ex.node in coord.sup.live)
 
 
 def _state(proto):
@@ -437,15 +507,20 @@ def run_case(case: Case) -> Cluster:
     """The drawn moves, then fair rounds to quiescence; node deaths at
     their step, counting a move or a round as one."""
     cluster = Cluster(case)
-    kills = sorted(case.kills)
+    kills, failover = sorted(case.kills), case.failover
     for step, (kind, who) in enumerate(case.moves):
         while kills and kills[0][0] <= step:
             cluster.kill(*kills.pop(0)[1:])
+        if failover and failover[0] <= step:
+            cluster.fail_over(*failover[1:])
+            failover = None
         cluster.tick()
         cluster.move(kind, who)
         cluster.check()
     cluster.settle([(step - len(case.moves), node, zombie)
-                    for step, node, zombie in kills])
+                    for step, node, zombie in kills],
+                   failover and (failover[0] - len(case.moves),)
+                   + failover[1:])
     cluster.check_quiescent()
     return cluster
 
@@ -473,7 +548,7 @@ A_FENCED_WRITE_AFTER_ITS_REPLAY = Case(
     moves=(("control", 0), ("control", 1), ("control", 2), ("control", 0),
            ("control", 0), ("run", 3), ("peer", 0), ("run", 2),
            ("peer", 0)),
-    kills=((3, 2, True),))
+    kills=((2, 2, True),))
 
 
 # A node holding an element of an identity it then adopts: identity 1
@@ -488,7 +563,7 @@ AN_ADOPTED_ELEMENT_HELD_HERE = Case(
     moves=(("control", 0), ("control", 1), ("run", 1), ("run", 0),
            ("run", 0), ("peer", 0), ("peer", 1), ("control", 0),
            ("control", 0), ("peer", 0)) + (("run", 1),) * 4,
-    kills=((7, 1, True),))
+    kills=((6, 1, True),))
 
 
 # A run landing on an offset the receiving node owns, while a peer is
@@ -506,7 +581,18 @@ A_RUN_OVER_A_PARKED_READ = Case(
            ("peer", 0)))
 
 
+# A write still on its way to its owner when the coordinator collects:
+# identity 1 writes element 0 (node 0's) and finishes; the write frame
+# is dropped, so node 0 answers the collect without it.  The writer's
+# copy is in node 1's answer.
+A_WRITE_IN_FLIGHT_AT_THE_COLLECT = Case(
+    nodes=2, page=1, length=2, ops=((1, "w", 0),),
+    moves=(("control", 0), ("run", 0), ("control", 1), ("run", 0),
+           ("run", 0), ("drop", 0)), budget=0)
+
+
 @example(case=RUN_OVER_A_LOCAL_WRITE)
+@example(case=A_WRITE_IN_FLIGHT_AT_THE_COLLECT)
 @example(case=A_FENCED_WRITE_AFTER_ITS_REPLAY)
 @example(case=AN_ADOPTED_ELEMENT_HELD_HERE)
 @example(case=A_RUN_OVER_A_PARKED_READ)
@@ -533,7 +619,7 @@ def test_a_run_is_applied_element_by_element():
 
 def test_an_adopted_element_held_here_is_replayed_once():
     cluster = run_case(AN_ADOPTED_ELEMENT_HELD_HERE)
-    assert cluster.takeovers == 1 and cluster.core.owners == [0, 0]
+    assert cluster.takeovers == 1 and cluster.coord.sup.owners == [0, 0]
     [done] = [r for r in cluster.protos[0].reports
               if r["t"] == "done" and r["slot"] == 1]
     assert done["telemetry"]["replayed_present"] == 1
@@ -569,6 +655,6 @@ def test_a_takeover_rebuilds_the_lost_segment():
     cluster.kill(1, False)
     cluster.settle([])
     cluster.check_quiescent()
-    assert cluster.takeovers == 1 and cluster.core.owners == [0, 0]
+    assert cluster.takeovers == 1 and cluster.coord.sup.owners == [0, 0]
     assert cluster.protos[0].segments[1].cells[:8] == [
         F(off) for off in range(8)]

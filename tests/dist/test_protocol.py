@@ -204,7 +204,7 @@ def test_a_checkpoint_seeds_the_owned_elements_and_every_list():
                          _Restore({1: ((16,), {2: 5.0, 3: 7.0, 12: 8.0})}))
     [start] = proto.control({"t": "start", "owners": [0, 1], "live": [0, 1]})
     assert start == (START, (0,), 1, 0, True)  # a replay of its subrange
-    assert _collect(proto) == {2: 5.0, 3: 7.0}
+    assert _collect(proto) == {2: 5.0, 3: 7.0, 12: 8.0}  # every one held
     cells = proto.array(ArrayHeader(1, (16,), PAGE, 2))
     assert cells[:4] == [None, None, 5.0, 7.0]
     assert cells[12] == 8.0  # not owned, but held

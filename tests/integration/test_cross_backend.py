@@ -145,8 +145,8 @@ def test_cross_backend_metric_differential(compiled):
     assert sim_reg is not None and par_reg is not None
 
     def rf_rows(reg):
-        return sorted((r.labels_dict()["pe"], r.labels_dict()["first"],
-                       r.labels_dict()["last"]) for r in
+        return sorted((dict(r.labels)["pe"], dict(r.labels)["first"],
+                       dict(r.labels)["last"]) for r in
                       reg.select("rf.subrange"))
 
     # Same RF split: each PE/worker owns the same index subrange.
@@ -205,14 +205,14 @@ def test_cross_backend_wait_attribution(compiled):
 
     allowed = set(WAIT_CATEGORIES) | {IDLE}
     for row in sim_rows + par_rows:
-        labels = row.labels_dict()
+        labels = dict(row.labels)
         assert set(labels) == {"pe", "cause"}
         assert labels["cause"] in allowed
         assert row.value >= 0.0
 
     def defer_us(rows):
         return sum(r.value for r in rows
-                   if r.labels_dict()["cause"] == "istructure-defer")
+                   if dict(r.labels)["cause"] == "istructure-defer")
 
     # fill-and-sum's reader loop races its writer loop: the simulator
     # must attribute some wait time to the dataflow dependency, and the

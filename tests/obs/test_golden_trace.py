@@ -21,10 +21,10 @@ import os
 import sys
 
 try:
-    from tests.obs.conftest import run_observed, trace_golden
+    from tests.obs.conftest import golden_line, run_observed, trace_golden
 except ImportError:  # running as a script (fixture regeneration)
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", ".."))
-    from tests.obs.conftest import run_observed, trace_golden
+    from tests.obs.conftest import golden_line, run_observed, trace_golden
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "golden_trace.txt")
 
@@ -57,7 +57,7 @@ def test_trace_matches_golden_fixture():
 def test_golden_lines_are_stable_fields_only():
     machine, _ = run_observed()
     for event in machine.log.events[:10]:
-        parts = event.golden_line().split()
+        parts = golden_line(event).split()
         assert len(parts) == 5
         assert parts[0] == str(event.seq)
         assert parts[1] == str(event.pe)

@@ -39,7 +39,7 @@ class TestCountersAndGauges:
         reg.inc("a", pe=1)
         reg.inc("b")
         rows = reg.select("a")
-        assert [r.labels_dict() for r in rows] == [{"pe": "0"}, {"pe": "1"}]
+        assert [dict(r.labels) for r in rows] == [{"pe": "0"}, {"pe": "1"}]
 
 
 class TestHistogram:

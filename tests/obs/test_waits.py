@@ -280,7 +280,7 @@ class TestSimulatedRun:
         rows = registry.select("wait.us")
         assert rows
         for row in rows:
-            labels = row.labels_dict()
+            labels = dict(row.labels)
             assert labels["cause"] in WAIT_CATEGORIES + (IDLE,)
             assert row.value >= 0.0
 
@@ -325,7 +325,7 @@ class TestOneBreakdown:
         rows = [(pe, cat, us) for pe, per_cause in enumerate(breakdown)
                 for cat, us in sorted(per_cause.items())]
         assert rows
-        assert sorted((int(r.labels_dict()["pe"]), r.labels_dict()["cause"],
+        assert sorted((int(dict(r.labels)["pe"]), dict(r.labels)["cause"],
                        r.value)
                       for r in result.registry.select("wait.us")) == rows
         assert [(w["pe"], w["category"], w["us"])

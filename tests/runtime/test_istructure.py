@@ -186,6 +186,15 @@ class TestPageCache:
         hit, value = cache.lookup(2, 5, 161)
         assert hit and value == 2
 
+    def test_install_replaces_a_merged_element(self):
+        # A page snapshot taken before a value reply, arriving after it,
+        # drops the value: replacing is not merging.
+        cache = PageCache()
+        cache.install_element(1, 0, 0, 4, 2, "reply")
+        cache.install(1, 0, 0, [10, None, None, None])
+        assert cache.lookup(1, 0, 0) == (True, 10)
+        assert cache.lookup(1, 0, 2) == (False, None)
+
     def test_install_element_merges(self):
         cache = PageCache()
         cache.install_element(1, 0, 0, 4, 2, "late")

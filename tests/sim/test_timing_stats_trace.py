@@ -19,6 +19,7 @@ from repro.sim.pe import PE
 from repro.sim.stats import PEStats, RunStats, UNITS
 from repro.translator import isa
 from repro.translator.isa import Instr, SPTemplate, slot
+from tests.obs.conftest import golden_line
 
 
 def eu_charge(fn, *operands):
@@ -165,9 +166,9 @@ class TestTracer:
     def test_golden_line_stable_fields(self):
         e = Instant(12.5, 3, "block", "main uid=7 slot=2",
                     unit="EU", sp=7, seq=41)
-        assert e.golden_line() == "41 3 EU block 7"
+        assert golden_line(e) == "41 3 EU block 7"
         bare = Instant(1.0, 0, "message", "x")
-        assert bare.golden_line() == "0 0 - message -"
+        assert golden_line(bare) == "0 0 - message -"
 
 
 class TestTracerOverflow:

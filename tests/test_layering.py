@@ -337,8 +337,25 @@ def test_the_node_memory_is_pure():
         name for name in _imports(path)
         if any(name == mod or name.startswith(mod + ".") for mod in impure))
     assert not offenders, (
-        f"dist/protocol.py imports {offenders}; it returns what to do and "
-        "leaves loops, threads, sockets, futures and clocks to its shell")
+        f"dist/protocol.py imports {offenders}; the node's and the "
+        "coordinator's protocols return what to do and leave loops, "
+        "threads, sockets, futures and clocks to their shells")
+
+
+def test_the_coordinator_shell_decides_nothing():
+    # Every coordinator rule is CoordinatorProtocol's: the shell neither
+    # builds the supervision core nor reads its actions or loss reasons.
+    path = os.path.join(os.path.dirname(repro.__file__), "dist",
+                        "coordinator.py")
+    imported = _imports(path)
+    assert "repro.dist.protocol.CoordinatorProtocol" in imported
+    deciding = sorted(name for name in imported if name in (
+        "repro.runtime.supervise.Supervision", "repro.runtime.supervise.Start",
+        "repro.runtime.supervise.Fence", "repro.dist.reasons")
+        or name.startswith("repro.dist.reasons."))
+    assert not deciding, (
+        f"dist/coordinator.py imports {deciding}; what a report, a loss "
+        "or a round means is CoordinatorProtocol's to decide")
 
 
 def test_the_supervision_core_is_pure():
