@@ -114,21 +114,20 @@ class _Supervisor:
         phase's limit passed first.  While the run runs, a checkpoint
         round opens when due."""
         deadline = time.monotonic() + self.limits[phase]
-        while self.proto.phase == phase:
-            now = time.monotonic()
-            if now > deadline:
-                return False
+        while (now := time.monotonic()) <= deadline:
             paced = (self.ckpt is not None and phase == "run"
                      and "ckpt" not in self.proto.rounds)
             if paced and self.ckpt.due(now):
                 self._do(self.proto.checkpoint())
             self._do(self.proto.tick(now))
+            if self.proto.phase != phase:
+                return True
             wake = min(deadline, self.ckpt.next_due()) if paced else deadline
             with suppress(asyncio.TimeoutError):
                 await asyncio.wait_for(self.kick.wait(), max(0.001, min(
                     self.cfg.poll_interval_s, wake - time.monotonic())))
             self.kick.clear()
-        return True
+        return self.proto.phase != phase
 
     def _expired(self, phase: str) -> None:
         if phase not in ("register", "collect"):
@@ -160,20 +159,20 @@ class _Supervisor:
             node = hello["node"]
             self.conns[node] = writer
             self.reading.add(node)
-            self._do(self.proto.hello(time.monotonic(), node, hello["port"],
-                                      hello.get("resync")))
+            self._event(self.proto.hello(time.monotonic(), node,
+                                         hello["port"], hello.get("resync")))
             while (msg := await read_frame(reader, self._secret)) is not None:
                 t = msg.get("t")
                 if t in ("hb", "done", "result"):
                     self.kill.fire(t)
                 actions = self.proto.frame(time.monotonic(), node, msg)
                 if t != "hb":
-                    self._do(actions)
+                    self._event(actions)
             # Drained: a death the sentinel showed meanwhile counts now.
             self.reading.discard(node)
             if node in self.exits:
-                self._do(self.proto.exited(time.monotonic(), node,
-                                           self.exits.pop(node)))
+                self._event(self.proto.exited(time.monotonic(), node,
+                                              self.exits.pop(node)))
         except asyncio.CancelledError:
             # Teardown cancellation: end the handler quietly, or the
             # stream server's done-callback logs a spurious traceback.
@@ -191,7 +190,12 @@ class _Supervisor:
         if node in self.reading:  # what it sent before dying counts first
             self.exits[node] = exitcode
         else:
-            self._do(self.proto.exited(time.monotonic(), node, exitcode))
+            self._event(self.proto.exited(time.monotonic(), node, exitcode))
+
+    def _event(self, actions: list) -> None:
+        """An event's actions, carried out; the wait loop looks again."""
+        self._do(actions)
+        self.kick.set()
 
     def _do(self, actions: list) -> None:
         """Carry out what the core decided."""
@@ -203,7 +207,6 @@ class _Supervisor:
             elif act[0] != SEND:  # SNAPSHOT; disk trouble is best-effort
                 with suppress(OSError):
                     self.ckpt.snapshot(act[1], now=time.monotonic())
-        self.kick.set()
 
 
 def _coordinator_main(cfg, procs, lsock, t_start, conn, plan,

@@ -176,8 +176,7 @@ class NodeProtocol:
                 self.gen = max(self.gen, int(msg.get("gen", 1)))
                 return self._ownermap(list(msg["owners"]), set(msg["live"]))
             if t == "collect":
-                # Every element held, not just those owned: a write to
-                # another node's element may still be on its way there.
+                # Every element held: a write may still be on its way.
                 seg = self.segments.get(msg["a"])
                 return [(REPORT, {"t": "segment", "node": self.node,
                                   "a": msg["a"],
@@ -448,12 +447,10 @@ class CoordinatorProtocol:
     def phase(self) -> str:
         """What the run waits for: ``register``, ``run``, the final round
         open (``collect``, ``ckpt``, ``shutdown``), or its ``end``."""
+        if self.outcome is None:
+            return "run" if self.registered else "register"
         if isinstance(self.outcome, Abort):
             return "end"
-        if not self.registered:
-            return "register"
-        if self.outcome is None:
-            return "run"
         return next((kind for kind in ("collect", "ckpt", "shutdown")
                      if kind in self.rounds), "end")
 
