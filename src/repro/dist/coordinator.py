@@ -60,10 +60,6 @@ class _Supervisor:
             expect={node for node, proc in enumerate(procs)
                     if proc.is_alive()} if standby else None,
             checkpoints=ckpt is not None)
-        self.limits = {  # how long each phase may take
-            "register": cfg.connect_timeout_s, "run": float("inf"),
-            "collect": cfg.connect_timeout_s, "ckpt": cfg.connect_timeout_s,
-            "shutdown": max(1.0, 10 * cfg.poll_interval_s)}
         self._secret = frame_secret()
         self.conns: dict[int, asyncio.StreamWriter] = {}
         self.reading: set[int] = set()  # nodes whose link is not drained
@@ -113,7 +109,10 @@ class _Supervisor:
         """Tick the core until it leaves ``phase``; False once the
         phase's limit passed first.  While the run runs, a checkpoint
         round opens when due."""
-        deadline = time.monotonic() + self.limits[phase]
+        cfg = self.cfg  # registration and a final round: connect_timeout_s
+        deadline = time.monotonic() + {
+            "run": float("inf"), "shutdown": max(1.0, 10 * cfg.poll_interval_s)
+        }.get(phase, cfg.connect_timeout_s)
         while (now := time.monotonic()) <= deadline:
             paced = (self.ckpt is not None and phase == "run"
                      and "ckpt" not in self.proto.rounds)
@@ -139,7 +138,8 @@ class _Supervisor:
                     f"{self.cfg.connect_timeout_s:g}s (missing nodes {nodes})")
         else:
             nodes, kind, detail = (sorted(self.proto.rounds["collect"]),
-                                   "hang", "did not answer the collect request")
+                                   "hang", "did not answer the collect "
+                                           "request")
             what = f"array collect timed out (nodes {nodes} silent)"
         raise DistExecutionError(
             f"distributed run failed: {what}",

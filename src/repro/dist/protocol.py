@@ -614,7 +614,8 @@ class CoordinatorProtocol:
                     out += self._open("collect", a=act.result[1][0])
                 elif isinstance(act, Finish):
                     self.value = act.result[1]
-                    out += self._next("collect")
+                    out += self._open("ckpt" if self.checkpoints
+                                      else "shutdown")
         return out
 
     def _ownermap(self, generation: int) -> list:
@@ -669,10 +670,5 @@ class CoordinatorProtocol:
                                    in sorted(self.ckpt_arrays.items())])]
         if self.outcome is None or kind == "shutdown":
             return actions
-        return actions + self._next(kind)
-
-    def _next(self, kind: str) -> list:
-        """The final round after ``kind``'s: a checkpoint, then shutdown."""
-        if self.checkpoints and kind == "collect":
-            return self._open("ckpt")
-        return self._open("shutdown")
+        return actions + self._open(  # the next final round
+            "ckpt" if self.checkpoints and kind == "collect" else "shutdown")

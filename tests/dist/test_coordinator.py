@@ -113,7 +113,8 @@ def test_the_shutdown_stops_waiting_for_a_lost_node():
 
 def test_a_round_ends_at_its_deadline_with_what_it_has():
     core, _ = _finished(result=("ok", 7.0), checkpoints=True)
-    [(kind, arrays)] = [act for act in core.close("ckpt") if act[0] == SNAPSHOT]
+    [(_, arrays)] = [act for act in core.close("ckpt")
+                     if act[0] == SNAPSHOT]
     assert arrays == [] and core.phase == "shutdown"
     assert core.close("shutdown") == [] and core.phase == "end"
 
