@@ -10,9 +10,8 @@
 
 from __future__ import annotations
 
-from conftest import simple_args
+from conftest import save_report, simple_args
 
-from repro.bench.harness import save_report
 from repro.bench.report import render_table
 
 PES = 8

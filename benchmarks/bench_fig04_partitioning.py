@@ -3,7 +3,8 @@ responsibility for the paper's 6x256-over-4-PEs example."""
 
 from __future__ import annotations
 
-from repro.bench.harness import save_report
+from conftest import save_report
+
 from repro.runtime.arrays import (
     ArrayHeader,
     index_space_diagram,

@@ -4,8 +4,9 @@ by round-robin spawn placement."""
 
 from __future__ import annotations
 
+from conftest import save_report
+
 from repro import MachineConfig, SimConfig, compile_source
-from repro.bench.harness import save_report
 from repro.bench.report import render_table
 
 FIB = """

@@ -7,8 +7,9 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import save_report
+
 from repro.apps.stencil import compile_stencil
-from repro.bench.harness import save_report
 from repro.bench.report import render_table
 from repro.common.config import MachineConfig, SimConfig
 
@@ -18,18 +19,18 @@ N, SWEEPS, PES = 12, 8, 4
 def test_kbounded_runahead(benchmark):
     program = compile_stencil()
     rows = []
-    free = program.run((N, SWEEPS), backend="sim", parallelism=PES).raw
-    rows.append(["unbounded", free.finish_time_us / 1e3,
+    free = program.run((N, SWEEPS), backend="sim", parallelism=PES)
+    rows.append(["unbounded", free.time_us / 1e3,
                  free.stats.max_live_frames])
     peaks = {}
     for k in (4, 2, 1):
         config = SimConfig(machine=MachineConfig(num_pes=PES,
                                                  spawn_budget=k))
         r = program.run((N, SWEEPS), backend="sim", parallelism=PES,
-                        config=config).raw
+                        config=config)
         assert r.value == pytest.approx(free.value)
         peaks[k] = r.stats.max_live_frames
-        rows.append([f"k = {k}", r.finish_time_us / 1e3,
+        rows.append([f"k = {k}", r.time_us / 1e3,
                      r.stats.max_live_frames])
 
     table = render_table(

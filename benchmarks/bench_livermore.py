@@ -7,8 +7,9 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import save_report
+
 from repro.apps.livermore import compile_kernel, kernel_names
-from repro.bench.harness import save_report
 from repro.bench.report import render_table
 
 N = 96

@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import save_report
+
 from repro.api import compile_source
 from repro.apps.simple_app import simple_source
-from repro.bench.harness import save_report
 from repro.bench.report import render_table
 
 PES = 4
@@ -19,15 +20,15 @@ def test_optimizer_on_simple(benchmark):
     plain = compile_source(src)
     opt = compile_source(src, optimize=True)
 
-    r_plain = plain.run(ARGS, backend="sim", parallelism=PES).raw
-    r_opt = opt.run(ARGS, backend="sim", parallelism=PES).raw
+    r_plain = plain.run(ARGS, backend="sim", parallelism=PES)
+    r_opt = opt.run(ARGS, backend="sim", parallelism=PES)
     assert r_opt.value == pytest.approx(r_plain.value)
 
     rows = [
         ["paper config (no opts)", r_plain.stats.instructions,
-         r_plain.finish_time_us / 1e3],
+         r_plain.time_us / 1e3],
         ["CSE + hoist + DCE", r_opt.stats.instructions,
-         r_opt.finish_time_us / 1e3],
+         r_opt.time_us / 1e3],
     ]
     table = render_table(["configuration", "instructions", "time (ms)"], rows)
     report = (f"Optimizer ablation - SIMPLE {ARGS[0]}x{ARGS[0]}, "

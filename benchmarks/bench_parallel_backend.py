@@ -10,9 +10,10 @@ from dataclasses import dataclass
 
 import pytest
 
+from conftest import save_report
+
 from repro.api import Program
 from repro.apps.matmul import compile_matmul
-from repro.bench.harness import save_report
 from repro.bench.report import render_table
 
 N = 20

@@ -7,8 +7,9 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import save_report
+
 from repro.api import compile_source
-from repro.bench.harness import save_report
 from repro.bench.report import render_table
 
 SRC = """
@@ -35,14 +36,14 @@ N, PES = 24, 8
 def test_rf_placement(benchmark):
     outer = compile_source(SRC)
     inner = compile_source(SRC, rf_placement="inner")
-    a = outer.run((N,), backend="sim", parallelism=PES).raw
-    b = inner.run((N,), backend="sim", parallelism=PES).raw
+    a = outer.run((N,), backend="sim", parallelism=PES)
+    b = inner.run((N,), backend="sim", parallelism=PES)
     assert a.value == pytest.approx(b.value)
 
     rows = [
-        ["outer (paper §4.2.4)", a.finish_time_us / 1e3,
+        ["outer (paper §4.2.4)", a.time_us / 1e3,
          a.stats.total("tokens_sent_remote"), a.stats.total("frames_created")],
-        ["inner (LD pushed down)", b.finish_time_us / 1e3,
+        ["inner (LD pushed down)", b.time_us / 1e3,
          b.stats.total("tokens_sent_remote"), b.stats.total("frames_created")],
     ]
     table = render_table(
@@ -55,7 +56,7 @@ def test_rf_placement(benchmark):
     save_report("ablation_rf_placement.txt", report)
     print("\n" + report)
 
-    assert b.finish_time_us > a.finish_time_us
+    assert b.time_us > a.time_us
     assert (b.stats.total("frames_created")
             > a.stats.total("frames_created"))
 

@@ -6,41 +6,14 @@ speedup curves meaningless."""
 
 from __future__ import annotations
 
-from repro.bench.harness import save_report
-from repro.bench.report import render_table
+from conftest import save_report
+
+from repro.bench.figures import FULL, check_sec534, sec534
 
 
-def test_sec534_sequential_efficiency(benchmark, sweeper, conduction_program):
-    args = (32, 2)
-    seq = conduction_program.run(args, backend="seq")
-    pods = sweeper.run(conduction_program, args, 1, key="conduction")
-    ratio = pods.time_us / seq.time_us
-
-    table = render_table(
-        ["version", "modeled time (s)"],
-        [
-            ["sequential (C proxy)", seq.time_us / 1e6],
-            ["PODS, 1 PE", pods.time_us / 1e6],
-            ["ratio", ratio],
-            ["paper: sequential C", 0.9],
-            ["paper: PODS 1 PE", 1.72],
-            ["paper ratio", 1.72 / 0.9],
-        ],
-    )
-    report = ("Section 5.3.4 - efficiency comparison "
-              "(conduction-only, 32x32)\n\n" + table + "\n\n"
-              "The reproduction keeps the direction and order of the\n"
-              "comparison: PODS on one PE pays a bounded overhead over the\n"
-              "sequential version, so the scalability base time is valid.\n"
-              "Our per-SP sequential threads are longer than the original\n"
-              "system's, so our overhead factor is smaller than the\n"
-              "paper's ~1.9x.")
-    save_report("sec534_efficiency.txt", report)
-    print("\n" + report)
-
-    # Direction + bounds: slower than sequential, but by a bounded,
-    # "not grossly inefficient" factor (paper's wording).
-    assert 1.0 < ratio < 3.0, ratio
-
-    benchmark.pedantic(lambda: conduction_program.run((16, 1), backend="seq"),
-                       rounds=1, iterations=1)
+def test_sec534_sequential_efficiency(benchmark, sweeper):
+    fig = benchmark.pedantic(sec534, args=(FULL, sweeper),
+                             rounds=1, iterations=1)
+    save_report("sec534_efficiency.txt", fig.text)
+    print("\n" + fig.text)
+    check_sec534(fig)

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import save_report
+
 from repro.bench.report import render_table
-from repro.bench.harness import save_report
 from repro.sim import timing as T
 
 # The (float, int) cost pairs the decoder captures per instruction

@@ -1,26 +1,20 @@
-"""Shared fixtures for the per-figure benchmark modules.
+"""Shared fixtures and the report writer of the benchmark modules.
 
-The heavy SIMPLE sweeps are memoized in a session-scoped Sweeper so the
-figures (which share most configurations) each pay only for points no
-earlier module has simulated.  Set ``PODS_BENCH_FULL=1`` for the paper's
-full PE grid at 64x64.
+The simulations are memoized in a session-scoped Sweeper so the
+evaluations (which share most configurations) each pay only for points
+no earlier module has simulated.  Set ``PODS_BENCH_FULL=1`` for the
+paper's full PE grid at 64x64.
 """
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
-from repro.apps.matmul import compile_matmul
 from repro.apps.simple_app import compile_simple
-from repro.bench.harness import FULL_SCALE, Sweeper
-
-# Two time steps give cross-step pipelining (the steady state the paper
-# measures) while keeping host time reasonable.
-SIMPLE_STEPS = 2
-
-SIZES_SMALL = [16, 32]
-PE_GRID = [1, 2, 4, 8, 16, 32]
-PE_GRID_64 = PE_GRID if FULL_SCALE else [1, 8, 16, 32]
+from repro.bench.figures import FULL
+from repro.bench.harness import Sweeper
 
 
 @pytest.fixture(scope="session")
@@ -29,32 +23,20 @@ def sweeper() -> Sweeper:
 
 
 @pytest.fixture(scope="session")
-def obs_sweeper() -> Sweeper:
-    """Sweeper with the observability layer on: utilizations are derived
-    from per-unit busy-interval timelines (used by Figures 8 and 9).
-    Figure 10 stays on the plain sweeper so its wall time measures the
-    obs-disabled configuration."""
-    return Sweeper(observe=True)
-
-
-@pytest.fixture(scope="session")
 def simple_program():
     return compile_simple()
 
 
-@pytest.fixture(scope="session")
-def conduction_program():
-    return compile_simple(conduction_only=True)
-
-
-@pytest.fixture(scope="session")
-def matmul_program():
-    return compile_matmul(checksum=True)
-
-
 def simple_args(n: int) -> tuple:
-    return (n, SIMPLE_STEPS)
+    return (n, FULL.steps)
 
 
-def pe_grid(n: int) -> list[int]:
-    return PE_GRID_64 if n == 64 else PE_GRID
+def save_report(name: str, text: str) -> str:
+    """Write a figure/table report into ``benchmarks/results/``; returns
+    the path."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "results", name)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+    return path

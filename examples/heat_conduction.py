@@ -40,14 +40,14 @@ def main() -> None:
     print("\n=== Scaling the conduction phase (16x16, 2 steps) ===")
     base = None
     for pes in (1, 2, 4, 8):
-        result = program.run((16, 2), backend="sim", parallelism=pes).raw
+        result = program.run((16, 2), backend="sim", parallelism=pes)
         if base is None:
-            base = result.finish_time_us
+            base = result.time_us
             value = result.value
         assert abs(result.value - value) < 1e-9
         stats = result.stats
-        print(f"{pes:2d} PE(s): {result.finish_time_s:7.4f} s  "
-              f"speed-up {base / result.finish_time_us:4.2f}  "
+        print(f"{pes:2d} PE(s): {result.time_s:7.4f} s  "
+              f"speed-up {base / result.time_us:4.2f}  "
               f"EU {stats.utilization('EU') * 100:5.1f}%  "
               f"remote reads {stats.remote_reads:5d}")
 

@@ -14,6 +14,7 @@ import os
 import sys
 
 from repro import compile_source
+from repro.runtime.spmd import telemetry_table
 
 SWEEP = """
 function main(n) {
@@ -62,7 +63,7 @@ def main() -> None:
               f"checksum {result.value:.6f}")
 
     print("\nPer-worker telemetry of the 4-worker run:")
-    print(last.raw.telemetry_table())
+    print(telemetry_table(last.worker_stats))
 
     print("\nEvery worker executed the sweep's dependent rows only after")
     print("the producing worker set the shared presence bits - real")

@@ -11,24 +11,15 @@ from typing import Iterable, Sequence
 
 
 def render_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """Fixed-width table; floats get 3 significant decimals."""
-    def fmt(cell) -> str:
-        if isinstance(cell, float):
-            return f"{cell:.3f}"
-        return str(cell)
-
-    str_rows = [[fmt(c) for c in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in str_rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-
-    def line(cells):
-        return "  ".join(c.rjust(w) for c, w in zip(cells, widths))
-
-    out = [line(headers), line(["-" * w for w in widths])]
-    out.extend(line(row) for row in str_rows)
-    return "\n".join(out)
+    """Fixed-width, right-aligned table; floats get 3 decimals."""
+    lines = [list(headers)] + [
+        [f"{c:.3f}" if isinstance(c, float) else str(c) for c in row]
+        for row in rows]
+    widths = [max(len(line[i]) for line in lines if i < len(line))
+              for i in range(len(headers))]
+    lines.insert(1, ["-" * w for w in widths])
+    return "\n".join("  ".join(c.rjust(w) for c, w in zip(line, widths))
+                     for line in lines)
 
 
 def render_series_chart(x_values: Sequence, series: dict[str, Sequence[float]],
@@ -40,31 +31,22 @@ def render_series_chart(x_values: Sequence, series: dict[str, Sequence[float]],
     over the x_values (which is how the paper's PE-count axis reads).
     """
     marks = "*o+x@%&"
-    flat = [v for vals in series.values() for v in vals if v is not None]
-    peak = max(flat) if flat else 1.0
-    peak = peak or 1.0
+    peak = max((v for vals in series.values() for v in vals if v is not None),
+               default=0.0) or 1.0
     grid = [[" "] * width for _ in range(height)]
-    for si, (name, vals) in enumerate(series.items()):
-        mark = marks[si % len(marks)]
+    for si, vals in enumerate(series.values()):
         for xi, value in enumerate(vals):
-            if value is None:
-                continue
-            col = round(xi * (width - 1) / max(1, len(x_values) - 1))
-            row = height - 1 - round((height - 1) * value / peak)
-            row = min(max(row, 0), height - 1)
-            grid[row][col] = mark
-    lines = []
-    for r, row in enumerate(grid):
-        y_val = peak * (height - 1 - r) / (height - 1)
-        lines.append(f"{y_val:7.1f} |" + "".join(row))
-    lines.append(" " * 8 + "+" + "-" * width)
-    x_marks = "  ".join(str(x) for x in x_values)
-    lines.append(" " * 10 + x_marks)
-    legend = "   ".join(f"{marks[i % len(marks)]} {name}"
-                        for i, name in enumerate(series))
-    lines.append("legend: " + legend)
-    if y_label:
-        lines.insert(0, y_label)
+            if value is not None:
+                col = round(xi * (width - 1) / max(1, len(x_values) - 1))
+                row = height - 1 - round((height - 1) * value / peak)
+                grid[min(max(row, 0), height - 1)][col] = marks[si % len(marks)]
+    lines = [y_label] if y_label else []
+    lines += [f"{peak * (height - 1 - r) / (height - 1):7.1f} |" + "".join(row)
+              for r, row in enumerate(grid)]
+    lines += [" " * 8 + "+" + "-" * width,
+              " " * 10 + "  ".join(str(x) for x in x_values),
+              "legend: " + "   ".join(f"{marks[i % len(marks)]} {name}"
+                                      for i, name in enumerate(series))]
     return "\n".join(lines)
 
 

@@ -428,25 +428,34 @@ def _cmd_format(args: argparse.Namespace) -> int:
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     from repro.bench.figures import reproduce
 
-    figure = reproduce(args.figure)
-    print(figure.text)
+    print(reproduce(args.figure).text)
     return 0
 
 
 def _cmd_simple(args: argparse.Namespace) -> int:
+    """A SIMPLE sweep, fully observed: a line per PE count and, with
+    ``--record-dir``, a ``pods-run/v1`` record per PE count in that run
+    ledger (what CI's bench-smoke job gates with ``pods runs regress``)."""
     from repro.apps.simple_app import compile_simple
+    from repro.common.config import MachineConfig, SimConfig
+    from repro.obs.critpath import critical_path
+    from repro.obs.store import RunStore
 
     program = compile_simple(conduction_only=args.conduction_only)
-    pes = [int(p) for p in args.pes.split(",")]
-    base = None
-    for p in pes:
-        result = program.run((args.size, args.steps), backend="sim",
-                             parallelism=p)
-        if base is None:
-            base = result.time_us
-        print(f"{p:3d} PEs: {result.time_s:8.4f} s  "
+    run_args, base = (args.size, args.steps), None
+    for pes in (int(p) for p in args.pes.split(",")):
+        config = _with_full_obs(SimConfig(machine=MachineConfig(num_pes=pes)))
+        result = program.run(run_args, backend="sim", parallelism=pes,
+                             config=config)
+        if args.record_dir:
+            RunStore(args.record_dir).put(
+                result.to_run_record(program=program, args=run_args))
+        base = base or result.time_us
+        path = critical_path(result.stats.log, result.time_us)
+        print(f"{pes:3d} PEs: {result.time_s:9.6f} s  "
               f"speed-up {base / result.time_us:5.2f}  "
-              f"EU {result.stats.utilization('EU') * 100:5.1f}%")
+              f"EU {result.stats.timeline_utilization('EU') * 100:5.1f}%  "
+              f"critical path {path.total_us / 1e6:9.6f} s")
     return 0
 
 
@@ -698,6 +707,8 @@ def build_parser() -> argparse.ArgumentParser:
     simple.add_argument("--steps", type=int, default=2)
     simple.add_argument("--pes", default="1,4,8")
     simple.add_argument("--conduction-only", action="store_true")
+    simple.add_argument("--record-dir", default=None,
+                        help="run ledger for a pods-run/v1 record per PE")
     simple.set_defaults(func=_cmd_simple)
 
     return parser

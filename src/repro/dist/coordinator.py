@@ -261,7 +261,7 @@ def run_distributed(program, args: tuple = (),
     is a warm standby: if it dies mid-run, nodes rejoin on the standby
     port with a resync payload and the promoted standby completes the
     run.  ``ckpt`` (a :class:`repro.ckpt.format.CkptWriter`) collects
-    periodic ``pods-ckpt/v2`` snapshots of the nodes' owned elements;
+    periodic ``pods-ckpt/v2`` snapshots of the elements the nodes hold;
     ``restore`` (a :class:`repro.ckpt.format.CkptRestore`) pre-seeds
     them, re-partitioned at the current node count, for a replay.
     """

@@ -376,14 +376,12 @@ class NodeProtocol:
         return actions
 
     def _ckpt_state(self) -> dict:
-        """This node's owned elements, keyed for ``ckpt-state``."""
+        """Every element this node holds, keyed for ``ckpt-state``, as
+        ``collect`` answers: a write may still be on its way to its owner,
+        and the writer's copy is then the only one."""
         state = {}
         for a, header in self.headers.items():
-            cells = self.segments[a].cells
-            vals = {off: cells[off] for ident, node in enumerate(self.owners)
-                    if node == self.node
-                    for off in range(*header.segment_bounds(ident))
-                    if cells[off] is not None}
+            vals = dict(self.segments[a].items())
             if vals:
                 state[str(a)] = {"dims": list(header.dims), "vals": vals}
         return state

@@ -69,10 +69,6 @@ class RunResult:
     def finish_time_us(self) -> float:
         return self.stats.finish_time_us
 
-    @property
-    def finish_time_s(self) -> float:
-        return self.stats.finish_time_us / 1e6
-
 
 class Machine:
     """One simulated PODS multiprocessor executing one program."""

@@ -7,9 +7,9 @@ job gates with ``pods runs regress``) are the long-lived record that
 claim is checked against.  This test re-runs each baseline's exact
 program, arguments and width and requires the modeled time and the
 answer to match to the float: if a change legitimately shifts modeled
-time, re-emit the baselines deliberately (``python -m
-repro.bench.harness --size 8 --steps 1 --pes 1,2 --record-dir DIR`` +
-copy the two objects) rather than letting them drift.
+time, re-emit the baselines deliberately (``pods simple --size 8
+--steps 1 --pes 1,2 --record-dir DIR`` + copy the two objects) rather
+than letting them drift.
 """
 
 import os

@@ -1,4 +1,7 @@
-"""Tests for the bench harness text rendering and sweep memoization."""
+"""Tests for the bench harness text rendering, sweep memoization and
+``reproduce``."""
+
+from dataclasses import replace
 
 from repro.bench.harness import Sweeper
 from repro.bench.report import render_series_chart, render_table
@@ -68,12 +71,12 @@ class TestSweeper:
 
 class TestFigures:
     def test_reproduce_fig10_reduced(self):
-        from repro.bench.figures import reproduce
+        from repro.bench.figures import REDUCED, check_figure10, reproduce
 
         fig = reproduce("fig10")
-        assert "speed-up" in fig.text
-        assert fig.data[16][1] == 1.0
-        assert fig.data[16][4] > 1.5
+        assert fig.scale is REDUCED and "speed-up" in fig.text
+        assert fig.data["speedup"][16][1] == 1.0
+        check_figure10(fig)
 
     def test_unknown_figure(self):
         import pytest as _pytest
@@ -82,6 +85,19 @@ class TestFigures:
 
         with _pytest.raises(ValueError):
             reproduce("fig99")
+
+    def test_an_error_inside_a_figure_is_not_an_unknown_figure(
+            self, monkeypatch):
+        import pytest as _pytest
+
+        from repro.bench import figures
+
+        def broken(*args):
+            raise KeyError("EU")
+
+        monkeypatch.setitem(figures.FIGURES, "fig8", broken)
+        with _pytest.raises(KeyError, match="EU"):
+            figures.reproduce("fig8")
 
     def test_stats_to_dict_is_json_ready(self):
         import json
@@ -95,7 +111,7 @@ class TestFigures:
             return A[n];
         }
         """)
-        stats = program.run((16,), backend="sim", parallelism=2).raw.stats
+        stats = program.run((16,), backend="sim", parallelism=2).stats
         data = stats.to_dict()
         json.dumps(data)  # must serialize
         assert data["num_pes"] == 2
@@ -103,27 +119,13 @@ class TestFigures:
 
 
 class TestReducedFigures:
-    def test_fig8_reduced(self):
-        from repro.bench.figures import figure8
-
-        fig = figure8(pe_counts=(1, 2), size=8, steps=1)
-        assert "EU" in fig.text
-        # EU dominates at both points.
-        for pes, util in fig.data.items():
-            assert util["EU"] == max(util.values())
-
-    def test_fig9_reduced(self):
-        from repro.bench.figures import figure9
-
-        fig = figure9(pe_counts=(1, 4), sizes=(8,), steps=1)
-        assert fig.data[8][1] > fig.data[8][4]
-
     def test_figures_share_sweeper_cache(self):
-        from repro.bench.figures import figure10
+        from repro.bench.figures import REDUCED, figure9, figure10
         from repro.bench.harness import Sweeper
 
+        scale = replace(REDUCED, sizes=(8,), pes=(1, 2))
         sweeper = Sweeper()
-        figure10(pe_counts=(1, 2), sizes=(8,), steps=1, sweeper=sweeper)
+        figure9(scale, sweeper)
         cached = len(sweeper._cache)
-        figure10(pe_counts=(1, 2), sizes=(8,), steps=1, sweeper=sweeper)
-        assert len(sweeper._cache) == cached  # second run fully cached
+        figure10(scale, sweeper)
+        assert len(sweeper._cache) == cached  # Figure 10 fully cached

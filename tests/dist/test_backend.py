@@ -277,11 +277,12 @@ class TestCrossings:
                      "replay": False})
         assert rt.loop.handovers == [(SEND, *write)]
         assert rt.endpoint.sent == [write]
-        # Kept as a copy, stored by nothing here (no checkpoint holds
-        # it); the collect carries it, as the write may be on its way.
+        # Kept as a copy: the collect and a checkpoint both carry it,
+        # as the write may be on its way.
         assert rt.protocol.segments[1].cells[63] == 2.5
         assert rt.protocol.control({"t": "ckpt"}) == [
-            (REPORT, {"t": "ckpt-state", "node": 0, "arrays": {}})]
+            (REPORT, {"t": "ckpt-state", "node": 0, "arrays": {
+                "1": {"dims": [64], "vals": {63: 2.5}}}})]
         assert rt.protocol.control({"t": "collect", "a": 1}) == [
             (REPORT, {"t": "segment", "node": 0, "a": 1, "vals": {63: 2.5}})]
 

@@ -4,9 +4,13 @@ report routing and the rounds, driven by hand with ``now`` passed in
 
 from __future__ import annotations
 
+import threading
+
 from repro.common.config import DistConfig
 from repro.common.retry import RetryPolicy
-from repro.dist.protocol import SEND, SNAPSHOT, CoordinatorProtocol
+from repro.dist.protocol import (REPORT, SEND, SNAPSHOT, CoordinatorProtocol,
+                                 NodeProtocol)
+from repro.runtime.arrays import ArrayHeader
 from repro.runtime.supervise import Abort, Finish
 
 CFG = DistConfig(nodes=2, heartbeat_timeout_s=1.0,
@@ -57,6 +61,23 @@ def test_a_run_collects_checkpoints_and_shuts_down():
     core.frame(0.5, 0, {"t": "bye", "node": 0, "netstats": {"sent": 3}})
     core.frame(0.5, 1, {"t": "bye", "node": 1, "netstats": {"sent": 4}})
     assert core.phase == "end" and core.netstats.sent == 7
+
+
+def test_a_write_in_flight_at_the_finish_is_in_the_final_checkpoint():
+    # Array 1 of (8,) at two nodes: node 1 owns offsets 4..7.  Node 0
+    # writes offset 5, and the run finishes before the frame arrives.
+    nodes = [NodeProtocol(n, 2, 4, threading.Lock()) for n in (0, 1)]
+    for proto in nodes:
+        proto.array(ArrayHeader(1, (8,), 4, 2))
+    assert [act[:2] for act in nodes[0].write(1, 5, 2.5, False)] == [
+        (SEND, 1)]
+    core, actions = _finished(result=("value", 2.5), checkpoints=True)
+    assert _frames(actions, "ckpt") == [0, 1]
+    for node, proto in enumerate(nodes):
+        [(kind, answer)] = proto.control({"t": "ckpt"})
+        assert kind == REPORT
+        actions = core.frame(0.3, node, answer)
+    assert actions[0] == (SNAPSHOT, [(1, (8,), {5: 2.5})])
 
 
 def test_a_node_lost_in_the_collect_ends_the_run_at_once():

@@ -1,58 +1,42 @@
-"""Fast smoke test of the headline reproduction claims.
+"""The paper's evaluation at reduced scale.
 
-The full regeneration lives in benchmarks/; this reduced-scale version
-keeps the reproduction story guarded by the plain test suite.
+Every claim that ``benchmarks/`` checks at full scale is defined once,
+in :mod:`repro.bench.figures`; the relative ones (and the thresholds
+tied to a reduced-scale point) run here, on the points ``pods
+reproduce`` shows.
 """
 
 import pytest
 
-from repro.apps.simple_app import compile_simple
+from repro.bench import figures
+from repro.bench.figures import REDUCED
+from repro.bench.harness import Sweeper
 
 
 @pytest.fixture(scope="module")
-def simple():
-    return compile_simple()
-
-
-@pytest.fixture(scope="module")
-def points(simple):
-    out = {}
-    for n, pes in [(8, 1), (8, 4), (16, 1), (16, 4)]:
-        out[(n, pes)] = simple.run((n, 1), backend="sim", parallelism=pes).raw
-    return out
+def sweeper():
+    return Sweeper()
 
 
 class TestHeadlines:
-    def test_figure8_eu_dominates(self, points):
-        for point in points.values():
-            util = point.stats.utilizations()
-            assert util["EU"] == max(util.values())
+    def test_figure8_eu_dominates(self, sweeper):
+        figures.check_figure8(figures.figure8(REDUCED, sweeper))
 
-    def test_figure9_utilization_trends(self, points):
-        # Falls with PEs; larger problem busier on many PEs.
-        assert (points[(16, 1)].stats.utilization("EU")
-                > points[(16, 4)].stats.utilization("EU"))
-        assert (points[(16, 4)].stats.utilization("EU")
-                > points[(8, 4)].stats.utilization("EU"))
+    def test_figure9_utilization_trends(self, sweeper):
+        figures.check_figure9(figures.figure9(REDUCED, sweeper))
 
-    def test_figure10_ordering(self, points):
-        s8 = points[(8, 1)].finish_time_us / points[(8, 4)].finish_time_us
-        s16 = points[(16, 1)].finish_time_us / points[(16, 4)].finish_time_us
-        assert s16 > s8 > 1.0  # larger problems scale further
+    def test_figure10_ordering(self, sweeper):
+        # With PODS above P&R and every width's answer the sequential one.
+        figures.check_figure10(figures.figure10(REDUCED, sweeper))
 
-    def test_pods_beats_static_baseline(self, simple, points):
-        static = simple.run((16, 1), backend="static", parallelism=4)
-        static1 = simple.run((16, 1), backend="static", parallelism=1)
-        pods_speedup = (points[(16, 1)].finish_time_us
-                        / points[(16, 4)].finish_time_us)
-        pr_speedup = static1.time_us / static.time_us
-        assert pods_speedup > pr_speedup
+    def test_sec534_direction(self, sweeper):
+        figures.check_sec534(figures.sec534(REDUCED, sweeper))
 
-    def test_sec534_direction(self, simple, points):
-        seq = simple.run((16, 1), backend="seq")
-        assert 1.0 < points[(16, 1)].finish_time_us / seq.time_us < 3.0
+    def test_matmul_checksum(self, sweeper):
+        figures.check_matmul(figures.matmul(REDUCED, sweeper))
 
-    def test_all_backends_one_answer(self, simple, points):
-        seq = simple.run((8, 1), backend="seq").value
-        assert points[(8, 1)].value == seq
-        assert points[(8, 4)].value == seq
+    def test_a_claim_that_fails_is_reported(self, sweeper):
+        fig = figures.figure9(REDUCED, sweeper)
+        fig.data[8], fig.data[16] = fig.data[16], fig.data[8]
+        with pytest.raises(AssertionError, match="is not busier"):
+            figures.check_figure9(fig)
