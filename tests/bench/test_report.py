@@ -119,6 +119,21 @@ class TestFigures:
 
 
 class TestReducedFigures:
+    def test_fig8_reduced(self):
+        from repro.bench.figures import REDUCED, figure8
+
+        fig = figure8(replace(REDUCED, pes=(1, 2)), Sweeper())
+        assert "EU" in fig.text
+        # EU dominates at both points.
+        for pes, util in fig.data.items():
+            assert util["EU"] == max(util.values())
+
+    def test_fig9_reduced(self):
+        from repro.bench.figures import REDUCED, figure9
+
+        fig = figure9(replace(REDUCED, sizes=(8,), pes=(1, 4)), Sweeper())
+        assert fig.data[8][1] > fig.data[8][4]
+
     def test_figures_share_sweeper_cache(self):
         from repro.bench.figures import REDUCED, figure9, figure10
         from repro.bench.harness import Sweeper

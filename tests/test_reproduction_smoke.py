@@ -18,6 +18,11 @@ def sweeper():
     return Sweeper()
 
 
+@pytest.fixture(scope="module")
+def fig10(sweeper):
+    return figures.figure10(REDUCED, sweeper)
+
+
 class TestHeadlines:
     def test_figure8_eu_dominates(self, sweeper):
         figures.check_figure8(figures.figure8(REDUCED, sweeper))
@@ -25,9 +30,18 @@ class TestHeadlines:
     def test_figure9_utilization_trends(self, sweeper):
         figures.check_figure9(figures.figure9(REDUCED, sweeper))
 
-    def test_figure10_ordering(self, sweeper):
+    def test_figure10_ordering(self, fig10):
         # With PODS above P&R and every width's answer the sequential one.
-        figures.check_figure10(figures.figure10(REDUCED, sweeper))
+        figures.check_figure10(fig10)
+
+    def test_pods_beats_static_baseline(self, fig10):
+        pods, pr = fig10.data["speedup"][16], fig10.data["P&R"]
+        assert pods[4] > pr[4], (pods, pr)
+
+    def test_all_backends_one_answer(self, fig10):
+        # Each mesh's set holds every width's answer and the sequential one.
+        for n, answers in fig10.data["answers"].items():
+            assert len(answers) == 1, (n, answers)
 
     def test_sec534_direction(self, sweeper):
         figures.check_sec534(figures.sec534(REDUCED, sweeper))
