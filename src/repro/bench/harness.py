@@ -32,11 +32,16 @@ class Sweeper:
     the simulator's busy-time accumulators, to 0.1 % for every unit."""
 
     def __init__(self) -> None:
-        self._cache: dict[tuple, Point] = {}
+        # A point is keyed on ``key`` or on the program object itself
+        # (its id: the entry keeps the program alive, so no other can
+        # take the id while the entry stands).
+        self._cache: dict[tuple, tuple[Program, Point]] = {}
 
     def run(self, program: Program, args: tuple, pes: int,
             key: str = "", **machine_kwargs) -> Point:
-        cache_key = (key or program.pods.name, args, pes,
+        """The point of ``program`` at ``args`` on ``pes`` PEs; ``key``
+        names the program when different objects of it share points."""
+        cache_key = (key or id(program), args, pes,
                      tuple(sorted(machine_kwargs.items())))
         if cache_key not in self._cache:
             machine = MachineConfig(num_pes=pes, **machine_kwargs)
@@ -49,8 +54,8 @@ class Sweeper:
                 ref = stats.utilization(u)
                 assert abs(derived - ref) <= max(abs(ref), 1e-12) * 1e-3, (
                     f"{u} at {pes} PEs: derived {derived} vs aggregate {ref}")
-            self._cache[cache_key] = Point(
+            self._cache[cache_key] = program, Point(
                 result.time_us, utilization,
                 value if isinstance(value, (int, float)) else 0.0,
                 stats.remote_reads)
-        return self._cache[cache_key]
+        return self._cache[cache_key][1]

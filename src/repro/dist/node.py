@@ -126,8 +126,10 @@ class NodeRuntime:
     waiter tokens to futures (a token *is* the future an executor waits
     on) and carries out the protocol's actions; it keeps no protocol
     state.  An event from an executor runs on the executor, and of its
-    actions the executor releases waiters itself and hands each frame to
-    the loop (:meth:`hand_over`): one ``call_soon_threadsafe`` per event.
+    actions the executor releases waiters itself and queues the frames
+    for the loop (:meth:`hand_over`), waking it with a
+    ``call_soon_threadsafe`` only when the queue was empty: one wake per
+    batch the loop drains, never more than one per event.
     """
 
     def __init__(self, program, node: int, coord_port: int, cfg,
@@ -149,6 +151,9 @@ class NodeRuntime:
         self._stop: asyncio.Event | None = None
         self._hb_task: asyncio.Task | None = None
         self._threads: list[threading.Thread] = []
+        # Executors' frames for the loop, in hand-over order.
+        self._handed: list = []
+        self._hand_lock = threading.Lock()
         self._secret = frame_secret()
         self.peer_port: int | None = None
 
@@ -226,6 +231,7 @@ class NodeRuntime:
                 for node in set(range(self.cfg.nodes)) - set(msg["live"]):
                     self.endpoint.forget(node)
             self.act(actions)
+            self.endpoint.flush()
 
     async def _rejoin(self):
         """Dial the standby coordinator and resync; None when hopeless."""
@@ -298,7 +304,8 @@ class NodeRuntime:
 
     def hand_over(self, actions: list) -> None:
         """Carry out an executor event's ``actions`` (executor thread):
-        a release here, the frames on the loop in one hand-over."""
+        a release here, the frames queued for the loop, which is woken
+        only if the queue was empty (else a wake is already on its way)."""
         frames = []
         for act in actions:
             if act[0] == RELEASE:
@@ -306,10 +313,21 @@ class NodeRuntime:
             else:
                 frames.append(act)
         if frames:
-            try:
-                self.loop.call_soon_threadsafe(self.act, frames)
-            except RuntimeError:
-                pass  # loop already closed during teardown
+            with self._hand_lock:
+                wake = not self._handed
+                self._handed += frames
+            if wake:
+                try:
+                    self.loop.call_soon_threadsafe(self._drain)
+                except RuntimeError:
+                    pass  # loop already closed during teardown
+
+    def _drain(self) -> None:
+        """Carry out every frame the executors queued (loop thread)."""
+        with self._hand_lock:
+            frames, self._handed = self._handed, []
+        self.act(frames)
+        self.endpoint.flush()
 
     # ------------------------------------------------------------------
     # executors (worker threads)

@@ -42,9 +42,11 @@ not counted.  A read of an element the node does not hold is
 split-phase: a ``read`` frame to the owner, answered with a run of its
 cells from the requested element's page (``n`` long, the reader's
 window), or deferred owner-side until the write and then answered with
-that one element.  A run fills absent cells one by one: a slice would
-put None back over an element an executor wrote meanwhile.  Whatever
-fills a cell releases the readers parked on it.  A frame from a node
+that one element.  A run lands in one pass over the segment
+(:meth:`IStructureSegment.fill`): it fills absent cells only, so its
+None never unsets an element an executor wrote meanwhile, and marks
+the owned ones it fills as held first.  Whatever fills a cell releases
+the readers parked on it.  A frame from a node
 the coordinator fenced changes nothing.  An owner-map change re-issues
 the reads addressed to a dead node and replays every element of a dead
 node's identities this node holds to their new owner, if another —
@@ -120,10 +122,13 @@ class NodeProtocol:
         violation raises in the writer), any other goes to its owner."""
         with self.lock:
             owner = self.owners[self.headers[a].owner_of_offset(off)]
-            if owner != self.node:  # immutable: keep it at once
-                return self._keep(self.segments[a], a, off, value) + [
-                    (SEND, owner, {"t": "write", "a": a, "off": off,
-                                   "v": value, "replay": replay})]
+            if owner != self.node:  # immutable: keep a copy at once
+                seg = self.segments[a]
+                actions = ([] if seg.cells[off] is not None else
+                           self._release(a, off, value, seg.write(off, value)))
+                actions.append((SEND, owner, {"t": "write", "a": a, "off": off,
+                                              "v": value, "replay": replay}))
+                return actions
             waiters = self._write(a, off, value, replay)
             return self._release(a, off, value, waiters) if waiters else []
 
@@ -208,10 +213,20 @@ class NodeProtocol:
             lo, values = m["lo"], m["v"]  # rdy
             hi = lo + len(values)
             seg = self._segment(a, hi - 1)
+            # An owned element a run fills is held before its original
+            # write could arrive, which then verifies.
+            header, cells = self.headers[a], seg.cells
+            for ident in range(header.owner_of_offset(lo),
+                               header.owner_of_offset(hi - 1) + 1):
+                if self.owners[ident] == self.node:
+                    first, last = header.segment_bounds(ident)
+                    owned = range(max(lo, first), min(hi, last))
+                    self.held_first.update([
+                        (a, off) for off in owned if cells[off] is None
+                        and values[off - lo] is not None])
             actions = []
-            for off, value in enumerate(values, lo):
-                if value is not None:
-                    actions += self._keep(seg, a, off, value)
+            for off, waiters in seg.fill(lo, values):
+                actions += self._release(a, off, values[off - lo], waiters)
             # Few reads are pending at once, so look them up rather than
             # the run's every element.
             for key in [k for k in self.pending
@@ -261,16 +276,6 @@ class NodeProtocol:
         if replay:
             self.held_first.add((a, off))
         return waiters
-
-    def _keep(self, seg: IStructureSegment, a: int, off: int,
-              value) -> list:
-        """A copy of an element written elsewhere fills an absent cell;
-        if owned here, its original write may yet come, and verifies."""
-        if seg.cells[off] is not None:
-            return []
-        if self.owners[self.headers[a].owner_of_offset(off)] == self.node:
-            self.held_first.add((a, off))
-        return self._release(a, off, value, seg.write(off, value))
 
     def _release(self, a: int, off: int, value, waiters: list) -> list:
         """Wake what a write released: an executor's read here, or a

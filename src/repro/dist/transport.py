@@ -3,16 +3,29 @@
 Wire format: every frame is a 4-byte big-endian length prefix followed
 by one UTF-8 JSON object.  Three frame classes cross the peer wire:
 
-* ``data`` — ``{"t": "data", "src": n, "seq": k, "m": payload}``; the
-  reliable class.  Each (src, dst) pair is a sequence-numbered channel:
-  the sender keeps every frame until acked and retransmits on a timer,
-  the receiver acks every copy and delivers each sequence number exactly
-  once.  The channel bookkeeping (and its :class:`NetStats` counters) is
+* ``data`` — ``{"t": "data", "src": n, "seq": k, "m": [payload, ...],
+  "a": [seq, ...]}``; the reliable class.  Each (src, dst) pair is a
+  sequence-numbered channel: the sender keeps every frame until acked
+  and retransmits it whole on a timer, the receiver acks every copy and
+  delivers each sequence number exactly once, its payloads in order.
+  The channel bookkeeping (and its :class:`NetStats` counters) is
   :mod:`repro.sim.reliable`'s — the simulator proved the protocol in
   modeled time; this module runs the same state machine on a real wire.
-* ``ack`` — ``{"t": "ack", "src": n, "seq": k}``; fire-and-forget (a
-  lost ack is healed by sender retransmission, never by ack-of-ack).
+* ``ack`` — ``{"t": "ack", "src": n, "seq": [k, ...]}``; fire-and-forget
+  (a lost ack is healed by sender retransmission, never by ack-of-ack).
 * ``peer-hello`` — connection preamble naming the dialing node.
+
+One frame per peer per turn.  A turn is one callback's worth of the
+loop's work: a data frame delivered (its payloads' answers and its ack)
+or, in the node, an executor hand-over drained or a coordinator frame
+carried out.  What a turn sends a peer is queued and at the turn's end
+(:meth:`Endpoint.flush`) leaves as one ``data`` frame whose ``m`` lists
+the payloads and whose ``a`` (omitted when empty) lists the seqs owed
+that peer an ack; a peer owed only acks gets one ``ack`` frame listing
+them.  A frame is written at once when the link is up; a dial, an
+injected delay and a retransmission wait in a task.  So
+:class:`NetStats` counts frames here: ``sent`` data frames,
+``acks_sent`` ``ack`` frames.
 
 TCP already gives in-order reliable bytes *per connection*; the
 sequence/ack/dedup layer is what makes delivery survive the connection
@@ -114,9 +127,11 @@ async def read_frame(reader: asyncio.StreamReader,
 class Endpoint:
     """One node's peer-facing transport: listener + reliable channels.
 
-    Lives entirely on the node's asyncio loop.  ``send`` enqueues a
-    reliable data frame; ``on_message(src, payload)`` fires exactly once
-    per delivered payload; ``on_peer_lost(peer, reason, detail)`` — a
+    Lives entirely on the node's asyncio loop.  ``send`` queues a
+    payload for the turn's data frame to its peer, and ``flush`` ends
+    the turn (the endpoint ends its own after each frame it delivers);
+    ``on_message(src, payload)`` fires exactly once per delivered
+    payload; ``on_peer_lost(peer, reason, detail)`` — a
     :mod:`repro.dist.reasons` constant and free text — fires when a
     channel or connection budget is exhausted.  Peers fenced by the
     coordinator are ``forget``-ten: their channels drain and further
@@ -140,6 +155,10 @@ class Endpoint:
         self._retransmit_task: asyncio.Task | None = None
         self._server: asyncio.base_events.Server | None = None
         self._closed = False
+        # The turn's traffic: dst -> messages, and src -> (the
+        # connection its data came by, the seqs owed an ack).
+        self._outbox: dict[int, list] = {}
+        self._owed: dict[int, tuple] = {}
 
     @property
     def stats(self) -> NetStats:
@@ -158,28 +177,66 @@ class Endpoint:
     # -- sending ---------------------------------------------------------
 
     def send(self, dst: int, payload: dict) -> None:
-        """Reliably send ``payload`` to peer ``dst`` (loop context)."""
+        """Reliably send ``payload`` to peer ``dst`` (loop context): it
+        leaves with everything else sent ``dst`` this turn, at the
+        turn's :meth:`flush`."""
         if dst in self._lost or self._closed or dst == self.node:
             return
-        seq = self.net.assign(self.node, dst, None, time.monotonic())
-        frame = {"t": "data", "src": self.node, "seq": seq, "m": payload}
-        self.net.channel(self.node, dst).unacked[seq][0] = frame
-        self._spawn(self._transmit(dst, frame, "data"))
+        self._outbox.setdefault(dst, []).append(payload)
 
-    async def _transmit(self, dst: int, frame: dict, kind: str) -> None:
+    def flush(self) -> None:
+        """End the turn: per peer, its messages as one data frame
+        carrying the acks owed it, or the acks alone."""
+        outbox, self._outbox = self._outbox, {}
+        owed, self._owed = self._owed, {}
+        if self._closed:
+            return
+        for dst, msgs in outbox.items():
+            if dst in self._lost:
+                continue
+            seq = self.net.assign(self.node, dst, None, time.monotonic())
+            frame = {"t": "data", "src": self.node, "seq": seq, "m": msgs}
+            if dst in owed:
+                frame["a"] = owed.pop(dst)[1]
+            self.net.channel(self.node, dst).unacked[seq][0] = frame
+            self._transmit(dst, frame, "data", self._writers.get(dst))
+        for src, (writer, seqs) in owed.items():
+            self._transmit(src, {"t": "ack", "src": self.node, "seq": seqs},
+                           "ack", writer)
+
+    def _transmit(self, dst: int, frame: dict, kind: str, writer) -> None:
+        """One frame through the fault boundary: dropped, or written now
+        on ``writer`` if it is up and no delay was injected; else a task
+        waits out the delay and writes a data frame on its link, dialing
+        if it is down (``writer`` None: the retransmit path).  An ack
+        goes on the connection its data came by, or nowhere: the
+        sender's retransmission heals it."""
         drop, delay_s = self.injector.decide_frame(dst, kind)
         if drop:
             self.net.stats.dropped += 1
             return
+        if kind == "ack":
+            self.net.stats.acks_sent += 1
         if delay_s:
             self.net.stats.delayed += 1
+        if not delay_s and writer is not None and not writer.is_closing():
+            self._write(dst, frame, writer)
+        elif delay_s or kind == "data":
+            self._spawn(self._transmit_later(
+                dst, frame, delay_s, writer if kind == "ack" else None))
+
+    async def _transmit_later(self, dst: int, frame: dict, delay_s: float,
+                              writer) -> None:
+        if delay_s:
             await asyncio.sleep(delay_s)
-        writer = await self._ensure_conn(dst)
         if writer is None:
-            return
+            writer = await self._ensure_conn(dst)
+        if writer is not None and not writer.is_closing():
+            self._write(dst, frame, writer)
+
+    def _write(self, dst: int, frame: dict, writer) -> None:
         try:
             writer.write(encode_frame(frame, self.secret))
-            await writer.drain()
         except (ConnectionError, OSError):
             # Next retransmit scan redials and replays the window.
             if self._writers.get(dst) is writer:
@@ -251,38 +308,27 @@ class Endpoint:
                                          self._auth_reject)
                 if frame is None:
                     break
-                t = frame.get("t")
+                t, src = frame.get("t"), frame.get("src")
                 if t == "data":
-                    src = frame["src"]
+                    for seq in frame.get("a", ()):
+                        self.net.on_ack(self.node, src, seq)
                     seq = frame["seq"]
                     first = self.net.on_deliver(src, self.node, seq)
-                    self._spawn(self._send_ack(src, seq, writer))
+                    # Every copy is acked, on the connection it came by.
+                    self._owed[src] = (writer, [seq])
                     if first:
-                        self.on_message(src, frame["m"])
+                        for payload in frame["m"]:
+                            self.on_message(src, payload)
+                    self.flush()  # the frame's turn: acks and answers
                 elif t == "ack":
-                    self.net.on_ack(self.node, frame["src"], frame["seq"])
+                    for seq in frame["seq"]:
+                        self.net.on_ack(self.node, src, seq)
                 # peer-hello and anything else: preamble/no-op.
         finally:
             try:
                 writer.close()
             except Exception:
                 pass
-
-    async def _send_ack(self, src: int, seq: int, writer) -> None:
-        drop, delay_s = self.injector.decide_frame(src, "ack")
-        if drop:
-            self.net.stats.dropped += 1
-            return
-        if delay_s:
-            self.net.stats.delayed += 1
-            await asyncio.sleep(delay_s)
-        self.net.stats.acks_sent += 1
-        try:
-            writer.write(encode_frame({"t": "ack", "src": self.node,
-                                       "seq": seq}, self.secret))
-            await writer.drain()
-        except (ConnectionError, OSError):
-            pass  # the sender's retransmission will re-trigger an ack
 
     # -- retransmission --------------------------------------------------
 
@@ -313,7 +359,7 @@ class Endpoint:
                     entry[2] = retries + 1
                     ch.retransmits += 1
                     self.net.stats.retransmits += 1
-                    self._spawn(self._transmit(dst, frame, "data"))
+                    self._transmit(dst, frame, "data", None)
 
     # -- peer lifecycle --------------------------------------------------
 

@@ -100,6 +100,23 @@ class IStructureSegment:
         self.cells[slot] = value
         return self._deferred.pop(offset, [])
 
+    def fill(self, lo: int, values: list[Any]) -> list[tuple[int, list[Any]]]:
+        """Land a run of copies from ``lo`` (None where the sender had
+        none) in the absent cells, in one pass: a present cell is never
+        overwritten, so a run's None never unsets an element written
+        meanwhile.  Returns ``(offset, waiters)`` for each filled cell
+        that readers were deferred on, in offset order (each FIFO)."""
+        start, end = self._slot(lo), self._slot(lo + len(values) - 1) + 1
+        cells = self.cells
+        cells[start:end] = [value if cell is None else cell
+                            for cell, value in zip(cells[start:end], values)]
+        if not self._deferred:
+            return []
+        filled = sorted([off for off in self._deferred
+                         if start <= off - self.lo < end
+                         and cells[off - self.lo] is not None])
+        return [(off, self._deferred.pop(off)) for off in filled]
+
     def seed(self, offset: int, value: Any) -> None:
         """Pre-store a checkpointed element (restore path, host-side).
 

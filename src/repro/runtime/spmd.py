@@ -338,17 +338,21 @@ def fold_results(value, wall_time_s: float, completed: dict[int, dict],
     ``recovery.*`` and ``ckpt.*`` rows folded in, and the
     checkpoint/restore summary (None when durable execution was off).
     """
-    from repro.ckpt.format import run_summary
-
     stats = [WorkerTelemetry.from_dict(w, completed.get(w, {}))
              for w in range(width)]
     rlog.replayed_elements = sum(s.replayed_present for s in stats)
     registry = telemetry_registry(stats, spin_cause)
     rlog.to_registry(registry)
+    summary = None
+    if ckpt is not None or restore is not None:
+        # Only then: a dist coordinator is forked fresh for each run, so
+        # it would pay the checkpoint package's import on every one.
+        from repro.ckpt.format import run_summary
+
+        summary = run_summary(ckpt, restore, registry)
     return SpmdResult(value=value, wall_time_s=wall_time_s, width=width,
                       who=who, worker_stats=stats, registry=registry,
-                      recovery=rlog, netstats=netstats,
-                      ckpt=run_summary(ckpt, restore, registry))
+                      recovery=rlog, netstats=netstats, ckpt=summary)
 
 
 # -- supervision plumbing both launchers share --------------------------

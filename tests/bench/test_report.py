@@ -68,6 +68,20 @@ class TestSweeper:
         b = sweeper.run(program, (8,), 2, key="t", cache_enabled=False)
         assert a is not b
 
+    def test_two_programs_named_main_are_two_points(self):
+        # Without ``key=`` a point is the program's own: two programs
+        # whose entry is ``main`` share none.
+        from repro.api import compile_source
+
+        sweeper = Sweeper()
+        first = compile_source(self.SRC)
+        second = compile_source(self.SRC.replace("A[i] = i;",
+                                                 "A[i] = 2 * i;"))
+        assert first.pods.name == second.pods.name == "main"
+        a, b = (sweeper.run(p, (8,), 2) for p in (first, second))
+        assert (a.value, b.value) == (36, 72)
+        assert sweeper.run(first, (8,), 2) is a
+
 
 class TestFigures:
     def test_reproduce_fig10_reduced(self):

@@ -8,12 +8,15 @@ hooks — on one small program so they stay fast.
 """
 
 import math
+import queue
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import compile_source
 from repro.apps.matmul import compile_matmul
@@ -172,15 +175,24 @@ class TestRecovery:
 
 
 class _RecordingLoop:
-    """Stands in for the node's asyncio loop: runs every executor→loop
-    hand-over inline and remembers the action it carried."""
+    """Stands in for the node's asyncio loop: counts the executors'
+    wakes and runs each woken drain of the hand-over queue inline, or,
+    while ``held`` is a list (a busy loop), keeps it there until
+    :meth:`run`; remembers the actions the drains carried."""
 
-    def __init__(self):
-        self.handovers = []
+    def __init__(self, rt):
+        self.rt, self.wakes, self.handovers, self.held = rt, 0, [], None
 
-    def call_soon_threadsafe(self, fn, actions):
-        self.handovers += actions
-        fn(actions)
+    def call_soon_threadsafe(self, drain):
+        self.wakes += 1
+        if self.held is None:
+            self.run(drain)
+        else:
+            self.held.append(drain)
+
+    def run(self, drain):
+        self.handovers += self.rt._handed
+        drain()
 
 
 class _RecordingEndpoint:
@@ -196,6 +208,9 @@ class _RecordingEndpoint:
         if self.deliver is not None:
             self.deliver(dst, payload)
 
+    def flush(self):
+        pass  # every frame went out as it was sent
+
     def reads(self):
         return [(dst, m) for dst, m in self.sent if m["t"] == "read"]
 
@@ -203,7 +218,7 @@ class _RecordingEndpoint:
 def _runtime(program, nodes, args=(), node=0):
     rt = NodeRuntime(program, node, 0, DistConfig(nodes=nodes), args,
                      DistFaultPlan())
-    rt.loop, rt.endpoint = _RecordingLoop(), _RecordingEndpoint()
+    rt.loop, rt.endpoint = _RecordingLoop(rt), _RecordingEndpoint()
     return rt
 
 
@@ -251,7 +266,8 @@ class TestCrossings:
         value = _NodeInterpreter(rt, (0,), False).run(
             (24,), materialize=False).value
         assert value == 24512.63802011923
-        assert rt.loop.handovers == []  # 1 728 writes, every one local
+        # 1 728 writes, every one local: the loop is never woken.
+        assert rt.loop.handovers == [] and rt.loop.wakes == 0
 
     def test_local_write_crosses_once_for_a_remote_reader(self, program):
         rt = _runtime(program, 2)
@@ -265,7 +281,7 @@ class TestCrossings:
         arr.write((41,), 1.5)
         # A release is a run of the one element the reader waits on.
         rdy = (1, {"t": "rdy", "a": 1, "lo": 40, "v": [1.5]})
-        assert rt.loop.handovers == [(SEND, *rdy)]
+        assert rt.loop.handovers == [(SEND, *rdy)] and rt.loop.wakes == 1
         assert rt.endpoint.sent == [rdy]
         assert arr.read((41,)) == 1.5 and len(rt.loop.handovers) == 1
 
@@ -275,7 +291,7 @@ class TestCrossings:
         arr.write((64,), 2.5)  # identity 1's, and node 1 is alive
         write = (1, {"t": "write", "a": 1, "off": 63, "v": 2.5,
                      "replay": False})
-        assert rt.loop.handovers == [(SEND, *write)]
+        assert rt.loop.handovers == [(SEND, *write)] and rt.loop.wakes == 1
         assert rt.endpoint.sent == [write]
         # Kept as a copy: the collect and a checkpoint both carry it,
         # as the write may be on its way.
@@ -285,6 +301,22 @@ class TestCrossings:
                 "1": {"dims": [64], "vals": {63: 2.5}}}})]
         assert rt.protocol.control({"t": "collect", "a": 1}) == [
             (REPORT, {"t": "segment", "node": 0, "a": 1, "vals": {63: 2.5}})]
+
+    def test_a_busy_loop_is_woken_once_for_what_queues_meanwhile(
+            self, program):
+        rt = _runtime(program, 2)
+        rt.loop.held = []  # the loop is busy: its drain waits
+        arr = DistArray(rt, 1, (64,))
+        for i in (62, 63, 64):  # identity 1's, each a write frame
+            arr.write((i,), i / 2)
+        assert rt.loop.wakes == 1 and rt.endpoint.sent == []
+        rt.loop.run(rt.loop.held.pop())
+        writes = [(1, {"t": "write", "a": 1, "off": i - 1, "v": i / 2,
+                       "replay": False}) for i in (62, 63, 64)]
+        assert rt.endpoint.sent == writes  # in hand-over order
+        assert rt.loop.handovers == [(SEND, *w) for w in writes]
+        arr.write((61,), 30.5)  # the queue was drained: a new wake
+        assert rt.loop.wakes == 2
 
     @pytest.mark.parametrize("order, frames", [
         ("row", [_read(960, 32), _read(992, 64), _read(1056, 128),
@@ -407,7 +439,8 @@ class TestHandOvers:
     that no peer waits for hands nothing to the loop, a remote write one
     frame, a write that releases peers one frame per reader node (a
     remote write too, for peers parked on the copy it keeps), a read
-    miss at most one."""
+    miss at most one.  And the wakes they cost: at most one per event,
+    none when the hand-over queue already held a frame."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=cases())
@@ -417,6 +450,79 @@ class TestHandOvers:
                 assert crossed <= calls_for
             else:
                 assert crossed == calls_for, event
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=cases(), drains=st.lists(st.booleans(), min_size=1,
+                                         max_size=16))
+    def test_one_wake_per_queue_over_drawn_runs(self, program, case,
+                                                drains):
+        # Each event's loop-bound frames of a drawn cluster run, handed
+        # over in turn to a node's shell whose loop drains its queue at
+        # drawn points: an event wakes the loop once if it queues a frame
+        # on an empty queue, else not at all, and the loop carries every
+        # frame out once, in hand-over order.
+        rt = _runtime(program, 2)
+        rt.loop.held, frames = [], []
+        for i, (_, crossed, _) in enumerate(run_case(case).crossings):
+            queued, wakes = bool(rt._handed), rt.loop.wakes
+            event = [(SEND, 1, {"t": "write", "event": i, "k": k})
+                     for k in range(crossed)]
+            rt.hand_over(event)
+            frames += event
+            assert rt.loop.wakes - wakes == (crossed > 0 and not queued)
+            if drains[i % len(drains)]:
+                while rt.loop.held:
+                    rt.loop.run(rt.loop.held.pop(0))
+        while rt.loop.held:
+            rt.loop.run(rt.loop.held.pop(0))
+        assert rt.loop.handovers == frames
+        assert rt.endpoint.sent == [act[1:] for act in frames]
+
+    def test_executors_racing_the_loop_hand_over_every_frame_once(
+            self, program):
+        # Four executor threads hand over while a loop thread drains, the
+        # interpreter switching threads every microsecond: every frame is
+        # carried out once, each thread's in its order, none is left in
+        # the queue.
+        rt = _runtime(program, 2)
+        wakes = queue.SimpleQueue()
+        rt.loop = SimpleNamespace(call_soon_threadsafe=wakes.put)
+        events, done = 2000, threading.Event()
+
+        def executor(t):
+            for k in range(events):
+                rt.hand_over([(SEND, 1, {"t": t, "k": k, "i": i})
+                              for i in range(1 + k % 2)])
+
+        def loop():
+            while not (done.is_set() and wakes.empty()):
+                try:
+                    wakes.get(timeout=0.01)()
+                except queue.Empty:
+                    pass
+
+        threads = [threading.Thread(target=executor, args=(t,))
+                   for t in range(4)]
+        drainer = threading.Thread(target=loop)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            drainer.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+            done.set()
+            drainer.join(timeout=60.0)
+            assert not drainer.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert rt._handed == []
+        for t in range(4):
+            assert [(m["k"], m["i"]) for _, m in rt.endpoint.sent
+                    if m["t"] == t] == [(k, i) for k in range(events)
+                                        for i in range(1 + k % 2)]
 
     def test_every_kind_of_event_is_met(self):
         # Three nodes, one-element pages.  Node 0 stores element 0, sends

@@ -171,6 +171,78 @@ def test_run_shorter_than_a_page_holds_the_element():
     assert len(encode_frame(frame)) < _MAX_FRAME
 
 
+def _node0_of_3():
+    """Node 0 of three with array 1 of (24,) in 4-element pages: it owns
+    offsets 0..7, node 1 8..15, node 2 16..23."""
+    proto = NodeProtocol(0, 3, PAGE, threading.Lock())
+    proto.array(ArrayHeader(1, (24,), PAGE, 3))
+    return proto
+
+
+def test_a_run_never_overwrites_a_present_cell():
+    proto = _node0_of_3()
+    proto.write(1, 5, 1.0, False)  # owned, stored
+    proto.write(1, 9, 2.0, False)  # node 1's: a copy kept here
+    # Single assignment makes a run's value equal to the cell's; a run
+    # that differed would still leave the cell as it is.
+    assert proto.peer(1, _rdy(4, [7.0, 8.0, None, None, None, 9.0])) == []
+    assert proto.segments[1].cells[4:10] == [7.0, 1.0, None, None, None,
+                                             2.0]
+
+
+def test_a_run_marks_held_first_only_on_owned_cells_it_fills():
+    proto = _node0_of_3()
+    proto.write(1, 5, 1.0, False)  # owned, stored by its own write
+    proto.peer(1, _rdy(4, [0.5, 1.0, 1.5, None, 2.5, 3.5]))
+    assert proto.held_first == {(1, 4), (1, 6)}
+    # Their original writes verify, by frame as by a late local write.
+    assert proto.peer(2, {"t": "write", "a": 1, "off": 4, "v": 0.5,
+                          "replay": False}) == []
+    assert _replayed(proto) == 0
+
+
+def test_a_run_releases_the_readers_in_its_range_in_fifo_order():
+    proto = _node0_of_3()
+    assert proto.read(1, 9, 8, "w9") == (True, [
+        (SEND, 1, _read(9, 8))])  # node 1's: pending here
+    assert proto.read(1, 6, PAGE, "f1") == (False, [])  # owned: parked
+    assert proto.peer(2, _read(6)) == []
+    assert proto.read(1, 6, PAGE, "f2") == (False, [])
+    assert proto.read(1, 4, PAGE, "g") == (False, [])
+    assert proto.read(1, 12, PAGE, "beyond") == (True, [
+        (SEND, 1, _read(12))])
+    assert proto.peer(1, _rdy(4, [0.5, None, 1.5, None, None, 2.5])) == [
+        (RELEASE, "g", 0.5), (RELEASE, "f1", 1.5),
+        (SEND, 2, _rdy(6, [1.5])), (RELEASE, "f2", 1.5),
+        (RELEASE, "w9", 2.5)]
+    assert proto.segments[1].pending_offsets() == []
+    assert list(proto.pending) == [(1, 12)]
+
+
+def test_landing_a_run_costs_the_same_calls_at_any_length():
+    """The host work of landing a ``rdy`` run is per run, not per
+    element: the same Python calls (``sys.setprofile`` ``call`` events)
+    for 32 elements as for 968, on another node's segment and on one
+    the node owns."""
+    def calls(n, lo):
+        proto = NodeProtocol(0, 2, 32, threading.Lock())
+        proto.array(ArrayHeader(1, (2048,), 32, 2))
+        proto.read(1, lo + n // 2, 32, "waiter")
+        rdy = _rdy(lo, [0.5 * k + 1 for k in range(n)])
+        counted = []
+        sys.setprofile(lambda frame, event, arg:
+                       event == "call" and counted.append(1))
+        try:
+            actions = proto.peer(1, rdy)
+        finally:
+            sys.setprofile(None)
+        assert [kind for kind, *_ in actions] == [RELEASE]
+        return len(counted)
+
+    for lo in (1024, 1024 - 16):  # node 1's cells; from node 0's
+        assert calls(32, lo) == calls(968, lo) <= 17
+
+
 def test_a_dead_nodes_parked_reads_drop_and_local_ones_stay():
     proto = _owner_of_all()
     proto.peer(2, _read(0))

@@ -7,6 +7,7 @@ a real socket.
 """
 
 import asyncio
+import json
 
 import pytest
 
@@ -86,6 +87,7 @@ def _run_pair(cfg, sends, settle_s, faults_a="", faults_b=""):
         b.set_peers({0: ("127.0.0.1", pa)})
         for payload in sends:
             a.send(1, payload)
+        a.flush()
         await asyncio.sleep(settle_s)
         stats = (a.stats, b.stats)
         await a.close()
@@ -146,6 +148,7 @@ class TestReliableDelivery:
             a.set_peers({1: ("127.0.0.1", pb)})
             a.forget(1)
             a.send(1, {"i": 0})
+            a.flush()
             await asyncio.sleep(0.2)
             await a.close()
             await b.close()
@@ -166,6 +169,7 @@ class TestReliableDelivery:
             # Nobody is listening on the peer port.
             a.set_peers({1: ("127.0.0.1", 1)})
             a.send(1, {"i": 0})
+            a.flush()
             for _ in range(50):
                 await asyncio.sleep(0.05)
                 if lost:
@@ -176,6 +180,130 @@ class TestReliableDelivery:
         lost = asyncio.run(go())
         assert lost and lost[0][0] == 1
         assert lost[0][1] == reasons.RECONNECT_EXHAUSTED
+
+
+class _Wire:
+    """A connection's write side that keeps the frames written on it."""
+
+    def __init__(self):
+        self.frames, self.closed = [], False
+
+    def write(self, data):
+        while data:  # unkeyed frames: a length prefix and the JSON body
+            end = 4 + int.from_bytes(data[:4], "big")
+            self.frames.append(json.loads(data[4:end]))
+            data = data[end:]
+
+    def is_closing(self):
+        return self.closed
+
+    def close(self):
+        self.closed = True
+
+
+def _spy(endpoint):
+    """The frames ``endpoint`` writes, as it writes them."""
+    frames, write = [], endpoint._write
+    endpoint._write = lambda dst, frame, writer: (
+        frames.append(frame), write(dst, frame, writer))
+    return frames
+
+
+class TestOneFramePerPeerPerTurn:
+    def test_a_turns_messages_leave_as_one_frame_and_acks_ride_back(self):
+        # Node 1 answers each message in the turn that delivers it: one
+        # frame carries all three answers and the ack node 0 is owed;
+        # node 0, with nothing to send, acks that frame alone.
+        async def go():
+            cfg = DistConfig(**FAST)
+            inbox = {0: [], 1: []}
+
+            def make(node):
+                def on_message(src, m):
+                    inbox[node].append(m)
+                    if node == 1:
+                        eps[1].send(0, {"re": m["i"]})
+                inj = DistFaultInjector(DistFaultPlan.parse(""), node)
+                return Endpoint(node, cfg, inj, on_message,
+                                lambda *lost: None)
+
+            eps = [make(0), make(1)]
+            ports = [await ep.start("127.0.0.1") for ep in eps]
+            eps[0].set_peers({1: ("127.0.0.1", ports[1])})
+            eps[1].set_peers({0: ("127.0.0.1", ports[0])})
+            wires = [_spy(ep) for ep in eps]
+            for i in range(3):
+                eps[0].send(1, {"i": i})
+            eps[0].flush()
+            await asyncio.sleep(0.3)
+            unacked = [len(ch.unacked) for ch in
+                       eps[0].net.channels.values()] + [
+                len(ch.unacked) for ch in eps[1].net.channels.values()]
+            stats = [ep.stats for ep in eps]
+            for ep in eps:
+                await ep.close()
+            return inbox, wires, unacked, stats
+
+        inbox, (out0, out1), unacked, (s0, s1) = asyncio.run(go())
+        assert inbox == {1: [{"i": 0}, {"i": 1}, {"i": 2}],
+                         0: [{"re": 0}, {"re": 1}, {"re": 2}]}
+        assert out0 == [{"t": "data", "src": 0, "seq": 0, "m": [
+            {"i": 0}, {"i": 1}, {"i": 2}]}, {"t": "ack", "src": 0,
+                                             "seq": [0]}]
+        assert out1 == [{"t": "data", "src": 1, "seq": 0, "m": [
+            {"re": 0}, {"re": 1}, {"re": 2}], "a": [0]}]
+        assert (s0.sent, s0.acks_sent, s1.sent, s1.acks_sent) == (1, 1, 1, 0)
+        assert not any(unacked) and not s0.retransmits
+
+    def test_a_dropped_batch_is_retransmitted_whole_and_delivered_once(self):
+        cfg = DistConfig(**FAST)
+        inbox, lost, (sa, sb) = _run_pair(
+            cfg, [{"i": i} for i in range(4)], settle_s=0.4,
+            faults_a="drop:kind=data,count=1")
+        assert [m["i"] for _, m in inbox[1]] == [0, 1, 2, 3]
+        assert (sa.sent, sa.dropped) == (1, 1)
+        assert sa.retransmits >= 1 and not lost
+
+    def test_each_copy_is_acked_on_its_connection_and_delivered_once(self):
+        # A delivered frame is a turn: its ack leaves at its end, on the
+        # connection it came by (nothing was sent back to ride on), and
+        # a second copy is acked again but not delivered.
+        async def go():
+            _, b, inbox, _ = _endpoint_pair(DistConfig(**FAST))
+            await b.start("127.0.0.1")
+            reader, wire = asyncio.StreamReader(), _Wire()
+            for seq in (0, 1, 1, 2):
+                reader.feed_data(encode_frame({
+                    "t": "data", "src": 0, "seq": seq,
+                    "m": [{"i": seq}, {"j": seq}]}))
+            reader.feed_eof()
+            await b._read_conn(reader, wire)
+            await b.close()
+            return inbox[1], wire.frames, b.stats
+
+        delivered, frames, stats = asyncio.run(go())
+        assert delivered == [(0, {key: seq}) for seq in (0, 1, 2)
+                             for key in "ij"]
+        assert frames == [{"t": "ack", "src": 1, "seq": [seq]}
+                          for seq in (0, 1, 1, 2)]
+        assert (stats.acks_sent, stats.dup_discarded) == (4, 1)
+
+    def test_an_ack_frame_retires_every_seq_it_lists(self):
+        async def go():
+            a, _, _, _ = _endpoint_pair(DistConfig(**FAST))
+            await a.start("127.0.0.1")
+            for seq in range(4):
+                a.net.assign(0, 1, {"seq": seq}, 0.0)
+            reader = asyncio.StreamReader()
+            reader.feed_data(encode_frame({"t": "ack", "src": 1,
+                                           "seq": [0, 1, 3]}))
+            reader.feed_eof()
+            await a._read_conn(reader, _Wire())
+            unacked = sorted(a.net.channel(0, 1).unacked)
+            await a.close()
+            return unacked
+
+        assert asyncio.run(go()) == [2]
 
 
 class TestFrameAuth:
@@ -276,6 +404,7 @@ class TestFrameAuth:
             a.set_peers({1: ("127.0.0.1", pb)})
             b.set_peers({0: ("127.0.0.1", pa)})
             a.send(1, {"i": 0})
+            a.flush()
             for _ in range(50):
                 await asyncio.sleep(0.05)
                 if lost:

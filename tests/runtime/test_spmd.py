@@ -26,6 +26,7 @@ width, ascending and descending, one identity per interpreter or several
 """
 
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -34,6 +35,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import repro
 from repro import compile_source
 from repro.baseline.sequential import SeqArray
 from repro.common.errors import ExecutionError, MissingWriteError
@@ -305,6 +307,28 @@ def test_telemetry_sums_the_store_counters_and_renders():
     assert table.splitlines()[0].startswith("node    wall(s)")
     assert "main.for_i[1..8]" in table
     assert telemetry_table(stats).startswith("worker  wall(s)")
+
+
+FOLD_WITHOUT_CKPT = """
+import sys
+from repro.common.retry import RecoveryLog
+from repro.runtime.spmd import fold_results
+r = fold_results(1.0, 0.1, {0: {}, 1: {}}, 2, RecoveryLog(),
+                 ckpt=None, restore=None)
+assert r.ckpt is None and len(r.worker_stats) == 2
+print([m for m in sys.modules if m.startswith("repro.ckpt")])
+"""
+
+
+def test_folding_a_run_without_a_checkpoint_imports_no_ckpt():
+    # A ``dist`` coordinator is forked fresh for every run and folds its
+    # nodes' reports there: the checkpoint package is for a run that has
+    # a checkpoint or a restore.
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    out = subprocess.run([sys.executable, "-c", FOLD_WITHOUT_CKPT], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 # -- the clock-less code, against ``seq`` --------------------------------
