@@ -12,7 +12,7 @@ from repro.runtime.arrays import (
     segment_page_range,
 )
 from repro.runtime.frames import BLOCKED, DONE, READY, RUNNING, Frame
-from repro.runtime.istructure import IStructureSegment, PageCache
+from repro.runtime.istructure import IStructureSegment
 from repro.runtime.tokens import (
     AllocRequestMsg,
     DirectToken,
@@ -37,7 +37,6 @@ __all__ = [
     "IStructureSegment",
     "MatchToken",
     "Message",
-    "PageCache",
     "PageResponseMsg",
     "READY",
     "RUNNING",

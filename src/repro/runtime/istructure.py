@@ -10,13 +10,13 @@ An absent cell is None, as in every store's list (program values are
 numbers), so a segment's ``cells`` can be the list an inline read probes.
 
 :class:`IStructureSegment` stores one PE's contiguous slice of a
-distributed array (the simulator's Array Manager), or all a ``dist``
-node holds of one: what it owns and every copy it has.
-:class:`PageCache` is the read-only software cache of remote pages
-(Section 4): thanks to single assignment a cached value can never be
-stale, so there is no coherence protocol; a cached page may simply be
-*incomplete* and get refetched when an element that was absent at copy
-time is needed.
+distributed array or its copy of another PE's page (the simulator's
+Array Manager), or all a ``dist`` node holds of one: what it owns and
+every copy it has.  A copy is filled, never overwritten (:meth:`fill`):
+thanks to single assignment a copied value can never be stale, so there
+is no coherence protocol (Section 4); a copy may simply be *incomplete*,
+and the page is fetched again when an element absent at copy time is
+needed.
 """
 
 from __future__ import annotations
@@ -40,9 +40,6 @@ class IStructureSegment:
         self.cells: list[Any] = [None] * (hi - lo)
         # offset -> list of opaque waiter records, serviced FIFO on write.
         self._deferred: dict[int, list[Any]] = {}
-
-    def __contains__(self, offset: int) -> bool:
-        return self.lo <= offset < self.hi
 
     def _outside(self, offset: int) -> IndexError:
         return IndexError(
@@ -160,51 +157,3 @@ class IStructureSegment:
             if cell is not None:
                 yield self.lo + i, cell
 
-
-class PageCache:
-    """One PE's software cache of remote array pages.
-
-    A cached page is a snapshot: elements absent at fetch time stay absent
-    in the copy.  A hit requires the *element* to be present, not just the
-    page ("the need is not completely eliminated because not all elements
-    will, in general, be present at the time the page is transmitted" -
-    Section 4).  There is no eviction in the paper's model.  The
-    simulator counts hits and misses in its ``PEStats``.
-
-    :meth:`install` replaces a page: a snapshot sent before a value
-    reply and arriving after it (latency grows with size) drops the
-    value :meth:`install_element` put there, and its next read misses.
-    """
-
-    def __init__(self) -> None:
-        # (array_id, page_index) -> (page_lo_offset, list of cells)
-        self._pages: dict[tuple[int, int], tuple[int, list[Any]]] = {}
-
-    def lookup(self, array_id: int, page: int, offset: int) -> tuple[bool, Any]:
-        """(hit?, value).  A present page with an absent cell is a miss."""
-        entry = self._pages.get((array_id, page))
-        if entry is None:
-            return False, None
-        page_lo, cells = entry
-        idx = offset - page_lo
-        if idx < 0 or idx >= len(cells) or cells[idx] is None:
-            return False, None
-        return True, cells[idx]
-
-    def install(self, array_id: int, page: int, page_lo: int, cells: list[Any]) -> None:
-        """Install (or refresh) a page snapshot received from its owner."""
-        self._pages[(array_id, page)] = (page_lo, list(cells))
-
-    def install_element(self, array_id: int, page: int, page_lo: int,
-                        page_size: int, offset: int, value: Any) -> None:
-        """Merge a single remote value into the cache (deferred-read reply)."""
-        key = (array_id, page)
-        entry = self._pages.get(key)
-        if entry is None:
-            cells: list[Any] = [None] * page_size
-            self._pages[key] = (page_lo, cells)
-        else:
-            page_lo, cells = entry
-        idx = offset - page_lo
-        if 0 <= idx < len(cells):
-            cells[idx] = value

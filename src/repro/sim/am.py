@@ -4,9 +4,10 @@ Like every unit, plain functions over the machine ``M`` and a PE
 (:mod:`repro.sim.machine`).  The AM allocates arrays (the distributing
 allocate broadcasts the header to every PE), serves the AREAD and AWRITE
 the EU issued — locally, or as a split-phase request to the owner whose
-page reply it caches — and defers a read of an element not yet written
-until its write.  ``read_request``, ``page_response``, ``value_response``,
-``receive_write`` and ``receive_alloc`` take a message off the wire.
+page reply it keeps as a copy — and defers a read of an element not yet
+written until its write.  ``read_request``, ``page_response``,
+``value_response``, ``receive_write`` and ``receive_alloc`` take a
+message off the wire.
 """
 
 from __future__ import annotations
@@ -111,17 +112,17 @@ def read_local(M, pe, seg: IStructureSegment, offset: int, frame,
 
 
 def read(M, pe, aid: int, offset: int, waiter: ReturnAddress) -> None:
-    """Serve an AREAD of an element another PE holds: the page cache,
-    else a split-phase request to the owner."""
+    """Serve an AREAD of an element another PE holds: this PE's copy of
+    its page, else a split-phase request to the owner."""
     if pe.halted:
         return
     pe.stats.array_reads_remote += 1
     header = pe.headers[aid]
     mc = M.mc
     if mc.cache_enabled:
-        page = header.page_of(offset)
-        hit, value = pe.cache.lookup(aid, page, offset)
-        if hit:
+        copy = pe.copies.get((aid, header.page_of(offset)))
+        value = None if copy is None else copy.get(offset)
+        if value is not None:
             pe.stats.cache_hits += 1
             done = M._serve(pe, "AM", T.am_cached_read(True))
             M.schedule(done, mu.deliver_waiter, M, waiter, value)
@@ -189,14 +190,28 @@ def read_request(M, msg: ReadRequestMsg) -> None:
         pe.stats.deferred_remote += 1
 
 
+def _copy(pe, aid: int, page: int) -> IStructureSegment:
+    """This PE's copy of another PE's page, empty until the first page or
+    value lands in it.  A copy only gains values: single assignment
+    means a copied element is never stale, so a page snapshot and a
+    value reply each fill absent cells, in whichever order they land
+    (Section 4's caching without coherence traffic)."""
+    copy = pe.copies.get((aid, page))
+    if copy is None:
+        header = pe.headers[aid]
+        lo = page * header.page_size
+        hi = min(lo + header.page_size, header.total_elements)
+        copy = pe.copies[aid, page] = IStructureSegment(aid, lo, hi)
+    return copy
+
+
 def page_response(M, msg: PageResponseMsg) -> None:
     pe = M.pes[msg.dst_pe]
     if pe.halted:
         return
     done = M._serve(pe, "AM", T.am_receive_page(len(msg.cells)))
     if M.mc.cache_enabled:
-        pe.cache.install(msg.array_id, msg.page, msg.page_lo,
-                         list(msg.cells))
+        _copy(pe, msg.array_id, msg.page).fill(msg.page_lo, msg.cells)
     value = msg.cells[msg.offset - msg.page_lo]
     if value is None:
         raise ExecutionError(
@@ -212,13 +227,8 @@ def value_response(M, msg: ValueResponseMsg) -> None:
         return
     done = M._serve(pe, "AM", T.MEM_WRITE)
     if M.mc.cache_enabled:
-        header = pe.headers.get(msg.array_id)
-        if header is not None:
-            page = header.page_of(msg.offset)
-            pe.cache.install_element(
-                msg.array_id, page, page * header.page_size,
-                header.page_size, msg.offset, msg.value,
-            )
+        page = pe.headers[msg.array_id].page_of(msg.offset)
+        _copy(pe, msg.array_id, page).fill(msg.offset, [msg.value])
     M.schedule(done, mu.deliver_waiter, M, msg.waiter, msg.value,
                "istructure-defer", msg.src_sp)
 

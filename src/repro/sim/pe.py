@@ -8,7 +8,7 @@ from typing import Callable
 
 from repro.runtime.arrays import ArrayHeader
 from repro.runtime.frames import Frame
-from repro.runtime.istructure import IStructureSegment, PageCache
+from repro.runtime.istructure import IStructureSegment
 from repro.sim.stats import PEStats
 
 
@@ -48,7 +48,9 @@ class PE:
     # Array Manager state
     headers: dict[int, ArrayHeader] = field(default_factory=dict)
     segments: dict[int, IStructureSegment] = field(default_factory=dict)
-    cache: PageCache = field(default_factory=PageCache)
+    # (array_id, page) -> this PE's copy of another PE's page
+    copies: dict[tuple[int, int], IStructureSegment] = field(
+        default_factory=dict)
     header_waiters: dict[int, list] = field(default_factory=dict)
 
     # Routing Unit state: per-destination partial token batches

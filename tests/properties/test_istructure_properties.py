@@ -4,8 +4,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.api import compile_source
+from repro.common.config import MachineConfig, SimConfig
 from repro.common.errors import SingleAssignmentViolation
-from repro.runtime.istructure import IStructureSegment, PageCache
+from repro.runtime.istructure import IStructureSegment
+from repro.runtime.tokens import (
+    PageResponseMsg,
+    ReturnAddress,
+    ValueResponseMsg,
+)
+from repro.sim import am
+from repro.sim.machine import Machine
 
 
 @given(ops=st.lists(
@@ -68,22 +77,56 @@ def test_page_snapshot_reflects_exact_presence(writes):
             assert cells[off] is None
 
 
-@given(
-    entries=st.lists(
-        st.tuples(st.integers(1, 3), st.integers(0, 5), st.integers(0, 100)),
-        max_size=40),
-)
-def test_cache_never_fabricates_values(entries):
-    """A cache hit always returns a value previously installed for that
-    exact (array, page, offset)."""
-    cache = PageCache()
-    installed = {}
-    for array_id, page, value in entries:
-        page_lo = page * 8
-        cells = [value + i for i in range(8)]
-        cache.install(array_id, page, page_lo, cells)
-        for i in range(8):
-            installed[(array_id, page, page_lo + i)] = value + i
-    for (array_id, page, offset), expect in installed.items():
-        hit, got = cache.lookup(array_id, page, offset)
-        assert hit and got == expect
+PAGE = 8
+_PROGRAM = compile_source("function main(n) { return n; }").pods
+_WAITER = ReturnAddress(0, 0, 0)
+
+
+def _land(messages):
+    """PE 0 of two, after its Array Manager took ``messages`` (copies of
+    array 1's page 1, which PE 1 owns) off the wire in order."""
+    machine = Machine(_PROGRAM, SimConfig(machine=MachineConfig(
+        num_pes=2, page_size=PAGE)))
+    pe = machine.pes[0]
+    am.install_header(machine, pe, 1, (2 * PAGE,))
+    for msg in messages:
+        if isinstance(msg, PageResponseMsg):
+            am.page_response(machine, msg)
+        else:
+            am.value_response(machine, msg)
+    return machine, pe
+
+
+@given(data=st.data())
+def test_copies_land_in_any_order_to_the_same_cells(data):
+    """Page snapshots and value replies of one page, each carrying only
+    the element's one value (single assignment), leave the reader's copy
+    with every value they carried and nothing else, whatever the order
+    they land in; and a read of each element sent is a hit.  A copy that
+    a snapshot replaced would lose a reply landed before an older
+    snapshot."""
+    values = data.draw(st.lists(st.integers(0, 1000),
+                                min_size=PAGE, max_size=PAGE))
+    masks = data.draw(st.lists(
+        st.lists(st.booleans(), min_size=PAGE, max_size=PAGE).filter(any),
+        max_size=4))
+    replies = data.draw(st.lists(st.integers(0, PAGE - 1), max_size=4,
+                                 unique=True))
+    messages = [
+        PageResponseMsg(1, 0, 1, 1, PAGE,
+                        tuple(v if p else None for v, p in zip(values, mask)),
+                        PAGE + mask.index(True), _WAITER)
+        for mask in masks
+    ] + [ValueResponseMsg(1, 0, 1, PAGE + off, values[off], _WAITER)
+         for off in replies]
+    sent = set(replies).union(
+        *({i for i, p in enumerate(mask) if p} for mask in masks))
+    expect = [values[i] if i in sent else None for i in range(PAGE)]
+
+    for order in (messages, data.draw(st.permutations(messages))):
+        machine, pe = _land(order)
+        copy = pe.copies.get((1, 1))
+        assert (copy.cells if copy else [None] * PAGE) == expect
+        for off in sorted(sent):
+            am.read(machine, pe, 1, PAGE + off, _WAITER)
+        assert pe.stats.cache_hits == len(sent)

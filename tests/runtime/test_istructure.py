@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import SingleAssignmentViolation
-from repro.runtime.istructure import IStructureSegment, PageCache
+from repro.runtime.istructure import IStructureSegment
 
 
 def deferred_count(seg, offset=None):
@@ -60,10 +60,11 @@ class TestSegmentBasics:
         seg = IStructureSegment(1, 100, 110)
         seg.write(100, "a")
         assert seg.read(109) == (False, None)
-        with pytest.raises(IndexError):
-            seg.read(99)
-        with pytest.raises(IndexError):
-            seg.write(110, "x")
+        for outside in (99, 110):
+            with pytest.raises(IndexError):
+                seg.read(outside)
+            with pytest.raises(IndexError):
+                seg.write(outside, "x")
 
     def test_get_returns_the_value_or_absent(self):
         seg = IStructureSegment(1, 100, 104)
@@ -77,13 +78,6 @@ class TestSegmentBasics:
                 seg.get(outside)
             assert str(exc.value) == (
                 f"offset {outside} outside segment [100, 104) of array 1")
-
-    def test_contains(self):
-        seg = IStructureSegment(1, 4, 8)
-        assert 4 in seg
-        assert 7 in seg
-        assert 8 not in seg
-        assert 3 not in seg
 
     def test_an_absent_cell_is_none(self):
         # None marks absence, as in every store's list (program values
@@ -165,40 +159,36 @@ class TestPageSnapshot:
         assert list(seg.items()) == [(11, "b"), (13, "d")]
 
 
-class TestPageCache:
-    def test_miss_then_install_then_hit(self):
-        cache = PageCache()
-        hit, _ = cache.lookup(1, 0, 3)
-        assert not hit
-        cache.install(1, 0, 0, [10, 20, 30, 40])
-        hit, value = cache.lookup(1, 0, 3)
-        assert hit and value == 40
+class TestPageCopy:
+    """A PE's copy of another PE's page is a segment over that page,
+    landed by ``fill``: a page snapshot fills the cells it carries, a
+    value reply fills one, and a copy only gains values."""
 
-    def test_absent_cell_in_cached_page_is_a_miss(self):
+    def test_miss_then_fill_then_hit(self):
+        copy = IStructureSegment(1, 0, 4)
+        assert copy.get(3) is None
+        copy.fill(0, [10, 20, 30, 40])
+        assert copy.get(3) == 40
+
+    def test_a_hole_is_a_miss_until_a_later_snapshot_fills_it(self):
         # "the same page may be copied multiple times in the future as
         # references to previously empty elements are being made"
-        cache = PageCache()
-        cache.install(2, 5, 160, [1, None, 3])
-        hit, _ = cache.lookup(2, 5, 161)
-        assert not hit
-        # Refresh with the now-complete page.
-        cache.install(2, 5, 160, [1, 2, 3])
-        hit, value = cache.lookup(2, 5, 161)
-        assert hit and value == 2
+        copy = IStructureSegment(2, 160, 163)
+        copy.fill(160, [1, None, 3])
+        assert copy.get(161) is None
+        copy.fill(160, [1, 2, 3])
+        assert copy.get(161) == 2
 
-    def test_install_replaces_a_merged_element(self):
-        # A page snapshot taken before a value reply, arriving after it,
-        # drops the value: replacing is not merging.
-        cache = PageCache()
-        cache.install_element(1, 0, 0, 4, 2, "reply")
-        cache.install(1, 0, 0, [10, None, None, None])
-        assert cache.lookup(1, 0, 0) == (True, 10)
-        assert cache.lookup(1, 0, 2) == (False, None)
+    def test_an_older_snapshot_keeps_a_replied_value(self):
+        # A page snapshot taken before a value reply can arrive after it
+        # (latency grows with size): its None leaves the reply's value.
+        copy = IStructureSegment(1, 0, 4)
+        copy.fill(2, ["reply"])
+        copy.fill(0, [10, None, None, None])
+        assert copy.cells == [10, None, "reply", None]
 
-    def test_install_element_merges(self):
-        cache = PageCache()
-        cache.install_element(1, 0, 0, 4, 2, "late")
-        hit, value = cache.lookup(1, 0, 2)
-        assert hit and value == "late"
-        hit, _ = cache.lookup(1, 0, 1)
-        assert not hit
+    def test_a_value_reply_fills_one_cell(self):
+        copy = IStructureSegment(1, 0, 4)
+        copy.fill(2, ["late"])
+        assert copy.get(2) == "late"
+        assert copy.get(1) is None

@@ -6,7 +6,13 @@ import pytest
 from repro.api import compile_source
 from repro.common.config import MachineConfig, SimConfig
 from repro.common.errors import ExecutionError, PEHaltError
-from repro.runtime.tokens import ReadRequestMsg, RemoteWriteMsg, ReturnAddress
+from repro.runtime.tokens import (
+    PageResponseMsg,
+    ReadRequestMsg,
+    RemoteWriteMsg,
+    ReturnAddress,
+    ValueResponseMsg,
+)
 from repro.sim import am, decode
 from repro.sim.machine import Machine
 from repro.translator import isa
@@ -66,6 +72,23 @@ class TestCaching:
         r = m.run((64,))
         expect = sum(i + min(i + 7, 64) for i in range(1, 65))
         assert r.value == expect
+
+
+    def test_an_older_page_snapshot_keeps_a_replied_value(self):
+        # PE 0 reads PE 1's page 1 (offsets 4..7) twice: offset 6 is
+        # deferred at the owner and answered on its write, offset 4 is
+        # shipped with its page, taken before offset 6 was written.  The
+        # page is larger than the value, so its snapshot can land after
+        # the reply; it must not take the replied value out of the copy.
+        m = build(GATHER, pes=2, page_size=4)
+        pe = m.pes[0]
+        am.install_header(m, pe, 1, (8,))
+        waiter = ReturnAddress(0, 0, 0)
+        am.value_response(m, ValueResponseMsg(1, 0, 1, 6, 60.0, waiter))
+        am.page_response(m, PageResponseMsg(
+            1, 0, 1, 1, 4, (40.0, None, None, None), 4, waiter))
+        am.read(m, pe, 1, 6, waiter)
+        assert (pe.stats.cache_hits, pe.stats.cache_misses) == (1, 0)
 
 
 class TestDeferredRemote:
