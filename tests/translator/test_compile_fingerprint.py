@@ -1,12 +1,15 @@
 """Pinned compiler output: every in-tree IdLite source, compiled with and
-without ``optimize``, is held to the sha256 of its SP listing and of its
-``.pods`` serialization.
+without ``optimize``, is held to the sha256 of its SP listing, of its
+``.pods`` serialization and of its graph's two renderings (``to_text``,
+``to_dot``).
 
 The fixture ``compile_fingerprint.json`` was generated before the lexer,
 parser and per-node dispatch of the front end were rewritten for speed;
 the rewrite was required to leave every byte the compiler emits alone,
 and this test holds it (and any later front-end change) to that with
-``==``.
+``==``.  The rendering hashes were added before the middle end's passes
+moved onto the IR's one operand table and walks (``repro.graph.ir``),
+which had to leave the graph itself alone as well.
 
 If a deliberate codegen change moves a hash, regenerate with::
 
@@ -32,6 +35,7 @@ from repro.apps.matmul import MATMUL_CHECKSUM_SOURCE, MATMUL_SOURCE
 from repro.apps.nbody import NBODY_SOURCE
 from repro.apps.simple_app import simple_source
 from repro.apps.stencil import STENCIL_SOURCE
+from repro.graph.render import to_dot, to_text
 from repro.lang.lexer import tokenize
 from repro.translator.serialize import program_to_dict
 
@@ -61,8 +65,10 @@ def fingerprint(source: str, optimize: bool) -> dict[str, str]:
     program = compile_source(source, optimize=optimize)
     # The bytes ``save_program`` writes.
     pods = json.dumps(program_to_dict(program.pods), indent=1)
-    return {"listing": hashlib.sha256(program.listing().encode()).hexdigest(),
-            "pods": hashlib.sha256(pods.encode()).hexdigest()}
+    texts = {"listing": program.listing(), "pods": pods,
+             "text": to_text(program.graph), "dot": to_dot(program.graph)}
+    return {name: hashlib.sha256(text.encode()).hexdigest()
+            for name, text in texts.items()}
 
 
 def current() -> dict[str, dict[str, str]]:
