@@ -36,26 +36,6 @@ Affine = tuple
 VARIES = None   # not affine in the loop index
 
 
-def _invoke_map(graph: ir.ProgramGraph) -> dict[int, tuple[ir.CodeBlock, ir.InvokeItem]]:
-    """child block id -> (parent block, invoke item).  Loop blocks are
-    invoked from exactly one static site (the builder guarantees it)."""
-    out: dict[int, tuple[ir.CodeBlock, ir.InvokeItem]] = {}
-
-    def scan(block: ir.CodeBlock, region: ir.Region) -> None:
-        for item in region:
-            if type(item) is ir.InvokeItem:
-                out[item.block] = (block, item)
-            elif type(item) is ir.IfItem:
-                scan(block, item.then_region)
-                scan(block, item.else_region)
-
-    for block in graph.blocks.values():
-        scan(block, block.body)
-        if block.kind == ir.WHILE:
-            scan(block, block.cond_region)
-    return out
-
-
 @dataclass
 class Access:
     """One array access found in a loop's subtree."""
@@ -71,7 +51,7 @@ class LcdAnalysis:
 
     def __init__(self, graph: ir.ProgramGraph) -> None:
         self.graph = graph
-        self.invokes = _invoke_map(graph)
+        self.invokes = ir.invoke_sites(graph)
 
     # -- value tracing ---------------------------------------------------
 
@@ -90,7 +70,7 @@ class LcdAnalysis:
             return ("alloc", block.block_id, vid)
         if type(d) is ir.ParamDef:
             if block.kind in (ir.FOR, ir.WHILE) and block.block_id in self.invokes:
-                parent, invoke = self.invokes[block.block_id]
+                parent, _, invoke = self.invokes[block.block_id]
                 return self.trace_array_key(parent, invoke.args[d.index])
             return ("fnparam", block.block_id, vid)
         return ("opaque", block.block_id, vid)
@@ -119,7 +99,7 @@ class LcdAnalysis:
                 # Defined outside the loop: invariant, value unknown.
                 return VARIES
             if block.kind in (ir.FOR, ir.WHILE) and block.block_id in self.invokes:
-                parent, invoke = self.invokes[block.block_id]
+                parent, _, invoke = self.invokes[block.block_id]
                 return self.affine_of(parent, invoke.args[d.index], loop)
             return VARIES
 
@@ -155,36 +135,18 @@ class LcdAnalysis:
     def collect_accesses(self, loop: ir.CodeBlock) -> list[Access]:
         """All array reads/writes in ``loop``'s static subtree."""
         out: list[Access] = []
-
-        def visit_block(block: ir.CodeBlock) -> None:
-            if block.kind == ir.WHILE:
-                visit_region(block, block.cond_region)
-            visit_region(block, block.body)
-
-        def visit_region(block: ir.CodeBlock, region: ir.Region) -> None:
-            for item in region:
+        for block, run in ir.subtree(self.graph, loop):
+            for item in run:
                 kind = type(item)
                 if kind is ir.ComputeItem:
-                    d = block.defs[item.vid]
-                    if type(d) is ir.ReadDef:
-                        out.append(Access(
-                            self.trace_array_key(block, d.array),
-                            [self.affine_of(block, s, loop) for s in d.indices],
-                            is_write=False, block_id=block.block_id,
-                        ))
-                elif kind is ir.WriteItem:
+                    item = block.defs[item.vid]  # the def it anchors
+                    kind = type(item)
+                if kind is ir.ReadDef or kind is ir.WriteItem:
                     out.append(Access(
                         self.trace_array_key(block, item.array),
                         [self.affine_of(block, s, loop) for s in item.indices],
-                        is_write=True, block_id=block.block_id,
+                        is_write=kind is ir.WriteItem, block_id=block.block_id,
                     ))
-                elif kind is ir.InvokeItem:
-                    visit_block(self.graph.blocks[item.block])
-                elif kind is ir.IfItem:
-                    visit_region(block, item.then_region)
-                    visit_region(block, item.else_region)
-
-        visit_block(loop)
         return out
 
     # -- the verdict -------------------------------------------------------

@@ -45,10 +45,6 @@ from repro.baseline.sequential import (
 )
 from repro.sim import timing as T
 
-# Blocking remote-read round trip: request + whole-page reply.
-_PAGE_BYTES = 32 * 8 + 32
-
-
 def _remote_read_rt(page_size: int, element_bytes: int) -> float:
     return (T.message_latency(32)
             + T.message_latency(page_size * element_bytes + 32)
@@ -173,42 +169,27 @@ class StaticInterpreter(PartitionedInterpreter):
         header = self.header_for(arr)
         offset = arr.offset(indices)
         avail = self.avail.get((arr.ordinal, offset), 0.0)
-        ctx = self.clocks.ctx
-        if ctx == "all":
-            # Replicated SPMD code: every non-owner PE must fetch the
-            # element (round trips happen in parallel across PEs, so each
-            # clock pays its own).
-            owner = header.owner_of_offset(offset)
-            page = header.page_of(offset)
-            for p in range(self.num_pes):
-                if self.clocks.times[p] < avail:
-                    self.clocks.times[p] = avail
-                if p == owner:
-                    continue
-                key = (p, arr.ordinal, page)
-                if self.cache_enabled and self.page_cache.get(key, -1.0) >= avail:
-                    continue
-                self.clocks.times[p] += self.remote_rt
-                self.remote_misses += 1
-                if self.cache_enabled:
-                    self.page_cache[key] = self.clocks.times[p]
-            return arr.read(indices)
         owner = header.owner_of_offset(offset)
-        if owner == ctx:
-            self.clocks.wait_until(avail)
-        else:
-            page = header.page_of(offset)
-            key = (ctx, arr.ordinal, page)
-            if self.cache_enabled and key in self.page_cache \
-                    and self.page_cache[key] >= avail:
-                self.clocks.wait_until(avail)
-            else:
-                # Blocking miss: full round trip, no overlap.
-                self.clocks.wait_until(avail)
-                self.clocks.charge(self.remote_rt)
-                self.remote_misses += 1
-                if self.cache_enabled:
-                    self.page_cache[key] = self.clocks.now()
+        page = header.page_of(offset)
+        times = self.clocks.times
+        ctx = self.clocks.ctx
+        # Replicated SPMD code reads on every PE (round trips happen in
+        # parallel across PEs, so each clock pays its own); a
+        # distributed-loop iteration on its one PE.  A PE waits for the
+        # element; then the owner has it, a cached page has it, and a
+        # miss pays a blocking round trip with no overlap.
+        for p in range(self.num_pes) if ctx == "all" else (ctx,):
+            if times[p] < avail:
+                times[p] = avail
+            if p == owner:
+                continue
+            key = (p, arr.ordinal, page)
+            if self.cache_enabled and self.page_cache.get(key, -1.0) >= avail:
+                continue
+            times[p] += self.remote_rt
+            self.remote_misses += 1
+            if self.cache_enabled:
+                self.page_cache[key] = times[p]
         return arr.read(indices)
 
     def on_array_write(self, arr: SeqArray, indices: tuple, value) -> None:

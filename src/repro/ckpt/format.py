@@ -49,7 +49,8 @@ import os
 from dataclasses import dataclass
 
 from repro.common.canonical import (canonical_json, content_address,
-                                    source_hash, source_hash_problems)
+                                    source_hash, source_hash_problems,
+                                    write_atomic)
 from repro.common.errors import PodsError
 from repro.runtime.arrays import flat_size
 
@@ -256,14 +257,6 @@ def validate(doc) -> list[str]:
 LATEST = "latest.json"
 
 
-def _write(text: str, path: str) -> str:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-    return path
-
-
 def load(path: str) -> "CkptRestore":
     """Open a checkpoint: a snapshot file, or a checkpoint directory
     (its ``latest.json``), parsed and validated once."""
@@ -339,8 +332,8 @@ class CkptWriter:
         path = os.path.join(self.spec.dir,
                             f"ckpt-{self.snapshots:06d}.json")
         text = canonical_json(doc) + "\n"  # encoded once, written twice
-        _write(text, path)
-        _write(text, os.path.join(self.spec.dir, LATEST))
+        write_atomic(text, path)
+        write_atomic(text, os.path.join(self.spec.dir, LATEST))
         self.snapshots += 1
         self.elements = sum(len(entry["elements"]) for entry in entries)
         self.last_path = path

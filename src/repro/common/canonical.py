@@ -1,10 +1,11 @@
-"""The one canonical JSON encoding, content address and source hash
-shared by run records and checkpoints."""
+"""The one canonical JSON encoding, content address, source hash and
+file write shared by run records and checkpoints."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 
 
 def canonical_json(doc: dict) -> str:
@@ -15,6 +16,16 @@ def canonical_json(doc: dict) -> str:
 def content_address(doc: dict) -> str:
     """sha256 hex digest of a document's canonical bytes."""
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
+
+
+def write_atomic(text: str, path: str) -> str:
+    """Write ``text`` to ``path`` whole or not at all: a reader sees the
+    old file or the new one, never a torn one (tmp file + ``os.replace``)."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "w") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+    return path
 
 
 def source_hash(source: str) -> str:

@@ -10,6 +10,13 @@ conditionals keep dataflow-switch semantics (only the taken branch
 executes — essential because the untaken branch may contain an
 I-structure read of a never-written element).
 
+The IR's shape is stated once, at the end of this module: one table of
+which fields of each def and item class hold vids (:data:`OPERANDS`,
+read through :func:`uses` and :func:`rename`) and three walks —
+:func:`regions`, :func:`invoke_sites` and :func:`subtree`.  The middle
+end (optimizer, renderer, LCD analysis, Partitioner) reads the graph
+through them instead of re-deriving it.
+
 Naming follows the paper where possible: loop blocks are entered through
 L operators (here :class:`InvokeItem`), which the Partitioner may turn
 into distributing LD operators; Range Filters are attached to loop blocks
@@ -310,3 +317,102 @@ class ProgramGraph:
 
     def loop_blocks(self) -> list[CodeBlock]:
         return [b for b in self.blocks.values() if b.kind in (FOR, WHILE)]
+
+
+# ---------------------------------------------------------------------
+# The IR's shape: the vids each node names, and the walks over a block
+# ---------------------------------------------------------------------
+
+# Def or item class -> the fields that name vids, in order; a field
+# holds one vid or a list of them.  An item names its operands and the
+# vids it binds for later items (an invoke's results, an if's joins); a
+# ComputeItem only anchors its def, which names the operands.
+OPERANDS: dict[type, tuple[str, ...]] = {
+    ParamDef: (), ConstDef: (), IndexDef: (), ResultDef: (),
+    OpDef: ("args",), AllocDef: ("dims",), ReadDef: ("array", "indices"),
+    CallDef: ("args",), JoinDef: ("then_vid", "else_vid"),
+    ComputeItem: (), WriteItem: ("array", "indices", "value"),
+    InvokeItem: ("args", "results"), IfItem: ("cond", "joins"),
+    NextItem: ("value",), ReturnItem: ("value",),
+}
+
+
+def uses(node: Def | Item) -> list[int]:
+    """The vids a def or item names, in :data:`OPERANDS` order."""
+    out = []
+    for name in OPERANDS[type(node)]:
+        value = getattr(node, name)
+        if type(value) is list:
+            out += value
+        else:
+            out.append(value)
+    return out
+
+
+def rename(node: Def | Item, old: int, new: int) -> None:
+    """Make a def or item name vid ``new`` wherever it names ``old``."""
+    for name in OPERANDS[type(node)]:
+        value = getattr(node, name)
+        if type(value) is list:
+            if old in value:
+                value[:] = [new if v == old else v for v in value]
+        elif value == old:
+            setattr(node, name, new)
+
+
+def regions(block: CodeBlock) -> list[Region]:
+    """Every region of ``block``: the body, a while block's condition,
+    and both branches of every IfItem, each region before its branches."""
+    out = ([block.body, block.cond_region] if block.kind == WHILE
+           else [block.body])
+    for region in out:  # grows as branches are found
+        for item in region:
+            if type(item) is IfItem:
+                out += (item.then_region, item.else_region)
+    return out
+
+
+def invoke_sites(graph: ProgramGraph
+                 ) -> dict[int, tuple[CodeBlock, Region, InvokeItem]]:
+    """Loop block id -> (parent block, region, InvokeItem) of the one
+    static site that invokes it (the builder makes one per loop)."""
+    return {item.block: (block, region, item)
+            for block in graph.blocks.values()
+            for region in regions(block)
+            for item in region if type(item) is InvokeItem}
+
+
+def subtree(graph: ProgramGraph,
+            loop: CodeBlock) -> list[tuple[CodeBlock, Region]]:
+    """``loop``'s static subtree in program order, as runs of items.
+
+    A run is ``(block, items)``: a slice of one region of ``block`` that
+    ends at an IfItem, whose branches' runs follow it, at an InvokeItem,
+    whose loop's runs follow it, or at the region's end.  A while
+    block's condition comes before its body.
+    """
+    runs = []
+
+    def enter(block: CodeBlock) -> None:
+        if block.kind == WHILE:
+            walk(block, block.cond_region)
+        walk(block, block.body)
+
+    def walk(block: CodeBlock, region: Region) -> None:
+        start = end = 0
+        for item in region:
+            end += 1
+            kind = type(item)
+            if kind is IfItem or kind is InvokeItem:
+                runs.append((block, region[start:end]))
+                start = end
+                if kind is IfItem:
+                    walk(block, item.then_region)
+                    walk(block, item.else_region)
+                else:
+                    enter(graph.blocks[item.block])
+        if start < end:
+            runs.append((block, region[start:]))
+
+    enter(loop)
+    return runs

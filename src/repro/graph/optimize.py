@@ -49,25 +49,6 @@ class HoistReport:
             self.per_block = {}
 
 
-def _invoke_sites(graph: ir.ProgramGraph):
-    """child block id -> (parent block, region, index of the InvokeItem)."""
-    sites = {}
-
-    def scan(block: ir.CodeBlock, region: ir.Region) -> None:
-        for idx, item in enumerate(region):
-            if type(item) is ir.InvokeItem:
-                sites[item.block] = (block, region, item)
-            elif type(item) is ir.IfItem:
-                scan(block, item.then_region)
-                scan(block, item.else_region)
-
-    for block in graph.blocks.values():
-        scan(block, block.body)
-        if block.kind == ir.WHILE:
-            scan(block, block.cond_region)
-    return sites
-
-
 def _depth(graph: ir.ProgramGraph, block: ir.CodeBlock) -> int:
     d = 0
     while block.parent is not None:
@@ -86,7 +67,7 @@ def hoist_invariants(graph: ir.ProgramGraph,
                    key=lambda b: _depth(graph, b), reverse=True)
     # Hoisting inserts compute items and appends invoke args in place;
     # it never adds or moves an InvokeItem, so the sites hold throughout.
-    sites = _invoke_sites(graph)
+    sites = ir.invoke_sites(graph)
     for loop in loops:
         if loop.block_id not in sites:
             continue
@@ -156,49 +137,10 @@ def _hoist_block(loop: ir.CodeBlock, parent: ir.CodeBlock,
 def _replace_uses(block: ir.CodeBlock, old: int, new: int) -> None:
     """Rewrite every reference to vid ``old`` into ``new``."""
     for d in block.defs.values():
-        kind = type(d)
-        if kind is ir.OpDef:
-            d.args = [new if a == old else a for a in d.args]
-        elif kind is ir.ReadDef:
-            if d.array == old:
-                d.array = new
-            d.indices = [new if a == old else a for a in d.indices]
-        elif kind is ir.AllocDef:
-            d.dims = [new if a == old else a for a in d.dims]
-        elif kind is ir.CallDef:
-            d.args = [new if a == old else a for a in d.args]
-        elif kind is ir.JoinDef:
-            if d.then_vid == old:
-                d.then_vid = new
-            if d.else_vid == old:
-                d.else_vid = new
-
-    def visit(region: ir.Region) -> None:
+        ir.rename(d, old, new)
+    for region in ir.regions(block):
         for item in region:
-            kind = type(item)
-            if kind is ir.WriteItem:
-                if item.array == old:
-                    item.array = new
-                item.indices = [new if a == old else a for a in item.indices]
-                if item.value == old:
-                    item.value = new
-            elif kind is ir.InvokeItem:
-                item.args = [new if a == old else a for a in item.args]
-            elif kind is ir.IfItem:
-                if item.cond == old:
-                    item.cond = new
-                visit(item.then_region)
-                visit(item.else_region)
-            elif kind is ir.NextItem:
-                if item.value == old:
-                    item.value = new
-            elif kind is ir.ReturnItem:
-                if item.value == old:
-                    item.value = new
-
-    visit(block.body)
-    if block.kind == ir.WHILE:
-        visit(block.cond_region)
+            ir.rename(item, old, new)
     if block.cond_vid == old:
         block.cond_vid = new
 
@@ -209,41 +151,31 @@ def eliminate_common_subexpressions(graph: ir.ProgramGraph) -> int:
     Two identical OpDefs in the same region compute the same value
     (operands are vids, so structural equality is value equality under
     single assignment); the second is removed and its uses redirected.
-    Region-local scope keeps control-flow conditions intact.
+    Region-local scope keeps control-flow conditions intact.  A region
+    is done before its branches, which read only vids defined before
+    their IfItem or inside them.
     Returns the number of eliminated definitions.
     """
     removed = 0
     for block in graph.blocks.values():
-        removed += _cse_region(block, block.body)
-        if block.kind == ir.WHILE:
-            removed += _cse_region(block, block.cond_region)
-    return removed
-
-
-def _cse_region(block: ir.CodeBlock, region: ir.Region) -> int:
-    removed = 0
-    seen: dict[tuple, int] = {}
-    idx = 0
-    while idx < len(region):
-        item = region[idx]
-        if type(item) is ir.IfItem:
-            removed += _cse_region(block, item.then_region)
-            removed += _cse_region(block, item.else_region)
-            idx += 1
-            continue
-        if type(item) is ir.ComputeItem:
-            d = block.defs[item.vid]
-            if type(d) is ir.OpDef:
-                key = (d.fn, tuple(d.args))
-                prior = seen.get(key)
-                if prior is not None:
-                    _replace_uses(block, item.vid, prior)
-                    del block.defs[item.vid]
-                    del region[idx]
-                    removed += 1
-                    continue
-                seen[key] = item.vid
-        idx += 1
+        for region in ir.regions(block):
+            seen: dict[tuple, int] = {}
+            idx = 0
+            while idx < len(region):
+                item = region[idx]
+                if type(item) is ir.ComputeItem:
+                    d = block.defs[item.vid]
+                    if type(d) is ir.OpDef:
+                        key = (d.fn, tuple(d.args))
+                        prior = seen.get(key)
+                        if prior is not None:
+                            _replace_uses(block, item.vid, prior)
+                            del block.defs[item.vid]
+                            del region[idx]
+                            removed += 1
+                            continue
+                        seen[key] = item.vid
+                idx += 1
     return removed
 
 
@@ -259,68 +191,26 @@ _EFFECTFUL = frozenset((ir.AllocDef, ir.ReadDef, ir.CallDef))
 def _live_vids(block: ir.CodeBlock) -> set[int]:
     """Vids whose values are observable (reach a side effect, control
     decision, invoke, next, or return), transitively."""
-    live: set[int] = set()
     worklist: list[int] = []
-
-    def mark(vid: int) -> None:
-        if vid not in live:
-            live.add(vid)
-            worklist.append(vid)
-
-    def seed(region: ir.Region) -> None:
+    for region in ir.regions(block):
         for item in region:
-            kind = type(item)
-            if kind is ir.ComputeItem:
+            if type(item) is not ir.ComputeItem:
+                worklist += ir.uses(item)
+            elif type(block.defs[item.vid]) in _EFFECTFUL:
                 # Allocations, reads and calls are kept (observable /
                 # effectful); their operands are therefore live.
-                if type(block.defs[item.vid]) in _EFFECTFUL:
-                    mark(item.vid)
-            elif kind is ir.WriteItem:
-                mark(item.array)
-                for a in item.indices:
-                    mark(a)
-                mark(item.value)
-            elif kind is ir.InvokeItem:
-                for a in item.args:
-                    mark(a)
-                for r in item.results:
-                    mark(r)
-            elif kind is ir.IfItem:
-                mark(item.cond)
-                for j in item.joins:
-                    mark(j)
-                seed(item.then_region)
-                seed(item.else_region)
-            elif kind is ir.NextItem:
-                mark(item.value)
-            elif kind is ir.ReturnItem:
-                mark(item.value)
+                worklist.append(item.vid)
+    if block.kind == ir.WHILE and block.cond_vid is not None:
+        worklist.append(block.cond_vid)
 
-    seed(block.body)
-    if block.kind == ir.WHILE:
-        seed(block.cond_region)
-        if block.cond_vid is not None:
-            mark(block.cond_vid)
-
+    live: set[int] = set()
     while worklist:
-        d = block.defs.get(worklist.pop())
-        kind = type(d)
-        if kind is ir.OpDef:
-            for a in d.args:
-                mark(a)
-        elif kind is ir.ReadDef:
-            mark(d.array)
-            for a in d.indices:
-                mark(a)
-        elif kind is ir.AllocDef:
-            for a in d.dims:
-                mark(a)
-        elif kind is ir.CallDef:
-            for a in d.args:
-                mark(a)
-        elif kind is ir.JoinDef:
-            mark(d.then_vid)
-            mark(d.else_vid)
+        vid = worklist.pop()
+        if vid not in live:
+            live.add(vid)
+            d = block.defs.get(vid)
+            if d is not None:
+                worklist += ir.uses(d)
     return live
 
 
@@ -330,27 +220,16 @@ def eliminate_dead_code(graph: ir.ProgramGraph) -> int:
     removed = 0
     for block in graph.blocks.values():
         live = _live_vids(block)
-
-        def sweep(region: ir.Region) -> None:
-            nonlocal removed
-            idx = 0
-            while idx < len(region):
-                item = region[idx]
-                if type(item) is ir.IfItem:
-                    sweep(item.then_region)
-                    sweep(item.else_region)
-                elif type(item) is ir.ComputeItem:
-                    d = block.defs[item.vid]
-                    if type(d) is ir.OpDef and item.vid not in live:
-                        del block.defs[item.vid]
-                        del region[idx]
-                        removed += 1
-                        continue
-                idx += 1
-
-        sweep(block.body)
-        if block.kind == ir.WHILE:
-            sweep(block.cond_region)
+        for region in ir.regions(block):
+            kept = []
+            for item in region:
+                if (type(item) is ir.ComputeItem and item.vid not in live
+                        and type(block.defs[item.vid]) is ir.OpDef):
+                    del block.defs[item.vid]
+                else:
+                    kept.append(item)
+            removed += len(region) - len(kept)
+            region[:] = kept
     return removed
 
 

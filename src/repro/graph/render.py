@@ -39,43 +39,15 @@ def _def_label(block: ir.CodeBlock, vid: int) -> str:
 def _used_vids(block: ir.CodeBlock) -> set[int]:
     """Vids that appear anywhere (so constants with no uses are hidden)."""
     used: set[int] = set()
-
-    def visit(region: ir.Region) -> None:
+    for region in ir.regions(block):
         for item in region:
-            if isinstance(item, ir.ComputeItem):
+            if type(item) is ir.ComputeItem:
                 used.add(item.vid)
-                d = block.defs[item.vid]
-                if isinstance(d, ir.OpDef):
-                    used.update(d.args)
-                elif isinstance(d, ir.ReadDef):
-                    used.add(d.array)
-                    used.update(d.indices)
-                elif isinstance(d, ir.AllocDef):
-                    used.update(d.dims)
-                elif isinstance(d, ir.CallDef):
-                    used.update(d.args)
-            elif isinstance(item, ir.WriteItem):
-                used.add(item.array)
-                used.update(item.indices)
-                used.add(item.value)
-            elif isinstance(item, ir.InvokeItem):
-                used.update(item.args)
-                used.update(item.results)
-            elif isinstance(item, ir.IfItem):
-                used.add(item.cond)
-                used.update(item.joins)
-                visit(item.then_region)
-                visit(item.else_region)
-            elif isinstance(item, ir.NextItem):
-                used.add(item.value)
-            elif isinstance(item, ir.ReturnItem):
-                used.add(item.value)
-
-    visit(block.body)
-    if block.kind == ir.WHILE:
-        visit(block.cond_region)
-        if block.cond_vid is not None:
-            used.add(block.cond_vid)
+                used.update(ir.uses(block.defs[item.vid]))
+            else:
+                used.update(ir.uses(item))
+    if block.kind == ir.WHILE and block.cond_vid is not None:
+        used.add(block.cond_vid)
     if block.index_vid is not None:
         used.add(block.index_vid)
     return used
@@ -83,21 +55,7 @@ def _used_vids(block: ir.CodeBlock) -> set[int]:
 
 def _arcs(block: ir.CodeBlock) -> list[tuple[int, int]]:
     """Data arcs (src vid -> dst vid) within one block."""
-    arcs: list[tuple[int, int]] = []
-    for vid, d in block.defs.items():
-        if isinstance(d, ir.OpDef):
-            arcs.extend((a, vid) for a in d.args)
-        elif isinstance(d, ir.ReadDef):
-            arcs.append((d.array, vid))
-            arcs.extend((a, vid) for a in d.indices)
-        elif isinstance(d, ir.AllocDef):
-            arcs.extend((a, vid) for a in d.dims)
-        elif isinstance(d, ir.CallDef):
-            arcs.extend((a, vid) for a in d.args)
-        elif isinstance(d, ir.JoinDef):
-            arcs.append((d.then_vid, vid))
-            arcs.append((d.else_vid, vid))
-    return arcs
+    return [(a, vid) for vid, d in block.defs.items() for a in ir.uses(d)]
 
 
 def to_dot(graph: ir.ProgramGraph) -> str:
@@ -126,26 +84,21 @@ def to_dot(graph: ir.ProgramGraph) -> str:
                 lines.append(f"    b{bid}v{src} -> b{bid}v{dst};")
         lines.append("  }")
 
-    # Inter-block edges: L / LD invocations and call edges.
-    for bid in sorted(graph.blocks):
-        block = graph.blocks[bid]
-
-        def visit(region: ir.Region) -> None:
-            for item in region:
-                if isinstance(item, ir.InvokeItem):
-                    tag = "LD" if item.distributed else "L"
-                    child = graph.blocks[item.block]
-                    child_anchor = _first_node(child)
-                    if child_anchor is not None and item.args:
-                        lines.append(
-                            f'  b{bid}v{item.args[0]} -> '
-                            f'b{child.block_id}v{child_anchor} '
-                            f'[label="{tag}", style=bold];')
-                elif isinstance(item, ir.IfItem):
-                    visit(item.then_region)
-                    visit(item.else_region)
-
-        visit(block.body)
+    # Inter-block edges: each block's L / LD invocations, in program order.
+    invokes = sorted(((block.block_id, run[-1])
+                      for bid in graph.functions.values()
+                      for block, run in ir.subtree(graph, graph.blocks[bid])
+                      if type(run[-1]) is ir.InvokeItem),
+                     key=lambda edge: edge[0])
+    for bid, item in invokes:
+        tag = "LD" if item.distributed else "L"
+        child = graph.blocks[item.block]
+        child_anchor = _first_node(child)
+        if child_anchor is not None and item.args:
+            lines.append(
+                f'  b{bid}v{item.args[0]} -> '
+                f'b{child.block_id}v{child_anchor} '
+                f'[label="{tag}", style=bold];')
     lines.append("}")
     return "\n".join(lines)
 

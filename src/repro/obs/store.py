@@ -21,6 +21,7 @@ import json
 import os
 from dataclasses import dataclass
 
+from repro.common.canonical import write_atomic
 from repro.common.errors import PodsError
 from repro.obs import runrecord
 
@@ -80,9 +81,11 @@ class RunStore:
     def put(self, record: dict) -> str:
         """Deposit one record; returns its content address.
 
-        Validates first, writes the canonical object bytes if the id is
-        new, and always appends an index line — the ledger records every
-        deposit even when the content deduplicates.
+        Validates first, writes the canonical object bytes atomically
+        unless the object already holds them (so a deposit repairs a
+        torn object and leaves an intact one alone), and always appends
+        an index line — the ledger records every deposit even when the
+        content deduplicates.
         """
         problems = runrecord.validate(record)
         if problems:
@@ -91,10 +94,15 @@ class RunStore:
                 + "; ".join(problems))
         rid = runrecord.record_id(record)
         path = self.object_path(rid)
-        if not os.path.exists(path):
+        text = runrecord.canonical_json(record) + "\n"
+        try:
+            with open(path) as fh:
+                intact = fh.read() == text
+        except FileNotFoundError:
+            intact = False
+        if not intact:
             os.makedirs(os.path.dirname(path), exist_ok=True)
-            with open(path, "w") as fh:
-                fh.write(runrecord.canonical_json(record) + "\n")
+            write_atomic(text, path)
         entry = IndexEntry(
             seq=len(self.entries()),
             id=rid,
@@ -183,15 +191,11 @@ class RunStore:
         rid = self.resolve(ref)
         path = self.object_path(rid)
         try:
-            with open(path) as fh:
-                doc = json.load(fh)
+            doc = load_record(path)
         except FileNotFoundError:
             raise RunStoreError(
                 f"ledger index knows {rid[:runrecord.ID_ABBREV]} but "
                 f"{path} is missing") from None
-        problems = runrecord.validate(doc)
-        if problems:
-            raise RunStoreError(f"{path}: " + "; ".join(problems))
         stored = runrecord.record_id(doc)
         if stored != rid:
             raise RunStoreError(
@@ -201,9 +205,13 @@ class RunStore:
 
 
 def load_record(path: str) -> dict:
-    """Load + validate a bare record file (committed baselines)."""
+    """Load + validate a record file (a ledger object or a committed
+    baseline)."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise RunStoreError(f"{path}: not JSON ({exc})") from None
     problems = runrecord.validate(doc)
     if problems:
         raise RunStoreError(f"{path}: " + "; ".join(problems))

@@ -82,16 +82,10 @@ class Partitioner:
     # -- main entry -------------------------------------------------------
 
     def run(self) -> PartitionReport:
-        self._distribute_allocs()
+        _distribute_allocs(self.graph)
         for name, block_id in self.graph.functions.items():
             self._walk(self.graph.blocks[block_id])
         return self.report
-
-    def _distribute_allocs(self) -> None:
-        for block in self.graph.blocks.values():
-            for d in block.defs.values():
-                if type(d) is ir.AllocDef:
-                    d.distributed = True
 
     def _walk(self, block: ir.CodeBlock, depth: int = 0) -> None:
         """Depth-first marking over the loops nested in ``block``."""
@@ -104,70 +98,32 @@ class Partitioner:
             if child.kind == ir.FOR and eligible and not skip_mark:
                 rf = self._derive_range_filter(child)
                 if rf is not None:
-                    self._mark(block, child, rf)
+                    self._mark(child, rf)
                     continue  # descendants stay local: do not descend
                 self.report.local_no_filter.append(child.name)
             elif not skip_mark:
                 self.report.local_lcd.append(child.name)
             self._walk(child, depth + 1)
 
-    def _mark(self, parent: ir.CodeBlock, loop: ir.CodeBlock,
-              rf: ir.RangeFilterSpec) -> None:
+    def _mark(self, loop: ir.CodeBlock, rf: ir.RangeFilterSpec) -> None:
         loop.distributed = True
         loop.range_filter = rf
-        invoke = self._find_invoke(parent, loop.block_id)
+        _, _, invoke = self.analysis.invokes[loop.block_id]
         invoke.distributed = True  # L -> LD
         self.report.distributed.append(loop.name)
-
-    def _find_invoke(self, parent: ir.CodeBlock, block_id: int) -> ir.InvokeItem:
-        def scan(region: ir.Region) -> ir.InvokeItem | None:
-            for item in region:
-                if type(item) is ir.InvokeItem and item.block == block_id:
-                    return item
-                if type(item) is ir.IfItem:
-                    found = scan(item.then_region) or scan(item.else_region)
-                    if found:
-                        return found
-            return None
-
-        found = scan(parent.body)
-        if found is None and parent.kind == ir.WHILE:
-            found = scan(parent.cond_region)
-        if found is None:
-            raise AssertionError(
-                f"invoke of block {block_id} not found in {parent.name}")
-        return found
 
     # -- Range Filter derivation -------------------------------------------
 
     def _derive_range_filter(self, loop: ir.CodeBlock) -> ir.RangeFilterSpec | None:
-        """Find a write in the loop's subtree usable to drive the RF."""
-        for write_block, item in self._writes_in_subtree(loop):
-            spec = self._try_write(loop, write_block, item)
-            if spec is not None:
-                return spec
-        return None
-
-    def _writes_in_subtree(self, loop: ir.CodeBlock):
-        out: list[tuple[ir.CodeBlock, ir.WriteItem]] = []
-
-        def visit_block(block: ir.CodeBlock) -> None:
-            if block.kind == ir.WHILE:
-                visit_region(block, block.cond_region)
-            visit_region(block, block.body)
-
-        def visit_region(block: ir.CodeBlock, region: ir.Region) -> None:
-            for item in region:
+        """The first write in the loop's subtree, in program order, that
+        can drive the RF."""
+        for block, run in ir.subtree(self.graph, loop):
+            for item in run:
                 if type(item) is ir.WriteItem:
-                    out.append((block, item))
-                elif type(item) is ir.InvokeItem:
-                    visit_block(self.graph.blocks[item.block])
-                elif type(item) is ir.IfItem:
-                    visit_region(block, item.then_region)
-                    visit_region(block, item.else_region)
-
-        visit_block(loop)
-        return out
+                    spec = self._try_write(loop, block, item)
+                    if spec is not None:
+                        return spec
+        return None
 
     def _try_write(self, loop: ir.CodeBlock, write_block: ir.CodeBlock,
                    item: ir.WriteItem) -> ir.RangeFilterSpec | None:
@@ -211,7 +167,7 @@ class Partitioner:
                 return ("s", vid)
             return None
         if type(d) is ir.ParamDef and block.block_id in self.analysis.invokes:
-            parent, invoke = self.analysis.invokes[block.block_id]
+            parent, _, invoke = self.analysis.invokes[block.block_id]
             return self._hoist_vid(parent, invoke.args[d.index], loop)
         return None
 
@@ -228,11 +184,13 @@ def partition_none(graph: ir.ProgramGraph) -> PartitionReport:
     """Ablation: distribute arrays but keep every loop local (what the
     paper's mechanisms would do with the LD/RF machinery disabled)."""
     annotate_lcds(graph)
-    p = Partitioner.__new__(Partitioner)
-    p.graph = graph
-    p.report = PartitionReport()
+    _distribute_allocs(graph)
+    return PartitionReport()
+
+
+def _distribute_allocs(graph: ir.ProgramGraph) -> None:
+    """Every allocation becomes a distributing allocate (Section 4.1)."""
     for block in graph.blocks.values():
         for d in block.defs.values():
             if type(d) is ir.AllocDef:
                 d.distributed = True
-    return p.report

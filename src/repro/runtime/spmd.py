@@ -318,12 +318,6 @@ class SpmdResult:
     # resumed_from — the run record's ``ckpt`` provenance section.
     ckpt: dict | None
 
-    @property
-    def workers(self) -> int:
-        return self.width
-
-    nodes = workers
-
     def telemetry_table(self) -> str:
         """Per-worker (per-node) profile as an aligned text block."""
         return telemetry_table(self.worker_stats, self.who)

@@ -77,7 +77,7 @@ class TestHealthyRuns:
     def test_dist_result_fields(self, program):
         r = get_backend("dist").run(program, (12,), parallelism=2)
         raw = r.raw
-        assert raw.nodes == 2
+        assert raw.width == 2 and raw.who == "node"
         assert len(raw.worker_stats) == 2
         assert sum(t.shared_writes for t in raw.worker_stats) > 0
         assert raw.recovery is not None and not raw.recovery.events

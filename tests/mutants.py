@@ -102,6 +102,53 @@ MUTANTS = (
             "assignment instead of a verification.",
     ),
     Mutant(
+        name="join-without-operands",
+        file="repro/graph/ir.py",
+        old='JoinDef: ("then_vid", "else_vid"),',
+        new="JoinDef: (),",
+        tests=(
+            "tests/translator/test_compile_fingerprint.py::"
+            "test_compile_output_is_unchanged[example-branches]",
+            "tests/translator/test_compile_fingerprint.py::"
+            "test_compile_output_is_unchanged[example-branches+opt]",
+        ),
+        why="A join that names neither branch value loses its arcs in "
+            "to_dot, and dead-code elimination drops the branch values "
+            "it merges, which validate_graph then refuses.",
+    ),
+    Mutant(
+        name="regions-without-while-condition",
+        file="repro/graph/ir.py",
+        old="""    out = ([block.body, block.cond_region] if block.kind == WHILE
+           else [block.body])""",
+        new="""    out = [block.body]""",
+        tests=(
+            "tests/translator/test_compile_fingerprint.py::"
+            "test_compile_output_is_unchanged[example-branches]",
+            "tests/graph/test_ir_shape.py::test_regions_and_invoke_sites",
+        ),
+        why="A while loop's computed condition drops out of every pass "
+            "that walks regions: the renderings lose its operators, and "
+            "common subexpressions in it stay.",
+    ),
+    Mutant(
+        name="subtree-body-before-condition",
+        file="repro/graph/ir.py",
+        old="""        if block.kind == WHILE:
+            walk(block, block.cond_region)
+        walk(block, block.body)""",
+        new="""        walk(block, block.body)
+        if block.kind == WHILE:
+            walk(block, block.cond_region)""",
+        tests=(
+            "tests/graph/test_ir_shape.py::test_subtree_is_program_order",
+        ),
+        why="subtree promises program order.  No compiler output shows "
+            "this one: a condition never writes, so the Range Filter's "
+            "first usable write is the same, and a while loop is an LCD "
+            "whatever its accesses are; only the order test does.",
+    ),
+    Mutant(
         name="hand-over-without-lock",
         file="repro/dist/node.py",
         old="""            with self._hand_lock:

@@ -150,7 +150,7 @@ class TestExecutor:
         seq = p.run((10,), backend="seq")
         par = p.run((10,), backend="parallel", parallelism=workers).raw
         assert par.value.flat == seq.value.flat
-        assert par.workers == workers
+        assert par.width == workers
 
     def test_sweep_with_cross_worker_dependence(self):
         # Rows live on different workers; presence-bit spinning must

@@ -310,7 +310,6 @@ class TestResultDeclaresWhatItHolds:
             assert getattr(result, f) is getattr(result.raw, f)
         if backend in ("parallel", "dist"):
             assert result.raw.width == result.parallelism == 2
-            assert result.raw.workers == result.raw.nodes == 2
             assert [t.worker for t in result.worker_stats] == [0, 1]
 
     def test_a_sim_run_under_a_plan_holds_its_network_counters(self, program):
