@@ -18,14 +18,13 @@ def content_address(doc: dict) -> str:
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
 
 
-def write_atomic(text: str, path: str) -> str:
+def write_atomic(text: str, path: str) -> None:
     """Write ``text`` to ``path`` whole or not at all: a reader sees the
     old file or the new one, never a torn one (tmp file + ``os.replace``)."""
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as fh:
         fh.write(text)
     os.replace(tmp, path)
-    return path
 
 
 def source_hash(source: str) -> str:
