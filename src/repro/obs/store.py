@@ -96,8 +96,8 @@ class RunStore:
         path = self.object_path(rid)
         text = runrecord.canonical_json(record) + "\n"
         try:
-            with open(path) as fh:
-                intact = fh.read() == text
+            with open(path, "rb") as fh:
+                intact = fh.read() == text.encode()
         except FileNotFoundError:
             intact = False
         if not intact:
@@ -210,7 +210,7 @@ def load_record(path: str) -> dict:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise RunStoreError(f"{path}: not JSON ({exc})") from None
     problems = runrecord.validate(doc)
     if problems:

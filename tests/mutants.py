@@ -125,6 +125,8 @@ MUTANTS = (
         tests=(
             "tests/translator/test_compile_fingerprint.py::"
             "test_compile_output_is_unchanged[example-branches]",
+            "tests/translator/test_compile_fingerprint.py::"
+            "test_compile_output_is_unchanged[example-branches+opt]",
             "tests/graph/test_ir_shape.py::test_regions_and_invoke_sites",
         ),
         why="A while loop's computed condition drops out of every pass "

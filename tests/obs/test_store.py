@@ -220,6 +220,26 @@ class TestStore:
         assert open(path).read() == whole
         assert main(["runs", "show", rid, "--store", root]) == 0
 
+    def test_non_utf8_object_is_one_error_line_and_a_redeposit_mends_it(
+            self, tmp_path, capsys):
+        from repro.cli import main
+
+        root = str(tmp_path / "ledger")
+        store = RunStore(root)
+        rid = store.put(simple_record())
+        path = store.object_path(rid)
+        whole = open(path, "rb").read()
+        with open(path, "wb") as fh:
+            fh.write(whole[:10] + b"\xff\xfe" + whole[12:])
+        with pytest.raises(RunStoreError, match="not JSON"):
+            store.get(rid)
+        capsys.readouterr()
+        assert main(["runs", "show", rid, "--store", root]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[") and err.count("\n") == 1, err
+        assert store.put(simple_record()) == rid
+        assert open(path, "rb").read() == whole
+
     def test_corrupt_index_line_is_a_structured_error(self, tmp_path):
         store = RunStore(str(tmp_path / "ledger"))
         store.put(simple_record())
