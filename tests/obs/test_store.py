@@ -198,30 +198,12 @@ class TestStore:
         with pytest.raises(RunStoreError, match="content hash mismatch"):
             store.get(rid)
 
+    @pytest.mark.parametrize("damage", [
+        lambda whole: whole[:len(whole) // 2],
+        lambda whole: whole[:10] + b"\xff\xfe" + whole[12:],
+    ], ids=["truncated", "not-utf8"])
     def test_torn_object_is_one_error_line_and_a_redeposit_mends_it(
-            self, tmp_path, capsys):
-        from repro.cli import main
-
-        root = str(tmp_path / "ledger")
-        store = RunStore(root)
-        rid = store.put(simple_record())
-        path = store.object_path(rid)
-        whole = open(path).read()
-        with open(path, "w") as fh:
-            fh.write(whole[:len(whole) // 2])
-        with pytest.raises(RunStoreError, match="not JSON"):
-            store.get(rid)
-        capsys.readouterr()
-        assert main(["runs", "show", rid, "--store", root]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error[") and err.count("\n") == 1, err
-        assert path in err
-        assert store.put(simple_record()) == rid
-        assert open(path).read() == whole
-        assert main(["runs", "show", rid, "--store", root]) == 0
-
-    def test_non_utf8_object_is_one_error_line_and_a_redeposit_mends_it(
-            self, tmp_path, capsys):
+            self, tmp_path, capsys, damage):
         from repro.cli import main
 
         root = str(tmp_path / "ledger")
@@ -230,15 +212,17 @@ class TestStore:
         path = store.object_path(rid)
         whole = open(path, "rb").read()
         with open(path, "wb") as fh:
-            fh.write(whole[:10] + b"\xff\xfe" + whole[12:])
+            fh.write(damage(whole))
         with pytest.raises(RunStoreError, match="not JSON"):
             store.get(rid)
         capsys.readouterr()
         assert main(["runs", "show", rid, "--store", root]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error[") and err.count("\n") == 1, err
+        assert path in err
         assert store.put(simple_record()) == rid
         assert open(path, "rb").read() == whole
+        assert main(["runs", "show", rid, "--store", root]) == 0
 
     def test_corrupt_index_line_is_a_structured_error(self, tmp_path):
         store = RunStore(str(tmp_path / "ledger"))
