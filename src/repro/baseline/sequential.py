@@ -31,8 +31,8 @@ what the retired tree walker did, in its order
 ``static`` to its bits); without one — the SPMD core, whose substrates
 report wall time — no charge is written and the code only evaluates,
 reading a present element of rank 1 or 2 inline: a probe of what the
-handle has seen (:class:`~repro.runtime.arrays.Handle`), its ``read``
-only on a miss.
+handle has seen (:class:`~repro.runtime.arrays.Handle`), through locals
+a Python ``for`` loads at its entry, its ``read`` only on a miss.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import count
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Callable
 
 from repro.common.errors import (
@@ -67,6 +67,8 @@ CALL = 2 * T.CONTEXT_SWITCH                            # CALL + RET
 BRANCH = T.INT_CMP
 
 _UNSET = object()  # a ``next`` no branch of this iteration has assigned
+# What the inline read probes of a handle, in the order ``_fields`` gives.
+_PROBE_FIELDS = ("seen", "ext", "rows", "cols")
 
 
 class Clock:
@@ -261,6 +263,9 @@ class Interpreter:
         if self.clock is not None:
             ns["_charge"] = self.clock.charge
             ns["_read"] = self.on_array_read
+        else:
+            ns["_Handle"] = Handle
+            ns["_fields"] = attrgetter(*_PROBE_FIELDS)
         ns.update(("_b" + op, fn) for op, fn in BINARY_FUNCS.items())
         ns.update(("_u" + op, fn) for op, fn in UNARY_FUNCS.items())
         for name, key in self.fn_keys.items():
@@ -301,6 +306,12 @@ class Interpreter:
         of every iteration of a ``for`` of code block ``block`` (None for
         an unpartitioned loop), or None: no call is written."""
         return None
+
+    def writes_in_place(self) -> bool:
+        """Whether a write lexically inside a Range-Filter loop's body
+        calls the array's own ``write`` instead of
+        :meth:`on_array_write` (asked only without a clock)."""
+        return False
 
     # -- the loop seams (a Range-Filter loop only) ---------------------------
 
@@ -414,7 +425,7 @@ class _Unit:
     the first slot it owns."""
 
     __slots__ = ("first", "head", "lines", "indent", "free", "written",
-                 "costs")
+                 "costs", "hoists")
 
     def __init__(self, first: int) -> None:
         self.first = first
@@ -424,6 +435,22 @@ class _Unit:
         self.free: dict[int, None] = {}
         self.written: dict[int, None] = {}
         self.costs: list[str] = []  # charges not yet written out
+        self.hoists: list[_Hoist] = []  # its open Python ``for``s
+
+
+class _Hoist:
+    """One clock-less Python ``for`` being written: the handles its body
+    probes, each with the locals its probe fields are loaded into at the
+    loop's entry (and again after a miss) and the local its hits are
+    counted in.  Only a handle local bound before the loop (a slot below
+    ``outer``) that no ``next`` in it may rebind (``carried``) is one."""
+
+    __slots__ = ("outer", "carried", "handles")
+
+    def __init__(self, outer: int, carried: set[str]) -> None:
+        self.outer = outer
+        self.carried = carried
+        self.handles: dict[str, tuple[dict[str, str], str]] = {}
 
 
 class _Writer:
@@ -445,11 +472,20 @@ class _Writer:
     the fact, by one ``try`` around each function's body and the line
     the exception came from (:class:`_Site`), so no operator carries a
     ``try`` of its own.
+
+    Without a clock, a Python ``for`` loads the probe fields of each
+    handle its body reads into locals at its entry, and counts the
+    probe's hits in a local it adds to the handle's ``reads`` after the
+    loop (:class:`_Hoist`); and a write inside a Range-Filter body calls
+    the array's ``write`` itself when the interpreter says so
+    (:meth:`Interpreter.writes_in_place`).
     """
 
     def __init__(self, interp: Interpreter, fn: A.Function) -> None:
         self.interp = interp
         self.clock = interp.clock is not None
+        self.in_place = not self.clock and interp.writes_in_place()
+        self.bodies = 0  # Range-Filter bodies being written
         self.fn = fn
         self.sc = Scopes(fn.params)
         self.names = {0: "_depth"}  # slot -> local
@@ -679,8 +715,10 @@ class _Writer:
         value = self.expr(stmt.value)
         if self.clock:
             self.charge(ARRAY_WRITE)
-        self.access([f"_write({arr}, {at}, {value})"], arr, stmt.array,
-                    mark, [*stmt.indices, stmt.value])
+        line = (f"{arr}.write({at}, {value})" if self.in_place and self.bodies
+                else f"_write({arr}, {at}, {value})")
+        self.access([line], arr, stmt.array, mark,
+                    [*stmt.indices, stmt.value])
 
     def write_if(self, stmt: A.If) -> None:
         if self.clock:
@@ -720,11 +758,16 @@ class _Writer:
             hook = self.global_(hook, "hook")
         if rf is not None:
             return self.seam_loop(stmt, first, last, block, rf, hook)
+        hoist = None if self.clock else _Hoist(
+            self.sc.size, {*stmt.carried, *self.carried_names(stmt.body)})
         var = self.new_slot(stmt.var)
         self.indexes.add(var)
         index = self.names[var]
         if self.kinds.get(first) is not None:  # it counts from ``first``
             self.kinds[index] = self.kinds[first]
+        entry = len(self.unit.lines)
+        if hoist is not None:
+            self.unit.hoists.append(hoist)
         mark = self.open(f"for {index} in "
                          f"{self.indices_of(stmt, first, last)}:")
         if self.clock:
@@ -733,6 +776,39 @@ class _Writer:
             self.emit(f"{hook}({index})")
         self.loop_body(stmt.body, {stmt.var: var})
         self.shut(mark)
+        if hoist is not None:
+            self.unit.hoists.pop()
+            self.hoisted(hoist, entry)
+
+    def hoisted(self, hoist: _Hoist, entry: int) -> None:
+        """Load the probe fields of the handles ``hoist`` holds before
+        the ``for`` at line ``entry`` — a non-array's fail every probe,
+        so its access fails as it would have — and count their hits
+        into ``reads`` after it."""
+        pad = "    " * self.unit.indent
+        loads = []
+        for arr, (fields, hits) in hoist.handles.items():
+            loads += [f"{pad}{', '.join(fields.values())} = _fields({arr})"
+                      f" if isinstance({arr}, _Handle) else (None, 0, 0, 0)",
+                      f"{pad}{hits} = 0"]
+        self.unit.lines[entry:entry] = loads
+        for arr, (_, hits) in hoist.handles.items():
+            self.emit(f"if {hits}: {arr}.reads += {hits}")
+
+    def held(self, slot: int, name: str, arr: str):
+        """The probe locals of handle local ``arr`` (slot ``slot``, name
+        ``name``) in the innermost Python ``for`` of this unit, or None
+        where that loop may rebind it or there is none."""
+        if not self.unit.hoists:
+            return None
+        hoist = self.unit.hoists[-1]
+        if slot >= hoist.outer or name in hoist.carried:
+            return None
+        held = hoist.handles.get(arr)
+        if held is None:
+            held = hoist.handles[arr] = (
+                {f: self.temp() for f in _PROBE_FIELDS}, self.temp())
+        return held
 
     def indices_of(self, stmt: A.For, first: str, last: str) -> str:
         """What a ``for`` from ``first`` to ``last`` iterates over."""
@@ -760,7 +836,9 @@ class _Writer:
             self.kinds[self.names[var]] = int
         if hook is not None:
             self.emit(f"{hook}({self.names[var]})")
+        self.bodies += 1
         self.loop_body(stmt.body, {stmt.var: var})
+        self.bodies -= 1
         self.flush()
         self.unit = parent
         outer = list(unit.free)
@@ -878,7 +956,8 @@ class _Writer:
         return t
 
     def write_index(self, e: A.Index, into) -> str:
-        arr = self.read(self.sc.slot_of(e.array))
+        slot = self.sc.slot_of(e.array)
+        arr = self.read(slot)
         mark = len(self.unit.lines)
         atoms = [self.expr(sub) for sub in e.indices]
         t = into or self.temp()
@@ -887,12 +966,23 @@ class _Writer:
             lines = [f"{t} = _read({arr}, {self.at(atoms)})"]
         else:
             # No read hook either: the handle's probe, then its ``read``
-            # for whatever the probe does not hold.
-            lines = [f"{t} = {arr}.read({self.at(atoms)})"]
-            probe = probe_source(arr, atoms,
-                                 [self.kinds.get(a) for a in atoms], t)
-            if probe is not None:
-                lines = [f"if {probe}: {arr}.reads += 1", f"else: {lines[0]}"]
+            # for whatever the probe does not hold — through the loop's
+            # locals where it holds the handle's fields, reloaded after
+            # a miss (a shared-memory handle builds its list on its
+            # first ``read``).
+            kinds = [self.kinds.get(a) for a in atoms]
+            read = f"{t} = {arr}.read({self.at(atoms)})"
+            lines = [read]
+            probe = probe_source(atoms, kinds, t,
+                                 {f: f"{arr}.{f}" for f in _PROBE_FIELDS})
+            held = probe and self.held(slot, e.array, arr)
+            if held:
+                fields, hits = held
+                probe = probe_source(atoms, kinds, t, fields)
+                reload = f"{', '.join(fields.values())} = _fields({arr})"
+                lines = [f"if {probe}: {hits} += 1", f"else: {read}; {reload}"]
+            elif probe is not None:
+                lines = [f"if {probe}: {arr}.reads += 1", f"else: {read}"]
         self.access(lines, arr, e.array, mark, e.indices)
         return t
 

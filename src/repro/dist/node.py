@@ -60,6 +60,17 @@ if value is None:
 return value
 """
 
+# ``DistArray.write`` after the index rule: count, note the page, then
+# the protocol's write event; the frames it calls for go to the loop.
+_DIST_WRITE = """\
+self.writes += 1
+touched.add(off // page_size)
+actions = store(ordinal, off, value, replay)
+if actions:
+    hand_over(actions)
+return
+"""
+
 
 class DistArray(SharedHandle):
     """One executor's handle to a distributed I-structure.
@@ -74,36 +85,27 @@ class DistArray(SharedHandle):
     ``read`` is built here, once, by
     :func:`~repro.runtime.arrays.index_fn`: the index rule for this
     handle's rank, the counter and a look in the cells in one Python
-    frame, then the miss path.
-
-    ``window`` is how many elements this handle's next remote miss asks
-    the owner for: one page at first (at most ``_RUN_CAP``), doubled by
-    each remote miss up to ``_RUN_CAP``, so a scan that keeps missing
-    fetches runs that grow with it while a one-off miss costs one page.
+    frame, then the miss path, which asks the owner for the run of up
+    to ``_RUN_CAP`` elements from the missed element's page.  ``write``
+    is built the same way: the rule, the counters and the protocol event.
     """
 
-    __slots__ = ("runtime", "replay", "read", "window")
+    __slots__ = ("read", "write")
 
     def __init__(self, runtime: "NodeRuntime", seq: int,
                  dims: tuple[int, ...], replay: bool = False) -> None:
         super().__init__(seq, dims, runtime.cfg.page_size,
                          runtime.cfg.nodes)
-        self.runtime = runtime
-        self.replay = replay  # writes verify already-present elements
-        self.window = min(runtime.cfg.page_size, _RUN_CAP)
+        # ``replay``: writes verify already-present elements.
         seen = self.probe(runtime.protocol.array(self.header))
         self.read = index_fn("read", seq, dims, _DIST_READ, self=self,
                              seen=seen, miss=runtime.read_miss)
-
-    def write(self, indices: tuple, value) -> None:
-        header = self.header
-        off = header.offset(indices)  # bounds-checked, pure
-        self.writes += 1
-        self.pages_touched.add(header.page_of(off))
-        actions = self.runtime.protocol.write(self.ordinal, off, value,
-                                              self.replay)
-        if actions:
-            self.runtime.hand_over(actions)
+        self.write = index_fn("write", seq, dims, _DIST_WRITE,
+                              "indices, value", self=self, ordinal=seq,
+                              touched=self.pages_touched,
+                              page_size=runtime.cfg.page_size,
+                              store=runtime.protocol.write, replay=replay,
+                              hand_over=runtime.hand_over)
 
 
 class _NodeInterpreter(SpmdInterpreter):
@@ -354,11 +356,7 @@ class NodeRuntime:
     def read_miss(self, arr: DistArray, indices: tuple, off: int):
         """A read of an element the node does not hold: wait for it."""
         fut: cf.Future = cf.Future()
-        remote, actions = self.protocol.read(arr.ordinal, off, arr.window,
-                                             fut)
-        if remote:
-            arr.window = min(2 * arr.window, _RUN_CAP)
-        self.hand_over(actions)
+        self.hand_over(self.protocol.read(arr.ordinal, off, _RUN_CAP, fut))
         t0 = time.perf_counter()
         try:
             value = fut.result(timeout=self.cfg.read_timeout_s)
@@ -379,11 +377,7 @@ def node_main(program, node: int, coord_port: int, cfg, args: tuple,
     # An executor that stores what it owns holds the GIL while the loop
     # thread waits to answer a *peer's* read: the default 5 ms hand-over
     # dwarfs the 31 us frame round trip.  Ours to set (the process is
-    # forked for the node).  dist_matmul time_cal, 2-core host: with
-    # one-page read replies (2026-10-02) 5 ms 0.85, 2 ms 0.71, 1 / 0.5 /
-    # 0.1 ms 0.66 / 0.63 / 0.63; with growing runs (2026-10-17, median
-    # of three) 5 ms 0.49, 2 ms 0.47, 0.5 ms 0.49, 0.1 ms 0.52 — flat,
-    # with half or more of the misses gone.
+    # forked for the node); docs/distributed.md has the measurements.
     sys.setswitchinterval(5e-4)
     runtime = NodeRuntime(program, node, coord_port, cfg, args, plan,
                           standby_port=standby_port, restore=restore)

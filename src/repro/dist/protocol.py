@@ -40,9 +40,9 @@ write arriving by frame at an element its owner held first as a copy —
 a fenced node's late frame, a write a run overtook — is verified too,
 not counted.  A read of an element the node does not hold is
 split-phase: a ``read`` frame to the owner, answered with a run of its
-cells from the requested element's page (``n`` long, the reader's
-window), or deferred owner-side until the write and then answered with
-that one element.  A run lands in one pass over the segment
+cells from the requested element's page (up to ``n`` long, ending at
+its last present element), or deferred owner-side until the write and
+then answered with that one element.  A run lands in one pass over the segment
 (:meth:`IStructureSegment.fill`): it fills absent cells only, so its
 None never unsets an element an executor wrote meanwhile, and marks
 the owned ones it fills as held first.  Whatever fills a cell releases
@@ -132,10 +132,10 @@ class NodeProtocol:
             waiters = self._write(a, off, value, replay)
             return self._release(a, off, value, waiters) if waiters else []
 
-    def read(self, a: int, off: int, n: int, waiter) -> tuple[bool, list]:
+    def read(self, a: int, off: int, n: int, waiter) -> list:
         """An executor's read missed the node's cells: ``waiter`` is
-        released with the value, now or later.  Also says whether the
-        element is another node's (the reader's window then grows)."""
+        released with the value, now or later; a read of another node's
+        element asks its owner for a run of up to ``n``."""
         with self.lock:
             return self._read(a, off, n, waiter)
 
@@ -304,22 +304,21 @@ class NodeProtocol:
                           f"(write received from node {writer})"})
         return self._release(a, off, value, waiters)
 
-    def _read(self, a: int, off: int, n: int, waiter) -> tuple[bool, list]:
+    def _read(self, a: int, off: int, n: int, waiter) -> list:
         seg = self.segments[a]
         value = seg.cells[off]
         if value is not None:  # a run landed since the reader looked
-            return False, [(RELEASE, waiter, value)]
+            return [(RELEASE, waiter, value)]
         owner = self.owners[self.headers[a].owner_of_offset(off)]
         if owner == self.node:
             seg.defer(off, waiter)
-            return False, []
+            return []
         entry = self.pending.get((a, off))
         if entry is not None:
             entry[2].append(waiter)
-            return True, []
+            return []
         self.pending[(a, off)] = [owner, n, [waiter]]
-        return True, [(SEND, owner, {"t": "read", "a": a, "off": off,
-                                     "n": n})]
+        return [(SEND, owner, {"t": "read", "a": a, "off": off, "n": n})]
 
     def _run(self, seg: IStructureSegment, a: int, off: int, n: int) -> dict:
         """A read reply: the run of up to ``n`` elements from ``off``'s
@@ -362,7 +361,7 @@ class NodeProtocol:
             if target not in live:
                 del self.pending[key]
                 for waiter in waiters:
-                    actions += self._read(*key, n, waiter)[1]
+                    actions += self._read(*key, n, waiter)
         # Presence-bit replay: push this node's copies of the rebound
         # identities' elements to their new owner as replay writes.  What
         # this node adopts it already stores; an original write of it

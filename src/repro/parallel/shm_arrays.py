@@ -72,6 +72,19 @@ else:
 return value
 """
 
+# ``ShmArray.write`` after the index rule: count, note the page, store a
+# float in an absent cell of a current generation; the rest is ``store``.
+_SHM_WRITE = """\
+self.writes += 1
+touched.add(off // page_size)
+if (not isinstance(value, float) or flags[off] != FLAG_ABSENT
+        or generation and epochs[slot] > generation):
+    return store(indices, off, value)
+floats[off] = value
+flags[off] = FLAG_FLOAT
+return
+"""
+
 
 class _Segment:
     """One mapped POSIX shared-memory segment, owned explicitly.
@@ -136,12 +149,12 @@ class ShmArray(SharedHandle):
     fault-injection hook); a spin that outlives ``timeout_s`` raises
     :class:`~repro.common.errors.DeferredReadTimeout`.
 
-    ``read(indices)`` is built here too, by
-    :func:`~repro.runtime.arrays.index_fn`: the index rule for this
-    handle's rank and the present-element path in one Python frame,
-    ``_wait`` behind it for an absent element.  What it answers goes
-    into the handle's mirror, a worker-local list the interpreter's
-    inline read looks in first (:class:`~repro.runtime.arrays.Handle`).
+    ``read(indices)`` and ``write(indices, value)`` are built here too,
+    by :func:`~repro.runtime.arrays.index_fn`: the index rule for this
+    handle's rank and the common case in one Python frame, ``_wait``
+    behind a read of an absent element and ``_store`` behind any write
+    but a float's.  What ``read`` answers goes into the handle's mirror
+    (:class:`~repro.runtime.arrays.Handle`).
     """
 
     def __init__(self, name: str, dims: tuple[int, ...], create: bool,
@@ -158,10 +171,8 @@ class ShmArray(SharedHandle):
         # ``num_pes``): what the Range Filter consults, and the
         # segment-owner hint in stall reports.
         super().__init__(ordinal, dims, page_size, epoch_slots)
-        self.page_size = page_size
         if epoch_slots < 1:
             raise ExecutionError(f"epoch_slots must be >= 1, got {epoch_slots}")
-        self.epoch_slots = epoch_slots
         self.slot = slot
         self.generation = generation
         self.replay = replay
@@ -206,6 +217,12 @@ class ShmArray(SharedHandle):
                              flags=self._flags, floats=self._floats,
                              wait=self._wait, present=self._read_present,
                              FLAG_FLOAT=FLAG_FLOAT, FLAG_ABSENT=FLAG_ABSENT)
+        self.write = index_fn(
+            "write", ordinal, dims, _SHM_WRITE, "indices, value", self=self,
+            touched=self.pages_touched, page_size=page_size,
+            flags=self._flags, floats=self._floats, epochs=self._epochs,
+            slot=slot, generation=generation, store=self._store,
+            FLAG_FLOAT=FLAG_FLOAT, FLAG_ABSENT=FLAG_ABSENT)
 
     @staticmethod
     def _attach(name: str, size: int, attach_timeout_s: float) -> _Segment:
@@ -245,10 +262,8 @@ class ShmArray(SharedHandle):
 
     # -- element access --------------------------------------------------
 
-    def write(self, indices: tuple[int, ...], value) -> None:
-        off = self.offset(indices)
-        self.writes += 1
-        self.pages_touched.add(off // self.page_size)
+    def _store(self, indices: tuple[int, ...], off: int, value) -> None:
+        """The write of what ``write`` does not store itself."""
         if self._flags[off] != FLAG_ABSENT:
             if self.replay:
                 # Idempotent replay: the predecessor generation got this
@@ -263,10 +278,7 @@ class ShmArray(SharedHandle):
             raise SingleAssignmentViolation(self.ordinal, off)
         if self.generation:
             self._check_superseded()
-        if isinstance(value, float):
-            self._floats[off] = value
-            flag = FLAG_FLOAT
-        elif isinstance(value, bool):
+        if isinstance(value, bool):
             self._ints[off] = value
             flag = FLAG_BOOL
         elif isinstance(value, int):

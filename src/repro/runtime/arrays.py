@@ -108,33 +108,36 @@ for idx, dim, stride in zip(indices, dims, strides):
 # absent or not yet seen — goes to the handle's ``read``, which applies
 # the rule whole.
 _PROBE_RULES = {
-    1: "{typed}1 <= {i} <= {a}.ext and ({t} := {a}.seen[{i} - 1]) is not None",
-    2: ("{typed}1 <= {i} <= {a}.rows and 1 <= {j} <= {a}.cols"
-        " and ({t} := {a}.seen[" + _offset2("{i}", "{j}", "{a}.cols")
+    1: "{typed}1 <= {i} <= {ext} and ({t} := {seen}[{i} - 1]) is not None",
+    2: ("{typed}1 <= {i} <= {rows} and 1 <= {j} <= {cols}"
+        " and ({t} := {seen}[" + _offset2("{i}", "{j}", "{cols}")
         + "]) is not None"),
 }
 
 
-def probe_source(arr: str, subs: list[str], kinds: list, target: str):
-    """The probe condition of a read of handle ``arr`` at ``subs``
-    (atoms whose types, where known, are ``kinds``) binding ``target``;
-    None where it could never hold: rank 3 or more, or a subscript
+def probe_source(subs: list[str], kinds: list, target: str, fields: dict):
+    """The probe condition of a read at ``subs`` (atoms whose types,
+    where known, are ``kinds``) binding ``target``, the handle's
+    ``seen``, ``ext``, ``rows`` and ``cols`` spelled as ``fields`` maps
+    them; None where it could never hold: rank 3 or more, or a subscript
     known to be something other than an ``int``."""
     rule = _PROBE_RULES.get(len(subs))
     if rule is None or any(k not in (int, None) for k in kinds):
         return None
     typed = "".join(f"type({s}) is int and "
                     for s, k in zip(subs, kinds) if k is None)
-    return rule.format(typed=typed, a=arr, t=target, i=subs[0],
-                       j=subs[-1])
+    return rule.format(typed=typed, t=target, i=subs[0], j=subs[-1],
+                       **fields)
 
 
-# (name, rule, body, captured names) -> the compiled closure factory.
+# (name, params, rule, body, captured names) -> the compiled closure maker.
 _makers: dict[tuple, object] = {}
 
 
-def index_fn(name: str, label, dims: tuple[int, ...], body: str, **names):
-    """``name(indices)``: the index rule for extents ``dims``, then ``body``.
+def index_fn(name: str, label, dims: tuple[int, ...], body: str,
+             params: str = "indices", **names):
+    """``name(params)``: the index rule for extents ``dims`` on
+    ``indices``, then ``body``.
 
     ``body`` is source lines run with ``off`` bound and ``names``
     captured; every path through it must ``return`` or ``raise``.  The function is
@@ -142,7 +145,7 @@ def index_fn(name: str, label, dims: tuple[int, ...], body: str, **names):
     ``dataclasses`` writes ``__init__``), so a store's present-element
     path is one Python frame with the rule inlined, and no store spells
     the rule a second time.  Only the closure is built per handle: the
-    source is compiled once per (name, rule, body, captured names).
+    source is compiled once per key of ``_makers``.
     """
     free = dict(names, label=label, dims=dims)
     if len(dims) == 2:
@@ -151,11 +154,11 @@ def index_fn(name: str, label, dims: tuple[int, ...], body: str, **names):
     else:
         rule, pad = _RANK_N_RULE, ""
         free.update(rank=len(dims), strides=row_strides(dims))
-    key = (name, rule, body, tuple(free))
+    key = (name, params, rule, body, tuple(free))
     make = _makers.get(key)
     if make is None:
         source = (f"def make({', '.join(free)}):\n"
-                  f"    def {name}(indices):\n"
+                  f"    def {name}({params}):\n"
                   + indent(rule.format(body=indent(body.rstrip("\n"), pad)),
                            " " * 8)
                   + f"    return {name}\n")

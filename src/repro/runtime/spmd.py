@@ -11,13 +11,15 @@ temporaries inside a distributed iteration.
 
 **The location rule.**  Every shared-array write has exactly one
 location.  Inside a distributed loop that is the identity whose
-Range-Filter subrange holds the iteration.  Outside one the code is
-replicated — every identity computes the same values — so the write is
-performed by the identity that owns the element and skipped by every
-other (:meth:`SpmdInterpreter.on_array_write`); a value another identity
-needs crosses through the store as an ordinary I-structure read.  A
-serial ``next``-carried loop filling an array, or a top-level element
-write, therefore writes each element once at any width.
+Range-Filter subrange holds the iteration, whose generated code calls
+the handle's ``write`` itself (:meth:`SpmdInterpreter.writes_in_place`).
+Outside one the code is replicated — every identity computes the same
+values — so the write is performed by the identity that owns the
+element and skipped by every other (:meth:`SpmdInterpreter.on_array_write`);
+a value another identity needs crosses through the store as an ordinary
+I-structure read.  A serial ``next``-carried loop filling an array, or
+a top-level element write, therefore writes each element once at any
+width.
 
 The interpreter executes the compiled :class:`repro.api.Program` it is
 handed — its decorated AST against its already-partitioned graph — and
@@ -138,6 +140,10 @@ class SpmdInterpreter(PartitionedInterpreter):
         # under a running executor, whose loops are already generated.
         fire = self.injector.fire
         return lambda index: fire("iter")
+
+    def writes_in_place(self) -> bool:
+        # A plan may hold a ``write`` clause: its trigger is in the hook.
+        return not self.injector.planned
 
     def run_for(self, loop: Loop, frame: list) -> None:
         init, limit = frame[0], frame[1]

@@ -7,7 +7,6 @@ the :class:`DistResult` fields, the recovery ladder and the render
 hooks — on one small program so they stay fast.
 """
 
-import math
 import queue
 import sys
 import threading
@@ -318,16 +317,12 @@ class TestCrossings:
         arr.write((61,), 30.5)  # the queue was drained: a new wake
         assert rt.loop.wakes == 2
 
-    @pytest.mark.parametrize("order, frames", [
-        ("row", [_read(960, 32), _read(992, 64), _read(1056, 128),
-                 _read(1184, 256), _read(1440, 512)]),
-        # Rows 16, 17, 18-19, 20-23 and 24-30 (clipped to the array),
-        # then row 16's second page with the rest of the segment.
-        ("column", [_read(960, 32), _read(1024, 64), _read(1088, 128),
-                    _read(1216, 256), _read(1472, 512), _read(992, 1024)]),
-    ])
-    def test_a_remote_scan_asks_for_runs_that_double(self, program, order,
-                                                     frames):
+    @pytest.mark.parametrize("order", ["row", "column"])
+    def test_a_remote_scan_asks_once_for_the_whole_run(self, program,
+                                                       order):
+        # The first miss asks for the run of 2 048 elements from its
+        # page, which holds the whole 30-page segment: no other read
+        # frame, whatever order the scan takes.
         rt, arr = _remote_segment(program)
         rows, cols = SCAN_DIMS
         cells = [(i, j) for i in range(16, rows + 1)
@@ -336,18 +331,15 @@ class TestCrossings:
             cells.sort(key=lambda ij: (ij[1], ij[0]))
         for i, j in cells:
             assert arr.read((i, j)) == ((i - 1) * cols + j - 1) / 2
-        assert rt.endpoint.reads() == frames
-        assert arr.deferred_reads == len(frames)
-        # The budget for a full scan; one frame per page sent 30.
-        pages = arr.header.pages // 2
-        assert len(frames) <= math.ceil(math.log2(pages)) + 1
+        assert rt.endpoint.reads() == [_read(960, 2048)]
+        assert arr.deferred_reads == 1
 
     def test_a_scan_counts_each_read_once(self):
         # Rows 16..30 twice through the generated code: the first scan
-        # calls ``read`` on the first element of each run (the frames of
-        # the row scan above), and the probe finds the rest of the run in
-        # the node's list; the second scan finds every element there.
-        # Each read counts once.
+        # calls ``read`` on its first element (the one frame of the scan
+        # above), and the probe finds the rest of the run in the node's
+        # list; the second scan finds every element there.  Each read
+        # counts once.
         rt, arr = _remote_segment(compile_source("""
         function main(A, first, rows, cols) {
             s = 0.0;
@@ -367,11 +359,9 @@ class TestCrossings:
             value = interp.run((arr, 16, 30, 64)).value
             assert value == sum(off / 2 for off in elements)
             assert arr.reads == scanned * len(elements)
-        runs = [_read(960, 32), _read(992, 64), _read(1056, 128),
-                _read(1184, 256), _read(1440, 512)]
-        assert rt.endpoint.reads() == runs
-        assert calls == [arr.header.indices_of(m["off"]) for _, m in runs]
-        assert arr.deferred_reads == 5
+        assert rt.endpoint.reads() == [_read(960, 2048)]
+        assert calls == [(16, 1)]
+        assert arr.deferred_reads == 1
 
     def test_a_run_never_unsets_an_element_the_node_wrote(self, program):
         # Four executor threads write identity 1's elements on node 0
@@ -421,8 +411,8 @@ class TestCrossings:
 
     def test_a_reissued_read_keeps_its_window(self):
         proto = _protocol(0, 3, (384,))  # 12 pages: identity 1 owns 128..255
-        assert proto.read(1, 130, 128, "waiter") == (True, [
-            (SEND, 1, {"t": "read", "a": 1, "off": 130, "n": 128})])
+        assert proto.read(1, 130, 128, "waiter") == [
+            (SEND, 1, {"t": "read", "a": 1, "off": 130, "n": 128})]
         # Node 1 lost to node 2.
         assert proto.control({"t": "ownermap", "owners": [0, 2, 2],
                               "live": [0, 2]}) == [

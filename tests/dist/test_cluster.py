@@ -128,13 +128,11 @@ class _Waiter:
 
 
 class _Executor:
-    def __init__(self, node, slot, generation, identities, replay, ops,
-                 page):
+    def __init__(self, node, slot, generation, identities, replay, ops):
         self.node, self.slot, self.generation = node, slot, generation
         self.identities, self.replay = identities, replay
         self.ops = [op for op in ops if op[0] in identities]
         self.pc, self.waiting, self.done = 0, None, False
-        self.window = page
 
 
 class Cluster:
@@ -336,9 +334,7 @@ class Cluster:
             ex.pc += 1
             return
         ex.waiting = _Waiter(ex, off)
-        remote, actions = proto.read(1, off, ex.window, ex.waiting)
-        if remote:
-            ex.window = min(2 * ex.window, RUN_CAP)
+        actions = proto.read(1, off, RUN_CAP, ex.waiting)
         self.crossings.append(("read miss", sum(
             act[0] != RELEASE for act in actions), 1))
         self._act(ex.node, actions)
@@ -367,7 +363,7 @@ class Cluster:
                 self.protos[node].array(self.header)
                 self.executors.append(_Executor(
                     node, slot, generation, identities, replay,
-                    self.case.ops, self.case.page))
+                    self.case.ops))
             else:  # EXIT
                 self._crash(node, 0)
 

@@ -59,26 +59,24 @@ def _replayed(proto):
 def test_write_then_read():
     proto = _owner_of_all()
     assert proto.write(1, 5, 2.5, False) == []
-    assert proto.read(1, 5, PAGE, "reader") == (False, [
-        (RELEASE, "reader", 2.5)])
+    assert proto.read(1, 5, PAGE, "reader") == [(RELEASE, "reader", 2.5)]
     assert proto.write(1, 5, 2.5, True) == []  # nobody was waiting
     assert _replayed(proto) == 1
 
 
 def test_read_parks_then_write_releases_fifo():
     proto = _owner_of_all()
-    assert proto.read(1, 9, PAGE, "f1") == (False, [])
+    assert proto.read(1, 9, PAGE, "f1") == []
     assert proto.peer(2, _read(9)) == []
-    assert proto.read(1, 9, PAGE, "f2") == (False, [])
+    assert proto.read(1, 9, PAGE, "f2") == []
     assert proto.peer(1, _read(9)) == []
-    assert proto.read(1, 8, PAGE, "other element") == (False, [])
+    assert proto.read(1, 8, PAGE, "other element") == []
     # Local and remote waiters come back in arrival order, once; a peer
     # gets a run of the one element.
     assert proto.write(1, 9, 7.0, False) == [
         (RELEASE, "f1", 7.0), (SEND, 2, _rdy(9, [7.0])),
         (RELEASE, "f2", 7.0), (SEND, 1, _rdy(9, [7.0]))]
-    assert proto.read(1, 9, PAGE, "late") == (False, [
-        (RELEASE, "late", 7.0)])
+    assert proto.read(1, 9, PAGE, "late") == [(RELEASE, "late", 7.0)]
     assert proto.write(1, 8, 1.0, False) == [(RELEASE, "other element", 1.0)]
 
 
@@ -203,14 +201,13 @@ def test_a_run_marks_held_first_only_on_owned_cells_it_fills():
 
 def test_a_run_releases_the_readers_in_its_range_in_fifo_order():
     proto = _node0_of_3()
-    assert proto.read(1, 9, 8, "w9") == (True, [
-        (SEND, 1, _read(9, 8))])  # node 1's: pending here
-    assert proto.read(1, 6, PAGE, "f1") == (False, [])  # owned: parked
+    assert proto.read(1, 9, 8, "w9") == [
+        (SEND, 1, _read(9, 8))]  # node 1's: pending here
+    assert proto.read(1, 6, PAGE, "f1") == []  # owned: parked
     assert proto.peer(2, _read(6)) == []
-    assert proto.read(1, 6, PAGE, "f2") == (False, [])
-    assert proto.read(1, 4, PAGE, "g") == (False, [])
-    assert proto.read(1, 12, PAGE, "beyond") == (True, [
-        (SEND, 1, _read(12))])
+    assert proto.read(1, 6, PAGE, "f2") == []
+    assert proto.read(1, 4, PAGE, "g") == []
+    assert proto.read(1, 12, PAGE, "beyond") == [(SEND, 1, _read(12))]
     assert proto.peer(1, _rdy(4, [0.5, None, 1.5, None, None, 2.5])) == [
         (RELEASE, "g", 0.5), (RELEASE, "f1", 1.5),
         (SEND, 2, _rdy(6, [1.5])), (RELEASE, "f2", 1.5),
@@ -367,7 +364,7 @@ def test_every_waiter_released_once_with_the_written_value(ops, n):
         elif op == "local":
             serial += 1
             waiter = f"reader {serial}"
-            _, actions = proto.read(a, off, n, waiter)
+            actions = proto.read(a, off, n, waiter)
             if key in model:
                 assert actions == [(RELEASE, waiter, model[key])]
             else:
@@ -419,7 +416,7 @@ def test_no_lost_wakeup_under_threads():
     def reader():
         try:
             for off, fut in enumerate(futures):
-                carry_out(proto.read(1, off, PAGE, fut)[1])
+                carry_out(proto.read(1, off, PAGE, fut))
         except BaseException as exc:  # noqa: BLE001 - reported below
             errors.append(exc)
 

@@ -151,6 +151,101 @@ MUTANTS = (
             "whatever its accesses are; only the order test does.",
     ),
     Mutant(
+        name="rdy-lands-without-release",
+        file="repro/dist/protocol.py",
+        old="""            for off, waiters in seg.fill(lo, values):
+                actions += self._release(a, off, values[off - lo], waiters)""",
+        new="""            for off, waiters in seg.fill(lo, values):
+                pass""",
+        tests=(
+            "tests/dist/test_protocol.py::"
+            "test_a_run_releases_the_readers_in_its_range_in_fifo_order",
+            "tests/dist/test_cluster.py::"
+            "test_a_run_over_a_parked_read_releases_it",
+        ),
+        why="A run that stores the cells it fills but releases nobody "
+            "leaves every reader parked on them waiting for a write that "
+            "has already landed.",
+    ),
+    Mutant(
+        name="store-without-held-first",
+        file="repro/dist/protocol.py",
+        old="""            if ((a, off) in self.held_first
+                    and self.segments[a].get(off) == value):
+                return []""",
+        new="""            if False:
+                return []""",
+        tests=(
+            "tests/dist/test_protocol.py::"
+            "test_an_original_write_after_its_replay_is_no_violation",
+            "tests/dist/test_cluster.py::"
+            "test_every_drawn_schedule_finishes_equal_or_classified",
+        ),
+        why="An original write reaching an owner that held the element "
+            "first (by a replay or a run) is the same value, not a second "
+            "assignment; without the exemption it is reported as one.",
+    ),
+    Mutant(
+        name="miss-asks-one-page",
+        file="repro/dist/node.py",
+        old="self.protocol.read(arr.ordinal, off, _RUN_CAP, fut)",
+        new="self.protocol.read(arr.ordinal, off, self.cfg.page_size, fut)",
+        tests=(
+            "tests/dist/test_backend.py::TestCrossings::"
+            "test_a_remote_scan_asks_once_for_the_whole_run[row]",
+            "tests/dist/test_backend.py::TestCrossings::"
+            "test_a_remote_scan_asks_once_for_the_whole_run[column]",
+            "tests/dist/test_backend.py::TestCrossings::"
+            "test_a_scan_counts_each_read_once",
+        ),
+        why="A miss that asks for one page pays a round trip per page of "
+            "a remote scan where one request for the run carries it all.",
+    ),
+    Mutant(
+        name="probe-without-reload",
+        file="repro/baseline/sequential.py",
+        old="""f"else: {read}; {reload}\"""",
+        new="""f"else: {read}\"""",
+        tests=(
+            "tests/runtime/test_spmd.py::TestSpmdHostWorkBudget::"
+            "test_a_miss_reloads_the_loops_probe",
+        ),
+        why="A loop that entered before a shared-memory handle had its "
+            "mirror keeps probing no list: every read of the loop, of an "
+            "element it has read before too, calls the handle's read.",
+    ),
+    Mutant(
+        name="hits-never-counted",
+        file="repro/baseline/sequential.py",
+        old="""            self.emit(f"if {hits}: {arr}.reads += {hits}")""",
+        new="""            pass""",
+        tests=(
+            "tests/runtime/test_spmd.py::"
+            "test_shared_reads_count_each_read_once[shm-2]",
+            "tests/runtime/test_spmd.py::"
+            "test_shared_reads_count_each_read_once[plain-1]",
+        ),
+        why="The reads a loop's probe answers are counted in a local; "
+            "never added to the handle, shared_reads counts only misses.",
+    ),
+    Mutant(
+        name="in-place-write-in-replicated-code",
+        file="repro/baseline/sequential.py",
+        old="if self.in_place and self.bodies",
+        new="if self.in_place",
+        tests=(
+            "tests/runtime/test_spmd.py::"
+            "test_replicated_writes_land_once_at_the_owner"
+            "[top-level-2-single-identity]",
+            "tests/runtime/test_spmd.py::"
+            "test_replicated_writes_land_once_at_the_owner"
+            "[serial-loop-3-single-identity]",
+        ),
+        why="Only a Range-Filter body's write is this identity's; a "
+            "replicated write called in place is made by every identity, "
+            "a second assignment at width 2 or more.",
+    ),
+    Mutant(
         name="hand-over-without-lock",
         file="repro/dist/node.py",
         old="""            with self._hand_lock:

@@ -25,7 +25,9 @@ width, ascending and descending, one identity per interpreter or several
   more Python frames than its budget.
 """
 
+import linecache
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -489,8 +491,10 @@ def test_an_empty_plan_never_fires_per_iteration():
     trigger = Recorder()
     interp = _under(trigger)
     interp.run((23,), materialize=False)
-    # 23 iterations ran; only the write hook (unconditional) asked.
-    assert trigger.fired == {"iter": 0, "write": 23}
+    # 23 iterations ran, each writing inside the Range-Filter body,
+    # where a write calls the array's own ``write`` without a plan: no
+    # trigger was asked.
+    assert trigger.fired == {"iter": 0, "write": 0}
 
 
 def test_planned_triggers_act_at_their_counts_in_every_generation():
@@ -647,29 +651,58 @@ function main(A, n) {
 }"""
 
 
+# A vector handed in, each element read up to three times in one loop.
+SUM = """
+function main(A, n) {
+    s = 0.0;
+    for i = 2 to n - 1 { next s = s + A[i - 1] + A[i] + A[i + 1]; }
+    return s;
+}"""
+
+# A matrix filled by a Range-Filter loop, nothing read.
+FILL = """
+function main(n) {
+    A = matrix(n, n);
+    for i = 1 to n { for j = 1 to n { A[i, j] = 0.5 * i + j; } }
+    return A;
+}"""
+
+
 class TestSpmdHostWorkBudget:
-    """A standing budget for Python work per shared element read, with
-    the ``sys.setprofile`` recipe of the simulator's
+    """A standing budget for Python work per shared element read and
+    write, with the ``sys.setprofile`` recipe of the simulator's
     ``TestHostWorkBudget``: Python frames entered over the whole run,
-    divided by the element reads the handles counted.  What a worker
-    pays per element is interpreter frames (docs/parallel.md, "Where a
-    worker's time goes"), so a change to the generated code or to a
-    store's ``read`` is held to this count.  Builtin calls are not frames and
-    are not counted."""
+    divided by the element reads (writes) the handles counted.  What a
+    worker pays per element is interpreter frames (docs/parallel.md,
+    "Where a worker's time goes"), so a change to the generated code or
+    to a store's ``read`` or ``write`` is held to this count.  Builtin
+    calls are not frames and are not counted."""
 
     # Rank 2, matmul n = 24: 7.39 with a loop seam, an index lambda and a
     # separate offset frame; 4.78 with all three gone but the closures;
     # 1.32 with each function generated as one Python function (the read
     # is the only frame of a ``k`` step); 0.38 with the present element
-    # read inline (a frame only for the first read of each element).
-    RANK2_CALLS_PER_READ = 0.40
+    # read inline (a frame only for the first read of each element);
+    # 0.203 with the writes in place and the index rule in the store's
+    # ``write`` (the run's other frames were mostly writes').
+    RANK2_CALLS_PER_READ = 0.22
     # Rank 1, Livermore hydro n = 64 (256 reads, so allocation and
     # writing the source out weigh in): 15.37 over the closures, 8.05
-    # generated, 8.01 read inline (nearly every element is read once).
-    RANK1_CALLS_PER_READ = 8.05
+    # generated, 8.01 read inline (nearly every element is read once),
+    # 6.00 with the writes in place.
+    RANK1_CALLS_PER_READ = 6.1
     # Rank 2, every element present and in the handle's mirror, n = 48:
-    # the run's own frames only, spread over its reads.
+    # the run's own frames only, spread over its reads (0.023).
     MIRRORED_CALLS_PER_READ = 0.03
+    # Rank 1, a three-point stencil over a fresh handle, n = 1024: a
+    # frame for each element's first read (the one that builds the
+    # mirror included), none for its other two.
+    STENCIL_CALLS_PER_READ = 0.34
+    # Rank 2, a matrix filled by a Range-Filter loop, n = 48: 4.15 with
+    # each write through ``on_array_write``, its trigger and a separate
+    # offset frame; 1.15 with the store's ``write`` called in place, the
+    # index rule in its one frame.
+    CALLS_PER_WRITE = 1.2
 
     def test_rank2_matmul(self):
         from repro.apps import compile_matmul
@@ -682,6 +715,41 @@ class TestSpmdHostWorkBudget:
 
         per_read = self.calls_per_read(compile_kernel("hydro"), (64,))
         assert per_read <= self.RANK1_CALLS_PER_READ, per_read
+
+    def test_rank2_fill_writes(self):
+        interp = ShmSpmd(compile_source(FILL))
+        try:
+            calls, _ = self.frames(
+                lambda: interp.run((48,), materialize=False))
+        finally:
+            interp.close()
+        [arr] = interp.shared_arrays
+        assert arr.writes == 48 * 48
+        per_write = calls / arr.writes
+        assert per_write <= self.CALLS_PER_WRITE, per_write
+
+    def test_a_miss_reloads_the_loops_probe(self):
+        # Fresh handles to a written vector, read by a three-point
+        # stencil in one loop: the loop's first read builds the handle's
+        # mirror, and the probe, reloaded after each miss, answers each
+        # element's second and third reads (a third of a frame a read).
+        n = 1024
+        arrs = [ShmArray(f"pods{os.getpid()}_reload{k}", (n,), create=True)
+                for k in range(2)]
+        try:
+            for arr in arrs:
+                for i in range(1, n + 1):
+                    arr.write((i,), 0.5 * i)
+            interp = ShmSpmd(compile_source(SUM))
+            expected = interp.run((arrs[0], n)).value  # writes the code out
+            calls, value = self.frames(lambda: interp.run((arrs[1], n)).value)
+        finally:
+            for arr in arrs:
+                arr.close()
+                arr.unlink()
+        assert value == expected and arrs[1].reads == 3 * (n - 2)
+        per_read = calls / arrs[1].reads
+        assert per_read <= self.STENCIL_CALLS_PER_READ, per_read
 
     def test_mirrored_reads_enter_no_frame(self):
         n = 48
@@ -731,3 +799,33 @@ class TestSpmdHostWorkBudget:
         reads = sum(arr.reads for arr in interp.shared_arrays)
         assert reads > 0
         return calls / reads
+
+
+def test_the_matmul_k_loop_probes_and_writes_through_locals():
+    # The clock-less code of matmul: the ``k`` loop's probes read the
+    # handles' fields from locals loaded at its entry and count hits in
+    # a local, and the Range-Filter body writes ``C`` through the
+    # store's own ``write``, not the hook.
+    from repro.apps import compile_matmul
+
+    interp = ShmSpmd(compile_matmul(checksum=True), tag="shape")
+    try:
+        interp.run((4,), materialize=False)
+    finally:
+        interp.close()
+    lines = linecache.cache["<idlite:main>"][2]
+    start = next(k for k, line in enumerate(lines)
+                 if line.lstrip().startswith("for k_"))
+    indent = len(lines[start]) - len(lines[start].lstrip())
+    loop = lines[start + 1:]
+    loop = loop[:next(k for k, line in enumerate(loop)
+                      if len(line) - len(line.lstrip()) <= indent)]
+    assert loop and not any(
+        field in line for line in loop
+        for field in (".seen", ".rows", ".cols", ".reads")), loop
+    body = lines[max(k for k in range(start)
+                     if lines[k].startswith("def _body")):]
+    body = body[:body.index("\n")]
+    writes = [line.strip() for line in body if "write(" in line]
+    assert len(writes) == 1 and re.fullmatch(
+        r"C_\d+\.write\(\(i_\d+, j_\d+\), s_\d+\)", writes[0]), writes
