@@ -15,24 +15,24 @@ no context switches, no presence bits, no page management):
 * scalar moves are free (register allocation).
 
 It is also the semantic oracle the simulator's results are tested
-against, and — through the pluggable :class:`Clock` and the loop seams —
-the substrate of the Pingali & Rogers static baseline and of the SPMD
-core every ``parallel`` worker and ``dist`` node runs.
+against, and — through the pluggable :class:`Clock` and the Range-Filter
+seam — the substrate of the Pingali & Rogers static baseline and of the
+SPMD core every ``parallel`` worker and ``dist`` node runs.
 
 The program is decoded once, not re-discovered per evaluation: the first
 call of a function writes it out as Python source — one function over
 locals, each expression a run of flat three-address statements, each
-loop without a Range Filter a Python ``for`` — which ``compile()`` turns
-into what every later call runs (see :class:`Interpreter` and
-:class:`_Writer`), as ``sim/decode.py`` decodes SP templates once.  The
-cost model is decided there too: with a clock the source charges exactly
-what the retired tree walker did, in its order
-(``tests/baseline/reference_fingerprint.json`` holds ``seq`` and
-``static`` to its bits); without one — the SPMD core, whose substrates
-report wall time — no charge is written and the code only evaluates,
-reading a present element of rank 1 or 2 inline: a probe of what the
-handle has seen (:class:`~repro.runtime.arrays.Handle`), through locals
-a Python ``for`` loads at its entry, its ``read`` only on a miss.
+loop a Python ``for`` — which ``compile()`` turns into what every later
+call runs (see :class:`Interpreter` and :class:`_Writer`), as
+``sim/decode.py`` decodes SP templates once.  The cost model is decided
+there too: with a clock the source charges exactly what the retired tree
+walker did, in its order (``tests/baseline/reference_fingerprint.json``
+holds ``seq`` and ``static`` to its bits); without one — the SPMD core,
+whose substrates report wall time — no charge is written and the code
+only evaluates, reading a present element of rank 1 or 2 inline: a probe
+of what the handle has seen (:class:`~repro.runtime.arrays.Handle`),
+through locals a Python ``for`` loads at its entry, its ``read`` only on
+a miss.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import count
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Any, Callable
 
 from repro.common.errors import (
@@ -180,19 +180,6 @@ class Scopes:
         raise ExecutionError(f"undefined name {name!r} (interpreter bug)")
 
 
-@dataclass(slots=True)
-class Loop:
-    """One Range-Filter ``for``: what the loop seams are handed, with a
-    seam frame ``[first index, last index, index, outer values...]``."""
-
-    descending: bool
-    body: Callable    # frame -> None: one iteration, ``next`` values applied
-    block: Any        # its code block in the partitioned graph
-    # Its Range Filter's (array, fixed indices) operands, ``frame ->
-    # value`` each.
-    rf: tuple
-
-
 class Interpreter:
     """Compile-once evaluator; ``clock=None`` compiles the cost model out.
 
@@ -200,16 +187,15 @@ class Interpreter:
     Python function over locals (:class:`_Writer`, the only code that
     inspects AST node classes), and ``compile()`` makes it what every
     later call runs.  Names are locals, expressions flat three-address
-    statements, and a ``for`` is a Python ``for`` — except one with a
-    Range Filter (:meth:`partition_of`), which crosses the loop seams
-    :meth:`run_for` / :meth:`run_for_range` with a generated body that
-    takes its outer values from a seam frame.
+    statements, and a ``for`` is a Python ``for``; one with a Range
+    Filter (:meth:`partition_of`) is two, the outer over the subranges
+    :meth:`subranges` yields.
 
     The array hooks (:meth:`on_alloc`, :meth:`on_array_read`,
-    :meth:`on_array_write`) and the loop seams are the override points
-    for the static baseline and the SPMD core; the generated code calls
-    them through its globals, bound on the first run.  An iteration is
-    no seam: a subclass that must see one returns a callable from
+    :meth:`on_array_write`) and :meth:`subranges` are the override
+    points for the static baseline and the SPMD core; the generated code
+    calls them through its globals, bound on the first run.  An iteration
+    is no seam: a subclass that must see one returns a callable from
     :meth:`iteration_hook`.
     """
 
@@ -218,8 +204,8 @@ class Interpreter:
         self.program = program
         self.clock = clock  # None: this substrate keeps no modeled time
         self.entry = entry
-        # An IdLite call is one Python frame, a Range-Filter loop three
-        # more; the guard stays well below CPython's own recursion limit.
+        # An IdLite call is one Python frame (a Range-Filter loop adds
+        # none); the guard stays well below CPython's own recursion limit.
         self.max_depth = 150
         # The generated code's globals.  Built on the first run, never
         # here: they bind the hooks, which a subclass's ``__init__`` has
@@ -253,13 +239,13 @@ class Interpreter:
 
     def bind_namespace(self) -> dict[str, Any]:
         """The globals every generated function of this interpreter runs
-        in: the hooks, the seam, the operator tables, and a stand-in per
-        IdLite function that writes it on its first call."""
+        in: the hooks, the Range-Filter seam, the operator tables, and a
+        stand-in per IdLite function that writes it on its first call."""
         ns = {"_Err": ExecutionError, "_UNSET": _UNSET, "_span": _span,
               "_known": self.array_types, "_check": self.check_array,
               "_fault": self.fault,
               "_alloc": self.on_alloc, "_write": self.on_array_write,
-              "_runfor": self.run_for}
+              "_rf": self.subranges}
         if self.clock is not None:
             ns["_charge"] = self.clock.charge
             ns["_read"] = self.on_array_read
@@ -282,14 +268,12 @@ class Interpreter:
         (replacing its stand-in) and return it.  Its source is registered
         with ``linecache`` under ``<idlite:NAME>``, so a traceback shows
         the generated line."""
-        source, loops = _Writer(self, self.program.functions[name]).module()
+        source = _Writer(self, self.program.functions[name]).module()
         filename = f"<idlite:{name}>"
         linecache.cache[filename] = (len(source), None,
                                      source.splitlines(keepends=True),
                                      filename)
         exec(compile(source, filename, "exec"), self.namespace)
-        for loop, key in loops:
-            loop.body = self.namespace[key]
         return self.namespace[self.fn_keys[name]]
 
     # -- what the writer asks (overridden by the partitioned interpreters) --
@@ -313,28 +297,13 @@ class Interpreter:
         :meth:`on_array_write` (asked only without a clock)."""
         return False
 
-    # -- the loop seams (a Range-Filter loop only) ---------------------------
+    # -- the Range-Filter seam -------------------------------------------
 
-    def run_for(self, loop: Loop, frame: list) -> None:
-        self.run_for_range(loop, frame, frame[0], frame[1],
-                           -1 if loop.descending else 1)
-
-    def run_for_range(self, loop: Loop, frame: list,
-                      init: int, limit: int, step: int) -> None:
-        body = loop.body
-        i = init  # any number: ``for i = 1.5 to n`` is a program too
-        if self.clock is None:
-            while (i >= limit) if step < 0 else (i <= limit):
-                frame[2] = i
-                body(frame)
-                i += step
-            return
-        charge = self.clock.charge
-        while (i >= limit) if step < 0 else (i <= limit):
-            charge(LOOP_ITER)
-            frame[2] = i
-            body(frame)
-            i += step
+    def subranges(self, block, init, limit, array, *fixed):
+        """The ``(first, last)`` pairs a Range-Filter ``for`` of code block
+        ``block`` from ``init`` to ``limit`` runs, in order, its filter's
+        array and fixed indices as given: here the whole range, once."""
+        yield init, limit
 
     def check_array(self, arr, name: str) -> None:
         """Admit the class of ``arr`` as an array type, or reject ``arr``."""
@@ -418,26 +387,6 @@ class _Site(str):
     fault: tuple
 
 
-class _Unit:
-    """One generated ``def`` being written: the lines before its body
-    (``head``), its body, and the slots of the code around it that it
-    reads (``free``) and assigns (``written``) — those below ``first``,
-    the first slot it owns."""
-
-    __slots__ = ("first", "head", "lines", "indent", "free", "written",
-                 "costs", "hoists")
-
-    def __init__(self, first: int) -> None:
-        self.first = first
-        self.head: list[str] = []
-        self.lines: list[str] = []
-        self.indent = 2  # in the ``try`` around the body
-        self.free: dict[int, None] = {}
-        self.written: dict[int, None] = {}
-        self.costs: list[str] = []  # charges not yet written out
-        self.hoists: list[_Hoist] = []  # its open Python ``for``s
-
-
 class _Hoist:
     """One clock-less Python ``for`` being written: the handles its body
     probes, each with the locals its probe fields are loaded into at the
@@ -485,7 +434,7 @@ class _Writer:
         self.interp = interp
         self.clock = interp.clock is not None
         self.in_place = not self.clock and interp.writes_in_place()
-        self.bodies = 0  # Range-Filter bodies being written
+        self.bodies = 0  # Range-Filter loops being written
         self.fn = fn
         self.sc = Scopes(fn.params)
         self.names = {0: "_depth"}  # slot -> local
@@ -501,42 +450,36 @@ class _Writer:
         self.carried = set(self.carried_names(fn.body))
         self.temps = count(1)
         self.loop_level = 0
-        self.unit = _Unit(0)
-        self.defs: list[tuple[str, _Unit]] = []
-        self.loops: list[tuple[Loop, str]] = []
+        self.lines: list[str] = []  # the body, in the ``try`` around it
+        self.indent = 2
+        self.costs: list[str] = []  # charges not yet written out
+        self.hoists: list[_Hoist] = []  # the open clock-less ``for``s
 
-    def module(self) -> tuple[str, list[tuple[Loop, str]]]:
-        """The source of the function and of its Range-Filter loop
-        bodies, and each such loop with the name of its body."""
+    def module(self) -> str:
+        """The source of the function."""
         depth = self.interp.max_depth
-        self.unit.head += [f"    if _depth > {depth}:",
-                           f"        raise _Err('call depth over {depth}')"]
-        if self.clock:
-            self.unit.head.append(f"    _charge({CALL!r})")
-        self.body(self.fn.body, None)
-        self.flush()
         params = ", ".join(self.names[k]
                            for k in range(len(self.fn.params) + 1))
-        self.defs.append(
-            (f"{self.interp.fn_keys[self.fn.name]}({params})", self.unit))
+        lines = [f"def {self.interp.fn_keys[self.fn.name]}({params}):",
+                 f"    if _depth > {depth}:",
+                 f"        raise _Err('call depth over {depth}')"]
+        if self.clock:
+            lines.append(f"    _charge({CALL!r})")
+        self.body(self.fn.body, None)
+        self.flush()
+        if not any(isinstance(line, _Site) for line in self.lines):
+            return "\n".join(lines + [line[4:] for line in self.lines]) + "\n"
         key = self.global_({}, "sites")
         sites = self.interp.namespace[key]
-        lines = []
-        for signature, unit in self.defs:
-            lines += [f"def {signature}:", *unit.head]
-            if not any(isinstance(line, _Site) for line in unit.lines):
-                lines += [line[4:] for line in unit.lines]
-            else:
-                lines.append("    try:")
-                for line in unit.lines:
-                    if isinstance(line, _Site):
-                        sites[len(lines) + 1] = line.fault
-                    lines.append(line)
-                lines += ["    except (TypeError, AttributeError) as exc:",
-                          f"        _fault(exc, {key})",
-                          "        raise"]
-            lines.append("")
-        return "\n".join(lines), self.loops
+        lines.append("    try:")
+        for line in self.lines:
+            if isinstance(line, _Site):
+                sites[len(lines) + 1] = line.fault
+            lines.append(line)
+        lines += ["    except (TypeError, AttributeError) as exc:",
+                  f"        _fault(exc, {key})",
+                  "        raise", ""]
+        return "\n".join(lines)
 
     # -- writing --------------------------------------------------------
 
@@ -551,13 +494,13 @@ class _Writer:
         """Write ``line``; unless it is ``pure`` — an operator or a copy,
         which neither reads the clock nor leaves the straight line —
         the charges made before it are written out first."""
-        if not pure and self.unit.costs:
+        if not pure and self.costs:
             self.flush()
-        line = "    " * self.unit.indent + line
+        line = "    " * self.indent + line
         if fault is not None:
             line = _Site(line)
             line.fault = fault
-        self.unit.lines.append(line)
+        self.lines.append(line)
 
     def global_(self, value: Any, stem: str) -> str:
         key = f"_{stem}{next(self.interp.serial)}"
@@ -572,38 +515,27 @@ class _Writer:
         self.names[slot] = self.local(name, slot)
         return slot
 
-    def read(self, slot: int) -> str:
-        if slot < self.unit.first:
-            self.unit.free[slot] = None
-        return self.names[slot]
-
-    def assign(self, slot: int) -> str:
-        if slot < self.unit.first:
-            self.unit.free[slot] = None
-            self.unit.written[slot] = None
-        return self.names[slot]
-
     def open(self, header: str) -> int:
         """Emit a compound statement's ``header`` and indent its block."""
         self.emit(header)
-        self.unit.indent += 1
-        return len(self.unit.lines)
+        self.indent += 1
+        return len(self.lines)
 
     def shut(self, mark: int) -> None:
         """End the block :meth:`open` began at ``mark``."""
         self.flush()
-        if len(self.unit.lines) == mark:
+        if len(self.lines) == mark:
             self.emit("pass")
-        self.unit.indent -= 1
+        self.indent -= 1
 
     def charge(self, cost: float | str) -> None:
         """Charge ``cost`` (a number, or the source of one) at the next
         line that is not pure: one ``_charge`` call adds a run of costs
         one by one, in order, as separate calls would."""
-        self.unit.costs.append(cost if isinstance(cost, str) else repr(cost))
+        self.costs.append(cost if isinstance(cost, str) else repr(cost))
 
     def flush(self) -> None:
-        costs, self.unit.costs = self.unit.costs, []
+        costs, self.costs = self.costs, []
         if costs:
             self.emit(f"_charge({', '.join(costs)})", pure=True)
 
@@ -631,12 +563,12 @@ class _Writer:
         """``lines``, an access of array local ``arr``: checked up front
         (at ``mark``, before the subscripts) when evaluating its
         ``operands`` may raise, else only when the access fails."""
-        if len(self.unit.lines) == mark or all(map(self.safe, operands)):
+        if len(self.lines) == mark or all(map(self.safe, operands)):
             for line in lines:
                 self.emit(line, (AttributeError, arr, name))
             return
-        pad = "    " * self.unit.indent
-        self.unit.lines.insert(
+        pad = "    " * self.indent
+        self.lines.insert(
             mark,
             f"{pad}if type({arr}) not in _known: _check({arr}, {name!r})")
         for line in lines:
@@ -676,7 +608,7 @@ class _Writer:
             slot = self.new_slot(name)
             if names is self.sc.chain[-1] and name not in self.carried:
                 self.steady.add(self.names[slot])
-        target = self.assign(slot)
+        target = self.names[slot]
         atom = self.expr(value, target)
         if atom != target:
             self.emit(f"{target} = {atom}", pure=True)
@@ -709,8 +641,8 @@ class _Writer:
         self.store(self.sc.loops[-1], stmt.name, stmt.value)
 
     def write_array_write(self, stmt: A.ArrayWrite) -> None:
-        arr = self.read(self.sc.slot_of(stmt.array))
-        mark = len(self.unit.lines)
+        arr = self.names[self.sc.slot_of(stmt.array)]
+        mark = len(self.lines)
         at = self.indices(stmt.indices)
         value = self.expr(stmt.value)
         if self.clock:
@@ -756,18 +688,32 @@ class _Writer:
         hook = self.interp.iteration_hook(block)
         if hook is not None:
             hook = self.global_(hook, "hook")
-        if rf is not None:
-            return self.seam_loop(stmt, first, last, block, rf, hook)
         hoist = None if self.clock else _Hoist(
             self.sc.size, {*stmt.carried, *self.carried_names(stmt.body)})
+        entry = len(self.lines)
+        if hoist is not None:
+            self.hoists.append(hoist)
+        if rf is not None:
+            # A Range-Filter loop runs over the subranges ``_rf`` yields,
+            # its operands resolved where the ``for`` stands: a name
+            # bound later in the same scope must not capture one.
+            args = [self.global_(block, "block"), first, last]
+            args += [self.names[self.sc.slot_of(v)] if kind == "n"
+                     else repr(v) if type(v) is int
+                     else self.global_(v, "k") for kind, v in rf]
+            bounds = (self.temp(), self.temp())
+            for bound, atom in zip(bounds, (first, last)):
+                if self.kinds.get(atom) is int:  # so is every subrange's
+                    self.kinds[bound] = int
+            subranges = self.open(
+                f"for {', '.join(bounds)} in _rf({', '.join(args)}):")
+            first, last = bounds
+            self.bodies += 1
         var = self.new_slot(stmt.var)
         self.indexes.add(var)
         index = self.names[var]
         if self.kinds.get(first) is not None:  # it counts from ``first``
             self.kinds[index] = self.kinds[first]
-        entry = len(self.unit.lines)
-        if hoist is not None:
-            self.unit.hoists.append(hoist)
         mark = self.open(f"for {index} in "
                          f"{self.indices_of(stmt, first, last)}:")
         if self.clock:
@@ -776,8 +722,11 @@ class _Writer:
             self.emit(f"{hook}({index})")
         self.loop_body(stmt.body, {stmt.var: var})
         self.shut(mark)
+        if rf is not None:
+            self.bodies -= 1
+            self.shut(subranges)
         if hoist is not None:
-            self.unit.hoists.pop()
+            self.hoists.pop()
             self.hoisted(hoist, entry)
 
     def hoisted(self, hoist: _Hoist, entry: int) -> None:
@@ -785,23 +734,23 @@ class _Writer:
         the ``for`` at line ``entry`` — a non-array's fail every probe,
         so its access fails as it would have — and count their hits
         into ``reads`` after it."""
-        pad = "    " * self.unit.indent
+        pad = "    " * self.indent
         loads = []
         for arr, (fields, hits) in hoist.handles.items():
             loads += [f"{pad}{', '.join(fields.values())} = _fields({arr})"
                       f" if isinstance({arr}, _Handle) else (None, 0, 0, 0)",
                       f"{pad}{hits} = 0"]
-        self.unit.lines[entry:entry] = loads
+        self.lines[entry:entry] = loads
         for arr, (_, hits) in hoist.handles.items():
             self.emit(f"if {hits}: {arr}.reads += {hits}")
 
     def held(self, slot: int, name: str, arr: str):
         """The probe locals of handle local ``arr`` (slot ``slot``, name
-        ``name``) in the innermost Python ``for`` of this unit, or None
+        ``name``) in the innermost Python ``for`` being written, or None
         where that loop may rebind it or there is none."""
-        if not self.unit.hoists:
+        if not self.hoists:
             return None
-        hoist = self.unit.hoists[-1]
+        hoist = self.hoists[-1]
         if slot >= hoist.outer or name in hoist.carried:
             return None
         held = hoist.handles.get(arr)
@@ -817,54 +766,6 @@ class _Writer:
             return f"range({first}, {last} + {step}, {step})"
         return f"_span({first}, {last}, {step})"
 
-    def seam_loop(self, stmt: A.For, first: str, last: str, block,
-                  rf: tuple, hook: str | None) -> None:
-        """A Range-Filter ``for``: the iteration becomes a function of a
-        seam frame ``[init, limit, index, outer values...]``, which takes
-        the outer slots it reads from the frame and puts back the ones
-        it assigns; the loop itself is :meth:`Interpreter.run_for`'s."""
-        # Operands resolved where the ``for`` stands: a name bound later
-        # in the same scope must not capture one.
-        operands = [(kind, self.sc.slot_of(v) if kind == "n" else v)
-                    for kind, v in rf]
-        self.flush()  # the loop seam reads the clock
-        parent, unit = self.unit, _Unit(self.sc.size)
-        self.unit = unit
-        var = self.new_slot(stmt.var)
-        self.indexes.add(var)
-        if self.kinds.get(first) is int:  # so is every subrange's start
-            self.kinds[self.names[var]] = int
-        if hook is not None:
-            self.emit(f"{hook}({self.names[var]})")
-        self.bodies += 1
-        self.loop_body(stmt.body, {stmt.var: var})
-        self.bodies -= 1
-        self.flush()
-        self.unit = parent
-        outer = list(unit.free)
-        outer += [v for kind, v in operands if kind == "n" and v not in outer]
-        position = {slot: 3 + k for k, slot in enumerate(outer)}
-        unpack = ", ".join(["_", "_", self.names[var],
-                            *(self.names[slot] for slot in outer)])
-        unit.head.append(f"    {unpack} = frame")
-        unit.lines += [f"        frame[{position[slot]}] = {self.names[slot]}"
-                       for slot in unit.written]
-        body = f"_body{next(self.interp.serial)}"
-        self.defs.append((f"{body}(frame)", unit))
-
-        def operand(kind, v):
-            return itemgetter(position[v]) if kind == "n" \
-                else (lambda frame: v)
-        array, *fixed = [operand(kind, v) for kind, v in operands]
-        loop = Loop(stmt.descending, None, block, (array, tuple(fixed)))
-        self.loops.append((loop, body))
-        frame = self.temp()
-        values = [first, last, "None", *(self.read(slot) for slot in outer)]
-        self.emit(f"{frame} = [{', '.join(values)}]")
-        self.emit(f"_runfor({self.global_(loop, 'loop')}, {frame})")
-        for slot in unit.written:
-            self.emit(f"{self.assign(slot)} = {frame}[{position[slot]}]")
-
     def loop_body(self, stmts: list[A.Stmt], scope: dict) -> None:
         """One iteration: the body, then the ``next`` values the taken
         branches assigned replace the carried variables (each resolved
@@ -873,22 +774,22 @@ class _Writer:
         unset."""
         self.sc.loops.append({})
         self.loop_level += 1
-        mark = len(self.unit.lines)
+        mark = len(self.lines)
         self.body(stmts, scope)
         self.loop_level -= 1
         definite = {s.name for s in stmts if type(s) is A.NextBind}
         unset = []
         for name, pending in self.sc.loops.pop().items():
-            local, carried = self.names[pending], self.assign(
-                self.sc.slot_of(name))
+            local = self.names[pending]
+            carried = self.names[self.sc.slot_of(name)]
             if name in definite:
                 self.emit(f"{carried} = {local}")
                 continue
             unset.append(local)
             self.emit(f"if {local} is not _UNSET:")
             self.emit(f"    {carried} = {local}")
-        pad = "    " * self.unit.indent
-        self.unit.lines[mark:mark] = [f"{pad}{local} = _UNSET"
+        pad = "    " * self.indent
+        self.lines[mark:mark] = [f"{pad}{local} = _UNSET"
                                       for local in unset]
 
     # -- expressions: each returns the atom that holds its value ----------
@@ -910,7 +811,7 @@ class _Writer:
         return atom
 
     def write_var(self, e: A.Var, into) -> str:
-        return self.read(self.sc.slot_of(e.name))
+        return self.names[self.sc.slot_of(e.name)]
 
     def write_binop(self, e: A.BinOp, into) -> str:
         return self.binary(e.op, e.left, e.right, e.loc, into)
@@ -957,8 +858,8 @@ class _Writer:
 
     def write_index(self, e: A.Index, into) -> str:
         slot = self.sc.slot_of(e.array)
-        arr = self.read(slot)
-        mark = len(self.unit.lines)
+        arr = self.names[slot]
+        mark = len(self.lines)
         atoms = [self.expr(sub) for sub in e.indices]
         t = into or self.temp()
         if self.clock:
@@ -1009,7 +910,7 @@ class _Writer:
         if e.name not in self.interp.program.functions:
             raise ExecutionError(f"call to unknown {e.name!r}")
         callee = self.interp.fn_keys[e.name]
-        args = ", ".join([f"{self.read(0)} + 1", *args])
+        args = ", ".join(["_depth + 1", *args])
         self.emit(f"{t} = {callee}({args})")
         return t
 
@@ -1044,11 +945,6 @@ class PartitionedInterpreter(Interpreter):
         rf = block.range_filter
         return block, tuple(self._operand(block, vid)
                             for vid in (rf.array_vid, *rf.fixed_vids))
-
-    def range_filter_of(self, loop: Loop, frame: list):
-        """``(block, array, fixed indices)`` of a Range-Filter loop."""
-        array, fixed = loop.rf
-        return loop.block, array(frame), tuple(f(frame) for f in fixed)
 
     def _operand(self, block: ir.CodeBlock, vid: int) -> tuple[str, Any]:
         """A Range-Filter operand: ``("k", constant)`` or ``("n", name)``."""

@@ -39,7 +39,6 @@ from repro.lang import ast_nodes as A
 from repro.runtime.arrays import ArrayHeader
 from repro.baseline.sequential import (
     Clock,
-    Loop,
     PartitionedInterpreter,
     SeqArray,
 )
@@ -70,15 +69,6 @@ class PEClocks(Clock):
                     self.times[p] += cost
             else:
                 self.times[self.ctx] += cost
-
-    def wait_until(self, t: float) -> None:
-        if self.ctx == "all":
-            for p in range(len(self.times)):
-                if self.times[p] < t:
-                    self.times[p] = t
-        else:
-            if self.times[self.ctx] < t:
-                self.times[self.ctx] = t
 
     def now(self) -> float:
         if self.ctx == "all":
@@ -134,19 +124,13 @@ class StaticInterpreter(PartitionedInterpreter):
 
     # -- distributed loops --------------------------------------------------
 
-    def run_for(self, loop: Loop, frame: list) -> None:
-        init, limit = frame[0], frame[1]
-        step = -1 if loop.descending else 1
-        found = (self.range_filter_of(loop, frame)
-                 if self.clocks.ctx == "all" else None)
-        if found is None:
-            self.run_for_range(loop, frame, init, limit, step)
+    def subranges(self, block, init, limit, array, *fixed):
+        if self.clocks.ctx != "all":  # inside one PE's iteration
+            yield init, limit
             return
-        block, arr, fixed = found
-        rf = block.range_filter
-        if not isinstance(arr, SeqArray):
+        if not isinstance(array, SeqArray):
             raise ExecutionError("range-filter array did not resolve")
-        header = self.header_for(arr)
+        header = self.header_for(array)
 
         entry = max(self.clocks.times)  # SPMD: everyone enters together
         for p in range(self.num_pes):
@@ -154,10 +138,10 @@ class StaticInterpreter(PartitionedInterpreter):
         try:
             for p in range(self.num_pes):
                 first, last = header.filtered_range(
-                    p, init, limit, descending=loop.descending,
-                    fixed=fixed, dim=rf.dim)
+                    p, init, limit, descending=block.descending,
+                    fixed=fixed, dim=block.range_filter.dim)
                 self.clocks.ctx = p
-                self.run_for_range(loop, frame, first, last, step)
+                yield first, last
         finally:
             self.clocks.ctx = "all"
 

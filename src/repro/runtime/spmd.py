@@ -40,13 +40,12 @@ of elements seen present, under its extents, and counts a hit in its
 
 The base interpreter is compile-once (:mod:`repro.baseline.sequential`):
 each function is written out as the source of one Python function over
-locals on its first *call*, each loop a Python ``for`` — except a loop
-with a Range Filter, which crosses the seam overridden here,
-``run_for(loop, frame)``: it takes the
-:class:`~repro.baseline.sequential.Loop` and a seam frame holding the
-loop's bounds and the values its generated body reads.  The generated
-code calls the ``on_*`` hooks through globals bound when ``run`` first
-starts, so a substrate may finish its own ``__init__`` after
+locals on its first *call*, each loop a Python ``for``.  A loop with a
+Range Filter is two, the outer over the subranges the seam overridden
+here yields, ``subranges(block, init, limit, array, *fixed)``: this
+process's identities' subranges of ``init .. limit``.  The generated
+code calls the ``on_*`` hooks and the seam through globals bound when
+``run`` first starts, so a substrate may finish its own ``__init__`` after
 ``super().__init__`` returns, but must not rebind a hook once ``run``
 has started.
 
@@ -72,7 +71,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.baseline.sequential import Loop, PartitionedInterpreter, SeqArray
+from repro.baseline.sequential import PartitionedInterpreter, SeqArray
 from repro.common.errors import WorkerSuperseded, classify_error
 from repro.runtime.arrays import SharedHandle
 
@@ -145,31 +144,26 @@ class SpmdInterpreter(PartitionedInterpreter):
         # A plan may hold a ``write`` clause: its trigger is in the hook.
         return not self.injector.planned
 
-    def run_for(self, loop: Loop, frame: list) -> None:
-        init, limit = frame[0], frame[1]
-        step = -1 if loop.descending else 1
-        found = (None if self.in_distributed
-                 else self.range_filter_of(loop, frame))
-        if found is None or not isinstance(found[1], SharedHandle):
-            # Not distributed — or the RF array is process-private
-            # (shouldn't happen): run it all.
-            self.run_for_range(loop, frame, init, limit, step)
+    def subranges(self, block, init, limit, array, *fixed):
+        if self.in_distributed or not isinstance(array, SharedHandle):
+            # Inside a distributed iteration — or the RF array is
+            # process-private (shouldn't happen): run it all.
+            yield init, limit
             return
-        block, arr, fixed = found
-        rf = block.range_filter
-        header = arr.header
-        idents = (tuple(reversed(self.identities)) if loop.descending
+        descending = block.descending
+        step = -1 if descending else 1
+        idents = (tuple(reversed(self.identities)) if descending
                   else self.identities)
         self.in_distributed += 1
         try:
             for ident in idents:
-                first, last = header.filtered_range(
-                    ident, init, limit, descending=loop.descending,
-                    fixed=fixed, dim=rf.dim)
+                first, last = array.header.filtered_range(
+                    ident, init, limit, descending=descending,
+                    fixed=fixed, dim=block.range_filter.dim)
                 items = max(0, (last - first) * step + 1)
                 key = (block.name, first, last, items)
                 self.rf_counts[key] = self.rf_counts.get(key, 0) + 1
-                self.run_for_range(loop, frame, first, last, step)
+                yield first, last
         finally:
             self.in_distributed -= 1
 

@@ -246,6 +246,71 @@ MUTANTS = (
             "a second assignment at width 2 or more.",
     ),
     Mutant(
+        name="subranges-outside-the-iteration",
+        file="repro/runtime/spmd.py",
+        old="""        self.in_distributed += 1
+        try:""",
+        new="""        try:""",
+        tests=(
+            "tests/runtime/test_spmd.py::"
+            "test_arrays_allocated_inside_a_distributed_iteration_are_private",
+        ),
+        why="Without the count a distributed iteration is replicated code "
+            "to the core: an array it allocates is shared, under an "
+            "ordinal the other identities never allocate.",
+    ),
+    Mutant(
+        name="descending-identities-lowest-first",
+        file="repro/runtime/spmd.py",
+        old="""        idents = (tuple(reversed(self.identities)) if descending
+                  else self.identities)""",
+        new="""        idents = self.identities""",
+        tests=(
+            "tests/runtime/test_spmd.py::TestOuterLoopTiling::"
+            "test_subranges_tile_the_iteration_space_once"
+            "[descending-2-takeover]",
+            "tests/runtime/test_spmd.py::TestOuterLoopTiling::"
+            "test_subranges_tile_the_iteration_space_once"
+            "[descending-5-takeover]",
+        ),
+        why="A process that adopted several identities runs a descending "
+            "loop's subranges against the global iteration order, so a "
+            "sweep waits on its own later subrange.",
+    ),
+    Mutant(
+        name="static-subranges-without-entry-sync",
+        file="repro/baseline/static_pr.py",
+        old="""        for p in range(self.num_pes):
+            self.clocks.times[p] = max(self.clocks.times[p], entry)""",
+        new="""        pass""",
+        tests=(
+            "tests/baseline/test_reference_fingerprint.py::"
+            "test_app_bit_identical[stencil]",
+            "tests/baseline/test_reference_fingerprint.py::"
+            "test_app_bit_identical[simple@8x1]",
+        ),
+        why="Every PE enters a distributed loop together; without the "
+            "sync a PE that finished the last one early starts this one "
+            "early, and the modeled times leave the reference's bits.",
+    ),
+    Mutant(
+        name="static-context-left-on-the-last-pe",
+        file="repro/baseline/static_pr.py",
+        old="""        finally:
+            self.clocks.ctx = "all\"""",
+        new="""        finally:
+            pass""",
+        tests=(
+            "tests/baseline/test_reference_fingerprint.py::"
+            "test_app_bit_identical[matmul]",
+            "tests/baseline/test_reference_fingerprint.py::"
+            "test_app_bit_identical[simple@8x1]",
+        ),
+        why="Replicated code after a distributed loop runs on every PE; "
+            "left in the last PE's context, only that PE's clock pays "
+            "for it and the next distributed loop is not split.",
+    ),
+    Mutant(
         name="hand-over-without-lock",
         file="repro/dist/node.py",
         old="""            with self._hand_lock:

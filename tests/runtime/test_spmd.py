@@ -684,13 +684,16 @@ class TestSpmdHostWorkBudget:
     # is the only frame of a ``k`` step); 0.38 with the present element
     # read inline (a frame only for the first read of each element);
     # 0.203 with the writes in place and the index rule in the store's
-    # ``write`` (the run's other frames were mostly writes').
-    RANK2_CALLS_PER_READ = 0.22
+    # ``write`` (the run's other frames were mostly writes'); 0.197 with
+    # each Range-Filter loop a Python ``for`` over its subranges, no
+    # frame per iteration.
+    RANK2_CALLS_PER_READ = 0.205
     # Rank 1, Livermore hydro n = 64 (256 reads, so allocation and
     # writing the source out weigh in): 15.37 over the closures, 8.05
     # generated, 8.01 read inline (nearly every element is read once),
-    # 6.00 with the writes in place.
-    RANK1_CALLS_PER_READ = 6.1
+    # 6.00 with the writes in place, 5.07 with the Range-Filter loops
+    # inline.
+    RANK1_CALLS_PER_READ = 5.2
     # Rank 2, every element present and in the handle's mirror, n = 48:
     # the run's own frames only, spread over its reads (0.023).
     MIRRORED_CALLS_PER_READ = 0.03
@@ -701,7 +704,9 @@ class TestSpmdHostWorkBudget:
     # Rank 2, a matrix filled by a Range-Filter loop, n = 48: 4.15 with
     # each write through ``on_array_write``, its trigger and a separate
     # offset frame; 1.15 with the store's ``write`` called in place, the
-    # index rule in its one frame.
+    # index rule in its one frame; 1.12 with the loop inline.  Run alone
+    # it reads 1.17 (1.20 before the loop went inline): a fresh process's
+    # first index rules pay about 125 frames of ``textwrap.indent``.
     CALLS_PER_WRITE = 1.2
 
     def test_rank2_matmul(self):
@@ -804,8 +809,9 @@ class TestSpmdHostWorkBudget:
 def test_the_matmul_k_loop_probes_and_writes_through_locals():
     # The clock-less code of matmul: the ``k`` loop's probes read the
     # handles' fields from locals loaded at its entry and count hits in
-    # a local, and the Range-Filter body writes ``C`` through the
-    # store's own ``write``, not the hook.
+    # a local, and the Range-Filter loop around it — a Python ``for``
+    # over the subranges ``_rf`` yields, in the same function — writes
+    # ``C`` through the store's own ``write``, not the hook.
     from repro.apps import compile_matmul
 
     interp = ShmSpmd(compile_matmul(checksum=True), tag="shape")
@@ -814,18 +820,27 @@ def test_the_matmul_k_loop_probes_and_writes_through_locals():
     finally:
         interp.close()
     lines = linecache.cache["<idlite:main>"][2]
+
+    def block(start):
+        indent = len(lines[start]) - len(lines[start].lstrip())
+        inner = lines[start + 1:]
+        return inner[:next(k for k, line in enumerate(inner)
+                           if len(line) - len(line.lstrip()) <= indent)]
+
+    source = "".join(lines)
+    assert not any(word in source
+                   for word in ("def _body", "frame", "_runfor")), source
+    rf_loops = [k for k, line in enumerate(lines) if "_rf(" in line]
+    assert len(rf_loops) == 2 and all(
+        re.match(r"for _\d+, _\d+ in _rf\(", lines[k].strip())
+        for k in rf_loops), source
     start = next(k for k, line in enumerate(lines)
                  if line.lstrip().startswith("for k_"))
-    indent = len(lines[start]) - len(lines[start].lstrip())
-    loop = lines[start + 1:]
-    loop = loop[:next(k for k, line in enumerate(loop)
-                      if len(line) - len(line.lstrip()) <= indent)]
+    loop = block(start)
     assert loop and not any(
         field in line for line in loop
         for field in (".seen", ".rows", ".cols", ".reads")), loop
-    body = lines[max(k for k in range(start)
-                     if lines[k].startswith("def _body")):]
-    body = body[:body.index("\n")]
+    body = block(max(k for k in rf_loops if k < start))
     writes = [line.strip() for line in body if "write(" in line]
     assert len(writes) == 1 and re.fullmatch(
         r"C_\d+\.write\(\(i_\d+, j_\d+\), s_\d+\)", writes[0]), writes

@@ -23,17 +23,18 @@ And the AST interpreter decodes once: under ``repro/{baseline,runtime,
 parallel,dist}`` only ``baseline/sequential.py`` names an ``ast_nodes``
 expression or statement class, and there only its source generator
 does — the methods of ``_Writer`` and its two dispatch tables — not the
-``run_*`` seams, not the ``on_*`` hooks.  An ``isinstance(stmt, A.For)``
+``subranges`` seam, not the ``on_*`` hooks.  An ``isinstance(stmt, A.For)``
 anywhere else is the per-evaluation dispatch ladder growing back.
 
 And modeled time belongs to the interpreters that report it: nothing
 under ``repro/{runtime,parallel,dist}`` names ``Clock`` (a worker runs
 the program, not the cost model), and in ``baseline/sequential.py`` the
 clock is only ever touched directly by the generator's methods (which
-write a charge into the source or leave it out), by ``bind_namespace``
-(which binds ``clock.charge`` into the generated code's globals once)
-and by ``run_for_range`` — never in a nested function or lambda nor in
-an ``on_*`` hook, which would be looking the clock up per evaluation.
+write a charge into the source or leave it out) and by
+``bind_namespace`` (which binds ``clock.charge`` into the generated
+code's globals once) — never in a nested function or lambda, in the
+``subranges`` seam or in an ``on_*`` hook, which would be looking the
+clock up per evaluation.
 
 And a node's rules live in one place: ``dist/protocol.py`` is the node
 as a state machine — it imports no ``asyncio``, ``threading``,
@@ -305,7 +306,7 @@ def test_the_wall_clock_substrates_do_not_name_the_cost_clock():
         "pass the interpreter no clock instead")
 
 
-CHARGING = {"bind_namespace", "run_for_range"}
+CHARGING = {"bind_namespace"}
 
 
 def test_nothing_looks_the_clock_up_at_run_time():
