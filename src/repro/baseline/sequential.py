@@ -267,13 +267,23 @@ class Interpreter:
         """Write the function ``name`` out, compile it into the namespace
         (replacing its stand-in) and return it.  Its source is registered
         with ``linecache`` under ``<idlite:NAME>``, so a traceback shows
-        the generated line."""
+        the generated line.  A function whose loops nest deeper than
+        CPython compiles is the program's ``ExecutionError``."""
         source = _Writer(self, self.program.functions[name]).module()
         filename = f"<idlite:{name}>"
         linecache.cache[filename] = (len(source), None,
                                      source.splitlines(keepends=True),
                                      filename)
-        exec(compile(source, filename, "exec"), self.namespace)
+        try:
+            code = compile(source, filename, "exec")
+        except SyntaxError as exc:
+            if exc.msg != "too many statically nested blocks":
+                raise
+            raise ExecutionError(
+                f"function {name!r} nests its loops too deep: its generated "
+                "code passes CPython's limit of 20 statically nested "
+                "blocks (a loop is one, a Range-Filter loop two)") from None
+        exec(code, self.namespace)
         return self.namespace[self.fn_keys[name]]
 
     # -- what the writer asks (overridden by the partitioned interpreters) --
@@ -390,16 +400,25 @@ class _Site(str):
 class _Hoist:
     """One clock-less Python ``for`` being written: the handles its body
     probes, each with the locals its probe fields are loaded into at the
-    loop's entry (and again after a miss) and the local its hits are
-    counted in.  Only a handle local bound before the loop (a slot below
-    ``outer``) that no ``next`` in it may rebind (``carried``) is one."""
+    loop's entry (and again after a miss), the local its hits are
+    counted in, and what its probes test once, not per iteration (each
+    source and its local; :func:`probe_source`).  Only a handle local
+    bound before the loop (a slot below ``outer``) that no ``next`` in
+    it may rebind (``carried``) is one, and only such a local or an
+    ``int`` literal is a subscript the loop never changes; ``span`` is
+    the loop's index with its bounds, least first, and their type
+    tests.  (The writer spells these tests out as loops, not
+    comprehensions: each comprehension is a frame, and a short run pays
+    for writing its code, ``TestSpmdHostWorkBudget``.)"""
 
-    __slots__ = ("outer", "carried", "handles")
+    __slots__ = ("outer", "carried", "span", "handles")
 
     def __init__(self, outer: int, carried: set[str]) -> None:
         self.outer = outer
         self.carried = carried
-        self.handles: dict[str, tuple[dict[str, str], str]] = {}
+        self.span: tuple[str, str, str, str] | None = None
+        self.handles: dict[str, tuple[dict[str, str], str,
+                                      dict[str, str]]] = {}
 
 
 class _Writer:
@@ -709,11 +728,25 @@ class _Writer:
                 f"for {', '.join(bounds)} in _rf({', '.join(args)}):")
             first, last = bounds
             self.bodies += 1
+        inner = len(self.lines)
         var = self.new_slot(stmt.var)
         self.indexes.add(var)
         index = self.names[var]
         if self.kinds.get(first) is not None:  # it counts from ``first``
             self.kinds[index] = self.kinds[first]
+        if hoist is not None:
+            # The range is tested again after a reload, so a bound a
+            # ``next`` in the loop rebinds is no span's.
+            lo, hi = (last, first) if stmt.descending else (first, last)
+            typed = ""
+            for bound, e in ((first, stmt.init), (last, stmt.limit)):
+                if self.kinds.get(bound) is not int:
+                    typed += f"type({bound}) is int and "
+                if rf is None and type(e) is A.Var and e.name in hoist.carried:
+                    typed = None
+                    break
+            if typed is not None:
+                hoist.span = (index, lo, hi, typed)
         mark = self.open(f"for {index} in "
                          f"{self.indices_of(stmt, first, last)}:")
         if self.clock:
@@ -727,21 +760,42 @@ class _Writer:
             self.shut(subranges)
         if hoist is not None:
             self.hoists.pop()
-            self.hoisted(hoist, entry)
+            self.hoisted(hoist, entry, inner, self.indent + (rf is not None))
 
-    def hoisted(self, hoist: _Hoist, entry: int) -> None:
+    def hoisted(self, hoist: _Hoist, entry: int, inner: int,
+                depth: int) -> None:
         """Load the probe fields of the handles ``hoist`` holds before
         the ``for`` at line ``entry`` — a non-array's fail every probe,
         so its access fails as it would have — and count their hits
-        into ``reads`` after it."""
+        into ``reads`` after it.  What the probes test once is computed
+        where the loop's own ``for`` begins (line ``inner``, at indent
+        ``depth``: inside the subranges of a Range-Filter loop), and
+        again after each reload of its handle's fields.  Those lines
+        only compare and do arithmetic on ``int``s they have tested, so
+        they never raise."""
         pad = "    " * self.indent
-        loads = []
-        for arr, (fields, hits) in hoist.handles.items():
-            loads += [f"{pad}{', '.join(fields.values())} = _fields({arr})"
-                      f" if isinstance({arr}, _Handle) else (None, 0, 0, 0)",
-                      f"{pad}{hits} = 0"]
+        loads, terms = [], []
+        for arr, (fields, hits, tested) in hoist.handles.items():
+            reload = f"{', '.join(fields.values())} = _fields({arr})"
+            loads += [f"{pad}{reload} if isinstance({arr}, _Handle)"
+                      " else (None, 0, 0, 0)", f"{pad}{hits} = 0"]
+            if not tested:
+                continue
+            again = []
+            for source, local in tested.items():
+                again.append(f"{local} = {source}")
+                terms.append(f"{'    ' * depth}{local} = {source}")
+            for k in range(inner, len(self.lines)):
+                line = self.lines[k]
+                if not line.endswith(reload):
+                    continue
+                self.lines[k] = f"{line}; {'; '.join(again)}"
+                if isinstance(line, _Site):
+                    self.lines[k] = _Site(self.lines[k])
+                    self.lines[k].fault = line.fault
+        self.lines[inner:inner] = terms
         self.lines[entry:entry] = loads
-        for arr, (_, hits) in hoist.handles.items():
+        for arr, (_, hits, _) in hoist.handles.items():
             self.emit(f"if {hits}: {arr}.reads += {hits}")
 
     def held(self, slot: int, name: str, arr: str):
@@ -756,7 +810,7 @@ class _Writer:
         held = hoist.handles.get(arr)
         if held is None:
             held = hoist.handles[arr] = (
-                {f: self.temp() for f in _PROBE_FIELDS}, self.temp())
+                {f: self.temp() for f in _PROBE_FIELDS}, self.temp(), {})
         return held
 
     def indices_of(self, stmt: A.For, first: str, last: str) -> str:
@@ -869,8 +923,9 @@ class _Writer:
             # No read hook either: the handle's probe, then its ``read``
             # for whatever the probe does not hold — through the loop's
             # locals where it holds the handle's fields, reloaded after
-            # a miss (a shared-memory handle builds its list on its
-            # first ``read``).
+            # a miss while they hold no list (a shared-memory handle
+            # builds its list on its first ``read``, and a handle's
+            # fields change only then).
             kinds = [self.kinds.get(a) for a in atoms]
             read = f"{t} = {arr}.read({self.at(atoms)})"
             lines = [read]
@@ -878,10 +933,25 @@ class _Writer:
                                  {f: f"{arr}.{f}" for f in _PROBE_FIELDS})
             held = probe and self.held(slot, e.array, arr)
             if held:
-                fields, hits = held
-                probe = probe_source(atoms, kinds, t, fields)
+                fields, hits, tested = held
+                hoist = self.hoists[-1]
+                fixed = []
+                for pos, sub in enumerate(e.indices):
+                    if (type(sub) is A.Num and type(sub.value) is int
+                            or type(sub) is A.Var and sub.name
+                            not in hoist.carried
+                            and self.sc.slot_of(sub.name) < hoist.outer):
+                        fixed.append(pos)
+
+                def local(source: str) -> str:
+                    if source not in tested:
+                        tested[source] = self.temp()
+                    return tested[source]
+                probe = probe_source(atoms, kinds, t, fields, fixed,
+                                     hoist.span, local)
                 reload = f"{', '.join(fields.values())} = _fields({arr})"
-                lines = [f"if {probe}: {hits} += 1", f"else: {read}; {reload}"]
+                lines = [f"if {probe}: {hits} += 1", "else:", f"    {read}",
+                         f"    if {fields['seen']} is None: {reload}"]
             elif probe is not None:
                 lines = [f"if {probe}: {arr}.reads += 1", f"else: {read}"]
         self.access(lines, arr, e.array, mark, e.indices)

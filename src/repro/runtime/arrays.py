@@ -99,35 +99,65 @@ for idx, dim, stride in zip(indices, dims, strides):
 """
 
 # The rule's present-element path as one condition, written inline by
-# the interpreter into every clock-less read of rank 1 or 2 (the
-# ``{typed}`` type tests only for subscripts it does not know are
-# ``int``s): the range test against the handle's probe extents, the
-# offset, and a look in what the handle has seen present.  It holds
+# the interpreter into every clock-less read of rank 1 or 2: per
+# subscript a type test (only where the writer does not know it is an
+# ``int``) and the range test against the handle's probe extents, then
+# the offset and a look in what the handle has seen present.  It holds
 # only where the rule passes, so whatever fails it — an index out of
 # range or not an ``int``, a rank the extents do not match, an element
 # absent or not yet seen — goes to the handle's ``read``, which applies
 # the rule whole.
-_PROBE_RULES = {
-    1: "{typed}1 <= {i} <= {ext} and ({t} := {seen}[{i} - 1]) is not None",
-    2: ("{typed}1 <= {i} <= {rows} and 1 <= {j} <= {cols}"
-        " and ({t} := {seen}[" + _offset2("{i}", "{j}", "{cols}")
-        + "]) is not None"),
-}
-
-
-def probe_source(subs: list[str], kinds: list, target: str, fields: dict):
+def probe_source(subs: list[str], kinds: list, target: str, fields: dict,
+                 fixed=(), span: tuple | None = None, hoist=None):
     """The probe condition of a read at ``subs`` (atoms whose types,
     where known, are ``kinds``) binding ``target``, the handle's
     ``seen``, ``ext``, ``rows`` and ``cols`` spelled as ``fields`` maps
     them; None where it could never hold: rank 3 or more, or a subscript
-    known to be something other than an ``int``."""
-    rule = _PROBE_RULES.get(len(subs))
-    if rule is None or any(k not in (int, None) for k in kinds):
-        return None
-    typed = "".join(f"type({s}) is int and "
-                    for s, k in zip(subs, kinds) if k is None)
-    return rule.format(typed=typed, t=target, i=subs[0], j=subs[-1],
-                       **fields)
+    known to be something other than an ``int``.
+
+    Inside a loop, what the loop never changes is tested once: the
+    tests of the subscripts at positions ``fixed`` and their term of the
+    offset are sources ``hoist(source)`` names a local for, and a
+    subscript that is the loop's own index, ``span = (index, lo, hi,
+    typed)``, passes its range test at once where the local for
+    ``typed`` (the bounds' type tests) ``1 <= lo and hi <= extent``
+    holds.  The condition keeps its truth value at every iteration."""
+    rank = len(subs)
+    # (Loops, not comprehensions: the writer calls this per read, and
+    # a comprehension is a frame of the run that writes the code.)
+    if rank not in (1, 2) or kinds.count(int) + kinds.count(None) < rank:
+        return None  # a subscript known to be no ``int``
+    if rank == 1:
+        extents, terms = [fields["ext"]], [subs[0]]
+    else:
+        extents = [fields["rows"], fields["cols"]]
+        terms = [f"({subs[0]} - 1) * {extents[1]}", subs[1]]
+    # Per subscript: its tests, and its term of the offset (less 1).
+    tests, held, offset, fixed_offset = [], [], [], []
+    for pos in range(rank):
+        s, ext = subs[pos], extents[pos]
+        test = f"1 <= {s} <= {ext}"
+        if kinds[pos] is None:
+            test = f"type({s}) is int and {test}"
+        if pos in fixed:
+            held.append(test)
+            fixed_offset.append(terms[pos])
+            continue
+        if span is not None and s == span[0]:
+            _, lo, hi, typed = span
+            inside = hoist(f"{typed}1 <= {lo} and {hi} <= {ext}")
+            test = f"({inside} or {test})"
+        tests.append(test)
+        offset.append(terms[pos])
+    if held:
+        ok = hoist(" and ".join(held))
+        offset.append(hoist(f"{' + '.join(fixed_offset)} - 1 if {ok} else 0"))
+        tests.insert(0, ok)
+    else:
+        offset[-1] += " - 1"
+    tests.append(f"({target} := {fields['seen']}[{' + '.join(offset)}])"
+                 " is not None")
+    return " and ".join(tests)
 
 
 # (name, params, rule, body, captured names) -> the compiled closure maker.

@@ -10,7 +10,9 @@ from repro.common.config import MachineConfig, SimConfig
 from repro.common.errors import (
     BoundsViolation,
     ExecutionError,
+    PodsError,
     SingleAssignmentViolation,
+    classify_error,
 )
 from repro.api import compile_source
 from repro.lang.parser import parse
@@ -235,6 +237,29 @@ class TestFaults:
         """
         with pytest.raises(ExecutionError):
             run(src)
+
+    @staticmethod
+    def nest(depth: int) -> str:
+        """``main`` with ``depth`` loops nested, each from 1 to ``n``."""
+        names = [f"i{k}" for k in range(1, depth + 1)]
+        body = f"x = {' + '.join(names)};"
+        for name in reversed(names):
+            body = f"for {name} = 1 to n {{ {body} }}"
+        return f"function main(n) {{ {body} return n; }}"
+
+    @pytest.mark.parametrize("backend", ["seq", "static", "parallel"])
+    def test_loops_nested_past_cpythons_block_limit(self, backend):
+        # A function is generated as one Python function, and CPython
+        # compiles no more than 20 statically nested blocks: past that,
+        # the program's error naming the function and the limit, never
+        # a raw ``SyntaxError`` nor a worker's ``internal`` failure.
+        shallow, deep = (compile_source(self.nest(d)) for d in (19, 20))
+        assert shallow.run((1,), backend=backend, parallelism=2).value == 1
+        with pytest.raises(PodsError) as excinfo:
+            deep.run((1,), backend=backend, parallelism=2)
+        assert classify_error(excinfo.value) == "execution"
+        assert ("function 'main' nests its loops too deep: its generated "
+                "code passes CPython's limit of 20") in str(excinfo.value)
 
 
 class TestCostModel:

@@ -204,8 +204,8 @@ MUTANTS = (
     Mutant(
         name="probe-without-reload",
         file="repro/baseline/sequential.py",
-        old="""f"else: {read}; {reload}\"""",
-        new="""f"else: {read}\"""",
+        old="""f"    if {fields['seen']} is None: {reload}\"""",
+        new="""f"    pass\"""",
         tests=(
             "tests/runtime/test_spmd.py::TestSpmdHostWorkBudget::"
             "test_a_miss_reloads_the_loops_probe",
@@ -213,6 +213,76 @@ MUTANTS = (
         why="A loop that entered before a shared-memory handle had its "
             "mirror keeps probing no list: every read of the loop, of an "
             "element it has read before too, calls the handle's read.",
+    ),
+    Mutant(
+        name="hoisted-terms-kept-after-reload",
+        file="repro/baseline/sequential.py",
+        old="""                self.lines[k] = f"{line}; {'; '.join(again)}\"""",
+        new="""                self.lines[k] = line""",
+        tests=(
+            "tests/runtime/test_spmd.py::TestSpmdHostWorkBudget::"
+            "test_a_reload_recomputes_what_the_loop_tests_once",
+        ),
+        why="A loop that entered before the handle had its list tests "
+            "the invariant row against extents of 0 until the loop ends: "
+            "every read of it, of an element read before too, misses.",
+    ),
+    Mutant(
+        name="carried-subscript-hoisted",
+        file="repro/baseline/sequential.py",
+        old="""                            or type(sub) is A.Var and sub.name
+                            not in hoist.carried
+                            and self.sc.slot_of(sub.name) < hoist.outer):""",
+        new="""                            or type(sub) is A.Var
+                            and self.sc.slot_of(sub.name) < hoist.outer):""",
+        tests=(
+            "tests/runtime/test_probe_differential.py::"
+            "test_the_probe_agrees_with_seq[carried]",
+        ),
+        why="A subscript a next rebinds changes in the loop; tested and "
+            "offset once at its entry, every read takes the first "
+            "iteration's row.",
+    ),
+    Mutant(
+        name="loop-range-without-type-tests",
+        file="repro/baseline/sequential.py",
+        old="""                    typed += f"type({bound}) is int and \"""",
+        new="""                    pass""",
+        tests=(
+            "tests/runtime/test_probe_differential.py::"
+            "test_the_probe_agrees_with_seq[float-bounds]",
+        ),
+        why="Float bounds inside the extent pass the loop's range test, "
+            "so the probe indexes its list with a float: a raw TypeError "
+            "where every backend reports a bounds error.",
+    ),
+    Mutant(
+        name="descending-loop-range-ascending",
+        file="repro/baseline/sequential.py",
+        old="""lo, hi = (last, first) if stmt.descending else (first, last)""",
+        new="""lo, hi = first, last""",
+        tests=(
+            "tests/runtime/test_probe_differential.py::"
+            "test_the_probe_agrees_with_seq[descending-past-1]",
+            "tests/runtime/test_probe_differential.py::"
+            "test_the_probe_agrees_with_seq[descending-past-n]",
+        ),
+        why="A descending loop's range tested as if ascending passes a "
+            "range that leaves the extent: index 0 reads the list's last "
+            "element, and n + 1 the next row's first.",
+    ),
+    Mutant(
+        name="span-over-a-rebound-bound",
+        file="repro/baseline/sequential.py",
+        old="""                if rf is None and type(e) is A.Var and e.name in hoist.carried:""",
+        new="""                if False:""",
+        tests=(
+            "tests/runtime/test_probe_differential.py::"
+            "test_the_probe_agrees_with_seq[carried-bound]",
+        ),
+        why="A bound a next rebinds has moved when a reload tests the "
+            "loop's range again, so the range passes that the loop, "
+            "which took its bounds at entry, leaves: a raw IndexError.",
     ),
     Mutant(
         name="hits-never-counted",
