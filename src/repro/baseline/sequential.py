@@ -407,9 +407,8 @@ class _Hoist:
     it may rebind (``carried``) is one, and only such a local or an
     ``int`` literal is a subscript the loop never changes; ``span`` is
     the loop's index with its bounds, least first, and their type
-    tests.  (The writer spells these tests out as loops, not
-    comprehensions: each comprehension is a frame, and a short run pays
-    for writing its code, ``TestSpmdHostWorkBudget``.)"""
+    tests.  (The writer spells these out as loops, not comprehensions:
+    a comprehension is a frame of the run that writes the code.)"""
 
     __slots__ = ("outer", "carried", "span", "handles")
 
